@@ -14,6 +14,7 @@ package configspec
 import (
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // Source records where a configuration item was discovered.
@@ -130,13 +131,16 @@ func Consolidate(items []Item) []Item {
 	return out
 }
 
-// NormalizeName canonicalizes an item name: leading dashes are stripped,
-// the name is lower-cased, and internal underscores become hyphens, so
-// "--Max_Connections" and "max-connections" unify.
+// NormalizeName canonicalizes an item name: surrounding space is
+// trimmed, the name is lower-cased, underscores become hyphens, and
+// only then are leading dashes (and any space they hid) stripped, so
+// "--Max_Connections" and "max-connections" unify. The order makes it
+// idempotent: stripping first left "_x" as "-x" and " --x" as "--x",
+// each one more pass away from "x".
 func NormalizeName(name string) string {
-	name = strings.TrimLeft(name, "-")
 	name = strings.ToLower(strings.TrimSpace(name))
-	return strings.ReplaceAll(name, "_", "-")
+	name = strings.ReplaceAll(name, "_", "-")
+	return strings.TrimLeftFunc(name, func(r rune) bool { return r == '-' || unicode.IsSpace(r) })
 }
 
 func dedupStrings(in []string) []string {

@@ -143,6 +143,7 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 			putLeaseRecord(w, &remaining[j])
 		}
 	}
+	c.checkpointed = true
 	return w.Bytes(), nil
 }
 
@@ -441,6 +442,7 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	c.syncBytes.Store(ck.syncBytes)
 	c.workerDeaths.Store(ck.workerDeaths)
 	c.reassignments.Store(ck.reassignments)
+	c.checkpointed = true
 
 	c.startLoop(st)
 	// Every instance left mid-campaign has unreplayed records (a batch

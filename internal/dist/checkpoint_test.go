@@ -179,3 +179,67 @@ func TestCancelledRunReleasesGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestCheckpointed pins the predicate a scheduler uses to decide that a
+// coordinator can be set aside (or dropped) without writing a
+// checkpoint: true exactly while the last Checkpoint, or the blob
+// Restore loaded, still describes the replay state.
+func TestCheckpointed(t *testing.T) {
+	sub := mustSubject(t, "DNS")
+	ctx := context.Background()
+	want := func(c *dist.Coordinator, when string, v bool) {
+		t.Helper()
+		if got := c.Checkpointed(); got != v {
+			t.Fatalf("Checkpointed %s = %v, want %v", when, got, v)
+		}
+	}
+
+	coord := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
+	wait := addPipeWorkers(t, coord.AddConn, 2)
+	want(coord, "before Start", false)
+	if err := coord.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want(coord, "after Start", false)
+	if err := coord.Advance(ctx, 400); err != nil {
+		t.Fatal(err)
+	}
+	want(coord, "after Advance", false)
+	blob, err := coord.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want(coord, "after Checkpoint", true)
+	if err := coord.Advance(ctx, 400); err != nil {
+		t.Fatal(err)
+	}
+	want(coord, "after an Advance that had nothing to replay", true)
+
+	if err := coord.Advance(ctx, 800); err != nil {
+		t.Fatal(err)
+	}
+	want(coord, "after Advance past the checkpoint", false)
+	coord.Close()
+	wait()
+
+	restored := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
+	wait = addPipeWorkers(t, restored.AddConn, 2)
+	if err := restored.Restore(ctx, blob); err != nil {
+		t.Fatal(err)
+	}
+	want(restored, "after Restore", true)
+	if clock := restored.MinClock(); clock < 400 {
+		t.Fatalf("restored clock = %v, want >= 400", clock)
+	}
+	// An Advance cancelled before it replays anything leaves the
+	// coordinator where the checkpoint has it.
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := restored.Advance(cctx, 800); err != context.Canceled {
+		t.Fatalf("cancelled Advance = %v", err)
+	}
+	want(restored, "after a cancelled Advance that replayed nothing", true)
+	restored.Close()
+	want(restored, "after Close", false)
+	wait()
+}

@@ -205,6 +205,10 @@ type Coordinator struct {
 	cancelled    bool
 	finished     bool
 	closed       bool
+	// checkpointed holds while the blob the last Checkpoint returned (or
+	// Restore loaded) still describes the replay state: every dispatched
+	// lease and every replayed record clears it.
+	checkpointed bool
 }
 
 // NewCoordinator prepares a standalone coordinator for one campaign of
@@ -272,6 +276,13 @@ func (c *Coordinator) workerSet() ([]*workerConn, error) {
 	}
 	return workers, nil
 }
+
+// Checkpointed reports whether the campaign is exactly where its last
+// Checkpoint (or the checkpoint it was Restored from) left it: nothing
+// replayed, nothing dispatched, no lease in flight since. A scheduler
+// that persisted that blob can set such a coordinator aside and pick it
+// up later — or drop it and Restore from disk — without writing again.
+func (c *Coordinator) Checkpointed() bool { return c.checkpointed && !c.closed }
 
 // Stats reports the dist-only bookkeeping. Safe to call concurrently
 // with Run.
@@ -419,6 +430,7 @@ func (c *Coordinator) dispatcher(wc *workerConn, jobs <-chan leaseJob) {
 func (c *Coordinator) dispatch(st *runState, i int) {
 	l := lease{Campaign: c.campaign, Index: i, Boundary: st.nextSync[i], Horizon: st.horizon, Seeds: st.pending[i]}
 	st.journal[i] = append(st.journal[i], leaseJournal{Boundary: st.nextSync[i], Seeds: st.pending[i]})
+	c.checkpointed = false
 	st.pending[i] = nil
 	st.batch[i] = nil
 	st.pos[i] = 0
@@ -884,6 +896,7 @@ func (c *Coordinator) Advance(ctx context.Context, until float64) error {
 			}
 			return err
 		}
+		c.checkpointed = false
 		st.execs[i]++
 		st.clock[i] += opts.StepCost + opts.ByteCost*float64(rec.bytes)
 

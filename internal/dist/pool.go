@@ -115,9 +115,12 @@ func (p *Pool) Acquire(n int) *Partition {
 // workers named in prefer are leased first (in attach order among
 // themselves), and only then is the remainder filled from the rest of
 // the free set in attach order. A campaign that parks and re-acquires
-// gets its previous workers back whenever they are still free, so the
-// worker-side state that survives a warm hand-off (booted live
-// targets, OS page cache) is reused instead of rebuilt on strangers.
+// lands back on the machines it ran on before whenever they are still
+// free. Nothing of the campaign survives a park on the worker itself —
+// Coordinator.Close releases its instances — so what the preference
+// buys is only what the machine keeps (OS page cache, a live target's
+// files on disk). Keeping the instances themselves is AcquireExact's
+// job.
 func (p *Pool) AcquirePreferring(n int, prefer []string) *Partition {
 	if n <= 0 {
 		return nil
@@ -150,6 +153,43 @@ func (p *Pool) AcquirePreferring(n int, prefer []string) *Partition {
 		return nil
 	}
 	return &Partition{pool: p, workers: got}
+}
+
+// AcquireExact leases exactly the workers c captured at Start/Restore —
+// the connections that still hold c's booted instances — so a
+// coordinator that was set aside between slices (its partition
+// released, nothing closed) continues its lease loop where it stopped,
+// with nothing re-booted and nothing re-executed. Members are matched by
+// connection, never by name: a worker that died and re-attached under
+// its old name is a different connection with none of c's state on it.
+// All or nothing; a miss leases nothing and names the first reason
+// found — "dead" (a captured worker has died), "size" (the grant n is
+// not the captured count) or "leased" (a member is in another
+// partition) — and the caller falls back to Close and Restore.
+func (p *Pool) AcquireExact(c *Coordinator, n int) (*Partition, string) {
+	var held []*workerConn
+	if c.st != nil {
+		held = c.st.workers
+	}
+	for _, wc := range held {
+		if wc.dead.Load() {
+			return nil, "dead"
+		}
+	}
+	if n <= 0 || len(held) != n {
+		return nil, "size"
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, wc := range held {
+		if p.leased[wc] {
+			return nil, "leased"
+		}
+	}
+	for _, wc := range held {
+		p.leased[wc] = true
+	}
+	return &Partition{pool: p, workers: append([]*workerConn(nil), held...)}, ""
 }
 
 // Release returns the partition's members to the pool's free set

@@ -173,3 +173,59 @@ func TestAcquirePreferring(t *testing.T) {
 	hold.Release()
 	c.Release()
 }
+
+// TestAcquireExact pins the suspended-campaign re-grant: a coordinator
+// gets back exactly the connections it captured, all or nothing, and a
+// miss names why and leases nothing.
+func TestAcquireExact(t *testing.T) {
+	p := NewPool(Config{HeartbeatInterval: -1})
+	defer p.Close()
+	var ws []*workerConn
+	for i := 0; i < 4; i++ {
+		ws = append(ws, addPipeWorker(t, p, fmt.Sprintf("w%d", i)))
+	}
+	// The captured set is a subset of the pool that plain attach-order
+	// acquisition would never pick.
+	c := &Coordinator{st: &runState{workers: []*workerConn{ws[1], ws[3]}}}
+
+	pt, miss := p.AcquireExact(c, 2)
+	if pt == nil || miss != "" || pt.Size() != 2 || pt.workers[0] != ws[1] || pt.workers[1] != ws[3] {
+		t.Fatalf("AcquireExact with the set free = %v, %q; want [w1 w3]", pt.Names(), miss)
+	}
+	if got := p.FreeLive(); got != 2 {
+		t.Fatalf("FreeLive after a hit = %d, want 2", got)
+	}
+	if other := p.Acquire(4); other.Size() != 2 || other.workers[0] != ws[0] || other.workers[1] != ws[2] {
+		t.Fatalf("Acquire beside the exact partition = %v, want [w0 w2]", other.Names())
+	} else {
+		other.Release()
+	}
+	pt.Release()
+
+	misses := func(label string, n int, want string) {
+		t.Helper()
+		free := p.FreeLive()
+		if pt, miss := p.AcquireExact(c, n); pt != nil || miss != want {
+			t.Fatalf("%s: AcquireExact = %v, %q; want miss %q", label, pt.Names(), miss, want)
+		}
+		if got := p.FreeLive(); got != free {
+			t.Fatalf("%s: a miss leased %d workers", label, free-got)
+		}
+	}
+	misses("grant smaller than the set", 1, "size")
+	misses("grant larger than the set", 3, "size")
+	misses("never started", 0, "size")
+	if pt, miss := p.AcquireExact(&Coordinator{}, 2); pt != nil || miss != "size" {
+		t.Fatalf("AcquireExact on an unstarted coordinator = %v, %q", pt.Names(), miss)
+	}
+
+	sibling := p.AcquirePreferring(1, []string{"w3"})
+	misses("one member leased", 2, "leased")
+	sibling.Release()
+
+	// A same-named replacement for a dead member is a different
+	// connection: still a miss.
+	ws[1].dead.Store(true)
+	addPipeWorker(t, p, "w1")
+	misses("one member dead", 2, "dead")
+}

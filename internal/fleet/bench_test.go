@@ -95,8 +95,10 @@ func drainFleet(b *testing.B, concurrency int, delay time.Duration) time.Duratio
 // 4-worker mix with 5ms of injected one-way link latency per frame,
 // serial scheduler (Concurrency: 1) vs partitioned concurrent
 // scheduler (Concurrency: 0). The concurrent scheduler must overlap
-// the four campaigns' RPC latency; the acceptance bar (>= 1.8x,
-// recorded in BENCH_fleet.json) is checked by the bench-smoke CI step.
+// the four campaigns' RPC latency; the acceptance bar (>= 1.8x) is
+// checked by the bench-smoke CI step. What a drain costs end to end is
+// wall_s_per_vhour on the benchmark's fleet_drain workload
+// (bench/README.md).
 func BenchmarkFleetDrain(b *testing.B) {
 	const delay = 5 * time.Millisecond
 	for _, bc := range []struct {

@@ -1,0 +1,29 @@
+package fleet
+
+// Test-only views of scheduler state for the external test package.
+// Call them from the goroutine that drives Step, between rounds.
+
+// SetWarmCap overrides warmCapPerWorker.
+func (m *Manager) SetWarmCap(perWorker int) { m.warmCap = perWorker }
+
+// A SuspendedCampaign is a campaign holding a live coordinator and no
+// partition: the clock that coordinator reports, and the workers it
+// last ran on.
+type SuspendedCampaign struct {
+	Clock   float64
+	Workers []string
+}
+
+// Suspended lists the suspended campaigns by id.
+func (m *Manager) Suspended() map[string]SuspendedCampaign {
+	out := map[string]SuspendedCampaign{}
+	for _, c := range m.held() {
+		if c.coord != nil && c.part == nil {
+			out[c.spec.ID] = SuspendedCampaign{Clock: c.coord.MinClock(), Workers: c.prevWorkers}
+		}
+	}
+	return out
+}
+
+// Subscribe taps the lifecycle event stream.
+func (m *Manager) Subscribe() (<-chan StreamEvent, func()) { return m.events.subscribe() }

@@ -12,7 +12,11 @@
 // each coordinator driving only its own partition's connections. A
 // campaign that keeps the same partition across rounds hands off warm:
 // the coordinator, its dispatchers, and the worker-side engines stay
-// live and the next slice continues the lease loop directly. Byte
+// live and the next slice continues the lease loop directly. A
+// campaign squeezed out of a round is suspended, not parked: it gives
+// back only its partition, and when it is selected again and the same
+// connections are free it resumes the same way, with nothing
+// re-executed; only a miss pays for a restore from checkpoint.bin. Byte
 // identity survives by composition: each campaign's replay is
 // slicing-invariant (see dist.Advance) and worker-count-invariant, so
 // the artifacts a campaign produces are byte-identical whatever
@@ -41,6 +45,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/dist"
@@ -85,8 +90,8 @@ type CampaignSpec struct {
 
 // Campaign lifecycle states.
 const (
-	StateQueued  = "queued"  // submitted; not running in this process (may hold a checkpoint)
-	StateRunning = "running" // a live coordinator holds it
+	StateQueued  = "queued"  // submitted; holds no workers (may hold a checkpoint, or be suspended with a live coordinator)
+	StateRunning = "running" // a live coordinator is slicing it or keeping it warm on its workers
 	StateDone    = "done"    // artifacts written
 	StateFailed  = "failed"  // gave up; Error holds why
 )
@@ -113,19 +118,27 @@ type campaignRec struct {
 	state string
 	err   string
 
-	coord *dist.Coordinator
-	// part is the worker partition the campaign currently holds (nil
-	// when parked, done, or running serially over the whole pool);
-	// workers caches its size for status snapshots, updated under the
-	// manager lock at assignment and release.
+	// coord and part are the two things a campaign can hold, and every
+	// combination is a state: both (slicing, or warm between rounds),
+	// coord alone (suspended — squeezed out of a round with its
+	// instances still booted on the workers — or, under Concurrency 1,
+	// simply between picks), neither (parked, done, failed, never
+	// started). workers caches part's size for status snapshots,
+	// updated under the manager lock at assignment and release.
+	coord   *dist.Coordinator
 	part    *dist.Partition
 	workers int
 	// prevWorkers remembers the names of the partition members the
-	// campaign last held, captured when the partition is released.
-	// The next acquisition prefers these workers (Pool.AcquirePreferring)
-	// so a park-and-reacquire lands back on machines that already hold
-	// this campaign's warm state when capacity allows.
+	// campaign last held, captured when the partition is released. A
+	// cold re-grant prefers these workers (Pool.AcquirePreferring) so it
+	// lands back on the machines it ran on when capacity allows.
 	prevWorkers []string
+	// lastRound is the scheduling round that last sliced the campaign —
+	// the warm cap's least-recently-sliced key. miss is why the
+	// campaign's live coordinator had to be dropped (size, dead, leased,
+	// evicted_lru); the next hand-off record reports and clears it.
+	lastRound int
+	miss      string
 
 	// Bandit bookkeeping. reward is an exponential moving average of the
 	// per-slice coverage rate — new union edges per (executions+1)
@@ -168,6 +181,16 @@ type Manager struct {
 	order     []string
 	stopped   bool
 
+	// round counts Step calls; warmCap is warmCapPerWorker (a field only
+	// so tests can shrink it). Scheduler goroutine only.
+	round   int
+	warmCap int
+	// Hand-off outcomes, for Instrument: grants that continued a
+	// suspended coordinator, and grants that had to Restore one from
+	// checkpoint.bin.
+	warmResumes  atomic.Int64
+	coldRestores atomic.Int64
+
 	// events fans lifecycle events out to /api/events subscribers.
 	events *broker
 	// leaseLatency, when instrumented, observes per-lease round-trip
@@ -181,8 +204,9 @@ func (m *Manager) Events() *broker { return m.events }
 
 // Instrument registers the manager's fleet-level metrics on reg:
 // lease round-trip latency, the lifetime flight-recorder event count,
-// and the lifetime count of stream events lost to slow SSE
-// subscribers. Call once, before Run.
+// the lifetime count of stream events lost to slow SSE subscribers,
+// and how many grants resumed a suspended campaign warm against how
+// many restored one from its checkpoint. Call once, before Run.
 func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.leaseLatency = reg.Histogram("cmfuzz_lease_latency_seconds",
 		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
@@ -200,6 +224,12 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("cmfuzz_stream_dropped_total",
 		"Stream events discarded because a subscriber's buffer was full.",
 		func() float64 { return float64(m.events.dropped()) })
+	reg.CounterFunc("cmfuzz_fleet_warm_resumes_total",
+		"Grants that continued a suspended campaign on the workers still holding its instances, re-executing nothing.",
+		func() float64 { return float64(m.warmResumes.Load()) })
+	reg.CounterFunc("cmfuzz_fleet_cold_restores_total",
+		"Grants that restored a campaign from checkpoint.bin, re-booting its instances and re-executing their lease journals.",
+		func() float64 { return float64(m.coldRestores.Load()) })
 }
 
 // NewManager opens (or creates) the state directory and recovers every
@@ -221,6 +251,7 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 		pool:      pool,
 		resolve:   resolve,
 		campaigns: make(map[string]*campaignRec),
+		warmCap:   warmCapPerWorker,
 		events:    newBroker(),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -501,10 +532,12 @@ func (m *Manager) observer(c *campaignRec) dist.Observer {
 	}
 }
 
-// ensureStarted brings c's coordinator up: restore from the persisted
-// checkpoint when one exists, otherwise start fresh.
+// ensureStarted brings c's coordinator up: a live one (warm hand-off, or
+// a suspended campaign resumed) just carries on; otherwise restore from
+// the persisted checkpoint when one exists, or start fresh.
 func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	if c.coord != nil {
+		m.setState(c, StateRunning)
 		return nil
 	}
 	sub, err := m.subjectFor(c.spec)
@@ -526,6 +559,7 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	}
 	ckPath := filepath.Join(m.dir(c.spec.ID), "checkpoint.bin")
 	if blob, rerr := os.ReadFile(ckPath); rerr == nil {
+		m.coldRestores.Add(1)
 		err = coord.Restore(ctx, blob)
 	} else {
 		err = coord.Start(ctx)
@@ -554,6 +588,7 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 // the campaign (artifacts written, checkpoint removed) or persists a
 // fresh checkpoint. Called with m.mu NOT held.
 func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
+	warm := c.coord != nil
 	if err := m.ensureStarted(ctx, c); err != nil {
 		return err
 	}
@@ -561,7 +596,7 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	m.mu.Lock()
 	m.events.publish(StreamEvent{
 		Type: "slice_start", Campaign: c.spec.ID, State: c.state,
-		Clock: c.clock, Edges: c.edges, Execs: c.execs,
+		Clock: c.clock, Edges: c.edges, Execs: c.execs, Warm: warm,
 	})
 	m.mu.Unlock()
 	target := coord.MinClock() + m.cfg.Slice
@@ -610,11 +645,7 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 		return nil
 	}
 
-	blob, err := coord.Checkpoint()
-	if err != nil {
-		return err
-	}
-	if err := campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644); err != nil {
+	if err := m.persistCheckpoint(c); err != nil {
 		return err
 	}
 
@@ -650,6 +681,7 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 // pool; otherwise the pool is partitioned and every selected campaign
 // advances one slice concurrently.
 func (m *Manager) Step(ctx context.Context) (bool, error) {
+	m.round++
 	if m.cfg.Concurrency == 1 {
 		return m.stepSerial(ctx)
 	}
@@ -658,6 +690,7 @@ func (m *Manager) Step(ctx context.Context) (bool, error) {
 
 // stepSerial is the legacy scheduler: the single bandit-chosen
 // campaign advances one slice with the whole pool as its worker set.
+// Every coordinator stays live between picks, up to the warm cap.
 func (m *Manager) stepSerial(ctx context.Context) (bool, error) {
 	m.mu.Lock()
 	c := m.pick(true)
@@ -665,6 +698,8 @@ func (m *Manager) stepSerial(ctx context.Context) (bool, error) {
 	if c == nil {
 		return false, nil
 	}
+	c.lastRound = m.round
+	m.enforceWarmCap(c)
 	err := m.runSlice(ctx, c)
 	if err == nil {
 		return true, nil
@@ -799,10 +834,20 @@ func instanceCap(spec CampaignSpec) int {
 }
 
 // stepRound runs one concurrent scheduling round: allocate shares,
-// reconcile partitions (warm hand-off when a campaign's grant matches
-// the partition it already holds; park-and-reacquire otherwise), then
+// reconcile what each campaign holds with what it was granted, then
 // advance every selected campaign one slice in parallel, each
-// coordinator driving only its own partition.
+// coordinator driving only its own partition. A grant is met in one of
+// three ways, cheapest first:
+//
+//   - warm: the campaign still holds a partition of the granted size.
+//     Nothing moves; the next slice continues the lease loop.
+//   - resumed: the campaign was suspended and the connections its
+//     coordinator captured are all alive, free, and as many as granted.
+//     It leases exactly those back (dist.Pool.AcquireExact) and
+//     continues as if warm — nothing re-booted, nothing re-executed.
+//   - cold: anything else. Whatever the campaign holds is parked, it
+//     takes a fresh partition, and runSlice restores it from
+//     checkpoint.bin (or starts it, the first time).
 func (m *Manager) stepRound(ctx context.Context) (bool, error) {
 	m.mu.Lock()
 	allocs := m.allocate()
@@ -815,7 +860,7 @@ func (m *Manager) stepRound(ctx context.Context) (bool, error) {
 	// acquires.
 	var evicted []*campaignRec
 	for _, id := range m.order {
-		if c := m.campaigns[id]; c.runnable() && !selected[c] && (c.coord != nil || c.part != nil) {
+		if c := m.campaigns[id]; c.runnable() && !selected[c] && c.part != nil {
 			evicted = append(evicted, c)
 		}
 	}
@@ -824,24 +869,47 @@ func (m *Manager) stepRound(ctx context.Context) (bool, error) {
 		return false, nil
 	}
 	for _, c := range evicted {
-		m.park(c)
+		m.suspend(c)
 	}
 	for _, a := range allocs {
 		c := a.c
-		if c.coord != nil && c.part != nil && c.part.Live() == a.workers {
-			// Warm hand-off: same partition, live coordinator — the next
-			// slice continues the existing lease loop; no finalize, no
-			// re-assign, no re-boot.
-			c.flight.add("handoff", map[string]any{"warm": true, "workers": a.workers})
+		c.lastRound = m.round
+		if c.part == nil {
 			continue
 		}
+		if c.coord != nil && c.part.Live() == a.workers {
+			c.handoff(true, false, a.workers)
+			continue
+		}
+		c.miss = "size"
 		m.park(c)
 	}
+	// Suspended campaigns claim first: each can use only the connections
+	// that hold its instances, while a cold grant can boot anywhere — so
+	// cold grants fill from whatever the resumes leave.
+	for _, a := range allocs {
+		c := a.c
+		if c.coord == nil || c.part != nil {
+			continue
+		}
+		part, miss := m.pool.AcquireExact(c.coord, a.workers)
+		if part == nil {
+			c.miss = miss
+			m.park(c)
+			continue
+		}
+		c.part = part
+		m.warmResumes.Add(1)
+		c.handoff(true, true, a.workers)
+	}
+	// Retire surplus suspended campaigns before the cold grants boot
+	// fresh instances onto the same workers.
+	m.enforceWarmCap(nil)
 	for _, a := range allocs {
 		c := a.c
 		if c.part == nil {
 			c.part = m.pool.AcquirePreferring(a.workers, c.prevWorkers)
-			c.flight.add("handoff", map[string]any{"warm": false, "workers": c.part.Live()})
+			c.handoff(false, false, c.part.Live())
 		}
 		m.mu.Lock()
 		c.workers = c.part.Live()
@@ -887,6 +955,19 @@ func (m *Manager) stepRound(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
+// handoff files how a grant was met in c's flight recorder: warm (no
+// coordinator had to be started or restored), resumed (a suspended one
+// was picked up again), the partition's size, and — on the cold
+// hand-off after a live coordinator had to be dropped — why.
+func (c *campaignRec) handoff(warm, resumed bool, workers int) {
+	detail := map[string]any{"warm": warm, "resumed": resumed, "workers": workers}
+	if c.miss != "" {
+		detail["miss"] = c.miss
+		c.miss = ""
+	}
+	c.flight.add("handoff", detail)
+}
+
 // releasePartition returns c's workers to the free set and zeroes the
 // status snapshot's worker count, remembering the member names so the
 // next acquisition can prefer them.
@@ -922,24 +1003,115 @@ func (m *Manager) failCampaign(c *campaignRec, err error) {
 	})
 }
 
-// park checkpoints and closes c's coordinator and returns its workers
-// to the free set, leaving the campaign queued so a later scheduler
-// (this process or the next) can resume it.
+// persistCheckpoint writes c's current replay state to checkpoint.bin.
+func (m *Manager) persistCheckpoint(c *campaignRec) error {
+	blob, err := c.coord.Checkpoint()
+	if err != nil {
+		return err
+	}
+	return campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644)
+}
+
+func (m *Manager) setState(c *campaignRec, state string) {
+	m.mu.Lock()
+	c.state = state
+	m.mu.Unlock()
+}
+
+// park closes c's coordinator — releasing its instances on the workers
+// — and returns its partition to the free set, leaving the campaign
+// queued so a later scheduler (this process or the next) can restore it
+// from checkpoint.bin. runSlice persisted a checkpoint when the last
+// slice ended, so park writes one only when the coordinator has moved
+// since (an interrupted Advance). A failure there is recorded, not
+// raised: the campaign falls back to the older checkpoint, which costs
+// re-execution but restores to the same artifacts.
 func (m *Manager) park(c *campaignRec) {
 	if c.coord == nil && c.part == nil {
 		return
 	}
 	if c.coord != nil {
-		if blob, err := c.coord.Checkpoint(); err == nil {
-			campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644)
+		if !c.coord.Checkpointed() {
+			if err := m.persistCheckpoint(c); err != nil {
+				c.flight.add("park_checkpoint_failed", map[string]any{"error": err.Error()})
+			}
 		}
 		c.coord.Close()
 		c.coord = nil
 	}
 	m.releasePartition(c)
+	m.setState(c, StateQueued)
+}
+
+// suspend sets aside a campaign squeezed out of a round: only its
+// partition goes back to the free set. The coordinator stays, and
+// through it the booted instances on its workers, so a later grant of
+// the same connections resumes with nothing re-executed. It reads as
+// queued with no workers, like a parked campaign. The checkpoint
+// runSlice wrote still describes it exactly (Checkpointed), so dropping
+// it at any later point — a miss, the warm cap, shutdown, a crash —
+// loses nothing; a coordinator without that guarantee is parked
+// instead.
+func (m *Manager) suspend(c *campaignRec) {
+	if c.coord == nil || !c.coord.Checkpointed() {
+		m.park(c)
+		return
+	}
+	m.releasePartition(c)
+	m.setState(c, StateQueued)
+}
+
+// warmCapPerWorker bounds what live coordinators without a partition —
+// suspended campaigns, and everything between picks under Concurrency 1
+// — may keep booted: this many instances per live worker (four default
+// campaigns). A constant, not a Config field: it trades worker and
+// coordinator memory against restore re-execution, the right value
+// follows from instance footprint rather than deployment, and below it
+// the cap is inert.
+const warmCapPerWorker = 16
+
+// enforceWarmCap parks live partition-less coordinators, least recently
+// sliced first (ties: submission order), until the instances they keep
+// booted fit warmCap per live worker. running, when set, is the serial
+// scheduler's pick: about to slice, so not surplus.
+func (m *Manager) enforceWarmCap(running *campaignRec) {
+	budget := 0
+	for _, w := range m.pool.Workers() {
+		if w.Alive {
+			budget += m.warmCap
+		}
+	}
+	var warm []*campaignRec
+	kept := 0
+	for _, c := range m.held() {
+		if c != running && c.coord != nil && c.part == nil {
+			warm = append(warm, c)
+			kept += instanceCap(c.spec)
+		}
+	}
+	sort.SliceStable(warm, func(i, j int) bool { return warm[i].lastRound < warm[j].lastRound })
+	for _, c := range warm {
+		if kept <= budget {
+			return
+		}
+		kept -= instanceCap(c.spec)
+		c.miss = "evicted_lru"
+		m.park(c)
+	}
+}
+
+// held lists, in submission order, every campaign holding a coordinator
+// or a partition.
+func (m *Manager) held() []*campaignRec {
 	m.mu.Lock()
-	c.state = StateQueued
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	var out []*campaignRec
+	for _, id := range m.order {
+		if c := m.campaigns[id]; c.coord != nil || c.part != nil {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Drain steps until every campaign is done or failed.
@@ -989,44 +1161,29 @@ func (m *Manager) Run(ctx context.Context) error {
 	}
 }
 
-// parkAll checkpoints and closes every running campaign.
+// parkAll parks every campaign that holds anything, suspended ones
+// included.
 func (m *Manager) parkAll() {
-	m.mu.Lock()
-	var running []*campaignRec
-	for _, id := range m.order {
-		if c := m.campaigns[id]; c.coord != nil || c.part != nil {
-			running = append(running, c)
-		}
-	}
-	m.mu.Unlock()
-	for _, c := range running {
+	for _, c := range m.held() {
 		m.park(c)
 	}
 }
 
-// Close abandons every running campaign WITHOUT checkpointing — the
+// Close abandons every live campaign WITHOUT checkpointing — the
 // on-disk state stays at the last slice boundary, exactly as if the
 // process had been killed. Restart tests use it to simulate a crash;
 // the serve path prefers Run's graceful parking.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	var running []*campaignRec
-	for _, id := range m.order {
-		if c := m.campaigns[id]; c.coord != nil || c.part != nil {
-			running = append(running, c)
-		}
-	}
 	m.stopped = true
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	for _, c := range running {
+	for _, c := range m.held() {
 		if c.coord != nil {
 			c.coord.Close()
 			c.coord = nil
 		}
 		m.releasePartition(c)
-		m.mu.Lock()
-		c.state = StateQueued
-		m.mu.Unlock()
+		m.setState(c, StateQueued)
 	}
 }

@@ -593,7 +593,8 @@ func roundRobin(ids []string, hist map[string][]slicePoint) []string {
 // final edges) spending at most 15% more total worker execs than the
 // oracle static split that gives each campaign exactly the slices it
 // needs. Round-robin is simulated on the same trajectories for
-// contrast; BENCH_fleet.json records a run of this test.
+// contrast; run with -v for the three exact costs (EXPERIMENTS.md,
+// "Recording the fleet-allocation experiment").
 func TestBanditAllocation(t *testing.T) {
 	specs := []fleet.CampaignSpec{
 		// Two long campaigns with different saturation points (DNS

@@ -4,7 +4,10 @@ import "sync"
 
 // A StreamEvent is one fleet lifecycle event on the /api/events SSE
 // feed. Type is one of: submit, slice_start, checkpoint, slice_end,
-// done, failed, worker_death. Seq is a monotone per-manager sequence
+// done, failed, worker_death. Warm, on slice_start, says the slice
+// continues a live coordinator (warm hand-off or suspended campaign
+// resumed) rather than starting or restoring one; absent means cold.
+// Seq is a monotone per-manager sequence
 // number so consumers can detect drops (the feed is lossy by design);
 // Dropped, when set, says how many events this subscriber lost
 // immediately before this one, so a dashboard can flag the gap without
@@ -21,6 +24,7 @@ type StreamEvent struct {
 	EdgesDelta int     `json:"edges_delta,omitempty"`
 	ExecsDelta int     `json:"execs_delta,omitempty"`
 	Reward     float64 `json:"reward,omitempty"`
+	Warm       bool    `json:"warm,omitempty"`
 	Dropped    int64   `json:"dropped,omitempty"`
 	Error      string  `json:"error,omitempty"`
 }

@@ -195,8 +195,8 @@ func TestTraceSpanNesting(t *testing.T) {
 // BenchmarkTelemetryOverhead guards the recorder's: "off" is the plain
 // campaign (every span site pays one nil check), "on" runs the full
 // tracer + progress board + a scraping-ready registry. The PR's
-// acceptance bound is on/off within 5%; BENCH_monitor.json records the
-// measured ratio.
+// acceptance bound is on/off within 5%; the benchmark's traced passes
+// report the same ratio as bench.trace_overhead_ratio (bench/README.md).
 func BenchmarkTraceOverhead(b *testing.B) {
 	sub, err := protocols.ByName("DNS")
 	if err != nil {

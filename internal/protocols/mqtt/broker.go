@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"slices"
 	"strings"
 
 	"cmfuzz/internal/bugs"
@@ -81,7 +82,12 @@ type Broker struct {
 	cur      *session
 	sessions map[string]*session
 	retained map[string]publishPacket
-	connects int
+	// retainedOrder lists retained's topics oldest first (an overwrite
+	// keeps its place), maintained at publish time so that subscribe's
+	// bounded scan picks the same topics every run — ranging over the map
+	// made a broker holding more than 256 depend on Go's map order.
+	retainedOrder []string
+	connects      int
 }
 
 // NewBroker returns an unstarted broker instance.
@@ -303,8 +309,15 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 			}
 			if len(p.Payload) == 0 {
 				b.tr.Edge(mRetain, 200)
-				delete(b.retained, p.Topic)
+				if overwrite {
+					delete(b.retained, p.Topic)
+					i := slices.Index(b.retainedOrder, p.Topic)
+					b.retainedOrder = slices.Delete(b.retainedOrder, i, i+1)
+				}
 			} else if len(b.retained) < 512 {
+				if !overwrite {
+					b.retainedOrder = append(b.retainedOrder, p.Topic)
+				}
 				b.retained[p.Topic] = p
 			}
 		}
@@ -463,16 +476,12 @@ func (b *Broker) handleSubscribe(body []byte) [][]byte {
 		codes = append(codes, granted)
 
 		// Retained delivery on subscribe (scan bounded like a topic-trie
-		// lookup would be).
-		scanned := 0
-		for topic, ret := range b.retained {
-			if scanned++; scanned > 256 {
-				break
-			}
+		// lookup would be): the 256 longest-retained topics.
+		for _, topic := range b.retainedOrder[:min(len(b.retainedOrder), 256)] {
 			if topicMatches(sub.Filter, topic) {
 				b.tr.Edge(mSubRetain, probes.Hash(topic)%256)
-				fwd := ret
-				fwd.QoS = minQoS(ret.QoS, granted)
+				fwd := b.retained[topic]
+				fwd.QoS = minQoS(fwd.QoS, granted)
 				fwd.Retain = true
 				out = append(out, encodePublish(fwd))
 			}

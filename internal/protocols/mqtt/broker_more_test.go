@@ -1,6 +1,8 @@
 package mqtt
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -181,3 +183,55 @@ func TestQuickConnectTotal(t *testing.T) {
 }
 
 func newTrace() *coverage.Trace { return coverage.NewTrace() }
+
+// TestRetainedScanDeterministicPast256 is the regression test for the
+// defect the benchmark's digest gate found: subscribe delivers at most
+// 256 retained messages, and choosing them by ranging over a Go map
+// made every MQTT campaign whose broker held more depend on map order.
+// Two brokers fed the same packets must answer and cover identically,
+// and the 256 scanned are the longest-retained topics.
+func TestRetainedScanDeterministicPast256(t *testing.T) {
+	topic := func(i int) string { return "t/" + strconv.Itoa(i) }
+	run := func() (responses [][]byte, edges []coverage.Index, b *Broker) {
+		b, tr := startBroker(t, nil)
+		connect(t, b)
+		for i := 0; i < 300; i++ {
+			b.Message(publishBytes(topic(i), 0, true, false, 0, []byte("v")))
+		}
+		b.Message(publishBytes(topic(7), 0, true, false, 0, []byte("overwritten in place")))
+		b.Message(publishBytes(topic(3), 0, true, false, 0, nil))
+		b.Message(publishBytes("never/retained", 0, true, false, 0, nil))
+		responses = b.Message(subscribeBytes(6, "t/#", 0))
+		return responses, tr.Map().Indices(), b
+	}
+	respA, edgesA, b := run()
+	respB, edgesB, _ := run()
+	if !reflect.DeepEqual(respA, respB) {
+		t.Fatal("two brokers fed the same packets answered a subscribe differently")
+	}
+	if !reflect.DeepEqual(edgesA, edgesB) {
+		t.Fatal("two brokers fed the same packets covered different edges")
+	}
+
+	// t/3 is gone, t/7 kept its place, so the scan covers t/0..t/256
+	// less t/3, in that order.
+	if len(b.retained) != 299 || len(b.retainedOrder) != 299 {
+		t.Fatalf("retained = %d topics, order lists %d; want 299 both", len(b.retained), len(b.retainedOrder))
+	}
+	if len(respA) != 1+256 {
+		t.Fatalf("subscribe returned %d packets, want suback + 256 retained", len(respA))
+	}
+	want := 0
+	for _, raw := range respA[1:] {
+		if want == 3 {
+			want++
+		}
+		if got := publishBytes(topic(want), 0, true, false, 0, []byte("v")); want != 7 && !reflect.DeepEqual(raw, got) {
+			t.Fatalf("retained delivery out of order: got %x, want %s", raw, topic(want))
+		}
+		want++
+	}
+	if want != 257 {
+		t.Fatalf("scan ended at t/%d, want t/256", want-1)
+	}
+}
