@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"cmfuzz/internal/campaign"
@@ -23,19 +22,6 @@ import (
 // ctx.Err()).
 func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-}
-
-func parseMode(name string) (parallel.Mode, error) {
-	switch strings.ToLower(name) {
-	case "cmfuzz":
-		return parallel.ModeCMFuzz, nil
-	case "peach":
-		return parallel.ModePeach, nil
-	case "spfuzz":
-		return parallel.ModeSPFuzz, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
 }
 
 // cmdCoordinator runs the distributed campaign's coordinator: listen,
@@ -62,7 +48,7 @@ func cmdCoordinator(args []string) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(*modeName)
+	mode, err := parallel.ParseMode(*modeName)
 	if err != nil {
 		return err
 	}
@@ -94,7 +80,9 @@ func cmdCoordinator(args []string) error {
 		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
 	coord.SetObserver(dist.Observer{
 		Lease: func(_, _, _, _ int, seconds float64, _ bool) { leaseLat.Observe(seconds) },
-		Death: func(worker string) { fmt.Fprintf(os.Stderr, "cmfuzz: worker %s died; reassigning its instances\n", worker) },
+		Death: func(worker string) {
+			fmt.Fprintf(os.Stderr, "cmfuzz: worker %s died; reassigning its instances\n", worker)
+		},
 	})
 
 	ln, err := net.Listen("tcp", *listen)

@@ -283,16 +283,9 @@ func cmdFuzz(args []string) error {
 		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
 	}
 	rec := sess.Recorder
-	var mode parallel.Mode
-	switch strings.ToLower(*modeName) {
-	case "cmfuzz":
-		mode = parallel.ModeCMFuzz
-	case "peach":
-		mode = parallel.ModePeach
-	case "spfuzz":
-		mode = parallel.ModeSPFuzz
-	default:
-		return fmt.Errorf("unknown mode %q", *modeName)
+	mode, err := parallel.ParseMode(*modeName)
+	if err != nil {
+		return err
 	}
 	var allocator parallel.Allocator
 	switch *alloc {

@@ -27,7 +27,7 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 2, "number of workers to wait for before serving")
 	stateDir := fs.String("state", "cmfuzz-state", "directory for campaign specs, checkpoints and artifacts")
 	slice := fs.Float64("slice", 900, "scheduler quantum in virtual seconds")
-	concurrency := fs.Int("concurrency", 0, "max campaigns slicing per round (0 = all runnable, 1 = legacy serial scheduler)")
+	concurrency := fs.Int("concurrency", 0, "caps a scheduling round at N campaigns (0 = every runnable campaign)")
 	monitorAddr := fs.String("monitor", "127.0.0.1:8080", "HTTP address serving the monitor and the /api endpoints")
 	fs.Parse(args)
 

@@ -20,18 +20,18 @@ import (
 // slices, so a coordinator restart resumes with artifacts byte-identical
 // to an uninterrupted run.
 //
-// The checkpoint stores two kinds of state. Coordinator-owned replay
-// state (clocks, union map, series, ledger, telemetry, corpus mirrors,
-// pending seeds, drained-but-unreplayed lease batches) is serialized
-// directly. Worker-owned engine state (fuzzing engine, RNG, saturation
-// tracker, booted target) is NOT serialized — it is reconstructed by
-// deterministic replay: Restore re-boots each instance at the clock of
-// its last (re)boot and re-sends its journaled leases (same boundaries,
-// same seed imports, same horizon), discarding the replies. Every
-// instance is a deterministic function of its spec and lease history,
-// so the rebuilt engines land in the exact state the checkpointed
-// batches were produced from, and the campaign continues as if never
-// interrupted.
+// The checkpoint stores two kinds of state. Coordinator-side state — the
+// event loop's (clocks, union map, series, ledger, telemetry) and the
+// replay source's (corpus mirrors, pending seeds, drained-but-unreplayed
+// lease batches) — is serialized directly. Worker-owned engine state
+// (fuzzing engine, RNG, saturation tracker, booted target) is NOT
+// serialized — it is reconstructed by deterministic replay: Restore
+// re-boots each instance at the clock of its last (re)boot and re-sends
+// its journaled leases (same boundaries, same seed imports, same
+// horizon), discarding the replies. Every instance is a deterministic
+// function of its spec and lease history, so the rebuilt engines land in
+// the exact state the checkpointed batches were produced from, and the
+// campaign continues as if never interrupted.
 const checkpointMagic = "cmfuzz-checkpoint"
 const checkpointVersion = 1
 
@@ -52,20 +52,22 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		return nil, err
 	}
 
+	l := c.loop
+	res, tel := l.Res, l.Opts.Telemetry
 	w := wire.NewWriter(1 << 16)
 	w.String16(checkpointMagic)
 	w.U8(checkpointVersion)
-	w.String16(st.res.Subject.Protocol)
-	encodeOptions(w, st.opts)
+	w.String16(res.Subject.Protocol)
+	encodeOptions(w, l.Opts)
 
 	// Plan-derived Result fields. Stored so Restore never re-runs
 	// host.Plan — planning probes the target and emits group telemetry,
 	// both of which already happened before the checkpoint.
-	w.U32(uint32(st.res.ModelEntities))
-	w.U32(uint32(st.res.RelationEdges))
-	w.U32(uint32(st.res.Probes))
-	w.U16(uint16(len(st.res.Groups)))
-	for _, g := range st.res.Groups {
+	w.U32(uint32(res.ModelEntities))
+	w.U32(uint32(res.RelationEdges))
+	w.U32(uint32(res.Probes))
+	w.U16(uint16(len(res.Groups)))
+	for _, g := range res.Groups {
 		putStrings(w, g.Members)
 	}
 	w.U16(uint16(len(st.specs)))
@@ -74,14 +76,14 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 	}
 
 	// Global replay state: union map, series, ledger, telemetry.
-	w.Bytes32(coverage.EncodeDelta(st.global, nil))
-	pts := st.res.Series.Points()
+	w.Bytes32(coverage.EncodeDelta(l.Union, nil))
+	pts := res.Series.Points()
 	w.U32(uint32(len(pts)))
 	for _, p := range pts {
 		putF64(w, p.T)
 		w.U32(uint32(p.Count))
 	}
-	reports := st.res.Bugs.Unique()
+	reports := res.Bugs.Unique()
 	w.U16(uint16(len(reports)))
 	for i := range reports {
 		rep := &reports[i]
@@ -92,11 +94,11 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		w.U32(uint32(rep.Count))
 	}
 	var events bytes.Buffer
-	if err := st.tel.WriteJSONL(&events); err != nil {
+	if err := tel.WriteJSONL(&events); err != nil {
 		return nil, err
 	}
 	w.Bytes32(events.Bytes())
-	counters := st.tel.Counters()
+	counters := tel.Counters()
 	names := make([]string, 0, len(counters))
 	for name := range counters {
 		names = append(names, name)
@@ -108,81 +110,62 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		putI64(w, int64(counters[name]))
 	}
 
-	putF64(w, c.watermark)
-	putF64(w, c.lastSample)
+	putF64(w, l.Watermark)
+	putF64(w, l.LastSample)
 	putI64(w, c.syncBytes.Load())
 	putI64(w, c.workerDeaths.Load())
 	putI64(w, c.reassignments.Load())
 
-	// Per-instance replay state.
-	w.U32(uint32(len(st.specs)))
-	for i := range st.specs {
-		putF64(w, st.clock[i])
-		putF64(w, st.nextSync[i])
-		putF64(w, st.resumeClock[i])
-		w.U32(uint32(st.crashes[i]))
-		w.U32(uint32(st.muts[i]))
-		w.U32(uint32(st.execs[i]))
-		w.U32(uint32(st.curCov[i]))
-		w.U32(uint32(st.startEdges[i]))
-		w.String32(st.curConfig[i])
-		mirror := make([]fuzz.Seed, st.mirror[i].Len())
+	// Per-instance state: the loop's clock and sync schedule, then the
+	// replica.
+	w.U32(uint32(len(st.inst)))
+	for i := range st.inst {
+		in := &st.inst[i]
+		putF64(w, l.Clock[i])
+		putF64(w, l.NextSync[i])
+		putF64(w, in.resumeClock)
+		w.U32(uint32(in.crashes))
+		w.U32(uint32(in.muts))
+		w.U32(uint32(in.execs))
+		w.U32(uint32(in.curCov))
+		w.U32(uint32(in.startEdges))
+		w.String32(in.curConfig)
+		mirror := make([]fuzz.Seed, in.mirror.Len())
 		for j := range mirror {
-			mirror[j] = st.mirror[i].At(j)
+			mirror[j] = in.mirror.At(j)
 		}
 		putSeeds(w, mirror)
-		putSeeds(w, st.pending[i])
-		w.U32(uint32(len(st.journal[i])))
-		for _, j := range st.journal[i] {
+		putSeeds(w, in.pending)
+		w.U32(uint32(len(in.journal)))
+		for _, j := range in.journal {
 			putF64(w, j.Boundary)
 			putSeeds(w, j.Seeds)
 		}
-		remaining := st.batch[i][st.pos[i]:]
+		remaining := in.batch[in.pos:]
 		w.U32(uint32(len(remaining)))
 		for j := range remaining {
-			putLeaseRecord(w, &remaining[j])
+			appendLeaseStep(w, &remaining[j])
 		}
 	}
 	c.checkpointed = true
 	return w.Bytes(), nil
 }
 
-// checkpoint is the decoded form of a serialized campaign.
+// checkpoint is a decoded campaign, in the shapes Restore hands on: the
+// loop's Result so far (plan figures, series, ledger), union map,
+// recorder and position, and the replay source's replicas.
 type checkpoint struct {
 	protocol      string
 	opts          parallel.Options
-	modelEntities int
-	relationEdges int
-	probes        int
-	groups        []schedule.Group
 	specs         []parallel.InstanceSpec
-	globalDelta   []byte
-	series        []coverage.Point
-	reports       []bugs.Report
-	events        []telemetry.Event
-	counters      telemetry.Counters
-	watermark     float64
-	lastSample    float64
+	res           *parallel.Result
+	union         *coverage.Map
+	tel           *telemetry.Recorder
+	loop          parallel.LoopState
 	syncBytes     int64
 	workerDeaths  int64
 	reassignments int64
-	inst          []checkpointInstance
-}
-
-type checkpointInstance struct {
-	clock       float64
-	nextSync    float64
-	resumeClock float64
-	crashes     int
-	muts        int
-	execs       int
-	curCov      int
-	startEdges  int
-	curConfig   string
-	mirror      []fuzz.Seed
-	pending     []fuzz.Seed
-	journal     []leaseJournal
-	remaining   []leaseRecord
+	inst          []replica
 }
 
 // ValidateCheckpoint reports whether data parses as a structurally
@@ -205,26 +188,41 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	ck := &checkpoint{
 		protocol: r.String16(),
 		opts:     decodeOptions(r),
+		union:    coverage.NewMap(),
 	}
-	ck.modelEntities = int(r.U32())
-	ck.relationEdges = int(r.U32())
-	ck.probes = int(r.U32())
+	// Plan-derived figures come from the checkpoint: Restore never
+	// re-runs the plan.
+	res := &parallel.Result{
+		Series:        &coverage.Series{},
+		ModelEntities: int(r.U32()),
+		RelationEdges: int(r.U32()),
+		Probes:        int(r.U32()),
+	}
+	ck.res = res
 	ngroups := int(r.U16())
 	for i := 0; i < ngroups && r.Err() == nil; i++ {
-		ck.groups = append(ck.groups, schedule.Group{Members: getStrings(r)})
+		res.Groups = append(res.Groups, schedule.Group{Members: getStrings(r)})
 	}
 	nspecs := int(r.U16())
 	for i := 0; i < nspecs && r.Err() == nil; i++ {
 		ck.specs = append(ck.specs, decodeSpec(r))
 	}
-	ck.globalDelta = r.Bytes32()
+	if delta := r.Bytes32(); r.Err() == nil {
+		if _, err := ck.union.ApplyDelta(delta); err != nil {
+			return nil, err
+		}
+	}
+	// Observe collapses consecutive equal counts, so the stored points
+	// (which have pairwise-different consecutive counts by construction)
+	// rebuild the series' internal state exactly.
 	npts := int(r.U32())
 	for i := 0; i < npts && r.Err() == nil; i++ {
-		ck.series = append(ck.series, coverage.Point{T: getF64(r), Count: int(r.U32())})
+		res.Series.Observe(getF64(r), int(r.U32()))
 	}
+	var reports []bugs.Report
 	nreports := int(r.U16())
 	for i := 0; i < nreports && r.Err() == nil; i++ {
-		ck.reports = append(ck.reports, bugs.Report{
+		reports = append(reports, bugs.Report{
 			Crash:    getCrash(r),
 			Instance: int(int32(r.U32())),
 			Time:     getF64(r),
@@ -232,30 +230,31 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 			Count:    int(r.U32()),
 		})
 	}
-	eventsRaw := r.Bytes32()
-	if r.Err() == nil {
-		events, err := telemetry.ParseJSONL(bytes.NewReader(eventsRaw))
-		if err != nil {
+	res.Bugs = bugs.RestoreLedger(reports)
+	var events []telemetry.Event
+	if raw := r.Bytes32(); r.Err() == nil {
+		var err error
+		if events, err = telemetry.ParseJSONL(bytes.NewReader(raw)); err != nil {
 			return nil, err
 		}
-		ck.events = events
 	}
-	ck.counters = make(telemetry.Counters)
+	counters := make(telemetry.Counters)
 	ncounters := int(r.U16())
 	for i := 0; i < ncounters && r.Err() == nil; i++ {
 		name := r.String16()
-		ck.counters[name] = int(getI64(r))
+		counters[name] = int(getI64(r))
 	}
-	ck.watermark = getF64(r)
-	ck.lastSample = getF64(r)
+	ck.tel = telemetry.Restore(events, counters)
+	ck.loop.Watermark = getF64(r)
+	ck.loop.LastSample = getF64(r)
 	ck.syncBytes = getI64(r)
 	ck.workerDeaths = getI64(r)
 	ck.reassignments = getI64(r)
 	ninst := int(r.U32())
 	for i := 0; i < ninst && r.Err() == nil; i++ {
-		ci := checkpointInstance{
-			clock:       getF64(r),
-			nextSync:    getF64(r),
+		ck.loop.Clock = append(ck.loop.Clock, getF64(r))
+		ck.loop.NextSync = append(ck.loop.NextSync, getF64(r))
+		in := replica{
 			resumeClock: getF64(r),
 			crashes:     int(r.U32()),
 			muts:        int(r.U32()),
@@ -263,26 +262,25 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 			curCov:      int(r.U32()),
 			startEdges:  int(r.U32()),
 			curConfig:   r.String32(),
+			mirror:      fuzz.NewCorpus(0),
 		}
-		ci.mirror = getSeeds(r)
-		ci.pending = getSeeds(r)
+		for _, s := range getSeeds(r) {
+			in.mirror.Add(s)
+		}
+		in.pending = getSeeds(r)
 		njournal := int(r.U32())
 		for j := 0; j < njournal && r.Err() == nil; j++ {
-			ci.journal = append(ci.journal, leaseJournal{Boundary: getF64(r), Seeds: getSeeds(r)})
+			in.journal = append(in.journal, leaseJournal{Boundary: getF64(r), Seeds: getSeeds(r)})
 		}
 		nrem := int(r.U32())
 		for j := 0; j < nrem && r.Err() == nil; j++ {
-			flags := r.U8()
-			if flags&^byte(leaseFlagsKnown) != 0 {
-				return nil, ErrProto
-			}
-			rec, err := getLeaseRecord(r, flags)
+			rec, err := getLeaseRecord(r, r.U8())
 			if err != nil {
 				return nil, err
 			}
-			ci.remaining = append(ci.remaining, rec)
+			in.batch = append(in.batch, rec)
 		}
-		ck.inst = append(ck.inst, ci)
+		ck.inst = append(ck.inst, in)
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -290,18 +288,16 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if !r.Empty() {
 		return nil, ErrProto
 	}
-	if len(ck.inst) != len(ck.specs) {
+	if len(ck.inst) != len(ck.specs) || len(ck.inst) == 0 {
 		return nil, ErrProto
 	}
 	return ck, nil
 }
 
-// Restore rebuilds a checkpointed campaign on a fresh coordinator: the
-// pool's workers are assigned the checkpointed plan, each instance is
-// re-booted at the clock of its last (re)boot and fast-forwarded by
-// replaying its journaled leases, and the coordinator's replay state
-// (clocks, union map, series, ledger, telemetry, mirrors, unreplayed
-// batches) is restored verbatim. Subsequent Advance/Finish calls produce
+// Restore rebuilds a checkpointed campaign on a fresh coordinator, as
+// described above: the pool's workers are assigned the checkpointed
+// plan, the coordinator-side state is restored verbatim and every
+// instance is fast-forwarded. Subsequent Advance/Finish calls produce
 // artifacts byte-identical to a run that was never interrupted.
 //
 // The caller's Telemetry option is ignored — the checkpointed event log
@@ -319,9 +315,8 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if err != nil {
 		return err
 	}
-	info := c.sub.Info()
-	if ck.protocol != info.Protocol {
-		return fmt.Errorf("dist: checkpoint is for subject %q, coordinator has %q", ck.protocol, info.Protocol)
+	if protocol := c.sub.Info().Protocol; ck.protocol != protocol {
+		return fmt.Errorf("dist: checkpoint is for subject %q, coordinator has %q", ck.protocol, protocol)
 	}
 	workers, err := c.workerSet()
 	if err != nil {
@@ -329,7 +324,7 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	}
 
 	opts := ck.opts
-	opts.Telemetry = telemetry.Restore(ck.events, ck.counters)
+	opts.Telemetry = ck.tel
 	opts.Trace = c.opts.Trace
 	opts.Progress = c.opts.Progress
 	opts.Label = c.opts.Label
@@ -337,122 +332,13 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if err != nil {
 		return err
 	}
-	opts = host.Opts
-	tel := opts.Telemetry
-	prog := opts.Progress
-	if opts.Label == "" {
-		opts.Label = opts.Mode.String()
-	}
-	prog.StartRun(opts.Label, opts.Mode.String(), info.Protocol, opts.VirtualHours*3600, opts.Instances)
-	c.endRun = func() { prog.EndRun(opts.Label) }
-
-	res := &parallel.Result{
-		Mode:          opts.Mode,
-		Subject:       info,
-		Series:        &coverage.Series{},
-		Bugs:          bugs.RestoreLedger(ck.reports),
-		ModelEntities: ck.modelEntities,
-		RelationEdges: ck.relationEdges,
-		Probes:        ck.probes,
-		Groups:        ck.groups,
-	}
-	// Observe collapses consecutive equal counts, so the stored points
-	// (which have pairwise-different consecutive counts by construction)
-	// rebuild the series' internal state exactly.
-	for _, p := range ck.series {
-		res.Series.Observe(p.T, p.Count)
-	}
-
-	global := coverage.NewMap()
-	if _, err := global.ApplyDelta(ck.globalDelta); err != nil {
-		return err
-	}
-
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	c.tracer = opts.Trace.Tracer()
-	wireOpts := opts
-	wireOpts.Telemetry = nil
-	wireOpts.Trace = nil
-	wireOpts.Progress = nil
-	wireOpts.Label = ""
-	assignPayload := encodeAssign(assign{Campaign: c.campaign, Subject: info.Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: ck.specs})
-	for _, wc := range workers {
-		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
-			return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
-		}
-	}
-	if c.ownPool {
-		c.pool.StartHeartbeats()
-	}
-
-	st := c.newRunState(host, opts, ck.specs, workers, res, global, tel)
-	c.st = st
-	for i := range ck.specs {
-		ci := &ck.inst[i]
-		st.clock[i] = ci.clock
-		st.nextSync[i] = ci.nextSync
-		st.resumeClock[i] = ci.resumeClock
-		st.crashes[i] = ci.crashes
-		st.muts[i] = ci.muts
-		st.execs[i] = ci.execs
-		st.curCov[i] = ci.curCov
-		st.startEdges[i] = ci.startEdges
-		st.curConfig[i] = ci.curConfig
-		for _, s := range ci.mirror {
-			st.mirror[i].Add(s)
-		}
-		st.pending[i] = ci.pending
-		st.journal[i] = ci.journal
-		st.batch[i] = ci.remaining
-
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Deterministic fast-forward: quiet re-boot at the last boot
-		// clock (startup crashes and coverage are already in the
-		// restored ledger and global map), then replay the journaled
-		// leases to rebuild the worker-side engine, corpus, RNG, and
-		// saturation state. Replies are discarded — their records are
-		// either already replayed into the restored state or stored in
-		// the remaining batch.
-		wc := c.alive(i % len(workers))
-		if wc == nil {
-			return errors.New("dist: no live workers left")
-		}
-		if err := c.bootQuiet(wc, st, i, ci.resumeClock); err != nil {
-			return fmt.Errorf("dist: restore boot of instance %d: %w", i, err)
-		}
-		if prog.Enabled() {
-			prog.SetInstanceConfig(opts.Label, i, st.curConfig[i])
-		}
-		for _, j := range ci.journal {
-			l := lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: st.horizon, Seeds: j.Seeds}
-			if _, err := wc.rpc(msgLease, encodeLease(l), msgLeaseResult, c.cfg.RPCTimeout); err != nil {
-				return fmt.Errorf("dist: restore replay of instance %d: %w", i, err)
-			}
-		}
-	}
-
-	c.watermark = ck.watermark
-	c.lastSample = ck.lastSample
-	c.minSampleGap = opts.SampleEvery / 10
 	c.syncBytes.Store(ck.syncBytes)
 	c.workerDeaths.Store(ck.workerDeaths)
 	c.reassignments.Store(ck.reassignments)
-	c.checkpointed = true
-
-	c.startLoop(st)
-	// Every instance left mid-campaign has unreplayed records (a batch
-	// drains only right before its next lease is dispatched); instances
-	// that already ran out the horizon need nothing. The dispatch here
-	// is a safety net for the empty-batch edge.
-	for i := range st.specs {
-		if len(st.batch[i]) == 0 && st.clock[i] < st.horizon {
-			c.dispatch(st, i)
-		}
-	}
-	return nil
+	c.checkpointed = true // until open has to dispatch a lease
+	c.loop = parallel.ResumeLoop(host, ck.res, ck.union, ck.loop)
+	return c.open(ctx, workers, ck.specs, ck.inst, true)
 }

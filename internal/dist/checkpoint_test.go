@@ -1,8 +1,12 @@
 package dist_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -242,4 +246,69 @@ func TestCheckpointed(t *testing.T) {
 	restored.Close()
 	want(restored, "after Close", false)
 	wait()
+}
+
+// TestRestoresParentCheckpoint guards checkpoint.bin across the commit
+// that taught step records to carry a latency charge. The fixture was
+// written by the commit before it (PR 12): DNS, CMFuzz, 2 instances,
+// 0.5 vh, seed 11, saturation window 30, paused at t=800 with 399
+// records still to replay — crashes, new-edge deltas and saturation
+// mutations among them. It must restore, re-encode to the same bytes
+// (a record that charges no latency encodes as it always did), and
+// finish byte-identical to the in-process run.
+func TestRestoresParentCheckpoint(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dist.ValidateCheckpoint(blob); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := mustSubject(t, "DNS")
+	ctx := context.Background()
+	recA := telemetry.New()
+	resA, err := parallel.Run(ctx, sub, parallel.Options{
+		Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: 11,
+		Concurrency: 1, SaturationWindow: 30, Telemetry: recA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirA := filepath.Join(t.TempDir(), "baseline")
+	writeAll(t, dirA, resA, recA)
+
+	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+	wait := addPipeWorkers(t, coord.AddConn, 2)
+	if err := coord.Restore(ctx, blob); err != nil {
+		t.Fatal(err)
+	}
+	again, err := coord.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatalf("restored checkpoint re-encodes to %d bytes that differ from the fixture's %d", len(again), len(blob))
+	}
+	if err := coord.Advance(ctx, coord.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	wait()
+	dirB := filepath.Join(t.TempDir(), "restored")
+	writeAll(t, dirB, res, coord.Recorder())
+	diffTrees(t, "restored parent checkpoint", readTree(t, dirA), readTree(t, dirB))
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/parallel"
@@ -50,12 +49,6 @@ func (c *Config) setDefaults() {
 }
 
 var errWorkerDead = errors.New("dist: worker is dead")
-
-// errPaused is fill's signal that the caller's context fired while a
-// lease reply was pending. The reply channel is buffered, so the
-// dispatcher is never blocked by the abandoned wait; the reply is
-// consumed by the next Advance (or by the checkpoint drain).
-var errPaused = errors.New("dist: advance interrupted")
 
 // workerConn is the coordinator's view of one connected worker. The
 // connection mutex serializes RPCs; the heartbeat goroutine uses
@@ -157,16 +150,17 @@ type Stats struct {
 }
 
 // A Coordinator owns the global half of one distributed campaign: the
-// scheduling plan, the virtual-clock event loop, the union coverage
-// map, the series, the ledger, and telemetry. Workers own the
-// instances. For the same subject, options, and seed, Run produces a
-// Result byte-identical to parallel.Run's.
+// scheduling plan and the event loop (a parallel.Loop, with its union
+// coverage map, series, ledger, and telemetry), which it feeds the step
+// records its workers send back. Workers own the instances. For the
+// same subject, options, and seed, Run produces a Result byte-identical
+// to parallel.Run's, because both are that one loop.
 //
 // The campaign lifecycle is decomposed so a scheduler can multiplex
 // many campaigns over one pool and survive restarts:
 //
 //	Start    plan, assign, boot, dispatch the first leases
-//	Advance  replay the event loop up to a virtual-clock bound
+//	Advance  run the event loop up to a virtual-clock bound
 //	Checkpoint / Restore   serialize between Advance slices
 //	Finish   collect per-instance results, seal the Result
 //	Close    join dispatchers, release or shut down the fleet
@@ -187,7 +181,8 @@ type Coordinator struct {
 
 	dispWG sync.WaitGroup
 
-	st *runState
+	loop *parallel.Loop
+	st   *runState
 	// tracer is the campaign tracer (nil when tracing is off): worker
 	// span records from lease replies are ingested into it under
 	// per-worker process lanes.
@@ -197,12 +192,6 @@ type Coordinator struct {
 	// replay loop may notice the same dead worker many times; a shared
 	// pool may have many campaigns each noticing it once).
 	deathCounted map[*workerConn]bool
-	endRun       func()
-	instSpans    []*trace.Span
-	watermark    float64
-	lastSample   float64
-	minSampleGap float64
-	cancelled    bool
 	finished     bool
 	closed       bool
 	// checkpointed holds while the blob the last Checkpoint returned (or
@@ -317,50 +306,67 @@ type leaseJournal struct {
 	Seeds    []fuzz.Seed
 }
 
-// runState is the coordinator-owned per-instance campaign state — the
-// exact fields the in-process event loop keeps on its Instance structs,
-// plus the replay bookkeeping the lease protocol needs: a corpus mirror
-// per instance (so sync exports are computed locally at the exact
-// event-loop position, without a wire round-trip) and the in-flight
-// lease batches being replayed.
+// runState is the event loop's replay Source: a replica per instance
+// and the lease plumbing. Byte-identity with the in-process run rests on
+// three things it keeps true: records reach the loop in the order the
+// worker's instance produced them; a record's coverage delta is the one
+// snapshotted before any restart coverage was absorbed (worker.go,
+// afterStep); and each mirror holds exactly what the worker-side corpus
+// holds at the same loop position.
 type runState struct {
-	host       *parallel.Host
-	opts       parallel.Options
-	specs      []parallel.InstanceSpec
-	workers    []*workerConn // pool snapshot taken at Start/Restore
-	owner      []*workerConn
-	clock      []float64
-	nextSync   []float64
-	crashes    []int
-	muts       []int
-	execs      []int // replayed steps since (re)boot — the engine's Execs counter
-	curCov     []int // instance's own edge count at the replay position
-	curConfig  []string
-	startEdges []int
-	// mirror replays each instance's corpus: Add on every new-edges
-	// record, plus the sync imports, in the same order the worker-side
-	// engine applies them, so mirror.Export == worker ExportSeeds.
-	mirror  []*fuzz.Corpus
-	pending [][]fuzz.Seed // seeds collected at sync, shipped with the next lease
-	// batch/pos is the lease reply currently being replayed; inflight
-	// marks a dispatched lease whose reply has not been consumed.
-	batch    [][]leaseRecord
-	pos      []int
-	inflight []bool
-	replyCh  []chan leaseReply
+	c       *Coordinator
+	specs   []parallel.InstanceSpec
+	workers []*workerConn // pool snapshot taken at Start/Restore
+	inst    []replica
+	cur     *parallel.LeaseStep // the record the loop is on
 	// jobs are the per-worker dispatcher queues; slot maps a worker to
 	// its position in the workers slice (pool-global ids don't index a
 	// partition subset, so both are keyed by connection).
 	jobs map[*workerConn]chan leaseJob
 	slot map[*workerConn]int
-	// journal/resumeClock record each instance's lease history since its
-	// last (re)boot, for checkpoint/resume replay.
-	journal     [][]leaseJournal
-	resumeClock []float64
-	horizon     float64
-	res         *parallel.Result
-	global      *coverage.Map
-	tel         *telemetry.Recorder
+	// restored marks replicas loaded from a checkpoint: Boot then
+	// fast-forwards the instances instead of starting their history.
+	restored bool
+}
+
+// A replica is the coordinator's picture of one instance: what the loop
+// would otherwise read off a live engine (configuration, edge count,
+// counters), a corpus mirror (so sync exports are computed locally at
+// the exact event-loop position, without a wire round-trip), the lease
+// batch being replayed, and the lease history a Restore re-sends. A
+// checkpoint stores everything here but the owner and the reply channel.
+type replica struct {
+	owner      *workerConn
+	crashes    int
+	muts       int
+	execs      int // replayed steps since (re)boot — the engine's Execs counter
+	curCov     int // instance's own edge count at the replay position
+	curConfig  string
+	startEdges int
+	// mirror replays the instance's corpus: Add on every new-edges
+	// record, plus the sync imports, in the same order the worker-side
+	// engine applies them, so mirror.Export == worker ExportSeeds.
+	mirror  *fuzz.Corpus
+	pending []fuzz.Seed // seeds collected at sync, shipped with the next lease
+	// batch/pos is the lease reply currently being replayed; inflight
+	// marks a dispatched lease whose reply has not been consumed.
+	batch    []parallel.LeaseStep
+	pos      int
+	inflight bool
+	replyCh  chan leaseReply
+	// journal/resumeClock record the lease history since the last
+	// (re)boot, for checkpoint/resume replay.
+	journal     []leaseJournal
+	resumeClock float64
+}
+
+// newReplicas returns n replicas of instances that have not run yet.
+func newReplicas(n int) []replica {
+	inst := make([]replica, n)
+	for i := range inst {
+		inst[i].mirror = fuzz.NewCorpus(0)
+	}
+	return inst
 }
 
 // A leaseJob is one lease RPC queued on a worker's dispatcher.
@@ -373,9 +379,8 @@ type leaseJob struct {
 // A leaseReply is a decoded lease result (or the transport/decode
 // failure that killed it).
 type leaseReply struct {
-	recs    []leaseRecord
-	syncDue bool
-	err     error
+	recs []parallel.LeaseStep
+	err  error
 }
 
 // dispatcher owns this campaign's lease traffic for one worker: jobs
@@ -421,89 +426,76 @@ func (c *Coordinator) dispatcher(wc *workerConn, jobs <-chan leaseJob) {
 		if c.obs.Lease != nil {
 			c.obs.Lease(job.instance, len(recs), len(job.payload), len(p), time.Since(t0).Seconds(), syncDue)
 		}
-		job.ch <- leaseReply{recs: recs, syncDue: syncDue}
+		job.ch <- leaseReply{recs: recs}
 	}
 }
 
 // dispatch hands instance i its next lease: the seeds its last sync
 // collected, and a budget up to its next sync boundary or the horizon.
-func (c *Coordinator) dispatch(st *runState, i int) {
-	l := lease{Campaign: c.campaign, Index: i, Boundary: st.nextSync[i], Horizon: st.horizon, Seeds: st.pending[i]}
-	st.journal[i] = append(st.journal[i], leaseJournal{Boundary: st.nextSync[i], Seeds: st.pending[i]})
+func (c *Coordinator) dispatch(i int) {
+	in := &c.st.inst[i]
+	boundary := c.loop.NextSync[i]
+	l := lease{Campaign: c.campaign, Index: i, Boundary: boundary, Horizon: c.loop.Horizon(), Seeds: in.pending}
+	in.journal = append(in.journal, leaseJournal{Boundary: boundary, Seeds: in.pending})
 	c.checkpointed = false
-	st.pending[i] = nil
-	st.batch[i] = nil
-	st.pos[i] = 0
-	st.inflight[i] = true
-	st.jobs[st.owner[i]] <- leaseJob{instance: i, payload: encodeLease(l), ch: st.replyCh[i]}
+	in.pending = nil
+	in.batch = nil
+	in.pos = 0
+	in.inflight = true
+	c.st.jobs[in.owner] <- leaseJob{instance: i, payload: encodeLease(l), ch: in.replyCh}
 }
 
-// fill consumes instance i's in-flight lease reply into its batch,
-// keeping any not-yet-replayed records. A lease that fails because its
+// fill consumes instance i's in-flight lease reply as its next batch. A
+// lease that fails because its
 // worker died is retried whole on a surviving worker: the reply is
 // all-or-nothing, so zero records were replayed and the re-booted
 // instance resumes at the lease's start clock — which is exactly the
-// coordinator's current clock for i. A cancelled ctx returns errPaused
-// without consuming anything (the buffered reply channel means the
-// dispatcher never blocks on the abandoned wait).
-func (c *Coordinator) fill(ctx context.Context, st *runState, i int) error {
-	if !st.inflight[i] {
+// loop's current clock for i. A ctx that ends first returns ctx.Err()
+// without consuming anything: the reply channel is buffered, so the
+// dispatcher never blocks on the abandoned wait, and the next Advance
+// (or the checkpoint drain) picks the reply up.
+func (c *Coordinator) fill(ctx context.Context, i int) error {
+	in := &c.st.inst[i]
+	if !in.inflight {
 		return fmt.Errorf("dist: instance %d has no lease in flight", i)
 	}
 	var rep leaseReply
 	select {
-	case rep = <-st.replyCh[i]:
+	case rep = <-in.replyCh:
 	default:
 		select {
-		case rep = <-st.replyCh[i]:
+		case rep = <-in.replyCh:
 		case <-ctx.Done():
-			return errPaused
+			return ctx.Err()
 		}
 	}
-	st.inflight[i] = false
+	in.inflight = false
 	if rep.err != nil {
-		wc := st.owner[i]
+		wc := in.owner
 		if !wc.dead.Load() {
 			return rep.err // application error: campaign-fatal
 		}
-		c.markDead(wc, st.tel)
-		if rerr := c.reassign(st, i); rerr != nil {
+		c.markDead(wc)
+		if rerr := c.reassign(i); rerr != nil {
 			return rerr
 		}
-		c.dispatch(st, i)
+		c.dispatch(i)
 		return nil
 	}
-	if rest := st.batch[i][st.pos[i]:]; len(rest) > 0 {
-		merged := make([]leaseRecord, 0, len(rest)+len(rep.recs))
-		st.batch[i] = append(append(merged, rest...), rep.recs...)
-	} else {
-		st.batch[i] = rep.recs
-	}
-	st.pos[i] = 0
+	// A lease goes out only once the batch before it is exhausted
+	// (dispatch), so the reply is the whole batch.
+	in.batch, in.pos = rep.recs, 0
 	return nil
-}
-
-// nextRecord returns instance i's next replay record, blocking on the
-// in-flight lease reply when the current batch is exhausted.
-func (c *Coordinator) nextRecord(ctx context.Context, st *runState, i int) (*leaseRecord, bool, error) {
-	for st.pos[i] >= len(st.batch[i]) {
-		if err := c.fill(ctx, st, i); err != nil {
-			return nil, false, err
-		}
-	}
-	rec := &st.batch[i][st.pos[i]]
-	st.pos[i]++
-	return rec, st.pos[i] >= len(st.batch[i]), nil
 }
 
 // markDead records a worker failure exactly once per campaign (campaign
 // loop only).
-func (c *Coordinator) markDead(wc *workerConn, tel *telemetry.Recorder) {
+func (c *Coordinator) markDead(wc *workerConn) {
 	wc.dead.Store(true)
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
 		c.workerDeaths.Add(1)
-		tel.Count(telemetry.CtrWorkerDeaths, 1)
+		c.loop.Opts.Telemetry.Count(telemetry.CtrWorkerDeaths, 1)
 		if c.obs.Death != nil {
 			c.obs.Death(wc.name)
 		}
@@ -512,8 +504,11 @@ func (c *Coordinator) markDead(wc *workerConn, tel *telemetry.Recorder) {
 
 // bootOn boots instance i on wc (resuming at resumeClock), replays the
 // startup crash records into the ledger, and merges the startup
-// coverage delta into the global map.
-func (c *Coordinator) bootOn(wc *workerConn, st *runState, i int, resumeClock float64) error {
+// coverage delta into the union map. A quiet boot is Restore's: the
+// checkpointed ledger and union map already contain both, and the
+// config/edges bookkeeping comes from the checkpoint, so only the owner
+// assignment survives.
+func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet bool) error {
 	p, err := wc.rpc(msgBoot, encodeBootReq(bootReq{Campaign: c.campaign, Index: i, ResumeClock: resumeClock}), msgBootResult, c.cfg.RPCTimeout)
 	if err != nil {
 		return err
@@ -523,95 +518,216 @@ func (c *Coordinator) bootOn(wc *workerConn, st *runState, i int, resumeClock fl
 		wc.dead.Store(true)
 		return err
 	}
-	for _, cr := range br.Crashes {
-		crash := cr.Crash
-		st.res.Bugs.Record(&crash, cr.Instance, cr.T, cr.Config)
+	if !quiet {
+		for k := range br.Crashes {
+			cr := &br.Crashes[k]
+			c.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
+		}
 	}
 	if br.Err != "" {
 		return errors.New(br.Err)
 	}
-	if _, err := st.global.ApplyDelta(br.Delta); err != nil {
-		wc.dead.Store(true)
-		return err
+	if !quiet {
+		if _, err := c.loop.Union.ApplyDelta(br.Delta); err != nil {
+			wc.dead.Store(true)
+			return err
+		}
+		in := &c.st.inst[i]
+		in.curConfig = br.Config
+		in.startEdges = br.StartEdges
+		in.curCov = br.StartEdges
 	}
-	st.owner[i] = wc
-	st.curConfig[i] = br.Config
-	st.startEdges[i] = br.StartEdges
-	st.curCov[i] = br.StartEdges
-	return nil
-}
-
-// bootQuiet re-boots instance i on wc at resumeClock during Restore,
-// discarding the startup crash records and coverage delta — the
-// checkpointed ledger and global map already contain them. Only the
-// owner assignment survives; config/edges bookkeeping is restored from
-// the checkpoint.
-func (c *Coordinator) bootQuiet(wc *workerConn, st *runState, i int, resumeClock float64) error {
-	p, err := wc.rpc(msgBoot, encodeBootReq(bootReq{Campaign: c.campaign, Index: i, ResumeClock: resumeClock}), msgBootResult, c.cfg.RPCTimeout)
-	if err != nil {
-		return err
-	}
-	br, err := decodeBootResult(p)
-	if err != nil {
-		wc.dead.Store(true)
-		return err
-	}
-	if br.Err != "" {
-		return errors.New(br.Err)
-	}
-	st.owner[i] = wc
+	c.st.inst[i].owner = wc
 	return nil
 }
 
 // reassign moves instance i off its dead owner onto the next live
-// worker, resuming at the coordinator-owned clock. The dead worker's
-// corpus progress for the instance is lost — the fresh instance reboots
-// from its original spec — but the global map, series, ledger, and
-// schedule are coordinator-owned and survive intact.
-func (c *Coordinator) reassign(st *runState, i int) error {
+// worker, resuming at the loop's clock for it. The dead worker's corpus
+// progress for the instance is lost — the fresh instance reboots from
+// its original spec — but the union map, series, ledger, and schedule
+// are the loop's and survive intact.
+func (c *Coordinator) reassign(i int) error {
+	tel := c.loop.Opts.Telemetry
+	in := &c.st.inst[i]
 	for {
-		wc := c.alive(st.slot[st.owner[i]] + 1)
+		wc := c.alive(c.st.slot[in.owner] + 1)
 		if wc == nil {
 			return errors.New("dist: no live workers left")
 		}
 		c.reassignments.Add(1)
-		st.tel.Count(telemetry.CtrReassignments, 1)
-		err := c.bootOn(wc, st, i, st.clock[i])
+		tel.Count(telemetry.CtrReassignments, 1)
+		err := c.bootOn(wc, i, c.loop.Clock[i], false)
 		if err == nil {
-			st.tel.Count(telemetry.CtrBoots, 1)
+			tel.Count(telemetry.CtrBoots, 1)
 			// The fresh instance starts with an empty corpus and a zeroed
 			// exec counter; the mirror must match it. The lease journal
 			// restarts from this boot, too.
-			st.execs[i] = 0
-			st.mirror[i] = fuzz.NewCorpus(0)
-			st.journal[i] = nil
-			st.resumeClock[i] = st.clock[i]
+			in.execs = 0
+			in.mirror = fuzz.NewCorpus(0)
+			in.journal = nil
+			in.resumeClock = c.loop.Clock[i]
 			return nil
 		}
 		if wc.dead.Load() {
-			c.markDead(wc, st.tel)
-			st.owner[i] = wc // advance the search past this worker
+			c.markDead(wc)
+			in.owner = wc // advance the search past this worker
 			continue
 		}
 		return err // application-level boot failure: campaign-fatal, as in-process
 	}
 }
 
-// rpcI sends one instance-targeted RPC, transparently reassigning the
-// instance and retrying when its owner has died.
-func (c *Coordinator) rpcI(st *runState, i int, typ byte, payload []byte, want byte) ([]byte, error) {
+// The parallel.Source methods. Boot runs under Loop.Boot; the rest run
+// once per Loop.Advance iteration, on the record Step fetched.
+
+// Boot boots instance i on its round-robin worker — the loop asks in
+// instance order, so ledger entries and telemetry events from startup
+// land as they do in-process. After Restore it instead puts the instance
+// back where the checkpoint left it: a quiet re-boot at the clock of its
+// last (re)boot, then a replay of the journaled leases to rebuild the
+// worker-side engine, corpus, RNG, and saturation state. Those replies
+// are discarded — their records are either already in the restored
+// state or stored in the remaining batch.
+func (st *runState) Boot(i int) (int, error) {
+	c, in := st.c, &st.inst[i]
+	wc := c.alive(i % len(st.workers))
+	if wc == nil {
+		return 0, errors.New("dist: no live workers left")
+	}
+	if st.restored {
+		if err := c.bootOn(wc, i, in.resumeClock, true); err != nil {
+			return 0, fmt.Errorf("dist: restore boot of instance %d: %w", i, err)
+		}
+		for _, j := range in.journal {
+			l := lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds}
+			if _, err := wc.rpc(msgLease, encodeLease(l), msgLeaseResult, c.cfg.RPCTimeout); err != nil {
+				return 0, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)
+			}
+		}
+		return in.startEdges, nil
+	}
+	in.owner = wc
+	if err := c.bootOn(wc, i, 0, false); err != nil {
+		if !wc.dead.Load() {
+			return 0, fmt.Errorf("parallel: instance %d failed to start: %w", i, err)
+		}
+		c.markDead(wc)
+		if rerr := c.reassign(i); rerr != nil {
+			return 0, rerr
+		}
+	}
+	return in.startEdges, nil
+}
+
+// Step hands the loop instance i's next record, blocking on the
+// in-flight lease reply when the current batch is exhausted.
+func (st *runState) Step(ctx context.Context, i int) (parallel.Step, error) {
+	in := &st.inst[i]
+	for in.pos >= len(in.batch) {
+		if err := st.c.fill(ctx, i); err != nil {
+			return parallel.Step{}, err
+		}
+	}
+	st.cur = &in.batch[in.pos]
+	in.pos++
+	st.c.checkpointed = false
+	in.execs++
+	if st.cur.Crash != nil {
+		in.crashes++
+	}
+	return st.cur.Step, nil
+}
+
+func (st *runState) Config(i int) string { return st.inst[i].curConfig }
+
+// Merge applies the record's coverage delta. The instance's own map grew
+// by exactly NewEdges, and its corpus gained the seed; both mirrors
+// follow.
+func (st *runState) Merge(i int, union *coverage.Map) error {
+	in := &st.inst[i]
+	if _, err := union.ApplyDelta(st.cur.Delta); err != nil {
+		return fmt.Errorf("dist: coverage delta from worker %q: %w", in.owner.name, err)
+	}
+	in.curCov += st.cur.NewEdges
+	in.mirror.Add(st.cur.Seed)
+	return nil
+}
+
+func (st *runState) Gauge(i int) parallel.Gauge {
+	in := &st.inst[i]
+	return parallel.Gauge{Edges: in.curCov, Execs: in.execs, Crashes: in.crashes, Mutations: in.muts, Corpus: in.mirror.Len()}
+}
+
+// Sync exports from every other instance's mirror at this exact
+// event-loop position. The collected seeds merge into i's mirror now —
+// where the worker-side corpus will have them — and ship to i's engine
+// with its next lease; i does not step again before that lease, so the
+// deferred wire import is invisible.
+func (st *runState) Sync(i int) int {
+	var all []fuzz.Seed
+	for j := range st.inst {
+		if j != i {
+			all = append(all, st.inst[j].mirror.Export(4)...)
+		}
+	}
+	for _, s := range all {
+		st.inst[i].mirror.Add(s)
+	}
+	st.inst[i].pending = all
+	return len(all)
+}
+
+// Saturated reports whether saturation fired worker-side on this step.
+// The worker ran the mutation inside the lease, before the loop got to
+// this step's sync; that is safe because mutation commutes with sync —
+// mutation touches the rng, target, and engine map; sync touches only
+// corpora — so no observable effect is reordered.
+func (st *runState) Saturated(int) bool { return st.cur.SatFired }
+
+// Mutate replays the recorded mutation: its restart crashes into sink,
+// its outcome to the loop.
+func (st *runState) Mutate(i int, sink parallel.CrashSink) parallel.MutationOutcome {
+	in, rec := &st.inst[i], st.cur
+	for k := range rec.MutationCrashes {
+		cr := &rec.MutationCrashes[k]
+		sink.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
+	}
+	in.muts += rec.Mutation.Mutations
+	in.curConfig = rec.Config
+	// A restart absorbed fresh startup coverage into the instance's map;
+	// resync the replayed edge count to the post-absorb value the worker
+	// reported.
+	in.curCov = rec.Coverage
+	return *rec.Mutation
+}
+
+// Done hands the instance its next lease once its batch is exhausted,
+// unless it just ran out the campaign horizon. A horizon-crossing sync
+// skips its import-only lease — an in-process instance does import
+// there, but it never steps again, so the corpus difference is invisible
+// in every artifact.
+func (st *runState) Done(i int) {
+	if in := &st.inst[i]; in.pos >= len(in.batch) && st.c.loop.Clock[i] < st.c.loop.Horizon() {
+		st.c.dispatch(i)
+	}
+}
+
+// Result collects instance i's summary from its worker, transparently
+// reassigning the instance and retrying when its owner has died.
+func (st *runState) Result(i int) (parallel.InstanceResult, error) {
+	c := st.c
 	for {
-		wc := st.owner[i]
-		p, err := wc.rpc(typ, payload, want, c.cfg.RPCTimeout)
+		wc := st.inst[i].owner
+		p, err := wc.rpc(msgFinalize, encodeIndexReq(indexReq{Campaign: c.campaign, Index: i}), msgInstanceResult, c.cfg.RPCTimeout)
 		if err == nil {
-			return p, nil
+			return decodeInstanceResult(p)
 		}
 		if !wc.dead.Load() {
-			return nil, err // worker alive but request failed: not recoverable by reassignment
+			return parallel.InstanceResult{}, err // worker alive but request failed: not recoverable by reassignment
 		}
-		c.markDead(wc, st.tel)
-		if rerr := c.reassign(st, i); rerr != nil {
-			return nil, rerr
+		c.markDead(wc)
+		if rerr := c.reassign(i); rerr != nil {
+			return parallel.InstanceResult{}, rerr
 		}
 	}
 }
@@ -631,400 +747,139 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	opts := host.Opts
-	info := c.sub.Info()
-	tel := opts.Telemetry
-	prog := opts.Progress
-	if opts.Label == "" {
-		opts.Label = opts.Mode.String()
-	}
-	prog.StartRun(opts.Label, opts.Mode.String(), info.Protocol, opts.VirtualHours*3600, opts.Instances)
-	c.endRun = func() { prog.EndRun(opts.Label) }
-
-	res := &parallel.Result{
-		Mode:          opts.Mode,
-		Subject:       info,
-		Series:        &coverage.Series{},
-		Bugs:          bugs.NewLedger(),
-		ModelEntities: host.Model.Len(),
-	}
-
-	if err := ctx.Err(); err != nil {
+	c.loop = parallel.NewLoop(host)
+	plan, err := c.loop.Plan(ctx)
+	if err != nil {
 		return err
 	}
+	return c.open(ctx, workers, plan.Specs, newReplicas(len(plan.Specs)), false)
+}
 
-	plan := host.Plan(res.Bugs, tel, opts.Trace)
-	res.RelationEdges = plan.RelationEdges
-	res.Probes = plan.Probes
-	res.Groups = plan.Groups
-
+// open brings the planned (or restored) campaign up on workers: assign,
+// allocate the replay state, boot every instance through the loop,
+// launch one dispatcher per worker, and lease out every instance that
+// has nothing left to replay. The dispatchers drain in Close before the
+// pool (or release) tears the connections down.
+func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, inst []replica, restored bool) error {
 	// Ship the whole plan to every worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
 	// adopt a reassigned instance later. Observability sinks are
 	// stripped from the wire options (workers replay into none of
 	// them); the Trace flag alone asks workers to run their own tracer
 	// and ship span records back for stitching.
+	opts := c.loop.Opts
 	c.tracer = opts.Trace.Tracer()
 	wireOpts := opts
 	wireOpts.Telemetry = nil
 	wireOpts.Trace = nil
 	wireOpts.Progress = nil
 	wireOpts.Label = ""
-	assignPayload := encodeAssign(assign{Campaign: c.campaign, Subject: info.Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: plan.Specs})
+	assignPayload := encodeAssign(assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: specs})
 	for _, wc := range workers {
 		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
 			return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
 		}
 	}
-
 	if c.ownPool {
 		c.pool.StartHeartbeats()
 	}
 
-	st := c.newRunState(host, opts, plan.Specs, workers, res, coverage.NewMap(), tel)
-
-	// Boot every instance, round-robin across workers, in instance
-	// order — the same order the in-process loop boots in, so ledger
-	// entries and telemetry events from startup land identically.
-	c.st = st
-	for i, spec := range plan.Specs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		wc := c.alive(i % len(workers))
-		if wc == nil {
-			return errors.New("dist: no live workers left")
-		}
-		bootSpan := opts.Trace.Child("instance.boot", trace.A("instance", spec.Index))
-		st.owner[i] = wc
-		if err := c.bootOn(wc, st, i, 0); err != nil {
-			if wc.dead.Load() {
-				c.markDead(wc, tel)
-				if rerr := c.reassign(st, i); rerr != nil {
-					bootSpan.End()
-					return rerr
-				}
-			} else {
-				bootSpan.End()
-				return fmt.Errorf("parallel: instance %d failed to start: %w", i, err)
-			}
-		}
-		st.nextSync[i] = opts.SyncInterval
-		bootSpan.Set("edges", st.startEdges[i])
-		bootSpan.End()
-		tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i,
-			Config: st.curConfig[i], Edges: st.startEdges[i]})
-		tel.Count(telemetry.CtrBoots, 1)
-		if prog.Enabled() {
-			prog.SetInstanceConfig(opts.Label, i, st.curConfig[i])
-		}
+	st := &runState{
+		c:        c,
+		specs:    append([]parallel.InstanceSpec(nil), specs...),
+		workers:  workers,
+		inst:     inst,
+		jobs:     make(map[*workerConn]chan leaseJob, len(workers)),
+		slot:     make(map[*workerConn]int, len(workers)),
+		restored: restored,
 	}
-
-	res.Series.Observe(0, st.global.Count())
-	c.lastSample = 0
-	c.watermark = 0
-	c.minSampleGap = opts.SampleEvery / 10
-
-	c.startLoop(st)
-	for i := range st.specs {
-		c.dispatch(st, i)
+	for i := range inst {
+		inst[i].replyCh = make(chan leaseReply, 1)
+	}
+	for wi, wc := range workers {
+		st.slot[wc] = wi
+		st.jobs[wc] = make(chan leaseJob, len(inst))
+		c.dispWG.Add(1)
+		go c.dispatcher(wc, st.jobs[wc])
+	}
+	c.st = st
+	if err := c.loop.Boot(ctx, st); err != nil {
+		return err
+	}
+	// After Start that is every instance. A restored instance left
+	// mid-campaign has unreplayed records (a batch drains only right
+	// before its next lease is dispatched), and one that already ran out
+	// the horizon needs nothing, so there it is a safety net for the
+	// empty-batch edge.
+	for i := range inst {
+		st.Done(i)
 	}
 	return nil
 }
 
-// newRunState allocates the per-instance state vectors.
-func (c *Coordinator) newRunState(host *parallel.Host, opts parallel.Options, specs []parallel.InstanceSpec,
-	workers []*workerConn, res *parallel.Result, global *coverage.Map, tel *telemetry.Recorder) *runState {
-	n := len(specs)
-	st := &runState{
-		host:        host,
-		opts:        opts,
-		specs:       append([]parallel.InstanceSpec(nil), specs...),
-		workers:     workers,
-		owner:       make([]*workerConn, n),
-		clock:       make([]float64, n),
-		nextSync:    make([]float64, n),
-		crashes:     make([]int, n),
-		muts:        make([]int, n),
-		execs:       make([]int, n),
-		curCov:      make([]int, n),
-		curConfig:   make([]string, n),
-		startEdges:  make([]int, n),
-		mirror:      make([]*fuzz.Corpus, n),
-		pending:     make([][]fuzz.Seed, n),
-		batch:       make([][]leaseRecord, n),
-		pos:         make([]int, n),
-		inflight:    make([]bool, n),
-		replyCh:     make([]chan leaseReply, n),
-		jobs:        make(map[*workerConn]chan leaseJob, len(workers)),
-		slot:        make(map[*workerConn]int, len(workers)),
-		journal:     make([][]leaseJournal, n),
-		resumeClock: make([]float64, n),
-		horizon:     opts.VirtualHours * 3600,
-		res:         res,
-		global:      global,
-		tel:         tel,
-	}
-	for i := 0; i < n; i++ {
-		st.mirror[i] = fuzz.NewCorpus(0)
-		st.replyCh[i] = make(chan leaseReply, 1)
-	}
-	for wi, wc := range workers {
-		st.slot[wc] = wi
-	}
-	return st
-}
-
-// startLoop creates the instance trace spans and launches one
-// dispatcher per worker. The dispatchers drain in Close before the
-// pool (or release) tears the connections down.
-func (c *Coordinator) startLoop(st *runState) {
-	c.instSpans = make([]*trace.Span, len(st.specs))
-	for i := range c.instSpans {
-		c.instSpans[i] = st.opts.Trace.Child("instance", trace.A("index", i))
-	}
-	for _, wc := range st.workers {
-		st.jobs[wc] = make(chan leaseJob, len(st.specs))
-		c.dispWG.Add(1)
-		go c.dispatcher(wc, st.jobs[wc])
-	}
-}
-
-// MinClock reports the campaign's replay position: the minimum
-// per-instance virtual clock. Valid after Start or Restore.
+// MinClock reports the campaign's position: the minimum per-instance
+// virtual clock. Valid after Start or Restore.
 func (c *Coordinator) MinClock() float64 {
-	st := c.st
-	if st == nil || len(st.clock) == 0 {
+	if c.st == nil {
 		return 0
 	}
-	m := st.clock[0]
-	for _, t := range st.clock[1:] {
-		if t < m {
-			m = t
-		}
-	}
-	return m
+	return c.loop.MinClock()
 }
 
 // Horizon reports the campaign's virtual end time.
 func (c *Coordinator) Horizon() float64 {
-	if c.st == nil {
+	if c.loop == nil {
 		return c.opts.VirtualHours * 3600
 	}
-	return c.st.horizon
+	return c.loop.Horizon()
 }
 
 // Progress reports the replay position, the union edge count, and the
 // replayed exec total — the fleet scheduler's reward signal.
 func (c *Coordinator) Progress() (clock float64, edges, execs int) {
-	st := c.st
-	if st == nil {
+	if c.st == nil {
 		return 0, 0, 0
 	}
-	total := 0
-	for _, e := range st.execs {
-		total += e
+	for i := range c.st.inst {
+		execs += c.st.inst[i].execs
 	}
-	return c.MinClock(), st.global.Count(), total
+	return c.loop.MinClock(), c.loop.Union.Count(), execs
 }
 
 // Recorder returns the campaign's telemetry recorder (the restored one
 // after Restore). Artifact writers use it after Finish.
 func (c *Coordinator) Recorder() *telemetry.Recorder {
-	if c.st == nil {
+	if c.loop == nil {
 		return c.opts.Telemetry
 	}
-	return c.st.tel
+	return c.loop.Opts.Telemetry
 }
 
-// Advance replays the distributed event loop until every instance's
-// virtual clock reaches min(until, horizon), dispatching fresh leases
-// as batches drain. It mirrors parallel.Run's loop statement for
-// statement — the replay is slicing-invariant, so any sequence of
-// Advance calls produces the same artifacts as one uninterrupted run.
-// A cancelled ctx returns ctx.Err() with the replay position intact;
-// the in-flight leases stay pending and the next Advance (or a
+// Advance runs the event loop until every instance's virtual clock
+// reaches min(until, horizon), dispatching fresh leases as batches
+// drain (parallel.Loop.Advance over the replay source, so any sequence
+// of Advance calls produces the same artifacts as one uninterrupted
+// run). A cancelled ctx returns ctx.Err() with the replay position
+// intact; the in-flight leases stay pending and the next Advance (or a
 // Checkpoint drain) consumes them.
 func (c *Coordinator) Advance(ctx context.Context, until float64) error {
-	st := c.st
-	if st == nil {
+	if c.st == nil {
 		return errors.New("dist: coordinator not started")
 	}
 	if c.finished || c.closed {
 		return errors.New("dist: campaign already finished")
 	}
-	opts := st.opts
-	tel := st.tel
-	prog := opts.Progress
-	res := st.res
-	n := len(st.specs)
-	horizon := st.horizon
-	if until > horizon {
-		until = horizon
-	}
-
-	// The replay event loop. It is parallel.Run's loop statement for
-	// statement, with the engine step replaced by the next lease record:
-	// records arrive batched per instance but are consumed in global
-	// (clock, index) min-scan order — the heap order the in-process loop
-	// steps in — so every ledger entry, telemetry event, series sample,
-	// and counter lands identically.
-	for {
-		i := 0
-		for j := 1; j < n; j++ {
-			if st.clock[j] < st.clock[i] {
-				i = j
-			}
-		}
-		if st.clock[i] >= until {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			c.cancelled = true
-		default:
-		}
-		if c.cancelled {
-			break
-		}
-
-		rec, lastOfBatch, err := c.nextRecord(ctx, st, i)
-		if err != nil {
-			if errors.Is(err, errPaused) {
-				c.cancelled = true
-				break
-			}
-			return err
-		}
-		c.checkpointed = false
-		st.execs[i]++
-		st.clock[i] += opts.StepCost + opts.ByteCost*float64(rec.bytes)
-
-		if rec.crash != nil {
-			st.crashes[i]++
-			isNew := res.Bugs.Record(rec.crash, i, st.clock[i], st.curConfig[i])
-			tel.Emit(telemetry.Event{T: st.clock[i], Type: telemetry.EvCrash, Instance: i,
-				Crash: rec.crash.ID(), New: isNew, Config: st.curConfig[i]})
-			tel.Count(telemetry.CtrCrashes, 1)
-			if isNew {
-				tel.Count(telemetry.CtrCrashesUnique, 1)
-			}
-		}
-		if rec.newEdges > 0 {
-			if _, err := st.global.ApplyDelta(rec.delta); err != nil {
-				return fmt.Errorf("dist: coverage delta from worker %q: %w", st.owner[i].name, err)
-			}
-			// The instance's own map grew by exactly newEdges, and its
-			// corpus gained the seed; replay both into the mirrors.
-			st.curCov[i] += rec.newEdges
-			st.mirror[i].Add(rec.seed)
-		}
-		if st.clock[i] > c.watermark {
-			c.watermark = st.clock[i]
-		}
-		if c.watermark-c.lastSample >= opts.SampleEvery ||
-			(rec.newEdges > 0 && c.watermark-c.lastSample >= c.minSampleGap) {
-			res.Series.Observe(c.watermark, st.global.Count())
-			c.lastSample = c.watermark
-			tel.Emit(telemetry.Event{T: c.watermark, Type: telemetry.EvSample, Instance: i,
-				Edges: st.global.Count()})
-			tel.Count(telemetry.CtrSamples, 1)
-			prog.SetUnion(opts.Label, c.watermark, st.global.Count())
-		}
-		if prog.Enabled() {
-			prog.StepInstance(opts.Label, i, st.clock[i],
-				st.curCov[i], st.execs[i], st.crashes[i], st.muts[i], st.mirror[i].Len())
-		}
-
-		// Seed synchronization, replayed from the corpus mirrors: export
-		// from every other instance (in index order, exactly as the
-		// in-process loop iterates) at this exact event-loop position.
-		// The collected seeds merge into i's mirror now — matching the
-		// in-process ImportSeeds — and ship to i's engine with its next
-		// lease; i does not step again before that lease, so the
-		// deferred wire import is invisible.
-		if st.clock[i] >= st.nextSync[i] {
-			sync := c.instSpans[i].Child("sync")
-			var all []fuzz.Seed
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				all = append(all, st.mirror[j].Export(4)...)
-			}
-			for _, s := range all {
-				st.mirror[i].Add(s)
-			}
-			st.pending[i] = all
-			skipped := 0
-			for st.nextSync[i] += opts.SyncInterval; st.nextSync[i] <= st.clock[i]; st.nextSync[i] += opts.SyncInterval {
-				skipped++
-			}
-			tel.Emit(telemetry.Event{T: st.clock[i], Type: telemetry.EvSync, Instance: i,
-				Seeds: len(all), Skipped: skipped})
-			tel.Count(telemetry.CtrSyncs, 1)
-			if skipped > 0 {
-				tel.Count(telemetry.CtrSyncSkipped, skipped)
-			}
-			sync.Set("seeds", len(all))
-			sync.End()
-		}
-
-		// Saturation fired worker-side inside the lease; replay its
-		// telemetry, ledger records, and counters here, in the same
-		// order the in-process loop emits them (after sync). Mutation
-		// commutes with sync — mutation touches the rng, target, and
-		// engine map; sync touches only corpora — so the worker running
-		// the mutation before the coordinator replays the sync does not
-		// reorder any observable effect.
-		if rec.satFired {
-			tel.Emit(telemetry.Event{T: st.clock[i], Type: telemetry.EvSaturation, Instance: i,
-				Edges: st.curCov[i]})
-			tel.Count(telemetry.CtrSaturations, 1)
-			if m := rec.mutation; m != nil {
-				mut := c.instSpans[i].Child("config.mutate")
-				for _, cr := range m.Crashes {
-					crash := cr.Crash
-					res.Bugs.Record(&crash, cr.Instance, cr.T, cr.Config)
-				}
-				st.muts[i] += m.Outcome.Mutations
-				parallel.EmitMutation(tel, i, st.clock[i], m.Outcome)
-				if m.Outcome.Restarted && prog.Enabled() {
-					prog.SetInstanceConfig(opts.Label, i, rec.config)
-				}
-				mut.End()
-			}
-			st.curConfig[i] = rec.config
-			// A restart absorbed fresh startup coverage into the
-			// instance's map; resync the replayed edge count to the
-			// post-absorb value the worker reported.
-			st.curCov[i] = rec.coverage
-		}
-
-		// Batch exhausted: hand the instance its next lease, unless it
-		// just ran out the campaign horizon. A horizon-crossing sync
-		// skips its import-only lease — the in-process loop does import
-		// there, but the instance never steps again, so the corpus
-		// difference is invisible in every artifact.
-		if lastOfBatch && st.clock[i] < horizon {
-			c.dispatch(st, i)
-		}
-	}
-
-	if c.cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return c.loop.Advance(ctx, until)
 }
 
 // drainInflight blocks until no instance has a lease reply pending,
-// folding the drained records into the per-instance batches for the
-// next Advance to replay. Checkpoint requires this quiescent state.
+// leaving the drained records in the per-instance batches for the next
+// Advance to replay. Checkpoint requires this quiescent state.
 func (c *Coordinator) drainInflight() error {
 	st := c.st
-	for i := range st.inflight {
-		for st.inflight[i] {
-			if err := c.fill(context.Background(), st, i); err != nil {
+	for i := range st.inst {
+		for st.inst[i].inflight {
+			if err := c.fill(context.Background(), i); err != nil {
 				return err
 			}
 		}
@@ -1034,41 +889,18 @@ func (c *Coordinator) drainInflight() error {
 
 // Finish observes the final series sample, collects every instance's
 // result from its worker, and seals the Result. After a cancelled
-// Advance it finalizes the partial campaign exactly as parallel.Run
-// does.
+// Advance it finalizes the partial campaign at the watermark reached.
 func (c *Coordinator) Finish(ctx context.Context) (*parallel.Result, error) {
-	st := c.st
-	if st == nil {
+	if c.st == nil {
 		return nil, errors.New("dist: coordinator not started")
 	}
 	if c.finished {
 		return nil, errors.New("dist: campaign already finished")
 	}
-	opts := st.opts
-	res := st.res
-	finalT := st.horizon
-	if c.cancelled {
-		finalT = c.watermark
+	res, err := c.loop.Finish()
+	if err != nil {
+		return nil, err
 	}
-	res.Series.Observe(finalT, st.global.Count())
-	res.FinalBranches = st.global.Count()
-	opts.Progress.SetUnion(opts.Label, finalT, st.global.Count())
-	for i := range st.specs {
-		p, err := c.rpcI(st, i, msgFinalize, encodeIndexReq(indexReq{Campaign: c.campaign, Index: i}), msgInstanceResult)
-		if err != nil {
-			return nil, err
-		}
-		ir, err := decodeInstanceResult(p)
-		if err != nil {
-			return nil, err
-		}
-		res.TotalExecs += ir.Execs
-		c.instSpans[i].Set("edges", ir.FinalBranches)
-		c.instSpans[i].Set("execs", ir.Execs)
-		c.instSpans[i].End()
-		res.Instances = append(res.Instances, ir)
-	}
-	res.Counters = st.tel.Counters()
 	c.finished = true
 	return res, nil
 }
@@ -1090,8 +922,8 @@ func (c *Coordinator) Close() {
 		}
 		c.dispWG.Wait()
 	}
-	if c.endRun != nil {
-		c.endRun()
+	if c.loop != nil {
+		c.loop.Close()
 	}
 	if c.ownPool {
 		c.pool.Close()
@@ -1109,22 +941,14 @@ func (c *Coordinator) Close() {
 }
 
 // Run executes the whole distributed campaign: Start, Advance to the
-// horizon, Finish, Close. See the package comment for the byte-identity
-// argument.
+// horizon, Finish, Close. A cancelled ctx yields the partial Result
+// alongside ctx.Err(), as parallel.Run does.
 func (c *Coordinator) Run(ctx context.Context) (*parallel.Result, error) {
 	defer c.Close()
 	if err := c.Start(ctx); err != nil {
 		return nil, err
 	}
-	if err := c.Advance(ctx, c.st.horizon); err != nil && !c.cancelled {
-		return nil, err
-	}
-	res, err := c.Finish(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if c.cancelled {
-		return res, ctx.Err()
-	}
-	return res, nil
+	res, err := c.loop.Run(ctx)
+	c.finished = res != nil
+	return res, err
 }

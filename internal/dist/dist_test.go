@@ -208,3 +208,36 @@ func TestRunLocalMatchesInProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopbackMatchesInProcessUnderLatency is the anchor again with
+// link latency on: every step charges the latency its namespace accrued
+// to the instance's virtual clock, the charge rides the step record,
+// and the replayed clocks must stay bit-equal to the workers' — or the
+// coordinator and its workers disagree about where the horizon is.
+func TestLoopbackMatchesInProcessUnderLatency(t *testing.T) {
+	for _, name := range []string{"MQTT", "CoAP"} {
+		sub := mustSubject(t, name)
+		options := func(rec *telemetry.Recorder) parallel.Options {
+			return parallel.Options{
+				Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 3, Concurrency: 1,
+				LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001, Telemetry: rec,
+			}
+		}
+		recA := telemetry.New()
+		resA, err := parallel.Run(context.Background(), sub, options(recA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirA := filepath.Join(t.TempDir(), "inproc")
+		writeAll(t, dirA, resA, recA)
+
+		recB := telemetry.New()
+		resB, _, err := dist.RunLocal(context.Background(), sub, options(recB), 2, dist.Config{HeartbeatInterval: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dirB := filepath.Join(t.TempDir(), "dist")
+		writeAll(t, dirB, resB, recB)
+		diffTrees(t, name+" under latency", readTree(t, dirA), readTree(t, dirB))
+	}
+}

@@ -1,11 +1,11 @@
 // Package dist runs a parallel fuzzing campaign across worker processes.
 //
-// A coordinator owns everything global — the scheduling plan, the
-// virtual-clock event loop, the union coverage map, the sampled series,
-// the bug ledger, and telemetry — while workers own whole instances
-// (engine, booted target, mutation RNG, saturation tracker) and execute
-// the exact same per-instance code the in-process campaign uses
-// (parallel.Host / parallel.Instance).
+// A coordinator owns everything global — the scheduling plan and the
+// virtual-clock event loop (parallel.Loop) with its union coverage map,
+// sampled series, bug ledger, and telemetry — while workers own whole
+// instances (engine, booted target, mutation RNG, saturation tracker)
+// and execute the exact same per-instance code the in-process campaign
+// uses (parallel.Host / parallel.Instance).
 //
 // Workers run autonomously between scheduler touchpoints: the
 // coordinator ships a lease per instance (imported seeds plus a
@@ -13,12 +13,13 @@
 // horizon) and the worker executes the whole batch locally, streaming
 // back one consolidated reply carrying every step's coverage delta,
 // crash record, corpus addition, and saturation/mutation outcome. The
-// coordinator replays those records into the global event loop in
-// virtual-clock order, computing seed-sync exports from per-instance
-// corpus mirrors, so a distributed campaign and parallel.Run produce
-// byte-identical Results for the same seed: same coverage series, same
-// ledger order, same counters — while paying one RPC round-trip per
-// sync interval instead of one per engine step.
+// coordinator is the event loop's replay source: it hands the loop
+// those records in virtual-clock order and computes seed-sync exports
+// from per-instance corpus mirrors. parallel.Run is the same loop over
+// live instances, so the two produce byte-identical Results for the
+// same seed — same coverage series, same ledger order, same counters —
+// while a distributed campaign pays one RPC round-trip per sync
+// interval instead of one per engine step.
 //
 // Coverage travels as deltas (coverage.EncodeDelta over dirty words
 // only), so lease payloads are proportional to newly found edges, not
@@ -56,8 +57,11 @@ const maxFrame = 64 << 20
 // plus the worker's tracer clock, so the coordinator can stitch worker
 // spans into one aligned Chrome trace. Version 5 adds live targets:
 // Assign carries an inline JSON live-target spec (empty for built-in
-// subjects) and the options gain the link-impairment knobs.
-const protocolVersion = 5
+// subjects) and the options gain the link-impairment knobs. Version 6
+// lets a step record carry the link latency the step charged to its
+// instance's clock, so the coordinator's clocks follow the workers'
+// under Options.LinkLatency*.
+const protocolVersion = 6
 
 // Message types.
 const (

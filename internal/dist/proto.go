@@ -391,13 +391,6 @@ func decodeRelease(p []byte) (uint32, error) {
 	return id, nil
 }
 
-// mutation mirrors parallel.MutationOutcome plus the crash records the
-// restarts produced.
-type mutation struct {
-	Outcome parallel.MutationOutcome
-	Crashes []crashRec
-}
-
 func putMutEvent(w *wire.Writer, e parallel.MutEvent) {
 	w.String16(string(e.Type))
 	w.String16(e.Entity)
@@ -458,36 +451,30 @@ func decodeLease(p []byte) (lease, error) {
 
 // Per-step record encoding inside a lease reply. A flags byte leads
 // each record so the common case (no crash, no new edges, no
-// saturation) costs two bytes: flags + a varint byte count.
+// saturation, no link latency) costs two bytes: flags + a varint byte
+// count. Optional sections follow in flag-bit order, except that the
+// latency charge, the youngest section, sits right after the byte count
+// it is added to.
 const (
-	leaseFlagCrash = 1 << 0
-	leaseFlagEdges = 1 << 1
-	leaseFlagSat   = 1 << 2
+	leaseFlagCrash   = 1 << 0
+	leaseFlagEdges   = 1 << 1
+	leaseFlagSat     = 1 << 2
+	leaseFlagLatency = 1 << 3
 
-	leaseFlagsKnown = leaseFlagCrash | leaseFlagEdges | leaseFlagSat
+	leaseFlagsKnown = leaseFlagCrash | leaseFlagEdges | leaseFlagSat | leaseFlagLatency
 
 	// leaseEnd terminates the record stream (it cannot collide with a
 	// flags byte, whose unknown bits are rejected).
 	leaseEnd byte = 0xFF
 )
 
-// A leaseRecord is the decoded form of one worker step, ready for the
-// coordinator to replay.
-type leaseRecord struct {
-	bytes    int
-	newEdges int
-	crash    *bugs.Crash
-	delta    []byte
-	seed     fuzz.Seed
-	satFired bool
-	mutation *mutation
-	config   string // assignment after the mutation attempt
-	coverage int    // post-absorb edge count, only when satFired
-}
-
 // appendLeaseStep encodes one step record onto w. The worker calls it
 // from StepN's afterRecord hook, so the reply is built incrementally in
-// a reused encoder instead of being assembled from per-step slices.
+// a reused encoder instead of being assembled from per-step slices; the
+// checkpoint calls it for drained records not yet replayed. A record
+// that charged no link latency encodes as it did before records could
+// carry one, so older checkpoints and latency-free replies are
+// unchanged.
 func appendLeaseStep(w *wire.Writer, rec *parallel.LeaseStep) {
 	var flags byte
 	if rec.Crash != nil {
@@ -499,8 +486,14 @@ func appendLeaseStep(w *wire.Writer, rec *parallel.LeaseStep) {
 	if rec.SatFired {
 		flags |= leaseFlagSat
 	}
+	if rec.Latency != 0 {
+		flags |= leaseFlagLatency
+	}
 	w.U8(flags)
 	w.Varint(uint32(rec.Bytes))
+	if rec.Latency != 0 {
+		putF64(w, rec.Latency)
+	}
 	if rec.Crash != nil {
 		putCrash(w, rec.Crash)
 	}
@@ -533,87 +526,55 @@ func appendLeaseStep(w *wire.Writer, rec *parallel.LeaseStep) {
 }
 
 // getLeaseRecord parses one step record whose flags byte has already
-// been read and validated.
-func getLeaseRecord(r *wire.Reader, flags byte) (leaseRecord, error) {
-	rec := leaseRecord{bytes: int(r.Varint())}
-	if flags&leaseFlagCrash != 0 {
-		c := getCrash(r)
-		rec.crash = &c
+// been read, rejecting flag bits it does not know.
+func getLeaseRecord(r *wire.Reader, flags byte) (parallel.LeaseStep, error) {
+	var rec parallel.LeaseStep
+	if flags&^byte(leaseFlagsKnown) != 0 {
+		return rec, ErrProto
 	}
-	if flags&leaseFlagEdges != 0 {
-		rec.newEdges = int(r.Varint())
-		if r.Err() == nil && rec.newEdges == 0 {
+	rec.Bytes = int(r.Varint())
+	if flags&leaseFlagLatency != 0 {
+		rec.Latency = getF64(r)
+		// The flag means a positive, finite charge: anything else would
+		// re-encode differently or poison the replayed clock.
+		if r.Err() == nil && !(rec.Latency > 0 && rec.Latency <= math.MaxFloat64) {
 			return rec, ErrProto
 		}
-		rec.delta = r.Bytes32()
+	}
+	if flags&leaseFlagCrash != 0 {
+		c := getCrash(r)
+		rec.Crash = &c
+	}
+	if flags&leaseFlagEdges != 0 {
+		rec.NewEdges = int(r.Varint())
+		if r.Err() == nil && rec.NewEdges == 0 {
+			return rec, ErrProto
+		}
+		rec.Delta = r.Bytes32()
 		msgs := int(r.U8())
 		for j := 0; j < msgs && r.Err() == nil; j++ {
-			rec.seed.Msgs = append(rec.seed.Msgs, r.Bytes32())
+			rec.Seed.Msgs = append(rec.Seed.Msgs, r.Bytes32())
 		}
-		rec.seed.Gain = rec.newEdges
+		rec.Seed.Gain = rec.NewEdges
 	}
 	if flags&leaseFlagSat != 0 {
-		rec.satFired = true
-		m := &mutation{}
+		rec.SatFired = true
+		m := &parallel.MutationOutcome{}
 		n := int(r.U16())
 		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Outcome.Events = append(m.Outcome.Events, getMutEvent(r))
+			m.Events = append(m.Events, getMutEvent(r))
 		}
-		m.Outcome.Mutations = int(r.U8())
-		m.Outcome.Boots = int(r.U8())
-		m.Outcome.RestartFails = int(r.U8())
-		m.Outcome.Fallbacks = int(r.U8())
-		m.Outcome.Restarted = getBool(r)
-		m.Crashes = getCrashRecs(r)
-		rec.mutation = m
-		rec.config = r.String32()
-		rec.coverage = int(r.Varint())
+		m.Mutations = int(r.U8())
+		m.Boots = int(r.U8())
+		m.RestartFails = int(r.U8())
+		m.Fallbacks = int(r.U8())
+		m.Restarted = getBool(r)
+		rec.Mutation = m
+		rec.MutationCrashes = getCrashRecs(r)
+		rec.Config = r.String32()
+		rec.Coverage = int(r.Varint())
 	}
 	return rec, r.Err()
-}
-
-// putLeaseRecord re-encodes a decoded record in the exact wire form
-// appendLeaseStep produces. The checkpoint uses it to persist a drained
-// lease batch that has not been fully replayed yet.
-func putLeaseRecord(w *wire.Writer, rec *leaseRecord) {
-	var flags byte
-	if rec.crash != nil {
-		flags |= leaseFlagCrash
-	}
-	if rec.newEdges > 0 {
-		flags |= leaseFlagEdges
-	}
-	if rec.satFired {
-		flags |= leaseFlagSat
-	}
-	w.U8(flags)
-	w.Varint(uint32(rec.bytes))
-	if rec.crash != nil {
-		putCrash(w, rec.crash)
-	}
-	if rec.newEdges > 0 {
-		w.Varint(uint32(rec.newEdges))
-		w.Bytes32(rec.delta)
-		w.U8(byte(len(rec.seed.Msgs)))
-		for _, m := range rec.seed.Msgs {
-			w.Bytes32(m)
-		}
-	}
-	if rec.satFired {
-		m := rec.mutation
-		w.U16(uint16(len(m.Outcome.Events)))
-		for _, e := range m.Outcome.Events {
-			putMutEvent(w, e)
-		}
-		w.U8(byte(m.Outcome.Mutations))
-		w.U8(byte(m.Outcome.Boots))
-		w.U8(byte(m.Outcome.RestartFails))
-		w.U8(byte(m.Outcome.Fallbacks))
-		putBool(w, m.Outcome.Restarted)
-		putCrashRecs(w, m.Crashes)
-		w.String32(rec.config)
-		w.Varint(uint32(rec.coverage))
-	}
 }
 
 // putSpanRecords appends the span-record section that closes every
@@ -667,9 +628,9 @@ func getSpanRecords(r *wire.Reader) ([]trace.Record, time.Duration) {
 // boundary (false means it ran out the campaign horizon), then the
 // span-record section (worker trace spans plus the worker's tracer
 // clock; empty with a zero clock when tracing is off).
-func decodeLeaseResult(p []byte) ([]leaseRecord, bool, []trace.Record, time.Duration, error) {
+func decodeLeaseResult(p []byte) ([]parallel.LeaseStep, bool, []trace.Record, time.Duration, error) {
 	r := wire.NewReader(p)
-	var recs []leaseRecord
+	var recs []parallel.LeaseStep
 	for {
 		flags := r.U8()
 		if r.Err() != nil {
@@ -677,9 +638,6 @@ func decodeLeaseResult(p []byte) ([]leaseRecord, bool, []trace.Record, time.Dura
 		}
 		if flags == leaseEnd {
 			break
-		}
-		if flags&^byte(leaseFlagsKnown) != 0 {
-			return nil, false, nil, 0, ErrProto
 		}
 		rec, err := getLeaseRecord(r, flags)
 		if err != nil {

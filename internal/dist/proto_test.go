@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -150,15 +151,15 @@ func encodeLeaseResult(steps []parallel.LeaseStep, syncDue bool) []byte {
 
 func TestLeaseResultRoundTrip(t *testing.T) {
 	steps := []parallel.LeaseStep{
-		{Bytes: 41}, // bare step: no crash, no edges, no saturation
+		{Step: parallel.Step{Bytes: 41}}, // bare step: no crash, no edges, no saturation, no latency
 		{
-			Bytes: 77, NewEdges: 3,
-			Crash: &bugs.Crash{Protocol: "DNS", Kind: bugs.Kind(2), Function: "parse", Detail: "oob"},
+			Step: parallel.Step{Bytes: 77, NewEdges: 3,
+				Crash: &bugs.Crash{Protocol: "DNS", Kind: bugs.Kind(2), Function: "parse", Detail: "oob"}},
 			Seed:  fuzz.Seed{Msgs: [][]byte{{1, 2}, {3}}, Gain: 3},
 			Delta: []byte{1, 2, 3},
 		},
 		{
-			Bytes: 9, SatFired: true,
+			Step: parallel.Step{Bytes: 9}, SatFired: true,
 			Mutation: &parallel.MutationOutcome{
 				Events: []parallel.MutEvent{
 					{Type: telemetry.EvRestartFail, Entity: "tcp", Value: "off", Detail: "conflict"},
@@ -172,6 +173,9 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 			}},
 			Config: "udp=on", Coverage: 345,
 		},
+		// A step that charged link latency: the f64 travels bit for bit.
+		{Step: parallel.Step{Bytes: 12, Latency: 0.00023456789012345678, NewEdges: 1},
+			Seed: fuzz.Seed{Msgs: [][]byte{{9}}, Gain: 1}, Delta: []byte{4}},
 	}
 	recs, syncDue, spans, workerNow, err := decodeLeaseResult(encodeLeaseResult(steps, true))
 	if err != nil {
@@ -183,27 +187,35 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 	if !syncDue {
 		t.Fatal("syncDue lost")
 	}
-	if len(recs) != len(steps) {
-		t.Fatalf("record count %d, want %d", len(recs), len(steps))
+	// One type on both sides of the wire: what comes out is what went in.
+	if !reflect.DeepEqual(recs, steps) {
+		t.Fatalf("records diverged:\n got %+v\nwant %+v", recs, steps)
 	}
-	if recs[0].bytes != 41 || recs[0].crash != nil || recs[0].newEdges != 0 || recs[0].satFired {
-		t.Fatalf("bare record diverged: %+v", recs[0])
+
+	// A record without a latency charge encodes exactly as it did before
+	// records could carry one: flags, then the byte count.
+	w := &wire.Writer{}
+	appendLeaseStep(w, &steps[0])
+	if !bytes.Equal(w.Bytes(), []byte{0x00, 41}) {
+		t.Fatalf("bare record encodes as % x", w.Bytes())
 	}
-	r1 := recs[1]
-	if r1.bytes != 77 || r1.newEdges != 3 || !reflect.DeepEqual(r1.crash, steps[1].Crash) ||
-		!bytes.Equal(r1.delta, steps[1].Delta) || r1.seed.Gain != 3 || len(r1.seed.Msgs) != 2 {
-		t.Fatalf("edge+crash record diverged: %+v", r1)
-	}
-	r2 := recs[2]
-	if !r2.satFired || r2.config != "udp=on" || r2.coverage != 345 ||
-		!reflect.DeepEqual(r2.mutation.Outcome, *steps[2].Mutation) ||
-		!reflect.DeepEqual(r2.mutation.Crashes, steps[2].MutationCrashes) {
-		t.Fatalf("saturation record diverged: %+v", r2)
+	// The latency flag promises a positive finite charge.
+	for _, lat := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := &wire.Writer{}
+		bad.U8(leaseFlagLatency)
+		bad.Varint(1)
+		putF64(bad, lat)
+		bad.U8(leaseEnd)
+		putBool(bad, false)
+		putSpanRecords(bad, nil, 0)
+		if _, _, _, _, err := decodeLeaseResult(bad.Bytes()); err == nil {
+			t.Fatalf("latency flag with charge %v accepted", lat)
+		}
 	}
 
 	// Unknown flag bits and an edges flag without edges are protocol
 	// violations, not silent zero values.
-	if _, _, _, _, err := decodeLeaseResult([]byte{0x08, 0x00, leaseEnd, 0}); err == nil {
+	if _, _, _, _, err := decodeLeaseResult([]byte{0x10, 0x00, leaseEnd, 0}); err == nil {
 		t.Fatal("unknown flag bits accepted")
 	}
 	bad := &wire.Writer{}
@@ -221,7 +233,7 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 }
 
 func TestLeaseResultSpanSectionRoundTrip(t *testing.T) {
-	steps := []parallel.LeaseStep{{Bytes: 41}}
+	steps := []parallel.LeaseStep{{Step: parallel.Step{Bytes: 41}}}
 	spans := []trace.Record{
 		{ID: 0, Parent: -1, Track: 0, Name: "lease", Start: 0, End: 5 * time.Millisecond,
 			Attrs: []trace.Attr{{Key: "instance", Value: "2"}}},
@@ -298,8 +310,8 @@ func TestDecodeMalformed(t *testing.T) {
 		encodeAssign(assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}}),
 		encodeLease(lease{Index: 1, Boundary: 600, Horizon: 1800, Seeds: []fuzz.Seed{{Msgs: [][]byte{{1}}, Gain: 1}}}),
 		encodeLeaseResult([]parallel.LeaseStep{
-			{Bytes: 1},
-			{Bytes: 2, NewEdges: 1, Seed: fuzz.Seed{Msgs: [][]byte{{1}}, Gain: 1}, Delta: []byte{1}},
+			{Step: parallel.Step{Bytes: 1}},
+			{Step: parallel.Step{Bytes: 2, Latency: 0.5, NewEdges: 1}, Seed: fuzz.Seed{Msgs: [][]byte{{1}}, Gain: 1}, Delta: []byte{1}},
 		}, true),
 		encodeBootResult(bootResult{Config: "c", Delta: []byte{1}}),
 		encodeInstanceResult(parallel.InstanceResult{Index: 1}),

@@ -28,7 +28,7 @@ func affinityPool(t *testing.T, n int) *dist.Pool {
 
 // TestReleaseRecordsAffinity pins the scheduler-side affinity glue:
 // releasing a partition remembers its member names, and the re-grant
-// path (AcquirePreferring with those names, exactly what stepRound
+// path (AcquirePreferring with those names, exactly what Manager.Step
 // issues) lands the campaign back on its previous worker set when
 // those workers are free — even when the plain attach-order choice
 // would have picked different ones.

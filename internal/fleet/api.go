@@ -113,12 +113,14 @@ func (m *Manager) APIHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.Header().Set("Connection", "keep-alive")
+		// Subscribe before the stream reads as open, or an event published
+		// right after a client sees the headers is lost.
+		ch, cancel := m.events.subscribe()
+		defer cancel()
 		// An immediate comment line commits the headers so clients see
 		// the stream open before the first event lands.
 		fmt.Fprint(w, ": cmfuzz fleet event stream\n\n")
 		fl.Flush()
-		ch, cancel := m.events.subscribe()
-		defer cancel()
 		for {
 			select {
 			case <-r.Context().Done():

@@ -93,8 +93,8 @@ func drainFleet(b *testing.B, concurrency int, delay time.Duration) time.Duratio
 
 // BenchmarkFleetDrain measures wall-clock drain time of a 4-campaign /
 // 4-worker mix with 5ms of injected one-way link latency per frame,
-// serial scheduler (Concurrency: 1) vs partitioned concurrent
-// scheduler (Concurrency: 0). The concurrent scheduler must overlap
+// one campaign per round (Concurrency: 1) vs every runnable campaign
+// per round (Concurrency: 0). The uncapped scheduler must overlap
 // the four campaigns' RPC latency; the acceptance bar (>= 1.8x) is
 // checked by the bench-smoke CI step. What a drain costs end to end is
 // wall_s_per_vhour on the benchmark's fleet_drain workload

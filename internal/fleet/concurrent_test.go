@@ -18,13 +18,13 @@ import (
 	"cmfuzz/internal/telemetry"
 )
 
-// TestConcurrentMatchesSerial is the tentpole byte-identity proof for
-// the partitioned scheduler: a 4-campaign mix drained by the
-// concurrent scheduler (disjoint partitions, one slice per campaign
-// per round, warm hand-offs) must write, campaign for campaign, the
-// exact artifact trees the legacy serial scheduler writes. Slicing
-// invariance times worker-count invariance — the composition this
-// test pins end to end.
+// TestConcurrentMatchesSerial is the byte-identity proof for the
+// concurrency cap: a 4-campaign mix drained uncapped (disjoint
+// partitions, one slice per campaign per round, warm hand-offs) must
+// write, campaign for campaign, the exact artifact trees a cap of one
+// writes (one campaign per round on every worker it can use, the rest
+// suspended). Slicing invariance times worker-count invariance — the
+// composition this test pins end to end.
 func TestConcurrentMatchesSerial(t *testing.T) {
 	specs := []fleet.CampaignSpec{
 		{ID: "dns-a", Subject: "DNS", Hours: 0.5, Seed: 11},
@@ -57,17 +57,17 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		return state, sts
 	}
 
-	serialState, serialSts := drain(1)
-	concState, concSts := drain(0)
+	serialState, serialSts := drain(1) // a round is one campaign
+	concState, concSts := drain(0)     // a round is every runnable campaign
 
 	for _, spec := range specs {
 		if st := serialSts[spec.ID]; st.State != fleet.StateDone {
-			t.Fatalf("serial %s = %s (%s), want done", spec.ID, st.State, st.Error)
+			t.Fatalf("cap-1 %s = %s (%s), want done", spec.ID, st.State, st.Error)
 		}
 		if st := concSts[spec.ID]; st.State != fleet.StateDone {
-			t.Fatalf("concurrent %s = %s (%s), want done", spec.ID, st.State, st.Error)
+			t.Fatalf("uncapped %s = %s (%s), want done", spec.ID, st.State, st.Error)
 		}
-		diffTrees(t, "concurrent vs serial "+spec.ID,
+		diffTrees(t, "uncapped vs cap-1 "+spec.ID,
 			readTree(t, filepath.Join(serialState, spec.ID, "artifacts")),
 			readTree(t, filepath.Join(concState, spec.ID, "artifacts")))
 	}

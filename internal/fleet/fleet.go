@@ -21,8 +21,7 @@
 // slicing-invariant (see dist.Advance) and worker-count-invariant, so
 // the artifacts a campaign produces are byte-identical whatever
 // schedule the allocator picks, however many workers each round hands
-// it, and however often the hosting process restarts. Config
-// Concurrency: 1 recovers the legacy serial scheduler.
+// it, and however often the hosting process restarts.
 //
 // On-disk layout under Config.StateDir:
 //
@@ -43,7 +42,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,12 +63,9 @@ type Config struct {
 	// interval cycle, long enough to amortize checkpointing, short
 	// enough for the bandit to react).
 	Slice float64
-	// Concurrency caps how many campaigns advance per scheduling
-	// round. 0 (the default) slices every runnable campaign
-	// concurrently, worker supply permitting; 1 selects the legacy
-	// serial scheduler (one bandit pick per Step, whole pool per
-	// campaign); N>1 limits a round to the N highest-priority
-	// campaigns.
+	// Concurrency caps a scheduling round at the N highest-priority
+	// campaigns. 0 (the default) slices every runnable campaign
+	// concurrently, worker supply permitting.
 	Concurrency int
 }
 
@@ -121,9 +116,8 @@ type campaignRec struct {
 	// coord and part are the two things a campaign can hold, and every
 	// combination is a state: both (slicing, or warm between rounds),
 	// coord alone (suspended — squeezed out of a round with its
-	// instances still booted on the workers — or, under Concurrency 1,
-	// simply between picks), neither (parked, done, failed, never
-	// started). workers caches part's size for status snapshots,
+	// instances still booted on the workers), neither (parked, done,
+	// failed, never started). workers caches part's size for status snapshots,
 	// updated under the manager lock at assignment and release.
 	coord   *dist.Coordinator
 	part    *dist.Partition
@@ -331,7 +325,7 @@ func validID(id string) bool {
 var ErrExists = errors.New("fleet: campaign id already exists")
 
 // Submit validates spec, persists it, and queues the campaign. The
-// bandit will start slicing it on the scheduler's next pick.
+// bandit will start slicing it on the scheduler's next round.
 func (m *Manager) Submit(spec CampaignSpec) error {
 	if !validID(spec.ID) {
 		return fmt.Errorf("fleet: invalid campaign id %q", spec.ID)
@@ -379,16 +373,12 @@ func (m *Manager) subjectFor(spec CampaignSpec) (subject.Subject, error) {
 // relation probing order must be deterministic for the restart
 // byte-identity guarantee, and the probe phase is a one-off.
 func (m *Manager) options(spec CampaignSpec) (parallel.Options, error) {
-	var mode parallel.Mode
-	switch strings.ToLower(spec.Mode) {
-	case "", "cmfuzz":
-		mode = parallel.ModeCMFuzz
-	case "peach":
-		mode = parallel.ModePeach
-	case "spfuzz":
-		mode = parallel.ModeSPFuzz
-	default:
-		return parallel.Options{}, fmt.Errorf("fleet: campaign %q: unknown mode %q", spec.ID, spec.Mode)
+	mode := parallel.ModeCMFuzz
+	if spec.Mode != "" {
+		var err error
+		if mode, err = parallel.ParseMode(spec.Mode); err != nil {
+			return parallel.Options{}, fmt.Errorf("fleet: campaign %q: %w", spec.ID, err)
+		}
 	}
 	return parallel.Options{
 		Mode:         mode,
@@ -447,65 +437,6 @@ func (m *Manager) Results(id string) ([]byte, error) {
 // campaign within a couple of slices without thrashing on one noisy
 // slice.
 const rewardDecay = 0.5
-
-// pick chooses the next campaign to slice: untried campaigns first, in
-// submission order, then the discounted-UCB maximizer — EMA reward +
-// sqrt(2 ln N / n) * scale, with scale the best current EMA so the
-// exploration bonus is commensurable with the rewards (edge counts per
-// exec vary by orders of magnitude across protocols). Deterministic:
-// ties break toward earlier submission.
-//
-// With award set, the decision is recorded in the winner's flight
-// recorder; Run's idle-wait probe passes false so probing never files
-// phantom awards.
-func (m *Manager) pick(award bool) *campaignRec {
-	var cands []*campaignRec
-	total := 0
-	for _, id := range m.order {
-		c := m.campaigns[id]
-		if c.runnable() {
-			cands = append(cands, c)
-			total += c.slices
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	scale := 0.0
-	for _, c := range cands {
-		if c.slices == 0 {
-			if award {
-				// No UCB score exists yet — json can't carry +Inf, so the
-				// record says so explicitly.
-				c.flight.add("award", map[string]any{"untried": true, "total": total})
-			}
-			return c
-		}
-		if c.reward > scale {
-			scale = c.reward
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	best := cands[0]
-	bestScore := math.Inf(-1)
-	for _, c := range cands {
-		score := c.reward + math.Sqrt(2*math.Log(float64(total))/float64(c.slices))*scale
-		if score > bestScore {
-			best, bestScore = c, score
-		}
-	}
-	if award {
-		best.flight.add("award", map[string]any{
-			"reward": best.reward,
-			"bonus":  bestScore - best.reward,
-			"slices": best.slices,
-			"total":  total,
-		})
-	}
-	return best
-}
 
 // observer builds c's dist.Observer: lease summaries and worker deaths
 // flow into the flight recorder, lease latency into the histogram, and
@@ -673,45 +604,6 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	return nil
 }
 
-// Step runs one scheduling round. It reports false when no campaign is
-// runnable. A context cancellation checkpoints every interrupted
-// campaign before returning, so no replay progress past the last
-// persisted checkpoint is lost silently. With Concurrency 1 a round is
-// the legacy serial quantum: one bandit pick advancing over the whole
-// pool; otherwise the pool is partitioned and every selected campaign
-// advances one slice concurrently.
-func (m *Manager) Step(ctx context.Context) (bool, error) {
-	m.round++
-	if m.cfg.Concurrency == 1 {
-		return m.stepSerial(ctx)
-	}
-	return m.stepRound(ctx)
-}
-
-// stepSerial is the legacy scheduler: the single bandit-chosen
-// campaign advances one slice with the whole pool as its worker set.
-// Every coordinator stays live between picks, up to the warm cap.
-func (m *Manager) stepSerial(ctx context.Context) (bool, error) {
-	m.mu.Lock()
-	c := m.pick(true)
-	m.mu.Unlock()
-	if c == nil {
-		return false, nil
-	}
-	c.lastRound = m.round
-	m.enforceWarmCap(c)
-	err := m.runSlice(ctx, c)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		m.park(c)
-		return false, err
-	}
-	m.failCampaign(c, err)
-	return true, nil
-}
-
 // An allocation is one round's grant to one campaign: how many workers
 // its partition gets.
 type allocation struct {
@@ -721,11 +613,14 @@ type allocation struct {
 
 // allocate turns the bandit's scores into worker shares for one round.
 // Called with m.mu held; deterministic throughout (ties break toward
-// earlier submission, exactly like pick).
+// earlier submission).
 //
-// Selection is pick's ranking extended to a top-k: untried campaigns
-// first in submission order, then tried ones by discounted-UCB score.
-// Shares are apportioned highest-averages style (D'Hondt): every
+// Selection is a top-k ranking: untried campaigns first in submission
+// order, then tried ones by discounted-UCB score — EMA reward +
+// sqrt(2 ln N / n) * scale, with scale the best current EMA so the
+// exploration bonus is commensurable with the rewards (edge counts per
+// exec vary by orders of magnitude across protocols). Config.Concurrency
+// caps k; a cap of one is the classic one-pick-per-step bandit. Shares are apportioned highest-averages style (D'Hondt): every
 // selected campaign starts at one worker, and each remaining worker
 // goes to the campaign maximizing score/(share+1) — so a campaign
 // twice as promising converges on twice the workers — capped at the
@@ -762,10 +657,6 @@ func (m *Manager) allocate() []allocation {
 		}
 		score[c] = c.reward + math.Sqrt(2*math.Log(float64(total))/float64(c.slices))*scale
 	}
-	ranked := make([]*campaignRec, len(cands))
-	copy(ranked, cands)
-	sort.SliceStable(ranked, func(i, j int) bool { return score[ranked[i]] > score[ranked[j]] })
-
 	// Capacity this round: the free set plus every worker a runnable
 	// campaign still holds warm (a mismatched partition is released
 	// before re-acquisition, so held workers are redistributable).
@@ -773,22 +664,20 @@ func (m *Manager) allocate() []allocation {
 	for _, c := range cands {
 		w += c.part.Live()
 	}
-	k := len(ranked)
-	if m.cfg.Concurrency > 1 && k > m.cfg.Concurrency {
+	sort.SliceStable(cands, func(i, j int) bool { return score[cands[i]] > score[cands[j]] })
+	k := len(cands)
+	if m.cfg.Concurrency > 0 && k > m.cfg.Concurrency {
 		k = m.cfg.Concurrency
 	}
+	// With no live worker at all the grants stand, impossible as they
+	// are: the failure surfaces on the campaigns instead of the round
+	// silently reporting nothing runnable.
 	if w > 0 && k > w {
 		k = w
 	}
-	if k < 1 {
-		// No live workers at all: grant the top campaign an impossible
-		// partition so the failure surfaces on it instead of the round
-		// silently reporting nothing runnable.
-		k = 1
-	}
 	out := make([]allocation, k)
 	for i := 0; i < k; i++ {
-		out[i] = allocation{c: ranked[i], workers: 1}
+		out[i] = allocation{c: cands[i], workers: 1}
 	}
 	for extra := w - k; extra > 0; extra-- {
 		best := -1
@@ -833,11 +722,13 @@ func instanceCap(spec CampaignSpec) int {
 	return 4
 }
 
-// stepRound runs one concurrent scheduling round: allocate shares,
-// reconcile what each campaign holds with what it was granted, then
-// advance every selected campaign one slice in parallel, each
-// coordinator driving only its own partition. A grant is met in one of
-// three ways, cheapest first:
+// Step runs one scheduling round: allocate shares, reconcile what each
+// campaign holds with what it was granted, then advance every selected
+// campaign one slice in parallel, each coordinator driving only its own
+// partition. It reports false when no campaign is runnable. A context
+// cancellation checkpoints every interrupted campaign before returning,
+// so no replay progress past the last persisted checkpoint is lost
+// silently. A grant is met in one of three ways, cheapest first:
 //
 //   - warm: the campaign still holds a partition of the granted size.
 //     Nothing moves; the next slice continues the lease loop.
@@ -848,7 +739,8 @@ func instanceCap(spec CampaignSpec) int {
 //   - cold: anything else. Whatever the campaign holds is parked, it
 //     takes a fresh partition, and runSlice restores it from
 //     checkpoint.bin (or starts it, the first time).
-func (m *Manager) stepRound(ctx context.Context) (bool, error) {
+func (m *Manager) Step(ctx context.Context) (bool, error) {
+	m.round++
 	m.mu.Lock()
 	allocs := m.allocate()
 	selected := make(map[*campaignRec]bool, len(allocs))
@@ -904,7 +796,7 @@ func (m *Manager) stepRound(ctx context.Context) (bool, error) {
 	}
 	// Retire surplus suspended campaigns before the cold grants boot
 	// fresh instances onto the same workers.
-	m.enforceWarmCap(nil)
+	m.enforceWarmCap()
 	for _, a := range allocs {
 		c := a.c
 		if c.part == nil {
@@ -1062,9 +954,8 @@ func (m *Manager) suspend(c *campaignRec) {
 }
 
 // warmCapPerWorker bounds what live coordinators without a partition —
-// suspended campaigns, and everything between picks under Concurrency 1
-// — may keep booted: this many instances per live worker (four default
-// campaigns). A constant, not a Config field: it trades worker and
+// suspended campaigns — may keep booted: this many instances per live
+// worker (four default campaigns). A constant, not a Config field: it trades worker and
 // coordinator memory against restore re-execution, the right value
 // follows from instance footprint rather than deployment, and below it
 // the cap is inert.
@@ -1072,9 +963,8 @@ const warmCapPerWorker = 16
 
 // enforceWarmCap parks live partition-less coordinators, least recently
 // sliced first (ties: submission order), until the instances they keep
-// booted fit warmCap per live worker. running, when set, is the serial
-// scheduler's pick: about to slice, so not surplus.
-func (m *Manager) enforceWarmCap(running *campaignRec) {
+// booted fit warmCap per live worker.
+func (m *Manager) enforceWarmCap() {
 	budget := 0
 	for _, w := range m.pool.Workers() {
 		if w.Alive {
@@ -1084,7 +974,7 @@ func (m *Manager) enforceWarmCap(running *campaignRec) {
 	var warm []*campaignRec
 	kept := 0
 	for _, c := range m.held() {
-		if c != running && c.coord != nil && c.part == nil {
+		if c.coord != nil && c.part == nil {
 			warm = append(warm, c)
 			kept += instanceCap(c.spec)
 		}
@@ -1149,7 +1039,7 @@ func (m *Manager) Run(ctx context.Context) error {
 			continue
 		}
 		m.mu.Lock()
-		for !m.stopped && m.pick(false) == nil {
+		for !m.stopped && !m.anyRunnable() {
 			m.cond.Wait()
 		}
 		stopped := m.stopped
@@ -1159,6 +1049,17 @@ func (m *Manager) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
+}
+
+// anyRunnable reports whether a round would have anything to slice.
+// Called with m.mu held.
+func (m *Manager) anyRunnable() bool {
+	for _, c := range m.campaigns {
+		if c.runnable() {
+			return true
+		}
+	}
+	return false
 }
 
 // parkAll parks every campaign that holds anything, suspended ones

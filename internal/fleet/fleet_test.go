@@ -615,8 +615,9 @@ func TestBanditAllocation(t *testing.T) {
 	pool, wait := newPool(t, 2)
 	defer wait()
 	// Concurrency 1: the oracle/round-robin comparison simulates a
-	// serial one-slice-per-step schedule, the regime the discounted-UCB
-	// pick was designed and budgeted for.
+	// one-slice-per-step schedule, the regime the discounted-UCB ranking
+	// was designed and budgeted for — a cap of one makes each round the
+	// ranking's top pick.
 	m, err := fleet.NewManager(fleet.Config{StateDir: t.TempDir(), Slice: 600, Concurrency: 1}, pool, protocols.ByName)
 	if err != nil {
 		t.Fatal(err)

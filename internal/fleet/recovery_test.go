@@ -90,3 +90,29 @@ func TestSubmitLiveSpec(t *testing.T) {
 		t.Fatalf("live campaign state = %s, want %s", st.State, fleet.StateQueued)
 	}
 }
+
+// TestSubmitRejectsUnknownMode: a spec's mode goes through
+// parallel.ParseMode ("" meaning CMFuzz, any case accepted); an unknown
+// one is refused with the campaign named, before anything is written to
+// the state directory.
+func TestSubmitRejectsUnknownMode(t *testing.T) {
+	pool, stop := newPool(t, 1)
+	defer stop()
+	state := t.TempDir()
+	m, err := fleet.NewManager(fleet.Config{StateDir: state}, pool, protocols.ByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = m.Submit(fleet.CampaignSpec{ID: "bad-mode", Subject: "DNS", Mode: "afl", Hours: 0.1})
+	if err == nil || !strings.Contains(err.Error(), `campaign "bad-mode"`) || !strings.Contains(err.Error(), `unknown mode "afl"`) {
+		t.Fatalf("Submit with mode afl = %v, want an unknown-mode error naming the campaign", err)
+	}
+	if entries, err := os.ReadDir(state); err != nil || len(entries) != 0 {
+		t.Fatalf("state dir after a rejected submit: %v, err %v; want empty", entries, err)
+	}
+	for _, mode := range []string{"", "PEACH", "spfuzz"} {
+		if err := m.Submit(fleet.CampaignSpec{ID: "ok-" + mode, Subject: "DNS", Mode: mode, Hours: 0.1}); err != nil {
+			t.Fatalf("Submit with mode %q: %v", mode, err)
+		}
+	}
+}

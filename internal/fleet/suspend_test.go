@@ -380,11 +380,11 @@ func TestWarmCapDemotesLeastRecentlySliced(t *testing.T) {
 	}
 }
 
-// TestSerialSchedulerHonoursWarmCap: Concurrency 1 keeps every
-// coordinator live between picks, which used to be unbounded. With the
-// cap at one instance per worker only two one-instance campaigns may
-// stay live beside the one being sliced; the rest restore cold, to the
-// same bytes.
+// TestSerialSchedulerHonoursWarmCap: under a cap of one every campaign
+// but the round's pick is suspended, so the warm cap is all that bounds
+// the live coordinators. With the cap at one instance per worker only
+// two one-instance campaigns may stay live beside the one being sliced;
+// the rest restore cold, to the same bytes.
 func TestSerialSchedulerHonoursWarmCap(t *testing.T) {
 	specs := sixOverTwo(1)
 	pool, wait := newPool(t, 2)
@@ -406,9 +406,10 @@ func TestSerialSchedulerHonoursWarmCap(t *testing.T) {
 		if !ok {
 			break
 		}
-		// Between rounds the campaign just sliced is live too.
-		if live := len(m.Suspended()); live > 3 {
-			t.Fatalf("%d coordinators live between serial picks, cap allows 2 beside the last pick", live)
+		// The campaign just sliced keeps its partition; it is live but
+		// not suspended.
+		if live := len(m.Suspended()); live > 2 {
+			t.Fatalf("%d campaigns suspended between rounds, cap allows 2", live)
 		}
 	}
 	wantDoneMatching(t, m, state, specs)

@@ -53,7 +53,6 @@ type Instance struct {
 	host         *Host
 	index        int
 	clock        float64
-	nextSync     float64
 	engine       *fuzz.Engine
 	target       *netTarget
 	cfg          configmodel.Assignment
@@ -103,7 +102,6 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 	return &Instance{
 		host:       h,
 		index:      spec.Index,
-		nextSync:   h.Opts.SyncInterval,
 		engine:     eng,
 		target:     target,
 		cfg:        cfg,
@@ -118,17 +116,18 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 // the campaign cost model. A crashing step bumps the instance crash
 // counter; recording it in the ledger is the scheduler's job (the record
 // must land in global event-loop order, which only the scheduler knows).
-func (in *Instance) Step() fuzz.StepResult {
-	step := in.engine.Step()
-	in.clock += in.host.Opts.StepCost + in.host.Opts.ByteCost*float64(step.Bytes)
+func (in *Instance) Step() Step {
+	r := in.engine.Step()
+	step := Step{Bytes: r.Bytes, NewEdges: r.NewEdges, Crash: r.Crash}
 	if in.host.Opts.LinkLatencyBase > 0 || in.host.Opts.LinkLatencyJitter > 0 {
 		// Spend the link latency netsim accrued during this step: the
 		// impaired link slows the campaign's virtual clock, exactly as a
 		// slow real network would slow wall time.
 		acc := in.target.ns.Stats().LatencyAccrued
-		in.clock += acc - in.latencySpent
+		step.Latency = acc - in.latencySpent
 		in.latencySpent = acc
 	}
+	in.clock = in.host.Opts.charge(in.clock, step)
 	if step.Crash != nil {
 		in.crashes++
 	}
@@ -138,18 +137,15 @@ func (in *Instance) Step() fuzz.StepResult {
 // A LeaseStep is the full record of one autonomous step: what Step
 // returned, the corpus addition it caused (if any), and the saturation
 // mutation it triggered (if any). The distributed worker streams one per
-// step back to the coordinator, which replays them into the global
-// event loop in virtual-clock order; Delta is transport scratch the
-// in-process loop leaves nil.
+// step back to the coordinator, whose Source feeds them to the event
+// loop in virtual-clock order.
 type LeaseStep struct {
-	Bytes    int
-	NewEdges int
-	Crash    *bugs.Crash
+	Step
 	// Seed is the corpus addition this step produced; zero unless
 	// NewEdges > 0.
 	Seed fuzz.Seed
-	// Delta carries the encoded coverage delta for transports. The
-	// afterStep callback fills it in; StepN itself never touches it.
+	// Delta carries the encoded coverage delta. The afterStep callback
+	// fills it in; StepN itself never touches it.
 	Delta []byte
 	// Saturation-mutation fields, set only when SatFired is true.
 	SatFired        bool
@@ -163,19 +159,18 @@ type LeaseStep struct {
 // (the next sync point) or horizon, whichever comes first, invoking the
 // callbacks once per step. It is the worker half of the lease protocol:
 // the loop body is `Step` plus the saturation/mutation check, i.e.
-// exactly what the in-process event loop does between scheduler
-// touchpoints, so a coordinator replaying the records reproduces the
-// in-process run bit for bit.
+// what the event loop asks of an instance between two seed syncs, so
+// nothing the records carry depends on where the instance ran.
 //
 // afterStep fires after the engine step but before any configuration
-// mutation — the point where the in-process loop unions new coverage
-// into the global map — so transports must snapshot coverage deltas
-// there: a mutation restart absorbs startup coverage that must ride the
-// NEXT new-edges delta, as it does in-process. afterRecord fires once
-// the record is complete (mutation included). Mutation and seed sync
-// commute — mutation touches rng/target/engine state, sync touches only
-// the corpus — so running the whole batch before the coordinator
-// processes syncs does not reorder observable effects.
+// mutation — the point where the event loop merges new coverage into
+// the union map — so transports must snapshot coverage deltas there: a
+// mutation restart absorbs startup coverage that must ride the NEXT
+// new-edges delta. afterRecord fires once the record is complete
+// (mutation included). Mutation and seed sync commute — mutation touches
+// rng/target/engine state, sync touches only the corpus — so running
+// the whole batch before the coordinator processes syncs does not
+// reorder observable effects.
 //
 // The return value reports whether the instance stopped at boundary
 // (sync due) rather than at horizon.
@@ -183,14 +178,11 @@ func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func
 	opts := in.host.Opts
 	mutate := opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation
 	for in.clock < horizon {
-		step := in.Step()
-		rec := LeaseStep{Bytes: step.Bytes, NewEdges: step.NewEdges, Crash: step.Crash}
-		if step.NewEdges > 0 {
+		rec := LeaseStep{Step: in.Step()}
+		if rec.NewEdges > 0 {
 			rec.Seed = in.engine.LastSeed()
 		}
-		if afterStep != nil {
-			afterStep(&rec)
-		}
+		afterStep(&rec)
 		if mutate && in.ObserveSaturation() {
 			rec.SatFired = true
 			sink := &RecordingSink{}
@@ -201,9 +193,7 @@ func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func
 			rec.Coverage = in.engine.Coverage()
 			in.ResetSaturation()
 		}
-		if afterRecord != nil {
-			afterRecord(&rec)
-		}
+		afterRecord(&rec)
 		if in.clock >= boundary {
 			return true
 		}
@@ -223,29 +213,12 @@ func (in *Instance) ObserveSaturation() bool {
 // mutation attempt).
 func (in *Instance) ResetSaturation() { in.sat.Reset(in.clock) }
 
-// Accessors used by the campaign loop, the progress board, and the
-// distributed coordinator/worker pair.
-
-// Index returns the instance's campaign slot.
-func (in *Instance) Index() int { return in.index }
-
-// Clock returns the instance's virtual clock in seconds.
-func (in *Instance) Clock() float64 { return in.clock }
+// Accessors for the distributed worker.
 
 // SetClock overrides the virtual clock. The distributed coordinator uses
 // it when re-booting a lost instance on a surviving worker: the fresh
 // instance must resume at the clock the dead worker had reached.
 func (in *Instance) SetClock(c float64) { in.clock = c }
-
-// NextSync returns the next scheduled seed-synchronization time.
-func (in *Instance) NextSync() float64 { return in.nextSync }
-
-// SetNextSync overrides the sync schedule (coordinator-owned in
-// distributed runs).
-func (in *Instance) SetNextSync(t float64) { in.nextSync = t }
-
-// Coverage returns the instance's own edge count.
-func (in *Instance) Coverage() int { return in.engine.Coverage() }
 
 // CoverageMap exposes the engine's live coverage map (read-only use).
 func (in *Instance) CoverageMap() *coverage.Map { return in.engine.CoverageMap() }
@@ -253,12 +226,6 @@ func (in *Instance) CoverageMap() *coverage.Map { return in.engine.CoverageMap()
 // TraceMap exposes the engine's per-exec trace map from the most recent
 // step (read-only use, valid until the next step).
 func (in *Instance) TraceMap() *coverage.Map { return in.engine.TraceMap() }
-
-// Stats returns the engine's execution statistics.
-func (in *Instance) Stats() fuzz.Stats { return in.engine.Stats() }
-
-// ExportSeeds returns up to max of the instance's best corpus entries.
-func (in *Instance) ExportSeeds(max int) []fuzz.Seed { return in.engine.ExportSeeds(max) }
 
 // ImportSeeds merges seeds from other instances into the corpus.
 func (in *Instance) ImportSeeds(seeds []fuzz.Seed) { in.engine.ImportSeeds(seeds) }
@@ -268,12 +235,6 @@ func (in *Instance) ConfigString() string { return in.cfg.String() }
 
 // StartupEdges returns the coverage the target's boot alone produced.
 func (in *Instance) StartupEdges() int { return in.startEdges }
-
-// Crashes returns how many crashing steps the instance has hit.
-func (in *Instance) Crashes() int { return in.crashes }
-
-// Mutations returns how many configuration mutations have stuck.
-func (in *Instance) Mutations() int { return in.muts }
 
 // Result summarizes the instance for the campaign Result.
 func (in *Instance) Result() InstanceResult {

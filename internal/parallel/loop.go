@@ -1,0 +1,436 @@
+package parallel
+
+import (
+	"context"
+
+	"cmfuzz/internal/bugs"
+	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/telemetry"
+	"cmfuzz/internal/telemetry/trace"
+)
+
+// A Step is what one engine step means to the campaign: what it costs on
+// the virtual clock and what it found.
+type Step struct {
+	Bytes int
+	// Latency is the link latency the instance's namespace accrued during
+	// the step, in virtual seconds; zero unless Options.LinkLatency* is set.
+	Latency  float64
+	NewEdges int
+	Crash    *bugs.Crash
+}
+
+// charge advances clock by what s cost: the cost model's two terms in
+// one addition, the link latency in a second. Every clock in the system
+// — a worker's instance, the event loop, a coordinator replaying records
+// — goes through here, because they must round identically.
+func (o *Options) charge(clock float64, s Step) float64 {
+	clock += o.StepCost + o.ByteCost*float64(s.Bytes)
+	return clock + s.Latency
+}
+
+// A Gauge is one instance's live figures for the progress board.
+type Gauge struct{ Edges, Execs, Crashes, Mutations, Corpus int }
+
+// A Source is where the event loop's steps come from. The loop decides
+// which instance goes next and owns everything global; the source owns
+// the instances. There are two: Run steps instances booted in this
+// process, and the distributed coordinator replays the step records its
+// workers send back. Every call names the instance the loop is on, and
+// within one loop iteration the calls come in the order listed here.
+type Source interface {
+	// Boot starts instance i, filing startup crashes in Loop.Res.Bugs and
+	// startup coverage in Loop.Union, and reports the edges startup
+	// covered. On a resumed loop both already hold them: Boot only puts
+	// the instance back where the checkpoint left it.
+	Boot(i int) (edges int, err error)
+	// Step runs instance i's next step. A source that has to wait for it
+	// returns ctx.Err() when ctx ends first, with nothing consumed.
+	Step(ctx context.Context, i int) (Step, error)
+	// Config renders instance i's current configuration assignment.
+	Config(i int) string
+	// Merge folds the coverage the step added into union (called when
+	// the step found new edges).
+	Merge(i int, union *coverage.Map) error
+	// Gauge reads instance i's live figures (called when a progress
+	// board is attached).
+	Gauge(i int) Gauge
+	// Sync imports up to four of every other instance's best seeds into
+	// instance i, in index order, and reports how many.
+	Sync(i int) (imported int)
+	// Saturated reports whether instance i's coverage has gone flat
+	// (CMFuzz with configuration mutation on only).
+	Saturated(i int) bool
+	// Mutate mutates one configuration value of the saturated instance
+	// and restarts it, filing restart crashes in sink.
+	Mutate(i int, sink CrashSink) MutationOutcome
+	// Done ends the iteration: instance i's clock, sync schedule and
+	// configuration are final until its next Step.
+	Done(i int)
+	// Result summarizes instance i once the campaign is over.
+	Result(i int) (InstanceResult, error)
+}
+
+// LoopState is the event loop's position: with the Result so far, the
+// union map and the telemetry recorder it is everything a checkpoint has
+// to carry for Advance to continue where it stopped.
+type LoopState struct {
+	Clock      []float64 // per-instance virtual clock
+	NextSync   []float64 // per-instance next seed synchronization
+	Watermark  float64   // monotone observation clock across instances
+	LastSample float64   // watermark of the last series sample
+}
+
+// A Loop is the campaign's virtual-clock event loop (paper §III-B2): N
+// isolated instances stepped in (clock, index) order, periodic seed
+// synchronization, configuration-value mutation on saturation. It owns
+// the union coverage map, the sampled series, the bug ledger and every
+// telemetry and progress emission; a Source supplies the steps. The
+// in-process and the distributed campaign are this one loop over two
+// sources, which is why their artifacts are byte-identical.
+//
+// The exported fields are for a source's Boot and for checkpointing;
+// between Boot and Finish only the loop changes them.
+type Loop struct {
+	Opts  Options // defaults applied, Label resolved
+	Res   *Result
+	Union *coverage.Map
+	LoopState
+
+	host    *Host
+	src     Source
+	resumed bool
+	spans   []*trace.Span // one long-lived span per instance, carrying sync and config.mutate children
+	horizon float64
+	// New-edge samples are coalesced to at most one per minSampleGap of
+	// virtual time; without the floor, the discovery-heavy early campaign
+	// records a point per coverage step and the series grows unbounded
+	// long before the first SampleEvery window elapses. The final point
+	// stays exact (observed at the horizon in Finish).
+	minSampleGap float64
+	mutate       bool
+	cancelled    bool
+}
+
+// NewLoop opens a fresh campaign on host. Plan, Boot, Advance, Finish
+// follow; Close pairs with NewLoop.
+func NewLoop(host *Host) *Loop {
+	n := host.Opts.Instances
+	st := LoopState{Clock: make([]float64, n), NextSync: make([]float64, n)}
+	for i := range st.NextSync {
+		st.NextSync[i] = host.Opts.SyncInterval
+	}
+	res := &Result{Series: &coverage.Series{}, Bugs: bugs.NewLedger(), ModelEntities: host.Model.Len()}
+	return openLoop(host, res, coverage.NewMap(), st)
+}
+
+// ResumeLoop reopens a checkpointed campaign: res, union and st are what
+// the loop held when the checkpoint was taken, host.Opts.Telemetry the
+// recorder restored from it. Boot then resumes every instance without
+// repeating its startup events, and Advance continues.
+func ResumeLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
+	l := openLoop(host, res, union, st)
+	l.resumed = true
+	return l
+}
+
+func openLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
+	opts := host.Opts
+	if opts.Label == "" {
+		opts.Label = opts.Mode.String()
+	}
+	res.Mode = opts.Mode
+	res.Subject = host.Sub.Info()
+	horizon := opts.VirtualHours * 3600
+	opts.Progress.StartRun(opts.Label, opts.Mode.String(), res.Subject.Protocol, horizon, opts.Instances)
+	return &Loop{
+		Opts: opts, Res: res, Union: union, LoopState: st,
+		host:         host,
+		horizon:      horizon,
+		minSampleGap: opts.SampleEvery / 10,
+		mutate:       opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation,
+	}
+}
+
+// Plan runs the mode-dependent scheduling phase (Host.Plan) against the
+// loop's ledger, recorder and trace, and records its figures in the
+// Result.
+func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	plan := l.host.Plan(l.Res.Bugs, l.Opts.Telemetry, l.Opts.Trace)
+	l.Res.RelationEdges = plan.RelationEdges
+	l.Res.Probes = plan.Probes
+	l.Res.Groups = plan.Groups
+	return plan, nil
+}
+
+// Boot attaches src and boots every instance through it, in index order
+// so startup ledger entries and telemetry land identically on every
+// path. A resumed loop has its boot events and first series point
+// already; it only tells the progress board what each instance runs.
+func (l *Loop) Boot(ctx context.Context, src Source) error {
+	l.src = src
+	tel, prog := l.Opts.Telemetry, l.Opts.Progress
+	for i := range l.Clock {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var span *trace.Span
+		if !l.resumed {
+			span = l.Opts.Trace.Child("instance.boot", trace.A("instance", i))
+		}
+		edges, err := src.Boot(i)
+		if err != nil {
+			span.End()
+			return err
+		}
+		cfg := src.Config(i)
+		if !l.resumed {
+			span.Set("edges", edges)
+			span.End()
+			tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i, Config: cfg, Edges: edges})
+			tel.Count(telemetry.CtrBoots, 1)
+		}
+		if prog.Enabled() {
+			prog.SetInstanceConfig(l.Opts.Label, i, cfg)
+		}
+	}
+	if !l.resumed {
+		l.Res.Series.Observe(0, l.Union.Count())
+	}
+	// Siblings under the run's parent span, so each instance renders as
+	// its own lane in the trace viewer.
+	l.spans = make([]*trace.Span, len(l.Clock))
+	for i := range l.spans {
+		l.spans[i] = l.Opts.Trace.Child("instance", trace.A("index", i))
+	}
+	return nil
+}
+
+// Horizon is the campaign's virtual end time in seconds.
+func (l *Loop) Horizon() float64 { return l.horizon }
+
+// next picks the instance with the lowest clock, ties to the lowest
+// index: the interleaving is a function of the clocks alone.
+func (l *Loop) next() int {
+	i := 0
+	for j := 1; j < len(l.Clock); j++ {
+		if l.Clock[j] < l.Clock[i] {
+			i = j
+		}
+	}
+	return i
+}
+
+// MinClock is the campaign's position: the lowest instance clock.
+func (l *Loop) MinClock() float64 { return l.Clock[l.next()] }
+
+// Advance runs the event loop until every instance's clock has reached
+// min(until, horizon). It is slicing-invariant: any sequence of Advance
+// calls leaves the same state as one call to the last bound. When ctx
+// ends first Advance stops between steps and returns ctx.Err() with the
+// position intact; Finish then finalizes the partial campaign, or a
+// later Advance carries on.
+func (l *Loop) Advance(ctx context.Context, until float64) error {
+	if until > l.horizon {
+		until = l.horizon
+	}
+	opts, tel, prog, res := &l.Opts, l.Opts.Telemetry, l.Opts.Progress, l.Res
+	l.cancelled = false
+	for {
+		i := l.next()
+		if l.Clock[i] >= until {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			l.cancelled = true
+			return ctx.Err()
+		default:
+		}
+		step, err := l.src.Step(ctx, i)
+		if err != nil {
+			l.cancelled = err == ctx.Err()
+			return err
+		}
+		l.Clock[i] = opts.charge(l.Clock[i], step)
+		t := l.Clock[i]
+
+		if step.Crash != nil {
+			cfg := l.src.Config(i)
+			isNew := res.Bugs.Record(step.Crash, i, t, cfg)
+			tel.Emit(telemetry.Event{T: t, Type: telemetry.EvCrash, Instance: i,
+				Crash: step.Crash.ID(), New: isNew, Config: cfg})
+			tel.Count(telemetry.CtrCrashes, 1)
+			if isNew {
+				tel.Count(telemetry.CtrCrashesUnique, 1)
+			}
+		}
+		if step.NewEdges > 0 {
+			if err := l.src.Merge(i, l.Union); err != nil {
+				return err
+			}
+		}
+		if t > l.Watermark {
+			l.Watermark = t
+		}
+		if l.Watermark-l.LastSample >= opts.SampleEvery ||
+			(step.NewEdges > 0 && l.Watermark-l.LastSample >= l.minSampleGap) {
+			res.Series.Observe(l.Watermark, l.Union.Count())
+			l.LastSample = l.Watermark
+			tel.Emit(telemetry.Event{T: l.Watermark, Type: telemetry.EvSample, Instance: i,
+				Edges: l.Union.Count()})
+			tel.Count(telemetry.CtrSamples, 1)
+			prog.SetUnion(opts.Label, l.Watermark, l.Union.Count())
+		}
+		if prog.Enabled() {
+			g := l.src.Gauge(i)
+			prog.StepInstance(opts.Label, i, t, g.Edges, g.Execs, g.Crashes, g.Mutations, g.Corpus)
+		}
+
+		// Seed synchronization.
+		if t >= l.NextSync[i] {
+			sync := l.spans[i].Child("sync")
+			imported := l.src.Sync(i)
+			// Advance NextSync past the instance clock. One expensive
+			// step can jump several sync intervals at once; advancing by
+			// a single interval would leave NextSync behind the clock and
+			// fire a burst of back-to-back syncs on the following cheap
+			// steps. The skipped intervals are counted, not replayed.
+			skipped := 0
+			for l.NextSync[i] += opts.SyncInterval; l.NextSync[i] <= t; l.NextSync[i] += opts.SyncInterval {
+				skipped++
+			}
+			tel.Emit(telemetry.Event{T: t, Type: telemetry.EvSync, Instance: i,
+				Seeds: imported, Skipped: skipped})
+			tel.Count(telemetry.CtrSyncs, 1)
+			if skipped > 0 {
+				tel.Count(telemetry.CtrSyncSkipped, skipped)
+			}
+			sync.Set("seeds", imported)
+			sync.End()
+		}
+
+		// CMFuzz adaptive configuration mutation on saturation.
+		if l.mutate && l.src.Saturated(i) {
+			tel.Emit(telemetry.Event{T: t, Type: telemetry.EvSaturation, Instance: i,
+				Edges: l.src.Gauge(i).Edges})
+			tel.Count(telemetry.CtrSaturations, 1)
+			mut := l.spans[i].Child("config.mutate")
+			out := l.src.Mutate(i, res.Bugs)
+			EmitMutation(tel, i, t, out)
+			if out.Restarted && prog.Enabled() {
+				prog.SetInstanceConfig(opts.Label, i, l.src.Config(i))
+			}
+			mut.End()
+		}
+		l.src.Done(i)
+	}
+}
+
+// Finish observes the final series point, collects every instance's
+// summary from the source and seals the Result. After an Advance that
+// ctx cut short the series ends at the watermark the campaign actually
+// reached instead of the horizon, so the partial artifact never claims
+// coverage for virtual time that did not run.
+func (l *Loop) Finish() (*Result, error) {
+	res := l.Res
+	finalT := l.horizon
+	if l.cancelled {
+		finalT = l.Watermark
+	}
+	res.Series.Observe(finalT, l.Union.Count())
+	res.FinalBranches = l.Union.Count()
+	l.Opts.Progress.SetUnion(l.Opts.Label, finalT, l.Union.Count())
+	for i := range l.Clock {
+		ir, err := l.src.Result(i)
+		if err != nil {
+			return nil, err
+		}
+		res.TotalExecs += ir.Execs
+		l.spans[i].Set("edges", ir.FinalBranches)
+		l.spans[i].Set("execs", ir.Execs)
+		l.spans[i].End()
+		res.Instances = append(res.Instances, ir)
+	}
+	res.Counters = l.Opts.Telemetry.Counters()
+	return res, nil
+}
+
+// Run advances to the horizon and finishes. When ctx cuts the campaign
+// short it returns the partial Result alongside ctx.Err().
+func (l *Loop) Run(ctx context.Context) (*Result, error) {
+	stopped := l.Advance(ctx, l.horizon)
+	if stopped != nil && stopped != ctx.Err() {
+		return nil, stopped
+	}
+	res, err := l.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return res, stopped
+}
+
+// Close ends the campaign's run on the progress board.
+func (l *Loop) Close() { l.Opts.Progress.EndRun(l.Opts.Label) }
+
+// localSource steps instances booted in this process. It works on the
+// engines directly — their own coverage maps, their own corpora — so an
+// in-process campaign pays the loop one interface call per step and
+// buffers nothing.
+type localSource struct {
+	loop  *Loop
+	specs []InstanceSpec
+	insts []*Instance
+}
+
+func (s *localSource) Boot(i int) (int, error) {
+	in, err := s.loop.host.Boot(s.specs[i], s.loop.Res.Bugs)
+	if err != nil {
+		return 0, err
+	}
+	s.insts = append(s.insts, in)
+	s.loop.Union.Union(in.engine.CoverageMap())
+	return in.startEdges, nil
+}
+
+func (s *localSource) Step(_ context.Context, i int) (Step, error) { return s.insts[i].Step(), nil }
+
+func (s *localSource) Config(i int) string { return s.insts[i].cfg.String() }
+
+func (s *localSource) Merge(i int, union *coverage.Map) error {
+	union.Union(s.insts[i].engine.CoverageMap())
+	return nil
+}
+
+func (s *localSource) Gauge(i int) Gauge {
+	in := s.insts[i]
+	st := in.engine.Stats()
+	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: in.crashes, Mutations: in.muts, Corpus: st.CorpusSize}
+}
+
+func (s *localSource) Sync(i int) int {
+	imported := 0
+	for j, other := range s.insts {
+		if j != i {
+			seeds := other.engine.ExportSeeds(4)
+			imported += len(seeds)
+			s.insts[i].engine.ImportSeeds(seeds)
+		}
+	}
+	return imported
+}
+
+func (s *localSource) Saturated(i int) bool { return s.insts[i].ObserveSaturation() }
+
+func (s *localSource) Mutate(i int, sink CrashSink) MutationOutcome {
+	out := s.insts[i].Mutate(sink)
+	s.insts[i].ResetSaturation()
+	return out
+}
+
+func (s *localSource) Done(int) {}
+
+func (s *localSource) Result(i int) (InstanceResult, error) { return s.insts[i].Result(), nil }

@@ -17,17 +17,19 @@
 // own netsim namespace, reproducing the paper's network-namespace
 // isolation.
 //
-// The campaign is factored into Host/Plan/Boot/Instance primitives so
-// the distributed coordinator (internal/dist) can run the identical
-// per-instance code on worker nodes: Run here and a coordinator driving
-// remote workers execute the same step, sync, and mutation sequences and
+// The campaign is factored into Host/Plan/Boot/Instance primitives and
+// one event loop (Loop) over a Source of steps. Run drives the loop with
+// instances booted in this process; the distributed coordinator
+// (internal/dist) drives the same loop with the step records its workers
+// send back, and its workers run the same per-instance code — so both
 // produce byte-identical Results for the same seed.
 package parallel
 
 import (
-	"container/heap"
 	"context"
+	"fmt"
 	"sort"
+	"strings"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configmodel"
@@ -56,6 +58,17 @@ func (m Mode) String() string {
 		return "unknown"
 	}
 	return modeNames[m]
+}
+
+// ParseMode maps a fuzzer name as typed on a command line or in a
+// campaign spec (cmfuzz, peach or spfuzz, in any case) to its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if strings.EqualFold(name, n) {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
 }
 
 // Allocator is the grouping strategy CMFuzz uses; alternatives exist for
@@ -222,28 +235,9 @@ type Result struct {
 	Counters telemetry.Counters
 }
 
-// instanceHeap orders instances by virtual clock (ties on index), so the
-// interleaving is deterministic.
-type instanceHeap []*Instance
-
-func (h instanceHeap) Len() int { return len(h) }
-func (h instanceHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
-	}
-	return h[i].index < h[j].index
-}
-func (h instanceHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *instanceHeap) Push(x any)   { *h = append(*h, x.(*Instance)) }
-func (h *instanceHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Run executes one parallel fuzzing campaign of sub under opts.
+// Run executes one parallel fuzzing campaign of sub under opts: plan,
+// boot every instance in this process, and run the event loop (Loop) to
+// the horizon.
 //
 // Cancelling ctx stops the campaign at the next event-loop iteration;
 // Run then finalizes the partial result (series observed at the current
@@ -256,200 +250,16 @@ func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	opts = host.Opts
-	info := sub.Info()
-	tel := opts.Telemetry
-	prog := opts.Progress
-	if opts.Label == "" {
-		opts.Label = opts.Mode.String()
-	}
-	prog.StartRun(opts.Label, opts.Mode.String(), info.Protocol, opts.VirtualHours*3600, opts.Instances)
-	defer prog.EndRun(opts.Label)
-
-	res := &Result{
-		Mode:          opts.Mode,
-		Subject:       info,
-		Series:        &coverage.Series{},
-		Bugs:          bugs.NewLedger(),
-		ModelEntities: host.Model.Len(),
-	}
-
-	if err := ctx.Err(); err != nil {
+	l := NewLoop(host)
+	defer l.Close()
+	plan, err := l.Plan(ctx)
+	if err != nil {
 		return nil, err
 	}
-
-	// Mode-dependent scheduling: relation probing + cohesive grouping
-	// (CMFuzz), path partitioning (SPFuzz), defaults (Peach).
-	plan := host.Plan(res.Bugs, tel, opts.Trace)
-	res.RelationEdges = plan.RelationEdges
-	res.Probes = plan.Probes
-	res.Groups = plan.Groups
-
-	// Boot instances, each in its own namespace.
-	insts := make([]*Instance, 0, opts.Instances)
-	for _, spec := range plan.Specs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bootSpan := opts.Trace.Child("instance.boot", trace.A("instance", spec.Index))
-		in, err := host.Boot(spec, res.Bugs)
-		if err != nil {
-			bootSpan.End()
-			return nil, err
-		}
-		bootSpan.Set("edges", in.startEdges)
-		bootSpan.End()
-		tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: spec.Index,
-			Config: in.cfg.String(), Edges: in.startEdges})
-		tel.Count(telemetry.CtrBoots, 1)
-		if prog.Enabled() {
-			prog.SetInstanceConfig(opts.Label, spec.Index, in.cfg.String())
-		}
-		insts = append(insts, in)
+	if err := l.Boot(ctx, &localSource{loop: l, specs: plan.Specs}); err != nil {
+		return nil, err
 	}
-
-	// The virtual-time event loop.
-	horizon := opts.VirtualHours * 3600
-	global := coverage.NewMap()
-	for _, in := range insts {
-		global.Union(in.engine.CoverageMap())
-	}
-	res.Series.Observe(0, global.Count())
-	lastSample := 0.0
-	watermark := 0.0 // monotone observation clock across instances
-	// New-edge samples are coalesced to at most one per minSampleGap of
-	// virtual time; without the floor, the discovery-heavy early campaign
-	// records a point per coverage step and the series grows unbounded
-	// long before the first SampleEvery window elapses. The final point
-	// stays exact (observed at the horizon below).
-	minSampleGap := opts.SampleEvery / 10
-
-	// One long-lived wall-clock span per instance: siblings under the
-	// run's parent span, so each instance renders as its own lane in the
-	// trace viewer, carrying sync and config.mutate children.
-	instSpans := make([]*trace.Span, len(insts))
-	for _, in := range insts {
-		instSpans[in.index] = opts.Trace.Child("instance", trace.A("index", in.index))
-	}
-
-	cancelled := false
-	h := make(instanceHeap, len(insts))
-	copy(h, insts)
-	heap.Init(&h)
-	for h[0].clock < horizon {
-		select {
-		case <-ctx.Done():
-			cancelled = true
-		default:
-		}
-		if cancelled {
-			break
-		}
-		in := h[0]
-		step := in.Step()
-
-		if step.Crash != nil {
-			isNew := res.Bugs.Record(step.Crash, in.index, in.clock, in.cfg.String())
-			tel.Emit(telemetry.Event{T: in.clock, Type: telemetry.EvCrash, Instance: in.index,
-				Crash: step.Crash.ID(), New: isNew, Config: in.cfg.String()})
-			tel.Count(telemetry.CtrCrashes, 1)
-			if isNew {
-				tel.Count(telemetry.CtrCrashesUnique, 1)
-			}
-		}
-		if step.NewEdges > 0 {
-			global.Union(in.engine.CoverageMap())
-		}
-		if in.clock > watermark {
-			watermark = in.clock
-		}
-		if watermark-lastSample >= opts.SampleEvery ||
-			(step.NewEdges > 0 && watermark-lastSample >= minSampleGap) {
-			res.Series.Observe(watermark, global.Count())
-			lastSample = watermark
-			tel.Emit(telemetry.Event{T: watermark, Type: telemetry.EvSample, Instance: in.index,
-				Edges: global.Count()})
-			tel.Count(telemetry.CtrSamples, 1)
-			prog.SetUnion(opts.Label, watermark, global.Count())
-		}
-		if prog.Enabled() {
-			st := in.engine.Stats()
-			prog.StepInstance(opts.Label, in.index, in.clock,
-				in.engine.Coverage(), st.Execs, in.crashes, in.muts, st.CorpusSize)
-		}
-
-		// Seed synchronization.
-		if in.clock >= in.nextSync {
-			sync := instSpans[in.index].Child("sync")
-			imported := 0
-			for _, other := range insts {
-				if other != in {
-					seeds := other.engine.ExportSeeds(4)
-					imported += len(seeds)
-					in.engine.ImportSeeds(seeds)
-				}
-			}
-			// Advance nextSync past the instance clock. One expensive
-			// step can jump several sync intervals at once; advancing by
-			// a single interval would leave nextSync behind the clock and
-			// fire a burst of back-to-back syncs on the following cheap
-			// steps. The skipped intervals are counted, not replayed.
-			skipped := 0
-			for in.nextSync += opts.SyncInterval; in.nextSync <= in.clock; in.nextSync += opts.SyncInterval {
-				skipped++
-			}
-			tel.Emit(telemetry.Event{T: in.clock, Type: telemetry.EvSync, Instance: in.index,
-				Seeds: imported, Skipped: skipped})
-			tel.Count(telemetry.CtrSyncs, 1)
-			if skipped > 0 {
-				tel.Count(telemetry.CtrSyncSkipped, skipped)
-			}
-			sync.Set("seeds", imported)
-			sync.End()
-		}
-
-		// CMFuzz adaptive configuration mutation on saturation.
-		if opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation {
-			if in.ObserveSaturation() {
-				tel.Emit(telemetry.Event{T: in.clock, Type: telemetry.EvSaturation, Instance: in.index,
-					Edges: in.engine.Coverage()})
-				tel.Count(telemetry.CtrSaturations, 1)
-				mut := instSpans[in.index].Child("config.mutate")
-				out := in.Mutate(res.Bugs)
-				EmitMutation(tel, in.index, in.clock, out)
-				if out.Restarted && prog.Enabled() {
-					prog.SetInstanceConfig(opts.Label, in.index, in.cfg.String())
-				}
-				mut.End()
-				in.ResetSaturation()
-			}
-		}
-		heap.Fix(&h, 0)
-	}
-
-	// Finalize. A cancelled run observes the series at the watermark it
-	// actually reached instead of the horizon, so the partial artifact
-	// never claims coverage for virtual time that did not run.
-	finalT := horizon
-	if cancelled {
-		finalT = watermark
-	}
-	res.Series.Observe(finalT, global.Count())
-	res.FinalBranches = global.Count()
-	prog.SetUnion(opts.Label, finalT, global.Count())
-	for _, in := range insts {
-		st := in.engine.Stats()
-		res.TotalExecs += st.Execs
-		instSpans[in.index].Set("edges", in.engine.Coverage())
-		instSpans[in.index].Set("execs", st.Execs)
-		instSpans[in.index].End()
-		res.Instances = append(res.Instances, in.Result())
-	}
-	res.Counters = tel.Counters()
-	if cancelled {
-		return res, ctx.Err()
-	}
-	return res, nil
+	return l.Run(ctx)
 }
 
 // fallbackDetail summarizes the defaults-fallback outcome for telemetry.

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,6 +29,36 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() != "unknown" {
 		t.Fatal("out-of-range mode")
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Mode
+		ok   bool
+	}{
+		{"cmfuzz", ModeCMFuzz, true},
+		{"peach", ModePeach, true},
+		{"spfuzz", ModeSPFuzz, true},
+		{"CMFuzz", ModeCMFuzz, true},
+		{"PEACH", ModePeach, true},
+		{"SpFuzz", ModeSPFuzz, true},
+		{"", 0, false}, // defaulting an empty name is the caller's policy
+		{"afl", 0, false},
+		{"peach ", 0, false},
+		{"unknown", 0, false}, // Mode.String()'s out-of-range name is not a mode
+	} {
+		got, err := ParseMode(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && err.Error() != fmt.Sprintf("unknown mode %q", tc.name) {
+			t.Errorf("ParseMode(%q) error = %q", tc.name, err)
+		}
+		if err == nil && !strings.EqualFold(got.String(), tc.name) {
+			t.Errorf("ParseMode(%q).String() = %q", tc.name, got)
+		}
 	}
 }
 
