@@ -149,7 +149,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 
 // TestCancelledRunReleasesGoroutines pins the lifecycle audit: after a
 // campaign is cancelled mid-run — including mid-lease, with replies in
-// flight — every coordinator-side goroutine (dispatchers, heartbeats)
+// flight — every coordinator-side goroutine (connection readers, heartbeats)
 // must be joined by the time Run returns. Run under -race this also
 // shakes out unsynchronized teardown.
 func TestCancelledRunReleasesGoroutines(t *testing.T) {

@@ -30,10 +30,6 @@ type Config struct {
 	// (default 2s). Zero keeps the default; negative disables
 	// heartbeats (useful for deterministic tests).
 	HeartbeatInterval time.Duration
-	// PingRetries is how many extra pings a silent worker gets, with
-	// jittered exponential backoff between attempts, before it is
-	// declared dead (default 3).
-	PingRetries int
 }
 
 func (c *Config) setDefaults() {
@@ -43,71 +39,167 @@ func (c *Config) setDefaults() {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
-	if c.PingRetries == 0 {
-		c.PingRetries = 3
-	}
 }
 
 var errWorkerDead = errors.New("dist: worker is dead")
 
-// workerConn is the coordinator's view of one connected worker. The
-// connection mutex serializes RPCs; the heartbeat goroutine uses
-// TryLock so it never queues behind (or splices frames into) an
-// in-flight campaign RPC — a pending reply already proves liveness.
+// shutdownGrace is how long a closing pool waits for a worker to take
+// its Shutdown frame before dropping the connection on it.
+const shutdownGrace = time.Second
+
+// workerConn is the coordinator's view of one connected worker. Any
+// number of requests may be outstanding on it: send tags each with an id
+// and the connection's reader goroutine hands every reply to whoever
+// waits for its id, so leases, control messages and heartbeats of any
+// campaign share the connection without queueing behind one another.
 type workerConn struct {
 	id   int
 	name string
 	conn net.Conn
 	br   *bufio.Reader
-	fw   frameWriter // reusable frame scratch, guarded by mu
+
+	wmu sync.Mutex  // serializes frames onto conn
+	fw  frameWriter // reusable frame scratch, guarded by wmu
 
 	mu        sync.Mutex
+	calls     map[uint32]call // requests awaiting their reply; nil once dead
+	lastID    uint32
 	dead      atomic.Bool
+	cause     error        // what killed the connection, guarded by mu
 	lastReply atomic.Int64 // unix nanos of the last frame received
 	execs     atomic.Int64 // cumulative execs across this worker's instances
 	syncBytes atomic.Int64 // cumulative sync payload bytes shipped
 }
 
-// rpc performs one request/response exchange under the per-RPC
-// deadline. Stale Pongs (late heartbeat replies) are skipped: Pongs are
-// empty and interchangeable, so dropping one loses nothing. Any framing
-// or deadline error kills the connection — a partially read frame
-// cannot be resynchronized.
-func (wc *workerConn) rpc(typ byte, payload []byte, want byte, timeout time.Duration) ([]byte, error) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.rpcLocked(typ, payload, want, timeout)
+// A call is one outstanding request: where its reply goes, and the timer
+// that gives up on it.
+type call struct {
+	ch    chan reply // buffered: exactly one reply or failure is delivered
+	timer *time.Timer
 }
 
-func (wc *workerConn) rpcLocked(typ byte, payload []byte, want byte, timeout time.Duration) ([]byte, error) {
-	if wc.dead.Load() {
-		return nil, errWorkerDead
+// A reply is the frame that answered a request (stamped when it was
+// read), or the failure that ended the wait.
+type reply struct {
+	typ     byte
+	payload []byte
+	at      time.Time
+	err     error
+}
+
+// send writes one request and returns the channel its reply will arrive
+// on. The deadline covers the whole exchange — the write, any queueing
+// for a lane worker-side, the execution — and a request that outlives it
+// kills the connection, as does a failed write: there is no telling
+// what a silent worker is doing with the instances it holds.
+func (wc *workerConn) send(typ byte, payload []byte, timeout time.Duration) <-chan reply {
+	ch := make(chan reply, 1)
+	wc.mu.Lock()
+	if wc.calls == nil {
+		ch <- reply{err: fmt.Errorf("%w: %v", errWorkerDead, wc.cause)}
+		wc.mu.Unlock()
+		return ch
 	}
-	wc.conn.SetDeadline(time.Now().Add(timeout))
-	defer wc.conn.SetDeadline(time.Time{})
-	if err := wc.fw.write(wc.conn, typ, payload); err != nil {
-		wc.dead.Store(true)
+	wc.lastID++
+	id := wc.lastID
+	wc.calls[id] = call{ch: ch, timer: time.AfterFunc(timeout, func() {
+		wc.kill(fmt.Errorf("dist: worker %q: no reply to message %d within %v", wc.name, typ, timeout))
+	})}
+	wc.mu.Unlock()
+	wc.wmu.Lock()
+	err := wc.fw.write(wc.conn, typ, id, payload)
+	wc.wmu.Unlock()
+	if err != nil {
+		wc.kill(err)
+	}
+	return ch
+}
+
+// kill declares the worker dead: the connection is closed, which ends
+// the reader, and every outstanding request fails with err.
+func (wc *workerConn) kill(err error) { wc.end(err, true) }
+
+// end closes the connection and fails every outstanding request with
+// err; only the first call fails requests. A pool shutting down ends its
+// connections in good order — a best-effort Shutdown first, and the
+// workers are not declared dead (the reader's EOF that follows finds the
+// connection already ended). The Shutdown is bounded: a worker that has
+// stopped reading gets shutdownGrace to take it, and so does any send
+// still blocked in its write, whose failure then closes the connection
+// under the waiting Shutdown.
+func (wc *workerConn) end(err error, died bool) {
+	wc.mu.Lock()
+	calls := wc.calls
+	if calls != nil {
+		wc.calls, wc.cause = nil, err
+		if died {
+			wc.dead.Store(true)
+		}
+	}
+	wc.mu.Unlock()
+	if calls == nil {
+		if died {
+			wc.conn.Close()
+		}
+		return
+	}
+	if !died {
+		wc.conn.SetWriteDeadline(time.Now().Add(shutdownGrace))
+		wc.wmu.Lock()
+		wc.fw.write(wc.conn, msgShutdown, 0, nil)
+		wc.wmu.Unlock()
+	}
+	wc.conn.Close()
+	for _, c := range calls {
+		c.timer.Stop()
+		c.ch <- reply{err: err}
+	}
+}
+
+// readLoop routes replies to their requests until the connection ends.
+// A reply nobody waits for — its id unknown or already given up on — is
+// dropped. Any framing error kills the connection: a partially read
+// frame cannot be resynchronized.
+func (wc *workerConn) readLoop() {
+	for {
+		typ, id, payload, err := readFrame(wc.br)
+		if err != nil {
+			wc.kill(err)
+			return
+		}
+		now := time.Now()
+		wc.lastReply.Store(now.UnixNano())
+		wc.mu.Lock()
+		c, ok := wc.calls[id]
+		delete(wc.calls, id)
+		wc.mu.Unlock()
+		if ok {
+			c.timer.Stop()
+			c.ch <- reply{typ: typ, payload: payload, at: now}
+		}
+	}
+}
+
+// expect unwraps a reply: a transport failure as it is, a worker-side
+// Error as an application error (the connection stays up), and any type
+// but want as a protocol violation that kills the connection.
+func (wc *workerConn) expect(rep reply, want byte) ([]byte, error) {
+	switch {
+	case rep.err != nil:
+		return nil, rep.err
+	case rep.typ == msgError:
+		return nil, fmt.Errorf("dist: worker %q: %s", wc.name, rep.payload)
+	case rep.typ != want:
+		err := fmt.Errorf("dist: worker %q: got message %d, want %d", wc.name, rep.typ, want)
+		wc.kill(err)
 		return nil, err
 	}
-	for {
-		rtyp, rp, err := readFrame(wc.br)
-		if err != nil {
-			wc.dead.Store(true)
-			return nil, err
-		}
-		wc.lastReply.Store(time.Now().UnixNano())
-		if rtyp == msgPong && want != msgPong {
-			continue
-		}
-		if rtyp == msgError {
-			return nil, fmt.Errorf("dist: worker %q: %s", wc.name, rp)
-		}
-		if rtyp != want {
-			wc.dead.Store(true)
-			return nil, fmt.Errorf("dist: worker %q: got message %d, want %d", wc.name, rtyp, want)
-		}
-		return rp, nil
-	}
+	return rep.payload, nil
+}
+
+// rpc performs one request/response exchange.
+func (wc *workerConn) rpc(typ byte, payload []byte, want byte, timeout time.Duration) ([]byte, error) {
+	return wc.expect(<-wc.send(typ, payload, timeout), want)
 }
 
 // WorkerStatus is a point-in-time snapshot of one worker, for the
@@ -127,8 +219,9 @@ type WorkerStatus struct {
 type Observer struct {
 	// Lease fires after every successful lease round-trip with the
 	// replayable record count, request/reply payload sizes, and the
-	// wall-clock round-trip time. Called from per-worker dispatcher
-	// goroutines; implementations must be safe for concurrent use.
+	// wall-clock round-trip time (request written to reply read). Called
+	// from the campaign's own goroutine as it consumes the reply; a shared
+	// implementation must still be safe for concurrent campaigns.
 	Lease func(instance, records, reqBytes, repBytes int, seconds float64, syncDue bool)
 	// Death fires when the campaign loop declares a worker dead, once
 	// per worker per campaign (after the Stats/telemetry accounting).
@@ -163,7 +256,7 @@ type Stats struct {
 //	Advance  run the event loop up to a virtual-clock bound
 //	Checkpoint / Restore   serialize between Advance slices
 //	Finish   collect per-instance results, seal the Result
-//	Close    join dispatchers, release or shut down the fleet
+//	Close    release or shut down the fleet
 //
 // Run composes them for the classic single-campaign shape.
 type Coordinator struct {
@@ -178,8 +271,6 @@ type Coordinator struct {
 	syncBytes     atomic.Int64
 	workerDeaths  atomic.Int64
 	reassignments atomic.Int64
-
-	dispWG sync.WaitGroup
 
 	loop *parallel.Loop
 	st   *runState
@@ -283,8 +374,19 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// alive returns the live worker whose id is at or after from, wrapping
-// around; nil when every worker is dead.
+// slot is wc's position in the campaign's worker set (pool-global ids
+// don't index a partition subset).
+func (st *runState) slot(wc *workerConn) int {
+	for k, w := range st.workers {
+		if w == wc {
+			return k
+		}
+	}
+	return -1
+}
+
+// alive returns the live worker at or after position from in the
+// campaign's worker set, wrapping around; nil when every worker is dead.
 func (c *Coordinator) alive(from int) *workerConn {
 	workers := c.st.workers
 	n := len(workers)
@@ -319,11 +421,6 @@ type runState struct {
 	workers []*workerConn // pool snapshot taken at Start/Restore
 	inst    []replica
 	cur     *parallel.LeaseStep // the record the loop is on
-	// jobs are the per-worker dispatcher queues; slot maps a worker to
-	// its position in the workers slice (pool-global ids don't index a
-	// partition subset, so both are keyed by connection).
-	jobs map[*workerConn]chan leaseJob
-	slot map[*workerConn]int
 	// restored marks replicas loaded from a checkpoint: Boot then
 	// fast-forwards the instances instead of starting their history.
 	restored bool
@@ -334,7 +431,7 @@ type runState struct {
 // counters), a corpus mirror (so sync exports are computed locally at
 // the exact event-loop position, without a wire round-trip), the lease
 // batch being replayed, and the lease history a Restore re-sends. A
-// checkpoint stores everything here but the owner and the reply channel.
+// checkpoint stores everything here but the owner and the lease in flight.
 type replica struct {
 	owner      *workerConn
 	crashes    int
@@ -349,11 +446,13 @@ type replica struct {
 	mirror  *fuzz.Corpus
 	pending []fuzz.Seed // seeds collected at sync, shipped with the next lease
 	// batch/pos is the lease reply currently being replayed; inflight
-	// marks a dispatched lease whose reply has not been consumed.
+	// is the dispatched lease whose reply has not been consumed (nil when
+	// there is none), sent/reqBytes its send time and request size.
 	batch    []parallel.LeaseStep
 	pos      int
-	inflight bool
-	replyCh  chan leaseReply
+	inflight <-chan reply
+	sent     time.Time
+	reqBytes int
 	// journal/resumeClock record the lease history since the last
 	// (re)boot, for checkpoint/resume replay.
 	journal     []leaseJournal
@@ -369,69 +468,10 @@ func newReplicas(n int) []replica {
 	return inst
 }
 
-// A leaseJob is one lease RPC queued on a worker's dispatcher.
-type leaseJob struct {
-	instance int
-	payload  []byte
-	ch       chan leaseReply
-}
-
-// A leaseReply is a decoded lease result (or the transport/decode
-// failure that killed it).
-type leaseReply struct {
-	recs []parallel.LeaseStep
-	err  error
-}
-
-// dispatcher owns this campaign's lease traffic for one worker: jobs
-// are executed strictly in FIFO order (wc.mu serializes the round-trips
-// against heartbeats and other campaigns), so leases for different
-// instances on the same worker pipeline without interleaving frames. It
-// exits when jobs closes.
-func (c *Coordinator) dispatcher(wc *workerConn, jobs <-chan leaseJob) {
-	defer c.dispWG.Done()
-	for job := range jobs {
-		t0 := time.Now()
-		p, err := wc.rpc(msgLease, job.payload, msgLeaseResult, c.cfg.RPCTimeout)
-		if err != nil {
-			job.ch <- leaseReply{err: err}
-			continue
-		}
-		recs, syncDue, spans, workerNow, err := decodeLeaseResult(p)
-		if err != nil {
-			wc.dead.Store(true)
-			job.ch <- leaseReply{err: err}
-			continue
-		}
-		if len(recs) == 0 {
-			// A lease always executes at least one step (the budget is
-			// checked after stepping); an empty reply means the worker
-			// lost its instance state.
-			wc.dead.Store(true)
-			job.ch <- leaseReply{err: errors.New("dist: empty lease reply")}
-			continue
-		}
-		if len(spans) > 0 {
-			// Align the worker timeline to ours: the worker's clock read
-			// at encode time maps to now, so worker spans land where the
-			// reply arrived (shifted late by the return wire time — a
-			// bounded skew this layer cannot observe, documented in
-			// DESIGN.md).
-			c.tracer.IngestForeign(wc.name, c.tracer.Now()-workerNow, spans)
-		}
-		wc.execs.Add(int64(len(recs)))
-		nb := int64(len(job.payload) + len(p))
-		wc.syncBytes.Add(nb)
-		c.syncBytes.Add(nb)
-		if c.obs.Lease != nil {
-			c.obs.Lease(job.instance, len(recs), len(job.payload), len(p), time.Since(t0).Seconds(), syncDue)
-		}
-		job.ch <- leaseReply{recs: recs}
-	}
-}
-
 // dispatch hands instance i its next lease: the seeds its last sync
 // collected, and a budget up to its next sync boundary or the horizon.
+// The request goes straight onto the owner's connection; the reply is
+// picked up by fill when the loop next needs a record of i.
 func (c *Coordinator) dispatch(i int) {
 	in := &c.st.inst[i]
 	boundary := c.loop.NextSync[i]
@@ -441,39 +481,40 @@ func (c *Coordinator) dispatch(i int) {
 	in.pending = nil
 	in.batch = nil
 	in.pos = 0
-	in.inflight = true
-	c.st.jobs[in.owner] <- leaseJob{instance: i, payload: encodeLease(l), ch: in.replyCh}
+	payload := encodeLease(l)
+	in.sent, in.reqBytes = time.Now(), len(payload)
+	in.inflight = in.owner.send(msgLease, payload, c.cfg.RPCTimeout)
 }
 
 // fill consumes instance i's in-flight lease reply as its next batch. A
-// lease that fails because its
-// worker died is retried whole on a surviving worker: the reply is
+// lease that fails because its worker died is retried whole on a
+// surviving worker: the reply is
 // all-or-nothing, so zero records were replayed and the re-booted
 // instance resumes at the lease's start clock — which is exactly the
 // loop's current clock for i. A ctx that ends first returns ctx.Err()
-// without consuming anything: the reply channel is buffered, so the
-// dispatcher never blocks on the abandoned wait, and the next Advance
-// (or the checkpoint drain) picks the reply up.
+// without consuming anything: the reply waits in its channel and the
+// next Advance (or the checkpoint drain) picks it up.
 func (c *Coordinator) fill(ctx context.Context, i int) error {
 	in := &c.st.inst[i]
-	if !in.inflight {
+	if in.inflight == nil {
 		return fmt.Errorf("dist: instance %d has no lease in flight", i)
 	}
-	var rep leaseReply
+	var rep reply
 	select {
-	case rep = <-in.replyCh:
+	case rep = <-in.inflight:
 	default:
 		select {
-		case rep = <-in.replyCh:
+		case rep = <-in.inflight:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	in.inflight = false
-	if rep.err != nil {
+	in.inflight = nil
+	recs, err := c.leaseResult(i, rep)
+	if err != nil {
 		wc := in.owner
 		if !wc.dead.Load() {
-			return rep.err // application error: campaign-fatal
+			return err // application error: campaign-fatal
 		}
 		c.markDead(wc)
 		if rerr := c.reassign(i); rerr != nil {
@@ -484,14 +525,52 @@ func (c *Coordinator) fill(ctx context.Context, i int) error {
 	}
 	// A lease goes out only once the batch before it is exhausted
 	// (dispatch), so the reply is the whole batch.
-	in.batch, in.pos = rep.recs, 0
+	in.batch, in.pos = recs, 0
 	return nil
+}
+
+// leaseResult decodes instance i's lease reply and does the per-lease
+// accounting. A reply that does not decode kills its worker.
+func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error) {
+	in := &c.st.inst[i]
+	wc := in.owner
+	p, err := wc.expect(rep, msgLeaseResult)
+	if err != nil {
+		return nil, err
+	}
+	recs, syncDue, spans, workerNow, err := decodeLeaseResult(p)
+	if err == nil && len(recs) == 0 {
+		// A lease always executes at least one step (the budget is
+		// checked after stepping); an empty reply means the worker
+		// lost its instance state.
+		err = errors.New("dist: empty lease reply")
+	}
+	if err != nil {
+		wc.kill(err)
+		return nil, err
+	}
+	if len(spans) > 0 {
+		// Align the worker timeline to ours: the worker's clock read at
+		// encode time maps to the reply's arrival, so worker spans land
+		// where the reply arrived (shifted late by the return wire time —
+		// a bounded skew this layer cannot observe, documented in
+		// DESIGN.md).
+		arrived := c.tracer.Now() - time.Since(rep.at)
+		c.tracer.IngestForeign(wc.name, arrived-workerNow, spans)
+	}
+	wc.execs.Add(int64(len(recs)))
+	nb := int64(in.reqBytes + len(p))
+	wc.syncBytes.Add(nb)
+	c.syncBytes.Add(nb)
+	if c.obs.Lease != nil {
+		c.obs.Lease(i, len(recs), in.reqBytes, len(p), rep.at.Sub(in.sent).Seconds(), syncDue)
+	}
+	return recs, nil
 }
 
 // markDead records a worker failure exactly once per campaign (campaign
 // loop only).
 func (c *Coordinator) markDead(wc *workerConn) {
-	wc.dead.Store(true)
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
 		c.workerDeaths.Add(1)
@@ -515,7 +594,7 @@ func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet b
 	}
 	br, err := decodeBootResult(p)
 	if err != nil {
-		wc.dead.Store(true)
+		wc.kill(err)
 		return err
 	}
 	if !quiet {
@@ -529,7 +608,7 @@ func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet b
 	}
 	if !quiet {
 		if _, err := c.loop.Union.ApplyDelta(br.Delta); err != nil {
-			wc.dead.Store(true)
+			wc.kill(err)
 			return err
 		}
 		in := &c.st.inst[i]
@@ -550,7 +629,7 @@ func (c *Coordinator) reassign(i int) error {
 	tel := c.loop.Opts.Telemetry
 	in := &c.st.inst[i]
 	for {
-		wc := c.alive(c.st.slot[in.owner] + 1)
+		wc := c.alive(c.st.slot(in.owner) + 1)
 		if wc == nil {
 			return errors.New("dist: no live workers left")
 		}
@@ -756,10 +835,8 @@ func (c *Coordinator) Start(ctx context.Context) error {
 }
 
 // open brings the planned (or restored) campaign up on workers: assign,
-// allocate the replay state, boot every instance through the loop,
-// launch one dispatcher per worker, and lease out every instance that
-// has nothing left to replay. The dispatchers drain in Close before the
-// pool (or release) tears the connections down.
+// allocate the replay state, boot every instance through the loop, and
+// lease out every instance that has nothing left to replay.
 func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, inst []replica, restored bool) error {
 	// Ship the whole plan to every worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
@@ -789,18 +866,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		specs:    append([]parallel.InstanceSpec(nil), specs...),
 		workers:  workers,
 		inst:     inst,
-		jobs:     make(map[*workerConn]chan leaseJob, len(workers)),
-		slot:     make(map[*workerConn]int, len(workers)),
 		restored: restored,
-	}
-	for i := range inst {
-		inst[i].replyCh = make(chan leaseReply, 1)
-	}
-	for wi, wc := range workers {
-		st.slot[wc] = wi
-		st.jobs[wc] = make(chan leaseJob, len(inst))
-		c.dispWG.Add(1)
-		go c.dispatcher(wc, st.jobs[wc])
 	}
 	c.st = st
 	if err := c.loop.Boot(ctx, st); err != nil {
@@ -878,7 +944,7 @@ func (c *Coordinator) Advance(ctx context.Context, until float64) error {
 func (c *Coordinator) drainInflight() error {
 	st := c.st
 	for i := range st.inst {
-		for st.inst[i].inflight {
+		for st.inst[i].inflight != nil {
 			if err := c.fill(context.Background(), i); err != nil {
 				return err
 			}
@@ -905,23 +971,18 @@ func (c *Coordinator) Finish(ctx context.Context) (*parallel.Result, error) {
 	return res, nil
 }
 
-// Close tears the campaign down: the dispatcher goroutines are joined
-// (no goroutine outlives Close, even after a mid-lease cancellation),
-// the progress run ends, and the fleet is released — a standalone
-// coordinator shuts its private pool down; a shared-pool campaign sends
-// a best-effort Release so workers retire its instances while other
+// Close tears the campaign down: the progress run ends and the fleet is
+// released — a standalone coordinator shuts its private pool down (which
+// joins its connections' readers, so no goroutine outlives Close even
+// after a mid-lease cancellation); a shared-pool campaign sends a
+// best-effort Release so workers retire its instances — once its leases
+// still in flight have run out, their replies dropped — while other
 // campaigns keep running. Idempotent.
 func (c *Coordinator) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if c.st != nil {
-		for _, jobs := range c.st.jobs {
-			close(jobs)
-		}
-		c.dispWG.Wait()
-	}
 	if c.loop != nil {
 		c.loop.Close()
 	}

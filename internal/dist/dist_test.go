@@ -2,10 +2,12 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"cmfuzz/internal/campaign"
@@ -239,5 +241,42 @@ func TestLoopbackMatchesInProcessUnderLatency(t *testing.T) {
 		dirB := filepath.Join(t.TempDir(), "dist")
 		writeAll(t, dirB, resB, recB)
 		diffTrees(t, name+" under latency", readTree(t, dirA), readTree(t, dirB))
+	}
+}
+
+// TestLoopbackMatchesInProcessAtEveryCoreCount is the anchor for the
+// lanes: one worker, whose lane count is GOMAXPROCS, must produce the
+// in-process run's artifact tree at every core count — one lane (the
+// serial worker), as many lanes as instances, and more lanes than there
+// is ever work for. Traced, so the per-lane span plumbing runs too.
+func TestLoopbackMatchesInProcessAtEveryCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range []string{"MQTT", "CoAP"} {
+		sub := mustSubject(t, name)
+		options := func(rec *telemetry.Recorder) parallel.Options {
+			return parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 3, Concurrency: 1, Telemetry: rec}
+		}
+		recA := telemetry.New()
+		resA, err := parallel.Run(context.Background(), sub, options(recA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirA := filepath.Join(t.TempDir(), "inproc")
+		writeAll(t, dirA, resA, recA)
+		want := readTree(t, dirA)
+
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			recB := telemetry.New()
+			optsB := options(recB)
+			optsB.Trace = trace.New().Start("coordinator")
+			resB, _, err := dist.RunLocal(context.Background(), sub, optsB, 1, dist.Config{})
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			dirB := filepath.Join(t.TempDir(), "dist")
+			writeAll(t, dirB, resB, recB)
+			diffTrees(t, fmt.Sprintf("%s at GOMAXPROCS %d", name, procs), want, readTree(t, dirB))
+		}
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"cmfuzz/internal/dist"
 	"cmfuzz/internal/parallel"
@@ -112,9 +115,10 @@ func TestWorkerDeathReassignsInstances(t *testing.T) {
 	}
 }
 
-// readFaultConn fails every Read after `limit` successful ones: the
-// worker accepts the lease and goes silent, so the death surfaces while
-// the coordinator is waiting for a consolidated lease reply.
+// readFaultConn delivers `limit` reads and loses everything after: the
+// next frame the worker sends is taken off the pipe and dropped, and the
+// connection is broken from then on — the worker accepted its leases,
+// ran them, and died with the replies undelivered.
 type readFaultConn struct {
 	net.Conn
 	reads int
@@ -122,69 +126,97 @@ type readFaultConn struct {
 }
 
 func (f *readFaultConn) Read(p []byte) (int, error) {
+	n, err := f.Conn.Read(p)
 	if f.reads >= f.limit {
 		return 0, errInjected
 	}
 	f.reads++
-	return f.Conn.Read(p)
+	return n, err
 }
 
 // TestWorkerDeathMidLease kills a worker between lease dispatch and
-// lease reply. The reply is all-or-nothing, so zero records from the
-// broken lease may be replayed: the coordinator must re-boot the
-// instances at the lease's start clock on the survivor and still run
-// the campaign to the horizon.
+// lease reply, with both of its instances' leases in flight on the one
+// connection. A reply is all-or-nothing and the connection's death fails
+// every request outstanding on it, so zero records from either lease may
+// be replayed: the coordinator must re-boot both instances at their
+// lease's start clock on the survivor and still run the campaign to the
+// horizon. Which of the two replies is the one that gets lost varies
+// with how the worker's lanes finish; the artifacts must not, so the
+// scenario runs several times and the trees are diffed.
 func TestWorkerDeathMidLease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sub := mustSubject(t, "DNS")
-	rec := telemetry.New()
-	opts := parallel.Options{
-		Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1,
-		Telemetry: rec,
+	options := func(rec *telemetry.Recorder) parallel.Options {
+		return parallel.Options{
+			Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1,
+			Telemetry: rec,
+		}
 	}
 	resolve := func(name string) (subject.Subject, error) { return protocols.ByName(name) }
-
-	coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
-	serveErr := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		cConn, wConn := net.Pipe()
-		w := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Resolve: resolve})
-		go func() { serveErr <- w.Serve(wConn) }()
-		conn := net.Conn(cConn)
-		if i == 0 {
-			// Reads 1-4 carry hello, assignOK, and both boot results; the
-			// read of the first lease reply fails, i.e. the worker dies
-			// mid-lease with the batch undelivered.
-			conn = &readFaultConn{Conn: cConn, limit: 4}
-		}
-		if err := coord.AddConn(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res, err := coord.Run(context.Background())
+	inproc, err := parallel.Run(context.Background(), sub, options(telemetry.New()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		<-serveErr
-	}
 
-	if len(res.Instances) != 4 {
-		t.Fatalf("got %d instance results, want 4", len(res.Instances))
-	}
-	last := res.Series.Points()[len(res.Series.Points())-1]
-	if want := opts.VirtualHours * 3600; last.T < want {
-		t.Fatalf("campaign stopped at %.1f virtual seconds, want %.1f", last.T, want)
-	}
-	st := coord.Stats()
-	if st.WorkerDeaths != 1 || st.Reassignments != 2 {
-		t.Fatalf("deaths/reassignments = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
-	}
-	// The re-boots happened at the lease start clock — virtual second
-	// zero here, since the very first lease reply was lost — so every
-	// instance still accounts for the whole horizon of virtual time.
-	if res.Counters[telemetry.CtrWorkerDeaths] != 1 || res.Counters[telemetry.CtrReassignments] != 2 {
-		t.Fatalf("telemetry counters missing the failure: %+v", res.Counters)
+	var first map[string]string
+	for run := 0; run < 4; run++ {
+		rec := telemetry.New()
+		opts := options(rec)
+		coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
+		serveErr := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			cConn, wConn := net.Pipe()
+			w := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Resolve: resolve})
+			go func() { serveErr <- w.Serve(wConn) }()
+			conn := net.Conn(cConn)
+			if i == 0 {
+				// Reads 1-4 carry hello, assignOK, and both boot results;
+				// the fifth is the first lease reply to come back.
+				conn = &readFaultConn{Conn: cConn, limit: 4}
+			}
+			if err := coord.AddConn(conn); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		res, err := coord.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			<-serveErr
+		}
+
+		if len(res.Instances) != 4 {
+			t.Fatalf("got %d instance results, want 4", len(res.Instances))
+		}
+		last := res.Series.Points()[len(res.Series.Points())-1]
+		if want := opts.VirtualHours * 3600; last.T < want {
+			t.Fatalf("campaign stopped at %.1f virtual seconds, want %.1f", last.T, want)
+		}
+		// Worker 0 owned instances 0 and 2; the lost reply took both
+		// leases with it, and each was retried whole on the survivor.
+		st := coord.Stats()
+		if st.WorkerDeaths != 1 || st.Reassignments != 2 {
+			t.Fatalf("deaths/reassignments = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
+		}
+		if res.Counters[telemetry.CtrWorkerDeaths] != 1 || res.Counters[telemetry.CtrReassignments] != 2 {
+			t.Fatalf("telemetry counters missing the failure: %+v", res.Counters)
+		}
+		// The re-boots happened at the lease start clock — virtual second
+		// zero here, since the very first lease replies were lost — so the
+		// campaign is the undisturbed one, step for step.
+		if res.FinalBranches != inproc.FinalBranches || res.TotalExecs != inproc.TotalExecs {
+			t.Fatalf("run %d: %d branches, %d execs; the undisturbed campaign has %d, %d",
+				run, res.FinalBranches, res.TotalExecs, inproc.FinalBranches, inproc.TotalExecs)
+		}
+		dir := filepath.Join(t.TempDir(), "dist")
+		writeAll(t, dir, res, rec)
+		if tree := readTree(t, dir); first == nil {
+			first = tree
+		} else {
+			diffTrees(t, fmt.Sprintf("run %d against run 0", run), first, tree)
+		}
 	}
 }
 
@@ -198,5 +230,28 @@ func TestRunLocalCancellation(t *testing.T) {
 	opts := parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1}
 	if _, _, err := dist.RunLocal(ctx, sub, opts, 2, dist.Config{HeartbeatInterval: -1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunLocalFailedAttachLeaksNothing pins RunLocal's error path: a
+// worker that cannot be attached (here: a handshake deadline already in
+// the past) must not strand its own Serve goroutine on the unread Hello,
+// nor the workers attached before it on their idle connections.
+func TestRunLocalFailedAttachLeaksNothing(t *testing.T) {
+	sub := mustSubject(t, "DNS")
+	before := runtime.NumGoroutine()
+	opts := parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1}
+	for _, workers := range []int{1, 3} {
+		if _, _, err := dist.RunLocal(context.Background(), sub, opts, workers, dist.Config{RPCTimeout: time.Nanosecond}); err == nil {
+			t.Fatal("RunLocal attached a worker under an expired handshake deadline")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -41,10 +41,17 @@ import (
 	"io"
 )
 
-// Frame layout: u32 big-endian length (of type byte + payload), u8
-// message type, payload. The length guard bounds a hostile or corrupt
-// peer to maxFrame before any allocation happens.
-const maxFrame = 64 << 20
+// Frame layout: u32 big-endian length (of everything after it), u8
+// message type, u32 request id, payload. A reply echoes its request's
+// id, which is what lets one connection carry many requests at once:
+// the coordinator routes each reply to whoever is waiting for that id,
+// in whatever order the worker's lanes finish. Hello, Welcome and
+// Shutdown have no reply and carry id 0. The length guard bounds a
+// hostile or corrupt peer to maxFrame before any allocation happens.
+const (
+	maxFrame    = 64 << 20
+	frameHeader = 9 // length + type + id
+)
 
 // protocolVersion gates the Hello/Welcome handshake; coordinator and
 // worker must agree exactly. Version 2 is the lease protocol; version 3
@@ -60,8 +67,10 @@ const maxFrame = 64 << 20
 // subjects) and the options gain the link-impairment knobs. Version 6
 // lets a step record carry the link latency the step charged to its
 // instance's clock, so the coordinator's clocks follow the workers'
-// under Options.LinkLatency*.
-const protocolVersion = 6
+// under Options.LinkLatency*. Version 7 puts a request id in the frame
+// header (payloads are untouched), so a worker can execute leases on
+// every core and reply as each finishes.
+const protocolVersion = 7
 
 // Message types.
 const (
@@ -91,49 +100,50 @@ var errFrameTooLarge = errors.New("dist: frame exceeds size limit")
 // Write, so a concurrent deadline cannot split a frame (and each frame
 // stays one Read on the far side of a net.Pipe, which the fault-
 // injection tests count on). Not safe for concurrent use; each
-// connection owns its own.
+// connection owns one and guards it with its write lock.
 type frameWriter struct {
 	buf []byte
 }
 
-func (f *frameWriter) write(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > maxFrame {
+func (f *frameWriter) write(w io.Writer, typ byte, id uint32, payload []byte) error {
+	need := frameHeader + len(payload)
+	if need-4 > maxFrame {
 		return errFrameTooLarge
 	}
-	need := 5 + len(payload)
 	if cap(f.buf) < need {
 		f.buf = make([]byte, need)
 	}
 	buf := f.buf[:need]
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)+1))
+	binary.BigEndian.PutUint32(buf, uint32(need-4))
 	buf[4] = typ
-	copy(buf[5:], payload)
+	binary.BigEndian.PutUint32(buf[5:], id)
+	copy(buf[frameHeader:], payload)
 	_, err := w.Write(buf)
 	return err
 }
 
 // writeFrame sends one framed message through a throwaway frameWriter
 // (cold paths only; hot paths reuse a connection-owned frameWriter).
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	return (&frameWriter{}).write(w, typ, payload)
+func writeFrame(w io.Writer, typ byte, id uint32, payload []byte) error {
+	return (&frameWriter{}).write(w, typ, id, payload)
 }
 
-// readFrame reads one framed message.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
+// readFrame reads one framed message: its type, request id and payload.
+func readFrame(r io.Reader) (byte, uint32, []byte, error) {
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("dist: zero-length frame")
+	if n < frameHeader-4 {
+		return 0, 0, nil, fmt.Errorf("dist: %d-byte frame is shorter than its header", n)
 	}
 	if n > maxFrame {
-		return 0, nil, errFrameTooLarge
+		return 0, 0, nil, errFrameTooLarge
 	}
-	payload := make([]byte, n-1)
+	payload := make([]byte, n-(frameHeader-4))
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return hdr[4], binary.BigEndian.Uint32(hdr[5:]), payload, nil
 }

@@ -30,21 +30,32 @@ func RunLocal(ctx context.Context, sub subject.Subject, opts parallel.Options, w
 	}
 	coord := NewCoordinator(sub, opts, cfg)
 	serveErr := make(chan error, workers)
+	started := 0
+	// Workers exit on the Shutdown frames (or closed pipes) the
+	// coordinator sends on its way out; join so no goroutine outlives the
+	// call.
+	join := func() {
+		for ; started > 0; started-- {
+			<-serveErr
+		}
+	}
 	for i := 0; i < workers; i++ {
 		cConn, wConn := net.Pipe()
 		w := NewWorker(WorkerConfig{Name: fmt.Sprintf("local-%d", i), Resolve: resolve})
 		// The worker speaks first (Hello), and net.Pipe writes block
 		// until read, so Serve must be running before AddConn.
 		go func() { serveErr <- w.Serve(wConn) }()
+		started++
 		if err := coord.AddConn(cConn); err != nil {
+			// This worker may still be blocked writing its Hello; the ones
+			// before it are waiting for requests.
+			cConn.Close()
+			coord.Close()
+			join()
 			return nil, nil, err
 		}
 	}
 	res, err := coord.Run(ctx)
-	// Workers exit on the Shutdown frames (or closed pipes) Run sends
-	// on its way out; drain so no goroutine outlives the call.
-	for i := 0; i < workers; i++ {
-		<-serveErr
-	}
+	join()
 	return res, coord, err
 }

@@ -2,8 +2,8 @@ package dist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -14,8 +14,8 @@ import (
 // Coordinator creates a private pool, so the single-campaign API is
 // unchanged; the fleet service creates one shared pool and runs many
 // coordinators on it concurrently — each campaign's RPCs are
-// namespaced by campaign id, and the per-connection mutex serializes
-// frames from different campaigns' dispatchers.
+// namespaced by campaign id, and a connection carries any number of
+// them at once, each reply routed back by its request id.
 //
 // Workers can additionally be leased out as disjoint Partitions
 // (Acquire/Release), which is how the concurrent fleet scheduler
@@ -32,10 +32,13 @@ type Pool struct {
 	stopHeartbeat chan struct{}
 	hbWG          sync.WaitGroup
 	hbStarted     bool
+	readWG        sync.WaitGroup // the connections' reader goroutines
 	closed        bool
 
 	nextCampaign uint32
 }
+
+var errPoolClosed = errors.New("dist: pool is closed")
 
 // NewPool prepares an empty worker pool. Workers attach via AddConn.
 func NewPool(cfg Config) *Pool {
@@ -57,7 +60,7 @@ func (p *Pool) AddConn(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(p.cfg.RPCTimeout))
 	defer conn.SetDeadline(time.Time{})
 	br := bufio.NewReaderSize(conn, 64<<10)
-	typ, payload, err := readFrame(br)
+	typ, _, payload, err := readFrame(br)
 	if err != nil {
 		return fmt.Errorf("dist: worker handshake: %w", err)
 	}
@@ -69,21 +72,26 @@ func (p *Pool) AddConn(conn net.Conn) error {
 		return err
 	}
 	if h.Version != protocolVersion {
-		writeFrame(conn, msgError, []byte("protocol version mismatch"))
+		writeFrame(conn, msgError, 0, []byte("protocol version mismatch"))
 		return fmt.Errorf("dist: worker %q speaks protocol %d, want %d", h.Name, h.Version, protocolVersion)
 	}
-	if err := writeFrame(conn, msgWelcome, nil); err != nil {
+	if err := writeFrame(conn, msgWelcome, 0, nil); err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		conn.Close()
-		return fmt.Errorf("dist: pool is closed")
+		return errPoolClosed
 	}
-	wc := &workerConn{id: len(p.workers), name: h.Name, conn: conn, br: br}
+	wc := &workerConn{id: len(p.workers), name: h.Name, conn: conn, br: br, calls: make(map[uint32]call)}
 	wc.lastReply.Store(time.Now().UnixNano())
 	p.workers = append(p.workers, wc)
+	p.readWG.Add(1)
+	go func() {
+		defer p.readWG.Done()
+		wc.readLoop()
+	}()
 	if p.hbStarted && p.cfg.HeartbeatInterval > 0 {
 		p.hbWG.Add(1)
 		go p.heartbeat(wc)
@@ -323,63 +331,37 @@ func (p *Pool) StartHeartbeats() {
 	}
 }
 
-// heartbeat pings wc until the pool closes or the worker dies. A silent
-// worker gets cfg.PingRetries extra attempts with jittered exponential
-// backoff before being declared dead; a worker with a campaign RPC in
-// flight is skipped (TryLock), since the pending reply already proves
-// the connection is live.
+// heartbeat pings wc until the pool closes or the worker dies. A ping is
+// an ordinary request: it shares the connection with whatever leases are
+// in flight, the worker's reader answers it without waiting for a lane,
+// and one that goes unanswered for RPCTimeout kills the connection like
+// any other.
 func (p *Pool) heartbeat(wc *workerConn) {
 	defer p.hbWG.Done()
 	ticker := time.NewTicker(p.cfg.HeartbeatInterval)
 	defer ticker.Stop()
-	rng := rand.New(rand.NewSource(int64(wc.id)*2654435761 + 1))
 	for {
 		select {
 		case <-p.stopHeartbeat:
 			return
 		case <-ticker.C:
 		}
-		if wc.dead.Load() {
+		pong := wc.send(msgPing, nil, p.cfg.RPCTimeout)
+		select {
+		case <-p.stopHeartbeat:
 			return
-		}
-		if !wc.mu.TryLock() {
-			continue
-		}
-		var err error
-		backoff := 100 * time.Millisecond
-		stopped := false
-		for attempt := 0; attempt <= p.cfg.PingRetries; attempt++ {
-			_, err = wc.rpcLocked(msgPing, nil, msgPong, p.cfg.RPCTimeout)
-			if err == nil || wc.dead.Load() {
-				break
+		case rep := <-pong:
+			if _, err := wc.expect(rep, msgPong); err != nil {
+				wc.kill(err)
+				return
 			}
-			// Back off between retries, but wake immediately when the
-			// pool shuts down — a closing campaign must not wait out a
-			// multi-second retry ladder against a worker that is already
-			// gone.
-			select {
-			case <-time.After(backoff + time.Duration(rng.Int63n(int64(backoff)))):
-			case <-p.stopHeartbeat:
-				stopped = true
-			}
-			if stopped {
-				break
-			}
-			backoff *= 2
-		}
-		wc.mu.Unlock()
-		if stopped {
-			return
-		}
-		if err != nil {
-			wc.dead.Store(true)
-			return
 		}
 	}
 }
 
 // Close stops the heartbeats, sends a best-effort Shutdown to every
-// live worker, and closes the connections. Idempotent.
+// live worker, closes the connections and joins their readers.
+// Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -392,11 +374,7 @@ func (p *Pool) Close() {
 	close(p.stopHeartbeat)
 	p.hbWG.Wait()
 	for _, wc := range workers {
-		if !wc.dead.Load() {
-			wc.mu.Lock()
-			wc.fw.write(wc.conn, msgShutdown, nil)
-			wc.mu.Unlock()
-		}
-		wc.conn.Close()
+		wc.end(errPoolClosed, false)
 	}
+	p.readWG.Wait()
 }

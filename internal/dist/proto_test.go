@@ -21,33 +21,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for i, p := range payloads {
-		if err := writeFrame(&buf, byte(i+1), p); err != nil {
+		if err := writeFrame(&buf, byte(i+1), uint32(i)<<24|7, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, p := range payloads {
-		typ, got, err := readFrame(&buf)
+		typ, id, got, err := readFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != byte(i+1) || !bytes.Equal(got, p) {
-			t.Fatalf("frame %d: got type %d payload %q", i, typ, got)
+		if typ != byte(i+1) || id != uint32(i)<<24|7 || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: got type %d id %#x payload %q", i, typ, id, got)
 		}
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	if err := writeFrame(&bytes.Buffer{}, msgLease, make([]byte, maxFrame)); err == nil {
+	if err := writeFrame(&bytes.Buffer{}, msgLease, 1, make([]byte, maxFrame)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	var hdr bytes.Buffer
-	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(msgLease)})
-	if _, _, err := readFrame(&hdr); err == nil {
+	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(msgLease), 0, 0, 0, 1})
+	if _, _, _, err := readFrame(&hdr); err == nil {
 		t.Fatal("oversized length header accepted")
 	}
-	zero := bytes.NewBuffer([]byte{0, 0, 0, 0, 0})
-	if _, _, err := readFrame(zero); err == nil {
-		t.Fatal("zero-length frame accepted")
+	// A length that cannot hold the type and id is no frame at all,
+	// whatever follows it.
+	for n := byte(0); n < frameHeader-4; n++ {
+		short := bytes.NewBuffer([]byte{0, 0, 0, n, byte(msgLease), 0, 0, 0, 1, 0xAA})
+		if _, _, _, err := readFrame(short); err == nil {
+			t.Fatalf("frame of declared length %d accepted", n)
+		}
 	}
 }
 
@@ -306,17 +310,7 @@ func TestInstanceResultRoundTrip(t *testing.T) {
 // decoder: they must return an error (or a harmless zero value), never
 // panic or over-allocate.
 func TestDecodeMalformed(t *testing.T) {
-	good := [][]byte{
-		encodeAssign(assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}}),
-		encodeLease(lease{Index: 1, Boundary: 600, Horizon: 1800, Seeds: []fuzz.Seed{{Msgs: [][]byte{{1}}, Gain: 1}}}),
-		encodeLeaseResult([]parallel.LeaseStep{
-			{Step: parallel.Step{Bytes: 1}},
-			{Step: parallel.Step{Bytes: 2, Latency: 0.5, NewEdges: 1}, Seed: fuzz.Seed{Msgs: [][]byte{{1}}, Gain: 1}, Delta: []byte{1}},
-		}, true),
-		encodeBootResult(bootResult{Config: "c", Delta: []byte{1}}),
-		encodeInstanceResult(parallel.InstanceResult{Index: 1}),
-		encodeHello(hello{Name: "w", Version: 1}),
-	}
+	good := goodPayloads()
 	decoders := []func([]byte) error{
 		func(p []byte) error { _, err := decodeAssign(p); return err },
 		func(p []byte) error { _, err := decodeLease(p); return err },
@@ -325,7 +319,7 @@ func TestDecodeMalformed(t *testing.T) {
 		func(p []byte) error { _, err := decodeInstanceResult(p); return err },
 		func(p []byte) error { _, err := decodeHello(p); return err },
 	}
-	for gi, g := range good {
+	for _, g := range good {
 		for _, dec := range decoders {
 			for cut := 0; cut < len(g); cut++ {
 				dec(g[:cut]) // must not panic
@@ -336,7 +330,24 @@ func TestDecodeMalformed(t *testing.T) {
 				dec(mutated)
 				mutated[i] ^= 0xFF
 			}
-			_ = gi
 		}
+	}
+}
+
+// goodPayloads is one well-formed payload per message kind, in the order
+// assign, lease, lease result, boot result, instance result, hello: the
+// base of the malformed-input matrix above and the fuzz targets' seed
+// corpus.
+func goodPayloads() [][]byte {
+	return [][]byte{
+		encodeAssign(assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}}),
+		encodeLease(lease{Index: 1, Boundary: 600, Horizon: 1800, Seeds: []fuzz.Seed{{Msgs: [][]byte{{1}}, Gain: 1}}}),
+		encodeLeaseResult([]parallel.LeaseStep{
+			{Step: parallel.Step{Bytes: 1}},
+			{Step: parallel.Step{Bytes: 2, Latency: 0.5, NewEdges: 1}, Seed: fuzz.Seed{Msgs: [][]byte{{1}}, Gain: 1}, Delta: []byte{1}},
+		}, true),
+		encodeBootResult(bootResult{Config: "c", Delta: []byte{1}}),
+		encodeInstanceResult(parallel.InstanceResult{Index: 1}),
+		encodeHello(hello{Name: "w", Version: 1}),
 	}
 }

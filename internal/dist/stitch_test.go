@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -99,5 +100,72 @@ func TestTraceStitchingDeterministic(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Fatalf("stitched structure missing %q:\n%s", want, a)
 		}
+	}
+}
+
+// TestLaneSpansArriveWhole runs a traced campaign on one worker with four
+// lanes, so leases of the one campaign execute side by side. Every
+// stitched `lease` root must arrive with exactly its own children —
+// decode, steps, encode, and the seed import when there was one — no
+// span may point at a parent that is not in the trace, ids must stay
+// unique within the worker, and the roots must show up on more than one
+// track (a track is the lane that ran the lease).
+func TestLaneSpansArriveWhole(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sub := mustSubject(t, "DNS")
+	tracer := trace.New()
+	root := tracer.Start("coordinator")
+	opts := parallel.Options{
+		Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 11,
+		Concurrency: 1, Trace: root,
+	}
+	if _, _, err := dist.RunLocal(context.Background(), sub, opts, 1, dist.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	byID := map[int]trace.Record{}
+	kids := map[int][]string{}
+	for _, r := range tracer.Records() {
+		if r.Process == "" {
+			continue
+		}
+		if prev, dup := byID[r.ID]; dup {
+			t.Fatalf("span id %d used twice on %s: %s and %s", r.ID, r.Process, prev.Name, r.Name)
+		}
+		byID[r.ID] = r
+		if r.Parent >= 0 {
+			kids[r.Parent] = append(kids[r.Parent], r.Name)
+		}
+	}
+	leases, tracks := 0, map[int]bool{}
+	for id, r := range byID {
+		if r.Parent >= 0 {
+			p, ok := byID[r.Parent]
+			if !ok {
+				t.Fatalf("span %s (id %d) is an orphan: parent %d never arrived", r.Name, id, r.Parent)
+			}
+			if p.Track != r.Track {
+				t.Fatalf("span %s on track %d, its parent %s on track %d", r.Name, r.Track, p.Name, p.Track)
+			}
+			continue
+		}
+		if r.Name != "lease" {
+			t.Fatalf("worker root span %q, want only lease roots", r.Name)
+		}
+		leases++
+		tracks[r.Track] = true
+		got := append([]string(nil), kids[id]...)
+		sort.Strings(got)
+		whole := strings.Join(got, ",")
+		if whole != "lease.decode,lease.encode,lease.steps" && whole != "corpus.absorb,lease.decode,lease.encode,lease.steps" {
+			t.Fatalf("lease root %d arrived with children [%s]", id, whole)
+		}
+	}
+	if leases == 0 {
+		t.Fatal("no lease spans were stitched")
+	}
+	if len(tracks) < 2 {
+		t.Fatalf("%d lease roots all on tracks %v: four lanes never ran two leases side by side", leases, tracks)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -37,32 +39,45 @@ type WorkerConfig struct {
 // import seeds, step until the boundary, stream every record back in
 // one reply.
 //
+// Serve reads frames on one goroutine and executes leases on
+// runtime.GOMAXPROCS(0) lanes, so a worker uses every core of its
+// machine over its one connection. The coordinator never has two leases
+// in flight for one instance and instances share nothing between sync
+// points, so any lane may take any lease; replies leave as lanes finish,
+// tagged with their request's id. Everything else (Assign, Boot,
+// Finalize, Release) runs on the reader, after the addressed campaign's
+// in-flight leases have drained — which is why the campaign and instance
+// maps need no lock: only the reader touches them.
+//
 // Every instance-addressed message carries a campaign id, and the
 // worker keeps an independent context per campaign, so one connection
 // can serve many concurrent campaigns (the fleet service) — a Release
 // retires one campaign's instances without disturbing the others.
 type Worker struct {
-	cfg      WorkerConfig
-	camps    map[uint32]*workerCampaign
-	fw       frameWriter // reusable frame scratch (Serve is single-threaded)
-	enc      wire.Writer // reusable lease-reply encoder
-	deltaBuf []byte      // reusable delta scratch; valid per step, copied into enc
+	cfg   WorkerConfig
+	camps map[uint32]*workerCampaign
+
+	// Replies are written whole, one Write per frame, under wmu. The
+	// first write that fails closes the connection, which ends Serve.
+	wmu  sync.Mutex
+	fw   frameWriter
+	werr error
 }
 
 // workerCampaign is one campaign's worker-side state: the assigned plan
 // plus whatever instances this worker has booted for it.
 type workerCampaign struct {
 	host     *parallel.Host
-	opts     parallel.Options
 	specs    map[int]parallel.InstanceSpec
 	insts    map[int]*parallel.Instance
 	reported map[int]*repState // coverage already flushed to the coordinator
-	// tracer collects this campaign's lease spans when the Assign asked
-	// for tracing (nil otherwise). Per campaign, not per worker, so one
-	// connection hosting many fleet campaigns never mixes their spans.
-	// Serve is single-threaded, so every span is ended before the
-	// reply's DrainRecords and the drain is always complete.
-	tracer *trace.Tracer
+	// traced asks the lanes to record this campaign's lease spans (the
+	// Assign's Trace flag).
+	traced bool
+	// leases counts the campaign's leases handed to lanes and not yet
+	// answered; the reader waits on it before any message that changes
+	// what those leases are running on.
+	leases sync.WaitGroup
 }
 
 func (wc *workerCampaign) closeInstances() {
@@ -82,6 +97,37 @@ type repState struct {
 	m        *coverage.Map
 	fullScan bool
 }
+
+// A leaseJob is one decoded lease on its way to a lane, with everything
+// the reader looked up for it.
+type leaseJob struct {
+	id       uint32
+	wc       *workerCampaign
+	in       *parallel.Instance
+	rep      *repState
+	l        lease
+	reqBytes int
+	decode   time.Duration // what decoding the request took, for the span
+}
+
+// A lane executes leases one at a time and owns what a lease needs
+// scratch for: the reply encoder, the coverage-delta buffer, and a span
+// tracer — per lane, not per campaign, so a reply's span section is
+// exactly the lease the lane just ran however many of the campaign's
+// leases are running beside it.
+type lane struct {
+	index, of int
+	enc       wire.Writer
+	deltaBuf  []byte // valid per step, copied into enc
+	tracer    *trace.Tracer
+}
+
+// laneBacklog is how many decoded leases may wait for a lane before the
+// reader stops reading. A coordinator keeps at most one lease per
+// instance in flight, so this is reached only by a worker hosting more
+// running instances than that; the reader then stalls (and pings wait)
+// until a lane frees up, which is the old serial behaviour.
+const laneBacklog = 256
 
 // NewWorker returns a worker ready to Serve a coordinator connection.
 func NewWorker(cfg WorkerConfig) *Worker {
@@ -109,58 +155,88 @@ func isDisconnect(err error) bool {
 // Serve runs the worker protocol over conn until the coordinator sends
 // Shutdown or the connection drops. It sends the Hello immediately, so
 // the coordinator's accept path can complete the handshake. Abrupt
-// disconnects (coordinator death, conn teardown) exit cleanly after
-// instances are closed.
+// disconnects (coordinator death, conn teardown) exit cleanly. Leases
+// still executing when the connection ends run to their boundary — a
+// lease has no cancellation point — and their replies are dropped; Serve
+// returns once the lanes have stopped and every instance is closed.
 func (w *Worker) Serve(conn net.Conn) error {
-	defer conn.Close()
-	defer w.closeInstances()
-	if err := w.fw.write(conn, msgHello, encodeHello(hello{Name: w.cfg.Name, Version: protocolVersion})); err != nil {
-		if isDisconnect(err) {
-			return nil
-		}
-		return err
+	jobs := make(chan leaseJob, laneBacklog)
+	var lanes sync.WaitGroup
+	n := runtime.GOMAXPROCS(0)
+	for i := 0; i < n; i++ {
+		lanes.Add(1)
+		go func(ln *lane) {
+			defer lanes.Done()
+			for job := range jobs {
+				w.reply(conn, msgLeaseResult, job.id, ln.run(job))
+				job.wc.leases.Done()
+			}
+		}(&lane{index: i, of: n})
 	}
+	err := w.read(conn, jobs)
+	conn.Close()
+	close(jobs)
+	lanes.Wait()
+	w.closeInstances()
+	// A failed reply write closes the connection, so all the reader sees of
+	// it is a disconnect: the write's error is the cause then.
+	if w.werr != nil && (err == nil || isDisconnect(err)) {
+		err = w.werr
+	}
+	if isDisconnect(err) {
+		return nil
+	}
+	return err
+}
+
+// read is Serve's reader: the handshake, then one frame at a time until
+// Shutdown (nil) or a transport error. Leases go to the lanes; every
+// other request is answered here.
+func (w *Worker) read(conn net.Conn, jobs chan<- leaseJob) error {
+	w.reply(conn, msgHello, 0, encodeHello(hello{Name: w.cfg.Name, Version: protocolVersion}))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	typ, _, err := readFrame(br)
+	typ, _, _, err := readFrame(br)
 	if err != nil {
-		if isDisconnect(err) {
-			return nil
-		}
 		return err
 	}
 	if typ != msgWelcome {
 		return fmt.Errorf("dist: worker handshake: got message %d, want Welcome", typ)
 	}
 	for {
-		typ, payload, err := readFrame(br)
+		typ, id, payload, err := readFrame(br)
 		if err != nil {
-			if isDisconnect(err) {
-				return nil
-			}
 			return err
 		}
-		if typ == msgShutdown {
+		switch typ {
+		case msgShutdown:
 			return nil
-		}
-		rtyp, reply, herr := w.handle(typ, payload)
-		if herr != nil {
-			// Report the failure; the coordinator decides whether the
-			// campaign survives. The protocol stream stays aligned
-			// because every request still gets exactly one reply.
-			if werr := w.fw.write(conn, msgError, []byte(herr.Error())); werr != nil {
-				if isDisconnect(werr) {
-					return nil
-				}
-				return werr
+		case msgLease:
+			if job, err := w.admit(id, payload); err != nil {
+				w.reply(conn, msgError, id, []byte(err.Error()))
+			} else {
+				jobs <- job
 			}
-			continue
-		}
-		if err := w.fw.write(conn, rtyp, reply); err != nil {
-			if isDisconnect(err) {
-				return nil
+		default:
+			// Report a failure; the coordinator decides whether the
+			// campaign survives. Every request gets exactly one reply.
+			rtyp, rp, err := w.handle(typ, payload)
+			if err != nil {
+				rtyp, rp = msgError, []byte(err.Error())
 			}
-			return err
+			w.reply(conn, rtyp, id, rp)
 		}
+	}
+}
+
+// reply writes one frame. A failed write closes the connection: the
+// reader's next read then fails and Serve winds down, returning the
+// write's error.
+func (w *Worker) reply(conn net.Conn, typ byte, id uint32, payload []byte) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if err := w.fw.write(conn, typ, id, payload); err != nil && w.werr == nil {
+		w.werr = err
+		conn.Close()
 	}
 }
 
@@ -170,13 +246,119 @@ func (w *Worker) closeInstances() {
 	}
 }
 
-func (w *Worker) campaign(id uint32) *workerCampaign {
-	if w.camps == nil {
-		return nil
+// drained returns campaign id's context once none of its leases is
+// executing (nil for an unknown campaign).
+func (w *Worker) drained(id uint32) *workerCampaign {
+	wc := w.camps[id]
+	if wc != nil {
+		wc.leases.Wait()
 	}
-	return w.camps[id]
+	return wc
 }
 
+// admit decodes a lease and resolves what it addresses, counting it
+// in flight for its campaign before the reader moves on to a frame that
+// might retire that campaign.
+func (w *Worker) admit(id uint32, payload []byte) (leaseJob, error) {
+	start := time.Now()
+	l, err := decodeLease(payload)
+	if err != nil {
+		return leaseJob{}, err
+	}
+	wc := w.camps[l.Campaign]
+	if wc == nil {
+		return leaseJob{}, fmt.Errorf("dist: lease for unassigned campaign %d", l.Campaign)
+	}
+	in := wc.insts[l.Index]
+	if in == nil {
+		return leaseJob{}, fmt.Errorf("dist: lease for unbooted instance %d", l.Index)
+	}
+	wc.leases.Add(1)
+	return leaseJob{id: id, wc: wc, in: in, rep: wc.reported[l.Index], l: l, reqBytes: len(payload), decode: time.Since(start)}, nil
+}
+
+// run executes one lease and returns the encoded reply, valid until the
+// lane's next lease.
+func (ln *lane) run(job leaseJob) []byte {
+	in, rep, l := job.in, job.rep, job.l
+	// Lease spans (no-ops when tracing is off): the root covers the
+	// execution, with decode backfilled via Complete since the reader did
+	// it before the lease reached a lane.
+	var tr *trace.Tracer
+	if job.wc.traced {
+		if ln.tracer == nil {
+			ln.tracer = trace.New()
+		}
+		tr = ln.tracer
+	}
+	root := tr.Start("lease", trace.A("instance", l.Index))
+	now := tr.Now()
+	root.Complete("lease.decode", now-job.decode, now, trace.A("bytes", job.reqBytes))
+	if len(l.Seeds) > 0 {
+		absorb := root.Child("corpus.absorb", trace.A("seeds", len(l.Seeds)))
+		in.ImportSeeds(l.Seeds)
+		absorb.End()
+	}
+	ln.enc.Reset()
+	// afterStep fires before any mutation absorbs restart coverage,
+	// which is where the in-process loop unions into the global map
+	// — the delta must be snapshotted there, so a restart's startup
+	// coverage rides the NEXT new-edges delta exactly as it does
+	// in-process. Normally rep.m equals the engine map going into
+	// the step, so the delta lives entirely in words the step's own
+	// trace touched and the encoder can skip the full-map scan; a
+	// preceding restart breaks that equality and forces one full
+	// diff (the fullScan flag, set when a saturation event fires).
+	afterStep := func(rec *parallel.LeaseStep) {
+		if rec.NewEdges > 0 {
+			em := in.CoverageMap()
+			touched := in.TraceMap()
+			if rep.fullScan {
+				touched = nil
+				rep.fullScan = false
+			}
+			ln.deltaBuf = coverage.AppendDelta(ln.deltaBuf[:0], em, rep.m, touched)
+			rec.Delta = ln.deltaBuf
+			rep.m.ApplyDelta(rec.Delta)
+		}
+	}
+	records := 0
+	afterRecord := func(rec *parallel.LeaseStep) {
+		if rec.SatFired {
+			rep.fullScan = true
+		}
+		records++
+		appendLeaseStep(&ln.enc, rec)
+	}
+	steps := root.Child("lease.steps")
+	syncDue := in.StepN(l.Boundary, l.Horizon, afterStep, afterRecord)
+	steps.Set("records", records)
+	steps.End()
+	encStart := tr.Now()
+	ln.enc.U8(leaseEnd)
+	putBool(&ln.enc, syncDue)
+	root.Complete("lease.encode", encStart, tr.Now())
+	root.End()
+	// The span section rides after the terminator: everything above has
+	// ended and the lane ran nothing else meanwhile, so the drain is this
+	// lease's whole span tree (plus the lane's clock for alignment). Ids
+	// are strided by lane to stay unique within the worker; the track is
+	// the lane, so overlapping leases render on separate rows.
+	spans := tr.DrainRecords()
+	for k := range spans {
+		s := &spans[k]
+		s.ID = s.ID*ln.of + ln.index
+		if s.Parent >= 0 {
+			s.Parent = s.Parent*ln.of + ln.index
+		}
+		s.Track = ln.index
+	}
+	putSpanRecords(&ln.enc, spans, tr.Now())
+	return ln.enc.Bytes()
+}
+
+// handle answers every request but a lease. It runs on the reader, and
+// waits out the addressed campaign's in-flight leases first.
 func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 	switch typ {
 	case msgPing:
@@ -211,7 +393,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		// A re-Assign of the same campaign replaces its instance map;
 		// close what the previous assignment booted first or its live
 		// targets leak. Other campaigns on the connection are untouched.
-		if prev := w.campaign(a.Campaign); prev != nil {
+		if prev := w.drained(a.Campaign); prev != nil {
 			prev.closeInstances()
 		}
 		if w.camps == nil {
@@ -219,13 +401,10 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		}
 		wc := &workerCampaign{
 			host:     host,
-			opts:     host.Opts,
 			specs:    make(map[int]parallel.InstanceSpec, len(a.Specs)),
 			insts:    make(map[int]*parallel.Instance),
 			reported: make(map[int]*repState),
-		}
-		if a.Trace {
-			wc.tracer = trace.New()
+			traced:   a.Trace,
 		}
 		for _, s := range a.Specs {
 			wc.specs[s.Index] = s
@@ -240,7 +419,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		}
 		// Releasing an unknown campaign is fine: release is idempotent
 		// and the coordinator sends it best-effort during teardown.
-		if wc := w.campaign(id); wc != nil {
+		if wc := w.drained(id); wc != nil {
 			wc.closeInstances()
 			delete(w.camps, id)
 		}
@@ -251,7 +430,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		wc := w.campaign(b.Campaign)
+		wc := w.drained(b.Campaign)
 		if wc == nil {
 			return 0, nil, fmt.Errorf("dist: boot for unassigned campaign %d", b.Campaign)
 		}
@@ -279,85 +458,12 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 			Crashes:    sink.Recs,
 		}), nil
 
-	case msgLease:
-		decStart := time.Now()
-		l, err := decodeLease(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		wc := w.campaign(l.Campaign)
-		if wc == nil {
-			return 0, nil, fmt.Errorf("dist: lease for unassigned campaign %d", l.Campaign)
-		}
-		in := wc.insts[l.Index]
-		if in == nil {
-			return 0, nil, fmt.Errorf("dist: lease for unbooted instance %d", l.Index)
-		}
-		// Worker-side lease spans (no-ops when tracing is off): the root
-		// covers the whole handler, with decode backfilled via Complete
-		// since it ran before the root could open.
-		tr := wc.tracer
-		root := tr.Start("lease", trace.A("instance", l.Index))
-		now := tr.Now()
-		root.Complete("lease.decode", now-time.Since(decStart), now, trace.A("bytes", len(payload)))
-		if len(l.Seeds) > 0 {
-			absorb := root.Child("corpus.absorb", trace.A("seeds", len(l.Seeds)))
-			in.ImportSeeds(l.Seeds)
-			absorb.End()
-		}
-		rep := wc.reported[l.Index]
-		w.enc.Reset()
-		// afterStep fires before any mutation absorbs restart coverage,
-		// which is where the in-process loop unions into the global map
-		// — the delta must be snapshotted there, so a restart's startup
-		// coverage rides the NEXT new-edges delta exactly as it does
-		// in-process. Normally rep.m equals the engine map going into
-		// the step, so the delta lives entirely in words the step's own
-		// trace touched and the encoder can skip the full-map scan; a
-		// preceding restart breaks that equality and forces one full
-		// diff (the fullScan flag, set when a saturation event fires).
-		afterStep := func(rec *parallel.LeaseStep) {
-			if rec.NewEdges > 0 {
-				em := in.CoverageMap()
-				touched := in.TraceMap()
-				if rep.fullScan {
-					touched = nil
-					rep.fullScan = false
-				}
-				w.deltaBuf = coverage.AppendDelta(w.deltaBuf[:0], em, rep.m, touched)
-				rec.Delta = w.deltaBuf
-				rep.m.ApplyDelta(rec.Delta)
-			}
-		}
-		records := 0
-		afterRecord := func(rec *parallel.LeaseStep) {
-			if rec.SatFired {
-				rep.fullScan = true
-			}
-			records++
-			appendLeaseStep(&w.enc, rec)
-		}
-		steps := root.Child("lease.steps")
-		syncDue := in.StepN(l.Boundary, l.Horizon, afterStep, afterRecord)
-		steps.Set("records", records)
-		steps.End()
-		encStart := tr.Now()
-		w.enc.U8(leaseEnd)
-		putBool(&w.enc, syncDue)
-		root.Complete("lease.encode", encStart, tr.Now())
-		root.End()
-		// The span section rides after the terminator: everything above
-		// has ended, so the drain is complete and the reply carries this
-		// lease's whole span tree (plus the worker clock for alignment).
-		putSpanRecords(&w.enc, tr.DrainRecords(), tr.Now())
-		return msgLeaseResult, w.enc.Bytes(), nil
-
 	case msgFinalize:
 		f, err := decodeIndexReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		wc := w.campaign(f.Campaign)
+		wc := w.drained(f.Campaign)
 		if wc == nil {
 			return 0, nil, fmt.Errorf("dist: finalize for unassigned campaign %d", f.Campaign)
 		}

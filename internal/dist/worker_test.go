@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,22 +116,22 @@ func TestServeNormalizesAbruptDisconnect(t *testing.T) {
 		peer func(t *testing.T, conn net.Conn)
 	}{
 		{"clean close after welcome", func(t *testing.T, conn net.Conn) {
-			if _, _, err := readFrame(conn); err != nil { // hello
+			if _, _, _, err := readFrame(conn); err != nil { // hello
 				t.Error(err)
 			}
-			if err := writeFrame(conn, msgWelcome, nil); err != nil {
+			if err := writeFrame(conn, msgWelcome, 0, nil); err != nil {
 				t.Error(err)
 			}
 			conn.Close()
 		}},
 		{"mid-frame death", func(t *testing.T, conn net.Conn) {
-			if _, _, err := readFrame(conn); err != nil {
+			if _, _, _, err := readFrame(conn); err != nil {
 				t.Error(err)
 			}
-			if err := writeFrame(conn, msgWelcome, nil); err != nil {
+			if err := writeFrame(conn, msgWelcome, 0, nil); err != nil {
 				t.Error(err)
 			}
-			// Three bytes of a five-byte header, then death: the worker
+			// Three bytes of a nine-byte header, then death: the worker
 			// sees io.ErrUnexpectedEOF, not io.EOF.
 			conn.Write([]byte{0, 0, 0})
 			conn.Close()
@@ -164,17 +166,126 @@ func TestServeNormalizesAbruptDisconnect(t *testing.T) {
 	}
 }
 
+// TestServeReturnsReplyWriteError pins what Serve reports when a reply
+// cannot be written: the write error itself, not the closed-connection
+// read error that follows it (which is a disconnect shape and would read
+// as a clean exit).
+func TestServeReturnsReplyWriteError(t *testing.T) {
+	cConn, wConn := net.Pipe()
+	defer cConn.Close()
+	done := make(chan error, 1)
+	w := NewWorker(WorkerConfig{Name: "w"})
+	// The Hello goes out; the Pong does not.
+	go func() { done <- w.Serve(&failingWriter{Conn: wConn, after: 1}) }()
+	if _, _, _, err := readFrame(cConn); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(cConn, msgWelcome, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(cConn, msgPing, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, errInjectedDist) {
+			t.Fatalf("Serve returned %v, want the reply's write error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not exit")
+	}
+}
+
 var errInjectedDist = errTest("boom")
+
+// failingWriter fails every Write after the first `after` with
+// errInjectedDist, which is no disconnect shape.
+type failingWriter struct {
+	net.Conn
+	after int
+}
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.after == 0 {
+		return 0, errInjectedDist
+	}
+	f.after--
+	return f.Conn.Write(p)
+}
 
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
 
-// TestWorkerHostsConcurrentCampaigns pins the protocol-v3 multi-campaign
-// contract: one worker hosts instances from several campaigns at once,
-// a Release retires exactly one campaign's instances (idempotently),
-// and the surviving campaigns keep serving leases.
+// A testPeer plays the coordinator's end of a worker connection by hand:
+// it tags requests with ids and reads whatever comes back.
+type testPeer struct {
+	t    *testing.T
+	conn net.Conn
+	next uint32
+}
+
+// servePeer starts w.Serve on a pipe, completes the handshake and
+// returns the coordinator's end plus Serve's result channel.
+func servePeer(t *testing.T, w *Worker) (*testPeer, <-chan error) {
+	t.Helper()
+	cConn, wConn := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- w.Serve(wConn) }()
+	if typ, _, _, err := readFrame(cConn); err != nil || typ != msgHello {
+		t.Fatalf("hello: type %d, err %v", typ, err)
+	}
+	if err := writeFrame(cConn, msgWelcome, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cConn.Close() })
+	return &testPeer{t: t, conn: cConn}, done
+}
+
+func (p *testPeer) send(typ byte, payload []byte) uint32 {
+	p.t.Helper()
+	p.next++
+	if err := writeFrame(p.conn, typ, p.next, payload); err != nil {
+		p.t.Fatal(err)
+	}
+	return p.next
+}
+
+type peerReply struct {
+	typ     byte
+	id      uint32
+	payload []byte
+}
+
+func (p *testPeer) recv() peerReply {
+	p.t.Helper()
+	typ, id, payload, err := readFrame(p.conn)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return peerReply{typ, id, payload}
+}
+
+// call is one lock-step exchange; the reply must echo the request's id.
+func (p *testPeer) call(typ byte, payload []byte, want byte) []byte {
+	p.t.Helper()
+	id := p.send(typ, payload)
+	rep := p.recv()
+	if rep.id != id || rep.typ != want {
+		p.t.Fatalf("request %d (type %d): reply id %d type %d %q, want type %d", id, typ, rep.id, rep.typ, rep.payload, want)
+	}
+	return rep.payload
+}
+
+// TestWorkerHostsConcurrentCampaigns pins the multi-campaign contract on
+// a worker with several lanes: one connection hosts instances from two
+// campaigns, their leases are in flight together and come back tagged,
+// a Release of one campaign sent while its leases are still running
+// waits them out — each is answered in full, before the ReleaseOK — and
+// retires exactly that campaign's instances (idempotently), and the
+// surviving campaign keeps serving leases.
 func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base, err := protocols.ByName("DNS")
 	if err != nil {
 		t.Fatal(err)
@@ -193,17 +304,12 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := host.Plan(bugs.NewLedger(), nil, nil)
+	peer, served := servePeer(t, w)
 
 	for _, id := range []uint32{1, 2} {
-		payload := encodeAssign(assign{Campaign: id, Subject: "DNS", Opts: opts, Specs: plan.Specs})
-		if typ, _, err := w.handle(msgAssign, payload); err != nil || typ != msgAssignOK {
-			t.Fatalf("assign campaign %d: type %d, err %v", id, typ, err)
-		}
+		peer.call(msgAssign, encodeAssign(assign{Campaign: id, Subject: "DNS", Opts: opts, Specs: plan.Specs}), msgAssignOK)
 		for i := 0; i < 2; i++ {
-			typ, p, err := w.handle(msgBoot, encodeBootReq(bootReq{Campaign: id, Index: i}))
-			if err != nil || typ != msgBootResult {
-				t.Fatalf("boot %d/%d: type %d, err %v", id, i, typ, err)
-			}
+			p := peer.call(msgBoot, encodeBootReq(bootReq{Campaign: id, Index: i}), msgBootResult)
 			if br, err := decodeBootResult(p); err != nil || br.Err != "" {
 				t.Fatalf("boot %d/%d failed: %v %q", id, i, err, br.Err)
 			}
@@ -213,27 +319,56 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 		t.Fatalf("open instances with two campaigns = %d, want 4", got)
 	}
 
-	if typ, _, err := w.handle(msgRelease, encodeRelease(1)); err != nil || typ != msgReleaseOK {
-		t.Fatalf("release: type %d, err %v", typ, err)
+	// Four leases, the two campaigns interleaved, then the Release of
+	// campaign 1 behind them — all written before any reply is read.
+	leases := map[uint32]uint32{} // request id -> campaign
+	for _, l := range []lease{
+		{Campaign: 1, Index: 0}, {Campaign: 2, Index: 0}, {Campaign: 1, Index: 1}, {Campaign: 2, Index: 1},
+	} {
+		l.Boundary, l.Horizon = 60, 360
+		leases[peer.send(msgLease, encodeLease(l))] = l.Campaign
 	}
-	if got := cs.open.Load(); got != 2 {
-		t.Fatalf("open instances after releasing campaign 1 = %d, want 2", got)
-	}
-	// Campaign 2 keeps serving; campaign 1's state is gone.
-	l := lease{Campaign: 2, Index: 0, Boundary: 60, Horizon: 360}
-	if typ, _, err := w.handle(msgLease, encodeLease(l)); err != nil || typ != msgLeaseResult {
-		t.Fatalf("lease on surviving campaign: type %d, err %v", typ, err)
-	}
-	if _, _, err := w.handle(msgBoot, encodeBootReq(bootReq{Campaign: 1, Index: 0})); err == nil {
-		t.Fatal("boot on released campaign succeeded, want error")
-	}
-	// Release is idempotent.
-	if typ, _, err := w.handle(msgRelease, encodeRelease(1)); err != nil || typ != msgReleaseOK {
-		t.Fatalf("repeat release: type %d, err %v", typ, err)
+	release := peer.send(msgRelease, encodeRelease(1))
+	pending := 2 // campaign 1's leases not yet answered
+	for n := 0; n < 5; n++ {
+		rep := peer.recv()
+		if rep.id == release {
+			if rep.typ != msgReleaseOK {
+				t.Fatalf("release: type %d %q", rep.typ, rep.payload)
+			}
+			if pending != 0 {
+				t.Fatalf("ReleaseOK arrived with %d of the campaign's leases unanswered", pending)
+			}
+			if got := cs.open.Load(); got != 2 {
+				t.Fatalf("open instances after releasing campaign 1 = %d, want 2", got)
+			}
+			continue
+		}
+		campaign, ok := leases[rep.id]
+		if !ok || rep.typ != msgLeaseResult {
+			t.Fatalf("reply id %d type %d %q, want a lease result for one of %v", rep.id, rep.typ, rep.payload, leases)
+		}
+		delete(leases, rep.id)
+		if recs, _, _, _, err := decodeLeaseResult(rep.payload); err != nil || len(recs) == 0 {
+			t.Fatalf("campaign %d lease: %d records, err %v", campaign, len(recs), err)
+		}
+		if campaign == 1 {
+			pending--
+		}
 	}
 
-	w.closeInstances()
+	// Campaign 2 keeps serving; campaign 1's state is gone.
+	peer.call(msgLease, encodeLease(lease{Campaign: 2, Index: 0, Boundary: 120, Horizon: 360}), msgLeaseResult)
+	peer.call(msgLease, encodeLease(lease{Campaign: 1, Index: 0, Boundary: 120, Horizon: 360}), msgError)
+	peer.call(msgBoot, encodeBootReq(bootReq{Campaign: 1, Index: 0}), msgError)
+	// Release is idempotent.
+	peer.call(msgRelease, encodeRelease(1), msgReleaseOK)
+
+	peer.send(msgShutdown, nil)
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
 	if got := cs.open.Load(); got != 0 {
-		t.Fatalf("open instances after close = %d, want 0", got)
+		t.Fatalf("open instances after Serve returned = %d, want 0", got)
 	}
 }

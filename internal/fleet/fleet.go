@@ -11,7 +11,7 @@
 // every campaign advances one virtual-clock slice simultaneously —
 // each coordinator driving only its own partition's connections. A
 // campaign that keeps the same partition across rounds hands off warm:
-// the coordinator, its dispatchers, and the worker-side engines stay
+// the coordinator and the worker-side engines stay
 // live and the next slice continues the lease loop directly. A
 // campaign squeezed out of a round is suspended, not parked: it gives
 // back only its partition, and when it is selected again and the same
@@ -441,7 +441,8 @@ const rewardDecay = 0.5
 // observer builds c's dist.Observer: lease summaries and worker deaths
 // flow into the flight recorder, lease latency into the histogram, and
 // a death additionally dumps triage.json and hits the event stream.
-// Lease fires from dispatcher goroutines; everything it touches locks.
+// Lease fires from the goroutine advancing the campaign's slice;
+// everything it touches locks.
 func (m *Manager) observer(c *campaignRec) dist.Observer {
 	return dist.Observer{
 		Lease: func(instance, records, reqBytes, repBytes int, seconds float64, syncDue bool) {

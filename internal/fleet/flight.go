@@ -25,7 +25,7 @@ type FlightEntry struct {
 
 // flightRing is a bounded ring of the campaign's most recent flight
 // entries. Writers come from the scheduler goroutine (telemetry tap,
-// bandit awards) and from dist dispatcher goroutines (lease summaries,
+// bandit awards) and from the goroutines advancing slices (lease summaries,
 // worker deaths), so every access locks.
 type flightRing struct {
 	mu    sync.Mutex

@@ -151,8 +151,8 @@ func (t *Tracer) DrainRecords() []Record {
 // own lane. Each record's Start/End is shifted by offset (the receiver
 // clock minus the sender clock, measured at ingest) so all processes
 // share one timeline; negative starts clamp to 0 and End never drops
-// below Start. Safe for concurrent use — per-worker dispatchers ingest
-// from their own goroutines.
+// below Start. Safe for concurrent use — every campaign sharing the
+// tracer ingests from its own goroutine.
 func (t *Tracer) IngestForeign(process string, offset time.Duration, recs []Record) {
 	if t == nil || len(recs) == 0 {
 		return
@@ -176,9 +176,9 @@ func (t *Tracer) IngestForeign(process string, offset time.Duration, recs []Reco
 // Records snapshots every completed span in portable form: local spans
 // in completion order (Process "") followed by foreign spans sorted by
 // (process, id). The foreign sort restores a deterministic order even
-// though ingestion races across dispatcher goroutines — span IDs are
-// allocated sequentially inside each sender, so for a deterministic
-// workload the result is structurally reproducible run to run.
+// though replies arrive in whatever order the senders finish — a sender
+// allocates span IDs in sequence, so for a deterministic workload the
+// result is structurally reproducible run to run.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
