@@ -16,11 +16,12 @@ import (
 	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 )
 
 // benchCfg is the paper's per-campaign scale with a single repetition.
-var benchCfg = campaign.Config{Hours: 24, Repetitions: 1, Instances: 4}
+var benchCfg = campaign.Config{Spec: spec.Campaign{Hours: 24, Instances: 4}, Repetitions: 1}
 
 var printOnce sync.Map
 
@@ -44,11 +45,12 @@ func benchmarkTable1(b *testing.B, name string) {
 	sub := benchSubject(b, name)
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg
-		cfg.BaseSeed = int64(i)
-		rows, err := campaign.Table1(context.Background(), []subject.Subject{sub}, cfg)
+		cfg.Spec.Seed = int64(i)
+		res, err := campaign.RunSubject(context.Background(), sub, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := campaign.Table1([]*campaign.SubjectResult{res})
 		r := rows[0]
 		if r.CMFuzz <= r.Peach {
 			b.Fatalf("Table I shape violated: CMFuzz %d <= Peach %d", r.CMFuzz, r.Peach)
@@ -72,11 +74,12 @@ func benchmarkFigure4(b *testing.B, name string) {
 	sub := benchSubject(b, name)
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg
-		cfg.BaseSeed = int64(i)
-		f, err := campaign.Figure4(context.Background(), sub, cfg, 64)
+		cfg.Spec.Seed = int64(i)
+		res, err := campaign.RunSubject(context.Background(), sub, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		f := campaign.Figure4(res, 64)
 		final := map[string]int{}
 		for fuzzer, pts := range f.Points {
 			final[fuzzer] = pts[len(pts)-1].Count
@@ -105,11 +108,12 @@ func BenchmarkTable2_Bugs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg
 		cfg.Repetitions = 2 // bug discovery benefits from seed variety
-		cfg.BaseSeed = int64(i)
-		rows, err := campaign.Table2(context.Background(), subs, cfg)
+		cfg.Spec.Seed = int64(i)
+		res, err := campaign.Evaluate(context.Background(), subs, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := campaign.Table2(res)
 		found := 0
 		for _, r := range rows {
 			for _, f := range r.FoundBy {
@@ -137,7 +141,7 @@ func BenchmarkAblation_Allocation(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg
-		cfg.BaseSeed = int64(i)
+		cfg.Spec.Seed = int64(i)
 		rows, err := campaign.Ablations(context.Background(), subs, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -33,55 +33,48 @@ func main() {
 	table2 := flag.Bool("table2", false, "regenerate Table II")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations")
 	all := flag.Bool("all", false, "regenerate everything")
-	hours := flag.Float64("hours", 24, "virtual hours per campaign (paper: 24)")
-	reps := flag.Int("reps", 5, "repetitions per configuration (paper: 5)")
-	instances := flag.Int("n", 4, "parallel instances (paper: 4)")
-	concurrency := flag.Int("j", 0, "concurrent campaigns and probe workers (0 = GOMAXPROCS); output is identical for any value")
-	subjectName := flag.String("subject", "", "restrict to one subject")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	svgDir := flag.String("svg", "", "also write Figure 4 panels as SVG files into this directory")
-	eventsPath := flag.String("events", "", "write every campaign's structured event stream as JSONL to this file")
-	tracePath := flag.String("trace", "", "write a wall-clock Chrome trace (chrome://tracing / Perfetto) to this file")
-	monitorAddr := flag.String("monitor", "", "serve /status, /metrics, /healthz and /debug/pprof on this host:port while campaigns run")
+	// The template campaign (-hours, -n, ...; paper: 24 h, 4 instances),
+	// -reps (paper: 5) and -j; an empty -subject runs all six.
+	var cfg campaign.Config
+	cfg.Bind(flag.CommandLine, 5, "")
+	sc := monitor.SessionConfig{RootSpan: "cmbench"}
+	sc.Bind(flag.CommandLine)
 	flag.Parse()
 
-	if !*table1 && !*fig4 && !*table2 && !*ablation && !*all {
+	matrix := *table1 || *fig4 || *table2 || *all
+	if !matrix && !*ablation {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sess, err := monitor.StartSession(monitor.SessionConfig{
-		EventsPath:  *eventsPath,
-		TracePath:   *tracePath,
-		MonitorAddr: *monitorAddr,
-		RootSpan:    "cmbench",
-	})
+	subs := protocols.All()
+	if cfg.Spec.Subject != "" || cfg.Spec.Live != nil {
+		sub, err := cfg.Spec.Target(protocols.ByName)
+		exitOn(err)
+		subs = []subject.Subject{sub}
+	}
+	sess, err := monitor.StartSession(sc)
 	exitOn(err)
 	if sess.Server != nil && !*jsonOut {
 		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
 	}
-	rec := sess.Recorder
-	cfg := campaign.Config{Hours: *hours, Repetitions: *reps, Instances: *instances, Concurrency: *concurrency,
-		Telemetry: rec, Trace: sess.Root, Progress: sess.Progress}
-
-	subs := protocols.All()
-	if *subjectName != "" {
-		sub, err := protocols.ByName(*subjectName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cmbench:", err)
-			os.Exit(1)
-		}
-		subs = []subject.Subject{sub}
-	}
+	cfg.Telemetry, cfg.Trace, cfg.Progress = sess.Recorder, sess.Root, sess.Progress
 
 	start := time.Now()
 	export := &campaign.Export{Config: cfg}
-	if *table1 || *all {
-		rows, err := campaign.Table1(context.Background(), subs, cfg)
+	// One matrix, run once: the tables and the figure are views of it.
+	var results []*campaign.SubjectResult
+	if matrix {
+		results, err = campaign.Evaluate(context.Background(), subs, cfg)
 		exitOn(err)
+	}
+	if *table1 || *all {
+		rows := campaign.Table1(results)
 		if *jsonOut {
 			export.Table1 = rows
 		} else {
-			fmt.Printf("== Table I: branches covered (4 instances, %gh x %d reps) ==\n", *hours, *reps)
+			fmt.Printf("== Table I: branches covered (4 instances, %gh x %d reps) ==\n", cfg.Spec.Hours, cfg.Repetitions)
 			fmt.Print(campaign.RenderTable1(rows))
 			fmt.Println()
 		}
@@ -90,9 +83,8 @@ func main() {
 		if !*jsonOut {
 			fmt.Println("== Figure 4: branch coverage over time ==")
 		}
-		for _, sub := range subs {
-			f, err := campaign.Figure4(context.Background(), sub, cfg, 64)
-			exitOn(err)
+		for _, r := range results {
+			f := campaign.Figure4(r, 64)
 			if *svgDir != "" {
 				path := filepath.Join(*svgDir, "figure4-"+strings.ToLower(f.Subject)+".svg")
 				exitOn(os.WriteFile(path, []byte(f.SVG(campaign.SVGOptions{})), 0o644))
@@ -109,8 +101,7 @@ func main() {
 		}
 	}
 	if *table2 || *all {
-		rows, err := campaign.Table2(context.Background(), subs, cfg)
-		exitOn(err)
+		rows := campaign.Table2(results)
 		if *jsonOut {
 			export.Table2 = campaign.NewTable2Export(rows)
 		} else {

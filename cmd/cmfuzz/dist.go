@@ -9,10 +9,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/dist"
 	"cmfuzz/internal/monitor"
-	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
 )
 
@@ -24,58 +22,48 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
+// acceptWorkers blocks until n workers have attached through add; a
+// connection that fails the handshake is reported and does not count.
+func acceptWorkers(ln net.Listener, n int, add func(net.Conn) error) error {
+	for i := 0; i < n; {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		if err := add(conn); err != nil {
+			fmt.Fprintln(os.Stderr, "cmfuzz:", err)
+			continue
+		}
+		i++
+		fmt.Printf("worker %d/%d attached from %s\n", i, n, conn.RemoteAddr())
+	}
+	return nil
+}
+
+// coordinatorFlags is `coordinator`'s command line: everything `fuzz`
+// takes, plus where to listen and how many workers to wait for.
+func coordinatorFlags(fs *flag.FlagSet) (rf *runFlags, listen *string, workers *int) {
+	rf = bindRun(fs, "coordinator")
+	listen = fs.String("listen", "127.0.0.1:7070", "address to accept worker connections on")
+	workers = fs.Int("workers", 2, "number of workers to wait for before starting")
+	return rf, listen, workers
+}
+
 // cmdCoordinator runs the distributed campaign's coordinator: listen,
-// wait for the expected number of workers to attach, run the campaign,
-// and print the same summary `cmfuzz fuzz` prints — plus the
-// distribution bookkeeping (lease traffic, worker failures).
+// wait for the expected number of workers to attach, run the campaign
+// `cmfuzz fuzz` would run from the same flags, and print the same
+// summary — plus the distribution bookkeeping (lease traffic, worker
+// failures).
 func cmdCoordinator(args []string) error {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
-	name := subjectFlag(fs)
-	listen := fs.String("listen", "127.0.0.1:7070", "address to accept worker connections on")
-	workers := fs.Int("workers", 2, "number of workers to wait for before starting")
-	modeName := fs.String("mode", "cmfuzz", "fuzzer: cmfuzz, peach or spfuzz")
-	hours := fs.Float64("hours", 24, "virtual campaign hours")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	instances := fs.Int("n", 4, "parallel instances")
-	concurrency := fs.Int("j", 0, "relation-probe worker pool size (0 = GOMAXPROCS)")
-	outDir := fs.String("out", "", "write artifacts (result.json, coverage.csv, crashes/) to this directory")
-	telemetryOn := fs.Bool("telemetry", false, "collect structured events; print the timeline and counters")
-	eventsPath := fs.String("events", "", "write the structured event stream as JSONL to this file (implies -telemetry)")
-	tracePath := fs.String("trace", "", "write a wall-clock Chrome trace (chrome://tracing / Perfetto) to this file, with worker spans stitched in as extra process lanes")
-	monitorAddr := fs.String("monitor", "", "serve /status, /metrics, /healthz and /debug/pprof on this host:port (implies -telemetry)")
+	rf, listen, workers := coordinatorFlags(fs)
 	fs.Parse(args)
-	sub, err := getSubject(*name)
+	sub, opts, sess, err := rf.start()
 	if err != nil {
 		return err
-	}
-	mode, err := parallel.ParseMode(*modeName)
-	if err != nil {
-		return err
-	}
-	sess, err := monitor.StartSession(monitor.SessionConfig{
-		Telemetry:   *telemetryOn,
-		EventsPath:  *eventsPath,
-		TracePath:   *tracePath,
-		MonitorAddr: *monitorAddr,
-		RootSpan:    "coordinator",
-	})
-	if err != nil {
-		return err
-	}
-	if sess.Server != nil {
-		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
 	}
 
-	coord := dist.NewCoordinator(sub, parallel.Options{
-		Mode:         mode,
-		Instances:    *instances,
-		VirtualHours: *hours,
-		Seed:         *seed,
-		Concurrency:  *concurrency,
-		Telemetry:    sess.Recorder,
-		Trace:        sess.Root,
-		Progress:     sess.Progress,
-	}, dist.Config{})
+	coord := dist.NewCoordinator(sub, opts, dist.Config{})
 	leaseLat := sess.Registry.Histogram("cmfuzz_lease_latency_seconds",
 		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
 	coord.SetObserver(dist.Observer{
@@ -92,17 +80,8 @@ func cmdCoordinator(args []string) error {
 	defer ln.Close()
 	fmt.Printf("coordinator listening on %s, waiting for %d workers\n", ln.Addr(), *workers)
 	monitor.RegisterWorkers(sess.Registry, coord.Workers, nil)
-	for i := 0; i < *workers; i++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		if err := coord.AddConn(conn); err != nil {
-			fmt.Fprintln(os.Stderr, "cmfuzz:", err)
-			i--
-			continue
-		}
-		fmt.Printf("worker %d/%d attached from %s\n", i+1, *workers, conn.RemoteAddr())
+	if err := acceptWorkers(ln, *workers, coord.AddConn); err != nil {
+		return err
 	}
 
 	ctx, cancel := signalContext()
@@ -115,14 +94,11 @@ func cmdCoordinator(args []string) error {
 	if err != nil {
 		fmt.Printf("campaign interrupted (%v); writing partial results\n", err)
 	}
-	fmt.Printf("%s on %s: %d branches, %d execs over %g virtual hours (distributed, %d workers)\n",
-		mode, sub.Info().Implementation, res.FinalBranches, res.TotalExecs, *hours, *workers)
-	for _, in := range res.Instances {
-		fmt.Printf("  instance %d: %6d branches, %7d execs, %d crashes, %d config mutations\n",
-			in.Index, in.FinalBranches, in.Execs, in.Crashes, in.ConfigMutations)
+	if werr := rf.report(res, fmt.Sprintf(" (distributed, %d workers)", *workers)); werr != nil {
+		return werr
 	}
 	st := coord.Stats()
-	fmt.Printf("  lease traffic: %d bytes; worker deaths: %d; reassignments: %d\n",
+	fmt.Printf("lease traffic: %d bytes; worker deaths: %d; reassignments: %d\n",
 		st.SyncBytes, st.WorkerDeaths, st.Reassignments)
 	for _, ws := range coord.Workers() {
 		state := "alive"
@@ -131,13 +107,7 @@ func cmdCoordinator(args []string) error {
 		}
 		fmt.Printf("  worker %-12s %-5s %9d execs %8d lease bytes\n", ws.Name, state, ws.Execs, ws.SyncBytes)
 	}
-	if *outDir != "" {
-		if werr := campaign.WriteArtifacts(*outDir, res); werr != nil {
-			return werr
-		}
-		fmt.Println("artifacts written to", *outDir)
-	}
-	if ferr := finishSession(sess, *telemetryOn); ferr != nil {
+	if ferr := finishSession(sess, rf.sess.Telemetry); ferr != nil {
 		return ferr
 	}
 	return err

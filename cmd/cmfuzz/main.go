@@ -27,16 +27,18 @@ import (
 	"sort"
 	"strings"
 
+	"cmfuzz"
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/campaign"
-	"cmfuzz/internal/core"
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/core/configspec"
+	"cmfuzz/internal/core/relation"
+	"cmfuzz/internal/live"
 	"cmfuzz/internal/monitor"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
-	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/metrics"
 )
 
@@ -111,18 +113,22 @@ commands:
   bugs       list the Table II vulnerability registry
   promlint   validate Prometheus text exposition read from a file or stdin
 
-common flags:  -subject NAME (protocol or implementation name)
+common flags:  -subject NAME (protocol or implementation name), or a live
+               target through the -target-* flags
 telemetry:     -telemetry (print timeline + counters), -events PATH (JSONL export)
 observability: -trace PATH (Chrome trace JSON for chrome://tracing / Perfetto),
                -monitor ADDR (HTTP /status, /metrics, /healthz, /debug/pprof)`)
 }
 
-func subjectFlag(fs *flag.FlagSet) *string {
-	return fs.String("subject", "MQTT", "subject protocol or implementation name")
-}
-
-func getSubject(name string) (subject.Subject, error) {
-	return protocols.ByName(name)
+// parseTarget parses a pipeline-stage command line — the campaign flags,
+// of which a stage reads the target and -n — and resolves its subject.
+func parseTarget(cmd string, args []string) (spec.Campaign, subject.Subject, error) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	var c spec.Campaign
+	c.Bind(fs)
+	fs.Parse(args)
+	sub, err := c.Target(protocols.ByName)
+	return c, sub, err
 }
 
 func cmdSubjects() error {
@@ -135,10 +141,7 @@ func cmdSubjects() error {
 }
 
 func cmdExtract(args []string) error {
-	fs := flag.NewFlagSet("extract", flag.ExitOnError)
-	name := subjectFlag(fs)
-	fs.Parse(args)
-	sub, err := getSubject(*name)
+	_, sub, err := parseTarget("extract", args)
 	if err != nil {
 		return err
 	}
@@ -155,10 +158,7 @@ func cmdExtract(args []string) error {
 }
 
 func cmdModel(args []string) error {
-	fs := flag.NewFlagSet("model", flag.ExitOnError)
-	name := subjectFlag(fs)
-	fs.Parse(args)
-	sub, err := getSubject(*name)
+	_, sub, err := parseTarget("model", args)
 	if err != nil {
 		return err
 	}
@@ -171,57 +171,32 @@ func cmdModel(args []string) error {
 	return nil
 }
 
-func pipelineFor(sub subject.Subject, instances int) *core.Pipeline {
-	return &core.Pipeline{
-		Probe: func(cfg configmodel.Assignment) int {
-			return subject.Probe(sub, map[string]string(cfg))
-		},
-		Instances: instances,
-		MaxValues: 4,
-	}
-}
-
 func cmdRelate(args []string) error {
-	fs := flag.NewFlagSet("relate", flag.ExitOnError)
-	name := subjectFlag(fs)
-	fs.Parse(args)
-	sub, err := getSubject(*name)
+	c, sub, err := parseTarget("relate", args)
 	if err != nil {
 		return err
 	}
-	plan := pipelineFor(sub, 4).Run(sub.ConfigInput())
+	plan := cmfuzz.Identify(sub, c.Instances)
 	rel := plan.Relation
 	fmt.Printf("relation-aware configuration model for %s:\n", sub.Info().Implementation)
 	fmt.Printf("  baseline startup coverage: %d branches (%d startups for %d probe requests, %d values capped)\n",
 		rel.Baseline, rel.Probes, rel.ProbeRequests, rel.DroppedValues)
 	fmt.Printf("  %d relation edges:\n", rel.Graph.EdgeCount())
 	for _, e := range rel.Graph.SortedEdges() {
-		best := rel.Best[relationKey(e.A, e.B)]
+		best := rel.Best[relation.PairKey(e.A, e.B)]
 		fmt.Printf("    %.2f  %s=%s <-> %s=%s (coverage %d)\n",
 			e.Weight, best.A, best.ValueA, best.B, best.ValueB, best.Cover)
 	}
 	return nil
 }
 
-// relationKey mirrors relation.PairKey without importing it here twice.
-func relationKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "\x00" + b
-}
-
 func cmdSchedule(args []string) error {
-	fs := flag.NewFlagSet("schedule", flag.ExitOnError)
-	name := subjectFlag(fs)
-	n := fs.Int("n", 4, "number of parallel instances")
-	fs.Parse(args)
-	sub, err := getSubject(*name)
+	c, sub, err := parseTarget("schedule", args)
 	if err != nil {
 		return err
 	}
-	plan := pipelineFor(sub, *n).Run(sub.ConfigInput())
-	fmt.Printf("cohesive groups for %s across %d instances:\n", sub.Info().Implementation, *n)
+	plan := cmfuzz.Identify(sub, c.Instances)
+	fmt.Printf("cohesive groups for %s across %d instances:\n", sub.Info().Implementation, c.Instances)
 	for i, g := range plan.Groups {
 		fmt.Printf("  instance %d: %s\n", i, strings.Join(g.Members, ", "))
 		fmt.Printf("    config: %s\n", plan.Assignments[i].String())
@@ -229,125 +204,66 @@ func cmdSchedule(args []string) error {
 	return nil
 }
 
-func cmdFuzz(args []string) error {
-	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
-	name := subjectFlag(fs)
-	modeName := fs.String("mode", "cmfuzz", "fuzzer: cmfuzz, peach or spfuzz")
-	hours := fs.Float64("hours", 24, "virtual campaign hours")
-	seed := fs.Int64("seed", 1, "campaign seed")
-	instances := fs.Int("n", 4, "parallel instances")
-	alloc := fs.String("alloc", "cohesive", "CMFuzz allocator: cohesive, random or round-robin (ablation)")
-	noMut := fs.Bool("no-config-mutation", false, "disable adaptive configuration mutation (ablation)")
-	rawWeights := fs.Bool("raw-weights", false, "use raw-coverage relation weights (ablation)")
-	concurrency := fs.Int("j", 0, "relation-probe worker pool size (0 = GOMAXPROCS); results are identical for any value")
-	outDir := fs.String("out", "", "write artifacts (result.json, coverage.csv, crashes/) to this directory")
-	telemetryOn := fs.Bool("telemetry", false, "collect structured events; print the timeline and counters")
-	eventsPath := fs.String("events", "", "write the structured event stream as JSONL to this file (implies -telemetry)")
-	tracePath := fs.String("trace", "", "write a wall-clock Chrome trace (chrome://tracing / Perfetto) to this file")
-	monitorAddr := fs.String("monitor", "", "serve /status, /metrics, /healthz and /debug/pprof on this host:port (implies -telemetry)")
-	satWindow := fs.Float64("sat-window", 0, "saturation window in virtual seconds (0 = default 1800)")
-	satMinGain := fs.Int("sat-min-gain", 0, "per-window coverage gain below which an instance saturates (0 = default 8)")
-	linkLoss := fs.Float64("link-loss", 0, "drop each fuzzer-to-target datagram with this probability")
-	linkLatency := fs.Float64("link-latency", 0, "base virtual link latency per delivered message, seconds")
-	linkJitter := fs.Float64("link-jitter", 0, "uniform virtual latency jitter on top of -link-latency, seconds")
-	lf := addLiveFlags(fs)
-	fs.Parse(args)
-	var sub subject.Subject
-	if lf.enabled() {
-		ls, lerr := lf.subject()
-		if lerr != nil {
-			return lerr
-		}
-		sub = ls
-		// A live campaign's safety-rail counters must land in result.json,
-		// so the recorder is always on.
-		*telemetryOn = true
-	} else {
-		var serr error
-		sub, serr = getSubject(*name)
-		if serr != nil {
-			return serr
-		}
-	}
-	sess, err := monitor.StartSession(monitor.SessionConfig{
-		Telemetry:   *telemetryOn,
-		EventsPath:  *eventsPath,
-		TracePath:   *tracePath,
-		MonitorAddr: *monitorAddr,
-		RootSpan:    "fuzz",
-	})
+// runFlags is what `fuzz` and `coordinator` share: the campaign, how
+// its run is observed, the probe pool size and where artifacts go.
+type runFlags struct {
+	spec spec.Campaign
+	sess monitor.SessionConfig
+	jobs int
+	out  string
+}
+
+func bindRun(fs *flag.FlagSet, rootSpan string) *runFlags {
+	rf := &runFlags{sess: monitor.SessionConfig{RootSpan: rootSpan}}
+	rf.spec.Bind(fs)
+	rf.sess.Bind(fs)
+	fs.IntVar(&rf.jobs, "j", 0, "relation-probe worker pool size (0 = GOMAXPROCS); results are identical for any value")
+	fs.StringVar(&rf.out, "out", "", "write artifacts (result.json, coverage.csv, crashes/) to this directory")
+	return rf
+}
+
+// start resolves the target, validates the spec into options and opens
+// the observability session the options report into.
+func (rf *runFlags) start() (subject.Subject, parallel.Options, *monitor.Session, error) {
+	opts, err := rf.spec.Options()
 	if err != nil {
-		return err
+		return nil, opts, nil, err
 	}
-	if sess.Server != nil {
-		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
-	}
-	rec := sess.Recorder
-	mode, err := parallel.ParseMode(*modeName)
+	sub, err := rf.spec.Target(protocols.ByName)
 	if err != nil {
-		return err
+		return nil, opts, nil, err
 	}
-	var allocator parallel.Allocator
-	switch *alloc {
-	case "cohesive":
-		allocator = parallel.AllocCohesive
-	case "random":
-		allocator = parallel.AllocRandom
-	case "round-robin":
-		allocator = parallel.AllocRoundRobin
-	default:
-		return fmt.Errorf("unknown allocator %q", *alloc)
+	// A live campaign's safety-rail counters must land in result.json,
+	// so the recorder is always on.
+	rf.sess.Telemetry = rf.sess.Telemetry || rf.spec.Live != nil
+	sess, err := startSession(rf.sess)
+	if err != nil {
+		return nil, opts, nil, err
 	}
-	ctx, cancel := signalContext()
-	defer cancel()
-	ks := liveKillSwitch(sub)
-	if ks != nil {
-		if ls, ok := sub.(interface{ SetRecorder(*telemetry.Recorder) }); ok {
-			ls.SetRecorder(rec)
-		}
-		// The kill switch hard-stops the campaign through context
-		// cancellation; Run finalizes a partial result we still report.
-		kctx, kcancel := context.WithCancel(ctx)
-		defer kcancel()
-		ks.SetOnTrip(func(string) { kcancel() })
-		ctx = kctx
-	}
-	res, err := parallel.Run(ctx, sub, parallel.Options{
-		Mode:                  mode,
-		Instances:             *instances,
-		VirtualHours:          *hours,
-		Seed:                  *seed,
-		Allocator:             allocator,
-		DisableConfigMutation: *noMut,
-		RawRelationWeighting:  *rawWeights,
-		SaturationWindow:      *satWindow,
-		SaturationMinGain:     *satMinGain,
-		LinkLoss:              *linkLoss,
-		LinkLatencyBase:       *linkLatency,
-		LinkLatencyJitter:     *linkJitter,
-		Concurrency:           *concurrency,
-		Telemetry:             rec,
-		Trace:                 sess.Root,
-		Progress:              sess.Progress,
-	})
-	if err != nil && !(res != nil && ks.Tripped() && errors.Is(err, context.Canceled)) {
-		sess.Finish(nil)
-		return err
-	}
-	fmt.Printf("%s on %s: %d branches, %d execs over %g virtual hours\n",
-		mode, sub.Info().Implementation, res.FinalBranches, res.TotalExecs, *hours)
+	opts.Concurrency = rf.jobs
+	opts.Telemetry, opts.Trace, opts.Progress = sess.Recorder, sess.Root, sess.Progress
+	return sub, opts, sess, nil
+}
+
+// report prints a finished (or interrupted) campaign the same way for
+// every way of running it — the summary line, with how it ran appended,
+// one line per instance, the artifacts written under -out and the unique
+// bugs in discovery order.
+func (rf *runFlags) report(res *parallel.Result, how string) error {
+	fmt.Printf("%s on %s: %d branches, %d execs over %g virtual hours%s\n",
+		res.Mode, res.Subject.Implementation, res.FinalBranches, res.TotalExecs, rf.spec.Hours, how)
 	for _, in := range res.Instances {
 		fmt.Printf("  instance %d: %6d branches, %7d execs, %d crashes, %d config mutations\n",
 			in.Index, in.FinalBranches, in.Execs, in.Crashes, in.ConfigMutations)
-		if mode == parallel.ModeCMFuzz {
+		if res.Mode == parallel.ModeCMFuzz {
 			fmt.Printf("    config: %s\n", in.Config)
 		}
 	}
-	if *outDir != "" {
-		if err := campaign.WriteArtifacts(*outDir, res); err != nil {
+	if rf.out != "" {
+		if err := campaign.WriteArtifacts(rf.out, res); err != nil {
 			return err
 		}
-		fmt.Println("artifacts written to", *outDir)
+		fmt.Println("artifacts written to", rf.out)
 	}
 	reports := res.Bugs.Unique()
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Time < reports[j].Time })
@@ -357,10 +273,54 @@ func cmdFuzz(args []string) error {
 			fmt.Printf("  [%6.1fh] %s\n", r.Time/3600, r.Crash.Error())
 		}
 	}
-	if ks != nil {
-		printKillReason(ks)
+	return nil
+}
+
+func cmdFuzz(args []string) error {
+	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
+	rf := bindRun(fs, "fuzz")
+	fs.Parse(args)
+	sub, opts, sess, err := rf.start()
+	if err != nil {
+		return err
 	}
-	return finishSession(sess, *telemetryOn)
+	ctx, cancel := signalContext()
+	defer cancel()
+	var ks *live.KillSwitch
+	if ls, ok := sub.(*live.Subject); ok {
+		ks = ls.KillSwitch()
+		ls.SetRecorder(sess.Recorder)
+		// The kill switch hard-stops the campaign through context
+		// cancellation; Run finalizes a partial result we still report.
+		kctx, kcancel := context.WithCancel(ctx)
+		defer kcancel()
+		ks.SetOnTrip(func(string) { kcancel() })
+		ctx = kctx
+	}
+	res, err := parallel.Run(ctx, sub, opts)
+	if err != nil && !(res != nil && ks.Tripped() && errors.Is(err, context.Canceled)) {
+		sess.Finish(nil)
+		return err
+	}
+	if err := rf.report(res, ""); err != nil {
+		return err
+	}
+	// Reported on stdout so the CI smoke (and an operator's eyeball) can
+	// confirm the stop was the rails acting, not a crash of the fuzzer.
+	if ks.Tripped() {
+		fmt.Printf("kill switch tripped: %s — campaign stopped, partial results kept\n", ks.Reason())
+	}
+	return finishSession(sess, rf.sess.Telemetry)
+}
+
+// startSession opens the observability session and announces the
+// monitor's address when there is one.
+func startSession(cfg monitor.SessionConfig) (*monitor.Session, error) {
+	sess, err := monitor.StartSession(cfg)
+	if err == nil && sess.Server != nil {
+		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
+	}
+	return sess, err
 }
 
 // finishSession prints the timeline (under -telemetry), then lets the
@@ -403,48 +363,24 @@ func cmdPromlint(args []string) error {
 
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	name := subjectFlag(fs)
-	hours := fs.Float64("hours", 24, "virtual campaign hours")
-	reps := fs.Int("reps", 1, "repetitions per fuzzer (paper: 5)")
-	instances := fs.Int("n", 4, "parallel instances")
-	seed := fs.Int64("seed", 0, "base seed (repetition r runs seed+r+1)")
-	concurrency := fs.Int("j", 0, "concurrent campaigns and probe workers (0 = GOMAXPROCS)")
-	distWorkers := fs.Int("dist", 0, "run each campaign through N in-process loopback workers (0 = in-process; results are identical)")
-	telemetryOn := fs.Bool("telemetry", false, "collect structured events; print the timeline and counters")
-	eventsPath := fs.String("events", "", "write the structured event stream as JSONL to this file (implies -telemetry)")
-	tracePath := fs.String("trace", "", "write a wall-clock Chrome trace (chrome://tracing / Perfetto) to this file")
-	monitorAddr := fs.String("monitor", "", "serve /status, /metrics, /healthz and /debug/pprof on this host:port (implies -telemetry)")
+	var cfg campaign.Config
+	cfg.Bind(fs, 1, "MQTT")
+	var sc monitor.SessionConfig
+	sc.Bind(fs)
 	outDir := fs.String("out", "", "also write events.jsonl and timeline.txt into this directory")
 	fs.Parse(args)
-	sub, err := getSubject(*name)
+	sub, err := cfg.Spec.Target(protocols.ByName)
 	if err != nil {
 		return err
 	}
-	sess, err := monitor.StartSession(monitor.SessionConfig{
-		Telemetry:   *telemetryOn || *outDir != "",
-		EventsPath:  *eventsPath,
-		TracePath:   *tracePath,
-		MonitorAddr: *monitorAddr,
-		RootSpan:    "campaign",
-	})
+	show := sc.Telemetry
+	sc.Telemetry = show || *outDir != ""
+	sc.RootSpan = "campaign"
+	sess, err := startSession(sc)
 	if err != nil {
 		return err
 	}
-	if sess.Server != nil {
-		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
-	}
-	rec := sess.Recorder
-	cfg := campaign.Config{
-		Hours:       *hours,
-		Repetitions: *reps,
-		Instances:   *instances,
-		BaseSeed:    *seed,
-		Concurrency: *concurrency,
-		Dist:        *distWorkers,
-		Telemetry:   rec,
-		Trace:       sess.Root,
-		Progress:    sess.Progress,
-	}
+	cfg.Telemetry, cfg.Trace, cfg.Progress = sess.Recorder, sess.Root, sess.Progress
 	ctx, cancel := signalContext()
 	defer cancel()
 	res, err := campaign.RunSubject(ctx, sub, cfg)
@@ -453,7 +389,7 @@ func cmdCampaign(args []string) error {
 		return err
 	}
 	fmt.Printf("campaign on %s: %g virtual hours x %d repetitions, %d instances\n",
-		res.Subject.Implementation, *hours, *reps, *instances)
+		res.Subject.Implementation, res.Hours, cfg.Repetitions, cfg.Spec.Instances)
 	fmt.Printf("  %-8s %8s %8s %8s %9s\n", "Fuzzer", "Branches", "Bugs", "Improv", "Speedup")
 	for _, st := range []campaign.FuzzerStats{res.CMFuzz, res.Peach, res.SPFuzz} {
 		improv, speedup := "", ""
@@ -464,10 +400,10 @@ func cmdCampaign(args []string) error {
 		fmt.Printf("  %-8s %8d %8d %8s %9s\n", st.Mode, st.Branches, st.Bugs.Len(), improv, speedup)
 	}
 	if *outDir != "" {
-		if err := campaign.WriteTelemetry(*outDir, rec); err != nil {
+		if err := campaign.WriteTelemetry(*outDir, sess.Recorder); err != nil {
 			return err
 		}
 		fmt.Println("telemetry artifacts written to", *outDir)
 	}
-	return finishSession(sess, *telemetryOn)
+	return finishSession(sess, show)
 }

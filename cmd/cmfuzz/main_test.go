@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -157,6 +159,57 @@ func TestCampaignOutImpliesTelemetry(t *testing.T) {
 	for _, f := range []string{"events.jsonl", "timeline.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("-out did not produce %s: %v", f, err)
+		}
+	}
+}
+
+// TestFuzzAndCoordinatorDescribeTheSameCampaign: `coordinator` takes
+// `fuzz`'s whole command line — every campaign, session and run flag,
+// the ablation and link ones it used to lack included — and both parse
+// it into the same spec.
+func TestFuzzAndCoordinatorDescribeTheSameCampaign(t *testing.T) {
+	argv := []string{"-subject", "CoAP", "-mode", "spfuzz", "-hours", "0.5", "-seed", "9", "-n", "3",
+		"-alloc", "round-robin", "-no-config-mutation", "-raw-weights", "-sat-window", "90", "-sat-min-gain", "3",
+		"-link-loss", "0.1", "-link-latency", "0.25", "-link-jitter", "0.5",
+		"-target-addr", "127.0.0.1:9", "-target-rate", "50",
+		"-j", "2", "-out", "d", "-telemetry", "-events", "e.jsonl", "-trace", "t.json", "-monitor", "127.0.0.1:0"}
+	ffs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+	fuzz := bindRun(ffs, "run")
+	cfs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
+	coord, _, _ := coordinatorFlags(cfs)
+	coord.sess.RootSpan = "run"
+	if err := ffs.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfs.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fuzz, coord) {
+		t.Fatalf("fuzz parsed %+v\ncoordinator parsed %+v", fuzz, coord)
+	}
+	if fuzz.spec.Alloc != "round-robin" || fuzz.spec.LinkJitter != 0.5 || fuzz.spec.Live == nil || fuzz.jobs != 2 || fuzz.sess.TracePath != "t.json" {
+		t.Fatalf("argv did not reach the spec: %+v", fuzz)
+	}
+}
+
+// TestOutOfRangeFlagsAreErrors: command lines that used to die with
+// `makeslice: len out of range` return an error naming the value.
+func TestOutOfRangeFlagsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		cmd    func([]string) error
+		args   []string
+		reason string
+	}{
+		{cmdFuzz, []string{"-subject", "DNS", "-n", "-1"}, "instances -1"},
+		{cmdFuzz, []string{"-subject", "DNS", "-hours", "1e308"}, "hours 1e+308"},
+		{cmdFuzz, []string{"-subject", "DNS", "-alloc", "greedy"}, `unknown allocator "greedy"`},
+		{cmdCoordinator, []string{"-subject", "DNS", "-n", "70000"}, "instances 70000"},
+		{cmdCampaign, []string{"-subject", "DNS", "-hours", "0.05", "-reps", "-1"}, "repetitions -1"},
+		{cmdCampaign, []string{"-subject", "DNS", "-hours", "0.05", "-n", "-1"}, "instances -1"},
+	} {
+		_, err := captureStdout(t, func() error { return tc.cmd(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.reason)
 		}
 	}
 }

@@ -42,17 +42,8 @@ func cmdServe(args []string) error {
 	}
 	defer ln.Close()
 	fmt.Printf("serve listening on %s, waiting for %d workers\n", ln.Addr(), *workers)
-	for i := 0; i < *workers; i++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		if err := pool.AddConn(conn); err != nil {
-			fmt.Fprintln(os.Stderr, "cmfuzz:", err)
-			i--
-			continue
-		}
-		fmt.Printf("worker %d/%d attached from %s\n", i+1, *workers, conn.RemoteAddr())
+	if err := acceptWorkers(ln, *workers, pool.AddConn); err != nil {
+		return err
 	}
 	pool.StartHeartbeats()
 	defer pool.Close()

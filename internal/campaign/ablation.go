@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
+	"cmfuzz/internal/telemetry/trace"
 )
 
 // AblationRow compares one CMFuzz design choice against its alternatives
@@ -18,8 +18,9 @@ type AblationRow struct {
 	Bugs     int
 }
 
-// Ablations runs the design-choice ablations DESIGN.md calls out on the
-// given subjects:
+// ablationVariants are the design choices DESIGN.md calls out, each a
+// campaign spec that differs from the full CMFuzz template in one
+// respect:
 //
 //   - allocation strategy: Algorithm 2's cohesive grouping vs random and
 //     round-robin dealing;
@@ -27,47 +28,58 @@ type AblationRow struct {
 //   - relation weighting: interaction gain vs the paper-literal raw
 //     startup coverage;
 //   - Peach schedule redundancy: independent vs pairwise-shared workers.
+var ablationVariants = []struct {
+	name, mode, alloc                   string
+	noMutation, rawWeights, peachShared bool
+}{
+	{name: "cmfuzz (full)"},
+	{name: "alloc=random", alloc: "random"},
+	{name: "alloc=round-robin", alloc: "round-robin"},
+	{name: "no-config-mutation", noMutation: true},
+	{name: "weight=raw-coverage", rawWeights: true},
+	{name: "peach", mode: "peach"},
+	// PeachSharedSchedules is an Options knob, not a campaign parameter.
+	{name: "peach-shared-sched", mode: "peach", peachShared: true},
+}
+
+// Ablations runs every variant × repetition on each subject as one
+// batch and averages each variant's repetitions.
 func Ablations(ctx context.Context, subs []subject.Subject, cfg Config) ([]AblationRow, error) {
-	cfg.setDefaults()
-	variants := []struct {
-		name string
-		opts func(parallel.Options) parallel.Options
-	}{
-		{"cmfuzz (full)", func(o parallel.Options) parallel.Options { return o }},
-		{"alloc=random", func(o parallel.Options) parallel.Options { o.Allocator = parallel.AllocRandom; return o }},
-		{"alloc=round-robin", func(o parallel.Options) parallel.Options { o.Allocator = parallel.AllocRoundRobin; return o }},
-		{"no-config-mutation", func(o parallel.Options) parallel.Options { o.DisableConfigMutation = true; return o }},
-		{"weight=raw-coverage", func(o parallel.Options) parallel.Options { o.RawRelationWeighting = true; return o }},
-		{"peach", func(o parallel.Options) parallel.Options { o.Mode = parallel.ModePeach; return o }},
-		{"peach-shared-sched", func(o parallel.Options) parallel.Options {
-			o.Mode = parallel.ModePeach
-			o.PeachSharedSchedules = true
-			return o
-		}},
+	reps, err := cfg.repetitions()
+	if err != nil {
+		return nil, err
 	}
 	var rows []AblationRow
 	for _, sub := range subs {
-		for _, v := range variants {
+		info := sub.Info()
+		var jobs []job
+		for _, v := range ablationVariants {
+			c := cfg.Spec
+			c.Subject, c.Mode, c.Alloc = info.Protocol, v.mode, v.alloc
+			c.NoConfigMutation, c.RawWeights = v.noMutation, v.rawWeights
+			for rep := 0; rep < reps; rep++ {
+				j := cfg.cell(c, v.name, rep)
+				j.peachShared = v.peachShared
+				jobs = append(jobs, j)
+			}
+		}
+		span := cfg.Trace.Child("ablation", trace.A("subject", info.Protocol), trace.A("repetitions", reps))
+		results, err := runBatch(ctx, sub, cfg, span, jobs)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+		for vi, v := range ablationVariants {
 			sumBranches, sumBugs := 0, 0
-			for rep := 0; rep < cfg.Repetitions; rep++ {
-				opts := v.opts(parallel.Options{
-					Mode:         parallel.ModeCMFuzz,
-					Instances:    cfg.Instances,
-					VirtualHours: cfg.Hours,
-					Seed:         cfg.BaseSeed + int64(rep) + 1,
-				})
-				r, err := parallel.Run(ctx, sub, opts)
-				if err != nil {
-					return nil, fmt.Errorf("campaign: ablation %s/%s: %w", sub.Info().Protocol, v.name, err)
-				}
+			for _, r := range results[vi*reps : (vi+1)*reps] {
 				sumBranches += r.FinalBranches
 				sumBugs += r.Bugs.Len()
 			}
 			rows = append(rows, AblationRow{
-				Subject:  sub.Info().Implementation,
+				Subject:  info.Implementation,
 				Variant:  v.name,
-				Branches: sumBranches / cfg.Repetitions,
-				Bugs:     sumBugs / cfg.Repetitions,
+				Branches: sumBranches / reps,
+				Bugs:     sumBugs / reps,
 			})
 		}
 	}

@@ -8,6 +8,7 @@ package campaign
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,99 +17,157 @@ import (
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
-	"cmfuzz/internal/dist"
 	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 )
 
-// Config scales an evaluation run. The paper's full setting is 24 virtual
+// Config scales an evaluation: one template campaign, run by every
+// fuzzer over Repetitions seeds. The paper's full setting is 24 virtual
 // hours × 5 repetitions × 4 instances; tests and quick benches shrink it.
+// Its JSON form — the template and the repetition count — is the
+// "config" block of cmbench -json.
 type Config struct {
-	// Hours is the virtual campaign length (default 24).
-	Hours float64
+	// Spec is the template every campaign of the evaluation is cut from:
+	// hours, instances and whatever else all of them share. The runner
+	// fills in Subject and Mode, and reads Seed as the base seed —
+	// repetition r runs Seed+r+1.
+	Spec spec.Campaign `json:"spec"`
 	// Repetitions averages this many seeds (default 5, as in §IV).
-	Repetitions int
-	// Instances per fuzzer (default 4).
-	Instances int
-	// BaseSeed offsets the repetition seeds.
-	BaseSeed int64
-	// Concurrency bounds how many campaigns (fuzzer × repetition) run at
-	// once and is passed through to each campaign's probe executor
-	// (0 means GOMAXPROCS). Every campaign is deterministic per seed and
-	// results are aggregated in fixed (fuzzer, repetition) order, so the
-	// outcome is identical for any concurrency level.
-	Concurrency int
-	// Dist, when positive, runs each campaign through the distributed
-	// coordinator/worker path (internal/dist) with this many in-process
-	// loopback workers instead of calling parallel.Run directly. The
-	// Result is byte-identical either way; the knob exists to exercise
-	// the distributed machinery from the CLI and CI.
-	Dist int
+	Repetitions int `json:"repetitions"`
+	// Concurrency bounds how many campaigns of a batch run at once and
+	// is passed through to each campaign's probe executor (0 means
+	// GOMAXPROCS). Every campaign is deterministic per seed and results
+	// come back in batch order, so the outcome is identical for any
+	// concurrency level.
+	Concurrency int `json:"-"`
 	// Telemetry collects the structured event streams of every campaign
-	// in the run. Each (fuzzer, repetition) campaign records into its own
-	// labeled child recorder and the children are merged in fixed
-	// (fuzzer, repetition) order after the matrix completes, so the
-	// merged export is deterministic for any Concurrency. Nil disables
-	// collection at zero cost.
-	Telemetry *telemetry.Recorder
-	// Trace, when non-nil, is the parent wall-clock span: RunSubject
-	// records a campaign span with one repetition child per (fuzzer,
-	// repetition) cell, each carrying that campaign's instance spans.
-	Trace *trace.Span
+	// in the run. Each campaign records into its own labeled child
+	// recorder and the children are merged in batch order after the
+	// batch completes, so the merged export is deterministic for any
+	// Concurrency. Nil disables collection at zero cost.
+	Telemetry *telemetry.Recorder `json:"-"`
+	// Trace, when non-nil, is the parent wall-clock span: each batch
+	// records one span with a repetition child per campaign, each
+	// carrying that campaign's instance spans.
+	Trace *trace.Span `json:"-"`
 	// Progress, when non-nil, is the live board the HTTP monitor reads;
-	// every campaign in the matrix reports into it under its run label.
-	Progress *telemetry.Progress
-	// Label names a single Run on the progress board (RunSubject sets
-	// the per-cell "mode/repN" labels itself).
-	Label string
+	// every campaign of a batch reports into it under its run label.
+	Progress *telemetry.Progress `json:"-"`
 }
 
-func (c *Config) setDefaults() {
-	if c.Hours == 0 {
-		c.Hours = 24
+// Bind registers the evaluation's flags on fs: the campaign flags (the
+// template), -reps and -j. reps and subject are the two defaults that
+// differ between `cmfuzz campaign` and `cmbench`. -seed keeps its name
+// but reads as the base seed of the matrix, so its default and help are
+// restated; -mode is accepted and unused, the matrix runs every fuzzer.
+func (c *Config) Bind(fs *flag.FlagSet, reps int, subject string) {
+	c.Spec.Bind(fs)
+	fs.IntVar(&c.Repetitions, "reps", reps, "repetitions per fuzzer (paper: 5)")
+	fs.IntVar(&c.Concurrency, "j", 0, "concurrent campaigns and probe workers (0 = GOMAXPROCS); output is identical for any value")
+	redefault := func(name, value, usage string) {
+		f := fs.Lookup(name)
+		f.DefValue, f.Usage = value, usage
+		f.Value.Set(value) // a value the flag's own type printed: cannot fail
 	}
-	if c.Repetitions == 0 {
-		c.Repetitions = 5
-	}
-	if c.Instances == 0 {
-		c.Instances = 4
-	}
+	redefault("seed", "0", "base seed (repetition r runs seed+r+1)")
+	redefault("subject", subject, "subject protocol or implementation name")
 }
 
-// Run executes one campaign (mode × subject × seed). With telemetry
-// enabled, the campaign's event stream lands in cfg.Telemetry, bracketed
-// by a campaign-level marker carrying the outcome.
-func Run(ctx context.Context, sub subject.Subject, mode parallel.Mode, seed int64, cfg Config) (*parallel.Result, error) {
-	cfg.setDefaults()
-	opts := parallel.Options{
-		Mode:         mode,
-		Instances:    cfg.Instances,
-		VirtualHours: cfg.Hours,
-		Seed:         seed,
-		Concurrency:  cfg.Concurrency,
-		Telemetry:    cfg.Telemetry,
-		Trace:        cfg.Trace,
-		Progress:     cfg.Progress,
-		Label:        cfg.Label,
+// repetitions applies the default and rejects a negative count.
+func (c Config) repetitions() (int, error) {
+	switch {
+	case c.Repetitions < 0:
+		return 0, fmt.Errorf("campaign: repetitions %d must not be negative", c.Repetitions)
+	case c.Repetitions == 0:
+		return 5, nil
 	}
-	var res *parallel.Result
-	var err error
-	if cfg.Dist > 0 {
-		res, _, err = dist.RunLocal(ctx, sub, opts, cfg.Dist, dist.Config{})
-	} else {
-		res, err = parallel.Run(ctx, sub, opts)
+	return c.Repetitions, nil
+}
+
+// A job is one campaign of a batch: the template with its variant
+// fields, mode and repetition seed filled in.
+type job struct {
+	spec spec.Campaign
+	// label names the run on the progress board and stamps its events;
+	// unique within the batch.
+	label string
+	rep   int
+	// peachShared sets Options.PeachSharedSchedules, the one ablation
+	// knob that is no campaign parameter.
+	peachShared bool
+}
+
+// cell cuts repetition rep of one variant from the template.
+func (c Config) cell(v spec.Campaign, label string, rep int) job {
+	v.Seed = c.Spec.Seed + int64(rep) + 1
+	return job{spec: v, label: fmt.Sprintf("%s/rep%d", label, rep), rep: rep}
+}
+
+// runBatch executes jobs on sub, at most Config.Concurrency at a time,
+// and returns their results in job order. It is the evaluation's only
+// runner: the fuzzer × repetition matrix and the ablation variants are
+// both batches. Every spec is validated before the first campaign
+// starts. With telemetry on, each campaign's event stream ends with a
+// campaign-level marker carrying the outcome.
+func runBatch(ctx context.Context, sub subject.Subject, cfg Config, span *trace.Span, jobs []job) ([]*parallel.Result, error) {
+	opts := make([]parallel.Options, len(jobs))
+	for i, j := range jobs {
+		o, err := j.spec.Options()
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %s: %w", j.label, err)
+		}
+		o.Concurrency = cfg.Concurrency
+		o.Progress = cfg.Progress
+		o.Label = j.label
+		o.PeachSharedSchedules = j.peachShared
+		// Concurrent campaigns each record into their own labeled child
+		// recorder; the children are merged below in job order so the
+		// export is deterministic.
+		if cfg.Telemetry.Enabled() {
+			o.Telemetry = telemetry.NewRun(j.label)
+		}
+		opts[i] = o
 	}
-	if err == nil {
-		cfg.Telemetry.Emit(telemetry.Event{
-			T: cfg.Hours * 3600, Type: telemetry.EvCampaign, Instance: -1,
-			Edges: res.FinalBranches,
-			Detail: fmt.Sprintf("%s on %s seed %d: %d branches, %d execs, %d unique bugs",
-				mode, sub.Info().Implementation, seed, res.FinalBranches, res.TotalExecs, res.Bugs.Len()),
-		})
+	workers := cfg.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return res, err
+	results := make([]*parallel.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			o := opts[i]
+			o.Trace = span.Child("repetition", trace.A("mode", o.Mode.String()), trace.A("rep", jobs[i].rep))
+			defer o.Trace.End()
+			res, err := parallel.Run(ctx, sub, o)
+			if err == nil {
+				o.Telemetry.Emit(telemetry.Event{
+					T: o.Horizon(), Type: telemetry.EvCampaign, Instance: -1,
+					Edges: res.FinalBranches,
+					Detail: fmt.Sprintf("%s on %s seed %d: %d branches, %d execs, %d unique bugs",
+						o.Mode, sub.Info().Implementation, o.Seed, res.FinalBranches, res.TotalExecs, res.Bugs.Len()),
+				})
+			}
+			results[i], errs[i] = res, err
+		}(i)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		cfg.Telemetry.Merge(opts[i].Telemetry)
+		if errs[i] != nil {
+			return nil, fmt.Errorf("campaign: %s %s: %w", sub.Info().Protocol, j.label, errs[i])
+		}
+	}
+	return results, nil
 }
 
 // FuzzerStats aggregates one fuzzer's repetitions on one subject.
@@ -133,78 +192,41 @@ type SubjectResult struct {
 	Hours   float64
 }
 
-// RunSubject runs the three fuzzers × repetitions on one subject. The
-// fuzzer × repetition matrix runs concurrently (bounded by
-// Config.Concurrency); each campaign is deterministic per seed and the
-// results are folded in fixed (fuzzer, repetition) order, so the output
-// is identical to a sequential run.
+// RunSubject runs the three fuzzers × repetitions on one subject as one
+// batch and folds the results in fixed (fuzzer, repetition) order.
 func RunSubject(ctx context.Context, sub subject.Subject, cfg Config) (*SubjectResult, error) {
-	cfg.setDefaults()
-	res := &SubjectResult{Subject: sub.Info(), Hours: cfg.Hours}
+	reps, err := cfg.repetitions()
+	if err != nil {
+		return nil, err
+	}
+	res := &SubjectResult{Subject: sub.Info(), Hours: cfg.Spec.Hours}
 	modes := []parallel.Mode{parallel.ModeCMFuzz, parallel.ModePeach, parallel.ModeSPFuzz}
-
-	campSpan := cfg.Trace.Child("campaign",
-		trace.A("subject", res.Subject.Protocol), trace.A("repetitions", cfg.Repetitions))
-	defer campSpan.End()
-
-	workers := cfg.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([][]*parallel.Result, len(modes))
-	errs := make([][]error, len(modes))
-	recorders := make([][]*telemetry.Recorder, len(modes))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for mi, mode := range modes {
-		results[mi] = make([]*parallel.Result, cfg.Repetitions)
-		errs[mi] = make([]error, cfg.Repetitions)
-		recorders[mi] = make([]*telemetry.Recorder, cfg.Repetitions)
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			wg.Add(1)
-			go func(mi, rep int, mode parallel.Mode) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// Concurrent repetitions each record into their own
-				// labeled child recorder; the children are merged below
-				// in fixed order so the export is deterministic.
-				repCfg := cfg
-				label := fmt.Sprintf("%s/rep%d", mode, rep)
-				if cfg.Telemetry.Enabled() {
-					recorders[mi][rep] = telemetry.NewRun(label)
-					repCfg.Telemetry = recorders[mi][rep]
-				}
-				repCfg.Label = label
-				repCfg.Trace = campSpan.Child("repetition",
-					trace.A("mode", mode.String()), trace.A("rep", rep))
-				results[mi][rep], errs[mi][rep] = Run(ctx, sub, mode, cfg.BaseSeed+int64(rep)+1, repCfg)
-				repCfg.Trace.End()
-			}(mi, rep, mode)
+	var jobs []job
+	for _, mode := range modes {
+		v := cfg.Spec
+		v.Subject, v.Mode = res.Subject.Protocol, mode.String()
+		for rep := 0; rep < reps; rep++ {
+			jobs = append(jobs, cfg.cell(v, v.Mode, rep))
 		}
 	}
-	wg.Wait()
-	for mi := range modes {
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			cfg.Telemetry.Merge(recorders[mi][rep])
-		}
+	span := cfg.Trace.Child("campaign",
+		trace.A("subject", res.Subject.Protocol), trace.A("repetitions", reps))
+	defer span.End()
+	results, err := runBatch(ctx, sub, cfg, span, jobs)
+	if err != nil {
+		return nil, err
 	}
-
 	for mi, mode := range modes {
 		stats := FuzzerStats{Mode: mode, Bugs: bugs.NewLedger()}
 		sumBranches, sumExecs := 0, 0
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			if err := errs[mi][rep]; err != nil {
-				return nil, fmt.Errorf("campaign: %s/%s rep %d: %w", res.Subject.Protocol, mode, rep, err)
-			}
-			r := results[mi][rep]
+		for _, r := range results[mi*reps : (mi+1)*reps] {
 			sumBranches += r.FinalBranches
 			sumExecs += r.TotalExecs
 			stats.Series = append(stats.Series, r.Series)
 			stats.Bugs.Merge(r.Bugs)
 		}
-		stats.Branches = sumBranches / cfg.Repetitions
-		stats.Execs = sumExecs / cfg.Repetitions
+		stats.Branches = sumBranches / reps
+		stats.Execs = sumExecs / reps
 		switch mode {
 		case parallel.ModeCMFuzz:
 			res.CMFuzz = stats
@@ -215,6 +237,21 @@ func RunSubject(ctx context.Context, sub subject.Subject, cfg Config) (*SubjectR
 		}
 	}
 	return res, nil
+}
+
+// Evaluate runs the (subject × fuzzer × repetition) matrix, each
+// campaign once. Table1, Figure4 and Table2 are views of what it
+// returns.
+func Evaluate(ctx context.Context, subs []subject.Subject, cfg Config) ([]*SubjectResult, error) {
+	results := make([]*SubjectResult, 0, len(subs))
+	for _, sub := range subs {
+		r, err := RunSubject(ctx, sub, cfg)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	return results, nil
 }
 
 // meanTimeToReach averages, across repetitions, the earliest virtual time
@@ -270,14 +307,10 @@ type Table1Row struct {
 	SpeedupSPFuzz float64
 }
 
-// Table1 runs the full Table I experiment over the given subjects.
-func Table1(ctx context.Context, subs []subject.Subject, cfg Config) ([]Table1Row, error) {
+// Table1 tabulates the evaluation as Table I, one row per subject.
+func Table1(results []*SubjectResult) []Table1Row {
 	var rows []Table1Row
-	for _, sub := range subs {
-		r, err := RunSubject(ctx, sub, cfg)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range results {
 		rows = append(rows, Table1Row{
 			Subject:       r.Subject.Implementation,
 			CMFuzz:        r.CMFuzz.Branches,
@@ -289,7 +322,7 @@ func Table1(ctx context.Context, subs []subject.Subject, cfg Config) ([]Table1Ro
 			SpeedupSPFuzz: r.Speedup(r.SPFuzz),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable1 formats Table I the way the paper prints it.
@@ -322,23 +355,18 @@ type Figure4Series struct {
 	Points map[string][]coverage.Point
 }
 
-// Figure4 produces the averaged coverage curves for one subject.
-func Figure4(ctx context.Context, sub subject.Subject, cfg Config, samples int) (*Figure4Series, error) {
-	cfg.setDefaults()
-	r, err := RunSubject(ctx, sub, cfg)
-	if err != nil {
-		return nil, err
-	}
-	horizon := cfg.Hours * 3600
+// Figure4 averages one subject's coverage curves into a Figure 4 panel.
+func Figure4(r *SubjectResult, samples int) *Figure4Series {
+	horizon := r.Hours * 3600
 	return &Figure4Series{
 		Subject: r.Subject.Implementation,
-		Hours:   cfg.Hours,
+		Hours:   r.Hours,
 		Points: map[string][]coverage.Point{
 			"CMFuzz": coverage.MeanOf(r.CMFuzz.Series, horizon, samples),
 			"Peach":  coverage.MeanOf(r.Peach.Series, horizon, samples),
 			"SPFuzz": coverage.MeanOf(r.SPFuzz.Series, horizon, samples),
 		},
-	}, nil
+	}
 }
 
 // RenderFigure4 draws an ASCII version of one Figure 4 panel.
@@ -394,16 +422,12 @@ type Table2Row struct {
 	TimeSec float64 // earliest CMFuzz discovery time, if found
 }
 
-// Table2 runs CMFuzz (and the baselines, to confirm they miss the
-// configuration-gated defects) and reports each Table II row.
-func Table2(ctx context.Context, subs []subject.Subject, cfg Config) ([]Table2Row, error) {
-	cfg.setDefaults()
+// Table2 reports each Table II row: which fuzzers of the evaluation
+// rediscovered the bug (the baselines, to confirm they miss the
+// configuration-gated defects) and when CMFuzz first did.
+func Table2(results []*SubjectResult) []Table2Row {
 	found := map[string]map[string]float64{} // crash id -> fuzzer -> time
-	for _, sub := range subs {
-		r, err := RunSubject(ctx, sub, cfg)
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range results {
 		for _, st := range []FuzzerStats{r.CMFuzz, r.Peach, r.SPFuzz} {
 			for _, rep := range st.Bugs.Unique() {
 				id := rep.Crash.ID()
@@ -433,7 +457,7 @@ func Table2(ctx context.Context, subs []subject.Subject, cfg Config) ([]Table2Ro
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable2 formats the Table II reproduction.
@@ -460,11 +484,4 @@ func RenderTable2(rows []Table2Row) string {
 	}
 	fmt.Fprintf(&b, "CMFuzz rediscovered %d/%d previously-unknown bugs\n", foundCM, len(rows))
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,13 +6,13 @@ import (
 	"testing"
 
 	"cmfuzz/internal/coverage"
-	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 )
 
 // quick is a scaled-down evaluation config for tests.
-var quick = Config{Hours: 1, Repetitions: 2, Instances: 4}
+var quick = Config{Spec: spec.Campaign{Hours: 1, Instances: 4}, Repetitions: 2}
 
 func dnsSubject(t *testing.T) subject.Subject {
 	t.Helper()
@@ -46,10 +46,11 @@ func TestRunSubjectOrderingAndMetrics(t *testing.T) {
 }
 
 func TestTable1RenderShape(t *testing.T) {
-	rows, err := Table1(context.Background(), []subject.Subject{dnsSubject(t)}, quick)
+	res, err := Evaluate(context.Background(), []subject.Subject{dnsSubject(t)}, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Table1(res)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -62,10 +63,11 @@ func TestTable1RenderShape(t *testing.T) {
 }
 
 func TestFigure4Monotone(t *testing.T) {
-	f, err := Figure4(context.Background(), dnsSubject(t), quick, 24)
+	res, err := RunSubject(context.Background(), dnsSubject(t), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := Figure4(res, 24)
 	for name, pts := range f.Points {
 		if len(pts) != 24 {
 			t.Fatalf("%s: %d samples", name, len(pts))
@@ -86,10 +88,12 @@ func TestFigure4Monotone(t *testing.T) {
 }
 
 func TestTable2DNSRows(t *testing.T) {
-	rows, err := Table2(context.Background(), []subject.Subject{dnsSubject(t)}, Config{Hours: 4, Repetitions: 2, Instances: 4})
+	res, err := Evaluate(context.Background(), []subject.Subject{dnsSubject(t)},
+		Config{Spec: spec.Campaign{Hours: 4, Instances: 4}, Repetitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := Table2(res)
 	if len(rows) != 14 {
 		t.Fatalf("rows = %d, want all 14 Table II rows", len(rows))
 	}
@@ -117,7 +121,7 @@ func TestTable2DNSRows(t *testing.T) {
 }
 
 func TestAblationsCohesiveWins(t *testing.T) {
-	rows, err := Ablations(context.Background(), []subject.Subject{dnsSubject(t)}, Config{Hours: 2, Repetitions: 2, Instances: 4})
+	rows, err := Ablations(context.Background(), []subject.Subject{dnsSubject(t)}, Config{Spec: spec.Campaign{Hours: 2, Instances: 4}, Repetitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +161,13 @@ func TestSpeedupDefinition(t *testing.T) {
 
 func TestRunModesSmoke(t *testing.T) {
 	sub := dnsSubject(t)
-	for _, mode := range []parallel.Mode{parallel.ModeCMFuzz, parallel.ModePeach, parallel.ModeSPFuzz} {
-		r, err := Run(context.Background(), sub, mode, 1, Config{Hours: 0.5, Repetitions: 1})
+	for _, mode := range []string{"cmfuzz", "peach", "spfuzz"} {
+		j := job{spec: spec.Campaign{Mode: mode, Hours: 0.5, Seed: 1}, label: mode}
+		rs, err := runBatch(context.Background(), sub, Config{}, nil, []job{j})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if r.FinalBranches == 0 {
+		if rs[0].FinalBranches == 0 {
 			t.Fatalf("%s: zero coverage", mode)
 		}
 	}
@@ -174,7 +179,7 @@ func TestRunModesSmoke(t *testing.T) {
 // per-mode aggregates must not depend on the worker count.
 func TestRunSubjectIdenticalAcrossConcurrency(t *testing.T) {
 	sub := dnsSubject(t)
-	cfg := Config{Hours: 0.5, Repetitions: 2, Instances: 4}
+	cfg := Config{Spec: spec.Campaign{Hours: 0.5, Instances: 4}, Repetitions: 2}
 
 	seq := cfg
 	seq.Concurrency = 1

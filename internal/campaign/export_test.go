@@ -7,11 +7,12 @@ import (
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/spec"
 )
 
 func TestExportJSON(t *testing.T) {
 	e := &Export{
-		Config: Config{Hours: 24, Repetitions: 5, Instances: 4},
+		Config: Config{Spec: spec.Campaign{Hours: 24, Instances: 4}, Repetitions: 5},
 		Table1: []Table1Row{{Subject: "Dnsmasq", CMFuzz: 2212, Peach: 1377, ImprovPeach: 60.6}},
 		Table2: NewTable2Export([]Table2Row{
 			{Known: bugs.Table2[9], FoundBy: []string{"CMFuzz"}, TimeSec: 7200},

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"flag"
 	"strings"
 	"testing"
 
@@ -73,10 +75,27 @@ func TestImprovZeroBaseline(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults: the flags default to the paper's campaign shape
+// with the matrix's own base seed and subject, a zero Repetitions means
+// the paper's 5, and a negative one is an error rather than a panic.
 func TestConfigDefaults(t *testing.T) {
 	var c Config
-	c.setDefaults()
-	if c.Hours != 24 || c.Repetitions != 5 || c.Instances != 4 {
-		t.Fatalf("defaults = %+v", c)
+	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
+	c.Bind(fs, 0, "")
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.Spec.Hours != 24 || c.Spec.Instances != 4 || c.Spec.Seed != 0 || c.Spec.Subject != "" {
+		t.Fatalf("flag defaults = %+v", c.Spec)
+	}
+	if reps, err := c.repetitions(); err != nil || reps != 5 {
+		t.Fatalf("default repetitions = %d, %v", reps, err)
+	}
+	c.Repetitions = -1
+	if _, err := RunSubject(context.Background(), dnsSubject(t), c); err == nil {
+		t.Fatal("RunSubject accepted -1 repetitions")
+	}
+	if _, err := Ablations(context.Background(), nil, c); err == nil {
+		t.Fatal("Ablations accepted -1 repetitions")
 	}
 }

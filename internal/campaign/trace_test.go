@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 )
@@ -18,7 +19,7 @@ func TestCampaignTraceAndProgress(t *testing.T) {
 	tr := trace.New()
 	root := tr.Start("campaign-test")
 	prog := telemetry.NewProgress()
-	cfg := Config{Hours: 0.2, Repetitions: 2, Instances: 2, Trace: root, Progress: prog}
+	cfg := Config{Spec: spec.Campaign{Hours: 0.2, Instances: 2}, Repetitions: 2, Trace: root, Progress: prog}
 	if _, err := RunSubject(context.Background(), dnsSubject(t), cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -895,7 +895,7 @@ func (c *Coordinator) MinClock() float64 {
 // Horizon reports the campaign's virtual end time.
 func (c *Coordinator) Horizon() float64 {
 	if c.loop == nil {
-		return c.opts.VirtualHours * 3600
+		return c.opts.Horizon()
 	}
 	return c.loop.Horizon()
 }

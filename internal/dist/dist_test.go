@@ -173,9 +173,8 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestRunLocalMatchesInProcess pins the net.Pipe harness (the
-// `campaign -dist N` path) against the in-process result too, at a
-// different worker count than the TCP test.
+// TestRunLocalMatchesInProcess pins the net.Pipe harness against the
+// in-process result too, at a different worker count than the TCP test.
 func TestRunLocalMatchesInProcess(t *testing.T) {
 	sub := mustSubject(t, "MQTT")
 	opts := parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 3, Concurrency: 1}

@@ -11,8 +11,8 @@ import (
 
 // RunLocal runs a distributed campaign entirely in-process: a
 // coordinator plus `workers` worker loops, connected over net.Pipe.
-// It exists for `cmfuzz campaign -dist N`, for CI smoke tests, and as
-// the deterministic harness the failure-path tests build on — the
+// It exists for the benchmark's dist_loopback workload and as the
+// deterministic harness the failure-path tests build on — the
 // pipes are synchronous, so there is no kernel socket buffering to
 // make timings (and thus failure interleavings) flaky.
 //

@@ -16,6 +16,7 @@ import (
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/live"
 	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry/trace"
 	"cmfuzz/internal/wire"
@@ -369,22 +370,19 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		var sub subject.Subject
+		target := spec.Campaign{Subject: a.Subject}
 		if a.LiveSpec != "" {
 			// Live target: the spec travels inline, so any worker can
 			// spawn and drive the external server locally.
-			sub, err = live.SubjectFromJSON(a.LiveSpec)
+			ls, err := live.ParseSpec([]byte(a.LiveSpec))
 			if err != nil {
-				return 0, nil, fmt.Errorf("dist: live spec: %w", err)
+				return 0, nil, fmt.Errorf("dist: %w", err)
 			}
-		} else {
-			if w.cfg.Resolve == nil {
-				return 0, nil, errors.New("dist: worker has no subject resolver")
-			}
-			sub, err = w.cfg.Resolve(a.Subject)
-			if err != nil {
-				return 0, nil, fmt.Errorf("dist: resolve subject %q: %w", a.Subject, err)
-			}
+			target.Live = &ls
+		}
+		sub, err := target.Target(w.cfg.Resolve)
+		if err != nil {
+			return 0, nil, fmt.Errorf("dist: subject %q: %w", a.Subject, err)
 		}
 		host, err := parallel.NewHost(sub, a.Opts)
 		if err != nil {

@@ -47,8 +47,8 @@ import (
 
 	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/dist"
-	"cmfuzz/internal/live"
 	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/metrics"
@@ -69,19 +69,9 @@ type Config struct {
 	Concurrency int
 }
 
-// A CampaignSpec is one submitted campaign, as posted to /api/submit.
-// Exactly one of Subject (a built-in protocol name) and Live (an
-// inline live-target spec) selects the fuzzing target; when Live is
-// set, Subject serves only as a display label.
-type CampaignSpec struct {
-	ID        string     `json:"id"`
-	Subject   string     `json:"subject"`
-	Mode      string     `json:"mode,omitempty"` // cmfuzz (default) | peach | spfuzz
-	Hours     float64    `json:"hours"`
-	Seed      int64      `json:"seed"`
-	Instances int        `json:"instances,omitempty"` // 0 = parallel default
-	Live      *live.Spec `json:"live,omitempty"`      // live target instead of a built-in subject
-}
+// A CampaignSpec is one submitted campaign, as posted to /api/submit
+// and persisted as spec.json: the canonical campaign description.
+type CampaignSpec = spec.Campaign
 
 // Campaign lifecycle states.
 const (
@@ -109,7 +99,10 @@ type CampaignStatus struct {
 
 // campaignRec is the manager-side record of one campaign.
 type campaignRec struct {
-	spec  CampaignSpec
+	spec CampaignSpec
+	// opts is spec validated into campaign options, once, at submission
+	// or recovery; the zero value for a campaign that failed validation.
+	opts  parallel.Options
 	state string
 	err   string
 
@@ -266,7 +259,7 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 		if err != nil {
 			continue // not a campaign dir (or torn before the atomic spec write: never submitted)
 		}
-		rec := &campaignRec{spec: spec, state: StateQueued, horizon: spec.Hours * 3600, flight: newFlightRing()}
+		rec, invalid := newCampaignRec(spec)
 		if raw, err := os.ReadFile(filepath.Join(m.dir(spec.ID), "artifacts", "result.json")); err == nil {
 			rec.state = StateDone
 			rec.clock = rec.horizon
@@ -282,12 +275,17 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 				rec.execs = final.TotalExecs
 			}
 		}
-		// A corrupt or truncated checkpoint (torn write from a kill
-		// mid-rename, disk trouble) would otherwise fail the campaign's
-		// first slice after recovery. Quarantine it now — rename it
-		// aside, mark the campaign failed with the decode error so
-		// /api/status reports why — and keep scanning: one damaged
-		// campaign must not abort recovery of the rest.
+		// A spec Submit would refuse today (written by hand, or by a
+		// build that did not validate) and a corrupt or truncated
+		// checkpoint (torn write from a kill mid-rename, disk trouble)
+		// would otherwise fail — or panic — the campaign's first slice
+		// after recovery, on every restart. Mark the campaign failed now,
+		// with the reason so /api/status reports why (a bad checkpoint is
+		// also renamed aside), and keep scanning: one damaged campaign
+		// must not abort recovery of the rest.
+		if rec.state == StateQueued && invalid != nil {
+			rec.state, rec.err = StateFailed, invalid.Error()
+		}
 		if rec.state == StateQueued {
 			ckPath := filepath.Join(m.dir(spec.ID), "checkpoint.bin")
 			if blob, err := os.ReadFile(ckPath); err == nil {
@@ -302,6 +300,13 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 		m.order = append(m.order, spec.ID)
 	}
 	return m, nil
+}
+
+// newCampaignRec builds the record of a queued campaign and reports
+// whether its spec is valid.
+func newCampaignRec(spec CampaignSpec) (*campaignRec, error) {
+	opts, err := spec.Options()
+	return &campaignRec{spec: spec, opts: opts, state: StateQueued, horizon: opts.Horizon(), flight: newFlightRing()}, err
 }
 
 func (m *Manager) dir(id string) string { return filepath.Join(m.cfg.StateDir, id) }
@@ -330,13 +335,11 @@ func (m *Manager) Submit(spec CampaignSpec) error {
 	if !validID(spec.ID) {
 		return fmt.Errorf("fleet: invalid campaign id %q", spec.ID)
 	}
-	if spec.Hours <= 0 {
-		return fmt.Errorf("fleet: campaign %q: hours must be positive", spec.ID)
+	rec, err := newCampaignRec(spec)
+	if err != nil {
+		return fmt.Errorf("fleet: campaign %q: %w", spec.ID, err)
 	}
-	if _, err := m.options(spec); err != nil {
-		return err
-	}
-	if _, err := m.subjectFor(spec); err != nil {
+	if _, err := spec.Target(m.resolve); err != nil {
 		return fmt.Errorf("fleet: campaign %q: %w", spec.ID, err)
 	}
 
@@ -351,42 +354,11 @@ func (m *Manager) Submit(spec CampaignSpec) error {
 	if err := writeSpec(filepath.Join(m.dir(spec.ID), "spec.json"), spec); err != nil {
 		return err
 	}
-	m.campaigns[spec.ID] = &campaignRec{spec: spec, state: StateQueued, horizon: spec.Hours * 3600, flight: newFlightRing()}
+	m.campaigns[spec.ID] = rec
 	m.order = append(m.order, spec.ID)
 	m.cond.Broadcast()
 	m.events.publish(StreamEvent{Type: "submit", Campaign: spec.ID, State: StateQueued})
 	return nil
-}
-
-// subjectFor maps a spec to its fuzzing target: an inline live-target
-// spec when one is present (validated and instantiated fresh per
-// call — a live Subject carries per-campaign rails state), otherwise
-// a built-in subject by name.
-func (m *Manager) subjectFor(spec CampaignSpec) (subject.Subject, error) {
-	if spec.Live != nil {
-		return live.NewSubject(*spec.Live)
-	}
-	return m.resolve(spec.Subject)
-}
-
-// options maps a spec to campaign options. Concurrency is pinned to 1:
-// relation probing order must be deterministic for the restart
-// byte-identity guarantee, and the probe phase is a one-off.
-func (m *Manager) options(spec CampaignSpec) (parallel.Options, error) {
-	mode := parallel.ModeCMFuzz
-	if spec.Mode != "" {
-		var err error
-		if mode, err = parallel.ParseMode(spec.Mode); err != nil {
-			return parallel.Options{}, fmt.Errorf("fleet: campaign %q: %w", spec.ID, err)
-		}
-	}
-	return parallel.Options{
-		Mode:         mode,
-		Instances:    spec.Instances,
-		VirtualHours: spec.Hours,
-		Seed:         spec.Seed,
-		Concurrency:  1,
-	}, nil
 }
 
 // Status snapshots every campaign in submission order.
@@ -399,7 +371,7 @@ func (m *Manager) Status() []CampaignStatus {
 		out = append(out, CampaignStatus{
 			ID:      c.spec.ID,
 			Subject: c.spec.Subject,
-			Mode:    c.spec.Mode,
+			Mode:    c.opts.Mode.String(),
 			State:   c.state,
 			Clock:   c.clock,
 			Horizon: c.horizon,
@@ -472,17 +444,17 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 		m.setState(c, StateRunning)
 		return nil
 	}
-	sub, err := m.subjectFor(c.spec)
+	sub, err := c.spec.Target(m.resolve)
 	if err != nil {
 		return err
 	}
-	opts, err := m.options(c.spec)
-	if err != nil {
-		return err
-	}
-	// A fresh plain recorder per campaign lifetime — not a run-stamped
-	// one — so a restored campaign's event log continues the
-	// checkpointed stream byte-for-byte.
+	// Concurrency is pinned to 1: relation probing order must be
+	// deterministic for the restart byte-identity guarantee, and the
+	// probe phase is a one-off. A fresh plain recorder per campaign
+	// lifetime — not a run-stamped one — so a restored campaign's event
+	// log continues the checkpointed stream byte-for-byte.
+	opts := c.opts
+	opts.Concurrency = 1
 	opts.Telemetry = telemetry.New()
 	coord := dist.NewCoordinatorOn(m.pool, sub, opts)
 	coord.SetObserver(m.observer(c))
@@ -684,7 +656,7 @@ func (m *Manager) allocate() []allocation {
 		best := -1
 		bestAvg := math.Inf(-1)
 		for i := range out {
-			if out[i].workers >= instanceCap(out[i].c.spec) {
+			if out[i].workers >= out[i].c.instanceCap() {
 				continue
 			}
 			avg := score[out[i].c] / float64(out[i].workers+1)
@@ -715,12 +687,12 @@ func (m *Manager) allocate() []allocation {
 }
 
 // instanceCap is the campaign's parallel instance count — the point
-// past which extra workers would idle (parallel's default is 4).
-func instanceCap(spec CampaignSpec) int {
-	if spec.Instances > 0 {
-		return spec.Instances
+// past which extra workers would idle.
+func (c *campaignRec) instanceCap() int {
+	if c.opts.Instances > 0 {
+		return c.opts.Instances
 	}
-	return 4
+	return parallel.DefaultInstances
 }
 
 // Step runs one scheduling round: allocate shares, reconcile what each
@@ -977,7 +949,7 @@ func (m *Manager) enforceWarmCap() {
 	for _, c := range m.held() {
 		if c.coord != nil && c.part == nil {
 			warm = append(warm, c)
-			kept += instanceCap(c.spec)
+			kept += c.instanceCap()
 		}
 	}
 	sort.SliceStable(warm, func(i, j int) bool { return warm[i].lastRound < warm[j].lastRound })
@@ -985,7 +957,7 @@ func (m *Manager) enforceWarmCap() {
 		if kept <= budget {
 			return
 		}
-		kept -= instanceCap(c.spec)
+		kept -= c.instanceCap()
 		c.miss = "evicted_lru"
 		m.park(c)
 	}

@@ -1,7 +1,11 @@
 package fleet_test
 
 import (
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,5 +118,93 @@ func TestSubmitRejectsUnknownMode(t *testing.T) {
 		if err := m.Submit(fleet.CampaignSpec{ID: "ok-" + mode, Subject: "DNS", Mode: mode, Hours: 0.1}); err != nil {
 			t.Fatalf("Submit with mode %q: %v", mode, err)
 		}
+	}
+}
+
+// TestSubmitRejectsOutOfRangeSpec: bodies that used to be answered 202,
+// persisted, and then panicked the scheduler in parallel.NewLoop on the
+// first slice (and on every restart that recovered them) are refused at
+// the door with the reason, and nothing reaches the state directory.
+func TestSubmitRejectsOutOfRangeSpec(t *testing.T) {
+	pool, stop := newPool(t, 1)
+	defer stop()
+	state := t.TempDir()
+	m, err := fleet.NewManager(fleet.Config{StateDir: state}, pool, protocols.ByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(m.APIHandler())
+	defer srv.Close()
+	for body, reason := range map[string]string{
+		`{"id":"neg","subject":"DNS","hours":1,"instances":-1}`:         "instances -1",
+		`{"id":"inf","subject":"DNS","hours":1e308}`:                    "hours 1e+308",
+		`{"id":"big","subject":"DNS","hours":1,"instances":1000000000}`: "instances 1000000000",
+		`{"id":"loss","subject":"DNS","hours":1,"link_loss":2}`:         "link_loss 2",
+		`{"id":"alloc","subject":"DNS","hours":1,"alloc":"greedy"}`:     `unknown allocator "greedy"`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), reason) {
+			t.Errorf("%s: %d %q, want 400 naming %q", body, resp.StatusCode, raw, reason)
+		}
+		var spec fleet.CampaignSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if m.Submit(spec) == nil {
+			t.Errorf("Manager.Submit accepted %s", body)
+		}
+	}
+	if entries, err := os.ReadDir(state); err != nil || len(entries) != 0 {
+		t.Fatalf("state dir after rejected submits: %v, err %v; want empty", entries, err)
+	}
+	if ok, err := m.Step(context.Background()); ok || err != nil {
+		t.Fatalf("Step with nothing accepted = %v, %v", ok, err)
+	}
+}
+
+// TestRecoveryFailsInvalidSpec: a spec.json Submit would refuse today —
+// left by a build that did not validate, or written by hand — comes
+// back failed with the reason instead of panicking the scheduler on
+// every restart, and the campaigns around it recover and drain.
+func TestRecoveryFailsInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	for id, raw := range map[string]string{
+		"evil": `{"id":"evil","subject":"DNS","hours":1,"seed":1,"instances":-1}`,
+		"good": `{"id":"good","subject":"DNS","hours":0.05,"seed":1,"instances":2}`,
+	} {
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "spec.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool, stop := newPool(t, 1)
+	defer stop()
+	m, err := fleet.NewManager(fleet.Config{StateDir: dir}, pool, protocols.ByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil := findStatus(t, m, "evil")
+	if evil.State != fleet.StateFailed || !strings.Contains(evil.Error, "instances -1") {
+		t.Fatalf("invalid spec recovered as %s (%q), want failed with the reason", evil.State, evil.Error)
+	}
+	// An omitted mode reads back as the fuzzer that will run.
+	if good := findStatus(t, m, "good"); good.State != fleet.StateQueued || good.Mode != "CMFuzz" {
+		t.Fatalf("healthy neighbour recovered as %s mode %q", good.State, good.Mode)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if good := findStatus(t, m, "good"); good.State != fleet.StateDone {
+		t.Fatalf("healthy neighbour ended %s (%s)", good.State, good.Error)
+	}
+	if evil := findStatus(t, m, "evil"); evil.State != fleet.StateFailed {
+		t.Fatalf("invalid campaign ended %s", evil.State)
 	}
 }

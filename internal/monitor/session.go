@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
@@ -25,6 +26,15 @@ type SessionConfig struct {
 	MonitorAddr string
 	// RootSpan names the tracer's root span ("fuzz", "campaign", ...).
 	RootSpan string
+}
+
+// Bind registers the session flags on fs. Every command that observes
+// campaigns takes the same four, so they are defined here once.
+func (c *SessionConfig) Bind(fs *flag.FlagSet) {
+	fs.BoolVar(&c.Telemetry, "telemetry", false, "collect structured events; print the timeline and counters")
+	fs.StringVar(&c.EventsPath, "events", "", "write the structured event stream as JSONL to this file (implies -telemetry)")
+	fs.StringVar(&c.TracePath, "trace", "", "write a wall-clock Chrome trace (chrome://tracing / Perfetto) to this file; a coordinator stitches worker spans in as extra process lanes")
+	fs.StringVar(&c.MonitorAddr, "monitor", "", "serve /status, /metrics, /healthz and /debug/pprof on this host:port (implies -telemetry)")
 }
 
 // A Session bundles every observability sink one CLI run wires up.

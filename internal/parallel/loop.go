@@ -141,7 +141,7 @@ func openLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop 
 	}
 	res.Mode = opts.Mode
 	res.Subject = host.Sub.Info()
-	horizon := opts.VirtualHours * 3600
+	horizon := opts.Horizon()
 	opts.Progress.StartRun(opts.Label, opts.Mode.String(), res.Subject.Protocol, horizon, opts.Instances)
 	return &Loop{
 		Opts: opts, Res: res, Union: union, LoopState: st,

@@ -169,12 +169,19 @@ type Options struct {
 	Label string
 }
 
+// The paper's campaign shape (§IV): what a zero Instances or
+// VirtualHours means, and what the command line shows as its default.
+const (
+	DefaultInstances = 4
+	DefaultHours     = 24
+)
+
 func (o *Options) setDefaults() {
 	if o.Instances == 0 {
-		o.Instances = 4
+		o.Instances = DefaultInstances
 	}
 	if o.VirtualHours == 0 {
-		o.VirtualHours = 24
+		o.VirtualHours = DefaultHours
 	}
 	if o.StepCost == 0 {
 		o.StepCost = 2.0
@@ -198,6 +205,9 @@ func (o *Options) setDefaults() {
 		o.SampleEvery = 300
 	}
 }
+
+// Horizon is the campaign's virtual end time in seconds.
+func (o Options) Horizon() float64 { return o.VirtualHours * 3600 }
 
 // InstanceResult summarizes one parallel instance.
 type InstanceResult struct {
