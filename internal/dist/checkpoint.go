@@ -26,9 +26,10 @@ import (
 // lease batches) — is serialized directly. Worker-owned engine state
 // (fuzzing engine, RNG, saturation tracker, booted target) is NOT
 // serialized — it is reconstructed by deterministic replay: Restore
-// re-boots each instance at the clock of its last (re)boot and re-sends
-// its journaled leases (same boundaries, same seed imports, same
-// horizon), discarding the replies. Every instance is a deterministic
+// re-boots every instance at the clock of its last (re)boot and then
+// re-sends their journaled leases (same boundaries, same seed imports,
+// same horizon) down the path every lease takes, all instances at once,
+// discarding the replies (replay). Every instance is a deterministic
 // function of its spec and lease history, so the rebuilt engines land in
 // the exact state the checkpointed batches were produced from, and the
 // campaign continues as if never interrupted.
@@ -53,12 +54,34 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 	}
 
 	l := c.loop
-	res, tel := l.Res, l.Opts.Telemetry
+	blob, err := encodeCheckpoint(&checkpoint{
+		protocol:      l.Res.Subject.Protocol,
+		opts:          l.Opts,
+		specs:         st.specs,
+		res:           l.Res,
+		union:         l.Union,
+		tel:           l.Opts.Telemetry,
+		loop:          l.LoopState,
+		syncBytes:     c.syncBytes.Load(),
+		workerDeaths:  c.workerDeaths.Load(),
+		reassignments: c.reassignments.Load(),
+		inst:          st.inst,
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.checkpointed = true
+	return blob, nil
+}
+
+// encodeCheckpoint is decodeCheckpoint's inverse.
+func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
+	res, tel := ck.res, ck.tel
 	w := wire.NewWriter(1 << 16)
 	w.String16(checkpointMagic)
 	w.U8(checkpointVersion)
-	w.String16(res.Subject.Protocol)
-	encodeOptions(w, l.Opts)
+	w.String16(ck.protocol)
+	encodeOptions(w, ck.opts)
 
 	// Plan-derived Result fields. Stored so Restore never re-runs
 	// host.Plan — planning probes the target and emits group telemetry,
@@ -70,13 +93,13 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 	for _, g := range res.Groups {
 		putStrings(w, g.Members)
 	}
-	w.U16(uint16(len(st.specs)))
-	for _, s := range st.specs {
+	w.U16(uint16(len(ck.specs)))
+	for _, s := range ck.specs {
 		encodeSpec(w, s)
 	}
 
 	// Global replay state: union map, series, ledger, telemetry.
-	w.Bytes32(coverage.EncodeDelta(l.Union, nil))
+	w.Bytes32(coverage.EncodeDelta(ck.union, nil))
 	pts := res.Series.Points()
 	w.U32(uint32(len(pts)))
 	for _, p := range pts {
@@ -110,19 +133,19 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		putI64(w, int64(counters[name]))
 	}
 
-	putF64(w, l.Watermark)
-	putF64(w, l.LastSample)
-	putI64(w, c.syncBytes.Load())
-	putI64(w, c.workerDeaths.Load())
-	putI64(w, c.reassignments.Load())
+	putF64(w, ck.loop.Watermark)
+	putF64(w, ck.loop.LastSample)
+	putI64(w, ck.syncBytes)
+	putI64(w, ck.workerDeaths)
+	putI64(w, ck.reassignments)
 
 	// Per-instance state: the loop's clock and sync schedule, then the
 	// replica.
-	w.U32(uint32(len(st.inst)))
-	for i := range st.inst {
-		in := &st.inst[i]
-		putF64(w, l.Clock[i])
-		putF64(w, l.NextSync[i])
+	w.U32(uint32(len(ck.inst)))
+	for i := range ck.inst {
+		in := &ck.inst[i]
+		putF64(w, ck.loop.Clock[i])
+		putF64(w, ck.loop.NextSync[i])
 		putF64(w, in.resumeClock)
 		w.U32(uint32(in.crashes))
 		w.U32(uint32(in.muts))
@@ -147,7 +170,6 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 			appendLeaseStep(w, &remaining[j])
 		}
 	}
-	c.checkpointed = true
 	return w.Bytes(), nil
 }
 
@@ -305,8 +327,10 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 // Trace, Progress, and Label come from the caller's options; they feed
 // operator-facing surfaces, not artifacts.
 //
-// A worker failure during Restore is an error: reassignment recovery
-// starts once the campaign is advancing again.
+// A worker that dies during Restore costs the campaign nothing: what it
+// held is re-booted on a survivor and replayed again, and the death shows
+// in Stats and the Observer but not in the telemetry artifacts are
+// written from.
 func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if c.st != nil {
 		return errors.New("dist: coordinator already started")

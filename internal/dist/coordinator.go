@@ -421,9 +421,12 @@ type runState struct {
 	workers []*workerConn // pool snapshot taken at Start/Restore
 	inst    []replica
 	cur     *parallel.LeaseStep // the record the loop is on
-	// restored marks replicas loaded from a checkpoint: Boot then
-	// fast-forwards the instances instead of starting their history.
-	restored bool
+	// restoring holds while Restore puts checkpointed instances back:
+	// a boot is then quiet and at the clock of the instance's last
+	// (re)boot, and a worker lost meanwhile costs the campaign nothing —
+	// the checkpoint holds everything it held — so it stays out of the
+	// telemetry an artifact is written from.
+	restoring bool
 }
 
 // A replica is the coordinator's picture of one instance: what the loop
@@ -468,36 +471,37 @@ func newReplicas(n int) []replica {
 	return inst
 }
 
-// dispatch hands instance i its next lease: the seeds its last sync
-// collected, and a budget up to its next sync boundary or the horizon.
-// The request goes straight onto the owner's connection; the reply is
-// picked up by fill when the loop next needs a record of i.
-func (c *Coordinator) dispatch(i int) {
+// send puts one of instance i's journaled leases on its owner's
+// connection: the one place a lease is issued, for the first time
+// (dispatch) or again (replay). The reply is picked up by await.
+func (c *Coordinator) send(i int, j leaseJournal) {
 	in := &c.st.inst[i]
-	boundary := c.loop.NextSync[i]
-	l := lease{Campaign: c.campaign, Index: i, Boundary: boundary, Horizon: c.loop.Horizon(), Seeds: in.pending}
-	in.journal = append(in.journal, leaseJournal{Boundary: boundary, Seeds: in.pending})
-	c.checkpointed = false
-	in.pending = nil
-	in.batch = nil
-	in.pos = 0
-	payload := encodeLease(l)
+	payload := encodeLease(lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds})
 	in.sent, in.reqBytes = time.Now(), len(payload)
 	in.inflight = in.owner.send(msgLease, payload, c.cfg.RPCTimeout)
 }
 
-// fill consumes instance i's in-flight lease reply as its next batch. A
-// lease that fails because its worker died is retried whole on a
-// surviving worker: the reply is
-// all-or-nothing, so zero records were replayed and the re-booted
-// instance resumes at the lease's start clock — which is exactly the
-// loop's current clock for i. A ctx that ends first returns ctx.Err()
-// without consuming anything: the reply waits in its channel and the
-// next Advance (or the checkpoint drain) picks it up.
-func (c *Coordinator) fill(ctx context.Context, i int) error {
+// dispatch hands instance i its next lease: the seeds its last sync
+// collected, and a budget up to its next sync boundary or the horizon.
+// The reply is picked up by fill when the loop next needs a record of i.
+func (c *Coordinator) dispatch(i int) {
+	in := &c.st.inst[i]
+	j := leaseJournal{Boundary: c.loop.NextSync[i], Seeds: in.pending}
+	in.journal = append(in.journal, j)
+	c.checkpointed = false
+	in.pending = nil
+	in.batch = nil
+	in.pos = 0
+	c.send(i, j)
+}
+
+// await takes instance i's in-flight lease reply. A ctx that ends first
+// returns ctx.Err() without consuming anything: the reply waits in its
+// channel and the next Advance (or the checkpoint drain) picks it up.
+func (c *Coordinator) await(ctx context.Context, i int) (reply, error) {
 	in := &c.st.inst[i]
 	if in.inflight == nil {
-		return fmt.Errorf("dist: instance %d has no lease in flight", i)
+		return reply{}, fmt.Errorf("dist: instance %d has no lease in flight", i)
 	}
 	var rep reply
 	select {
@@ -506,18 +510,27 @@ func (c *Coordinator) fill(ctx context.Context, i int) error {
 		select {
 		case rep = <-in.inflight:
 		case <-ctx.Done():
-			return ctx.Err()
+			return reply{}, ctx.Err()
 		}
 	}
 	in.inflight = nil
+	return rep, nil
+}
+
+// fill consumes instance i's in-flight lease reply as its next batch. A
+// lease that fails because its worker died is retried whole on a
+// surviving worker: the reply is
+// all-or-nothing, so zero records were replayed and the re-booted
+// instance resumes at the lease's start clock — which is exactly the
+// loop's current clock for i.
+func (c *Coordinator) fill(ctx context.Context, i int) error {
+	rep, err := c.await(ctx, i)
+	if err != nil {
+		return err
+	}
 	recs, err := c.leaseResult(i, rep)
 	if err != nil {
-		wc := in.owner
-		if !wc.dead.Load() {
-			return err // application error: campaign-fatal
-		}
-		c.markDead(wc)
-		if rerr := c.reassign(i); rerr != nil {
+		if rerr := c.rehome(i, err); rerr != nil {
 			return rerr
 		}
 		c.dispatch(i)
@@ -525,7 +538,46 @@ func (c *Coordinator) fill(ctx context.Context, i int) error {
 	}
 	// A lease goes out only once the batch before it is exhausted
 	// (dispatch), so the reply is the whole batch.
+	in := &c.st.inst[i]
 	in.batch, in.pos = recs, 0
+	return nil
+}
+
+// replay rebuilds the worker-side half of a restored campaign — engine,
+// corpus, RNG, saturation state — by re-sending every quiet-booted
+// instance the leases it was sent before: one chain per instance (never
+// two leases in flight for one instance), every chain in flight at once
+// so the worker's lanes all run, each pass of the loop taking one reply
+// per chain and sending that chain's next lease. The replies are checked
+// and dropped: their records are in the restored state already, or in
+// the checkpointed batch. A chain whose worker dies starts over on a
+// survivor, and the campaign has lost nothing.
+func (c *Coordinator) replay(ctx context.Context) error {
+	st := c.st
+	sent := make([]int, len(st.inst)) // journal entries re-sent to each instance's current boot
+	for busy := true; busy; {
+		busy = false
+		for i := range st.inst {
+			in := &st.inst[i]
+			if in.inflight != nil {
+				rep, err := c.await(ctx, i)
+				if err != nil {
+					return err
+				}
+				if _, err := in.owner.expect(rep, msgLeaseResult); err != nil {
+					if rerr := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); rerr != nil {
+						return rerr
+					}
+					sent[i] = 0
+				}
+			}
+			if sent[i] < len(in.journal) {
+				c.send(i, in.journal[sent[i]])
+				sent[i]++
+				busy = true
+			}
+		}
+	}
 	return nil
 }
 
@@ -574,11 +626,26 @@ func (c *Coordinator) markDead(wc *workerConn) {
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
 		c.workerDeaths.Add(1)
-		c.loop.Opts.Telemetry.Count(telemetry.CtrWorkerDeaths, 1)
+		if !c.st.restoring {
+			c.loop.Opts.Telemetry.Count(telemetry.CtrWorkerDeaths, 1)
+		}
 		if c.obs.Death != nil {
 			c.obs.Death(wc.name)
 		}
 	}
+}
+
+// rehome answers a request of instance i's that failed with err: a
+// worker that is still alive failed it on purpose and err is returned —
+// campaign-fatal, as in-process; a dead one is counted and the instance
+// re-booted on the next live worker.
+func (c *Coordinator) rehome(i int, err error) error {
+	wc := c.st.inst[i].owner
+	if !wc.dead.Load() {
+		return err
+	}
+	c.markDead(wc)
+	return c.reassign(i)
 }
 
 // bootOn boots instance i on wc (resuming at resumeClock), replays the
@@ -620,31 +687,47 @@ func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet b
 	return nil
 }
 
+// bootClock is where a (re)boot of instance i resumes: the loop's clock
+// for it, or — while restoring — the clock of its last (re)boot, from
+// which its journal replays.
+func (c *Coordinator) bootClock(i int) float64 {
+	if c.st.restoring {
+		return c.st.inst[i].resumeClock
+	}
+	return c.loop.Clock[i]
+}
+
 // reassign moves instance i off its dead owner onto the next live
 // worker, resuming at the loop's clock for it. The dead worker's corpus
 // progress for the instance is lost — the fresh instance reboots from
 // its original spec — but the union map, series, ledger, and schedule
-// are the loop's and survive intact.
+// are the loop's and survive intact. While restoring nothing is lost and
+// nothing reset: the boot is quiet, and replay re-sends the journal.
 func (c *Coordinator) reassign(i int) error {
 	tel := c.loop.Opts.Telemetry
 	in := &c.st.inst[i]
+	quiet := c.st.restoring
 	for {
 		wc := c.alive(c.st.slot(in.owner) + 1)
 		if wc == nil {
 			return errors.New("dist: no live workers left")
 		}
 		c.reassignments.Add(1)
-		tel.Count(telemetry.CtrReassignments, 1)
-		err := c.bootOn(wc, i, c.loop.Clock[i], false)
+		if !quiet {
+			tel.Count(telemetry.CtrReassignments, 1)
+		}
+		err := c.bootOn(wc, i, c.bootClock(i), quiet)
 		if err == nil {
-			tel.Count(telemetry.CtrBoots, 1)
-			// The fresh instance starts with an empty corpus and a zeroed
-			// exec counter; the mirror must match it. The lease journal
-			// restarts from this boot, too.
-			in.execs = 0
-			in.mirror = fuzz.NewCorpus(0)
-			in.journal = nil
-			in.resumeClock = c.loop.Clock[i]
+			if !quiet {
+				tel.Count(telemetry.CtrBoots, 1)
+				// The fresh instance starts with an empty corpus and a zeroed
+				// exec counter; the mirror must match it. The lease journal
+				// restarts from this boot, too.
+				in.execs = 0
+				in.mirror = fuzz.NewCorpus(0)
+				in.journal = nil
+				in.resumeClock = c.loop.Clock[i]
+			}
 			return nil
 		}
 		if wc.dead.Load() {
@@ -661,37 +744,18 @@ func (c *Coordinator) reassign(i int) error {
 
 // Boot boots instance i on its round-robin worker — the loop asks in
 // instance order, so ledger entries and telemetry events from startup
-// land as they do in-process. After Restore it instead puts the instance
-// back where the checkpoint left it: a quiet re-boot at the clock of its
-// last (re)boot, then a replay of the journaled leases to rebuild the
-// worker-side engine, corpus, RNG, and saturation state. Those replies
-// are discarded — their records are either already in the restored
-// state or stored in the remaining batch.
+// land as they do in-process. After Restore the boot is quiet and at the
+// clock of the instance's last (re)boot; replay then puts the instance
+// back where the checkpoint left it, once every instance is booted.
 func (st *runState) Boot(i int) (int, error) {
 	c, in := st.c, &st.inst[i]
 	wc := c.alive(i % len(st.workers))
 	if wc == nil {
 		return 0, errors.New("dist: no live workers left")
 	}
-	if st.restored {
-		if err := c.bootOn(wc, i, in.resumeClock, true); err != nil {
-			return 0, fmt.Errorf("dist: restore boot of instance %d: %w", i, err)
-		}
-		for _, j := range in.journal {
-			l := lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds}
-			if _, err := wc.rpc(msgLease, encodeLease(l), msgLeaseResult, c.cfg.RPCTimeout); err != nil {
-				return 0, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)
-			}
-		}
-		return in.startEdges, nil
-	}
 	in.owner = wc
-	if err := c.bootOn(wc, i, 0, false); err != nil {
-		if !wc.dead.Load() {
-			return 0, fmt.Errorf("parallel: instance %d failed to start: %w", i, err)
-		}
-		c.markDead(wc)
-		if rerr := c.reassign(i); rerr != nil {
+	if err := c.bootOn(wc, i, c.bootClock(i), st.restoring); err != nil {
+		if rerr := c.rehome(i, fmt.Errorf("parallel: instance %d failed to start: %w", i, err)); rerr != nil {
 			return 0, rerr
 		}
 	}
@@ -801,11 +865,7 @@ func (st *runState) Result(i int) (parallel.InstanceResult, error) {
 		if err == nil {
 			return decodeInstanceResult(p)
 		}
-		if !wc.dead.Load() {
-			return parallel.InstanceResult{}, err // worker alive but request failed: not recoverable by reassignment
-		}
-		c.markDead(wc)
-		if rerr := c.reassign(i); rerr != nil {
+		if rerr := c.rehome(i, err); rerr != nil {
 			return parallel.InstanceResult{}, rerr
 		}
 	}
@@ -862,15 +922,21 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	}
 
 	st := &runState{
-		c:        c,
-		specs:    append([]parallel.InstanceSpec(nil), specs...),
-		workers:  workers,
-		inst:     inst,
-		restored: restored,
+		c:         c,
+		specs:     append([]parallel.InstanceSpec(nil), specs...),
+		workers:   workers,
+		inst:      inst,
+		restoring: restored,
 	}
 	c.st = st
 	if err := c.loop.Boot(ctx, st); err != nil {
 		return err
+	}
+	if restored {
+		if err := c.replay(ctx); err != nil {
+			return err
+		}
+		st.restoring = false
 	}
 	// After Start that is every instance. A restored instance left
 	// mid-campaign has unreplayed records (a batch drains only right

@@ -2,17 +2,26 @@ package dist
 
 import (
 	"bytes"
+	"compress/gzip"
+	"context"
 	"errors"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 	"cmfuzz/internal/wire"
 )
 
-// Everything below faces bytes straight off a socket. Each target pins
+// Everything below faces bytes straight off a socket — or, for the
+// checkpoint, off a disk a crash may have torn. Each target pins
 // the same two properties: arbitrary input either parses or fails with an
 // error — never a panic, never an allocation sized by a length field the
 // input has not backed with bytes — and whatever parses survives a trip
@@ -164,6 +173,108 @@ func FuzzDecodeBootResult(f *testing.F) {
 		}
 		if twice := encodeBootResult(back); !bytes.Equal(twice, once) {
 			t.Fatalf("boot result changed across a round trip:\n got %+v\nwant %+v", back, b)
+		}
+	})
+}
+
+// midCampaignCheckpoint runs a small campaign to the middle of its
+// second sync window and checkpoints it there, with records still to
+// replay.
+func midCampaignCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	sub, err := protocols.ByName("DNS")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	coord := NewCoordinator(sub, parallel.Options{
+		Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: 5, Concurrency: 1,
+		SaturationWindow: 30, Telemetry: telemetry.New(),
+	}, Config{HeartbeatInterval: -1})
+	cConn, wConn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
+	defer func() {
+		coord.Close()
+		if err := <-served; err != nil {
+			tb.Error(err)
+		}
+	}()
+	ctx := context.Background()
+	if err := coord.AddConn(cConn); err != nil {
+		tb.Fatal(err)
+	}
+	if err := coord.Start(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if err := coord.Advance(ctx, 800); err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := coord.Checkpoint()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
+// and every cold restore run on checkpoint.bin. Seeds: the checkpoint a
+// PR-12 binary wrote (kept as a restore fixture) and one this build just
+// took, each of which must re-encode to exactly its own bytes, and a few
+// torn and flipped copies.
+func FuzzValidateCheckpoint(f *testing.F) {
+	zf, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer zf.Close()
+	zr, err := gzip.NewReader(zf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pr12, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(nil))
+	for _, good := range [][]byte{pr12, midCampaignCheckpoint(f)} {
+		ck, err := decodeCheckpoint(good)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if back, err := encodeCheckpoint(ck); err != nil || !bytes.Equal(back, good) {
+			f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes (%v)", len(good), len(back), err)
+		}
+		f.Add(good)
+		for _, cut := range []int{len(checkpointMagic), len(good) / 3, len(good) - 1} {
+			f.Add(good[:cut])
+		}
+		for _, at := range []int{len(checkpointMagic) + 2, len(good) / 2, len(good) - 1} {
+			flipped := append([]byte(nil), good...)
+			flipped[at] ^= 0xFF
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := decodeCheckpoint(data)
+		if err != nil {
+			if ck != nil {
+				t.Fatal("failed decode returned a checkpoint")
+			}
+			return
+		}
+		// Booleans, varints and duplicate keys have more than one
+		// spelling, so the input need not be what the value encodes to;
+		// that encoding must be a fixed point.
+		once, err := encodeCheckpoint(ck)
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not encode: %v", err)
+		}
+		back, err := decodeCheckpoint(once)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not parse: %v", err)
+		}
+		if twice, err := encodeCheckpoint(back); err != nil || !bytes.Equal(twice, once) {
+			t.Fatalf("checkpoint changed across a round trip: %d bytes, then %d (%v)", len(once), len(twice), err)
 		}
 	})
 }

@@ -163,29 +163,33 @@ func (p *Pool) AcquirePreferring(n int, prefer []string) *Partition {
 	return &Partition{pool: p, workers: got}
 }
 
-// AcquireExact leases exactly the workers c captured at Start/Restore —
-// the connections that still hold c's booted instances — so a
-// coordinator that was set aside between slices (its partition
-// released, nothing closed) continues its lease loop where it stopped,
-// with nothing re-booted and nothing re-executed. Members are matched by
-// connection, never by name: a worker that died and re-attached under
-// its old name is a different connection with none of c's state on it.
-// All or nothing; a miss leases nothing and names the first reason
-// found — "dead" (a captured worker has died), "size" (the grant n is
-// not the captured count) or "leased" (a member is in another
-// partition) — and the caller falls back to Close and Restore.
-func (p *Pool) AcquireExact(c *Coordinator, n int) (*Partition, string) {
-	var held []*workerConn
-	if c.st != nil {
-		held = c.st.workers
+// AcquireExact leases the live workers c captured at Start/Restore — the
+// connections that hold c's booted instances — so a coordinator that was
+// set aside between slices (its partition released, nothing closed)
+// continues its lease loop where it stopped, with nothing re-booted and
+// nothing re-executed. Members are matched by connection, never by name:
+// a worker that died and re-attached under its old name is a different
+// connection with none of c's state on it. All or nothing; a miss leases
+// nothing and says what the caller can do about it: "leased" — a member
+// is in another partition, and c is intact for whoever waits — or "dead"
+// — an instance of c sits on a worker that has died (or c never
+// started), so there is nothing to continue and the caller falls back to
+// Close and Restore. A captured worker whose death c has already
+// absorbed, its instances re-homed within the set, is simply left out.
+func (p *Pool) AcquireExact(c *Coordinator) (*Partition, string) {
+	if c.st == nil {
+		return nil, "dead"
 	}
-	for _, wc := range held {
-		if wc.dead.Load() {
+	for i := range c.st.inst {
+		if c.st.inst[i].owner.dead.Load() {
 			return nil, "dead"
 		}
 	}
-	if n <= 0 || len(held) != n {
-		return nil, "size"
+	var held []*workerConn
+	for _, wc := range c.st.workers {
+		if !wc.dead.Load() {
+			held = append(held, wc)
+		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -197,7 +201,7 @@ func (p *Pool) AcquireExact(c *Coordinator, n int) (*Partition, string) {
 	for _, wc := range held {
 		p.leased[wc] = true
 	}
-	return &Partition{pool: p, workers: append([]*workerConn(nil), held...)}, ""
+	return &Partition{pool: p, workers: held}, ""
 }
 
 // Release returns the partition's members to the pool's free set

@@ -175,8 +175,8 @@ func TestAcquirePreferring(t *testing.T) {
 }
 
 // TestAcquireExact pins the suspended-campaign re-grant: a coordinator
-// gets back exactly the connections it captured, all or nothing, and a
-// miss names why and leases nothing.
+// gets back exactly the live connections it captured, all or nothing,
+// and a miss names why and leases nothing.
 func TestAcquireExact(t *testing.T) {
 	p := NewPool(Config{HeartbeatInterval: -1})
 	defer p.Close()
@@ -186,9 +186,12 @@ func TestAcquireExact(t *testing.T) {
 	}
 	// The captured set is a subset of the pool that plain attach-order
 	// acquisition would never pick.
-	c := &Coordinator{st: &runState{workers: []*workerConn{ws[1], ws[3]}}}
+	c := &Coordinator{st: &runState{
+		workers: []*workerConn{ws[1], ws[3]},
+		inst:    []replica{{owner: ws[1]}, {owner: ws[3]}},
+	}}
 
-	pt, miss := p.AcquireExact(c, 2)
+	pt, miss := p.AcquireExact(c)
 	if pt == nil || miss != "" || pt.Size() != 2 || pt.workers[0] != ws[1] || pt.workers[1] != ws[3] {
 		t.Fatalf("AcquireExact with the set free = %v, %q; want [w1 w3]", pt.Names(), miss)
 	}
@@ -202,30 +205,36 @@ func TestAcquireExact(t *testing.T) {
 	}
 	pt.Release()
 
-	misses := func(label string, n int, want string) {
+	misses := func(label string, want string) {
 		t.Helper()
 		free := p.FreeLive()
-		if pt, miss := p.AcquireExact(c, n); pt != nil || miss != want {
+		if pt, miss := p.AcquireExact(c); pt != nil || miss != want {
 			t.Fatalf("%s: AcquireExact = %v, %q; want miss %q", label, pt.Names(), miss, want)
 		}
 		if got := p.FreeLive(); got != free {
 			t.Fatalf("%s: a miss leased %d workers", label, free-got)
 		}
 	}
-	misses("grant smaller than the set", 1, "size")
-	misses("grant larger than the set", 3, "size")
-	misses("never started", 0, "size")
-	if pt, miss := p.AcquireExact(&Coordinator{}, 2); pt != nil || miss != "size" {
+	if pt, miss := p.AcquireExact(&Coordinator{}); pt != nil || miss != "dead" {
 		t.Fatalf("AcquireExact on an unstarted coordinator = %v, %q", pt.Names(), miss)
 	}
 
 	sibling := p.AcquirePreferring(1, []string{"w3"})
-	misses("one member leased", 2, "leased")
+	misses("one member leased", "leased")
 	sibling.Release()
 
 	// A same-named replacement for a dead member is a different
-	// connection: still a miss.
+	// connection: still a miss while an instance sits on the dead one.
 	ws[1].dead.Store(true)
 	addPipeWorker(t, p, "w1")
-	misses("one member dead", 2, "dead")
+	misses("an instance's worker dead", "dead")
+
+	// Once the coordinator has re-homed that instance within its set the
+	// death is absorbed: it continues on the live members alone.
+	c.st.inst[0].owner = ws[3]
+	pt, miss = p.AcquireExact(c)
+	if pt == nil || miss != "" || pt.Size() != 1 || pt.workers[0] != ws[3] {
+		t.Fatalf("AcquireExact after an absorbed death = %v, %q; want [w3]", pt.Names(), miss)
+	}
+	pt.Release()
 }

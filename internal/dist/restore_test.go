@@ -1,0 +1,165 @@
+package dist_test
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"path/filepath"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"cmfuzz/internal/dist"
+	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/subject"
+	"cmfuzz/internal/telemetry"
+)
+
+// leaseGauge counts leases on the wire: up when the coordinator writes a
+// Lease, down when the worker writes its LeaseResult, remembering the
+// most ever outstanding. Every frame is one Write, so the type byte is
+// where the frame layout says.
+type leaseGauge struct{ now, peak atomic.Int64 }
+
+func (g *leaseGauge) saw(frame []byte, typ byte, delta int64) {
+	if len(frame) <= dist.FrameTypeOffset || frame[dist.FrameTypeOffset] != typ {
+		return
+	}
+	n := g.now.Add(delta)
+	for {
+		peak := g.peak.Load()
+		if n <= peak || g.peak.CompareAndSwap(peak, n) {
+			return
+		}
+	}
+}
+
+// gaugedConn is one end of a worker's pipe, reporting the frames written
+// into it.
+type gaugedConn struct {
+	net.Conn
+	g     *leaseGauge
+	typ   byte
+	delta int64
+}
+
+func (c *gaugedConn) Write(p []byte) (int, error) {
+	c.g.saw(p, c.typ, c.delta)
+	return c.Conn.Write(p)
+}
+
+// TestRestoreReplaysOnEveryLane: Restore quiet-boots every instance and
+// then replays all their journals at once through the path every lease
+// takes, so a resume uses however many lanes the worker has. A 4-instance
+// checkpoint restored onto one worker must keep several leases in flight
+// while it replays (the serial replay this replaces never had more than
+// one), and finish with the in-process run's artifact tree at every core
+// count. And a worker that dies mid-replay costs the campaign nothing:
+// its instances are re-booted on the survivor, replayed again, and the
+// tree is still the undisturbed run's — telemetry counters included —
+// while Stats reports the death.
+func TestRestoreReplaysOnEveryLane(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sub := mustSubject(t, "DNS")
+	ctx := context.Background()
+	resolve := func(name string) (subject.Subject, error) { return protocols.ByName(name) }
+
+	recA := telemetry.New()
+	resA, err := parallel.Run(ctx, sub, baseOptions(recA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirA := filepath.Join(t.TempDir(), "inproc")
+	writeAll(t, dirA, resA, recA)
+	want := readTree(t, dirA)
+
+	// Paused at t=1000: every instance is inside its second sync window,
+	// so each journal holds two leases.
+	src := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
+	wait := addPipeWorkers(t, src.AddConn, 1)
+	if err := src.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Advance(ctx, 1000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	wait()
+
+	// finish runs the restored campaign out and diffs its tree.
+	finish := func(label string, coord *dist.Coordinator, join func()) {
+		t.Helper()
+		if err := coord.Advance(ctx, coord.Horizon()); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		res, err := coord.Finish(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		coord.Close()
+		join()
+		dir := filepath.Join(t.TempDir(), "restored")
+		writeAll(t, dir, res, coord.Recorder())
+		diffTrees(t, label, want, readTree(t, dir))
+	}
+
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		label := fmt.Sprintf("restored at GOMAXPROCS %d", procs)
+		var gauge leaseGauge
+		coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+		cConn, wConn := net.Pipe()
+		w := dist.NewWorker(dist.WorkerConfig{Name: "w", Resolve: resolve})
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- w.Serve(&gaugedConn{wConn, &gauge, dist.MsgLeaseResult, -1}) }()
+		if err := coord.AddConn(&gaugedConn{cConn, &gauge, dist.MsgLease, +1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Restore(ctx, blob); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if now, peak := gauge.now.Load(), gauge.peak.Load(); now != 0 || peak < 2 {
+			t.Fatalf("%s: %d leases still out after Restore, at most %d in flight at once; want 0 and one chain per instance", label, now, peak)
+		}
+		finish(label, coord, func() {
+			if err := <-serveErr; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+
+	// Two workers; the first lease reply worker 0 sends back during the
+	// replay is lost and the connection with it (reads 1-4 carry hello,
+	// assignOK and the quiet boots of instances 0 and 2).
+	runtime.GOMAXPROCS(4)
+	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+	serveErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		cConn, wConn := net.Pipe()
+		w := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Resolve: resolve})
+		go func() { serveErr <- w.Serve(wConn) }()
+		conn := net.Conn(cConn)
+		if i == 0 {
+			conn = &readFaultConn{Conn: cConn, limit: 4}
+		}
+		if err := coord.AddConn(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Restore(ctx, blob); err != nil {
+		t.Fatalf("restore with a worker dying mid-replay: %v", err)
+	}
+	if st := coord.Stats(); st.WorkerDeaths != 1 || st.Reassignments != 2 {
+		t.Fatalf("deaths/reassignments after Restore = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
+	}
+	finish("restored through a worker death", coord, func() {
+		for i := 0; i < 2; i++ {
+			<-serveErr
+		}
+	})
+}

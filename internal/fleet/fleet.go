@@ -14,10 +14,10 @@
 // the coordinator and the worker-side engines stay
 // live and the next slice continues the lease loop directly. A
 // campaign squeezed out of a round is suspended, not parked: it gives
-// back only its partition, and when it is selected again and the same
-// connections are free it resumes the same way, with nothing
-// re-executed; only a miss pays for a restore from checkpoint.bin. Byte
-// identity survives by composition: each campaign's replay is
+// back only its partition, and it is granted those same connections
+// again or passed over until they are free, so nothing is re-executed;
+// a restore from checkpoint.bin is paid only where it buys something
+// (Step). Byte identity survives by composition: each campaign's replay is
 // slicing-invariant (see dist.Advance) and worker-count-invariant, so
 // the artifacts a campaign produces are byte-identical whatever
 // schedule the allocator picks, however many workers each round hands
@@ -94,7 +94,11 @@ type CampaignStatus struct {
 	Slices  int     `json:"slices"`
 	Reward  float64 `json:"reward"`
 	Workers int     `json:"workers"`
-	Error   string  `json:"error,omitempty"`
+	// WarmOn names the workers still holding the instances of a campaign
+	// that is suspended — queued with a live coordinator — which is what
+	// tells it from a parked one.
+	WarmOn []string `json:"warm_on,omitempty"`
+	Error  string   `json:"error,omitempty"`
 }
 
 // campaignRec is the manager-side record of one campaign.
@@ -110,22 +114,26 @@ type campaignRec struct {
 	// combination is a state: both (slicing, or warm between rounds),
 	// coord alone (suspended — squeezed out of a round with its
 	// instances still booted on the workers), neither (parked, done,
-	// failed, never started). workers caches part's size for status snapshots,
-	// updated under the manager lock at assignment and release.
+	// failed, never started). workers and warmOn cache part's size and,
+	// for a suspended campaign, prevWorkers for status snapshots, updated
+	// under the manager lock once a round has placed everyone.
 	coord   *dist.Coordinator
 	part    *dist.Partition
 	workers int
+	warmOn  []string
 	// prevWorkers remembers the names of the partition members the
-	// campaign last held, captured when the partition is released. A
-	// cold re-grant prefers these workers (Pool.AcquirePreferring) so it
-	// lands back on the machines it ran on when capacity allows.
+	// campaign last held, captured when the partition is released: where
+	// a suspended campaign's instances sit, and what a cold re-grant
+	// prefers (Pool.AcquirePreferring) so it lands back on the machines
+	// it ran on when capacity allows.
 	prevWorkers []string
 	// lastRound is the scheduling round that last sliced the campaign —
 	// the warm cap's least-recently-sliced key. miss is why the
-	// campaign's live coordinator had to be dropped (size, dead, leased,
-	// evicted_lru); the next hand-off record reports and clears it.
+	// campaign's live coordinator was dropped (dead, evicted_lru,
+	// idle_worker, grow) with the figures that decided it; the next
+	// hand-off record reports and clears it.
 	lastRound int
-	miss      string
+	miss      map[string]any
 
 	// Bandit bookkeeping. reward is an exponential moving average of the
 	// per-slice coverage rate — new union edges per (executions+1)
@@ -173,10 +181,12 @@ type Manager struct {
 	round   int
 	warmCap int
 	// Hand-off outcomes, for Instrument: grants that continued a
-	// suspended coordinator, and grants that had to Restore one from
-	// checkpoint.bin.
-	warmResumes  atomic.Int64
-	coldRestores atomic.Int64
+	// suspended coordinator, grants that had to Restore one from
+	// checkpoint.bin, and campaigns passed over for a round because a
+	// higher-ranked one held their workers.
+	warmResumes    atomic.Int64
+	coldRestores   atomic.Int64
+	deferredGrants atomic.Int64
 
 	// events fans lifecycle events out to /api/events subscribers.
 	events *broker
@@ -193,7 +203,8 @@ func (m *Manager) Events() *broker { return m.events }
 // lease round-trip latency, the lifetime flight-recorder event count,
 // the lifetime count of stream events lost to slow SSE subscribers,
 // and how many grants resumed a suspended campaign warm against how
-// many restored one from its checkpoint. Call once, before Run.
+// many restored one from its checkpoint or were put off a round. Call
+// once, before Run.
 func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.leaseLatency = reg.Histogram("cmfuzz_lease_latency_seconds",
 		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
@@ -217,6 +228,9 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("cmfuzz_fleet_cold_restores_total",
 		"Grants that restored a campaign from checkpoint.bin, re-booting its instances and re-executing their lease journals.",
 		func() float64 { return float64(m.coldRestores.Load()) })
+	reg.CounterFunc("cmfuzz_fleet_deferred_grants_total",
+		"Rounds a suspended campaign sat out because a higher-ranked one held the workers its instances are on.",
+		func() float64 { return float64(m.deferredGrants.Load()) })
 }
 
 // NewManager opens (or creates) the state directory and recovers every
@@ -380,6 +394,7 @@ func (m *Manager) Status() []CampaignStatus {
 			Slices:  c.slices,
 			Reward:  c.reward,
 			Workers: c.workers,
+			WarmOn:  c.warmOn,
 			Error:   c.err,
 		})
 	}
@@ -577,39 +592,23 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	return nil
 }
 
-// An allocation is one round's grant to one campaign: how many workers
-// its partition gets.
-type allocation struct {
-	c       *campaignRec
-	workers int
-}
-
-// allocate turns the bandit's scores into worker shares for one round.
-// Called with m.mu held; deterministic throughout (ties break toward
-// earlier submission).
+// rank lists the runnable campaigns best first, with the scores that
+// order them and the slices they have run between them. Called with
+// m.mu held; deterministic throughout (ties break toward earlier
+// submission).
 //
-// Selection is a top-k ranking: untried campaigns first in submission
-// order, then tried ones by discounted-UCB score — EMA reward +
-// sqrt(2 ln N / n) * scale, with scale the best current EMA so the
-// exploration bonus is commensurable with the rewards (edge counts per
-// exec vary by orders of magnitude across protocols). Config.Concurrency
-// caps k; a cap of one is the classic one-pick-per-step bandit. Shares are apportioned highest-averages style (D'Hondt): every
-// selected campaign starts at one worker, and each remaining worker
-// goes to the campaign maximizing score/(share+1) — so a campaign
-// twice as promising converges on twice the workers — capped at the
-// campaign's instance count, past which extra workers would idle.
-func (m *Manager) allocate() []allocation {
-	var cands []*campaignRec
-	total := 0
+// Untried campaigns come first in submission order, then tried ones by
+// discounted-UCB score — EMA reward + sqrt(2 ln N / n) * scale, with
+// scale the best current EMA so the exploration bonus is commensurable
+// with the rewards (edge counts per exec vary by orders of magnitude
+// across protocols).
+func (m *Manager) rank() (cands []*campaignRec, score map[*campaignRec]float64, total int) {
 	for _, id := range m.order {
 		c := m.campaigns[id]
 		if c.runnable() {
 			cands = append(cands, c)
 			total += c.slices
 		}
-	}
-	if len(cands) == 0 {
-		return nil
 	}
 	scale := 0.0
 	for _, c := range cands {
@@ -620,7 +619,7 @@ func (m *Manager) allocate() []allocation {
 	if scale == 0 {
 		scale = 1
 	}
-	score := make(map[*campaignRec]float64, len(cands))
+	score = make(map[*campaignRec]float64, len(cands))
 	for _, c := range cands {
 		if c.slices == 0 {
 			// Untried: rank ahead of every scored campaign, preserving
@@ -630,60 +629,70 @@ func (m *Manager) allocate() []allocation {
 		}
 		score[c] = c.reward + math.Sqrt(2*math.Log(float64(total))/float64(c.slices))*scale
 	}
-	// Capacity this round: the free set plus every worker a runnable
-	// campaign still holds warm (a mismatched partition is released
-	// before re-acquisition, so held workers are redistributable).
-	w := m.pool.FreeLive()
-	for _, c := range cands {
-		w += c.part.Live()
-	}
 	sort.SliceStable(cands, func(i, j int) bool { return score[cands[i]] > score[cands[j]] })
-	k := len(cands)
-	if m.cfg.Concurrency > 0 && k > m.cfg.Concurrency {
-		k = m.cfg.Concurrency
-	}
-	// With no live worker at all the grants stand, impossible as they
-	// are: the failure surfaces on the campaigns instead of the round
-	// silently reporting nothing runnable.
-	if w > 0 && k > w {
-		k = w
-	}
-	out := make([]allocation, k)
-	for i := 0; i < k; i++ {
-		out[i] = allocation{c: cands[i], workers: 1}
-	}
-	for extra := w - k; extra > 0; extra-- {
-		best := -1
-		bestAvg := math.Inf(-1)
-		for i := range out {
-			if out[i].workers >= out[i].c.instanceCap() {
-				continue
+	return cands, score, total
+}
+
+// A grant is one campaign's place in a round. held is the partition a
+// live coordinator continues on — claimed already, and 0 for a campaign
+// that has to boot, which is owed workers of whatever is left once the
+// live ones have claimed.
+type grant struct {
+	c       *campaignRec
+	held    int
+	workers int
+	resumed bool // the coordinator sat out at least one round
+	fixed   bool // held is not worth trading for a larger share (apportion)
+}
+
+// apportion deals the workers the round has left, highest averages first
+// (D'Hondt): each goes to the campaign maximizing score/(share+1) — so a
+// campaign twice as promising converges on twice the workers — capped at
+// the campaign's instance count, past which extra workers would idle. A
+// campaign that has to boot takes what it is dealt. One continuing a
+// live coordinator would pay for a larger partition with its history —
+// Close, Restore, every journal re-executed at the new width — so it
+// grows only when that is repaid before the horizon: elapsed into the
+// campaign and remaining to go, (elapsed+remaining)/granted <
+// remaining/held, that is elapsed < remaining × (granted/held − 1). Every
+// term is a number the scheduler holds, which is why this is derived and
+// not configured. A coordinator that fails the test keeps what it holds
+// and its offer goes round again without it.
+func apportion(grants []*grant, extra int, score map[*campaignRec]float64) {
+	for again := true; again; {
+		again = false
+		for _, g := range grants {
+			g.workers = max(g.held, 1)
+		}
+		for n := extra; n > 0; n-- {
+			var best *grant
+			bestAvg := math.Inf(-1)
+			for _, g := range grants {
+				if g.fixed || g.workers >= g.c.instanceCap() {
+					continue
+				}
+				avg := score[g.c] / float64(g.workers+1)
+				if math.IsInf(avg, 1) {
+					// Untried campaigns divide to +Inf at any share; fall back
+					// to preferring the smaller share so they split evenly.
+					avg = -float64(g.workers)
+				}
+				if avg > bestAvg {
+					best, bestAvg = g, avg
+				}
 			}
-			avg := score[out[i].c] / float64(out[i].workers+1)
-			if math.IsInf(avg, 1) {
-				// Untried campaigns divide to +Inf at any share; fall back
-				// to preferring the smaller share so they split evenly.
-				avg = -float64(out[i].workers)
+			if best == nil {
+				break // every selected campaign is at its instance cap
 			}
-			if avg > bestAvg {
-				best, bestAvg = i, avg
+			best.workers++
+		}
+		for _, g := range grants {
+			if elapsed, remaining := g.c.clock, g.c.horizon-g.c.clock; g.held > 0 && g.workers > g.held &&
+				elapsed >= remaining*(float64(g.workers)/float64(g.held)-1) {
+				g.fixed, again = true, true
 			}
 		}
-		if best < 0 {
-			break // every selected campaign is at its instance cap
-		}
-		out[best].workers++
 	}
-	for _, a := range out {
-		a.c.flight.add("award", map[string]any{
-			"workers": a.workers,
-			"reward":  a.c.reward,
-			"slices":  a.c.slices,
-			"total":   total,
-			"untried": a.c.slices == 0,
-		})
-	}
-	return out
 }
 
 // instanceCap is the campaign's parallel instance count — the point
@@ -695,96 +704,155 @@ func (c *campaignRec) instanceCap() int {
 	return parallel.DefaultInstances
 }
 
-// Step runs one scheduling round: allocate shares, reconcile what each
-// campaign holds with what it was granted, then advance every selected
-// campaign one slice in parallel, each coordinator driving only its own
-// partition. It reports false when no campaign is runnable. A context
-// cancellation checkpoints every interrupted campaign before returning,
-// so no replay progress past the last persisted checkpoint is lost
-// silently. A grant is met in one of three ways, cheapest first:
+// Step runs one scheduling round: rank the runnable campaigns, place as
+// many as the pool has room for, then advance every placed campaign one
+// slice in parallel, each coordinator driving only its own partition. It
+// reports false when no campaign is runnable. A context cancellation
+// checkpoints every interrupted campaign before returning, so no replay
+// progress past the last persisted checkpoint is lost silently.
 //
-//   - warm: the campaign still holds a partition of the granted size.
-//     Nothing moves; the next slice continues the lease loop.
-//   - resumed: the campaign was suspended and the connections its
-//     coordinator captured are all alive, free, and as many as granted.
-//     It leases exactly those back (dist.Pool.AcquireExact) and
-//     continues as if warm — nothing re-booted, nothing re-executed.
-//   - cold: anything else. Whatever the campaign holds is parked, it
-//     takes a fresh partition, and runSlice restores it from
-//     checkpoint.bin (or starts it, the first time).
+// Placement is an input to the round, because a campaign's instances
+// sit on particular workers and moving them costs the campaign's whole
+// history (Restore re-executes every journal). Claims go in rank order,
+// up to Config.Concurrency campaigns (a cap of one is the classic
+// one-pick-per-step bandit):
+//
+//   - A campaign with a live coordinator is granted exactly the live
+//     connections that coordinator captured (dist.Pool.AcquireExact), or
+//     nothing. Granted, it continues its lease loop with nothing
+//     re-booted and nothing re-executed — warm if it sliced last round,
+//     resumed if it was suspended. When a higher-ranked campaign has
+//     claimed one of its workers it is passed over: it stays suspended —
+//     checkpoint.bin already describes it, so nothing is written or lost
+//     — and the slot goes to the next-ranked campaign that can run.
+//   - A campaign that has to boot anyway — new, parked, recovered, or a
+//     worker holding its instances died — can boot anywhere: it reserves
+//     a worker at its rank, takes its share of what the live coordinators
+//     leave (apportion), and runSlice restores it from checkpoint.bin (or
+//     starts it, the first time). This is the cold hand-off.
+//
+// History is paid on purpose in two cases only: a worker that would
+// otherwise idle goes to the best passed-over campaign, cold, and a live
+// coordinator is re-sized when the larger partition repays the replay
+// (apportion).
 func (m *Manager) Step(ctx context.Context) (bool, error) {
 	m.round++
 	m.mu.Lock()
-	allocs := m.allocate()
-	selected := make(map[*campaignRec]bool, len(allocs))
-	for _, a := range allocs {
-		selected[a.c] = true
-	}
-	// Runnable campaigns squeezed out of this round (capacity or the
-	// concurrency cap) give their workers back before the selected set
-	// acquires.
-	var evicted []*campaignRec
-	for _, id := range m.order {
-		if c := m.campaigns[id]; c.runnable() && !selected[c] && c.part != nil {
-			evicted = append(evicted, c)
-		}
-	}
+	ranked, score, total := m.rank()
 	m.mu.Unlock()
-	if len(allocs) == 0 {
+	if len(ranked) == 0 {
 		return false, nil
 	}
-	for _, c := range evicted {
-		m.suspend(c)
-	}
-	for _, a := range allocs {
-		c := a.c
-		c.lastRound = m.round
-		if c.part == nil {
-			continue
-		}
-		if c.coord != nil && c.part.Live() == a.workers {
-			c.handoff(true, false, a.workers)
-			continue
-		}
-		c.miss = "size"
-		m.park(c)
-	}
-	// Suspended campaigns claim first: each can use only the connections
-	// that hold its instances, while a cold grant can boot anywhere — so
-	// cold grants fill from whatever the resumes leave.
-	for _, a := range allocs {
-		c := a.c
-		if c.coord == nil || c.part != nil {
-			continue
-		}
-		part, miss := m.pool.AcquireExact(c.coord, a.workers)
-		if part == nil {
-			c.miss = miss
+	// Every round deals from a whole pool: a campaign gives its partition
+	// back and keeps its coordinator (a coordinator that has moved since
+	// its last checkpoint cannot be set aside, and is parked), so that
+	// claims really go in rank order and not to whoever ran last.
+	for _, c := range ranked {
+		if c.coord != nil && c.coord.Checkpointed() {
+			c.release()
+		} else {
 			m.park(c)
-			continue
 		}
-		c.part = part
-		m.warmResumes.Add(1)
-		c.handoff(true, true, a.workers)
+	}
+	free := m.pool.FreeLive()
+	slots := len(ranked)
+	if m.cfg.Concurrency > 0 && slots > m.cfg.Concurrency {
+		slots = m.cfg.Concurrency
+	}
+	left := free
+	var grants []*grant
+	var passed []*campaignRec
+	for _, c := range ranked {
+		// With no live worker at all the grants stand, impossible as they
+		// are: the failure surfaces on the campaigns instead of the round
+		// silently reporting nothing runnable.
+		if len(grants) == slots || (left == 0 && free > 0) {
+			break
+		}
+		if c.coord != nil {
+			part, miss := m.pool.AcquireExact(c.coord)
+			if part != nil && part.Live() > left {
+				// Higher-ranked campaigns that have yet to boot hold the
+				// difference in reservations.
+				part.Release()
+				part, miss = nil, "leased"
+			}
+			if part != nil {
+				c.part = part
+				left -= part.Live()
+				grants = append(grants, &grant{c: c, held: part.Live(), resumed: c.lastRound != m.round-1})
+				continue
+			}
+			if miss == "leased" {
+				passed = append(passed, c)
+				continue
+			}
+			m.drop(c, map[string]any{"miss": miss})
+		}
+		grants = append(grants, &grant{c: c})
+		left--
+	}
+	for ; len(passed) > 0 && len(grants) < slots && left > 0; passed = passed[1:] {
+		c := passed[0]
+		m.drop(c, map[string]any{"miss": "idle_worker", "elapsed": c.clock, "remaining": c.horizon - c.clock})
+		grants = append(grants, &grant{c: c})
+		left--
+	}
+	apportion(grants, left, score)
+	for _, g := range grants {
+		if c := g.c; g.held > 0 && g.workers > g.held {
+			m.drop(c, map[string]any{"miss": "grow", "elapsed": c.clock, "remaining": c.horizon - c.clock, "held": g.held})
+		}
 	}
 	// Retire surplus suspended campaigns before the cold grants boot
 	// fresh instances onto the same workers.
 	m.enforceWarmCap()
-	for _, a := range allocs {
-		c := a.c
-		if c.part == nil {
-			c.part = m.pool.AcquirePreferring(a.workers, c.prevWorkers)
-			c.handoff(false, false, c.part.Live())
+	for _, g := range grants {
+		c := g.c
+		c.lastRound = m.round
+		if c.part != nil {
+			if g.resumed {
+				m.warmResumes.Add(1)
+			}
+			c.handoff(true, g.resumed)
+		} else {
+			c.part = m.pool.AcquirePreferring(g.workers, c.prevWorkers)
+			c.handoff(false, false)
 		}
-		m.mu.Lock()
-		c.workers = c.part.Live()
-		m.mu.Unlock()
+		c.flight.add("award", map[string]any{
+			"workers": c.part.Live(),
+			"reward":  c.reward,
+			"slices":  c.slices,
+			"total":   total,
+			"untried": c.slices == 0,
+		})
 	}
+	for _, c := range passed {
+		var holders []string
+		for _, g := range grants {
+			if overlap(g.c.part.Names(), c.prevWorkers) {
+				holders = append(holders, g.c.spec.ID)
+			}
+		}
+		m.deferredGrants.Add(1)
+		c.flight.add("deferred", map[string]any{"round": m.round, "workers": c.prevWorkers, "held_by": holders})
+	}
+	m.mu.Lock()
+	for _, c := range ranked {
+		c.workers, c.warmOn = c.part.Live(), nil
+		if c.part == nil {
+			c.state = StateQueued
+			if c.coord != nil {
+				c.warmOn = c.prevWorkers
+			}
+		}
+	}
+	m.mu.Unlock()
 
-	errs := make([]error, len(allocs))
+	errs := make([]error, len(grants))
 	var wg sync.WaitGroup
-	for i, a := range allocs {
-		if a.c.part == nil {
+	for i, g := range grants {
+		if g.c.part == nil {
 			errs[i] = errors.New("fleet: no live workers available")
 			continue
 		}
@@ -792,13 +860,13 @@ func (m *Manager) Step(ctx context.Context) (bool, error) {
 		go func(i int, c *campaignRec) {
 			defer wg.Done()
 			errs[i] = m.runSlice(ctx, c)
-		}(i, a.c)
+		}(i, g.c)
 	}
 	wg.Wait()
 
 	interrupted := false
-	for i, a := range allocs {
-		c := a.c
+	for i, g := range grants {
+		c := g.c
 		switch err := errs[i]; {
 		case err == nil:
 			m.mu.Lock()
@@ -820,30 +888,48 @@ func (m *Manager) Step(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
+// overlap reports whether two lists of worker names share one.
+func overlap(a, b []string) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // handoff files how a grant was met in c's flight recorder: warm (no
 // coordinator had to be started or restored), resumed (a suspended one
 // was picked up again), the partition's size, and — on the cold
-// hand-off after a live coordinator had to be dropped — why.
-func (c *campaignRec) handoff(warm, resumed bool, workers int) {
-	detail := map[string]any{"warm": warm, "resumed": resumed, "workers": workers}
-	if c.miss != "" {
-		detail["miss"] = c.miss
-		c.miss = ""
+// hand-off after a live coordinator was dropped — why, with the figures
+// that decided it.
+func (c *campaignRec) handoff(warm, resumed bool) {
+	detail := map[string]any{"warm": warm, "resumed": resumed, "workers": c.part.Live()}
+	for k, v := range c.miss {
+		detail[k] = v
 	}
+	c.miss = nil
 	c.flight.add("handoff", detail)
 }
 
-// releasePartition returns c's workers to the free set and zeroes the
-// status snapshot's worker count, remembering the member names so the
-// next acquisition can prefer them.
-func (m *Manager) releasePartition(c *campaignRec) {
+// release returns c's workers to the free set, remembering the member
+// names so the next acquisition can prefer them.
+func (c *campaignRec) release() {
 	if c.part != nil {
 		c.prevWorkers = c.part.Names()
 		c.part.Release()
 		c.part = nil
 	}
+}
+
+// releasePartition releases the workers of a campaign that no longer
+// has a coordinator and clears them from its status snapshot.
+func (m *Manager) releasePartition(c *campaignRec) {
+	c.release()
 	m.mu.Lock()
-	c.workers = 0
+	c.workers, c.warmOn = 0, nil
 	m.mu.Unlock()
 }
 
@@ -908,22 +994,11 @@ func (m *Manager) park(c *campaignRec) {
 	m.setState(c, StateQueued)
 }
 
-// suspend sets aside a campaign squeezed out of a round: only its
-// partition goes back to the free set. The coordinator stays, and
-// through it the booted instances on its workers, so a later grant of
-// the same connections resumes with nothing re-executed. It reads as
-// queued with no workers, like a parked campaign. The checkpoint
-// runSlice wrote still describes it exactly (Checkpointed), so dropping
-// it at any later point — a miss, the warm cap, shutdown, a crash —
-// loses nothing; a coordinator without that guarantee is parked
-// instead.
-func (m *Manager) suspend(c *campaignRec) {
-	if c.coord == nil || !c.coord.Checkpointed() {
-		m.park(c)
-		return
-	}
-	m.releasePartition(c)
-	m.setState(c, StateQueued)
+// drop parks a campaign whose live coordinator cannot, or should not,
+// be continued, noting why for its next hand-off record.
+func (m *Manager) drop(c *campaignRec, miss map[string]any) {
+	c.miss = miss
+	m.park(c)
 }
 
 // warmCapPerWorker bounds what live coordinators without a partition —
@@ -958,8 +1033,7 @@ func (m *Manager) enforceWarmCap() {
 			return
 		}
 		kept -= c.instanceCap()
-		c.miss = "evicted_lru"
-		m.park(c)
+		m.drop(c, map[string]any{"miss": "evicted_lru"})
 	}
 }
 

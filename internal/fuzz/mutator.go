@@ -88,6 +88,22 @@ func (sizeBreaker) Mutate(e *Element, r *rand.Rand) {
 	}
 }
 
+// maxFieldLen bounds what a mutator may grow a field to. Growth
+// compounds: up to three operations can land on one field of a message,
+// each StringRepeat multiplying it by up to 512 (each BlobDuplicate by up
+// to 5), and the engine then copies the field into the message buffer
+// and the corpus — unbounded, one CoAP campaign held 1.7 GB in a single
+// string and its copies. The count is drawn as ever and only then
+// lowered, so the rng stream and every output that fits are what they
+// were.
+const maxFieldLen = 16 << 20
+
+// fitCopies lowers copies until that many of a unit-byte field fit
+// maxFieldLen, never below one.
+func fitCopies(unit, copies int) int {
+	return max(1, min(copies, maxFieldLen/max(unit, 1)))
+}
+
 type stringRepeat struct{}
 
 func (stringRepeat) Name() string { return "StringRepeat" }
@@ -99,7 +115,7 @@ func (stringRepeat) Mutate(e *Element, r *rand.Rand) {
 	if len(unit) == 0 {
 		unit = []byte("A")
 	}
-	reps := 1 << uint(1+r.Intn(9)) // 2..512 copies
+	reps := fitCopies(len(unit), 1<<uint(1+r.Intn(9))) // 2..512 copies
 	out := make([]byte, 0, len(unit)*reps)
 	for i := 0; i < reps; i++ {
 		out = append(out, unit...)
@@ -169,9 +185,9 @@ func (blobDuplicate) Applicable(e *Element) bool {
 	return isBytes(e) && len(e.Data) > 0 && len(e.Data) < 1<<16
 }
 func (blobDuplicate) Mutate(e *Element, r *rand.Rand) {
-	reps := 1 + r.Intn(4)
+	copies := fitCopies(len(e.Data), 2+r.Intn(4))
 	out := append([]byte(nil), e.Data...)
-	for i := 0; i < reps; i++ {
+	for i := 1; i < copies; i++ {
 		out = append(out, e.Data...)
 	}
 	e.Data = out

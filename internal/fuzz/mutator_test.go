@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -186,5 +188,56 @@ func TestMutatorsDeterministicPerSeed(t *testing.T) {
 	a, b := build(), build()
 	if string(a) != string(b) {
 		t.Fatal("mutation not deterministic for fixed seed")
+	}
+}
+
+// TestMutatorsBoundFieldGrowth: the two multiplying mutators compound —
+// three StringRepeats on one field are up to ×512³ — so what they may
+// grow a field to is clamped at maxFieldLen. The clamp lowers the drawn
+// count and nothing else: every output that fits is the unclamped one and
+// the rng is left where it always was.
+func TestMutatorsBoundFieldGrowth(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		r, ref := testRandSeed(seed), testRandSeed(seed)
+		s := Str("s", "abc")
+		(stringRepeat{}).Mutate(s, r)
+		if want := bytes.Repeat([]byte("abc"), 1<<uint(1+ref.Intn(9))); !bytes.Equal(s.Data, want) {
+			t.Fatalf("seed %d: StringRepeat of a small field gave %d bytes, want the unclamped %d", seed, len(s.Data), len(want))
+		}
+		b := Blob("b", []byte{1, 2, 3, 4})
+		(blobDuplicate{}).Mutate(b, r)
+		if want := bytes.Repeat([]byte{1, 2, 3, 4}, 2+ref.Intn(4)); !bytes.Equal(b.Data, want) {
+			t.Fatalf("seed %d: BlobDuplicate of a small field gave %d bytes, want the unclamped %d", seed, len(b.Data), len(want))
+		}
+		if r.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: the mutators drew a different number of values than before the clamp", seed)
+		}
+	}
+
+	// Compounded to the limit, a field stops at the bound and stays a
+	// whole number of copies of what it was.
+	r := testRandSeed(1)
+	s := Str("s", strings.Repeat("x", 48))
+	for i := 0; i < 12; i++ {
+		before := len(s.Data)
+		(stringRepeat{}).Mutate(s, r)
+		if len(s.Data) > maxFieldLen || len(s.Data) < before || len(s.Data)%before != 0 {
+			t.Fatalf("StringRepeat %d: %d bytes -> %d, bound %d", i, before, len(s.Data), maxFieldLen)
+		}
+	}
+	if len(s.Data) <= maxFieldLen/2 {
+		t.Fatalf("twelve StringRepeats stopped at %d bytes, want the field grown to within a copy of the %d bound", len(s.Data), maxFieldLen)
+	}
+	// BlobDuplicate's Applicable keeps it off fields this large; the bound
+	// holds for a caller that does not ask first, and an empty field is
+	// still nothing to copy.
+	(blobDuplicate{}).Mutate(s, r)
+	if len(s.Data) > maxFieldLen {
+		t.Fatalf("BlobDuplicate grew a field at the bound to %d bytes", len(s.Data))
+	}
+	empty := Blob("e", nil)
+	(blobDuplicate{}).Mutate(empty, r)
+	if len(empty.Data) != 0 {
+		t.Fatalf("BlobDuplicate of an empty field gave %d bytes", len(empty.Data))
 	}
 }
