@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/schedule"
@@ -74,105 +73,6 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 	return blob, nil
 }
 
-// encodeCheckpoint is decodeCheckpoint's inverse.
-func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
-	res, tel := ck.res, ck.tel
-	w := wire.NewWriter(1 << 16)
-	w.String16(checkpointMagic)
-	w.U8(checkpointVersion)
-	w.String16(ck.protocol)
-	encodeOptions(w, ck.opts)
-
-	// Plan-derived Result fields. Stored so Restore never re-runs
-	// host.Plan — planning probes the target and emits group telemetry,
-	// both of which already happened before the checkpoint.
-	w.U32(uint32(res.ModelEntities))
-	w.U32(uint32(res.RelationEdges))
-	w.U32(uint32(res.Probes))
-	w.U16(uint16(len(res.Groups)))
-	for _, g := range res.Groups {
-		putStrings(w, g.Members)
-	}
-	w.U16(uint16(len(ck.specs)))
-	for _, s := range ck.specs {
-		encodeSpec(w, s)
-	}
-
-	// Global replay state: union map, series, ledger, telemetry.
-	w.Bytes32(coverage.EncodeDelta(ck.union, nil))
-	pts := res.Series.Points()
-	w.U32(uint32(len(pts)))
-	for _, p := range pts {
-		putF64(w, p.T)
-		w.U32(uint32(p.Count))
-	}
-	reports := res.Bugs.Unique()
-	w.U16(uint16(len(reports)))
-	for i := range reports {
-		rep := &reports[i]
-		putCrash(w, &rep.Crash)
-		w.U32(uint32(rep.Instance))
-		putF64(w, rep.Time)
-		w.String32(rep.Config)
-		w.U32(uint32(rep.Count))
-	}
-	var events bytes.Buffer
-	if err := tel.WriteJSONL(&events); err != nil {
-		return nil, err
-	}
-	w.Bytes32(events.Bytes())
-	counters := tel.Counters()
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.U16(uint16(len(names)))
-	for _, name := range names {
-		w.String16(name)
-		putI64(w, int64(counters[name]))
-	}
-
-	putF64(w, ck.loop.Watermark)
-	putF64(w, ck.loop.LastSample)
-	putI64(w, ck.syncBytes)
-	putI64(w, ck.workerDeaths)
-	putI64(w, ck.reassignments)
-
-	// Per-instance state: the loop's clock and sync schedule, then the
-	// replica.
-	w.U32(uint32(len(ck.inst)))
-	for i := range ck.inst {
-		in := &ck.inst[i]
-		putF64(w, ck.loop.Clock[i])
-		putF64(w, ck.loop.NextSync[i])
-		putF64(w, in.resumeClock)
-		w.U32(uint32(in.crashes))
-		w.U32(uint32(in.muts))
-		w.U32(uint32(in.execs))
-		w.U32(uint32(in.curCov))
-		w.U32(uint32(in.startEdges))
-		w.String32(in.curConfig)
-		mirror := make([]fuzz.Seed, in.mirror.Len())
-		for j := range mirror {
-			mirror[j] = in.mirror.At(j)
-		}
-		putSeeds(w, mirror)
-		putSeeds(w, in.pending)
-		w.U32(uint32(len(in.journal)))
-		for _, j := range in.journal {
-			putF64(w, j.Boundary)
-			putSeeds(w, j.Seeds)
-		}
-		remaining := in.batch[in.pos:]
-		w.U32(uint32(len(remaining)))
-		for j := range remaining {
-			appendLeaseStep(w, &remaining[j])
-		}
-	}
-	return w.Bytes(), nil
-}
-
 // checkpoint is a decoded campaign, in the shapes Restore hands on: the
 // loop's Result so far (plan figures, series, ledger), union map,
 // recorder and position, and the replay source's replicas.
@@ -188,6 +88,16 @@ type checkpoint struct {
 	workerDeaths  int64
 	reassignments int64
 	inst          []replica
+}
+
+// encodeCheckpoint and decodeCheckpoint put the magic and version in
+// front of the checkpoint's fields.
+func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
+	c := codec{w: wire.NewWriter(1 << 16)}
+	c.w.String16(checkpointMagic)
+	c.w.U8(checkpointVersion)
+	c.checkpoint(ck)
+	return c.w.Bytes(), c.err
 }
 
 // ValidateCheckpoint reports whether data parses as a structurally
@@ -207,113 +117,141 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if v := r.U8(); r.Err() != nil || v != checkpointVersion {
 		return nil, fmt.Errorf("dist: checkpoint version %d, want %d", v, checkpointVersion)
 	}
-	ck := &checkpoint{
-		protocol: r.String16(),
-		opts:     decodeOptions(r),
-		union:    coverage.NewMap(),
+	ck, err := unmarshal(r.Rest(), (*codec).checkpoint)
+	if err != nil {
+		return nil, err
 	}
-	// Plan-derived figures come from the checkpoint: Restore never
-	// re-runs the plan.
-	res := &parallel.Result{
-		Series:        &coverage.Series{},
-		ModelEntities: int(r.U32()),
-		RelationEdges: int(r.U32()),
-		Probes:        int(r.U32()),
-	}
-	ck.res = res
-	ngroups := int(r.U16())
-	for i := 0; i < ngroups && r.Err() == nil; i++ {
-		res.Groups = append(res.Groups, schedule.Group{Members: getStrings(r)})
-	}
-	nspecs := int(r.U16())
-	for i := 0; i < nspecs && r.Err() == nil; i++ {
-		ck.specs = append(ck.specs, decodeSpec(r))
-	}
-	if delta := r.Bytes32(); r.Err() == nil {
-		if _, err := ck.union.ApplyDelta(delta); err != nil {
-			return nil, err
-		}
-	}
-	// Observe collapses consecutive equal counts, so the stored points
-	// (which have pairwise-different consecutive counts by construction)
-	// rebuild the series' internal state exactly.
-	npts := int(r.U32())
-	for i := 0; i < npts && r.Err() == nil; i++ {
-		res.Series.Observe(getF64(r), int(r.U32()))
-	}
+	return &ck, nil
+}
+
+// checkpoint visits a paused campaign. The live values in it (union map,
+// series, ledger, recorder, corpus mirrors) travel flat: encoding
+// flattens them first, and decoding rebuilds them from what was read —
+// the only decoding here that is more than a read.
+func (c *codec) checkpoint(ck *checkpoint) {
+	str16(c, &ck.protocol)
+	c.options(&ck.opts)
+
+	// Plan-derived Result fields. Stored so Restore never re-runs
+	// host.Plan — planning probes the target and emits group telemetry,
+	// both of which already happened before the checkpoint.
+	opt(c, &ck.res, (*codec).plan)
+	list[uint16](c, &ck.specs, (*codec).spec)
+
+	// Global replay state: union map, series, ledger, telemetry.
+	var union, events []byte
+	var pts []coverage.Point
 	var reports []bugs.Report
-	nreports := int(r.U16())
-	for i := 0; i < nreports && r.Err() == nil; i++ {
-		reports = append(reports, bugs.Report{
-			Crash:    getCrash(r),
-			Instance: int(int32(r.U32())),
-			Time:     getF64(r),
-			Config:   r.String32(),
-			Count:    int(r.U32()),
-		})
+	var counters telemetry.Counters
+	if !c.decoding() {
+		var buf bytes.Buffer
+		c.fail(ck.tel.WriteJSONL(&buf))
+		union, pts, reports = coverage.EncodeDelta(ck.union, nil), ck.res.Series.Points(), ck.res.Bugs.Unique()
+		events, counters = buf.Bytes(), ck.tel.Counters()
 	}
-	res.Bugs = bugs.RestoreLedger(reports)
-	var events []telemetry.Event
-	if raw := r.Bytes32(); r.Err() == nil {
-		var err error
-		if events, err = telemetry.ParseJSONL(bytes.NewReader(raw)); err != nil {
-			return nil, err
+	bytes32(c, &union)
+	list[uint32](c, &pts, (*codec).point)
+	list[uint16](c, &reports, (*codec).report)
+	bytes32(c, &events)
+	dict(c, &counters, i64[int])
+	if c.decoding() && c.ok() {
+		ck.union = coverage.NewMap()
+		_, err := ck.union.ApplyDelta(union)
+		c.fail(err)
+		// Observe collapses consecutive equal counts, so the stored points
+		// (which have pairwise-different consecutive counts by construction)
+		// rebuild the series' internal state exactly.
+		ck.res.Series = &coverage.Series{}
+		for _, p := range pts {
+			ck.res.Series.Observe(p.T, p.Count)
+		}
+		ck.res.Bugs = bugs.RestoreLedger(reports)
+		evs, err := telemetry.ParseJSONL(bytes.NewReader(events))
+		c.fail(err)
+		ck.tel = telemetry.Restore(evs, counters)
+	}
+	f64(c, &ck.loop.Watermark)
+	f64(c, &ck.loop.LastSample)
+	i64(c, &ck.syncBytes)
+	i64(c, &ck.workerDeaths)
+	i64(c, &ck.reassignments)
+
+	// Per-instance state: the loop's clock and sync schedule, then the
+	// replica.
+	n := len(ck.inst)
+	u32(c, &n)
+	for i := 0; i < n && c.ok(); i++ {
+		if c.decoding() {
+			ck.loop.Clock = append(ck.loop.Clock, 0)
+			ck.loop.NextSync = append(ck.loop.NextSync, 0)
+			ck.inst = append(ck.inst, replica{})
+		}
+		f64(c, &ck.loop.Clock[i])
+		f64(c, &ck.loop.NextSync[i])
+		c.replica(&ck.inst[i])
+	}
+	if c.ok() && (len(ck.inst) != len(ck.specs) || len(ck.inst) == 0) {
+		c.fail(ErrProto)
+	}
+}
+
+func (c *codec) plan(res *parallel.Result) {
+	u32(c, &res.ModelEntities)
+	u32(c, &res.RelationEdges)
+	u32(c, &res.Probes)
+	list[uint16](c, &res.Groups, (*codec).group)
+}
+
+func (c *codec) group(g *schedule.Group) { strs(c, &g.Members) }
+
+func (c *codec) point(p *coverage.Point) {
+	f64(c, &p.T)
+	u32(c, &p.Count)
+}
+
+func (c *codec) report(r *bugs.Report) {
+	c.crash(&r.Crash)
+	i32(c, &r.Instance)
+	f64(c, &r.Time)
+	str32(c, &r.Config)
+	u32(c, &r.Count)
+}
+
+// replica visits an instance's replay state. The corpus mirror travels
+// as its seeds in order, which a fresh corpus rebuilds it from; of the
+// batch, only the drained records not yet replayed are kept, and a
+// restored replica replays them from its start.
+func (c *codec) replica(in *replica) {
+	f64(c, &in.resumeClock)
+	u32(c, &in.crashes)
+	u32(c, &in.muts)
+	u32(c, &in.execs)
+	u32(c, &in.curCov)
+	u32(c, &in.startEdges)
+	str32(c, &in.curConfig)
+	var mirror []fuzz.Seed
+	if !c.decoding() {
+		mirror = make([]fuzz.Seed, in.mirror.Len())
+		for j := range mirror {
+			mirror[j] = in.mirror.At(j)
 		}
 	}
-	counters := make(telemetry.Counters)
-	ncounters := int(r.U16())
-	for i := 0; i < ncounters && r.Err() == nil; i++ {
-		name := r.String16()
-		counters[name] = int(getI64(r))
-	}
-	ck.tel = telemetry.Restore(events, counters)
-	ck.loop.Watermark = getF64(r)
-	ck.loop.LastSample = getF64(r)
-	ck.syncBytes = getI64(r)
-	ck.workerDeaths = getI64(r)
-	ck.reassignments = getI64(r)
-	ninst := int(r.U32())
-	for i := 0; i < ninst && r.Err() == nil; i++ {
-		ck.loop.Clock = append(ck.loop.Clock, getF64(r))
-		ck.loop.NextSync = append(ck.loop.NextSync, getF64(r))
-		in := replica{
-			resumeClock: getF64(r),
-			crashes:     int(r.U32()),
-			muts:        int(r.U32()),
-			execs:       int(r.U32()),
-			curCov:      int(r.U32()),
-			startEdges:  int(r.U32()),
-			curConfig:   r.String32(),
-			mirror:      fuzz.NewCorpus(0),
-		}
-		for _, s := range getSeeds(r) {
+	rest := in.batch[in.pos:]
+	c.seeds(&mirror)
+	c.seeds(&in.pending)
+	list[uint32](c, &in.journal, (*codec).journal)
+	list[uint32](c, &rest, (*codec).step)
+	if c.decoding() {
+		in.mirror, in.batch = fuzz.NewCorpus(0), rest
+		for _, s := range mirror {
 			in.mirror.Add(s)
 		}
-		in.pending = getSeeds(r)
-		njournal := int(r.U32())
-		for j := 0; j < njournal && r.Err() == nil; j++ {
-			in.journal = append(in.journal, leaseJournal{Boundary: getF64(r), Seeds: getSeeds(r)})
-		}
-		nrem := int(r.U32())
-		for j := 0; j < nrem && r.Err() == nil; j++ {
-			rec, err := getLeaseRecord(r, r.U8())
-			if err != nil {
-				return nil, err
-			}
-			in.batch = append(in.batch, rec)
-		}
-		ck.inst = append(ck.inst, in)
 	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if !r.Empty() {
-		return nil, ErrProto
-	}
-	if len(ck.inst) != len(ck.specs) || len(ck.inst) == 0 {
-		return nil, ErrProto
-	}
-	return ck, nil
+}
+
+func (c *codec) journal(j *leaseJournal) {
+	f64(c, &j.Boundary)
+	c.seeds(&j.Seeds)
 }
 
 // Restore rebuilds a checkpointed campaign on a fresh coordinator, as

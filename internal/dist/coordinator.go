@@ -476,7 +476,7 @@ func newReplicas(n int) []replica {
 // (dispatch) or again (replay). The reply is picked up by await.
 func (c *Coordinator) send(i int, j leaseJournal) {
 	in := &c.st.inst[i]
-	payload := encodeLease(lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds})
+	payload := marshal(&lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds}, (*codec).lease)
 	in.sent, in.reqBytes = time.Now(), len(payload)
 	in.inflight = in.owner.send(msgLease, payload, c.cfg.RPCTimeout)
 }
@@ -590,8 +590,8 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 	if err != nil {
 		return nil, err
 	}
-	recs, syncDue, spans, workerNow, err := decodeLeaseResult(p)
-	if err == nil && len(recs) == 0 {
+	lr, err := unmarshal(p, (*codec).leaseResult)
+	if err == nil && len(lr.Steps) == 0 {
 		// A lease always executes at least one step (the budget is
 		// checked after stepping); an empty reply means the worker
 		// lost its instance state.
@@ -601,23 +601,23 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 		wc.kill(err)
 		return nil, err
 	}
-	if len(spans) > 0 {
+	if len(lr.Spans) > 0 {
 		// Align the worker timeline to ours: the worker's clock read at
 		// encode time maps to the reply's arrival, so worker spans land
 		// where the reply arrived (shifted late by the return wire time —
 		// a bounded skew this layer cannot observe, documented in
 		// DESIGN.md).
 		arrived := c.tracer.Now() - time.Since(rep.at)
-		c.tracer.IngestForeign(wc.name, arrived-workerNow, spans)
+		c.tracer.IngestForeign(wc.name, arrived-lr.WorkerNow, lr.Spans)
 	}
-	wc.execs.Add(int64(len(recs)))
+	wc.execs.Add(int64(len(lr.Steps)))
 	nb := int64(in.reqBytes + len(p))
 	wc.syncBytes.Add(nb)
 	c.syncBytes.Add(nb)
 	if c.obs.Lease != nil {
-		c.obs.Lease(i, len(recs), in.reqBytes, len(p), rep.at.Sub(in.sent).Seconds(), syncDue)
+		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(p), rep.at.Sub(in.sent).Seconds(), lr.SyncDue)
 	}
-	return recs, nil
+	return lr.Steps, nil
 }
 
 // markDead records a worker failure exactly once per campaign (campaign
@@ -655,11 +655,11 @@ func (c *Coordinator) rehome(i int, err error) error {
 // config/edges bookkeeping comes from the checkpoint, so only the owner
 // assignment survives.
 func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet bool) error {
-	p, err := wc.rpc(msgBoot, encodeBootReq(bootReq{Campaign: c.campaign, Index: i, ResumeClock: resumeClock}), msgBootResult, c.cfg.RPCTimeout)
+	p, err := wc.rpc(msgBoot, marshal(&bootReq{Campaign: c.campaign, Index: i, ResumeClock: resumeClock}, (*codec).bootReq), msgBootResult, c.cfg.RPCTimeout)
 	if err != nil {
 		return err
 	}
-	br, err := decodeBootResult(p)
+	br, err := unmarshal(p, (*codec).bootResult)
 	if err != nil {
 		wc.kill(err)
 		return err
@@ -861,9 +861,9 @@ func (st *runState) Result(i int) (parallel.InstanceResult, error) {
 	c := st.c
 	for {
 		wc := st.inst[i].owner
-		p, err := wc.rpc(msgFinalize, encodeIndexReq(indexReq{Campaign: c.campaign, Index: i}), msgInstanceResult, c.cfg.RPCTimeout)
+		p, err := wc.rpc(msgFinalize, marshal(&indexReq{Campaign: c.campaign, Index: i}, (*codec).indexReq), msgInstanceResult, c.cfg.RPCTimeout)
 		if err == nil {
-			return decodeInstanceResult(p)
+			return unmarshal(p, (*codec).instanceResult)
 		}
 		if rerr := c.rehome(i, err); rerr != nil {
 			return parallel.InstanceResult{}, rerr
@@ -911,7 +911,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	wireOpts.Trace = nil
 	wireOpts.Progress = nil
 	wireOpts.Label = ""
-	assignPayload := encodeAssign(assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: specs})
+	assignPayload := marshal(&assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: specs}, (*codec).assign)
 	for _, wc := range workers {
 		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
 			return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
@@ -1057,7 +1057,7 @@ func (c *Coordinator) Close() {
 		return
 	}
 	if c.st != nil {
-		payload := encodeRelease(c.campaign)
+		payload := marshal(&c.campaign, u32[uint32])
 		for _, wc := range c.st.workers {
 			if wc.dead.Load() {
 				continue

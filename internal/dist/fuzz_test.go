@@ -11,12 +11,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/telemetry"
-	"cmfuzz/internal/telemetry/trace"
 	"cmfuzz/internal/wire"
 )
 
@@ -44,9 +42,54 @@ func seedMatrix(f *testing.F, good []byte) {
 	}
 }
 
+// fuzzMessage is the target for one message kind's field list, seeded
+// with the malformed-input matrix of each seed value: a failure is one
+// the decode rule names, and what parses is a fixed point.
+func fuzzMessage[T any](f *testing.F, fields func(*codec, *T), seeds ...T) {
+	for i := range seeds {
+		seedMatrix(f, marshal(&seeds[i], fields))
+	}
+	decode := func(p []byte) (T, error) { return unmarshal(p, fields) }
+	encode := func(m T) ([]byte, error) { return marshal(&m, fields), nil }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decode(data)
+		if err != nil && !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrMalformed) && !errors.Is(err, ErrProto) {
+			t.Fatalf("decode failed with %v, which the decode rule does not name", err)
+		}
+		fixedPoint(t, m, err, decode, encode)
+	})
+}
+
+// fixedPoint checks one decode's outcome: a failure came with the zero
+// value, and an accepted value encodes to bytes that parse back to a
+// value encoding to the same bytes. Booleans, varints and duplicate map
+// keys have more than one spelling, so the input need not be that
+// encoding (and values are compared as bytes: a crash stamp may be NaN).
+func fixedPoint[T any](t *testing.T, m T, err error, decode func([]byte) (T, error), encode func(T) ([]byte, error)) {
+	t.Helper()
+	if err != nil {
+		var zero T
+		if !reflect.DeepEqual(m, zero) {
+			t.Fatalf("failed decode returned %+v", m)
+		}
+		return
+	}
+	once, err := encode(m)
+	if err != nil {
+		t.Fatalf("accepted value does not encode: %v", err)
+	}
+	back, err := decode(once)
+	if err != nil {
+		t.Fatalf("re-encoded value does not parse: %v", err)
+	}
+	if twice, err := encode(back); err != nil || !bytes.Equal(twice, once) {
+		t.Fatalf("value changed across a round trip (%v):\n%x\n%x", err, once, twice)
+	}
+}
+
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	writeFrame(&good, msgLease, 0x01020304, goodPayloads()[1])
+	writeFrame(&good, msgLease, 0x01020304, marshal(&v7Lease, (*codec).lease))
 	seedMatrix(f, good.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, msgLease, 0, 0, 0, 1}) // length past maxFrame
 	f.Add([]byte{0x03, 0xFF, 0xFF, 0xFF, msgLease, 0, 0, 0, 1}) // a large length with no bytes behind it
@@ -72,110 +115,31 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeLease(f *testing.F) {
-	seedMatrix(f, goodPayloads()[1])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := decodeLease(data)
-		if err != nil {
-			return
-		}
-		// The encoding is canonical: a payload that parses is the one its
-		// value encodes to.
-		if back := encodeLease(l); !bytes.Equal(back, data) {
-			t.Fatalf("lease %+v re-encodes to %x, decoded from %x", l, back, data)
-		}
-	})
-}
-
-func FuzzDecodeLeaseResult(f *testing.F) {
-	seedMatrix(f, goodPayloads()[2])
-	traced := &wire.Writer{}
-	traced.U8(leaseEnd)
-	putBool(traced, false)
-	putSpanRecords(traced, []trace.Record{
-		{ID: 5, Parent: -1, Track: 1, Name: "lease", Start: time.Millisecond, End: time.Second, Attrs: []trace.Attr{trace.A("instance", "2")}},
-	}, time.Minute)
-	f.Add(traced.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, syncDue, spans, now, err := decodeLeaseResult(data)
-		if err != nil {
-			if recs != nil || spans != nil {
-				t.Fatal("failed decode returned records")
-			}
-			return
-		}
-		// Booleans and varints have more than one spelling, so the input
-		// need not be what the value encodes to; but that encoding must
-		// parse back to the same value (compared as bytes: a crash stamp
-		// may be NaN).
-		encode := func(recs []parallel.LeaseStep, syncDue bool, spans []trace.Record, now time.Duration) []byte {
-			w := &wire.Writer{}
-			for i := range recs {
-				appendLeaseStep(w, &recs[i])
-			}
-			w.U8(leaseEnd)
-			putBool(w, syncDue)
-			putSpanRecords(w, spans, now)
-			return w.Bytes()
-		}
-		once := encode(recs, syncDue, spans, now)
-		recs, syncDue, spans, now, err = decodeLeaseResult(once)
-		if err != nil {
-			t.Fatalf("re-encoded reply does not parse: %v", err)
-		}
-		if twice := encode(recs, syncDue, spans, now); !bytes.Equal(twice, once) {
-			t.Fatalf("lease result changed across a round trip:\n%x\n%x", once, twice)
-		}
-	})
-}
+func FuzzDecodeHello(f *testing.F) { fuzzMessage(f, (*codec).hello, v7Hello) }
 
 func FuzzDecodeAssign(f *testing.F) {
-	seedMatrix(f, goodPayloads()[0])
-	f.Add(encodeAssign(assign{Campaign: 9, Subject: "MQTT", Trace: true, LiveSpec: `{"name":"x"}`,
-		Opts:  parallel.Options{Mode: parallel.ModeCMFuzz, Instances: 4, VirtualHours: 1, Seed: 7, LinkLatencyBase: 0.001},
-		Specs: []parallel.InstanceSpec{{Index: 0, EngineSeed: 1, RngSeed: 2}, {Index: 1}}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := decodeAssign(data)
-		if err != nil {
-			if !reflect.DeepEqual(a, assign{}) {
-				t.Fatalf("failed decode returned %+v", a)
-			}
-			return
-		}
-		// Duplicate config keys collapse, so the input need not be what
-		// the value encodes to; that encoding must be a fixed point.
-		once := encodeAssign(a)
-		back, err := decodeAssign(once)
-		if err != nil {
-			t.Fatalf("re-encoded assign does not parse: %v", err)
-		}
-		if twice := encodeAssign(back); !bytes.Equal(twice, once) {
-			t.Fatalf("assign changed across a round trip:\n got %+v\nwant %+v", back, a)
-		}
-	})
+	fuzzMessage(f, (*codec).assign, v7Assign, assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}})
 }
 
+func FuzzDecodeBootReq(f *testing.F) { fuzzMessage(f, (*codec).bootReq, v7BootReq) }
+
 func FuzzDecodeBootResult(f *testing.F) {
-	seedMatrix(f, goodPayloads()[3])
-	f.Add(encodeBootResult(bootResult{Err: "conflict", Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBootResult(data)
-		if err != nil {
-			if !errors.Is(err, wire.ErrTruncated) {
-				t.Fatalf("boot result failed with %v, want a truncation", err)
-			}
-			return
-		}
-		once := encodeBootResult(b)
-		back, err := decodeBootResult(once)
-		if err != nil {
-			t.Fatalf("re-encoded boot result does not parse: %v", err)
-		}
-		if twice := encodeBootResult(back); !bytes.Equal(twice, once) {
-			t.Fatalf("boot result changed across a round trip:\n got %+v\nwant %+v", back, b)
-		}
-	})
+	fuzzMessage(f, (*codec).bootResult, v7BootResult, bootResult{Err: "conflict", Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}})
 }
+
+func FuzzDecodeLease(f *testing.F) { fuzzMessage(f, (*codec).lease, v7Lease) }
+
+func FuzzDecodeLeaseResult(f *testing.F) {
+	fuzzMessage(f, (*codec).leaseResult, v7LeaseResult(), leaseResult{Steps: v7Steps[:1]})
+}
+
+func FuzzDecodeIndexReq(f *testing.F) { fuzzMessage(f, (*codec).indexReq, v7IndexReq) }
+
+func FuzzDecodeInstanceResult(f *testing.F) {
+	fuzzMessage(f, (*codec).instanceResult, v7InstanceResult)
+}
+
+func FuzzDecodeRelease(f *testing.F) { fuzzMessage(f, u32[uint32], v7Release) }
 
 // midCampaignCheckpoint runs a small campaign to the middle of its
 // second sync window and checkpoints it there, with records still to
@@ -256,25 +220,6 @@ func FuzzValidateCheckpoint(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
-		if err != nil {
-			if ck != nil {
-				t.Fatal("failed decode returned a checkpoint")
-			}
-			return
-		}
-		// Booleans, varints and duplicate keys have more than one
-		// spelling, so the input need not be what the value encodes to;
-		// that encoding must be a fixed point.
-		once, err := encodeCheckpoint(ck)
-		if err != nil {
-			t.Fatalf("accepted checkpoint does not encode: %v", err)
-		}
-		back, err := decodeCheckpoint(once)
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint does not parse: %v", err)
-		}
-		if twice, err := encodeCheckpoint(back); err != nil || !bytes.Equal(twice, once) {
-			t.Fatalf("checkpoint changed across a round trip: %d bytes, then %d (%v)", len(once), len(twice), err)
-		}
+		fixedPoint(t, ck, err, decodeCheckpoint, encodeCheckpoint)
 	})
 }

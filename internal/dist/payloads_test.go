@@ -1,0 +1,110 @@
+package dist
+
+import (
+	"time"
+
+	"cmfuzz/internal/bugs"
+	"cmfuzz/internal/core/configmodel"
+	"cmfuzz/internal/core/schedule"
+	"cmfuzz/internal/fuzz"
+	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/telemetry"
+	"cmfuzz/internal/telemetry/trace"
+)
+
+// The values behind testdata/payloads_v7.bin, one per message kind. The
+// file was written by the hand-written encoders that wire version 7
+// shipped with, before the messages were declared as field lists, and
+// it is never regenerated: it is what pins the declared fields to the
+// bytes those encoders produced. Every field that travels is non-zero
+// somewhere below, the Assign carries a live spec, and the lease reply
+// sets all four record flags and ships a span with attributes.
+var (
+	v7Hello = hello{Name: "worker-7", Version: protocolVersion}
+
+	v7Assign = assign{
+		Campaign: 3,
+		Subject:  "MQTT",
+		Trace:    true,
+		LiveSpec: `{"name":"echo","cmd":["/usr/bin/echo-server","-port","{port}"],"transport":"udp"}`,
+		Opts: parallel.Options{
+			Mode: parallel.ModeSPFuzz, Instances: 4, VirtualHours: 1.5, Seed: -42,
+			StepCost: 2, ByteCost: 0.00002, SyncInterval: 600,
+			SaturationWindow: 1800, SaturationMinGain: 8, MaxValues: 4,
+			Allocator: parallel.AllocRoundRobin, DisableConfigMutation: true,
+			SampleEvery: 300, RawRelationWeighting: true, PeachSharedSchedules: true,
+			Concurrency: 3, LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
+		},
+		Specs: []parallel.InstanceSpec{
+			{
+				Index:  0,
+				Config: configmodel.Assignment{"tls": "on", "bridge": "off", "port": "1883"},
+				Group:  schedule.Group{Members: []string{"bridge", "tls"}},
+				Paths: []fuzz.Path{
+					{States: []string{"connect", "publish"}, Models: []string{"CONNECT", "PUBLISH"}},
+					{States: []string{"connect"}, Models: []string{"CONNECT"}},
+				},
+				EngineSeed: 7919, RngSeed: -104729,
+			},
+			{Index: 1, Config: configmodel.Assignment{"port": "8883"}, Group: schedule.Group{Members: []string{"port"}}, EngineSeed: 1, RngSeed: 2},
+		},
+	}
+
+	v7BootReq = bootReq{Campaign: 3, Index: 1, ResumeClock: 1234.5}
+
+	v7BootResult = bootResult{
+		Err: "", Config: "bridge=off port=1883 tls=on", StartEdges: 41, Delta: []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 9},
+		Crashes: []crashRec{
+			{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"}, Instance: 1, T: 0, Config: "bridge=on"},
+			{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.MemoryLeak, Function: "tls_load", Detail: "cert"}, Instance: 1, T: 0.25, Config: "tls=on"},
+		},
+	}
+
+	v7Lease = lease{
+		Campaign: 3, Index: 1, Boundary: 1200, Horizon: 5400,
+		Seeds: []fuzz.Seed{
+			{Msgs: [][]byte{{0x10, 0x0c}, {0x30, 0x02, 'a', 'b'}}, Gain: 5},
+			{Msgs: [][]byte{{}}, Gain: 1},
+		},
+	}
+
+	// The reply's records: a bare one, then one with all four flags.
+	v7Steps = []parallel.LeaseStep{
+		{Step: parallel.Step{Bytes: 41}},
+		{
+			Step: parallel.Step{Bytes: 300, Latency: 0.00023456789012345678, NewEdges: 3,
+				Crash: &bugs.Crash{Protocol: "MQTT", Kind: bugs.HeapUseAfterFree, Function: "handle_subscribe", Detail: "retained"}},
+			Seed:     fuzz.Seed{Msgs: [][]byte{{0x82, 0x05}, {0xc0}}, Gain: 3},
+			Delta:    []byte{0, 2, 0, 0, 0, 0, 0, 0, 1, 7},
+			SatFired: true,
+			Mutation: &parallel.MutationOutcome{
+				Events: []parallel.MutEvent{
+					{Type: telemetry.EvRestartFail, Entity: "tls", Value: "off", Detail: "conflict"},
+					{Type: telemetry.EvMutation, Entity: "bridge", Value: "on", Config: "bridge=on"},
+				},
+				Mutations: 1, Boots: 2, RestartFails: 1, Fallbacks: 1, Restarted: true,
+			},
+			MutationCrashes: []crashRec{{
+				Crash:    bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"},
+				Instance: 1, T: 1190.5, Config: "bridge=on",
+			}},
+			Config: "bridge=on port=1883 tls=on", Coverage: 345,
+		},
+	}
+	v7SyncDue = true
+	v7Spans   = []trace.Record{
+		{ID: 4, Parent: -1, Track: 1, Name: "lease", Start: time.Millisecond, End: 9 * time.Millisecond,
+			Attrs: []trace.Attr{{Key: "instance", Value: "1"}, {Key: "bytes", Value: "77"}}},
+		{ID: 6, Parent: 4, Track: 1, Name: "lease.steps", Start: 2 * time.Millisecond, End: 8 * time.Millisecond},
+	}
+	v7WorkerNow = 10 * time.Millisecond
+
+	v7IndexReq = indexReq{Campaign: 3, Index: 1}
+
+	v7InstanceResult = parallel.InstanceResult{
+		Index: 1, Config: "bridge=on port=1883 tls=on", Group: []string{"bridge", "tls"},
+		FinalBranches: 512, Execs: 100000, Crashes: 4, ConfigMutations: 7, RestartFailures: 1,
+	}
+
+	v7Release uint32 = 3
+)

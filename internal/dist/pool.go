@@ -67,13 +67,15 @@ func (p *Pool) AddConn(conn net.Conn) error {
 	if typ != msgHello {
 		return fmt.Errorf("dist: worker handshake: got message %d, want Hello", typ)
 	}
-	h, err := decodeHello(payload)
+	// The version byte leads every hello, so a worker speaking another
+	// version is told so whatever that version put after it.
+	if len(payload) > 0 && payload[0] != protocolVersion {
+		writeFrame(conn, msgError, 0, []byte("protocol version mismatch"))
+		return fmt.Errorf("dist: worker speaks protocol %d, want %d", payload[0], protocolVersion)
+	}
+	h, err := unmarshal(payload, (*codec).hello)
 	if err != nil {
 		return err
-	}
-	if h.Version != protocolVersion {
-		writeFrame(conn, msgError, 0, []byte("protocol version mismatch"))
-		return fmt.Errorf("dist: worker %q speaks protocol %d, want %d", h.Name, h.Version, protocolVersion)
 	}
 	if err := writeFrame(conn, msgWelcome, 0, nil); err != nil {
 		return err

@@ -3,7 +3,10 @@ package dist
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
+
+	"cmfuzz/internal/wire"
 )
 
 // addPipeWorker attaches one net.Pipe-backed worker to the pool and
@@ -237,4 +240,35 @@ func TestAcquireExact(t *testing.T) {
 		t.Fatalf("AcquireExact after an absorbed death = %v, %q; want [w3]", pt.Names(), miss)
 	}
 	pt.Release()
+}
+
+// TestHelloVersionMismatch: a worker speaking another protocol version
+// is told so, whatever that version puts in its hello after the version
+// byte — here a version-8 hello with a field version 7 does not have,
+// which read as version 7 would be a malformed message.
+func TestHelloVersionMismatch(t *testing.T) {
+	p := NewPool(Config{HeartbeatInterval: -1})
+	defer p.Close()
+	cConn, wConn := net.Pipe()
+	defer wConn.Close()
+	c := codec{w: &wire.Writer{}}
+	c.hello(&hello{Name: "future", Version: protocolVersion + 1})
+	c.w.U32(42) // the field version 8 added
+	go writeFrame(wConn, msgHello, 0, c.w.Bytes())
+	added := make(chan error, 1)
+	go func() { added <- p.AddConn(cConn) }()
+	typ, _, payload, err := readFrame(wConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != msgError || string(payload) != "protocol version mismatch" {
+		t.Fatalf("worker was answered with type %d %q, want a version mismatch", typ, payload)
+	}
+	want := fmt.Sprintf("speaks protocol %d, want %d", protocolVersion+1, protocolVersion)
+	if err := <-added; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("AddConn = %v, want a version mismatch", err)
+	}
+	if len(p.workers) != 0 {
+		t.Fatalf("%d workers attached", len(p.workers))
+	}
 }

@@ -8,12 +8,9 @@ import (
 	"time"
 
 	"cmfuzz/internal/bugs"
-	"cmfuzz/internal/core/configmodel"
-	"cmfuzz/internal/core/schedule"
 	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
-	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 	"cmfuzz/internal/wire"
 )
@@ -21,68 +18,244 @@ import (
 // ErrProto reports a structurally invalid protocol payload.
 var ErrProto = errors.New("dist: malformed message")
 
-// The codecs below use internal/wire. Every map is serialized in sorted
-// key order so encodings are canonical; floats travel as IEEE-754 bits
-// so the worker and coordinator compute with identical values.
+// Every message is declared once, as a function that visits its fields
+// in wire order. A codec runs such a visitor in one direction: holding a
+// Writer it appends each field, holding a Reader it reads each field
+// back into the same place. Every map is serialized in sorted key order
+// so encodings are canonical; floats travel as IEEE-754 bits so the
+// worker and coordinator compute with identical values.
+type codec struct {
+	w   *wire.Writer
+	r   *wire.Reader
+	err error // the first error encoding hit (decoding fails r instead)
+}
 
-func putF64(w *wire.Writer, f float64) { w.U64(math.Float64bits(f)) }
-func getF64(r *wire.Reader) float64    { return math.Float64frombits(r.U64()) }
-func getBool(r *wire.Reader) bool      { return r.U8() != 0 }
-func putI64(w *wire.Writer, v int64)   { w.U64(uint64(v)) }
-func getI64(r *wire.Reader) int64      { return int64(r.U64()) }
+// marshal encodes m with the visitor fields into a fresh buffer.
+func marshal[T any](m *T, fields func(*codec, *T)) []byte {
+	c := codec{w: &wire.Writer{}}
+	fields(&c, m)
+	return c.w.Bytes()
+}
 
-func putBool(w *wire.Writer, b bool) {
-	if b {
-		w.U8(1)
+// unmarshal is the one decode rule every message obeys: a payload that
+// ends early is wire.ErrTruncated, a field that breaks its rule or bytes
+// left over after the last field are ErrProto, and any error comes with
+// the zero value.
+func unmarshal[T any](p []byte, fields func(*codec, *T)) (T, error) {
+	var m T
+	c := codec{r: wire.NewReader(p)}
+	fields(&c, &m)
+	if !c.r.Empty() {
+		c.r.Fail(ErrProto)
+	}
+	if err := c.r.Err(); err != nil {
+		return *new(T), err
+	}
+	return m, nil
+}
+
+func (c *codec) decoding() bool { return c.r != nil }
+
+// ok reports whether a decoding visitor may keep reading.
+func (c *codec) ok() bool { return c.r == nil || c.r.Err() == nil }
+
+// fail records err, if it is one, as the codec's first error.
+func (c *codec) fail(err error) {
+	if c.r != nil {
+		c.r.Fail(err)
+	} else if c.err == nil {
+		c.err = err
+	}
+}
+
+// The primitives: each writes *v or reads into it.
+
+func u8[T ~uint8 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.U8())
+	} else {
+		c.w.U8(byte(*v))
+	}
+}
+
+func u16[T ~uint16 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.U16())
+	} else {
+		c.w.U16(uint16(*v))
+	}
+}
+
+func u32[T ~uint32 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.U32())
+	} else {
+		c.w.U32(uint32(*v))
+	}
+}
+
+// i32 is a u32 that reads back sign-extended.
+func i32(c *codec, v *int) {
+	if c.r != nil {
+		*v = int(int32(c.r.U32()))
+	} else {
+		c.w.U32(uint32(*v))
+	}
+}
+
+func i64[T ~int64 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.U64())
+	} else {
+		c.w.U64(uint64(*v))
+	}
+}
+
+func f64(c *codec, v *float64) {
+	if c.r != nil {
+		*v = math.Float64frombits(c.r.U64())
+	} else {
+		c.w.U64(math.Float64bits(*v))
+	}
+}
+
+// flag is one byte, 1 for true; any non-zero byte reads as true.
+func flag(c *codec, v *bool) {
+	if c.r != nil {
+		*v = c.r.U8() != 0
+	} else if *v {
+		c.w.U8(1)
+	} else {
+		c.w.U8(0)
+	}
+}
+
+func varint(c *codec, v *int) {
+	if c.r != nil {
+		*v = int(c.r.Varint())
+	} else {
+		c.w.Varint(uint32(*v))
+	}
+}
+
+func str16[T ~string](c *codec, s *T) {
+	if c.r != nil {
+		*s = T(c.r.String16())
+	} else {
+		c.w.String16(string(*s))
+	}
+}
+
+func str32(c *codec, s *string) {
+	if c.r != nil {
+		*s = c.r.String32()
+	} else {
+		c.w.String32(*s)
+	}
+}
+
+// bytes32 decodes to a slice that aliases the payload.
+func bytes32(c *codec, b *[]byte) {
+	if c.r != nil {
+		*b = c.r.Bytes32()
+	} else {
+		c.w.Bytes32(*b)
+	}
+}
+
+// text is a value of any type that travels as its %v rendering and
+// decodes as that string.
+func text(c *codec, v *any) {
+	if c.r != nil {
+		*v = c.r.String32()
+	} else {
+		c.w.String32(fmt.Sprint(*v))
+	}
+}
+
+// list visits a slice as an N-wide count, then each element. Decoding
+// appends the elements in place and stops at the first error. It makes
+// room for at most 64 elements up front, so a count the input does not
+// back with bytes costs at most that.
+func list[N uint8 | uint16 | uint32, T any](c *codec, s *[]T, elem func(*codec, *T)) {
+	n := N(len(*s))
+	switch p := any(&n).(type) {
+	case *uint8:
+		u8(c, p)
+	case *uint16:
+		u16(c, p)
+	case *uint32:
+		u32(c, p)
+	}
+	if c.r == nil {
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
 		return
 	}
-	w.U8(0)
-}
-
-func putStrings(w *wire.Writer, ss []string) {
-	w.U16(uint16(len(ss)))
-	for _, s := range ss {
-		w.String16(s)
+	if n > 0 && c.r.Err() == nil {
+		*s = make([]T, 0, min(int(n), 64)) // decoding fills a zero value
+	}
+	for i := N(0); i < n && c.r.Err() == nil; i++ {
+		var zero T
+		*s = append(*s, zero)
+		elem(c, &(*s)[len(*s)-1])
 	}
 }
 
-func getStrings(r *wire.Reader) []string {
-	n := int(r.U16())
-	if n == 0 || r.Err() != nil {
-		return nil
+// stream visits a slice as its elements followed by the byte end, which
+// no element starts with. The end byte is left to the visitor that
+// follows: decoding stops in front of it.
+func stream[T any](c *codec, s *[]T, end byte, elem func(*codec, *T)) {
+	if c.r == nil {
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
+		return
 	}
-	out := make([]string, 0, min(n, 1024))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, r.String16())
+	for c.r.Err() == nil && c.r.Peek() != end {
+		var zero T
+		*s = append(*s, zero)
+		elem(c, &(*s)[len(*s)-1])
 	}
-	return out
 }
 
-func putAssignment(w *wire.Writer, a configmodel.Assignment) {
-	keys := make([]string, 0, len(a))
-	for k := range a {
+// opt visits a struct held by pointer, allocating it when decoding.
+func opt[T any](c *codec, p **T, fields func(*codec, *T)) {
+	if c.r != nil {
+		*p = new(T)
+	}
+	fields(c, *p)
+}
+
+// dict visits a map as a u16 count and its key/value pairs in sorted key
+// order.
+func dict[M ~map[string]V, V any](c *codec, m *M, val func(*codec, *V)) {
+	keys := make([]string, 0, len(*m))
+	for k := range *m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.U16(uint16(len(keys)))
-	for _, k := range keys {
-		w.String16(k)
-		w.String16(a[k])
+	n := len(keys)
+	u16(c, &n)
+	if c.r != nil {
+		*m = make(M, n)
+	}
+	for i := 0; i < n && c.ok(); i++ {
+		var k string
+		var v V
+		if c.r == nil {
+			k, v = keys[i], (*m)[keys[i]]
+		}
+		str16(c, &k)
+		val(c, &v)
+		if c.r != nil {
+			(*m)[k] = v
+		}
 	}
 }
 
-func getAssignment(r *wire.Reader) configmodel.Assignment {
-	n := int(r.U16())
-	if r.Err() != nil {
-		return nil
-	}
-	a := make(configmodel.Assignment, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.String16()
-		a[k] = r.String16()
-	}
-	return a
-}
+func strs(c *codec, ss *[]string) { list[uint16](c, ss, str16[string]) }
 
 // --- Hello / Welcome ---
 
@@ -91,17 +264,11 @@ type hello struct {
 	Version byte
 }
 
-func encodeHello(h hello) []byte {
-	w := &wire.Writer{}
-	w.U8(h.Version)
-	w.String16(h.Name)
-	return w.Bytes()
-}
-
-func decodeHello(p []byte) (hello, error) {
-	r := wire.NewReader(p)
-	h := hello{Version: r.U8(), Name: r.String16()}
-	return h, r.Err()
+// The version leads, so a hello of any version can be told apart from a
+// malformed one by its first byte.
+func (c *codec) hello(h *hello) {
+	u8(c, &h.Version)
+	str16(c, &h.Name)
 }
 
 // --- Assign ---
@@ -128,78 +295,51 @@ type assign struct {
 	Specs    []parallel.InstanceSpec
 }
 
-func encodeOptions(w *wire.Writer, o parallel.Options) {
-	w.U8(byte(o.Mode))
-	w.U32(uint32(o.Instances))
-	putF64(w, o.VirtualHours)
-	putI64(w, o.Seed)
-	putF64(w, o.StepCost)
-	putF64(w, o.ByteCost)
-	putF64(w, o.SyncInterval)
-	putF64(w, o.SaturationWindow)
-	w.U32(uint32(o.SaturationMinGain))
-	w.U32(uint32(o.MaxValues))
-	w.U8(byte(o.Allocator))
-	putBool(w, o.DisableConfigMutation)
-	putF64(w, o.SampleEvery)
-	putBool(w, o.RawRelationWeighting)
-	putBool(w, o.PeachSharedSchedules)
-	w.U32(uint32(o.Concurrency))
-	putF64(w, o.LinkLoss)
-	putF64(w, o.LinkLatencyBase)
-	putF64(w, o.LinkLatencyJitter)
+func (c *codec) assign(a *assign) {
+	u32(c, &a.Campaign)
+	str16(c, &a.Subject)
+	flag(c, &a.Trace)
+	str32(c, &a.LiveSpec)
+	c.options(&a.Opts)
+	list[uint16](c, &a.Specs, (*codec).spec)
 }
 
-func decodeOptions(r *wire.Reader) parallel.Options {
-	return parallel.Options{
-		Mode:                  parallel.Mode(r.U8()),
-		Instances:             int(r.U32()),
-		VirtualHours:          getF64(r),
-		Seed:                  getI64(r),
-		StepCost:              getF64(r),
-		ByteCost:              getF64(r),
-		SyncInterval:          getF64(r),
-		SaturationWindow:      getF64(r),
-		SaturationMinGain:     int(r.U32()),
-		MaxValues:             int(r.U32()),
-		Allocator:             parallel.Allocator(r.U8()),
-		DisableConfigMutation: getBool(r),
-		SampleEvery:           getF64(r),
-		RawRelationWeighting:  getBool(r),
-		PeachSharedSchedules:  getBool(r),
-		Concurrency:           int(r.U32()),
-		LinkLoss:              getF64(r),
-		LinkLatencyBase:       getF64(r),
-		LinkLatencyJitter:     getF64(r),
-	}
+// options visits the resolved options; the observability sinks do not
+// travel.
+func (c *codec) options(o *parallel.Options) {
+	u8(c, &o.Mode)
+	u32(c, &o.Instances)
+	f64(c, &o.VirtualHours)
+	i64(c, &o.Seed)
+	f64(c, &o.StepCost)
+	f64(c, &o.ByteCost)
+	f64(c, &o.SyncInterval)
+	f64(c, &o.SaturationWindow)
+	u32(c, &o.SaturationMinGain)
+	u32(c, &o.MaxValues)
+	u8(c, &o.Allocator)
+	flag(c, &o.DisableConfigMutation)
+	f64(c, &o.SampleEvery)
+	flag(c, &o.RawRelationWeighting)
+	flag(c, &o.PeachSharedSchedules)
+	u32(c, &o.Concurrency)
+	f64(c, &o.LinkLoss)
+	f64(c, &o.LinkLatencyBase)
+	f64(c, &o.LinkLatencyJitter)
 }
 
-func encodeSpec(w *wire.Writer, s parallel.InstanceSpec) {
-	w.U32(uint32(s.Index))
-	putAssignment(w, s.Config)
-	putStrings(w, s.Group.Members)
-	w.U16(uint16(len(s.Paths)))
-	for _, p := range s.Paths {
-		putStrings(w, p.States)
-		putStrings(w, p.Models)
-	}
-	putI64(w, s.EngineSeed)
-	putI64(w, s.RngSeed)
+func (c *codec) spec(s *parallel.InstanceSpec) {
+	u32(c, &s.Index)
+	dict(c, &s.Config, str16[string])
+	strs(c, &s.Group.Members)
+	list[uint16](c, &s.Paths, (*codec).path)
+	i64(c, &s.EngineSeed)
+	i64(c, &s.RngSeed)
 }
 
-func decodeSpec(r *wire.Reader) parallel.InstanceSpec {
-	s := parallel.InstanceSpec{
-		Index:  int(r.U32()),
-		Config: getAssignment(r),
-		Group:  schedule.Group{Members: getStrings(r)},
-	}
-	n := int(r.U16())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Paths = append(s.Paths, fuzz.Path{States: getStrings(r), Models: getStrings(r)})
-	}
-	s.EngineSeed = getI64(r)
-	s.RngSeed = getI64(r)
-	return s
+func (c *codec) path(p *fuzz.Path) {
+	strs(c, &p.States)
+	strs(c, &p.Models)
 }
 
 // liveSpecOf returns the inline live-target spec for subjects that
@@ -213,36 +353,6 @@ func liveSpecOf(sub subject.Subject) string {
 	return ""
 }
 
-func encodeAssign(a assign) []byte {
-	w := &wire.Writer{}
-	w.U32(a.Campaign)
-	w.String16(a.Subject)
-	putBool(w, a.Trace)
-	w.String32(a.LiveSpec)
-	encodeOptions(w, a.Opts)
-	w.U16(uint16(len(a.Specs)))
-	for _, s := range a.Specs {
-		encodeSpec(w, s)
-	}
-	return w.Bytes()
-}
-
-func decodeAssign(p []byte) (assign, error) {
-	r := wire.NewReader(p)
-	a := assign{Campaign: r.U32(), Subject: r.String16(), Trace: getBool(r), LiveSpec: r.String32(), Opts: decodeOptions(r)}
-	n := int(r.U16())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		a.Specs = append(a.Specs, decodeSpec(r))
-	}
-	if r.Err() != nil {
-		return assign{}, r.Err()
-	}
-	if !r.Empty() {
-		return assign{}, ErrProto
-	}
-	return a, nil
-}
-
 // --- Boot ---
 
 type bootReq struct {
@@ -251,70 +361,28 @@ type bootReq struct {
 	ResumeClock float64 // nonzero when re-booting a lost instance
 }
 
-func encodeBootReq(b bootReq) []byte {
-	w := &wire.Writer{}
-	w.U32(b.Campaign)
-	w.U32(uint32(b.Index))
-	putF64(w, b.ResumeClock)
-	return w.Bytes()
-}
-
-func decodeBootReq(p []byte) (bootReq, error) {
-	r := wire.NewReader(p)
-	b := bootReq{Campaign: r.U32(), Index: int(r.U32()), ResumeClock: getF64(r)}
-	return b, r.Err()
+func (c *codec) bootReq(b *bootReq) {
+	u32(c, &b.Campaign)
+	u32(c, &b.Index)
+	f64(c, &b.ResumeClock)
 }
 
 // crashRec is one buffered CrashSink record (parallel.RecordingSink's
 // element type), replayed into the coordinator's ledger in order.
 type crashRec = parallel.CrashRec
 
-func putCrash(w *wire.Writer, c *bugs.Crash) {
-	w.String16(c.Protocol)
-	w.U8(byte(c.Kind))
-	w.String16(c.Function)
-	w.String32(c.Detail)
+func (c *codec) crash(cr *bugs.Crash) {
+	str16(c, &cr.Protocol)
+	u8(c, &cr.Kind)
+	str16(c, &cr.Function)
+	str32(c, &cr.Detail)
 }
 
-func getCrash(r *wire.Reader) bugs.Crash {
-	return bugs.Crash{
-		Protocol: r.String16(),
-		Kind:     bugs.Kind(r.U8()),
-		Function: r.String16(),
-		Detail:   r.String32(),
-	}
-}
-
-func putCrashRec(w *wire.Writer, c crashRec) {
-	putCrash(w, &c.Crash)
-	w.U32(uint32(c.Instance))
-	putF64(w, c.T)
-	w.String32(c.Config)
-}
-
-func getCrashRec(r *wire.Reader) crashRec {
-	return crashRec{
-		Crash:    getCrash(r),
-		Instance: int(r.U32()),
-		T:        getF64(r),
-		Config:   r.String32(),
-	}
-}
-
-func putCrashRecs(w *wire.Writer, cs []crashRec) {
-	w.U16(uint16(len(cs)))
-	for _, c := range cs {
-		putCrashRec(w, c)
-	}
-}
-
-func getCrashRecs(r *wire.Reader) []crashRec {
-	n := int(r.U16())
-	var out []crashRec
-	for i := 0; i < n && r.Err() == nil; i++ {
-		out = append(out, getCrashRec(r))
-	}
-	return out
+func (c *codec) crashRec(r *crashRec) {
+	c.crash(&r.Crash)
+	u32(c, &r.Instance)
+	f64(c, &r.T)
+	str32(c, &r.Config)
 }
 
 type bootResult struct {
@@ -325,29 +393,15 @@ type bootResult struct {
 	Crashes    []crashRec
 }
 
-func encodeBootResult(b bootResult) []byte {
-	w := &wire.Writer{}
-	w.String32(b.Err)
-	w.String32(b.Config)
-	w.U32(uint32(b.StartEdges))
-	w.Bytes32(b.Delta)
-	putCrashRecs(w, b.Crashes)
-	return w.Bytes()
+func (c *codec) bootResult(b *bootResult) {
+	str32(c, &b.Err)
+	str32(c, &b.Config)
+	u32(c, &b.StartEdges)
+	bytes32(c, &b.Delta)
+	list[uint16](c, &b.Crashes, (*codec).crashRec)
 }
 
-func decodeBootResult(p []byte) (bootResult, error) {
-	r := wire.NewReader(p)
-	b := bootResult{
-		Err:        r.String32(),
-		Config:     r.String32(),
-		StartEdges: int(r.U32()),
-		Delta:      r.Bytes32(),
-		Crashes:    getCrashRecs(r),
-	}
-	return b, r.Err()
-}
-
-// --- Lease ---
+// --- Finalize ---
 
 // indexReq addresses a single instance (Finalize).
 type indexReq struct {
@@ -355,59 +409,29 @@ type indexReq struct {
 	Index    int
 }
 
-func encodeIndexReq(s indexReq) []byte {
-	w := &wire.Writer{}
-	w.U32(s.Campaign)
-	w.U32(uint32(s.Index))
-	return w.Bytes()
+func (c *codec) indexReq(s *indexReq) {
+	u32(c, &s.Campaign)
+	u32(c, &s.Index)
 }
 
-func decodeIndexReq(p []byte) (indexReq, error) {
-	r := wire.NewReader(p)
-	s := indexReq{Campaign: r.U32(), Index: int(r.U32())}
-	return s, r.Err()
+func (c *codec) instanceResult(ir *parallel.InstanceResult) {
+	u32(c, &ir.Index)
+	str32(c, &ir.Config)
+	strs(c, &ir.Group)
+	u32(c, &ir.FinalBranches)
+	i64(c, &ir.Execs)
+	u32(c, &ir.Crashes)
+	u32(c, &ir.ConfigMutations)
+	u32(c, &ir.RestartFailures)
 }
 
 // --- Release ---
 
-// encodeRelease addresses a whole campaign: the worker closes and
-// forgets that campaign's instances but keeps serving every other
-// campaign on the connection.
-func encodeRelease(campaign uint32) []byte {
-	w := &wire.Writer{}
-	w.U32(campaign)
-	return w.Bytes()
-}
+// A Release payload is a bare campaign id (u32[uint32]): the worker
+// closes and forgets that campaign's instances but keeps serving every
+// other campaign on the connection.
 
-func decodeRelease(p []byte) (uint32, error) {
-	r := wire.NewReader(p)
-	id := r.U32()
-	if r.Err() != nil {
-		return 0, r.Err()
-	}
-	if !r.Empty() {
-		return 0, ErrProto
-	}
-	return id, nil
-}
-
-func putMutEvent(w *wire.Writer, e parallel.MutEvent) {
-	w.String16(string(e.Type))
-	w.String16(e.Entity)
-	w.String16(e.Value)
-	w.String32(e.Config)
-	w.String32(e.Detail)
-}
-
-func getMutEvent(r *wire.Reader) parallel.MutEvent {
-	return parallel.MutEvent{
-		Type:   telemetry.Type(r.String16()),
-		Entity: r.String16(),
-		Value:  r.String16(),
-		Config: r.String32(),
-		Detail: r.String32(),
-	}
-}
+// --- Lease ---
 
 // A lease hands one instance a batch of work: seeds to import first
 // (the previous sync's collection, empty on the first lease), then run
@@ -421,32 +445,19 @@ type lease struct {
 	Seeds    []fuzz.Seed
 }
 
-func encodeLease(l lease) []byte {
-	w := &wire.Writer{}
-	w.U32(l.Campaign)
-	w.U32(uint32(l.Index))
-	putF64(w, l.Boundary)
-	putF64(w, l.Horizon)
-	putSeeds(w, l.Seeds)
-	return w.Bytes()
+func (c *codec) lease(l *lease) {
+	u32(c, &l.Campaign)
+	u32(c, &l.Index)
+	f64(c, &l.Boundary)
+	f64(c, &l.Horizon)
+	c.seeds(&l.Seeds)
 }
 
-func decodeLease(p []byte) (lease, error) {
-	r := wire.NewReader(p)
-	l := lease{
-		Campaign: r.U32(),
-		Index:    int(r.U32()),
-		Boundary: getF64(r),
-		Horizon:  getF64(r),
-		Seeds:    getSeeds(r),
-	}
-	if r.Err() != nil {
-		return lease{}, r.Err()
-	}
-	if !r.Empty() {
-		return lease{}, ErrProto
-	}
-	return l, nil
+func (c *codec) seeds(s *[]fuzz.Seed) { list[uint16](c, s, (*codec).seed) }
+
+func (c *codec) seed(s *fuzz.Seed) {
+	list[uint16](c, &s.Msgs, bytes32)
+	u32(c, &s.Gain)
 }
 
 // Per-step record encoding inside a lease reply. A flags byte leads
@@ -468,15 +479,18 @@ const (
 	leaseEnd byte = 0xFF
 )
 
-// appendLeaseStep encodes one step record onto w. The worker calls it
-// from StepN's afterRecord hook, so the reply is built incrementally in
-// a reused encoder instead of being assembled from per-step slices; the
-// checkpoint calls it for drained records not yet replayed. A record
-// that charged no link latency encodes as it did before records could
-// carry one, so older checkpoints and latency-free replies are
-// unchanged.
-func appendLeaseStep(w *wire.Writer, rec *parallel.LeaseStep) {
-	var flags byte
+// step visits one step record. The worker encodes each record from
+// StepN's afterRecord hook, so a reply is built incrementally in the
+// lane's reused encoder instead of being assembled from per-step slices;
+// the checkpoint stores drained records not yet replayed with it. A
+// record that charged no link latency encodes as it did before records
+// could carry one, so older checkpoints and latency-free replies are
+// unchanged. Decoding rejects flag bits it does not know, an edges flag
+// with no edges, and a latency flag without a positive, finite charge:
+// anything else would re-encode differently or poison the replayed
+// clock.
+func (c *codec) step(rec *parallel.LeaseStep) {
+	var flags byte // what rec carries; a decoded record is still empty here
 	if rec.Crash != nil {
 		flags |= leaseFlagCrash
 	}
@@ -489,225 +503,101 @@ func appendLeaseStep(w *wire.Writer, rec *parallel.LeaseStep) {
 	if rec.Latency != 0 {
 		flags |= leaseFlagLatency
 	}
-	w.U8(flags)
-	w.Varint(uint32(rec.Bytes))
-	if rec.Latency != 0 {
-		putF64(w, rec.Latency)
-	}
-	if rec.Crash != nil {
-		putCrash(w, rec.Crash)
-	}
-	if rec.NewEdges > 0 {
-		w.Varint(uint32(rec.NewEdges))
-		w.Bytes32(rec.Delta)
-		// Seed.Gain is NewEdges by construction, so only the messages
-		// travel. Sequences are at most a handful of messages (the
-		// engine caps path length), so a one-byte count suffices.
-		w.U8(byte(len(rec.Seed.Msgs)))
-		for _, m := range rec.Seed.Msgs {
-			w.Bytes32(m)
-		}
-	}
-	if rec.SatFired {
-		m := rec.Mutation
-		w.U16(uint16(len(m.Events)))
-		for _, e := range m.Events {
-			putMutEvent(w, e)
-		}
-		w.U8(byte(m.Mutations))
-		w.U8(byte(m.Boots))
-		w.U8(byte(m.RestartFails))
-		w.U8(byte(m.Fallbacks))
-		putBool(w, m.Restarted)
-		putCrashRecs(w, rec.MutationCrashes)
-		w.String32(rec.Config)
-		w.Varint(uint32(rec.Coverage))
-	}
-}
-
-// getLeaseRecord parses one step record whose flags byte has already
-// been read, rejecting flag bits it does not know.
-func getLeaseRecord(r *wire.Reader, flags byte) (parallel.LeaseStep, error) {
-	var rec parallel.LeaseStep
+	u8(c, &flags)
 	if flags&^byte(leaseFlagsKnown) != 0 {
-		return rec, ErrProto
+		c.fail(ErrProto)
+		return
 	}
-	rec.Bytes = int(r.Varint())
+	varint(c, &rec.Bytes)
 	if flags&leaseFlagLatency != 0 {
-		rec.Latency = getF64(r)
-		// The flag means a positive, finite charge: anything else would
-		// re-encode differently or poison the replayed clock.
-		if r.Err() == nil && !(rec.Latency > 0 && rec.Latency <= math.MaxFloat64) {
-			return rec, ErrProto
+		f64(c, &rec.Latency)
+		if c.ok() && !(rec.Latency > 0 && rec.Latency <= math.MaxFloat64) {
+			c.fail(ErrProto)
 		}
 	}
 	if flags&leaseFlagCrash != 0 {
-		c := getCrash(r)
-		rec.Crash = &c
+		opt(c, &rec.Crash, (*codec).crash)
 	}
 	if flags&leaseFlagEdges != 0 {
-		rec.NewEdges = int(r.Varint())
-		if r.Err() == nil && rec.NewEdges == 0 {
-			return rec, ErrProto
+		varint(c, &rec.NewEdges)
+		if c.ok() && rec.NewEdges == 0 {
+			c.fail(ErrProto)
 		}
-		rec.Delta = r.Bytes32()
-		msgs := int(r.U8())
-		for j := 0; j < msgs && r.Err() == nil; j++ {
-			rec.Seed.Msgs = append(rec.Seed.Msgs, r.Bytes32())
-		}
+		bytes32(c, &rec.Delta)
+		// Seed.Gain is NewEdges by construction, so only the messages
+		// travel. Sequences are at most a handful of messages (the
+		// engine caps path length), so a one-byte count suffices.
+		list[uint8](c, &rec.Seed.Msgs, bytes32)
+	}
+	if c.decoding() {
 		rec.Seed.Gain = rec.NewEdges
+		rec.SatFired = flags&leaseFlagSat != 0
 	}
 	if flags&leaseFlagSat != 0 {
-		rec.SatFired = true
-		m := &parallel.MutationOutcome{}
-		n := int(r.U16())
-		for i := 0; i < n && r.Err() == nil; i++ {
-			m.Events = append(m.Events, getMutEvent(r))
-		}
-		m.Mutations = int(r.U8())
-		m.Boots = int(r.U8())
-		m.RestartFails = int(r.U8())
-		m.Fallbacks = int(r.U8())
-		m.Restarted = getBool(r)
-		rec.Mutation = m
-		rec.MutationCrashes = getCrashRecs(r)
-		rec.Config = r.String32()
-		rec.Coverage = int(r.Varint())
-	}
-	return rec, r.Err()
-}
-
-// putSpanRecords appends the span-record section that closes every
-// lease reply: a count, each completed span (id/parent/track/name/
-// start/end/attrs — attribute values flattened to strings with %v),
-// then the worker's tracer clock at encode time so the coordinator can
-// align the worker timeline with its own. With tracing off the section
-// is a count of zero and a zero clock (~12 bytes).
-func putSpanRecords(w *wire.Writer, recs []trace.Record, now time.Duration) {
-	w.U32(uint32(len(recs)))
-	for _, rec := range recs {
-		putI64(w, int64(rec.ID))
-		putI64(w, int64(rec.Parent))
-		w.U16(uint16(rec.Track))
-		w.String16(rec.Name)
-		putI64(w, int64(rec.Start))
-		putI64(w, int64(rec.End))
-		w.U8(byte(len(rec.Attrs)))
-		for _, a := range rec.Attrs {
-			w.String16(a.Key)
-			w.String32(fmt.Sprint(a.Value))
-		}
-	}
-	putI64(w, int64(now))
-}
-
-// getSpanRecords parses the span-record section and the worker clock.
-func getSpanRecords(r *wire.Reader) ([]trace.Record, time.Duration) {
-	n := int(r.U32())
-	var recs []trace.Record
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := trace.Record{
-			ID:     int(getI64(r)),
-			Parent: int(getI64(r)),
-			Track:  int(r.U16()),
-			Name:   r.String16(),
-			Start:  time.Duration(getI64(r)),
-			End:    time.Duration(getI64(r)),
-		}
-		attrs := int(r.U8())
-		for j := 0; j < attrs && r.Err() == nil; j++ {
-			rec.Attrs = append(rec.Attrs, trace.A(r.String16(), r.String32()))
-		}
-		recs = append(recs, rec)
-	}
-	return recs, time.Duration(getI64(r))
-}
-
-// decodeLeaseResult parses a consolidated lease reply: step records up
-// to the leaseEnd terminator, whether the instance stopped at its sync
-// boundary (false means it ran out the campaign horizon), then the
-// span-record section (worker trace spans plus the worker's tracer
-// clock; empty with a zero clock when tracing is off).
-func decodeLeaseResult(p []byte) ([]parallel.LeaseStep, bool, []trace.Record, time.Duration, error) {
-	r := wire.NewReader(p)
-	var recs []parallel.LeaseStep
-	for {
-		flags := r.U8()
-		if r.Err() != nil {
-			return nil, false, nil, 0, r.Err()
-		}
-		if flags == leaseEnd {
-			break
-		}
-		rec, err := getLeaseRecord(r, flags)
-		if err != nil {
-			return nil, false, nil, 0, err
-		}
-		recs = append(recs, rec)
-	}
-	syncDue := getBool(r)
-	spans, workerNow := getSpanRecords(r)
-	if r.Err() != nil {
-		return nil, false, nil, 0, r.Err()
-	}
-	if !r.Empty() {
-		return nil, false, nil, 0, ErrProto
-	}
-	return recs, syncDue, spans, workerNow, nil
-}
-
-func putSeeds(w *wire.Writer, seeds []fuzz.Seed) {
-	w.U16(uint16(len(seeds)))
-	for _, s := range seeds {
-		w.U16(uint16(len(s.Msgs)))
-		for _, m := range s.Msgs {
-			w.Bytes32(m)
-		}
-		w.U32(uint32(s.Gain))
+		opt(c, &rec.Mutation, (*codec).mutation)
+		list[uint16](c, &rec.MutationCrashes, (*codec).crashRec)
+		str32(c, &rec.Config)
+		varint(c, &rec.Coverage)
 	}
 }
 
-func getSeeds(r *wire.Reader) []fuzz.Seed {
-	n := int(r.U16())
-	var out []fuzz.Seed
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var s fuzz.Seed
-		msgs := int(r.U16())
-		for j := 0; j < msgs && r.Err() == nil; j++ {
-			s.Msgs = append(s.Msgs, r.Bytes32())
-		}
-		s.Gain = int(r.U32())
-		out = append(out, s)
-	}
-	return out
+func (c *codec) mutation(m *parallel.MutationOutcome) {
+	list[uint16](c, &m.Events, (*codec).mutEvent)
+	u8(c, &m.Mutations)
+	u8(c, &m.Boots)
+	u8(c, &m.RestartFails)
+	u8(c, &m.Fallbacks)
+	flag(c, &m.Restarted)
 }
 
-// --- Finalize ---
-
-func encodeInstanceResult(ir parallel.InstanceResult) []byte {
-	w := &wire.Writer{}
-	w.U32(uint32(ir.Index))
-	w.String32(ir.Config)
-	putStrings(w, ir.Group)
-	w.U32(uint32(ir.FinalBranches))
-	putI64(w, int64(ir.Execs))
-	w.U32(uint32(ir.Crashes))
-	w.U32(uint32(ir.ConfigMutations))
-	w.U32(uint32(ir.RestartFailures))
-	return w.Bytes()
+func (c *codec) mutEvent(e *parallel.MutEvent) {
+	str16(c, &e.Type)
+	str16(c, &e.Entity)
+	str16(c, &e.Value)
+	str32(c, &e.Config)
+	str32(c, &e.Detail)
 }
 
-func decodeInstanceResult(p []byte) (parallel.InstanceResult, error) {
-	r := wire.NewReader(p)
-	ir := parallel.InstanceResult{
-		Index:           int(r.U32()),
-		Config:          r.String32(),
-		Group:           getStrings(r),
-		FinalBranches:   int(r.U32()),
-		Execs:           int(getI64(r)),
-		Crashes:         int(r.U32()),
-		ConfigMutations: int(r.U32()),
-		RestartFailures: int(r.U32()),
-	}
-	return ir, r.Err()
+// A leaseResult is a consolidated lease reply: the step records up to
+// the leaseEnd terminator, whether the instance stopped at its sync
+// boundary (false means it ran out the campaign horizon), then the span
+// section: the worker's completed lease spans and its tracer clock at
+// encode time, so the coordinator can align the worker timeline with its
+// own. With tracing off the section is a count of zero and a zero clock
+// (~12 bytes).
+type leaseResult struct {
+	Steps     []parallel.LeaseStep
+	SyncDue   bool
+	Spans     []trace.Record
+	WorkerNow time.Duration
+}
+
+func (c *codec) leaseResult(l *leaseResult) {
+	stream(c, &l.Steps, leaseEnd, (*codec).step)
+	c.leaseTail(l)
+}
+
+// leaseTail is everything after the step records. A lane writes it once
+// the lease has run, behind the records it encoded step by step.
+func (c *codec) leaseTail(l *leaseResult) {
+	end := leaseEnd
+	u8(c, &end)
+	flag(c, &l.SyncDue)
+	list[uint32](c, &l.Spans, (*codec).span)
+	i64(c, &l.WorkerNow)
+}
+
+func (c *codec) span(s *trace.Record) {
+	i64(c, &s.ID)
+	i64(c, &s.Parent)
+	u16(c, &s.Track)
+	str16(c, &s.Name)
+	i64(c, &s.Start)
+	i64(c, &s.End)
+	list[uint8](c, &s.Attrs, (*codec).attr)
+}
+
+func (c *codec) attr(a *trace.Attr) {
+	str16(c, &a.Key)
+	text(c, &a.Value)
 }

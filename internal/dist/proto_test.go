@@ -2,7 +2,10 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -81,7 +84,7 @@ func TestAssignRoundTrip(t *testing.T) {
 			{Index: 1, Config: configmodel.Assignment{}, EngineSeed: -5, RngSeed: -9},
 		},
 	}
-	out, err := decodeAssign(encodeAssign(in))
+	out, err := unmarshal(marshal(&in, (*codec).assign), (*codec).assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,43 +117,22 @@ func TestLeaseRoundTrip(t *testing.T) {
 			{Msgs: [][]byte{{}}, Gain: 0},
 		},
 	}
-	out, err := decodeLease(encodeLease(in))
+	out, err := unmarshal(marshal(&in, (*codec).lease), (*codec).lease)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Index != in.Index || out.Boundary != in.Boundary || out.Horizon != in.Horizon {
-		t.Fatalf("lease header diverged: %+v vs %+v", out, in)
-	}
-	if len(out.Seeds) != len(in.Seeds) {
-		t.Fatalf("seed count %d, want %d", len(out.Seeds), len(in.Seeds))
-	}
-	for i := range in.Seeds {
-		if out.Seeds[i].Gain != in.Seeds[i].Gain || len(out.Seeds[i].Msgs) != len(in.Seeds[i].Msgs) {
-			t.Fatalf("seed %d diverged: %+v vs %+v", i, out.Seeds[i], in.Seeds[i])
-		}
-		for j := range in.Seeds[i].Msgs {
-			if !bytes.Equal(out.Seeds[i].Msgs[j], in.Seeds[i].Msgs[j]) {
-				t.Fatalf("seed %d msg %d diverged", i, j)
-			}
-		}
-	}
-	if _, err := decodeLease(append(encodeLease(in), 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("lease diverged:\n got %+v\nwant %+v", out, in)
 	}
 }
 
-// encodeLeaseResult assembles a reply the way the worker does: records
-// through appendLeaseStep, the terminator and syncDue flag, then the
-// span-record section (empty here, as with tracing off).
-func encodeLeaseResult(steps []parallel.LeaseStep, syncDue bool) []byte {
-	w := &wire.Writer{}
-	for i := range steps {
-		appendLeaseStep(w, &steps[i])
-	}
-	w.U8(leaseEnd)
-	putBool(w, syncDue)
-	putSpanRecords(w, nil, 0)
-	return w.Bytes()
+// badReply is a lease reply whose one record is raw, hand-written bytes:
+// what a well-behaved encoder never produces.
+func badReply(record func(w *wire.Writer)) []byte {
+	c := codec{w: &wire.Writer{}}
+	record(c.w)
+	c.leaseTail(&leaseResult{})
+	return c.w.Bytes()
 }
 
 func TestLeaseResultRoundTrip(t *testing.T) {
@@ -181,100 +163,84 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 		{Step: parallel.Step{Bytes: 12, Latency: 0.00023456789012345678, NewEdges: 1},
 			Seed: fuzz.Seed{Msgs: [][]byte{{9}}, Gain: 1}, Delta: []byte{4}},
 	}
-	recs, syncDue, spans, workerNow, err := decodeLeaseResult(encodeLeaseResult(steps, true))
+	out, err := unmarshal(marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult), (*codec).leaseResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 0 || workerNow != 0 {
-		t.Fatalf("untraced reply carried spans: %v clock %v", spans, workerNow)
+	if len(out.Spans) != 0 || out.WorkerNow != 0 {
+		t.Fatalf("untraced reply carried spans: %v clock %v", out.Spans, out.WorkerNow)
 	}
-	if !syncDue {
+	if !out.SyncDue {
 		t.Fatal("syncDue lost")
 	}
 	// One type on both sides of the wire: what comes out is what went in.
-	if !reflect.DeepEqual(recs, steps) {
-		t.Fatalf("records diverged:\n got %+v\nwant %+v", recs, steps)
+	if !reflect.DeepEqual(out.Steps, steps) {
+		t.Fatalf("records diverged:\n got %+v\nwant %+v", out.Steps, steps)
 	}
 
 	// A record without a latency charge encodes exactly as it did before
 	// records could carry one: flags, then the byte count.
-	w := &wire.Writer{}
-	appendLeaseStep(w, &steps[0])
-	if !bytes.Equal(w.Bytes(), []byte{0x00, 41}) {
-		t.Fatalf("bare record encodes as % x", w.Bytes())
+	c := codec{w: &wire.Writer{}}
+	c.step(&steps[0])
+	if !bytes.Equal(c.w.Bytes(), []byte{0x00, 41}) {
+		t.Fatalf("bare record encodes as % x", c.w.Bytes())
 	}
 	// The latency flag promises a positive finite charge.
 	for _, lat := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		bad := &wire.Writer{}
-		bad.U8(leaseFlagLatency)
-		bad.Varint(1)
-		putF64(bad, lat)
-		bad.U8(leaseEnd)
-		putBool(bad, false)
-		putSpanRecords(bad, nil, 0)
-		if _, _, _, _, err := decodeLeaseResult(bad.Bytes()); err == nil {
-			t.Fatalf("latency flag with charge %v accepted", lat)
+		bad := badReply(func(w *wire.Writer) {
+			w.U8(leaseFlagLatency)
+			w.Varint(1)
+			w.U64(math.Float64bits(lat))
+		})
+		if _, err := unmarshal(bad, (*codec).leaseResult); !errors.Is(err, ErrProto) {
+			t.Fatalf("latency flag with charge %v: %v, want ErrProto", lat, err)
 		}
 	}
 
 	// Unknown flag bits and an edges flag without edges are protocol
 	// violations, not silent zero values.
-	if _, _, _, _, err := decodeLeaseResult([]byte{0x10, 0x00, leaseEnd, 0}); err == nil {
-		t.Fatal("unknown flag bits accepted")
+	if _, err := unmarshal(badReply(func(w *wire.Writer) { w.U8(0x10); w.U8(0) }), (*codec).leaseResult); !errors.Is(err, ErrProto) {
+		t.Fatalf("unknown flag bits: %v, want ErrProto", err)
 	}
-	bad := &wire.Writer{}
-	bad.U8(leaseFlagEdges)
-	bad.Varint(1) // bytes
-	bad.Varint(0) // newEdges == 0 contradicts the flag
-	bad.Bytes32(nil)
-	bad.U8(0)
-	bad.U8(leaseEnd)
-	putBool(bad, false)
-	putSpanRecords(bad, nil, 0)
-	if _, _, _, _, err := decodeLeaseResult(bad.Bytes()); err == nil {
-		t.Fatal("edges flag with zero newEdges accepted")
+	bad := badReply(func(w *wire.Writer) {
+		w.U8(leaseFlagEdges)
+		w.Varint(1) // bytes
+		w.Varint(0) // newEdges == 0 contradicts the flag
+		w.Bytes32(nil)
+		w.U8(0)
+	})
+	if _, err := unmarshal(bad, (*codec).leaseResult); !errors.Is(err, ErrProto) {
+		t.Fatalf("edges flag with zero newEdges: %v, want ErrProto", err)
 	}
 }
 
 func TestLeaseResultSpanSectionRoundTrip(t *testing.T) {
-	steps := []parallel.LeaseStep{{Step: parallel.Step{Bytes: 41}}}
-	spans := []trace.Record{
-		{ID: 0, Parent: -1, Track: 0, Name: "lease", Start: 0, End: 5 * time.Millisecond,
-			Attrs: []trace.Attr{{Key: "instance", Value: "2"}}},
-		{ID: 1, Parent: 0, Track: 0, Name: "lease.steps", Start: time.Millisecond, End: 4 * time.Millisecond},
+	in := leaseResult{
+		Steps: []parallel.LeaseStep{{Step: parallel.Step{Bytes: 41}}},
+		Spans: []trace.Record{
+			{ID: 0, Parent: -1, Track: 0, Name: "lease", Start: 0, End: 5 * time.Millisecond,
+				Attrs: []trace.Attr{{Key: "instance", Value: "2"}}},
+			{ID: 1, Parent: 0, Track: 0, Name: "lease.steps", Start: time.Millisecond, End: 4 * time.Millisecond},
+		},
+		WorkerNow: 6 * time.Millisecond,
 	}
-	w := &wire.Writer{}
-	for i := range steps {
-		appendLeaseStep(w, &steps[i])
-	}
-	w.U8(leaseEnd)
-	putBool(w, false)
-	putSpanRecords(w, spans, 6*time.Millisecond)
-
-	recs, syncDue, gotSpans, workerNow, err := decodeLeaseResult(w.Bytes())
+	out, err := unmarshal(marshal(&in, (*codec).leaseResult), (*codec).leaseResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || syncDue {
-		t.Fatalf("step records diverged: %d recs, syncDue=%v", len(recs), syncDue)
-	}
-	if workerNow != 6*time.Millisecond {
-		t.Fatalf("worker clock = %v, want 6ms", workerNow)
-	}
-	if !reflect.DeepEqual(gotSpans, spans) {
-		t.Fatalf("spans diverged:\n got %+v\nwant %+v", gotSpans, spans)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("reply diverged:\n got %+v\nwant %+v", out, in)
 	}
 	// Attribute values of any type flatten to strings on the wire.
-	w2 := &wire.Writer{}
-	w2.U8(leaseEnd)
-	putBool(w2, false)
-	putSpanRecords(w2, []trace.Record{{Parent: -1, Name: "x", Attrs: []trace.Attr{{Key: "n", Value: 42}}}}, 0)
-	_, _, s2, _, err := decodeLeaseResult(w2.Bytes())
+	in = leaseResult{Spans: []trace.Record{{Parent: -1, Name: "x", Attrs: []trace.Attr{{Key: "n", Value: 42}}}}}
+	c := codec{w: &wire.Writer{}}
+	c.leaseTail(&in)
+	out, err = unmarshal(c.w.Bytes(), (*codec).leaseResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2[0].Attrs[0].Value != "42" {
-		t.Fatalf("attr value = %v, want \"42\"", s2[0].Attrs[0].Value)
+	if out.Spans[0].Attrs[0].Value != "42" {
+		t.Fatalf("attr value = %v, want \"42\"", out.Spans[0].Attrs[0].Value)
 	}
 }
 
@@ -283,7 +249,7 @@ func TestBootResultRoundTrip(t *testing.T) {
 		Err: "", Config: "a=1 b=2", StartEdges: 41, Delta: []byte{9, 8, 7},
 		Crashes: []crashRec{{Crash: bugs.Crash{Protocol: "MQTT", Function: "f"}, Instance: 1, T: 0, Config: "a=1"}},
 	}
-	out, err := decodeBootResult(encodeBootResult(in))
+	out, err := unmarshal(marshal(&in, (*codec).bootResult), (*codec).bootResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +263,7 @@ func TestInstanceResultRoundTrip(t *testing.T) {
 		Index: 3, Config: "x=y", Group: []string{"x", "z"},
 		FinalBranches: 512, Execs: 100000, Crashes: 4, ConfigMutations: 7, RestartFailures: 1,
 	}
-	out, err := decodeInstanceResult(encodeInstanceResult(in))
+	out, err := unmarshal(marshal(&in, (*codec).instanceResult), (*codec).instanceResult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,48 +272,182 @@ func TestInstanceResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeMalformed feeds truncated and corrupt payloads to every
-// decoder: they must return an error (or a harmless zero value), never
-// panic or over-allocate.
-func TestDecodeMalformed(t *testing.T) {
-	good := goodPayloads()
-	decoders := []func([]byte) error{
-		func(p []byte) error { _, err := decodeAssign(p); return err },
-		func(p []byte) error { _, err := decodeLease(p); return err },
-		func(p []byte) error { _, _, _, _, err := decodeLeaseResult(p); return err },
-		func(p []byte) error { _, err := decodeBootResult(p); return err },
-		func(p []byte) error { _, err := decodeInstanceResult(p); return err },
-		func(p []byte) error { _, err := decodeHello(p); return err },
+// A kind is one message kind: its frame type, the v7 fixture's value for
+// it, that value encoded, and its field list run as a decoder.
+type kind struct {
+	typ   byte
+	name  string
+	value any
+	good  []byte
+	// decode returns what p decodes to and that value re-encoded.
+	decode func(p []byte) (any, []byte, error)
+}
+
+func kindOf[T any](typ byte, name string, fields func(*codec, *T), v T) kind {
+	return kind{typ: typ, name: name, value: v, good: marshal(&v, fields), decode: func(p []byte) (any, []byte, error) {
+		m, err := unmarshal(p, fields)
+		return m, marshal(&m, fields), err
+	}}
+}
+
+// kinds is every message kind, in the order testdata/payloads_v7.bin
+// holds them.
+func kinds() []kind {
+	return []kind{
+		kindOf(msgHello, "hello", (*codec).hello, v7Hello),
+		kindOf(msgAssign, "assign", (*codec).assign, v7Assign),
+		kindOf(msgBoot, "boot", (*codec).bootReq, v7BootReq),
+		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
+		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
+		kindOf(msgLeaseResult, "lease result", (*codec).leaseResult, v7LeaseResult()),
+		kindOf(msgFinalize, "finalize", (*codec).indexReq, v7IndexReq),
+		kindOf(msgInstanceResult, "instance result", (*codec).instanceResult, v7InstanceResult),
+		kindOf(msgRelease, "release", u32[uint32], v7Release),
 	}
-	for _, g := range good {
-		for _, dec := range decoders {
-			for cut := 0; cut < len(g); cut++ {
-				dec(g[:cut]) // must not panic
+}
+
+func v7LeaseResult() leaseResult {
+	return leaseResult{Steps: v7Steps, SyncDue: v7SyncDue, Spans: v7Spans, WorkerNow: v7WorkerNow}
+}
+
+// goodPayloads is one well-formed payload per message kind: the base of
+// the malformed-input matrix below and the fuzz targets' seed corpus.
+func goodPayloads() [][]byte {
+	var out [][]byte
+	for _, k := range kinds() {
+		out = append(out, k.good)
+	}
+	return out
+}
+
+// TestPayloadsV7 holds the field lists to the bytes wire version 7 was
+// written with: every frame of the fixture is what its kind's value
+// encodes to, decodes to that value, and re-encodes to itself.
+func TestPayloadsV7(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "payloads_v7.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(raw)
+	for _, k := range kinds() {
+		typ, _, p, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if typ != k.typ {
+			t.Fatalf("%s: frame type %d, want %d", k.name, typ, k.typ)
+		}
+		if !bytes.Equal(k.good, p) {
+			t.Fatalf("%s encodes to\n% x\nv7 wrote\n% x", k.name, k.good, p)
+		}
+		v, back, err := k.decode(p)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if !reflect.DeepEqual(v, k.value) {
+			t.Fatalf("%s decodes to\n%+v\nwant\n%+v", k.name, v, k.value)
+		}
+		if !bytes.Equal(back, p) {
+			t.Fatalf("%s re-encodes to\n% x\nwant\n% x", k.name, back, p)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes after the last kind", r.Len())
+	}
+}
+
+// TestDecodeMalformed feeds every decoder every message kind's payload,
+// each truncation of it and each single-byte corruption: it must return
+// an error (or a harmless value), never panic or over-allocate. Its own
+// kind's payload must decode, every strict prefix of it is a
+// truncation, and one trailing byte is ErrProto.
+func TestDecodeMalformed(t *testing.T) {
+	all := kinds()
+	for _, k := range all {
+		if _, _, err := k.decode(k.good); err != nil {
+			t.Fatalf("%s: good payload: %v", k.name, err)
+		}
+		for cut := 0; cut < len(k.good); cut++ {
+			if _, _, err := k.decode(k.good[:cut]); !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("%s cut to %d bytes: %v, want a truncation", k.name, cut, err)
 			}
-			mutated := append([]byte(nil), g...)
+		}
+		if _, _, err := k.decode(append(k.good[:len(k.good):len(k.good)], 0)); !errors.Is(err, ErrProto) {
+			t.Fatalf("%s with a trailing byte: %v, want ErrProto", k.name, err)
+		}
+		for _, g := range all {
+			mutated := append([]byte(nil), g.good...)
 			for i := range mutated {
 				mutated[i] ^= 0xFF
-				dec(mutated)
+				k.decode(mutated) // must not panic
 				mutated[i] ^= 0xFF
 			}
 		}
 	}
 }
 
-// goodPayloads is one well-formed payload per message kind, in the order
-// assign, lease, lease result, boot result, instance result, hello: the
-// base of the malformed-input matrix above and the fuzz targets' seed
-// corpus.
-func goodPayloads() [][]byte {
-	return [][]byte{
-		encodeAssign(assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}}),
-		encodeLease(lease{Index: 1, Boundary: 600, Horizon: 1800, Seeds: []fuzz.Seed{{Msgs: [][]byte{{1}}, Gain: 1}}}),
-		encodeLeaseResult([]parallel.LeaseStep{
-			{Step: parallel.Step{Bytes: 1}},
-			{Step: parallel.Step{Bytes: 2, Latency: 0.5, NewEdges: 1}, Seed: fuzz.Seed{Msgs: [][]byte{{1}}, Gain: 1}, Delta: []byte{1}},
-		}, true),
-		encodeBootResult(bootResult{Config: "c", Delta: []byte{1}}),
-		encodeInstanceResult(parallel.InstanceResult{Index: 1}),
-		encodeHello(hello{Name: "w", Version: 1}),
+// replySteps is a 1,000-record lease reply shaped like a campaign's: 4%
+// of the steps find new edges and 1% crash.
+func replySteps() []parallel.LeaseStep {
+	steps := make([]parallel.LeaseStep, 1000)
+	for i := range steps {
+		s := &steps[i]
+		s.Bytes = 20 + i%200
+		if i%25 == 0 {
+			s.NewEdges = 1 + i%3
+			s.Delta = []byte{0, 1, 0, 0, 0, 0, 0, 0, byte(i), 7}
+			s.Seed = fuzz.Seed{Msgs: [][]byte{{1, 2, 3}, {byte(i)}}, Gain: s.NewEdges}
+		}
+		if i%100 == 7 {
+			s.Crash = &bugs.Crash{Protocol: "DNS", Kind: bugs.SEGV, Function: "parse", Detail: "oob"}
+		}
+	}
+	return steps
+}
+
+// TestLeaseReplyAllocs: a lane encodes its replies into the Writer it
+// reuses without allocating, and decoding a reply allocates no more
+// than the hand-written decoder the field lists replaced (131 for this
+// reply: the record slice's growth, each seed's message slice, each
+// crash and its strings).
+func TestLeaseReplyAllocs(t *testing.T) {
+	steps := replySteps()
+	ln := &lane{enc: codec{w: &wire.Writer{}}}
+	encode := func() {
+		ln.enc.w.Reset()
+		for i := range steps {
+			ln.enc.step(&steps[i])
+		}
+		ln.enc.leaseTail(&leaseResult{SyncDue: true})
+	}
+	encode()
+	reply := append([]byte(nil), ln.enc.w.Bytes()...)
+	if n := testing.AllocsPerRun(50, encode); n != 0 {
+		t.Fatalf("encoding a 1,000-record reply allocates %v times, want 0", n)
+	}
+	var err error
+	n := testing.AllocsPerRun(50, func() { _, err = unmarshal(reply, (*codec).leaseResult) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 131 {
+		t.Fatalf("decoding a 1,000-record reply allocates %v times, want at most 131", n)
+	}
+	t.Logf("decode: %v allocations", n)
+}
+
+func BenchmarkLeaseReplyRoundTrip(b *testing.B) {
+	steps := replySteps()
+	c := codec{w: &wire.Writer{}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.w.Reset()
+		for j := range steps {
+			c.step(&steps[j])
+		}
+		c.leaseTail(&leaseResult{SyncDue: true})
+		if _, err := unmarshal(c.w.Bytes(), (*codec).leaseResult); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,12 +2,14 @@ package dist_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cmfuzz/internal/dist"
 	"cmfuzz/internal/parallel"
@@ -18,13 +20,16 @@ import (
 
 // leaseGauge counts leases on the wire: up when the coordinator writes a
 // Lease, down when the worker writes its LeaseResult, remembering the
-// most ever outstanding. Every frame is one Write, so the type byte is
-// where the frame layout says.
-type leaseGauge struct{ now, peak atomic.Int64 }
+// most ever outstanding and how many leases were written in all. Every
+// frame is one Write, so the type byte is where the frame layout says.
+type leaseGauge struct{ now, peak, sent atomic.Int64 }
 
 func (g *leaseGauge) saw(frame []byte, typ byte, delta int64) {
-	if len(frame) <= dist.FrameTypeOffset || frame[dist.FrameTypeOffset] != typ {
+	if !isFrame(frame, typ) {
 		return
+	}
+	if delta > 0 {
+		g.sent.Add(delta)
 	}
 	n := g.now.Add(delta)
 	for {
@@ -35,6 +40,10 @@ func (g *leaseGauge) saw(frame []byte, typ byte, delta int64) {
 	}
 }
 
+func isFrame(frame []byte, typ byte) bool {
+	return len(frame) > dist.FrameTypeOffset && frame[dist.FrameTypeOffset] == typ
+}
+
 // gaugedConn is one end of a worker's pipe, reporting the frames written
 // into it.
 type gaugedConn struct {
@@ -42,9 +51,29 @@ type gaugedConn struct {
 	g     *leaseGauge
 	typ   byte
 	delta int64
+	// holdFor, on the worker's end, holds its first reply until the
+	// coordinator has written that many leases. net.Pipe is synchronous,
+	// so without it a lane could answer the first lease before the
+	// coordinator writes the next, and a replay that keeps every chain
+	// in flight would show one lease out at a time. A replay that waits
+	// for each reply before the next lease never gets that far: the held
+	// write gives up after holdTimeout, and starved records it.
+	holdFor int64
+	held    atomic.Bool
+	starved atomic.Bool
 }
 
+const holdTimeout = 10 * time.Second
+
 func (c *gaugedConn) Write(p []byte) (int, error) {
+	if c.holdFor > 0 && isFrame(p, c.typ) && c.held.CompareAndSwap(false, true) {
+		for deadline := time.Now().Add(holdTimeout); c.g.sent.Load() < c.holdFor; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				c.starved.Store(true)
+				return 0, errors.New("first lease reply held in vain")
+			}
+		}
+	}
 	c.g.saw(p, c.typ, c.delta)
 	return c.Conn.Write(p)
 }
@@ -52,10 +81,11 @@ func (c *gaugedConn) Write(p []byte) (int, error) {
 // TestRestoreReplaysOnEveryLane: Restore quiet-boots every instance and
 // then replays all their journals at once through the path every lease
 // takes, so a resume uses however many lanes the worker has. A 4-instance
-// checkpoint restored onto one worker must keep several leases in flight
-// while it replays (the serial replay this replaces never had more than
-// one), and finish with the in-process run's artifact tree at every core
-// count. And a worker that dies mid-replay costs the campaign nothing:
+// checkpoint restored onto one worker must put a lease of every instance
+// on the wire before the first reply is let through (the serial replay
+// this replaces never had more than one out, and fails the test when
+// the hold times out), never more than one per instance, and finish
+// with the in-process run's artifact tree at every core count. And a worker that dies mid-replay costs the campaign nothing:
 // its instances are re-booted on the survivor, replayed again, and the
 // tree is still the undisturbed run's — telemetry counters included —
 // while Stats reports the death.
@@ -108,6 +138,7 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 		diffTrees(t, label, want, readTree(t, dir))
 	}
 
+	const instances = parallel.DefaultInstances
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
 		label := fmt.Sprintf("restored at GOMAXPROCS %d", procs)
@@ -116,15 +147,20 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 		cConn, wConn := net.Pipe()
 		w := dist.NewWorker(dist.WorkerConfig{Name: "w", Resolve: resolve})
 		serveErr := make(chan error, 1)
-		go func() { serveErr <- w.Serve(&gaugedConn{wConn, &gauge, dist.MsgLeaseResult, -1}) }()
-		if err := coord.AddConn(&gaugedConn{cConn, &gauge, dist.MsgLease, +1}); err != nil {
+		worker := &gaugedConn{Conn: wConn, g: &gauge, typ: dist.MsgLeaseResult, delta: -1, holdFor: instances}
+		go func() { serveErr <- w.Serve(worker) }()
+		if err := coord.AddConn(&gaugedConn{Conn: cConn, g: &gauge, typ: dist.MsgLease, delta: +1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := coord.Restore(ctx, blob); err != nil {
+		err := coord.Restore(ctx, blob)
+		if worker.starved.Load() {
+			t.Fatalf("%s: the first replay reply waited %v for one lease per instance and saw %d of %d: the replay is serial", label, holdTimeout, gauge.sent.Load(), instances)
+		}
+		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if now, peak := gauge.now.Load(), gauge.peak.Load(); now != 0 || peak < 2 {
-			t.Fatalf("%s: %d leases still out after Restore, at most %d in flight at once; want 0 and one chain per instance", label, now, peak)
+		if now, peak := gauge.now.Load(), gauge.peak.Load(); now != 0 || peak != instances {
+			t.Fatalf("%s: %d leases still out after Restore, at most %d in flight at once; want 0 and one chain per instance (%d)", label, now, peak, instances)
 		}
 		finish(label, coord, func() {
 			if err := <-serveErr; err != nil {

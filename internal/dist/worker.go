@@ -118,7 +118,7 @@ type leaseJob struct {
 // leases are running beside it.
 type lane struct {
 	index, of int
-	enc       wire.Writer
+	enc       codec  // encodes into a Writer the lane reuses
 	deltaBuf  []byte // valid per step, copied into enc
 	tracer    *trace.Tracer
 }
@@ -172,7 +172,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 				w.reply(conn, msgLeaseResult, job.id, ln.run(job))
 				job.wc.leases.Done()
 			}
-		}(&lane{index: i, of: n})
+		}(&lane{index: i, of: n, enc: codec{w: &wire.Writer{}}})
 	}
 	err := w.read(conn, jobs)
 	conn.Close()
@@ -194,7 +194,7 @@ func (w *Worker) Serve(conn net.Conn) error {
 // Shutdown (nil) or a transport error. Leases go to the lanes; every
 // other request is answered here.
 func (w *Worker) read(conn net.Conn, jobs chan<- leaseJob) error {
-	w.reply(conn, msgHello, 0, encodeHello(hello{Name: w.cfg.Name, Version: protocolVersion}))
+	w.reply(conn, msgHello, 0, marshal(&hello{Name: w.cfg.Name, Version: protocolVersion}, (*codec).hello))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	typ, _, _, err := readFrame(br)
 	if err != nil {
@@ -262,7 +262,7 @@ func (w *Worker) drained(id uint32) *workerCampaign {
 // might retire that campaign.
 func (w *Worker) admit(id uint32, payload []byte) (leaseJob, error) {
 	start := time.Now()
-	l, err := decodeLease(payload)
+	l, err := unmarshal(payload, (*codec).lease)
 	if err != nil {
 		return leaseJob{}, err
 	}
@@ -300,7 +300,7 @@ func (ln *lane) run(job leaseJob) []byte {
 		in.ImportSeeds(l.Seeds)
 		absorb.End()
 	}
-	ln.enc.Reset()
+	ln.enc.w.Reset()
 	// afterStep fires before any mutation absorbs restart coverage,
 	// which is where the in-process loop unions into the global map
 	// — the delta must be snapshotted there, so a restart's startup
@@ -329,16 +329,17 @@ func (ln *lane) run(job leaseJob) []byte {
 			rep.fullScan = true
 		}
 		records++
-		appendLeaseStep(&ln.enc, rec)
+		ln.enc.step(rec)
 	}
 	steps := root.Child("lease.steps")
 	syncDue := in.StepN(l.Boundary, l.Horizon, afterStep, afterRecord)
 	steps.Set("records", records)
 	steps.End()
-	encStart := tr.Now()
-	ln.enc.U8(leaseEnd)
-	putBool(&ln.enc, syncDue)
-	root.Complete("lease.encode", encStart, tr.Now())
+	// The records were encoded step by step inside lease.steps; the reply's
+	// tail goes on below, once the spans it carries have ended, so
+	// lease.encode only marks where the reply is sealed.
+	sealed := tr.Now()
+	root.Complete("lease.encode", sealed, sealed)
 	root.End()
 	// The span section rides after the terminator: everything above has
 	// ended and the lane ran nothing else meanwhile, so the drain is this
@@ -354,8 +355,8 @@ func (ln *lane) run(job leaseJob) []byte {
 		}
 		s.Track = ln.index
 	}
-	putSpanRecords(&ln.enc, spans, tr.Now())
-	return ln.enc.Bytes()
+	ln.enc.leaseTail(&leaseResult{SyncDue: syncDue, Spans: spans, WorkerNow: tr.Now()})
+	return ln.enc.w.Bytes()
 }
 
 // handle answers every request but a lease. It runs on the reader, and
@@ -366,7 +367,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		return msgPong, nil, nil
 
 	case msgAssign:
-		a, err := decodeAssign(payload)
+		a, err := unmarshal(payload, (*codec).assign)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -411,7 +412,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		return msgAssignOK, nil, nil
 
 	case msgRelease:
-		id, err := decodeRelease(payload)
+		id, err := unmarshal(payload, u32[uint32])
 		if err != nil {
 			return 0, nil, err
 		}
@@ -424,7 +425,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		return msgReleaseOK, nil, nil
 
 	case msgBoot:
-		b, err := decodeBootReq(payload)
+		b, err := unmarshal(payload, (*codec).bootReq)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -439,7 +440,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		sink := &parallel.RecordingSink{}
 		in, err := wc.host.Boot(spec, sink)
 		if err != nil {
-			return msgBootResult, encodeBootResult(bootResult{Err: err.Error(), Crashes: sink.Recs}), nil
+			return msgBootResult, marshal(&bootResult{Err: err.Error(), Crashes: sink.Recs}, (*codec).bootResult), nil
 		}
 		in.SetClock(b.ResumeClock)
 		wc.insts[b.Index] = in
@@ -449,15 +450,15 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		rep := coverage.NewMap()
 		rep.Union(in.CoverageMap())
 		wc.reported[b.Index] = &repState{m: rep}
-		return msgBootResult, encodeBootResult(bootResult{
+		return msgBootResult, marshal(&bootResult{
 			Config:     in.ConfigString(),
 			StartEdges: in.StartupEdges(),
 			Delta:      delta,
 			Crashes:    sink.Recs,
-		}), nil
+		}, (*codec).bootResult), nil
 
 	case msgFinalize:
-		f, err := decodeIndexReq(payload)
+		f, err := unmarshal(payload, (*codec).indexReq)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -469,7 +470,8 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		if in == nil {
 			return 0, nil, fmt.Errorf("dist: finalize for unbooted instance %d", f.Index)
 		}
-		return msgInstanceResult, encodeInstanceResult(in.Result()), nil
+		ir := in.Result()
+		return msgInstanceResult, marshal(&ir, (*codec).instanceResult), nil
 
 	default:
 		return 0, nil, fmt.Errorf("dist: unexpected message type %d", typ)

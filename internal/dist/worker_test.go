@@ -72,18 +72,18 @@ func TestReassignClosesPreviousInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := host.Plan(bugs.NewLedger(), nil, nil)
-	payload := encodeAssign(assign{Subject: "DNS", Opts: opts, Specs: plan.Specs})
+	payload := marshal(&assign{Subject: "DNS", Opts: opts, Specs: plan.Specs}, (*codec).assign)
 
 	bootAll := func() {
 		if typ, _, err := w.handle(msgAssign, payload); err != nil || typ != msgAssignOK {
 			t.Fatalf("assign: type %d, err %v", typ, err)
 		}
 		for i := 0; i < 2; i++ {
-			typ, p, err := w.handle(msgBoot, encodeBootReq(bootReq{Index: i}))
+			typ, p, err := w.handle(msgBoot, marshal(&bootReq{Index: i}, (*codec).bootReq))
 			if err != nil || typ != msgBootResult {
 				t.Fatalf("boot %d: type %d, err %v", i, typ, err)
 			}
-			br, err := decodeBootResult(p)
+			br, err := unmarshal(p, (*codec).bootResult)
 			if err != nil || br.Err != "" {
 				t.Fatalf("boot %d failed: %v %q", i, err, br.Err)
 			}
@@ -307,10 +307,10 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 	peer, served := servePeer(t, w)
 
 	for _, id := range []uint32{1, 2} {
-		peer.call(msgAssign, encodeAssign(assign{Campaign: id, Subject: "DNS", Opts: opts, Specs: plan.Specs}), msgAssignOK)
+		peer.call(msgAssign, marshal(&assign{Campaign: id, Subject: "DNS", Opts: opts, Specs: plan.Specs}, (*codec).assign), msgAssignOK)
 		for i := 0; i < 2; i++ {
-			p := peer.call(msgBoot, encodeBootReq(bootReq{Campaign: id, Index: i}), msgBootResult)
-			if br, err := decodeBootResult(p); err != nil || br.Err != "" {
+			p := peer.call(msgBoot, marshal(&bootReq{Campaign: id, Index: i}, (*codec).bootReq), msgBootResult)
+			if br, err := unmarshal(p, (*codec).bootResult); err != nil || br.Err != "" {
 				t.Fatalf("boot %d/%d failed: %v %q", id, i, err, br.Err)
 			}
 		}
@@ -326,9 +326,11 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 		{Campaign: 1, Index: 0}, {Campaign: 2, Index: 0}, {Campaign: 1, Index: 1}, {Campaign: 2, Index: 1},
 	} {
 		l.Boundary, l.Horizon = 60, 360
-		leases[peer.send(msgLease, encodeLease(l))] = l.Campaign
+		leases[peer.send(msgLease, marshal(&l, (*codec).lease))] = l.Campaign
 	}
-	release := peer.send(msgRelease, encodeRelease(1))
+	campaign1 := uint32(1)
+	release1 := marshal(&campaign1, u32[uint32])
+	release := peer.send(msgRelease, release1)
 	pending := 2 // campaign 1's leases not yet answered
 	for n := 0; n < 5; n++ {
 		rep := peer.recv()
@@ -349,8 +351,8 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 			t.Fatalf("reply id %d type %d %q, want a lease result for one of %v", rep.id, rep.typ, rep.payload, leases)
 		}
 		delete(leases, rep.id)
-		if recs, _, _, _, err := decodeLeaseResult(rep.payload); err != nil || len(recs) == 0 {
-			t.Fatalf("campaign %d lease: %d records, err %v", campaign, len(recs), err)
+		if lr, err := unmarshal(rep.payload, (*codec).leaseResult); err != nil || len(lr.Steps) == 0 {
+			t.Fatalf("campaign %d lease: %d records, err %v", campaign, len(lr.Steps), err)
 		}
 		if campaign == 1 {
 			pending--
@@ -358,11 +360,11 @@ func TestWorkerHostsConcurrentCampaigns(t *testing.T) {
 	}
 
 	// Campaign 2 keeps serving; campaign 1's state is gone.
-	peer.call(msgLease, encodeLease(lease{Campaign: 2, Index: 0, Boundary: 120, Horizon: 360}), msgLeaseResult)
-	peer.call(msgLease, encodeLease(lease{Campaign: 1, Index: 0, Boundary: 120, Horizon: 360}), msgError)
-	peer.call(msgBoot, encodeBootReq(bootReq{Campaign: 1, Index: 0}), msgError)
+	peer.call(msgLease, marshal(&lease{Campaign: 2, Index: 0, Boundary: 120, Horizon: 360}, (*codec).lease), msgLeaseResult)
+	peer.call(msgLease, marshal(&lease{Campaign: 1, Index: 0, Boundary: 120, Horizon: 360}, (*codec).lease), msgError)
+	peer.call(msgBoot, marshal(&bootReq{Campaign: 1, Index: 0}, (*codec).bootReq), msgError)
 	// Release is idempotent.
-	peer.call(msgRelease, encodeRelease(1), msgReleaseOK)
+	peer.call(msgRelease, release1, msgReleaseOK)
 
 	peer.send(msgShutdown, nil)
 	if err := <-served; err != nil {

@@ -27,3 +27,12 @@ func (m *Manager) Suspended() map[string]SuspendedCampaign {
 
 // Subscribe taps the lifecycle event stream.
 func (m *Manager) Subscribe() (<-chan StreamEvent, func()) { return m.events.subscribe() }
+
+// Rounds is how many scheduling rounds Step has begun. Read it while Run
+// is parked waiting for work: Run last wrote it before taking the lock
+// its wait released.
+func (m *Manager) Rounds() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.round
+}

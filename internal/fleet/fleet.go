@@ -195,10 +195,6 @@ type Manager struct {
 	leaseLatency *metrics.Histogram
 }
 
-// Events exposes the live event feed; the API layer subscribes SSE
-// clients through it.
-func (m *Manager) Events() *broker { return m.events }
-
 // Instrument registers the manager's fleet-level metrics on reg:
 // lease round-trip latency, the lifetime flight-recorder event count,
 // the lifetime count of stream events lost to slow SSE subscribers,

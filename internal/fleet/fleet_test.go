@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +274,88 @@ func TestRunParksOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffTrees(t, "resumed after cancel", want, readTree(t, filepath.Join(state, "dns-a", "artifacts")))
+}
+
+// runParked reports whether a goroutine is inside Manager.Run's wait for
+// work.
+func runParked() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "fleet.(*Manager).Run(") && strings.Contains(g, "sync.(*Cond).Wait(") {
+			return true
+		}
+	}
+	return false
+}
+
+// idleRounds waits for Run to park, checks that it stays parked without
+// beginning a round, and returns how many rounds it had begun.
+func idleRounds(t *testing.T, m *fleet.Manager) int {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !runParked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Run never waited for work")
+		}
+	}
+	rounds := m.Rounds()
+	time.Sleep(50 * time.Millisecond)
+	if !runParked() || m.Rounds() != rounds {
+		t.Fatalf("Run left its wait with nothing to do: %d rounds, then %d", rounds, m.Rounds())
+	}
+	return rounds
+}
+
+// TestRunIdlesUntilSubmit: Run on an empty board begins one round, finds
+// nothing to slice and waits without spinning; a Submit wakes it and the
+// campaign runs to done; Run then waits again; and a cancel returns
+// context.Canceled promptly with nothing left parked.
+func TestRunIdlesUntilSubmit(t *testing.T) {
+	pool, wait := newPool(t, 2)
+	defer wait()
+	state := t.TempDir()
+	m, err := fleet.NewManager(fleet.Config{StateDir: state, Slice: 400}, pool, protocols.ByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- m.Run(ctx) }()
+	if rounds := idleRounds(t, m); rounds != 1 {
+		t.Fatalf("Run began %d rounds on an empty board, want 1", rounds)
+	}
+
+	if err := m.Submit(fleet.CampaignSpec{ID: "dns-a", Subject: "DNS", Hours: 0.25, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); findStatus(t, m, "dns-a").State != fleet.StateDone; time.Sleep(5 * time.Millisecond) {
+		if st := findStatus(t, m, "dns-a"); st.State == fleet.StateFailed || time.Now().After(deadline) {
+			t.Fatalf("campaign state %s (%s), want done", st.State, st.Error)
+		}
+	}
+	if rounds := idleRounds(t, m); rounds < 2 {
+		t.Fatalf("Run began %d rounds in all, want the campaign's too", rounds)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != context.Canceled {
+			t.Fatalf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5s of the cancel")
+	}
+	if s := m.Suspended(); len(s) != 0 {
+		t.Fatalf("suspended after cancel: %v", s)
+	}
+	if st := findStatus(t, m, "dns-a"); st.State != fleet.StateDone {
+		t.Fatalf("state after cancel = %s, want done", st.State)
+	}
+	if _, err := os.Stat(filepath.Join(state, "dns-a", "checkpoint.bin")); !os.IsNotExist(err) {
+		t.Fatalf("a done campaign was parked at a checkpoint: %v", err)
+	}
 }
 
 // TestAPIEndpoints drives the machine API end to end: submit

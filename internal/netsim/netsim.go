@@ -190,7 +190,9 @@ func (ns *Namespace) chargeLatencyLocked() {
 	}
 	d := ns.latBase
 	if ns.latJitter > 0 && ns.latRng != nil {
-		d += ns.latRng.Float64() * ns.latJitter
+		// Rounded before the addition, so no CPU fuses it (see
+		// parallel.Options.charge).
+		d += float64(ns.latRng.Float64() * ns.latJitter)
 	}
 	ns.stats.LatencyAccrued += d
 }

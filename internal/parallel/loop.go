@@ -23,9 +23,13 @@ type Step struct {
 // charge advances clock by what s cost: the cost model's two terms in
 // one addition, the link latency in a second. Every clock in the system
 // — a worker's instance, the event loop, a coordinator replaying records
-// — goes through here, because they must round identically.
+// — goes through here, because they must round identically. The
+// explicit float64 around the product forces it to round before the
+// addition: without it the compiler may fuse the two into one
+// multiply-add on arm64, ppc64le, riscv64 and loong64, and those clocks
+// would drift from amd64's.
 func (o *Options) charge(clock float64, s Step) float64 {
-	clock += o.StepCost + o.ByteCost*float64(s.Bytes)
+	clock += o.StepCost + float64(o.ByteCost*float64(s.Bytes))
 	return clock + s.Latency
 }
 
