@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"cmfuzz"
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/core/configmodel"
@@ -121,7 +120,8 @@ observability: -trace PATH (Chrome trace JSON for chrome://tracing / Perfetto),
 }
 
 // parseTarget parses a pipeline-stage command line — the campaign flags,
-// of which a stage reads the target and -n — and resolves its subject.
+// of which extract and model read only the target — and resolves its
+// subject.
 func parseTarget(cmd string, args []string) (spec.Campaign, subject.Subject, error) {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var c spec.Campaign
@@ -171,14 +171,35 @@ func cmdModel(args []string) error {
 	return nil
 }
 
+// planStage parses a pipeline-stage command line and plans the campaign
+// it describes with the planner every campaign runs, so -n, -alloc and
+// -raw-weights mean here what they mean to fuzz.
+func planStage(cmd string, args []string) (*parallel.Host, *parallel.Plan, error) {
+	c, sub, err := parseTarget(cmd, args)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts, err := c.Options()
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Mode != parallel.ModeCMFuzz {
+		return nil, nil, fmt.Errorf("%s applies to CMFuzz mode only, not %s", cmd, opts.Mode)
+	}
+	h, err := parallel.NewHost(sub, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, h.Plan(bugs.NewLedger(), nil, nil), nil
+}
+
 func cmdRelate(args []string) error {
-	c, sub, err := parseTarget("relate", args)
+	h, plan, err := planStage("relate", args)
 	if err != nil {
 		return err
 	}
-	plan := cmfuzz.Identify(sub, c.Instances)
 	rel := plan.Relation
-	fmt.Printf("relation-aware configuration model for %s:\n", sub.Info().Implementation)
+	fmt.Printf("relation-aware configuration model for %s:\n", h.Sub.Info().Implementation)
 	fmt.Printf("  baseline startup coverage: %d branches (%d startups for %d probe requests, %d values capped)\n",
 		rel.Baseline, rel.Probes, rel.ProbeRequests, rel.DroppedValues)
 	fmt.Printf("  %d relation edges:\n", rel.Graph.EdgeCount())
@@ -191,15 +212,14 @@ func cmdRelate(args []string) error {
 }
 
 func cmdSchedule(args []string) error {
-	c, sub, err := parseTarget("schedule", args)
+	h, plan, err := planStage("schedule", args)
 	if err != nil {
 		return err
 	}
-	plan := cmfuzz.Identify(sub, c.Instances)
-	fmt.Printf("cohesive groups for %s across %d instances:\n", sub.Info().Implementation, c.Instances)
+	fmt.Printf("cohesive groups for %s across %d instances:\n", h.Sub.Info().Implementation, h.Opts.Instances)
 	for i, g := range plan.Groups {
 		fmt.Printf("  instance %d: %s\n", i, strings.Join(g.Members, ", "))
-		fmt.Printf("    config: %s\n", plan.Assignments[i].String())
+		fmt.Printf("    config: %s\n", plan.Specs[i].Config.String())
 	}
 	return nil
 }

@@ -1,14 +1,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/spec"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
@@ -211,5 +217,53 @@ func TestOutOfRangeFlagsAreErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.reason) {
 			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.reason)
 		}
+	}
+}
+
+// TestStagesHonourCampaignFlags: relate and schedule plan with the
+// planner every campaign uses, so the groups schedule prints are the
+// groups fuzz runs under the same flags, ablations included, and relate
+// refuses a mode that plans no relations.
+func TestStagesHonourCampaignFlags(t *testing.T) {
+	for _, flags := range [][]string{{"-alloc", "random"}, {"-alloc", "round-robin", "-n", "3"}, {"-raw-weights", "-seed", "5"}} {
+		args := append([]string{"-subject", "DNS", "-hours", "0.01"}, flags...)
+		out, err := captureStdout(t, func() error { return cmdSchedule(args) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(out, "\n") {
+			if m, ok := strings.CutPrefix(line, "  instance "); ok {
+				got = append(got, m)
+			}
+		}
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		var c spec.Campaign
+		c.Bind(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		opts, err := c.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Target(protocols.ByName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := parallel.Run(context.Background(), sub, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i, g := range res.Groups {
+			want = append(want, fmt.Sprintf("%d: %s", i, strings.Join(g.Members, ", ")))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: schedule printed %q, fuzz ran %q", flags, got, want)
+		}
+	}
+	if _, err := captureStdout(t, func() error { return cmdRelate([]string{"-subject", "DNS", "-mode", "peach"}) }); err == nil {
+		t.Fatal("relate planned relations for Peach")
 	}
 }

@@ -44,7 +44,24 @@ func figuresOf(res *parallel.Result) modeFigures {
 // tests (TestHeadlineClaim, TestAblationsCohesiveWins) say CMFuzz wins;
 // this says nothing moved. Each campaign runs in-process and through a
 // two-worker coordinator, and both must equal the golden.
+//
+// The "+link" rows rerun CMFuzz and Peach over an impaired link (loss,
+// base latency and jitter), so a loss or latency draw that moves, or a
+// change in how the clock spends latency, moves their numbers.
 func TestFidelityGolden(t *testing.T) {
+	type fidelityCase struct {
+		key  string
+		opts parallel.Options
+	}
+	var cases []fidelityCase
+	for _, mode := range []parallel.Mode{parallel.ModeCMFuzz, parallel.ModePeach, parallel.ModeSPFuzz} {
+		cases = append(cases, fidelityCase{mode.String(), parallel.Options{Mode: mode, VirtualHours: 0.25, Seed: 42, Concurrency: 1}})
+	}
+	for _, mode := range []parallel.Mode{parallel.ModeCMFuzz, parallel.ModePeach} {
+		cases = append(cases, fidelityCase{mode.String() + "+link", parallel.Options{Mode: mode, VirtualHours: 0.25, Seed: 42, Concurrency: 1,
+			LinkLoss: 0.05, LinkLatencyBase: 0.01, LinkLatencyJitter: 0.02}})
+	}
+
 	path := filepath.Join("testdata", "fidelity.json")
 	golden := map[string]map[string]modeFigures{}
 	if !*update {
@@ -60,23 +77,22 @@ func TestFidelityGolden(t *testing.T) {
 	for _, sub := range protocols.All() {
 		name := sub.Info().Protocol
 		got[name] = map[string]modeFigures{}
-		for _, mode := range []parallel.Mode{parallel.ModeCMFuzz, parallel.ModePeach, parallel.ModeSPFuzz} {
-			opts := parallel.Options{Mode: mode, VirtualHours: 0.25, Seed: 42, Concurrency: 1}
-			inproc, err := parallel.Run(context.Background(), sub, opts)
+		for _, c := range cases {
+			inproc, err := parallel.Run(context.Background(), sub, c.opts)
 			if err != nil {
-				t.Fatalf("%s/%s in-process: %v", name, mode, err)
+				t.Fatalf("%s/%s in-process: %v", name, c.key, err)
 			}
-			remote, _, err := dist.RunLocal(context.Background(), sub, opts, 2, dist.Config{HeartbeatInterval: -1})
+			remote, _, err := dist.RunLocal(context.Background(), sub, c.opts, 2, dist.Config{HeartbeatInterval: -1})
 			if err != nil {
-				t.Fatalf("%s/%s distributed: %v", name, mode, err)
+				t.Fatalf("%s/%s distributed: %v", name, c.key, err)
 			}
 			f := figuresOf(inproc)
 			if r := figuresOf(remote); !reflect.DeepEqual(r, f) {
-				t.Errorf("%s/%s: distributed %+v, in-process %+v", name, mode, r, f)
+				t.Errorf("%s/%s: distributed %+v, in-process %+v", name, c.key, r, f)
 			}
-			got[name][mode.String()] = f
-			if want, ok := golden[name][mode.String()]; !*update && (!ok || !reflect.DeepEqual(f, want)) {
-				t.Errorf("%s/%s: got %+v, golden %+v", name, mode, f, want)
+			got[name][c.key] = f
+			if want, ok := golden[name][c.key]; !*update && (!ok || !reflect.DeepEqual(f, want)) {
+				t.Errorf("%s/%s: got %+v, golden %+v", name, c.key, f, want)
 			}
 		}
 	}

@@ -13,10 +13,10 @@ import (
 	"cmfuzz/internal/telemetry"
 )
 
-// nsPort is the port the live target occupies inside its netsim
-// namespace. The virtual overlay carries fuzzer→target messages (so
-// netsim's loss/latency knobs impair the live link like any simulated
-// one); the real socket hop happens inside Message.
+// nsPort only labels Info.Port: the real target listens at the spec's
+// Addr or on a free port picked at launch. Each instance's link in
+// internal/parallel impairs fuzzer→target messages here as for any
+// simulated subject; the real socket hop happens inside Message.
 const nsPort = 4242
 
 // A Subject adapts one live target spec to the subject contract, so

@@ -93,21 +93,21 @@ func RegisterRecorder(reg *metrics.Registry, rec *telemetry.Recorder) {
 	for name, help := range counterHelp {
 		name := name
 		reg.CounterFunc("cmfuzz_"+name+"_total", help, func() float64 {
-			return float64(rec.Counters()[name])
+			return float64(rec.Counter(name))
 		})
 	}
 	reg.GaugeFunc("cmfuzz_probe_cache_hit_ratio",
 		"Share of probe requests served from the memo cache.", func() float64 {
-			c := rec.Counters()
-			total := c[telemetry.CtrProbeStartups] + c[telemetry.CtrProbeCacheHits]
+			hits := rec.Counter(telemetry.CtrProbeCacheHits)
+			total := rec.Counter(telemetry.CtrProbeStartups) + hits
 			if total == 0 {
 				return 0
 			}
-			return float64(c[telemetry.CtrProbeCacheHits]) / float64(total)
+			return float64(hits) / float64(total)
 		})
 	reg.GaugeFunc("cmfuzz_events_recorded",
 		"Structured events held by the virtual-clock recorder.", func() float64 {
-			return float64(len(rec.Events()))
+			return float64(rec.Len())
 		})
 }
 

@@ -9,7 +9,6 @@ import (
 	"cmfuzz/internal/core/relation"
 	"cmfuzz/internal/core/schedule"
 	"cmfuzz/internal/fuzz"
-	"cmfuzz/internal/netsim"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
@@ -32,11 +31,11 @@ type InstanceSpec struct {
 	RngSeed    int64
 }
 
-// A Host owns the per-process context instances need: the parsed Pit,
-// the configuration model, and the netsim fabric. Both the in-process
-// campaign loop and a distributed worker node build one Host per
-// campaign; everything in it is a deterministic function of the subject,
-// so two Hosts for the same subject are interchangeable.
+// A Host owns the per-process context instances need: the parsed Pit
+// and the configuration model. Both the in-process campaign loop and a
+// distributed worker node build one Host per campaign; everything in it
+// is a deterministic function of the subject, so two Hosts for the same
+// subject are interchangeable.
 type Host struct {
 	Sub        subject.Subject
 	Opts       Options // defaults applied
@@ -44,7 +43,6 @@ type Host struct {
 	StateModel *fuzz.StateModel
 	Model      *configmodel.Model
 	Defaults   configmodel.Assignment
-	Fabric     *netsim.Fabric
 }
 
 // NewHost parses the subject's Pit and configuration model and returns a
@@ -67,7 +65,6 @@ func NewHost(sub subject.Subject, opts Options) (*Host, error) {
 		StateModel: pit.DefaultStateModel(),
 		Model:      model,
 		Defaults:   model.Defaults(),
-		Fabric:     netsim.NewFabric(),
 	}, nil
 }
 
@@ -79,9 +76,9 @@ type Plan struct {
 	Specs []InstanceSpec
 	// Groups is the cohesive allocation (CMFuzz mode; may be shorter
 	// than Instances when the relation graph has few entities).
-	Groups        []schedule.Group
-	RelationEdges int
-	Probes        int
+	Groups []schedule.Group
+	// Relation is the relation model Groups came from (CMFuzz mode only).
+	Relation *relation.Result
 }
 
 // Plan runs the mode-dependent scheduling phase: configuration model
@@ -114,8 +111,7 @@ func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.
 			}
 			return cov
 		}, relation.Options{MaxValues: opts.MaxValues, Weighting: weighting, Workers: opts.Concurrency, Telemetry: tel, Trace: parent})
-		plan.RelationEdges = rel.Graph.EdgeCount()
-		plan.Probes = rel.Probes
+		plan.Relation = rel
 		allocName := map[Allocator]string{AllocRandom: "random", AllocRoundRobin: "round-robin"}[opts.Allocator]
 		if allocName == "" {
 			allocName = "cohesive"

@@ -44,7 +44,7 @@ func (b *RecordingSink) Record(c *bugs.Crash, instance int, t float64, config st
 }
 
 // An Instance is one running parallel fuzzing instance: an engine bound
-// to a booted subject target inside its own netsim namespace, plus the
+// to a booted subject target it alone holds, over its own link, plus the
 // virtual clock and saturation state the campaign loop schedules it by.
 // Booting equal specs on equal hosts yields instances whose step
 // sequences are bit-for-bit identical, which is what lets a distributed
@@ -63,8 +63,8 @@ type Instance struct {
 	crashes      int
 	restartFails int
 	startEdges   int
-	// latencySpent is how much of the namespace's accrued link latency
-	// has already been charged to the virtual clock.
+	// latencySpent is how much of the link's accrued latency has already
+	// been charged to the virtual clock.
 	latencySpent float64
 }
 
@@ -73,21 +73,13 @@ type Instance struct {
 // defaults as a last resort), and seed the engine with the startup
 // coverage. Startup crashes go to sink.
 func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
-	ns := h.Fabric.Namespace(fmt.Sprintf("inst%d", spec.Index))
-	// Link impairment, seeded per instance so loss/latency streams are
-	// independent across instances yet reproducible per campaign seed.
-	if h.Opts.LinkLoss > 0 {
-		ns.SetLoss(h.Opts.LinkLoss, h.Opts.Seed*31+int64(spec.Index))
-	}
-	if h.Opts.LinkLatencyBase > 0 || h.Opts.LinkLatencyJitter > 0 {
-		ns.SetLatency(h.Opts.LinkLatencyBase, h.Opts.LinkLatencyJitter, h.Opts.Seed*37+int64(spec.Index))
-	}
+	l := newLink(&h.Opts, spec.Index, h.Sub.Info().Transport)
 	cfg := repairConfig(h.Sub, spec.Config, h.Defaults)
-	target, startCov, err := bootTarget(h.Sub, ns, cfg, sink, spec.Index)
+	target, err := bootTarget(h.Sub, l, cfg, sink, spec.Index)
 	if err != nil {
 		// Still conflicting after repair: last-resort defaults.
 		cfg = h.Defaults.Clone()
-		target, startCov, err = bootTarget(h.Sub, ns, cfg, sink, spec.Index)
+		target, err = bootTarget(h.Sub, l, cfg, sink, spec.Index)
 		if err != nil {
 			return nil, fmt.Errorf("parallel: instance %d failed to start: %w", spec.Index, err)
 		}
@@ -98,7 +90,7 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 		Seed:       spec.EngineSeed,
 		FixedPaths: spec.Paths,
 	}, target)
-	eng.Absorb(startCov)
+	eng.Absorb(target.startup)
 	return &Instance{
 		host:       h,
 		index:      spec.Index,
@@ -108,7 +100,7 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 		group:      spec.Group,
 		sat:        &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain, MinGainFrac: 0.01},
 		rng:        rand.New(rand.NewSource(spec.RngSeed)),
-		startEdges: startCov.Count(),
+		startEdges: target.startup.Count(),
 	}, nil
 }
 
@@ -119,13 +111,13 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 func (in *Instance) Step() Step {
 	r := in.engine.Step()
 	step := Step{Bytes: r.Bytes, NewEdges: r.NewEdges, Crash: r.Crash}
-	if in.host.Opts.LinkLatencyBase > 0 || in.host.Opts.LinkLatencyJitter > 0 {
-		// Spend the link latency netsim accrued during this step: the
+	if l := in.target.link; l.latRng != nil {
+		// Spend the latency the link accrued during this step: the
 		// impaired link slows the campaign's virtual clock, exactly as a
-		// slow real network would slow wall time.
-		acc := in.target.ns.Stats().LatencyAccrued
-		step.Latency = acc - in.latencySpent
-		in.latencySpent = acc
+		// slow real network would slow wall time. A difference of running
+		// totals, not a per-step sum, which would round differently.
+		step.Latency = l.accrued - in.latencySpent
+		in.latencySpent = l.accrued
 	}
 	in.clock = in.host.Opts.charge(in.clock, step)
 	if step.Crash != nil {
@@ -314,7 +306,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 		return out
 	}
 
-	if err := in.target.restart(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
+	if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
 		in.restartFails++
 		out.RestartFails++
 		out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
@@ -325,7 +317,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 		} else {
 			delete(in.cfg, e.Name)
 		}
-		if err := in.target.restart(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
+		if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
 			in.restartFails++
 			out.RestartFails++
 			out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
@@ -335,7 +327,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 			// target for the rest of the campaign. Boot the defaults,
 			// which every subject's conformance suite guarantees start.
 			in.cfg = h.Model.Defaults()
-			err := in.target.restart(h.Sub, in.cfg, sink, in.index, in.clock)
+			err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock)
 			if err != nil {
 				in.restartFails++
 				out.RestartFails++

@@ -13,7 +13,7 @@ import (
 // the virtual clock and what it found.
 type Step struct {
 	Bytes int
-	// Latency is the link latency the instance's namespace accrued during
+	// Latency is the link latency the instance's link accrued during
 	// the step, in virtual seconds; zero unless Options.LinkLatency* is set.
 	Latency  float64
 	NewEdges int
@@ -164,8 +164,10 @@ func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
 		return nil, err
 	}
 	plan := l.host.Plan(l.Res.Bugs, l.Opts.Telemetry, l.Opts.Trace)
-	l.Res.RelationEdges = plan.RelationEdges
-	l.Res.Probes = plan.Probes
+	if rel := plan.Relation; rel != nil {
+		l.Res.RelationEdges = rel.Graph.EdgeCount()
+		l.Res.Probes = rel.Probes
+	}
 	l.Res.Groups = plan.Groups
 	return plan, nil
 }

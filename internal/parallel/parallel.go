@@ -13,9 +13,9 @@
 // Campaigns run on a virtual clock: each engine step models a batch of
 // protocol executions and advances the owning instance's clock by a cost
 // derived from the bytes sent, so 24 simulated hours replay in seconds
-// and deterministically for a fixed seed. Every instance runs inside its
-// own netsim namespace, reproducing the paper's network-namespace
-// isolation.
+// and deterministically for a fixed seed. Each instance owns its subject
+// object and its link to it, which isolates instances as the paper's
+// per-instance network namespaces do.
 //
 // The campaign is factored into Host/Plan/Boot/Instance primitives and
 // one event loop (Loop) over a Source of steps. Run drives the loop with
@@ -132,7 +132,7 @@ type Options struct {
 	// workers.
 	PeachSharedSchedules bool
 	// LinkLoss drops each fuzzer→target datagram with this probability
-	// (0 disables). Applied per instance namespace, so it impairs the
+	// (0 disables). Applied on each instance's link, so it impairs the
 	// live-target link (and simulated links) identically.
 	LinkLoss float64
 	// LinkLatencyBase/LinkLatencyJitter charge virtual latency per

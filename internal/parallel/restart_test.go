@@ -10,7 +10,6 @@ import (
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
-	"cmfuzz/internal/netsim"
 	"cmfuzz/internal/subject"
 )
 
@@ -58,9 +57,8 @@ func TestMutateConfigFallsBackToDefaults(t *testing.T) {
 			Default: "v0", Values: []string{"v1", "v2"}},
 	})
 	sub := &stubSubject{allow: func(map[string]string) bool { return true }}
-	ns := netsim.NewFabric().Namespace("dead0")
 	cfg := configmodel.Assignment{"mode": "v1"}
-	target, _, err := bootTarget(sub, ns, cfg, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +101,8 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 			Default: "v0", Values: []string{"v1", "v2"}},
 	})
 	sub := &stubSubject{allow: func(map[string]string) bool { return true }}
-	ns := netsim.NewFabric().Namespace("dead1")
 	cfg := configmodel.Assignment{"mode": "v1"}
-	target, _, err := bootTarget(sub, ns, cfg, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

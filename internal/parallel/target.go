@@ -1,52 +1,78 @@
 package parallel
 
 import (
+	"math/rand"
+
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/coverage"
-	"cmfuzz/internal/netsim"
 	"cmfuzz/internal/subject"
 )
 
-// netTarget adapts a subject instance into a fuzz.Target, routing every
-// message through the instance's isolated netsim namespace (datagram or
-// stream, per the subject's transport) so cross-instance contamination is
-// structurally impossible.
+// A link is an instance's only path to its subject, with the campaign's
+// impairment on it: datagram loss and per-message latency, each drawn
+// from its own seeded stream so enabling one never moves the other's
+// sequence. Nothing sleeps; accrued is the latency delivered so far, in
+// virtual seconds, and Instance.Step spends it on the clock.
+type link struct {
+	datagram     bool // only a datagram can be lost, as a TCP segment cannot
+	loss         float64
+	lossRng      *rand.Rand // nil unless loss > 0
+	base, jitter float64
+	latRng       *rand.Rand // nil unless base or jitter > 0
+	accrued      float64
+}
+
+// newLink opens instance index's link over transport, seeded from the
+// campaign seed so its streams differ across instances yet replay per
+// campaign.
+func newLink(o *Options, index int, transport subject.Transport) *link {
+	l := &link{datagram: transport == subject.Datagram, loss: o.LinkLoss, base: o.LinkLatencyBase, jitter: o.LinkLatencyJitter}
+	if l.loss > 0 {
+		l.lossRng = rand.New(rand.NewSource(o.Seed*31 + int64(index)))
+	}
+	if l.base > 0 || l.jitter > 0 {
+		l.latRng = rand.New(rand.NewSource(o.Seed*37 + int64(index)))
+	}
+	return l
+}
+
+// deliver decides the next message's fate. A lost datagram is charged
+// no latency; a delivered message accrues base plus a uniform draw in
+// [0, jitter).
+func (l *link) deliver() bool {
+	if l.datagram && l.lossRng != nil && l.lossRng.Float64() < l.loss {
+		return false
+	}
+	if l.latRng != nil {
+		// Rounded before the addition, so no CPU fuses it (see charge).
+		l.accrued += l.base + float64(l.latRng.Float64()*l.jitter)
+	}
+	return true
+}
+
+// netTarget adapts a subject instance into a fuzz.Target that sends every
+// message over the instance's link. Each instance owns its target, link
+// and subject object, which is what isolates it from its siblings.
 type netTarget struct {
-	ns      *netsim.Namespace
-	info    subject.Info
+	link    *link
 	inst    subject.Instance
-	startup *coverage.Map
-	conn    *netsim.Conn
+	startup *coverage.Map // coverage the latest boot produced
 }
 
-// bootTarget starts a fresh subject instance under cfg inside ns and
-// wires it to the namespace. It returns the target and the startup
-// coverage map. A crash during startup (a configuration-parsing defect)
-// is recorded in the ledger and reported as an error.
-func bootTarget(sub subject.Subject, ns *netsim.Namespace, cfg configmodel.Assignment, sink CrashSink, index int) (*netTarget, *coverage.Map, error) {
-	t := &netTarget{ns: ns, info: sub.Info()}
+// bootTarget starts a fresh subject instance under cfg behind l. A crash
+// during startup (a configuration-parsing defect) is recorded in the
+// ledger and reported as an error.
+func bootTarget(sub subject.Subject, l *link, cfg configmodel.Assignment, sink CrashSink, index int) (*netTarget, error) {
+	t := &netTarget{link: l}
 	if err := t.boot(sub, cfg, sink, index, 0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Namespace wiring: handlers read t.inst through the pointer, so a
-	// restart transparently swaps the backing instance.
-	if t.info.Transport == subject.Datagram {
-		if err := ns.BindDatagram(t.info.Port, netsim.DatagramHandlerFunc(
-			func(src netsim.Addr, payload []byte) [][]byte {
-				return t.inst.Message(payload)
-			})); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if err := ns.Listen(t.info.Port, streamAdapter{t}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return t, t.startup, nil
+	return t, nil
 }
 
-// boot starts (or re-starts) the backing instance under cfg.
+// boot starts (or restarts) the backing instance under cfg; the link
+// stays.
 func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, sink CrashSink, index int, now float64) error {
 	inst := sub.NewInstance()
 	tr := coverage.NewTrace()
@@ -69,51 +95,16 @@ func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, sink C
 	return nil
 }
 
-// restart reboots the instance under a mutated configuration, keeping
-// the namespace wiring.
-func (t *netTarget) restart(sub subject.Subject, cfg configmodel.Assignment, sink CrashSink, index int, now float64) error {
-	return t.boot(sub, cfg, sink, index, now)
-}
-
-// streamAdapter exposes the target's instance as a netsim stream server.
-type streamAdapter struct{ t *netTarget }
-
-func (a streamAdapter) OnConnect(c *netsim.Conn) {}
-func (a streamAdapter) OnData(c *netsim.Conn, data []byte) [][]byte {
-	return a.t.inst.Message(data)
-}
-func (a streamAdapter) OnClose(c *netsim.Conn) {}
-
 // Run implements fuzz.Target: one execution = one fresh protocol session
-// carrying the whole message sequence through the namespace.
-func (t *netTarget) Run(seq [][]byte, tr *coverage.Trace) (crash *bugs.Crash) {
+// carrying the message sequence over the link.
+func (t *netTarget) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 	t.inst.SetTrace(tr)
 	t.inst.NewSession()
-	client := netsim.Addr{Host: "fuzzer", Port: 49152}
-	dst := netsim.Addr{Host: t.ns.Name(), Port: t.info.Port}
-
-	if t.info.Transport == subject.Stream {
-		crash = bugs.Capture(func() {
-			conn, err := t.ns.Dial(t.info.Port)
-			if err != nil {
-				return
-			}
-			t.conn = conn
-			defer conn.Close()
-			for _, msg := range seq {
-				if _, err := conn.Send(msg); err != nil {
-					return
-				}
-			}
-		})
-		return crash
-	}
-	crash = bugs.Capture(func() {
+	return bugs.Capture(func() {
 		for _, msg := range seq {
-			if _, err := t.ns.SendDatagram(client, dst, msg); err != nil {
-				return
+			if t.link.deliver() {
+				t.inst.Message(msg)
 			}
 		}
 	})
-	return crash
 }

@@ -235,6 +235,26 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
+// Len returns the number of recorded events without copying them.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
+}
+
+// Counter returns one counter's value without copying the registry.
+func (r *Recorder) Counter(name string) int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counters[name]
+}
+
 // Counters returns a copy of the counter registry (nil when off).
 func (r *Recorder) Counters() Counters {
 	if r == nil {
