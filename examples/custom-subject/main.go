@@ -3,6 +3,10 @@
 // file transfer server, hand the framework its configuration sources and
 // Pit models, and run the full identification → scheduling → fuzzing
 // pipeline against it.
+//
+// A campaign runs each instance on a goroutine of its own, so everything
+// an instance touches lives in the instance (tftpServer's fields, files
+// included); a subject's instances must share no mutable state.
 package main
 
 import (

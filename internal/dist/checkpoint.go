@@ -64,6 +64,7 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		syncBytes:     c.syncBytes.Load(),
 		workerDeaths:  c.workerDeaths.Load(),
 		reassignments: c.reassignments.Load(),
+		replay:        st.Inst,
 		inst:          st.inst,
 	})
 	if err != nil {
@@ -87,6 +88,7 @@ type checkpoint struct {
 	syncBytes     int64
 	workerDeaths  int64
 	reassignments int64
+	replay        []parallel.Replica
 	inst          []replica
 }
 
@@ -184,11 +186,12 @@ func (c *codec) checkpoint(ck *checkpoint) {
 		if c.decoding() {
 			ck.loop.Clock = append(ck.loop.Clock, 0)
 			ck.loop.NextSync = append(ck.loop.NextSync, 0)
+			ck.replay = append(ck.replay, parallel.Replica{})
 			ck.inst = append(ck.inst, replica{})
 		}
 		f64(c, &ck.loop.Clock[i])
 		f64(c, &ck.loop.NextSync[i])
-		c.replica(&ck.inst[i])
+		c.replica(&ck.replay[i], &ck.inst[i])
 	}
 	if c.ok() && (len(ck.inst) != len(ck.specs) || len(ck.inst) == 0) {
 		c.fail(ErrProto)
@@ -217,34 +220,34 @@ func (c *codec) report(r *bugs.Report) {
 	u32(c, &r.Count)
 }
 
-// replica visits an instance's replay state. The corpus mirror travels
-// as its seeds in order, which a fresh corpus rebuilds it from; of the
-// batch, only the drained records not yet replayed are kept, and a
-// restored replica replays them from its start.
-func (c *codec) replica(in *replica) {
+// replica visits an instance's replay state and its lease history. The
+// corpus mirror travels as its seeds in order, which a fresh corpus
+// rebuilds it from; of the batch, only the drained records not yet
+// replayed are kept, and a restored replica replays them from its start.
+func (c *codec) replica(r *parallel.Replica, in *replica) {
 	f64(c, &in.resumeClock)
-	u32(c, &in.crashes)
-	u32(c, &in.muts)
-	u32(c, &in.execs)
-	u32(c, &in.curCov)
-	u32(c, &in.startEdges)
-	str32(c, &in.curConfig)
+	u32(c, &r.Crashes)
+	u32(c, &r.Muts)
+	u32(c, &r.Execs)
+	u32(c, &r.Coverage)
+	u32(c, &r.StartEdges)
+	str32(c, &r.Config)
 	var mirror []fuzz.Seed
 	if !c.decoding() {
-		mirror = make([]fuzz.Seed, in.mirror.Len())
+		mirror = make([]fuzz.Seed, r.Mirror.Len())
 		for j := range mirror {
-			mirror[j] = in.mirror.At(j)
+			mirror[j] = r.Mirror.At(j)
 		}
 	}
-	rest := in.batch[in.pos:]
+	rest := r.Batch[r.Pos:]
 	c.seeds(&mirror)
-	c.seeds(&in.pending)
+	c.seeds(&r.Pending)
 	list[uint32](c, &in.journal, (*codec).journal)
 	list[uint32](c, &rest, (*codec).step)
 	if c.decoding() {
-		in.mirror, in.batch = fuzz.NewCorpus(0), rest
+		r.Mirror, r.Batch = fuzz.NewCorpus(0), rest
 		for _, s := range mirror {
-			in.mirror.Add(s)
+			r.Mirror.Add(s)
 		}
 	}
 }
@@ -302,5 +305,5 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	c.reassignments.Store(ck.reassignments)
 	c.checkpointed = true // until open has to dispatch a lease
 	c.loop = parallel.ResumeLoop(host, ck.res, ck.union, ck.loop)
-	return c.open(ctx, workers, ck.specs, ck.inst, true)
+	return c.open(ctx, workers, ck.specs, parallel.Replay{Inst: ck.replay}, ck.inst, true)
 }

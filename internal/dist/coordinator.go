@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
@@ -408,19 +407,16 @@ type leaseJournal struct {
 	Seeds    []fuzz.Seed
 }
 
-// runState is the event loop's replay Source: a replica per instance
-// and the lease plumbing. Byte-identity with the in-process run rests on
-// three things it keeps true: records reach the loop in the order the
-// worker's instance produced them; a record's coverage delta is the one
-// snapshotted before any restart coverage was absorbed (worker.go,
-// afterStep); and each mirror holds exactly what the worker-side corpus
-// holds at the same loop position.
+// runState is the event loop's Source: the record replay every lease
+// source shares (parallel.Replay, which holds the per-instance picture a
+// checkpoint stores), plus the wire's half of each instance and the
+// lease plumbing.
 type runState struct {
+	parallel.Replay
 	c       *Coordinator
 	specs   []parallel.InstanceSpec
 	workers []*workerConn // pool snapshot taken at Start/Restore
 	inst    []replica
-	cur     *parallel.LeaseStep // the record the loop is on
 	// restoring holds while Restore puts checkpointed instances back:
 	// a boot is then quiet and at the clock of the instance's last
 	// (re)boot, and a worker lost meanwhile costs the campaign nothing —
@@ -429,30 +425,12 @@ type runState struct {
 	restoring bool
 }
 
-// A replica is the coordinator's picture of one instance: what the loop
-// would otherwise read off a live engine (configuration, edge count,
-// counters), a corpus mirror (so sync exports are computed locally at
-// the exact event-loop position, without a wire round-trip), the lease
-// batch being replayed, and the lease history a Restore re-sends. A
-// checkpoint stores everything here but the owner and the lease in flight.
+// A replica is the wire's half of one instance: the worker that owns
+// it, the dispatched lease whose reply has not been consumed (nil when
+// there is none) with its send time and request size, and the lease
+// history a Restore re-sends. A checkpoint stores the history.
 type replica struct {
-	owner      *workerConn
-	crashes    int
-	muts       int
-	execs      int // replayed steps since (re)boot — the engine's Execs counter
-	curCov     int // instance's own edge count at the replay position
-	curConfig  string
-	startEdges int
-	// mirror replays the instance's corpus: Add on every new-edges
-	// record, plus the sync imports, in the same order the worker-side
-	// engine applies them, so mirror.Export == worker ExportSeeds.
-	mirror  *fuzz.Corpus
-	pending []fuzz.Seed // seeds collected at sync, shipped with the next lease
-	// batch/pos is the lease reply currently being replayed; inflight
-	// is the dispatched lease whose reply has not been consumed (nil when
-	// there is none), sent/reqBytes its send time and request size.
-	batch    []parallel.LeaseStep
-	pos      int
+	owner    *workerConn
 	inflight <-chan reply
 	sent     time.Time
 	reqBytes int
@@ -460,15 +438,6 @@ type replica struct {
 	// (re)boot, for checkpoint/resume replay.
 	journal     []leaseJournal
 	resumeClock float64
-}
-
-// newReplicas returns n replicas of instances that have not run yet.
-func newReplicas(n int) []replica {
-	inst := make([]replica, n)
-	for i := range inst {
-		inst[i].mirror = fuzz.NewCorpus(0)
-	}
-	return inst
 }
 
 // send puts one of instance i's journaled leases on its owner's
@@ -486,12 +455,9 @@ func (c *Coordinator) send(i int, j leaseJournal) {
 // The reply is picked up by fill when the loop next needs a record of i.
 func (c *Coordinator) dispatch(i int) {
 	in := &c.st.inst[i]
-	j := leaseJournal{Boundary: c.loop.NextSync[i], Seeds: in.pending}
+	j := leaseJournal{Boundary: c.loop.NextSync[i], Seeds: c.st.Lease(i)}
 	in.journal = append(in.journal, j)
 	c.checkpointed = false
-	in.pending = nil
-	in.batch = nil
-	in.pos = 0
 	c.send(i, j)
 }
 
@@ -538,8 +504,7 @@ func (c *Coordinator) fill(ctx context.Context, i int) error {
 	}
 	// A lease goes out only once the batch before it is exhausted
 	// (dispatch), so the reply is the whole batch.
-	in := &c.st.inst[i]
-	in.batch, in.pos = recs, 0
+	c.st.Fill(i, recs)
 	return nil
 }
 
@@ -678,10 +643,7 @@ func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet b
 			wc.kill(err)
 			return err
 		}
-		in := &c.st.inst[i]
-		in.curConfig = br.Config
-		in.startEdges = br.StartEdges
-		in.curCov = br.StartEdges
+		c.st.Booted(i, br.Config, br.StartEdges)
 	}
 	c.st.inst[i].owner = wc
 	return nil
@@ -723,8 +685,8 @@ func (c *Coordinator) reassign(i int) error {
 				// The fresh instance starts with an empty corpus and a zeroed
 				// exec counter; the mirror must match it. The lease journal
 				// restarts from this boot, too.
-				in.execs = 0
-				in.mirror = fuzz.NewCorpus(0)
+				c.st.Inst[i].Execs = 0
+				c.st.Inst[i].Mirror = fuzz.NewCorpus(0)
 				in.journal = nil
 				in.resumeClock = c.loop.Clock[i]
 			}
@@ -759,98 +721,27 @@ func (st *runState) Boot(i int) (int, error) {
 			return 0, rerr
 		}
 	}
-	return in.startEdges, nil
+	return st.Inst[i].StartEdges, nil
 }
 
 // Step hands the loop instance i's next record, blocking on the
 // in-flight lease reply when the current batch is exhausted.
 func (st *runState) Step(ctx context.Context, i int) (parallel.Step, error) {
-	in := &st.inst[i]
-	for in.pos >= len(in.batch) {
+	for {
+		if step, ok := st.Next(i); ok {
+			st.c.checkpointed = false
+			return step, nil
+		}
 		if err := st.c.fill(ctx, i); err != nil {
 			return parallel.Step{}, err
 		}
 	}
-	st.cur = &in.batch[in.pos]
-	in.pos++
-	st.c.checkpointed = false
-	in.execs++
-	if st.cur.Crash != nil {
-		in.crashes++
-	}
-	return st.cur.Step, nil
-}
-
-func (st *runState) Config(i int) string { return st.inst[i].curConfig }
-
-// Merge applies the record's coverage delta. The instance's own map grew
-// by exactly NewEdges, and its corpus gained the seed; both mirrors
-// follow.
-func (st *runState) Merge(i int, union *coverage.Map) error {
-	in := &st.inst[i]
-	if _, err := union.ApplyDelta(st.cur.Delta); err != nil {
-		return fmt.Errorf("dist: coverage delta from worker %q: %w", in.owner.name, err)
-	}
-	in.curCov += st.cur.NewEdges
-	in.mirror.Add(st.cur.Seed)
-	return nil
-}
-
-func (st *runState) Gauge(i int) parallel.Gauge {
-	in := &st.inst[i]
-	return parallel.Gauge{Edges: in.curCov, Execs: in.execs, Crashes: in.crashes, Mutations: in.muts, Corpus: in.mirror.Len()}
-}
-
-// Sync exports from every other instance's mirror at this exact
-// event-loop position. The collected seeds merge into i's mirror now —
-// where the worker-side corpus will have them — and ship to i's engine
-// with its next lease; i does not step again before that lease, so the
-// deferred wire import is invisible.
-func (st *runState) Sync(i int) int {
-	var all []fuzz.Seed
-	for j := range st.inst {
-		if j != i {
-			all = append(all, st.inst[j].mirror.Export(4)...)
-		}
-	}
-	for _, s := range all {
-		st.inst[i].mirror.Add(s)
-	}
-	st.inst[i].pending = all
-	return len(all)
-}
-
-// Saturated reports whether saturation fired worker-side on this step.
-// The worker ran the mutation inside the lease, before the loop got to
-// this step's sync; that is safe because mutation commutes with sync —
-// mutation touches the rng, target, and engine map; sync touches only
-// corpora — so no observable effect is reordered.
-func (st *runState) Saturated(int) bool { return st.cur.SatFired }
-
-// Mutate replays the recorded mutation: its restart crashes into sink,
-// its outcome to the loop.
-func (st *runState) Mutate(i int, sink parallel.CrashSink) parallel.MutationOutcome {
-	in, rec := &st.inst[i], st.cur
-	for k := range rec.MutationCrashes {
-		cr := &rec.MutationCrashes[k]
-		sink.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
-	}
-	in.muts += rec.Mutation.Mutations
-	in.curConfig = rec.Config
-	// A restart absorbed fresh startup coverage into the instance's map;
-	// resync the replayed edge count to the post-absorb value the worker
-	// reported.
-	in.curCov = rec.Coverage
-	return *rec.Mutation
 }
 
 // Done hands the instance its next lease once its batch is exhausted,
-// unless it just ran out the campaign horizon. A horizon-crossing sync
-// skips its import-only lease — an in-process instance does import
-// there, but it never steps again, so the corpus difference is invisible
-// in every artifact.
+// unless it just ran out the campaign horizon.
 func (st *runState) Done(i int) {
-	if in := &st.inst[i]; in.pos >= len(in.batch) && st.c.loop.Clock[i] < st.c.loop.Horizon() {
+	if st.Exhausted(i) && st.c.loop.Clock[i] < st.c.loop.Horizon() {
 		st.c.dispatch(i)
 	}
 }
@@ -891,13 +782,14 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	return c.open(ctx, workers, plan.Specs, newReplicas(len(plan.Specs)), false)
+	n := len(plan.Specs)
+	return c.open(ctx, workers, plan.Specs, parallel.NewReplay(n), make([]replica, n), false)
 }
 
 // open brings the planned (or restored) campaign up on workers: assign,
 // allocate the replay state, boot every instance through the loop, and
 // lease out every instance that has nothing left to replay.
-func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, inst []replica, restored bool) error {
+func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, rp parallel.Replay, inst []replica, restored bool) error {
 	// Ship the whole plan to every worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
 	// adopt a reassigned instance later. Observability sinks are
@@ -922,6 +814,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	}
 
 	st := &runState{
+		Replay:    rp,
 		c:         c,
 		specs:     append([]parallel.InstanceSpec(nil), specs...),
 		workers:   workers,
@@ -972,8 +865,8 @@ func (c *Coordinator) Progress() (clock float64, edges, execs int) {
 	if c.st == nil {
 		return 0, 0, 0
 	}
-	for i := range c.st.inst {
-		execs += c.st.inst[i].execs
+	for i := range c.st.Inst {
+		execs += c.st.Inst[i].Execs
 	}
 	return c.loop.MinClock(), c.loop.Union.Count(), execs
 }

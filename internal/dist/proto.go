@@ -479,10 +479,9 @@ const (
 	leaseEnd byte = 0xFF
 )
 
-// step visits one step record. The worker encodes each record from
-// StepN's afterRecord hook, so a reply is built incrementally in the
-// lane's reused encoder instead of being assembled from per-step slices;
-// the checkpoint stores drained records not yet replayed with it. A
+// step visits one step record. A lane encodes a lease's records into its
+// reused encoder straight from the instance's record buffer; the
+// checkpoint stores drained records not yet replayed with it. A
 // record that charged no link latency encodes as it did before records
 // could carry one, so older checkpoints and latency-free replies are
 // unchanged. Decoding rejects flag bits it does not know, an edges flag

@@ -158,7 +158,7 @@ func TestLaneSpansArriveWhole(t *testing.T) {
 		got := append([]string(nil), kids[id]...)
 		sort.Strings(got)
 		whole := strings.Join(got, ",")
-		if whole != "lease.decode,lease.encode,lease.steps" && whole != "corpus.absorb,lease.decode,lease.encode,lease.steps" {
+		if whole != "lease.decode,lease.encode,lease.steps" {
 			t.Fatalf("lease root %d arrived with children [%s]", id, whole)
 		}
 	}

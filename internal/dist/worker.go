@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/live"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/spec"
@@ -68,10 +67,9 @@ type Worker struct {
 // workerCampaign is one campaign's worker-side state: the assigned plan
 // plus whatever instances this worker has booted for it.
 type workerCampaign struct {
-	host     *parallel.Host
-	specs    map[int]parallel.InstanceSpec
-	insts    map[int]*parallel.Instance
-	reported map[int]*repState // coverage already flushed to the coordinator
+	host  *parallel.Host
+	specs map[int]parallel.InstanceSpec
+	insts map[int]*parallel.Instance
 	// traced asks the lanes to record this campaign's lease spans (the
 	// Assign's Trace flag).
 	traced bool
@@ -88,38 +86,24 @@ func (wc *workerCampaign) closeInstances() {
 	wc.insts = map[int]*parallel.Instance{}
 }
 
-// repState tracks what coverage an instance has already shipped. The
-// mirror map stays equal to the engine map between new-edges steps, so
-// a step's delta normally needs to visit only the words that step's
-// trace touched; fullScan flags the one exception — a mutation restart
-// absorbed startup coverage outside any step, so the next delta must
-// diff the whole engine map again.
-type repState struct {
-	m        *coverage.Map
-	fullScan bool
-}
-
 // A leaseJob is one decoded lease on its way to a lane, with everything
 // the reader looked up for it.
 type leaseJob struct {
 	id       uint32
 	wc       *workerCampaign
 	in       *parallel.Instance
-	rep      *repState
 	l        lease
 	reqBytes int
 	decode   time.Duration // what decoding the request took, for the span
 }
 
 // A lane executes leases one at a time and owns what a lease needs
-// scratch for: the reply encoder, the coverage-delta buffer, and a span
-// tracer — per lane, not per campaign, so a reply's span section is
-// exactly the lease the lane just ran however many of the campaign's
-// leases are running beside it.
+// scratch for: the reply encoder and a span tracer — per lane, not per
+// campaign, so a reply's span section is exactly the lease the lane just
+// ran however many of the campaign's leases are running beside it.
 type lane struct {
 	index, of int
-	enc       codec  // encodes into a Writer the lane reuses
-	deltaBuf  []byte // valid per step, copied into enc
+	enc       codec // encodes into a Writer the lane reuses
 	tracer    *trace.Tracer
 }
 
@@ -275,13 +259,13 @@ func (w *Worker) admit(id uint32, payload []byte) (leaseJob, error) {
 		return leaseJob{}, fmt.Errorf("dist: lease for unbooted instance %d", l.Index)
 	}
 	wc.leases.Add(1)
-	return leaseJob{id: id, wc: wc, in: in, rep: wc.reported[l.Index], l: l, reqBytes: len(payload), decode: time.Since(start)}, nil
+	return leaseJob{id: id, wc: wc, in: in, l: l, reqBytes: len(payload), decode: time.Since(start)}, nil
 }
 
 // run executes one lease and returns the encoded reply, valid until the
 // lane's next lease.
 func (ln *lane) run(job leaseJob) []byte {
-	in, rep, l := job.in, job.rep, job.l
+	l := job.l
 	// Lease spans (no-ops when tracing is off): the root covers the
 	// execution, with decode backfilled via Complete since the reader did
 	// it before the lease reached a lane.
@@ -295,51 +279,16 @@ func (ln *lane) run(job leaseJob) []byte {
 	root := tr.Start("lease", trace.A("instance", l.Index))
 	now := tr.Now()
 	root.Complete("lease.decode", now-job.decode, now, trace.A("bytes", job.reqBytes))
-	if len(l.Seeds) > 0 {
-		absorb := root.Child("corpus.absorb", trace.A("seeds", len(l.Seeds)))
-		in.ImportSeeds(l.Seeds)
-		absorb.End()
-	}
-	ln.enc.w.Reset()
-	// afterStep fires before any mutation absorbs restart coverage,
-	// which is where the in-process loop unions into the global map
-	// — the delta must be snapshotted there, so a restart's startup
-	// coverage rides the NEXT new-edges delta exactly as it does
-	// in-process. Normally rep.m equals the engine map going into
-	// the step, so the delta lives entirely in words the step's own
-	// trace touched and the encoder can skip the full-map scan; a
-	// preceding restart breaks that equality and forces one full
-	// diff (the fullScan flag, set when a saturation event fires).
-	afterStep := func(rec *parallel.LeaseStep) {
-		if rec.NewEdges > 0 {
-			em := in.CoverageMap()
-			touched := in.TraceMap()
-			if rep.fullScan {
-				touched = nil
-				rep.fullScan = false
-			}
-			ln.deltaBuf = coverage.AppendDelta(ln.deltaBuf[:0], em, rep.m, touched)
-			rec.Delta = ln.deltaBuf
-			rep.m.ApplyDelta(rec.Delta)
-		}
-	}
-	records := 0
-	afterRecord := func(rec *parallel.LeaseStep) {
-		if rec.SatFired {
-			rep.fullScan = true
-		}
-		records++
-		ln.enc.step(rec)
-	}
-	steps := root.Child("lease.steps")
-	syncDue := in.StepN(l.Boundary, l.Horizon, afterStep, afterRecord)
-	steps.Set("records", records)
+	steps := root.Child("lease.steps", trace.A("seeds", len(l.Seeds)))
+	recs, syncDue := job.in.RunLease(l.Seeds, l.Boundary, l.Horizon)
+	steps.Set("records", len(recs))
 	steps.End()
-	// The records were encoded step by step inside lease.steps; the reply's
-	// tail goes on below, once the spans it carries have ended, so
-	// lease.encode only marks where the reply is sealed.
-	sealed := tr.Now()
-	root.Complete("lease.encode", sealed, sealed)
+	encode := tr.Now()
+	ln.enc.w.Reset()
+	for k := range recs {
+		ln.enc.step(&recs[k])
+	}
+	root.Complete("lease.encode", encode, tr.Now())
 	root.End()
 	// The span section rides after the terminator: everything above has
 	// ended and the lane ran nothing else meanwhile, so the drain is this
@@ -399,11 +348,10 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 			w.camps = make(map[uint32]*workerCampaign)
 		}
 		wc := &workerCampaign{
-			host:     host,
-			specs:    make(map[int]parallel.InstanceSpec, len(a.Specs)),
-			insts:    make(map[int]*parallel.Instance),
-			reported: make(map[int]*repState),
-			traced:   a.Trace,
+			host:   host,
+			specs:  make(map[int]parallel.InstanceSpec, len(a.Specs)),
+			insts:  make(map[int]*parallel.Instance),
+			traced: a.Trace,
 		}
 		for _, s := range a.Specs {
 			wc.specs[s.Index] = s
@@ -444,18 +392,10 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		}
 		in.SetClock(b.ResumeClock)
 		wc.insts[b.Index] = in
-		// The boot delta carries the full startup map (delta against
-		// nothing); from here on only new words travel.
-		delta := coverage.EncodeDelta(in.CoverageMap(), nil)
-		rep := coverage.NewMap()
-		rep.Union(in.CoverageMap())
-		wc.reported[b.Index] = &repState{m: rep}
-		return msgBootResult, marshal(&bootResult{
-			Config:     in.ConfigString(),
-			StartEdges: in.StartupEdges(),
-			Delta:      delta,
-			Crashes:    sink.Recs,
-		}, (*codec).bootResult), nil
+		// The boot delta carries the full startup map; from here on only
+		// new words travel.
+		config, edges, delta := in.BootReport()
+		return msgBootResult, marshal(&bootResult{Config: config, StartEdges: edges, Delta: delta, Crashes: sink.Recs}, (*codec).bootResult), nil
 
 	case msgFinalize:
 		f, err := unmarshal(payload, (*codec).indexReq)

@@ -234,6 +234,31 @@ func TestDeadProcessBecomesCrash(t *testing.T) {
 	}
 }
 
+// TestStderrTailSurvivesExit: a target that writes one stderr line and
+// exits at once (the echo server without -port) must have that line in
+// its crash detail every time. Wait reaps such a process while its
+// stderr may still be unread, so the tail used to go missing now and
+// then; 200 runs give that race its chances.
+func TestStderrTailSurvivesExit(t *testing.T) {
+	spec := echoSpec()
+	spec.Cmd = []string{echoBin, "-config", "{config}"}
+	spec = spec.withDefaults()
+	const want = "echoserver: -port is required"
+	for run := 0; run < 200; run++ {
+		p, err := spawn(spec, nil)
+		var detail string
+		if err != nil {
+			detail = err.Error() // died before readiness was settled
+		} else {
+			detail = p.crash("echo").Detail
+			p.stop()
+		}
+		if !strings.Contains(detail, want) {
+			t.Fatalf("run %d: crash detail lost the stderr tail: %q", run, detail)
+		}
+	}
+}
+
 func TestHangRespawnsThenStormTripsKillSwitch(t *testing.T) {
 	spec := echoSpec()
 	spec.ReadTimeoutMS = 25

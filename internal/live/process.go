@@ -92,6 +92,12 @@ type process struct {
 	banner string
 	dir    string // temp dir holding the rendered config; removed on stop
 	stderr *tailRing
+	// errR is the read end of the target's stderr, a pipe Wait does not
+	// own: Wait closes the pipes it made as soon as the process is reaped,
+	// which could cut the drain off before the tail a crash report carries.
+	// drained closes when the drain has read it to the end.
+	errR    *os.File
+	drained chan struct{}
 
 	done     chan struct{} // closed when Wait returns
 	waitOnce sync.Once
@@ -121,11 +127,27 @@ func (p *process) stop() {
 	if p.cmd != nil && p.cmd.Process != nil {
 		p.cmd.Process.Kill()
 		<-p.done
+		p.drain()
 	}
 	if p.dir != "" {
 		os.RemoveAll(p.dir)
 		p.dir = ""
 	}
+}
+
+// stderrDrainWait bounds how long an exited process's stderr may take to
+// read to its end: a descendant that inherited the pipe keeps it open.
+const stderrDrainWait = time.Second
+
+// drain waits, at most stderrDrainWait, for the stderr drain of an exited
+// process to finish, then closes the pipe so a drain still blocked on a
+// descendant's copy ends too.
+func (p *process) drain() {
+	select {
+	case <-p.drained:
+	case <-time.After(stderrDrainWait):
+	}
+	p.errR.Close()
 }
 
 // crash converts the process's exit status into the triage model: the
@@ -135,6 +157,7 @@ func (p *process) stop() {
 // dedup separately in the ledger.
 func (p *process) crash(protocol string) *bugs.Crash {
 	<-p.done
+	p.drain()
 	kind := bugs.AbnormalExit
 	cause := "exit"
 	if p.exitErr != nil {
@@ -241,22 +264,25 @@ func spawn(spec Spec, cfg map[string]string) (*process, error) {
 	cmd := exec.Command(exe, argv[1:]...)
 	cmd.Env = env
 	cmd.Dir = dir
-	p := &process{cmd: cmd, port: port, dir: dir, stderr: &tailRing{}, done: make(chan struct{})}
-
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	stderr, err := cmd.StderrPipe()
+	errR, errW, err := os.Pipe()
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stderr = errW
+	err = cmd.Start()
+	errW.Close() // the child holds its own copy; the drain sees EOF once it exits
+	if err != nil {
+		errR.Close()
 		os.RemoveAll(dir)
 		return nil, fmt.Errorf("live: start %s: %w", argv[0], err)
 	}
+	p := &process{cmd: cmd, port: port, dir: dir, stderr: &tailRing{}, errR: errR, drained: make(chan struct{}), done: make(chan struct{})}
 
 	// Exit observer: one Wait per process, its outcome published through
 	// the done channel so alive() and crash() never race the reaper.
@@ -277,7 +303,8 @@ func spawn(spec Spec, cfg map[string]string) (*process, error) {
 		}
 	}()
 	go func() {
-		sc := bufio.NewScanner(stderr)
+		defer close(p.drained)
+		sc := bufio.NewScanner(errR)
 		sc.Buffer(make([]byte, 64<<10), 64<<10)
 		for sc.Scan() {
 			p.stderr.add(sc.Text())

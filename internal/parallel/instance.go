@@ -66,6 +66,18 @@ type Instance struct {
 	// latencySpent is how much of the link's accrued latency has already
 	// been charged to the virtual clock.
 	latencySpent float64
+
+	// RunLease's buffers, recycled from lease to lease: the latest lease's
+	// records and the coverage deltas they point into. reported is the
+	// coverage every delta so far has carried (the boot reports the
+	// startup map whole).
+	recs     []LeaseStep
+	deltas   []byte
+	reported *coverage.Map
+	// fullScan: a restart absorbed startup coverage outside any step, so
+	// the next delta must diff the whole engine map, not only the words
+	// the step's trace touched.
+	fullScan bool
 }
 
 // Boot starts the instance described by spec: repair the scheduled
@@ -91,6 +103,8 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 		FixedPaths: spec.Paths,
 	}, target)
 	eng.Absorb(target.startup)
+	reported := coverage.NewMap()
+	reported.Union(eng.CoverageMap())
 	return &Instance{
 		host:       h,
 		index:      spec.Index,
@@ -101,6 +115,7 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 		sat:        &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain, MinGainFrac: 0.01},
 		rng:        rand.New(rand.NewSource(spec.RngSeed)),
 		startEdges: target.startup.Count(),
+		reported:   reported,
 	}, nil
 }
 
@@ -127,17 +142,17 @@ func (in *Instance) Step() Step {
 }
 
 // A LeaseStep is the full record of one autonomous step: what Step
-// returned, the corpus addition it caused (if any), and the saturation
-// mutation it triggered (if any). The distributed worker streams one per
-// step back to the coordinator, whose Source feeds them to the event
-// loop in virtual-clock order.
+// returned, the corpus addition and coverage delta it caused (if any),
+// and the saturation mutation it triggered (if any). A lease produces
+// one per step (RunLease); a Replay feeds them to the event loop in
+// virtual-clock order, in this process or on the distributed coordinator.
 type LeaseStep struct {
 	Step
 	// Seed is the corpus addition this step produced; zero unless
 	// NewEdges > 0.
 	Seed fuzz.Seed
-	// Delta carries the encoded coverage delta. The afterStep callback
-	// fills it in; StepN itself never touches it.
+	// Delta is the coverage no earlier record carried, encoded
+	// (coverage.EncodeDelta); empty unless NewEdges > 0.
 	Delta []byte
 	// Saturation-mutation fields, set only when SatFired is true.
 	SatFired        bool
@@ -147,35 +162,35 @@ type LeaseStep struct {
 	Coverage        int    // edge count after absorbing restart coverage
 }
 
-// StepN runs the instance autonomously until its clock crosses boundary
-// (the next sync point) or horizon, whichever comes first, invoking the
-// callbacks once per step. It is the worker half of the lease protocol:
-// the loop body is `Step` plus the saturation/mutation check, i.e.
-// what the event loop asks of an instance between two seed syncs, so
-// nothing the records carry depends on where the instance ran.
-//
-// afterStep fires after the engine step but before any configuration
-// mutation — the point where the event loop merges new coverage into
-// the union map — so transports must snapshot coverage deltas there: a
-// mutation restart absorbs startup coverage that must ride the NEXT
-// new-edges delta. afterRecord fires once the record is complete
-// (mutation included). Mutation and seed sync commute — mutation touches
-// rng/target/engine state, sync touches only the corpus — so running
-// the whole batch before the coordinator processes syncs does not
-// reorder observable effects.
-//
-// The return value reports whether the instance stopped at boundary
-// (sync due) rather than at horizon.
-func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func(*LeaseStep)) (syncDue bool) {
+// RunLease is the one lease executor, for a dist worker's lanes and Run's
+// goroutines alike: import the seeds the last sync collected, then StepN
+// to boundary (the next sync) or horizon. The records are valid until the
+// next lease; syncDue reports a stop at boundary.
+func (in *Instance) RunLease(seeds []fuzz.Seed, boundary, horizon float64) (recs []LeaseStep, syncDue bool) {
+	in.engine.ImportSeeds(seeds)
+	in.recs, in.deltas = in.recs[:0], in.deltas[:0]
+	syncDue = in.StepN(boundary, horizon)
+	return in.recs, syncDue
+}
+
+// StepN appends a record per step until the clock crosses boundary or
+// horizon: Step plus the saturation/mutation check, what the event loop
+// asks of an instance between two seed syncs. A step's coverage delta is
+// cut before any mutation, where the loop merges it: a restart's startup
+// coverage rides the NEXT new-edges delta. Mutation and seed sync
+// commute — mutation touches rng/target/engine, sync only the corpus —
+// so running the lease before the loop replays its sync reorders nothing.
+func (in *Instance) StepN(boundary, horizon float64) (syncDue bool) {
 	opts := in.host.Opts
 	mutate := opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation
 	for in.clock < horizon {
-		rec := LeaseStep{Step: in.Step()}
+		in.recs = append(in.recs, LeaseStep{Step: in.Step()})
+		rec := &in.recs[len(in.recs)-1]
 		if rec.NewEdges > 0 {
 			rec.Seed = in.engine.LastSeed()
+			rec.Delta = in.delta()
 		}
-		afterStep(&rec)
-		if mutate && in.ObserveSaturation() {
+		if mutate && in.saturated() {
 			rec.SatFired = true
 			sink := &RecordingSink{}
 			out := in.Mutate(sink)
@@ -183,9 +198,9 @@ func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func
 			rec.MutationCrashes = sink.Recs
 			rec.Config = in.cfg.String()
 			rec.Coverage = in.engine.Coverage()
-			in.ResetSaturation()
+			in.sat.Reset(in.clock)
+			in.fullScan = true
 		}
-		afterRecord(&rec)
 		if in.clock >= boundary {
 			return true
 		}
@@ -193,17 +208,29 @@ func (in *Instance) StepN(boundary, horizon float64, afterStep, afterRecord func
 	return false
 }
 
-// ObserveSaturation feeds the instance's current coverage into its
-// saturation tracker and reports whether the tracker now considers the
-// instance saturated.
-func (in *Instance) ObserveSaturation() bool {
+// delta appends the coverage no record has carried yet to the lease's
+// delta buffer, marks it carried and returns it. It lies in the words the
+// step's trace touched unless a restart came between (fullScan). An
+// earlier delta stays valid when the buffer grows: its bytes are not
+// written again until the next lease.
+func (in *Instance) delta() []byte {
+	touched := in.engine.TraceMap()
+	if in.fullScan {
+		touched, in.fullScan = nil, false
+	}
+	off := len(in.deltas)
+	in.deltas = coverage.AppendDelta(in.deltas, in.engine.CoverageMap(), in.reported, touched)
+	d := in.deltas[off:]
+	in.reported.ApplyDelta(d)
+	return d
+}
+
+// saturated feeds the current coverage to the saturation tracker and
+// reports whether it has gone flat.
+func (in *Instance) saturated() bool {
 	in.sat.Observe(in.clock, in.engine.Coverage())
 	return in.sat.Saturated(in.clock)
 }
-
-// ResetSaturation restarts the saturation window (after a configuration
-// mutation attempt).
-func (in *Instance) ResetSaturation() { in.sat.Reset(in.clock) }
 
 // Accessors for the distributed worker.
 
@@ -212,21 +239,11 @@ func (in *Instance) ResetSaturation() { in.sat.Reset(in.clock) }
 // instance must resume at the clock the dead worker had reached.
 func (in *Instance) SetClock(c float64) { in.clock = c }
 
-// CoverageMap exposes the engine's live coverage map (read-only use).
-func (in *Instance) CoverageMap() *coverage.Map { return in.engine.CoverageMap() }
-
-// TraceMap exposes the engine's per-exec trace map from the most recent
-// step (read-only use, valid until the next step).
-func (in *Instance) TraceMap() *coverage.Map { return in.engine.TraceMap() }
-
-// ImportSeeds merges seeds from other instances into the corpus.
-func (in *Instance) ImportSeeds(seeds []fuzz.Seed) { in.engine.ImportSeeds(seeds) }
-
-// ConfigString renders the instance's current configuration assignment.
-func (in *Instance) ConfigString() string { return in.cfg.String() }
-
-// StartupEdges returns the coverage the target's boot alone produced.
-func (in *Instance) StartupEdges() int { return in.startEdges }
+// BootReport is what a fresh instance reports: its configuration, the
+// edges its startup covered, and its whole coverage map as a delta.
+func (in *Instance) BootReport() (config string, startEdges int, delta []byte) {
+	return in.cfg.String(), in.startEdges, coverage.EncodeDelta(in.engine.CoverageMap(), nil)
+}
 
 // Result summarizes the instance for the campaign Result.
 func (in *Instance) Result() InstanceResult {

@@ -38,10 +38,11 @@ type Gauge struct{ Edges, Execs, Crashes, Mutations, Corpus int }
 
 // A Source is where the event loop's steps come from. The loop decides
 // which instance goes next and owns everything global; the source owns
-// the instances. There are two: Run steps instances booted in this
-// process, and the distributed coordinator replays the step records its
-// workers send back. Every call names the instance the loop is on, and
-// within one loop iteration the calls come in the order listed here.
+// the instances. Both sources replay step records (Replay): Run's, of
+// leases its instances run on goroutines in this process, and the
+// distributed coordinator's, of the leases its workers send back. Every
+// call names the instance the loop is on, and within one loop iteration
+// the calls come in the order listed here.
 type Source interface {
 	// Boot starts instance i, filing startup crashes in Loop.Res.Bugs and
 	// startup coverage in Loop.Union, and reports the edges startup
@@ -381,62 +382,3 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 
 // Close ends the campaign's run on the progress board.
 func (l *Loop) Close() { l.Opts.Progress.EndRun(l.Opts.Label) }
-
-// localSource steps instances booted in this process. It works on the
-// engines directly — their own coverage maps, their own corpora — so an
-// in-process campaign pays the loop one interface call per step and
-// buffers nothing.
-type localSource struct {
-	loop  *Loop
-	specs []InstanceSpec
-	insts []*Instance
-}
-
-func (s *localSource) Boot(i int) (int, error) {
-	in, err := s.loop.host.Boot(s.specs[i], s.loop.Res.Bugs)
-	if err != nil {
-		return 0, err
-	}
-	s.insts = append(s.insts, in)
-	s.loop.Union.Union(in.engine.CoverageMap())
-	return in.startEdges, nil
-}
-
-func (s *localSource) Step(_ context.Context, i int) (Step, error) { return s.insts[i].Step(), nil }
-
-func (s *localSource) Config(i int) string { return s.insts[i].cfg.String() }
-
-func (s *localSource) Merge(i int, union *coverage.Map) error {
-	union.Union(s.insts[i].engine.CoverageMap())
-	return nil
-}
-
-func (s *localSource) Gauge(i int) Gauge {
-	in := s.insts[i]
-	st := in.engine.Stats()
-	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: in.crashes, Mutations: in.muts, Corpus: st.CorpusSize}
-}
-
-func (s *localSource) Sync(i int) int {
-	imported := 0
-	for j, other := range s.insts {
-		if j != i {
-			seeds := other.engine.ExportSeeds(4)
-			imported += len(seeds)
-			s.insts[i].engine.ImportSeeds(seeds)
-		}
-	}
-	return imported
-}
-
-func (s *localSource) Saturated(i int) bool { return s.insts[i].ObserveSaturation() }
-
-func (s *localSource) Mutate(i int, sink CrashSink) MutationOutcome {
-	out := s.insts[i].Mutate(sink)
-	s.insts[i].ResetSaturation()
-	return out
-}
-
-func (s *localSource) Done(int) {}
-
-func (s *localSource) Result(i int) (InstanceResult, error) { return s.insts[i].Result(), nil }

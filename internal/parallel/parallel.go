@@ -18,11 +18,11 @@
 // per-instance network namespaces do.
 //
 // The campaign is factored into Host/Plan/Boot/Instance primitives and
-// one event loop (Loop) over a Source of steps. Run drives the loop with
-// instances booted in this process; the distributed coordinator
-// (internal/dist) drives the same loop with the step records its workers
-// send back, and its workers run the same per-instance code — so both
-// produce byte-identical Results for the same seed.
+// one single-threaded event loop (Loop) that replays step records in
+// virtual-clock order (Replay). Instances run concurrently, in leases
+// from one seed sync to the next (Instance.RunLease): Run's on goroutines
+// in this process, the distributed coordinator's (internal/dist) on its
+// workers — so both produce byte-identical Results for the same seed.
 package parallel
 
 import (
@@ -141,9 +141,10 @@ type Options struct {
 	LinkLatencyBase   float64
 	LinkLatencyJitter float64
 	// Concurrency bounds the relation-probing worker pool (0 means
-	// GOMAXPROCS). The campaign itself stays on the deterministic
-	// virtual-clock event loop; only the startup probe matrix fans out,
-	// and its result is identical for any worker count.
+	// GOMAXPROCS); the probe matrix's result is identical for any worker
+	// count. It does not bound the campaign: Run gives every instance a
+	// goroutine of its own, and the event loop replays them in
+	// virtual-clock order.
 	Concurrency int
 	// Telemetry receives the campaign's structured event stream (boots,
 	// group assignments, seed syncs, coverage samples, saturation fires,
@@ -155,7 +156,8 @@ type Options struct {
 	// Trace, when non-nil, is the parent wall-clock span this run
 	// records under: relation.quantify (with probe.plan/execute/score),
 	// schedule.allocate, instance.boot, and one long-lived instance span
-	// per parallel instance carrying its sync and config.mutate children.
+	// per parallel instance carrying its sync, config.mutate and
+	// instance.lease children.
 	// Wall-clock data lives only in the tracer — it never feeds a
 	// campaign decision, so the Result stays byte-identical.
 	Trace *trace.Span
@@ -247,14 +249,16 @@ type Result struct {
 
 // Run executes one parallel fuzzing campaign of sub under opts: plan,
 // boot every instance in this process, and run the event loop (Loop) to
-// the horizon.
+// the horizon. Each instance runs on a goroutine of its own and the loop
+// replays them in virtual-clock order, so the Result does not depend on
+// GOMAXPROCS.
 //
 // Cancelling ctx stops the campaign at the next event-loop iteration;
 // Run then finalizes the partial result (series observed at the current
 // watermark, per-instance summaries, counters) and returns it alongside
 // ctx.Err(), so callers can still write well-formed artifacts for the
 // portion that ran. Cancellation before the event loop starts returns
-// (nil, ctx.Err()).
+// (nil, ctx.Err()). Run returns only once every instance has stopped.
 func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error) {
 	host, err := NewHost(sub, opts)
 	if err != nil {
@@ -266,8 +270,13 @@ func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if err := l.Boot(ctx, &localSource{loop: l, specs: plan.Specs}); err != nil {
+	src := newLeaseSource(l, plan.Specs)
+	defer src.close()
+	if err := l.Boot(ctx, src); err != nil {
 		return nil, err
+	}
+	for i := range plan.Specs {
+		src.Done(i) // the first leases
 	}
 	return l.Run(ctx)
 }

@@ -1,0 +1,307 @@
+package parallel
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/subject"
+	"cmfuzz/internal/telemetry"
+)
+
+// serialSource is the oracle the lease source is checked against: it
+// steps the instances one at a time on the loop's goroutine and reads
+// everything straight off their engines, which are never ahead of the
+// loop.
+type serialSource struct {
+	loop  *Loop
+	specs []InstanceSpec
+	insts []*Instance
+}
+
+func (s *serialSource) Boot(i int) (int, error) {
+	in, err := s.loop.host.Boot(s.specs[i], s.loop.Res.Bugs)
+	if err != nil {
+		return 0, err
+	}
+	s.insts = append(s.insts, in)
+	s.loop.Union.Union(in.engine.CoverageMap())
+	return in.startEdges, nil
+}
+
+func (s *serialSource) Step(_ context.Context, i int) (Step, error) { return s.insts[i].Step(), nil }
+
+func (s *serialSource) Config(i int) string { return s.insts[i].cfg.String() }
+
+func (s *serialSource) Merge(i int, union *coverage.Map) error {
+	union.Union(s.insts[i].engine.CoverageMap())
+	return nil
+}
+
+func (s *serialSource) Gauge(i int) Gauge {
+	in := s.insts[i]
+	st := in.engine.Stats()
+	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: in.crashes, Mutations: in.muts, Corpus: st.CorpusSize}
+}
+
+func (s *serialSource) Sync(i int) int {
+	imported := 0
+	for j, other := range s.insts {
+		if j != i {
+			seeds := other.engine.ExportSeeds(4)
+			imported += len(seeds)
+			s.insts[i].engine.ImportSeeds(seeds)
+		}
+	}
+	return imported
+}
+
+func (s *serialSource) Saturated(i int) bool { return s.insts[i].saturated() }
+
+func (s *serialSource) Mutate(i int, sink CrashSink) MutationOutcome {
+	out := s.insts[i].Mutate(sink)
+	s.insts[i].sat.Reset(s.insts[i].clock)
+	return out
+}
+
+func (s *serialSource) Done(int) {}
+
+func (s *serialSource) Result(i int) (InstanceResult, error) { return s.insts[i].Result(), nil }
+
+// openOn plans and boots a campaign of sub over the serial oracle or
+// over the leases Run uses, with the first leases out; done releases it.
+func openOn(ctx context.Context, sub subject.Subject, opts Options, serial bool) (l *Loop, src Source, done func(), err error) {
+	host, err := NewHost(sub, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	l = NewLoop(host)
+	done = l.Close
+	plan, err := l.Plan(ctx)
+	if err != nil {
+		done()
+		return nil, nil, nil, err
+	}
+	src = &serialSource{loop: l, specs: plan.Specs}
+	if !serial {
+		leases := newLeaseSource(l, plan.Specs)
+		src, done = leases, func() { leases.close(); l.Close() }
+	}
+	if err := l.Boot(ctx, src); err != nil {
+		done()
+		return nil, nil, nil, err
+	}
+	for i := range plan.Specs {
+		src.Done(i)
+	}
+	return l, src, done, nil
+}
+
+// RunSerial is Run over the serial oracle, for the external tests.
+func RunSerial(ctx context.Context, sub subject.Subject, opts Options) (*Result, error) {
+	l, _, done, err := openOn(ctx, sub, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	return l.Run(ctx)
+}
+
+// TestLanesMatchSerial is the lease source's oracle: every subject under
+// every fuzzer, over a plain and an impaired link (loss 0.05, latency
+// 0.01 + 0.02 jitter), must leave what the serial source leaves — at two
+// bounds inside a lease, the instance summaries and gauges, the union,
+// the series and the bug ledger; at the end, the Result, the counters and
+// events.jsonl. Inside a lease is where an engine read would show: the
+// instance has run past the loop there.
+func TestLanesMatchSerial(t *testing.T) {
+	ctx := context.Background()
+	for _, sub := range protocols.All() {
+		for _, mode := range []Mode{ModeCMFuzz, ModePeach, ModeSPFuzz} {
+			for _, link := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/link=%v", sub.Info().Protocol, mode, link)
+				transcript := func(serial bool) string {
+					rec := telemetry.New()
+					opts := Options{Mode: mode, VirtualHours: 0.75, Seed: 7, SaturationWindow: 300, Telemetry: rec}
+					if link {
+						opts.LinkLoss, opts.LinkLatencyBase, opts.LinkLatencyJitter = 0.05, 0.01, 0.02
+					}
+					l, src, done, err := openOn(ctx, sub, opts, serial)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					defer done()
+					var buf bytes.Buffer
+					for _, until := range []float64{1234.5, 2477} {
+						if err := l.Advance(ctx, until); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						fmt.Fprintf(&buf, "at %v: union %d\n", until, l.Union.Count())
+						for i := range l.Clock {
+							ir, err := src.Result(i)
+							if err != nil {
+								t.Fatal(err)
+							}
+							fmt.Fprintf(&buf, "%+v %+v\n", ir, src.Gauge(i))
+						}
+						fmt.Fprintln(&buf, l.Res.Series.Points(), l.Res.Bugs.Unique())
+					}
+					if err := l.Advance(ctx, l.Horizon()); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					res, err := l.Finish()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					buf.Write(serializeResult(t, res))
+					fmt.Fprintln(&buf, res.Counters)
+					if err := rec.WriteJSONL(&buf); err != nil {
+						t.Fatal(err)
+					}
+					return buf.String()
+				}
+				want, got := transcript(true), transcript(false)
+				if got != want {
+					w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+					for k := 0; k < len(w) && k < len(g); k++ {
+						if w[k] != g[k] {
+							t.Fatalf("%s: leases diverge from the serial source at line %d:\nserial: %s\nleases: %s", name, k+1, w[k], g[k])
+						}
+					}
+					t.Fatalf("%s: leases left %d lines, the serial source %d", name, len(g), len(w))
+				}
+			}
+		}
+	}
+}
+
+// hookSubject wraps a subject to watch and steer the instances it boots:
+// how many are started and not closed, how many Message calls are under
+// way, and an optional hook run before every Message or Start.
+type hookSubject struct {
+	subject.Subject
+	start   func() error
+	message func()
+	open    atomic.Int64
+	active  atomic.Int64
+}
+
+type hookInstance struct {
+	subject.Instance
+	s       *hookSubject
+	started bool
+}
+
+func (s *hookSubject) NewInstance() subject.Instance {
+	return &hookInstance{Instance: s.Subject.NewInstance(), s: s}
+}
+
+func (in *hookInstance) Start(cfg map[string]string, tr *coverage.Trace) error {
+	if in.s.start != nil {
+		if err := in.s.start(); err != nil {
+			return err
+		}
+	}
+	err := in.Instance.Start(cfg, tr)
+	if err == nil && !in.started {
+		in.started = true
+		in.s.open.Add(1)
+	}
+	return err
+}
+
+func (in *hookInstance) Message(p []byte) [][]byte {
+	in.s.active.Add(1)
+	defer in.s.active.Add(-1)
+	if in.s.message != nil {
+		in.s.message()
+	}
+	return in.Instance.Message(p)
+}
+
+func (in *hookInstance) Close() {
+	if in.started {
+		in.started = false
+		in.s.open.Add(-1)
+	}
+	in.Instance.Close()
+}
+
+// quiesced fails t unless sub has no Message under way and no instance
+// open — at once, since Run must join its leases before it returns — and
+// the goroutine count falls back to before.
+func quiesced(t *testing.T, sub *hookSubject, before int) {
+	t.Helper()
+	if n := sub.active.Load(); n != 0 {
+		t.Fatalf("%d Message calls still under way after Run returned", n)
+	}
+	if n := sub.open.Load(); n != 0 {
+		t.Fatalf("%d instances left open after Run returned", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunLeaksNoLease: a Run cancelled with leases in flight, and a Run
+// whose second instance fails to boot, return with every lease joined
+// and every booted instance closed.
+func TestRunLeaksNoLease(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sub := &hookSubject{Subject: mustSubject(t, "DNS")}
+	if _, err := Run(newCountdownCtx(400), sub, Options{Mode: ModeCMFuzz, VirtualHours: 4, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Run = %v, want context.Canceled", err)
+	}
+	quiesced(t, sub, before)
+
+	// Peach boots each instance with one probe and one start; the third
+	// start is instance 1's, and from there every start fails.
+	var starts atomic.Int64
+	sub = &hookSubject{Subject: mustSubject(t, "DNS")}
+	sub.start = func() error {
+		if starts.Add(1) > 2 {
+			return errors.New("refused")
+		}
+		return nil
+	}
+	if _, err := Run(context.Background(), sub, Options{Mode: ModePeach, VirtualHours: 1, Seed: 1}); err == nil || !strings.Contains(err.Error(), "instance 1 failed to start") {
+		t.Fatalf("Run with a failing boot = %v, want instance 1's boot error", err)
+	}
+	quiesced(t, sub, before)
+}
+
+// TestLeasePanicReraisesOnCaller: a subject that panics with anything but
+// a *bugs.Crash inside a lease takes the campaign down on the caller's
+// goroutine with that value, as it would stepping serially — after the
+// other leases have been joined and the instances closed.
+func TestLeasePanicReraisesOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var calls atomic.Int64
+	sub := &hookSubject{Subject: mustSubject(t, "DNS")}
+	sub.message = func() {
+		if calls.Add(1) == 500 {
+			panic("subject defect")
+		}
+	}
+	defer func() {
+		if r := recover(); r != "subject defect" {
+			t.Fatalf("recovered %v, want the subject's panic value", r)
+		}
+		quiesced(t, sub, before)
+	}()
+	Run(context.Background(), sub, Options{Mode: ModePeach, VirtualHours: 1, Seed: 1})
+	t.Fatal("Run returned; want the lease's panic")
+}

@@ -10,6 +10,13 @@
 // through the implementation, which reports branch coverage through the
 // trace installed with SetTrace and panics with *bugs.Crash when a seeded
 // defect fires.
+//
+// A campaign runs a subject's instances concurrently, each on a goroutine
+// of its own — in-process and on a distributed worker's lanes alike — so
+// instances of one subject must share no mutable state (package-level
+// caches included), and Subject's methods must be safe to call from
+// several goroutines at once. One instance is only ever used by one
+// goroutine at a time.
 package subject
 
 import (
