@@ -41,8 +41,7 @@ const checkpointVersion = 1
 // Restored onto a fresh coordinator (same subject, same workers or
 // different ones) after a crash.
 func (c *Coordinator) Checkpoint() ([]byte, error) {
-	st := c.st
-	if st == nil {
+	if c.src == nil {
 		return nil, errors.New("dist: coordinator not started")
 	}
 	if c.finished || c.closed {
@@ -56,7 +55,7 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 	blob, err := encodeCheckpoint(&checkpoint{
 		protocol:      l.Res.Subject.Protocol,
 		opts:          l.Opts,
-		specs:         st.specs,
+		specs:         c.src.Specs,
 		res:           l.Res,
 		union:         l.Union,
 		tel:           l.Opts.Telemetry,
@@ -64,13 +63,13 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		syncBytes:     c.syncBytes.Load(),
 		workerDeaths:  c.workerDeaths.Load(),
 		reassignments: c.reassignments.Load(),
-		replay:        st.Inst,
-		inst:          st.inst,
+		replay:        c.src.Inst,
+		inst:          c.inst,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.checkpointed = true
+	c.checkpointed, c.ckReplayed = true, c.src.Replayed
 	return blob, nil
 }
 
@@ -273,7 +272,7 @@ func (c *codec) journal(j *leaseJournal) {
 // in Stats and the Observer but not in the telemetry artifacts are
 // written from.
 func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
-	if c.st != nil {
+	if c.src != nil {
 		return errors.New("dist: coordinator already started")
 	}
 	ck, err := decodeCheckpoint(data)
@@ -303,7 +302,6 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	c.syncBytes.Store(ck.syncBytes)
 	c.workerDeaths.Store(ck.workerDeaths)
 	c.reassignments.Store(ck.reassignments)
-	c.checkpointed = true // until open has to dispatch a lease
 	c.loop = parallel.ResumeLoop(host, ck.res, ck.union, ck.loop)
-	return c.open(ctx, workers, ck.specs, parallel.Replay{Inst: ck.replay}, ck.inst, true)
+	return c.open(ctx, workers, ck.specs, ck.replay, ck.inst, true)
 }

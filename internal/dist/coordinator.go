@@ -244,9 +244,12 @@ type Stats struct {
 // A Coordinator owns the global half of one distributed campaign: the
 // scheduling plan and the event loop (a parallel.Loop, with its union
 // coverage map, series, ledger, and telemetry), which it feeds the step
-// records its workers send back. Workers own the instances. For the
-// same subject, options, and seed, Run produces a Result byte-identical
-// to parallel.Run's, because both are that one loop.
+// records its workers send back. Workers own the instances. The loop's
+// source is parallel.LeaseSource, the one parallel.Run uses, and the
+// coordinator is only its transport: where an instance boots, how a
+// lease goes out and its reply comes back, and what a worker's death
+// sets off. So for the same subject, options, and seed, Run produces a
+// Result byte-identical to parallel.Run's.
 //
 // The campaign lifecycle is decomposed so a scheduler can multiplex
 // many campaigns over one pool and survive restarts:
@@ -254,7 +257,7 @@ type Stats struct {
 //	Start    plan, assign, boot, dispatch the first leases
 //	Advance  run the event loop up to a virtual-clock bound
 //	Checkpoint / Restore   serialize between Advance slices
-//	Finish   collect per-instance results, seal the Result
+//	Finish   seal the Result from the replayed counters
 //	Close    release or shut down the fleet
 //
 // Run composes them for the classic single-campaign shape.
@@ -271,8 +274,16 @@ type Coordinator struct {
 	workerDeaths  atomic.Int64
 	reassignments atomic.Int64
 
-	loop *parallel.Loop
-	st   *runState
+	loop    *parallel.Loop
+	src     *parallel.LeaseSource // nil until Start or Restore
+	workers []*workerConn         // pool snapshot taken at Start/Restore
+	inst    []replica
+	// restoring holds while Restore puts checkpointed instances back:
+	// a boot is then quiet and at the clock of the instance's last
+	// (re)boot, and a worker lost meanwhile costs the campaign nothing —
+	// the checkpoint holds everything it held — so it stays out of the
+	// telemetry an artifact is written from.
+	restoring bool
 	// tracer is the campaign tracer (nil when tracing is off): worker
 	// span records from lease replies are ingested into it under
 	// per-worker process lanes.
@@ -284,10 +295,11 @@ type Coordinator struct {
 	deathCounted map[*workerConn]bool
 	finished     bool
 	closed       bool
-	// checkpointed holds while the blob the last Checkpoint returned (or
-	// Restore loaded) still describes the replay state: every dispatched
-	// lease and every replayed record clears it.
+	// checkpointed holds while the last Checkpoint's (or Restore's) blob
+	// may still describe the campaign: a dispatched lease clears it, and a
+	// replayed record moves src.Replayed off ckReplayed.
 	checkpointed bool
+	ckReplayed   int
 }
 
 // NewCoordinator prepares a standalone coordinator for one campaign of
@@ -361,7 +373,9 @@ func (c *Coordinator) workerSet() ([]*workerConn, error) {
 // replayed, nothing dispatched, no lease in flight since. A scheduler
 // that persisted that blob can set such a coordinator aside and pick it
 // up later — or drop it and Restore from disk — without writing again.
-func (c *Coordinator) Checkpointed() bool { return c.checkpointed && !c.closed }
+func (c *Coordinator) Checkpointed() bool {
+	return c.checkpointed && !c.closed && c.src.Replayed == c.ckReplayed
+}
 
 // Stats reports the dist-only bookkeeping. Safe to call concurrently
 // with Run.
@@ -375,8 +389,8 @@ func (c *Coordinator) Stats() Stats {
 
 // slot is wc's position in the campaign's worker set (pool-global ids
 // don't index a partition subset).
-func (st *runState) slot(wc *workerConn) int {
-	for k, w := range st.workers {
+func (c *Coordinator) slot(wc *workerConn) int {
+	for k, w := range c.workers {
 		if w == wc {
 			return k
 		}
@@ -387,10 +401,9 @@ func (st *runState) slot(wc *workerConn) int {
 // alive returns the live worker at or after position from in the
 // campaign's worker set, wrapping around; nil when every worker is dead.
 func (c *Coordinator) alive(from int) *workerConn {
-	workers := c.st.workers
-	n := len(workers)
+	n := len(c.workers)
 	for k := 0; k < n; k++ {
-		wc := workers[(from+k)%n]
+		wc := c.workers[(from+k)%n]
 		if !wc.dead.Load() {
 			return wc
 		}
@@ -405,24 +418,6 @@ func (c *Coordinator) alive(from int) *workerConn {
 type leaseJournal struct {
 	Boundary float64
 	Seeds    []fuzz.Seed
-}
-
-// runState is the event loop's Source: the record replay every lease
-// source shares (parallel.Replay, which holds the per-instance picture a
-// checkpoint stores), plus the wire's half of each instance and the
-// lease plumbing.
-type runState struct {
-	parallel.Replay
-	c       *Coordinator
-	specs   []parallel.InstanceSpec
-	workers []*workerConn // pool snapshot taken at Start/Restore
-	inst    []replica
-	// restoring holds while Restore puts checkpointed instances back:
-	// a boot is then quiet and at the clock of the instance's last
-	// (re)boot, and a worker lost meanwhile costs the campaign nothing —
-	// the checkpoint holds everything it held — so it stays out of the
-	// telemetry an artifact is written from.
-	restoring bool
 }
 
 // A replica is the wire's half of one instance: the worker that owns
@@ -440,35 +435,72 @@ type replica struct {
 	resumeClock float64
 }
 
+// boot is the transport's Boot (dispatch its Send, await its Await):
+// instance i on its round-robin worker — the loop asks in
+// instance order, so ledger entries and telemetry events from startup
+// land as they do in-process. After Restore the boot is quiet and at the
+// clock of the instance's last (re)boot; replay then puts the instance
+// back where the checkpoint left it, once every instance is booted.
+func (c *Coordinator) boot(i int) (parallel.BootReport, error) {
+	wc := c.alive(i % len(c.workers))
+	if wc == nil {
+		return parallel.BootReport{}, errors.New("dist: no live workers left")
+	}
+	rep, err := c.bootOn(wc, i)
+	if err != nil && wc.dead.Load() {
+		return c.rehome(i, err)
+	}
+	return rep, err
+}
+
+// dispatch journals instance i's next lease — the seeds its last sync
+// collected, and a budget up to boundary (its next sync) or the horizon —
+// and sends it.
+func (c *Coordinator) dispatch(i int, seeds []fuzz.Seed, boundary float64) {
+	j := leaseJournal{Boundary: boundary, Seeds: seeds}
+	c.inst[i].journal = append(c.inst[i].journal, j)
+	c.checkpointed = false
+	c.send(i, j)
+}
+
+// await consumes instance i's in-flight lease reply as its records. A
+// lease that fails because its worker died is retried whole on a
+// surviving worker: the reply is all-or-nothing, so zero records were
+// replayed and the re-booted instance resumes at the lease's start clock
+// — which is exactly the loop's current clock for i.
+func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, error) {
+	for {
+		rep, err := c.take(ctx, i)
+		if err != nil {
+			return nil, err
+		}
+		recs, err := c.leaseResult(i, rep)
+		if err == nil {
+			return recs, nil
+		}
+		rb, err := c.rehome(i, err)
+		if err := c.src.Booted(i, rb, err); err != nil {
+			return nil, err
+		}
+		c.dispatch(i, c.src.Lease(i), c.loop.NextSync[i])
+	}
+}
+
 // send puts one of instance i's journaled leases on its owner's
 // connection: the one place a lease is issued, for the first time
-// (dispatch) or again (replay). The reply is picked up by await.
+// (dispatch) or again (replay). The reply is picked up by take.
 func (c *Coordinator) send(i int, j leaseJournal) {
-	in := &c.st.inst[i]
+	in := &c.inst[i]
 	payload := marshal(&lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds}, (*codec).lease)
 	in.sent, in.reqBytes = time.Now(), len(payload)
 	in.inflight = in.owner.send(msgLease, payload, c.cfg.RPCTimeout)
 }
 
-// dispatch hands instance i its next lease: the seeds its last sync
-// collected, and a budget up to its next sync boundary or the horizon.
-// The reply is picked up by fill when the loop next needs a record of i.
-func (c *Coordinator) dispatch(i int) {
-	in := &c.st.inst[i]
-	j := leaseJournal{Boundary: c.loop.NextSync[i], Seeds: c.st.Lease(i)}
-	in.journal = append(in.journal, j)
-	c.checkpointed = false
-	c.send(i, j)
-}
-
-// await takes instance i's in-flight lease reply. A ctx that ends first
+// take takes instance i's in-flight lease reply. A ctx that ends first
 // returns ctx.Err() without consuming anything: the reply waits in its
 // channel and the next Advance (or the checkpoint drain) picks it up.
-func (c *Coordinator) await(ctx context.Context, i int) (reply, error) {
-	in := &c.st.inst[i]
-	if in.inflight == nil {
-		return reply{}, fmt.Errorf("dist: instance %d has no lease in flight", i)
-	}
+func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
+	in := &c.inst[i]
 	var rep reply
 	select {
 	case rep = <-in.inflight:
@@ -483,58 +515,40 @@ func (c *Coordinator) await(ctx context.Context, i int) (reply, error) {
 	return rep, nil
 }
 
-// fill consumes instance i's in-flight lease reply as its next batch. A
-// lease that fails because its worker died is retried whole on a
-// surviving worker: the reply is
-// all-or-nothing, so zero records were replayed and the re-booted
-// instance resumes at the lease's start clock — which is exactly the
-// loop's current clock for i.
-func (c *Coordinator) fill(ctx context.Context, i int) error {
-	rep, err := c.await(ctx, i)
-	if err != nil {
-		return err
-	}
-	recs, err := c.leaseResult(i, rep)
-	if err != nil {
-		if rerr := c.rehome(i, err); rerr != nil {
-			return rerr
-		}
-		c.dispatch(i)
-		return nil
-	}
-	// A lease goes out only once the batch before it is exhausted
-	// (dispatch), so the reply is the whole batch.
-	c.st.Fill(i, recs)
-	return nil
-}
-
 // replay rebuilds the worker-side half of a restored campaign — engine,
 // corpus, RNG, saturation state — by re-sending every quiet-booted
 // instance the leases it was sent before: one chain per instance (never
 // two leases in flight for one instance), every chain in flight at once
 // so the worker's lanes all run, each pass of the loop taking one reply
-// per chain and sending that chain's next lease. The replies are checked
-// and dropped: their records are in the restored state already, or in
-// the checkpointed batch. A chain whose worker dies starts over on a
-// survivor, and the campaign has lost nothing.
+// per chain and sending that chain's next lease. A chain whose worker
+// dies starts over on a survivor, and the campaign has lost nothing.
+//
+// The records that come back are in the restored state already, or in
+// the checkpointed batch, so they are only counted, as the loop counts
+// what it replays: a chain must re-execute exactly the records the
+// checkpoint holds, with its crashes and mutations, or Restore fails
+// naming the instance. The restart failures among the replayed records,
+// which the checkpoint does not carry, are recounted here.
 func (c *Coordinator) replay(ctx context.Context) error {
-	st := c.st
-	sent := make([]int, len(st.inst)) // journal entries re-sent to each instance's current boot
+	sent := make([]int, len(c.inst))                // journal entries re-sent to each instance's current boot
+	redone := make([]parallel.Replica, len(c.inst)) // what each chain re-executed
 	for busy := true; busy; {
 		busy = false
-		for i := range st.inst {
-			in := &st.inst[i]
+		for i := range c.inst {
+			in := &c.inst[i]
 			if in.inflight != nil {
-				rep, err := c.await(ctx, i)
+				rep, err := c.take(ctx, i)
 				if err != nil {
 					return err
 				}
-				if _, err := in.owner.expect(rep, msgLeaseResult); err != nil {
-					if rerr := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); rerr != nil {
-						return rerr
+				lr, err := decodeLease(in.owner, rep)
+				if err != nil {
+					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
+						return err
 					}
-					sent[i] = 0
+					sent[i], redone[i] = 0, parallel.Replica{}
 				}
+				recount(&redone[i], lr.Steps, c.src.Inst[i].Execs)
 			}
 			if sent[i] < len(in.journal) {
 				c.send(i, in.journal[sent[i]])
@@ -543,17 +557,40 @@ func (c *Coordinator) replay(ctx context.Context) error {
 			}
 		}
 	}
+	for i := range redone {
+		r, got := &c.src.Inst[i], &redone[i]
+		if left := len(r.Batch) - r.Pos; got.Execs != r.Execs+left || got.Crashes != r.Crashes || got.Muts != r.Muts {
+			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the checkpoint holds %d replayed and %d to replay, with %d crashes and %d mutations",
+				i, got.Execs, got.Crashes, got.Muts, r.Execs, left, r.Crashes, r.Muts)
+		}
+		r.RestartFails = got.RestartFails
+	}
 	return nil
 }
 
-// leaseResult decodes instance i's lease reply and does the per-lease
-// accounting. A reply that does not decode kills its worker.
-func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error) {
-	in := &c.st.inst[i]
-	wc := in.owner
+// recount adds a re-executed lease's records to tally's Execs, and what
+// the loop counted of the chain's first replayed ones to the rest.
+func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) {
+	for k := range steps {
+		if s := &steps[k]; tally.Execs < replayed {
+			if s.Crash != nil {
+				tally.Crashes++
+			}
+			if s.Mutation != nil {
+				tally.Muts += s.Mutation.Mutations
+				tally.RestartFails += s.Mutation.RestartFails
+			}
+		}
+		tally.Execs++
+	}
+}
+
+// decodeLease unwraps and decodes a lease reply from wc. A reply that
+// does not decode, or holds no record, kills the worker.
+func decodeLease(wc *workerConn, rep reply) (leaseResult, error) {
 	p, err := wc.expect(rep, msgLeaseResult)
 	if err != nil {
-		return nil, err
+		return leaseResult{}, err
 	}
 	lr, err := unmarshal(p, (*codec).leaseResult)
 	if err == nil && len(lr.Steps) == 0 {
@@ -564,6 +601,17 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 	}
 	if err != nil {
 		wc.kill(err)
+	}
+	return lr, err
+}
+
+// leaseResult decodes instance i's lease reply and does the per-lease
+// accounting.
+func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error) {
+	in := &c.inst[i]
+	wc := in.owner
+	lr, err := decodeLease(wc, rep)
+	if err != nil {
 		return nil, err
 	}
 	if len(lr.Spans) > 0 {
@@ -576,11 +624,11 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 		c.tracer.IngestForeign(wc.name, arrived-lr.WorkerNow, lr.Spans)
 	}
 	wc.execs.Add(int64(len(lr.Steps)))
-	nb := int64(in.reqBytes + len(p))
+	nb := int64(in.reqBytes + len(rep.payload))
 	wc.syncBytes.Add(nb)
 	c.syncBytes.Add(nb)
 	if c.obs.Lease != nil {
-		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(p), rep.at.Sub(in.sent).Seconds(), lr.SyncDue)
+		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(rep.payload), rep.at.Sub(in.sent).Seconds(), lr.SyncDue)
 	}
 	return lr.Steps, nil
 }
@@ -591,7 +639,7 @@ func (c *Coordinator) markDead(wc *workerConn) {
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
 		c.workerDeaths.Add(1)
-		if !c.st.restoring {
+		if !c.restoring {
 			c.loop.Opts.Telemetry.Count(telemetry.CtrWorkerDeaths, 1)
 		}
 		if c.obs.Death != nil {
@@ -603,162 +651,73 @@ func (c *Coordinator) markDead(wc *workerConn) {
 // rehome answers a request of instance i's that failed with err: a
 // worker that is still alive failed it on purpose and err is returned —
 // campaign-fatal, as in-process; a dead one is counted and the instance
-// re-booted on the next live worker.
-func (c *Coordinator) rehome(i int, err error) error {
-	wc := c.st.inst[i].owner
+// re-booted on the next live worker (reassign).
+func (c *Coordinator) rehome(i int, err error) (parallel.BootReport, error) {
+	wc := c.inst[i].owner
 	if !wc.dead.Load() {
-		return err
+		return parallel.BootReport{}, err
 	}
 	c.markDead(wc)
 	return c.reassign(i)
 }
 
-// bootOn boots instance i on wc (resuming at resumeClock), replays the
-// startup crash records into the ledger, and merges the startup
-// coverage delta into the union map. A quiet boot is Restore's: the
-// checkpointed ledger and union map already contain both, and the
-// config/edges bookkeeping comes from the checkpoint, so only the owner
-// assignment survives.
-func (c *Coordinator) bootOn(wc *workerConn, i int, resumeClock float64, quiet bool) error {
-	p, err := wc.rpc(msgBoot, marshal(&bootReq{Campaign: c.campaign, Index: i, ResumeClock: resumeClock}, (*codec).bootReq), msgBootResult, c.cfg.RPCTimeout)
+// bootOn boots instance i on wc, which owns it from then on, at the
+// loop's clock for i or — while restoring — at the clock of its last
+// (re)boot, from which its journal replays.
+func (c *Coordinator) bootOn(wc *workerConn, i int) (parallel.BootReport, error) {
+	in := &c.inst[i]
+	in.owner = wc
+	clock := c.loop.Clock[i]
+	if c.restoring {
+		clock = in.resumeClock
+	}
+	p, err := wc.rpc(msgBoot, marshal(&bootReq{Campaign: c.campaign, Index: i, ResumeClock: clock}, (*codec).bootReq), msgBootResult, c.cfg.RPCTimeout)
 	if err != nil {
-		return err
+		return parallel.BootReport{}, err
 	}
 	br, err := unmarshal(p, (*codec).bootResult)
 	if err != nil {
 		wc.kill(err)
-		return err
-	}
-	if !quiet {
-		for k := range br.Crashes {
-			cr := &br.Crashes[k]
-			c.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
-		}
+		return parallel.BootReport{}, err
 	}
 	if br.Err != "" {
-		return errors.New(br.Err)
+		return br.BootReport, errors.New(br.Err)
 	}
-	if !quiet {
-		if _, err := c.loop.Union.ApplyDelta(br.Delta); err != nil {
-			wc.kill(err)
-			return err
-		}
-		c.st.Booted(i, br.Config, br.StartEdges)
-	}
-	c.st.inst[i].owner = wc
-	return nil
-}
-
-// bootClock is where a (re)boot of instance i resumes: the loop's clock
-// for it, or — while restoring — the clock of its last (re)boot, from
-// which its journal replays.
-func (c *Coordinator) bootClock(i int) float64 {
-	if c.st.restoring {
-		return c.st.inst[i].resumeClock
-	}
-	return c.loop.Clock[i]
+	return br.BootReport, nil
 }
 
 // reassign moves instance i off its dead owner onto the next live
-// worker, resuming at the loop's clock for it. The dead worker's corpus
-// progress for the instance is lost — the fresh instance reboots from
-// its original spec — but the union map, series, ledger, and schedule
-// are the loop's and survive intact. While restoring nothing is lost and
-// nothing reset: the boot is quiet, and replay re-sends the journal.
-func (c *Coordinator) reassign(i int) error {
+// worker, resuming at the loop's clock for it, and returns the boot's
+// report, from which LeaseSource.Booted starts the replica over. The
+// dead worker's corpus progress for the instance is lost — the fresh
+// instance reboots from its original spec — but the union map, series,
+// ledger, and schedule are the loop's and survive intact. While
+// restoring nothing is lost and nothing reset: the boot is quiet, and
+// replay re-sends the journal.
+func (c *Coordinator) reassign(i int) (parallel.BootReport, error) {
 	tel := c.loop.Opts.Telemetry
-	in := &c.st.inst[i]
-	quiet := c.st.restoring
+	in := &c.inst[i]
 	for {
-		wc := c.alive(c.st.slot(in.owner) + 1)
+		wc := c.alive(c.slot(in.owner) + 1)
 		if wc == nil {
-			return errors.New("dist: no live workers left")
+			return parallel.BootReport{}, errors.New("dist: no live workers left")
 		}
 		c.reassignments.Add(1)
-		if !quiet {
+		if !c.restoring {
 			tel.Count(telemetry.CtrReassignments, 1)
 		}
-		err := c.bootOn(wc, i, c.bootClock(i), quiet)
+		rep, err := c.bootOn(wc, i) // wc owns i now, so a dead one is searched past
 		if err == nil {
-			if !quiet {
+			if !c.restoring {
 				tel.Count(telemetry.CtrBoots, 1)
-				// The fresh instance starts with an empty corpus and a zeroed
-				// exec counter; the mirror must match it. The lease journal
-				// restarts from this boot, too.
-				c.st.Inst[i].Execs = 0
-				c.st.Inst[i].Mirror = fuzz.NewCorpus(0)
-				in.journal = nil
-				in.resumeClock = c.loop.Clock[i]
+				in.journal, in.resumeClock = nil, c.loop.Clock[i] // the journal restarts from this boot
 			}
-			return nil
+			return rep, nil
 		}
-		if wc.dead.Load() {
-			c.markDead(wc)
-			in.owner = wc // advance the search past this worker
-			continue
+		if !wc.dead.Load() {
+			return rep, err // application-level boot failure: campaign-fatal, as in-process
 		}
-		return err // application-level boot failure: campaign-fatal, as in-process
-	}
-}
-
-// The parallel.Source methods. Boot runs under Loop.Boot; the rest run
-// once per Loop.Advance iteration, on the record Step fetched.
-
-// Boot boots instance i on its round-robin worker — the loop asks in
-// instance order, so ledger entries and telemetry events from startup
-// land as they do in-process. After Restore the boot is quiet and at the
-// clock of the instance's last (re)boot; replay then puts the instance
-// back where the checkpoint left it, once every instance is booted.
-func (st *runState) Boot(i int) (int, error) {
-	c, in := st.c, &st.inst[i]
-	wc := c.alive(i % len(st.workers))
-	if wc == nil {
-		return 0, errors.New("dist: no live workers left")
-	}
-	in.owner = wc
-	if err := c.bootOn(wc, i, c.bootClock(i), st.restoring); err != nil {
-		if rerr := c.rehome(i, fmt.Errorf("parallel: instance %d failed to start: %w", i, err)); rerr != nil {
-			return 0, rerr
-		}
-	}
-	return st.Inst[i].StartEdges, nil
-}
-
-// Step hands the loop instance i's next record, blocking on the
-// in-flight lease reply when the current batch is exhausted.
-func (st *runState) Step(ctx context.Context, i int) (parallel.Step, error) {
-	for {
-		if step, ok := st.Next(i); ok {
-			st.c.checkpointed = false
-			return step, nil
-		}
-		if err := st.c.fill(ctx, i); err != nil {
-			return parallel.Step{}, err
-		}
-	}
-}
-
-// Done hands the instance its next lease once its batch is exhausted,
-// unless it just ran out the campaign horizon.
-func (st *runState) Done(i int) {
-	if st.Exhausted(i) && st.c.loop.Clock[i] < st.c.loop.Horizon() {
-		st.c.dispatch(i)
-	}
-}
-
-// Result collects instance i's summary from its worker, transparently
-// reassigning the instance and retrying when its owner has died.
-func (st *runState) Result(i int) (parallel.InstanceResult, error) {
-	c := st.c
-	for {
-		wc := st.inst[i].owner
-		p, err := wc.rpc(msgFinalize, marshal(&indexReq{Campaign: c.campaign, Index: i}, (*codec).indexReq), msgInstanceResult, c.cfg.RPCTimeout)
-		if err == nil {
-			return unmarshal(p, (*codec).instanceResult)
-		}
-		if rerr := c.rehome(i, err); rerr != nil {
-			return parallel.InstanceResult{}, rerr
-		}
+		c.markDead(wc)
 	}
 }
 
@@ -766,7 +725,7 @@ func (st *runState) Result(i int) (parallel.InstanceResult, error) {
 // instances, and dispatches the first leases. After Start the campaign
 // advances via Advance; every Start must be paired with Close.
 func (c *Coordinator) Start(ctx context.Context) error {
-	if c.st != nil {
+	if c.src != nil {
 		return errors.New("dist: coordinator already started")
 	}
 	workers, err := c.workerSet()
@@ -782,14 +741,14 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	n := len(plan.Specs)
-	return c.open(ctx, workers, plan.Specs, parallel.NewReplay(n), make([]replica, n), false)
+	return c.open(ctx, workers, plan.Specs, nil, make([]replica, len(plan.Specs)), false)
 }
 
 // open brings the planned (or restored) campaign up on workers: assign,
-// allocate the replay state, boot every instance through the loop, and
-// lease out every instance that has nothing left to replay.
-func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, rp parallel.Replay, inst []replica, restored bool) error {
+// set up the loop's source over the replicas (nil for a fresh campaign),
+// boot every instance through the loop, and lease out every instance
+// that has nothing left to replay.
+func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, replicas []parallel.Replica, inst []replica, restored bool) error {
 	// Ship the whole plan to every worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
 	// adopt a reassigned instance later. Observability sinks are
@@ -813,23 +772,18 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		c.pool.StartHeartbeats()
 	}
 
-	st := &runState{
-		Replay:    rp,
-		c:         c,
-		specs:     append([]parallel.InstanceSpec(nil), specs...),
-		workers:   workers,
-		inst:      inst,
-		restoring: restored,
-	}
-	c.st = st
-	if err := c.loop.Boot(ctx, st); err != nil {
+	c.workers, c.inst, c.restoring = workers, inst, restored
+	c.checkpointed = restored // until a lease is dispatched
+	c.src = parallel.NewLeaseSource(c.loop, append([]parallel.InstanceSpec(nil), specs...), replicas,
+		parallel.Transport{Boot: c.boot, Send: c.dispatch, Await: c.await})
+	if err := c.loop.Boot(ctx, c.src); err != nil {
 		return err
 	}
 	if restored {
 		if err := c.replay(ctx); err != nil {
 			return err
 		}
-		st.restoring = false
+		c.restoring = false
 	}
 	// After Start that is every instance. A restored instance left
 	// mid-campaign has unreplayed records (a batch drains only right
@@ -837,7 +791,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	// the horizon needs nothing, so there it is a safety net for the
 	// empty-batch edge.
 	for i := range inst {
-		st.Done(i)
+		c.src.Done(i)
 	}
 	return nil
 }
@@ -845,7 +799,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 // MinClock reports the campaign's position: the minimum per-instance
 // virtual clock. Valid after Start or Restore.
 func (c *Coordinator) MinClock() float64 {
-	if c.st == nil {
+	if c.src == nil {
 		return 0
 	}
 	return c.loop.MinClock()
@@ -862,11 +816,11 @@ func (c *Coordinator) Horizon() float64 {
 // Progress reports the replay position, the union edge count, and the
 // replayed exec total — the fleet scheduler's reward signal.
 func (c *Coordinator) Progress() (clock float64, edges, execs int) {
-	if c.st == nil {
+	if c.src == nil {
 		return 0, 0, 0
 	}
-	for i := range c.st.Inst {
-		execs += c.st.Inst[i].Execs
+	for i := range c.src.Inst {
+		execs += c.src.Inst[i].Execs
 	}
 	return c.loop.MinClock(), c.loop.Union.Count(), execs
 }
@@ -882,13 +836,13 @@ func (c *Coordinator) Recorder() *telemetry.Recorder {
 
 // Advance runs the event loop until every instance's virtual clock
 // reaches min(until, horizon), dispatching fresh leases as batches
-// drain (parallel.Loop.Advance over the replay source, so any sequence
+// drain (parallel.Loop.Advance over the lease source, so any sequence
 // of Advance calls produces the same artifacts as one uninterrupted
 // run). A cancelled ctx returns ctx.Err() with the replay position
 // intact; the in-flight leases stay pending and the next Advance (or a
 // Checkpoint drain) consumes them.
 func (c *Coordinator) Advance(ctx context.Context, until float64) error {
-	if c.st == nil {
+	if c.src == nil {
 		return errors.New("dist: coordinator not started")
 	}
 	if c.finished || c.closed {
@@ -901,22 +855,24 @@ func (c *Coordinator) Advance(ctx context.Context, until float64) error {
 // leaving the drained records in the per-instance batches for the next
 // Advance to replay. Checkpoint requires this quiescent state.
 func (c *Coordinator) drainInflight() error {
-	st := c.st
-	for i := range st.inst {
-		for st.inst[i].inflight != nil {
-			if err := c.fill(context.Background(), i); err != nil {
+	for i := range c.inst {
+		if c.inst[i].inflight != nil {
+			recs, err := c.await(context.Background(), i)
+			if err != nil {
 				return err
 			}
+			c.src.Fill(i, recs)
 		}
 	}
 	return nil
 }
 
-// Finish observes the final series sample, collects every instance's
-// result from its worker, and seals the Result. After a cancelled
-// Advance it finalizes the partial campaign at the watermark reached.
+// Finish observes the final series sample and seals the Result, whose
+// instance summaries are the replayed counters (a worker's engine may be
+// a lease past the loop). After a cancelled Advance it finalizes the
+// partial campaign at the watermark reached.
 func (c *Coordinator) Finish(ctx context.Context) (*parallel.Result, error) {
-	if c.st == nil {
+	if c.src == nil {
 		return nil, errors.New("dist: coordinator not started")
 	}
 	if c.finished {
@@ -949,12 +905,9 @@ func (c *Coordinator) Close() {
 		c.pool.Close()
 		return
 	}
-	if c.st != nil {
-		payload := marshal(&c.campaign, u32[uint32])
-		for _, wc := range c.st.workers {
-			if wc.dead.Load() {
-				continue
-			}
+	payload := marshal(&c.campaign, u32[uint32])
+	for _, wc := range c.workers {
+		if !wc.dead.Load() {
 			wc.rpc(msgRelease, payload, msgReleaseOK, c.cfg.RPCTimeout)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -276,6 +277,54 @@ func TestLoopbackMatchesInProcessAtEveryCoreCount(t *testing.T) {
 			dirB := filepath.Join(t.TempDir(), "dist")
 			writeAll(t, dirB, resB, recB)
 			diffTrees(t, fmt.Sprintf("%s at GOMAXPROCS %d", name, procs), want, readTree(t, dirB))
+		}
+	}
+}
+
+// TestBoundedFinishReportsReplayedCounters: a distributed campaign
+// finished after a bounded Advance reports what its loop replayed, not
+// what its workers' engines ran — they may be a lease ahead. Its
+// TotalExecs is Progress's, and every instance summary is the one the
+// in-process loop reports at the same bound.
+func TestBoundedFinishReportsReplayedCounters(t *testing.T) {
+	ctx := context.Background()
+	const bound = 1234.5
+	for _, name := range []string{"DNS", "MQTT", "CoAP"} {
+		sub := mustSubject(t, name)
+		opts := parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 2, Seed: 7, Concurrency: 1}
+		l, done, err := parallel.Start(ctx, sub, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Advance(ctx, bound); err != nil {
+			t.Fatal(err)
+		}
+		want, err := l.Finish()
+		done()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
+		wait := addPipeWorkers(t, coord.AddConn, 2)
+		if err := coord.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Advance(ctx, bound); err != nil {
+			t.Fatal(err)
+		}
+		_, _, execs := coord.Progress()
+		got, err := coord.Finish(ctx)
+		coord.Close()
+		wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalExecs != execs {
+			t.Errorf("%s: Finish reports %d execs, the loop replayed %d", name, got.TotalExecs, execs)
+		}
+		if !reflect.DeepEqual(got.Instances, want.Instances) {
+			t.Errorf("%s: instance summaries at %v s:\n got %+v\nwant %+v", name, bound, got.Instances, want.Instances)
 		}
 	}
 }

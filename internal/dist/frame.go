@@ -13,11 +13,12 @@
 // horizon) and the worker executes the whole batch locally, streaming
 // back one consolidated reply carrying every step's coverage delta,
 // crash record, corpus addition, and saturation/mutation outcome. The
-// coordinator is the event loop's replay source: it hands the loop
-// those records in virtual-clock order and computes seed-sync exports
-// from per-instance corpus mirrors. parallel.Run is the same loop over
-// live instances, so the two produce byte-identical Results for the
-// same seed — same coverage series, same ledger order, same counters —
+// coordinator is the transport of the event loop's one source
+// (parallel.LeaseSource), which replays those records in virtual-clock
+// order and computes seed-sync exports from per-instance corpus
+// mirrors. parallel.Run is the same loop over the same source, so the
+// two produce byte-identical Results for the same seed — same coverage
+// series, same ledger order, same counters —
 // while a distributed campaign pays one RPC round-trip per sync
 // interval instead of one per engine step.
 //
@@ -69,10 +70,14 @@ const (
 // instance's clock, so the coordinator's clocks follow the workers'
 // under Options.LinkLatency*. Version 7 puts a request id in the frame
 // header (payloads are untouched), so a worker can execute leases on
-// every core and reply as each finishes.
-const protocolVersion = 7
+// every core and reply as each finishes. Version 8 retires Finalize and
+// its InstanceResult reply: a campaign's instance summaries are the
+// coordinator's replayed counters, and a version-7 coordinator would
+// still ask a worker's engine for them.
+const protocolVersion = 8
 
-// Message types.
+// Message types. A retired message's code is never given to another,
+// so no code means two things to peers of different versions.
 const (
 	msgHello byte = iota + 1
 	msgWelcome
@@ -82,8 +87,8 @@ const (
 	msgBootResult
 	msgLease
 	msgLeaseResult
-	msgFinalize
-	msgInstanceResult
+	_ // 9: Finalize, retired in version 8
+	_ // 10: InstanceResult, retired in version 8
 	msgPing
 	msgPong
 	msgShutdown

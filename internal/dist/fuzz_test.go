@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cmfuzz/internal/parallel"
@@ -124,19 +125,13 @@ func FuzzDecodeAssign(f *testing.F) {
 func FuzzDecodeBootReq(f *testing.F) { fuzzMessage(f, (*codec).bootReq, v7BootReq) }
 
 func FuzzDecodeBootResult(f *testing.F) {
-	fuzzMessage(f, (*codec).bootResult, v7BootResult, bootResult{Err: "conflict", Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}})
+	fuzzMessage(f, (*codec).bootResult, v7BootResult, bootResult{Err: "conflict", BootReport: parallel.BootReport{Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}}})
 }
 
 func FuzzDecodeLease(f *testing.F) { fuzzMessage(f, (*codec).lease, v7Lease) }
 
 func FuzzDecodeLeaseResult(f *testing.F) {
 	fuzzMessage(f, (*codec).leaseResult, v7LeaseResult(), leaseResult{Steps: v7Steps[:1]})
-}
-
-func FuzzDecodeIndexReq(f *testing.F) { fuzzMessage(f, (*codec).indexReq, v7IndexReq) }
-
-func FuzzDecodeInstanceResult(f *testing.F) {
-	fuzzMessage(f, (*codec).instanceResult, v7InstanceResult)
 }
 
 func FuzzDecodeRelease(f *testing.F) { fuzzMessage(f, u32[uint32], v7Release) }
@@ -178,6 +173,44 @@ func midCampaignCheckpoint(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return blob
+}
+
+// TestRestoreChecksReexecution: Restore holds what its re-executed
+// journals return to the checkpoint. A checkpoint whose last lease of
+// instance 0 is journaled with an earlier boundary than the one it was
+// sent with re-executes fewer records than it holds, and Restore fails
+// naming the instance instead of finishing silently different.
+func TestRestoreChecksReexecution(t *testing.T) {
+	ck, err := decodeCheckpoint(midCampaignCheckpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := ck.inst[0].journal
+	j[len(j)-1].Boundary -= 100
+	blob, err := encodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := protocols.ByName("DNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(sub, parallel.Options{}, Config{HeartbeatInterval: -1})
+	cConn, wConn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
+	if err := coord.AddConn(cConn); err != nil {
+		t.Fatal(err)
+	}
+	err = coord.Restore(context.Background(), blob)
+	coord.Close()
+	if serr := <-served; serr != nil {
+		t.Error(serr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "restore of instance 0 ") {
+		t.Fatalf("Restore of an altered journal = %v, want a failure naming instance 0", err)
+	}
+	t.Log(err)
 }
 
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan

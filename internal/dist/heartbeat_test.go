@@ -37,7 +37,7 @@ func TestStalePongSkipped(t *testing.T) {
 	wc, peer := pipeWorkerConn(t)
 
 	go func() {
-		_, first, _, err := readFrame(peer) // the Finalize request
+		_, first, _, err := readFrame(peer) // the Boot request
 		if err != nil {
 			t.Error(err)
 			return
@@ -55,7 +55,7 @@ func TestStalePongSkipped(t *testing.T) {
 		}{
 			{msgPong, second + 100, nil},
 			{msgPong, second, nil},
-			{msgInstanceResult, first, []byte{1, 2, 3}},
+			{msgBootResult, first, []byte{1, 2, 3}},
 		} {
 			if err := writeFrame(peer, f.typ, f.id, f.payload); err != nil {
 				t.Error(err)
@@ -64,9 +64,9 @@ func TestStalePongSkipped(t *testing.T) {
 		}
 	}()
 
-	result := wc.send(msgFinalize, nil, 5*time.Second)
+	result := wc.send(msgBoot, nil, 5*time.Second)
 	pong := wc.send(msgPing, nil, 5*time.Second)
-	p, err := wc.expect(<-result, msgInstanceResult)
+	p, err := wc.expect(<-result, msgBootResult)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // somewhere below, the Assign carries a live spec, and the lease reply
 // sets all four record flags and ships a span with attributes.
 var (
-	v7Hello = hello{Name: "worker-7", Version: protocolVersion}
+	v7Hello = hello{Name: "worker-7", Version: 7}
 
 	v7Assign = assign{
 		Campaign: 3,
@@ -52,13 +52,13 @@ var (
 
 	v7BootReq = bootReq{Campaign: 3, Index: 1, ResumeClock: 1234.5}
 
-	v7BootResult = bootResult{
-		Err: "", Config: "bridge=off port=1883 tls=on", StartEdges: 41, Delta: []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 9},
+	v7BootResult = bootResult{BootReport: parallel.BootReport{
+		Config: "bridge=off port=1883 tls=on", StartEdges: 41, Delta: []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 9},
 		Crashes: []crashRec{
 			{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"}, Instance: 1, T: 0, Config: "bridge=on"},
 			{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.MemoryLeak, Function: "tls_load", Detail: "cert"}, Instance: 1, T: 0.25, Config: "tls=on"},
 		},
-	}
+	}}
 
 	v7Lease = lease{
 		Campaign: 3, Index: 1, Boundary: 1200, Horizon: 5400,
@@ -99,11 +99,15 @@ var (
 	}
 	v7WorkerNow = 10 * time.Millisecond
 
-	v7IndexReq = indexReq{Campaign: 3, Index: 1}
-
-	v7InstanceResult = parallel.InstanceResult{
-		Index: 1, Config: "bridge=on port=1883 tls=on", Group: []string{"bridge", "tls"},
-		FinalBranches: 512, Execs: 100000, Crashes: 4, ConfigMutations: 7, RestartFailures: 1,
+	// The payloads of the fixture's Finalize and InstanceResult frames,
+	// retired in version 8 (campaign 3, instance 1; its summary: config,
+	// group, 512 branches, 100,000 execs, 4 crashes, 7 mutations, 1
+	// restart failure). Nothing decodes them any more, and they stay in
+	// every decoder's garbage.
+	v7Retired = [][]byte{
+		[]byte("\x00\x00\x00\x03\x00\x00\x00\x01"),
+		[]byte("\x00\x00\x00\x01" + "\x00\x00\x00\x1abridge=on port=1883 tls=on" + "\x00\x02\x00\x06bridge\x00\x03tls" +
+			"\x00\x00\x02\x00" + "\x00\x00\x00\x00\x00\x01\x86\xa0" + "\x00\x00\x00\x04\x00\x00\x00\x07\x00\x00\x00\x01"),
 	}
 
 	v7Release uint32 = 3

@@ -179,16 +179,16 @@ func (p *Pool) AcquirePreferring(n int, prefer []string) *Partition {
 // Close and Restore. A captured worker whose death c has already
 // absorbed, its instances re-homed within the set, is simply left out.
 func (p *Pool) AcquireExact(c *Coordinator) (*Partition, string) {
-	if c.st == nil {
+	if len(c.inst) == 0 {
 		return nil, "dead"
 	}
-	for i := range c.st.inst {
-		if c.st.inst[i].owner.dead.Load() {
+	for i := range c.inst {
+		if c.inst[i].owner.dead.Load() {
 			return nil, "dead"
 		}
 	}
 	var held []*workerConn
-	for _, wc := range c.st.workers {
+	for _, wc := range c.workers {
 		if !wc.dead.Load() {
 			held = append(held, wc)
 		}

@@ -189,10 +189,7 @@ func TestAcquireExact(t *testing.T) {
 	}
 	// The captured set is a subset of the pool that plain attach-order
 	// acquisition would never pick.
-	c := &Coordinator{st: &runState{
-		workers: []*workerConn{ws[1], ws[3]},
-		inst:    []replica{{owner: ws[1]}, {owner: ws[3]}},
-	}}
+	c := &Coordinator{workers: []*workerConn{ws[1], ws[3]}, inst: []replica{{owner: ws[1]}, {owner: ws[3]}}}
 
 	pt, miss := p.AcquireExact(c)
 	if pt == nil || miss != "" || pt.Size() != 2 || pt.workers[0] != ws[1] || pt.workers[1] != ws[3] {
@@ -234,7 +231,7 @@ func TestAcquireExact(t *testing.T) {
 
 	// Once the coordinator has re-homed that instance within its set the
 	// death is absorbed: it continues on the live members alone.
-	c.st.inst[0].owner = ws[3]
+	c.inst[0].owner = ws[3]
 	pt, miss = p.AcquireExact(c)
 	if pt == nil || miss != "" || pt.Size() != 1 || pt.workers[0] != ws[3] {
 		t.Fatalf("AcquireExact after an absorbed death = %v, %q; want [w3]", pt.Names(), miss)
@@ -244,31 +241,40 @@ func TestAcquireExact(t *testing.T) {
 
 // TestHelloVersionMismatch: a worker speaking another protocol version
 // is told so, whatever that version puts in its hello after the version
-// byte — here a version-8 hello with a field version 7 does not have,
-// which read as version 7 would be a malformed message.
+// byte — a version-7 worker, which would still answer Finalize, and a
+// hello of the next version with a field this one does not have, which
+// read as this version would be a malformed message.
 func TestHelloVersionMismatch(t *testing.T) {
-	p := NewPool(Config{HeartbeatInterval: -1})
-	defer p.Close()
-	cConn, wConn := net.Pipe()
-	defer wConn.Close()
-	c := codec{w: &wire.Writer{}}
-	c.hello(&hello{Name: "future", Version: protocolVersion + 1})
-	c.w.U32(42) // the field version 8 added
-	go writeFrame(wConn, msgHello, 0, c.w.Bytes())
-	added := make(chan error, 1)
-	go func() { added <- p.AddConn(cConn) }()
-	typ, _, payload, err := readFrame(wConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != msgError || string(payload) != "protocol version mismatch" {
-		t.Fatalf("worker was answered with type %d %q, want a version mismatch", typ, payload)
-	}
-	want := fmt.Sprintf("speaks protocol %d, want %d", protocolVersion+1, protocolVersion)
-	if err := <-added; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("AddConn = %v, want a version mismatch", err)
-	}
-	if len(p.workers) != 0 {
-		t.Fatalf("%d workers attached", len(p.workers))
+	future := codec{w: &wire.Writer{}}
+	future.hello(&hello{Name: "future", Version: protocolVersion + 1})
+	future.w.U32(42) // the field the next version adds
+	for _, tc := range []struct {
+		version byte
+		hello   []byte
+	}{
+		{7, marshal(&v7Hello, (*codec).hello)},
+		{protocolVersion + 1, future.w.Bytes()},
+	} {
+		p := NewPool(Config{HeartbeatInterval: -1})
+		cConn, wConn := net.Pipe()
+		go writeFrame(wConn, msgHello, 0, tc.hello)
+		added := make(chan error, 1)
+		go func() { added <- p.AddConn(cConn) }()
+		typ, _, payload, err := readFrame(wConn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != msgError || string(payload) != "protocol version mismatch" {
+			t.Fatalf("version %d worker was answered with type %d %q, want a version mismatch", tc.version, typ, payload)
+		}
+		want := fmt.Sprintf("speaks protocol %d, want %d", tc.version, protocolVersion)
+		if err := <-added; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("AddConn = %v, want a version mismatch", err)
+		}
+		if len(p.workers) != 0 {
+			t.Fatalf("%d workers attached", len(p.workers))
+		}
+		wConn.Close()
+		p.Close()
 	}
 }

@@ -386,11 +386,8 @@ func (c *codec) crashRec(r *crashRec) {
 }
 
 type bootResult struct {
-	Err        string // empty on success
-	Config     string
-	StartEdges int
-	Delta      []byte // full engine map (EncodeDelta against nil)
-	Crashes    []crashRec
+	Err string // empty on success
+	parallel.BootReport
 }
 
 func (c *codec) bootResult(b *bootResult) {
@@ -399,30 +396,6 @@ func (c *codec) bootResult(b *bootResult) {
 	u32(c, &b.StartEdges)
 	bytes32(c, &b.Delta)
 	list[uint16](c, &b.Crashes, (*codec).crashRec)
-}
-
-// --- Finalize ---
-
-// indexReq addresses a single instance (Finalize).
-type indexReq struct {
-	Campaign uint32
-	Index    int
-}
-
-func (c *codec) indexReq(s *indexReq) {
-	u32(c, &s.Campaign)
-	u32(c, &s.Index)
-}
-
-func (c *codec) instanceResult(ir *parallel.InstanceResult) {
-	u32(c, &ir.Index)
-	str32(c, &ir.Config)
-	strs(c, &ir.Group)
-	u32(c, &ir.FinalBranches)
-	i64(c, &ir.Execs)
-	u32(c, &ir.Crashes)
-	u32(c, &ir.ConfigMutations)
-	u32(c, &ir.RestartFailures)
 }
 
 // --- Release ---

@@ -245,10 +245,10 @@ func TestLeaseResultSpanSectionRoundTrip(t *testing.T) {
 }
 
 func TestBootResultRoundTrip(t *testing.T) {
-	in := bootResult{
-		Err: "", Config: "a=1 b=2", StartEdges: 41, Delta: []byte{9, 8, 7},
+	in := bootResult{BootReport: parallel.BootReport{
+		Config: "a=1 b=2", StartEdges: 41, Delta: []byte{9, 8, 7},
 		Crashes: []crashRec{{Crash: bugs.Crash{Protocol: "MQTT", Function: "f"}, Instance: 1, T: 0, Config: "a=1"}},
-	}
+	}}
 	out, err := unmarshal(marshal(&in, (*codec).bootResult), (*codec).bootResult)
 	if err != nil {
 		t.Fatal(err)
@@ -258,17 +258,23 @@ func TestBootResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInstanceResultRoundTrip(t *testing.T) {
-	in := parallel.InstanceResult{
-		Index: 3, Config: "x=y", Group: []string{"x", "z"},
-		FinalBranches: 512, Execs: 100000, Crashes: 4, ConfigMutations: 7, RestartFailures: 1,
-	}
-	out, err := unmarshal(marshal(&in, (*codec).instanceResult), (*codec).instanceResult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("instance result diverged:\n got %+v\nwant %+v", out, in)
+// TestMessageCodes pins every message's code. A retired message's code
+// is never given to another, so a peer of another version misreads
+// nothing: 9 and 10, Finalize and its InstanceResult reply until version
+// 8, stay unassigned.
+func TestMessageCodes(t *testing.T) {
+	for _, m := range []struct {
+		name       string
+		code, want byte
+	}{
+		{"Hello", msgHello, 1}, {"Welcome", msgWelcome, 2}, {"Assign", msgAssign, 3}, {"AssignOK", msgAssignOK, 4},
+		{"Boot", msgBoot, 5}, {"BootResult", msgBootResult, 6}, {"Lease", msgLease, 7}, {"LeaseResult", msgLeaseResult, 8},
+		{"Ping", msgPing, 11}, {"Pong", msgPong, 12}, {"Shutdown", msgShutdown, 13}, {"Error", msgError, 14},
+		{"Release", msgRelease, 15}, {"ReleaseOK", msgReleaseOK, 16},
+	} {
+		if m.code != m.want {
+			t.Errorf("%s is message %d, want %d", m.name, m.code, m.want)
+		}
 	}
 }
 
@@ -300,8 +306,6 @@ func kinds() []kind {
 		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
 		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
 		kindOf(msgLeaseResult, "lease result", (*codec).leaseResult, v7LeaseResult()),
-		kindOf(msgFinalize, "finalize", (*codec).indexReq, v7IndexReq),
-		kindOf(msgInstanceResult, "instance result", (*codec).instanceResult, v7InstanceResult),
 		kindOf(msgRelease, "release", u32[uint32], v7Release),
 	}
 }
@@ -310,11 +314,15 @@ func v7LeaseResult() leaseResult {
 	return leaseResult{Steps: v7Steps, SyncDue: v7SyncDue, Spans: v7Spans, WorkerNow: v7WorkerNow}
 }
 
-// goodPayloads is one well-formed payload per message kind: the base of
-// the malformed-input matrix below and the fuzz targets' seed corpus.
+// goodPayloads is one well-formed payload per message kind, with the
+// retired ones where the fixture holds them: the base of the
+// malformed-input matrix below and the fuzz targets' seed corpus.
 func goodPayloads() [][]byte {
 	var out [][]byte
 	for _, k := range kinds() {
+		if k.typ == msgRelease {
+			out = append(out, v7Retired...)
+		}
 		out = append(out, k.good)
 	}
 	return out
@@ -322,7 +330,9 @@ func goodPayloads() [][]byte {
 
 // TestPayloadsV7 holds the field lists to the bytes wire version 7 was
 // written with: every frame of the fixture is what its kind's value
-// encodes to, decodes to that value, and re-encodes to itself.
+// encodes to, decodes to that value, and re-encodes to itself. The two
+// frames of the messages version 8 retired sit in front of Release: they
+// are checked by code and bytes, and skipped.
 func TestPayloadsV7(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "payloads_v7.bin"))
 	if err != nil {
@@ -333,6 +343,16 @@ func TestPayloadsV7(t *testing.T) {
 		typ, _, p, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("%s: %v", k.name, err)
+		}
+		if k.typ == msgRelease {
+			for n, retired := range []byte{9, 10} {
+				if typ != retired || !bytes.Equal(p, v7Retired[n]) {
+					t.Fatalf("retired frame %d: type %d, payload % x; want type %d, % x", n, typ, p, retired, v7Retired[n])
+				}
+				if typ, _, p, err = readFrame(r); err != nil {
+					t.Fatalf("%s: %v", k.name, err)
+				}
+			}
 		}
 		if typ != k.typ {
 			t.Fatalf("%s: frame type %d, want %d", k.name, typ, k.typ)

@@ -199,3 +199,62 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 		}
 	})
 }
+
+// TestRestoreRecountsRestartFailures: checkpoint.bin does not carry an
+// instance's restart failures, so Restore recounts them from the records
+// of the leases it re-executes. CoAP, CMFuzz, seed 3, 8 vh has one, on
+// instance 3 at 26,470.8 s; checkpointed at 27,000 s and restored onto
+// three fresh workers, the campaign must finish with parallel.Run's tree,
+// that failure included.
+func TestRestoreRecountsRestartFailures(t *testing.T) {
+	sub := mustSubject(t, "CoAP")
+	ctx := context.Background()
+	options := func(rec *telemetry.Recorder) parallel.Options {
+		return parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 8, Seed: 3, Concurrency: 1, Telemetry: rec}
+	}
+	recA := telemetry.New()
+	resA, err := parallel.Run(ctx, sub, options(recA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range resA.Instances {
+		if want := map[bool]int{true: 1}[i == 3]; in.RestartFailures != want {
+			t.Fatalf("in-process instance %d has %d restart failures, want %d: the campaign this test is about has moved", i, in.RestartFailures, want)
+		}
+	}
+	dirA := filepath.Join(t.TempDir(), "inproc")
+	writeAll(t, dirA, resA, recA)
+
+	src := dist.NewCoordinator(sub, options(telemetry.New()), dist.Config{HeartbeatInterval: -1})
+	wait := addPipeWorkers(t, src.AddConn, 2)
+	if err := src.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Advance(ctx, 27000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	wait()
+
+	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+	wait = addPipeWorkers(t, coord.AddConn, 3)
+	if err := coord.Restore(ctx, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Advance(ctx, coord.Horizon()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Close()
+	wait()
+	dir := filepath.Join(t.TempDir(), "restored")
+	writeAll(t, dir, res, coord.Recorder())
+	diffTrees(t, "restored after a restart failure", readTree(t, dirA), readTree(t, dir))
+}

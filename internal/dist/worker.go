@@ -45,7 +45,7 @@ type WorkerConfig struct {
 // in flight for one instance and instances share nothing between sync
 // points, so any lane may take any lease; replies leave as lanes finish,
 // tagged with their request's id. Everything else (Assign, Boot,
-// Finalize, Release) runs on the reader, after the addressed campaign's
+// Release) runs on the reader, after the addressed campaign's
 // in-flight leases have drained — which is why the campaign and instance
 // maps need no lock: only the reader touches them.
 //
@@ -385,33 +385,17 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		if !ok {
 			return 0, nil, fmt.Errorf("dist: boot for unassigned instance %d", b.Index)
 		}
-		sink := &parallel.RecordingSink{}
-		in, err := wc.host.Boot(spec, sink)
+		// The report carries the full startup map; from here on only new
+		// words travel.
+		in, rep, err := wc.host.BootReported(spec)
+		br := bootResult{BootReport: rep}
 		if err != nil {
-			return msgBootResult, marshal(&bootResult{Err: err.Error(), Crashes: sink.Recs}, (*codec).bootResult), nil
+			br.Err = err.Error()
+		} else {
+			in.SetClock(b.ResumeClock)
+			wc.insts[b.Index] = in
 		}
-		in.SetClock(b.ResumeClock)
-		wc.insts[b.Index] = in
-		// The boot delta carries the full startup map; from here on only
-		// new words travel.
-		config, edges, delta := in.BootReport()
-		return msgBootResult, marshal(&bootResult{Config: config, StartEdges: edges, Delta: delta, Crashes: sink.Recs}, (*codec).bootResult), nil
-
-	case msgFinalize:
-		f, err := unmarshal(payload, (*codec).indexReq)
-		if err != nil {
-			return 0, nil, err
-		}
-		wc := w.drained(f.Campaign)
-		if wc == nil {
-			return 0, nil, fmt.Errorf("dist: finalize for unassigned campaign %d", f.Campaign)
-		}
-		in := wc.insts[f.Index]
-		if in == nil {
-			return 0, nil, fmt.Errorf("dist: finalize for unbooted instance %d", f.Index)
-		}
-		ir := in.Result()
-		return msgInstanceResult, marshal(&ir, (*codec).instanceResult), nil
+		return msgBootResult, marshal(&br, (*codec).bootResult), nil
 
 	default:
 		return 0, nil, fmt.Errorf("dist: unexpected message type %d", typ)

@@ -50,19 +50,16 @@ func (b *RecordingSink) Record(c *bugs.Crash, instance int, t float64, config st
 // sequences are bit-for-bit identical, which is what lets a distributed
 // worker stand in for the in-process loop.
 type Instance struct {
-	host         *Host
-	index        int
-	clock        float64
-	engine       *fuzz.Engine
-	target       *netTarget
-	cfg          configmodel.Assignment
-	group        schedule.Group
-	sat          *coverage.Saturation
-	rng          *rand.Rand
-	muts         int
-	crashes      int
-	restartFails int
-	startEdges   int
+	host       *Host
+	index      int
+	clock      float64
+	engine     *fuzz.Engine
+	target     *netTarget
+	cfg        configmodel.Assignment
+	group      schedule.Group
+	sat        *coverage.Saturation
+	rng        *rand.Rand
+	startEdges int
 	// latencySpent is how much of the link's accrued latency has already
 	// been charged to the virtual clock.
 	latencySpent float64
@@ -120,9 +117,9 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 }
 
 // Step runs one engine step and advances the instance's virtual clock by
-// the campaign cost model. A crashing step bumps the instance crash
-// counter; recording it in the ledger is the scheduler's job (the record
-// must land in global event-loop order, which only the scheduler knows).
+// the campaign cost model. Recording a crash in the ledger is the
+// scheduler's job (the record must land in global event-loop order,
+// which only the scheduler knows).
 func (in *Instance) Step() Step {
 	r := in.engine.Step()
 	step := Step{Bytes: r.Bytes, NewEdges: r.NewEdges, Crash: r.Crash}
@@ -135,16 +132,13 @@ func (in *Instance) Step() Step {
 		in.latencySpent = l.accrued
 	}
 	in.clock = in.host.Opts.charge(in.clock, step)
-	if step.Crash != nil {
-		in.crashes++
-	}
 	return step
 }
 
 // A LeaseStep is the full record of one autonomous step: what Step
 // returned, the corpus addition and coverage delta it caused (if any),
 // and the saturation mutation it triggered (if any). A lease produces
-// one per step (RunLease); a Replay feeds them to the event loop in
+// one per step (RunLease); a LeaseSource feeds them to the event loop in
 // virtual-clock order, in this process or on the distributed coordinator.
 type LeaseStep struct {
 	Step
@@ -232,32 +226,22 @@ func (in *Instance) saturated() bool {
 	return in.sat.Saturated(in.clock)
 }
 
-// Accessors for the distributed worker.
-
 // SetClock overrides the virtual clock. The distributed coordinator uses
 // it when re-booting a lost instance on a surviving worker: the fresh
 // instance must resume at the clock the dead worker had reached.
 func (in *Instance) SetClock(c float64) { in.clock = c }
 
-// BootReport is what a fresh instance reports: its configuration, the
-// edges its startup covered, and its whole coverage map as a delta.
-func (in *Instance) BootReport() (config string, startEdges int, delta []byte) {
-	return in.cfg.String(), in.startEdges, coverage.EncodeDelta(in.engine.CoverageMap(), nil)
-}
-
-// Result summarizes the instance for the campaign Result.
-func (in *Instance) Result() InstanceResult {
-	st := in.engine.Stats()
-	return InstanceResult{
-		Index:           in.index,
-		Config:          in.cfg.String(),
-		Group:           in.group.Members,
-		FinalBranches:   in.engine.Coverage(),
-		Execs:           st.Execs,
-		Crashes:         in.crashes,
-		ConfigMutations: in.muts,
-		RestartFailures: in.restartFails,
+// BootReported boots spec as Boot does, and reports it for a
+// LeaseSource's books instead of filing anything: the startup crashes go
+// into the report, in order, whether or not the boot succeeded.
+func (h *Host) BootReported(spec InstanceSpec) (*Instance, BootReport, error) {
+	sink := &RecordingSink{}
+	in, err := h.Boot(spec, sink)
+	if err != nil {
+		return nil, BootReport{Crashes: sink.Recs}, err
 	}
+	return in, BootReport{Config: in.cfg.String(), StartEdges: in.startEdges,
+		Delta: coverage.EncodeDelta(in.engine.CoverageMap(), nil), Crashes: sink.Recs}, nil
 }
 
 // A MutEvent is one telemetry event a configuration mutation produced,
@@ -324,7 +308,6 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 	}
 
 	if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
-		in.restartFails++
 		out.RestartFails++
 		out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
 			Entity: e.Name, Value: newVal, Detail: err.Error()})
@@ -335,7 +318,6 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 			delete(in.cfg, e.Name)
 		}
 		if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
-			in.restartFails++
 			out.RestartFails++
 			out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
 				Config: in.cfg.String(), Detail: "revert failed: " + err.Error()})
@@ -346,7 +328,6 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 			in.cfg = h.Model.Defaults()
 			err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock)
 			if err != nil {
-				in.restartFails++
 				out.RestartFails++
 			}
 			out.Events = append(out.Events, MutEvent{Type: telemetry.EvFallback,
@@ -359,7 +340,6 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 		}
 		return restarted()
 	}
-	in.muts++
 	out.Mutations++
 	out.Events = append(out.Events, MutEvent{Type: telemetry.EvMutation,
 		Entity: e.Name, Value: newVal, Config: in.cfg.String()})

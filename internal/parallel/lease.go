@@ -14,7 +14,7 @@ import (
 // the loop, so everything the loop reads of it comes from here.
 type Replica struct {
 	Crashes, Muts int
-	RestartFails  int    // not checkpointed: dist reads summaries from its workers
+	RestartFails  int    // not checkpointed: a dist Restore recounts it from the journal replies
 	Execs         int    // replayed steps since (re)boot: the engine's Execs counter
 	Coverage      int    // the instance's own edge count at the replay position
 	Config        string // its configuration at the replay position
@@ -28,79 +28,144 @@ type Replica struct {
 	Pos     int
 }
 
-// Replay is the record-replay half of a Source whose instances run in
-// leases (Instance.RunLease): Config, Merge, Gauge, Sync, Saturated and
-// Mutate. The embedding source supplies Boot, Step (over Next), Done
-// (over Exhausted and Lease) and Result. It matches instances stepped one
-// at a time because records reach the loop in the order the instance
-// produced them, each delta was cut before any restart (StepN), and each
-// mirror holds what the instance's corpus holds at the loop's position.
-type Replay struct {
-	Inst []Replica
-	cur  *LeaseStep // the record the loop is on
+// A BootReport is what booting an instance reports: its configuration,
+// the edges its startup covered, its whole coverage map as a delta, and
+// the crashes startup hit, in order (those also when the boot failed).
+type BootReport struct {
+	Config     string
+	StartEdges int
+	Delta      []byte
+	Crashes    []CrashRec
 }
 
-// NewReplay returns the replay of n instances that have not run yet.
-func NewReplay(n int) Replay {
-	r := Replay{Inst: make([]Replica, n)}
-	for i := range r.Inst {
-		r.Inst[i].Mirror = fuzz.NewCorpus(0)
+// A Transport is where a LeaseSource's instances live and its leases run
+// (goroutines of this process, or a dist coordinator's workers). A lease
+// imports seeds, then steps until the clock crosses boundary or the
+// horizon; Await returns ctx.Err(), consuming nothing, if ctx ends first.
+type Transport struct {
+	Boot  func(i int) (BootReport, error)
+	Send  func(i int, seeds []fuzz.Seed, boundary float64)
+	Await func(ctx context.Context, i int) ([]LeaseStep, error)
+}
+
+// A LeaseSource is the event loop's Source for instances that run in
+// leases (Instance.RunLease), one at a time per instance, from one of
+// their syncs to the next: it replays their records in (clock, index)
+// order and keeps the books, and its Transport says where the instances
+// are. It is the only Source outside tests, for Run and the dist
+// coordinator alike. Its replay matches instances stepped one at a time:
+// records reach the loop in the order the instance produced them, each
+// delta was cut before any restart (StepN), and each mirror holds what
+// the instance's corpus holds at the loop's position.
+type LeaseSource struct {
+	Inst  []Replica
+	Specs []InstanceSpec
+	// Replayed counts the records replayed; it only grows, so whoever
+	// noted it can tell later whether the replay has moved.
+	Replayed int
+	cur      *LeaseStep // the record the loop is on
+	loop     *Loop
+	t        Transport
+}
+
+// NewLeaseSource returns l's source over t for the planned specs; inst
+// is a checkpoint's replicas for a resumed loop, nil for a fresh one.
+func NewLeaseSource(l *Loop, specs []InstanceSpec, inst []Replica, t Transport) *LeaseSource {
+	if inst == nil {
+		inst = make([]Replica, len(specs))
 	}
-	return r
+	return &LeaseSource{Inst: inst, Specs: specs, loop: l, t: t}
 }
 
-// Booted records instance i's boot under config.
-func (r *Replay) Booted(i int, config string, startEdges int) {
-	r.Inst[i].Config, r.Inst[i].StartEdges, r.Inst[i].Coverage = config, startEdges, startEdges
-}
-
-// Next moves instance i to its next record and returns it, or reports
-// false when the batch is exhausted.
-func (r *Replay) Next(i int) (Step, bool) {
-	in := &r.Inst[i]
-	if in.Pos >= len(in.Batch) {
-		return Step{}, false
+// Boot boots instance i through the transport and files the report. A
+// resumed loop holds the report's effects already.
+func (s *LeaseSource) Boot(i int) (int, error) {
+	rep, err := s.t.Boot(i)
+	if s.loop.resumed {
+		return s.Inst[i].StartEdges, err
 	}
-	r.cur = &in.Batch[in.Pos]
+	if err := s.Booted(i, rep, err); err != nil {
+		return 0, err
+	}
+	return rep.StartEdges, nil
+}
+
+// Booted files a (re)boot of instance i: its startup crashes go into the
+// ledger in order, then err is returned if the boot failed; otherwise the
+// startup coverage goes into the union and the replica starts over from
+// the report, as the freshly booted instance does.
+func (s *LeaseSource) Booted(i int, rep BootReport, err error) error {
+	for k := range rep.Crashes {
+		cr := &rep.Crashes[k]
+		s.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
+	}
+	if err != nil {
+		return err
+	}
+	if _, err := s.loop.Union.ApplyDelta(rep.Delta); err != nil {
+		return fmt.Errorf("parallel: instance %d: startup coverage: %w", i, err)
+	}
+	s.Inst[i] = Replica{Config: rep.Config, StartEdges: rep.StartEdges, Coverage: rep.StartEdges, Mirror: fuzz.NewCorpus(0)}
+	return nil
+}
+
+// Step replays instance i's next record, awaiting its lease when the
+// batch is exhausted.
+func (s *LeaseSource) Step(ctx context.Context, i int) (Step, error) {
+	in := &s.Inst[i]
+	for in.Pos >= len(in.Batch) {
+		recs, err := s.t.Await(ctx, i)
+		if err != nil {
+			return Step{}, err
+		}
+		s.Fill(i, recs)
+	}
+	s.cur = &in.Batch[in.Pos]
 	in.Pos++
 	in.Execs++
-	if r.cur.Crash != nil {
+	s.Replayed++
+	if s.cur.Crash != nil {
 		in.Crashes++
 	}
-	return r.cur.Step, true
+	return s.cur.Step, nil
 }
 
-// Exhausted reports whether instance i has no record left to replay.
-func (r *Replay) Exhausted(i int) bool { return r.Inst[i].Pos >= len(r.Inst[i].Batch) }
+// Fill hands instance i the records its lease returned.
+func (s *LeaseSource) Fill(i int, recs []LeaseStep) { s.Inst[i].Batch, s.Inst[i].Pos = recs, 0 }
 
 // Lease starts instance i's next lease: it takes the seeds the last sync
 // collected, which the lease imports first.
-func (r *Replay) Lease(i int) []fuzz.Seed {
-	in := &r.Inst[i]
+func (s *LeaseSource) Lease(i int) []fuzz.Seed {
+	in := &s.Inst[i]
 	seeds := in.Pending
 	in.Pending, in.Batch, in.Pos = nil, nil, 0
 	return seeds
 }
 
-// Fill hands instance i the records its lease returned.
-func (r *Replay) Fill(i int, recs []LeaseStep) { r.Inst[i].Batch, r.Inst[i].Pos = recs, 0 }
+// Done sends instance i its next lease once its batch is replayed, unless
+// it has run out the horizon.
+func (s *LeaseSource) Done(i int) {
+	if in := &s.Inst[i]; in.Pos >= len(in.Batch) && s.loop.Clock[i] < s.loop.horizon {
+		s.t.Send(i, s.Lease(i), s.loop.NextSync[i])
+	}
+}
 
-func (r *Replay) Config(i int) string { return r.Inst[i].Config }
+func (s *LeaseSource) Config(i int) string { return s.Inst[i].Config }
 
 // Merge applies the record's coverage delta. The instance's own map grew
 // by exactly NewEdges, and its corpus gained the seed; both follow.
-func (r *Replay) Merge(i int, union *coverage.Map) error {
-	in := &r.Inst[i]
-	if _, err := union.ApplyDelta(r.cur.Delta); err != nil {
+func (s *LeaseSource) Merge(i int, union *coverage.Map) error {
+	in := &s.Inst[i]
+	if _, err := union.ApplyDelta(s.cur.Delta); err != nil {
 		return fmt.Errorf("parallel: instance %d: coverage delta: %w", i, err)
 	}
-	in.Coverage += r.cur.NewEdges
-	in.Mirror.Add(r.cur.Seed)
+	in.Coverage += s.cur.NewEdges
+	in.Mirror.Add(s.cur.Seed)
 	return nil
 }
 
-func (r *Replay) Gauge(i int) Gauge {
-	in := &r.Inst[i]
+func (s *LeaseSource) Gauge(i int) Gauge {
+	in := &s.Inst[i]
 	return Gauge{Edges: in.Coverage, Execs: in.Execs, Crashes: in.Crashes, Mutations: in.Muts, Corpus: in.Mirror.Len()}
 }
 
@@ -108,28 +173,28 @@ func (r *Replay) Gauge(i int) Gauge {
 // The seeds merge into i's mirror now and reach the instance with its
 // next lease, before it steps again (a horizon-crossing sync's never do:
 // it never steps again).
-func (r *Replay) Sync(i int) int {
+func (s *LeaseSource) Sync(i int) int {
 	var all []fuzz.Seed
-	for j := range r.Inst {
+	for j := range s.Inst {
 		if j != i {
-			all = append(all, r.Inst[j].Mirror.Export(4)...)
+			all = append(all, s.Inst[j].Mirror.Export(4)...)
 		}
 	}
-	for _, s := range all {
-		r.Inst[i].Mirror.Add(s)
+	for _, seed := range all {
+		s.Inst[i].Mirror.Add(seed)
 	}
-	r.Inst[i].Pending = all
+	s.Inst[i].Pending = all
 	return len(all)
 }
 
 // Saturated reports whether saturation fired on this step; the lease ran
 // the mutation already, which commutes with the step's sync.
-func (r *Replay) Saturated(int) bool { return r.cur.SatFired }
+func (s *LeaseSource) Saturated(int) bool { return s.cur.SatFired }
 
 // Mutate replays the recorded mutation: its restart crashes into sink,
 // its outcome to the loop.
-func (r *Replay) Mutate(i int, sink CrashSink) MutationOutcome {
-	in, rec := &r.Inst[i], r.cur
+func (s *LeaseSource) Mutate(i int, sink CrashSink) MutationOutcome {
+	in, rec := &s.Inst[i], s.cur
 	for k := range rec.MutationCrashes {
 		cr := &rec.MutationCrashes[k]
 		sink.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
@@ -143,18 +208,30 @@ func (r *Replay) Mutate(i int, sink CrashSink) MutationOutcome {
 	return *rec.Mutation
 }
 
-// leaseSource runs Run's instances in this process, each on a goroutine
-// of its own from one of its syncs to the next (RunLease, as a dist
-// worker's lane does), and replays their records in (clock, index) order
-// (Replay, as the dist coordinator does). With at most one lease in
-// flight per instance, the instances run side by side and every artifact
-// is a function of the records alone, at any GOMAXPROCS.
-type leaseSource struct {
-	Replay
+// Result summarizes instance i from its replayed counters.
+func (s *LeaseSource) Result(i int) (InstanceResult, error) {
+	in := &s.Inst[i]
+	return InstanceResult{
+		Index:           s.Specs[i].Index,
+		Config:          in.Config,
+		Group:           s.Specs[i].Group.Members,
+		FinalBranches:   in.Coverage,
+		Execs:           in.Execs,
+		Crashes:         in.Crashes,
+		ConfigMutations: in.Muts,
+		RestartFailures: in.RestartFails,
+	}, nil
+}
+
+// goLeases is Run's transport: the instances live in this process and
+// each lease runs on a goroutine of its own, as on a dist worker's lane.
+// With at most one lease in flight per instance, the instances run side
+// by side and share nothing.
+type goLeases struct {
 	loop     *Loop
 	specs    []InstanceSpec
 	insts    []*Instance
-	inflight []chan leaseEnd // per instance; nil when no lease is out
+	inflight []chan leaseEnd // per instance, its latest lease
 	leases   sync.WaitGroup
 }
 
@@ -164,60 +241,21 @@ type leaseEnd struct {
 	panicked any
 }
 
-func newLeaseSource(l *Loop, specs []InstanceSpec) *leaseSource {
-	return &leaseSource{Replay: NewReplay(len(specs)), loop: l, specs: specs, inflight: make([]chan leaseEnd, len(specs))}
-}
-
-func (s *leaseSource) Boot(i int) (int, error) {
-	in, err := s.loop.host.Boot(s.specs[i], s.loop.Res.Bugs)
-	if err != nil {
-		return 0, err
+func (g *goLeases) boot(i int) (BootReport, error) {
+	in, rep, err := g.loop.host.BootReported(g.specs[i])
+	if err == nil {
+		g.insts = append(g.insts, in)
 	}
-	s.insts = append(s.insts, in)
-	s.loop.Union.Union(in.engine.CoverageMap())
-	s.Booted(i, in.cfg.String(), in.startEdges)
-	return in.startEdges, nil
+	return rep, err
 }
 
-// Step replays instance i's next record, waiting for its lease when the
-// batch is exhausted; a lease's panic re-raises here, on the loop's
-// goroutine.
-func (s *leaseSource) Step(ctx context.Context, i int) (Step, error) {
-	for {
-		if step, ok := s.Next(i); ok {
-			return step, nil
-		}
-		if s.inflight[i] == nil {
-			return Step{}, fmt.Errorf("parallel: instance %d has no lease in flight", i)
-		}
-		select {
-		case end := <-s.inflight[i]:
-			s.inflight[i] = nil
-			if end.panicked != nil {
-				panic(end.panicked)
-			}
-			s.Fill(i, end.recs)
-		case <-ctx.Done():
-			return Step{}, ctx.Err()
-		}
-	}
-}
-
-// Done hands instance i its next lease once its batch is replayed, unless
-// it has run out the horizon.
-func (s *leaseSource) Done(i int) {
-	if s.Exhausted(i) && s.loop.Clock[i] < s.loop.horizon {
-		s.dispatch(i)
-	}
-}
-
-func (s *leaseSource) dispatch(i int) {
+func (g *goLeases) send(i int, seeds []fuzz.Seed, boundary float64) {
 	end := make(chan leaseEnd, 1)
-	s.inflight[i] = end
-	in, seeds, boundary, horizon, parent := s.insts[i], s.Lease(i), s.loop.NextSync[i], s.loop.horizon, s.loop.spans[i]
-	s.leases.Add(1)
+	g.inflight[i] = end
+	in, horizon, parent := g.insts[i], g.loop.horizon, g.loop.spans[i]
+	g.leases.Add(1)
 	go func() {
-		defer s.leases.Done()
+		defer g.leases.Done()
 		var e leaseEnd
 		defer func() { e.panicked = recover(); end <- e }()
 		span := parent.Child("instance.lease")
@@ -229,24 +267,24 @@ func (s *leaseSource) dispatch(i int) {
 	}()
 }
 
-func (s *leaseSource) Result(i int) (InstanceResult, error) {
-	in := &s.Inst[i]
-	return InstanceResult{
-		Index:           s.specs[i].Index,
-		Config:          in.Config,
-		Group:           s.specs[i].Group.Members,
-		FinalBranches:   in.Coverage,
-		Execs:           in.Execs,
-		Crashes:         in.Crashes,
-		ConfigMutations: in.Muts,
-		RestartFailures: in.RestartFails,
-	}, nil
+// await takes instance i's lease; its panic re-raises here, on the
+// loop's goroutine.
+func (g *goLeases) await(ctx context.Context, i int) ([]LeaseStep, error) {
+	select {
+	case end := <-g.inflight[i]:
+		if end.panicked != nil {
+			panic(end.panicked)
+		}
+		return end.recs, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // close joins every lease still in flight and closes the instances.
-func (s *leaseSource) close() {
-	s.leases.Wait()
-	for _, in := range s.insts {
+func (g *goLeases) close() {
+	g.leases.Wait()
+	for _, in := range g.insts {
 		in.Close()
 	}
 }

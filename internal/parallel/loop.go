@@ -38,11 +38,10 @@ type Gauge struct{ Edges, Execs, Crashes, Mutations, Corpus int }
 
 // A Source is where the event loop's steps come from. The loop decides
 // which instance goes next and owns everything global; the source owns
-// the instances. Both sources replay step records (Replay): Run's, of
-// leases its instances run on goroutines in this process, and the
-// distributed coordinator's, of the leases its workers send back. Every
-// call names the instance the loop is on, and within one loop iteration
-// the calls come in the order listed here.
+// the instances. Outside tests there is one, LeaseSource, for Run and
+// the distributed coordinator alike; they differ only in its Transport.
+// Every call names the instance the loop is on, and within one loop
+// iteration the calls come in the order listed here.
 type Source interface {
 	// Boot starts instance i, filing startup crashes in Loop.Res.Bugs and
 	// startup coverage in Loop.Union, and reports the edges startup
@@ -91,8 +90,8 @@ type LoopState struct {
 // synchronization, configuration-value mutation on saturation. It owns
 // the union coverage map, the sampled series, the bug ledger and every
 // telemetry and progress emission; a Source supplies the steps. The
-// in-process and the distributed campaign are this one loop over two
-// sources, which is why their artifacts are byte-identical.
+// in-process and the distributed campaign are this one loop over one
+// source, which is why their artifacts are byte-identical.
 //
 // The exported fields are for a source's Boot and for checkpointing;
 // between Boot and Finish only the loop changes them.

@@ -19,7 +19,7 @@
 //
 // The campaign is factored into Host/Plan/Boot/Instance primitives and
 // one single-threaded event loop (Loop) that replays step records in
-// virtual-clock order (Replay). Instances run concurrently, in leases
+// virtual-clock order (LeaseSource). Instances run concurrently, in leases
 // from one seed sync to the next (Instance.RunLease): Run's on goroutines
 // in this process, the distributed coordinator's (internal/dist) on its
 // workers — so both produce byte-identical Results for the same seed.
@@ -260,25 +260,39 @@ type Result struct {
 // portion that ran. Cancellation before the event loop starts returns
 // (nil, ctx.Err()). Run returns only once every instance has stopped.
 func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error) {
+	l, done, err := Start(ctx, sub, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	return l.Run(ctx)
+}
+
+// Start plans a campaign of sub under opts and boots every instance in
+// this process, each with its first lease out; Advance and Finish on the
+// returned loop follow. done joins the leases still in flight, closes the
+// instances and ends the run on the progress board.
+func Start(ctx context.Context, sub subject.Subject, opts Options) (l *Loop, done func(), err error) {
 	host, err := NewHost(sub, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	l := NewLoop(host)
-	defer l.Close()
+	l = NewLoop(host)
+	g := &goLeases{loop: l}
+	done = func() { g.close(); l.Close() }
 	plan, err := l.Plan(ctx)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		g.specs, g.inflight = plan.Specs, make([]chan leaseEnd, len(plan.Specs))
+		src := NewLeaseSource(l, plan.Specs, nil, Transport{Boot: g.boot, Send: g.send, Await: g.await})
+		if err = l.Boot(ctx, src); err == nil {
+			for i := range plan.Specs {
+				src.Done(i) // the first leases
+			}
+			return l, done, nil
+		}
 	}
-	src := newLeaseSource(l, plan.Specs)
-	defer src.close()
-	if err := l.Boot(ctx, src); err != nil {
-		return nil, err
-	}
-	for i := range plan.Specs {
-		src.Done(i) // the first leases
-	}
-	return l.Run(ctx)
+	done()
+	return nil, nil, err
 }
 
 // fallbackDetail summarizes the defaults-fallback outcome for telemetry.

@@ -70,11 +70,12 @@ func TestMutateConfigFallsBackToDefaults(t *testing.T) {
 	h := &Host{Sub: sub, Model: model, Defaults: model.Defaults()}
 	in := &Instance{host: h, index: 0, target: target, cfg: cfg, rng: rand.New(rand.NewSource(1))}
 	ledger := bugs.NewLedger()
-	ok := false
+	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
 		// Attempts that draw the current value return false without a
 		// restart; keep drawing until the mutation actually fires.
-		ok = in.Mutate(ledger).Restarted
+		out := in.Mutate(ledger)
+		ok, fails = out.Restarted, fails+out.RestartFails
 	}
 	if !ok {
 		t.Fatal("Mutate never recovered the instance")
@@ -82,8 +83,8 @@ func TestMutateConfigFallsBackToDefaults(t *testing.T) {
 	if in.cfg["mode"] != "v0" {
 		t.Fatalf("fallback config = %v, want the defaults", in.cfg)
 	}
-	if in.restartFails != 2 {
-		t.Fatalf("restartFails = %d, want 2 (mutated + reverted)", in.restartFails)
+	if fails != 2 {
+		t.Fatalf("restart failures = %d, want 2 (mutated + reverted)", fails)
 	}
 	// The swapped-in instance must be live.
 	tr := coverage.NewTrace()
@@ -111,9 +112,10 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 	sub.allow = func(cfg map[string]string) bool { return cfg["mode"] != "v2" }
 	h := &Host{Sub: sub, Model: model, Defaults: model.Defaults()}
 	in := &Instance{host: h, index: 0, target: target, cfg: cfg, rng: rand.New(rand.NewSource(1))}
-	ok := false
+	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
-		ok = in.Mutate(bugs.NewLedger()).Restarted
+		out := in.Mutate(bugs.NewLedger())
+		ok, fails = out.Restarted, fails+out.RestartFails
 	}
 	if !ok {
 		t.Fatal("Mutate never fired")
@@ -121,8 +123,8 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 	if in.cfg["mode"] != "v1" {
 		t.Fatalf("config after revert = %v, want mode=v1", in.cfg)
 	}
-	if in.restartFails != 1 {
-		t.Fatalf("restartFails = %d, want 1", in.restartFails)
+	if fails != 1 {
+		t.Fatalf("restart failures = %d, want 1", fails)
 	}
 }
 

@@ -20,11 +20,12 @@ import (
 // serialSource is the oracle the lease source is checked against: it
 // steps the instances one at a time on the loop's goroutine and reads
 // everything straight off their engines, which are never ahead of the
-// loop.
+// loop, counting crashes, mutations and restart failures as they happen.
 type serialSource struct {
 	loop  *Loop
 	specs []InstanceSpec
 	insts []*Instance
+	n     []struct{ crashes, muts, restarts int } // per instance
 }
 
 func (s *serialSource) Boot(i int) (int, error) {
@@ -33,11 +34,18 @@ func (s *serialSource) Boot(i int) (int, error) {
 		return 0, err
 	}
 	s.insts = append(s.insts, in)
+	s.n = append(s.n, struct{ crashes, muts, restarts int }{})
 	s.loop.Union.Union(in.engine.CoverageMap())
 	return in.startEdges, nil
 }
 
-func (s *serialSource) Step(_ context.Context, i int) (Step, error) { return s.insts[i].Step(), nil }
+func (s *serialSource) Step(_ context.Context, i int) (Step, error) {
+	step := s.insts[i].Step()
+	if step.Crash != nil {
+		s.n[i].crashes++
+	}
+	return step, nil
+}
 
 func (s *serialSource) Config(i int) string { return s.insts[i].cfg.String() }
 
@@ -49,7 +57,7 @@ func (s *serialSource) Merge(i int, union *coverage.Map) error {
 func (s *serialSource) Gauge(i int) Gauge {
 	in := s.insts[i]
 	st := in.engine.Stats()
-	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: in.crashes, Mutations: in.muts, Corpus: st.CorpusSize}
+	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: s.n[i].crashes, Mutations: s.n[i].muts, Corpus: st.CorpusSize}
 }
 
 func (s *serialSource) Sync(i int) int {
@@ -69,16 +77,37 @@ func (s *serialSource) Saturated(i int) bool { return s.insts[i].saturated() }
 func (s *serialSource) Mutate(i int, sink CrashSink) MutationOutcome {
 	out := s.insts[i].Mutate(sink)
 	s.insts[i].sat.Reset(s.insts[i].clock)
+	s.n[i].muts += out.Mutations
+	s.n[i].restarts += out.RestartFails
 	return out
 }
 
 func (s *serialSource) Done(int) {}
 
-func (s *serialSource) Result(i int) (InstanceResult, error) { return s.insts[i].Result(), nil }
+func (s *serialSource) Result(i int) (InstanceResult, error) {
+	in := s.insts[i]
+	return InstanceResult{
+		Index:           in.index,
+		Config:          in.cfg.String(),
+		Group:           in.group.Members,
+		FinalBranches:   in.engine.Coverage(),
+		Execs:           in.engine.Stats().Execs,
+		Crashes:         s.n[i].crashes,
+		ConfigMutations: s.n[i].muts,
+		RestartFailures: s.n[i].restarts,
+	}, nil
+}
 
 // openOn plans and boots a campaign of sub over the serial oracle or
-// over the leases Run uses, with the first leases out; done releases it.
+// over the leases Run uses (Start), with the first leases out; done
+// releases it.
 func openOn(ctx context.Context, sub subject.Subject, opts Options, serial bool) (l *Loop, src Source, done func(), err error) {
+	if !serial {
+		if l, done, err = Start(ctx, sub, opts); err != nil {
+			return nil, nil, nil, err
+		}
+		return l, l.src, done, nil
+	}
 	host, err := NewHost(sub, opts)
 	if err != nil {
 		return nil, nil, nil, err
@@ -91,10 +120,6 @@ func openOn(ctx context.Context, sub subject.Subject, opts Options, serial bool)
 		return nil, nil, nil, err
 	}
 	src = &serialSource{loop: l, specs: plan.Specs}
-	if !serial {
-		leases := newLeaseSource(l, plan.Specs)
-		src, done = leases, func() { leases.close(); l.Close() }
-	}
 	if err := l.Boot(ctx, src); err != nil {
 		done()
 		return nil, nil, nil, err
