@@ -1,41 +1,21 @@
 package fuzz
 
-// An Arena bulk-allocates the short-lived object graph one engine
-// iteration builds — element trees cloned from data models, their child
-// pointer slices, and copied default payloads — and recycles all of it
-// with a single Reset. Nothing allocated from an arena may outlive the
-// next Reset: the engine serializes each message to wire bytes before
-// resetting, and only those bytes (deep-copied when kept as a corpus
-// seed) escape the iteration. After a few warm-up iterations the chunk
-// lists stop growing and the generation path performs zero heap
-// allocations per message.
+// An Arena lends the bytes one engine step copies out of the data models —
+// the Data of every leaf a mutation or relation fix-up writes — and
+// recycles them all with a single Reset. Nothing allocated from an arena
+// may outlive the next Reset: the engine serializes each message to wire
+// bytes before the next is built, and only those bytes (deep-copied when
+// kept as a corpus seed) escape the step. After a few warm-up steps the
+// chunk list stops growing and copying a leaf allocates nothing.
 //
 // An Arena is not safe for concurrent use; each engine owns one.
 type Arena struct {
-	elemChunks [][]Element
-	elemChunk  int // index of the active element chunk
-	elemUsed   int // elements handed out from the active chunk
-
-	ptrChunks [][]*Element
-	ptrChunk  int
-	ptrUsed   int
-
-	byteChunks [][]byte
-	byteChunk  int
-	byteUsed   int
-
-	// Scratch reused by serialization and mutation: the active-leaf list
-	// and the size-relation measurement buffer. Reset leaves them alone —
-	// their callers truncate before use.
-	leaves  []*Element
-	sizeBuf []byte
+	chunks [][]byte
+	chunk  int // index of the active chunk
+	used   int // bytes handed out from the active chunk
 }
 
-const (
-	arenaElemChunk = 256
-	arenaPtrChunk  = 512
-	arenaByteChunk = 8192
-)
+const arenaChunk = 8192
 
 // NewArena returns an empty arena. Chunks are allocated lazily on first
 // use and retained across Resets.
@@ -43,95 +23,31 @@ func NewArena() *Arena { return &Arena{} }
 
 // Reset recycles everything allocated since the previous Reset. Chunk
 // storage is retained, so a warmed-up arena allocates nothing.
-func (a *Arena) Reset() {
-	a.elemChunk, a.elemUsed = 0, 0
-	a.ptrChunk, a.ptrUsed = 0, 0
-	a.byteChunk, a.byteUsed = 0, 0
-}
+func (a *Arena) Reset() { a.chunk, a.used = 0, 0 }
 
-// newElement hands out one element. Contents are unspecified; callers
-// must overwrite every field (cloneInto copies the whole struct).
-func (a *Arena) newElement() *Element {
-	if a.elemChunk == len(a.elemChunks) {
-		a.elemChunks = append(a.elemChunks, make([]Element, arenaElemChunk))
-	}
-	chunk := a.elemChunks[a.elemChunk]
-	if a.elemUsed == len(chunk) {
-		a.elemChunk++
-		a.elemUsed = 0
-		if a.elemChunk == len(a.elemChunks) {
-			a.elemChunks = append(a.elemChunks, make([]Element, arenaElemChunk))
-		}
-		chunk = a.elemChunks[a.elemChunk]
-	}
-	e := &chunk[a.elemUsed]
-	a.elemUsed++
-	return e
-}
-
-// children hands out a child-pointer slice of length n with clamped
-// capacity, so an append by a caller can never bleed into a neighbor.
-func (a *Arena) children(n int) []*Element {
-	if n > arenaPtrChunk {
-		return make([]*Element, n)
-	}
-	if a.ptrChunk == len(a.ptrChunks) {
-		a.ptrChunks = append(a.ptrChunks, make([]*Element, arenaPtrChunk))
-	}
-	if a.ptrUsed+n > arenaPtrChunk {
-		a.ptrChunk++
-		a.ptrUsed = 0
-		if a.ptrChunk == len(a.ptrChunks) {
-			a.ptrChunks = append(a.ptrChunks, make([]*Element, arenaPtrChunk))
-		}
-	}
-	chunk := a.ptrChunks[a.ptrChunk]
-	s := chunk[a.ptrUsed : a.ptrUsed+n : a.ptrUsed+n]
-	a.ptrUsed += n
-	return s
-}
-
-// copyBytes copies src into arena storage with clamped capacity. Like
-// the heap clone path it returns nil for empty input, so cloned trees
-// stay structurally identical to Element.Clone output.
+// copyBytes copies src into arena storage (the heap for a nil arena or an
+// oversized src) with clamped capacity, so an append by a caller can
+// never bleed into a neighbor. Empty input gives nil.
 func (a *Arena) copyBytes(src []byte) []byte {
 	n := len(src)
 	if n == 0 {
 		return nil
 	}
-	if n > arenaByteChunk {
+	if a == nil || n > arenaChunk {
 		return append([]byte(nil), src...)
 	}
-	if a.byteChunk == len(a.byteChunks) {
-		a.byteChunks = append(a.byteChunks, make([]byte, arenaByteChunk))
+	if a.chunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]byte, arenaChunk))
 	}
-	if a.byteUsed+n > arenaByteChunk {
-		a.byteChunk++
-		a.byteUsed = 0
-		if a.byteChunk == len(a.byteChunks) {
-			a.byteChunks = append(a.byteChunks, make([]byte, arenaByteChunk))
+	if a.used+n > arenaChunk {
+		a.chunk++
+		a.used = 0
+		if a.chunk == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]byte, arenaChunk))
 		}
 	}
-	chunk := a.byteChunks[a.byteChunk]
-	s := chunk[a.byteUsed : a.byteUsed+n : a.byteUsed+n]
-	a.byteUsed += n
+	s := a.chunks[a.chunk][a.used : a.used+n : a.used+n]
+	a.used += n
 	copy(s, src)
 	return s
-}
-
-// cloneInto deep-copies the element tree into arena storage, matching
-// Element.Clone field for field.
-func cloneInto(e *Element, a *Arena) *Element {
-	c := a.newElement()
-	*c = *e
-	if e.Data != nil {
-		c.Data = a.copyBytes(e.Data)
-	}
-	if e.Children != nil {
-		c.Children = a.children(len(e.Children))
-		for i, ch := range e.Children {
-			c.Children[i] = cloneInto(ch, a)
-		}
-	}
-	return c
 }

@@ -2,8 +2,14 @@ package fuzz
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
+	"sync"
 	"testing"
+
+	"cmfuzz/internal/bugs"
+	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/protocols"
 )
 
 func arenaTestModel() *DataModel {
@@ -18,114 +24,126 @@ func arenaTestModel() *DataModel {
 	)}
 }
 
-// TestArenaCloneMatchesHeapClone checks structural equality between
-// cloneInto and the heap Clone path for the same template.
-func TestArenaCloneMatchesHeapClone(t *testing.T) {
-	m := arenaTestModel()
-	a := NewArena()
-	got := cloneInto(m.Root, a)
-	want := m.Root.Clone()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("arena clone differs from heap clone:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestArenaCloneIsolation verifies mutating an arena-backed clone never
-// touches the shared template — same guarantee Element.Clone gives.
-func TestArenaCloneIsolation(t *testing.T) {
-	m := arenaTestModel()
-	orig := m.Root.Clone() // pristine reference
-	a := NewArena()
-	for round := 0; round < 3; round++ {
-		a.Reset()
-		c := cloneInto(m.Root, a)
-		// Scribble over every byte payload and numeric value in the clone.
-		var scribble func(e *Element)
-		scribble = func(e *Element) {
-			for i := range e.Data {
-				e.Data[i] = 0xFF
-			}
-			e.Value = ^uint64(0)
-			for _, ch := range e.Children {
-				scribble(ch)
-			}
-		}
-		scribble(c)
-		if !reflect.DeepEqual(m.Root, orig) {
-			t.Fatalf("round %d: template corrupted by arena clone mutation", round)
-		}
-	}
-}
-
 // TestArenaResetReuse pins chunk recycling: after Reset, the arena hands
-// out the same storage again and clones serialize identically.
+// out the same storage again and messages serialize identically.
 func TestArenaResetReuse(t *testing.T) {
-	m := arenaTestModel()
+	cm := compileModel(arenaTestModel())
 	a := NewArena()
-	r := testRandSeed(5)
-	msg := m.NewMessageIn(a, r)
-	want := append([]byte(nil), msg.AppendSerialize(a, nil)...)
-	first := msg.Root
-
+	var msg Message
+	gen := func() ([]byte, *byte) {
+		r := testRandSeed(5)
+		cm.instantiate(&msg, a, r)
+		MutateMessage(&msg, []Mutator{blobBitFlip{}}, r, 3)
+		for k, e := range msg.fields {
+			if len(e.Data) > 0 && e != cm.nodes[msg.leaves[k]].e {
+				return msg.appendTo(nil), &e.Data[0]
+			}
+		}
+		t.Fatal("no leaf was copied into the arena")
+		return nil, nil
+	}
+	want, first := gen()
 	a.Reset()
-	r2 := testRandSeed(5)
-	msg2 := m.NewMessageIn(a, r2)
-	got := msg2.AppendSerialize(a, nil)
+	got, again := gen()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-Reset serialization %x != %x", got, want)
 	}
-	if msg2.Root != first {
-		t.Fatal("Reset did not recycle element storage")
+	if again != first {
+		t.Fatal("Reset did not recycle byte storage")
 	}
 }
 
-// TestArenaOversizeFallbacks covers payloads and child lists larger than
-// one chunk: they must still clone correctly (via dedicated allocations).
-func TestArenaOversizeFallbacks(t *testing.T) {
-	big := make([]byte, arenaByteChunk+100)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	kids := make([]*Element, arenaPtrChunk+10)
-	for i := range kids {
-		kids[i] = Num("k", 8, uint64(i))
-	}
-	root := Block("root", append([]*Element{Blob("big", big)}, kids...)...)
-	a := NewArena()
-	c := cloneInto(root, a)
-	if !reflect.DeepEqual(c, root.Clone()) {
-		t.Fatal("oversize clone differs from heap clone")
-	}
-	c.Children[0].Data[0] = 0xEE
-	if big[0] == 0xEE {
-		t.Fatal("oversize payload aliased the template")
-	}
-}
-
-// TestArenaChunkBoundary crosses element/byte/pointer chunk boundaries
-// within one generation to exercise the chunk-advance paths.
+// TestArenaChunkBoundary crosses byte chunk boundaries within one step to
+// exercise the chunk-advance path, and oversized payloads take the heap.
 func TestArenaChunkBoundary(t *testing.T) {
 	a := NewArena()
-	var elems []*Element
-	for i := 0; i < arenaElemChunk*2+7; i++ {
-		e := a.newElement()
-		*e = Element{Kind: KindNumber, Value: uint64(i)}
-		elems = append(elems, e)
-	}
-	for i, e := range elems {
-		if e.Value != uint64(i) {
-			t.Fatalf("element %d clobbered: value %d", i, e.Value)
-		}
-	}
 	var bufs [][]byte
 	src := bytes.Repeat([]byte{0xAB}, 700)
-	for i := 0; i < 30; i++ { // 30*700 > 2 byte chunks
+	for i := 0; i < 30; i++ { // 30*700 > 2 chunks
 		src[0] = byte(i)
 		bufs = append(bufs, a.copyBytes(src))
 	}
 	for i, b := range bufs {
-		if b[0] != byte(i) || len(b) != 700 {
+		if b[0] != byte(i) || len(b) != 700 || cap(b) != 700 {
 			t.Fatalf("byte chunk %d clobbered", i)
+		}
+	}
+	big := bytes.Repeat([]byte{1}, arenaChunk+100)
+	if c := a.copyBytes(big); !bytes.Equal(c, big) || &c[0] == &big[0] {
+		t.Fatal("oversized copy differs from or aliases its source")
+	}
+	if a.copyBytes(nil) != nil || (*Arena)(nil).copyBytes([]byte{}) != nil {
+		t.Fatal("empty input copied to a non-nil slice")
+	}
+}
+
+var idleTarget = TargetFunc(func([][]byte, *coverage.Trace) *bugs.Crash { return nil })
+
+func subjectEngine(pit *Pit, seed int64, target Target) *Engine {
+	return NewEngine(Config{Models: pit.DataModels, StateModel: pit.DefaultStateModel(), Seed: seed}, target)
+}
+
+// TestTemplateImmutable: however the engine mutates and fixes up its
+// messages, the data models it reads are never written — every subject's
+// Pit after 5,000 default-config steps is the Pit ParsePit returns.
+func TestTemplateImmutable(t *testing.T) {
+	for _, sub := range protocols.All() {
+		pit, err := ParsePit(sub.PitXML())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := subjectEngine(pit, 1, hotTarget)
+		for i := 0; i < 5000; i++ {
+			e.Step()
+		}
+		fresh, _ := ParsePit(sub.PitXML())
+		if !reflect.DeepEqual(pit, fresh) {
+			t.Fatalf("%s: stepping an engine wrote its Pit", sub.Info().Protocol)
+		}
+	}
+}
+
+// hashTarget folds every executed message into a digest.
+type hashTarget struct{ h [32]byte }
+
+func (ht *hashTarget) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
+	for i, m := range seq {
+		ht.h = sha256.Sum256(append(ht.h[:], m...))
+		if len(m) > 0 {
+			tr.Edge(uint32(i), uint64(m[len(m)-1]))
+		}
+	}
+	return nil
+}
+
+// TestSharedPitConcurrentEngines steps two engines on one Pit on two
+// goroutines (run under -race) and checks each sent what it sends alone.
+func TestSharedPitConcurrentEngines(t *testing.T) {
+	for _, sub := range protocols.All() {
+		run := func(pit *Pit, seed int64) [32]byte {
+			ht := &hashTarget{}
+			e := subjectEngine(pit, seed, ht)
+			for i := 0; i < 1000; i++ {
+				e.Step()
+			}
+			return ht.h
+		}
+		shared, _ := ParsePit(sub.PitXML())
+		var got [2][32]byte
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = run(shared, int64(i+1))
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			alone, _ := ParsePit(sub.PitXML())
+			if want := run(alone, int64(i+1)); got[i] != want {
+				t.Fatalf("%s: engine %d on a shared Pit sent %x, alone %x", sub.Info().Protocol, i, got[i][:4], want[:4])
+			}
 		}
 	}
 }

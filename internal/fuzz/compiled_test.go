@@ -1,0 +1,323 @@
+package fuzz
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"cmfuzz/internal/protocols"
+)
+
+// The tree algorithm compiled data models replaced, kept as the reference
+// they must match draw for draw and byte for byte: deep-copy the model,
+// draw every Choice, mutate the active leaves, fix each relation with a
+// pre-order search and a serialization of its target, and serialize the
+// tree.
+
+func cloneTree(e *Element) *Element {
+	c := *e
+	if e.Data != nil {
+		c.Data = append([]byte(nil), e.Data...)
+	}
+	if e.Children != nil {
+		c.Children = make([]*Element, len(e.Children))
+		for i, ch := range e.Children {
+			c.Children[i] = cloneTree(ch)
+		}
+	}
+	return &c
+}
+
+func resolveChoices(e *Element, r *rand.Rand) {
+	if e.Kind == KindChoice && len(e.Children) > 0 {
+		e.Selected = r.Intn(len(e.Children))
+	}
+	for _, ch := range e.Children {
+		resolveChoices(ch, r)
+	}
+}
+
+func appendLeaves(out []*Element, e *Element) []*Element {
+	switch e.Kind {
+	case KindBlock:
+		for _, ch := range e.Children {
+			out = appendLeaves(out, ch)
+		}
+	case KindChoice:
+		if len(e.Children) > 0 {
+			sel := e.Selected
+			if sel < 0 || sel >= len(e.Children) {
+				sel = 0
+			}
+			out = appendLeaves(out, e.Children[sel])
+		}
+	default:
+		out = append(out, e)
+	}
+	return out
+}
+
+func findElement(e *Element, name string) *Element {
+	if e.Name == name {
+		return e
+	}
+	switch e.Kind {
+	case KindBlock:
+		for _, ch := range e.Children {
+			if f := findElement(ch, name); f != nil {
+				return f
+			}
+		}
+	case KindChoice:
+		if len(e.Children) > 0 {
+			sel := e.Selected
+			if sel < 0 || sel >= len(e.Children) {
+				sel = 0
+			}
+			return findElement(e.Children[sel], name)
+		}
+	}
+	return nil
+}
+
+func fixRelations(root *Element) {
+	for _, leaf := range appendLeaves(nil, root) {
+		if leaf.Kind != KindNumber || leaf.SizeBroken {
+			continue
+		}
+		if leaf.SizeOf != "" {
+			if target := findElement(root, leaf.SizeOf); target != nil {
+				leaf.Value = uint64(len(appendElement(nil, target)))
+			}
+		}
+		if leaf.CountOf != "" {
+			if target := findElement(root, leaf.CountOf); target != nil {
+				leaf.Value = uint64(len(target.Children))
+			}
+		}
+	}
+}
+
+func appendElement(buf []byte, e *Element) []byte {
+	switch e.Kind {
+	case KindNumber:
+		return appendNumber(buf, e)
+	case KindString, KindBlob:
+		return append(buf, e.Data...)
+	case KindBlock:
+		for _, ch := range e.Children {
+			buf = appendElement(buf, ch)
+		}
+	case KindChoice:
+		if len(e.Children) > 0 {
+			sel := e.Selected
+			if sel < 0 || sel >= len(e.Children) {
+				sel = 0
+			}
+			return appendElement(buf, e.Children[sel])
+		}
+	}
+	return buf
+}
+
+func treeMutate(root *Element, mutators []Mutator, r *rand.Rand, maxOps int) int {
+	leaves := appendLeaves(nil, root)
+	if len(leaves) == 0 || len(mutators) == 0 {
+		return 0
+	}
+	if maxOps < 1 {
+		maxOps = 1
+	}
+	applied := 0
+	ops := 1 + r.Intn(maxOps)
+	for i := 0; i < ops; i++ {
+		for try := 0; try < 16; try++ {
+			e := leaves[r.Intn(len(leaves))]
+			m := mutators[r.Intn(len(mutators))]
+			if m.Applicable(e) {
+				m.Mutate(e, r)
+				applied++
+				break
+			}
+		}
+	}
+	return applied
+}
+
+// treeMessage is one message of the engine's generate, the tree way:
+// instantiate, mutate with probability mutateProb, serialize.
+func treeMessage(m *DataModel, r *rand.Rand, mutateProb float64) []byte {
+	root := cloneTree(m.Root)
+	resolveChoices(root, r)
+	if r.Float64() < mutateProb {
+		treeMutate(root, DefaultMutators(), r, 3)
+	}
+	fixRelations(root)
+	return appendElement(nil, root)
+}
+
+// relationModel gathers the relation shapes the compiled search and size
+// sums must get right: same-named targets across Choice branches and
+// twice in one message (the first active one wins), Block and Choice
+// targets, a varint size inside
+// its own target whose length changes when it is set, a size field inside
+// an earlier size's target (seen as it stands), a leaf with both SizeOf
+// and CountOf (CountOf wins), targets that are missing, only inactive, the
+// root or the field itself, and the odd leaves: negative and zero widths,
+// an unknown kind, a Number with children (whose Choice is still drawn).
+func relationModel() *DataModel {
+	leafWithKids := Num("kids", 8, 4)
+	leafWithKids.Children = []*Element{Choice("hidden", Num("h1", 8, 1), Num("h2", 8, 2)), Str("cid", "never")}
+	return &DataModel{Name: "Rel", Root: Block("Rel",
+		&Element{Kind: KindNumber, Name: "vlen", Varint: true, Value: 127, SizeOf: "Rel"},
+		SizeOf("cidlen", 16, "cid"),
+		Choice("variant",
+			Block("v1", Str("cid", "first"), Blob("big", make([]byte, 120))),
+			Block("v2", SizeOf("inner", 8, "v2"), Str("cid", "second-branch")),
+			Choice("nested", Str("cid", "n"), Block("empty"), Choice("none")),
+		),
+		SizeOf("chlen", 8, "variant"),
+		&Element{Kind: KindNumber, Name: "both", Bits: 8, SizeOf: "variant", CountOf: "variant"},
+		&Element{Kind: KindNumber, Name: "cnt", Bits: 16, CountOf: "list"},
+		&Element{Kind: KindNumber, Name: "leafcnt", Bits: 8, CountOf: "cid"},
+		SizeOf("duplen", 8, "dup"),
+		Str("dup", "first"),
+		Block("later", Str("dup", "second dup")),
+		SizeOf("ghost", 8, "missing"),
+		SizeOf("hid", 8, "h1"),
+		SizeOf("self", 32, "self"),
+		SizeOf("rootlen", 16, "Rel"),
+		Block("list", Num("i1", 8, 1), Num("i2", 8, 2), Token("i3", 8, 3)),
+		&Element{Kind: KindNumber, Name: "neg", Bits: -8, Value: 9},
+		&Element{Kind: KindNumber, Name: "zero", Value: 300},
+		&Element{Kind: ElementKind(42), Name: "odd", Data: []byte("x")},
+		leafWithKids,
+	)}
+}
+
+// modelCorpus is every data model the differential tests run: the six
+// subjects' Pits, the golden engine's models and relationModel.
+func modelCorpus(t testing.TB) []*DataModel {
+	var out []*DataModel
+	add := func(models map[string]*DataModel) {
+		names := make([]string, 0, len(models))
+		for name := range models {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			out = append(out, models[name])
+		}
+	}
+	for _, sub := range protocols.All() {
+		pit, err := ParsePit(sub.PitXML())
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(pit.DataModels)
+	}
+	add(goldenConfig(1).Models)
+	return append(out, relationModel())
+}
+
+// checkCompiled generates n messages of m, one after the other from seed,
+// through the tree reference, the public API and the engine's reused
+// Message and arena, and fails unless the three agree on the bytes and on
+// the rng draw after each message.
+func checkCompiled(t testing.TB, m *DataModel, msg *Message, a *Arena, seed int64, n int) {
+	cm := compileModel(m)
+	rt, rp, re := testRandSeed(seed), testRandSeed(seed), testRandSeed(seed)
+	for i := 0; i < n; i++ {
+		if i%5 == 0 {
+			a.Reset()
+		}
+		checkMessage(t, m, cm, msg, a, rt, rp, re)
+	}
+}
+
+func checkMessage(t testing.TB, m *DataModel, cm *compiledModel, msg *Message, a *Arena, rt, rp, re *rand.Rand) {
+	want, next := treeMessage(m, rt, 1), rt.Int63()
+
+	pub := m.NewMessage(rp)
+	if rp.Float64() < 1 {
+		MutateMessage(pub, DefaultMutators(), rp, 3)
+	}
+	cm.instantiate(msg, a, re)
+	if re.Float64() < 1 {
+		MutateMessage(msg, DefaultMutators(), re, 3)
+	}
+	for _, got := range []struct {
+		path  string
+		bytes []byte
+		r     *rand.Rand
+	}{{"public", pub.Serialize(), rp}, {"engine", msg.appendTo(nil), re}} {
+		if !bytes.Equal(got.bytes, want) {
+			t.Fatalf("model %s: %s path serialized\n%x\nthe tree reference\n%x", m.Name, got.path, got.bytes, want)
+		}
+		if got.r.Int63() != next {
+			t.Fatalf("model %s: %s path left the rng elsewhere than the tree reference", m.Name, got.path)
+		}
+	}
+}
+
+// TestCompiledMatchesTree: every data model the repository ships, with
+// every message mutated, is the tree reference's bytes and leaves the rng
+// where the reference leaves it.
+func TestCompiledMatchesTree(t *testing.T) {
+	var msg Message
+	a := NewArena()
+	for i, m := range modelCorpus(t) {
+		checkCompiled(t, m, &msg, a, int64(i), 2000)
+	}
+}
+
+// FuzzCompiledMatchesTree extends TestCompiledMatchesTree to any Pit the
+// loader accepts, seeded with the six subjects'.
+func FuzzCompiledMatchesTree(f *testing.F) {
+	for i, sub := range protocols.All() {
+		f.Add(sub.PitXML(), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, xml string, seed int64) {
+		pit, err := ParsePit(xml)
+		if err != nil {
+			return
+		}
+		var msg Message
+		names := make([]string, 0, len(pit.DataModels))
+		for name := range pit.DataModels {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			checkCompiled(t, pit.DataModels[name], &msg, NewArena(), seed, 16)
+		}
+	})
+}
+
+// TestRelationModelShapes pins that relationModel reaches the cases it is
+// there for, so the differential test cannot pass by never meeting them.
+func TestRelationModelShapes(t *testing.T) {
+	m := relationModel()
+	seen := map[string]bool{}
+	for seed := int64(0); seed < 200; seed++ {
+		r := testRandSeed(seed)
+		root := cloneTree(m.Root)
+		resolveChoices(root, r)
+		fixRelations(root)
+		vlen := findElement(root, "vlen")
+		if n := len(appendElement(nil, vlen)); n > 1 {
+			seen[fmt.Sprintf("varint grew to %d bytes", n)] = true
+		}
+		seen["variant "+findElement(root, "variant").Children[findElement(root, "variant").Selected].Name] = true
+		if findElement(root, "both").Value == 3 {
+			seen["CountOf wins"] = true
+		}
+	}
+	for _, want := range []string{"variant v1", "variant v2", "variant nested", "varint grew to 2 bytes", "CountOf wins"} {
+		if !seen[want] {
+			t.Errorf("relationModel never reached %q (saw %v)", want, seen)
+		}
+	}
+}

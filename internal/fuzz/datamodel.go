@@ -86,203 +86,332 @@ type Element struct {
 	Varint bool
 }
 
-// Clone deep-copies the element tree.
-func (e *Element) Clone() *Element {
-	c := *e
-	if e.Data != nil {
-		c.Data = append([]byte(nil), e.Data...)
-	}
-	if e.Children != nil {
-		c.Children = make([]*Element, len(e.Children))
-		for i, ch := range e.Children {
-			c.Children[i] = ch.Clone()
-		}
-	}
-	return &c
-}
-
-// A DataModel describes one packet type.
+// A DataModel describes one packet type. Generating messages never
+// writes it, so engines on several goroutines may share one.
 type DataModel struct {
 	Name string
 	Root *Element
 }
 
+// A compiledModel is a DataModel flattened once into a pre-order node
+// table. Messages read their leaves from it and never write it, so
+// engines that share one Pit share its templates.
+type compiledModel struct {
+	model *DataModel
+	nodes []node
+	// choices lists the Choice nodes with children, in pre-order: a
+	// message draws one selection for each, as the tree walk did.
+	choices []int32
+	// on and leaves are the active nodes and the active leaves of every
+	// message of a model without a Choice.
+	on     []bool
+	leaves []int32
+}
+
+// A node is one template element and where it sits in the table.
+type node struct {
+	e      *Element
+	end    int32 // one past the last node of e's subtree
+	parent int32 // -1 at the root
+	branch int32 // index among the parent's children
+	choice int32 // index in choices of a Choice with children
+	// sizeOf and countOf list, for a relation leaf, the nodes named like
+	// its target in pre-order; the first active one is the target.
+	sizeOf, countOf []int32
+}
+
+func isLeaf(k ElementKind) bool { return k != KindBlock && k != KindChoice }
+
+func compileModel(m *DataModel) *compiledModel {
+	c := &compiledModel{model: m}
+	var add func(e *Element, parent, branch int32)
+	add = func(e *Element, parent, branch int32) {
+		i := int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{e: e, parent: parent, branch: branch, choice: -1})
+		if e.Kind == KindChoice && len(e.Children) > 0 {
+			c.nodes[i].choice = int32(len(c.choices))
+			c.choices = append(c.choices, i)
+		}
+		for b, ch := range e.Children {
+			add(ch, i, int32(b))
+		}
+		c.nodes[i].end = int32(len(c.nodes))
+	}
+	add(m.Root, -1, 0)
+	named := func(name string) []int32 {
+		var out []int32
+		for j, nd := range c.nodes {
+			if nd.e.Name == name {
+				out = append(out, int32(j))
+			}
+		}
+		return out
+	}
+	for i := range c.nodes {
+		if e := c.nodes[i].e; e.Kind == KindNumber {
+			if e.SizeOf != "" {
+				c.nodes[i].sizeOf = named(e.SizeOf)
+			}
+			if e.CountOf != "" {
+				c.nodes[i].countOf = named(e.CountOf)
+			}
+		}
+	}
+	if len(c.choices) == 0 {
+		c.on, c.leaves = c.activate(nil, make([]bool, len(c.nodes)), nil)
+	}
+	return c
+}
+
+// activate marks the nodes sel's Choice selections leave active and
+// appends the active leaves, in wire order, to leaves.
+func (c *compiledModel) activate(sel []int32, on []bool, leaves []int32) ([]bool, []int32) {
+	for i, nd := range c.nodes {
+		on[i] = true
+		if nd.parent >= 0 {
+			p := &c.nodes[nd.parent]
+			switch p.e.Kind {
+			case KindBlock:
+				on[i] = on[nd.parent]
+			case KindChoice:
+				on[i] = on[nd.parent] && sel[p.choice] == nd.branch
+			default:
+				// Beneath a leaf: never searched or serialized; the tree
+				// walk only descended here to draw the Choices.
+				on[i] = false
+			}
+		}
+		if on[i] && isLeaf(nd.e.Kind) {
+			leaves = append(leaves, int32(i))
+		}
+	}
+	return on, leaves
+}
+
+// instantiate makes msg a fresh message of the model: Choices resolved
+// (uniformly at random, in pre-order) and every leaf read from the
+// template until something writes it. Leaves written later copy their
+// Data into a, or the heap when a is nil.
+func (c *compiledModel) instantiate(msg *Message, a *Arena, r *rand.Rand) {
+	msg.Model, msg.c, msg.arena = c.model, c, a
+	if len(c.choices) == 0 {
+		msg.on, msg.leaves = c.on, c.leaves
+	} else {
+		msg.sel = msg.sel[:0]
+		for _, i := range c.choices {
+			msg.sel = append(msg.sel, int32(r.Intn(len(c.nodes[i].e.Children))))
+		}
+		if cap(msg.onBuf) < len(c.nodes) {
+			msg.onBuf = make([]bool, len(c.nodes))
+		}
+		msg.onBuf, msg.leafBuf = c.activate(msg.sel, msg.onBuf[:len(c.nodes)], msg.leafBuf[:0])
+		msg.on, msg.leaves = msg.onBuf, msg.leafBuf
+	}
+	msg.fields = msg.fields[:0]
+	for _, i := range msg.leaves {
+		msg.fields = append(msg.fields, c.nodes[i].e)
+	}
+	if len(msg.copies) < len(msg.leaves) {
+		msg.copies = make([]Element, len(msg.leaves))
+	}
+}
+
 // NewMessage instantiates the model into a concrete message: choices are
-// resolved (uniformly at random) and default values copied, ready for
-// mutation and serialization.
+// resolved (uniformly at random) and default values read from the model,
+// ready for mutation and serialization.
 func (m *DataModel) NewMessage(r *rand.Rand) *Message {
-	root := m.Root.Clone()
-	resolveChoices(root, r)
-	return &Message{Model: m, Root: root}
+	msg := &Message{}
+	compileModel(m).instantiate(msg, nil, r)
+	return msg
 }
 
-// NewMessageIn is NewMessage with the element tree carved out of a (when
-// non-nil) instead of the heap. The returned value — and everything it
-// references — is only valid until the arena's next Reset; the engine
-// serializes before resetting, so nothing arena-backed escapes a step.
-func (m *DataModel) NewMessageIn(a *Arena, r *rand.Rand) Message {
-	if a == nil {
-		root := m.Root.Clone()
-		resolveChoices(root, r)
-		return Message{Model: m, Root: root}
-	}
-	root := cloneInto(m.Root, a)
-	resolveChoices(root, r)
-	return Message{Model: m, Root: root}
-}
-
-func resolveChoices(e *Element, r *rand.Rand) {
-	if e.Kind == KindChoice && len(e.Children) > 0 {
-		e.Selected = r.Intn(len(e.Children))
-	}
-	for _, ch := range e.Children {
-		resolveChoices(ch, r)
-	}
-}
-
-// A Message is one instantiated, mutable packet.
+// A Message is one instantiated, mutable packet: the active leaves of its
+// model under one set of Choice selections. A leaf is the model's own
+// element until the message writes it; the first write copies it.
 type Message struct {
 	Model *DataModel
-	Root  *Element
+
+	c      *compiledModel
+	arena  *Arena
+	on     []bool     // per node: active in this message
+	leaves []int32    // the active leaves' nodes, in wire order
+	fields []*Element // per active leaf: the template, or its copy once written
+	copies []Element  // where written leaves live
+
+	// For models with Choices: the selections, and the storage behind on
+	// and leaves.
+	sel     []int32
+	onBuf   []bool
+	leafBuf []int32
+}
+
+// own returns active leaf k ready to write: the first call copies the
+// template leaf and its Data, so the model is never written.
+func (msg *Message) own(k int) *Element {
+	e := msg.fields[k]
+	if e != msg.c.nodes[msg.leaves[k]].e {
+		return e
+	}
+	c := &msg.copies[k]
+	*c = *e
+	c.Data = msg.arena.copyBytes(e.Data)
+	msg.fields[k] = c
+	return c
 }
 
 // Clone deep-copies the message.
 func (msg *Message) Clone() *Message {
-	return &Message{Model: msg.Model, Root: msg.Root.Clone()}
+	cl := &Message{
+		Model:  msg.Model,
+		c:      msg.c,
+		on:     append([]bool(nil), msg.on...),
+		leaves: append([]int32(nil), msg.leaves...),
+		fields: append([]*Element(nil), msg.fields...),
+		copies: make([]Element, len(msg.leaves)),
+	}
+	for k, e := range msg.fields {
+		if e != msg.c.nodes[msg.leaves[k]].e {
+			cl.copies[k] = *e
+			cl.copies[k].Data = append([]byte(nil), e.Data...)
+			cl.fields[k] = &cl.copies[k]
+		}
+	}
+	return cl
 }
 
 // Leaves returns the message's active leaf fields (numbers, strings,
-// blobs), honoring choice selections, in serialization order.
+// blobs), honoring choice selections, in serialization order. Writes to
+// them show in the next Serialize.
 func (msg *Message) Leaves() []*Element {
-	return appendLeaves(nil, msg.Root)
-}
-
-// appendLeaves appends the active leaves under e to out and returns the
-// extended slice, letting hot paths reuse a scratch slice across calls.
-func appendLeaves(out []*Element, e *Element) []*Element {
-	switch e.Kind {
-	case KindBlock:
-		for _, ch := range e.Children {
-			out = appendLeaves(out, ch)
-		}
-	case KindChoice:
-		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			out = appendLeaves(out, e.Children[sel])
-		}
-	default:
-		out = append(out, e)
+	out := make([]*Element, len(msg.fields))
+	for k := range out {
+		out[k] = msg.own(k)
 	}
 	return out
 }
 
-// Find returns the active element with the given name, if any.
+// Find returns the active element with the given name, if any. A leaf is
+// returned writable, like Leaves'; a Block or Choice is the model's own
+// and must not be written.
 func (msg *Message) Find(name string) *Element {
-	return findElement(msg.Root, name)
-}
-
-func findElement(e *Element, name string) *Element {
-	if e.Name == name {
-		return e
-	}
-	switch e.Kind {
-	case KindBlock:
-		for _, ch := range e.Children {
-			if f := findElement(ch, name); f != nil {
-				return f
+	for i, nd := range msg.c.nodes {
+		if !msg.on[i] || nd.e.Name != name {
+			continue
+		}
+		for k, j := range msg.leaves {
+			if j == int32(i) {
+				return msg.own(k)
 			}
 		}
-	case KindChoice:
-		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			return findElement(e.Children[sel], name)
-		}
+		return nd.e
 	}
 	return nil
 }
 
 // Serialize renders the message to wire bytes, resolving size and count
 // relations first (unless a mutator broke them on purpose).
-func (msg *Message) Serialize() []byte {
-	return msg.AppendSerialize(nil, nil)
-}
+func (msg *Message) Serialize() []byte { return msg.appendTo(nil) }
 
-// AppendSerialize renders the message appended to buf and returns the
-// extended slice, resolving size and count relations first. A non-nil
-// arena lends its scratch (leaf list, size-measurement buffer) so a
-// warmed-up caller serializes without heap allocation.
-func (msg *Message) AppendSerialize(a *Arena, buf []byte) []byte {
-	msg.fixRelations(a)
-	return appendElement(buf, msg.Root)
-}
-
-func (msg *Message) fixRelations(a *Arena) {
-	var leaves []*Element
-	if a != nil {
-		a.leaves = appendLeaves(a.leaves[:0], msg.Root)
-		leaves = a.leaves
-	} else {
-		leaves = msg.Leaves()
+// appendTo resolves the message's relations and appends its wire bytes —
+// the active leaves, in order — to buf.
+func (msg *Message) appendTo(buf []byte) []byte {
+	msg.relate()
+	for _, e := range msg.fields {
+		buf = appendLeaf(buf, e)
 	}
-	for _, leaf := range leaves {
-		if leaf.Kind != KindNumber || leaf.SizeBroken {
+	return buf
+}
+
+// relate sets every intact size and count field, in leaf order, so a
+// size sees the relation fields before it already set and those after it
+// as they stand. A relation names its target by the first active
+// candidate, the element a pre-order search of the message finds.
+func (msg *Message) relate() {
+	for k, i := range msg.leaves {
+		e, nd := msg.fields[k], &msg.c.nodes[i]
+		if e.Kind != KindNumber || e.SizeBroken {
 			continue
 		}
-		if leaf.SizeOf != "" {
-			if target := msg.Find(leaf.SizeOf); target != nil {
-				if a != nil {
-					a.sizeBuf = appendElement(a.sizeBuf[:0], target)
-					leaf.Value = uint64(len(a.sizeBuf))
-				} else {
-					leaf.Value = uint64(len(appendElement(nil, target)))
-				}
-			}
+		if t := msg.target(nd.sizeOf); t >= 0 {
+			msg.set(k, msg.span(t))
 		}
-		if leaf.CountOf != "" {
-			if target := msg.Find(leaf.CountOf); target != nil {
-				leaf.Value = uint64(len(target.Children))
-			}
+		if t := msg.target(nd.countOf); t >= 0 {
+			msg.set(k, uint64(len(msg.c.nodes[t].e.Children)))
 		}
 	}
 }
 
-// appendElement appends e's wire encoding to buf and returns the
+func (msg *Message) target(candidates []int32) int32 {
+	for _, j := range candidates {
+		if msg.on[j] {
+			return j
+		}
+	}
+	return -1
+}
+
+// span is the serialized length of active node t: the lengths of the
+// active leaves inside its subtree.
+func (msg *Message) span(t int32) uint64 {
+	n, end := 0, msg.c.nodes[t].end
+	for k, i := range msg.leaves {
+		if i >= t && i < end {
+			n += leafLen(msg.fields[k])
+		}
+	}
+	return uint64(n)
+}
+
+func (msg *Message) set(k int, v uint64) {
+	if msg.fields[k].Value != v {
+		msg.own(k).Value = v
+	}
+}
+
+// appendLeaf appends leaf e's wire encoding to buf and returns the
 // extended slice.
-func appendElement(buf []byte, e *Element) []byte {
+func appendLeaf(buf []byte, e *Element) []byte {
 	switch e.Kind {
 	case KindNumber:
 		return appendNumber(buf, e)
 	case KindString, KindBlob:
 		return append(buf, e.Data...)
-	case KindBlock:
-		for _, ch := range e.Children {
-			buf = appendElement(buf, ch)
-		}
-	case KindChoice:
-		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			return appendElement(buf, e.Children[sel])
-		}
 	}
 	return buf
 }
 
+// leafLen is len(appendLeaf(nil, e)).
+func leafLen(e *Element) int {
+	switch e.Kind {
+	case KindNumber:
+		if e.Varint {
+			n := 1
+			for v := min(e.Value, varintMax) >> 7; v > 0; v >>= 7 {
+				n++
+			}
+			return n
+		}
+		return max(numberWidth(e), 0)
+	case KindString, KindBlob:
+		return len(e.Data)
+	}
+	return 0
+}
+
+// varintMax is the largest MQTT variable-byte integer; a varint field
+// carries larger values as this.
+const varintMax = 268435455
+
+func numberWidth(e *Element) int {
+	if n := e.Bits / 8; n != 0 {
+		return n
+	}
+	return 1
+}
+
 func appendNumber(buf []byte, e *Element) []byte {
 	if e.Varint {
-		v := e.Value
-		const max = 268435455
-		if v > max {
-			v = max
-		}
+		v := min(e.Value, varintMax)
 		for {
 			b := byte(v & 0x7f)
 			v >>= 7
@@ -293,10 +422,7 @@ func appendNumber(buf []byte, e *Element) []byte {
 			}
 		}
 	}
-	bytes := e.Bits / 8
-	if bytes == 0 {
-		bytes = 1
-	}
+	bytes := numberWidth(e)
 	for i := 0; i < bytes; i++ {
 		var shift uint
 		if e.Endian == BigEndian {

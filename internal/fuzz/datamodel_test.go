@@ -21,7 +21,7 @@ func TestNumberSerialization(t *testing.T) {
 		{NumLE("a", 32, 0x01020304), []byte{0x04, 0x03, 0x02, 0x01}},
 	}
 	for _, c := range cases {
-		buf := appendElement(nil, c.e)
+		buf := (&DataModel{Name: "m", Root: c.e}).NewMessage(testRand()).Serialize()
 		if !bytes.Equal(buf, c.want) {
 			t.Errorf("serialize(%+v) = %x, want %x", c.e, buf, c.want)
 		}
@@ -30,7 +30,7 @@ func TestNumberSerialization(t *testing.T) {
 
 func TestVarintSerialization(t *testing.T) {
 	e := &Element{Kind: KindNumber, Varint: true, Value: 321}
-	buf := appendElement(nil, e)
+	buf := (&DataModel{Name: "m", Root: e}).NewMessage(testRand()).Serialize()
 	if !bytes.Equal(buf, []byte{0xc1, 0x02}) {
 		t.Fatalf("varint 321 = %x", buf)
 	}

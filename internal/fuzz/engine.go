@@ -118,12 +118,12 @@ type StepResult struct {
 // An Engine is one fuzzing instance's generation/mutation loop with
 // coverage feedback — the Peach execution core.
 //
-// The engine owns a set of per-instance scratch structures (element
-// arena, serialize buffers, walk and sequence slices) that make the
-// steady-state Step path allocation-free: a step that discovers nothing
-// new reuses every buffer of the previous step. Sequences that do earn a
-// corpus slot are deep-copied out of the scratch first, so corpus seeds
-// never alias reused buffers.
+// The engine owns a set of per-instance scratch structures (compiled data
+// models, message and byte arena, serialize buffers, walk and sequence
+// slices) that make the steady-state Step path allocation-free: a step
+// that discovers nothing new reuses every buffer of the previous step.
+// Sequences that do earn a corpus slot are deep-copied out of the scratch
+// first, so corpus seeds never alias reused buffers.
 type Engine struct {
 	cfg      Config
 	target   Target
@@ -135,12 +135,15 @@ type Engine struct {
 	stats    Stats
 
 	// Hot-path scratch, reused across Steps.
+	models     map[string]*compiledModel
+	msg        Message
 	arena      *Arena
 	compiledSM *CompiledStateModel
 	modelOrder []string // model names sorted, for the deterministic no-state-model pick
 	walkBuf    []string
 	seqBuf     [][]byte
 	msgBufs    [][]byte // per-slot wire buffers backing seqBuf entries
+	spliceBuf  [][]byte // splice's sequence: references into two corpus seeds
 }
 
 // NewEngine returns an engine fuzzing target under cfg.
@@ -153,13 +156,15 @@ func NewEngine(cfg Config, target Target) *Engine {
 		trace:  coverage.NewTrace(),
 		global: coverage.NewMap(),
 		corpus: NewCorpus(cfg.MaxCorpus),
+		models: make(map[string]*compiledModel, len(cfg.Models)),
 		arena:  NewArena(),
 	}
 	if cfg.StateModel != nil {
 		e.compiledSM = cfg.StateModel.Compile()
 	}
 	e.modelOrder = make([]string, 0, len(cfg.Models))
-	for name := range cfg.Models {
+	for name, dm := range cfg.Models {
+		e.models[name] = compileModel(dm)
 		e.modelOrder = append(e.modelOrder, name)
 	}
 	sort.Strings(e.modelOrder)
@@ -236,10 +241,18 @@ func (e *Engine) Step() StepResult {
 	return res
 }
 
+// cloneMsgs copies seq into one backing array; an empty message stays nil.
 func cloneMsgs(seq [][]byte) [][]byte {
-	out := make([][]byte, len(seq))
+	n := 0
+	for _, m := range seq {
+		n += len(m)
+	}
+	out, buf := make([][]byte, len(seq)), make([]byte, 0, n)
 	for i, m := range seq {
-		out[i] = append([]byte(nil), m...)
+		if len(m) > 0 {
+			buf = append(buf, m...)
+			out[i] = buf[len(buf)-len(m) : len(buf) : len(buf)]
+		}
 	}
 	return out
 }
@@ -255,9 +268,10 @@ func (e *Engine) slotBuf(i int) []byte {
 }
 
 // generate walks the state model (or a fixed assigned path) and
-// instantiates each output's data model, optionally mutating fields.
-// Element trees come from the per-engine arena and wire bytes land in
-// per-slot reused buffers, so a warmed-up generate allocates nothing.
+// instantiates each output's data model, optionally mutating fields. Each
+// message reuses the engine's one Message, the leaves it writes copy their
+// bytes into the per-engine arena, and wire bytes land in per-slot reused
+// buffers, so a warmed-up generate allocates nothing.
 func (e *Engine) generate() [][]byte {
 	var modelNames []string
 	if len(e.cfg.FixedPaths) > 0 {
@@ -275,15 +289,15 @@ func (e *Engine) generate() [][]byte {
 	e.arena.Reset()
 	seq := e.seqBuf[:0]
 	for _, name := range modelNames {
-		dm, ok := e.cfg.Models[name]
+		cm, ok := e.models[name]
 		if !ok {
 			continue
 		}
-		msg := dm.NewMessageIn(e.arena, e.rng)
+		cm.instantiate(&e.msg, e.arena, e.rng)
 		if e.rng.Float64() < e.cfg.MutateProb {
-			MutateMessageIn(e.arena, &msg, e.cfg.Mutators, e.rng, e.cfg.MaxOps)
+			MutateMessage(&e.msg, e.cfg.Mutators, e.rng, e.cfg.MaxOps)
 		}
-		buf := msg.AppendSerialize(e.arena, e.slotBuf(len(seq)))
+		buf := e.msg.appendTo(e.slotBuf(len(seq)))
 		e.msgBufs[len(seq)] = buf
 		seq = append(seq, buf)
 	}
@@ -293,8 +307,8 @@ func (e *Engine) generate() [][]byte {
 
 // havoc applies byte-level transformations to a corpus seed: flips,
 // random bytes, truncation, duplication of whole messages. Seed messages
-// are copied into the engine's per-slot buffers first; corpus storage is
-// never mutated in place.
+// are copied into the engine's per-slot buffers first; s.Msgs and corpus
+// storage are never written.
 func (e *Engine) havoc(s Seed) [][]byte {
 	seq := e.seqBuf[:0]
 	for i, m := range s.Msgs {
@@ -343,7 +357,8 @@ func (e *Engine) havoc(s Seed) [][]byte {
 }
 
 // splice builds a sequence from a prefix of one seed and a suffix of
-// another, then applies light havoc.
+// another, then applies light havoc. The spliced sequence only references
+// the seeds' messages; havoc copies them.
 func (e *Engine) splice(a, b Seed) [][]byte {
 	cut1 := 0
 	if len(a.Msgs) > 0 {
@@ -353,16 +368,11 @@ func (e *Engine) splice(a, b Seed) [][]byte {
 	if len(b.Msgs) > 0 {
 		cut2 = e.rng.Intn(len(b.Msgs))
 	}
-	seq := make([][]byte, 0, cut1+len(b.Msgs)-cut2)
-	for _, m := range a.Msgs[:cut1] {
-		seq = append(seq, append([]byte(nil), m...))
-	}
-	for _, m := range b.Msgs[cut2:] {
-		seq = append(seq, append([]byte(nil), m...))
-	}
+	seq := append(append(e.spliceBuf[:0], a.Msgs[:cut1]...), b.Msgs[cut2:]...)
 	if len(seq) > 16 {
 		seq = seq[:16]
 	}
+	e.spliceBuf = seq
 	return e.havoc(Seed{Msgs: seq})
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/protocols"
 )
 
 func testRandSeed(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -43,7 +44,8 @@ func TestStepAllocs(t *testing.T) {
 
 // TestStepAllocsHavoc bounds the corpus-havoc path: its transformations
 // allocate only small per-op transients (duplicated messages, random
-// tails), never anything proportional to the coverage map or corpus.
+// tails), never anything proportional to the coverage map or corpus, and
+// splice builds its sequence from references into the two seeds.
 func TestStepAllocsHavoc(t *testing.T) {
 	cfg := goldenConfig(8)
 	cfg.GenProb = Never // corpus exists => always havoc/splice
@@ -55,8 +57,22 @@ func TestStepAllocsHavoc(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		e.Step()
 	}
-	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > 24 {
-		t.Fatalf("havoc-path Step allocates %.1f objects/op, want a small per-op constant (<= 24)", avg)
+	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > 1 {
+		t.Fatalf("havoc-path Step allocates %.1f objects/op, want <= 1", avg)
+	}
+}
+
+// TestStepAllocsMutate bounds the default mix of generation, mutation,
+// havoc and splice: a message copies only the leaves it writes, into the
+// engine's arena, so what remains are the mutators' own new payloads and
+// the odd corpus addition (one backing array per seed).
+func TestStepAllocsMutate(t *testing.T) {
+	e := NewEngine(goldenConfig(9), hotTarget)
+	for i := 0; i < 2000; i++ {
+		e.Step()
+	}
+	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > 2 {
+		t.Fatalf("default-config Step allocates %.1f objects/op, want <= 2", avg)
 	}
 }
 
@@ -234,6 +250,28 @@ func TestCompiledWalkMatchesWalk(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkEngineStepSubjects is the ledger's fuzz.step_ns probe: every
+// subject's Pit, default config, a target that does nothing.
+func BenchmarkEngineStepSubjects(b *testing.B) {
+	var engines []*Engine
+	for _, sub := range protocols.All() {
+		pit, err := ParsePit(sub.PitXML())
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := subjectEngine(pit, 1, idleTarget)
+		for i := 0; i < 500; i++ {
+			e.Step()
+		}
+		engines = append(engines, e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engines[i%len(engines)].Step()
 	}
 }
 

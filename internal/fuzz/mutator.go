@@ -7,9 +7,12 @@ import "math/rand"
 type Mutator interface {
 	// Name identifies the mutator in statistics.
 	Name() string
-	// Applicable reports whether the mutator can act on e.
+	// Applicable reports whether the mutator can act on e. It must not
+	// write e: it may be the data model's own element.
 	Applicable(e *Element) bool
-	// Mutate transforms e in place using randomness from r.
+	// Mutate transforms e in place using randomness from r. It may write
+	// e's Value, Data and SizeBroken; the relation names SizeOf and
+	// CountOf belong to the model.
 	Mutate(e *Element, r *rand.Rand)
 }
 
@@ -227,23 +230,10 @@ func (blobRandomBytes) Mutate(e *Element, r *rand.Rand) {
 }
 
 // MutateMessage applies between 1 and maxOps random applicable mutations
-// to msg and returns the number applied.
+// to msg and returns the number applied. A mutated leaf is the message's
+// own copy; the model is never written.
 func MutateMessage(msg *Message, mutators []Mutator, r *rand.Rand, maxOps int) int {
-	return MutateMessageIn(nil, msg, mutators, r, maxOps)
-}
-
-// MutateMessageIn is MutateMessage borrowing a's leaf scratch for the
-// field list, sparing the engine hot loop one allocation per mutated
-// message. The rng draw sequence is identical to MutateMessage.
-func MutateMessageIn(a *Arena, msg *Message, mutators []Mutator, r *rand.Rand, maxOps int) int {
-	var leaves []*Element
-	if a != nil {
-		a.leaves = appendLeaves(a.leaves[:0], msg.Root)
-		leaves = a.leaves
-	} else {
-		leaves = msg.Leaves()
-	}
-	if len(leaves) == 0 || len(mutators) == 0 {
+	if len(msg.fields) == 0 || len(mutators) == 0 {
 		return 0
 	}
 	if maxOps < 1 {
@@ -254,10 +244,10 @@ func MutateMessageIn(a *Arena, msg *Message, mutators []Mutator, r *rand.Rand, m
 	for i := 0; i < ops; i++ {
 		// Rejection-sample an applicable (field, mutator) pair.
 		for try := 0; try < 16; try++ {
-			e := leaves[r.Intn(len(leaves))]
+			k := r.Intn(len(msg.fields))
 			m := mutators[r.Intn(len(mutators))]
-			if m.Applicable(e) {
-				m.Mutate(e, r)
+			if m.Applicable(msg.fields[k]) {
+				m.Mutate(msg.own(k), r)
 				applied++
 				break
 			}
