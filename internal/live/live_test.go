@@ -296,3 +296,44 @@ func TestHangRespawnsThenStormTripsKillSwitch(t *testing.T) {
 		t.Fatal("Start after trip must fail")
 	}
 }
+
+// TestSubjectFromJSON rebuilds a subject from the JSON form fleet specs
+// and the dist wire carry, and checks the accessors the campaign drivers
+// read: the spec round-trips, the rails are shared, and Info, ConfigInput
+// and PitXML follow the spec. Nothing is spawned.
+func TestSubjectFromJSON(t *testing.T) {
+	spec := Spec{Addr: "127.0.0.1:1", Transport: TransportTCP, Name: "broker",
+		ConfigTemplate: echoTemplate, PitXML: "<Peach/>"}
+	sub, err := SubjectFromJSON(spec.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sub.LiveSpecJSON(), spec.withDefaults().JSON(); got != want {
+		t.Fatalf("spec round trip:\n got %s\nwant %s", got, want)
+	}
+	if sub.KillSwitch() == nil || sub.KillSwitch() != sub.KillSwitch() {
+		t.Fatal("kill switch missing or not shared")
+	}
+	sub.SetRecorder(nil) // a nil recorder is allowed
+	info := sub.Info()
+	if info.Protocol != "BROKER" || info.Transport != subject.Stream || info.Port != nsPort {
+		t.Fatalf("info = %+v", info)
+	}
+	if in := sub.ConfigInput(); len(in.Files) != 1 || in.Files[0].Content != echoTemplate || in.Files[0].Name != "target.conf" {
+		t.Fatalf("config input = %+v", in)
+	}
+	if sub.PitXML() != "<Peach/>" {
+		t.Fatalf("pit = %q", sub.PitXML())
+	}
+
+	bare, err := SubjectFromJSON(Spec{Addr: "127.0.0.1:1"}.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bare.ConfigInput().Files) != 0 || bare.PitXML() != genericPitXML || bare.Info().Transport != subject.Datagram {
+		t.Fatal("a bare spec should have no config files, the generic Pit and UDP")
+	}
+	if _, err := SubjectFromJSON(`{"transport":"sctp"}`); err == nil {
+		t.Fatal("invalid spec accepted")
+	}
+}

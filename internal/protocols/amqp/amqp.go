@@ -8,6 +8,7 @@
 package amqp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -37,15 +38,15 @@ var errMalformed = errors.New("amqp: malformed frame")
 // protoHeader is the AMQP 1.0 protocol handshake header.
 var protoHeader = []byte{'A', 'M', 'Q', 'P', 0, 1, 0, 0}
 
-// value is one decoded AMQP primitive.
+// value is one decoded AMQP primitive. A decoded B aliases the frame.
 type value struct {
 	Kind byte // constructor byte
 	U    uint64
-	S    string
 	B    []byte
 }
 
-// frame is one decoded AMQP frame.
+// frame is one decoded AMQP frame. A broker decodes every segment into
+// the same frame, reusing its Fields.
 type frame struct {
 	Type    byte
 	Channel uint16
@@ -54,41 +55,41 @@ type frame struct {
 	Payload []byte
 }
 
-// decodeFrame parses one AMQP frame (after the protocol header phase).
-func decodeFrame(data []byte) (frame, error) {
+// decodeFrame parses one AMQP frame (after the protocol header phase)
+// into f, whose slices alias data.
+func decodeFrame(data []byte, f *frame) error {
+	*f = frame{Fields: f.Fields[:0]}
 	r := wire.NewReader(data)
-	var f frame
 	size := r.U32()
 	doff := r.U8()
 	f.Type = r.U8()
 	f.Channel = r.U16()
 	if r.Err() != nil || int(size) != len(data) || doff < 2 {
-		return f, errMalformed
+		return errMalformed
 	}
 	r.Skip(int(doff)*4 - 8)
 	if r.Err() != nil {
-		return f, errMalformed
+		return errMalformed
 	}
 	// Described performative: 0x00 descriptor-constructor code.
 	if r.U8() != 0x00 {
-		return f, errMalformed
+		return errMalformed
 	}
 	desc, err := decodeValue(r)
 	if err != nil {
-		return f, err
+		return err
 	}
 	f.Code = byte(desc.U)
 	// Field list.
-	fields, err := decodeList(r)
-	if err != nil {
-		return f, err
+	if f.Fields, err = decodeList(r, f.Fields); err != nil {
+		return err
 	}
-	f.Fields = fields
 	f.Payload = r.Rest()
-	return f, nil
+	return nil
 }
 
-// decodeValue parses one primitive.
+// decodeValue parses one primitive. An unsupported constructor is
+// malformed.
 func decodeValue(r *wire.Reader) (value, error) {
 	c := r.U8()
 	if r.Err() != nil {
@@ -110,19 +111,15 @@ func decodeValue(r *wire.Reader) (value, error) {
 		v.U = r.U64()
 	case 0xa0, 0xa1: // vbin8, str8
 		n := int(r.U8())
-		b := r.Bytes(n)
-		v.B = b
-		v.S = string(b)
+		v.B = r.Bytes(n)
 	case 0xb0, 0xb1: // vbin32, str32
 		n := int(r.U32())
 		if n > 1<<20 {
 			return v, errMalformed
 		}
-		b := r.Bytes(n)
-		v.B = b
-		v.S = string(b)
+		v.B = r.Bytes(n)
 	default:
-		return v, fmt.Errorf("amqp: unsupported constructor %#x: %w", c, errMalformed)
+		return v, errMalformed
 	}
 	if r.Err() != nil {
 		return v, errMalformed
@@ -130,16 +127,17 @@ func decodeValue(r *wire.Reader) (value, error) {
 	return v, nil
 }
 
-// decodeList parses a list8/list32/list0 of primitives.
-func decodeList(r *wire.Reader) ([]value, error) {
+// decodeList parses a list8/list32/list0 of primitives, appending them to
+// dst.
+func decodeList(r *wire.Reader, dst []value) ([]value, error) {
 	c := r.U8()
 	if r.Err() != nil {
-		return nil, errMalformed
+		return dst, errMalformed
 	}
 	var count int
 	switch c {
 	case 0x45: // list0
-		return nil, nil
+		return dst, nil
 	case 0xc0: // list8
 		r.U8() // size
 		count = int(r.U8())
@@ -147,49 +145,46 @@ func decodeList(r *wire.Reader) ([]value, error) {
 		r.U32()
 		count = int(r.U32())
 	default:
-		return nil, errMalformed
+		return dst, errMalformed
 	}
 	if r.Err() != nil || count > 64 {
-		return nil, errMalformed
+		return dst, errMalformed
 	}
-	out := make([]value, 0, count)
 	for i := 0; i < count; i++ {
 		v, err := decodeValue(r)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// encodeFrame builds a performative frame.
-func encodeFrame(channel uint16, code byte, fields []value, payload []byte) []byte {
-	body := wire.NewWriter(32)
-	body.U8(0x00)
-	body.U8(0x53) // smallulong descriptor
-	body.U8(code)
-	// list8
-	inner := wire.NewWriter(16)
-	for _, v := range fields {
-		encodeValue(inner, v)
-	}
-	body.U8(0xc0)
-	body.U8(byte(inner.Len() + 1))
-	body.U8(byte(len(fields)))
-	body.Raw(inner.Bytes())
-	body.Raw(payload)
-
-	w := wire.NewWriter(8 + body.Len())
-	w.U32(uint32(8 + body.Len()))
-	w.U8(2) // doff
-	w.U8(0) // type AMQP
+// appendFrame renders a performative frame, patching the list and frame
+// sizes in place once the fields are written.
+func appendFrame(w *wire.Writer, channel uint16, code byte, fields []value, payload []byte) {
+	start := w.Len()
+	w.U32(0) // frame size, patched below
+	w.U8(2)  // doff
+	w.U8(0)  // type AMQP
 	w.U16(channel)
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	w.U8(0x00)
+	w.U8(0x53) // smallulong descriptor
+	w.U8(code)
+	// list8
+	w.U8(0xc0)
+	sizeAt := w.Len()
+	w.U8(0) // list size, patched below
+	w.U8(byte(len(fields)))
+	for _, v := range fields {
+		appendValue(w, v)
+	}
+	w.Bytes()[sizeAt] = byte(w.Len() - sizeAt - 1)
+	w.Raw(payload)
+	binary.BigEndian.PutUint32(w.Bytes()[start:], uint32(w.Len()-start))
 }
 
-func encodeValue(w *wire.Writer, v value) {
+func appendValue(w *wire.Writer, v value) {
 	switch v.Kind {
 	case 0x40, 0x41, 0x42, 0x43, 0x44:
 		w.U8(v.Kind)
@@ -205,9 +200,6 @@ func encodeValue(w *wire.Writer, v value) {
 	case 0xa1, 0xa0:
 		w.U8(v.Kind)
 		b := v.B
-		if v.Kind == 0xa1 && b == nil {
-			b = []byte(v.S)
-		}
 		if len(b) > 255 {
 			b = b[:255]
 		}
@@ -397,6 +389,11 @@ type Broker struct {
 	sessions   map[uint16]bool
 	links      map[string]bool
 	queues     map[string]int
+
+	// Per-message scratch, reused by every Message: the decoded frame
+	// and the response frames.
+	frame frame
+	resp  wire.Frames
 }
 
 // NewBroker returns an unstarted AMQP broker.
@@ -427,15 +424,23 @@ func (b *Broker) SetTrace(tr *coverage.Trace) { b.tr = tr }
 func (b *Broker) NewSession() {
 	b.headerSeen = false
 	b.opened = false
-	b.sessions = make(map[uint16]bool)
-	b.links = make(map[string]bool)
+	clear(b.sessions)
+	clear(b.links)
 }
 
 // Close implements subject.Instance.
 func (b *Broker) Close() {}
 
+// reply appends one performative frame to the response.
+func (b *Broker) reply(channel uint16, code byte, fields ...value) [][]byte {
+	appendFrame(&b.resp.W, channel, code, fields, nil)
+	b.resp.End()
+	return b.resp.Out()
+}
+
 // Message handles one client segment.
 func (b *Broker) Message(data []byte) [][]byte {
+	b.resp.Reset()
 	// Protocol header exchange.
 	if !b.headerSeen {
 		if len(data) >= 8 && string(data[:4]) == "AMQP" {
@@ -447,7 +452,9 @@ func (b *Broker) Message(data []byte) [][]byte {
 					b.tr.Edge(mSASL, 2+probes.Hash(b.cfg.sasl)%16)
 				}
 			}
-			return [][]byte{append([]byte(nil), protoHeader...)}
+			b.resp.W.Raw(protoHeader)
+			b.resp.End()
+			return b.resp.Out()
 		}
 		b.tr.Edge(mProto, 0xffff)
 		// Fall through: tolerate clients that skip the header.
@@ -458,8 +465,8 @@ func (b *Broker) Message(data []byte) [][]byte {
 		b.tr.Edge(mFrameErr, probes.Bucket(len(data)))
 		return nil
 	}
-	f, err := decodeFrame(data)
-	if err != nil {
+	f := &b.frame
+	if err := decodeFrame(data, f); err != nil {
 		b.tr.Edge(mFrameErr, 64+probes.Bucket(len(data)))
 		return nil
 	}
@@ -501,39 +508,41 @@ func (b *Broker) Message(data []byte) [][]byte {
 		return nil
 	case perfDetach:
 		b.tr.Edge(mDetach, probes.B(len(b.links) > 0))
-		return [][]byte{encodeFrame(f.Channel, perfDetach, []value{{Kind: 0x43}}, nil)}
+		return b.reply(f.Channel, perfDetach, value{Kind: 0x43})
 	case perfEnd:
 		_, had := b.sessions[f.Channel]
 		b.tr.Edge(mDetach, 16+probes.B(had))
 		delete(b.sessions, f.Channel)
-		return [][]byte{encodeFrame(f.Channel, perfEnd, nil, nil)}
+		return b.reply(f.Channel, perfEnd)
 	case perfClose:
 		b.tr.Edge(mDetach, 32+probes.B(b.opened))
 		b.opened = false
-		return [][]byte{encodeFrame(0, perfClose, nil, nil)}
+		return b.reply(0, perfClose)
 	default:
 		b.tr.Edge(mPerf, 512+uint64(f.Code))
 		return nil
 	}
 }
 
-func (b *Broker) handleOpen(f frame) [][]byte {
+// brokerID is the container-id the broker opens with.
+var brokerID = []byte("qpid-broker")
+
+func (b *Broker) handleOpen(f *frame) [][]byte {
 	b.tr.Edge(mOpen, probes.B(b.opened))
 	b.opened = true
 	if len(f.Fields) > 0 {
-		b.tr.Edge(mOpen, 2+probes.Hash(f.Fields[0].S)%256) // container-id
+		b.tr.Edge(mOpen, 2+probes.HashBytes(f.Fields[0].B)%256) // container-id
 		if b.cfg.auth {
-			b.tr.Edge(mSASL, 32+probes.Hash(f.Fields[0].S)%256) // identity check
+			b.tr.Edge(mSASL, 32+probes.HashBytes(f.Fields[0].B)%256) // identity check
 		}
 	}
 	if len(f.Fields) > 2 {
 		b.tr.Edge(mOpen, 128+probes.Bucket(int(f.Fields[2].U))) // max-frame-size
 	}
-	fields := []value{{Kind: 0xa1, S: "qpid-broker", B: []byte("qpid-broker")}}
-	return [][]byte{encodeFrame(0, perfOpen, fields, nil)}
+	return b.reply(0, perfOpen, value{Kind: 0xa1, B: brokerID})
 }
 
-func (b *Broker) handleBegin(f frame) [][]byte {
+func (b *Broker) handleBegin(f *frame) [][]byte {
 	b.tr.Edge(mBegin, probes.B(b.opened)<<1|probes.B(b.sessions[f.Channel]))
 	if !b.opened {
 		return nil
@@ -546,19 +555,20 @@ func (b *Broker) handleBegin(f frame) [][]byte {
 	if len(f.Fields) > 1 {
 		b.tr.Edge(mBegin, 32+probes.Bucket(int(f.Fields[1].U)))
 	}
-	return [][]byte{encodeFrame(f.Channel, perfBegin, []value{{Kind: 0x60, U: uint64(f.Channel)}}, nil)}
+	return b.reply(f.Channel, perfBegin, value{Kind: 0x60, U: uint64(f.Channel)})
 }
 
-func (b *Broker) handleAttach(f frame) [][]byte {
+func (b *Broker) handleAttach(f *frame) [][]byte {
 	b.tr.Edge(mAttach, probes.B(b.sessions[f.Channel]))
 	if !b.sessions[f.Channel] {
 		return nil
 	}
-	name := ""
+	var name []byte
 	if len(f.Fields) > 0 {
-		name = f.Fields[0].S
+		name = f.Fields[0].B
 	}
-	b.tr.Edge(mAttach, 2+probes.Hash(name)%hashSpace)
+	nameHash := probes.HashBytes(name)
+	b.tr.Edge(mAttach, 2+nameHash%hashSpace)
 	b.tr.Edge(mAttach, hashSpace+8+probes.Bucket(len(name)))
 	// Bug #9: with worker-threads=0 the broker spawns an inline worker
 	// per link; the thread attributes are built in a fixed stack buffer
@@ -572,26 +582,26 @@ func (b *Broker) handleAttach(f frame) [][]byte {
 		role = f.Fields[2].U
 		b.tr.Edge(mAttach, hashSpace+64+role%4)
 	}
-	b.links[name] = true
-	if b.cfg.mgmt && name == "$management" {
-		b.tr.Edge(mMgmtOp, probes.Hash(name)%32)
-		b.tr.Edge(mMgmtOp, 1024+probes.Hash(name)%64)
+	if !b.links[string(name)] {
+		b.links[string(name)] = true
+	}
+	if b.cfg.mgmt && string(name) == "$management" {
+		b.tr.Edge(mMgmtOp, nameHash%32)
+		b.tr.Edge(mMgmtOp, 1024+nameHash%64)
 	}
 	if b.cfg.federation != "" && len(name) > 0 && name[0] == '@' {
-		b.tr.Edge(mFedOp, probes.Hash(name)%64)
+		b.tr.Edge(mFedOp, nameHash%64)
 	}
-	return [][]byte{encodeFrame(f.Channel, perfAttach, []value{
-		{Kind: 0xa1, S: name, B: []byte(name)},
-		{Kind: 0x52, U: role ^ 1},
-	}, nil)}
+	return b.reply(f.Channel, perfAttach, value{Kind: 0xa1, B: name}, value{Kind: 0x52, U: role ^ 1})
 }
 
-func (b *Broker) handleTransfer(f frame) [][]byte {
+func (b *Broker) handleTransfer(f *frame) [][]byte {
 	b.tr.Edge(mTransfer, probes.B(b.sessions[f.Channel])<<1|probes.B(len(b.links) > 0))
 	if !b.sessions[f.Channel] {
 		return nil
 	}
-	b.tr.Edge(mTransfer, 4+probes.HashBytes(f.Payload)%transferSpace)
+	payloadHash := probes.HashBytes(f.Payload)
+	b.tr.Edge(mTransfer, 4+payloadHash%transferSpace)
 	b.tr.Edge(mTransfer, transferSpace+16+probes.Bucket(len(f.Payload)))
 	if len(f.Fields) > 1 {
 		b.tr.Edge(mTransfer, transferSpace+64+probes.Bucket(int(f.Fields[1].U))) // delivery-id
@@ -607,17 +617,17 @@ func (b *Broker) handleTransfer(f frame) [][]byte {
 		b.queues[queue] = 0
 	}
 	if b.cfg.durable {
-		b.tr.Edge(mStoreOp, probes.HashBytes(f.Payload)%2048)
+		b.tr.Edge(mStoreOp, payloadHash%2048)
 		b.tr.Edge(mStoreOp, 1536+probes.Bucket(len(f.Payload)))
 	}
 	if b.cfg.mgmt {
-		b.tr.Edge(mMgmtOp, 64+probes.HashBytes(f.Payload)%960) // stats accounting
+		b.tr.Edge(mMgmtOp, 64+payloadHash%960) // stats accounting
 	}
 	if b.cfg.federation != "" {
-		b.tr.Edge(mFedOp, 128+probes.HashBytes(f.Payload)%896) // route tagging
+		b.tr.Edge(mFedOp, 128+payloadHash%896) // route tagging
 	}
 	// Settled transfers get a disposition.
-	return [][]byte{encodeFrame(f.Channel, perfDisposition, []value{{Kind: 0x41, U: 1}}, nil)}
+	return b.reply(f.Channel, perfDisposition, value{Kind: 0x41, U: 1})
 }
 
 // amqpSubject implements subject.Subject.

@@ -11,11 +11,11 @@ func TestMaxSessionsLimit(t *testing.T) {
 	b := startBroker(t, map[string]string{"max-sessions": "2"})
 	greet(t, b)
 	for ch := uint16(1); ch <= 2; ch++ {
-		if resp := b.Message(encodeFrame(ch, perfBegin, []value{{Kind: 0x40}}, nil)); len(resp) != 1 {
+		if resp := b.Message(frameBytes(ch, perfBegin, []value{{Kind: 0x40}}, nil)); len(resp) != 1 {
 			t.Fatalf("begin %d refused early", ch)
 		}
 	}
-	if resp := b.Message(encodeFrame(3, perfBegin, []value{{Kind: 0x40}}, nil)); resp != nil {
+	if resp := b.Message(frameBytes(3, perfBegin, []value{{Kind: 0x40}}, nil)); resp != nil {
 		t.Fatal("over-limit begin accepted")
 	}
 }
@@ -31,7 +31,7 @@ func TestList32Decoding(t *testing.T) {
 		0x52, 0x07, // smalluint 7
 	}
 	raw := append([]byte{0, 0, 0, byte(8 + len(body)), 2, 0, 0, 0}, body...)
-	f, err := decodeFrame(raw)
+	f, err := parseFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestList32Decoding(t *testing.T) {
 func TestList0Performative(t *testing.T) {
 	body := []byte{0x00, 0x53, perfClose, 0x45} // list0
 	raw := append([]byte{0, 0, 0, byte(8 + len(body)), 2, 0, 0, 0}, body...)
-	f, err := decodeFrame(raw)
+	f, err := parseFrame(raw)
 	if err != nil || f.Code != perfClose || len(f.Fields) != 0 {
 		t.Fatalf("frame = %+v (%v)", f, err)
 	}
@@ -52,16 +52,16 @@ func TestList0Performative(t *testing.T) {
 func TestCloseThenReopen(t *testing.T) {
 	b := startBroker(t, nil)
 	greet(t, b)
-	resp := b.Message(encodeFrame(0, perfClose, nil, nil))
-	if cf, _ := decodeFrame(resp[0]); cf.Code != perfClose {
+	resp := b.Message(frameBytes(0, perfClose, nil, nil))
+	if cf, _ := parseFrame(resp[0]); cf.Code != perfClose {
 		t.Fatal("no close echo")
 	}
 	// Begin after close is refused (connection not open).
-	if resp := b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil)); resp != nil {
+	if resp := b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil)); resp != nil {
 		t.Fatal("begin after close accepted")
 	}
 	// A new open works.
-	if resp := b.Message(encodeFrame(0, perfOpen, []value{{Kind: 0xa1, S: "c", B: []byte("c")}}, nil)); len(resp) != 1 {
+	if resp := b.Message(frameBytes(0, perfOpen, []value{{Kind: 0xa1, B: []byte("c")}}, nil)); len(resp) != 1 {
 		t.Fatal("reopen refused")
 	}
 }
@@ -69,9 +69,9 @@ func TestCloseThenReopen(t *testing.T) {
 func TestQueueLimitResets(t *testing.T) {
 	b := startBroker(t, map[string]string{"queue-limit": "32"})
 	greet(t, b)
-	b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil))
+	b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil))
 	for i := 0; i < 5; i++ {
-		b.Message(encodeFrame(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: uint64(i)}}, make([]byte, 16)))
+		b.Message(frameBytes(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: uint64(i)}}, make([]byte, 16)))
 	}
 	if b.queues["default"] > 32 {
 		t.Fatalf("queue depth %d exceeds limit", b.queues["default"])
@@ -81,7 +81,7 @@ func TestQueueLimitResets(t *testing.T) {
 func TestSkippedProtoHeaderTolerated(t *testing.T) {
 	b := startBroker(t, nil)
 	// First segment is a frame, not the AMQP header: tolerated.
-	resp := b.Message(encodeFrame(0, perfOpen, []value{{Kind: 0xa1, S: "c", B: []byte("c")}}, nil))
+	resp := b.Message(frameBytes(0, perfOpen, []value{{Kind: 0xa1, B: []byte("c")}}, nil))
 	if len(resp) != 1 {
 		t.Fatal("headerless open refused")
 	}
@@ -90,10 +90,10 @@ func TestSkippedProtoHeaderTolerated(t *testing.T) {
 func TestDetachEchoed(t *testing.T) {
 	b := startBroker(t, nil)
 	greet(t, b)
-	b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil))
+	b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil))
 	b.Message(attachFrame(1, "q"))
-	resp := b.Message(encodeFrame(1, perfDetach, []value{{Kind: 0x52, U: 0}}, nil))
-	if df, _ := decodeFrame(resp[0]); df.Code != perfDetach {
+	resp := b.Message(frameBytes(1, perfDetach, []value{{Kind: 0x52, U: 0}}, nil))
+	if df, _ := parseFrame(resp[0]); df.Code != perfDetach {
 		t.Fatalf("detach echo = %+v", df)
 	}
 }
@@ -101,7 +101,7 @@ func TestDetachEchoed(t *testing.T) {
 // Property: decodeFrame never panics and respects the field-count guard.
 func TestQuickDecodeFrameRobust(t *testing.T) {
 	f := func(data []byte) bool {
-		fr, err := decodeFrame(data)
+		fr, err := parseFrame(data)
 		if err != nil {
 			return true
 		}
@@ -121,14 +121,14 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		}
 		fields := []value{
 			{Kind: 0x52, U: uint64(a)},
-			{Kind: 0xa1, S: s, B: []byte(s)},
+			{Kind: 0xa1, B: []byte(s)},
 		}
-		fr, err := decodeFrame(encodeFrame(ch, perfFlow, fields, nil))
+		fr, err := parseFrame(frameBytes(ch, perfFlow, fields, nil))
 		if err != nil {
 			return false
 		}
 		return fr.Channel == ch && fr.Code == perfFlow &&
-			fr.Fields[0].U == uint64(a) && fr.Fields[1].S == s
+			fr.Fields[0].U == uint64(a) && string(fr.Fields[1].B) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

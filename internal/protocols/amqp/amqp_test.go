@@ -8,7 +8,22 @@ import (
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
+	"cmfuzz/internal/wire"
 )
+
+// frameBytes renders a frame with the encoder the broker replies with.
+func frameBytes(channel uint16, code byte, fields []value, payload []byte) []byte {
+	w := wire.NewWriter(64)
+	appendFrame(w, channel, code, fields, payload)
+	return w.Bytes()
+}
+
+// parseFrame decodes data into a fresh frame.
+func parseFrame(data []byte) (frame, error) {
+	var f frame
+	err := decodeFrame(data, &f)
+	return f, err
+}
 
 func startBroker(t *testing.T, cfg map[string]string) *Broker {
 	t.Helper()
@@ -26,34 +41,34 @@ func greet(t *testing.T, b *Broker) {
 	if resp := b.Message(protoHeader); len(resp) != 1 {
 		t.Fatal("no protocol header response")
 	}
-	open := encodeFrame(0, perfOpen, []value{{Kind: 0xa1, S: "c1", B: []byte("c1")}}, nil)
+	open := frameBytes(0, perfOpen, []value{{Kind: 0xa1, B: []byte("c1")}}, nil)
 	if resp := b.Message(open); len(resp) != 1 {
 		t.Fatal("no open response")
 	}
 }
 
 func attachFrame(channel uint16, name string) []byte {
-	return encodeFrame(channel, perfAttach, []value{
-		{Kind: 0xa1, S: name, B: []byte(name)},
+	return frameBytes(channel, perfAttach, []value{
+		{Kind: 0xa1, B: []byte(name)},
 		{Kind: 0x52, U: 0},
 		{Kind: 0x52, U: 0},
 	}, nil)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	raw := encodeFrame(3, perfBegin, []value{
+	raw := frameBytes(3, perfBegin, []value{
 		{Kind: 0x40},
 		{Kind: 0x52, U: 100},
-		{Kind: 0xa1, S: "sess", B: []byte("sess")},
+		{Kind: 0xa1, B: []byte("sess")},
 	}, []byte("extra"))
-	f, err := decodeFrame(raw)
+	f, err := parseFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Channel != 3 || f.Code != perfBegin || len(f.Fields) != 3 {
 		t.Fatalf("frame = %+v", f)
 	}
-	if f.Fields[1].U != 100 || f.Fields[2].S != "sess" {
+	if f.Fields[1].U != 100 || string(f.Fields[2].B) != "sess" {
 		t.Fatalf("fields = %+v", f.Fields)
 	}
 	if string(f.Payload) != "extra" {
@@ -73,21 +88,21 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{0, 0, 0, 12, 2, 0, 0, 0, 0x53, 0x10, 0x45, 0x00},
 	}
 	for i, c := range cases {
-		if _, err := decodeFrame(c); err == nil {
+		if _, err := parseFrame(c); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
 func TestValueDecoding(t *testing.T) {
-	raw := encodeFrame(0, perfOpen, []value{
+	raw := frameBytes(0, perfOpen, []value{
 		{Kind: 0x41},         // true
 		{Kind: 0x43},         // uint0
 		{Kind: 0x60, U: 515}, // ushort
 		{Kind: 0x70, U: 1 << 20},
 		{Kind: 0xa0, B: []byte{1, 2}},
 	}, nil)
-	f, err := decodeFrame(raw)
+	f, err := parseFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,24 +144,24 @@ func TestConnectionLadder(t *testing.T) {
 	b := startBroker(t, nil)
 	greet(t, b)
 
-	if resp := b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}, {Kind: 0x52, U: 10}}, nil)); len(resp) != 1 {
+	if resp := b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}, {Kind: 0x52, U: 10}}, nil)); len(resp) != 1 {
 		t.Fatal("no begin response")
 	}
 	resp := b.Message(attachFrame(1, "orders"))
 	if len(resp) != 1 {
 		t.Fatal("no attach response")
 	}
-	af, err := decodeFrame(resp[0])
-	if err != nil || af.Code != perfAttach || af.Fields[0].S != "orders" {
+	af, err := parseFrame(resp[0])
+	if err != nil || af.Code != perfAttach || string(af.Fields[0].B) != "orders" {
 		t.Fatalf("attach echo = %+v (%v)", af, err)
 	}
-	resp = b.Message(encodeFrame(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: 1}}, []byte("payload")))
-	df, err := decodeFrame(resp[0])
+	resp = b.Message(frameBytes(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: 1}}, []byte("payload")))
+	df, err := parseFrame(resp[0])
 	if err != nil || df.Code != perfDisposition {
 		t.Fatalf("transfer response = %+v (%v)", df, err)
 	}
-	resp = b.Message(encodeFrame(1, perfEnd, nil, nil))
-	if ef, _ := decodeFrame(resp[0]); ef.Code != perfEnd {
+	resp = b.Message(frameBytes(1, perfEnd, nil, nil))
+	if ef, _ := parseFrame(resp[0]); ef.Code != perfEnd {
 		t.Fatal("no end echo")
 	}
 }
@@ -154,7 +169,7 @@ func TestConnectionLadder(t *testing.T) {
 func TestBeginRequiresOpen(t *testing.T) {
 	b := startBroker(t, nil)
 	b.Message(protoHeader)
-	if resp := b.Message(encodeFrame(1, perfBegin, nil, nil)); resp != nil {
+	if resp := b.Message(frameBytes(1, perfBegin, nil, nil)); resp != nil {
 		t.Fatal("begin without open answered")
 	}
 }
@@ -170,7 +185,7 @@ func TestAttachRequiresSession(t *testing.T) {
 func TestBug9WorkerThreadsZero(t *testing.T) {
 	b := startBroker(t, map[string]string{"worker-threads": "0"})
 	greet(t, b)
-	b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil))
+	b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil))
 	long := strings.Repeat("L", 200)
 	crash := bugs.Capture(func() { b.Message(attachFrame(1, long)) })
 	if crash == nil || crash.Function != "pthread_create" {
@@ -182,7 +197,7 @@ func TestBug9WorkerThreadsZero(t *testing.T) {
 	// Default worker pool: same input, no crash.
 	b2 := startBroker(t, nil)
 	greet(t, b2)
-	b2.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil))
+	b2.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil))
 	if c := bugs.Capture(func() { b2.Message(attachFrame(1, long)) }); c != nil {
 		t.Fatalf("bug #9 fired under default config: %v", c)
 	}
@@ -191,7 +206,7 @@ func TestBug9WorkerThreadsZero(t *testing.T) {
 func TestFrameSizeLimit(t *testing.T) {
 	b := startBroker(t, map[string]string{"max-frame-size": "512"})
 	greet(t, b)
-	big := encodeFrame(1, perfTransfer, nil, make([]byte, 600))
+	big := frameBytes(1, perfTransfer, nil, make([]byte, 600))
 	if resp := b.Message(big); resp != nil {
 		t.Fatal("oversized frame processed")
 	}
@@ -211,9 +226,9 @@ func TestDurableGatesStoreRegion(t *testing.T) {
 		tr := coverage.NewTrace()
 		b.SetTrace(tr)
 		greet(t, b)
-		b.Message(encodeFrame(1, perfBegin, []value{{Kind: 0x40}}, nil))
+		b.Message(frameBytes(1, perfBegin, []value{{Kind: 0x40}}, nil))
 		b.Message(attachFrame(1, "q"))
-		b.Message(encodeFrame(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: 1}}, []byte("data")))
+		b.Message(frameBytes(1, perfTransfer, []value{{Kind: 0x52, U: 0}, {Kind: 0x52, U: 1}}, []byte("data")))
 		return tr.Count()
 	}
 	plain := run(nil)

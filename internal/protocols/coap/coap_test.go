@@ -8,7 +8,22 @@ import (
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
+	"cmfuzz/internal/wire"
 )
+
+// encode renders m with the encoder the server replies with.
+func encode(m message) []byte {
+	w := wire.NewWriter(64)
+	appendMessage(w, &m)
+	return w.Bytes()
+}
+
+// parse decodes data into a fresh message.
+func parse(data []byte) (message, error) {
+	var m message
+	err := decode(data, &m)
+	return m, err
+}
 
 func startServer(t *testing.T, cfg map[string]string) *Server {
 	t.Helper()
@@ -22,7 +37,7 @@ func startServer(t *testing.T, cfg map[string]string) *Server {
 
 // request builds a CoAP request datagram.
 func request(typ, code byte, mid uint16, token []byte, opts []option, payload []byte) []byte {
-	return encodeMessage(message{Type: typ, Code: code, MessageID: mid, Token: token, Options: opts, Payload: payload})
+	return encode(message{Type: typ, Code: code, MessageID: mid, Token: token, Options: opts, Payload: payload})
 }
 
 func pathOpts(segments ...string) []option {
@@ -48,7 +63,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		},
 		Payload: []byte("data"),
 	}
-	got, err := decode(encodeMessage(m))
+	got, err := parse(encode(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +85,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if string(got.Payload) != "data" {
 		t.Fatalf("payload = %q", got.Payload)
 	}
-	if got.uriPath() != "sensors/temp" {
-		t.Fatalf("uriPath = %q", got.uriPath())
+	if string(got.appendURIPath(nil)) != "sensors/temp" {
+		t.Fatalf("uriPath = %q", string(got.appendURIPath(nil)))
 	}
 }
 
@@ -89,7 +104,7 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 		{"option past end", []byte{0x40, 0x01, 0x00, 0x01, 0xb7, 0x41}},
 	}
 	for _, c := range cases {
-		if _, err := decode(c.data); err == nil {
+		if _, err := parse(c.data); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -98,7 +113,7 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 func TestDecodeTruncatedExtendedDelta(t *testing.T) {
 	// delta nibble 14 requires two extension bytes; give one.
 	data := []byte{0x40, 0x01, 0x00, 0x01, 0xe1, 0x02}
-	_, err := decode(data)
+	_, err := parse(data)
 	if !errors.Is(err, errTruncatedExt) {
 		t.Fatalf("err = %v, want errTruncatedExt", err)
 	}
@@ -111,7 +126,7 @@ func TestBlockOptRoundTrip(t *testing.T) {
 		{Num: 300, More: false, SZX: 0},
 		{Num: 70000, More: true, SZX: 7},
 	} {
-		got, ok := decodeBlockOpt(encodeBlockOpt(b))
+		got, ok := decodeBlockOpt(appendBlockOpt(nil, b))
 		if !ok || got != b {
 			t.Errorf("block round trip %+v -> %+v (%v)", b, got, ok)
 		}
@@ -154,7 +169,7 @@ func TestGetAndPut(t *testing.T) {
 	if len(resp) != 1 {
 		t.Fatal("no response")
 	}
-	rm, err := decode(resp[0])
+	rm, err := parse(resp[0])
 	if err != nil || rm.Code != codeContent || rm.Type != typeACK {
 		t.Fatalf("GET response = %+v (%v)", rm, err)
 	}
@@ -163,12 +178,12 @@ func TestGetAndPut(t *testing.T) {
 	}
 
 	resp = s.Message(request(typeNON, codePUT, 2, []byte{9}, pathOpts("new", "thing"), []byte("v")))
-	rm, _ = decode(resp[0])
+	rm, _ = parse(resp[0])
 	if rm.Code != codeCreated || rm.Type != typeNON {
 		t.Fatalf("PUT response = %+v", rm)
 	}
 	resp = s.Message(request(typeCON, codeGET, 3, []byte{9}, pathOpts("new", "thing"), nil))
-	rm, _ = decode(resp[0])
+	rm, _ = parse(resp[0])
 	if string(rm.Payload) != "v" {
 		t.Fatalf("stored payload = %q", rm.Payload)
 	}
@@ -177,7 +192,7 @@ func TestGetAndPut(t *testing.T) {
 func TestGetNotFound(t *testing.T) {
 	s := startServer(t, nil)
 	resp := s.Message(request(typeCON, codeGET, 1, nil, pathOpts("ghost"), nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeNotFound {
 		t.Fatalf("code = %d", rm.Code)
 	}
@@ -193,9 +208,9 @@ func TestBlock2Download(t *testing.T) {
 
 	// SZX 2 = 64-byte blocks.
 	get := func(num int) message {
-		opts := append(pathOpts("big"), option{Number: optBlock2, Value: encodeBlockOpt(blockOpt{Num: num, SZX: 2})})
+		opts := append(pathOpts("big"), option{Number: optBlock2, Value: appendBlockOpt(nil, blockOpt{Num: num, SZX: 2})})
 		resp := s.Message(request(typeCON, codeGET, uint16(10+num), []byte{1}, opts, nil))
-		rm, err := decode(resp[0])
+		rm, err := parse(resp[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,9 +244,9 @@ func TestBlock2Download(t *testing.T) {
 func TestBlock1Upload(t *testing.T) {
 	s := startServer(t, nil)
 	put := func(num int, more bool, payload string) message {
-		opts := append(pathOpts("fw"), option{Number: optBlock1, Value: encodeBlockOpt(blockOpt{Num: num, More: more, SZX: 2})})
+		opts := append(pathOpts("fw"), option{Number: optBlock1, Value: appendBlockOpt(nil, blockOpt{Num: num, More: more, SZX: 2})})
 		resp := s.Message(request(typeCON, codePUT, uint16(20+num), []byte{2}, opts, []byte(payload)))
-		rm, _ := decode(resp[0])
+		rm, _ := parse(resp[0])
 		return rm
 	}
 	if rm := put(0, true, "AAAA"); rm.Code != codeContinue {
@@ -241,7 +256,7 @@ func TestBlock1Upload(t *testing.T) {
 		t.Fatalf("final block code = %d", rm.Code)
 	}
 	resp := s.Message(request(typeCON, codeGET, 30, []byte{2}, pathOpts("fw"), nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if string(rm.Payload) != "AAAABBBB" {
 		t.Fatalf("reassembled = %q", rm.Payload)
 	}
@@ -287,7 +302,7 @@ func TestBug7TruncatedExtUnderDTLS(t *testing.T) {
 func TestBug8QBlockCaseStudy(t *testing.T) {
 	s := startServer(t, map[string]string{"q-block": "true"})
 	opts := append(pathOpts("firmware"),
-		option{Number: optQBlock1, Value: encodeBlockOpt(blockOpt{Num: 1, More: false, SZX: 2})})
+		option{Number: optQBlock1, Value: appendBlockOpt(nil, blockOpt{Num: 1, More: false, SZX: 2})})
 	crash := bugs.Capture(func() {
 		s.Message(request(typeCON, codePUT, 5, []byte{7}, opts, []byte("tail")))
 	})
@@ -307,7 +322,7 @@ func TestBug8QBlockCaseStudy(t *testing.T) {
 	}); c != nil {
 		t.Fatalf("bug #8 fired under default config: %v", c)
 	}
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeBadOption {
 		t.Fatalf("default config response = %d, want Bad Option", rm.Code)
 	}
@@ -317,9 +332,9 @@ func TestQBlockHappyPath(t *testing.T) {
 	s := startServer(t, map[string]string{"q-block": "true"})
 	put := func(num int, more bool, payload string) message {
 		opts := append(pathOpts("fw"),
-			option{Number: optQBlock1, Value: encodeBlockOpt(blockOpt{Num: num, More: more, SZX: 2})})
+			option{Number: optQBlock1, Value: appendBlockOpt(nil, blockOpt{Num: num, More: more, SZX: 2})})
 		resp := s.Message(request(typeCON, codePUT, uint16(40+num), []byte{8}, opts, []byte(payload)))
-		rm, _ := decode(resp[0])
+		rm, _ := parse(resp[0])
 		return rm
 	}
 	if rm := put(0, true, "XX"); rm.Code != codeContinue {
@@ -350,7 +365,7 @@ func TestStartupSynergies(t *testing.T) {
 func TestPingAndEmpty(t *testing.T) {
 	s := startServer(t, nil)
 	resp := s.Message(request(typeCON, codeEmpty, 7, nil, nil, nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Type != typeRST {
 		t.Fatalf("ping response = %+v", rm)
 	}

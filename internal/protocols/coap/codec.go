@@ -71,7 +71,8 @@ type option struct {
 	Value  []byte
 }
 
-// message is one decoded CoAP message.
+// message is one decoded CoAP message. A server decodes every datagram
+// into the same message, reusing its Options.
 type message struct {
 	Type      byte
 	Code      byte
@@ -81,27 +82,27 @@ type message struct {
 	Payload   []byte
 }
 
-// decode parses a CoAP datagram.
-func decode(data []byte) (message, error) {
+// decode parses a CoAP datagram into m, whose slices alias data.
+func decode(data []byte, m *message) error {
+	*m = message{Options: m.Options[:0]}
 	r := wire.NewReader(data)
-	var m message
 	first := r.U8()
 	if r.Err() != nil {
-		return m, errMalformed
+		return errMalformed
 	}
 	if first>>6 != 1 { // version must be 1
-		return m, errMalformed
+		return errMalformed
 	}
 	m.Type = (first >> 4) & 0x03
 	tkl := int(first & 0x0f)
 	m.Code = r.U8()
 	m.MessageID = r.U16()
 	if tkl > 8 {
-		return m, errMalformed
+		return errMalformed
 	}
 	m.Token = r.Bytes(tkl)
 	if r.Err() != nil {
-		return m, errMalformed
+		return errMalformed
 	}
 
 	// Option parsing (delta encoding).
@@ -111,7 +112,7 @@ func decode(data []byte) (message, error) {
 		if b == 0xff { // payload marker
 			m.Payload = r.Rest()
 			if len(m.Payload) == 0 {
-				return m, errMalformed // marker with empty payload is invalid
+				return errMalformed // marker with empty payload is invalid
 			}
 			break
 		}
@@ -120,26 +121,26 @@ func decode(data []byte) (message, error) {
 		var err error
 		delta, err = extendField(r, delta)
 		if err != nil {
-			return m, err
+			return err
 		}
 		length, err = extendField(r, length)
 		if err != nil {
-			return m, err
+			return err
 		}
 		number += delta
 		val := r.Bytes(length)
 		if r.Err() != nil {
-			return m, errBadOption
+			return errBadOption
 		}
 		m.Options = append(m.Options, option{Number: number, Value: val})
 		if len(m.Options) > 32 {
-			return m, errBadOption
+			return errBadOption
 		}
 	}
 	if r.Err() != nil {
-		return m, errMalformed
+		return errMalformed
 	}
-	return m, nil
+	return nil
 }
 
 // extendField resolves the 13/14/15 extended nibble encodings
@@ -163,42 +164,52 @@ func extendField(r *wire.Reader, v int) (int, error) {
 	}
 }
 
-// encode renders a CoAP message.
-func encodeMessage(m message) []byte {
-	w := wire.NewWriter(8 + len(m.Payload))
+// appendMessage renders a CoAP message.
+func appendMessage(w *wire.Writer, m *message) {
 	w.U8(1<<6 | m.Type<<4 | byte(len(m.Token)&0x0f))
 	w.U8(m.Code)
 	w.U16(m.MessageID)
 	w.Raw(m.Token)
 	prev := 0
 	for _, o := range m.Options {
-		writeOption(w, o.Number-prev, o.Value)
+		appendOption(w, o.Number-prev, o.Value)
 		prev = o.Number
 	}
 	if len(m.Payload) > 0 {
 		w.U8(0xff)
 		w.Raw(m.Payload)
 	}
-	return w.Bytes()
 }
 
-func writeOption(w *wire.Writer, delta int, val []byte) {
-	dn, de := nibble(delta)
-	ln, le := nibble(len(val))
+func appendOption(w *wire.Writer, delta int, val []byte) {
+	dn := nibble(delta)
+	ln := nibble(len(val))
 	w.U8(byte(dn)<<4 | byte(ln))
-	w.Raw(de)
-	w.Raw(le)
+	appendExt(w, dn, delta)
+	appendExt(w, ln, len(val))
 	w.Raw(val)
 }
 
-func nibble(v int) (int, []byte) {
+// nibble is the 4-bit field that encodes v: v itself below 13, else the
+// marker of a one- (13) or two-byte (14) extension.
+func nibble(v int) int {
 	switch {
 	case v < 13:
-		return v, nil
+		return v
 	case v < 269:
-		return 13, []byte{byte(v - 13)}
+		return 13
 	default:
-		return 14, []byte{byte((v - 269) >> 8), byte(v - 269)}
+		return 14
+	}
+}
+
+// appendExt writes v's extension bytes for nibble n.
+func appendExt(w *wire.Writer, n, v int) {
+	switch n {
+	case 13:
+		w.U8(byte(v - 13))
+	case 14:
+		w.U16(uint16(v - 269))
 	}
 }
 
@@ -221,18 +232,19 @@ func decodeBlockOpt(val []byte) (blockOpt, bool) {
 	return blockOpt{Num: v >> 4, More: v&0x08 != 0, SZX: v & 0x07}, true
 }
 
-func encodeBlockOpt(b blockOpt) []byte {
+// appendBlockOpt appends b's option value, in as few bytes as hold it.
+func appendBlockOpt(dst []byte, b blockOpt) []byte {
 	v := b.Num<<4 | b.SZX
 	if b.More {
 		v |= 0x08
 	}
 	switch {
 	case v < 1<<8:
-		return []byte{byte(v)}
+		return append(dst, byte(v))
 	case v < 1<<16:
-		return []byte{byte(v >> 8), byte(v)}
+		return append(dst, byte(v>>8), byte(v))
 	default:
-		return []byte{byte(v >> 16), byte(v >> 8), byte(v)}
+		return append(dst, byte(v>>16), byte(v>>8), byte(v))
 	}
 }
 
@@ -246,16 +258,16 @@ func (m *message) findOption(number int) ([]byte, bool) {
 	return nil, false
 }
 
-// uriPath joins Uri-Path options into a path string.
-func (m *message) uriPath() string {
-	path := ""
+// appendURIPath appends the Uri-Path options to dst, joined with '/'.
+func (m *message) appendURIPath(dst []byte) []byte {
+	start := len(dst)
 	for _, o := range m.Options {
 		if o.Number == optUriPath {
-			if path != "" {
-				path += "/"
+			if len(dst) > start {
+				dst = append(dst, '/')
 			}
-			path += string(o.Value)
+			dst = append(dst, o.Value...)
 		}
 	}
-	return path
+	return dst
 }

@@ -1,12 +1,14 @@
 package coap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/protocols/probes"
+	"cmfuzz/internal/wire"
 )
 
 // cliHelp is the coap-server --help output Algorithm 1 extracts from.
@@ -188,27 +190,45 @@ const hashSpace = 1024
 // Figure 5 case study).
 type blockState struct {
 	received map[int]bool
-	bodyData []byte // nil until the first block arrives intact
+	bodyData []byte
+	// hasBody is false while bodyData is the NULL body_data of the case
+	// study: until a first block arrives intact.
+	hasBody bool
+}
+
+// resource is one stored representation and its observer count.
+type resource struct {
+	body      []byte
+	observers int
 }
 
 // Server is the libcoap-like CoAP subject instance.
 type Server struct {
 	cfg       settings
 	tr        *coverage.Trace
-	resources map[string][]byte
-	observers map[string]int
+	resources map[string]*resource
 	uploads   map[string]*blockState // keyed by token+path, per session
+	// spare holds finished uploads' states for reuse.
+	spare []*blockState
+
+	// Per-message scratch, reused by every Message: the decoded request,
+	// its Uri-Path, a key buffer, reply options and the response frames.
+	msg      message
+	path     []byte
+	key      []byte
+	opts     []option
+	blockVal []byte
+	resp     wire.Frames
 }
 
 // NewServer returns an unstarted CoAP server.
 func NewServer() *Server {
 	return &Server{
-		resources: map[string][]byte{
-			"sensors/temp": []byte("21.5"),
-			"core":         []byte(`</sensors/temp>;rt="temperature"`),
+		resources: map[string]*resource{
+			"sensors/temp": {body: []byte("21.5")},
+			"core":         {body: []byte(`</sensors/temp>;rt="temperature"`)},
 		},
-		observers: make(map[string]int),
-		uploads:   make(map[string]*blockState),
+		uploads: make(map[string]*blockState),
 	}
 }
 
@@ -229,18 +249,24 @@ func (s *Server) SetTrace(tr *coverage.Trace) { s.tr = tr }
 
 // NewSession implements subject.Instance: blockwise upload state is per
 // session (a fresh client exchange context).
-func (s *Server) NewSession() { s.uploads = make(map[string]*blockState) }
+func (s *Server) NewSession() {
+	for _, st := range s.uploads {
+		s.release(st)
+	}
+	clear(s.uploads)
+}
 
 // Close implements subject.Instance.
 func (s *Server) Close() {}
 
 // Message handles one CoAP datagram.
 func (s *Server) Message(data []byte) [][]byte {
+	s.resp.Reset()
 	if s.cfg.dtls {
 		s.tr.Edge(mDTLSRec, probes.HashBytes(data)%768)
 	}
-	m, err := decode(data)
-	if err != nil {
+	m := &s.msg
+	if err := decode(data, m); err != nil {
 		s.tr.Edge(mParseErr, probes.Bucket(len(data)))
 		// Bug #7: the DTLS-decrypted datagram is re-parsed into a
 		// stack-allocated PDU; a truncated extended option field makes
@@ -261,9 +287,10 @@ func (s *Server) Message(data []byte) [][]byte {
 	if m.Code == codeEmpty {
 		s.tr.Edge(mEmptyMsg, uint64(m.Type))
 		if m.Type == typeCON { // CoAP ping
-			return [][]byte{encodeMessage(message{Type: typeRST, MessageID: m.MessageID})}
+			appendMessage(&s.resp.W, &message{Type: typeRST, MessageID: m.MessageID})
+			s.resp.End()
 		}
-		return nil
+		return s.resp.Out()
 	}
 
 	// Option walk with duplicate tracking.
@@ -284,61 +311,68 @@ func (s *Server) Message(data []byte) [][]byte {
 			"duplicate Observe option double-freed during option cleanup")
 	}
 
-	path := m.uriPath()
-	s.tr.Edge(mPath, probes.Hash(path)%hashSpace)
+	s.path = m.appendURIPath(s.path[:0])
+	path := s.path
+	pathHash := probes.HashBytes(path)
+	s.tr.Edge(mPath, pathHash%hashSpace)
 	s.tr.Edge(mMethod, uint64(m.Code))
 	s.tr.Edge(mPayload, probes.HashBytes(m.Payload)%hashSpace)
 	s.tr.Edge(mPayload, hashSpace+probes.Bucket(len(m.Payload)))
 
+	s.opts = s.opts[:0]
 	if s.cfg.maxPayload > 0 && len(m.Payload) > s.cfg.maxPayload {
 		s.tr.Edge(mPayload, 2*hashSpace+1)
-		return s.reply(m, codeTooLarge, nil, nil)
+		return s.reply(codeTooLarge, nil)
 	}
 	if s.cfg.proxyURI != "" {
 		if _, ok := m.findOption(optUriQuery); ok {
-			s.tr.Edge(mProxyFwd, probes.Hash(path)%384)
+			s.tr.Edge(mProxyFwd, pathHash%384)
 		}
 	}
 	if s.cfg.multicast && m.Type == typeNON {
 		// Multicast group handling of non-confirmable requests.
-		s.tr.Edge(mMcastOp, probes.Hash(path)%384)
+		s.tr.Edge(mMcastOp, pathHash%384)
 	}
 
 	switch m.Code {
 	case codeGET, codeFETCH:
-		return s.handleGet(m, path)
+		return s.handleGet(path, pathHash)
 	case codePUT:
-		return s.handlePut(m, path)
+		return s.handlePut(path, pathHash)
 	case codePOST:
-		return s.handlePost(m, path)
+		return s.handlePost(path, pathHash)
 	case codeDELETE:
-		return s.handleDelete(m, path)
+		return s.handleDelete(path)
 	default:
 		s.tr.Edge(mMethod, 256+uint64(m.Code))
-		return s.reply(m, codeBadRequest, nil, nil)
+		return s.reply(codeBadRequest, nil)
 	}
 }
 
-func (s *Server) handleGet(m message, path string) [][]byte {
-	body, ok := s.resources[path]
+// observeOn is the Observe option value of a registration's reply.
+var observeOn = []byte{1}
+
+func (s *Server) handleGet(path []byte, pathHash uint64) [][]byte {
+	m := &s.msg
+	res, ok := s.resources[string(path)]
 	s.tr.Edge(mGet, probes.B(ok))
 	if !ok {
-		return s.reply(m, codeNotFound, nil, nil)
+		return s.reply(codeNotFound, nil)
 	}
-	var opts []option
+	body := res.body
 
 	// Observation registration/cancellation.
 	if obsVal, has := m.findOption(optObserve); has && s.cfg.observe {
 		reg := len(obsVal) == 0 || obsVal[0] == 0
-		s.tr.Edge(mObserveOp, probes.B(reg)<<6|probes.Hash(path)%64)
+		s.tr.Edge(mObserveOp, probes.B(reg)<<6|pathHash%64)
 		if reg {
-			s.observers[path]++
-			opts = append(opts, option{Number: optObserve, Value: []byte{1}})
+			res.observers++
+			s.opts = append(s.opts, option{Number: optObserve, Value: observeOn})
 		} else {
-			delete(s.observers, path)
+			res.observers = 0
 		}
-		s.tr.Edge(mObserveOp, 128+uint64(s.observers[path]%16))
-		s.tr.Edge(mObserveOp, 256+probes.Hash(path)%512)
+		s.tr.Edge(mObserveOp, 128+uint64(res.observers%16))
+		s.tr.Edge(mObserveOp, 256+pathHash%512)
 	}
 
 	// Block2 download chunking.
@@ -346,7 +380,7 @@ func (s *Server) handleGet(m message, path string) [][]byte {
 		blk, ok := decodeBlockOpt(b2)
 		s.tr.Edge(mBlock2, probes.B(ok)<<8|uint64(blk.SZX))
 		if !ok {
-			return s.reply(m, codeBadOption, nil, nil)
+			return s.reply(codeBadOption, nil)
 		}
 		size := 16 << blk.SZX
 		if size > s.cfg.blockSize {
@@ -357,70 +391,107 @@ func (s *Server) handleGet(m message, path string) [][]byte {
 		s.tr.Edge(mBlock2, 600+probes.Bucket(off))
 		if off >= len(body) {
 			s.tr.Edge(mBlock2, 700)
-			return s.reply(m, codeBadOption, nil, nil)
+			return s.reply(codeBadOption, nil)
 		}
-		s.tr.Edge(mBlock2, 800+uint64(blk.Num%16)<<5|probes.Hash(path)%32)
+		s.tr.Edge(mBlock2, 800+uint64(blk.Num%16)<<5|pathHash%32)
 		end := off + size
 		more := end < len(body)
 		if !more {
 			end = len(body)
 		}
-		opts = append(opts, option{Number: optBlock2, Value: encodeBlockOpt(blockOpt{Num: blk.Num, More: more, SZX: blk.SZX})})
-		return s.reply(m, codeContent, opts, body[off:end])
+		s.addBlockOpt(optBlock2, blockOpt{Num: blk.Num, More: more, SZX: blk.SZX})
+		return s.reply(codeContent, body[off:end])
 	}
-	return s.reply(m, codeContent, opts, body)
+	return s.reply(codeContent, body)
+}
+
+// addBlockOpt adds a block option to the reply's options.
+func (s *Server) addBlockOpt(number int, b blockOpt) {
+	s.blockVal = appendBlockOpt(s.blockVal[:0], b)
+	s.opts = append(s.opts, option{Number: number, Value: s.blockVal})
+}
+
+// upload returns the session's upload state under s.key, starting one if
+// there is none.
+func (s *Server) upload() (st *blockState, found bool) {
+	if st, found = s.uploads[string(s.key)]; found {
+		return st, true
+	}
+	if n := len(s.spare); n > 0 {
+		st, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		st = &blockState{received: make(map[int]bool)}
+	}
+	s.uploads[string(s.key)] = st
+	return st, false
+}
+
+// endUpload drops the upload under s.key, keeping st for reuse.
+func (s *Server) endUpload(st *blockState) {
+	delete(s.uploads, string(s.key))
+	s.release(st)
+}
+
+func (s *Server) release(st *blockState) {
+	clear(st.received)
+	st.bodyData = st.bodyData[:0]
+	st.hasBody = false
+	s.spare = append(s.spare, st)
+}
+
+// uploadKey sets s.key to the request's token, sep and path.
+func (s *Server) uploadKey(sep byte, path []byte) {
+	s.key = append(append(append(s.key[:0], s.msg.Token...), sep), path...)
 }
 
 // handlePut is the coap_handle_request_put_block of the Figure 5 case
 // study: it reassembles blockwise uploads.
-func (s *Server) handlePut(m message, path string) [][]byte {
-	s.tr.Edge(mPut, probes.Hash(path)%128)
+func (s *Server) handlePut(path []byte, pathHash uint64) [][]byte {
+	m := &s.msg
+	s.tr.Edge(mPut, pathHash%128)
 
 	// Q-Block1 path (RFC 9177) — only active under the non-default
 	// q-block configuration, exactly as in the paper's case study.
 	if qb, has := m.findOption(optQBlock1); has {
 		if !s.cfg.qBlock {
 			s.tr.Edge(mQBlock, 0)
-			return s.reply(m, codeBadOption, nil, nil)
+			return s.reply(codeBadOption, nil)
 		}
 		blk, ok := decodeBlockOpt(qb)
 		s.tr.Edge(mQBlock, 1+probes.B(ok))
 		s.tr.Edge(mQBlock, 128+probes.HashBytes(m.Payload)%768)
 		if !ok {
-			return s.reply(m, codeBadOption, nil, nil)
+			return s.reply(codeBadOption, nil)
 		}
-		key := string(m.Token) + "\x00" + path
-		lgSrcv, found := s.uploads[key]
+		s.uploadKey(0, path)
+		// Figure 5 lines 3-7: a new lg_srcv starts with body_data = NULL.
+		lgSrcv, found := s.upload()
 		s.tr.Edge(mQBlock, 4+probes.B(found)<<1|probes.B(blk.More))
-		if !found {
-			// Figure 5 lines 3-7: new lg_srcv with body_data = NULL.
-			lgSrcv = &blockState{received: make(map[int]bool)}
-			s.uploads[key] = lgSrcv
-		}
 		lgSrcv.received[blk.Num] = true
 		if blk.Num == 0 && len(m.Payload) > 0 {
-			lgSrcv.bodyData = append([]byte(nil), m.Payload...)
+			lgSrcv.bodyData = append(lgSrcv.bodyData[:0], m.Payload...)
+			lgSrcv.hasBody = true
 			s.tr.Edge(mQBlock, 16)
-		} else if len(m.Payload) > 0 && lgSrcv.bodyData != nil {
+		} else if len(m.Payload) > 0 && lgSrcv.hasBody {
 			lgSrcv.bodyData = append(lgSrcv.bodyData, m.Payload...)
 			s.tr.Edge(mQBlock, 17+uint64(blk.Num%8))
 		}
 		if blk.More {
 			s.tr.Edge(mQBlock, 32+uint64(blk.Num%16))
-			return s.reply(m, codeContinue, nil, nil)
+			return s.reply(codeContinue, nil)
 		}
 		// Last block: Figure 5 lines 12-13 — all blocks received, go
 		// reassemble at give_app_data.
 		s.tr.Edge(mQBlock, 64+uint64(len(lgSrcv.received)%16))
-		if lgSrcv.bodyData == nil {
+		if !lgSrcv.hasBody {
 			// Figure 5 line 20: pdu->body_data = lg_srcv->body_data->s
 			// with body_data still NULL — Table II bug #8.
 			bugs.Trigger("CoAP", bugs.SEGV, "coap_handle_request_put_block",
 				"give_app_data dereferences NULL lg_srcv->body_data")
 		}
-		s.resources[path] = lgSrcv.bodyData
-		delete(s.uploads, key)
-		return s.reply(m, codeCreated, nil, nil)
+		s.setResource(path, lgSrcv.bodyData, true)
+		s.endUpload(lgSrcv)
+		return s.reply(codeCreated, nil)
 	}
 
 	// Classic Block1 path (RFC 7959).
@@ -428,72 +499,79 @@ func (s *Server) handlePut(m message, path string) [][]byte {
 		blk, ok := decodeBlockOpt(b1)
 		s.tr.Edge(mBlock1, probes.B(ok)<<8|uint64(blk.SZX))
 		if !ok {
-			return s.reply(m, codeBadOption, nil, nil)
+			return s.reply(codeBadOption, nil)
 		}
-		key := string(m.Token) + "\x01" + path
-		st, found := s.uploads[key]
-		if !found {
-			st = &blockState{received: make(map[int]bool)}
-			s.uploads[key] = st
-		}
+		s.uploadKey(1, path)
+		st, found := s.upload()
 		s.tr.Edge(mBlock1, 512+probes.B(found)<<4|uint64(blk.Num%16))
 		st.received[blk.Num] = true
 		st.bodyData = append(st.bodyData, m.Payload...)
+		st.hasBody = st.hasBody || len(m.Payload) > 0
 		s.tr.Edge(mBlock1, 1024+uint64(len(st.received)%16)<<5|probes.HashBytes(m.Token)%32)
 		if blk.More {
-			opts := []option{{Number: optBlock1, Value: encodeBlockOpt(blk)}}
-			return s.reply(m, codeContinue, opts, nil)
+			s.addBlockOpt(optBlock1, blk)
+			return s.reply(codeContinue, nil)
 		}
 		s.tr.Edge(mBlock1, 600+uint64(len(st.received)%16))
-		s.storeResource(path, st.bodyData)
-		delete(s.uploads, key)
-		return s.reply(m, codeCreated, nil, nil)
+		s.setResource(path, st.bodyData, false)
+		s.endUpload(st)
+		return s.reply(codeCreated, nil)
 	}
 
 	// Plain PUT.
-	_, existed := s.resources[path]
+	_, existed := s.resources[string(path)]
 	s.tr.Edge(mPut, 256+probes.B(existed))
-	s.storeResource(path, m.Payload)
+	s.setResource(path, m.Payload, false)
 	if existed {
-		return s.reply(m, codeContent, nil, nil)
+		return s.reply(codeContent, nil)
 	}
-	return s.reply(m, codeCreated, nil, nil)
+	return s.reply(codeCreated, nil)
 }
 
-func (s *Server) handlePost(m message, path string) [][]byte {
-	s.tr.Edge(mPost, probes.Hash(path)%64)
-	if cf, has := m.findOption(optContentFormat); has {
+func (s *Server) handlePost(path []byte, pathHash uint64) [][]byte {
+	s.tr.Edge(mPost, pathHash%64)
+	if cf, has := s.msg.findOption(optContentFormat); has {
 		v := 0
 		for _, b := range cf {
 			v = v<<8 | int(b)
 		}
 		s.tr.Edge(mPost, 128+uint64(v%64))
 	}
-	s.storeResource(path+"/new", m.Payload)
-	return s.reply(m, codeCreated, nil, nil)
+	s.key = append(append(s.key[:0], path...), "/new"...)
+	s.setResource(s.key, s.msg.Payload, false)
+	return s.reply(codeCreated, nil)
 }
 
-func (s *Server) handleDelete(m message, path string) [][]byte {
-	_, existed := s.resources[path]
+func (s *Server) handleDelete(path []byte) [][]byte {
+	_, existed := s.resources[string(path)]
 	s.tr.Edge(mDelete, probes.B(existed))
-	delete(s.resources, path)
-	delete(s.observers, path)
-	return s.reply(m, codeDeleted, nil, nil)
+	delete(s.resources, string(path))
+	return s.reply(codeDeleted, nil)
 }
 
-func (s *Server) storeResource(path string, body []byte) {
-	if len(s.resources) < 2048 {
-		s.resources[path] = body
+// setResource stores a copy of body at path, keeping an existing
+// resource's observers. Once the store holds 2048 resources it refuses
+// every write, unless force is set.
+func (s *Server) setResource(path, body []byte, force bool) {
+	if !force && len(s.resources) >= 2048 {
+		return
+	}
+	if res, ok := s.resources[string(path)]; ok {
+		res.body = append(res.body[:0], body...)
+	} else {
+		s.resources[string(path)] = &resource{body: bytes.Clone(body)}
 	}
 }
 
-// reply builds the response, honoring the CON/NON exchange type.
-func (s *Server) reply(req message, code byte, opts []option, payload []byte) [][]byte {
+// reply answers the current request with code, s.opts and payload,
+// honoring the CON/NON exchange type.
+func (s *Server) reply(code byte, payload []byte) [][]byte {
+	req := &s.msg
 	resp := message{
 		Code:      code,
 		MessageID: req.MessageID,
 		Token:     req.Token,
-		Options:   opts,
+		Options:   s.opts,
 		Payload:   payload,
 	}
 	if req.Type == typeCON {
@@ -501,5 +579,7 @@ func (s *Server) reply(req message, code byte, opts []option, payload []byte) []
 	} else {
 		resp.Type = typeNON
 	}
-	return [][]byte{encodeMessage(resp)}
+	appendMessage(&s.resp.W, &resp)
+	s.resp.End()
+	return s.resp.Out()
 }

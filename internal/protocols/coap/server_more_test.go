@@ -11,7 +11,7 @@ func TestPostCreatesResource(t *testing.T) {
 	s := startServer(t, nil)
 	opts := append(pathOpts("queue"), option{Number: optContentFormat, Value: []byte{50}})
 	resp := s.Message(request(typeCON, codePOST, 1, []byte{1}, opts, []byte(`{}`)))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeCreated {
 		t.Fatalf("POST code = %d", rm.Code)
 	}
@@ -25,19 +25,16 @@ func TestDeleteRemovesResourceAndObservers(t *testing.T) {
 	// Register an observer, then delete the resource.
 	s.Message(request(typeCON, codeGET, 1, []byte{1},
 		append([]option{{Number: optObserve, Value: nil}}, pathOpts("sensors", "temp")...), nil))
-	if s.observers["sensors/temp"] != 1 {
-		t.Fatalf("observers = %v", s.observers)
+	if n := s.resources["sensors/temp"].observers; n != 1 {
+		t.Fatalf("observers = %d", n)
 	}
 	resp := s.Message(request(typeCON, codeDELETE, 2, []byte{1}, pathOpts("sensors", "temp"), nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeDeleted {
 		t.Fatalf("DELETE code = %d", rm.Code)
 	}
 	if _, ok := s.resources["sensors/temp"]; ok {
-		t.Fatal("resource survived DELETE")
-	}
-	if len(s.observers) != 0 {
-		t.Fatal("observers survived DELETE")
+		t.Fatal("resource and its observers survived DELETE")
 	}
 }
 
@@ -47,15 +44,15 @@ func TestObserveDeregistration(t *testing.T) {
 	s.Message(request(typeCON, codeGET, 1, []byte{1}, reg, nil))
 	dereg := append([]option{{Number: optObserve, Value: []byte{1}}}, pathOpts("sensors", "temp")...)
 	s.Message(request(typeCON, codeGET, 2, []byte{1}, dereg, nil))
-	if len(s.observers) != 0 {
-		t.Fatalf("observer not deregistered: %v", s.observers)
+	if n := s.resources["sensors/temp"].observers; n != 0 {
+		t.Fatalf("observer not deregistered: %d", n)
 	}
 }
 
 func TestMaxPayloadRejects(t *testing.T) {
 	s := startServer(t, map[string]string{"max-payload": "8"})
 	resp := s.Message(request(typeCON, codePUT, 1, []byte{1}, pathOpts("x"), make([]byte, 64)))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeTooLarge {
 		t.Fatalf("code = %d, want 4.13", rm.Code)
 	}
@@ -64,7 +61,7 @@ func TestMaxPayloadRejects(t *testing.T) {
 func TestFetchBehavesLikeGet(t *testing.T) {
 	s := startServer(t, nil)
 	resp := s.Message(request(typeCON, codeFETCH, 1, []byte{1}, pathOpts("sensors", "temp"), nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeContent {
 		t.Fatalf("FETCH code = %d", rm.Code)
 	}
@@ -72,7 +69,7 @@ func TestFetchBehavesLikeGet(t *testing.T) {
 
 func TestSessionResetDropsUploads(t *testing.T) {
 	s := startServer(t, nil)
-	opts := append(pathOpts("fw"), option{Number: optBlock1, Value: encodeBlockOpt(blockOpt{Num: 0, More: true, SZX: 2})})
+	opts := append(pathOpts("fw"), option{Number: optBlock1, Value: appendBlockOpt(nil, blockOpt{Num: 0, More: true, SZX: 2})})
 	s.Message(request(typeCON, codePUT, 1, []byte{2}, opts, []byte("AAAA")))
 	if len(s.uploads) != 1 {
 		t.Fatal("upload state missing")
@@ -86,7 +83,7 @@ func TestSessionResetDropsUploads(t *testing.T) {
 func TestUnknownMethodBadRequest(t *testing.T) {
 	s := startServer(t, nil)
 	resp := s.Message(request(typeCON, 31, 1, []byte{1}, pathOpts("x"), nil))
-	rm, _ := decode(resp[0])
+	rm, _ := parse(resp[0])
 	if rm.Code != codeBadRequest {
 		t.Fatalf("code = %d", rm.Code)
 	}
@@ -113,7 +110,7 @@ func TestQuickMessageRoundTrip(t *testing.T) {
 		if m.Code == 0 {
 			m.Code = 1
 		}
-		got, err := decode(encodeMessage(m))
+		got, err := parse(encode(m))
 		if err != nil {
 			// The only legal failure: empty payload after a marker never
 			// happens because encode omits the marker for empty payloads.
@@ -132,9 +129,23 @@ func TestResourceStoreCap(t *testing.T) {
 	s.SetTrace(coverage.NewTrace())
 	for i := 0; i < 3000; i++ {
 		path := "r/" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
-		s.storeResource(path, []byte("v"))
+		s.setResource([]byte(path), []byte("v"), false)
 	}
 	if len(s.resources) > 2048 {
 		t.Fatalf("resource store unbounded: %d", len(s.resources))
+	}
+}
+
+// TestResourceBodyOwned: a stored representation must not alias the
+// request it arrived in, whose buffer the fuzzing engine reuses.
+func TestResourceBodyOwned(t *testing.T) {
+	s := startServer(t, nil)
+	s.SetTrace(coverage.NewTrace())
+	put := request(typeCON, codePUT, 1, []byte{1}, pathOpts("lamp"), []byte("on-on-on"))
+	s.Message(put)
+	copy(put[len(put)-8:], "ZZZZZZZZ")
+	rm, _ := parse(s.Message(request(typeCON, codeGET, 2, []byte{1}, pathOpts("lamp"), nil))[0])
+	if string(rm.Payload) != "on-on-on" {
+		t.Fatalf("GET payload = %q, want %q", rm.Payload, "on-on-on")
 	}
 }

@@ -272,7 +272,12 @@ type Node struct {
 	tr           *coverage.Trace
 	participants map[uint64]*participant
 	readers      map[uint32]uint64 // readerId -> highest seq acked
-	frags        map[uint64][]bool
+	// frags maps a sample to its fragment slots, an index into slots,
+	// whose arrays the node reuses from session to session.
+	frags map[uint64]int
+	slots [][64]bool
+	// resp holds the response messages, reused by every Message.
+	resp wire.Frames
 }
 
 // NewNode returns an unstarted DDS node.
@@ -280,7 +285,7 @@ func NewNode() *Node {
 	return &Node{
 		participants: make(map[uint64]*participant),
 		readers:      make(map[uint32]uint64),
-		frags:        make(map[uint64][]bool),
+		frags:        make(map[uint64]int),
 	}
 }
 
@@ -301,13 +306,17 @@ func (n *Node) SetTrace(tr *coverage.Trace) { n.tr = tr }
 
 // NewSession implements subject.Instance. RTPS peers persist across
 // datagrams; a session only resets fragment reassembly.
-func (n *Node) NewSession() { n.frags = make(map[uint64][]bool) }
+func (n *Node) NewSession() {
+	clear(n.frags)
+	n.slots = n.slots[:0]
+}
 
 // Close implements subject.Instance.
 func (n *Node) Close() {}
 
 // Message handles one RTPS datagram.
 func (n *Node) Message(data []byte) [][]byte {
+	n.resp.Reset()
 	if n.cfg.maxMessageSize > 0 && len(data) > n.cfg.maxMessageSize {
 		n.tr.Edge(mHdrErr, probes.Bucket(len(data)))
 		return nil
@@ -336,7 +345,6 @@ func (n *Node) Message(data []byte) [][]byte {
 		n.tr.Edge(mTraceOp, 64+probes.HashBytes(data)%2048)
 	}
 
-	var out [][]byte
 	count := 0
 	for r.Remaining() >= 4 && count < 16 {
 		count++
@@ -354,7 +362,7 @@ func (n *Node) Message(data []byte) [][]byte {
 		body := r.Bytes(length)
 		if r.Err() != nil {
 			n.tr.Edge(mSubmsg, 0)
-			return out
+			return n.resp.Out()
 		}
 		n.tr.Edge(mSubmsg, uint64(id)<<4|uint64(flags&0x0f))
 		n.tr.Edge(mSubmsg, 4096+probes.Bucket(length))
@@ -362,11 +370,11 @@ func (n *Node) Message(data []byte) [][]byte {
 
 		switch id {
 		case smData:
-			out = append(out, n.handleData(body, flags, le, guid)...)
+			n.handleData(body, flags, le, guid)
 		case smDataFrag:
 			n.handleDataFrag(body, le)
 		case smHeartbeat:
-			out = append(out, n.handleHeartbeat(body, le)...)
+			n.handleHeartbeat(body, le)
 		case smAckNack:
 			n.handleAckNack(body, le)
 		case smGap:
@@ -387,12 +395,13 @@ func (n *Node) Message(data []byte) [][]byte {
 			n.tr.Edge(mSubmsg, 8192+uint64(id))
 		}
 	}
-	return out
+	return n.resp.Out()
 }
 
 func readEntityID(r *wire.Reader) uint32 { return r.U32() }
 
-func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) [][]byte {
+// handleData handles one DATA submessage, appending any reply to n.resp.
+func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 	r := wire.NewReader(body)
 	r.Skip(2) // extraFlags
 	var inlineQosOff uint16
@@ -407,7 +416,7 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) [][]byt
 	seqLo := r.U32()
 	if r.Err() != nil {
 		n.tr.Edge(mData, 0)
-		return nil
+		return
 	}
 	seq := uint64(seqHi)<<32 | uint64(seqLo)
 	n.tr.Edge(mData, 1+uint64(readerID%256))
@@ -433,17 +442,17 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) [][]byt
 		if !known {
 			if len(n.participants) >= 64 {
 				n.tr.Edge(mSPDP, 1024)
-				return nil
+				return
 			}
 			p = &participant{}
 			n.participants[guid] = p
 		}
 		p.lastSeq = seq
 		// Respond with our own SPDP announcement.
-		return [][]byte{n.spdpAnnouncement()}
+		appendSPDPAnnouncement(&n.resp.W)
+		n.resp.End()
 	case entitySEDPPubW, entitySEDPSubW:
 		n.tr.Edge(mSEDP, uint64(writerID%16)<<11|probes.HashBytes(payload)%2048)
-		return nil
 	default:
 		// User data: reliable readers record the sequence.
 		if cur, ok := n.readers[writerID]; !ok || seq > cur {
@@ -457,7 +466,6 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) [][]byt
 			n.tr.Edge(mLiveOp, uint64(writerID%128))
 			n.tr.Edge(mLiveOp, 128+probes.HashBytes(payload)%2048)
 		}
-		return nil
 	}
 }
 
@@ -518,15 +526,17 @@ func (n *Node) handleDataFrag(body []byte, le bool) {
 		return
 	}
 	key := uint64(writerID)<<32 | seq&0xffffffff
-	slots, ok := n.frags[key]
+	i, ok := n.frags[key]
 	if !ok {
 		if len(n.frags) >= 128 {
 			n.tr.Edge(mFragOp, 257)
 			return
 		}
-		slots = make([]bool, 64)
-		n.frags[key] = slots
+		i = len(n.slots)
+		n.slots = append(n.slots, [64]bool{})
+		n.frags[key] = i
 	}
+	slots := n.slots[i][:]
 	if int(fragNum) < len(slots) {
 		slots[fragNum] = true
 		n.tr.Edge(mFragOp, 300+uint64(countTrue(slots)%32))
@@ -544,7 +554,8 @@ func countTrue(b []bool) int {
 	return c
 }
 
-func (n *Node) handleHeartbeat(body []byte, le bool) [][]byte {
+// handleHeartbeat handles one HEARTBEAT, appending any ACKNACK to n.resp.
+func (n *Node) handleHeartbeat(body []byte, le bool) {
 	r := wire.NewReader(body)
 	readerID := readEntityID(r)
 	writerID := readEntityID(r)
@@ -553,7 +564,7 @@ func (n *Node) handleHeartbeat(body []byte, le bool) [][]byte {
 	count := r.U32()
 	if r.Err() != nil {
 		n.tr.Edge(mHeartbt, 0)
-		return nil
+		return
 	}
 	n.tr.Edge(mHeartbt, 1+uint64(writerID%128))
 	n.tr.Edge(mHeartbt, 256+probes.Bucket(int(lastSN-firstSN)))
@@ -561,7 +572,7 @@ func (n *Node) handleHeartbeat(body []byte, le bool) [][]byte {
 	n.tr.Edge(mHeartbt, 1024+probes.HashBytes(body)%1024)
 	if firstSN > lastSN {
 		n.tr.Edge(mHeartbt, 400) // invalid range
-		return nil
+		return
 	}
 	acked := n.readers[writerID]
 	if acked < lastSN {
@@ -571,9 +582,9 @@ func (n *Node) handleHeartbeat(body []byte, le bool) [][]byte {
 			n.tr.Edge(mAckNack, 600+uint64(count%8))
 			n.tr.Edge(mAckNack, 8192+probes.HashBytes(body)%768)
 		}
-		return [][]byte{n.acknackMessage(readerID, writerID, acked+1)}
+		appendAckNack(&n.resp.W, readerID, writerID, acked+1)
+		n.resp.End()
 	}
-	return nil
 }
 
 func (n *Node) handleAckNack(body []byte, le bool) {
@@ -605,50 +616,43 @@ func (n *Node) handleAckNack(body []byte, le bool) {
 	}
 }
 
-// spdpAnnouncement builds this node's own SPDP DATA message.
-func (n *Node) spdpAnnouncement() []byte {
-	w := wire.NewWriter(64)
-	w.Raw([]byte("RTPS"))
+// appendHeader appends the RTPS header the node sends with.
+func appendHeader(w *wire.Writer) {
+	w.String("RTPS")
 	w.U8(2)
 	w.U8(2)
 	w.U16(0x0110) // vendor: our stand-in id
-	w.Raw(make([]byte, 12))
-	// DATA submessage.
-	body := wire.NewWriter(32)
-	body.U16(0)
-	body.U16(0)
-	body.U32(0)
-	body.U32(entitySPDPWriter)
-	body.U32(0)
-	body.U32(1)
-	body.Raw([]byte("participant"))
-	w.U8(smData)
-	w.U8(0)
-	w.U16(uint16(body.Len()))
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	w.U32(0)      // guid prefix: 12 zero bytes
+	w.U64(0)
 }
 
-// acknackMessage builds an ACKNACK reply.
-func (n *Node) acknackMessage(readerID, writerID uint32, base uint64) []byte {
-	w := wire.NewWriter(48)
-	w.Raw([]byte("RTPS"))
-	w.U8(2)
-	w.U8(2)
-	w.U16(0x0110)
-	w.Raw(make([]byte, 12))
-	body := wire.NewWriter(24)
-	body.U32(readerID)
-	body.U32(writerID)
-	body.U32(uint32(base >> 32))
-	body.U32(uint32(base))
-	body.U32(0) // numBits
-	body.U32(1) // count
+// appendSPDPAnnouncement appends this node's own SPDP DATA message.
+func appendSPDPAnnouncement(w *wire.Writer) {
+	appendHeader(w)
+	w.U8(smData)
+	w.U8(0)
+	w.U16(20 + uint16(len("participant")))
+	w.U16(0)
+	w.U16(0)
+	w.U32(0)
+	w.U32(entitySPDPWriter)
+	w.U32(0)
+	w.U32(1)
+	w.String("participant")
+}
+
+// appendAckNack appends an ACKNACK reply.
+func appendAckNack(w *wire.Writer, readerID, writerID uint32, base uint64) {
+	appendHeader(w)
 	w.U8(smAckNack)
 	w.U8(0)
-	w.U16(uint16(body.Len()))
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	w.U16(24)
+	w.U32(readerID)
+	w.U32(writerID)
+	w.U32(uint32(base >> 32))
+	w.U32(uint32(base))
+	w.U32(0) // numBits
+	w.U32(1) // count
 }
 
 // ddsSubject implements subject.Subject.

@@ -195,9 +195,9 @@ func TestDataFragReassemblyState(t *testing.T) {
 	n.Message(rtpsMessage(submsg(smDataFrag, 0, fragBody(1))))
 	n.Message(rtpsMessage(submsg(smDataFrag, 0, fragBody(2))))
 	key := uint64(7)<<32 | 5
-	slots := n.frags[key]
-	if slots == nil || !slots[1] || !slots[2] {
-		t.Fatalf("fragments not tracked: %v", slots)
+	i, ok := n.frags[key]
+	if !ok || !n.slots[i][1] || !n.slots[i][2] {
+		t.Fatalf("fragments not tracked: %v", n.slots)
 	}
 	// Oversized fragment rejected by FragmentSize config.
 	big := func() []byte {

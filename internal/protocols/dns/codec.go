@@ -7,8 +7,8 @@
 package dns
 
 import (
+	"bytes"
 	"errors"
-	"strings"
 
 	"cmfuzz/internal/wire"
 )
@@ -68,27 +68,31 @@ type header struct {
 	ARCount uint16
 }
 
-// question is one entry of the question section.
+// question is one entry of the question section. A decoded Name aliases
+// the decoder's name buffer.
 type question struct {
-	Name  string
+	Name  []byte
 	Type  uint16
 	Class uint16
 }
 
 // record is one resource record (answers and the OPT pseudo-record).
 type record struct {
-	Name  string
+	Name  []byte
 	Type  uint16
 	Class uint16 // UDP payload size for OPT
 	TTL   uint32
 	Data  []byte
 }
 
-// queryMsg is a decoded DNS request.
+// queryMsg is a decoded DNS request. It is reused from message to
+// message: decodeQuery refills its slices and its names buffer, which
+// every decoded name aliases.
 type queryMsg struct {
 	Header     header
 	Questions  []question
 	Additional []record
+	names      []byte
 }
 
 func read16(r *wire.Reader) (uint16, error) {
@@ -112,9 +116,10 @@ func decodeHeader(r *wire.Reader) (header, error) {
 }
 
 // decodeName reads a possibly compressed domain name starting at the
-// reader's cursor. full is the entire packet, needed to chase pointers.
-func decodeName(r *wire.Reader, full []byte) (string, error) {
-	var labels []string
+// reader's cursor and appends it to dst, its labels joined with dots.
+// full is the entire packet, needed to chase pointers.
+func decodeName(r *wire.Reader, full, dst []byte) ([]byte, error) {
+	labels := 0
 	jumps := 0
 	pos := -1 // -1: reading from r; otherwise reading from full at pos
 	readByte := func() (byte, error) {
@@ -134,92 +139,99 @@ func decodeName(r *wire.Reader, full []byte) (string, error) {
 	for {
 		b, err := readByte()
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		switch {
 		case b == 0:
-			return strings.Join(labels, "."), nil
+			return dst, nil
 		case b&0xc0 == 0xc0:
 			low, err := readByte()
 			if err != nil {
-				return "", err
+				return dst, err
 			}
 			target := int(b&0x3f)<<8 | int(low)
 			if target >= len(full) {
-				return "", errPointerOut
+				return dst, errPointerOut
 			}
 			jumps++
 			if jumps > 8 {
-				return "", errPointerLoop
+				return dst, errPointerLoop
 			}
 			pos = target
 		case b&0xc0 != 0:
-			return "", errMalformed // reserved label types
+			return dst, errMalformed // reserved label types
 		default:
-			n := int(b)
-			label := make([]byte, 0, n)
-			for i := 0; i < n; i++ {
+			if labels > 0 {
+				dst = append(dst, '.')
+			}
+			for i := 0; i < int(b); i++ {
 				c, err := readByte()
 				if err != nil {
-					return "", err
+					return dst, err
 				}
-				label = append(label, c)
+				dst = append(dst, c)
 			}
-			labels = append(labels, string(label))
-			if len(labels) > 32 {
-				return "", errMalformed
+			labels++
+			if labels > 32 {
+				return dst, errMalformed
 			}
 		}
 	}
 }
 
-// decodeQuery parses a request: header, questions, and any additional
-// records (for EDNS OPT).
-func decodeQuery(data []byte) (queryMsg, error) {
+// decodeQuery parses a request into q: header, questions, and any
+// additional records (for EDNS OPT).
+func decodeQuery(data []byte, q *queryMsg) error {
 	r := wire.NewReader(data)
-	var q queryMsg
+	q.Questions = q.Questions[:0]
+	q.Additional = q.Additional[:0]
+	q.names = q.names[:0]
 	var err error
 	if q.Header, err = decodeHeader(r); err != nil {
-		return q, err
+		return err
 	}
 	if q.Header.QDCount > 16 {
-		return q, errMalformed
+		return errMalformed
 	}
 	for i := 0; i < int(q.Header.QDCount); i++ {
 		var qu question
-		if qu.Name, err = decodeName(r, data); err != nil {
-			return q, err
+		start := len(q.names)
+		if q.names, err = decodeName(r, data, q.names); err != nil {
+			return err
 		}
+		qu.Name = q.names[start:len(q.names):len(q.names)]
 		if qu.Type, err = read16(r); err != nil {
-			return q, err
+			return err
 		}
 		if qu.Class, err = read16(r); err != nil {
-			return q, err
+			return err
 		}
 		q.Questions = append(q.Questions, qu)
 	}
 	// Skip answer/authority sections (unusual in queries, tolerated).
 	for i := 0; i < int(q.Header.ANCount)+int(q.Header.NSCount); i++ {
-		if err := skipRecord(r, data); err != nil {
-			return q, err
+		if _, err := q.decodeRecord(r, data); err != nil {
+			return err
 		}
 	}
 	for i := 0; i < int(q.Header.ARCount); i++ {
-		rec, err := decodeRecord(r, data)
+		rec, err := q.decodeRecord(r, data)
 		if err != nil {
-			return q, err
+			return err
 		}
 		q.Additional = append(q.Additional, rec)
 	}
-	return q, nil
+	return nil
 }
 
-func decodeRecord(r *wire.Reader, full []byte) (record, error) {
+func (q *queryMsg) decodeRecord(r *wire.Reader, full []byte) (record, error) {
 	var rec record
 	var err error
-	if rec.Name, err = decodeName(r, full); err != nil {
+	start := len(q.names)
+	if q.names, err = decodeName(r, full, q.names); err != nil {
 		return rec, err
 	}
+	rec.Name = q.names[start:len(q.names):len(q.names)]
 	if rec.Type, err = read16(r); err != nil {
 		return rec, err
 	}
@@ -241,72 +253,50 @@ func decodeRecord(r *wire.Reader, full []byte) (record, error) {
 	return rec, nil
 }
 
-func skipRecord(r *wire.Reader, full []byte) error {
-	_, err := decodeRecord(r, full)
-	return err
-}
-
-// encodeName renders an uncompressed domain name.
-func encodeName(w *wire.Writer, name string) {
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
+// appendName renders an uncompressed domain name, one label per
+// dot-separated part.
+func appendName(w *wire.Writer, name []byte) {
+	if len(name) > 0 {
+		for {
+			label, rest, more := bytes.Cut(name, dot)
 			if len(label) > 63 {
 				label = label[:63]
 			}
 			w.U8(byte(len(label)))
-			w.Raw([]byte(label))
+			w.Raw(label)
+			if !more {
+				break
+			}
+			name = rest
 		}
 	}
 	w.U8(0)
 }
 
-// encodeResponse renders a response for the given questions and answers.
-func encodeResponse(id uint16, flags uint16, questions []question, answers []record) []byte {
-	w := wire.NewWriter(64)
-	w.U16(id)
-	w.U16(flags | flagQR)
-	w.U16(uint16(len(questions)))
-	w.U16(uint16(len(answers)))
-	w.U16(0)
-	w.U16(0)
-	for _, q := range questions {
-		encodeName(w, q.Name)
-		w.U16(q.Type)
-		w.U16(q.Class)
-	}
-	for _, a := range answers {
-		encodeName(w, a.Name)
-		w.U16(a.Type)
-		w.U16(a.Class)
-		w.U32(a.TTL)
-		w.U16(uint16(len(a.Data)))
-		w.Raw(a.Data)
-	}
-	return w.Bytes()
-}
+var dot = []byte{'.'}
 
-// encodeQuery renders a plain query (used by the Pit seed corpus and
-// tests).
-func encodeQuery(id uint16, flags uint16, questions []question, additional []record) []byte {
-	w := wire.NewWriter(64)
+// appendMessage renders a message: a response carries answers, a query
+// (built by the tests and the Pit seeds) additional records.
+func appendMessage(w *wire.Writer, id, flags uint16, questions []question, answers, additional []record) {
 	w.U16(id)
 	w.U16(flags)
 	w.U16(uint16(len(questions)))
-	w.U16(0)
+	w.U16(uint16(len(answers)))
 	w.U16(0)
 	w.U16(uint16(len(additional)))
 	for _, q := range questions {
-		encodeName(w, q.Name)
+		appendName(w, q.Name)
 		w.U16(q.Type)
 		w.U16(q.Class)
 	}
-	for _, a := range additional {
-		encodeName(w, a.Name)
-		w.U16(a.Type)
-		w.U16(a.Class)
-		w.U32(a.TTL)
-		w.U16(uint16(len(a.Data)))
-		w.Raw(a.Data)
+	for _, recs := range [2][]record{answers, additional} {
+		for _, a := range recs {
+			appendName(w, a.Name)
+			w.U16(a.Type)
+			w.U16(a.Class)
+			w.U32(a.TTL)
+			w.U16(uint16(len(a.Data)))
+			w.Raw(a.Data)
+		}
 	}
-	return w.Bytes()
 }

@@ -20,8 +20,22 @@ func startServer(t *testing.T, cfg map[string]string) *Server {
 	return s
 }
 
+// query builds a request with the encoder the server answers with.
+func query(id, flags uint16, questions []question, additional []record) []byte {
+	w := wire.NewWriter(64)
+	appendMessage(w, id, flags, questions, nil, additional)
+	return w.Bytes()
+}
+
+// decode parses a request into a fresh queryMsg.
+func decode(data []byte) (queryMsg, error) {
+	var q queryMsg
+	err := decodeQuery(data, &q)
+	return q, err
+}
+
 func simpleQuery(name string, qtype uint16) []byte {
-	return encodeQuery(0x1234, flagRD, []question{{Name: name, Type: qtype, Class: 1}}, nil)
+	return query(0x1234, flagRD, []question{{Name: []byte(name), Type: qtype, Class: 1}}, nil)
 }
 
 func decodeAnswer(t *testing.T, resp []byte) (header, []record) {
@@ -32,14 +46,14 @@ func decodeAnswer(t *testing.T, resp []byte) (header, []record) {
 		t.Fatalf("response header: %v", err)
 	}
 	for i := 0; i < int(h.QDCount); i++ {
-		if _, err := decodeName(r, resp); err != nil {
+		if _, err := decodeName(r, resp, nil); err != nil {
 			t.Fatalf("question name: %v", err)
 		}
 		r.Skip(4)
 	}
 	var answers []record
 	for i := 0; i < int(h.ANCount); i++ {
-		rec, err := decodeRecord(r, resp)
+		rec, err := new(queryMsg).decodeRecord(r, resp)
 		if err != nil {
 			t.Fatalf("answer %d: %v", i, err)
 		}
@@ -51,9 +65,9 @@ func decodeAnswer(t *testing.T, resp []byte) (header, []record) {
 func TestNameRoundTrip(t *testing.T) {
 	for _, name := range []string{"", "com", "www.example.com", "a.b.c.d.e"} {
 		w := wire.NewWriter(32)
-		encodeName(w, name)
-		got, err := decodeName(wire.NewReader(w.Bytes()), w.Bytes())
-		if err != nil || got != name {
+		appendName(w, []byte(name))
+		got, err := decodeName(wire.NewReader(w.Bytes()), w.Bytes(), nil)
+		if err != nil || string(got) != name {
 			t.Errorf("name %q round-tripped to %q (%v)", name, got, err)
 		}
 	}
@@ -62,7 +76,7 @@ func TestNameRoundTrip(t *testing.T) {
 func TestNameCompression(t *testing.T) {
 	// Packet: header-less buffer with "example.com" at 0, then a pointer.
 	w := wire.NewWriter(32)
-	encodeName(w, "example.com")
+	appendName(w, []byte("example.com"))
 	ptrOff := w.Len()
 	w.U8(0x03)
 	w.Raw([]byte("www"))
@@ -70,8 +84,8 @@ func TestNameCompression(t *testing.T) {
 	w.U8(0x00) // pointer to offset 0
 	full := w.Bytes()
 	r := wire.NewReader(full[ptrOff:])
-	got, err := decodeName(r, full)
-	if err != nil || got != "www.example.com" {
+	got, err := decodeName(r, full, nil)
+	if err != nil || string(got) != "www.example.com" {
 		t.Fatalf("compressed name = %q (%v)", got, err)
 	}
 }
@@ -79,34 +93,34 @@ func TestNameCompression(t *testing.T) {
 func TestNamePointerErrors(t *testing.T) {
 	// Pointer beyond the packet.
 	data := []byte{0xc0, 0x7f}
-	if _, err := decodeName(wire.NewReader(data), data); !errors.Is(err, errPointerOut) {
+	if _, err := decodeName(wire.NewReader(data), data, nil); !errors.Is(err, errPointerOut) {
 		t.Fatalf("out-of-range pointer err = %v", err)
 	}
 	// Pointer loop.
 	loop := []byte{0xc0, 0x00}
-	if _, err := decodeName(wire.NewReader(loop), loop); !errors.Is(err, errPointerLoop) {
+	if _, err := decodeName(wire.NewReader(loop), loop, nil); !errors.Is(err, errPointerLoop) {
 		t.Fatalf("pointer loop err = %v", err)
 	}
 	// Reserved label type.
 	bad := []byte{0x80, 0x00}
-	if _, err := decodeName(wire.NewReader(bad), bad); err == nil {
+	if _, err := decodeName(wire.NewReader(bad), bad, nil); err == nil {
 		t.Fatal("reserved label accepted")
 	}
 }
 
 func TestQueryRoundTrip(t *testing.T) {
-	raw := encodeQuery(7, flagRD, []question{
-		{Name: "a.example.com", Type: typeA, Class: 1},
-		{Name: "b.example.com", Type: typeAAAA, Class: 1},
-	}, []record{{Name: "", Type: typeOPT, Class: 4096}})
-	q, err := decodeQuery(raw)
+	raw := query(7, flagRD, []question{
+		{Name: []byte("a.example.com"), Type: typeA, Class: 1},
+		{Name: []byte("b.example.com"), Type: typeAAAA, Class: 1},
+	}, []record{{Name: nil, Type: typeOPT, Class: 4096}})
+	q, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Header.ID != 7 || len(q.Questions) != 2 || len(q.Additional) != 1 {
 		t.Fatalf("decoded = %+v", q)
 	}
-	if q.Questions[1].Name != "b.example.com" || q.Questions[1].Type != typeAAAA {
+	if string(q.Questions[1].Name) != "b.example.com" || q.Questions[1].Type != typeAAAA {
 		t.Fatalf("question = %+v", q.Questions[1])
 	}
 	if q.Additional[0].Type != typeOPT || q.Additional[0].Class != 4096 {
@@ -261,8 +275,8 @@ func TestBug11PointerPastEnd(t *testing.T) {
 }
 
 func TestBug12HugeEDNS(t *testing.T) {
-	q := encodeQuery(3, flagRD, []question{{Name: "x.com", Type: typeA, Class: 1}},
-		[]record{{Name: "", Type: typeOPT, Class: 0x8000}})
+	q := query(3, flagRD, []question{{Name: []byte("x.com"), Type: typeA, Class: 1}},
+		[]record{{Name: nil, Type: typeOPT, Class: 0x8000}})
 	s := startServer(t, map[string]string{"server": "8.8.8.8", "edns-packet-max": "0"})
 	s.SetTrace(coverage.NewTrace())
 	crash := bugs.Capture(func() { s.Message(q) })

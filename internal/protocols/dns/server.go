@@ -1,13 +1,18 @@
 package dns
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/protocols/probes"
+	"cmfuzz/internal/wire"
 )
 
 // confFile is the shipped dnsmasq.conf-style configuration: a custom
@@ -221,10 +226,25 @@ const hashSpace = 640
 
 // Server is the Dnsmasq-like DNS subject instance.
 type Server struct {
-	cfg   settings
-	tr    *coverage.Trace
+	cfg settings
+	tr  *coverage.Trace
+	// cache maps "name/type" to an answer whose Name and Data it owns.
 	cache map[string]record
 	hosts map[string][4]byte
+	// addressSuffix and localZone are cfg.address's domain and
+	// cfg.localZone without its slashes, derived once at Start.
+	addressSuffix string
+	localZone     string
+
+	// Per-message scratch, reused by every Message: the decoded query,
+	// the answers and their rdata, the lowercased name, a key buffer and
+	// the response frames.
+	q       queryMsg
+	answers []record
+	rdata   []byte
+	name    []byte
+	key     []byte
+	resp    wire.Frames
 }
 
 // NewServer returns an unstarted DNS forwarder.
@@ -246,6 +266,10 @@ func (s *Server) Start(cfg map[string]string, tr *coverage.Trace) error {
 	}
 	s.cfg = st
 	s.tr = tr
+	if parts := strings.Split(st.address, "/"); st.address != "" && len(parts) >= 2 {
+		s.addressSuffix = parts[1]
+	}
+	s.localZone = strings.Trim(st.localZone, "/")
 	st.startupCoverage(tr)
 	return nil
 }
@@ -261,8 +285,9 @@ func (s *Server) Close() {}
 
 // Message handles one DNS query datagram.
 func (s *Server) Message(data []byte) [][]byte {
-	q, err := decodeQuery(data)
-	if err != nil {
+	s.resp.Reset()
+	q := &s.q
+	if err := decodeQuery(data, q); err != nil {
 		s.tr.Edge(mParseErr, probes.Bucket(len(data)))
 		switch {
 		case errors.Is(err, errTruncated16):
@@ -292,9 +317,10 @@ func (s *Server) Message(data []byte) [][]byte {
 		if len(data) >= 12 {
 			// FORMERR response for parseable headers.
 			id := uint16(data[0])<<8 | uint16(data[1])
-			return [][]byte{encodeResponse(id, rcodeFormErr, nil, nil)}
+			appendMessage(&s.resp.W, id, rcodeFormErr|flagQR, nil, nil, nil)
+			s.resp.End()
 		}
-		return nil
+		return s.resp.Out()
 	}
 
 	h := q.Header
@@ -324,64 +350,107 @@ func (s *Server) Message(data []byte) [][]byte {
 		}
 	}
 
-	var answers []record
+	s.answers = s.answers[:0]
+	s.rdata = s.rdata[:0]
 	rcode := uint16(rcodeOK)
 	for _, qu := range q.Questions {
-		answers = append(answers, s.answer(qu, &rcode)...)
+		s.answer(qu, &rcode)
 	}
 	flags := rcode | flagRA | (h.Flags & flagRD)
-	return [][]byte{encodeResponse(h.ID, flags, q.Questions, answers)}
+	appendMessage(&s.resp.W, h.ID, flags|flagQR, q.Questions, s.answers, nil)
+	s.resp.End()
+	return s.resp.Out()
+}
+
+// hasSuffix reports whether b ends in suffix.
+func hasSuffix(b []byte, suffix string) bool {
+	return len(b) >= len(suffix) && string(b[len(b)-len(suffix):]) == suffix
+}
+
+// appendLower appends name lowercased to dst, byte for byte what
+// strings.ToLower returns: ASCII is mapped in place, and any other
+// sequence is decoded as a rune (an invalid byte as utf8.RuneError),
+// lowercased and re-encoded.
+func appendLower(dst, name []byte) []byte {
+	for i := 0; i < len(name); {
+		c := name[i]
+		if c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(name[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += n
+	}
+	return dst
+}
+
+// authSOA is the auth zone's answer data.
+var authSOA = []byte("primary.example.org")
+
+// answerWith appends one answer for qu carrying data, copied into the
+// message's rdata buffer.
+func (s *Server) answerWith(qu question, typ uint16, ttl uint32, data ...byte) {
+	start := len(s.rdata)
+	s.rdata = append(s.rdata, data...)
+	s.answers = append(s.answers, record{Name: qu.Name, Type: typ, Class: 1, TTL: ttl,
+		Data: s.rdata[start:len(s.rdata):len(s.rdata)]})
 }
 
 // answer resolves one question through the dnsmasq pipeline: logging,
 // filters, local data, hosts, cache, auth zone, DHCP leases, upstream.
-func (s *Server) answer(qu question, rcode *uint16) []record {
-	name := strings.ToLower(qu.Name)
+// It appends the answers to s.answers.
+func (s *Server) answer(qu question, rcode *uint16) {
+	s.name = appendLower(s.name[:0], qu.Name)
+	name := s.name
+	nameHash := probes.HashBytes(name)
 	s.tr.Edge(mQuestion, probes.Bucket(len(name)))
-	s.tr.Edge(mQuestion, 64+uint64(strings.Count(name, ".")%32))
-	s.tr.Edge(mNameHash, probes.Hash(name)%hashSpace)
+	s.tr.Edge(mQuestion, 64+uint64(bytes.Count(name, dot)%32))
+	s.tr.Edge(mNameHash, nameHash%hashSpace)
 	s.tr.Edge(mQType, uint64(qu.Type%256))
 	s.tr.Edge(mQType, 256+uint64(qu.Class%8))
 
 	if s.cfg.logQueries {
-		s.tr.Edge(mLog, probes.Hash(name)%128)
+		s.tr.Edge(mLog, nameHash%128)
 		// Bug #13: the query log formats the name with printf-style
 		// expansion; '%' directives in a label overflow the log buffer.
-		if strings.Contains(name, "%") {
+		if bytes.IndexByte(name, '%') >= 0 {
 			bugs.Trigger("DNS", bugs.HeapBufferOverflow, "printf_common",
 				"format directives in logged query name")
 		}
 	}
 
 	// Filters.
-	if s.cfg.domainNeed && !strings.Contains(name, ".") {
+	if s.cfg.domainNeed && bytes.IndexByte(name, '.') < 0 {
 		s.tr.Edge(mFilter, 0)
 		*rcode = rcodeRefused
-		return nil
+		return
 	}
-	if s.cfg.filterW2K && (qu.Type == typeSRV || qu.Type == typeSOA) && strings.Contains(name, "_") {
+	if s.cfg.filterW2K && (qu.Type == typeSRV || qu.Type == typeSOA) && bytes.IndexByte(name, '_') >= 0 {
 		s.tr.Edge(mFilter, 1+uint64(qu.Type%8))
 		*rcode = rcodeNXDomain
-		return nil
+		return
 	}
-	if s.cfg.bogusPriv && qu.Type == typePTR && strings.HasSuffix(name, ".in-addr.arpa") {
-		s.tr.Edge(mFilter, 16+probes.Hash(name)%16)
+	if s.cfg.bogusPriv && qu.Type == typePTR && hasSuffix(name, ".in-addr.arpa") {
+		s.tr.Edge(mFilter, 16+nameHash%16)
 		*rcode = rcodeNXDomain
-		return nil
+		return
 	}
 
 	// address=/domain/IP interception.
-	if s.cfg.address != "" {
-		parts := strings.Split(s.cfg.address, "/")
-		if len(parts) >= 2 && parts[1] != "" && strings.HasSuffix(name, parts[1]) {
-			s.tr.Edge(mLocal, probes.Hash(name)%64)
-			return []record{{Name: qu.Name, Type: typeA, Class: 1, TTL: 0, Data: []byte{127, 0, 0, 1}}}
-		}
+	if s.addressSuffix != "" && hasSuffix(name, s.addressSuffix) {
+		s.tr.Edge(mLocal, nameHash%64)
+		s.answerWith(qu, typeA, 0, 127, 0, 0, 1)
+		return
 	}
 
 	// addn-hosts lazy load: qualification through config_parse.
 	if s.cfg.addnHosts != "" {
-		s.tr.Edge(mHostsLk, probes.Hash(name)%128)
+		s.tr.Edge(mHostsLk, nameHash%128)
 		// Bug #14: re-qualifying an overlong name against the additional
 		// hosts file overruns the config parser's line buffer.
 		if len(name) > 64 {
@@ -391,77 +460,82 @@ func (s *Server) answer(qu question, rcode *uint16) []record {
 	}
 
 	// Local hosts answers.
-	if ip, ok := s.hosts[name]; ok && (qu.Type == typeA || qu.Type == typeANY) {
-		s.tr.Edge(mLocal, 128+probes.Hash(name)%32)
-		return []record{{Name: qu.Name, Type: typeA, Class: 1, TTL: 60, Data: ip[:]}}
+	if ip, ok := s.hosts[string(name)]; ok && (qu.Type == typeA || qu.Type == typeANY) {
+		s.tr.Edge(mLocal, 128+nameHash%32)
+		s.answerWith(qu, typeA, 60, ip[:]...)
+		return
 	}
-	if s.cfg.expandHost && s.cfg.domain != "" && !strings.Contains(name, ".") {
-		fq := name + "." + s.cfg.domain
-		if ip, ok := s.hosts[fq]; ok {
-			s.tr.Edge(mLocal, 192+probes.Hash(fq)%16)
-			return []record{{Name: qu.Name, Type: typeA, Class: 1, TTL: 60, Data: ip[:]}}
+	if s.cfg.expandHost && s.cfg.domain != "" && bytes.IndexByte(name, '.') < 0 {
+		s.key = append(append(append(s.key[:0], name...), '.'), s.cfg.domain...)
+		if ip, ok := s.hosts[string(s.key)]; ok {
+			s.tr.Edge(mLocal, 192+probes.HashBytes(s.key)%16)
+			s.answerWith(qu, typeA, 60, ip[:]...)
+			return
 		}
 	}
 
 	// local=/zone/ answers authoritatively (NXDOMAIN when unknown).
-	if s.cfg.localZone != "" {
-		zone := strings.Trim(s.cfg.localZone, "/")
-		if zone != "" && strings.HasSuffix(name, zone) {
-			s.tr.Edge(mLocal, 256+probes.Hash(name)%32)
-			*rcode = rcodeNXDomain
-			return nil
-		}
+	if s.localZone != "" && hasSuffix(name, s.localZone) {
+		s.tr.Edge(mLocal, 256+nameHash%32)
+		*rcode = rcodeNXDomain
+		return
 	}
 
 	// Authoritative zone.
-	if s.cfg.authZone != "" && strings.HasSuffix(name, s.cfg.authZone) {
-		s.tr.Edge(mAuthZone, probes.Hash(name)%128)
+	if s.cfg.authZone != "" && hasSuffix(name, s.cfg.authZone) {
+		s.tr.Edge(mAuthZone, nameHash%128)
 		s.tr.Edge(mAuthZone, 128+uint64(qu.Type%16))
-		return []record{{Name: qu.Name, Type: typeSOA, Class: 1, TTL: 3600,
-			Data: []byte("primary.example.org")}}
+		s.answerWith(qu, typeSOA, 3600, authSOA...)
+		return
 	}
 
 	// DHCP lease lookups for the local domain.
 	if s.cfg.dhcpRange != "" {
-		if qu.Type == typePTR || (s.cfg.domain != "" && strings.HasSuffix(name, s.cfg.domain)) {
-			s.tr.Edge(mDHCPLk, probes.Hash(name)%192)
+		if qu.Type == typePTR || (s.cfg.domain != "" && hasSuffix(name, s.cfg.domain)) {
+			s.tr.Edge(mDHCPLk, nameHash%192)
 			s.tr.Edge(mDHCPLk, 192+uint64(qu.Type%8))
 		}
 	}
 
-	// Cache.
+	// Cache, keyed "name/type".
 	if s.cfg.cacheSize > 0 {
-		key := fmt.Sprintf("%s/%d", name, qu.Type)
-		if rec, ok := s.cache[key]; ok {
-			s.tr.Edge(mCache, probes.Hash(key)%128)
-			return []record{rec}
+		s.key = strconv.AppendUint(append(append(s.key[:0], name...), '/'), uint64(qu.Type), 10)
+		if rec, ok := s.cache[string(s.key)]; ok {
+			s.tr.Edge(mCache, probes.HashBytes(s.key)%128)
+			s.answers = append(s.answers, rec)
+			return
 		}
-		s.tr.Edge(mCache, 128+probes.Hash(key)%64)
+		s.tr.Edge(mCache, 128+probes.HashBytes(s.key)%64)
 	}
 
 	// Upstream forward (simulated: deterministic synthetic answer).
 	if s.cfg.upstream == "" {
 		s.tr.Edge(mForward, 0)
 		*rcode = rcodeServFail
-		return nil
+		return
 	}
-	s.tr.Edge(mForward, 1+probes.Hash(name)%128)
+	s.tr.Edge(mForward, 1+nameHash%128)
 	s.tr.Edge(mForward, 192+uint64(qu.Type%32))
 	if s.cfg.dnssec {
 		// Validation region: per-name signature checks.
-		s.tr.Edge(mSECValid, probes.Hash(name)%256)
+		s.tr.Edge(mSECValid, nameHash%256)
 		s.tr.Edge(mSECValid, 256+uint64(qu.Type%16))
 	}
-	h := probes.Hash(name)
-	rec := record{Name: qu.Name, Type: typeA, Class: 1, TTL: 300,
-		Data: []byte{10, byte(h >> 16), byte(h >> 8), byte(h)}}
+	h := nameHash
+	v4 := [4]byte{10, byte(h >> 16), byte(h >> 8), byte(h)}
 	if qu.Type == typeAAAA {
-		rec.Type = typeAAAA
-		rec.Data = append([]byte{0x20, 0x01, 0x0d, 0xb8}, rec.Data...)
-		rec.Data = append(rec.Data, make([]byte, 16-len(rec.Data))...)
+		s.answerWith(qu, typeAAAA, 300, 0x20, 0x01, 0x0d, 0xb8, v4[0], v4[1], v4[2], v4[3],
+			0, 0, 0, 0, 0, 0, 0, 0)
+	} else {
+		s.answerWith(qu, typeA, 300, v4[:]...)
 	}
 	if s.cfg.cacheSize > 0 && len(s.cache) < s.cfg.cacheSize {
-		s.cache[fmt.Sprintf("%s/%d", name, qu.Type)] = rec
+		// The cache owns its copy of the answer: one buffer for the
+		// name as asked and the rdata. s.key still holds "name/type".
+		rec := s.answers[len(s.answers)-1]
+		owned := append(append(make([]byte, 0, len(rec.Name)+len(rec.Data)), rec.Name...), rec.Data...)
+		rec.Name = owned[:len(rec.Name):len(rec.Name)]
+		rec.Data = owned[len(rec.Name):]
+		s.cache[string(s.key)] = rec
 	}
-	return []record{rec}
 }

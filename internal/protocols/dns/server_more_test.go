@@ -19,9 +19,9 @@ func TestAAAAAnswer(t *testing.T) {
 func TestMultipleQuestions(t *testing.T) {
 	s := startServer(t, map[string]string{"server": "8.8.8.8"})
 	s.SetTrace(coverage.NewTrace())
-	q := encodeQuery(5, flagRD, []question{
-		{Name: "a.example.com", Type: typeA, Class: 1},
-		{Name: "router.lan", Type: typeA, Class: 1},
+	q := query(5, flagRD, []question{
+		{Name: []byte("a.example.com"), Type: typeA, Class: 1},
+		{Name: []byte("router.lan"), Type: typeA, Class: 1},
 	}, nil)
 	h, ans := decodeAnswer(t, s.Message(q)[0])
 	if h.QDCount != 2 || len(ans) != 2 {
@@ -32,7 +32,7 @@ func TestMultipleQuestions(t *testing.T) {
 func TestUnsolicitedResponseDropped(t *testing.T) {
 	s := startServer(t, map[string]string{"server": "8.8.8.8"})
 	s.SetTrace(coverage.NewTrace())
-	q := encodeQuery(5, flagQR, []question{{Name: "x.com", Type: typeA, Class: 1}}, nil)
+	q := query(5, flagQR, []question{{Name: []byte("x.com"), Type: typeA, Class: 1}}, nil)
 	if resp := s.Message(q); resp != nil {
 		t.Fatalf("QR=1 message answered: %x", resp)
 	}
@@ -90,7 +90,7 @@ func TestCacheBounded(t *testing.T) {
 // question count exceeds the guard.
 func TestQuickDecodeQueryRobust(t *testing.T) {
 	f := func(data []byte) bool {
-		q, err := decodeQuery(data)
+		q, err := decode(data)
 		if err != nil {
 			return true
 		}
@@ -123,13 +123,13 @@ func TestQuickQueryRoundTrip(t *testing.T) {
 			}
 			name += clean
 		}
-		raw := encodeQuery(id, flagRD, []question{{Name: name, Type: qtype, Class: 1}}, nil)
-		q, err := decodeQuery(raw)
+		raw := query(id, flagRD, []question{{Name: []byte(name), Type: qtype, Class: 1}}, nil)
+		q, err := decode(raw)
 		if err != nil {
 			return false
 		}
 		return q.Header.ID == id && len(q.Questions) == 1 &&
-			q.Questions[0].Name == name && q.Questions[0].Type == qtype
+			string(q.Questions[0].Name) == name && q.Questions[0].Type == qtype
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -206,11 +206,16 @@ const hashSpace = 512
 
 // Server is the DTLS subject instance.
 type Server struct {
-	cfg    settings
-	tr     *coverage.Trace
-	state  int
+	cfg   settings
+	tr    *coverage.Trace
+	state int
+	epoch uint16
+	// cookie and cipher are the stateless cookie and the configured
+	// cipher suite's id, derived once at Start.
 	cookie byte
-	epoch  uint16
+	cipher uint16
+	// resp holds the response records, reused by every Message.
+	resp wire.Frames
 }
 
 // NewServer returns an unstarted DTLS endpoint.
@@ -224,6 +229,8 @@ func (s *Server) Start(cfg map[string]string, tr *coverage.Trace) error {
 	}
 	s.cfg = st
 	s.tr = tr
+	s.cookie = byte(probes.Hash(st.cipher+st.psk)%250) + 1 // toy HMAC
+	s.cipher = cipherID(st.cipher)
 	st.startupCoverage(tr)
 	return nil
 }
@@ -242,7 +249,7 @@ func (s *Server) Close() {}
 
 // Message handles one DTLS record datagram (possibly several records).
 func (s *Server) Message(data []byte) [][]byte {
-	var out [][]byte
+	s.resp.Reset()
 	r := wire.NewReader(data)
 	records := 0
 	for !r.Empty() && records < 8 {
@@ -256,7 +263,7 @@ func (s *Server) Message(data []byte) [][]byte {
 		body := r.Bytes(int(length))
 		if r.Err() != nil {
 			s.tr.Edge(mBadRecord, probes.Bucket(len(data)))
-			return out
+			return s.resp.Out()
 		}
 		_ = seqHi
 		s.tr.Edge(mRecord, uint64(ct))
@@ -273,7 +280,7 @@ func (s *Server) Message(data []byte) [][]byte {
 		}
 		switch ct {
 		case ctHandshake:
-			out = append(out, s.handleHandshake(body)...)
+			s.handleHandshake(body)
 		case ctChangeCipherSpec:
 			s.tr.Edge(mCCS, probes.B(s.state >= stateKeyExchanged))
 			if s.state >= stateKeyExchanged {
@@ -291,16 +298,18 @@ func (s *Server) Message(data []byte) [][]byte {
 			if s.state == stateFinished {
 				s.tr.Edge(mAppData, 2+probes.HashBytes(body)%hashSpace)
 				// Echo "decrypted" data back.
-				out = append(out, record(ctApplicationData, body))
+				s.record(ctApplicationData, body...)
 			}
 		default:
 			s.tr.Edge(mBadRecord, 128+uint64(ct))
 		}
 	}
-	return out
+	return s.resp.Out()
 }
 
-func (s *Server) handleHandshake(body []byte) [][]byte {
+// handleHandshake handles one handshake record, appending any response
+// records to s.resp.
+func (s *Server) handleHandshake(body []byte) {
 	r := wire.NewReader(body)
 	u24 := func() uint32 {
 		b := r.Bytes(3)
@@ -316,7 +325,7 @@ func (s *Server) handleHandshake(body []byte) [][]byte {
 	fragLen := u24()
 	if r.Err() != nil {
 		s.tr.Edge(mHandshake, 0)
-		return nil
+		return
 	}
 	s.tr.Edge(mHandshake, 1+uint64(msgType))
 	s.tr.Edge(mHandshake, 64+probes.Bucket(int(length)))
@@ -328,45 +337,38 @@ func (s *Server) handleHandshake(body []byte) [][]byte {
 
 	switch msgType {
 	case hsClientHello:
-		return s.handleClientHello(r)
+		s.handleClientHello(r)
 	case hsClientKeyExchange:
 		s.tr.Edge(mKeyEx, probes.B(s.state == stateHelloDone))
 		if s.state == stateHelloDone {
 			s.tr.Edge(mKeyEx, 2+probes.HashBytes(r.Rest())%64)
 			s.state = stateKeyExchanged
 		}
-		return nil
 	case hsFinished:
 		s.tr.Edge(mFin, probes.B(s.state == stateKeyExchanged)<<1|probes.B(s.epoch > 0))
 		if s.state == stateKeyExchanged && s.epoch > 0 {
 			s.state = stateFinished
-			var out [][]byte
-			out = append(out, record(ctChangeCipherSpec, []byte{1}))
-			out = append(out, record(ctHandshake, handshakeMsg(hsFinished, []byte("server-fin"))))
+			s.record(ctChangeCipherSpec, 1)
+			s.handshake(hsFinished, serverFin...)
 			if s.cfg.tickets {
 				s.tr.Edge(mTicketOp, probes.Hash(s.cfg.cipher)%16)
 				s.tr.Edge(mTicketOp, 16+probes.HashBytes(body)%1024)
-				out = append(out, record(ctHandshake, handshakeMsg(4 /* NewSessionTicket */, []byte("ticket"))))
+				s.handshake(4 /* NewSessionTicket */, ticket...)
 			}
-			return out
 		}
-		return nil
 	case hsCertificateVerify:
 		s.tr.Edge(mKeyEx, 128+probes.B(s.cfg.verifyPeer))
-		return nil
 	case hsCertificate:
 		s.tr.Edge(mKeyEx, 130+probes.B(s.cfg.verifyPeer)<<1|probes.B(r.Remaining() == 0))
 		if s.cfg.verifyPeer {
 			s.tr.Edge(mKeyEx, 1024+probes.HashBytes(r.Rest())%768) // client cert chain walk
 		}
-		return nil
 	default:
 		s.tr.Edge(mHandshake, 128+uint64(msgType))
-		return nil
 	}
 }
 
-func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
+func (s *Server) handleClientHello(r *wire.Reader) {
 	ver := r.U16()
 	random := r.Bytes(32)
 	sidLen := r.U8()
@@ -377,7 +379,7 @@ func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
 	suites := r.Bytes(int(csLen))
 	if r.Err() != nil {
 		s.tr.Edge(mHello, 0)
-		return nil
+		return
 	}
 	s.tr.Edge(mHello, 1+uint64(ver%16))
 	s.tr.Edge(mHello, 32+probes.HashBytes(random)%256)
@@ -388,7 +390,8 @@ func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
 	if s.state == stateFinished {
 		s.tr.Edge(mRenegOp, probes.B(s.cfg.reneg))
 		if !s.cfg.reneg {
-			return [][]byte{record(ctAlert, []byte{2, 100})} // fatal no_renegotiation
+			s.record(ctAlert, 2, 100) // fatal no_renegotiation
+			return
 		}
 		s.tr.Edge(mRenegOp, 2+probes.HashBytes(suites)%1024)
 		s.state = stateInit
@@ -416,11 +419,11 @@ func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
 
 	// Cookie exchange.
 	if !s.cfg.noCookie && s.state == stateInit {
-		expect := s.cookieValue()
-		if len(cookie) == 0 || cookie[0] != expect {
+		if len(cookie) == 0 || cookie[0] != s.cookie {
 			s.tr.Edge(mCookie, probes.B(len(cookie) == 0))
 			s.state = stateCookieSent
-			return [][]byte{record(ctHandshake, handshakeMsg(hsHelloVerifyRequest, []byte{0xfe, 0xfd, 1, expect}))}
+			s.handshake(hsHelloVerifyRequest, 0xfe, 0xfd, 1, s.cookie)
+			return
 		}
 		s.tr.Edge(mCookie, 4)
 	}
@@ -430,14 +433,15 @@ func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
 	for i := 0; i+1 < len(suites); i += 2 {
 		suite := uint16(suites[i])<<8 | uint16(suites[i+1])
 		s.tr.Edge(mCipherSel, uint64(suite%128))
-		if suite == cipherID(s.cfg.cipher) {
+		if suite == s.cipher {
 			selected = true
 		}
 	}
 	s.tr.Edge(mCipherSel, 512+probes.B(selected))
 	s.tr.Edge(mCipherSel, 1024+probes.HashBytes(suites)%512)
 	if !selected {
-		return [][]byte{record(ctAlert, []byte{2, 40})} // handshake_failure
+		s.record(ctAlert, 2, 40) // handshake_failure
+		return
 	}
 	if s.cfg.cipher == "PSK-AES128" {
 		s.tr.Edge(mCipherSel, 520+probes.Hash(s.cfg.psk)%8)
@@ -445,22 +449,14 @@ func (s *Server) handleClientHello(r *wire.Reader) [][]byte {
 	}
 
 	s.state = stateHelloDone
-	out := [][]byte{
-		record(ctHandshake, handshakeMsg(hsServerHello, []byte{0xfe, 0xfd, byte(cipherID(s.cfg.cipher) >> 8), byte(cipherID(s.cfg.cipher))})),
-	}
+	s.handshake(hsServerHello, 0xfe, 0xfd, byte(s.cipher>>8), byte(s.cipher))
 	if s.cfg.cipher != "PSK-AES128" {
-		out = append(out, record(ctHandshake, handshakeMsg(hsCertificate, []byte("server-cert"))))
+		s.handshake(hsCertificate, serverCert...)
 	}
 	if s.cfg.verifyPeer {
-		out = append(out, record(ctHandshake, handshakeMsg(hsCertificateRequest, []byte{1})))
+		s.handshake(hsCertificateRequest, 1)
 	}
-	out = append(out, record(ctHandshake, handshakeMsg(hsServerHelloDone, nil)))
-	return out
-}
-
-// cookieValue derives the stateless cookie (toy HMAC).
-func (s *Server) cookieValue() byte {
-	return byte(probes.Hash(s.cfg.cipher+s.cfg.psk)%250) + 1
+	s.handshake(hsServerHelloDone)
 }
 
 func cipherID(name string) uint16 {
@@ -478,22 +474,45 @@ func cipherID(name string) uint16 {
 	}
 }
 
-// record wraps a body into a DTLS record.
-func record(ct byte, body []byte) []byte {
-	w := wire.NewWriter(13 + len(body))
+// The bodies of the server's Finished, NewSessionTicket and Certificate
+// messages.
+var (
+	serverFin  = []byte("server-fin")
+	ticket     = []byte("ticket")
+	serverCert = []byte("server-cert")
+)
+
+// record appends one response record carrying body.
+func (s *Server) record(ct byte, body ...byte) {
+	appendRecord(&s.resp.W, ct, body)
+	s.resp.End()
+}
+
+// handshake appends one response record carrying a handshake message.
+func (s *Server) handshake(msgType byte, body ...byte) {
+	appendHandshake(&s.resp.W, msgType, body)
+	s.resp.End()
+}
+
+// appendRecord appends a DTLS record carrying body.
+func appendRecord(w *wire.Writer, ct byte, body []byte) {
+	appendRecordHeader(w, ct, len(body))
+	w.Raw(body)
+}
+
+func appendRecordHeader(w *wire.Writer, ct byte, n int) {
 	w.U8(ct)
 	w.U16(0xfefd)
 	w.U16(0) // epoch
 	w.U32(0) // seq hi
 	w.U16(0) // seq lo
-	w.U16(uint16(len(body)))
-	w.Raw(body)
-	return w.Bytes()
+	w.U16(uint16(n))
 }
 
-// handshakeMsg wraps a body into a DTLS handshake message header.
-func handshakeMsg(msgType byte, body []byte) []byte {
-	w := wire.NewWriter(12 + len(body))
+// appendHandshake appends a handshake record: a DTLS record carrying one
+// unfragmented handshake message.
+func appendHandshake(w *wire.Writer, msgType byte, body []byte) {
+	appendRecordHeader(w, ctHandshake, 12+len(body))
 	w.U8(msgType)
 	n := uint32(len(body))
 	w.U8(byte(n >> 16))
@@ -507,7 +526,6 @@ func handshakeMsg(msgType byte, body []byte) []byte {
 	w.U8(byte(n >> 8))
 	w.U8(byte(n))
 	w.Raw(body)
-	return w.Bytes()
 }
 
 // dtlsSubject implements subject.Subject.

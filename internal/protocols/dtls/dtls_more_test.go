@@ -18,7 +18,7 @@ func TestMTUDropsOversizedRecordBody(t *testing.T) {
 func TestMultipleRecordsPerDatagram(t *testing.T) {
 	s := startServer(t, map[string]string{"no-cookie": "true"})
 	// ClientHello + ClientKeyExchange coalesced into one datagram.
-	datagram := append(clientHello(nil), record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k")))...)
+	datagram := append(clientHello(nil), handshakeRecord(hsClientKeyExchange, []byte("k"))...)
 	resp := s.Message(datagram)
 	if len(resp) < 2 {
 		t.Fatalf("coalesced records produced %d responses", len(resp))
@@ -30,7 +30,7 @@ func TestMultipleRecordsPerDatagram(t *testing.T) {
 
 func TestWrongVersionRecordSkipped(t *testing.T) {
 	s := startServer(t, nil)
-	bad := record(ctHandshake, handshakeMsg(hsClientHello, []byte{0xfe, 0xfd}))
+	bad := handshakeRecord(hsClientHello, []byte{0xfe, 0xfd})
 	bad[1], bad[2] = 0x03, 0x03 // TLS 1.2 version in a DTLS record
 	if resp := s.Message(bad); resp != nil {
 		t.Fatalf("wrong-version record answered: %v", resp)
@@ -40,9 +40,9 @@ func TestWrongVersionRecordSkipped(t *testing.T) {
 func TestFinishedRequiresCCS(t *testing.T) {
 	s := startServer(t, map[string]string{"no-cookie": "true"})
 	s.Message(clientHello(nil))
-	s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k"))))
+	s.Message(handshakeRecord(hsClientKeyExchange, []byte("k")))
 	// Finished without ChangeCipherSpec: epoch still 0 → rejected.
-	if resp := s.Message(record(ctHandshake, handshakeMsg(hsFinished, []byte("v")))); resp != nil {
+	if resp := s.Message(handshakeRecord(hsFinished, []byte("v"))); resp != nil {
 		t.Fatal("finished accepted before CCS")
 	}
 	if s.state == stateFinished {
@@ -52,7 +52,7 @@ func TestFinishedRequiresCCS(t *testing.T) {
 
 func TestKeyExchangeRequiresHelloDone(t *testing.T) {
 	s := startServer(t, nil)
-	s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k"))))
+	s.Message(handshakeRecord(hsClientKeyExchange, []byte("k")))
 	if s.state != stateInit {
 		t.Fatal("key exchange advanced state without hello")
 	}
@@ -61,9 +61,9 @@ func TestKeyExchangeRequiresHelloDone(t *testing.T) {
 func TestNewSessionResetsHandshake(t *testing.T) {
 	s := startServer(t, map[string]string{"no-cookie": "true"})
 	s.Message(clientHello(nil))
-	s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k"))))
+	s.Message(handshakeRecord(hsClientKeyExchange, []byte("k")))
 	s.Message(record(ctChangeCipherSpec, []byte{1}))
-	s.Message(record(ctHandshake, handshakeMsg(hsFinished, []byte("v"))))
+	s.Message(handshakeRecord(hsFinished, []byte("v")))
 	if s.state != stateFinished {
 		t.Fatal("handshake did not complete")
 	}
@@ -76,7 +76,7 @@ func TestNewSessionResetsHandshake(t *testing.T) {
 func TestCookieDependsOnConfig(t *testing.T) {
 	a := startServer(t, map[string]string{"cipher": "AES128-SHA"})
 	b := startServer(t, map[string]string{"cipher": "CHACHA20"})
-	if a.cookieValue() == b.cookieValue() {
+	if a.cookie == b.cookie {
 		t.Fatal("cookie not bound to configuration")
 	}
 }

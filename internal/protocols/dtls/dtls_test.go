@@ -5,7 +5,22 @@ import (
 
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
+	"cmfuzz/internal/wire"
 )
+
+// record renders a record with the encoder the server answers with.
+func record(ct byte, body []byte) []byte {
+	w := wire.NewWriter(64)
+	appendRecord(w, ct, body)
+	return w.Bytes()
+}
+
+// handshakeRecord renders a handshake record carrying one message.
+func handshakeRecord(msgType byte, body []byte) []byte {
+	w := wire.NewWriter(64)
+	appendHandshake(w, msgType, body)
+	return w.Bytes()
+}
 
 func startServer(t *testing.T, cfg map[string]string) *Server {
 	t.Helper()
@@ -29,7 +44,7 @@ func clientHello(cookie []byte) []byte {
 	body = append(body, byte(len(suites)>>8), byte(len(suites)))
 	body = append(body, suites...)
 	body = append(body, 1, 0) // compression methods
-	return record(ctHandshake, handshakeMsg(hsClientHello, body))
+	return handshakeRecord(hsClientHello, body)
 }
 
 func msgTypeOf(t *testing.T, rec []byte) (ct byte, hsType byte) {
@@ -108,9 +123,9 @@ func TestNoCookieSkipsVerify(t *testing.T) {
 func TestFullHandshakeAndAppData(t *testing.T) {
 	s := startServer(t, map[string]string{"no-cookie": "true"})
 	s.Message(clientHello(nil))
-	s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("keydata"))))
+	s.Message(handshakeRecord(hsClientKeyExchange, []byte("keydata")))
 	s.Message(record(ctChangeCipherSpec, []byte{1}))
-	resp := s.Message(record(ctHandshake, handshakeMsg(hsFinished, []byte("verify"))))
+	resp := s.Message(handshakeRecord(hsFinished, []byte("verify")))
 	if len(resp) < 2 {
 		t.Fatalf("finished flight = %d records", len(resp))
 	}
@@ -130,9 +145,9 @@ func TestAppDataBeforeHandshakeIgnored(t *testing.T) {
 func TestSessionTicketsIssued(t *testing.T) {
 	s := startServer(t, map[string]string{"no-cookie": "true", "session-tickets": "true"})
 	s.Message(clientHello(nil))
-	s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k"))))
+	s.Message(handshakeRecord(hsClientKeyExchange, []byte("k")))
 	s.Message(record(ctChangeCipherSpec, []byte{1}))
-	resp := s.Message(record(ctHandshake, handshakeMsg(hsFinished, []byte("v"))))
+	resp := s.Message(handshakeRecord(hsFinished, []byte("v")))
 	if len(resp) != 3 {
 		t.Fatalf("expected CCS+Finished+Ticket, got %d records", len(resp))
 	}
@@ -142,9 +157,9 @@ func TestRenegotiationPolicy(t *testing.T) {
 	complete := func(cfg map[string]string) *Server {
 		s := startServer(t, cfg)
 		s.Message(clientHello(nil))
-		s.Message(record(ctHandshake, handshakeMsg(hsClientKeyExchange, []byte("k"))))
+		s.Message(handshakeRecord(hsClientKeyExchange, []byte("k")))
 		s.Message(record(ctChangeCipherSpec, []byte{1}))
-		s.Message(record(ctHandshake, handshakeMsg(hsFinished, []byte("v"))))
+		s.Message(handshakeRecord(hsFinished, []byte("v")))
 		return s
 	}
 	// Denied by default: fatal alert.
@@ -169,7 +184,7 @@ func TestCipherMismatch(t *testing.T) {
 	body = append(body, 0, 0)
 	body = append(body, 0, 2, 0x00, 0x2f)
 	body = append(body, 1, 0)
-	resp := s.Message(record(ctHandshake, handshakeMsg(hsClientHello, body)))
+	resp := s.Message(handshakeRecord(hsClientHello, body))
 	if len(resp) != 1 || resp[0][0] != ctAlert {
 		t.Fatalf("cipher mismatch not alerted: %v", resp)
 	}

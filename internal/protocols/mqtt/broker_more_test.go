@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"bytes"
 	"reflect"
 	"strconv"
 	"testing"
@@ -21,16 +22,16 @@ func TestWillRegistrationAndCleanDisconnect(t *testing.T) {
 	w.String16("willful")
 	w.String16("state/offline")
 	w.Bytes16([]byte("gone"))
-	resp := b.Message(encode(typeConnect, 0, w.Bytes()))
+	resp := b.Message(packetBytes(typeConnect, 0, w.Bytes()))
 	if len(resp) != 1 || resp[0][3] != 0 {
 		t.Fatalf("will connect refused: %x", resp)
 	}
-	if b.cur.will == nil || b.cur.will.topic != "state/offline" || b.cur.will.qos != 1 || !b.cur.will.retain {
+	if w := b.cur.will; !w.set || string(w.topic) != "state/offline" || string(w.payload) != "gone" || w.qos != 1 || !w.retain {
 		t.Fatalf("will = %+v", b.cur.will)
 	}
 	// Clean DISCONNECT discards the will.
-	b.Message(encode(typeDisconnect, 0, nil))
-	if b.cur.will != nil {
+	b.Message(packetBytes(typeDisconnect, 0, nil))
+	if b.cur.will.set {
 		t.Fatal("will survived clean disconnect")
 	}
 }
@@ -85,17 +86,17 @@ func TestOutboundAckFlow(t *testing.T) {
 	b, _ := startBroker(t, nil)
 	connect(t, b)
 	// PUBREC for an unknown outbound id is tolerated without a PUBREL.
-	if resp := b.Message(encodeAck(typePubrec, 77)); resp != nil {
+	if resp := b.Message(ackBytes(typePubrec, 77)); resp != nil {
 		t.Fatalf("unknown pubrec answered: %x", resp)
 	}
 	// Track an outbound message, then complete the flow.
-	b.cur.inflightOut[77] = 1
-	resp := b.Message(encodeAck(typePubrec, 77))
+	b.cur.inflightOut = map[uint16]byte{77: 1}
+	resp := b.Message(ackBytes(typePubrec, 77))
 	if len(resp) != 1 || resp[0][0]>>4 != typePubrel {
 		t.Fatalf("pubrec ack = %x", resp)
 	}
 	b.cur.inflightOut[78] = 1
-	b.Message(encodeAck(typePubcomp, 78))
+	b.Message(ackBytes(typePubcomp, 78))
 	if _, ok := b.cur.inflightOut[78]; ok {
 		t.Fatal("pubcomp did not clear inflight")
 	}
@@ -146,7 +147,7 @@ func TestUnsubscribeStopsRouting(t *testing.T) {
 	w := wire.NewWriter(16)
 	w.U16(2)
 	w.String16("a/#")
-	b.Message(encode(typeUnsubscribe, 2, w.Bytes()))
+	b.Message(packetBytes(typeUnsubscribe, 2, w.Bytes()))
 	if resp := b.Message(publishBytes("a/b", 0, false, false, 0, []byte("x"))); resp != nil {
 		t.Fatalf("unsubscribed filter still routed: %x", resp)
 	}
@@ -171,7 +172,7 @@ func TestQuickConnectTotal(t *testing.T) {
 		w.U8(flags &^ 0xC4) // avoid will/user/pass so the body stays valid
 		w.U16(keepalive)
 		w.String16(cid)
-		resp := b.Message(encode(typeConnect, 0, w.Bytes()))
+		resp := b.Message(packetBytes(typeConnect, 0, w.Bytes()))
 		if resp == nil {
 			return true
 		}
@@ -233,5 +234,38 @@ func TestRetainedScanDeterministicPast256(t *testing.T) {
 	}
 	if want != 257 {
 		t.Fatalf("scan ended at t/%d, want t/256", want-1)
+	}
+}
+
+// TestRetainedPayloadOwned is the regression test for a retained message
+// that aliased the PUBLISH it arrived in: the fuzzing engine reuses its
+// message buffers, so a subscriber was handed whatever the buffer held
+// next. The broker must keep its own copy.
+func TestRetainedPayloadOwned(t *testing.T) {
+	b, _ := startBroker(t, nil)
+	connect(t, b)
+	msg := publishBytes("state/lamp", 0, true, false, 0, []byte("on-on-on"))
+	b.Message(msg)
+	copy(msg[len(msg)-8:], "ZZZZZZZZ")
+	resp := b.Message(subscribeBytes(1, "state/#", 0))
+	want := publishBytes("state/lamp", 0, true, false, 0, []byte("on-on-on"))
+	if len(resp) != 2 || !bytes.Equal(resp[1], want) {
+		t.Fatalf("retained delivery = %q, want %q", resp, want)
+	}
+}
+
+// TestRetainedDeliveryQoS checks a retained message delivered below the
+// QoS it was published with: the flags change and, at QoS 0, the packet
+// id goes.
+func TestRetainedDeliveryQoS(t *testing.T) {
+	b, _ := startBroker(t, nil)
+	connect(t, b)
+	b.Message(publishBytes("state/lamp", 2, true, true, 9, []byte("on")))
+	for granted := byte(0); granted <= 2; granted++ {
+		resp := b.Message(subscribeBytes(1, "state/lamp", granted))
+		want := publishBytes("state/lamp", granted, true, true, 9, []byte("on"))
+		if len(resp) != 2 || !bytes.Equal(resp[1], want) {
+			t.Fatalf("granted QoS %d: delivery = %x, want %x", granted, resp, want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package mqtt
 import (
 	"errors"
 
+	"cmfuzz/internal/protocols/probes"
 	"cmfuzz/internal/wire"
 )
 
@@ -51,16 +52,16 @@ func decodePacket(data []byte) (packet, error) {
 	return packet{Type: first >> 4, Flags: first & 0x0f, Body: body}, nil
 }
 
-// connectPacket is a decoded CONNECT.
+// connectPacket is a decoded CONNECT. Its slices alias the packet.
 type connectPacket struct {
-	ProtoName    string
+	ProtoName    []byte
 	ProtoLevel   byte
 	Flags        byte
 	KeepAlive    uint16
-	ClientID     string
-	WillTopic    string
+	ClientID     []byte
+	WillTopic    []byte
 	WillMessage  []byte
-	Username     string
+	Username     []byte
 	Password     []byte
 	CleanSession bool
 	WillQoS      byte
@@ -70,20 +71,20 @@ type connectPacket struct {
 func decodeConnect(body []byte) (connectPacket, error) {
 	r := wire.NewReader(body)
 	var c connectPacket
-	c.ProtoName = r.String16()
+	c.ProtoName = r.Bytes16()
 	c.ProtoLevel = r.U8()
 	c.Flags = r.U8()
 	c.KeepAlive = r.U16()
-	c.ClientID = r.String16()
+	c.ClientID = r.Bytes16()
 	c.CleanSession = c.Flags&0x02 != 0
 	c.WillQoS = (c.Flags >> 3) & 0x03
 	c.WillRetain = c.Flags&0x20 != 0
 	if c.Flags&0x04 != 0 { // will flag
-		c.WillTopic = r.String16()
+		c.WillTopic = r.Bytes16()
 		c.WillMessage = r.Bytes16()
 	}
 	if c.Flags&0x80 != 0 { // username
-		c.Username = r.String16()
+		c.Username = r.Bytes16()
 	}
 	if c.Flags&0x40 != 0 { // password
 		c.Password = r.Bytes16()
@@ -94,9 +95,9 @@ func decodeConnect(body []byte) (connectPacket, error) {
 	return c, nil
 }
 
-// publishPacket is a decoded PUBLISH.
+// publishPacket is a decoded PUBLISH. Its slices alias the packet.
 type publishPacket struct {
-	Topic    string
+	Topic    []byte
 	PacketID uint16
 	Payload  []byte
 	QoS      byte
@@ -110,7 +111,7 @@ func decodePublish(flags byte, body []byte) (publishPacket, error) {
 	p.QoS = (flags >> 1) & 0x03
 	p.Retain = flags&0x01 != 0
 	p.Dup = flags&0x08 != 0
-	p.Topic = r.String16()
+	p.Topic = r.Bytes16()
 	if p.QoS > 0 {
 		p.PacketID = r.U16()
 	}
@@ -121,38 +122,41 @@ func decodePublish(flags byte, body []byte) (publishPacket, error) {
 	return p, nil
 }
 
-// subscription is one topic filter request inside SUBSCRIBE.
+// subscription is one topic filter request inside SUBSCRIBE. Filter
+// aliases the packet.
 type subscription struct {
-	Filter string
+	Filter []byte
 	QoS    byte
 }
 
-func decodeSubscribe(body []byte) (uint16, []subscription, error) {
+// decodeSubscribe appends the packet's subscriptions to dst.
+func decodeSubscribe(body []byte, dst []subscription) (uint16, []subscription, error) {
 	r := wire.NewReader(body)
 	id := r.U16()
-	var subs []subscription
+	subs := dst
 	for !r.Empty() {
-		f := r.String16()
+		f := r.Bytes16()
 		q := r.U8()
 		if r.Err() != nil {
 			return id, subs, errMalformed
 		}
 		subs = append(subs, subscription{Filter: f, QoS: q})
 	}
-	if r.Err() != nil || len(subs) == 0 {
+	if r.Err() != nil || len(subs) == len(dst) {
 		return id, subs, errMalformed
 	}
 	return id, subs, nil
 }
 
-func decodeUnsubscribe(body []byte) (uint16, []string, error) {
+// decodeUnsubscribe appends the packet's topic filters to dst.
+func decodeUnsubscribe(body []byte, dst [][]byte) (uint16, [][]byte, error) {
 	r := wire.NewReader(body)
 	id := r.U16()
-	var filters []string
+	filters := dst
 	for !r.Empty() {
-		filters = append(filters, r.String16())
+		filters = append(filters, r.Bytes16())
 	}
-	if r.Err() != nil || len(filters) == 0 {
+	if r.Err() != nil || len(filters) == len(dst) {
 		return id, filters, errMalformed
 	}
 	return id, filters, nil
@@ -167,43 +171,42 @@ func decodePacketID(body []byte) (uint16, error) {
 	return id, nil
 }
 
-// encode builds a packet with the given type, flags and body.
-func encode(ptype, flags byte, body []byte) []byte {
-	w := wire.NewWriter(2 + len(body))
+// appendHeader appends a fixed header for a body of n bytes.
+func appendHeader(w *wire.Writer, ptype, flags byte, n int) {
 	w.U8(ptype<<4 | flags&0x0f)
-	w.Varint(uint32(len(body)))
+	w.Varint(uint32(n))
+}
+
+// appendPacket appends a packet with the given type, flags and body.
+func appendPacket(w *wire.Writer, ptype, flags byte, body []byte) {
+	appendHeader(w, ptype, flags, len(body))
 	w.Raw(body)
-	return w.Bytes()
 }
 
-func encodeConnack(sessionPresent bool, code byte) []byte {
-	sp := byte(0)
-	if sessionPresent {
-		sp = 1
-	}
-	return encode(typeConnack, 0, []byte{sp, code})
+func appendConnack(w *wire.Writer, sessionPresent bool, code byte) {
+	appendHeader(w, typeConnack, 0, 2)
+	w.U8(byte(probes.B(sessionPresent)))
+	w.U8(code)
 }
 
-func encodeAck(ptype byte, id uint16) []byte {
+func appendAck(w *wire.Writer, ptype byte, id uint16) {
 	flags := byte(0)
 	if ptype == typePubrel {
 		flags = 0x02
 	}
-	return encode(ptype, flags, []byte{byte(id >> 8), byte(id)})
+	appendHeader(w, ptype, flags, 2)
+	w.U16(id)
 }
 
-func encodeSuback(id uint16, codes []byte) []byte {
-	body := append([]byte{byte(id >> 8), byte(id)}, codes...)
-	return encode(typeSuback, 0, body)
-}
-
-func encodePublish(p publishPacket) []byte {
-	w := wire.NewWriter(4 + len(p.Topic) + len(p.Payload))
-	w.String16(p.Topic)
-	if p.QoS > 0 {
-		w.U16(p.PacketID)
+func appendPublish(w *wire.Writer, p publishPacket) {
+	topic := p.Topic
+	if len(topic) > 0xffff {
+		topic = topic[:0xffff]
 	}
-	w.Raw(p.Payload)
+	n := 2 + len(topic) + len(p.Payload)
+	if p.QoS > 0 {
+		n += 2
+	}
 	flags := p.QoS << 1
 	if p.Retain {
 		flags |= 0x01
@@ -211,5 +214,10 @@ func encodePublish(p publishPacket) []byte {
 	if p.Dup {
 		flags |= 0x08
 	}
-	return encode(typePublish, flags, w.Bytes())
+	appendHeader(w, typePublish, flags, n)
+	w.Bytes16(topic)
+	if p.QoS > 0 {
+		w.U16(p.PacketID)
+	}
+	w.Raw(p.Payload)
 }

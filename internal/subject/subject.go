@@ -69,6 +69,13 @@ type Instance interface {
 	NewSession()
 	// Message handles one inbound packet and returns response packets.
 	// Seeded defects panic with *bugs.Crash.
+	//
+	// Buffers are lent both ways, as with fuzz.Target: the caller may
+	// reuse payload once Message returns, so an instance copies anything
+	// it keeps from it; and the returned frames are read-only and valid
+	// only until the instance's next Message, NewSession or Close, so an
+	// instance may build them in buffers it reuses and a caller copies
+	// what it needs to keep.
 	Message(payload []byte) [][]byte
 	// Close releases the instance.
 	Close()

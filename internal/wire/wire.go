@@ -290,8 +290,18 @@ func (w *Writer) Bytes16(b []byte) {
 	w.Raw(b)
 }
 
-// String16 appends a uint16-length-prefixed string.
-func (w *Writer) String16(s string) { w.Bytes16([]byte(s)) }
+// String appends s verbatim.
+func (w *Writer) String(s string) { w.buf = append(w.buf, s...) }
+
+// String16 appends a uint16-length-prefixed string. Strings longer than
+// 65535 bytes are truncated to fit the prefix.
+func (w *Writer) String16(s string) {
+	if len(s) > 0xffff {
+		s = s[:0xffff]
+	}
+	w.U16(uint16(len(s)))
+	w.String(s)
+}
 
 // Bytes32 appends a big-endian uint32 length prefix followed by b.
 func (w *Writer) Bytes32(b []byte) {
@@ -300,4 +310,48 @@ func (w *Writer) Bytes32(b []byte) {
 }
 
 // String32 appends a uint32-length-prefixed string.
-func (w *Writer) String32(s string) { w.Bytes32([]byte(s)) }
+func (w *Writer) String32(s string) {
+	w.U32(uint32(len(s)))
+	w.String(s)
+}
+
+// Frames is a reusable buffer of response frames: each frame is written
+// into W and closed with End, back to back in one growing buffer, so a
+// subject that answers every message from the same Frames allocates
+// nothing once the buffer has grown to its working size. Frames returned
+// by Out alias that buffer and stay valid until the next Reset.
+type Frames struct {
+	W     Writer
+	out   [][]byte
+	start int
+}
+
+// Reset discards every frame, keeping the buffer's capacity.
+func (f *Frames) Reset() {
+	f.W.Reset()
+	f.out = f.out[:0]
+	f.start = 0
+}
+
+// End closes the frame written into W since the previous End or Reset
+// and returns it. Writing into the returned slice edits the frame in
+// place.
+func (f *Frames) End() []byte {
+	b := f.W.buf
+	frame := b[f.start:len(b):len(b)]
+	f.out = append(f.out, frame)
+	f.start = len(b)
+	return frame
+}
+
+// Add appends a frame the caller owns and keeps unchanged until the next
+// Reset.
+func (f *Frames) Add(frame []byte) { f.out = append(f.out, frame) }
+
+// Out returns the frames in order, or nil if there are none.
+func (f *Frames) Out() [][]byte {
+	if len(f.out) == 0 {
+		return nil
+	}
+	return f.out
+}

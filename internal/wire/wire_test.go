@@ -267,3 +267,35 @@ func TestWriterReset(t *testing.T) {
 		t.Fatalf("write after Reset = %v, want [7]", got)
 	}
 }
+
+// TestFrames: frames written back to back keep their bytes when the
+// buffer grows, End's slice edits its frame in place, Add keeps the
+// caller's frame in order, and Reset empties the set.
+func TestFrames(t *testing.T) {
+	var f Frames
+	if f.Out() != nil {
+		t.Fatal("empty Frames returned frames")
+	}
+	f.W.String("ab")
+	first := f.End()
+	f.Add([]byte("owned"))
+	f.W.Raw(make([]byte, 4096)) // forces the buffer to grow
+	f.End()
+	first[1] = 'B'
+	out := f.Out()
+	if len(out) != 3 || string(out[0]) != "aB" || string(out[1]) != "owned" || len(out[2]) != 4096 {
+		t.Fatalf("frames = %q", out)
+	}
+	if cap(out[0]) != 2 {
+		t.Fatalf("a frame's capacity reaches into the next: %d", cap(out[0]))
+	}
+	f.Reset()
+	if f.Out() != nil || f.W.Len() != 0 {
+		t.Fatal("Reset left frames behind")
+	}
+	f.W.U8(7)
+	f.End()
+	if out := f.Out(); len(out) != 1 || out[0][0] != 7 {
+		t.Fatalf("frames after Reset = %v", out)
+	}
+}
