@@ -59,7 +59,7 @@ func main() {
 	if sess.Server != nil && !*jsonOut {
 		fmt.Printf("monitor listening on %s\n", sess.Server.URL())
 	}
-	cfg.Telemetry, cfg.Trace, cfg.Progress = sess.Recorder, sess.Root, sess.Progress
+	cfg.Telemetry, cfg.Trace = sess.Recorder, sess.Root
 
 	start := time.Now()
 	export := &campaign.Export{Config: cfg}

@@ -261,7 +261,7 @@ func (rf *runFlags) start() (subject.Subject, parallel.Options, *monitor.Session
 		return nil, opts, nil, err
 	}
 	opts.Concurrency = rf.jobs
-	opts.Telemetry, opts.Trace, opts.Progress = sess.Recorder, sess.Root, sess.Progress
+	opts.Telemetry, opts.Trace = sess.Recorder, sess.Root
 	return sub, opts, sess, nil
 }
 
@@ -400,7 +400,7 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg.Telemetry, cfg.Trace, cfg.Progress = sess.Recorder, sess.Root, sess.Progress
+	cfg.Telemetry, cfg.Trace = sess.Recorder, sess.Root
 	ctx, cancel := signalContext()
 	defer cancel()
 	res, err := campaign.RunSubject(ctx, sub, cfg)

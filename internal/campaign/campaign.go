@@ -45,17 +45,15 @@ type Config struct {
 	Concurrency int `json:"-"`
 	// Telemetry collects the structured event streams of every campaign
 	// in the run. Each campaign records into its own labeled child
-	// recorder and the children are merged in batch order after the
-	// batch completes, so the merged export is deterministic for any
-	// Concurrency. Nil disables collection at zero cost.
+	// recorder (Recorder.Child), which publishes on this recorder's live
+	// board under its label; the children are merged in batch order
+	// after the batch completes, so the merged export is deterministic
+	// for any Concurrency. Nil disables collection at zero cost.
 	Telemetry *telemetry.Recorder `json:"-"`
 	// Trace, when non-nil, is the parent wall-clock span: each batch
 	// records one span with a repetition child per campaign, each
 	// carrying that campaign's instance spans.
 	Trace *trace.Span `json:"-"`
-	// Progress, when non-nil, is the live board the HTTP monitor reads;
-	// every campaign of a batch reports into it under its run label.
-	Progress *telemetry.Progress `json:"-"`
 }
 
 // Bind registers the evaluation's flags on fs: the campaign flags (the
@@ -91,7 +89,7 @@ func (c Config) repetitions() (int, error) {
 // fields, mode and repetition seed filled in.
 type job struct {
 	spec spec.Campaign
-	// label names the run on the progress board and stamps its events;
+	// label names the run on the live board and stamps its events;
 	// unique within the batch.
 	label string
 	rep   int
@@ -120,15 +118,11 @@ func runBatch(ctx context.Context, sub subject.Subject, cfg Config, span *trace.
 			return nil, fmt.Errorf("campaign: %s: %w", j.label, err)
 		}
 		o.Concurrency = cfg.Concurrency
-		o.Progress = cfg.Progress
-		o.Label = j.label
 		o.PeachSharedSchedules = j.peachShared
 		// Concurrent campaigns each record into their own labeled child
 		// recorder; the children are merged below in job order so the
 		// export is deterministic.
-		if cfg.Telemetry.Enabled() {
-			o.Telemetry = telemetry.NewRun(j.label)
-		}
+		o.Telemetry = cfg.Telemetry.Child(j.label)
 		opts[i] = o
 	}
 	workers := cfg.Concurrency

@@ -13,13 +13,13 @@ import (
 
 // TestCampaignTraceAndProgress pins the matrix-level span structure — a
 // campaign span containing one repetition child per (fuzzer, repetition)
-// cell, each containing its instance spans — and the progress board's
-// final shape after a full RunSubject matrix.
+// cell, each containing its instance spans — and the recorder's live
+// board's final shape after a full RunSubject matrix.
 func TestCampaignTraceAndProgress(t *testing.T) {
 	tr := trace.New()
 	root := tr.Start("campaign-test")
-	prog := telemetry.NewProgress()
-	cfg := Config{Spec: spec.Campaign{Hours: 0.2, Instances: 2}, Repetitions: 2, Trace: root, Progress: prog}
+	rec := telemetry.New()
+	cfg := Config{Spec: spec.Campaign{Hours: 0.2, Instances: 2}, Repetitions: 2, Trace: root, Telemetry: rec}
 	if _, err := RunSubject(context.Background(), dnsSubject(t), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCampaignTraceAndProgress(t *testing.T) {
 		}
 	}
 
-	snap := prog.Snapshot()
+	snap := rec.Board()
 	if len(snap) != 6 {
 		t.Fatalf("progress runs = %d, want 6", len(snap))
 	}
@@ -86,8 +86,14 @@ func TestCampaignTraceAndProgress(t *testing.T) {
 			t.Fatalf("progress missing run %q; have %v", want, keys(byLabel))
 		}
 	}
-	if prog.Running() != 0 {
-		t.Fatalf("running = %d after matrix completed", prog.Running())
+	running := 0
+	for _, r := range snap {
+		if !r.Done {
+			running++
+		}
+	}
+	if running != 0 {
+		t.Fatalf("running = %d after matrix completed", running)
 	}
 }
 

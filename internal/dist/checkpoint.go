@@ -264,8 +264,8 @@ func (c *codec) journal(j *leaseJournal) {
 //
 // The caller's Telemetry option is ignored — the checkpointed event log
 // and counters are restored into a fresh recorder (Recorder returns it).
-// Trace, Progress, and Label come from the caller's options; they feed
-// operator-facing surfaces, not artifacts.
+// Trace comes from the caller's options; it feeds an operator-facing
+// surface, not artifacts.
 //
 // A worker that dies during Restore costs the campaign nothing: what it
 // held is re-booted on a survivor and replayed again, and the death shows
@@ -290,8 +290,6 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	opts := ck.opts
 	opts.Telemetry = ck.tel
 	opts.Trace = c.opts.Trace
-	opts.Progress = c.opts.Progress
-	opts.Label = c.opts.Label
 	host, err := parallel.NewHost(c.sub, opts)
 	if err != nil {
 		return err

@@ -760,8 +760,6 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	wireOpts := opts
 	wireOpts.Telemetry = nil
 	wireOpts.Trace = nil
-	wireOpts.Progress = nil
-	wireOpts.Label = ""
 	assignPayload := marshal(&assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: specs}, (*codec).assign)
 	for _, wc := range workers {
 		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
@@ -886,8 +884,8 @@ func (c *Coordinator) Finish(ctx context.Context) (*parallel.Result, error) {
 	return res, nil
 }
 
-// Close tears the campaign down: the progress run ends and the fleet is
-// released — a standalone coordinator shuts its private pool down (which
+// Close tears the campaign down: the loop closes (an unfinished run is
+// marked done on the board) and the fleet is released — a standalone coordinator shuts its private pool down (which
 // joins its connections' readers, so no goroutine outlives Close even
 // after a mid-lease cancellation); a shared-pool campaign sends a
 // best-effort Release so workers retire its instances — once its leases

@@ -211,6 +211,38 @@ func TestRunLocalMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestBoardMatchesResultOverLoopback: the coordinator's loop publishes
+// the same final board entry as the in-process one, and it repeats the
+// Result instance by instance.
+func TestBoardMatchesResultOverLoopback(t *testing.T) {
+	sub := mustSubject(t, "MQTT")
+	recA, recB := telemetry.New(), telemetry.New()
+	if _, err := parallel.Run(context.Background(), sub, baseOptions(recA)); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := dist.RunLocal(context.Background(), sub, baseOptions(recB), 2, dist.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board := recB.Board()
+	if !reflect.DeepEqual(board, recA.Board()) {
+		t.Fatalf("boards diverged:\n dist %+v\n in-process %+v", board, recA.Board())
+	}
+	if len(board) != 1 || !board[0].Done || board[0].Execs != res.TotalExecs || board[0].Edges != res.FinalBranches {
+		t.Fatalf("board %+v against %d execs, %d branches", board, res.TotalExecs, res.FinalBranches)
+	}
+	if len(board[0].Instances) != len(res.Instances) {
+		t.Fatalf("%d board instances, %d in the result", len(board[0].Instances), len(res.Instances))
+	}
+	for i, in := range res.Instances {
+		got := board[0].Instances[i]
+		if got.Execs != in.Execs || got.Edges != in.FinalBranches || got.Crashes != in.Crashes ||
+			got.Mutations != in.ConfigMutations || got.Config != in.Config {
+			t.Errorf("instance %d on the board %+v, in the result %+v", i, got, in)
+		}
+	}
+}
+
 // TestLoopbackMatchesInProcessUnderLatency is the anchor again with
 // link latency on: every step charges the latency its namespace accrued
 // to the instance's virtual clock, the charge rides the step record,

@@ -32,52 +32,64 @@ var counterHelp = map[string]string{
 	telemetry.CtrTargetHangs:       "Live target hang detections (consecutive silent messages).",
 }
 
-// NewRegistry builds the standard monitor registry: the recorder's
-// counters plus the live progress gauges. Nil sources are skipped.
-func NewRegistry(rec *telemetry.Recorder, prog *telemetry.Progress) *metrics.Registry {
+// NewRegistry builds the standard monitor registry over the recorder:
+// its counters plus the live board's gauges. A nil recorder is skipped.
+func NewRegistry(rec *telemetry.Recorder) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	RegisterRecorder(reg, rec)
-	RegisterProgress(reg, prog)
-	RegisterExecRate(reg, prog, nil)
+	RegisterProgress(reg, rec)
+	RegisterExecRate(reg, rec, nil)
 	return reg
 }
 
+// A scrapeRate turns a count read at each scrape into a per-second rate:
+// the count's growth since the previous scrape over the wall time
+// between them. The first scrape, a second scrape at the same instant
+// and a count that went down (a restarted run, a worker whose instances
+// moved) read 0.
+type scrapeRate struct {
+	t     time.Time
+	count float64
+	seen  bool
+}
+
+// next records the count read at t and returns the rate since the last.
+func (r *scrapeRate) next(t time.Time, count float64) float64 {
+	prev := *r
+	*r = scrapeRate{t: t, count: count, seen: true}
+	if !prev.seen || count < prev.count {
+		return 0
+	}
+	dt := t.Sub(prev.t).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return (count - prev.count) / dt
+}
+
 // RegisterExecRate publishes cmfuzz_execs_per_second: the campaign-wide
-// protocol-execution throughput, computed as the exec-count delta across
-// all runs between consecutive scrapes divided by the wall time between
-// them. The first scrape (no previous point) and any scrape after a
-// counter reset report 0. A nil now uses time.Now; tests inject a fake
-// clock. Nil progress or registry is a no-op.
-func RegisterExecRate(reg *metrics.Registry, prog *telemetry.Progress, now func() time.Time) {
-	if reg == nil || prog == nil {
+// protocol-execution throughput, the scrapeRate of the exec count summed
+// over the board's runs. A nil now uses time.Now; tests inject a fake
+// clock. Nil recorder or registry is a no-op.
+func RegisterExecRate(reg *metrics.Registry, rec *telemetry.Recorder, now func() time.Time) {
+	if reg == nil || rec == nil {
 		return
 	}
 	if now == nil {
 		now = time.Now
 	}
 	var mu sync.Mutex
-	var lastT time.Time
-	var lastExecs float64
+	var rate scrapeRate
 	reg.GaugeFunc("cmfuzz_execs_per_second",
 		"Protocol executions per wall-clock second across all runs, between scrapes.",
 		func() float64 {
 			total := 0.0
-			for _, run := range prog.Snapshot() {
+			for _, run := range rec.Board() {
 				total += float64(run.Execs)
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			t := now()
-			prevT, prevExecs := lastT, lastExecs
-			lastT, lastExecs = t, total
-			if prevT.IsZero() || total < prevExecs {
-				return 0
-			}
-			dt := t.Sub(prevT).Seconds()
-			if dt <= 0 {
-				return 0
-			}
-			return (total - prevExecs) / dt
+			return rate.next(now(), total)
 		})
 }
 
@@ -111,21 +123,27 @@ func RegisterRecorder(reg *metrics.Registry, rec *telemetry.Recorder) {
 		})
 }
 
-// RegisterProgress publishes the live campaign board on reg: one
+// RegisterProgress publishes the recorder's live board on reg: one
 // collector emitting per-run and per-instance gauges at each scrape
 // (virtual time, edges, execs, crashes, mutations, seed-queue depth)
-// plus the cmfuzz_runs_running gauge. Nil progress or registry is a
+// plus the cmfuzz_runs_running gauge. Nil recorder or registry is a
 // no-op.
-func RegisterProgress(reg *metrics.Registry, prog *telemetry.Progress) {
-	if reg == nil || prog == nil {
+func RegisterProgress(reg *metrics.Registry, rec *telemetry.Recorder) {
+	if reg == nil || rec == nil {
 		return
 	}
 	reg.GaugeFunc("cmfuzz_runs_running",
 		"Campaign runs started and not yet finished.", func() float64 {
-			return float64(prog.Running())
+			running := 0
+			for _, run := range rec.Board() {
+				if !run.Done {
+					running++
+				}
+			}
+			return float64(running)
 		})
 	reg.Collect(func(set func(name, help string, value float64, labels ...metrics.Label)) {
-		for _, run := range prog.Snapshot() {
+		for _, run := range rec.Board() {
 			rl := metrics.L("run", run.Run)
 			set("cmfuzz_run_virtual_seconds", "Campaign virtual clock.", run.VirtualSeconds, rl)
 			set("cmfuzz_run_horizon_seconds", "Campaign virtual horizon.", run.HorizonSeconds, rl)
@@ -161,10 +179,10 @@ type StatusPayload struct {
 	Counters telemetry.Counters    `json:"counters,omitempty"`
 }
 
-// StatusFunc builds the /status provider over the live board and the
-// recorder. Either may be nil.
-func StatusFunc(prog *telemetry.Progress, rec *telemetry.Recorder) func() any {
+// StatusFunc builds the /status provider over the recorder's board and
+// counters. The recorder may be nil.
+func StatusFunc(rec *telemetry.Recorder) func() any {
 	return func() any {
-		return StatusPayload{Runs: prog.Snapshot(), Counters: rec.Counters()}
+		return StatusPayload{Runs: rec.Board(), Counters: rec.Counters()}
 	}
 }

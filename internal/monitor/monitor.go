@@ -9,8 +9,8 @@
 //	/debug/pprof wall-clock CPU/heap/goroutine profiling (net/http/pprof)
 //
 // The monitor observes and never steers: everything it serves is read
-// from the nil-safe observability sinks (telemetry.Recorder,
-// telemetry.Progress, metrics.Registry, trace.Tracer), so a monitored
+// from the nil-safe observability sinks (telemetry.Recorder with its
+// live run board, metrics.Registry, trace.Tracer), so a monitored
 // campaign produces byte-identical artifacts to an unmonitored one.
 package monitor
 

@@ -1,19 +1,24 @@
 package monitor
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cmfuzz/internal/parallel"
+	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/metrics"
 )
@@ -36,15 +41,16 @@ func TestServerEndpoints(t *testing.T) {
 	rec := telemetry.New()
 	rec.Count(telemetry.CtrProbeStartups, 3)
 	rec.Count(telemetry.CtrProbeCacheHits, 9)
-	prog := telemetry.NewProgress()
-	prog.StartRun("CMFuzz/rep0", "CMFuzz", "dns", 3600, 2)
-	prog.StepInstance("CMFuzz/rep0", 0, 120.5, 40, 900, 1, 2, 12)
-	prog.StepInstance("CMFuzz/rep0", 1, 118.0, 35, 850, 0, 1, 10)
-	prog.SetUnion("CMFuzz/rep0", 121, 55)
+	rec.Child("CMFuzz/rep0").Publish(telemetry.RunStatus{Mode: "CMFuzz", Subject: "dns",
+		VirtualSeconds: 121, HorizonSeconds: 3600, Edges: 55, Execs: 1750, Crashes: 1,
+		Instances: []telemetry.InstanceStatus{
+			{Index: 0, VirtualSeconds: 120.5, Edges: 40, Execs: 900, Crashes: 1, Mutations: 2, CorpusSeeds: 12},
+			{Index: 1, VirtualSeconds: 118, Edges: 35, Execs: 850, Mutations: 1, CorpusSeeds: 10},
+		}})
 
 	srv, err := Start("127.0.0.1:0", Options{
-		Registry: NewRegistry(rec, prog),
-		Status:   StatusFunc(prog, rec),
+		Registry: NewRegistry(rec),
+		Status:   StatusFunc(rec),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +138,7 @@ func TestScrapeDoesNotCopyEventLog(t *testing.T) {
 			rec.Emit(telemetry.Event{T: float64(i), Type: telemetry.EvSample, Edges: i})
 		}
 		rec.Count(telemetry.CtrSamples, events)
-		reg := NewRegistry(rec, nil)
+		reg := NewRegistry(rec)
 		var out strings.Builder
 		if err := reg.WriteText(&out); err != nil {
 			t.Fatal(err)
@@ -186,23 +192,28 @@ func TestSessionImplications(t *testing.T) {
 	if s.Recorder == nil {
 		t.Fatal("-events did not imply the recorder")
 	}
-	if s.Tracer != nil || s.Server != nil || s.Progress != nil {
+	if s.Tracer != nil || s.Server != nil || s.Registry != nil {
 		t.Fatal("-events enabled unrelated sinks")
 	}
 	if err := s.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
-	// -monitor implies recorder + progress + running server.
+	// -monitor implies recorder (with its live board) + registry +
+	// running server.
 	s, err = StartSession(SessionConfig{MonitorAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Recorder == nil || s.Progress == nil || s.Server == nil {
+	if s.Recorder == nil || s.Registry == nil || s.Server == nil {
 		t.Fatalf("-monitor implications missing: %+v", s)
 	}
 	if code, _, _ := get(t, s.Server.URL()+"/healthz"); code != 200 {
 		t.Fatal("monitor not serving")
+	}
+	s.Recorder.Publish(telemetry.RunStatus{Mode: "CMFuzz"})
+	if _, _, body := get(t, s.Server.URL()+"/status"); !strings.Contains(body, `"run": "CMFuzz"`) {
+		t.Fatalf("/status does not serve the recorder's board: %s", body)
 	}
 	if err := s.Finish(io.Discard); err != nil {
 		t.Fatal(err)
@@ -261,34 +272,43 @@ func TestSessionTraceExport(t *testing.T) {
 }
 
 // TestProgressConcurrency is the live-board half of the -race stress
-// satellite: many instances stepping one Progress while scrapers
-// snapshot it.
+// satellite: many campaigns publishing on one recorder's board while
+// scrapers read it.
 func TestProgressConcurrency(t *testing.T) {
-	prog := telemetry.NewProgress()
-	reg := NewRegistry(nil, prog)
+	rec := telemetry.New()
+	reg := NewRegistry(rec)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			run := []string{"a", "b"}[g%2]
-			prog.StartRun(run, "CMFuzz", "dns", 3600, 4)
+			child := rec.Child([]string{"a", "b"}[g%2])
+			st := telemetry.RunStatus{Mode: "CMFuzz", Subject: "dns", HorizonSeconds: 3600,
+				Instances: make([]telemetry.InstanceStatus, 4)}
 			for i := 0; i < 300; i++ {
-				prog.StepInstance(run, g%4, float64(i), i, i*10, 0, 0, i%20)
+				st.VirtualSeconds = float64(i)
+				st.Instances[g%4] = telemetry.InstanceStatus{Index: g % 4, VirtualSeconds: float64(i),
+					Edges: i, Execs: i * 10, CorpusSeeds: i % 20}
+				child.Publish(st)
 				if i%50 == 0 {
-					_ = prog.Snapshot()
+					_ = rec.Board()
 					if err := reg.WriteText(io.Discard); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}
-			prog.EndRun(run)
+			st.Done = true
+			child.Publish(st)
 		}(g)
 	}
 	wg.Wait()
-	if prog.Running() != 0 {
-		t.Fatalf("running = %d after all EndRun", prog.Running())
+	var out strings.Builder
+	if err := reg.WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "cmfuzz_runs_running 0\n") {
+		t.Fatalf("runs still running after every run finished:\n%s", out.String())
 	}
 }
 
@@ -304,12 +324,17 @@ func min(a, b int) int {
 // scrapes report the exec delta over the elapsed wall time, and a
 // counter reset (run restart) reports 0 instead of a negative rate.
 func TestExecRateGauge(t *testing.T) {
-	prog := telemetry.NewProgress()
-	prog.StartRun("r", "CMFuzz", "mqtt", 3600, 2)
+	rec := telemetry.New()
+	// publish posts run r with the two instances' exec counts.
+	publish := func(execs0, execs1 int) {
+		rec.Publish(telemetry.RunStatus{Run: "r", Mode: "CMFuzz", Subject: "mqtt", HorizonSeconds: 3600,
+			Execs: execs0 + execs1, Instances: []telemetry.InstanceStatus{{Index: 0, Execs: execs0}, {Index: 1, Execs: execs1}}})
+	}
+	publish(0, 0)
 
 	clock := time.Unix(1000, 0)
 	reg := metrics.NewRegistry()
-	RegisterExecRate(reg, prog, func() time.Time { return clock })
+	RegisterExecRate(reg, rec, func() time.Time { return clock })
 
 	scrape := func() float64 {
 		t.Helper()
@@ -330,12 +355,11 @@ func TestExecRateGauge(t *testing.T) {
 		return 0
 	}
 
-	prog.StepInstance("r", 0, 1, 10, 1000, 0, 0, 1)
+	publish(1000, 0)
 	if got := scrape(); got != 0 {
 		t.Fatalf("first scrape rate = %v, want 0", got)
 	}
-	prog.StepInstance("r", 0, 2, 10, 1500, 0, 0, 1)
-	prog.StepInstance("r", 1, 2, 10, 500, 0, 0, 1)
+	publish(1500, 500)
 	clock = clock.Add(10 * time.Second)
 	// Delta = (1500+500) - 1000 = 1000 execs over 10s.
 	if got := scrape(); got != 100 {
@@ -346,7 +370,7 @@ func TestExecRateGauge(t *testing.T) {
 		t.Fatalf("zero-dt rate = %v, want 0", got)
 	}
 	// Run restart: exec counters drop; the gauge must clamp to 0.
-	prog.StartRun("r", "CMFuzz", "mqtt", 3600, 2)
+	publish(0, 0)
 	clock = clock.Add(5 * time.Second)
 	if got := scrape(); got != 0 {
 		t.Fatalf("post-reset rate = %v, want 0", got)
@@ -444,5 +468,102 @@ func TestCloseForcesStuckRequests(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung on a stuck handler")
+	}
+}
+
+// TestMonitoredFuzzSurfaces pins what a monitored `cmfuzz fuzz` run
+// serves: every /metrics family with its label keys, and the /status
+// JSON keys of the payload, a run and an instance, as scraped from a
+// DNS run before the live board moved into the recorder.
+func TestMonitoredFuzzSurfaces(t *testing.T) {
+	s, err := StartSession(SessionConfig{MonitorAddr: "127.0.0.1:0", RootSpan: "fuzz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Finish(io.Discard)
+	sub, err := protocols.ByName("DNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parallel.Run(context.Background(), sub,
+		parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 1, Seed: 1, Telemetry: s.Recorder}); err != nil {
+		t.Fatal(err)
+	}
+
+	unlabelled := []string{"boots_total", "config_mutations_total", "coverage_samples_total", "crashes_total",
+		"crashes_unique_total", "defaults_fallbacks_total", "events_recorded", "execs_per_second",
+		"probe_cache_hit_ratio", "probe_cache_hits_total", "probe_startups_total", "restart_failures_total",
+		"runs_running", "saturations_total", "sync_intervals_skipped_total", "syncs_total",
+		"target_hangs_total", "target_rate_limited_total", "target_restarts_total"}
+	want := map[string]string{}
+	for _, f := range unlabelled {
+		want["cmfuzz_"+f] = ""
+	}
+	for _, f := range []string{"run_crashes", "run_edges", "run_execs", "run_horizon_seconds",
+		"run_virtual_seconds", "instances_running"} {
+		want["cmfuzz_"+f] = "run"
+	}
+	for _, f := range []string{"corpus_seeds", "crashes", "edges", "execs", "mutations", "virtual_seconds"} {
+		want["cmfuzz_instance_"+f] = "instance,run"
+	}
+	_, _, body := get(t, s.Server.URL()+"/metrics")
+	got := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := strings.Fields(line)[0]
+		name, labels, _ := strings.Cut(series, "{")
+		var keys []string
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		if prev, ok := got[name]; ok && prev != strings.Join(keys, ",") {
+			t.Fatalf("family %s has label keys %q and %q", name, prev, strings.Join(keys, ","))
+		}
+		got[name] = strings.Join(keys, ",")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/metrics families and label keys:\n got %v\nwant %v", got, want)
+	}
+
+	_, _, body = get(t, s.Server.URL()+"/status")
+	var status struct {
+		Runs []map[string]json.RawMessage `json:"runs"`
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(body), &status); err != nil {
+		t.Fatal(err)
+	}
+	if len(status.Runs) != 1 {
+		t.Fatalf("/status runs = %d, want 1", len(status.Runs))
+	}
+	var instances []map[string]json.RawMessage
+	if err := json.Unmarshal(status.Runs[0]["instances"], &instances); err != nil || len(instances) == 0 {
+		t.Fatalf("/status instances: %v, %s", err, status.Runs[0]["instances"])
+	}
+	for _, c := range []struct {
+		what string
+		obj  map[string]json.RawMessage
+		keys string
+	}{
+		{"payload", top, "counters,runs"},
+		{"run", status.Runs[0], "crashes,done,edges,execs,horizon_seconds,instances,mode,run,subject,virtual_seconds"},
+		{"instance", instances[0], "config,corpus_seeds,crashes,edges,execs,index,mutations,virtual_seconds"},
+	} {
+		var keys []string
+		for k := range c.obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != c.keys {
+			t.Errorf("/status %s keys = %s, want %s", c.what, got, c.keys)
+		}
 	}
 }

@@ -41,16 +41,13 @@ func (c *SessionConfig) Bind(fs *flag.FlagSet) {
 // Fields for disabled sinks are nil and safe to pass straight into
 // Options structs (the nil-safety contract does the rest).
 type Session struct {
-	// Recorder is the deterministic virtual-clock event log (nil when
-	// telemetry is off).
+	// Recorder is the deterministic virtual-clock event log and the
+	// live run board behind /status (nil when telemetry is off).
 	Recorder *telemetry.Recorder
 	// Tracer/Root are the wall-clock span tracer and its root span (nil
 	// without -trace).
 	Tracer *trace.Tracer
 	Root   *trace.Span
-	// Progress is the live run board behind /status (nil without
-	// -monitor).
-	Progress *telemetry.Progress
 	// Registry backs the monitor's /metrics endpoint (nil without
 	// -monitor). Callers with extra sources — a distributed-campaign
 	// coordinator, say — register them here after StartSession.
@@ -66,9 +63,8 @@ type Session struct {
 //
 //   - -events FILE implies -telemetry (streaming events requires the
 //     recorder that produces them).
-//   - -monitor ADDR implies -telemetry and enables the live progress
-//     board — the /status and /metrics endpoints are useless without
-//     both.
+//   - -monitor ADDR implies -telemetry: /status and /metrics read the
+//     recorder's counters and its live run board.
 //   - -trace FILE stands alone: the wall-clock tracer is independent of
 //     the virtual-clock recorder by design (two clocks, two sinks).
 //
@@ -88,11 +84,10 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		s.Root = s.Tracer.Start(name)
 	}
 	if cfg.MonitorAddr != "" {
-		s.Progress = telemetry.NewProgress()
-		s.Registry = NewRegistry(s.Recorder, s.Progress)
+		s.Registry = NewRegistry(s.Recorder)
 		srv, err := Start(cfg.MonitorAddr, Options{
 			Registry: s.Registry,
-			Status:   StatusFunc(s.Progress, s.Recorder),
+			Status:   StatusFunc(s.Recorder),
 		})
 		if err != nil {
 			return nil, err

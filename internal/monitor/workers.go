@@ -21,10 +21,11 @@ import (
 //
 // Per-worker series are labeled worker=<index>,name=<reported name>;
 // the index disambiguates fleets whose nodes report the same name.
-// Like RegisterExecRate, the throughput gauge is the exec-count delta
-// between consecutive scrapes over the wall time between them, 0 on the
-// first scrape or after a reset. A nil now uses time.Now; tests inject
-// a fake clock. Nil registry or snapshot is a no-op.
+// Like RegisterExecRate, the throughput gauge is a scrapeRate: the
+// exec-count delta between consecutive scrapes over the wall time
+// between them, 0 on the first scrape or after a reset. A nil now uses
+// time.Now; tests inject a fake clock. Nil registry or snapshot is a
+// no-op.
 func RegisterWorkers(reg *metrics.Registry, snap func() []dist.WorkerStatus, now func() time.Time) {
 	if reg == nil || snap == nil {
 		return
@@ -54,15 +55,14 @@ func RegisterWorkers(reg *metrics.Registry, snap func() []dist.WorkerStatus, now
 		})
 
 	var mu sync.Mutex
-	var lastT time.Time
-	lastExecs := map[int]int64{}
+	var rates []scrapeRate // per worker index
 	reg.Collect(func(set func(name, help string, value float64, labels ...metrics.Label)) {
 		workers := snap()
 		mu.Lock()
 		t := now()
-		prevT := lastT
-		dt := t.Sub(prevT).Seconds()
-		lastT = t
+		if n := len(workers) - len(rates); n > 0 {
+			rates = append(rates, make([]scrapeRate, n)...)
+		}
 		for i, ws := range workers {
 			wl := metrics.L("worker", strconv.Itoa(i))
 			nl := metrics.L("name", ws.Name)
@@ -70,14 +70,9 @@ func RegisterWorkers(reg *metrics.Registry, snap func() []dist.WorkerStatus, now
 				boolTo01(ws.Alive), wl, nl)
 			set("cmfuzz_worker_sync_bytes", "Lease request and reply bytes shipped to and from this worker.",
 				float64(ws.SyncBytes), wl, nl)
-			rate := 0.0
-			if prev, ok := lastExecs[i]; ok && !prevT.IsZero() && ws.Execs >= prev && dt > 0 {
-				rate = float64(ws.Execs-prev) / dt
-			}
-			lastExecs[i] = ws.Execs
 			set("cmfuzz_worker_execs_per_second",
 				"Protocol executions per wall-clock second on this worker, between scrapes.",
-				rate, wl, nl)
+				rates[i].next(t, float64(ws.Execs)), wl, nl)
 			age := 0.0
 			if ws.LastReply.UnixNano() > 0 {
 				age = max(t.Sub(ws.LastReply).Seconds(), 0)

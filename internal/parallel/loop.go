@@ -33,7 +33,7 @@ func (o *Options) charge(clock float64, s Step) float64 {
 	return clock + s.Latency
 }
 
-// A Gauge is one instance's live figures for the progress board.
+// A Gauge is one instance's live figures for the run's board entry.
 type Gauge struct{ Edges, Execs, Crashes, Mutations, Corpus int }
 
 // A Source is where the event loop's steps come from. The loop decides
@@ -56,8 +56,8 @@ type Source interface {
 	// Merge folds the coverage the step added into union (called when
 	// the step found new edges).
 	Merge(i int, union *coverage.Map) error
-	// Gauge reads instance i's live figures (called when a progress
-	// board is attached).
+	// Gauge reads instance i's live figures (at a saturation, and for
+	// every instance when the loop publishes the run's board entry).
 	Gauge(i int) Gauge
 	// Sync imports up to four of every other instance's best seeds into
 	// instance i, in index order, and reports how many.
@@ -89,14 +89,15 @@ type LoopState struct {
 // isolated instances stepped in (clock, index) order, periodic seed
 // synchronization, configuration-value mutation on saturation. It owns
 // the union coverage map, the sampled series, the bug ledger and every
-// telemetry and progress emission; a Source supplies the steps. The
-// in-process and the distributed campaign are this one loop over one
-// source, which is why their artifacts are byte-identical.
+// telemetry emission, the run's live board entry included; a Source
+// supplies the steps. The in-process and the distributed campaign are
+// this one loop over one source, which is why their artifacts are
+// byte-identical.
 //
 // The exported fields are for a source's Boot and for checkpointing;
 // between Boot and Finish only the loop changes them.
 type Loop struct {
-	Opts  Options // defaults applied, Label resolved
+	Opts  Options // defaults applied
 	Res   *Result
 	Union *coverage.Map
 	LoopState
@@ -114,6 +115,9 @@ type Loop struct {
 	minSampleGap float64
 	mutate       bool
 	cancelled    bool
+	// status is the run's live board entry, refreshed and published by
+	// publish; its Instances are reused from one publish to the next.
+	status telemetry.RunStatus
 }
 
 // NewLoop opens a fresh campaign on host. Plan, Boot, Advance, Finish
@@ -140,13 +144,9 @@ func ResumeLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loo
 
 func openLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
 	opts := host.Opts
-	if opts.Label == "" {
-		opts.Label = opts.Mode.String()
-	}
 	res.Mode = opts.Mode
 	res.Subject = host.Sub.Info()
 	horizon := opts.Horizon()
-	opts.Progress.StartRun(opts.Label, opts.Mode.String(), res.Subject.Protocol, horizon, opts.Instances)
 	return &Loop{
 		Opts: opts, Res: res, Union: union, LoopState: st,
 		host:         host,
@@ -175,10 +175,11 @@ func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
 // Boot attaches src and boots every instance through it, in index order
 // so startup ledger entries and telemetry land identically on every
 // path. A resumed loop has its boot events and first series point
-// already; it only tells the progress board what each instance runs.
+// already. Either way the run's board entry is published once every
+// instance is up.
 func (l *Loop) Boot(ctx context.Context, src Source) error {
 	l.src = src
-	tel, prog := l.Opts.Telemetry, l.Opts.Progress
+	tel := l.Opts.Telemetry
 	for i := range l.Clock {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -192,15 +193,11 @@ func (l *Loop) Boot(ctx context.Context, src Source) error {
 			span.End()
 			return err
 		}
-		cfg := src.Config(i)
 		if !l.resumed {
 			span.Set("edges", edges)
 			span.End()
-			tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i, Config: cfg, Edges: edges})
+			tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i, Config: src.Config(i), Edges: edges})
 			tel.Count(telemetry.CtrBoots, 1)
-		}
-		if prog.Enabled() {
-			prog.SetInstanceConfig(l.Opts.Label, i, cfg)
 		}
 	}
 	if !l.resumed {
@@ -212,6 +209,7 @@ func (l *Loop) Boot(ctx context.Context, src Source) error {
 	for i := range l.spans {
 		l.spans[i] = l.Opts.Trace.Child("instance", trace.A("index", i))
 	}
+	l.publish(l.Watermark)
 	return nil
 }
 
@@ -243,7 +241,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 	if until > l.horizon {
 		until = l.horizon
 	}
-	opts, tel, prog, res := &l.Opts, l.Opts.Telemetry, l.Opts.Progress, l.Res
+	opts, tel, res := &l.Opts, l.Opts.Telemetry, l.Res
 	l.cancelled = false
 	for {
 		i := l.next()
@@ -289,11 +287,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			tel.Emit(telemetry.Event{T: l.Watermark, Type: telemetry.EvSample, Instance: i,
 				Edges: l.Union.Count()})
 			tel.Count(telemetry.CtrSamples, 1)
-			prog.SetUnion(opts.Label, l.Watermark, l.Union.Count())
-		}
-		if prog.Enabled() {
-			g := l.src.Gauge(i)
-			prog.StepInstance(opts.Label, i, t, g.Edges, g.Execs, g.Crashes, g.Mutations, g.Corpus)
+			l.publish(l.Watermark)
 		}
 
 		// Seed synchronization.
@@ -327,9 +321,6 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			mut := l.spans[i].Child("config.mutate")
 			out := l.src.Mutate(i, res.Bugs)
 			EmitMutation(tel, i, t, out)
-			if out.Restarted && prog.Enabled() {
-				prog.SetInstanceConfig(opts.Label, i, l.src.Config(i))
-			}
 			mut.End()
 		}
 		l.src.Done(i)
@@ -337,10 +328,10 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 }
 
 // Finish observes the final series point, collects every instance's
-// summary from the source and seals the Result. After an Advance that
-// ctx cut short the series ends at the watermark the campaign actually
-// reached instead of the horizon, so the partial artifact never claims
-// coverage for virtual time that did not run.
+// summary from the source, seals the Result and publishes the run done.
+// After an Advance that ctx cut short the series and the board end at
+// the watermark the campaign actually reached instead of the horizon,
+// so neither claims coverage for virtual time that did not run.
 func (l *Loop) Finish() (*Result, error) {
 	res := l.Res
 	finalT := l.horizon
@@ -349,7 +340,6 @@ func (l *Loop) Finish() (*Result, error) {
 	}
 	res.Series.Observe(finalT, l.Union.Count())
 	res.FinalBranches = l.Union.Count()
-	l.Opts.Progress.SetUnion(l.Opts.Label, finalT, l.Union.Count())
 	for i := range l.Clock {
 		ir, err := l.src.Result(i)
 		if err != nil {
@@ -362,6 +352,8 @@ func (l *Loop) Finish() (*Result, error) {
 		res.Instances = append(res.Instances, ir)
 	}
 	res.Counters = l.Opts.Telemetry.Counters()
+	l.status.Done = true
+	l.publish(finalT)
 	return res, nil
 }
 
@@ -379,5 +371,39 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 	return res, stopped
 }
 
-// Close ends the campaign's run on the progress board.
-func (l *Loop) Close() { l.Opts.Progress.EndRun(l.Opts.Label) }
+// Close marks the run done on the board if Finish did not, at the
+// watermark it reached. A run that never finished booting was never
+// published and stays off the board.
+func (l *Loop) Close() {
+	if l.status.Instances != nil && !l.status.Done {
+		l.status.Done = true
+		l.publish(l.Watermark)
+	}
+}
+
+// publish posts the run's entry on the recorder's live board: the
+// loop's position at virtual time t, read from the clocks, the union
+// and the source. The loop publishes after Boot, at every coverage
+// sample and in Finish, so the board lags the loop by at most one
+// SampleEvery. A no-op without a recorder.
+func (l *Loop) publish(t float64) {
+	tel := l.Opts.Telemetry
+	if !tel.Enabled() {
+		return
+	}
+	st := &l.status
+	if st.Instances == nil {
+		st.Mode, st.Subject, st.HorizonSeconds = l.Opts.Mode.String(), l.Res.Subject.Protocol, l.horizon
+		st.Instances = make([]telemetry.InstanceStatus, len(l.Clock))
+	}
+	st.VirtualSeconds, st.Edges, st.Execs, st.Crashes = t, l.Union.Count(), 0, 0
+	for i := range st.Instances {
+		g := l.src.Gauge(i)
+		st.Instances[i] = telemetry.InstanceStatus{Index: i, VirtualSeconds: l.Clock[i],
+			Edges: g.Edges, Execs: g.Execs, Crashes: g.Crashes, Mutations: g.Mutations,
+			CorpusSeeds: g.Corpus, Config: l.src.Config(i)}
+		st.Execs += g.Execs
+		st.Crashes += g.Crashes
+	}
+	tel.Publish(*st)
+}

@@ -149,9 +149,10 @@ type Options struct {
 	// Telemetry receives the campaign's structured event stream (boots,
 	// group assignments, seed syncs, coverage samples, saturation fires,
 	// configuration mutations, restart failures, crash dedup, probe-cache
-	// stats). Nil — the default — is a no-op sink: the campaign runs the
-	// exact same decisions and the Result is byte-identical to an
-	// uninstrumented run.
+	// stats), and the run's entry on the recorder's live board, under
+	// the recorder's label or the mode name. Nil — the default — is a
+	// no-op sink: the campaign runs the exact same decisions and the
+	// Result is byte-identical to an uninstrumented run.
 	Telemetry *telemetry.Recorder
 	// Trace, when non-nil, is the parent wall-clock span this run
 	// records under: relation.quantify (with probe.plan/execute/score),
@@ -161,14 +162,6 @@ type Options struct {
 	// Wall-clock data lives only in the tracer — it never feeds a
 	// campaign decision, so the Result stays byte-identical.
 	Trace *trace.Span
-	// Progress, when non-nil, receives live per-instance state (virtual
-	// clock, edges, execs, crashes, seed-queue depth) on every engine
-	// step, for the HTTP monitor's /status and /metrics endpoints. Like
-	// Telemetry, it is observation-only.
-	Progress *telemetry.Progress
-	// Label names this run on the Progress board and defaults to the
-	// mode name when empty.
-	Label string
 }
 
 // The paper's campaign shape (§IV): what a zero Instances or
@@ -271,7 +264,7 @@ func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error
 // Start plans a campaign of sub under opts and boots every instance in
 // this process, each with its first lease out; Advance and Finish on the
 // returned loop follow. done joins the leases still in flight, closes the
-// instances and ends the run on the progress board.
+// instances and closes the loop.
 func Start(ctx context.Context, sub subject.Subject, opts Options) (l *Loop, done func(), err error) {
 	host, err := NewHost(sub, opts)
 	if err != nil {

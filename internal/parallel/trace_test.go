@@ -43,9 +43,10 @@ func contains(outer, inner chromeEvent) bool {
 }
 
 // TestNilTraceAndProgressByteIdentical extends the no-op-sink pin to the
-// wall-clock layer: a campaign under a span tracer and a live progress
-// board must produce byte-identical artifacts to one with both off.
-// Wall-clock observation must never steer the virtual-clock campaign.
+// wall-clock layer: a campaign under a span tracer and a recorder whose
+// live board it publishes to must produce byte-identical artifacts to
+// one with both off. Wall-clock observation must never steer the
+// virtual-clock campaign.
 func TestNilTraceAndProgressByteIdentical(t *testing.T) {
 	sub := mustSubject(t, "DNS")
 	opts := Options{Mode: ModeCMFuzz, VirtualHours: 1, Seed: 7}
@@ -57,9 +58,9 @@ func TestNilTraceAndProgressByteIdentical(t *testing.T) {
 
 	tr := trace.New()
 	root := tr.Start("fuzz")
-	prog := telemetry.NewProgress()
+	rec := telemetry.New()
 	opts.Trace = root
-	opts.Progress = prog
+	opts.Telemetry = rec
 	instrumented, err := Run(context.Background(), sub, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestNilTraceAndProgressByteIdentical(t *testing.T) {
 	if tr.SpanCount() < 4 {
 		t.Fatalf("tracer recorded only %d spans", tr.SpanCount())
 	}
-	snap := prog.Snapshot()
+	snap := rec.Board()
 	if len(snap) != 1 || !snap[0].Done || snap[0].Mode != "CMFuzz" {
 		t.Fatalf("progress board = %+v", snap)
 	}
@@ -194,8 +195,8 @@ func TestTraceSpanNesting(t *testing.T) {
 // BenchmarkTraceOverhead guards the wall-clock layer's cost the way
 // BenchmarkTelemetryOverhead guards the recorder's: "off" is the plain
 // campaign (every span site pays one nil check), "on" runs the full
-// tracer + progress board + a scraping-ready registry. The PR's
-// acceptance bound is on/off within 5%; the benchmark's traced passes
+// tracer + a recorder publishing the live board. The acceptance
+// bound is on/off within 5%; the benchmark's traced passes
 // report the same ratio as bench.trace_overhead_ratio (bench/README.md).
 func BenchmarkTraceOverhead(b *testing.B) {
 	sub, err := protocols.ByName("DNS")
@@ -213,9 +214,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := trace.New()
 			root := tr.Start("bench")
-			prog := telemetry.NewProgress()
 			if _, err := Run(context.Background(), sub, Options{Mode: ModeCMFuzz, VirtualHours: 0.5, Seed: 1,
-				Trace: root, Progress: prog}); err != nil {
+				Trace: root, Telemetry: telemetry.New()}); err != nil {
 				b.Fatal(err)
 			}
 			root.End()

@@ -6,7 +6,7 @@
 //
 // A Campaign carries what defines the campaign's outcome and nothing
 // else. Execution knobs (parallel.Options.Concurrency, the fleet's pin
-// of it to 1) and observation sinks (Telemetry, Trace, Progress, Label)
+// of it to 1) and observation sinks (Telemetry, Trace)
 // are set by the caller on the Options this package returns; the
 // cost-model constants (StepCost, ByteCost, SyncInterval, SampleEvery,
 // MaxValues) stay zero so parallel's own defaults are their only source.

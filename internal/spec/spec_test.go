@@ -175,7 +175,7 @@ var (
 	// setByCaller: execution knobs and observation sinks, which change how
 	// a campaign runs or is watched but not what it computes — plus
 	// PeachSharedSchedules, which only the ablation runner sets.
-	setByCaller = []string{"Concurrency", "Telemetry", "Trace", "Progress", "Label", "PeachSharedSchedules"}
+	setByCaller = []string{"Concurrency", "Telemetry", "Trace", "PeachSharedSchedules"}
 	// costModel: constants of the virtual clock and the probe matrix,
 	// always left for parallel's defaults.
 	costModel = []string{"StepCost", "ByteCost", "SyncInterval", "SampleEvery", "MaxValues"}

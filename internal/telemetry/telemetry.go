@@ -148,23 +148,40 @@ func (c Counters) String() string {
 // telemetry is off. A non-nil Recorder is safe for concurrent use; the
 // deterministic virtual-clock event loop emits from one goroutine, but
 // concurrent probe batches and campaign repetitions may share one.
+//
+// A recorder also carries the live run board (Publish, Board), shared
+// with its children.
 type Recorder struct {
 	mu       sync.Mutex
 	run      string
 	events   []Event
 	counters Counters
 	tap      func(Event)
+	// children are the recorders Child made that Merge has not folded
+	// in yet; counter reads add them. Merge replaces the slice rather
+	// than editing it, so a reader may hold the old one unlocked.
+	children []*Recorder
+	board    *board
 }
 
 // New returns an empty enabled recorder.
-func New() *Recorder { return &Recorder{counters: make(Counters)} }
+func New() *Recorder { return &Recorder{counters: make(Counters), board: &board{}} }
 
-// NewRun returns an enabled recorder that stamps run into every event it
-// records (used to label one campaign of a repetition matrix).
-func NewRun(run string) *Recorder {
-	r := New()
-	r.run = run
-	return r
+// Child returns an enabled recorder for one campaign of a repetition
+// matrix: it stamps run into every event it records and publishes on r's
+// board. Until r merges it, r's counter reads (Counter, Counters) add
+// its counts, so a scrape sees a running matrix's work; Merge then
+// retires it, and nothing counts twice. Nil-safe: the child of a nil
+// recorder is nil.
+func (r *Recorder) Child(run string) *Recorder {
+	if r == nil {
+		return nil
+	}
+	c := &Recorder{run: run, counters: make(Counters), board: r.board}
+	r.mu.Lock()
+	r.children = append(r.children, c)
+	r.mu.Unlock()
+	return c
 }
 
 // Restore rebuilds a recorder from a checkpointed event log and counter
@@ -245,30 +262,42 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Counter returns one counter's value without copying the registry.
+// Counter returns one counter's value, its unmerged children's counts
+// included, without copying the registry.
 func (r *Recorder) Counter(name string) int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
+	n, children := r.counters[name], r.children
+	r.mu.Unlock()
+	for _, c := range children {
+		n += c.Counter(name)
+	}
+	return n
 }
 
-// Counters returns a copy of the counter registry (nil when off).
+// Counters returns a copy of the counter registry, its unmerged
+// children's counts included (nil when off).
 func (r *Recorder) Counters() Counters {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters.Clone()
+	out, children := r.counters.Clone(), r.children
+	r.mu.Unlock()
+	for _, c := range children {
+		for k, v := range c.Counters() {
+			out[k] += v
+		}
+	}
+	return out
 }
 
-// Merge appends o's events after r's and folds o's counters into r's.
-// Merging children in a fixed order keeps a concurrent repetition
-// matrix's export deterministic. Nil receivers and nil arguments are
-// no-ops.
+// Merge appends o's events after r's, folds o's counters into r's and,
+// when o is r's child, retires it. Merging children in a fixed order
+// keeps a concurrent repetition matrix's export deterministic. Nil
+// receivers and nil arguments are no-ops.
 func (r *Recorder) Merge(o *Recorder) {
 	if r == nil || o == nil {
 		return
@@ -282,6 +311,13 @@ func (r *Recorder) Merge(o *Recorder) {
 	for k, v := range counters {
 		r.counters[k] += v
 	}
+	kept := make([]*Recorder, 0, len(r.children))
+	for _, c := range r.children {
+		if c != o {
+			kept = append(kept, c)
+		}
+	}
+	r.children = kept
 	r.mu.Unlock()
 }
 

@@ -28,13 +28,17 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Timeline(40) != "" {
 		t.Fatal("nil Timeline produced output")
 	}
+	r.Publish(RunStatus{Mode: "CMFuzz"})
+	if r.Board() != nil || r.Child("x") != nil {
+		t.Fatal("nil recorder has a board or a child")
+	}
 }
 
 // TestJSONLGolden pins the exact JSONL wire format: field order, omitted
 // empties, one object per line. Changing the format breaks downstream
 // consumers, so this is a byte-for-byte golden.
 func TestJSONLGolden(t *testing.T) {
-	r := NewRun("CMFuzz/rep0")
+	r := New().Child("CMFuzz/rep0")
 	r.Emit(Event{T: 0, Type: EvBoot, Instance: 0, Config: "bridge=true", Edges: 120})
 	r.Emit(Event{T: 0, Type: EvGroup, Instance: 0, Group: []string{"bridge", "bridge-address"}})
 	r.Emit(Event{T: 610.5, Type: EvSync, Instance: 1, Seeds: 12, Skipped: 2})
@@ -100,10 +104,10 @@ func parseFile(t *testing.T, path string) ([]Event, error) {
 }
 
 func TestCountersAndMerge(t *testing.T) {
-	a := NewRun("a")
+	a := New().Child("a")
 	a.Count(CtrSyncs, 2)
 	a.Emit(Event{T: 1, Type: EvSync, Instance: 0})
-	b := NewRun("b")
+	b := New().Child("b")
 	b.Count(CtrSyncs, 3)
 	b.Count(CtrMutations, 1)
 	b.Emit(Event{T: 2, Type: EvMutation, Instance: 1})
