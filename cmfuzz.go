@@ -28,13 +28,15 @@
 package cmfuzz
 
 import (
+	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/campaign"
-	"cmfuzz/internal/core"
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/core/relation"
+	"cmfuzz/internal/core/schedule"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
+	"cmfuzz/internal/spec"
 	"cmfuzz/internal/subject"
 	"context"
 )
@@ -49,10 +51,6 @@ type (
 	Mode = parallel.Mode
 	// EvalConfig scales a full evaluation (hours × repetitions).
 	EvalConfig = campaign.Config
-	// Pipeline is the identification → scheduling flow.
-	Pipeline = core.Pipeline
-	// Plan is a pipeline output.
-	Plan = core.Plan
 	// Input carries configuration sources for extraction.
 	Input = configspec.Input
 	// Assignment is one concrete configuration.
@@ -80,17 +78,41 @@ func Fuzz(sub subject.Subject, opts Options) (*Result, error) {
 	return parallel.Run(context.Background(), sub, opts)
 }
 
+// Plan is Identify's output: the models configuration model
+// identification and scheduling built, and the configuration each group
+// is scheduled with.
+type Plan struct {
+	// Model is the generalized configuration model (Figure 2).
+	Model *configmodel.Model
+	// Relation is the relation-aware configuration model (Figure 3).
+	Relation *relation.Result
+	// Groups are the cohesive entity groups (Algorithm 2), one per
+	// instance; fewer than the instances when the model is small.
+	Groups []schedule.Group
+	// Assignments are the runtime-ready configurations, parallel to
+	// Groups.
+	Assignments []configmodel.Assignment
+}
+
 // Identify runs configuration model identification and scheduling for a
-// subject and returns the per-instance configuration plan without
-// fuzzing.
-func Identify(sub subject.Subject, instances int) *Plan {
-	p := &core.Pipeline{
-		Probe: func(cfg configmodel.Assignment) int {
-			return subject.Probe(sub, map[string]string(cfg))
-		},
-		Instances: instances,
-		MaxValues: 4,
-		Weighting: relation.WeightInteraction,
+// subject across the given number of instances (0 means the campaign
+// default) and returns the plan without fuzzing. It plans with the
+// planner every CMFuzz campaign runs, so a configuration whose startup
+// crashes the subject is scored as a failed startup, not raised.
+func Identify(sub subject.Subject, instances int) (*Plan, error) {
+	// Planning never reads the horizon; Hours only passes validation.
+	opts, err := spec.Campaign{Instances: instances, Hours: parallel.DefaultHours}.Options()
+	if err != nil {
+		return nil, err
 	}
-	return p.Run(sub.ConfigInput())
+	h, err := parallel.NewHost(sub, opts)
+	if err != nil {
+		return nil, err
+	}
+	p := h.Plan(bugs.NewLedger(), nil, nil)
+	plan := &Plan{Model: h.Model, Relation: p.Relation, Groups: p.Groups}
+	for _, s := range p.Specs[:len(p.Groups)] {
+		plan.Assignments = append(plan.Assignments, s.Config)
+	}
+	return plan, nil
 }

@@ -11,7 +11,11 @@ import (
 // discovered from startup coverage and divided into cohesive groups.
 func ExampleIdentify() {
 	sub, _ := cmfuzz.Subject("CoAP")
-	plan := cmfuzz.Identify(sub, 4)
+	plan, err := cmfuzz.Identify(sub, 4)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	for _, e := range plan.Relation.Graph.SortedEdges() {
 		fmt.Printf("%s <-> %s\n", e.A, e.B)
 	}

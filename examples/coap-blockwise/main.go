@@ -26,7 +26,10 @@ func main() {
 
 	// Stage 1+2: identification and scheduling. Find which instance got
 	// the q-block feature.
-	plan := cmfuzz.Identify(sub, 4)
+	plan, err := cmfuzz.Identify(sub, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
 	qblockInstance := -1
 	for i, a := range plan.Assignments {
 		if a["q-block"] == "true" {

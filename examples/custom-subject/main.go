@@ -218,7 +218,10 @@ func (tftpSubject) NewInstance() subject.Instance { return &tftpServer{} }
 func main() {
 	sub := tftpSubject{}
 
-	plan := cmfuzz.Identify(sub, 2)
+	plan, err := cmfuzz.Identify(sub, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("custom subject %q: %d entities, %d relation edges\n",
 		sub.Info().Implementation, plan.Model.Len(), plan.Relation.Graph.EdgeCount())
 	for i, a := range plan.Assignments {

@@ -18,9 +18,13 @@ func main() {
 	}
 
 	// 1-2. Configuration model identification + scheduling.
-	plan := cmfuzz.Identify(sub, 4)
+	plan, err := cmfuzz.Identify(sub, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Extraction consolidates items by name, so each becomes one entity.
 	fmt.Printf("extracted %d configuration items -> %d entities, %d relation edges\n",
-		len(plan.Items), plan.Model.Len(), plan.Relation.Graph.EdgeCount())
+		plan.Model.Len(), plan.Model.Len(), plan.Relation.Graph.EdgeCount())
 	for i, g := range plan.Groups {
 		fmt.Printf("instance %d group: %s\n", i, strings.Join(g.Members, ", "))
 	}

@@ -1,6 +1,7 @@
 package cmfuzz_test
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -149,6 +150,25 @@ func TestDesignGuards(t *testing.T) {
 				}
 			}
 			exactlyOne(t, regs, "registration of -"+f)
+		}
+	})
+
+	// Figure 1 — relation quantification, then grouping and each group's
+	// configuration — is planned by parallel.Host.Plan and nowhere else:
+	// campaigns, the dist coordinator, the stage commands and the facade's
+	// Identify all call it. The probe-executor service it once sat on
+	// stays gone.
+	t.Run("OnePlanner", func(t *testing.T) {
+		re := regexp.MustCompile(`relation\.Quantify\(|schedule\.(Allocate|RandomAllocate|RoundRobinAllocate|GroupAssignment)\(`)
+		var calls []goLine
+		for _, l := range goLines(t, re, false, ".") {
+			if l.path != "internal/parallel/host.go" {
+				calls = append(calls, l)
+			}
+		}
+		none(t, calls, "Figure 1 planned outside parallel.Host.Plan")
+		if _, err := os.Stat("internal/core/probe"); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("internal/core/probe exists (stat: %v)", err)
 		}
 	})
 

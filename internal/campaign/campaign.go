@@ -38,7 +38,7 @@ type Config struct {
 	// Repetitions averages this many seeds (default 5, as in §IV).
 	Repetitions int `json:"repetitions"`
 	// Concurrency bounds how many campaigns of a batch run at once and
-	// is passed through to each campaign's probe executor (0 means
+	// is passed through to each campaign's relation-probe pool (0 means
 	// GOMAXPROCS). Every campaign is deterministic per seed and results
 	// come back in batch order, so the outcome is identical for any
 	// concurrency level.

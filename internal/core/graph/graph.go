@@ -38,12 +38,6 @@ func (g *Graph) AddNode(name string) int {
 	return i
 }
 
-// HasNode reports whether name is a node.
-func (g *Graph) HasNode(name string) bool {
-	_, ok := g.index[name]
-	return ok
-}
-
 // AddEdge connects a and b with weight w, inserting missing nodes and
 // overwriting any existing weight. Self-loops are ignored.
 func (g *Graph) AddEdge(a, b string, w float64) {
@@ -69,9 +63,6 @@ func (g *Graph) Weight(a, b string) (float64, bool) {
 	return w, ok
 }
 
-// NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.names) }
-
 // EdgeCount returns the number of undirected edges.
 func (g *Graph) EdgeCount() int {
 	n := 0
@@ -84,29 +75,6 @@ func (g *Graph) EdgeCount() int {
 // Nodes returns the node names in insertion order. The slice aliases
 // internal storage and must not be modified.
 func (g *Graph) Nodes() []string { return g.names }
-
-// Neighbors returns the names adjacent to name, sorted.
-func (g *Graph) Neighbors(name string) []string {
-	i, ok := g.index[name]
-	if !ok {
-		return nil
-	}
-	out := make([]string, 0, len(g.adj[i]))
-	for j := range g.adj[i] {
-		out = append(out, g.names[j])
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Degree returns how many edges touch name.
-func (g *Graph) Degree(name string) int {
-	i, ok := g.index[name]
-	if !ok {
-		return 0
-	}
-	return len(g.adj[i])
-}
 
 // Edges returns every undirected edge exactly once, in canonical
 // (A, B) lexicographic order.
@@ -168,68 +136,4 @@ func (g *Graph) Normalize() {
 			m[k] = w / max
 		}
 	}
-}
-
-// Components returns the connected components, each sorted, ordered by
-// their smallest member.
-func (g *Graph) Components() [][]string {
-	uf := NewUnionFind(len(g.names))
-	for ia, m := range g.adj {
-		for ib := range m {
-			uf.Union(ia, ib)
-		}
-	}
-	groups := make(map[int][]string)
-	for i, name := range g.names {
-		root := uf.Find(i)
-		groups[root] = append(groups[root], name)
-	}
-	out := make([][]string, 0, len(groups))
-	for _, members := range groups {
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// A UnionFind is a disjoint-set forest over integer elements.
-type UnionFind struct {
-	parent []int
-	rank   []int
-}
-
-// NewUnionFind returns a forest of n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
-// Find returns the representative of x's set, with path compression.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets containing x and y and reports whether they were
-// previously disjoint.
-func (u *UnionFind) Union(x, y int) bool {
-	rx, ry := u.Find(x), u.Find(y)
-	if rx == ry {
-		return false
-	}
-	if u.rank[rx] < u.rank[ry] {
-		rx, ry = ry, rx
-	}
-	u.parent[ry] = rx
-	if u.rank[rx] == u.rank[ry] {
-		u.rank[rx]++
-	}
-	return true
 }

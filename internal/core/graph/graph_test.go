@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -12,12 +11,6 @@ func TestAddNodeIdempotent(t *testing.T) {
 	i := g.AddNode("a")
 	if g.AddNode("a") != i {
 		t.Fatal("re-adding node changed index")
-	}
-	if !g.HasNode("a") || g.HasNode("b") {
-		t.Fatal("HasNode wrong")
-	}
-	if g.NodeCount() != 1 {
-		t.Fatalf("NodeCount = %d", g.NodeCount())
 	}
 }
 
@@ -59,29 +52,6 @@ func TestWeightMissing(t *testing.T) {
 	g.AddNode("b")
 	if _, ok := g.Weight("a", "b"); ok {
 		t.Fatal("unconnected nodes reported connected")
-	}
-}
-
-func TestNeighborsAndDegree(t *testing.T) {
-	g := New()
-	g.AddEdge("hub", "z", 1)
-	g.AddEdge("hub", "a", 2)
-	g.AddEdge("hub", "m", 3)
-	nb := g.Neighbors("hub")
-	want := []string{"a", "m", "z"}
-	if len(nb) != 3 {
-		t.Fatalf("Neighbors = %v", nb)
-	}
-	for i := range want {
-		if nb[i] != want[i] {
-			t.Fatalf("Neighbors = %v, want %v", nb, want)
-		}
-	}
-	if g.Degree("hub") != 3 || g.Degree("a") != 1 || g.Degree("nope") != 0 {
-		t.Fatal("Degree wrong")
-	}
-	if g.Neighbors("nope") != nil {
-		t.Fatal("Neighbors of missing node should be nil")
 	}
 }
 
@@ -135,45 +105,6 @@ func TestNormalize(t *testing.T) {
 	New().Normalize()
 	if g.MaxWeight() != 1 {
 		t.Fatalf("MaxWeight after normalize = %v", g.MaxWeight())
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b", 1)
-	g.AddEdge("b", "c", 1)
-	g.AddEdge("x", "y", 1)
-	g.AddNode("lone")
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != "a" {
-		t.Fatalf("first component = %v", comps[0])
-	}
-	if comps[1][0] != "lone" {
-		t.Fatalf("second component = %v", comps[1])
-	}
-	if len(comps[2]) != 2 {
-		t.Fatalf("third component = %v", comps[2])
-	}
-}
-
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
-	if !uf.Union(0, 1) {
-		t.Fatal("first union reported redundant")
-	}
-	if uf.Union(1, 0) {
-		t.Fatal("redundant union reported new")
-	}
-	uf.Union(2, 3)
-	uf.Union(0, 3)
-	if uf.Find(1) != uf.Find(2) {
-		t.Fatal("merged sets have different roots")
-	}
-	if uf.Find(4) == uf.Find(0) {
-		t.Fatal("disjoint element merged")
 	}
 }
 
@@ -235,35 +166,6 @@ func TestQuickNormalizePreservesOrder(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Components partition the node set.
-func TestQuickComponentsPartition(t *testing.T) {
-	f := func(pairs []uint8) bool {
-		g := New()
-		for i := 0; i+1 < len(pairs); i += 2 {
-			g.AddEdge(string(rune('a'+pairs[i]%16)), string(rune('a'+pairs[i+1]%16)), 1)
-		}
-		var all []string
-		for _, comp := range g.Components() {
-			all = append(all, comp...)
-		}
-		sort.Strings(all)
-		nodes := append([]string{}, g.Nodes()...)
-		sort.Strings(nodes)
-		if len(all) != len(nodes) {
-			return false
-		}
-		for i := range all {
-			if all[i] != nodes[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,18 +20,21 @@
 // at the top — and the grouping degenerates toward a single group.
 //
 // Quantification is probe-bound, so Quantify plans the whole probe matrix
-// up front — baseline, standalone values, pair combinations — and hands it
-// to a memoizing worker-pool executor (package probe). Every distinct
-// assignment boots exactly once (standalone probes are reused by pair
-// scoring; combinations that collapse onto the defaults reuse the
-// baseline), and scoring runs sequentially over the cached coverages in
-// fixed pair order, so the Result is identical for any worker count.
+// up front — baseline, standalone values, pair combinations — and boots
+// every distinct assignment exactly once across a worker pool (standalone
+// probes are reused by pair scoring; combinations that collapse onto the
+// defaults reuse the baseline). Scoring then runs sequentially over the
+// coverages in fixed pair order, so the Result is identical for any
+// worker count.
 package relation
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/core/graph"
-	"cmfuzz/internal/core/probe"
 	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 )
@@ -92,12 +95,12 @@ type Result struct {
 	// Probes counts how many startups were actually executed. Duplicate
 	// assignments across the probe matrix (standalone probes recurring
 	// inside pair matrices, combinations collapsing onto the defaults)
-	// are memoized, so Probes is the number of distinct configurations
+	// boot once, so Probes is the number of distinct configurations
 	// booted.
 	Probes int
-	// ProbeRequests counts every probe the matrix asked for, including
-	// the ones served from the memo cache; ProbeRequests − Probes is the
-	// startup work memoization saved.
+	// ProbeRequests counts every probe the matrix asked for, duplicates
+	// included; ProbeRequests − Probes is the startup work the
+	// deduplication saved.
 	ProbeRequests int
 	// DroppedValues counts typical values the MaxValues cap excluded
 	// from probing, summed over entities. The cap always preserves an
@@ -128,8 +131,8 @@ type Options struct {
 	// Workers bounds the probe worker pool (0 means GOMAXPROCS). The
 	// Result is identical for every worker count, including 1.
 	Workers int
-	// Telemetry, when non-nil, receives the probe executor's cache
-	// statistics (probe_stats events and probe counters).
+	// Telemetry, when non-nil, receives the probe matrix's duplicate
+	// statistics (a probe_stats event and the probe counters).
 	Telemetry *telemetry.Recorder
 	// Trace, when non-nil, is the parent wall-clock span under which
 	// quantification records its phases: a relation.quantify span with
@@ -191,13 +194,10 @@ func Quantify(model *configmodel.Model, probeFn Probe, opts Options) *Result {
 	plan.Set("configs", len(cfgs))
 	plan.End()
 
-	// Execute the matrix across the worker pool, memoized.
+	// Execute the matrix across the worker pool, each assignment once.
 	execSpan := span.Child("probe.execute", trace.A("configs", len(cfgs)))
-	ex := probe.NewExecutor(probe.Func(probeFn), opts.Workers)
-	ex.SetTelemetry(opts.Telemetry)
-	ex.SetTrace(execSpan)
-	covs := ex.Batch(cfgs)
-	res.Probes = ex.Stats().Startups
+	covs, startups := probeAll(cfgs, probeFn, opts, execSpan)
+	res.Probes = startups
 	res.ProbeRequests = len(cfgs)
 	execSpan.Set("startups", res.Probes)
 	execSpan.End()
@@ -259,6 +259,70 @@ func Quantify(model *configmodel.Model, probeFn Probe, opts Options) *Result {
 	res.Graph.Normalize()
 	score.Set("edges", res.Graph.EdgeCount())
 	return res
+}
+
+// probeAll boots each distinct assignment of cfgs once, by its canonical
+// rendering, across opts.Workers goroutines (0 means GOMAXPROCS), and
+// returns the coverages in request order with the number of startups. A
+// panic inside a probe (a seeded configuration-parsing defect escaping
+// the probe's own capture) is re-raised on the caller, from the
+// lowest-indexed failing assignment whatever the worker count.
+func probeAll(cfgs []configmodel.Assignment, probeFn Probe, opts Options, parent *trace.Span) ([]int, int) {
+	var unique []configmodel.Assignment
+	slot := make([]int, len(cfgs))
+	index := make(map[string]int, len(cfgs))
+	for i, cfg := range cfgs {
+		key := cfg.String()
+		j, ok := index[key]
+		if !ok {
+			j = len(unique)
+			index[key] = j
+			unique = append(unique, cfg)
+		}
+		slot[i] = j
+	}
+
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(unique))
+	pool := parent.Child("probe.pool",
+		trace.A("pending", len(unique)), trace.A("workers", workers))
+	covs := make([]int, len(unique))
+	panics := make([]any, len(unique))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(unique); i = int(next.Add(1) - 1) {
+				func() {
+					defer func() { panics[i] = recover() }()
+					covs[i] = probeFn(unique[i])
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	pool.End()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+
+	out := make([]int, len(cfgs))
+	for i, j := range slot {
+		out[i] = covs[j]
+	}
+	hits := len(cfgs) - len(unique)
+	opts.Telemetry.Emit(telemetry.Event{Type: telemetry.EvProbeStats, Instance: -1,
+		Requests: len(cfgs), Startups: len(unique), Hits: hits})
+	opts.Telemetry.Count(telemetry.CtrProbeStartups, len(unique))
+	opts.Telemetry.Count(telemetry.CtrProbeCacheHits, hits)
+	return out, len(unique)
 }
 
 // scorePair folds the probed coverages of all value combinations of

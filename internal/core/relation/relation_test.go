@@ -254,8 +254,8 @@ func TestQuantifyAllConflicting(t *testing.T) {
 		t.Fatal("all-zero probe recorded best combos")
 	}
 	// Nodes still exist so the scheduler can distribute them.
-	if res.Graph.NodeCount() != 2 {
-		t.Fatalf("node count = %d", res.Graph.NodeCount())
+	if len(res.Graph.Nodes()) != 2 {
+		t.Fatalf("node count = %d", len(res.Graph.Nodes()))
 	}
 }
 

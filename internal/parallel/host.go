@@ -98,7 +98,7 @@ func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.
 		if opts.RawRelationWeighting {
 			weighting = relation.WeightRawCoverage
 		}
-		// The probe closure runs concurrently across the executor's
+		// The probe closure runs concurrently across the probe pool's
 		// workers; each call boots its own throwaway instance, and a
 		// startup crash (a configuration-parsing defect hit while
 		// probing) is filed in the concurrency-safe ledger and scored as
@@ -116,16 +116,19 @@ func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.
 		if allocName == "" {
 			allocName = "cohesive"
 		}
-		alloc := schedule.Instrumented(parent, allocName, len(rel.Graph.Nodes()), func() []schedule.Group {
-			switch opts.Allocator {
-			case AllocRandom:
-				return schedule.RandomAllocate(rel.Graph, opts.Instances, opts.Seed)
-			case AllocRoundRobin:
-				return schedule.RoundRobinAllocate(rel.Graph, opts.Instances)
-			default:
-				return schedule.Allocate(rel.Graph, opts.Instances)
-			}
-		})
+		span := parent.Child("schedule.allocate",
+			trace.A("algorithm", allocName), trace.A("nodes", len(rel.Graph.Nodes())))
+		var alloc []schedule.Group
+		switch opts.Allocator {
+		case AllocRandom:
+			alloc = schedule.RandomAllocate(rel.Graph, opts.Instances, opts.Seed)
+		case AllocRoundRobin:
+			alloc = schedule.RoundRobinAllocate(rel.Graph, opts.Instances)
+		default:
+			alloc = schedule.Allocate(rel.Graph, opts.Instances)
+		}
+		span.Set("groups", len(alloc))
+		span.End()
 		plan.Groups = alloc
 		for i := range configs {
 			if i < len(alloc) {

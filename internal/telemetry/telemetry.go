@@ -38,7 +38,7 @@ type Type string
 //
 //	boot          instance (re)boot under a configuration (parallel)
 //	group         cohesive-group assignment to an instance (parallel)
-//	probe_stats   probe-executor batch statistics (core/probe)
+//	probe_stats   relation probe-matrix statistics (core/relation)
 //	sync          one seed synchronization (parallel)
 //	sample        one union-coverage sample (parallel)
 //	saturation    a saturation-detector fire (parallel)
