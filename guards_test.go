@@ -76,6 +76,57 @@ func exactlyOne(t *testing.T, found []goLine, what string) {
 	}
 }
 
+// walkGo parses every non-test .go file under dir (hidden directories
+// skipped) and calls visit on each node, with the file's slash path and
+// the name of the top-level function the node is in ("" outside one).
+func walkGo(t *testing.T, dir string, visit func(path, fn string, n ast.Node)) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				visit(filepath.ToSlash(path), fn, n)
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// callers returns the functions of the non-test files under dir that
+// call a method named name, as "path: function".
+func callers(t *testing.T, dir, name string) map[string]bool {
+	t.Helper()
+	found := map[string]bool{}
+	walkGo(t, dir, func(path, fn string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				found[path+": "+fn] = true
+			}
+		}
+	})
+	return found
+}
+
 // TestDesignGuards holds the repository's structural invariants: each
 // subtest names one thing that exists in exactly one place, and fails
 // when a change brings a second one back.
@@ -178,36 +229,32 @@ func TestDesignGuards(t *testing.T) {
 	t.Run("OneLiveBoard", func(t *testing.T) {
 		none(t, goLines(t, regexp.MustCompile(`telemetry\.Progress\b|NewProgress|StepInstance`), false, "."),
 			"per-step progress board")
-		publishers := map[string]bool{}
-		err := filepath.WalkDir("internal/parallel", func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-			if err != nil {
-				return err
-			}
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				ast.Inspect(fn, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Publish" {
-							publishers[filepath.ToSlash(path)+": "+fn.Name.Name] = true
-						}
-					}
-					return true
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		publishers := callers(t, "internal/parallel", "Publish")
 		if len(publishers) != 1 {
 			t.Errorf("Publish called from %d functions in internal/parallel, want 1: %v", len(publishers), publishers)
+		}
+	})
+
+	// A dist instance is rebuilt on another worker one way: booted at
+	// clock 0 and replayed through its lease journal, after a worker's
+	// death as in Restore. Only rehome moves an instance (reassign); no
+	// instance resumes at a clock of its own (SetClock); no restoring
+	// mode boots and counts differently; and no death reaches the
+	// telemetry that artifacts are written from.
+	t.Run("OneRecoveryPath", func(t *testing.T) {
+		none(t, goLines(t, regexp.MustCompile(`SetClock\(|CtrWorkerDeaths|CtrReassignments`), false, "."),
+			"second recovery path")
+		walkGo(t, ".", func(path, _ string, n ast.Node) {
+			if f, ok := n.(*ast.Field); ok {
+				for _, name := range f.Names {
+					if name.Name == "restoring" {
+						t.Errorf("%s: restoring field: a restore that boots or counts apart from a death", path)
+					}
+				}
+			}
+		})
+		if from := callers(t, "internal/dist", "reassign"); len(from) != 1 {
+			t.Errorf("reassign called from %d functions, want 1: %v", len(from), from)
 		}
 	})
 }

@@ -25,13 +25,14 @@ import (
 // lease batches) — is serialized directly. Worker-owned engine state
 // (fuzzing engine, RNG, saturation tracker, booted target) is NOT
 // serialized — it is reconstructed by deterministic replay: Restore
-// re-boots every instance at the clock of its last (re)boot and then
-// re-sends their journaled leases (same boundaries, same seed imports,
-// same horizon) down the path every lease takes, all instances at once,
-// discarding the replies (replay). Every instance is a deterministic
-// function of its spec and lease history, so the rebuilt engines land in
-// the exact state the checkpointed batches were produced from, and the
-// campaign continues as if never interrupted.
+// boots every instance at clock 0 and then re-sends their journaled
+// leases (same boundaries, same seed imports, same horizon) down the
+// path every lease takes, all instances at once, counting the replies
+// (replay, which also rebuilds an instance whose worker died). Every
+// instance is a deterministic function of its spec and lease history,
+// so the rebuilt engines land in the exact state the checkpointed
+// batches were produced from, and the campaign continues as if never
+// interrupted.
 const checkpointMagic = "cmfuzz-checkpoint"
 const checkpointVersion = 1
 
@@ -65,6 +66,7 @@ func (c *Coordinator) Checkpoint() ([]byte, error) {
 		reassignments: c.reassignments.Load(),
 		replay:        c.src.Inst,
 		inst:          c.inst,
+		resume:        make([]float64, len(c.inst)),
 	})
 	if err != nil {
 		return nil, err
@@ -89,6 +91,7 @@ type checkpoint struct {
 	reassignments int64
 	replay        []parallel.Replica
 	inst          []replica
+	resume        []float64 // where each journal starts: 0 (the boot) since wire version 9
 }
 
 // encodeCheckpoint and decodeCheckpoint put the magic and version in
@@ -177,8 +180,8 @@ func (c *codec) checkpoint(ck *checkpoint) {
 	i64(c, &ck.workerDeaths)
 	i64(c, &ck.reassignments)
 
-	// Per-instance state: the loop's clock and sync schedule, then the
-	// replica.
+	// Per-instance state: the loop's clock and sync schedule, where the
+	// journal starts, then the replica.
 	n := len(ck.inst)
 	u32(c, &n)
 	for i := 0; i < n && c.ok(); i++ {
@@ -187,9 +190,11 @@ func (c *codec) checkpoint(ck *checkpoint) {
 			ck.loop.NextSync = append(ck.loop.NextSync, 0)
 			ck.replay = append(ck.replay, parallel.Replica{})
 			ck.inst = append(ck.inst, replica{})
+			ck.resume = append(ck.resume, 0)
 		}
 		f64(c, &ck.loop.Clock[i])
 		f64(c, &ck.loop.NextSync[i])
+		f64(c, &ck.resume[i])
 		c.replica(&ck.replay[i], &ck.inst[i])
 	}
 	if c.ok() && (len(ck.inst) != len(ck.specs) || len(ck.inst) == 0) {
@@ -224,7 +229,6 @@ func (c *codec) report(r *bugs.Report) {
 // rebuilds it from; of the batch, only the drained records not yet
 // replayed are kept, and a restored replica replays them from its start.
 func (c *codec) replica(r *parallel.Replica, in *replica) {
-	f64(c, &in.resumeClock)
 	u32(c, &r.Crashes)
 	u32(c, &r.Muts)
 	u32(c, &r.Execs)
@@ -268,9 +272,10 @@ func (c *codec) journal(j *leaseJournal) {
 // surface, not artifacts.
 //
 // A worker that dies during Restore costs the campaign nothing: what it
-// held is re-booted on a survivor and replayed again, and the death shows
-// in Stats and the Observer but not in the telemetry artifacts are
-// written from.
+// held is booted on a survivor and replayed again, as after any death,
+// and the death shows in Stats and the Observer but in no artifact. A
+// checkpoint in which an older build had re-booted an instance past
+// clock 0 cannot be replayed, and Restore fails naming the instance.
 func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if c.src != nil {
 		return errors.New("dist: coordinator already started")
@@ -281,6 +286,11 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	}
 	if protocol := c.sub.Info().Protocol; ck.protocol != protocol {
 		return fmt.Errorf("dist: checkpoint is for subject %q, coordinator has %q", ck.protocol, protocol)
+	}
+	for i, t := range ck.resume {
+		if t != 0 {
+			return fmt.Errorf("dist: restore of instance %d: an older build re-booted it at %.1f s after a worker death, and its journal starts there, not at its boot", i, t)
+		}
 	}
 	workers, err := c.workerSet()
 	if err != nil {

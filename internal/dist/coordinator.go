@@ -223,7 +223,8 @@ type Observer struct {
 	// implementation must still be safe for concurrent campaigns.
 	Lease func(instance, records, reqBytes, repBytes int, seconds float64, syncDue bool)
 	// Death fires when the campaign loop declares a worker dead, once
-	// per worker per campaign (after the Stats/telemetry accounting).
+	// per worker per campaign (after the Stats accounting). The instances
+	// it held are replayed on survivors, so no artifact shows the death.
 	Death func(worker string)
 }
 
@@ -278,12 +279,6 @@ type Coordinator struct {
 	src     *parallel.LeaseSource // nil until Start or Restore
 	workers []*workerConn         // pool snapshot taken at Start/Restore
 	inst    []replica
-	// restoring holds while Restore puts checkpointed instances back:
-	// a boot is then quiet and at the clock of the instance's last
-	// (re)boot, and a worker lost meanwhile costs the campaign nothing —
-	// the checkpoint holds everything it held — so it stays out of the
-	// telemetry an artifact is written from.
-	restoring bool
 	// tracer is the campaign tracer (nil when tracing is off): worker
 	// span records from lease replies are ingested into it under
 	// per-worker process lanes.
@@ -411,10 +406,10 @@ func (c *Coordinator) alive(from int) *workerConn {
 	return nil
 }
 
-// leaseJournal is one dispatched lease, remembered so Restore can
-// replay the instance's exact post-boot history: re-sending the same
-// boundaries and seed imports to a freshly booted instance reconstructs
-// the engine, corpus, RNG, and saturation state deterministically.
+// leaseJournal is one dispatched lease, remembered so replay can
+// rebuild the instance's exact history: re-sending the same boundaries
+// and seed imports to a freshly booted instance reconstructs the engine,
+// corpus, RNG, and saturation state deterministically.
 type leaseJournal struct {
 	Boundary float64
 	Seeds    []fuzz.Seed
@@ -423,24 +418,22 @@ type leaseJournal struct {
 // A replica is the wire's half of one instance: the worker that owns
 // it, the dispatched lease whose reply has not been consumed (nil when
 // there is none) with its send time and request size, and the lease
-// history a Restore re-sends. A checkpoint stores the history.
+// history replay re-sends: every lease since the instance's boot at
+// clock 0. A checkpoint stores the history.
 type replica struct {
 	owner    *workerConn
 	inflight <-chan reply
 	sent     time.Time
 	reqBytes int
-	// journal/resumeClock record the lease history since the last
-	// (re)boot, for checkpoint/resume replay.
-	journal     []leaseJournal
-	resumeClock float64
+	journal  []leaseJournal
 }
 
 // boot is the transport's Boot (dispatch its Send, await its Await):
 // instance i on its round-robin worker — the loop asks in
 // instance order, so ledger entries and telemetry events from startup
-// land as they do in-process. After Restore the boot is quiet and at the
-// clock of the instance's last (re)boot; replay then puts the instance
-// back where the checkpoint left it, once every instance is booted.
+// land as they do in-process. After Restore the loop files nothing of
+// the boot; replay then puts the instance back where the checkpoint left
+// it, once every instance is booted.
 func (c *Coordinator) boot(i int) (parallel.BootReport, error) {
 	wc := c.alive(i % len(c.workers))
 	if wc == nil {
@@ -464,11 +457,17 @@ func (c *Coordinator) dispatch(i int, seeds []fuzz.Seed, boundary float64) {
 }
 
 // await consumes instance i's in-flight lease reply as its records. A
-// lease that fails because its worker died is retried whole on a
-// surviving worker: the reply is all-or-nothing, so zero records were
-// replayed and the re-booted instance resumes at the lease's start clock
-// — which is exactly the loop's current clock for i.
+// lease that fails because its worker died, the last in the instance's
+// journal, is sent again once rehome has booted the instance afresh on a
+// survivor and replay has re-sent it every lease before, which puts it
+// back where the loop is: the reply is all-or-nothing, so the loop
+// replayed none of the lost lease, and the campaign goes on as if the
+// worker had lived. The survivor pays wall time in proportion to the
+// instance's history. The replay runs to its end whatever ctx says — a
+// chain cut short would leave the instance somewhere the loop cannot
+// name — and each of its exchanges is bounded by RPCTimeout.
 func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, error) {
+	in := &c.inst[i]
 	for {
 		rep, err := c.take(ctx, i)
 		if err != nil {
@@ -478,11 +477,17 @@ func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, e
 		if err == nil {
 			return recs, nil
 		}
-		rb, err := c.rehome(i, err)
-		if err := c.src.Booted(i, rb, err); err != nil {
+		if _, err := c.rehome(i, err); err != nil {
 			return nil, err
 		}
-		c.dispatch(i, c.src.Lease(i), c.loop.NextSync[i])
+		last := len(in.journal) - 1
+		lost := in.journal[last]
+		in.journal = in.journal[:last]
+		if err := c.replay(context.Background(), i, i+1); err != nil {
+			return nil, err
+		}
+		in.journal = append(in.journal, lost)
+		c.send(i, lost)
 	}
 }
 
@@ -515,27 +520,28 @@ func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 	return rep, nil
 }
 
-// replay rebuilds the worker-side half of a restored campaign — engine,
-// corpus, RNG, saturation state — by re-sending every quiet-booted
-// instance the leases it was sent before: one chain per instance (never
-// two leases in flight for one instance), every chain in flight at once
-// so the worker's lanes all run, each pass of the loop taking one reply
-// per chain and sending that chain's next lease. A chain whose worker
-// dies starts over on a survivor, and the campaign has lost nothing.
+// replay rebuilds the worker-side half of the freshly booted instances
+// from up to to — engine, corpus, RNG, saturation state — by re-sending
+// each the leases it was sent before: one chain per instance (never two
+// leases in flight for one instance), every chain in flight at once so
+// the workers' lanes all run, each pass of the loop taking one reply per
+// chain and sending that chain's next lease. A chain whose worker dies
+// starts over on a survivor. It is the one way an instance is rebuilt:
+// Restore replays every instance, a lost lease its own.
 //
-// The records that come back are in the restored state already, or in
-// the checkpointed batch, so they are only counted, as the loop counts
-// what it replays: a chain must re-execute exactly the records the
-// checkpoint holds, with its crashes and mutations, or Restore fails
-// naming the instance. The restart failures among the replayed records,
-// which the checkpoint does not carry, are recounted here.
-func (c *Coordinator) replay(ctx context.Context) error {
-	sent := make([]int, len(c.inst))                // journal entries re-sent to each instance's current boot
-	redone := make([]parallel.Replica, len(c.inst)) // what each chain re-executed
+// The records that come back were replayed by the loop already, or wait
+// in the instance's batch, so they are only counted, as the loop counts
+// what it replays: a chain must re-execute exactly those records, with
+// their crashes and mutations, or the campaign fails naming the
+// instance. The restart failures among the replayed records, which a
+// checkpoint does not carry, are recounted here.
+func (c *Coordinator) replay(ctx context.Context, from, to int) error {
+	sent := make([]int, to-from)                // journal entries re-sent to each instance's current boot
+	redone := make([]parallel.Replica, to-from) // what each chain re-executed
 	for busy := true; busy; {
 		busy = false
-		for i := range c.inst {
-			in := &c.inst[i]
+		for i := from; i < to; i++ {
+			k, in := i-from, &c.inst[i]
 			if in.inflight != nil {
 				rep, err := c.take(ctx, i)
 				if err != nil {
@@ -546,21 +552,21 @@ func (c *Coordinator) replay(ctx context.Context) error {
 					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
 						return err
 					}
-					sent[i], redone[i] = 0, parallel.Replica{}
+					sent[k], redone[k] = 0, parallel.Replica{}
 				}
-				recount(&redone[i], lr.Steps, c.src.Inst[i].Execs)
+				recount(&redone[k], lr.Steps, c.src.Inst[i].Execs)
 			}
-			if sent[i] < len(in.journal) {
-				c.send(i, in.journal[sent[i]])
-				sent[i]++
+			if sent[k] < len(in.journal) {
+				c.send(i, in.journal[sent[k]])
+				sent[k]++
 				busy = true
 			}
 		}
 	}
-	for i := range redone {
-		r, got := &c.src.Inst[i], &redone[i]
+	for i := from; i < to; i++ {
+		r, got := &c.src.Inst[i], &redone[i-from]
 		if left := len(r.Batch) - r.Pos; got.Execs != r.Execs+left || got.Crashes != r.Crashes || got.Muts != r.Muts {
-			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the checkpoint holds %d replayed and %d to replay, with %d crashes and %d mutations",
+			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the loop holds %d replayed and %d to replay, with %d crashes and %d mutations",
 				i, got.Execs, got.Crashes, got.Muts, r.Execs, left, r.Crashes, r.Muts)
 		}
 		r.RestartFails = got.RestartFails
@@ -639,9 +645,6 @@ func (c *Coordinator) markDead(wc *workerConn) {
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
 		c.workerDeaths.Add(1)
-		if !c.restoring {
-			c.loop.Opts.Telemetry.Count(telemetry.CtrWorkerDeaths, 1)
-		}
 		if c.obs.Death != nil {
 			c.obs.Death(wc.name)
 		}
@@ -651,7 +654,7 @@ func (c *Coordinator) markDead(wc *workerConn) {
 // rehome answers a request of instance i's that failed with err: a
 // worker that is still alive failed it on purpose and err is returned —
 // campaign-fatal, as in-process; a dead one is counted and the instance
-// re-booted on the next live worker (reassign).
+// booted afresh on the next live worker (reassign).
 func (c *Coordinator) rehome(i int, err error) (parallel.BootReport, error) {
 	wc := c.inst[i].owner
 	if !wc.dead.Load() {
@@ -661,17 +664,11 @@ func (c *Coordinator) rehome(i int, err error) (parallel.BootReport, error) {
 	return c.reassign(i)
 }
 
-// bootOn boots instance i on wc, which owns it from then on, at the
-// loop's clock for i or — while restoring — at the clock of its last
-// (re)boot, from which its journal replays.
+// bootOn boots instance i on wc, which owns it from then on, at clock 0,
+// where its journal starts.
 func (c *Coordinator) bootOn(wc *workerConn, i int) (parallel.BootReport, error) {
-	in := &c.inst[i]
-	in.owner = wc
-	clock := c.loop.Clock[i]
-	if c.restoring {
-		clock = in.resumeClock
-	}
-	p, err := wc.rpc(msgBoot, marshal(&bootReq{Campaign: c.campaign, Index: i, ResumeClock: clock}, (*codec).bootReq), msgBootResult, c.cfg.RPCTimeout)
+	c.inst[i].owner = wc
+	p, err := wc.rpc(msgBoot, marshal(&bootReq{Campaign: c.campaign, Index: i}, (*codec).bootReq), msgBootResult, c.cfg.RPCTimeout)
 	if err != nil {
 		return parallel.BootReport{}, err
 	}
@@ -687,31 +684,18 @@ func (c *Coordinator) bootOn(wc *workerConn, i int) (parallel.BootReport, error)
 }
 
 // reassign moves instance i off its dead owner onto the next live
-// worker, resuming at the loop's clock for it, and returns the boot's
-// report, from which LeaseSource.Booted starts the replica over. The
-// dead worker's corpus progress for the instance is lost — the fresh
-// instance reboots from its original spec — but the union map, series,
-// ledger, and schedule are the loop's and survive intact. While
-// restoring nothing is lost and nothing reset: the boot is quiet, and
-// replay re-sends the journal.
+// worker, booted from its spec, and returns the boot's report. Only the
+// loop's Boot files a report; an instance booted after it is replayed up
+// to the loop's position instead, whose books hold what it did.
 func (c *Coordinator) reassign(i int) (parallel.BootReport, error) {
-	tel := c.loop.Opts.Telemetry
-	in := &c.inst[i]
 	for {
-		wc := c.alive(c.slot(in.owner) + 1)
+		wc := c.alive(c.slot(c.inst[i].owner) + 1)
 		if wc == nil {
 			return parallel.BootReport{}, errors.New("dist: no live workers left")
 		}
 		c.reassignments.Add(1)
-		if !c.restoring {
-			tel.Count(telemetry.CtrReassignments, 1)
-		}
 		rep, err := c.bootOn(wc, i) // wc owns i now, so a dead one is searched past
 		if err == nil {
-			if !c.restoring {
-				tel.Count(telemetry.CtrBoots, 1)
-				in.journal, in.resumeClock = nil, c.loop.Clock[i] // the journal restarts from this boot
-			}
 			return rep, nil
 		}
 		if !wc.dead.Load() {
@@ -770,7 +754,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		c.pool.StartHeartbeats()
 	}
 
-	c.workers, c.inst, c.restoring = workers, inst, restored
+	c.workers, c.inst = workers, inst
 	c.checkpointed = restored // until a lease is dispatched
 	c.src = parallel.NewLeaseSource(c.loop, append([]parallel.InstanceSpec(nil), specs...), replicas,
 		parallel.Transport{Boot: c.boot, Send: c.dispatch, Await: c.await})
@@ -778,10 +762,9 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		return err
 	}
 	if restored {
-		if err := c.replay(ctx); err != nil {
+		if err := c.replay(ctx, 0, len(inst)); err != nil {
 			return err
 		}
-		c.restoring = false
 	}
 	// After Start that is every instance. A restored instance left
 	// mid-campaign has unreplayed records (a batch drains only right

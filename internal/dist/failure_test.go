@@ -37,18 +37,35 @@ func (f *faultConn) Write(p []byte) (int, error) {
 	return f.Conn.Write(p)
 }
 
+// deathCounters are the telemetry counters worker deaths used to write
+// into a campaign's artifacts. No build writes them now: a death is
+// replayed away, and only Stats and the Observer see it.
+var deathCounters = []string{"worker_deaths", "group_reassignments"}
+
 // TestWorkerDeathReassignsInstances kills one of two workers partway
-// through a campaign and asserts the coordinator notices, re-boots the
-// dead worker's instances on the survivor, counts the failure in
-// telemetry and Stats, and still completes the full horizon.
+// through a campaign and asserts the coordinator notices, rebuilds the
+// dead worker's instances on the survivor by replaying their journals,
+// counts the failure in Stats, and ends with parallel.Run's artifact
+// tree, byte for byte: the death costs wall time, never results.
 func TestWorkerDeathReassignsInstances(t *testing.T) {
 	sub := mustSubject(t, "DNS")
-	rec := telemetry.New()
-	opts := parallel.Options{
-		Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1,
-		Telemetry: rec,
+	options := func(rec *telemetry.Recorder) parallel.Options {
+		return parallel.Options{
+			Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1,
+			Telemetry: rec,
+		}
 	}
 	resolve := func(name string) (subject.Subject, error) { return protocols.ByName(name) }
+	recA := telemetry.New()
+	inproc, err := parallel.Run(context.Background(), sub, options(recA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirA := filepath.Join(t.TempDir(), "inproc")
+	writeAll(t, dirA, inproc, recA)
+
+	rec := telemetry.New()
+	opts := options(rec)
 
 	// Heartbeats off: the death must be detected synchronously by the
 	// campaign loop's own RPC failure, keeping the test deterministic.
@@ -98,8 +115,10 @@ func TestWorkerDeathReassignsInstances(t *testing.T) {
 	if st.Reassignments != 2 {
 		t.Fatalf("reassignments = %d, want 2", st.Reassignments)
 	}
-	if res.Counters[telemetry.CtrWorkerDeaths] != 1 || res.Counters[telemetry.CtrReassignments] != 2 {
-		t.Fatalf("telemetry counters missing the failure: %+v", res.Counters)
+	for _, k := range deathCounters {
+		if _, ok := res.Counters[k]; ok {
+			t.Fatalf("the death reached the telemetry counters: %+v", res.Counters)
+		}
 	}
 
 	var alive, dead int
@@ -113,6 +132,9 @@ func TestWorkerDeathReassignsInstances(t *testing.T) {
 	if alive != 1 || dead != 1 {
 		t.Fatalf("worker status: %d alive, %d dead, want 1/1", alive, dead)
 	}
+	dir := filepath.Join(t.TempDir(), "dist")
+	writeAll(t, dir, res, rec)
+	diffTrees(t, "campaign that lost a worker", readTree(t, dirA), readTree(t, dir))
 }
 
 // readFaultConn delivers `limit` reads and loses everything after: the
@@ -138,11 +160,12 @@ func (f *readFaultConn) Read(p []byte) (int, error) {
 // lease reply, with both of its instances' leases in flight on the one
 // connection. A reply is all-or-nothing and the connection's death fails
 // every request outstanding on it, so zero records from either lease may
-// be replayed: the coordinator must re-boot both instances at their
-// lease's start clock on the survivor and still run the campaign to the
+// be replayed: the coordinator must rebuild both instances on the
+// survivor, send their leases again and still run the campaign to the
 // horizon. Which of the two replies is the one that gets lost varies
 // with how the worker's lanes finish; the artifacts must not, so the
-// scenario runs several times and the trees are diffed.
+// scenario runs several times and every tree is diffed against
+// parallel.Run's.
 func TestWorkerDeathMidLease(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sub := mustSubject(t, "DNS")
@@ -153,12 +176,15 @@ func TestWorkerDeathMidLease(t *testing.T) {
 		}
 	}
 	resolve := func(name string) (subject.Subject, error) { return protocols.ByName(name) }
-	inproc, err := parallel.Run(context.Background(), sub, options(telemetry.New()))
+	recA := telemetry.New()
+	inproc, err := parallel.Run(context.Background(), sub, options(recA))
 	if err != nil {
 		t.Fatal(err)
 	}
+	dirA := filepath.Join(t.TempDir(), "inproc")
+	writeAll(t, dirA, inproc, recA)
+	want := readTree(t, dirA)
 
-	var first map[string]string
 	for run := 0; run < 4; run++ {
 		rec := telemetry.New()
 		opts := options(rec)
@@ -200,23 +226,9 @@ func TestWorkerDeathMidLease(t *testing.T) {
 		if st.WorkerDeaths != 1 || st.Reassignments != 2 {
 			t.Fatalf("deaths/reassignments = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
 		}
-		if res.Counters[telemetry.CtrWorkerDeaths] != 1 || res.Counters[telemetry.CtrReassignments] != 2 {
-			t.Fatalf("telemetry counters missing the failure: %+v", res.Counters)
-		}
-		// The re-boots happened at the lease start clock — virtual second
-		// zero here, since the very first lease replies were lost — so the
-		// campaign is the undisturbed one, step for step.
-		if res.FinalBranches != inproc.FinalBranches || res.TotalExecs != inproc.TotalExecs {
-			t.Fatalf("run %d: %d branches, %d execs; the undisturbed campaign has %d, %d",
-				run, res.FinalBranches, res.TotalExecs, inproc.FinalBranches, inproc.TotalExecs)
-		}
 		dir := filepath.Join(t.TempDir(), "dist")
 		writeAll(t, dir, res, rec)
-		if tree := readTree(t, dir); first == nil {
-			first = tree
-		} else {
-			diffTrees(t, fmt.Sprintf("run %d against run 0", run), first, tree)
-		}
+		diffTrees(t, fmt.Sprintf("run %d against parallel.Run", run), want, readTree(t, dir))
 	}
 }
 

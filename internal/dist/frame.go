@@ -27,12 +27,12 @@
 // to the 64 Ki map.
 //
 // Failure handling is first-class: workers heartbeat, every RPC carries
-// a deadline, and when a worker dies its instances are re-booted on
-// survivors from their original specs at the clock they had reached. A
-// lease reply is all-or-nothing, so a worker that dies mid-lease loses
-// the whole batch and the re-boot resumes at the lease's start clock
-// (corpus progress on the dead worker is lost; the re-boot is counted
-// in telemetry).
+// a deadline, and when a worker dies each instance whose lease it lost
+// is booted on a survivor and replayed through its lease journal, the
+// way Restore rebuilds a checkpointed campaign, before the lost lease
+// is sent again. A lease reply is all-or-nothing, so the loop replayed
+// none of the lost one, and the campaign ends byte-identical to one that
+// lost no worker; the death costs wall time only.
 package dist
 
 import (
@@ -73,8 +73,11 @@ const (
 // every core and reply as each finishes. Version 8 retires Finalize and
 // its InstanceResult reply: a campaign's instance summaries are the
 // coordinator's replayed counters, and a version-7 coordinator would
-// still ask a worker's engine for them.
-const protocolVersion = 8
+// still ask a worker's engine for them. Version 9 replays a lost
+// instance's journal after a worker's death: every boot is at clock 0,
+// and workers ignore Boot's resume clock, which a version-8 coordinator
+// still sets to re-boot a lost instance where it was.
+const protocolVersion = 9
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

@@ -213,6 +213,43 @@ func TestRestoreChecksReexecution(t *testing.T) {
 	t.Log(err)
 }
 
+// TestRestoreRefusesRebootedJournal: an older build re-booted an
+// instance whose worker died at the loop's clock and restarted its
+// journal there, recording that clock in checkpoint.bin. This build
+// boots at clock 0 only, so such a journal cannot rebuild the instance,
+// and Restore fails naming it before touching a worker.
+func TestRestoreRefusesRebootedJournal(t *testing.T) {
+	ck, err := decodeCheckpoint(midCampaignCheckpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.resume[1] = 600
+	blob, err := encodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := protocols.ByName("DNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(sub, parallel.Options{}, Config{HeartbeatInterval: -1})
+	cConn, wConn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
+	if err := coord.AddConn(cConn); err != nil {
+		t.Fatal(err)
+	}
+	err = coord.Restore(context.Background(), blob)
+	coord.Close()
+	if serr := <-served; serr != nil {
+		t.Error(serr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "restore of instance 1: ") {
+		t.Fatalf("Restore of a journal that starts at a re-boot = %v, want a failure naming instance 1", err)
+	}
+	t.Log(err)
+}
+
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
 // and every cold restore run on checkpoint.bin. Seeds: the checkpoint a
 // PR-12 binary wrote (kept as a restore fixture) and one this build just

@@ -358,7 +358,7 @@ func liveSpecOf(sub subject.Subject) string {
 type bootReq struct {
 	Campaign    uint32
 	Index       int
-	ResumeClock float64 // nonzero when re-booting a lost instance
+	ResumeClock float64 // always 0, and ignored: every boot is at clock 0 (version 9)
 }
 
 func (c *codec) bootReq(b *bootReq) {

@@ -392,7 +392,6 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		if err != nil {
 			br.Err = err.Error()
 		} else {
-			in.SetClock(b.ResumeClock)
 			wc.insts[b.Index] = in
 		}
 		return msgBootResult, marshal(&br, (*codec).bootResult), nil

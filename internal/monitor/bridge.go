@@ -23,8 +23,8 @@ var counterHelp = map[string]string{
 	telemetry.CtrFallbacks:       "Last-resort defaults fallbacks.",
 	telemetry.CtrCrashes:         "Crash observations (pre-dedup).",
 	telemetry.CtrCrashesUnique:   "Unique crashes after dedup.",
-	telemetry.CtrProbeStartups:   "Startup probes executed (cache misses).",
-	telemetry.CtrProbeCacheHits:  "Startup probes served from the memo cache.",
+	telemetry.CtrProbeStartups:   "Startup probes executed, one per distinct assignment.",
+	telemetry.CtrProbeCacheHits:  "Duplicate probe requests folded into another's startup.",
 	// Live-target safety-rail counters (internal/live); zero for
 	// in-process simulation subjects.
 	telemetry.CtrTargetRestarts:    "Live target process restarts (mutations, crashes, hangs).",
@@ -109,7 +109,7 @@ func RegisterRecorder(reg *metrics.Registry, rec *telemetry.Recorder) {
 		})
 	}
 	reg.GaugeFunc("cmfuzz_probe_cache_hit_ratio",
-		"Share of probe requests served from the memo cache.", func() float64 {
+		"Share of probe requests folded into another's startup.", func() float64 {
 			hits := rec.Counter(telemetry.CtrProbeCacheHits)
 			total := rec.Counter(telemetry.CtrProbeStartups) + hits
 			if total == 0 {

@@ -226,11 +226,6 @@ func (in *Instance) saturated() bool {
 	return in.sat.Saturated(in.clock)
 }
 
-// SetClock overrides the virtual clock. The distributed coordinator uses
-// it when re-booting a lost instance on a surviving worker: the fresh
-// instance must resume at the clock the dead worker had reached.
-func (in *Instance) SetClock(c float64) { in.clock = c }
-
 // BootReported boots spec as Boot does, and reports it for a
 // LeaseSource's books instead of filing anything: the startup crashes go
 // into the report, in order, whether or not the boot succeeded.

@@ -77,36 +77,28 @@ func NewLeaseSource(l *Loop, specs []InstanceSpec, inst []Replica, t Transport) 
 	return &LeaseSource{Inst: inst, Specs: specs, loop: l, t: t}
 }
 
-// Boot boots instance i through the transport and files the report. A
-// resumed loop holds the report's effects already.
+// Boot boots instance i through the transport and files the report: its
+// startup crashes go into the ledger in order, then err is returned if
+// the boot failed; otherwise the startup coverage goes into the union and
+// the replica starts from the report, as the freshly booted instance
+// does. A resumed loop holds the report's effects already.
 func (s *LeaseSource) Boot(i int) (int, error) {
 	rep, err := s.t.Boot(i)
 	if s.loop.resumed {
 		return s.Inst[i].StartEdges, err
 	}
-	if err := s.Booted(i, rep, err); err != nil {
-		return 0, err
-	}
-	return rep.StartEdges, nil
-}
-
-// Booted files a (re)boot of instance i: its startup crashes go into the
-// ledger in order, then err is returned if the boot failed; otherwise the
-// startup coverage goes into the union and the replica starts over from
-// the report, as the freshly booted instance does.
-func (s *LeaseSource) Booted(i int, rep BootReport, err error) error {
 	for k := range rep.Crashes {
 		cr := &rep.Crashes[k]
 		s.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := s.loop.Union.ApplyDelta(rep.Delta); err != nil {
-		return fmt.Errorf("parallel: instance %d: startup coverage: %w", i, err)
+		return 0, fmt.Errorf("parallel: instance %d: startup coverage: %w", i, err)
 	}
 	s.Inst[i] = Replica{Config: rep.Config, StartEdges: rep.StartEdges, Coverage: rep.StartEdges, Mirror: fuzz.NewCorpus(0)}
-	return nil
+	return rep.StartEdges, nil
 }
 
 // Step replays instance i's next record, awaiting its lease when the
@@ -133,20 +125,14 @@ func (s *LeaseSource) Step(ctx context.Context, i int) (Step, error) {
 // Fill hands instance i the records its lease returned.
 func (s *LeaseSource) Fill(i int, recs []LeaseStep) { s.Inst[i].Batch, s.Inst[i].Pos = recs, 0 }
 
-// Lease starts instance i's next lease: it takes the seeds the last sync
-// collected, which the lease imports first.
-func (s *LeaseSource) Lease(i int) []fuzz.Seed {
-	in := &s.Inst[i]
-	seeds := in.Pending
-	in.Pending, in.Batch, in.Pos = nil, nil, 0
-	return seeds
-}
-
 // Done sends instance i its next lease once its batch is replayed, unless
-// it has run out the horizon.
+// it has run out the horizon. The lease takes the seeds the last sync
+// collected, which it imports first.
 func (s *LeaseSource) Done(i int) {
 	if in := &s.Inst[i]; in.Pos >= len(in.Batch) && s.loop.Clock[i] < s.loop.horizon {
-		s.t.Send(i, s.Lease(i), s.loop.NextSync[i])
+		seeds := in.Pending
+		in.Pending, in.Batch, in.Pos = nil, nil, 0
+		s.t.Send(i, seeds, s.loop.NextSync[i])
 	}
 }
 

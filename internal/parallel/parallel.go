@@ -148,7 +148,7 @@ type Options struct {
 	Concurrency int
 	// Telemetry receives the campaign's structured event stream (boots,
 	// group assignments, seed syncs, coverage samples, saturation fires,
-	// configuration mutations, restart failures, crash dedup, probe-cache
+	// configuration mutations, restart failures, crash dedup, probe-matrix
 	// stats), and the run's entry on the recorder's live board, under
 	// the recorder's label or the mode name. Nil — the default — is a
 	// no-op sink: the campaign runs the exact same decisions and the
@@ -234,7 +234,7 @@ type Result struct {
 	Probes        int
 	Groups        []schedule.Group
 	// Counters aggregates the telemetry counter registry (syncs,
-	// mutations, restarts, probe cache hits, ...). Nil unless
+	// mutations, restarts, probe startups, ...). Nil unless
 	// Options.Telemetry was set, so results without telemetry stay
 	// byte-identical to pre-telemetry builds.
 	Counters telemetry.Counters

@@ -3,9 +3,9 @@
 // counter registry. Every scheduling decision the parallel runner makes
 // — group allocation, seed synchronization, coverage sampling,
 // saturation detection, configuration mutation, restart fallback, crash
-// deduplication, probe-cache activity — is emitted as a typed Event so
-// campaigns can be tuned and debugged from their event stream instead of
-// from their final aggregates.
+// deduplication, probe-matrix statistics — is emitted as a typed Event
+// so campaigns can be tuned and debugged from their event stream instead
+// of from their final aggregates.
 //
 // The package is built around a nil-safe Recorder: a nil *Recorder is
 // the default no-op sink, every method on it is a cheap early return,
@@ -78,8 +78,8 @@ type Event struct {
 	Skipped  int      `json:"skipped,omitempty"`  // sync intervals skipped by a clock jump
 	Seeds    int      `json:"seeds,omitempty"`    // seeds imported by a sync
 	Requests int      `json:"requests,omitempty"` // probe requests in a batch
-	Startups int      `json:"startups,omitempty"` // probe cache misses (actual boots)
-	Hits     int      `json:"hits,omitempty"`     // probe cache hits
+	Startups int      `json:"startups,omitempty"` // distinct assignments probed (actual boots)
+	Hits     int      `json:"hits,omitempty"`     // duplicate probe requests folded into a startup
 	Crash    string   `json:"crash,omitempty"`    // crash identity
 	New      bool     `json:"new,omitempty"`      // crash was new to the ledger
 	Detail   string   `json:"detail,omitempty"`
@@ -103,11 +103,9 @@ const (
 	CtrCrashesUnique   = "crashes_unique"
 	CtrProbeStartups   = "probe_startups"
 	CtrProbeCacheHits  = "probe_cache_hits"
-	// Distributed-campaign counters (internal/dist). Both fire only on
-	// worker failure, so a healthy distributed run keeps a counter map
-	// identical to the in-process campaign's.
-	CtrWorkerDeaths  = "worker_deaths"
-	CtrReassignments = "group_reassignments"
+	// A distributed campaign has no counters of its own: a worker's
+	// death is replayed away, so its counter map is the in-process
+	// campaign's whatever its workers do (dist.Stats counts the deaths).
 	// Live-target counters (internal/live): real-process restarts, rate
 	// limiter engagements, and hang detections. Zero for simulation
 	// subjects.

@@ -16,8 +16,7 @@
 // a child opened while a sibling is still running is placed on its own
 // track so exports stay readable. Exports are the Chrome trace_event
 // JSON format ("X" complete events, loadable in chrome://tracing or
-// https://ui.perfetto.dev) and a self-time-sorted ASCII profile table
-// for terminal triage.
+// https://ui.perfetto.dev).
 //
 // The clock is injectable (NewWithClock) so tests assert on exact
 // durations; the default is Go's monotonic clock via time.Since.
@@ -25,11 +24,9 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -490,88 +487,4 @@ func (t *Tracer) ExportChromeTrace(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// profileRow aggregates all spans sharing one name.
-type profileRow struct {
-	name  string
-	calls int
-	total time.Duration
-	self  time.Duration
-}
-
-// Profile renders the completed spans as a self-time-sorted ASCII
-// table: one row per span name with call count, cumulative total and
-// self time (total minus time attributed to child spans). Self time is
-// what the region itself burned — the column to read when hunting for
-// the hot layer. maxRows <= 0 means all rows.
-func (t *Tracer) Profile(maxRows int) string {
-	if t == nil {
-		return ""
-	}
-	recs, open := t.snapshot()
-	byID := make(map[int]int, len(recs)) // span id -> index
-	for i, r := range recs {
-		byID[r.id] = i
-	}
-	childTime := make([]time.Duration, len(recs))
-	for _, r := range recs {
-		if r.parent >= 0 {
-			if pi, ok := byID[r.parent]; ok {
-				childTime[pi] += r.end - r.start
-			}
-		}
-	}
-	agg := make(map[string]*profileRow)
-	var order []string
-	wall := time.Duration(0)
-	for i, r := range recs {
-		dur := r.end - r.start
-		if r.end > wall {
-			wall = r.end
-		}
-		row, ok := agg[r.name]
-		if !ok {
-			row = &profileRow{name: r.name}
-			agg[r.name] = row
-			order = append(order, r.name)
-		}
-		row.calls++
-		row.total += dur
-		self := dur - childTime[i]
-		if self < 0 {
-			self = 0 // overlapping concurrent children can exceed the parent
-		}
-		row.self += self
-	}
-	rows := make([]*profileRow, 0, len(order))
-	for _, name := range order {
-		rows = append(rows, agg[name])
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].self != rows[j].self {
-			return rows[i].self > rows[j].self
-		}
-		return rows[i].name < rows[j].name
-	})
-	if maxRows > 0 && len(rows) > maxRows {
-		rows = rows[:maxRows]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "wall-clock profile: %d spans in %v", len(recs), wall.Round(time.Microsecond))
-	if open > 0 {
-		fmt.Fprintf(&b, " (%d still open)", open)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "  %12s %12s %7s %12s  %s\n", "self", "total", "calls", "avg", "span")
-	for _, r := range rows {
-		avg := time.Duration(0)
-		if r.calls > 0 {
-			avg = r.total / time.Duration(r.calls)
-		}
-		fmt.Fprintf(&b, "  %12v %12v %7d %12v  %s\n",
-			r.self.Round(time.Microsecond), r.total.Round(time.Microsecond),
-			r.calls, avg.Round(time.Microsecond), r.name)
-	}
-	return b.String()
 }

@@ -43,9 +43,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	sp.Set("k", "v")
 	sp.End()
 	child.End()
-	if got := tr.Profile(10); got != "" {
-		t.Fatalf("nil tracer profile = %q", got)
-	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil tracer export wrote %q, err %v", buf.String(), err)
@@ -162,35 +159,6 @@ func TestConcurrentChildrenGetDistinctTracks(t *testing.T) {
 	}
 	if cTrack != aTrack {
 		t.Fatalf("freed lane not reused: a=%d b=%d c=%d", aTrack, bTrack, cTrack)
-	}
-}
-
-func TestProfileSelfTimeSorted(t *testing.T) {
-	clk := &stepClock{}
-	tr := NewWithClock(clk.Now)
-	root := tr.Start("run")
-	clk.Advance(2 * time.Millisecond) // 2ms self before children
-	hot := root.Child("hot")
-	clk.Advance(30 * time.Millisecond)
-	hot.End()
-	cool := root.Child("cool")
-	clk.Advance(4 * time.Millisecond)
-	cool.End()
-	root.End()
-
-	out := tr.Profile(0)
-	hotIdx := strings.Index(out, "hot")
-	coolIdx := strings.Index(out, "cool")
-	runIdx := strings.Index(out, "run")
-	if hotIdx < 0 || coolIdx < 0 || runIdx < 0 {
-		t.Fatalf("profile missing rows:\n%s", out)
-	}
-	if !(hotIdx < coolIdx && coolIdx < runIdx) {
-		t.Fatalf("profile not self-time sorted (want hot, cool, run):\n%s", out)
-	}
-	// Root self time: 36ms total - 34ms in children = 2ms.
-	if !strings.Contains(out, "2ms") {
-		t.Fatalf("root self time missing:\n%s", out)
 	}
 }
 
