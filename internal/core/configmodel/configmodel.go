@@ -329,12 +329,19 @@ func (a Assignment) String() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	n := 0
+	for _, k := range keys {
+		n += len(k) + len(a[k]) + 2 // '=' and the separating space
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, a[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(a[k])
 	}
 	return b.String()
 }

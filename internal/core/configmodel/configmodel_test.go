@@ -162,6 +162,11 @@ func TestAssignmentCloneAndString(t *testing.T) {
 	if got := a.String(); got != "a=1 b=2" {
 		t.Fatalf("String = %q", got)
 	}
+	for want, a := range map[string]Assignment{"": {}, "k=": {"k": ""}, "x=%d y=a b": {"y": "a b", "x": "%d"}} {
+		if got := a.String(); got != want {
+			t.Errorf("String of %#v = %q, want %q", a, got, want)
+		}
+	}
 }
 
 func TestRenderCLI(t *testing.T) {

@@ -21,9 +21,9 @@ import (
 //
 // The checkpoint stores two kinds of state. Coordinator-side state — the
 // event loop's (clocks, union map, series, ledger, telemetry) and the
-// replay source's (corpus mirrors, pending seeds, drained-but-unreplayed
-// lease batches) — is serialized directly. Worker-owned engine state
-// (fuzzing engine, RNG, saturation tracker, booted target) is NOT
+// replay source's (pending seeds, drained-but-unreplayed lease batches,
+// the lease journals) — is serialized directly. Worker-owned engine
+// state (fuzzing engine, RNG, saturation tracker, booted target) is NOT
 // serialized — it is reconstructed by deterministic replay: Restore
 // boots every instance at clock 0 and then re-sends their journaled
 // leases (same boundaries, same seed imports, same horizon) down the
@@ -33,8 +33,14 @@ import (
 // so the rebuilt engines land in the exact state the checkpointed
 // batches were produced from, and the campaign continues as if never
 // interrupted.
+//
+// Since version 2 the corpus mirrors are not stored either: the leases
+// replay re-sends carry every import and their replies every new-edge
+// seed, so replay rebuilds each mirror from them. Version 1 stored the
+// mirrors; such a checkpoint still restores, and its mirrors must equal
+// the rebuilt ones.
 const checkpointMagic = "cmfuzz-checkpoint"
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Checkpoint drains every in-flight lease reply and serializes the
 // campaign's replay state. The coordinator remains live: Advance can
@@ -97,7 +103,7 @@ type checkpoint struct {
 // encodeCheckpoint and decodeCheckpoint put the magic and version in
 // front of the checkpoint's fields.
 func encodeCheckpoint(ck *checkpoint) ([]byte, error) {
-	c := codec{w: wire.NewWriter(1 << 16)}
+	c := codec{w: wire.NewWriter(1 << 16), version: checkpointVersion}
 	c.w.String16(checkpointMagic)
 	c.w.U8(checkpointVersion)
 	c.checkpoint(ck)
@@ -118,10 +124,14 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if magic := r.String16(); r.Err() != nil || magic != checkpointMagic {
 		return nil, errors.New("dist: not a checkpoint")
 	}
-	if v := r.U8(); r.Err() != nil || v != checkpointVersion {
-		return nil, fmt.Errorf("dist: checkpoint version %d, want %d", v, checkpointVersion)
+	v := r.U8()
+	if r.Err() != nil || v < 1 || v > checkpointVersion {
+		return nil, fmt.Errorf("dist: checkpoint version %d, want 1 to %d", v, checkpointVersion)
 	}
-	ck, err := unmarshal(r.Rest(), (*codec).checkpoint)
+	ck, err := unmarshal(r.Rest(), func(c *codec, ck *checkpoint) {
+		c.version = v
+		c.checkpoint(ck)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +139,9 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 }
 
 // checkpoint visits a paused campaign. The live values in it (union map,
-// series, ledger, recorder, corpus mirrors) travel flat: encoding
-// flattens them first, and decoding rebuilds them from what was read —
-// the only decoding here that is more than a read.
+// series, ledger, recorder; a version-1 corpus mirror) travel flat:
+// encoding flattens them first, and decoding rebuilds them from what was
+// read — the only decoding here that is more than a read.
 func (c *codec) checkpoint(ck *checkpoint) {
 	str16(c, &ck.protocol)
 	c.options(&ck.opts)
@@ -224,10 +234,12 @@ func (c *codec) report(r *bugs.Report) {
 	u32(c, &r.Count)
 }
 
-// replica visits an instance's replay state and its lease history. The
-// corpus mirror travels as its seeds in order, which a fresh corpus
-// rebuilds it from; of the batch, only the drained records not yet
-// replayed are kept, and a restored replica replays them from its start.
+// replica visits an instance's replay state and its lease history. Of
+// the batch, only the drained records not yet replayed are kept, and a
+// restored replica replays them from its start. Version 1 stored the
+// corpus mirror too, as its seeds in order, which a fresh corpus
+// rebuilds it from; a version-2 replica decodes with no mirror, and
+// replay rebuilds it.
 func (c *codec) replica(r *parallel.Replica, in *replica) {
 	u32(c, &r.Crashes)
 	u32(c, &r.Muts)
@@ -235,23 +247,26 @@ func (c *codec) replica(r *parallel.Replica, in *replica) {
 	u32(c, &r.Coverage)
 	u32(c, &r.StartEdges)
 	str32(c, &r.Config)
-	var mirror []fuzz.Seed
-	if !c.decoding() {
-		mirror = make([]fuzz.Seed, r.Mirror.Len())
-		for j := range mirror {
-			mirror[j] = r.Mirror.At(j)
+	if c.version == 1 {
+		var mirror []fuzz.Seed
+		if !c.decoding() {
+			mirror = make([]fuzz.Seed, r.Mirror.Len())
+			for j := range mirror {
+				mirror[j] = r.Mirror.At(j)
+			}
+		}
+		c.seeds(&mirror)
+		if c.decoding() {
+			r.Mirror = fuzz.NewCorpus(0)
+			addSeeds(r.Mirror, mirror)
 		}
 	}
 	rest := r.Batch[r.Pos:]
-	c.seeds(&mirror)
 	c.seeds(&r.Pending)
 	list[uint32](c, &in.journal, (*codec).journal)
 	list[uint32](c, &rest, (*codec).step)
 	if c.decoding() {
-		r.Mirror, r.Batch = fuzz.NewCorpus(0), rest
-		for _, s := range mirror {
-			r.Mirror.Add(s)
-		}
+		r.Batch = rest
 	}
 }
 

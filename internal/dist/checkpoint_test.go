@@ -248,14 +248,16 @@ func TestCheckpointed(t *testing.T) {
 	wait()
 }
 
-// TestRestoresParentCheckpoint guards checkpoint.bin across the commit
-// that taught step records to carry a latency charge. The fixture was
-// written by the commit before it (PR 12): DNS, CMFuzz, 2 instances,
+// TestRestoresParentCheckpoint guards checkpoint.bin across the commits
+// that taught step records to carry a latency charge and dropped the
+// corpus mirrors (version 2). The fixture was written by the commit
+// before the first (PR 12), at version 1: DNS, CMFuzz, 2 instances,
 // 0.5 vh, seed 11, saturation window 30, paused at t=800 with 399
 // records still to replay — crashes, new-edge deltas and saturation
-// mutations among them. It must restore, re-encode to the same bytes
-// (a record that charges no latency encodes as it always did), and
-// finish byte-identical to the in-process run.
+// mutations among them. It must restore, which holds its stored mirrors
+// to the ones replay rebuilds; the restored coordinator's checkpoint must
+// be version 2 and a fixed point of decoding and encoding; and the
+// campaign must finish byte-identical to the in-process run.
 func TestRestoresParentCheckpoint(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
 	if err != nil {
@@ -296,8 +298,11 @@ func TestRestoresParentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, blob) {
-		t.Fatalf("restored checkpoint re-encodes to %d bytes that differ from the fixture's %d", len(again), len(blob))
+	if v := again[dist.CheckpointVersionAt]; v != dist.CheckpointVersion {
+		t.Fatalf("restored checkpoint is version %d, want %d", v, dist.CheckpointVersion)
+	}
+	if back, err := dist.ReencodeCheckpoint(again); err != nil || !bytes.Equal(back, again) {
+		t.Fatalf("restored checkpoint of %d bytes re-encodes to %d different bytes (%v)", len(again), len(back), err)
 	}
 	if err := coord.Advance(ctx, coord.Horizon()); err != nil {
 		t.Fatal(err)

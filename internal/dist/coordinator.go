@@ -2,10 +2,12 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -459,8 +461,9 @@ func (c *Coordinator) dispatch(i int, seeds []fuzz.Seed, boundary float64) {
 // await consumes instance i's in-flight lease reply as its records. A
 // lease that fails because its worker died, the last in the instance's
 // journal, is sent again once rehome has booted the instance afresh on a
-// survivor and replay has re-sent it every lease before, which puts it
-// back where the loop is: the reply is all-or-nothing, so the loop
+// survivor and replay has re-sent it every lease before (and checked
+// the live mirror against the one it rebuilds), which puts it back
+// where the loop is: the reply is all-or-nothing, so the loop
 // replayed none of the lost lease, and the campaign goes on as if the
 // worker had lived. The survivor pays wall time in proportion to the
 // instance's history. The replay runs to its end whatever ctx says — a
@@ -480,13 +483,16 @@ func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, e
 		if _, err := c.rehome(i, err); err != nil {
 			return nil, err
 		}
+		// Replay the journal up to the lost lease, whose imports are
+		// pending again as they were before it was sent: the live mirror
+		// holds them already.
 		last := len(in.journal) - 1
-		lost := in.journal[last]
-		in.journal = in.journal[:last]
+		lost, r := in.journal[last], &c.src.Inst[i]
+		in.journal, r.Pending = in.journal[:last], lost.Seeds
 		if err := c.replay(context.Background(), i, i+1); err != nil {
 			return nil, err
 		}
-		in.journal = append(in.journal, lost)
+		in.journal, r.Pending = append(in.journal, lost), nil
 		c.send(i, lost)
 	}
 }
@@ -520,14 +526,14 @@ func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 	return rep, nil
 }
 
-// replay rebuilds the worker-side half of the freshly booted instances
-// from up to to — engine, corpus, RNG, saturation state — by re-sending
-// each the leases it was sent before: one chain per instance (never two
-// leases in flight for one instance), every chain in flight at once so
-// the workers' lanes all run, each pass of the loop taking one reply per
-// chain and sending that chain's next lease. A chain whose worker dies
-// starts over on a survivor. It is the one way an instance is rebuilt:
-// Restore replays every instance, a lost lease its own.
+// replay rebuilds the freshly booted instances from up to to — engine,
+// corpus, RNG, saturation state worker-side, the corpus mirror here — by
+// re-sending each the leases it was sent before: one chain per instance
+// (never two leases in flight for one instance), every chain in flight
+// at once so the workers' lanes all run, each pass of the loop taking
+// one reply per chain and sending that chain's next lease. A chain whose
+// worker dies starts over on a survivor. It is the one way an instance
+// is rebuilt: Restore replays every instance, a lost lease its own.
 //
 // The records that come back were replayed by the loop already, or wait
 // in the instance's batch, so they are only counted, as the loop counts
@@ -535,9 +541,19 @@ func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 // their crashes and mutations, or the campaign fails naming the
 // instance. The restart failures among the replayed records, which a
 // checkpoint does not carry, are recounted here.
+//
+// The mirror is rebuilt in the engine's order: each lease's imports as
+// it is re-sent, the seed of every new-edges record the loop had
+// replayed, then the pending seeds. A replica that holds none (a
+// version-2 checkpoint's) takes the rebuilt one; one that does (a
+// version-1 checkpoint's, or the live one after a death) must hold
+// exactly it, seed for seed, or the campaign fails naming the instance.
 func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 	sent := make([]int, to-from)                // journal entries re-sent to each instance's current boot
-	redone := make([]parallel.Replica, to-from) // what each chain re-executed
+	redone := make([]parallel.Replica, to-from) // what each chain re-executed, and its mirror
+	for k := range redone {
+		redone[k].Mirror = fuzz.NewCorpus(0)
+	}
 	for busy := true; busy; {
 		busy = false
 		for i := from; i < to; i++ {
@@ -552,12 +568,14 @@ func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
 						return err
 					}
-					sent[k], redone[k] = 0, parallel.Replica{}
+					sent[k], redone[k] = 0, parallel.Replica{Mirror: fuzz.NewCorpus(0)}
 				}
 				recount(&redone[k], lr.Steps, c.src.Inst[i].Execs)
 			}
 			if sent[k] < len(in.journal) {
-				c.send(i, in.journal[sent[k]])
+				j := in.journal[sent[k]]
+				addSeeds(redone[k].Mirror, j.Seeds)
+				c.send(i, j)
 				sent[k]++
 				busy = true
 			}
@@ -569,18 +587,29 @@ func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the loop holds %d replayed and %d to replay, with %d crashes and %d mutations",
 				i, got.Execs, got.Crashes, got.Muts, r.Execs, left, r.Crashes, r.Muts)
 		}
+		addSeeds(got.Mirror, r.Pending)
+		if r.Mirror == nil {
+			r.Mirror = got.Mirror
+		} else if k := mirrorDiff(r.Mirror, got.Mirror); k >= 0 {
+			return fmt.Errorf("dist: restore of instance %d rebuilt a corpus mirror of %d seeds that differs from the loop's %d at seed %d",
+				i, got.Mirror.Len(), r.Mirror.Len(), k)
+		}
 		r.RestartFails = got.RestartFails
 	}
 	return nil
 }
 
 // recount adds a re-executed lease's records to tally's Execs, and what
-// the loop counted of the chain's first replayed ones to the rest.
+// the loop counted of the chain's first replayed ones to the rest, their
+// new-edges seeds to its mirror included.
 func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) {
 	for k := range steps {
 		if s := &steps[k]; tally.Execs < replayed {
 			if s.Crash != nil {
 				tally.Crashes++
+			}
+			if s.NewEdges > 0 {
+				tally.Mirror.Add(s.Seed)
 			}
 			if s.Mutation != nil {
 				tally.Muts += s.Mutation.Mutations
@@ -589,6 +618,28 @@ func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) 
 		}
 		tally.Execs++
 	}
+}
+
+func addSeeds(c *fuzz.Corpus, seeds []fuzz.Seed) {
+	for _, s := range seeds {
+		c.Add(s)
+	}
+}
+
+// mirrorDiff returns the first position at which a and b hold different
+// seeds (the shorter one's length when one is a prefix of the other), or
+// -1 when they are equal.
+func mirrorDiff(a, b *fuzz.Corpus) int {
+	n := min(a.Len(), b.Len())
+	for k := 0; k < n; k++ {
+		if x, y := a.At(k), b.At(k); x.Gain != y.Gain || !slices.EqualFunc(x.Msgs, y.Msgs, bytes.Equal) {
+			return k
+		}
+	}
+	if a.Len() != b.Len() {
+		return n
+	}
+	return -1
 }
 
 // decodeLease unwraps and decodes a lease reply from wc. A reply that
@@ -765,6 +816,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		if err := c.replay(ctx, 0, len(inst)); err != nil {
 			return err
 		}
+		c.loop.Publish() // the mirrors are whole again
 	}
 	// After Start that is every instance. A restored instance left
 	// mid-campaign has unreplayed records (a batch drains only right

@@ -7,3 +7,19 @@ const (
 	MsgLeaseResult  = msgLeaseResult
 	FrameTypeOffset = 4
 )
+
+// A checkpoint's version byte follows its magic.
+const (
+	CheckpointVersion   = checkpointVersion
+	CheckpointVersionAt = 2 + len(checkpointMagic)
+)
+
+// ReencodeCheckpoint decodes a checkpoint and encodes it again, at the
+// current version.
+func ReencodeCheckpoint(blob []byte) ([]byte, error) {
+	ck, err := decodeCheckpoint(blob)
+	if err != nil {
+		return nil, err
+	}
+	return encodeCheckpoint(ck)
+}

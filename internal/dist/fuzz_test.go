@@ -251,10 +251,11 @@ func TestRestoreRefusesRebootedJournal(t *testing.T) {
 }
 
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
-// and every cold restore run on checkpoint.bin. Seeds: the checkpoint a
-// PR-12 binary wrote (kept as a restore fixture) and one this build just
-// took, each of which must re-encode to exactly its own bytes, and a few
-// torn and flipped copies.
+// and every cold restore run on checkpoint.bin. Seeds: the version-1
+// checkpoint a PR-12 binary wrote (kept as a restore fixture), the
+// current-version checkpoint it re-encodes to, which must be a fixed
+// point, one this build just took, which must re-encode to exactly its
+// own bytes, and a few torn and flipped copies of each.
 func FuzzValidateCheckpoint(f *testing.F) {
 	zf, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
 	if err != nil {
@@ -269,15 +270,31 @@ func FuzzValidateCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add([]byte(nil))
-	for _, good := range [][]byte{pr12, midCampaignCheckpoint(f)} {
-		ck, err := decodeCheckpoint(good)
+	reencode := func(blob []byte) []byte {
+		ck, err := decodeCheckpoint(blob)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if back, err := encodeCheckpoint(ck); err != nil || !bytes.Equal(back, good) {
-			f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes (%v)", len(good), len(back), err)
+		back, err := encodeCheckpoint(ck)
+		if err != nil {
+			f.Fatal(err)
 		}
+		return back
+	}
+	ver := 2 + len(checkpointMagic) // where the version byte sits
+	if pr12[ver] != 1 {
+		f.Fatalf("the PR-12 fixture is version %d, want 1", pr12[ver])
+	}
+	v2 := reencode(pr12)
+	if v2[ver] != checkpointVersion || !bytes.Equal(reencode(v2), v2) {
+		f.Fatalf("the PR-12 fixture re-encodes to a version-%d checkpoint that is no fixed point", v2[ver])
+	}
+	mid := midCampaignCheckpoint(f)
+	if back := reencode(mid); !bytes.Equal(back, mid) {
+		f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes", len(mid), len(back))
+	}
+	f.Add([]byte(nil))
+	for _, good := range [][]byte{pr12, v2, mid} {
 		f.Add(good)
 		for _, cut := range []int{len(checkpointMagic), len(good) / 3, len(good) - 1} {
 			f.Add(good[:cut])

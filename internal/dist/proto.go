@@ -28,6 +28,9 @@ type codec struct {
 	w   *wire.Writer
 	r   *wire.Reader
 	err error // the first error encoding hit (decoding fails r instead)
+	// version is the checkpoint layout a checkpoint visitor reads or
+	// writes (the wire payloads have one layout per protocolVersion).
+	version byte
 }
 
 // marshal encodes m with the visitor fields into a fresh buffer.

@@ -135,7 +135,8 @@ func NewLoop(host *Host) *Loop {
 // ResumeLoop reopens a checkpointed campaign: res, union and st are what
 // the loop held when the checkpoint was taken, host.Opts.Telemetry the
 // recorder restored from it. Boot then resumes every instance without
-// repeating its startup events, and Advance continues.
+// repeating its startup events, Publish posts the run's board entry, and
+// Advance continues.
 func ResumeLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
 	l := openLoop(host, res, union, st)
 	l.resumed = true
@@ -175,8 +176,8 @@ func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
 // Boot attaches src and boots every instance through it, in index order
 // so startup ledger entries and telemetry land identically on every
 // path. A resumed loop has its boot events and first series point
-// already. Either way the run's board entry is published once every
-// instance is up.
+// already. A fresh run's board entry is published once every instance
+// is up; a resumed one's by Publish, once its source is whole again.
 func (l *Loop) Boot(ctx context.Context, src Source) error {
 	l.src = src
 	tel := l.Opts.Telemetry
@@ -209,9 +210,16 @@ func (l *Loop) Boot(ctx context.Context, src Source) error {
 	for i := range l.spans {
 		l.spans[i] = l.Opts.Trace.Child("instance", trace.A("index", i))
 	}
-	l.publish(l.Watermark)
+	if !l.resumed {
+		l.publish(l.Watermark)
+	}
 	return nil
 }
+
+// Publish posts a resumed run's board entry at its watermark. Its
+// caller calls it once the source holds the checkpointed position again:
+// a dist restore rebuilds the corpus mirrors after Boot.
+func (l *Loop) Publish() { l.publish(l.Watermark) }
 
 // Horizon is the campaign's virtual end time in seconds.
 func (l *Loop) Horizon() float64 { return l.horizon }
