@@ -36,11 +36,20 @@ import (
 //
 // Since version 2 the corpus mirrors are not stored either: the leases
 // replay re-sends carry every import and their replies every new-edge
-// seed, so replay rebuilds each mirror from them. Version 1 stored the
-// mirrors; such a checkpoint still restores, and its mirrors must equal
-// the rebuilt ones.
+// seed's digest (and the messages of those a sync may export), so
+// replay rebuilds each mirror from them. Version 1 stored the mirrors;
+// such a checkpoint still restores, and its mirrors must equal the
+// rebuilt ones, digest for digest. Version 3 stores the unreplayed
+// records in the lease reply's layout of wire version 10: a new-edges
+// record carries its seed's digest, and the messages only if the record
+// shipped them. Versions 1 and 2 stored every seed's messages, which
+// still restore, as records that shipped them.
 const checkpointMagic = "cmfuzz-checkpoint"
-const checkpointVersion = 2
+const checkpointVersion = 3
+
+// digestVersion is the first checkpoint version whose records carry
+// digests.
+const digestVersion = 3
 
 // Checkpoint drains every in-flight lease reply and serializes the
 // campaign's replay state. The coordinator remains live: Advance can
@@ -237,9 +246,10 @@ func (c *codec) report(r *bugs.Report) {
 // replica visits an instance's replay state and its lease history. Of
 // the batch, only the drained records not yet replayed are kept, and a
 // restored replica replays them from its start. Version 1 stored the
-// corpus mirror too, as its seeds in order, which a fresh corpus
-// rebuilds it from; a version-2 replica decodes with no mirror, and
-// replay rebuilds it.
+// corpus mirror too, as its seeds in order, which a fresh mirror
+// rebuilds it from (only a mirror holding every seed's messages encodes
+// so); a replica of a later version decodes with no mirror, and replay
+// rebuilds it.
 func (c *codec) replica(r *parallel.Replica, in *replica) {
 	u32(c, &r.Crashes)
 	u32(c, &r.Muts)
@@ -252,13 +262,16 @@ func (c *codec) replica(r *parallel.Replica, in *replica) {
 		if !c.decoding() {
 			mirror = make([]fuzz.Seed, r.Mirror.Len())
 			for j := range mirror {
-				mirror[j] = r.Mirror.At(j)
+				var held bool
+				if mirror[j], _, held = r.Mirror.At(j); !held {
+					c.fail(errors.New("dist: a version-1 checkpoint stores whole mirrors"))
+				}
 			}
 		}
 		c.seeds(&mirror)
 		if c.decoding() {
-			r.Mirror = fuzz.NewCorpus(0)
-			addSeeds(r.Mirror, mirror)
+			r.Mirror = parallel.NewMirror()
+			r.Mirror.Import(mirror)
 		}
 	}
 	rest := r.Batch[r.Pos:]

@@ -2,11 +2,8 @@ package dist_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -249,71 +246,80 @@ func TestCheckpointed(t *testing.T) {
 }
 
 // TestRestoresParentCheckpoint guards checkpoint.bin across the commits
-// that taught step records to carry a latency charge and dropped the
-// corpus mirrors (version 2). The fixture was written by the commit
-// before the first (PR 12), at version 1: DNS, CMFuzz, 2 instances,
-// 0.5 vh, seed 11, saturation window 30, paused at t=800 with 399
-// records still to replay — crashes, new-edge deltas and saturation
-// mutations among them. It must restore, which holds its stored mirrors
-// to the ones replay rebuilds; the restored coordinator's checkpoint must
-// be version 2 and a fixed point of decoding and encoding; and the
-// campaign must finish byte-identical to the in-process run.
+// that changed its layout. Each fixture was written by an older build,
+// of a DNS CMFuzz campaign of 2 instances over 0.5 vh with saturation
+// window 30, paused with records still to replay — crashes, new-edge
+// deltas and saturation mutations among them:
+//
+//   - checkpoint_v1.bin.gz, version 1, written before step records
+//     could carry a latency charge: seed 11, paused at t=800 with 399
+//     records to replay. It stores the corpus mirrors, which Restore holds
+//     to the ones replay rebuilds.
+//   - checkpoint_v2.bin.gz, version 2, written before records carried
+//     seed digests (midCampaignCheckpoint: seed 5, paused at t=800): its
+//     records to replay carry every new seed's messages.
+//
+// Each must restore; the restored coordinator's checkpoint must be of
+// the current version and a fixed point of decoding and encoding; and
+// the campaign must finish byte-identical to the in-process run.
 func TestRestoresParentCheckpoint(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dist.ValidateCheckpoint(blob); err != nil {
-		t.Fatal(err)
-	}
+	for _, fx := range []struct {
+		file    string
+		version byte
+		seed    int64
+	}{
+		{"checkpoint_v1.bin.gz", 1, 11},
+		{"checkpoint_v2.bin.gz", 2, 5},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			blob := dist.Fixture(t, fx.file)
+			if v := blob[dist.CheckpointVersionAt]; v != fx.version {
+				t.Fatalf("fixture is version %d, want %d", v, fx.version)
+			}
+			if err := dist.ValidateCheckpoint(blob); err != nil {
+				t.Fatal(err)
+			}
 
-	sub := mustSubject(t, "DNS")
-	ctx := context.Background()
-	recA := telemetry.New()
-	resA, err := parallel.Run(ctx, sub, parallel.Options{
-		Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: 11,
-		Concurrency: 1, SaturationWindow: 30, Telemetry: recA,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirA := filepath.Join(t.TempDir(), "baseline")
-	writeAll(t, dirA, resA, recA)
+			sub := mustSubject(t, "DNS")
+			ctx := context.Background()
+			recA := telemetry.New()
+			resA, err := parallel.Run(ctx, sub, parallel.Options{
+				Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: fx.seed,
+				Concurrency: 1, SaturationWindow: 30, Telemetry: recA,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirA := filepath.Join(t.TempDir(), "baseline")
+			writeAll(t, dirA, resA, recA)
 
-	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
-	wait := addPipeWorkers(t, coord.AddConn, 2)
-	if err := coord.Restore(ctx, blob); err != nil {
-		t.Fatal(err)
+			coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+			wait := addPipeWorkers(t, coord.AddConn, 2)
+			if err := coord.Restore(ctx, blob); err != nil {
+				t.Fatal(err)
+			}
+			again, err := coord.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := again[dist.CheckpointVersionAt]; v != dist.CheckpointVersion {
+				t.Fatalf("restored checkpoint is version %d, want %d", v, dist.CheckpointVersion)
+			}
+			if back, err := dist.ReencodeCheckpoint(again); err != nil || !bytes.Equal(back, again) {
+				t.Fatalf("restored checkpoint of %d bytes re-encodes to %d different bytes (%v)", len(again), len(back), err)
+			}
+			if err := coord.Advance(ctx, coord.Horizon()); err != nil {
+				t.Fatal(err)
+			}
+			res, err := coord.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord.Close()
+			wait()
+			dirB := filepath.Join(t.TempDir(), "restored")
+			writeAll(t, dirB, res, coord.Recorder())
+			diffTrees(t, "restored parent checkpoint", readTree(t, dirA), readTree(t, dirB))
+		})
 	}
-	again, err := coord.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := again[dist.CheckpointVersionAt]; v != dist.CheckpointVersion {
-		t.Fatalf("restored checkpoint is version %d, want %d", v, dist.CheckpointVersion)
-	}
-	if back, err := dist.ReencodeCheckpoint(again); err != nil || !bytes.Equal(back, again) {
-		t.Fatalf("restored checkpoint of %d bytes re-encodes to %d different bytes (%v)", len(again), len(back), err)
-	}
-	if err := coord.Advance(ctx, coord.Horizon()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.Finish(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Close()
-	wait()
-	dirB := filepath.Join(t.TempDir(), "restored")
-	writeAll(t, dirB, res, coord.Recorder())
-	diffTrees(t, "restored parent checkpoint", readTree(t, dirA), readTree(t, dirB))
 }

@@ -2,12 +2,10 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,6 +295,9 @@ type Coordinator struct {
 	// replayed record moves src.Replayed off ckReplayed.
 	checkpointed bool
 	ckReplayed   int
+	// onReply, set by tests, sees (and may change) the records of every
+	// lease reply the loop is handed, as they arrive.
+	onReply func(i int, recs []parallel.LeaseStep)
 }
 
 // NewCoordinator prepares a standalone coordinator for one campaign of
@@ -543,16 +544,17 @@ func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 // checkpoint does not carry, are recounted here.
 //
 // The mirror is rebuilt in the engine's order: each lease's imports as
-// it is re-sent, the seed of every new-edges record the loop had
-// replayed, then the pending seeds. A replica that holds none (a
-// version-2 checkpoint's) takes the rebuilt one; one that does (a
+// it is re-sent, the seed (or digest) of every new-edges record the loop
+// had replayed, then the pending seeds. A replica that holds none (a
+// checkpoint's since version 2) takes the rebuilt one; one that does (a
 // version-1 checkpoint's, or the live one after a death) must hold
-// exactly it, seed for seed, or the campaign fails naming the instance.
+// exactly it, digest for digest, or the campaign fails naming the
+// instance.
 func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 	sent := make([]int, to-from)                // journal entries re-sent to each instance's current boot
 	redone := make([]parallel.Replica, to-from) // what each chain re-executed, and its mirror
 	for k := range redone {
-		redone[k].Mirror = fuzz.NewCorpus(0)
+		redone[k].Mirror = parallel.NewMirror()
 	}
 	for busy := true; busy; {
 		busy = false
@@ -568,13 +570,13 @@ func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
 						return err
 					}
-					sent[k], redone[k] = 0, parallel.Replica{Mirror: fuzz.NewCorpus(0)}
+					sent[k], redone[k] = 0, parallel.Replica{Mirror: parallel.NewMirror()}
 				}
 				recount(&redone[k], lr.Steps, c.src.Inst[i].Execs)
 			}
 			if sent[k] < len(in.journal) {
 				j := in.journal[sent[k]]
-				addSeeds(redone[k].Mirror, j.Seeds)
+				redone[k].Mirror.Import(j.Seeds)
 				c.send(i, j)
 				sent[k]++
 				busy = true
@@ -587,10 +589,10 @@ func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the loop holds %d replayed and %d to replay, with %d crashes and %d mutations",
 				i, got.Execs, got.Crashes, got.Muts, r.Execs, left, r.Crashes, r.Muts)
 		}
-		addSeeds(got.Mirror, r.Pending)
+		got.Mirror.Import(r.Pending)
 		if r.Mirror == nil {
 			r.Mirror = got.Mirror
-		} else if k := mirrorDiff(r.Mirror, got.Mirror); k >= 0 {
+		} else if k := r.Mirror.Diff(got.Mirror); k >= 0 {
 			return fmt.Errorf("dist: restore of instance %d rebuilt a corpus mirror of %d seeds that differs from the loop's %d at seed %d",
 				i, got.Mirror.Len(), r.Mirror.Len(), k)
 		}
@@ -609,7 +611,7 @@ func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) 
 				tally.Crashes++
 			}
 			if s.NewEdges > 0 {
-				tally.Mirror.Add(s.Seed)
+				tally.Mirror.Add(s.Seed, s.Digest, s.Ship)
 			}
 			if s.Mutation != nil {
 				tally.Muts += s.Mutation.Mutations
@@ -618,28 +620,6 @@ func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) 
 		}
 		tally.Execs++
 	}
-}
-
-func addSeeds(c *fuzz.Corpus, seeds []fuzz.Seed) {
-	for _, s := range seeds {
-		c.Add(s)
-	}
-}
-
-// mirrorDiff returns the first position at which a and b hold different
-// seeds (the shorter one's length when one is a prefix of the other), or
-// -1 when they are equal.
-func mirrorDiff(a, b *fuzz.Corpus) int {
-	n := min(a.Len(), b.Len())
-	for k := 0; k < n; k++ {
-		if x, y := a.At(k), b.At(k); x.Gain != y.Gain || !slices.EqualFunc(x.Msgs, y.Msgs, bytes.Equal) {
-			return k
-		}
-	}
-	if a.Len() != b.Len() {
-		return n
-	}
-	return -1
 }
 
 // decodeLease unwraps and decodes a lease reply from wc. A reply that
@@ -686,6 +666,9 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 	c.syncBytes.Add(nb)
 	if c.obs.Lease != nil {
 		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(rep.payload), rep.at.Sub(in.sent).Seconds(), lr.SyncDue)
+	}
+	if c.onReply != nil {
+		c.onReply(i, lr.Steps)
 	}
 	return lr.Steps, nil
 }

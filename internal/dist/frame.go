@@ -12,11 +12,13 @@
 // virtual-clock budget up to the next sync boundary or the campaign
 // horizon) and the worker executes the whole batch locally, streaming
 // back one consolidated reply carrying every step's coverage delta,
-// crash record, corpus addition, and saturation/mutation outcome. The
-// coordinator is the transport of the event loop's one source
-// (parallel.LeaseSource), which replays those records in virtual-clock
-// order and computes seed-sync exports from per-instance corpus
-// mirrors. parallel.Run is the same loop over the same source, so the
+// crash record, and saturation/mutation outcome, and of every corpus
+// addition its digest, with the messages only when a sync may export
+// the seed (fuzz.Corpus.ExportFloor). The coordinator is the transport
+// of the event loop's one source (parallel.LeaseSource), which replays
+// those records in virtual-clock order and computes seed-sync exports
+// from per-instance corpus mirrors. parallel.Run is the same loop over
+// the same source, so the
 // two produce byte-identical Results for the same seed — same coverage
 // series, same ledger order, same counters —
 // while a distributed campaign pays one RPC round-trip per sync
@@ -76,8 +78,11 @@ const (
 // still ask a worker's engine for them. Version 9 replays a lost
 // instance's journal after a worker's death: every boot is at clock 0,
 // and workers ignore Boot's resume clock, which a version-8 coordinator
-// still sets to re-boot a lost instance where it was.
-const protocolVersion = 9
+// still sets to re-boot a lost instance where it was. Version 10 sends a
+// new-edges seed's messages only if a sync may export it: every
+// new-edges record carries the seed's digest, and a seed flag says when
+// the messages follow.
+const protocolVersion = 10
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

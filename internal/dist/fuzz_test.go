@@ -2,13 +2,9 @@ package dist
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"errors"
-	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,7 +127,7 @@ func FuzzDecodeBootResult(f *testing.F) {
 func FuzzDecodeLease(f *testing.F) { fuzzMessage(f, (*codec).lease, v7Lease) }
 
 func FuzzDecodeLeaseResult(f *testing.F) {
-	fuzzMessage(f, (*codec).leaseResult, v7LeaseResult(), leaseResult{Steps: v7Steps[:1]})
+	fuzzMessage(f, (*codec).leaseResult, v10LeaseResult(), leaseResult{Steps: v7Steps[:1]}, leaseResult{Steps: v10Steps[2:]})
 }
 
 func FuzzDecodeRelease(f *testing.F) { fuzzMessage(f, u32[uint32], v7Release) }
@@ -251,25 +247,13 @@ func TestRestoreRefusesRebootedJournal(t *testing.T) {
 }
 
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
-// and every cold restore run on checkpoint.bin. Seeds: the version-1
-// checkpoint a PR-12 binary wrote (kept as a restore fixture), the
-// current-version checkpoint it re-encodes to, which must be a fixed
-// point, one this build just took, which must re-encode to exactly its
+// and every cold restore run on checkpoint.bin. Seeds: the version-1 and
+// version-2 checkpoints older builds wrote (kept as restore fixtures),
+// the current-version checkpoints they re-encode to, which must be fixed
+// points, one this build just took, which must re-encode to exactly its
 // own bytes, and a few torn and flipped copies of each.
 func FuzzValidateCheckpoint(f *testing.F) {
-	zf, err := os.Open(filepath.Join("testdata", "checkpoint_pr12.bin.gz"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer zf.Close()
-	zr, err := gzip.NewReader(zf)
-	if err != nil {
-		f.Fatal(err)
-	}
-	pr12, err := io.ReadAll(zr)
-	if err != nil {
-		f.Fatal(err)
-	}
+	v1, v2 := v1Checkpoint(f), v2Checkpoint(f)
 	reencode := func(blob []byte) []byte {
 		ck, err := decodeCheckpoint(blob)
 		if err != nil {
@@ -282,19 +266,43 @@ func FuzzValidateCheckpoint(f *testing.F) {
 		return back
 	}
 	ver := 2 + len(checkpointMagic) // where the version byte sits
-	if pr12[ver] != 1 {
-		f.Fatalf("the PR-12 fixture is version %d, want 1", pr12[ver])
+	if v1[ver] != 1 || v2[ver] != 2 {
+		f.Fatalf("the fixtures are versions %d and %d, want 1 and 2", v1[ver], v2[ver])
 	}
-	v2 := reencode(pr12)
-	if v2[ver] != checkpointVersion || !bytes.Equal(reencode(v2), v2) {
-		f.Fatalf("the PR-12 fixture re-encodes to a version-%d checkpoint that is no fixed point", v2[ver])
+	var current [][]byte
+	for _, old := range [][]byte{v1, v2} {
+		now := reencode(old)
+		if now[ver] != checkpointVersion || !bytes.Equal(reencode(now), now) {
+			f.Fatalf("a version-%d fixture re-encodes to a version-%d checkpoint that is no fixed point", old[ver], now[ver])
+		}
+		current = append(current, now)
 	}
+	// The mid-campaign checkpoint holds digest-only records to replay;
+	// a copy with one of them made to ship its seed's messages holds both
+	// kinds.
 	mid := midCampaignCheckpoint(f)
 	if back := reencode(mid); !bytes.Equal(back, mid) {
 		f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes", len(mid), len(back))
 	}
+	ck, err := decodeCheckpoint(mid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	shipped := false
+	for i := range ck.replay {
+		for k := range ck.replay[i].Batch {
+			if rec := &ck.replay[i].Batch[k]; rec.NewEdges > 0 && !shipped {
+				rec.Seed.Msgs = [][]byte{{0x12, 0x34, 0x01, 0x00}, nil}
+				rec.Digest, rec.Ship, shipped = rec.Seed.Digest(), true, true
+			}
+		}
+	}
+	both, err := encodeCheckpoint(ck)
+	if err != nil || !shipped {
+		f.Fatalf("no record of the mid-campaign checkpoint made to ship (%v)", err)
+	}
 	f.Add([]byte(nil))
-	for _, good := range [][]byte{pr12, v2, mid} {
+	for _, good := range append([][]byte{v1, v2, mid, both}, current...) {
 		f.Add(good)
 		for _, cut := range []int{len(checkpointMagic), len(good) / 3, len(good) - 1} {
 			f.Add(good[:cut])

@@ -8,11 +8,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"cmfuzz/internal/campaign"
-	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/subject"
@@ -56,15 +56,22 @@ func finishTree(t *testing.T, coord *Coordinator) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return artifactTree(t, res, coord.Recorder())
+}
+
+// artifactTree writes res and rec's artifacts and returns them, relative
+// path to contents.
+func artifactTree(t *testing.T, res *parallel.Result, rec *telemetry.Recorder) map[string]string {
+	t.Helper()
 	dir := t.TempDir()
 	if err := campaign.WriteArtifacts(dir, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := campaign.WriteTelemetry(dir, coord.Recorder()); err != nil {
+	if err := campaign.WriteTelemetry(dir, rec); err != nil {
 		t.Fatal(err)
 	}
 	tree := map[string]string{}
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -89,27 +96,14 @@ func encodeCheckpointV1(ck *checkpoint) ([]byte, error) {
 	return c.w.Bytes(), c.err
 }
 
-// copyMirror returns a corpus holding copies of m's seeds, in order.
-func copyMirror(m *fuzz.Corpus) *fuzz.Corpus {
-	out := fuzz.NewCorpus(0)
-	for k := 0; k < m.Len(); k++ {
-		s := m.At(k)
-		msgs := make([][]byte, len(s.Msgs))
-		for j, msg := range s.Msgs {
-			msgs[j] = bytes.Clone(msg)
-		}
-		out.Add(fuzz.Seed{Msgs: msgs, Gain: s.Gain})
-	}
-	return out
-}
-
 // TestRestoreRebuildsMirrors: since version 2 checkpoint.bin carries no
 // corpus mirror, and Restore rebuilds each from the leases it
 // re-executes. For every subject, a CMFuzz campaign checkpointed at half
 // its horizon and restored onto a fresh coordinator must hold the
-// source's mirrors seed for seed and finish with the source's artifact
-// tree. A version-1 checkpoint still carries its mirrors, which must
-// equal the rebuilt ones: written with the source's mirrors it restores,
+// source's mirrors digest for digest, with the messages of the same
+// seeds, and finish with the source's artifact tree. A version-1
+// checkpoint still carries its mirrors, whole, which must equal the
+// rebuilt ones: the version-1 fixture, written again as it was read, restores,
 // and with one byte of one seed changed Restore fails naming the
 // instance.
 func TestRestoreRebuildsMirrors(t *testing.T) {
@@ -129,11 +123,9 @@ func TestRestoreRebuildsMirrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mirrors := make([]*fuzz.Corpus, len(src.src.Inst))
 		seeds := 0
-		for i := range mirrors {
-			mirrors[i] = copyMirror(src.src.Inst[i].Mirror)
-			seeds += mirrors[i].Len()
+		for i := range src.src.Inst {
+			seeds += src.src.Inst[i].Mirror.Len()
 		}
 		if seeds == 0 {
 			t.Fatalf("%s: no instance holds a seed at half horizon: the test checks nothing", name)
@@ -143,10 +135,18 @@ func TestRestoreRebuildsMirrors(t *testing.T) {
 		if err := dst.Restore(ctx, blob); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for i, want := range mirrors {
-			if got := dst.src.Inst[i].Mirror; mirrorDiff(want, got) >= 0 {
+		for i := range src.src.Inst {
+			want, got := src.src.Inst[i].Mirror, dst.src.Inst[i].Mirror
+			if k := want.Diff(got); k >= 0 {
 				t.Fatalf("%s: instance %d: restored mirror of %d seeds differs from the source's %d at seed %d",
-					name, i, got.Len(), want.Len(), mirrorDiff(want, got))
+					name, i, got.Len(), want.Len(), k)
+			}
+			for k := 0; k < want.Len(); k++ {
+				a, _, wantHeld := want.At(k)
+				b, _, gotHeld := got.At(k)
+				if wantHeld != gotHeld || !slices.EqualFunc(a.Msgs, b.Msgs, bytes.Equal) {
+					t.Fatalf("%s: instance %d: restored mirror seed %d holds messages %v (%q), the source's %v (%q)", name, i, k, gotHeld, b.Msgs, wantHeld, a.Msgs)
+				}
 			}
 		}
 		want, got := finishTree(t, src), finishTree(t, dst)
@@ -160,50 +160,51 @@ func TestRestoreRebuildsMirrors(t *testing.T) {
 				t.Fatalf("%s: restored artifact %s diverged from the source's", name, rel)
 			}
 		}
-
-		if name != "DNS" {
-			continue
-		}
-		// The version-1 layout, mirrors stored: the instance holding the
-		// most seeds gets one byte of its middle seed changed.
-		ck, err := decodeCheckpoint(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := 0
-		for i, m := range mirrors {
-			ck.replay[i].Mirror = m
-			if m.Len() > mirrors[bad].Len() {
-				bad = i
-			}
-		}
-		v1, err := encodeCheckpointV1(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, closeOK := pipeCoordinator(t, sub, parallel.Options{}, 2)
-		if err := ok.Restore(ctx, v1); err != nil {
-			t.Fatalf("version-1 checkpoint with the source's mirrors: %v", err)
-		}
-		closeOK()
-
-		seed := mirrors[bad].At(mirrors[bad].Len() / 2)
-		msg := 0
-		for len(seed.Msgs[msg]) == 0 {
-			msg++
-		}
-		seed.Msgs[msg][0] ^= 1 // mirrors[bad] holds copies: the source's are untouched
-		if v1, err = encodeCheckpointV1(ck); err != nil {
-			t.Fatal(err)
-		}
-		refused, closeRefused := pipeCoordinator(t, sub, parallel.Options{}, 2)
-		err = refused.Restore(ctx, v1)
-		closeRefused()
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("restore of instance %d ", bad)) {
-			t.Fatalf("Restore of a version-1 checkpoint whose instance %d mirror differs in one byte = %v, want a failure naming it", bad, err)
-		}
-		t.Log(err)
 	}
+
+	// The version-1 layout, mirrors stored: the instance holding the most
+	// seeds gets one byte of its middle seed changed.
+	ck, err := decodeCheckpoint(v1Checkpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := protocols.ByName(ck.protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := 0
+	for i := range ck.replay {
+		if ck.replay[i].Mirror.Len() > ck.replay[bad].Mirror.Len() {
+			bad = i
+		}
+	}
+	v1, err := encodeCheckpointV1(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, closeOK := pipeCoordinator(t, sub, parallel.Options{}, 2)
+	if err := ok.Restore(ctx, v1); err != nil {
+		t.Fatalf("version-1 checkpoint written as it was read: %v", err)
+	}
+	closeOK()
+
+	m := ck.replay[bad].Mirror
+	seed, _, _ := m.At(m.Len() / 2)
+	msg := 0
+	for len(seed.Msgs[msg]) == 0 {
+		msg++
+	}
+	seed.Msgs[msg][0] ^= 1
+	if v1, err = encodeCheckpointV1(ck); err != nil {
+		t.Fatal(err)
+	}
+	refused, closeRefused := pipeCoordinator(t, sub, parallel.Options{}, 2)
+	err = refused.Restore(ctx, v1)
+	closeRefused()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("restore of instance %d ", bad)) {
+		t.Fatalf("Restore of a version-1 checkpoint whose instance %d mirror differs in one byte = %v, want a failure naming it", bad, err)
+	}
+	t.Log(err)
 }
 
 // TestRestorePublishesBoard: the restored run's board entry goes up once

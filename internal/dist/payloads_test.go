@@ -91,6 +91,25 @@ var (
 			Config: "bridge=on port=1883 tls=on", Coverage: 345,
 		},
 	}
+	// The same records as wire version 10 carries them: the new-edges one
+	// with its seed's digest, shipping the messages; then a new-edges
+	// record that leaves them behind, and one that ships a seed of no
+	// messages.
+	v10Steps = []parallel.LeaseStep{
+		v7Steps[0],
+		func() parallel.LeaseStep {
+			s := v7Steps[1]
+			s.Digest, s.Ship = s.Seed.Digest(), true
+			return s
+		}(),
+		{
+			Step:   parallel.Step{Bytes: 64, NewEdges: 2},
+			Seed:   fuzz.Seed{Gain: 2},
+			Digest: fuzz.Seed{Msgs: [][]byte{{0x30, 0x07}, {0xe0, 0x00}}}.Digest(),
+			Delta:  []byte{0, 2, 0, 0, 0, 0, 0, 0, 1, 7},
+		},
+		{Step: parallel.Step{Bytes: 0, NewEdges: 1}, Seed: fuzz.Seed{Gain: 1}, Ship: true, Delta: []byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 1}},
+	}
 	v7SyncDue = true
 	v7Spans   = []trace.Record{
 		{ID: 4, Parent: -1, Track: 1, Name: "lease", Start: time.Millisecond, End: 9 * time.Millisecond,

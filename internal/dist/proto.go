@@ -441,14 +441,16 @@ func (c *codec) seed(s *fuzz.Seed) {
 // saturation, no link latency) costs two bytes: flags + a varint byte
 // count. Optional sections follow in flag-bit order, except that the
 // latency charge, the youngest section, sits right after the byte count
-// it is added to.
+// it is added to. The seed flag, set only beside the edges flag, says
+// that the new-edges seed's messages follow its digest (LeaseStep.Ship).
 const (
 	leaseFlagCrash   = 1 << 0
 	leaseFlagEdges   = 1 << 1
 	leaseFlagSat     = 1 << 2
 	leaseFlagLatency = 1 << 3
+	leaseFlagSeed    = 1 << 4
 
-	leaseFlagsKnown = leaseFlagCrash | leaseFlagEdges | leaseFlagSat | leaseFlagLatency
+	leaseFlagsKnown = leaseFlagCrash | leaseFlagEdges | leaseFlagSat | leaseFlagLatency | leaseFlagSeed
 
 	// leaseEnd terminates the record stream (it cannot collide with a
 	// flags byte, whose unknown bits are rejected).
@@ -460,10 +462,14 @@ const (
 // checkpoint stores drained records not yet replayed with it. A
 // record that charged no link latency encodes as it did before records
 // could carry one, so older checkpoints and latency-free replies are
-// unchanged. Decoding rejects flag bits it does not know, an edges flag
-// with no edges, and a latency flag without a positive, finite charge:
+// unchanged. A new-edges record carries its seed's digest, and the
+// messages only when the record ships them; in a checkpoint older than
+// version 3 it carries the messages, always, and no digest. Decoding
+// rejects flag bits it does not know, an edges flag with no edges, a
+// seed flag without one, shipped messages that do not match their
+// digest, and a latency flag without a positive, finite charge:
 // anything else would re-encode differently or poison the replayed
-// clock.
+// clock or a corpus mirror.
 func (c *codec) step(rec *parallel.LeaseStep) {
 	var flags byte // what rec carries; a decoded record is still empty here
 	if rec.Crash != nil {
@@ -478,8 +484,12 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 	if rec.Latency != 0 {
 		flags |= leaseFlagLatency
 	}
+	legacy := c.version != 0 && c.version < digestVersion
+	if rec.NewEdges > 0 && rec.Ship && !legacy {
+		flags |= leaseFlagSeed
+	}
 	u8(c, &flags)
-	if flags&^byte(leaseFlagsKnown) != 0 {
+	if flags&^byte(leaseFlagsKnown) != 0 || flags&leaseFlagSeed != 0 && (legacy || flags&leaseFlagEdges == 0) {
 		c.fail(ErrProto)
 		return
 	}
@@ -499,14 +509,35 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 			c.fail(ErrProto)
 		}
 		bytes32(c, &rec.Delta)
-		// Seed.Gain is NewEdges by construction, so only the messages
-		// travel. Sequences are at most a handful of messages (the
-		// engine caps path length), so a one-byte count suffices.
-		list[uint8](c, &rec.Seed.Msgs, bytes32)
+		// Seed.Gain is NewEdges by construction, so only the digest and
+		// the messages travel. Sequences are at most a handful of
+		// messages (the engine caps path length), so a one-byte count
+		// suffices.
+		if legacy {
+			if !c.decoding() && !rec.Ship {
+				c.fail(errors.New("dist: a checkpoint before version 3 stores every seed's messages"))
+			}
+			list[uint8](c, &rec.Seed.Msgs, bytes32)
+			if c.decoding() {
+				rec.Digest, rec.Ship = rec.Seed.Digest(), true
+			}
+		} else {
+			u32(c, &rec.Digest.CRC)
+			u32(c, &rec.Digest.Size)
+			if flags&leaseFlagSeed != 0 {
+				list[uint8](c, &rec.Seed.Msgs, bytes32)
+				if c.decoding() && c.ok() && rec.Seed.Digest() != rec.Digest {
+					c.fail(ErrProto)
+				}
+			}
+		}
 	}
 	if c.decoding() {
 		rec.Seed.Gain = rec.NewEdges
 		rec.SatFired = flags&leaseFlagSat != 0
+		if !legacy {
+			rec.Ship = flags&leaseFlagSeed != 0
+		}
 	}
 	if flags&leaseFlagSat != 0 {
 		opt(c, &rec.Mutation, (*codec).mutation)

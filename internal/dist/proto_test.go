@@ -141,8 +141,10 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 		{
 			Step: parallel.Step{Bytes: 77, NewEdges: 3,
 				Crash: &bugs.Crash{Protocol: "DNS", Kind: bugs.Kind(2), Function: "parse", Detail: "oob"}},
-			Seed:  fuzz.Seed{Msgs: [][]byte{{1, 2}, {3}}, Gain: 3},
-			Delta: []byte{1, 2, 3},
+			Seed:   fuzz.Seed{Msgs: [][]byte{{1, 2}, {3}}, Gain: 3},
+			Digest: fuzz.Seed{Msgs: [][]byte{{1, 2}, {3}}}.Digest(),
+			Ship:   true,
+			Delta:  []byte{1, 2, 3},
 		},
 		{
 			Step: parallel.Step{Bytes: 9}, SatFired: true,
@@ -161,7 +163,9 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 		},
 		// A step that charged link latency: the f64 travels bit for bit.
 		{Step: parallel.Step{Bytes: 12, Latency: 0.00023456789012345678, NewEdges: 1},
-			Seed: fuzz.Seed{Msgs: [][]byte{{9}}, Gain: 1}, Delta: []byte{4}},
+			Seed: fuzz.Seed{Msgs: [][]byte{{9}}, Gain: 1}, Digest: fuzz.Seed{Msgs: [][]byte{{9}}}.Digest(), Ship: true, Delta: []byte{4}},
+		// A new seed below its corpus's export floor: the digest alone.
+		{Step: parallel.Step{Bytes: 5, NewEdges: 2}, Seed: fuzz.Seed{Gain: 2}, Digest: fuzz.Digest{CRC: 0xdeadbeef, Size: 4}, Delta: []byte{5}},
 	}
 	out, err := unmarshal(marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult), (*codec).leaseResult)
 	if err != nil {
@@ -197,10 +201,22 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Unknown flag bits and an edges flag without edges are protocol
-	// violations, not silent zero values.
-	if _, err := unmarshal(badReply(func(w *wire.Writer) { w.U8(0x10); w.U8(0) }), (*codec).leaseResult); !errors.Is(err, ErrProto) {
+	// Unknown flag bits, a seed flag without edges, an edges flag without
+	// edges and shipped messages that do not match their digest are
+	// protocol violations, not silent zero values.
+	if _, err := unmarshal(badReply(func(w *wire.Writer) { w.U8(0x20); w.U8(0) }), (*codec).leaseResult); !errors.Is(err, ErrProto) {
 		t.Fatalf("unknown flag bits: %v, want ErrProto", err)
+	}
+	if _, err := unmarshal(badReply(func(w *wire.Writer) { w.U8(leaseFlagSeed); w.U8(0) }), (*codec).leaseResult); !errors.Is(err, ErrProto) {
+		t.Fatalf("seed flag without edges: %v, want ErrProto", err)
+	}
+	forged := steps[1]
+	forged.Digest.CRC++
+	c.w.Reset()
+	c.step(&forged)
+	c.leaseTail(&leaseResult{})
+	if _, err := unmarshal(c.w.Bytes(), (*codec).leaseResult); !errors.Is(err, ErrProto) {
+		t.Fatalf("messages under another digest: %v, want ErrProto", err)
 	}
 	bad := badReply(func(w *wire.Writer) {
 		w.U8(leaseFlagEdges)
@@ -278,8 +294,9 @@ func TestMessageCodes(t *testing.T) {
 	}
 }
 
-// A kind is one message kind: its frame type, the v7 fixture's value for
-// it, that value encoded, and its field list run as a decoder.
+// A kind is one message kind: its frame type, its value in the v7
+// fixture (in wire version 10's layout, for the lease result), that value
+// encoded, and its field list run as a decoder.
 type kind struct {
 	typ   byte
 	name  string
@@ -305,13 +322,13 @@ func kinds() []kind {
 		kindOf(msgBoot, "boot", (*codec).bootReq, v7BootReq),
 		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
 		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
-		kindOf(msgLeaseResult, "lease result", (*codec).leaseResult, v7LeaseResult()),
+		kindOf(msgLeaseResult, "lease result", (*codec).leaseResult, v10LeaseResult()),
 		kindOf(msgRelease, "release", u32[uint32], v7Release),
 	}
 }
 
-func v7LeaseResult() leaseResult {
-	return leaseResult{Steps: v7Steps, SyncDue: v7SyncDue, Spans: v7Spans, WorkerNow: v7WorkerNow}
+func v10LeaseResult() leaseResult {
+	return leaseResult{Steps: v10Steps, SyncDue: v7SyncDue, Spans: v7Spans, WorkerNow: v7WorkerNow}
 }
 
 // goodPayloads is one well-formed payload per message kind, with the
@@ -332,7 +349,9 @@ func goodPayloads() [][]byte {
 // written with: every frame of the fixture is what its kind's value
 // encodes to, decodes to that value, and re-encodes to itself. The two
 // frames of the messages version 8 retired sit in front of Release: they
-// are checked by code and bytes, and skipped.
+// are checked by code and bytes, and skipped. Version 10 gave a new-edges
+// record its seed's digest, so the fixture's lease reply, whose new-edges
+// record has none, must be refused.
 func TestPayloadsV7(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "payloads_v7.bin"))
 	if err != nil {
@@ -356,6 +375,14 @@ func TestPayloadsV7(t *testing.T) {
 		}
 		if typ != k.typ {
 			t.Fatalf("%s: frame type %d, want %d", k.name, typ, k.typ)
+		}
+		if k.typ == msgLeaseResult {
+			if v, _, err := k.decode(p); err == nil {
+				t.Fatalf("the version-7 %s decodes, to %+v", k.name, v)
+			} else {
+				t.Logf("version-7 %s: %v", k.name, err)
+			}
+			continue
 		}
 		if !bytes.Equal(k.good, p) {
 			t.Fatalf("%s encodes to\n% x\nv7 wrote\n% x", k.name, k.good, p)
@@ -407,7 +434,8 @@ func TestDecodeMalformed(t *testing.T) {
 }
 
 // replySteps is a 1,000-record lease reply shaped like a campaign's: 4%
-// of the steps find new edges and 1% crash.
+// of the steps find new edges, a quarter of whose seeds ship, and 1%
+// crash.
 func replySteps() []parallel.LeaseStep {
 	steps := make([]parallel.LeaseStep, 1000)
 	for i := range steps {
@@ -417,6 +445,7 @@ func replySteps() []parallel.LeaseStep {
 			s.NewEdges = 1 + i%3
 			s.Delta = []byte{0, 1, 0, 0, 0, 0, 0, 0, byte(i), 7}
 			s.Seed = fuzz.Seed{Msgs: [][]byte{{1, 2, 3}, {byte(i)}}, Gain: s.NewEdges}
+			s.Digest, s.Ship = s.Seed.Digest(), i%100 == 0
 		}
 		if i%100 == 7 {
 			s.Crash = &bugs.Crash{Protocol: "DNS", Kind: bugs.SEGV, Function: "parse", Detail: "oob"}
@@ -428,8 +457,8 @@ func replySteps() []parallel.LeaseStep {
 // TestLeaseReplyAllocs: a lane encodes its replies into the Writer it
 // reuses without allocating, and decoding a reply allocates no more
 // than the hand-written decoder the field lists replaced (131 for this
-// reply: the record slice's growth, each seed's message slice, each
-// crash and its strings).
+// reply when every seed shipped: the record slice's growth, each shipped
+// seed's message slice, each crash and its strings).
 func TestLeaseReplyAllocs(t *testing.T) {
 	steps := replySteps()
 	ln := &lane{enc: codec{w: &wire.Writer{}}}

@@ -286,6 +286,9 @@ func (ln *lane) run(job leaseJob) []byte {
 	encode := tr.Now()
 	ln.enc.w.Reset()
 	for k := range recs {
+		if r := &recs[k]; r.NewEdges > 0 {
+			r.Digest = r.Seed.Digest()
+		}
 		ln.enc.step(&recs[k])
 	}
 	root.Complete("lease.encode", encode, tr.Now())

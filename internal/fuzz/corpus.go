@@ -1,19 +1,32 @@
 package fuzz
 
+import (
+	"fmt"
+	"hash/crc32"
+)
+
 // DefaultMaxCorpus bounds a seed pool when no explicit cap is given
 // (Config.MaxCorpus zero, NewCorpus given max <= 0).
 const DefaultMaxCorpus = 256
 
+// SyncSeeds is how many of its best seeds an instance offers each
+// sibling at a seed sync: the max of the Export the sync takes.
+const SyncSeeds = 4
+
 // A Corpus is a bounded, gain-ranked seed pool. The engine owns one per
-// instance; the distributed coordinator keeps a mirror per remote
-// instance, fed from the seed additions workers stream back in their
-// lease replies, so sync exports can be computed coordinator-side at
-// the exact event-loop position without a wire round-trip. Engine and
-// mirror run the same insertion, eviction, and export code, which is
-// what keeps a mirror bit-for-bit equal to the worker-side pool.
+// instance; a lease source keeps a mirror per instance, fed from the
+// records its leases return, so sync exports are computed at the exact
+// event-loop position without asking the instance. A record carries its
+// seed's messages only when the seed's gain reaches ExportFloor; the
+// mirror keeps the others as digests, which no export ever picks.
+// Engine and mirror run the same insertion, eviction, and export code,
+// which is what keeps a mirror slot for slot equal to the engine's pool.
 type Corpus struct {
 	seeds []Seed
 	max   int
+	// best holds the SyncSeeds highest gains held, highest first, padded
+	// with zeros while the pool holds fewer seeds.
+	best [SyncSeeds]int
 }
 
 // NewCorpus returns an empty corpus holding at most max seeds
@@ -32,27 +45,76 @@ func (c *Corpus) Len() int { return len(c.seeds) }
 func (c *Corpus) At(i int) Seed { return c.seeds[i] }
 
 // Add inserts s, evicting the seed with the smallest discovery gain
-// when the pool is full. Ties keep the earliest-inserted weak seed,
-// so insertion order fully determines the pool's contents.
-func (c *Corpus) Add(s Seed) {
-	if len(c.seeds) >= c.max {
-		weakest := 0
-		for i, cs := range c.seeds {
-			if cs.Gain < c.seeds[weakest].Gain {
-				weakest = i
-			}
-		}
-		c.seeds[weakest] = s
-		return
+// when the pool is full, and returns the index s took. Ties keep the
+// earliest-inserted weak seed, so insertion order fully determines the
+// pool's contents.
+func (c *Corpus) Add(s Seed) int {
+	if len(c.seeds) < c.max {
+		c.seeds = append(c.seeds, s)
+		c.rank(s.Gain)
+		return len(c.seeds) - 1
 	}
-	c.seeds = append(c.seeds, s)
+	weakest := 0
+	for i, cs := range c.seeds {
+		if cs.Gain < c.seeds[weakest].Gain {
+			weakest = i
+		}
+	}
+	evicted := c.seeds[weakest].Gain
+	c.seeds[weakest] = s
+	if evicted < c.best[len(c.best)-1] {
+		c.rank(s.Gain)
+		return weakest
+	}
+	// The evicted seed held one of the best gains, which only happens
+	// when no seed held has a lower gain: rank them all again.
+	c.best = [SyncSeeds]int{}
+	for _, cs := range c.seeds {
+		c.rank(cs.Gain)
+	}
+	return weakest
 }
 
+// rank enters gain among the best gains if it beats the weakest of them.
+func (c *Corpus) rank(gain int) {
+	for k := range c.best {
+		if gain > c.best[k] {
+			copy(c.best[k+1:], c.best[k:len(c.best)-1])
+			c.best[k] = gain
+			return
+		}
+	}
+}
+
+// ExportFloor is the SyncSeeds-th highest gain held (0 while the pool
+// holds fewer seeds). Export(SyncSeeds) never picks a seed of lower
+// gain, however its ties fall, and a seed below the floor stays below
+// it for as long as the pool holds it: adding seeds only raises the
+// floor, except by evicting a seed at the floor, and then the pool
+// holds none below it. So a lease source whose mirror has the messages
+// of every seed that reached the floor when it was added (and of every
+// seed it imported) can serve every sync, whatever the sync imports.
+func (c *Corpus) ExportFloor() int { return c.best[len(c.best)-1] }
+
 // Export returns up to max of the highest-gain seeds (the AFL/Peach
-// parallel-mode synchronization mechanism). Ties keep the lower index
-// (strict > comparison), so the export set and order are deterministic
-// functions of insertion order.
+// parallel-mode synchronization mechanism), in Top's order.
 func (c *Corpus) Export(max int) []Seed {
+	idx := c.Top(max)
+	if idx == nil {
+		return nil
+	}
+	out := make([]Seed, len(idx))
+	for i, j := range idx {
+		out[i] = c.seeds[j]
+	}
+	return out
+}
+
+// Top returns the indices of up to max of the highest-gain seeds,
+// highest first. Ties keep the lower index at each pick (strict >
+// comparison), so the set and order are deterministic functions of
+// insertion order.
+func (c *Corpus) Top(max int) []int {
 	if max <= 0 || len(c.seeds) == 0 {
 		return nil
 	}
@@ -73,9 +135,35 @@ func (c *Corpus) Export(max int) []Seed {
 	if len(idx) > max {
 		idx = idx[:max]
 	}
-	out := make([]Seed, len(idx))
-	for i, j := range idx {
-		out[i] = c.seeds[j]
+	return idx
+}
+
+// A Digest names a seed's content: the CRC-32C (Castagnoli) of its
+// messages, each framed by its length as a big-endian u32, and the
+// messages' byte total. A mirror keeps it for every seed, with or
+// without the messages.
+type Digest struct{ CRC, Size uint32 }
+
+func (d Digest) String() string { return fmt.Sprintf("crc32c:%08x/%dB", d.CRC, d.Size) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Digest returns the digest of s's messages, without allocating.
+func (s Seed) Digest() Digest {
+	var d Digest
+	for _, m := range s.Msgs {
+		d.CRC = crc32.Update(frameCRC(d.CRC, uint32(len(m))), castagnoli, m)
+		d.Size += uint32(len(m))
 	}
-	return out
+	return d
+}
+
+// frameCRC folds n, as four big-endian bytes, into crc, as crc32.Update
+// would; a stack array handed to crc32.Update would escape.
+func frameCRC(crc, n uint32) uint32 {
+	crc = ^crc
+	for shift := 24; shift >= 0; shift -= 8 {
+		crc = castagnoli[byte(crc)^byte(n>>shift)] ^ crc>>8
+	}
+	return ^crc
 }

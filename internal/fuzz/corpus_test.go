@@ -2,6 +2,10 @@ package fuzz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -84,5 +88,75 @@ func TestCorpusMirrorsEngine(t *testing.T) {
 				t.Fatalf("export %d msg %d diverged", i, j)
 			}
 		}
+	}
+}
+
+// TestExportFloor holds ExportFloor to its contract over random Add
+// sequences into small pools, where evictions, gain ties and floor
+// evictions are everyday events: it is the SyncSeeds-th highest gain
+// held; Export(SyncSeeds) picks nothing below it; and a seed that was
+// below the floor when it was added (one whose messages a lease record
+// leaves behind) is never picked for as long as the pool holds it.
+func TestExportFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 500; round++ {
+		c := NewCorpus(1 + rng.Intn(12))
+		behind := map[byte]bool{} // tags added below the floor
+		for n := 0; n < 80; n++ {
+			tag := byte(n)
+			slot := c.Add(seedOf(1+rng.Intn(4), tag))
+			if c.At(slot).Msgs[0][0] != tag {
+				t.Fatalf("round %d: Add returned index %d, which holds another seed", round, slot)
+			}
+			if c.At(slot).Gain < c.ExportFloor() {
+				behind[tag] = true
+			}
+			gains := make([]int, c.Len())
+			for i := range gains {
+				gains[i] = c.At(i).Gain
+			}
+			sort.Sort(sort.Reverse(sort.IntSlice(gains)))
+			want := 0
+			if len(gains) >= SyncSeeds {
+				want = gains[SyncSeeds-1]
+			}
+			if got := c.ExportFloor(); got != want {
+				t.Fatalf("round %d: floor %d over gains %v, want %d", round, got, gains, want)
+			}
+			for _, s := range c.Export(SyncSeeds) {
+				if s.Gain < want || behind[s.Msgs[0][0]] {
+					t.Fatalf("round %d: Export picked seed %d (gain %d), added below the floor or under floor %d", round, s.Msgs[0][0], s.Gain, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDigest pins the digest to its definition — CRC-32C over the
+// length-framed messages, and their byte total — and holds it to no
+// allocation: a worker takes one per new-edges step.
+func TestDigest(t *testing.T) {
+	s := Seed{Msgs: [][]byte{{0x10, 0x0c}, nil, {0x30, 0x02, 'a', 'b'}}}
+	var framed []byte
+	for _, m := range s.Msgs {
+		framed = binary.BigEndian.AppendUint32(framed, uint32(len(m)))
+		framed = append(framed, m...)
+	}
+	want := Digest{CRC: crc32.Checksum(framed, crc32.MakeTable(crc32.Castagnoli)), Size: 6}
+	if got := s.Digest(); got != want {
+		t.Fatalf("digest %v, want %v", got, want)
+	}
+	// Framing tells the message boundaries apart, and no messages from one
+	// empty message.
+	for _, other := range []Seed{{Msgs: [][]byte{{0x10}, {0x0c}, {0x30, 0x02, 'a', 'b'}}}, {Msgs: [][]byte{{}}}, {}} {
+		if other.Digest() == want {
+			t.Fatalf("%v digests like %v", other.Msgs, s.Msgs)
+		}
+	}
+	if (Seed{Msgs: [][]byte{{}}}).Digest() == (Seed{}).Digest() {
+		t.Fatal("one empty message digests like none")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Digest() }); n != 0 {
+		t.Fatalf("Digest allocates %v times, want 0", n)
 	}
 }

@@ -197,10 +197,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // LastSeed returns the most recent corpus addition. It is meaningful
-// only immediately after a Step that reported NewEdges > 0; the
-// distributed worker reads it there to ship the addition to the
-// coordinator's corpus mirror.
+// only immediately after a Step that reported NewEdges > 0; a lease
+// reads it there to record the addition for its source's corpus mirror.
 func (e *Engine) LastSeed() Seed { return e.lastSeed }
+
+// ExportFloor is the corpus's Corpus.ExportFloor. Read right after a
+// Step that added a seed, it tells whether a sync may ever export it.
+func (e *Engine) ExportFloor() int { return e.corpus.ExportFloor() }
 
 // Step executes one fuzzing iteration: build a message sequence
 // (structured generation or corpus havoc), run it, fold its coverage into
@@ -240,6 +243,9 @@ func (e *Engine) Step() StepResult {
 	}
 	return res
 }
+
+// Clone returns a copy of s whose messages share no memory with s's.
+func (s Seed) Clone() Seed { return Seed{Msgs: cloneMsgs(s.Msgs), Gain: s.Gain} }
 
 // cloneMsgs copies seq into one backing array; an empty message stays nil.
 func cloneMsgs(seq [][]byte) [][]byte {

@@ -143,8 +143,16 @@ func (in *Instance) Step() Step {
 type LeaseStep struct {
 	Step
 	// Seed is the corpus addition this step produced; zero unless
-	// NewEdges > 0.
-	Seed fuzz.Seed
+	// NewEdges > 0. Digest names it on the wire: a dist worker sets it
+	// just before encoding the record, and a record that never crosses
+	// the wire leaves it zero.
+	Seed   fuzz.Seed
+	Digest fuzz.Digest
+	// Ship reports that the seed's gain reached its corpus's export floor
+	// (fuzz.Corpus.ExportFloor) when it was added: a sync may export it,
+	// so its messages go with the record. A decoded record that does not
+	// ship holds no messages, and its source's mirror keeps the digest.
+	Ship bool
 	// Delta is the coverage no earlier record carried, encoded
 	// (coverage.EncodeDelta); empty unless NewEdges > 0.
 	Delta []byte
@@ -182,6 +190,7 @@ func (in *Instance) StepN(boundary, horizon float64) (syncDue bool) {
 		rec := &in.recs[len(in.recs)-1]
 		if rec.NewEdges > 0 {
 			rec.Seed = in.engine.LastSeed()
+			rec.Ship = rec.Seed.Gain >= in.engine.ExportFloor()
 			rec.Delta = in.delta()
 		}
 		if mutate && in.saturated() {

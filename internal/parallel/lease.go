@@ -22,7 +22,7 @@ type Replica struct {
 	// Mirror replays the instance's corpus — every new-edges record's seed
 	// and every sync import, in the engine's order — so its Export is the
 	// engine's at the loop's position.
-	Mirror  *fuzz.Corpus
+	Mirror  *Mirror
 	Pending []fuzz.Seed // seeds collected at sync, imported by the next lease
 	Batch   []LeaseStep // the lease being replayed, from Pos on
 	Pos     int
@@ -55,8 +55,9 @@ type Transport struct {
 // are. It is the only Source outside tests, for Run and the dist
 // coordinator alike. Its replay matches instances stepped one at a time:
 // records reach the loop in the order the instance produced them, each
-// delta was cut before any restart (StepN), and each mirror holds what
-// the instance's corpus holds at the loop's position.
+// delta was cut before any restart (StepN), and each mirror holds the
+// seeds the instance's corpus holds at the loop's position (digests, and
+// the messages of every seed a sync may export).
 type LeaseSource struct {
 	Inst  []Replica
 	Specs []InstanceSpec
@@ -97,7 +98,7 @@ func (s *LeaseSource) Boot(i int) (int, error) {
 	if _, err := s.loop.Union.ApplyDelta(rep.Delta); err != nil {
 		return 0, fmt.Errorf("parallel: instance %d: startup coverage: %w", i, err)
 	}
-	s.Inst[i] = Replica{Config: rep.Config, StartEdges: rep.StartEdges, Coverage: rep.StartEdges, Mirror: fuzz.NewCorpus(0)}
+	s.Inst[i] = Replica{Config: rep.Config, StartEdges: rep.StartEdges, Coverage: rep.StartEdges, Mirror: NewMirror()}
 	return rep.StartEdges, nil
 }
 
@@ -146,7 +147,7 @@ func (s *LeaseSource) Merge(i int, union *coverage.Map) error {
 		return fmt.Errorf("parallel: instance %d: coverage delta: %w", i, err)
 	}
 	in.Coverage += s.cur.NewEdges
-	in.Mirror.Add(s.cur.Seed)
+	in.Mirror.Add(s.cur.Seed, s.cur.Digest, s.cur.Ship)
 	return nil
 }
 
@@ -158,19 +159,23 @@ func (s *LeaseSource) Gauge(i int) Gauge {
 // Sync exports from every other instance's mirror at this loop position.
 // The seeds merge into i's mirror now and reach the instance with its
 // next lease, before it steps again (a horizon-crossing sync's never do:
-// it never steps again).
-func (s *LeaseSource) Sync(i int) int {
+// it never steps again). A mirror that cannot export, because a record
+// left out the messages of a seed that reached its export floor, fails
+// the campaign before any lease carries the sync's imports.
+func (s *LeaseSource) Sync(i int) (int, error) {
 	var all []fuzz.Seed
 	for j := range s.Inst {
 		if j != i {
-			all = append(all, s.Inst[j].Mirror.Export(4)...)
+			seeds, err := s.Inst[j].Mirror.Export(fuzz.SyncSeeds)
+			if err != nil {
+				return 0, fmt.Errorf("parallel: sync of instance %d: instance %d %w", i, j, err)
+			}
+			all = append(all, seeds...)
 		}
 	}
-	for _, seed := range all {
-		s.Inst[i].Mirror.Add(seed)
-	}
+	s.Inst[i].Mirror.Import(all)
 	s.Inst[i].Pending = all
-	return len(all)
+	return len(all), nil
 }
 
 // Saturated reports whether saturation fired on this step; the lease ran

@@ -59,9 +59,9 @@ type Source interface {
 	// Gauge reads instance i's live figures (at a saturation, and for
 	// every instance when the loop publishes the run's board entry).
 	Gauge(i int) Gauge
-	// Sync imports up to four of every other instance's best seeds into
-	// instance i, in index order, and reports how many.
-	Sync(i int) (imported int)
+	// Sync imports up to fuzz.SyncSeeds of every other instance's best
+	// seeds into instance i, in index order, and reports how many.
+	Sync(i int) (imported int, err error)
 	// Saturated reports whether instance i's coverage has gone flat
 	// (CMFuzz with configuration mutation on only).
 	Saturated(i int) bool
@@ -301,7 +301,11 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 		// Seed synchronization.
 		if t >= l.NextSync[i] {
 			sync := l.spans[i].Child("sync")
-			imported := l.src.Sync(i)
+			imported, err := l.src.Sync(i)
+			if err != nil {
+				sync.End()
+				return err
+			}
 			// Advance NextSync past the instance clock. One expensive
 			// step can jump several sync intervals at once; advancing by
 			// a single interval would leave NextSync behind the clock and

@@ -66,9 +66,9 @@ func (s *scriptSource) Gauge(i int) Gauge {
 	return Gauge{Edges: s.edges[i], Execs: s.pos[i], Mutations: s.muts[i]}
 }
 
-func (s *scriptSource) Sync(i int) int {
+func (s *scriptSource) Sync(i int) (int, error) {
 	s.syncs = append(s.syncs, i)
-	return 4 * (len(s.script) - 1)
+	return 4 * (len(s.script) - 1), nil
 }
 
 func (s *scriptSource) Saturated(i int) bool { return s.saturate != nil && s.saturate(i, s.pos[i]) }

@@ -60,7 +60,7 @@ func (s *serialSource) Gauge(i int) Gauge {
 	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: s.n[i].crashes, Mutations: s.n[i].muts, Corpus: st.CorpusSize}
 }
 
-func (s *serialSource) Sync(i int) int {
+func (s *serialSource) Sync(i int) (int, error) {
 	imported := 0
 	for j, other := range s.insts {
 		if j != i {
@@ -69,7 +69,7 @@ func (s *serialSource) Sync(i int) int {
 			s.insts[i].engine.ImportSeeds(seeds)
 		}
 	}
-	return imported
+	return imported, nil
 }
 
 func (s *serialSource) Saturated(i int) bool { return s.insts[i].saturated() }

@@ -20,6 +20,8 @@
 package subject
 
 import (
+	"sync"
+
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
@@ -97,15 +99,48 @@ type Subject interface {
 
 // Probe boots a throwaway instance under cfg and returns its startup
 // branch coverage — the relation-quantification oracle. Conflicting
-// configurations report 0.
+// configurations report 0. Its coverage trace is an earlier probe's,
+// reset: planning a campaign probes hundreds of configurations on as
+// many goroutines as it has probe workers, and an 8 KB map per probe
+// would be a tenth of what a campaign allocates.
 func Probe(s Subject, cfg map[string]string) int {
+	tr := probeTraces.get()
+	defer probeTraces.put(tr) // after Close: the instance may hold tr until then
 	inst := s.NewInstance()
 	defer inst.Close()
-	tr := coverage.NewTrace()
 	if err := inst.Start(cfg, tr); err != nil {
 		return 0
 	}
 	return tr.Count()
+}
+
+// probeTraces holds the traces of finished probes for the next ones: as
+// many as probes ever ran at once.
+var probeTraces traceStack
+
+type traceStack struct {
+	mu   sync.Mutex
+	free []*coverage.Trace
+}
+
+// get returns an empty trace.
+func (s *traceStack) get() *coverage.Trace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		tr := s.free[n-1]
+		s.free = s.free[:n-1]
+		return tr
+	}
+	return coverage.NewTrace()
+}
+
+// put resets tr and keeps it for a later get.
+func (s *traceStack) put(tr *coverage.Trace) {
+	tr.Reset()
+	s.mu.Lock()
+	s.free = append(s.free, tr)
+	s.mu.Unlock()
 }
 
 // Target adapts an instance to the fuzzing engine: each Run installs the

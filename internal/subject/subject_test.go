@@ -61,6 +61,23 @@ func TestProbeCountsStartupCoverage(t *testing.T) {
 	}
 }
 
+// TestProbeAllocs: a probe reuses a trace an earlier probe finished
+// with, reset, so once warm a probe of an instance that allocates
+// nothing allocates nothing, its 8 KB coverage map included; and each
+// probe counts only its own startup coverage.
+func TestProbeAllocs(t *testing.T) {
+	inst := &fakeInstance{startCov: 7}
+	sub := fakeSubject{inst: inst}
+	Probe(sub, nil)
+	if n := testing.AllocsPerRun(100, func() { Probe(sub, nil) }); n != 0 {
+		t.Fatalf("a warm probe allocates %v times, want 0", n)
+	}
+	inst.startCov = 3
+	if got := Probe(sub, nil); got != 3 {
+		t.Fatalf("probe after a 7-edge one = %d, want 3", got)
+	}
+}
+
 func TestProbeConflictIsZero(t *testing.T) {
 	sub := fakeSubject{inst: &fakeInstance{startCov: 7}}
 	if got := Probe(sub, map[string]string{"conflict": "true"}); got != 0 {
