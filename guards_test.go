@@ -1,12 +1,19 @@
 package cmfuzz_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -257,4 +264,319 @@ func TestDesignGuards(t *testing.T) {
 			t.Errorf("reassign called from %d functions, want 1: %v", len(from), from)
 		}
 	})
+
+	// Production code is what production runs: every function and
+	// method in non-test internal/... is reached from a main, an init, a
+	// package-level initializer or the cmfuzz facade's exported API —
+	// by a use of its name, or by an interface its reachable receiver
+	// satisfies. What only tests reach is deleted, or moved into the
+	// one package's test files that use it. testOnly names the few a
+	// production path several packages' tests drive traffic through.
+	t.Run("NoTestOnlyAPI", func(t *testing.T) {
+		testOnly := map[string]string{
+			"fuzz.(*DataModel).NewMessage": "the protocols' conformance, alloc, AMQP and CoAP tests build one message of a model",
+			"fuzz.(*Message).Serialize":    "the same tests put a built message on the wire",
+			"fuzz.(*StateModel).Walk":      "the same tests walk a state model to drive a session",
+			"coverage.(*Map).Indices":      "TestResponseDigests hashes each exec's covered cells; mqtt's tests compare two runs' cells",
+		}
+		m := loadModule(t)
+		live := m.reachable()
+		for _, fn := range m.funcs {
+			name := funcName(fn.obj)
+			if why, ok := testOnly[name]; ok {
+				delete(testOnly, name)
+				if live[fn.obj] {
+					t.Errorf("%s: %s is reached from production; drop its allowlist entry (%s)", m.pos(fn.decl), name, why)
+				}
+				continue
+			}
+			if !live[fn.obj] && strings.HasPrefix(fn.pkg, "internal/") && !fn.testing {
+				t.Errorf("%s: %s is reached only from tests", m.pos(fn.decl), name)
+			}
+		}
+		for name := range testOnly {
+			t.Errorf("allowlist entry %s names no function in non-test internal/...", name)
+		}
+	})
+}
+
+// A listedPackage is one entry of `go list -deps -export -json`.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	Standard                bool
+	GoFiles, Imports        []string
+}
+
+// A declaredFunc is one function or method declared in a module
+// package's non-test files.
+type declaredFunc struct {
+	obj     *types.Func
+	decl    *ast.FuncDecl
+	pkg     string // import path relative to the module ("" for the root)
+	testing bool   // its package imports testing
+}
+
+// A module is the module's non-test packages, type-checked from source
+// against the standard library's export data.
+type module struct {
+	fset      *token.FileSet
+	info      *types.Info
+	wd        string
+	vars      []ast.Node                        // package-level var declarations
+	entry     []types.Object                    // main, init and the root package's exported API
+	funcs     []declaredFunc                    // in declaration order
+	decls     map[*types.Func]*ast.FuncDecl     // every declared function
+	typeSpecs map[*types.TypeName]*ast.TypeSpec // every declared package-level type
+	std       types.Importer
+}
+
+// loadModule lists the module's packages and their dependencies with
+// `go list -deps -export`, imports the standard library from its export
+// data and type-checks the module's packages from source, in dependency
+// order, into one types.Info.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &module{
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		wd:        wd,
+		decls:     map[*types.Func]*ast.FuncDecl{},
+		typeSpecs: map[*types.TypeName]*ast.TypeSpec{},
+	}
+	exports := map[string]string{}
+	own := map[string]*types.Package{}
+	m.std = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := own[path]; p != nil {
+			return p, nil
+		}
+		return m.std.Import(path)
+	})}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		pkg, err := conf.Check(p.ImportPath, m.fset, files, m.info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		own[p.ImportPath] = pkg
+		m.add(p, pkg, files)
+	}
+	return m
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// add records one type-checked package's declarations and roots.
+func (m *module) add(p listedPackage, pkg *types.Package, files []*ast.File) {
+	rel, _ := filepath.Rel(m.wd, p.Dir)
+	rel = filepath.ToSlash(rel)
+	if rel == "." {
+		rel = ""
+		for _, name := range pkg.Scope().Names() {
+			if obj := pkg.Scope().Lookup(name); obj.Exported() {
+				m.entry = append(m.entry, obj)
+				if tn, ok := obj.(*types.TypeName); ok {
+					if named, ok := tn.Type().(*types.Named); ok {
+						for i := 0; i < named.NumMethods(); i++ {
+							if named.Method(i).Exported() {
+								m.entry = append(m.entry, named.Method(i))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	testing := false
+	for _, imp := range p.Imports {
+		testing = testing || imp == "testing"
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				fn := m.info.Defs[d.Name].(*types.Func)
+				m.decls[fn] = d
+				m.funcs = append(m.funcs, declaredFunc{fn, d, rel, testing})
+				if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && pkg.Name() == "main") {
+					m.entry = append(m.entry, fn)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						m.vars = append(m.vars, s)
+					case *ast.TypeSpec:
+						if tn, ok := m.info.Defs[s.Name].(*types.TypeName); ok {
+							m.typeSpecs[tn] = s
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// implicit are the interfaces the standard library calls methods
+// through without the module naming them.
+var implicit = [][2]string{
+	{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"encoding", "BinaryMarshaler"},
+	{"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"net/http", "Handler"}, {"sort", "Interface"}, {"flag", "Value"},
+}
+
+// reachable returns every function reached from the entry points and
+// the package-level var declarations: a use of its name in reached code
+// is an edge, and so is an interface of reached code (or one of
+// implicit) that a reached named type, or a pointer to it, implements
+// with it.
+func (m *module) reachable() map[*types.Func]bool {
+	live := map[*types.Func]bool{}
+	named := map[*types.TypeName]bool{}
+	var ifaces []*types.Interface
+	seen := map[*types.Interface]bool{}
+	queue := append([]ast.Node(nil), m.vars...)
+	iface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			ifaces = append(ifaces, it)
+		}
+	}
+	mark := func(obj types.Object) bool {
+		switch obj := obj.(type) {
+		case *types.Func:
+			obj = obj.Origin()
+			if live[obj] {
+				return false
+			}
+			live[obj] = true
+			if d := m.decls[obj]; d != nil {
+				queue = append(queue, d)
+			}
+			return true
+		case *types.TypeName:
+			if !named[obj] {
+				named[obj] = true
+				iface(obj.Type())
+				if s := m.typeSpecs[obj]; s != nil {
+					queue = append(queue, s)
+				}
+			}
+		}
+		return false
+	}
+	for _, obj := range m.entry {
+		mark(obj)
+	}
+	iface(types.Universe.Lookup("error").Type())
+	for _, pt := range implicit {
+		if pkg, err := m.std.Import(pt[0]); err == nil {
+			iface(pkg.Scope().Lookup(pt[1]).Type())
+		}
+	}
+	checked := map[*types.TypeName]int{} // how many of ifaces each named type was tried against
+	for changed := true; changed; {
+		for len(queue) > 0 {
+			n := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if obj := m.info.Uses[n]; obj != nil {
+						mark(obj)
+					}
+				case *ast.SelectorExpr:
+					if sel := m.info.Selections[n]; sel != nil && types.IsInterface(sel.Recv()) {
+						iface(sel.Recv())
+					}
+				case *ast.InterfaceType:
+					iface(m.info.TypeOf(n))
+				}
+				return true
+			})
+		}
+		changed = false
+		for tn := range named {
+			if m.typeSpecs[tn] == nil || types.IsInterface(tn.Type()) || tn.Type().(*types.Named).TypeParams() != nil {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			for _, it := range ifaces[checked[tn]:] {
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					obj, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
+					changed = mark(obj) || changed
+				}
+			}
+			checked[tn] = len(ifaces)
+		}
+	}
+	return live
+}
+
+// pos is n's position as path:line, the path relative to the module.
+func (m *module) pos(n ast.Node) string {
+	p := m.fset.Position(n.Pos())
+	rel, err := filepath.Rel(m.wd, p.Filename)
+	if err != nil {
+		rel = p.Filename
+	}
+	return filepath.ToSlash(rel) + ":" + strconv.Itoa(p.Line)
+}
+
+// funcName spells fn as Go documentation does: pkg.F, pkg.T.M or
+// pkg.(*T).M.
+func funcName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	t, ptr := recv.Type(), false
+	if p, ok := t.(*types.Pointer); ok {
+		t, ptr = p.Elem(), true
+	}
+	name := t.(*types.Named).Obj().Name()
+	if ptr {
+		name = "(*" + name + ")"
+	}
+	return fn.Pkg().Name() + "." + name + "." + fn.Name()
 }

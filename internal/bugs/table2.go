@@ -39,14 +39,3 @@ func LookupKnown(c *Crash) (Known, bool) {
 	}
 	return Known{}, false
 }
-
-// KnownByProtocol returns the Table II rows for one protocol.
-func KnownByProtocol(protocol string) []Known {
-	var out []Known
-	for _, k := range Table2 {
-		if k.Protocol == protocol {
-			out = append(out, k)
-		}
-	}
-	return out
-}

@@ -1,12 +1,6 @@
 package campaign
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-
-	"cmfuzz/internal/coverage"
-)
+import "encoding/json"
 
 // Export bundles one evaluation's artifacts in a machine-readable form,
 // so external tooling (plotting scripts, CI dashboards) can consume the
@@ -52,48 +46,4 @@ func NewTable2Export(rows []Table2Row) []Table2Export {
 // JSON renders the export with indentation.
 func (e *Export) JSON() ([]byte, error) {
 	return json.MarshalIndent(e, "", "  ")
-}
-
-// Table1CSV renders Table I as CSV (header + one row per subject).
-func Table1CSV(rows []Table1Row) string {
-	var b strings.Builder
-	b.WriteString("subject,cmfuzz,peach,improv_peach_pct,speedup_peach,spfuzz,improv_spfuzz_pct,speedup_spfuzz\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%d,%d,%.1f,%.1f,%d,%.1f,%.1f\n",
-			r.Subject, r.CMFuzz, r.Peach, r.ImprovPeach, r.SpeedupPeach,
-			r.SPFuzz, r.ImprovSPFuzz, r.SpeedupSPFuzz)
-	}
-	return b.String()
-}
-
-// Figure4CSV renders one subject's curves as CSV: time_hours followed by
-// one column per fuzzer.
-func Figure4CSV(f *Figure4Series) string {
-	var b strings.Builder
-	b.WriteString("time_hours,cmfuzz,peach,spfuzz\n")
-	curves := [3][]coverage.Point{f.Points["CMFuzz"], f.Points["Peach"], f.Points["SPFuzz"]}
-	n := 0
-	for _, c := range curves {
-		if len(c) > n {
-			n = len(c)
-		}
-	}
-	at := func(c []coverage.Point, i int) int {
-		if i < len(c) {
-			return c[i].Count
-		}
-		return 0
-	}
-	tAt := func(i int) float64 {
-		for _, c := range curves {
-			if i < len(c) {
-				return c[i].T / 3600
-			}
-		}
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%.2f,%d,%d,%d\n", tAt(i), at(curves[0], i), at(curves[1], i), at(curves[2], i))
-	}
-	return b.String()
 }

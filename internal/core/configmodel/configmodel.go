@@ -12,7 +12,6 @@
 package configmodel
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,15 +59,13 @@ func (f Flag) String() string {
 }
 
 // An Entity is one 4-tuple of the generalized configuration model,
-// carrying the attributes of Figure 2 plus provenance.
+// carrying the attributes of Figure 2 and the default value.
 type Entity struct {
 	Name    string
 	Type    Type
 	Flag    Flag
 	Values  []string
 	Default string
-	Source  configspec.Source
-	Doc     string
 }
 
 // boolWords are the value spellings treated as boolean-like.
@@ -86,8 +83,6 @@ func FromItem(it configspec.Item) Entity {
 	e := Entity{
 		Name:    it.Name,
 		Default: it.Default,
-		Source:  it.Source,
-		Doc:     it.Doc,
 	}
 	e.Type = inferType(it)
 	e.Flag = inferFlag(e.Type, it)
@@ -110,17 +105,13 @@ func NewModel(entities []Entity) *Model {
 }
 
 // Build constructs the generalized configuration model from a consolidated
-// item set.
+// item set, inferring each entity with FromItem.
 func Build(items []configspec.Item) *Model {
-	m := &Model{index: make(map[string]int, len(items))}
-	for _, it := range items {
-		if _, dup := m.index[it.Name]; dup {
-			continue
-		}
-		m.index[it.Name] = len(m.entities)
-		m.entities = append(m.entities, FromItem(it))
+	entities := make([]Entity, len(items))
+	for i, it := range items {
+		entities[i] = FromItem(it)
 	}
-	return m
+	return NewModel(entities)
 }
 
 // inferType classifies the item from its value patterns.
@@ -288,15 +279,6 @@ func (m *Model) Get(name string) (Entity, bool) {
 	return m.entities[i], true
 }
 
-// Names returns all entity names in extraction order.
-func (m *Model) Names() []string {
-	out := make([]string, len(m.entities))
-	for i, e := range m.entities {
-		out[i] = e.Name
-	}
-	return out
-}
-
 // Mutable returns the entities whose Flag permits runtime mutation.
 func (m *Model) Mutable() []Entity {
 	var out []Entity
@@ -381,19 +363,4 @@ func RenderCLI(a Assignment) []string {
 		}
 	}
 	return out
-}
-
-// RenderKeyValue reassembles an assignment into key-value config file
-// text, in sorted order for determinism.
-func RenderKeyValue(a Assignment) string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%s\n", k, a[k])
-	}
-	return b.String()
 }

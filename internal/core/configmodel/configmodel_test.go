@@ -1,6 +1,7 @@
 package configmodel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,8 +126,8 @@ func TestBuildModel(t *testing.T) {
 	if _, ok := m.Get("nope"); ok {
 		t.Fatal("Get(nope) succeeded")
 	}
-	if got := m.Names(); got[0] != "port" || got[1] != "persistence" {
-		t.Fatalf("Names = %v", got)
+	if got := m.Entities(); got[0].Name != "port" || got[1].Name != "persistence" {
+		t.Fatalf("Entities = %+v", got)
 	}
 	mut := m.Mutable()
 	if len(mut) != 2 {
@@ -177,15 +178,8 @@ func TestRenderCLI(t *testing.T) {
 	}
 }
 
-func TestRenderKeyValue(t *testing.T) {
-	text := RenderKeyValue(Assignment{"b": "2", "a": "1"})
-	if text != "a=1\nb=2\n" {
-		t.Fatalf("RenderKeyValue = %q", text)
-	}
-}
-
-// Property: rendering then re-extracting a key-value assignment recovers
-// every binding — the reassembly round trip instances rely on.
+// Property: rendering a key-value assignment as key=value lines and
+// re-extracting it recovers every binding.
 func TestQuickRenderExtractRoundTrip(t *testing.T) {
 	f := func(keys []string, vals []string) bool {
 		a := Assignment{}
@@ -200,7 +194,11 @@ func TestQuickRenderExtractRoundTrip(t *testing.T) {
 			}
 			a[k] = v
 		}
-		items := configspec.ExtractKeyValue(RenderKeyValue(a))
+		var text strings.Builder
+		for k, v := range a {
+			fmt.Fprintf(&text, "%s=%s\n", k, v)
+		}
+		items := configspec.ExtractKeyValue(text.String())
 		got := map[string]string{}
 		for _, it := range items {
 			got[it.Name] = it.Default

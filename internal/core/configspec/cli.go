@@ -30,10 +30,7 @@ func ExtractCLIOptions(help string) []Item {
 				continue
 			}
 			seen[name] = true
-			it := Item{Name: name, Source: SourceCLI, Doc: strings.TrimSpace(m[4])}
-			if m[1] != "" {
-				it.Doc = strings.TrimSpace("alias -" + m[1] + "; " + it.Doc)
-			}
+			it := Item{Name: name, Source: SourceCLI}
 			fillFromDescription(&it, m[3], line)
 			items = append(items, it)
 			continue
@@ -44,7 +41,7 @@ func ExtractCLIOptions(help string) []Item {
 				continue
 			}
 			seen[name] = true
-			it := Item{Name: name, Source: SourceCLI, Doc: strings.TrimSpace(m[3])}
+			it := Item{Name: name, Source: SourceCLI}
 			fillFromDescription(&it, m[2], line)
 			items = append(items, it)
 		}
@@ -78,42 +75,4 @@ func fillFromDescription(it *Item, placeholder, line string) {
 		it.Values = []string{"true", "false"}
 		it.Default = "false"
 	}
-}
-
-// ParseArgv extracts items from a concrete argument vector, the other CLI
-// configuration shape the paper mentions (`--option=value` / `-flag`).
-func ParseArgv(argv []string) []Item {
-	var items []Item
-	for i := 0; i < len(argv); i++ {
-		arg := argv[i]
-		switch {
-		case strings.HasPrefix(arg, "--"):
-			name, val, ok := strings.Cut(arg[2:], "=")
-			if name == "" {
-				continue
-			}
-			it := Item{Name: name, Source: SourceCLI}
-			if ok {
-				it.Default = val
-			} else if i+1 < len(argv) && !strings.HasPrefix(argv[i+1], "-") {
-				it.Default = argv[i+1]
-				i++
-			} else {
-				it.Default = "true"
-				it.Values = []string{"true", "false"}
-			}
-			items = append(items, it)
-		case strings.HasPrefix(arg, "-") && len(arg) > 1:
-			it := Item{Name: arg[1:], Source: SourceCLI}
-			if i+1 < len(argv) && !strings.HasPrefix(argv[i+1], "-") {
-				it.Default = argv[i+1]
-				i++
-			} else {
-				it.Default = "true"
-				it.Values = []string{"true", "false"}
-			}
-			items = append(items, it)
-		}
-	}
-	return items
 }

@@ -52,7 +52,6 @@ type Item struct {
 	Default string
 	Values  []string
 	Source  Source
-	Doc     string
 }
 
 // A File is one configuration file input to extraction.
@@ -117,9 +116,6 @@ func Consolidate(items []Item) []Item {
 		case it.Default != "" && it.Default != cur.Default:
 			// A conflicting default from another source is a candidate value.
 			cur.Values = append(cur.Values, it.Default)
-		}
-		if cur.Doc == "" {
-			cur.Doc = it.Doc
 		}
 		cur.Values = dedupStrings(append(cur.Values, it.Values...))
 	}

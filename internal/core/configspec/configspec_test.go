@@ -90,29 +90,6 @@ func TestExtractCLIOptions(t *testing.T) {
 	}
 }
 
-func TestParseArgv(t *testing.T) {
-	items := ParseArgv([]string{"--port=5683", "--verbose", "-k", "60", "--psk", "secret", "-d"})
-	byName := map[string]Item{}
-	for _, it := range items {
-		byName[it.Name] = it
-	}
-	if byName["port"].Default != "5683" {
-		t.Errorf("port = %+v", byName["port"])
-	}
-	if byName["verbose"].Default != "true" {
-		t.Errorf("verbose = %+v", byName["verbose"])
-	}
-	if byName["k"].Default != "60" {
-		t.Errorf("k = %+v", byName["k"])
-	}
-	if byName["psk"].Default != "secret" {
-		t.Errorf("psk = %+v", byName["psk"])
-	}
-	if byName["d"].Default != "true" {
-		t.Errorf("d = %+v", byName["d"])
-	}
-}
-
 func TestDetectFormat(t *testing.T) {
 	cases := []struct {
 		name    string

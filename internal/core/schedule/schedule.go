@@ -142,46 +142,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// IntraWeight sums the relation weights of edges whose endpoints share a
-// group; InterWeight sums those crossing groups. Together they quantify
-// allocation quality (Algorithm 2 maximizes intra, minimizes inter).
-func IntraWeight(g *graph.Graph, groups []Group) float64 {
-	idx := groupIndex(groups)
-	sum := 0.0
-	for _, e := range g.Edges() {
-		if gi, ok := idx[e.A]; ok {
-			if gj, ok2 := idx[e.B]; ok2 && gi == gj {
-				sum += e.Weight
-			}
-		}
-	}
-	return sum
-}
-
-// InterWeight sums relation weights crossing group boundaries.
-func InterWeight(g *graph.Graph, groups []Group) float64 {
-	idx := groupIndex(groups)
-	sum := 0.0
-	for _, e := range g.Edges() {
-		gi, ok := idx[e.A]
-		gj, ok2 := idx[e.B]
-		if ok && ok2 && gi != gj {
-			sum += e.Weight
-		}
-	}
-	return sum
-}
-
-func groupIndex(groups []Group) map[string]int {
-	idx := make(map[string]int)
-	for i, g := range groups {
-		for _, m := range g.Members {
-			idx[m] = i
-		}
-	}
-	return idx
-}
-
 // GroupAssignment reassembles one group back into a runtime-ready
 // configuration (paper §III-B2): it starts from the model defaults and
 // applies each in-group pair's best-scoring value combination in

@@ -74,11 +74,6 @@ func (m *Map) Add(idx Index) bool {
 	return true
 }
 
-// Has reports whether the edge cell idx is covered.
-func (m *Map) Has(idx Index) bool {
-	return m.bits[idx/64]&(1<<(idx%64)) != 0
-}
-
 // Count returns the number of covered edges — the "branches covered"
 // metric used by every table and figure.
 func (m *Map) Count() int { return m.count }
@@ -125,12 +120,6 @@ func (m *Map) NewOver(base *Map) int {
 		}
 	}
 	return n
-}
-
-// Clone returns an independent copy of m.
-func (m *Map) Clone() *Map {
-	c := *m
-	return &c
 }
 
 // Reset clears all covered edges. Only words recorded dirty in the

@@ -6,6 +6,17 @@ import (
 	"testing/quick"
 )
 
+// Has reports whether the edge cell idx is covered.
+func (m *Map) Has(idx Index) bool {
+	return m.bits[idx/64]&(1<<(idx%64)) != 0
+}
+
+// Clone returns an independent copy of m.
+func (m *Map) Clone() *Map {
+	c := *m
+	return &c
+}
+
 func TestMapAddAndCount(t *testing.T) {
 	m := NewMap()
 	if m.Count() != 0 {
@@ -229,18 +240,19 @@ func TestQuickCountMatchesIndices(t *testing.T) {
 
 func TestSeriesBasics(t *testing.T) {
 	var s Series
-	if s.Final() != 0 || s.At(100) != 0 {
+	if len(s.Points()) != 0 || s.At(100) != 0 {
 		t.Fatal("empty series not zero")
 	}
 	s.Observe(0, 10)
 	s.Observe(5, 10) // collapsed: no growth
 	s.Observe(10, 25)
 	s.Observe(20, 40)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (flat sample collapsed)", s.Len())
+	pts := s.Points()
+	if len(pts) != 3 {
+		t.Fatalf("len = %d, want 3 (flat sample collapsed)", len(pts))
 	}
-	if s.Final() != 40 {
-		t.Fatalf("final = %d, want 40", s.Final())
+	if pts[2].Count != 40 {
+		t.Fatalf("final = %d, want 40", pts[2].Count)
 	}
 	cases := []struct {
 		t    float64
@@ -271,11 +283,13 @@ func TestSeriesTimeToReach(t *testing.T) {
 	}
 }
 
+// TestSeriesSample: one series averaged alone is that series resampled
+// at evenly spaced times across the horizon, both ends included.
 func TestSeriesSample(t *testing.T) {
 	var s Series
 	s.Observe(0, 1)
 	s.Observe(50, 2)
-	pts := s.Sample(100, 3)
+	pts := MeanOf([]*Series{&s}, 100, 3)
 	if len(pts) != 3 {
 		t.Fatalf("len = %d", len(pts))
 	}
@@ -328,7 +342,7 @@ func TestQuickSeriesMonotone(t *testing.T) {
 }
 
 func TestSaturation(t *testing.T) {
-	s := NewSaturation(10)
+	s := &Saturation{Window: 10}
 	if s.Saturated(0) {
 		t.Fatal("unstarted detector saturated")
 	}

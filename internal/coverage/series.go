@@ -26,20 +26,9 @@ func (s *Series) Observe(t float64, count int) {
 	s.pts = append(s.pts, Point{T: t, Count: count})
 }
 
-// Len returns the number of retained samples.
-func (s *Series) Len() int { return len(s.pts) }
-
 // Points returns the retained samples in time order. The returned slice
 // aliases internal storage and must not be modified.
 func (s *Series) Points() []Point { return s.pts }
-
-// Final returns the last observed count, or 0 for an empty series.
-func (s *Series) Final() int {
-	if len(s.pts) == 0 {
-		return 0
-	}
-	return s.pts[len(s.pts)-1].Count
-}
 
 // At returns the coverage in effect at virtual time t (step semantics:
 // the count of the latest sample with T <= t). It returns 0 before the
@@ -64,17 +53,6 @@ func (s *Series) TimeToReach(count int) (float64, bool) {
 		return 0, false
 	}
 	return s.pts[i].T, true
-}
-
-// Sample returns the series resampled at n evenly spaced times across
-// [0, horizon], suitable for plotting Figure 4 curves. n must be >= 2.
-func (s *Series) Sample(horizon float64, n int) []Point {
-	out := make([]Point, n)
-	for i := range out {
-		t := horizon * float64(i) / float64(n-1)
-		out[i] = Point{T: t, Count: s.At(t)}
-	}
-	return out
 }
 
 // MeanOf averages several series point-wise at n evenly spaced times across
@@ -116,11 +94,6 @@ type Saturation struct {
 	lastGain  float64
 	lastCount int
 	started   bool
-}
-
-// NewSaturation returns a detector with the given flat-coverage window.
-func NewSaturation(window float64) *Saturation {
-	return &Saturation{Window: window}
 }
 
 // Observe feeds the current virtual time and cumulative coverage count.

@@ -58,10 +58,10 @@ func TestSeriesTimeToReachBoundaries(t *testing.T) {
 	if tt, ok := s.TimeToReach(8); !ok || tt != 30 {
 		t.Fatalf("TimeToReach(between counts) = %v,%v, want 30,true", tt, ok)
 	}
-	if tt, ok := s.TimeToReach(s.Final()); !ok || tt != 30 {
-		t.Fatalf("TimeToReach(Final) = %v,%v, want 30,true", tt, ok)
+	if tt, ok := s.TimeToReach(12); !ok || tt != 30 {
+		t.Fatalf("TimeToReach(final count) = %v,%v, want 30,true", tt, ok)
 	}
-	if _, ok := s.TimeToReach(s.Final() + 1); ok {
+	if _, ok := s.TimeToReach(13); ok {
 		t.Fatal("count beyond Final reported reached")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // them at once, each reply routed back by its request id.
 //
 // Workers can additionally be leased out as disjoint Partitions
-// (Acquire/Release), which is how the concurrent fleet scheduler
+// (AcquirePreferring/Release), which is how the concurrent fleet scheduler
 // gives each campaign its own slice of the fleet: a coordinator
 // handed a partition drives only those connections, so campaigns
 // sharing the pool never contend for the same worker.
@@ -112,19 +112,14 @@ type Partition struct {
 	workers []*workerConn
 }
 
-// Acquire leases up to n free live workers, in deterministic attach
-// order, removing them from the free set. It returns nil when no free
-// live worker exists (the caller's scheduling round has no capacity
-// for another partition); a short partition — fewer than n — is
-// returned when the free set is smaller than asked.
-func (p *Pool) Acquire(n int) *Partition {
-	return p.AcquirePreferring(n, nil)
-}
-
-// AcquirePreferring is Acquire with partition affinity: free live
-// workers named in prefer are leased first (in attach order among
-// themselves), and only then is the remainder filled from the rest of
-// the free set in attach order. A campaign that parks and re-acquires
+// AcquirePreferring leases up to n free live workers, removing them
+// from the free set. It returns nil when no free live worker exists
+// (the caller's scheduling round has no capacity for another
+// partition); a short partition — fewer than n — is returned when the
+// free set is smaller than asked. It leases with partition affinity:
+// free live workers named in prefer first (in attach order among
+// themselves), and only then the remainder from the rest of the free
+// set in deterministic attach order. A campaign that parks and re-acquires
 // lands back on the machines it ran on before whenever they are still
 // free. Nothing of the campaign survives a park on the worker itself —
 // Coordinator.Close releases its instances — so what the preference
@@ -219,14 +214,6 @@ func (pt *Partition) Release() {
 	}
 	pt.pool.mu.Unlock()
 	pt.workers = nil
-}
-
-// Size reports the partition's member count, dead or alive.
-func (pt *Partition) Size() int {
-	if pt == nil {
-		return 0
-	}
-	return len(pt.workers)
 }
 
 // Live reports how many members are still alive — the capacity the

@@ -42,18 +42,18 @@ func TestPartitionAcquireRelease(t *testing.T) {
 
 	// Acquisition follows attach order and removes members from the
 	// free set.
-	a := p.Acquire(2)
-	if a.Size() != 2 || a.workers[0] != ws[0] || a.workers[1] != ws[1] {
+	a := p.AcquirePreferring(2, nil)
+	if len(a.workers) != 2 || a.workers[0] != ws[0] || a.workers[1] != ws[1] {
 		t.Fatalf("first Acquire(2) = %v, want [w0 w1]", a.Names())
 	}
-	b := p.Acquire(2)
-	if b.Size() != 2 || b.workers[0] != ws[2] || b.workers[1] != ws[3] {
+	b := p.AcquirePreferring(2, nil)
+	if len(b.workers) != 2 || b.workers[0] != ws[2] || b.workers[1] != ws[3] {
 		t.Fatalf("second Acquire(2) = %v, want [w2 w3]", b.Names())
 	}
 	if got := p.FreeLive(); got != 0 {
 		t.Fatalf("FreeLive after leasing all = %d, want 0", got)
 	}
-	if pt := p.Acquire(1); pt != nil {
+	if pt := p.AcquirePreferring(1, nil); pt != nil {
 		t.Fatalf("Acquire on exhausted pool = %v, want nil", pt.Names())
 	}
 
@@ -64,16 +64,16 @@ func TestPartitionAcquireRelease(t *testing.T) {
 	if got := p.FreeLive(); got != 2 {
 		t.Fatalf("FreeLive after release = %d, want 2", got)
 	}
-	c := p.Acquire(3)
-	if c.Size() != 2 || c.workers[0] != ws[0] || c.workers[1] != ws[1] {
-		t.Fatalf("Acquire(3) after release = %v (size %d), want short grant [w0 w1]", c.Names(), c.Size())
+	c := p.AcquirePreferring(3, nil)
+	if len(c.workers) != 2 || c.workers[0] != ws[0] || c.workers[1] != ws[1] {
+		t.Fatalf("Acquire(3) after release = %v (size %d), want short grant [w0 w1]", c.Names(), len(c.workers))
 	}
 
 	// A dead member shrinks the partition's live view but stays a
 	// member; once released it never comes back.
 	ws[0].dead.Store(true)
-	if c.Size() != 2 || c.Live() != 1 {
-		t.Fatalf("Size/Live after death = %d/%d, want 2/1", c.Size(), c.Live())
+	if len(c.workers) != 2 || c.Live() != 1 {
+		t.Fatalf("Size/Live after death = %d/%d, want 2/1", len(c.workers), c.Live())
 	}
 	if names := c.Names(); len(names) != 1 || names[0] != "w1" {
 		t.Fatalf("Names after death = %v, want [w1]", names)
@@ -84,8 +84,8 @@ func TestPartitionAcquireRelease(t *testing.T) {
 	if got := p.FreeLive(); got != 3 {
 		t.Fatalf("FreeLive with one dead worker = %d, want 3", got)
 	}
-	d := p.Acquire(4)
-	if d.Size() != 3 || d.workers[0] != ws[1] {
+	d := p.AcquirePreferring(4, nil)
+	if len(d.workers) != 3 || d.workers[0] != ws[1] {
 		t.Fatalf("Acquire(4) skipping the dead worker = %v, want [w1 w2 w3]", d.Names())
 	}
 	d.Release()
@@ -97,9 +97,9 @@ func TestPartitionAcquireRelease(t *testing.T) {
 func TestElasticAdmission(t *testing.T) {
 	p := NewPool(Config{HeartbeatInterval: -1})
 	addPipeWorker(t, p, "early")
-	pt := p.Acquire(1)
-	if pt.Size() != 1 {
-		t.Fatalf("Acquire(1) = %d workers, want 1", pt.Size())
+	pt := p.AcquirePreferring(1, nil)
+	if len(pt.workers) != 1 {
+		t.Fatalf("Acquire(1) = %d workers, want 1", len(pt.workers))
 	}
 	if got := p.FreeLive(); got != 0 {
 		t.Fatalf("FreeLive = %d, want 0", got)
@@ -111,8 +111,8 @@ func TestElasticAdmission(t *testing.T) {
 	if got := p.FreeLive(); got != 1 {
 		t.Fatalf("FreeLive after late join = %d, want 1", got)
 	}
-	pt2 := p.Acquire(1)
-	if pt2.Size() != 1 || pt2.workers[0] != late {
+	pt2 := p.AcquirePreferring(1, nil)
+	if len(pt2.workers) != 1 || pt2.workers[0] != late {
 		t.Fatalf("Acquire after late join = %v, want [late]", pt2.Names())
 	}
 	pt.Release()
@@ -143,7 +143,7 @@ func TestAcquirePreferring(t *testing.T) {
 	// Preference jumps the attach order: w2 and w3 come first, then
 	// the remainder fills from the front.
 	a := p.AcquirePreferring(3, []string{"w2", "w3"})
-	if a.Size() != 3 || a.workers[0] != ws[2] || a.workers[1] != ws[3] || a.workers[2] != ws[0] {
+	if len(a.workers) != 3 || a.workers[0] != ws[2] || a.workers[1] != ws[3] || a.workers[2] != ws[0] {
 		t.Fatalf("AcquirePreferring(3, [w2 w3]) = %v, want [w2 w3 w0]", a.Names())
 	}
 	a.Release()
@@ -156,7 +156,7 @@ func TestAcquirePreferring(t *testing.T) {
 		t.Fatalf("plain acquire = %v, want [w0 w1]", other.Names())
 	}
 	b := p.AcquirePreferring(2, []string{"w2", "w3"})
-	if b.Size() != 2 || b.workers[0] != ws[2] || b.workers[1] != ws[3] {
+	if len(b.workers) != 2 || b.workers[0] != ws[2] || b.workers[1] != ws[3] {
 		t.Fatalf("re-grant = %v, want previous set [w2 w3]", b.Names())
 	}
 	other.Release()
@@ -170,7 +170,7 @@ func TestAcquirePreferring(t *testing.T) {
 		t.Fatalf("hold = %v, want [w3]", hold.Names())
 	}
 	c := p.AcquirePreferring(2, []string{"w2", "w3"})
-	if c.Size() != 2 || c.workers[0] != ws[0] || c.workers[1] != ws[1] {
+	if len(c.workers) != 2 || c.workers[0] != ws[0] || c.workers[1] != ws[1] {
 		t.Fatalf("grant with dead+leased preferences = %v, want [w0 w1]", c.Names())
 	}
 	hold.Release()
@@ -192,13 +192,13 @@ func TestAcquireExact(t *testing.T) {
 	c := &Coordinator{workers: []*workerConn{ws[1], ws[3]}, inst: []replica{{owner: ws[1]}, {owner: ws[3]}}}
 
 	pt, miss := p.AcquireExact(c)
-	if pt == nil || miss != "" || pt.Size() != 2 || pt.workers[0] != ws[1] || pt.workers[1] != ws[3] {
+	if pt == nil || miss != "" || len(pt.workers) != 2 || pt.workers[0] != ws[1] || pt.workers[1] != ws[3] {
 		t.Fatalf("AcquireExact with the set free = %v, %q; want [w1 w3]", pt.Names(), miss)
 	}
 	if got := p.FreeLive(); got != 2 {
 		t.Fatalf("FreeLive after a hit = %d, want 2", got)
 	}
-	if other := p.Acquire(4); other.Size() != 2 || other.workers[0] != ws[0] || other.workers[1] != ws[2] {
+	if other := p.AcquirePreferring(4, nil); len(other.workers) != 2 || other.workers[0] != ws[0] || other.workers[1] != ws[2] {
 		t.Fatalf("Acquire beside the exact partition = %v, want [w0 w2]", other.Names())
 	} else {
 		other.Release()
@@ -233,7 +233,7 @@ func TestAcquireExact(t *testing.T) {
 	// death is absorbed: it continues on the live members alone.
 	c.inst[0].owner = ws[3]
 	pt, miss = p.AcquireExact(c)
-	if pt == nil || miss != "" || pt.Size() != 1 || pt.workers[0] != ws[3] {
+	if pt == nil || miss != "" || len(pt.workers) != 1 || pt.workers[0] != ws[3] {
 		t.Fatalf("AcquireExact after an absorbed death = %v, %q; want [w3]", pt.Names(), miss)
 	}
 	pt.Release()

@@ -127,9 +127,18 @@ func buildPromotion(t *testing.T) *promotion {
 	return p
 }
 
+// syncExport returns the seeds a sync exports from c, in c.Top's order.
+func syncExport(c *fuzz.Corpus) []fuzz.Seed {
+	var out []fuzz.Seed
+	for _, k := range c.Top(fuzz.SyncSeeds) {
+		out = append(out, c.At(k))
+	}
+	return out
+}
+
 // exported reports whether c's sync export picks the seed with digest d.
 func exported(c *fuzz.Corpus, d fuzz.Digest) bool {
-	for _, s := range c.Export(fuzz.SyncSeeds) {
+	for _, s := range syncExport(c) {
 		if s.Digest() == d {
 			return true
 		}
@@ -185,7 +194,7 @@ func TestPromotionShipsTiedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p.engine.Export(fuzz.SyncSeeds)
+	want := syncExport(p.engine)
 	if len(got) != len(want) {
 		t.Fatalf("the mirror exports %d seeds, the instance %d", len(got), len(want))
 	}

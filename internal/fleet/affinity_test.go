@@ -48,8 +48,8 @@ func TestReleaseRecordsAffinity(t *testing.T) {
 	// With w0/w1 held elsewhere, c1's first grant is w2/w3 — a set the
 	// plain attach-order acquisition would never choose once w0/w1
 	// free up again.
-	interloper := pool.Acquire(2)
-	c.part = pool.Acquire(2)
+	interloper := pool.AcquirePreferring(2, nil)
+	c.part = pool.AcquirePreferring(2, nil)
 	if got := c.part.Names(); !reflect.DeepEqual(got, []string{"w2", "w3"}) {
 		t.Fatalf("initial grant = %v, want [w2 w3]", got)
 	}

@@ -1,5 +1,7 @@
 package fleet
 
+import "context"
+
 // Test-only views of scheduler state for the external test package.
 // Call them from the goroutine that drives Step, between rounds.
 
@@ -35,4 +37,17 @@ func (m *Manager) Rounds() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.round
+}
+
+// Drain steps until every campaign is done or failed.
+func (m *Manager) Drain(ctx context.Context) error {
+	for {
+		ok, err := m.Step(ctx)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+	}
 }

@@ -1047,19 +1047,6 @@ func (m *Manager) held() []*campaignRec {
 	return out
 }
 
-// Drain steps until every campaign is done or failed.
-func (m *Manager) Drain(ctx context.Context) error {
-	for {
-		ok, err := m.Step(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-}
-
 // Run is the serve-mode main loop: slice runnable campaigns, sleep on
 // the condition variable while the table is empty or complete, wake on
 // Submit. On context cancellation every running campaign is parked

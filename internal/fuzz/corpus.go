@@ -87,7 +87,7 @@ func (c *Corpus) rank(gain int) {
 }
 
 // ExportFloor is the SyncSeeds-th highest gain held (0 while the pool
-// holds fewer seeds). Export(SyncSeeds) never picks a seed of lower
+// holds fewer seeds). Top(SyncSeeds) never picks a seed of lower
 // gain, however its ties fall, and a seed below the floor stays below
 // it for as long as the pool holds it: adding seeds only raises the
 // floor, except by evicting a seed at the floor, and then the pool
@@ -95,20 +95,6 @@ func (c *Corpus) rank(gain int) {
 // of every seed that reached the floor when it was added (and of every
 // seed it imported) can serve every sync, whatever the sync imports.
 func (c *Corpus) ExportFloor() int { return c.best[len(c.best)-1] }
-
-// Export returns up to max of the highest-gain seeds (the AFL/Peach
-// parallel-mode synchronization mechanism), in Top's order.
-func (c *Corpus) Export(max int) []Seed {
-	idx := c.Top(max)
-	if idx == nil {
-		return nil
-	}
-	out := make([]Seed, len(idx))
-	for i, j := range idx {
-		out[i] = c.seeds[j]
-	}
-	return out
-}
 
 // Top returns the indices of up to max of the highest-gain seeds,
 // highest first. Ties keep the lower index at each pick (strict >

@@ -38,13 +38,23 @@ func TestCorpusAddEvictsWeakest(t *testing.T) {
 	}
 }
 
+// topSeeds returns the seeds c.Top(max) picks, in its order: what a sync
+// exports.
+func topSeeds(c *Corpus, max int) []Seed {
+	var out []Seed
+	for _, k := range c.Top(max) {
+		out = append(out, c.At(k))
+	}
+	return out
+}
+
 func TestCorpusExportOrderDeterministic(t *testing.T) {
 	c := NewCorpus(0) // DefaultMaxCorpus
 	c.Add(seedOf(2, 'a'))
 	c.Add(seedOf(7, 'b'))
 	c.Add(seedOf(7, 'c'))
 	c.Add(seedOf(4, 'd'))
-	got := c.Export(3)
+	got := topSeeds(c, 3)
 	if len(got) != 3 {
 		t.Fatalf("export len = %d, want 3", len(got))
 	}
@@ -55,7 +65,7 @@ func TestCorpusExportOrderDeterministic(t *testing.T) {
 			t.Fatalf("export[%d] = %q, want %q", i, s.Msgs[0], want[i])
 		}
 	}
-	if c.Export(0) != nil || NewCorpus(4).Export(3) != nil {
+	if c.Top(0) != nil || NewCorpus(4).Top(3) != nil {
 		t.Fatal("empty exports must be nil")
 	}
 }
@@ -75,7 +85,7 @@ func TestCorpusMirrorsEngine(t *testing.T) {
 			mirror.Add(eng.LastSeed())
 		}
 	}
-	a, b := eng.ExportSeeds(4), mirror.Export(4)
+	a, b := topSeeds(eng.corpus, 4), topSeeds(mirror, 4)
 	if len(a) != len(b) {
 		t.Fatalf("export sizes diverged: engine %d, mirror %d", len(a), len(b))
 	}
@@ -123,7 +133,7 @@ func TestExportFloor(t *testing.T) {
 			if got := c.ExportFloor(); got != want {
 				t.Fatalf("round %d: floor %d over gains %v, want %d", round, got, gains, want)
 			}
-			for _, s := range c.Export(SyncSeeds) {
+			for _, s := range topSeeds(c, SyncSeeds) {
 				if s.Gain < want || behind[s.Msgs[0][0]] {
 					t.Fatalf("round %d: Export picked seed %d (gain %d), added below the floor or under floor %d", round, s.Msgs[0][0], s.Gain, want)
 				}

@@ -259,55 +259,6 @@ func (msg *Message) own(k int) *Element {
 	return c
 }
 
-// Clone deep-copies the message.
-func (msg *Message) Clone() *Message {
-	cl := &Message{
-		Model:  msg.Model,
-		c:      msg.c,
-		on:     append([]bool(nil), msg.on...),
-		leaves: append([]int32(nil), msg.leaves...),
-		fields: append([]*Element(nil), msg.fields...),
-		copies: make([]Element, len(msg.leaves)),
-	}
-	for k, e := range msg.fields {
-		if e != msg.c.nodes[msg.leaves[k]].e {
-			cl.copies[k] = *e
-			cl.copies[k].Data = append([]byte(nil), e.Data...)
-			cl.fields[k] = &cl.copies[k]
-		}
-	}
-	return cl
-}
-
-// Leaves returns the message's active leaf fields (numbers, strings,
-// blobs), honoring choice selections, in serialization order. Writes to
-// them show in the next Serialize.
-func (msg *Message) Leaves() []*Element {
-	out := make([]*Element, len(msg.fields))
-	for k := range out {
-		out[k] = msg.own(k)
-	}
-	return out
-}
-
-// Find returns the active element with the given name, if any. A leaf is
-// returned writable, like Leaves'; a Block or Choice is the model's own
-// and must not be written.
-func (msg *Message) Find(name string) *Element {
-	for i, nd := range msg.c.nodes {
-		if !msg.on[i] || nd.e.Name != name {
-			continue
-		}
-		for k, j := range msg.leaves {
-			if j == int32(i) {
-				return msg.own(k)
-			}
-		}
-		return nd.e
-	}
-	return nil
-}
-
 // Serialize renders the message to wire bytes, resolving size and count
 // relations first (unless a mutator broke them on purpose).
 func (msg *Message) Serialize() []byte { return msg.appendTo(nil) }
@@ -433,57 +384,4 @@ func appendNumber(buf []byte, e *Element) []byte {
 		buf = append(buf, byte(e.Value>>shift))
 	}
 	return buf
-}
-
-// Convenience constructors for building data models in Go code.
-
-// Num returns a fixed-width big-endian number field.
-func Num(name string, bits int, value uint64) *Element {
-	return &Element{Kind: KindNumber, Name: name, Bits: bits, Value: value}
-}
-
-// NumLE returns a little-endian number field.
-func NumLE(name string, bits int, value uint64) *Element {
-	return &Element{Kind: KindNumber, Name: name, Bits: bits, Value: value, Endian: LittleEndian}
-}
-
-// Token returns a number field the mutators must preserve.
-func Token(name string, bits int, value uint64) *Element {
-	e := Num(name, bits, value)
-	e.Token = true
-	return e
-}
-
-// Str returns a string field with a default value.
-func Str(name, value string) *Element {
-	return &Element{Kind: KindString, Name: name, Data: []byte(value)}
-}
-
-// Blob returns a raw bytes field.
-func Blob(name string, data []byte) *Element {
-	return &Element{Kind: KindBlob, Name: name, Data: data}
-}
-
-// Block groups child elements.
-func Block(name string, children ...*Element) *Element {
-	return &Element{Kind: KindBlock, Name: name, Children: children}
-}
-
-// Choice selects exactly one of its children per message.
-func Choice(name string, children ...*Element) *Element {
-	return &Element{Kind: KindChoice, Name: name, Children: children}
-}
-
-// SizeOf returns a number field carrying the serialized length of the
-// named element.
-func SizeOf(name string, bits int, target string) *Element {
-	e := Num(name, bits, 0)
-	e.SizeOf = target
-	return e
-}
-
-// VarintOf returns a variable-byte-integer field carrying the serialized
-// length of the named element (the MQTT remaining-length idiom).
-func VarintOf(name, target string) *Element {
-	return &Element{Kind: KindNumber, Name: name, Varint: true, SizeOf: target}
 }

@@ -99,20 +99,11 @@ type Seed struct {
 	Gain int // edges it discovered when first executed
 }
 
-// Stats aggregates an engine's activity.
-type Stats struct {
-	Execs      int
-	Crashes    int
-	CorpusSize int
-	BytesSent  int64
-}
-
 // StepResult reports one fuzzing iteration.
 type StepResult struct {
 	NewEdges int
 	Crash    *bugs.Crash
 	Bytes    int
-	Messages int
 }
 
 // An Engine is one fuzzing instance's generation/mutation loop with
@@ -132,7 +123,6 @@ type Engine struct {
 	global   *coverage.Map
 	corpus   *Corpus
 	lastSeed Seed // most recent corpus addition; see LastSeed
-	stats    Stats
 
 	// Hot-path scratch, reused across Steps.
 	models     map[string]*compiledModel
@@ -189,13 +179,6 @@ func (e *Engine) TraceMap() *coverage.Map { return e.trace.Map() }
 // and returns how many edges were new.
 func (e *Engine) Absorb(m *coverage.Map) int { return e.global.Union(m) }
 
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	s.CorpusSize = e.corpus.Len()
-	return s
-}
-
 // LastSeed returns the most recent corpus addition. It is meaningful
 // only immediately after a Step that reported NewEdges > 0; a lease
 // reads it there to record the addition for its source's corpus mirror.
@@ -226,14 +209,9 @@ func (e *Engine) Step() StepResult {
 	crash := e.target.Run(seq, e.trace)
 	newEdges := e.global.Union(e.trace.Map())
 
-	e.stats.Execs++
-	res := StepResult{NewEdges: newEdges, Crash: crash, Messages: len(seq)}
+	res := StepResult{NewEdges: newEdges, Crash: crash}
 	for _, m := range seq {
 		res.Bytes += len(m)
-		e.stats.BytesSent += int64(len(m))
-	}
-	if crash != nil {
-		e.stats.Crashes++
 	}
 	if newEdges > 0 {
 		// The sequence earned a corpus slot: copy it out of the reused
@@ -381,11 +359,6 @@ func (e *Engine) splice(a, b Seed) [][]byte {
 	e.spliceBuf = seq
 	return e.havoc(Seed{Msgs: seq})
 }
-
-// ExportSeeds returns up to max of the engine's highest-gain seeds for
-// synchronization with sibling instances (the AFL/Peach parallel-mode
-// mechanism the baselines use).
-func (e *Engine) ExportSeeds(max int) []Seed { return e.corpus.Export(max) }
 
 // ImportSeeds folds synchronized seeds from a sibling instance into the
 // corpus.

@@ -21,12 +21,15 @@ const goldenDigest = "0d593ecbe4766a0040f083bed8a56019c59779498f08aa223fb264559d
 
 // goldenTarget folds every executed message into a running hash and derives
 // coverage (and the occasional crash) from the bytes themselves, so the
-// digest pins the full exec stream, not just aggregate counters.
+// digest pins the full exec stream, not just aggregate counters. It
+// counts the executions, crashes and bytes it sees.
 type goldenTarget struct {
-	h hash.Hash
+	h                     hash.Hash
+	execs, crashes, bytes int
 }
 
 func (g *goldenTarget) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
+	g.execs++
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(seq)))
 	g.h.Write(lenBuf[:])
@@ -35,6 +38,7 @@ func (g *goldenTarget) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(msg)))
 		g.h.Write(lenBuf[:])
 		g.h.Write(msg)
+		g.bytes += len(msg)
 		for j, b := range msg {
 			if j >= 12 {
 				break
@@ -44,6 +48,9 @@ func (g *goldenTarget) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 		if len(msg) >= 3 && msg[0]^msg[1] == 0x5a && crash == nil {
 			crash = &bugs.Crash{Protocol: "GOLD", Kind: bugs.SEGV, Function: "parse"}
 		}
+	}
+	if crash != nil {
+		g.crashes++
 	}
 	return crash
 }
@@ -104,14 +111,16 @@ func TestEngineGoldenByteIdentity(t *testing.T) {
 		a.Step()
 		b.Step()
 		if i%100 == 99 {
-			b.ImportSeeds(a.ExportSeeds(4))
-			a.ImportSeeds(b.ExportSeeds(4))
+			b.ImportSeeds(topSeeds(a.corpus, 4))
+			a.ImportSeeds(topSeeds(b.corpus, 4))
 		}
 	}
-	for _, e := range []*Engine{a, b} {
-		st := e.Stats()
+	for _, run := range []struct {
+		e   *Engine
+		tgt *goldenTarget
+	}{{a, tgtA}, {b, tgtB}} {
 		fmt.Fprintf(h, "execs=%d crashes=%d corpus=%d bytes=%d cov=%d\n",
-			st.Execs, st.Crashes, st.CorpusSize, st.BytesSent, e.Coverage())
+			run.tgt.execs, run.tgt.crashes, run.e.corpus.Len(), run.tgt.bytes, run.e.Coverage())
 	}
 	got := hex.EncodeToString(h.Sum(nil))
 	if got != goldenDigest {

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzLiveSpec faces the JSON a live target arrives as — inline in a
 // `/api/submit` body, in an Assign payload, in a -target-spec file —
-// through the parse and validate step of SubjectFromJSON. Arbitrary
+// through ParseSpec and NewSubject, as a dist worker takes it. Arbitrary
 // input parses or fails with an error, never a panic; a spec that
 // parses builds its subject (the rails only: nothing is spawned until
 // an instance starts) and survives a trip through its own encoding.

@@ -298,13 +298,21 @@ func TestHangRespawnsThenStormTripsKillSwitch(t *testing.T) {
 }
 
 // TestSubjectFromJSON rebuilds a subject from the JSON form fleet specs
-// and the dist wire carry, and checks the accessors the campaign drivers
-// read: the spec round-trips, the rails are shared, and Info, ConfigInput
-// and PitXML follow the spec. Nothing is spawned.
+// and the dist wire carry, through ParseSpec and NewSubject as a dist
+// worker does, and checks the accessors the campaign drivers read: the
+// spec round-trips, the rails are shared, and Info, ConfigInput and
+// PitXML follow the spec. Nothing is spawned.
 func TestSubjectFromJSON(t *testing.T) {
+	fromJSON := func(raw string) (*Subject, error) {
+		spec, err := ParseSpec([]byte(raw))
+		if err != nil {
+			return nil, err
+		}
+		return NewSubject(spec)
+	}
 	spec := Spec{Addr: "127.0.0.1:1", Transport: TransportTCP, Name: "broker",
 		ConfigTemplate: echoTemplate, PitXML: "<Peach/>"}
-	sub, err := SubjectFromJSON(spec.JSON())
+	sub, err := fromJSON(spec.JSON())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +334,14 @@ func TestSubjectFromJSON(t *testing.T) {
 		t.Fatalf("pit = %q", sub.PitXML())
 	}
 
-	bare, err := SubjectFromJSON(Spec{Addr: "127.0.0.1:1"}.JSON())
+	bare, err := fromJSON(Spec{Addr: "127.0.0.1:1"}.JSON())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bare.ConfigInput().Files) != 0 || bare.PitXML() != genericPitXML || bare.Info().Transport != subject.Datagram {
 		t.Fatal("a bare spec should have no config files, the generic Pit and UDP")
 	}
-	if _, err := SubjectFromJSON(`{"transport":"sctp"}`); err == nil {
+	if _, err := fromJSON(`{"transport":"sctp"}`); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }

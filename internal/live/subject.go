@@ -53,16 +53,6 @@ func NewSubject(spec Spec) (*Subject, error) {
 	return s, nil
 }
 
-// SubjectFromJSON rebuilds a Subject from a JSON-encoded Spec — the
-// form that travels in fleet campaign specs and over the dist wire.
-func SubjectFromJSON(raw string) (*Subject, error) {
-	spec, err := ParseSpec([]byte(raw))
-	if err != nil {
-		return nil, err
-	}
-	return NewSubject(spec)
-}
-
 // LiveSpecJSON returns the JSON spec this subject was built from. The
 // dist coordinator detects live subjects through this method (a plain
 // interface assertion, so dist never imports live).

@@ -60,7 +60,7 @@ func (m *Mirror) At(k int) (s fuzz.Seed, d fuzz.Digest, held bool) {
 	return m.corpus.At(k), m.digest[k], m.held[k]
 }
 
-// Export returns what an Export(max) of the instance's corpus returns. A
+// Export returns the seeds a Top(max) of the instance's corpus picks. A
 // seed it picks whose messages are not here is an error naming its
 // digest and slot: no record shipped a seed that reached the export
 // floor.

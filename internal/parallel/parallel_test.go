@@ -80,9 +80,9 @@ func TestRunAllSubjectsAllModes(t *testing.T) {
 			if len(res.Instances) != 4 {
 				t.Errorf("%s/%s: %d instances", sub.Info().Protocol, mode, len(res.Instances))
 			}
-			if res.Series.Final() != res.FinalBranches {
+			if pts := res.Series.Points(); pts[len(pts)-1].Count != res.FinalBranches {
 				t.Errorf("%s/%s: series end %d != final %d",
-					sub.Info().Protocol, mode, res.Series.Final(), res.FinalBranches)
+					sub.Info().Protocol, mode, pts[len(pts)-1].Count, res.FinalBranches)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry"
@@ -19,13 +20,16 @@ import (
 
 // serialSource is the oracle the lease source is checked against: it
 // steps the instances one at a time on the loop's goroutine and reads
-// everything straight off their engines, which are never ahead of the
-// loop, counting crashes, mutations and restart failures as they happen.
+// coverage straight off their engines, which are never ahead of the
+// loop, counting executions, crashes, mutations and restart failures as
+// they happen. Each instance's corpus is followed by a fuzz.Corpus of
+// its own, fed every addition and import in the engine's order.
 type serialSource struct {
-	loop  *Loop
-	specs []InstanceSpec
-	insts []*Instance
-	n     []struct{ crashes, muts, restarts int } // per instance
+	loop   *Loop
+	specs  []InstanceSpec
+	insts  []*Instance
+	corpus []*fuzz.Corpus
+	n      []struct{ execs, crashes, muts, restarts int } // per instance
 }
 
 func (s *serialSource) Boot(i int) (int, error) {
@@ -34,15 +38,20 @@ func (s *serialSource) Boot(i int) (int, error) {
 		return 0, err
 	}
 	s.insts = append(s.insts, in)
-	s.n = append(s.n, struct{ crashes, muts, restarts int }{})
+	s.corpus = append(s.corpus, fuzz.NewCorpus(0))
+	s.n = append(s.n, struct{ execs, crashes, muts, restarts int }{})
 	s.loop.Union.Union(in.engine.CoverageMap())
 	return in.startEdges, nil
 }
 
 func (s *serialSource) Step(_ context.Context, i int) (Step, error) {
 	step := s.insts[i].Step()
+	s.n[i].execs++
 	if step.Crash != nil {
 		s.n[i].crashes++
+	}
+	if step.NewEdges > 0 {
+		s.corpus[i].Add(s.insts[i].engine.LastSeed())
 	}
 	return step, nil
 }
@@ -55,18 +64,23 @@ func (s *serialSource) Merge(i int, union *coverage.Map) error {
 }
 
 func (s *serialSource) Gauge(i int) Gauge {
-	in := s.insts[i]
-	st := in.engine.Stats()
-	return Gauge{Edges: in.engine.Coverage(), Execs: st.Execs, Crashes: s.n[i].crashes, Mutations: s.n[i].muts, Corpus: st.CorpusSize}
+	n := s.n[i]
+	return Gauge{Edges: s.insts[i].engine.Coverage(), Execs: n.execs, Crashes: n.crashes, Mutations: n.muts, Corpus: s.corpus[i].Len()}
 }
 
 func (s *serialSource) Sync(i int) (int, error) {
 	imported := 0
-	for j, other := range s.insts {
+	for j, other := range s.corpus {
 		if j != i {
-			seeds := other.engine.ExportSeeds(4)
+			var seeds []fuzz.Seed
+			for _, k := range other.Top(fuzz.SyncSeeds) {
+				seeds = append(seeds, other.At(k))
+			}
 			imported += len(seeds)
 			s.insts[i].engine.ImportSeeds(seeds)
+			for _, seed := range seeds {
+				s.corpus[i].Add(seed)
+			}
 		}
 	}
 	return imported, nil
@@ -91,7 +105,7 @@ func (s *serialSource) Result(i int) (InstanceResult, error) {
 		Config:          in.cfg.String(),
 		Group:           in.group.Members,
 		FinalBranches:   in.engine.Coverage(),
-		Execs:           in.engine.Stats().Execs,
+		Execs:           s.n[i].execs,
 		Crashes:         s.n[i].crashes,
 		ConfigMutations: s.n[i].muts,
 		RestartFailures: s.n[i].restarts,

@@ -144,12 +144,16 @@ func TestBootSpecTwiceOnOneHost(t *testing.T) {
 }
 
 // countSubject records what reaches its instances: the messages, in
-// order, and how many sessions were opened and instances closed.
+// order, and how many sessions were opened and instances closed. Each
+// message hits one edge of the installed trace, and one whose first
+// byte is crashOn (when set) triggers a seeded crash.
 type countSubject struct {
 	transport        subject.Transport
 	msgs             int
 	got              [][]byte
 	sessions, closes int
+	crashOn          byte
+	tr               *coverage.Trace
 }
 
 func (s *countSubject) Info() subject.Info {
@@ -162,13 +166,58 @@ func (s *countSubject) NewInstance() subject.Instance { return countInstance{s} 
 type countInstance struct{ sub *countSubject }
 
 func (i countInstance) Start(map[string]string, *coverage.Trace) error { return nil }
-func (i countInstance) SetTrace(*coverage.Trace)                       {}
+func (i countInstance) SetTrace(tr *coverage.Trace)                    { i.sub.tr = tr }
 func (i countInstance) NewSession()                                    { i.sub.sessions++ }
 func (i countInstance) Close()                                         { i.sub.closes++ }
 func (i countInstance) Message(msg []byte) [][]byte {
 	i.sub.msgs++
 	i.sub.got = append(i.sub.got, append([]byte(nil), msg...))
+	i.sub.tr.Edge(100, uint64(i.sub.msgs))
+	if i.sub.crashOn != 0 && len(msg) > 0 && msg[0] == i.sub.crashOn {
+		bugs.Trigger("COUNT", bugs.SEGV, "handler", "scripted")
+	}
 	return nil
+}
+
+// TestTargetRunsSequenceWithFreshSession: one Run is one fresh session
+// that carries every message of the sequence over the link, with the
+// instance's coverage recorded into the run's trace.
+func TestTargetRunsSequenceWithFreshSession(t *testing.T) {
+	sub := &countSubject{transport: subject.Datagram}
+	target, err := bootTarget(sub, &link{datagram: true}, nil, bugs.NewLedger(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := coverage.NewTrace()
+	if crash := target.Run([][]byte{{1}, {2}, {3}}, tr); crash != nil {
+		t.Fatalf("unexpected crash: %v", crash)
+	}
+	if sub.sessions != 1 {
+		t.Fatalf("sessions = %d, want 1 per run", sub.sessions)
+	}
+	if sub.msgs != 3 {
+		t.Fatalf("messages = %d, want 3", sub.msgs)
+	}
+	if tr.Count() == 0 {
+		t.Fatal("no coverage recorded through the target")
+	}
+}
+
+// TestTargetCapturesCrashAndStops: a seeded crash comes back from Run as
+// its value, and the rest of the sequence is never sent.
+func TestTargetCapturesCrashAndStops(t *testing.T) {
+	sub := &countSubject{transport: subject.Datagram, crashOn: 0xad}
+	target, err := bootTarget(sub, &link{datagram: true}, nil, bugs.NewLedger(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := target.Run([][]byte{{1}, {0xad}, {3}}, coverage.NewTrace())
+	if crash == nil || crash.Protocol != "COUNT" {
+		t.Fatalf("crash = %v", crash)
+	}
+	if sub.msgs != 2 {
+		t.Fatalf("messages after crash = %d, want sequence aborted at 2", sub.msgs)
+	}
 }
 
 // sendOver boots sub behind instance 0's link under o and runs n

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"cmfuzz/internal/core/configmodel"
@@ -103,7 +104,7 @@ func TestXMLConfigExtractsToModel(t *testing.T) {
 	model := configmodel.Build(items)
 	for _, key := range []string{keyAllowMulticast, keyMaxMessageSize, keyTransport, keySecurity, keyDomainID} {
 		if _, ok := model.Get(key); !ok {
-			t.Errorf("extracted model missing %q (have %v)", key, model.Names())
+			t.Errorf("extracted model missing %q (have %+v)", key, model.Entities())
 		}
 	}
 	// The extracted defaults must boot the node.
@@ -265,8 +266,7 @@ func TestLittleEndianSubmessage(t *testing.T) {
 	n := startNode(t, nil)
 	// DATA with LE flag: length and fields little-endian.
 	body := wire.NewWriter(24)
-	body.U16LE(0)
-	body.U16LE(0)
+	body.Raw([]byte{0, 0, 0, 0}) // extra flags and octets to inline QoS, both 0
 	body.U32(1)
 	body.U32(7)
 	body.U32(0)
@@ -279,7 +279,7 @@ func TestLittleEndianSubmessage(t *testing.T) {
 	w.Raw(make([]byte, 12))
 	w.U8(smData)
 	w.U8(0x01) // endianness flag
-	w.U16LE(uint16(body.Len()))
+	w.Raw(binary.LittleEndian.AppendUint16(nil, uint16(body.Len())))
 	w.Raw(body.Bytes())
 	n.Message(w.Bytes())
 	if n.readers[7] != 8 {

@@ -177,12 +177,6 @@ func appendHeader(w *wire.Writer, ptype, flags byte, n int) {
 	w.Varint(uint32(n))
 }
 
-// appendPacket appends a packet with the given type, flags and body.
-func appendPacket(w *wire.Writer, ptype, flags byte, body []byte) {
-	appendHeader(w, ptype, flags, len(body))
-	w.Raw(body)
-}
-
 func appendConnack(w *wire.Writer, sessionPresent bool, code byte) {
 	appendHeader(w, typeConnack, 0, 2)
 	w.U8(byte(probes.B(sessionPresent)))

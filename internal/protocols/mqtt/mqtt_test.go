@@ -20,10 +20,12 @@ func startBroker(t *testing.T, cfg map[string]string) (*Broker, *coverage.Trace)
 	return b, tr
 }
 
-// packetBytes builds a packet with the encoder the broker answers with.
+// packetBytes builds a packet with the fixed-header encoder the broker
+// answers with.
 func packetBytes(ptype, flags byte, body []byte) []byte {
 	w := wire.NewWriter(2 + len(body))
-	appendPacket(w, ptype, flags, body)
+	appendHeader(w, ptype, flags, len(body))
+	w.Raw(body)
 	return w.Bytes()
 }
 

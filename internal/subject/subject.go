@@ -22,7 +22,6 @@ package subject
 import (
 	"sync"
 
-	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
 )
@@ -141,27 +140,4 @@ func (s *traceStack) put(tr *coverage.Trace) {
 	s.mu.Lock()
 	s.free = append(s.free, tr)
 	s.mu.Unlock()
-}
-
-// Target adapts an instance to the fuzzing engine: each Run installs the
-// per-execution trace, opens a fresh session, and converts seeded-defect
-// panics into crash values.
-type Target struct {
-	inst Instance
-}
-
-// NewTarget wraps a started instance.
-func NewTarget(inst Instance) *Target { return &Target{inst: inst} }
-
-// Run implements fuzz.Target.
-func (t *Target) Run(seq [][]byte, tr *coverage.Trace) (crash *bugs.Crash) {
-	t.inst.SetTrace(tr)
-	t.inst.NewSession()
-	for _, msg := range seq {
-		crash = bugs.Capture(func() { t.inst.Message(msg) })
-		if crash != nil {
-			return crash
-		}
-	}
-	return nil
 }

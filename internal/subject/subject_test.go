@@ -4,20 +4,16 @@ import (
 	"errors"
 	"testing"
 
-	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
 )
 
 // fakeInstance is a minimal scripted Instance.
 type fakeInstance struct {
-	failStart  bool
-	startCov   int
-	crashOnMsg []byte
-	sessions   int
-	messages   int
-	tr         *coverage.Trace
-	closed     bool
+	failStart bool
+	startCov  int
+	tr        *coverage.Trace
+	closed    bool
 }
 
 func (f *fakeInstance) Start(cfg map[string]string, tr *coverage.Trace) error {
@@ -30,17 +26,10 @@ func (f *fakeInstance) Start(cfg map[string]string, tr *coverage.Trace) error {
 	f.tr = tr
 	return nil
 }
-func (f *fakeInstance) SetTrace(tr *coverage.Trace) { f.tr = tr }
-func (f *fakeInstance) NewSession()                 { f.sessions++ }
-func (f *fakeInstance) Message(payload []byte) [][]byte {
-	f.messages++
-	f.tr.Edge(100, uint64(f.messages))
-	if f.crashOnMsg != nil && len(payload) > 0 && payload[0] == f.crashOnMsg[0] {
-		bugs.Trigger("FAKE", bugs.SEGV, "handler", "scripted")
-	}
-	return nil
-}
-func (f *fakeInstance) Close() { f.closed = true }
+func (f *fakeInstance) SetTrace(tr *coverage.Trace)     { f.tr = tr }
+func (f *fakeInstance) NewSession()                     {}
+func (f *fakeInstance) Message(payload []byte) [][]byte { return nil }
+func (f *fakeInstance) Close()                          { f.closed = true }
 
 type fakeSubject struct{ inst *fakeInstance }
 
@@ -82,39 +71,6 @@ func TestProbeConflictIsZero(t *testing.T) {
 	sub := fakeSubject{inst: &fakeInstance{startCov: 7}}
 	if got := Probe(sub, map[string]string{"conflict": "true"}); got != 0 {
 		t.Fatalf("conflicting Probe = %d, want 0", got)
-	}
-}
-
-func TestTargetRunsSequenceWithFreshSession(t *testing.T) {
-	inst := &fakeInstance{}
-	tgt := NewTarget(inst)
-	tr := coverage.NewTrace()
-	inst.SetTrace(tr)
-	crash := tgt.Run([][]byte{{1}, {2}, {3}}, tr)
-	if crash != nil {
-		t.Fatalf("unexpected crash: %v", crash)
-	}
-	if inst.sessions != 1 {
-		t.Fatalf("sessions = %d, want 1 per run", inst.sessions)
-	}
-	if inst.messages != 3 {
-		t.Fatalf("messages = %d", inst.messages)
-	}
-	if tr.Count() == 0 {
-		t.Fatal("no coverage recorded through target")
-	}
-}
-
-func TestTargetCapturesCrashAndStops(t *testing.T) {
-	inst := &fakeInstance{crashOnMsg: []byte{0xbad % 256}}
-	tgt := NewTarget(inst)
-	tr := coverage.NewTrace()
-	crash := tgt.Run([][]byte{{1}, {0xbad % 256}, {3}}, tr)
-	if crash == nil || crash.Protocol != "FAKE" {
-		t.Fatalf("crash = %v", crash)
-	}
-	if inst.messages != 2 {
-		t.Fatalf("messages after crash = %d, want sequence aborted at 2", inst.messages)
 	}
 }
 

@@ -4,16 +4,16 @@
 // monitor (package monitor).
 //
 // Like the rest of the observability layer it is nil-safe end to end: a
-// nil *Registry hands out nil instruments, and every method on a nil
-// instrument is a cheap no-op, so instrumented code never branches on
-// whether monitoring is enabled.
+// nil *Registry registers nothing and hands out nil histograms, and
+// Observe on a nil histogram is a cheap no-op, so instrumented code
+// never branches on whether monitoring is enabled.
 //
-// Instruments come in two flavors. Stateful instruments (Counter,
-// Gauge, Histogram) are updated at the emission site and are safe for
-// concurrent use. Pull instruments (CounterFunc, GaugeFunc, Collect)
+// Counters and gauges are pulled: CounterFunc, GaugeFunc and Collect
 // are evaluated at exposition time, which is how live campaign state —
 // instances running, per-instance edges, probe-cache hit rate — is
-// published without touching the deterministic hot path.
+// published without touching the deterministic hot path. The one
+// stateful instrument, Histogram, is updated at the emission site and
+// is safe for concurrent use.
 package metrics
 
 import (
@@ -45,9 +45,7 @@ const (
 type series struct {
 	labels []Label
 
-	// scalar value for counters and gauges.
-	val float64
-	// pull callback; when non-nil it supersedes val at exposition.
+	// pull callback of a counter or gauge, evaluated at exposition.
 	fn func() float64
 
 	// histogram state.
@@ -59,7 +57,6 @@ type series struct {
 
 // family is every series sharing one metric name.
 type family struct {
-	name string
 	help string
 	typ  string
 
@@ -81,9 +78,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-// Enabled reports whether the registry actually collects.
-func (r *Registry) Enabled() bool { return r != nil }
 
 // nameOK validates a metric or label name against the Prometheus
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]* (labels additionally forbid ':', but
@@ -136,7 +130,7 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *series {
 	}
 	fam, ok := r.families[name]
 	if !ok {
-		fam = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
+		fam = &family{help: help, typ: typ, series: make(map[string]*series)}
 		r.families[name] = fam
 		r.order = append(r.order, name)
 	} else if fam.typ != typ {
@@ -150,73 +144,6 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *series {
 		fam.order = append(fam.order, sig)
 	}
 	return s
-}
-
-// A Counter is a monotonically increasing value.
-type Counter struct {
-	r *Registry
-	s *series
-}
-
-// Counter registers (or finds) the counter name{labels}. Repeated calls
-// with the same name and labels return the same underlying series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Counter{r: r, s: r.lookup(name, help, typeCounter, labels)}
-}
-
-// Add increments the counter by delta (negative deltas are ignored —
-// counters only go up).
-func (c *Counter) Add(delta float64) {
-	if c == nil || delta < 0 {
-		return
-	}
-	c.r.mu.Lock()
-	c.s.val += delta
-	c.r.mu.Unlock()
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// A Gauge is a value that can go up and down.
-type Gauge struct {
-	r *Registry
-	s *series
-}
-
-// Gauge registers (or finds) the gauge name{labels}.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &Gauge{r: r, s: r.lookup(name, help, typeGauge, labels)}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.r.mu.Lock()
-	g.s.val = v
-	g.r.mu.Unlock()
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	g.r.mu.Lock()
-	g.s.val += delta
-	g.r.mu.Unlock()
 }
 
 // CounterFunc registers a pull counter evaluated at exposition time.
@@ -435,12 +362,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 					fmt.Fprintf(&b, "%s_sum%s %s\n", name, renderLabels(s.labels), formatValue(s.sum))
 					fmt.Fprintf(&b, "%s_count%s %d\n", name, renderLabels(s.labels), s.count)
 				default:
-					v := s.val
-					if s.fn != nil {
-						r.mu.Unlock()
-						v = s.fn()
-						r.mu.Lock()
-					}
+					fn := s.fn
+					r.mu.Unlock()
+					v := fn()
+					r.mu.Lock()
 					fmt.Fprintf(&b, "%s%s %s\n", name, renderLabels(s.labels), formatValue(v))
 				}
 			}

@@ -4,20 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
-	c := r.Counter("x_total", "help")
-	c.Inc()
-	c.Add(5)
-	g := r.Gauge("x", "help")
-	g.Set(3)
-	g.Add(-1)
 	h := r.Histogram("x_seconds", "help", nil)
 	h.Observe(0.1)
 	r.CounterFunc("y_total", "", func() float64 { return 1 })
@@ -31,11 +23,9 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("cmfuzz_execs_total", "Total protocol executions.")
-	c.Add(42)
-	r.Counter("cmfuzz_execs_total", "Total protocol executions.", L("instance", "0")).Add(7)
-	g := r.Gauge("cmfuzz_instances_running", "Parallel instances currently fuzzing.")
-	g.Set(4)
+	r.CounterFunc("cmfuzz_execs_total", "Total protocol executions.", func() float64 { return 42 })
+	r.CounterFunc("cmfuzz_execs_total", "Total protocol executions.", func() float64 { return 7 }, L("instance", "0"))
+	r.GaugeFunc("cmfuzz_instances_running", "Parallel instances currently fuzzing.", func() float64 { return 4 })
 	h := r.Histogram("cmfuzz_probe_seconds", "Startup probe latency.", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -101,7 +91,7 @@ func TestCollectorSamples(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("g", "quoted \\ and\nnewline", L("cfg", `a="b"\c`)).Set(1)
+	r.GaugeFunc("g", "quoted \\ and\nnewline", func() float64 { return 1 }, L("cfg", `a="b"\c`))
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -120,23 +110,21 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestSameSeriesSharedAndTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("shared_total", "")
-	b := r.Counter("shared_total", "")
-	a.Inc()
-	b.Inc()
+	r.CounterFunc("shared_total", "", func() float64 { return 1 })
+	r.CounterFunc("shared_total", "", func() float64 { return 2 })
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "shared_total 2\n") {
-		t.Fatalf("re-registered counter did not share state:\n%s", buf.String())
+	if out := buf.String(); !strings.Contains(out, "shared_total 2\n") || strings.Count(out, "\nshared_total ") != 1 {
+		t.Fatalf("re-registered counter is not one series read through its latest func:\n%s", out)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("registering shared_total as a gauge did not panic")
 		}
 	}()
-	r.Gauge("shared_total", "")
+	r.GaugeFunc("shared_total", "", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -146,7 +134,7 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Fatal("invalid metric name did not panic")
 		}
 	}()
-	r.Counter("0bad-name", "")
+	r.CounterFunc("0bad-name", "", func() float64 { return 0 })
 }
 
 func TestLintRejectsGarbage(t *testing.T) {
@@ -232,16 +220,18 @@ rpc_seconds_count 4
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
+	var total atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := r.Counter("stress_total", "")
-			ga := r.Gauge("stress", "", L("worker", string(rune('a'+g))))
+			var last atomic.Int64
+			r.CounterFunc("stress_total", "", func() float64 { return float64(total.Load()) })
+			r.GaugeFunc("stress", "", func() float64 { return float64(last.Load()) }, L("worker", string(rune('a'+g))))
 			h := r.Histogram("stress_seconds", "", nil)
 			for i := 0; i < 500; i++ {
-				c.Inc()
-				ga.Set(float64(i))
+				total.Add(1)
+				last.Store(int64(i))
 				h.Observe(float64(i) / 1000)
 				if i%100 == 0 {
 					var buf bytes.Buffer

@@ -107,9 +107,6 @@ func NewWithClock(clock Clock) *Tracer {
 	return &Tracer{clock: clock, top: make(map[int]*Span)}
 }
 
-// Enabled reports whether spans are actually collected.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now reads the tracer's clock: elapsed monotonic time since creation.
 // A nil tracer reads 0. Used to timestamp regions measured outside the
 // span stack (see Span.Complete) and to align foreign timelines.
@@ -207,11 +204,10 @@ type Span struct {
 	name   string
 	start  time.Duration
 
-	mu         sync.Mutex
-	attrs      []Attr
-	ended      bool
-	parentSpan *Span
-	prevTop    *Span // span below this one on its track's stack
+	mu      sync.Mutex
+	attrs   []Attr
+	ended   bool
+	prevTop *Span // span below this one on its track's stack
 }
 
 // Start opens a root span on its own track.
@@ -246,15 +242,14 @@ func (t *Tracer) startLocked(name string, parentID int, parent *Span, attrs []At
 		}
 	}
 	s := &Span{
-		t:          t,
-		id:         t.nextID,
-		parent:     parentID,
-		track:      track,
-		name:       name,
-		start:      t.clock(),
-		attrs:      append([]Attr(nil), attrs...),
-		parentSpan: parent,
-		prevTop:    t.top[track],
+		t:       t,
+		id:      t.nextID,
+		parent:  parentID,
+		track:   track,
+		name:    name,
+		start:   t.clock(),
+		attrs:   append([]Attr(nil), attrs...),
+		prevTop: t.top[track],
 	}
 	t.nextID++
 	t.top[track] = s
@@ -360,17 +355,6 @@ func (s *Span) End() {
 	}
 	t.open--
 	t.mu.Unlock()
-}
-
-// snapshot returns the completed spans in end order plus the count of
-// still-open spans.
-func (t *Tracer) snapshot() ([]record, int) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]record(nil), t.done...), t.open
 }
 
 // SpanCount returns how many spans have completed, local and foreign.

@@ -29,9 +29,6 @@ func (c *stepClock) Advance(d time.Duration) {
 
 func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	sp := tr.Start("root")
 	if sp != nil {
 		t.Fatal("nil tracer returned a non-nil span")
@@ -139,13 +136,12 @@ func TestConcurrentChildrenGetDistinctTracks(t *testing.T) {
 	c.End()
 	root.End()
 
-	recs, open := tr.snapshot()
-	if open != 0 {
-		t.Fatalf("%d spans still open", open)
+	if tr.open != 0 {
+		t.Fatalf("%d spans still open", tr.open)
 	}
 	tracks := map[string][]int{}
-	for _, r := range recs {
-		tracks[r.name] = append(tracks[r.name], r.track)
+	for _, r := range tr.Records() {
+		tracks[r.Name] = append(tracks[r.Name], r.Track)
 	}
 	workers := tracks["worker"]
 	if len(workers) != 3 {
@@ -170,12 +166,12 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 	sp.End()
 	clk.Advance(time.Hour)
 	sp.End()
-	recs, open := tr.snapshot()
-	if len(recs) != 1 || open != 0 {
-		t.Fatalf("double End filed %d records, %d open", len(recs), open)
+	recs := tr.Records()
+	if len(recs) != 1 || tr.open != 0 {
+		t.Fatalf("double End filed %d records, %d open", len(recs), tr.open)
 	}
-	if recs[0].end-recs[0].start != time.Millisecond {
-		t.Fatalf("second End changed the duration: %v", recs[0].end-recs[0].start)
+	if recs[0].End-recs[0].Start != time.Millisecond {
+		t.Fatalf("second End changed the duration: %v", recs[0].End-recs[0].Start)
 	}
 }
 

@@ -50,8 +50,8 @@ func FuzzVarintNoPanic(f *testing.F) {
 		if r.Err() != nil && v != 0 {
 			t.Fatalf("failed read returned nonzero value %d", v)
 		}
-		if r.Err() == nil && r.Pos() > len(data) {
-			t.Fatalf("cursor %d past input %d", r.Pos(), len(data))
+		if r.Err() == nil && r.pos > len(data) {
+			t.Fatalf("cursor %d past input %d", r.pos, len(data))
 		}
 	})
 }
@@ -105,10 +105,10 @@ func FuzzReaderGauntlet(f *testing.F) {
 		r := NewReader(data)
 		prev := 0
 		check := func() {
-			if r.Pos() < prev || r.Pos() > len(data) {
-				t.Fatalf("cursor moved from %d to %d (len %d)", prev, r.Pos(), len(data))
+			if r.pos < prev || r.pos > len(data) {
+				t.Fatalf("cursor moved from %d to %d (len %d)", prev, r.pos, len(data))
 			}
-			prev = r.Pos()
+			prev = r.pos
 		}
 		r.U8()
 		check()

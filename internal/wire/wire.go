@@ -37,9 +37,6 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
-// Pos returns the current cursor offset.
-func (r *Reader) Pos() int { return r.pos }
-
 // Remaining returns how many bytes are left to read.
 func (r *Reader) Remaining() int { return len(r.data) - r.pos }
 
@@ -248,14 +245,6 @@ func (w *Writer) U32(v uint32) {
 func (w *Writer) U64(v uint64) {
 	w.U32(uint32(v >> 32))
 	w.U32(uint32(v))
-}
-
-// U16LE appends a little-endian uint16.
-func (w *Writer) U16LE(v uint16) { w.buf = append(w.buf, byte(v), byte(v>>8)) }
-
-// U32LE appends a little-endian uint32.
-func (w *Writer) U32LE(v uint32) {
-	w.buf = append(w.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // Raw appends b verbatim.
