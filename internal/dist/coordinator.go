@@ -429,6 +429,10 @@ type replica struct {
 	sent     time.Time
 	reqBytes int
 	journal  []leaseJournal
+	// steps is the instance's last lease reply, decoded, which the loop
+	// replays as its batch. Done sends the next lease only once the
+	// batch is replayed, so the next reply decodes into the same array.
+	steps []parallel.LeaseStep
 }
 
 // boot is the transport's Boot (dispatch its Send, await its Await):
@@ -565,8 +569,8 @@ func (c *Coordinator) replay(ctx context.Context, from, to int) error {
 				if err != nil {
 					return err
 				}
-				lr, err := decodeLease(in.owner, rep)
-				if err != nil {
+				var lr leaseResult
+				if err := decodeLease(in.owner, rep, &lr); err != nil {
 					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
 						return err
 					}
@@ -622,14 +626,16 @@ func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) 
 	}
 }
 
-// decodeLease unwraps and decodes a lease reply from wc. A reply that
-// does not decode, or holds no record, kills the worker.
-func decodeLease(wc *workerConn, rep reply) (leaseResult, error) {
+// decodeLease unwraps and decodes a lease reply from wc into lr, whose
+// Steps it appends to (the zero value on an error). A reply that does
+// not decode, or holds no record, kills the worker.
+func decodeLease(wc *workerConn, rep reply, lr *leaseResult) error {
 	p, err := wc.expect(rep, msgLeaseResult)
 	if err != nil {
-		return leaseResult{}, err
+		*lr = leaseResult{}
+		return err
 	}
-	lr, err := unmarshal(p, (*codec).leaseResult)
+	err = unmarshalInto(p, lr, (*codec).leaseResult)
 	if err == nil && len(lr.Steps) == 0 {
 		// A lease always executes at least one step (the budget is
 		// checked after stepping); an empty reply means the worker
@@ -639,15 +645,21 @@ func decodeLease(wc *workerConn, rep reply) (leaseResult, error) {
 	if err != nil {
 		wc.kill(err)
 	}
-	return lr, err
+	return err
 }
 
-// leaseResult decodes instance i's lease reply and does the per-lease
-// accounting.
+// leaseResult decodes instance i's lease reply into the instance's
+// recycled step buffer and does the per-lease accounting. The records
+// are valid until the instance's next reply.
 func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error) {
 	in := &c.inst[i]
 	wc := in.owner
-	lr, err := decodeLease(wc, rep)
+	lr := leaseResult{Steps: in.steps[:0]}
+	err := decodeLease(wc, rep, &lr)
+	// The records past this reply's last alias an older payload: zero
+	// them, so the buffer holds this reply alone.
+	clear(in.steps[min(len(lr.Steps), len(in.steps)):])
+	in.steps = lr.Steps
 	if err != nil {
 		return nil, err
 	}

@@ -46,15 +46,24 @@ func marshal[T any](m *T, fields func(*codec, *T)) []byte {
 // the zero value.
 func unmarshal[T any](p []byte, fields func(*codec, *T)) (T, error) {
 	var m T
+	err := unmarshalInto(p, &m, fields)
+	return m, err
+}
+
+// unmarshalInto is unmarshal into m, whose slices a stream visitor
+// appends to: a caller recycles a buffer by handing it in emptied. On an
+// error m is reset to the zero value.
+func unmarshalInto[T any](p []byte, m *T, fields func(*codec, *T)) error {
 	c := codec{r: wire.NewReader(p)}
-	fields(&c, &m)
+	fields(&c, m)
 	if !c.r.Empty() {
 		c.r.Fail(ErrProto)
 	}
 	if err := c.r.Err(); err != nil {
-		return *new(T), err
+		*m = *new(T)
+		return err
 	}
-	return m, nil
+	return nil
 }
 
 func (c *codec) decoding() bool { return c.r != nil }

@@ -485,6 +485,49 @@ func TestLeaseReplyAllocs(t *testing.T) {
 	t.Logf("decode: %v allocations", n)
 }
 
+// TestLeaseDecodeRecycles: the coordinator decodes an instance's lease
+// replies into one record buffer, so a reply that fits allocates no
+// record slice, and the records past a shorter reply's last are zeroed
+// rather than left pointing into the longer reply's payload.
+func TestLeaseDecodeRecycles(t *testing.T) {
+	c := &Coordinator{inst: []replica{{owner: &workerConn{name: "w"}}}}
+	encode := func(steps []parallel.LeaseStep) reply {
+		return reply{typ: msgLeaseResult, payload: marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult)}
+	}
+	first := encode(replySteps()) // shipped seeds and deltas alias its payload
+	second := encode([]parallel.LeaseStep{{Step: parallel.Step{Bytes: 20}}})
+
+	recs1, err := c.leaseResult(0, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs2, err := c.leaseResult(0, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs1) != 1000 || len(recs2) != 1 {
+		t.Fatalf("decoded %d and %d records, want 1000 and 1", len(recs1), len(recs2))
+	}
+	if &recs2[0] != &recs1[0] {
+		t.Fatal("the second reply was decoded into a new record array")
+	}
+	for k, rec := range recs2[len(recs2):len(recs1)] {
+		if !reflect.ValueOf(rec).IsZero() {
+			t.Fatalf("record %d past the second reply's last still holds the first reply's %+v", len(recs2)+k, rec)
+		}
+	}
+	// A one-record reply decoded into an empty buffer allocates its
+	// record slice once; into the recycled buffer, never.
+	recycled := testing.AllocsPerRun(50, func() { recs2, err = c.leaseResult(0, second) })
+	fresh := testing.AllocsPerRun(50, func() { c.inst[0].steps = nil; recs2, err = c.leaseResult(0, second) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh-recycled != 1 {
+		t.Fatalf("decoding a one-record reply allocates %v times into the recycled buffer and %v into an empty one, want one fewer", recycled, fresh)
+	}
+}
+
 func BenchmarkLeaseReplyRoundTrip(b *testing.B) {
 	steps := replySteps()
 	c := codec{w: &wire.Writer{}}

@@ -27,6 +27,7 @@ type Corpus struct {
 	// best holds the SyncSeeds highest gains held, highest first, padded
 	// with zeros while the pool holds fewer seeds.
 	best [SyncSeeds]int
+	top  []int // Top's index scratch
 }
 
 // NewCorpus returns an empty corpus holding at most max seeds
@@ -99,15 +100,17 @@ func (c *Corpus) ExportFloor() int { return c.best[len(c.best)-1] }
 // Top returns the indices of up to max of the highest-gain seeds,
 // highest first. Ties keep the lower index at each pick (strict >
 // comparison), so the set and order are deterministic functions of
-// insertion order.
+// insertion order. The slice is the corpus's own scratch: it is valid
+// until the next Top.
 func (c *Corpus) Top(max int) []int {
 	if max <= 0 || len(c.seeds) == 0 {
 		return nil
 	}
-	idx := make([]int, len(c.seeds))
-	for i := range idx {
-		idx[i] = i
+	idx := c.top[:0]
+	for i := range c.seeds {
+		idx = append(idx, i)
 	}
+	c.top = idx
 	// Partial selection sort: top-gain seeds first.
 	for i := 0; i < len(idx) && i < max; i++ {
 		best := i

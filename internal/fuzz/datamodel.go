@@ -10,6 +10,7 @@ package fuzz
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ElementKind is the type of a data model element.
@@ -264,10 +265,19 @@ func (msg *Message) own(k int) *Element {
 func (msg *Message) Serialize() []byte { return msg.appendTo(nil) }
 
 // appendTo resolves the message's relations and appends its wire bytes —
-// the active leaves, in order — to buf.
+// the active leaves, in order — to buf. A leaf whose bytes do not fit
+// grows buf once for the rest of the message, so a megabyte leaf is
+// copied once, not again at each later leaf that overflows.
 func (msg *Message) appendTo(buf []byte) []byte {
 	msg.relate()
-	for _, e := range msg.fields {
+	for k, e := range msg.fields {
+		if len(e.Data) > cap(buf)-len(buf) {
+			n := 0
+			for _, r := range msg.fields[k:] {
+				n += leafLen(r)
+			}
+			buf = slices.Grow(buf, n)
+		}
 		buf = appendLeaf(buf, e)
 	}
 	return buf

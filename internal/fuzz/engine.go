@@ -111,10 +111,14 @@ type StepResult struct {
 //
 // The engine owns a set of per-instance scratch structures (compiled data
 // models, message and byte arena, serialize buffers, walk and sequence
-// slices) that make the steady-state Step path allocation-free: a step
-// that discovers nothing new reuses every buffer of the previous step.
-// Sequences that do earn a corpus slot are deep-copied out of the scratch
-// first, so corpus seeds never alias reused buffers.
+// slices) that make the steady-state Step path allocation-free for
+// messages up to maxSlotBuf (64 KiB): a step that discovers nothing new
+// reuses every buffer of the previous step. A slot buffer that grew past
+// that is dropped at the end of its step, so the next message built in
+// that slot allocates again. Sequences that do earn a corpus slot are
+// deep-copied out of the scratch first (a buffer about to be dropped
+// moves into the seed instead), so corpus seeds never alias reused
+// buffers.
 type Engine struct {
 	cfg      Config
 	target   Target
@@ -132,7 +136,7 @@ type Engine struct {
 	modelOrder []string // model names sorted, for the deterministic no-state-model pick
 	walkBuf    []string
 	seqBuf     [][]byte
-	msgBufs    [][]byte // per-slot wire buffers backing seqBuf entries
+	msgBufs    [][]byte // per-slot wire buffers backing seqBuf entries, each at most maxSlotBuf between steps
 	spliceBuf  [][]byte // splice's sequence: references into two corpus seeds
 }
 
@@ -215,25 +219,64 @@ func (e *Engine) Step() StepResult {
 	}
 	if newEdges > 0 {
 		// The sequence earned a corpus slot: copy it out of the reused
-		// step buffers so the seed owns its bytes.
-		e.lastSeed = Seed{Msgs: cloneMsgs(seq), Gain: newEdges}
+		// step buffers so the seed owns its bytes. A buffer trimScratch
+		// is about to drop moves into the seed instead.
+		e.lastSeed = Seed{Msgs: cloneMsgs(seq, true), Gain: newEdges}
 		e.corpus.Add(e.lastSeed)
 	}
+	e.trimScratch()
 	return res
 }
 
+// maxSlotBuf is the largest capacity a slot buffer keeps from one step to
+// the next. About one step in 1,400 builds a message over it, but
+// chained StringRepeats reach megabytes, and a buffer kept at the
+// largest message its slot ever held would make that the instance's
+// footprint for the rest of the campaign. The rule and its bound are the
+// ones fmt applies to its printer buffers (fmt.(*pp).free).
+const maxSlotBuf = 64 << 10
+
+// trimScratch drops every slot buffer over maxSlotBuf, and the sequence
+// entries that hold one (a havoc duplicate or tail append may hold a
+// buffer of its own), so nothing of an oversized message outlives its
+// step. Only capacity changes: the next step appends the same bytes into
+// a fresh buffer.
+func (e *Engine) trimScratch() {
+	for i, b := range e.msgBufs {
+		if cap(b) > maxSlotBuf {
+			e.msgBufs[i] = nil
+		}
+	}
+	for i, m := range e.seqBuf {
+		if cap(m) > maxSlotBuf {
+			e.seqBuf[i] = nil
+		}
+	}
+}
+
 // Clone returns a copy of s whose messages share no memory with s's.
-func (s Seed) Clone() Seed { return Seed{Msgs: cloneMsgs(s.Msgs), Gain: s.Gain} }
+func (s Seed) Clone() Seed { return Seed{Msgs: cloneMsgs(s.Msgs, false), Gain: s.Gain} }
 
 // cloneMsgs copies seq into one backing array; an empty message stays nil.
-func cloneMsgs(seq [][]byte) [][]byte {
+// With move, a message whose buffer is over maxSlotBuf and at least
+// seven-eighths full is taken as it is (capacity clipped) instead of
+// copied: a step's sequence holds such a buffer only until trimScratch
+// drops it, so its seed can have it, and pins at most an eighth more than
+// the message's bytes.
+func cloneMsgs(seq [][]byte, move bool) [][]byte {
+	moves := func(m []byte) bool { return move && cap(m) > maxSlotBuf && len(m) >= cap(m)-cap(m)/8 }
 	n := 0
 	for _, m := range seq {
-		n += len(m)
+		if !moves(m) {
+			n += len(m)
+		}
 	}
 	out, buf := make([][]byte, len(seq)), make([]byte, 0, n)
 	for i, m := range seq {
-		if len(m) > 0 {
+		switch {
+		case moves(m):
+			out[i] = m[:len(m):len(m)]
+		case len(m) > 0:
 			buf = append(buf, m...)
 			out[i] = buf[len(buf)-len(m) : len(buf) : len(buf)]
 		}
@@ -255,7 +298,8 @@ func (e *Engine) slotBuf(i int) []byte {
 // instantiates each output's data model, optionally mutating fields. Each
 // message reuses the engine's one Message, the leaves it writes copy their
 // bytes into the per-engine arena, and wire bytes land in per-slot reused
-// buffers, so a warmed-up generate allocates nothing.
+// buffers, so a warmed-up generate allocates nothing while its messages
+// stay within maxSlotBuf (a slot that held a larger one starts afresh).
 func (e *Engine) generate() [][]byte {
 	var modelNames []string
 	if len(e.cfg.FixedPaths) > 0 {

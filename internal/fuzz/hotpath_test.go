@@ -76,6 +76,76 @@ func TestStepAllocsMutate(t *testing.T) {
 	}
 }
 
+// TestStepScratchBounded holds the engine's slot buffers to maxSlotBuf
+// between steps: a step that serialises a message over it drops that
+// slot's buffer, and the sequence entry holding it, while a 1 KiB slot
+// keeps its buffer for the next step. A step that finds new edges hands
+// its seed the oversized buffer instead of a copy, and copies the rest.
+func TestStepScratchBounded(t *testing.T) {
+	cfg := Config{
+		Models: map[string]*DataModel{
+			"Small": {Name: "Small", Root: Block("Small", Blob("pay", make([]byte, 1<<10)))},
+			"Big":   {Name: "Big", Root: Block("Big", Blob("pay", make([]byte, 100<<10)))},
+		},
+		FixedPaths: []Path{{Models: []string{"Small", "Big"}}},
+		Seed:       1,
+		GenProb:    1,
+		MutateProb: Never,
+	}
+	var (
+		lens []int
+		sent [][]byte
+		edge uint32 // nonzero: the next Run covers it
+	)
+	e := NewEngine(cfg, TargetFunc(func(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
+		lens, sent = lens[:0], append(sent[:0], seq...)
+		for _, m := range seq {
+			lens = append(lens, len(m))
+		}
+		if edge != 0 {
+			tr.Edge(edge, 1)
+		}
+		return nil
+	}))
+	bounded := func(step int) {
+		t.Helper()
+		if len(lens) != 2 || lens[0] != 1<<10 || lens[1] <= maxSlotBuf {
+			t.Fatalf("step %d sent messages of %v bytes, want [1024 >%d]", step, lens, maxSlotBuf)
+		}
+		for i, b := range e.msgBufs {
+			if cap(b) > maxSlotBuf {
+				t.Fatalf("step %d: slot %d keeps a buffer of %d bytes, over %d", step, i, cap(b), maxSlotBuf)
+			}
+		}
+		for i, m := range e.seqBuf[:cap(e.seqBuf)] {
+			if cap(m) > maxSlotBuf {
+				t.Fatalf("step %d: sequence entry %d holds a buffer of %d bytes, over %d", step, i, cap(m), maxSlotBuf)
+			}
+		}
+	}
+	e.Step()
+	bounded(1)
+	small := e.msgBufs[0]
+	if cap(small) < 1<<10 {
+		t.Fatalf("the 1 KiB slot kept a buffer of %d bytes", cap(small))
+	}
+	edge = 1
+	if e.Step().NewEdges == 0 {
+		t.Fatal("the covering step found no new edges")
+	}
+	bounded(2)
+	if &e.msgBufs[0][:1][0] != &small[:1][0] {
+		t.Fatal("the 1 KiB slot's buffer was not reused by the next step")
+	}
+	seed := e.LastSeed().Msgs
+	if &seed[1][0] != &sent[1][0] || cap(seed[1]) != len(seed[1]) {
+		t.Fatal("the seed copied the oversized message instead of taking its buffer, capacity clipped")
+	}
+	if &seed[0][0] == &small[0] || !bytes.Equal(seed[0], sent[0]) {
+		t.Fatal("the seed's 1 KiB message is not a copy of the one sent")
+	}
+}
+
 // TestConfigProbDefaults covers the zero-value trap fix: unset selects
 // the documented default, the Never sentinel selects exactly zero, and
 // explicit probabilities — both endpoints — survive setDefaults.
