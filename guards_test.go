@@ -243,12 +243,40 @@ func TestDesignGuards(t *testing.T) {
 	})
 
 	// A dist instance is rebuilt on another worker one way: booted at
-	// clock 0 and replayed through its lease journal, after a worker's
-	// death as in Restore. Only rehome moves an instance (reassign); no
-	// instance resumes at a clock of its own (SetClock); no restoring
-	// mode boots and counts differently; and no death reaches the
-	// telemetry that artifacts are written from.
+	// clock 0 and replayed through its lease journal after a worker's
+	// death, by replay, which await alone calls. Only rehome moves an
+	// instance (reassign); no instance resumes at a clock of its own
+	// (SetClock); no restoring mode boots and counts differently; and no
+	// death reaches the telemetry that artifacts are written from. A
+	// checkpoint is a campaign's spec and position, and Restore re-runs
+	// it: the checkpoint visitor names no history (journals, replicas,
+	// batches, mirrors), and what restored the history it once carried
+	// — a resumed loop, a restored recorder or ledger, the in-flight
+	// drain, the "nothing moved since" predicate — stays gone.
 	t.Run("OneRecoveryPath", func(t *testing.T) {
+		none(t, goLines(t, regexp.MustCompile(`ResumeLoop|telemetry\.Restore\b|RestoreLedger|drainInflight|\bCheckpointed\b`), false, "."),
+			"checkpoint history restored")
+		none(t, goLines(t, regexp.MustCompile(`^func Restore\(`), false, "internal/telemetry"), "checkpoint history restored")
+		visited := false
+		walkGo(t, "internal/dist", func(path, fn string, n ast.Node) {
+			if fn != "checkpoint" {
+				return
+			}
+			visited = true
+			if id, ok := n.(*ast.Ident); ok {
+				for _, word := range []string{"journal", "replica", "batch", "mirror"} {
+					if strings.Contains(strings.ToLower(id.Name), word) {
+						t.Errorf("%s: (*codec).checkpoint names %s: a checkpoint that carries history", path, id.Name)
+					}
+				}
+			}
+		})
+		if !visited {
+			t.Error("no checkpoint visitor in internal/dist")
+		}
+		if from := callers(t, "internal/dist", "replay"); len(from) != 1 || !from["internal/dist/coordinator.go: await"] {
+			t.Errorf("replay called from %v, want await alone", from)
+		}
 		none(t, goLines(t, regexp.MustCompile(`SetClock\(|CtrWorkerDeaths|CtrReassignments`), false, "."),
 			"second recovery path")
 		walkGo(t, ".", func(path, _ string, n ast.Node) {

@@ -111,19 +111,6 @@ func NewLedger() *Ledger {
 	return &Ledger{reports: make(map[string]*Report)}
 }
 
-// RestoreLedger rebuilds a ledger from previously exported reports,
-// preserving discovery metadata and hit counts, so a resumed campaign
-// deduplicates against — and keeps counting — the bugs found before the
-// checkpoint.
-func RestoreLedger(reports []Report) *Ledger {
-	l := NewLedger()
-	for _, r := range reports {
-		rc := r
-		l.reports[rc.Crash.ID()] = &rc
-	}
-	return l
-}
-
 // Record files a crash observed by instance at virtual time t under the
 // given rendered configuration. It reports whether the crash was new.
 func (l *Ledger) Record(c *Crash, instance int, t float64, config string) bool {

@@ -68,9 +68,13 @@ func TestWriteTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := telemetry.ParseJSONL(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	var events []telemetry.Event
+	for dec := json.NewDecoder(bytes.NewReader(raw)); dec.More(); {
+		var ev telemetry.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
 	}
 	if len(events) != len(rec.Events()) {
 		t.Fatalf("parsed %d events, recorder has %d", len(events), len(rec.Events()))

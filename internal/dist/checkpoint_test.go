@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,10 +60,12 @@ func diffTrees(t *testing.T, label string, want, got map[string]string) {
 
 // TestCheckpointResumeByteIdentity pins the crash-safe lifecycle: a
 // campaign advanced in slices with checkpoints taken mid-lease (t=557,
-// inside the first sync window) and at a sync boundary (t=1200), then
-// restored onto fresh coordinators with fresh workers — even a
-// different worker count — must produce artifacts byte-identical to an
-// uninterrupted in-process run.
+// inside the first sync window), at a sync boundary (t=1200) and after
+// an Advance that ctx cut short (which must be the t=1200 checkpoint,
+// byte for byte), then restored onto fresh coordinators with fresh
+// workers — even a different worker count — must produce artifacts
+// byte-identical to an uninterrupted in-process run. A restored
+// coordinator's checkpoint is the one it was restored from.
 func TestCheckpointResumeByteIdentity(t *testing.T) {
 	sub := mustSubject(t, "DNS")
 	ctx := context.Background()
@@ -76,9 +79,9 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	writeAll(t, dirA, resA, recA)
 	treeA := readTree(t, dirA)
 
-	// Sliced run: the same coordinator advances through two checkpoints
-	// and finishes. Checkpoint drains in-flight leases, so taking one
-	// must not perturb the replay.
+	// Sliced run: the same coordinator advances through three checkpoints
+	// and finishes. Checkpoint touches no worker, so taking one must not
+	// perturb the replay.
 	recB := telemetry.New()
 	coord := dist.NewCoordinator(sub, baseOptions(recB), dist.Config{HeartbeatInterval: -1})
 	wait := addPipeWorkers(t, coord.AddConn, 2)
@@ -98,6 +101,21 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	ck2, err := coord.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, _, before := coord.Progress()
+	fuse := &fuseCtx{Context: ctx, after: 200, done: make(chan struct{})}
+	if err := coord.Advance(fuse, 1800); err != context.Canceled {
+		t.Fatalf("Advance under a fuse = %v, want context.Canceled", err)
+	}
+	if _, _, after := coord.Progress(); after == before {
+		t.Fatalf("the cut-short Advance replayed nothing (%d execs): the test checks nothing", after)
+	}
+	ck3, err := coord.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ck3, ck2) {
+		t.Fatalf("checkpoint after a cut-short Advance differs from the one at its last completed bound:\n%x\n%x", ck3, ck2)
 	}
 	if err := coord.Advance(ctx, coord.Horizon()); err != nil {
 		t.Fatal(err)
@@ -123,11 +141,15 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	}{
 		{"mid-lease", ck1, 3},
 		{"sync-boundary", ck2, 2},
+		{"cut-short", ck3, 1},
 	} {
 		c2 := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
 		wait2 := addPipeWorkers(t, c2.AddConn, tc.workers)
 		if err := c2.Restore(ctx, tc.blob); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if again, err := c2.Checkpoint(); err != nil || !bytes.Equal(again, tc.blob) {
+			t.Fatalf("%s: the restored coordinator checkpoints to %x (%v), restored from %x", tc.name, again, err, tc.blob)
 		}
 		if err := c2.Advance(ctx, c2.Horizon()); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -181,145 +203,32 @@ func TestCancelledRunReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestCheckpointed pins the predicate a scheduler uses to decide that a
-// coordinator can be set aside (or dropped) without writing a
-// checkpoint: true exactly while the last Checkpoint, or the blob
-// Restore loaded, still describes the replay state.
-func TestCheckpointed(t *testing.T) {
-	sub := mustSubject(t, "DNS")
-	ctx := context.Background()
-	want := func(c *dist.Coordinator, when string, v bool) {
-		t.Helper()
-		if got := c.Checkpointed(); got != v {
-			t.Fatalf("Checkpointed %s = %v, want %v", when, got, v)
-		}
-	}
-
-	coord := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
-	wait := addPipeWorkers(t, coord.AddConn, 2)
-	want(coord, "before Start", false)
-	if err := coord.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want(coord, "after Start", false)
-	if err := coord.Advance(ctx, 400); err != nil {
-		t.Fatal(err)
-	}
-	want(coord, "after Advance", false)
-	blob, err := coord.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want(coord, "after Checkpoint", true)
-	if err := coord.Advance(ctx, 400); err != nil {
-		t.Fatal(err)
-	}
-	want(coord, "after an Advance that had nothing to replay", true)
-
-	if err := coord.Advance(ctx, 800); err != nil {
-		t.Fatal(err)
-	}
-	want(coord, "after Advance past the checkpoint", false)
-	coord.Close()
-	wait()
-
-	restored := dist.NewCoordinator(sub, baseOptions(telemetry.New()), dist.Config{HeartbeatInterval: -1})
-	wait = addPipeWorkers(t, restored.AddConn, 2)
-	if err := restored.Restore(ctx, blob); err != nil {
-		t.Fatal(err)
-	}
-	want(restored, "after Restore", true)
-	if clock := restored.MinClock(); clock < 400 {
-		t.Fatalf("restored clock = %v, want >= 400", clock)
-	}
-	// An Advance cancelled before it replays anything leaves the
-	// coordinator where the checkpoint has it.
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := restored.Advance(cctx, 800); err != context.Canceled {
-		t.Fatalf("cancelled Advance = %v", err)
-	}
-	want(restored, "after a cancelled Advance that replayed nothing", true)
-	restored.Close()
-	want(restored, "after Close", false)
-	wait()
+// fuseCtx cancels itself the after-th time its Done channel is asked
+// for. Coordinator.Advance asks at least once per replayed record, so
+// the cancellation lands mid-Advance.
+type fuseCtx struct {
+	context.Context
+	mu    sync.Mutex
+	after int
+	done  chan struct{}
 }
 
-// TestRestoresParentCheckpoint guards checkpoint.bin across the commits
-// that changed its layout. Each fixture was written by an older build,
-// of a DNS CMFuzz campaign of 2 instances over 0.5 vh with saturation
-// window 30, paused with records still to replay — crashes, new-edge
-// deltas and saturation mutations among them:
-//
-//   - checkpoint_v1.bin.gz, version 1, written before step records
-//     could carry a latency charge: seed 11, paused at t=800 with 399
-//     records to replay. It stores the corpus mirrors, which Restore holds
-//     to the ones replay rebuilds.
-//   - checkpoint_v2.bin.gz, version 2, written before records carried
-//     seed digests (midCampaignCheckpoint: seed 5, paused at t=800): its
-//     records to replay carry every new seed's messages.
-//
-// Each must restore; the restored coordinator's checkpoint must be of
-// the current version and a fixed point of decoding and encoding; and
-// the campaign must finish byte-identical to the in-process run.
-func TestRestoresParentCheckpoint(t *testing.T) {
-	for _, fx := range []struct {
-		file    string
-		version byte
-		seed    int64
-	}{
-		{"checkpoint_v1.bin.gz", 1, 11},
-		{"checkpoint_v2.bin.gz", 2, 5},
-	} {
-		t.Run(fx.file, func(t *testing.T) {
-			blob := dist.Fixture(t, fx.file)
-			if v := blob[dist.CheckpointVersionAt]; v != fx.version {
-				t.Fatalf("fixture is version %d, want %d", v, fx.version)
-			}
-			if err := dist.ValidateCheckpoint(blob); err != nil {
-				t.Fatal(err)
-			}
+func (f *fuseCtx) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.after > 0 {
+		if f.after--; f.after == 0 {
+			close(f.done)
+		}
+	}
+	return f.done
+}
 
-			sub := mustSubject(t, "DNS")
-			ctx := context.Background()
-			recA := telemetry.New()
-			resA, err := parallel.Run(ctx, sub, parallel.Options{
-				Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: fx.seed,
-				Concurrency: 1, SaturationWindow: 30, Telemetry: recA,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dirA := filepath.Join(t.TempDir(), "baseline")
-			writeAll(t, dirA, resA, recA)
-
-			coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
-			wait := addPipeWorkers(t, coord.AddConn, 2)
-			if err := coord.Restore(ctx, blob); err != nil {
-				t.Fatal(err)
-			}
-			again, err := coord.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v := again[dist.CheckpointVersionAt]; v != dist.CheckpointVersion {
-				t.Fatalf("restored checkpoint is version %d, want %d", v, dist.CheckpointVersion)
-			}
-			if back, err := dist.ReencodeCheckpoint(again); err != nil || !bytes.Equal(back, again) {
-				t.Fatalf("restored checkpoint of %d bytes re-encodes to %d different bytes (%v)", len(again), len(back), err)
-			}
-			if err := coord.Advance(ctx, coord.Horizon()); err != nil {
-				t.Fatal(err)
-			}
-			res, err := coord.Finish(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coord.Close()
-			wait()
-			dirB := filepath.Join(t.TempDir(), "restored")
-			writeAll(t, dirB, res, coord.Recorder())
-			diffTrees(t, "restored parent checkpoint", readTree(t, dirA), readTree(t, dirB))
-		})
+func (f *fuseCtx) Err() error {
+	select {
+	case <-f.done:
+		return context.Canceled
+	default:
+		return nil
 	}
 }

@@ -257,7 +257,7 @@ type Stats struct {
 //
 //	Start    plan, assign, boot, dispatch the first leases
 //	Advance  run the event loop up to a virtual-clock bound
-//	Checkpoint / Restore   serialize between Advance slices
+//	Checkpoint / Restore   record the position between Advance slices, and re-run to it
 //	Finish   seal the Result from the replayed counters
 //	Close    release or shut down the fleet
 //
@@ -290,11 +290,9 @@ type Coordinator struct {
 	deathCounted map[*workerConn]bool
 	finished     bool
 	closed       bool
-	// checkpointed holds while the last Checkpoint's (or Restore's) blob
-	// may still describe the campaign: a dispatched lease clears it, and a
-	// replayed record moves src.Replayed off ckReplayed.
-	checkpointed bool
-	ckReplayed   int
+	// at is where the last Advance that completed (or Start) left the
+	// campaign: what Checkpoint records.
+	at position
 	// onReply, set by tests, sees (and may change) the records of every
 	// lease reply the loop is handed, as they arrive.
 	onReply func(i int, recs []parallel.LeaseStep)
@@ -366,15 +364,6 @@ func (c *Coordinator) workerSet() ([]*workerConn, error) {
 	return workers, nil
 }
 
-// Checkpointed reports whether the campaign is exactly where its last
-// Checkpoint (or the checkpoint it was Restored from) left it: nothing
-// replayed, nothing dispatched, no lease in flight since. A scheduler
-// that persisted that blob can set such a coordinator aside and pick it
-// up later — or drop it and Restore from disk — without writing again.
-func (c *Coordinator) Checkpointed() bool {
-	return c.checkpointed && !c.closed && c.src.Replayed == c.ckReplayed
-}
-
 // Stats reports the dist-only bookkeeping. Safe to call concurrently
 // with Run.
 func (c *Coordinator) Stats() Stats {
@@ -410,9 +399,10 @@ func (c *Coordinator) alive(from int) *workerConn {
 }
 
 // leaseJournal is one dispatched lease, remembered so replay can
-// rebuild the instance's exact history: re-sending the same boundaries
-// and seed imports to a freshly booted instance reconstructs the engine,
-// corpus, RNG, and saturation state deterministically.
+// rebuild the instance's exact history after its worker dies: re-sending
+// the same boundaries and seed imports to a freshly booted instance
+// reconstructs the engine, corpus, RNG, and saturation state
+// deterministically.
 type leaseJournal struct {
 	Boundary float64
 	Seeds    []fuzz.Seed
@@ -422,7 +412,7 @@ type leaseJournal struct {
 // it, the dispatched lease whose reply has not been consumed (nil when
 // there is none) with its send time and request size, and the lease
 // history replay re-sends: every lease since the instance's boot at
-// clock 0. A checkpoint stores the history.
+// clock 0.
 type replica struct {
 	owner    *workerConn
 	inflight <-chan reply
@@ -438,9 +428,7 @@ type replica struct {
 // boot is the transport's Boot (dispatch its Send, await its Await):
 // instance i on its round-robin worker — the loop asks in
 // instance order, so ledger entries and telemetry events from startup
-// land as they do in-process. After Restore the loop files nothing of
-// the boot; replay then puts the instance back where the checkpoint left
-// it, once every instance is booted.
+// land as they do in-process.
 func (c *Coordinator) boot(i int) (parallel.BootReport, error) {
 	wc := c.alive(i % len(c.workers))
 	if wc == nil {
@@ -459,7 +447,6 @@ func (c *Coordinator) boot(i int) (parallel.BootReport, error) {
 func (c *Coordinator) dispatch(i int, seeds []fuzz.Seed, boundary float64) {
 	j := leaseJournal{Boundary: boundary, Seeds: seeds}
 	c.inst[i].journal = append(c.inst[i].journal, j)
-	c.checkpointed = false
 	c.send(i, j)
 }
 
@@ -470,7 +457,8 @@ func (c *Coordinator) dispatch(i int, seeds []fuzz.Seed, boundary float64) {
 // the live mirror against the one it rebuilds), which puts it back
 // where the loop is: the reply is all-or-nothing, so the loop
 // replayed none of the lost lease, and the campaign goes on as if the
-// worker had lived. The survivor pays wall time in proportion to the
+// worker had lived. A survivor that dies during the replay hands it to
+// the next. The survivor pays wall time in proportion to the
 // instance's history. The replay runs to its end whatever ctx says — a
 // chain cut short would leave the instance somewhere the loop cannot
 // name — and each of its exchanges is bounded by RPCTimeout.
@@ -485,17 +473,17 @@ func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, e
 		if err == nil {
 			return recs, nil
 		}
-		if _, err := c.rehome(i, err); err != nil {
-			return nil, err
-		}
 		// Replay the journal up to the lost lease, whose imports are
 		// pending again as they were before it was sent: the live mirror
 		// holds them already.
 		last := len(in.journal) - 1
 		lost, r := in.journal[last], &c.src.Inst[i]
 		in.journal, r.Pending = in.journal[:last], lost.Seeds
-		if err := c.replay(context.Background(), i, i+1); err != nil {
-			return nil, err
+		for err != nil {
+			if _, err = c.rehome(i, err); err != nil {
+				return nil, err
+			}
+			err = c.replay(i)
 		}
 		in.journal, r.Pending = append(in.journal, lost), nil
 		c.send(i, lost)
@@ -504,7 +492,7 @@ func (c *Coordinator) await(ctx context.Context, i int) ([]parallel.LeaseStep, e
 
 // send puts one of instance i's journaled leases on its owner's
 // connection: the one place a lease is issued, for the first time
-// (dispatch) or again (replay). The reply is picked up by take.
+// (dispatch) or again (replay, await). The reply is picked up by take.
 func (c *Coordinator) send(i int, j leaseJournal) {
 	in := &c.inst[i]
 	payload := marshal(&lease{Campaign: c.campaign, Index: i, Boundary: j.Boundary, Horizon: c.loop.Horizon(), Seeds: j.Seeds}, (*codec).lease)
@@ -514,7 +502,7 @@ func (c *Coordinator) send(i int, j leaseJournal) {
 
 // take takes instance i's in-flight lease reply. A ctx that ends first
 // returns ctx.Err() without consuming anything: the reply waits in its
-// channel and the next Advance (or the checkpoint drain) picks it up.
+// channel and the next Advance picks it up.
 func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 	in := &c.inst[i]
 	var rep reply
@@ -531,99 +519,58 @@ func (c *Coordinator) take(ctx context.Context, i int) (reply, error) {
 	return rep, nil
 }
 
-// replay rebuilds the freshly booted instances from up to to — engine,
-// corpus, RNG, saturation state worker-side, the corpus mirror here — by
-// re-sending each the leases it was sent before: one chain per instance
-// (never two leases in flight for one instance), every chain in flight
-// at once so the workers' lanes all run, each pass of the loop taking
-// one reply per chain and sending that chain's next lease. A chain whose
-// worker dies starts over on a survivor. It is the one way an instance
-// is rebuilt: Restore replays every instance, a lost lease its own.
+// replay rebuilds instance i, freshly booted on a survivor of its
+// worker's death — engine, corpus, RNG, saturation state worker-side —
+// by re-sending it, one at a time, the leases it was sent before. A
+// reply that does not come back is the error await hands to rehome.
 //
-// The records that come back were replayed by the loop already, or wait
-// in the instance's batch, so they are only counted, as the loop counts
-// what it replays: a chain must re-execute exactly those records, with
-// their crashes and mutations, or the campaign fails naming the
-// instance. The restart failures among the replayed records, which a
-// checkpoint does not carry, are recounted here.
-//
-// The mirror is rebuilt in the engine's order: each lease's imports as
-// it is re-sent, the seed (or digest) of every new-edges record the loop
-// had replayed, then the pending seeds. A replica that holds none (a
-// checkpoint's since version 2) takes the rebuilt one; one that does (a
-// version-1 checkpoint's, or the live one after a death) must hold
-// exactly it, digest for digest, or the campaign fails naming the
-// instance.
-func (c *Coordinator) replay(ctx context.Context, from, to int) error {
-	sent := make([]int, to-from)                // journal entries re-sent to each instance's current boot
-	redone := make([]parallel.Replica, to-from) // what each chain re-executed, and its mirror
-	for k := range redone {
-		redone[k].Mirror = parallel.NewMirror()
-	}
-	for busy := true; busy; {
-		busy = false
-		for i := from; i < to; i++ {
-			k, in := i-from, &c.inst[i]
-			if in.inflight != nil {
-				rep, err := c.take(ctx, i)
-				if err != nil {
-					return err
-				}
-				var lr leaseResult
-				if err := decodeLease(in.owner, rep, &lr); err != nil {
-					if _, err := c.rehome(i, fmt.Errorf("dist: restore replay of instance %d: %w", i, err)); err != nil {
-						return err
-					}
-					sent[k], redone[k] = 0, parallel.Replica{Mirror: parallel.NewMirror()}
-				}
-				recount(&redone[k], lr.Steps, c.src.Inst[i].Execs)
-			}
-			if sent[k] < len(in.journal) {
-				j := in.journal[sent[k]]
-				redone[k].Mirror.Import(j.Seeds)
-				c.send(i, j)
-				sent[k]++
-				busy = true
-			}
+// The records that come back were replayed by the loop already (it
+// awaits a lease only once the last one's batch is replayed), so they
+// are only counted, as the loop counts what it replays: the chain must
+// re-execute exactly those records, with their crashes and mutations,
+// and rebuild a corpus mirror that holds exactly the live one's seeds,
+// digest for digest, or the campaign fails naming the instance. The
+// rebuilt mirror follows the engine's order: each lease's imports as it
+// is re-sent, the seed (or digest) of every new-edges record, then the
+// pending imports.
+func (c *Coordinator) replay(i int) error {
+	in, r := &c.inst[i], &c.src.Inst[i]
+	redone := parallel.Replica{Mirror: parallel.NewMirror()} // what the chain re-executed, and its mirror
+	for _, j := range in.journal {
+		redone.Mirror.Import(j.Seeds)
+		c.send(i, j)
+		rep, err := c.take(context.Background(), i)
+		if err != nil {
+			return err
 		}
-	}
-	for i := from; i < to; i++ {
-		r, got := &c.src.Inst[i], &redone[i-from]
-		if left := len(r.Batch) - r.Pos; got.Execs != r.Execs+left || got.Crashes != r.Crashes || got.Muts != r.Muts {
-			return fmt.Errorf("dist: restore of instance %d re-executed %d records with %d crashes and %d mutations; the loop holds %d replayed and %d to replay, with %d crashes and %d mutations",
-				i, got.Execs, got.Crashes, got.Muts, r.Execs, left, r.Crashes, r.Muts)
+		var lr leaseResult
+		if err := decodeLease(in.owner, rep, &lr); err != nil {
+			return fmt.Errorf("dist: replay of instance %d: %w", i, err)
 		}
-		got.Mirror.Import(r.Pending)
-		if r.Mirror == nil {
-			r.Mirror = got.Mirror
-		} else if k := r.Mirror.Diff(got.Mirror); k >= 0 {
-			return fmt.Errorf("dist: restore of instance %d rebuilt a corpus mirror of %d seeds that differs from the loop's %d at seed %d",
-				i, got.Mirror.Len(), r.Mirror.Len(), k)
-		}
-		r.RestartFails = got.RestartFails
-	}
-	return nil
-}
-
-// recount adds a re-executed lease's records to tally's Execs, and what
-// the loop counted of the chain's first replayed ones to the rest, their
-// new-edges seeds to its mirror included.
-func recount(tally *parallel.Replica, steps []parallel.LeaseStep, replayed int) {
-	for k := range steps {
-		if s := &steps[k]; tally.Execs < replayed {
+		for k := range lr.Steps {
+			s := &lr.Steps[k]
+			redone.Execs++
 			if s.Crash != nil {
-				tally.Crashes++
+				redone.Crashes++
 			}
 			if s.NewEdges > 0 {
-				tally.Mirror.Add(s.Seed, s.Digest, s.Ship)
+				redone.Mirror.Add(s.Seed, s.Digest, s.Ship)
 			}
 			if s.Mutation != nil {
-				tally.Muts += s.Mutation.Mutations
-				tally.RestartFails += s.Mutation.RestartFails
+				redone.Muts += s.Mutation.Mutations
 			}
 		}
-		tally.Execs++
 	}
+	if redone.Execs != r.Execs || redone.Crashes != r.Crashes || redone.Muts != r.Muts {
+		return fmt.Errorf("dist: replay of instance %d re-executed %d records with %d crashes and %d mutations; the loop replayed %d, with %d crashes and %d mutations",
+			i, redone.Execs, redone.Crashes, redone.Muts, r.Execs, r.Crashes, r.Muts)
+	}
+	redone.Mirror.Import(r.Pending)
+	if k := r.Mirror.Diff(redone.Mirror); k >= 0 {
+		return fmt.Errorf("dist: replay of instance %d rebuilt a corpus mirror of %d seeds that differs from the loop's %d at seed %d",
+			i, redone.Mirror.Len(), r.Mirror.Len(), k)
+	}
+	return nil
 }
 
 // decodeLease unwraps and decodes a lease reply from wc into lr, whose
@@ -771,14 +718,6 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	return c.open(ctx, workers, plan.Specs, nil, make([]replica, len(plan.Specs)), false)
-}
-
-// open brings the planned (or restored) campaign up on workers: assign,
-// set up the loop's source over the replicas (nil for a fresh campaign),
-// boot every instance through the loop, and lease out every instance
-// that has nothing left to replay.
-func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []parallel.InstanceSpec, replicas []parallel.Replica, inst []replica, restored bool) error {
 	// Ship the whole plan to every worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
 	// adopt a reassigned instance later. Observability sinks are
@@ -790,7 +729,7 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 	wireOpts := opts
 	wireOpts.Telemetry = nil
 	wireOpts.Trace = nil
-	assignPayload := marshal(&assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: specs}, (*codec).assign)
+	assignPayload := marshal(&assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: plan.Specs}, (*codec).assign)
 	for _, wc := range workers {
 		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
 			return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
@@ -800,27 +739,15 @@ func (c *Coordinator) open(ctx context.Context, workers []*workerConn, specs []p
 		c.pool.StartHeartbeats()
 	}
 
-	c.workers, c.inst = workers, inst
-	c.checkpointed = restored // until a lease is dispatched
-	c.src = parallel.NewLeaseSource(c.loop, append([]parallel.InstanceSpec(nil), specs...), replicas,
-		parallel.Transport{Boot: c.boot, Send: c.dispatch, Await: c.await})
+	c.workers, c.inst = workers, make([]replica, len(plan.Specs))
+	c.src = parallel.NewLeaseSource(c.loop, plan.Specs, parallel.Transport{Boot: c.boot, Send: c.dispatch, Await: c.await})
 	if err := c.loop.Boot(ctx, c.src); err != nil {
 		return err
 	}
-	if restored {
-		if err := c.replay(ctx, 0, len(inst)); err != nil {
-			return err
-		}
-		c.loop.Publish() // the mirrors are whole again
-	}
-	// After Start that is every instance. A restored instance left
-	// mid-campaign has unreplayed records (a batch drains only right
-	// before its next lease is dispatched), and one that already ran out
-	// the horizon needs nothing, so there it is a safety net for the
-	// empty-batch edge.
-	for i := range inst {
+	for i := range c.inst {
 		c.src.Done(i)
 	}
+	c.at.clock, c.at.edges, c.at.execs = c.Progress()
 	return nil
 }
 
@@ -853,8 +780,9 @@ func (c *Coordinator) Progress() (clock float64, edges, execs int) {
 	return c.loop.MinClock(), c.loop.Union.Count(), execs
 }
 
-// Recorder returns the campaign's telemetry recorder (the restored one
-// after Restore). Artifact writers use it after Finish.
+// Recorder returns the campaign's telemetry recorder (a fresh one after
+// Restore on a coordinator that had none). Artifact writers use it after
+// Finish.
 func (c *Coordinator) Recorder() *telemetry.Recorder {
 	if c.loop == nil {
 		return c.opts.Telemetry
@@ -867,8 +795,9 @@ func (c *Coordinator) Recorder() *telemetry.Recorder {
 // drain (parallel.Loop.Advance over the lease source, so any sequence
 // of Advance calls produces the same artifacts as one uninterrupted
 // run). A cancelled ctx returns ctx.Err() with the replay position
-// intact; the in-flight leases stay pending and the next Advance (or a
-// Checkpoint drain) consumes them.
+// intact; the in-flight leases stay pending and the next Advance
+// consumes them. Only an Advance that completes moves the position
+// Checkpoint records.
 func (c *Coordinator) Advance(ctx context.Context, until float64) error {
 	if c.src == nil {
 		return errors.New("dist: coordinator not started")
@@ -876,22 +805,13 @@ func (c *Coordinator) Advance(ctx context.Context, until float64) error {
 	if c.finished || c.closed {
 		return errors.New("dist: campaign already finished")
 	}
-	return c.loop.Advance(ctx, until)
-}
-
-// drainInflight blocks until no instance has a lease reply pending,
-// leaving the drained records in the per-instance batches for the next
-// Advance to replay. Checkpoint requires this quiescent state.
-func (c *Coordinator) drainInflight() error {
-	for i := range c.inst {
-		if c.inst[i].inflight != nil {
-			recs, err := c.await(context.Background(), i)
-			if err != nil {
-				return err
-			}
-			c.src.Fill(i, recs)
-		}
+	if err := c.loop.Advance(ctx, until); err != nil {
+		return err
 	}
+	if until > c.at.bound {
+		c.at.bound = until
+	}
+	c.at.clock, c.at.edges, c.at.execs = c.Progress()
 	return nil
 }
 

@@ -30,9 +30,8 @@
 //
 // Failure handling is first-class: workers heartbeat, every RPC carries
 // a deadline, and when a worker dies each instance whose lease it lost
-// is booted on a survivor and replayed through its lease journal, the
-// way Restore rebuilds a checkpointed campaign, before the lost lease
-// is sent again. A lease reply is all-or-nothing, so the loop replayed
+// is booted on a survivor and replayed through its lease journal
+// before the lost lease is sent again. A lease reply is all-or-nothing, so the loop replayed
 // none of the lost one, and the campaign ends byte-identical to one that
 // lost no worker; the death costs wall time only.
 package dist

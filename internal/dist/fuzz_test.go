@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -171,150 +172,112 @@ func midCampaignCheckpoint(tb testing.TB) []byte {
 	return blob
 }
 
-// TestRestoreChecksReexecution: Restore holds what its re-executed
-// journals return to the checkpoint. A checkpoint whose last lease of
-// instance 0 is journaled with an earlier boundary than the one it was
-// sent with re-executes fewer records than it holds, and Restore fails
-// naming the instance instead of finishing silently different.
+// TestRestoreChecksReexecution: Restore holds where its re-run lands to
+// the checkpoint. A checkpoint whose recorded execs, then edges, are one
+// off re-runs to the true figures, and Restore fails naming both.
 func TestRestoreChecksReexecution(t *testing.T) {
 	ck, err := decodeCheckpoint(midCampaignCheckpoint(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := ck.inst[0].journal
-	j[len(j)-1].Boundary -= 100
-	blob, err := encodeCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sub, err := protocols.ByName("DNS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(sub, parallel.Options{}, Config{HeartbeatInterval: -1})
-	cConn, wConn := net.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
-	if err := coord.AddConn(cConn); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		field string
+		alter func(*checkpoint) (was, now int)
+	}{
+		{"execs", func(ck *checkpoint) (int, int) { ck.execs++; return ck.execs - 1, ck.execs }},
+		{"edges", func(ck *checkpoint) (int, int) { ck.edges--; return ck.edges + 1, ck.edges }},
+	} {
+		bad := ck
+		was, now := tc.alter(&bad)
+		coord, closeCoord := pipeCoordinator(t, sub, parallel.Options{}, 1)
+		err := coord.Restore(context.Background(), encodeCheckpoint(&bad))
+		closeCoord()
+		for _, n := range []int{was, now} {
+			if want := fmt.Sprintf(" %d %s", n, tc.field); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Restore of a checkpoint with its %s one off = %v, want a failure naming%q", tc.field, err, want)
+			}
+		}
+		t.Log(err)
 	}
-	err = coord.Restore(context.Background(), blob)
-	coord.Close()
-	if serr := <-served; serr != nil {
-		t.Error(serr)
-	}
-	if err == nil || !strings.Contains(err.Error(), "restore of instance 0 ") {
-		t.Fatalf("Restore of an altered journal = %v, want a failure naming instance 0", err)
-	}
-	t.Log(err)
 }
 
-// TestRestoreRefusesRebootedJournal: an older build re-booted an
-// instance whose worker died at the loop's clock and restarted its
-// journal there, recording that clock in checkpoint.bin. This build
-// boots at clock 0 only, so such a journal cannot rebuild the instance,
-// and Restore fails naming it before touching a worker.
-func TestRestoreRefusesRebootedJournal(t *testing.T) {
-	ck, err := decodeCheckpoint(midCampaignCheckpoint(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.resume[1] = 600
-	blob, err := encodeCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestReplayChecksReexecution: the replay that rebuilds an instance
+// after its worker's death holds what it re-executes to what the loop
+// replayed. With the first lease of instance 0 journaled with an earlier
+// boundary than it was sent with, and its worker killed after the
+// second reply, the replay re-executes fewer records than the loop
+// holds, and Advance fails naming the instance instead of finishing
+// silently different.
+func TestReplayChecksReexecution(t *testing.T) {
 	sub, err := protocols.ByName("DNS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(sub, parallel.Options{}, Config{HeartbeatInterval: -1})
-	cConn, wConn := net.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
-	if err := coord.AddConn(cConn); err != nil {
+	coord, closeCoord := pipeCoordinator(t, sub, parallel.Options{
+		Mode: parallel.ModeCMFuzz, Instances: 2, VirtualHours: 0.5, Seed: 5, Concurrency: 1,
+	}, 2)
+	defer closeCoord()
+	replies := 0
+	coord.onReply = func(i int, _ []parallel.LeaseStep) {
+		if i == 0 {
+			if replies++; replies == 2 {
+				coord.inst[0].journal[0].Boundary -= 100
+				coord.inst[0].owner.kill(errors.New("killed by the test"))
+			}
+		}
+	}
+	ctx := context.Background()
+	if err := coord.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	err = coord.Restore(context.Background(), blob)
-	coord.Close()
-	if serr := <-served; serr != nil {
-		t.Error(serr)
-	}
-	if err == nil || !strings.Contains(err.Error(), "restore of instance 1: ") {
-		t.Fatalf("Restore of a journal that starts at a re-boot = %v, want a failure naming instance 1", err)
+	err = coord.Advance(ctx, coord.Horizon())
+	if err == nil || !strings.Contains(err.Error(), "replay of instance 0 re-executed") {
+		t.Fatalf("Advance past a death whose replay re-executes an altered journal = %v, want a failure naming instance 0", err)
 	}
 	t.Log(err)
 }
 
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
-// and every cold restore run on checkpoint.bin. Seeds: the version-1 and
-// version-2 checkpoints older builds wrote (kept as restore fixtures),
-// the current-version checkpoints they re-encode to, which must be fixed
-// points, one this build just took, which must re-encode to exactly its
-// own bytes, and a few torn and flipped copies of each.
+// and every cold restore run on checkpoint.bin. Seeds: checkpoints this
+// build just took — of a campaign mid-way and of one just started, in
+// another mode — which must re-encode to exactly their own bytes and
+// fit in 256, and every torn and flipped copy of each.
 func FuzzValidateCheckpoint(f *testing.F) {
-	v1, v2 := v1Checkpoint(f), v2Checkpoint(f)
-	reencode := func(blob []byte) []byte {
-		ck, err := decodeCheckpoint(blob)
-		if err != nil {
-			f.Fatal(err)
-		}
-		back, err := encodeCheckpoint(ck)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return back
-	}
-	ver := 2 + len(checkpointMagic) // where the version byte sits
-	if v1[ver] != 1 || v2[ver] != 2 {
-		f.Fatalf("the fixtures are versions %d and %d, want 1 and 2", v1[ver], v2[ver])
-	}
-	var current [][]byte
-	for _, old := range [][]byte{v1, v2} {
-		now := reencode(old)
-		if now[ver] != checkpointVersion || !bytes.Equal(reencode(now), now) {
-			f.Fatalf("a version-%d fixture re-encodes to a version-%d checkpoint that is no fixed point", old[ver], now[ver])
-		}
-		current = append(current, now)
-	}
-	// The mid-campaign checkpoint holds digest-only records to replay;
-	// a copy with one of them made to ship its seed's messages holds both
-	// kinds.
-	mid := midCampaignCheckpoint(f)
-	if back := reencode(mid); !bytes.Equal(back, mid) {
-		f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes", len(mid), len(back))
-	}
-	ck, err := decodeCheckpoint(mid)
+	sub, err := protocols.ByName("CoAP")
 	if err != nil {
 		f.Fatal(err)
 	}
-	shipped := false
-	for i := range ck.replay {
-		for k := range ck.replay[i].Batch {
-			if rec := &ck.replay[i].Batch[k]; rec.NewEdges > 0 && !shipped {
-				rec.Seed.Msgs = [][]byte{{0x12, 0x34, 0x01, 0x00}, nil}
-				rec.Digest, rec.Ship, shipped = rec.Seed.Digest(), true, true
-			}
-		}
+	started := NewCoordinator(sub, parallel.Options{Mode: parallel.ModePeach, Instances: 2, VirtualHours: 0.1, Seed: 9, LinkLatencyBase: 0.01}, Config{HeartbeatInterval: -1})
+	cConn, wConn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(WorkerConfig{Name: "w", Resolve: protocols.ByName}).Serve(wConn) }()
+	if err := started.AddConn(cConn); err != nil {
+		f.Fatal(err)
 	}
-	both, err := encodeCheckpoint(ck)
-	if err != nil || !shipped {
-		f.Fatalf("no record of the mid-campaign checkpoint made to ship (%v)", err)
+	if err := started.Start(context.Background()); err != nil {
+		f.Fatal(err)
 	}
-	f.Add([]byte(nil))
-	for _, good := range append([][]byte{v1, v2, mid, both}, current...) {
-		f.Add(good)
-		for _, cut := range []int{len(checkpointMagic), len(good) / 3, len(good) - 1} {
-			f.Add(good[:cut])
+	fresh, err := started.Checkpoint()
+	started.Close()
+	if serr := <-served; err != nil || serr != nil {
+		f.Fatal(err, serr)
+	}
+	for _, good := range [][]byte{midCampaignCheckpoint(f), fresh} {
+		ck, err := decodeCheckpoint(good)
+		if err != nil {
+			f.Fatal(err)
 		}
-		for _, at := range []int{len(checkpointMagic) + 2, len(good) / 2, len(good) - 1} {
-			flipped := append([]byte(nil), good...)
-			flipped[at] ^= 0xFF
-			f.Add(flipped)
+		if back := encodeCheckpoint(&ck); !bytes.Equal(back, good) || len(good) > 256 {
+			f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes, or is over 256", len(good), len(back))
 		}
+		seedMatrix(f, good)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
-		fixedPoint(t, ck, err, decodeCheckpoint, encodeCheckpoint)
+		fixedPoint(t, ck, err, decodeCheckpoint, func(ck checkpoint) ([]byte, error) { return encodeCheckpoint(&ck), nil })
 	})
 }

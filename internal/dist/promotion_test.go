@@ -220,9 +220,8 @@ func TestPromotionStrippedFails(t *testing.T) {
 		t.Fatalf("the reply adding the tied seed %v does not ship it: nothing to strip", s.Digest)
 	}
 	s.Ship, s.Seed.Msgs = false, nil
-	src := parallel.NewLeaseSource(nil, make([]parallel.InstanceSpec, 2), []parallel.Replica{
-		{Mirror: mirrorOf(p, recs)}, {Mirror: parallel.NewMirror()},
-	}, parallel.Transport{})
+	src := parallel.NewLeaseSource(nil, make([]parallel.InstanceSpec, 2), parallel.Transport{})
+	src.Inst[0].Mirror, src.Inst[1].Mirror = mirrorOf(p, recs), parallel.NewMirror()
 	_, err := src.Sync(1)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("instance 0 exports seed %v", s.Digest)) {
 		t.Fatalf("sync from a mirror missing the promoted seed's messages = %v, want a failure naming instance 0 and seed %v", err, s.Digest)

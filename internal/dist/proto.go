@@ -28,9 +28,6 @@ type codec struct {
 	w   *wire.Writer
 	r   *wire.Reader
 	err error // the first error encoding hit (decoding fails r instead)
-	// version is the checkpoint layout a checkpoint visitor reads or
-	// writes (the wire payloads have one layout per protocolVersion).
-	version byte
 }
 
 // marshal encodes m with the visitor fields into a fresh buffer.
@@ -101,15 +98,6 @@ func u16[T ~uint16 | ~int](c *codec, v *T) {
 func u32[T ~uint32 | ~int](c *codec, v *T) {
 	if c.r != nil {
 		*v = T(c.r.U32())
-	} else {
-		c.w.U32(uint32(*v))
-	}
-}
-
-// i32 is a u32 that reads back sign-extended.
-func i32(c *codec, v *int) {
-	if c.r != nil {
-		*v = int(int32(c.r.U32()))
 	} else {
 		c.w.U32(uint32(*v))
 	}
@@ -467,16 +455,13 @@ const (
 )
 
 // step visits one step record. A lane encodes a lease's records into its
-// reused encoder straight from the instance's record buffer; the
-// checkpoint stores drained records not yet replayed with it. A
-// record that charged no link latency encodes as it did before records
-// could carry one, so older checkpoints and latency-free replies are
-// unchanged. A new-edges record carries its seed's digest, and the
-// messages only when the record ships them; in a checkpoint older than
-// version 3 it carries the messages, always, and no digest. Decoding
-// rejects flag bits it does not know, an edges flag with no edges, a
-// seed flag without one, shipped messages that do not match their
-// digest, and a latency flag without a positive, finite charge:
+// reused encoder straight from the instance's record buffer. A record
+// that charged no link latency encodes as it did before records could
+// carry one, so latency-free replies are unchanged. A new-edges record
+// carries its seed's digest, and the messages only when the record ships
+// them. Decoding rejects flag bits it does not know, an edges flag with
+// no edges, a seed flag without one, shipped messages that do not match
+// their digest, and a latency flag without a positive, finite charge:
 // anything else would re-encode differently or poison the replayed
 // clock or a corpus mirror.
 func (c *codec) step(rec *parallel.LeaseStep) {
@@ -493,12 +478,11 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 	if rec.Latency != 0 {
 		flags |= leaseFlagLatency
 	}
-	legacy := c.version != 0 && c.version < digestVersion
-	if rec.NewEdges > 0 && rec.Ship && !legacy {
+	if rec.NewEdges > 0 && rec.Ship {
 		flags |= leaseFlagSeed
 	}
 	u8(c, &flags)
-	if flags&^byte(leaseFlagsKnown) != 0 || flags&leaseFlagSeed != 0 && (legacy || flags&leaseFlagEdges == 0) {
+	if flags&^byte(leaseFlagsKnown) != 0 || flags&leaseFlagSeed != 0 && flags&leaseFlagEdges == 0 {
 		c.fail(ErrProto)
 		return
 	}
@@ -522,31 +506,19 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 		// the messages travel. Sequences are at most a handful of
 		// messages (the engine caps path length), so a one-byte count
 		// suffices.
-		if legacy {
-			if !c.decoding() && !rec.Ship {
-				c.fail(errors.New("dist: a checkpoint before version 3 stores every seed's messages"))
-			}
+		u32(c, &rec.Digest.CRC)
+		u32(c, &rec.Digest.Size)
+		if flags&leaseFlagSeed != 0 {
 			list[uint8](c, &rec.Seed.Msgs, bytes32)
-			if c.decoding() {
-				rec.Digest, rec.Ship = rec.Seed.Digest(), true
-			}
-		} else {
-			u32(c, &rec.Digest.CRC)
-			u32(c, &rec.Digest.Size)
-			if flags&leaseFlagSeed != 0 {
-				list[uint8](c, &rec.Seed.Msgs, bytes32)
-				if c.decoding() && c.ok() && rec.Seed.Digest() != rec.Digest {
-					c.fail(ErrProto)
-				}
+			if c.decoding() && c.ok() && rec.Seed.Digest() != rec.Digest {
+				c.fail(ErrProto)
 			}
 		}
 	}
 	if c.decoding() {
 		rec.Seed.Gain = rec.NewEdges
 		rec.SatFired = flags&leaseFlagSat != 0
-		if !legacy {
-			rec.Ship = flags&leaseFlagSeed != 0
-		}
+		rec.Ship = flags&leaseFlagSeed != 0
 	}
 	if flags&leaseFlagSat != 0 {
 		opt(c, &rec.Mutation, (*codec).mutation)

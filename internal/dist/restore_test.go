@@ -78,17 +78,17 @@ func (c *gaugedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestRestoreReplaysOnEveryLane: Restore quiet-boots every instance and
-// then replays all their journals at once through the path every lease
-// takes, so a resume uses however many lanes the worker has. A 4-instance
-// checkpoint restored onto one worker must put a lease of every instance
-// on the wire before the first reply is let through (the serial replay
-// this replaces never had more than one out, and fails the test when
-// the hold times out), never more than one per instance, and finish
-// with the in-process run's artifact tree at every core count. And a worker that dies mid-replay costs the campaign nothing:
-// its instances are re-booted on the survivor, replayed again, and the
-// tree is still the undisturbed run's — telemetry counters included —
-// while Stats reports the death.
+// TestRestoreReplaysOnEveryLane: Restore re-runs the campaign through
+// the path every lease takes, so a resume uses however many lanes the
+// worker has. A 4-instance checkpoint restored onto one worker must put
+// a lease of every instance on the wire before the first reply is let
+// through (a serial re-execution never has more than one out, and fails
+// the test when the hold times out), never more than one per instance,
+// and finish with the in-process run's artifact tree at every core
+// count. And a worker that dies mid-re-run costs the campaign nothing:
+// its instances are re-booted on the survivor, replayed, and the tree
+// is still the undisturbed run's — telemetry counters included — while
+// Stats reports the death.
 func TestRestoreReplaysOnEveryLane(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sub := mustSubject(t, "DNS")
@@ -170,8 +170,8 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 	}
 
 	// Two workers; the first lease reply worker 0 sends back during the
-	// replay is lost and the connection with it (reads 1-4 carry hello,
-	// assignOK and the quiet boots of instances 0 and 2).
+	// re-run is lost and the connection with it (reads 1-4 carry hello,
+	// assignOK and the boots of instances 0 and 2).
 	runtime.GOMAXPROCS(4)
 	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
 	serveErr := make(chan error, 2)
@@ -201,8 +201,7 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 }
 
 // TestRestoreRecountsRestartFailures: checkpoint.bin does not carry an
-// instance's restart failures, so Restore recounts them from the records
-// of the leases it re-executes. CoAP, CMFuzz, seed 3, 8 vh has one, on
+// instance's restart failures, so Restore's re-run counts them again. CoAP, CMFuzz, seed 3, 8 vh has one, on
 // instance 3 at 26,470.8 s; checkpointed at 27,000 s and restored onto
 // three fresh workers, the campaign must finish with parallel.Run's tree,
 // that failure included.

@@ -2,8 +2,9 @@
 // `cmfuzz serve`: many (protocol, configuration-group) campaigns share
 // one worker fleet, a deterministic UCB1 bandit reassigns worker time
 // slices toward the campaigns with the best observed coverage rate per
-// execution, and every campaign's state survives coordinator restarts
-// through the dist checkpoint format.
+// execution, and every campaign survives coordinator restarts through
+// its dist checkpoint: its options and the bound its last slice reached,
+// which a restart re-runs it to.
 //
 // The scheduler is concurrent by partition: each round, the bandit's
 // scores become worker *shares*, the shared dist.Pool is split into
@@ -16,8 +17,8 @@
 // campaign squeezed out of a round is suspended, not parked: it gives
 // back only its partition, and it is granted those same connections
 // again or passed over until they are free, so nothing is re-executed;
-// a restore from checkpoint.bin is paid only where it buys something
-// (Step). Byte identity survives by composition: each campaign's replay is
+// a re-run to checkpoint.bin's bound is paid only where it buys
+// something (Step). Byte identity survives by composition: each campaign's replay is
 // slicing-invariant (see dist.Advance) and worker-count-invariant, so
 // the artifacts a campaign produces are byte-identical whatever
 // schedule the allocator picks, however many workers each round hands
@@ -26,7 +27,7 @@
 // On-disk layout under Config.StateDir:
 //
 //	<id>/spec.json       the submitted campaign spec (write-once)
-//	<id>/checkpoint.bin  dist checkpoint, rewritten after every slice
+//	<id>/checkpoint.bin  dist checkpoint (~150 bytes), rewritten after every slice
 //	<id>/artifacts/      final artifacts, written at completion
 //
 // All writes are atomic (campaign.WriteFileAtomic), so a kill at any
@@ -181,9 +182,9 @@ type Manager struct {
 	round   int
 	warmCap int
 	// Hand-off outcomes, for Instrument: grants that continued a
-	// suspended coordinator, grants that had to Restore one from
-	// checkpoint.bin, and campaigns passed over for a round because a
-	// higher-ranked one held their workers.
+	// suspended coordinator, grants that re-ran one to checkpoint.bin's
+	// bound, and campaigns passed over for a round because a higher-ranked
+	// one held their workers.
 	warmResumes    atomic.Int64
 	coldRestores   atomic.Int64
 	deferredGrants atomic.Int64
@@ -199,7 +200,7 @@ type Manager struct {
 // lease round-trip latency, the lifetime flight-recorder event count,
 // the lifetime count of stream events lost to slow SSE subscribers,
 // and how many grants resumed a suspended campaign warm against how
-// many restored one from its checkpoint or were put off a round. Call
+// many re-ran one to its checkpoint or were put off a round. Call
 // once, before Run.
 func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.leaseLatency = reg.Histogram("cmfuzz_lease_latency_seconds",
@@ -222,7 +223,7 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 		"Grants that continued a suspended campaign on the workers still holding its instances, re-executing nothing.",
 		func() float64 { return float64(m.warmResumes.Load()) })
 	reg.CounterFunc("cmfuzz_fleet_cold_restores_total",
-		"Grants that restored a campaign from checkpoint.bin, re-booting its instances and re-executing their lease journals.",
+		"Grants that re-ran a campaign from its spec to its checkpointed bound.",
 		func() float64 { return float64(m.coldRestores.Load()) })
 	reg.CounterFunc("cmfuzz_fleet_deferred_grants_total",
 		"Rounds a suspended campaign sat out because a higher-ranked one held the workers its instances are on.",
@@ -232,7 +233,7 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 // NewManager opens (or creates) the state directory and recovers every
 // campaign found there: completed campaigns (artifacts present) come
 // back done, everything else comes back queued — with its checkpoint,
-// if one was persisted, resumed on the campaign's first slice.
+// if one was persisted, re-run to on the campaign's first slice.
 func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subject, error)) (*Manager, error) {
 	if cfg.Slice <= 0 {
 		cfg.Slice = 900
@@ -286,23 +287,24 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 			}
 		}
 		// A spec Submit would refuse today (written by hand, or by a
-		// build that did not validate) and a corrupt or truncated
-		// checkpoint (torn write from a kill mid-rename, disk trouble)
-		// would otherwise fail — or panic — the campaign's first slice
-		// after recovery, on every restart. Mark the campaign failed now,
-		// with the reason so /api/status reports why (a bad checkpoint is
-		// also renamed aside), and keep scanning: one damaged campaign
-		// must not abort recovery of the rest.
+		// build that did not validate) would otherwise fail — or panic —
+		// the campaign's first slice after recovery, on every restart.
+		// Mark the campaign failed now, with the reason so /api/status
+		// reports why, and keep scanning: one damaged campaign must not
+		// abort recovery of the rest.
 		if rec.state == StateQueued && invalid != nil {
 			rec.state, rec.err = StateFailed, invalid.Error()
 		}
+		// A checkpoint that does not validate (torn by a kill mid-rename,
+		// disk trouble, or written by an older build) is renamed aside,
+		// and the campaign re-runs from spec.json: its checkpoint only
+		// ever saved it the re-run to a bound.
 		if rec.state == StateQueued {
 			ckPath := filepath.Join(m.dir(spec.ID), "checkpoint.bin")
 			if blob, err := os.ReadFile(ckPath); err == nil {
 				if verr := dist.ValidateCheckpoint(blob); verr != nil {
 					os.Rename(ckPath, ckPath+".corrupt")
-					rec.state = StateFailed
-					rec.err = fmt.Sprintf("checkpoint quarantined to checkpoint.bin.corrupt: %v", verr)
+					rec.flight.add("checkpoint_quarantined", map[string]any{"error": verr.Error()})
 				}
 			}
 		}
@@ -448,8 +450,9 @@ func (m *Manager) observer(c *campaignRec) dist.Observer {
 }
 
 // ensureStarted brings c's coordinator up: a live one (warm hand-off, or
-// a suspended campaign resumed) just carries on; otherwise restore from
-// the persisted checkpoint when one exists, or start fresh.
+// a suspended campaign resumed) just carries on; otherwise it re-runs
+// the campaign to the persisted checkpoint's bound when one exists
+// (Restore), or starts it fresh.
 func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	if c.coord != nil {
 		m.setState(c, StateRunning)
@@ -461,9 +464,9 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	}
 	// Concurrency is pinned to 1: relation probing order must be
 	// deterministic for the restart byte-identity guarantee, and the
-	// probe phase is a one-off. A fresh plain recorder per campaign
-	// lifetime — not a run-stamped one — so a restored campaign's event
-	// log continues the checkpointed stream byte-for-byte.
+	// probe phase is a one-off. A fresh plain recorder per coordinator —
+	// not a run-stamped one — so a re-run campaign's event log is the
+	// standalone run's, byte for byte.
 	opts := c.opts
 	opts.Concurrency = 1
 	opts.Telemetry = telemetry.New()
@@ -483,8 +486,8 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 		coord.Close()
 		return err
 	}
-	// Tap after Start/Restore: Restore installs its own recorder, and the
-	// tap must land on whichever one survives. The tap mirrors campaign
+	// Tap after Start/Restore: the flight ring records what happens from
+	// here, not a re-run's replay of the past. The tap mirrors campaign
 	// telemetry (crashes, config switches) into the flight recorder
 	// without touching the recorder's own event log.
 	coord.Recorder().SetTap(func(ev telemetry.Event) { c.flight.add("telemetry", ev) })
@@ -500,8 +503,10 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 }
 
 // runSlice advances c by one scheduling quantum, then either completes
-// the campaign (artifacts written, checkpoint removed) or persists a
-// fresh checkpoint. Called with m.mu NOT held.
+// the campaign (artifacts written, checkpoint removed) or persists the
+// checkpoint of the bound it reached: the only place checkpoint.bin is
+// written, because only a completed Advance moves it. Called with m.mu
+// NOT held.
 func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	warm := c.coord != nil
 	if err := m.ensureStarted(ctx, c); err != nil {
@@ -560,7 +565,11 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 		return nil
 	}
 
-	if err := m.persistCheckpoint(c); err != nil {
+	blob, err := coord.Checkpoint()
+	if err != nil {
+		return err
+	}
+	if err := campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644); err != nil {
 		return err
 	}
 
@@ -647,7 +656,7 @@ type grant struct {
 // the campaign's instance count, past which extra workers would idle. A
 // campaign that has to boot takes what it is dealt. One continuing a
 // live coordinator would pay for a larger partition with its history —
-// Close, Restore, every journal re-executed at the new width — so it
+// Close, then Restore re-running it at the new width — so it
 // grows only when that is repaid before the horizon: elapsed into the
 // campaign and remaining to go, (elapsed+remaining)/granted <
 // remaining/held, that is elapsed < remaining × (granted/held − 1). Every
@@ -704,12 +713,11 @@ func (c *campaignRec) instanceCap() int {
 // many as the pool has room for, then advance every placed campaign one
 // slice in parallel, each coordinator driving only its own partition. It
 // reports false when no campaign is runnable. A context cancellation
-// checkpoints every interrupted campaign before returning, so no replay
-// progress past the last persisted checkpoint is lost silently.
+// parks every interrupted campaign at its last persisted checkpoint.
 //
 // Placement is an input to the round, because a campaign's instances
 // sit on particular workers and moving them costs the campaign's whole
-// history (Restore re-executes every journal). Claims go in rank order,
+// history (Restore re-runs it to its bound). Claims go in rank order,
 // up to Config.Concurrency campaigns (a cap of one is the classic
 // one-pick-per-step bandit):
 //
@@ -724,12 +732,12 @@ func (c *campaignRec) instanceCap() int {
 //   - A campaign that has to boot anyway — new, parked, recovered, or a
 //     worker holding its instances died — can boot anywhere: it reserves
 //     a worker at its rank, takes its share of what the live coordinators
-//     leave (apportion), and runSlice restores it from checkpoint.bin (or
-//     starts it, the first time). This is the cold hand-off.
+//     leave (apportion), and runSlice re-runs it to checkpoint.bin's
+//     bound (or starts it, the first time). This is the cold hand-off.
 //
 // History is paid on purpose in two cases only: a worker that would
 // otherwise idle goes to the best passed-over campaign, cold, and a live
-// coordinator is re-sized when the larger partition repays the replay
+// coordinator is re-sized when the larger partition repays the re-run
 // (apportion).
 func (m *Manager) Step(ctx context.Context) (bool, error) {
 	m.round++
@@ -740,15 +748,11 @@ func (m *Manager) Step(ctx context.Context) (bool, error) {
 		return false, nil
 	}
 	// Every round deals from a whole pool: a campaign gives its partition
-	// back and keeps its coordinator (a coordinator that has moved since
-	// its last checkpoint cannot be set aside, and is parked), so that
-	// claims really go in rank order and not to whoever ran last.
+	// back and keeps its coordinator, which checkpoint.bin describes
+	// already, so that claims really go in rank order and not to whoever
+	// ran last.
 	for _, c := range ranked {
-		if c.coord != nil && c.coord.Checkpointed() {
-			c.release()
-		} else {
-			m.park(c)
-		}
+		c.release()
 	}
 	free := m.pool.FreeLive()
 	slots := len(ranked)
@@ -950,15 +954,6 @@ func (m *Manager) failCampaign(c *campaignRec, err error) {
 	})
 }
 
-// persistCheckpoint writes c's current replay state to checkpoint.bin.
-func (m *Manager) persistCheckpoint(c *campaignRec) error {
-	blob, err := c.coord.Checkpoint()
-	if err != nil {
-		return err
-	}
-	return campaign.WriteFileAtomic(filepath.Join(m.dir(c.spec.ID), "checkpoint.bin"), blob, 0o644)
-}
-
 func (m *Manager) setState(c *campaignRec, state string) {
 	m.mu.Lock()
 	c.state = state
@@ -967,22 +962,15 @@ func (m *Manager) setState(c *campaignRec, state string) {
 
 // park closes c's coordinator — releasing its instances on the workers
 // — and returns its partition to the free set, leaving the campaign
-// queued so a later scheduler (this process or the next) can restore it
-// from checkpoint.bin. runSlice persisted a checkpoint when the last
-// slice ended, so park writes one only when the coordinator has moved
-// since (an interrupted Advance). A failure there is recorded, not
-// raised: the campaign falls back to the older checkpoint, which costs
-// re-execution but restores to the same artifacts.
+// queued so a later scheduler (this process or the next) can re-run it
+// to checkpoint.bin's bound. It writes nothing: runSlice persisted the
+// checkpoint when the last Advance completed, and an interrupted one
+// leaves the checkpoint where it was.
 func (m *Manager) park(c *campaignRec) {
 	if c.coord == nil && c.part == nil {
 		return
 	}
 	if c.coord != nil {
-		if !c.coord.Checkpointed() {
-			if err := m.persistCheckpoint(c); err != nil {
-				c.flight.add("park_checkpoint_failed", map[string]any{"error": err.Error()})
-			}
-		}
 		c.coord.Close()
 		c.coord = nil
 	}
@@ -1050,7 +1038,7 @@ func (m *Manager) held() []*campaignRec {
 // Run is the serve-mode main loop: slice runnable campaigns, sleep on
 // the condition variable while the table is empty or complete, wake on
 // Submit. On context cancellation every running campaign is parked
-// (checkpointed and closed) before Run returns ctx.Err().
+// (closed, at its last checkpoint) before Run returns ctx.Err().
 func (m *Manager) Run(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		m.mu.Lock()
@@ -1100,21 +1088,14 @@ func (m *Manager) parkAll() {
 	}
 }
 
-// Close abandons every live campaign WITHOUT checkpointing — the
-// on-disk state stays at the last slice boundary, exactly as if the
-// process had been killed. Restart tests use it to simulate a crash;
-// the serve path prefers Run's graceful parking.
+// Close stops the manager and parks every live campaign. Nothing is
+// written, so the on-disk state stays at the last completed slice,
+// exactly as if the process had been killed: restart tests use it to
+// simulate a crash.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.stopped = true
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	for _, c := range m.held() {
-		if c.coord != nil {
-			c.coord.Close()
-			c.coord = nil
-		}
-		m.releasePartition(c)
-		m.setState(c, StateQueued)
-	}
+	m.parkAll()
 }

@@ -16,29 +16,37 @@ import (
 	"cmfuzz/internal/protocols"
 )
 
-// TestRecoveryQuarantinesCorruptCheckpoint pins the recovery-scan
-// hardening: a campaign directory holding a corrupt or truncated
-// checkpoint.bin is quarantined (the blob renamed aside, the campaign
-// marked failed with the decode error in /api/status) while the scan
-// keeps going and recovers the healthy campaigns around it.
+// TestRecoveryQuarantinesCorruptCheckpoint pins the recovery scan's
+// handling of a checkpoint.bin that does not validate — garbage, or the
+// header of a version-3 checkpoint an older build wrote: the blob is
+// renamed aside, a checkpoint_quarantined flight entry carries the
+// decode error, and the campaign stays queued, re-runs from spec.json
+// and finishes with its standalone run's tree, while the healthy
+// campaign beside it recovers too.
 func TestRecoveryQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	writeSpec := func(id string) {
-		t.Helper()
+	specs := map[string]fleet.CampaignSpec{}
+	for _, id := range []string{"bad", "good", "old"} {
+		spec := fleet.CampaignSpec{ID: id, Subject: "dns", Hours: 0.1, Seed: 1}
+		specs[id] = spec
 		cdir := filepath.Join(dir, id)
 		if err := os.MkdirAll(cdir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		raw, _ := json.Marshal(fleet.CampaignSpec{ID: id, Subject: "dns", Hours: 0.1, Seed: 1})
+		raw, _ := json.Marshal(spec)
 		if err := os.WriteFile(filepath.Join(cdir, "spec.json"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeSpec("bad")
-	writeSpec("good")
-	ckPath := filepath.Join(dir, "bad", "checkpoint.bin")
-	if err := os.WriteFile(ckPath, []byte("definitely not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
+	magic := "cmfuzz-checkpoint"
+	blobs := map[string]string{
+		"bad": "definitely not a checkpoint",
+		"old": string([]byte{0, byte(len(magic))}) + magic + "\x03" + "journals and mirrors",
+	}
+	for id, blob := range blobs {
+		if err := os.WriteFile(filepath.Join(dir, id, "checkpoint.bin"), []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	pool, stop := newPool(t, 1)
@@ -47,22 +55,40 @@ func TestRecoveryQuarantinesCorruptCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery scan aborted on corrupt checkpoint: %v", err)
 	}
-
-	bad := findStatus(t, m, "bad")
-	if bad.State != fleet.StateFailed {
-		t.Fatalf("bad campaign state = %s, want %s", bad.State, fleet.StateFailed)
-	}
-	if !strings.Contains(bad.Error, "quarantined") {
-		t.Fatalf("bad campaign error = %q, want a quarantine notice", bad.Error)
-	}
-	if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
-		t.Fatalf("corrupt checkpoint still at %s (stat err %v), want renamed aside", ckPath, err)
-	}
-	if _, err := os.Stat(ckPath + ".corrupt"); err != nil {
-		t.Fatalf("quarantined blob missing: %v", err)
+	for id, want := range map[string]string{"bad": "not a checkpoint", "old": "checkpoint version 3"} {
+		if st := findStatus(t, m, id); st.State != fleet.StateQueued || st.Error != "" {
+			t.Fatalf("%s campaign recovered %s (%q), want queued", id, st.State, st.Error)
+		}
+		ckPath := filepath.Join(dir, id, "checkpoint.bin")
+		if _, err := os.Stat(ckPath); !os.IsNotExist(err) {
+			t.Fatalf("corrupt checkpoint still at %s (stat err %v), want renamed aside", ckPath, err)
+		}
+		if raw, err := os.ReadFile(ckPath + ".corrupt"); err != nil || string(raw) != blobs[id] {
+			t.Fatalf("quarantined blob %q (%v), want the one written", raw, err)
+		}
+		doc, _ := m.Flight(id)
+		quarantined := false
+		for _, e := range doc.Events {
+			if msg, _ := e.Detail.(map[string]any)["error"].(string); e.Kind == "checkpoint_quarantined" && strings.Contains(msg, want) {
+				quarantined = true
+			}
+		}
+		if !quarantined {
+			t.Fatalf("%s: no checkpoint_quarantined flight entry naming %q: %+v", id, want, doc.Events)
+		}
 	}
 	if good := findStatus(t, m, "good"); good.State != fleet.StateQueued {
 		t.Fatalf("good campaign state = %s, want %s", good.State, fleet.StateQueued)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := standaloneTree(t, specs["bad"])
+	for id := range specs {
+		if st := findStatus(t, m, id); st.State != fleet.StateDone {
+			t.Fatalf("%s ended %s (%s), want done", id, st.State, st.Error)
+		}
+		diffTrees(t, id, want, readTree(t, filepath.Join(dir, id, "artifacts")))
 	}
 }
 

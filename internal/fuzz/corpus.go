@@ -6,7 +6,7 @@ import (
 )
 
 // DefaultMaxCorpus bounds a seed pool when no explicit cap is given
-// (Config.MaxCorpus zero, NewCorpus given max <= 0).
+// (Config.maxCorpus zero, NewCorpus given max <= 0).
 const DefaultMaxCorpus = 256
 
 // SyncSeeds is how many of its best seeds an instance offers each

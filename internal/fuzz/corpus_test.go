@@ -76,7 +76,7 @@ func TestCorpusExportOrderDeterministic(t *testing.T) {
 // exports equal worker exports.
 func TestCorpusMirrorsEngine(t *testing.T) {
 	cfg := toyConfig(1)
-	cfg.MaxCorpus = 8
+	cfg.maxCorpus = 8
 	eng := NewEngine(cfg, &toyTarget{})
 	mirror := NewCorpus(8)
 	for i := 0; i < 200; i++ {

@@ -27,69 +27,72 @@ func (f TargetFunc) Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 	return f(seq, tr)
 }
 
-// Config parameterizes an engine instance.
+// Config parameterizes an engine instance. The unexported knobs are
+// this package's tests' to set; everywhere else they keep their
+// defaults.
 type Config struct {
 	// Models indexes the data models by name.
 	Models map[string]*DataModel
 	// StateModel drives message sequencing.
 	StateModel *StateModel
-	// Mutators is the mutation suite (DefaultMutators if nil).
-	Mutators []Mutator
 	// Seed makes the instance deterministic.
 	Seed int64
-	// MaxOps bounds structural mutations per message (default 3).
-	MaxOps int
-	// GenProb is the probability of structured generation from the models
-	// versus byte-level havoc of a corpus seed. The zero value selects
-	// the default (0.5); any negative value — use the Never sentinel —
-	// pins it to exactly 0 ("never generate"), which a literal 0 cannot
-	// express because it is indistinguishable from unset.
-	GenProb float64
-	// MutateProb is the probability that a freshly generated message gets
-	// structural mutations at all; the remainder are sent valid to drive
-	// the state machine deep. The zero value selects the default (0.8);
-	// any negative value — use Never — pins it to exactly 0 ("never
-	// mutate").
-	MutateProb float64
-	// MaxWalkSteps bounds state model traversal (default 8).
-	MaxWalkSteps int
 	// FixedPaths, when non-empty, restricts generation to these state
 	// model paths (SPFuzz assigns each instance a disjoint path subset).
 	FixedPaths []Path
-	// MaxCorpus bounds the seed pool (default 256).
-	MaxCorpus int
+
+	// mutators is the mutation suite (DefaultMutators if nil).
+	mutators []Mutator
+	// maxOps bounds structural mutations per message (default 3).
+	maxOps int
+	// genProb is the probability of structured generation from the models
+	// versus byte-level havoc of a corpus seed. The zero value selects
+	// the default (0.5); any negative value — use the never sentinel —
+	// pins it to exactly 0 ("never generate"), which a literal 0 cannot
+	// express because it is indistinguishable from unset.
+	genProb float64
+	// mutateProb is the probability that a freshly generated message gets
+	// structural mutations at all; the remainder are sent valid to drive
+	// the state machine deep. The zero value selects the default (0.8);
+	// any negative value — use never — pins it to exactly 0 ("never
+	// mutate").
+	mutateProb float64
+	// maxWalkSteps bounds state model traversal (default 8).
+	maxWalkSteps int
+	// maxCorpus bounds the seed pool (default 256).
+	maxCorpus int
 }
 
-// Never is the sentinel for Config probability fields (GenProb,
-// MutateProb) meaning "probability exactly 0". A literal 0 cannot carry
+// never is the sentinel for Config probability fields (genProb,
+// mutateProb) meaning "probability exactly 0". A literal 0 cannot carry
 // that meaning: it is the zero value, so setDefaults must read it as
 // "unset, use the default".
-const Never = -1.0
+const never = -1.0
 
 func (c *Config) setDefaults() {
-	if c.Mutators == nil {
-		c.Mutators = DefaultMutators()
+	if c.mutators == nil {
+		c.mutators = DefaultMutators()
 	}
-	if c.MaxOps == 0 {
-		c.MaxOps = 3
-	}
-	switch {
-	case c.GenProb == 0:
-		c.GenProb = 0.5
-	case c.GenProb < 0:
-		c.GenProb = 0
+	if c.maxOps == 0 {
+		c.maxOps = 3
 	}
 	switch {
-	case c.MutateProb == 0:
-		c.MutateProb = 0.8
-	case c.MutateProb < 0:
-		c.MutateProb = 0
+	case c.genProb == 0:
+		c.genProb = 0.5
+	case c.genProb < 0:
+		c.genProb = 0
 	}
-	if c.MaxWalkSteps == 0 {
-		c.MaxWalkSteps = 8
+	switch {
+	case c.mutateProb == 0:
+		c.mutateProb = 0.8
+	case c.mutateProb < 0:
+		c.mutateProb = 0
 	}
-	if c.MaxCorpus == 0 {
-		c.MaxCorpus = DefaultMaxCorpus
+	if c.maxWalkSteps == 0 {
+		c.maxWalkSteps = 8
+	}
+	if c.maxCorpus == 0 {
+		c.maxCorpus = DefaultMaxCorpus
 	}
 }
 
@@ -149,7 +152,7 @@ func NewEngine(cfg Config, target Target) *Engine {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		trace:  coverage.NewTrace(),
 		global: coverage.NewMap(),
-		corpus: NewCorpus(cfg.MaxCorpus),
+		corpus: NewCorpus(cfg.maxCorpus),
 		models: make(map[string]*compiledModel, len(cfg.Models)),
 		arena:  NewArena(),
 	}
@@ -198,7 +201,7 @@ func (e *Engine) ExportFloor() int { return e.corpus.ExportFloor() }
 func (e *Engine) Step() StepResult {
 	var seq [][]byte
 	switch {
-	case e.corpus.Len() == 0 || e.rng.Float64() < e.cfg.GenProb:
+	case e.corpus.Len() == 0 || e.rng.Float64() < e.cfg.genProb:
 		seq = e.generate()
 	case e.corpus.Len() >= 2 && e.rng.Float64() < 0.2:
 		// Splice two corpus seeds: the head of one sequence followed by
@@ -305,7 +308,7 @@ func (e *Engine) generate() [][]byte {
 	if len(e.cfg.FixedPaths) > 0 {
 		modelNames = e.cfg.FixedPaths[e.rng.Intn(len(e.cfg.FixedPaths))].Models
 	} else if e.compiledSM != nil {
-		e.walkBuf = e.compiledSM.WalkInto(e.rng, e.cfg.MaxWalkSteps, e.walkBuf[:0])
+		e.walkBuf = e.compiledSM.WalkInto(e.rng, e.cfg.maxWalkSteps, e.walkBuf[:0])
 		modelNames = e.walkBuf
 	}
 	if len(modelNames) == 0 && len(e.modelOrder) > 0 {
@@ -322,8 +325,8 @@ func (e *Engine) generate() [][]byte {
 			continue
 		}
 		cm.instantiate(&e.msg, e.arena, e.rng)
-		if e.rng.Float64() < e.cfg.MutateProb {
-			MutateMessage(&e.msg, e.cfg.Mutators, e.rng, e.cfg.MaxOps)
+		if e.rng.Float64() < e.cfg.mutateProb {
+			MutateMessage(&e.msg, e.cfg.mutators, e.rng, e.cfg.maxOps)
 		}
 		buf := e.msg.appendTo(e.slotBuf(len(seq)))
 		e.msgBufs[len(seq)] = buf

@@ -133,7 +133,7 @@ func TestEngineDeterministic(t *testing.T) {
 func TestEngineFixedPaths(t *testing.T) {
 	cfg := toyConfig(5)
 	cfg.FixedPaths = []Path{{Models: []string{"A"}}}
-	cfg.GenProb = 1.0 // always generate; never havoc
+	cfg.genProb = 1.0 // always generate; never havoc
 	seen := map[int]bool{}
 	target := TargetFunc(func(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 		seen[len(seq)] = true
@@ -179,7 +179,7 @@ func TestEngineSeedExportImport(t *testing.T) {
 
 func TestEngineCorpusEviction(t *testing.T) {
 	cfg := toyConfig(8)
-	cfg.MaxCorpus = 4
+	cfg.maxCorpus = 4
 	e := NewEngine(cfg, &toyTarget{})
 	for i := 0; i < 500; i++ {
 		e.Step()

@@ -95,7 +95,7 @@ func goldenConfig(seed int64) Config {
 			}},
 		},
 	}
-	return Config{Models: models, StateModel: sm, Seed: seed, MaxCorpus: 32, MaxWalkSteps: 6}
+	return Config{Models: models, StateModel: sm, Seed: seed, maxCorpus: 32, maxWalkSteps: 6}
 }
 
 // TestEngineGoldenByteIdentity replays a two-engine campaign slice (steps

@@ -31,8 +31,8 @@ var hotTarget = TargetFunc(func(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
 // structured-generation path performs zero heap allocations.
 func TestStepAllocs(t *testing.T) {
 	cfg := goldenConfig(7)
-	cfg.GenProb = 1.0      // always generate: the steady-state hot path
-	cfg.MutateProb = Never // valid messages only => finite exec space
+	cfg.genProb = 1.0      // always generate: the steady-state hot path
+	cfg.mutateProb = never // valid messages only => finite exec space
 	e := NewEngine(cfg, hotTarget)
 	for i := 0; i < 512; i++ {
 		e.Step()
@@ -48,7 +48,7 @@ func TestStepAllocs(t *testing.T) {
 // splice builds its sequence from references into the two seeds.
 func TestStepAllocsHavoc(t *testing.T) {
 	cfg := goldenConfig(8)
-	cfg.GenProb = Never // corpus exists => always havoc/splice
+	cfg.genProb = never // corpus exists => always havoc/splice
 	e := NewEngine(cfg, hotTarget)
 	e.ImportSeeds([]Seed{
 		{Msgs: [][]byte{{1, 2, 3, 4}, {5, 6}}, Gain: 1},
@@ -89,8 +89,8 @@ func TestStepScratchBounded(t *testing.T) {
 		},
 		FixedPaths: []Path{{Models: []string{"Small", "Big"}}},
 		Seed:       1,
-		GenProb:    1,
-		MutateProb: Never,
+		genProb:    1,
+		mutateProb: never,
 	}
 	var (
 		lens []int
@@ -147,28 +147,28 @@ func TestStepScratchBounded(t *testing.T) {
 }
 
 // TestConfigProbDefaults covers the zero-value trap fix: unset selects
-// the documented default, the Never sentinel selects exactly zero, and
+// the documented default, the never sentinel selects exactly zero, and
 // explicit probabilities — both endpoints — survive setDefaults.
 func TestConfigProbDefaults(t *testing.T) {
 	var unset Config
 	unset.setDefaults()
-	if unset.GenProb != 0.5 || unset.MutateProb != 0.8 {
-		t.Fatalf("unset probs = (%v, %v), want defaults (0.5, 0.8)", unset.GenProb, unset.MutateProb)
+	if unset.genProb != 0.5 || unset.mutateProb != 0.8 {
+		t.Fatalf("unset probs = (%v, %v), want defaults (0.5, 0.8)", unset.genProb, unset.mutateProb)
 	}
-	never := Config{GenProb: Never, MutateProb: Never}
-	never.setDefaults()
-	if never.GenProb != 0 || never.MutateProb != 0 {
-		t.Fatalf("Never probs = (%v, %v), want (0, 0)", never.GenProb, never.MutateProb)
+	zero := Config{genProb: never, mutateProb: never}
+	zero.setDefaults()
+	if zero.genProb != 0 || zero.mutateProb != 0 {
+		t.Fatalf("never probs = (%v, %v), want (0, 0)", zero.genProb, zero.mutateProb)
 	}
-	always := Config{GenProb: 1.0, MutateProb: 1.0}
+	always := Config{genProb: 1.0, mutateProb: 1.0}
 	always.setDefaults()
-	if always.GenProb != 1.0 || always.MutateProb != 1.0 {
-		t.Fatalf("explicit probs = (%v, %v), want (1, 1)", always.GenProb, always.MutateProb)
+	if always.genProb != 1.0 || always.mutateProb != 1.0 {
+		t.Fatalf("explicit probs = (%v, %v), want (1, 1)", always.genProb, always.mutateProb)
 	}
 }
 
-// TestNeverMutateSendsValidMessages checks the MutateProb endpoint
-// behaviorally: with MutateProb Never every generated message is the
+// TestNeverMutateSendsValidMessages checks the mutateProb endpoint
+// behaviorally: with mutateProb never every generated message is the
 // model's pristine serialization.
 func TestNeverMutateSendsValidMessages(t *testing.T) {
 	model := &DataModel{Name: "M", Root: Block("M",
@@ -177,7 +177,7 @@ func TestNeverMutateSendsValidMessages(t *testing.T) {
 	cfg := Config{
 		Models:     map[string]*DataModel{"M": model},
 		FixedPaths: []Path{{Models: []string{"M"}}},
-		Seed:       3, GenProb: 1.0, MutateProb: Never,
+		Seed:       3, genProb: 1.0, mutateProb: never,
 	}
 	bad := false
 	target := TargetFunc(func(seq [][]byte, tr *coverage.Trace) *bugs.Crash {
@@ -193,12 +193,12 @@ func TestNeverMutateSendsValidMessages(t *testing.T) {
 		e.Step()
 	}
 	if bad {
-		t.Fatal("MutateProb: Never still produced a mutated message")
+		t.Fatal("mutateProb: never still produced a mutated message")
 	}
 }
 
-// TestNeverGenerateSticksToCorpus checks the GenProb endpoint: with a
-// non-empty corpus and GenProb Never, the engine never takes the
+// TestNeverGenerateSticksToCorpus checks the genProb endpoint: with a
+// non-empty corpus and genProb never, the engine never takes the
 // structured-generation path (whose sequences are unmistakable: eight
 // 4-byte 0xA7 messages).
 func TestNeverGenerateSticksToCorpus(t *testing.T) {
@@ -220,7 +220,7 @@ func TestNeverGenerateSticksToCorpus(t *testing.T) {
 	cfg := Config{
 		Models:     map[string]*DataModel{"M": model},
 		FixedPaths: []Path{path},
-		Seed:       4, GenProb: Never, MutateProb: Never,
+		Seed:       4, genProb: never, mutateProb: never,
 	}
 	e := NewEngine(cfg, target)
 	e.ImportSeeds([]Seed{{Msgs: [][]byte{{0x01}}, Gain: 1}})
@@ -228,14 +228,14 @@ func TestNeverGenerateSticksToCorpus(t *testing.T) {
 		e.Step()
 	}
 	if sawMarker {
-		t.Fatal("GenProb: Never still took the generation path")
+		t.Fatal("genProb: never still took the generation path")
 	}
-	// Control: with GenProb 1 the marker sequence appears immediately.
+	// Control: with genProb 1 the marker sequence appears immediately.
 	sawMarker = false
 	ctrl := NewEngine(Config{
 		Models:     map[string]*DataModel{"M": model},
 		FixedPaths: []Path{path},
-		Seed:       4, GenProb: 1.0, MutateProb: Never,
+		Seed:       4, genProb: 1.0, mutateProb: never,
 	}, target)
 	ctrl.Step()
 	if !sawMarker {
@@ -263,7 +263,7 @@ func TestGenerateModelPickDeterministic(t *testing.T) {
 			}
 			return nil
 		})
-		e := NewEngine(Config{Models: models, Seed: 21, GenProb: 1.0, MutateProb: Never}, target)
+		e := NewEngine(Config{Models: models, Seed: 21, genProb: 1.0, mutateProb: never}, target)
 		for i := 0; i < 50; i++ {
 			e.Step()
 		}
@@ -346,12 +346,12 @@ func BenchmarkEngineStepSubjects(b *testing.B) {
 }
 
 // BenchmarkEngineStepGenerate is the pure structured-generation hot path
-// (GenProb 1, mutation off): the configuration TestStepAllocs gates at
+// (genProb 1, mutation off): the configuration TestStepAllocs gates at
 // zero allocations.
 func BenchmarkEngineStepGenerate(b *testing.B) {
 	cfg := goldenConfig(10)
-	cfg.GenProb = 1.0
-	cfg.MutateProb = Never
+	cfg.genProb = 1.0
+	cfg.mutateProb = never
 	e := NewEngine(cfg, hotTarget)
 	for i := 0; i < 512; i++ {
 		e.Step()

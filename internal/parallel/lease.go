@@ -14,7 +14,7 @@ import (
 // the loop, so everything the loop reads of it comes from here.
 type Replica struct {
 	Crashes, Muts int
-	RestartFails  int    // not checkpointed: a dist Restore recounts it from the journal replies
+	RestartFails  int
 	Execs         int    // replayed steps since (re)boot: the engine's Execs counter
 	Coverage      int    // the instance's own edge count at the replay position
 	Config        string // its configuration at the replay position
@@ -61,33 +61,23 @@ type Transport struct {
 type LeaseSource struct {
 	Inst  []Replica
 	Specs []InstanceSpec
-	// Replayed counts the records replayed; it only grows, so whoever
-	// noted it can tell later whether the replay has moved.
-	Replayed int
-	cur      *LeaseStep // the record the loop is on
-	loop     *Loop
-	t        Transport
+	cur   *LeaseStep // the record the loop is on
+	loop  *Loop
+	t     Transport
 }
 
-// NewLeaseSource returns l's source over t for the planned specs; inst
-// is a checkpoint's replicas for a resumed loop, nil for a fresh one.
-func NewLeaseSource(l *Loop, specs []InstanceSpec, inst []Replica, t Transport) *LeaseSource {
-	if inst == nil {
-		inst = make([]Replica, len(specs))
-	}
-	return &LeaseSource{Inst: inst, Specs: specs, loop: l, t: t}
+// NewLeaseSource returns l's source over t for the planned specs.
+func NewLeaseSource(l *Loop, specs []InstanceSpec, t Transport) *LeaseSource {
+	return &LeaseSource{Inst: make([]Replica, len(specs)), Specs: specs, loop: l, t: t}
 }
 
 // Boot boots instance i through the transport and files the report: its
 // startup crashes go into the ledger in order, then err is returned if
 // the boot failed; otherwise the startup coverage goes into the union and
 // the replica starts from the report, as the freshly booted instance
-// does. A resumed loop holds the report's effects already.
+// does.
 func (s *LeaseSource) Boot(i int) (int, error) {
 	rep, err := s.t.Boot(i)
-	if s.loop.resumed {
-		return s.Inst[i].StartEdges, err
-	}
 	for k := range rep.Crashes {
 		cr := &rep.Crashes[k]
 		s.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
@@ -111,29 +101,25 @@ func (s *LeaseSource) Step(ctx context.Context, i int) (Step, error) {
 		if err != nil {
 			return Step{}, err
 		}
-		s.Fill(i, recs)
+		in.Batch, in.Pos = recs, 0
 	}
 	s.cur = &in.Batch[in.Pos]
 	in.Pos++
 	in.Execs++
-	s.Replayed++
 	if s.cur.Crash != nil {
 		in.Crashes++
 	}
 	return s.cur.Step, nil
 }
 
-// Fill hands instance i the records its lease returned.
-func (s *LeaseSource) Fill(i int, recs []LeaseStep) { s.Inst[i].Batch, s.Inst[i].Pos = recs, 0 }
-
 // Done sends instance i its next lease once its batch is replayed, unless
 // it has run out the horizon. The lease takes the seeds the last sync
 // collected, which it imports first.
 func (s *LeaseSource) Done(i int) {
-	if in := &s.Inst[i]; in.Pos >= len(in.Batch) && s.loop.Clock[i] < s.loop.horizon {
+	if in := &s.Inst[i]; in.Pos >= len(in.Batch) && s.loop.clock[i] < s.loop.horizon {
 		seeds := in.Pending
 		in.Pending, in.Batch, in.Pos = nil, nil, 0
-		s.t.Send(i, seeds, s.loop.NextSync[i])
+		s.t.Send(i, seeds, s.loop.nextSync[i])
 	}
 }
 

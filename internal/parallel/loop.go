@@ -45,8 +45,7 @@ type Gauge struct{ Edges, Execs, Crashes, Mutations, Corpus int }
 type Source interface {
 	// Boot starts instance i, filing startup crashes in Loop.Res.Bugs and
 	// startup coverage in Loop.Union, and reports the edges startup
-	// covered. On a resumed loop both already hold them: Boot only puts
-	// the instance back where the checkpoint left it.
+	// covered.
 	Boot(i int) (edges int, err error)
 	// Step runs instance i's next step. A source that has to wait for it
 	// returns ctx.Err() when ctx ends first, with nothing consumed.
@@ -75,16 +74,6 @@ type Source interface {
 	Result(i int) (InstanceResult, error)
 }
 
-// LoopState is the event loop's position: with the Result so far, the
-// union map and the telemetry recorder it is everything a checkpoint has
-// to carry for Advance to continue where it stopped.
-type LoopState struct {
-	Clock      []float64 // per-instance virtual clock
-	NextSync   []float64 // per-instance next seed synchronization
-	Watermark  float64   // monotone observation clock across instances
-	LastSample float64   // watermark of the last series sample
-}
-
 // A Loop is the campaign's virtual-clock event loop (paper §III-B2): N
 // isolated instances stepped in (clock, index) order, periodic seed
 // synchronization, configuration-value mutation on saturation. It owns
@@ -94,17 +83,21 @@ type LoopState struct {
 // this one loop over one source, which is why their artifacts are
 // byte-identical.
 //
-// The exported fields are for a source's Boot and for checkpointing;
-// between Boot and Finish only the loop changes them.
+// The exported fields are for a source's Boot and for the coordinator
+// that drives the loop; between Boot and Finish only the loop changes
+// them.
 type Loop struct {
 	Opts  Options // defaults applied
 	Res   *Result
 	Union *coverage.Map
-	LoopState
+
+	clock      []float64 // per-instance virtual clock
+	nextSync   []float64 // per-instance next seed synchronization
+	watermark  float64   // monotone observation clock across instances
+	lastSample float64   // watermark of the last series sample
 
 	host    *Host
 	src     Source
-	resumed bool
 	spans   []*trace.Span // one long-lived span per instance, carrying sync and config.mutate children
 	horizon float64
 	// New-edge samples are coalesced to at most one per minSampleGap of
@@ -123,38 +116,22 @@ type Loop struct {
 // NewLoop opens a fresh campaign on host. Plan, Boot, Advance, Finish
 // follow; Close pairs with NewLoop.
 func NewLoop(host *Host) *Loop {
-	n := host.Opts.Instances
-	st := LoopState{Clock: make([]float64, n), NextSync: make([]float64, n)}
-	for i := range st.NextSync {
-		st.NextSync[i] = host.Opts.SyncInterval
-	}
-	res := &Result{Series: &coverage.Series{}, Bugs: bugs.NewLedger(), ModelEntities: host.Model.Len()}
-	return openLoop(host, res, coverage.NewMap(), st)
-}
-
-// ResumeLoop reopens a checkpointed campaign: res, union and st are what
-// the loop held when the checkpoint was taken, host.Opts.Telemetry the
-// recorder restored from it. Boot then resumes every instance without
-// repeating its startup events, Publish posts the run's board entry, and
-// Advance continues.
-func ResumeLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
-	l := openLoop(host, res, union, st)
-	l.resumed = true
-	return l
-}
-
-func openLoop(host *Host, res *Result, union *coverage.Map, st LoopState) *Loop {
 	opts := host.Opts
-	res.Mode = opts.Mode
-	res.Subject = host.Sub.Info()
-	horizon := opts.Horizon()
-	return &Loop{
-		Opts: opts, Res: res, Union: union, LoopState: st,
+	l := &Loop{
+		Opts:         opts,
+		Res:          &Result{Mode: opts.Mode, Subject: host.Sub.Info(), Series: &coverage.Series{}, Bugs: bugs.NewLedger(), ModelEntities: host.Model.Len()},
+		Union:        coverage.NewMap(),
+		clock:        make([]float64, opts.Instances),
+		nextSync:     make([]float64, opts.Instances),
 		host:         host,
-		horizon:      horizon,
+		horizon:      opts.Horizon(),
 		minSampleGap: opts.SampleEvery / 10,
 		mutate:       opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation,
 	}
+	for i := range l.nextSync {
+		l.nextSync[i] = opts.SyncInterval
+	}
+	return l
 }
 
 // Plan runs the mode-dependent scheduling phase (Host.Plan) against the
@@ -175,51 +152,40 @@ func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
 
 // Boot attaches src and boots every instance through it, in index order
 // so startup ledger entries and telemetry land identically on every
-// path. A resumed loop has its boot events and first series point
-// already. A fresh run's board entry is published once every instance
-// is up; a resumed one's by Publish, once its source is whole again.
+// path, and publishes the run's board entry once every instance is up.
 func (l *Loop) Boot(ctx context.Context, src Source) error {
 	l.src = src
 	tel := l.Opts.Telemetry
-	for i := range l.Clock {
+	for i := range l.clock {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var span *trace.Span
-		if !l.resumed {
-			span = l.Opts.Trace.Child("instance.boot", trace.A("instance", i))
-		}
+		span := l.Opts.Trace.Child("instance.boot", trace.A("instance", i))
 		edges, err := src.Boot(i)
 		if err != nil {
 			span.End()
 			return err
 		}
-		if !l.resumed {
-			span.Set("edges", edges)
-			span.End()
-			tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i, Config: src.Config(i), Edges: edges})
-			tel.Count(telemetry.CtrBoots, 1)
-		}
+		span.Set("edges", edges)
+		span.End()
+		tel.Emit(telemetry.Event{Type: telemetry.EvBoot, Instance: i, Config: src.Config(i), Edges: edges})
+		tel.Count(telemetry.CtrBoots, 1)
 	}
-	if !l.resumed {
-		l.Res.Series.Observe(0, l.Union.Count())
-	}
+	l.Res.Series.Observe(0, l.Union.Count())
 	// Siblings under the run's parent span, so each instance renders as
 	// its own lane in the trace viewer.
-	l.spans = make([]*trace.Span, len(l.Clock))
+	l.spans = make([]*trace.Span, len(l.clock))
 	for i := range l.spans {
 		l.spans[i] = l.Opts.Trace.Child("instance", trace.A("index", i))
 	}
-	if !l.resumed {
-		l.publish(l.Watermark)
-	}
+	l.publish(l.watermark)
 	return nil
 }
 
-// Publish posts a resumed run's board entry at its watermark. Its
-// caller calls it once the source holds the checkpointed position again:
-// a dist restore rebuilds the corpus mirrors after Boot.
-func (l *Loop) Publish() { l.publish(l.Watermark) }
+// Publish posts the run's board entry at the loop's position, between
+// the samples that publish it otherwise: a dist restore, once it has
+// re-run the campaign to its checkpointed bound.
+func (l *Loop) Publish() { l.publish(l.watermark) }
 
 // Horizon is the campaign's virtual end time in seconds.
 func (l *Loop) Horizon() float64 { return l.horizon }
@@ -228,8 +194,8 @@ func (l *Loop) Horizon() float64 { return l.horizon }
 // index: the interleaving is a function of the clocks alone.
 func (l *Loop) next() int {
 	i := 0
-	for j := 1; j < len(l.Clock); j++ {
-		if l.Clock[j] < l.Clock[i] {
+	for j := 1; j < len(l.clock); j++ {
+		if l.clock[j] < l.clock[i] {
 			i = j
 		}
 	}
@@ -237,7 +203,7 @@ func (l *Loop) next() int {
 }
 
 // MinClock is the campaign's position: the lowest instance clock.
-func (l *Loop) MinClock() float64 { return l.Clock[l.next()] }
+func (l *Loop) MinClock() float64 { return l.clock[l.next()] }
 
 // Advance runs the event loop until every instance's clock has reached
 // min(until, horizon). It is slicing-invariant: any sequence of Advance
@@ -253,7 +219,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 	l.cancelled = false
 	for {
 		i := l.next()
-		if l.Clock[i] >= until {
+		if l.clock[i] >= until {
 			return nil
 		}
 		select {
@@ -267,8 +233,8 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			l.cancelled = err == ctx.Err()
 			return err
 		}
-		l.Clock[i] = opts.charge(l.Clock[i], step)
-		t := l.Clock[i]
+		l.clock[i] = opts.charge(l.clock[i], step)
+		t := l.clock[i]
 
 		if step.Crash != nil {
 			cfg := l.src.Config(i)
@@ -285,34 +251,34 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 				return err
 			}
 		}
-		if t > l.Watermark {
-			l.Watermark = t
+		if t > l.watermark {
+			l.watermark = t
 		}
-		if l.Watermark-l.LastSample >= opts.SampleEvery ||
-			(step.NewEdges > 0 && l.Watermark-l.LastSample >= l.minSampleGap) {
-			res.Series.Observe(l.Watermark, l.Union.Count())
-			l.LastSample = l.Watermark
-			tel.Emit(telemetry.Event{T: l.Watermark, Type: telemetry.EvSample, Instance: i,
+		if l.watermark-l.lastSample >= opts.SampleEvery ||
+			(step.NewEdges > 0 && l.watermark-l.lastSample >= l.minSampleGap) {
+			res.Series.Observe(l.watermark, l.Union.Count())
+			l.lastSample = l.watermark
+			tel.Emit(telemetry.Event{T: l.watermark, Type: telemetry.EvSample, Instance: i,
 				Edges: l.Union.Count()})
 			tel.Count(telemetry.CtrSamples, 1)
-			l.publish(l.Watermark)
+			l.publish(l.watermark)
 		}
 
 		// Seed synchronization.
-		if t >= l.NextSync[i] {
+		if t >= l.nextSync[i] {
 			sync := l.spans[i].Child("sync")
 			imported, err := l.src.Sync(i)
 			if err != nil {
 				sync.End()
 				return err
 			}
-			// Advance NextSync past the instance clock. One expensive
+			// Advance nextSync past the instance clock. One expensive
 			// step can jump several sync intervals at once; advancing by
-			// a single interval would leave NextSync behind the clock and
+			// a single interval would leave nextSync behind the clock and
 			// fire a burst of back-to-back syncs on the following cheap
 			// steps. The skipped intervals are counted, not replayed.
 			skipped := 0
-			for l.NextSync[i] += opts.SyncInterval; l.NextSync[i] <= t; l.NextSync[i] += opts.SyncInterval {
+			for l.nextSync[i] += opts.SyncInterval; l.nextSync[i] <= t; l.nextSync[i] += opts.SyncInterval {
 				skipped++
 			}
 			tel.Emit(telemetry.Event{T: t, Type: telemetry.EvSync, Instance: i,
@@ -348,11 +314,11 @@ func (l *Loop) Finish() (*Result, error) {
 	res := l.Res
 	finalT := l.horizon
 	if l.cancelled {
-		finalT = l.Watermark
+		finalT = l.watermark
 	}
 	res.Series.Observe(finalT, l.Union.Count())
 	res.FinalBranches = l.Union.Count()
-	for i := range l.Clock {
+	for i := range l.clock {
 		ir, err := l.src.Result(i)
 		if err != nil {
 			return nil, err
@@ -389,7 +355,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 func (l *Loop) Close() {
 	if l.status.Instances != nil && !l.status.Done {
 		l.status.Done = true
-		l.publish(l.Watermark)
+		l.publish(l.watermark)
 	}
 }
 
@@ -406,12 +372,12 @@ func (l *Loop) publish(t float64) {
 	st := &l.status
 	if st.Instances == nil {
 		st.Mode, st.Subject, st.HorizonSeconds = l.Opts.Mode.String(), l.Res.Subject.Protocol, l.horizon
-		st.Instances = make([]telemetry.InstanceStatus, len(l.Clock))
+		st.Instances = make([]telemetry.InstanceStatus, len(l.clock))
 	}
 	st.VirtualSeconds, st.Edges, st.Execs, st.Crashes = t, l.Union.Count(), 0, 0
 	for i := range st.Instances {
 		g := l.src.Gauge(i)
-		st.Instances[i] = telemetry.InstanceStatus{Index: i, VirtualSeconds: l.Clock[i],
+		st.Instances[i] = telemetry.InstanceStatus{Index: i, VirtualSeconds: l.clock[i],
 			Edges: g.Edges, Execs: g.Execs, Crashes: g.Crashes, Mutations: g.Mutations,
 			CorpusSeeds: g.Corpus, Config: l.src.Config(i)}
 		st.Execs += g.Execs

@@ -126,8 +126,8 @@ func TestLoopSyncCatchesUpAfterJump(t *testing.T) {
 	if err := l.Advance(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if l.Clock[0] != 2000 || l.Clock[1] != 1 {
-		t.Fatalf("clocks = %v, want [2000 1]", l.Clock)
+	if l.clock[0] != 2000 || l.clock[1] != 1 {
+		t.Fatalf("clocks = %v, want [2000 1]", l.clock)
 	}
 	if !reflect.DeepEqual(src.syncs, []int{0}) {
 		t.Fatalf("sync calls = %v, want one, for instance 0", src.syncs)
@@ -136,8 +136,8 @@ func TestLoopSyncCatchesUpAfterJump(t *testing.T) {
 	if len(syncs) != 1 || syncs[0].T != 2000 || syncs[0].Instance != 0 || syncs[0].Skipped != 2 || syncs[0].Seeds != 4 {
 		t.Fatalf("sync events = %+v, want one at t=2000 with 2 skipped", syncs)
 	}
-	if l.NextSync[0] != 2400 {
-		t.Fatalf("next sync = %v, want 2400 (past the clock)", l.NextSync[0])
+	if l.nextSync[0] != 2400 {
+		t.Fatalf("next sync = %v, want 2400 (past the clock)", l.nextSync[0])
 	}
 	c := rec.Counters()
 	if c[telemetry.CtrSyncs] != 1 || c[telemetry.CtrSyncSkipped] != 2 {
@@ -239,8 +239,8 @@ func TestLoopCancellationFinalizesAtWatermark(t *testing.T) {
 			if err := l.Advance(ctx, l.Horizon()); !errors.Is(err, context.Canceled) {
 				t.Fatalf("Advance = %v, want context.Canceled", err)
 			}
-			if l.Watermark <= 0 || l.Watermark >= l.Horizon() {
-				t.Fatalf("watermark %v not inside the campaign", l.Watermark)
+			if l.watermark <= 0 || l.watermark >= l.Horizon() {
+				t.Fatalf("watermark %v not inside the campaign", l.watermark)
 			}
 			return l, rec
 		}
@@ -253,8 +253,8 @@ func TestLoopCancellationFinalizesAtWatermark(t *testing.T) {
 			pts := res.Series.Points()
 			// The script found edges since the last sample, so Finish adds
 			// a point — and it must sit at the watermark.
-			if last := pts[len(pts)-1]; last.T != l.Watermark || last.Count != res.FinalBranches {
-				t.Fatalf("cancelled series ends at %+v, want t=%v (the watermark) with %d edges", last, l.Watermark, res.FinalBranches)
+			if last := pts[len(pts)-1]; last.T != l.watermark || last.Count != res.FinalBranches {
+				t.Fatalf("cancelled series ends at %+v, want t=%v (the watermark) with %d edges", last, l.watermark, res.FinalBranches)
 			}
 		})
 		t.Run(name+"/resume", func(t *testing.T) {

@@ -34,8 +34,7 @@ func (m *Mirror) Add(s fuzz.Seed, d fuzz.Digest, shipped bool) {
 	m.add(s, d, shipped)
 }
 
-// Import files seeds that arrive whole — a sync's imports, the mirror a
-// version-1 checkpoint stored — in order.
+// Import files seeds that arrive whole, a sync's imports, in order.
 func (m *Mirror) Import(seeds []fuzz.Seed) {
 	for _, s := range seeds {
 		m.add(s, s.Digest(), true)
@@ -53,12 +52,6 @@ func (m *Mirror) add(s fuzz.Seed, d fuzz.Digest, held bool) {
 
 // Len returns the number of seeds mirrored.
 func (m *Mirror) Len() int { return m.corpus.Len() }
-
-// At returns slot k's seed (without messages unless held), its digest,
-// and whether its messages are here.
-func (m *Mirror) At(k int) (s fuzz.Seed, d fuzz.Digest, held bool) {
-	return m.corpus.At(k), m.digest[k], m.held[k]
-}
 
 // Export returns the seeds a Top(max) of the instance's corpus picks. A
 // seed it picks whose messages are not here is an error naming its

@@ -276,7 +276,7 @@ func Start(ctx context.Context, sub subject.Subject, opts Options) (l *Loop, don
 	plan, err := l.Plan(ctx)
 	if err == nil {
 		g.specs, g.inflight = plan.Specs, make([]chan leaseEnd, len(plan.Specs))
-		src := NewLeaseSource(l, plan.Specs, nil, Transport{Boot: g.boot, Send: g.send, Await: g.await})
+		src := NewLeaseSource(l, plan.Specs, Transport{Boot: g.boot, Send: g.send, Await: g.await})
 		if err = l.Boot(ctx, src); err == nil {
 			for i := range plan.Specs {
 				src.Done(i) // the first leases

@@ -184,7 +184,7 @@ func TestLanesMatchSerial(t *testing.T) {
 							t.Fatalf("%s: %v", name, err)
 						}
 						fmt.Fprintf(&buf, "at %v: union %d\n", until, l.Union.Count())
-						for i := range l.Clock {
+						for i := range l.clock {
 							ir, err := src.Result(i)
 							if err != nil {
 								t.Fatal(err)

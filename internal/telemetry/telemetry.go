@@ -182,20 +182,6 @@ func (r *Recorder) Child(run string) *Recorder {
 	return c
 }
 
-// Restore rebuilds a recorder from a checkpointed event log and counter
-// snapshot, so a resumed campaign appends to the exact state an
-// uninterrupted run would have reached. Events keep whatever run labels
-// they were recorded with; the restored recorder itself stamps nothing,
-// matching New.
-func Restore(events []Event, counters Counters) *Recorder {
-	r := New()
-	r.events = append(r.events, events...)
-	for k, v := range counters {
-		r.counters[k] = v
-	}
-	return r
-}
-
 // Enabled reports whether events are actually collected.
 func (r *Recorder) Enabled() bool { return r != nil }
 
@@ -349,21 +335,6 @@ func (r *Recorder) ExportJSONL(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ParseJSONL decodes a JSONL event stream produced by WriteJSONL.
-func ParseJSONL(rd io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(rd)
-	var out []Event
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: jsonl: %w", err)
-		}
-		out = append(out, ev)
-	}
 }
 
 // timeline glyphs, in increasing priority: when several events share one

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,12 +66,12 @@ func TestJSONLGolden(t *testing.T) {
 	}
 
 	// Round trip.
-	evs, err := ParseJSONL(&buf)
+	evs, err := parseJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = evs
-	evs, err = ParseJSONL(strings.NewReader(want))
+	evs, err = parseJSONL(strings.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func parseFile(t *testing.T, path string) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseJSONL(bytes.NewReader(raw))
+	return parseJSONL(bytes.NewReader(raw))
 }
 
 func TestCountersAndMerge(t *testing.T) {
@@ -141,5 +143,20 @@ func TestTimelineRendersPerInstance(t *testing.T) {
 	}
 	if strings.Contains(out, "inst -1") {
 		t.Fatalf("campaign-level event got a strip:\n%s", out)
+	}
+}
+
+// parseJSONL decodes a JSONL event stream produced by WriteJSONL.
+func parseJSONL(rd io.Reader) ([]Event, error) {
+	dec := json.NewDecoder(rd)
+	var out []Event
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
 	}
 }
