@@ -87,7 +87,7 @@ func main() {
 			f := campaign.Figure4(r, 64)
 			if *svgDir != "" {
 				path := filepath.Join(*svgDir, "figure4-"+strings.ToLower(f.Subject)+".svg")
-				exitOn(os.WriteFile(path, []byte(f.SVG(campaign.SVGOptions{})), 0o644))
+				exitOn(os.WriteFile(path, []byte(f.SVG()), 0o644))
 				if !*jsonOut {
 					fmt.Println("wrote", path)
 				}

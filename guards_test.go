@@ -138,6 +138,14 @@ func callers(t *testing.T, dir, name string) map[string]bool {
 // subtest names one thing that exists in exactly one place, and fails
 // when a change brings a second one back.
 func TestDesignGuards(t *testing.T) {
+	var loaded *module // type-checked once, by the first subtest that needs it
+	load := func(t *testing.T) *module {
+		if loaded == nil {
+			loaded = loadModule(t)
+		}
+		return loaded
+	}
+
 	// Sync, sample, saturation and crash events are emitted by
 	// parallel.Loop and nowhere else; a second emitter in dist or fleet
 	// is a second event loop.
@@ -307,23 +315,64 @@ func TestDesignGuards(t *testing.T) {
 			"fuzz.(*StateModel).Walk":      "the same tests walk a state model to drive a session",
 			"coverage.(*Map).Indices":      "TestResponseDigests hashes each exec's covered cells; mqtt's tests compare two runs' cells",
 		}
-		m := loadModule(t)
+		m := load(t)
 		live := m.reachable()
 		for _, fn := range m.funcs {
 			name := funcName(fn.obj)
 			if why, ok := testOnly[name]; ok {
 				delete(testOnly, name)
 				if live[fn.obj] {
-					t.Errorf("%s: %s is reached from production; drop its allowlist entry (%s)", m.pos(fn.decl), name, why)
+					t.Errorf("%s: %s is reached from production; drop its allowlist entry (%s)", m.pos(fn.decl.Pos()), name, why)
 				}
 				continue
 			}
 			if !live[fn.obj] && strings.HasPrefix(fn.pkg, "internal/") && !fn.testing {
-				t.Errorf("%s: %s is reached only from tests", m.pos(fn.decl), name)
+				t.Errorf("%s: %s is reached only from tests", m.pos(fn.decl.Pos()), name)
 			}
 		}
 		for name := range testOnly {
 			t.Errorf("allowlist entry %s names no function in non-test internal/...", name)
+		}
+	})
+
+	// Every field is state production uses: each field of a struct
+	// declared in non-test internal/... is read by production code, and
+	// a field production reads is filled by it too (stateScan holds the
+	// rules and exemptions). A field only tests read or fill is deleted
+	// with its writes. testOnly names the few production reads or fills
+	// through a way the rules cannot see, each with its reason.
+	t.Run("NoTestOnlyState", func(t *testing.T) {
+		testOnly := map[string]string{
+			"dist.Coordinator.onReply": "the fault-injection seam the replay and promotion tests set through export_test.go",
+			"dist.hello.Version":       "Pool.AddConn reads it from payload[0] before decoding, so a hello of another layout is still told apart",
+		}
+		m := load(t)
+		s := newStateScan(m.info)
+		var files []*ast.File
+		var fields []declaredField
+		for _, f := range m.files {
+			s.scan(f.File)
+			files = append(files, f.File)
+			if strings.HasPrefix(f.pkg, "internal/") && !f.testing {
+				fields = append(fields, declaredFields(m.info, f.File)...)
+			}
+		}
+		exempt := exemptions(m.info, files, m.entry)
+		for _, d := range fields {
+			verdict := s.verdict(d, exempt)
+			if verdict != "unread" && verdict != "unfilled" {
+				continue
+			}
+			if _, ok := testOnly[d.name]; ok {
+				delete(testOnly, d.name)
+			} else if verdict == "unread" {
+				t.Errorf("%s: %s is never read by production code", m.pos(d.field.Pos()), d.name)
+			} else {
+				t.Errorf("%s: %s is read by production code but filled only by tests", m.pos(d.field.Pos()), d.name)
+			}
+		}
+		for name := range testOnly {
+			t.Errorf("allowlist entry %s names no flagged field in non-test internal/...", name)
 		}
 	})
 }
@@ -344,6 +393,13 @@ type declaredFunc struct {
 	testing bool   // its package imports testing
 }
 
+// A moduleFile is one parsed non-test file of a module package.
+type moduleFile struct {
+	*ast.File
+	pkg     string // import path relative to the module ("" for the root)
+	testing bool   // its package imports testing
+}
+
 // A module is the module's non-test packages, type-checked from source
 // against the standard library's export data.
 type module struct {
@@ -353,6 +409,7 @@ type module struct {
 	vars      []ast.Node                        // package-level var declarations
 	entry     []types.Object                    // main, init and the root package's exported API
 	funcs     []declaredFunc                    // in declaration order
+	files     []moduleFile                      // every non-test file
 	decls     map[*types.Func]*ast.FuncDecl     // every declared function
 	typeSpecs map[*types.TypeName]*ast.TypeSpec // every declared package-level type
 	std       types.Importer
@@ -364,48 +421,28 @@ type module struct {
 // order, into one types.Info.
 func loadModule(t *testing.T) *module {
 	t.Helper()
-	out, err := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports", "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &module{
-		fset: token.NewFileSet(),
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
+		fset:      token.NewFileSet(),
+		info:      newInfo(),
 		wd:        wd,
 		decls:     map[*types.Func]*ast.FuncDecl{},
 		typeSpecs: map[*types.TypeName]*ast.TypeSpec{},
 	}
-	exports := map[string]string{}
+	var pkgs []listedPackage
+	pkgs, m.std = goList(t, m.fset, "./...")
 	own := map[string]*types.Package{}
-	m.std = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
-		if exports[path] == "" {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(exports[path])
-	})
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		if p := own[path]; p != nil {
 			return p, nil
 		}
 		return m.std.Import(path)
 	})}
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range pkgs {
 		if p.Standard {
-			exports[p.ImportPath] = p.Export
 			continue
 		}
 		var files []*ast.File
@@ -424,6 +461,45 @@ func loadModule(t *testing.T) *module {
 		m.add(p, pkg, files)
 	}
 	return m
+}
+
+// goList returns the packages `go list -deps -export` reports for
+// patterns, dependencies first, and an importer that reads the standard
+// library's among them from their export data.
+func goList(t *testing.T, fset *token.FileSet, patterns ...string) ([]listedPackage, types.Importer) {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports"}, patterns...)...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var pkgs []listedPackage
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+}
+
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -456,6 +532,7 @@ func (m *module) add(p listedPackage, pkg *types.Package, files []*ast.File) {
 		testing = testing || imp == "testing"
 	}
 	for _, f := range files {
+		m.files = append(m.files, moduleFile{f, rel, testing})
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -581,9 +658,9 @@ func (m *module) reachable() map[*types.Func]bool {
 	return live
 }
 
-// pos is n's position as path:line, the path relative to the module.
-func (m *module) pos(n ast.Node) string {
-	p := m.fset.Position(n.Pos())
+// pos is at as path:line, the path relative to the module.
+func (m *module) pos(at token.Pos) string {
+	p := m.fset.Position(at)
 	rel, err := filepath.Rel(m.wd, p.Filename)
 	if err != nil {
 		rel = p.Filename
@@ -607,4 +684,480 @@ func funcName(fn *types.Func) string {
 		name = "(*" + name + ")"
 	}
 	return fn.Pkg().Name() + "." + name + "." + fn.Name()
+}
+
+// A stateScan records what production code does with struct fields:
+// which it reads, which it fills, and which its own struct's
+// setDefaults or withDefaults fills. A field selector is a read unless
+// one of the rules below makes it something else:
+//   - on an assignment's left-hand side, or under ++, --, or a range
+//     clause's =, every field on the path (x.a.b, x.a[i]) is filled and
+//     none of them is read;
+//   - in x.f = append(x.f[:0], …) the right-hand x.f is not a read;
+//   - clear(x.f) and delete(x.f, k) neither read nor fill x.f;
+//   - &x.f reads and fills the path, except inside a (*codec) visitor,
+//     where it does neither: the codec is the wire, and what counts is
+//     whether either end uses the value;
+//   - a composite literal fills the fields it sets, and a call of a
+//     pointer method on an addressable field fills that field too;
+//   - the embedded fields a promoted selector passes through count as
+//     the selector does.
+type stateScan struct {
+	info      *types.Info
+	read      map[*types.Var]bool
+	filled    map[*types.Var]bool
+	defaulted map[*types.Var]bool
+}
+
+func newStateScan(info *types.Info) *stateScan {
+	return &stateScan{info, map[*types.Var]bool{}, map[*types.Var]bool{}, map[*types.Var]bool{}}
+}
+
+// scan records every field use in one production file.
+func (s *stateScan) scan(f *ast.File) {
+	for _, decl := range f.Decls {
+		codec, defaults := false, (*types.Struct)(nil)
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+			if n, ok := deref(s.info.TypeOf(fd.Recv.List[0].Type)).(*types.Named); ok {
+				codec = n.Obj().Name() == "codec"
+				if fd.Name.Name == "setDefaults" || fd.Name.Name == "withDefaults" {
+					defaults, _ = n.Underlying().(*types.Struct)
+				}
+			}
+		}
+		s.walk(decl, codec, defaults)
+	}
+}
+
+func (s *stateScan) walk(decl ast.Decl, codec bool, defaults *types.Struct) {
+	quiet := map[*ast.SelectorExpr]bool{} // field selectors that are not reads
+	fill := func(v *types.Var) {
+		s.filled[v] = true
+		for i := 0; defaults != nil && i < defaults.NumFields(); i++ {
+			s.defaulted[v] = s.defaulted[v] || defaults.Field(i) == v
+		}
+	}
+	lvalue := func(e ast.Expr, read bool) {
+		for _, sel := range s.path(e) {
+			for _, v := range s.fields(sel) {
+				fill(v)
+			}
+			quiet[sel] = quiet[sel] || !read
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				lvalue(lhs, false)
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+					if x := s.resliced(n.Rhs[i]); x != nil && types.ExprString(x) == types.ExprString(lhs) {
+						quiet[x] = true
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			lvalue(n.X, false)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				lvalue(n.Key, false)
+				if n.Value != nil {
+					lvalue(n.Value, false)
+				}
+			}
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) > 0 {
+				if b, ok := s.info.Uses[id].(*types.Builtin); ok && (b.Name() == "clear" || b.Name() == "delete") {
+					if p := s.path(n.Args[0]); len(p) > 0 {
+						quiet[p[0]] = true
+					}
+				}
+			}
+		case *ast.UnaryExpr:
+			if n.Op != token.AND {
+				break
+			}
+			if !codec {
+				lvalue(n.X, true)
+				break
+			}
+			for _, sel := range s.path(n.X) {
+				quiet[sel] = true
+			}
+		case *ast.CompositeLit:
+			st, ok := s.info.TypeOf(n).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					fill(s.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin())
+				} else {
+					fill(st.Field(i).Origin())
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := s.info.Selections[n]
+			if sel == nil || quiet[n] {
+				break
+			}
+			for _, v := range s.fields(n) {
+				s.read[v] = true
+			}
+			if sel.Kind() == types.MethodVal && !isPointer(sel.Recv()) && isPointer(sel.Obj().Type().(*types.Signature).Recv().Type()) {
+				lvalue(n.X, true) // the call takes n.X's address
+			}
+		}
+		return true
+	})
+}
+
+// path returns the field selectors on e's path, outermost first: x.a.b
+// gives x.a.b, then x.a; an index or a dereference passes through.
+func (s *stateScan) path(e ast.Expr) []*ast.SelectorExpr {
+	var out []*ast.SelectorExpr
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if sel := s.info.Selections[x]; sel == nil || sel.Kind() != types.FieldVal {
+				return out
+			}
+			out = append(out, x)
+			e = x.X
+		default:
+			return out
+		}
+	}
+}
+
+// fields returns the fields a selector passes through: the embedded
+// ones a promoted selector goes by, then the selected field itself.
+func (s *stateScan) fields(e *ast.SelectorExpr) []*types.Var {
+	sel := s.info.Selections[e]
+	idx := sel.Index()
+	if sel.Kind() != types.FieldVal {
+		idx = idx[:len(idx)-1]
+	}
+	var out []*types.Var
+	t := sel.Recv()
+	for _, i := range idx {
+		v := deref(t).Underlying().(*types.Struct).Field(i)
+		out = append(out, v.Origin())
+		t = v.Type()
+	}
+	return out
+}
+
+// resliced returns x.f when e is append(x.f[:0], …).
+func (s *stateScan) resliced(e ast.Expr) *ast.SelectorExpr {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if id, ok := call.Fun.(*ast.Ident); !ok || s.info.Uses[id] != types.Universe.Lookup("append") {
+		return nil
+	}
+	sl, ok := call.Args[0].(*ast.SliceExpr)
+	if !ok || sl.Low != nil || sl.Slice3 {
+		return nil
+	}
+	if hi, ok := sl.High.(*ast.BasicLit); !ok || hi.Value != "0" {
+		return nil
+	}
+	x, _ := sl.X.(*ast.SelectorExpr)
+	if x == nil || s.info.Selections[x] == nil || s.info.Selections[x].Kind() != types.FieldVal {
+		return nil
+	}
+	return x
+}
+
+// verdict judges one declared field: "unread" if production never reads
+// it, "unfilled" if production reads but never fills it, "" if it
+// passes, or the exemption that spares it: its struct's entry in exempt
+// ("json" or "facade"), "sync" for a sync or sync/atomic type, or
+// "defaults" for a field its own struct's setDefaults or withDefaults
+// fills.
+func (s *stateScan) verdict(d declaredField, exempt map[*types.Struct]string) string {
+	switch {
+	case exempt[d.st] != "":
+		return exempt[d.st]
+	case isSync(d.field.Type()):
+		return "sync"
+	case s.defaulted[d.field]:
+		return "defaults"
+	case !s.read[d.field]:
+		return "unread"
+	case !s.filled[d.field]:
+		return "unfilled"
+	}
+	return ""
+}
+
+// A declaredField is one field of a struct type declared in a file.
+type declaredField struct {
+	field *types.Var
+	st    *types.Struct
+	name  string // pkg.Type.field; an unnamed struct takes its enclosing type's or function's name
+}
+
+// declaredFields returns the fields of every struct type in f, blank
+// ones aside.
+func declaredFields(info *types.Info, f *ast.File) []declaredField {
+	var out []declaredField
+	for _, decl := range f.Decls {
+		owner := ""
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			owner = fd.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				owner = n.Name.Name
+			case *ast.StructType:
+				st := info.TypeOf(n).(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if v := st.Field(i); v.Name() != "_" {
+						out = append(out, declaredField{v, st, v.Pkg().Name() + "." + owner + "." + v.Name()})
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// exemptions maps each struct whose fields the rules exempt to why:
+// "json" for a struct in files with a JSON tag on a field, and for every
+// struct reached through such a struct's field types; "facade" for a
+// struct type an alias among entry re-exports.
+func exemptions(info *types.Info, files []*ast.File, entry []types.Object) map[*types.Struct]string {
+	exempt := map[*types.Struct]string{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		if n, ok := t.(*types.Named); ok {
+			for i := 0; i < n.TypeArgs().Len(); i++ {
+				reach(n.TypeArgs().At(i))
+			}
+			t = n.Origin()
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			reach(u.Elem())
+		case *types.Slice:
+			reach(u.Elem())
+		case *types.Array:
+			reach(u.Elem())
+		case *types.Map:
+			reach(u.Key())
+			reach(u.Elem())
+		case *types.Struct:
+			if exempt[u] == "" {
+				exempt[u] = "json"
+				for i := 0; i < u.NumFields(); i++ {
+					reach(u.Field(i).Type())
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil && strings.Contains(fld.Tag.Value, `json:"`) {
+						reach(info.TypeOf(st))
+						break
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, obj := range entry {
+		if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && exempt[st] == "" {
+				exempt[st] = "facade"
+			}
+		}
+	}
+	return exempt
+}
+
+func isSync(t types.Type) bool {
+	n, ok := deref(t).(*types.Named)
+	return ok && n.Obj().Pkg() != nil && (n.Obj().Pkg().Path() == "sync" || n.Obj().Pkg().Path() == "sync/atomic")
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// deref strips one pointer off t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// stateFixture has a field for each of stateScan's rules and exemptions;
+// TestStateScan holds each to its verdict.
+const stateFixture = `package fix
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type T struct {
+	read     int
+	unread   int
+	unfilled int
+	bumped   int
+	resliced []int
+	cleared  map[int]bool
+	nested   leaf
+	indexed  []int
+	ranged   int
+	addr     int
+	wire     int
+	wireRead int
+	keyed    int
+	pos      pair
+	method   counter
+	promoted
+	mu    sync.Mutex
+	count atomic.Int64
+	def   int
+}
+
+type leaf struct{ v int }
+
+type pair struct{ a, b int }
+
+type counter struct{ n int }
+
+func (c *counter) inc() int { c.n++; return c.n }
+
+type promoted struct{ p int }
+
+type J struct {
+	A int ` + "`json:\"a\"`" + `
+	R reached
+}
+
+type reached struct{ B int }
+
+type F struct{ C int }
+
+type Alias = F
+
+type codec struct{}
+
+func (c *codec) visit(t *T) { use(&t.wire); use(&t.wireRead) }
+
+func use(*int) {}
+
+func (t *T) setDefaults() {
+	if t.def == 0 {
+		t.def = 1
+	}
+}
+
+func run(t *T) int {
+	*t = T{wire: 1, keyed: 2, pos: pair{1, 2}, promoted: promoted{p: 3}, cleared: map[int]bool{}}
+	t.read = 1
+	t.unread = 2
+	t.bumped++
+	t.bumped += 2
+	t.resliced = append(t.resliced[:0], 1)
+	clear(t.cleared)
+	delete(t.cleared, 1)
+	t.nested.v = 1
+	t.indexed[0] = 1
+	for t.ranged = range 3 {
+	}
+	p := &t.addr
+	t.mu.Lock()
+	t.count.Add(1)
+	return t.read + t.unfilled + len(t.indexed) + t.ranged + *p + t.keyed + t.pos.a + t.pos.b + t.method.inc() + t.p + t.wireRead
+}
+`
+
+// TestStateScan type-checks stateFixture and holds every field to the
+// verdict NoTestOnlyState's rules give it, so an edit that stops a rule
+// from biting fails here instead of passing the guard quietly.
+func TestStateScan(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fix.go", stateFixture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, std := goList(t, fset, "sync", "sync/atomic")
+	info := newInfo()
+	pkg, err := (&types.Config{Importer: std}).Check("fix", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStateScan(info)
+	s.scan(f)
+	var entry []types.Object
+	for _, name := range pkg.Scope().Names() {
+		entry = append(entry, pkg.Scope().Lookup(name))
+	}
+	exempt := exemptions(info, []*ast.File{f}, entry)
+	want := map[string]string{
+		"fix.T.read":     "",
+		"fix.T.unread":   "unread",
+		"fix.T.unfilled": "unfilled",
+		"fix.T.bumped":   "unread",   // ++ and += fill, and read nothing
+		"fix.T.resliced": "unread",   // x.f = append(x.f[:0], …) reads nothing
+		"fix.T.cleared":  "unread",   // clear and delete neither read nor fill
+		"fix.T.nested":   "unread",   // x.nested.v = 1 fills the path and reads none of it
+		"fix.leaf.v":     "unread",   // the same
+		"fix.T.indexed":  "",         // x.indexed[0] = 1 fills it; len reads it
+		"fix.T.ranged":   "",         // a range clause's = fills it
+		"fix.T.addr":     "",         // &x.addr reads and fills
+		"fix.T.wire":     "unread",   // a codec's &x.wire does neither; a literal fills it
+		"fix.T.wireRead": "unfilled", // a codec's &x.wireRead does neither; run reads it
+		"fix.T.keyed":    "",         // a keyed literal fills it
+		"fix.T.pos":      "",
+		"fix.pair.a":     "", // a positional literal fills every field
+		"fix.pair.b":     "",
+		"fix.T.method":   "", // a pointer method's call reads and fills it
+		"fix.counter.n":  "",
+		"fix.T.promoted": "", // a promoted selector reads it
+		"fix.promoted.p": "",
+		"fix.T.mu":       "sync",
+		"fix.T.count":    "sync",
+		"fix.T.def":      "defaults",
+		"fix.J.A":        "json",
+		"fix.J.R":        "json",
+		"fix.reached.B":  "json", // reached through J.R
+		"fix.F.C":        "facade",
+	}
+	for _, d := range declaredFields(info, f) {
+		w, ok := want[d.name]
+		if !ok {
+			t.Errorf("%s: no verdict expected", d.name)
+			continue
+		}
+		delete(want, d.name)
+		if got := s.verdict(d, exempt); got != w {
+			t.Errorf("%s: verdict %q, want %q", d.name, got, w)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s: not declared in the fixture", name)
+	}
 }

@@ -173,8 +173,6 @@ type FuzzerStats struct {
 	Series []*coverage.Series
 	// Bugs is the union of unique bugs across repetitions.
 	Bugs *bugs.Ledger
-	// Execs is the mean total executions.
-	Execs int
 }
 
 // SubjectResult aggregates all three fuzzers on one subject.
@@ -212,15 +210,13 @@ func RunSubject(ctx context.Context, sub subject.Subject, cfg Config) (*SubjectR
 	}
 	for mi, mode := range modes {
 		stats := FuzzerStats{Mode: mode, Bugs: bugs.NewLedger()}
-		sumBranches, sumExecs := 0, 0
+		sumBranches := 0
 		for _, r := range results[mi*reps : (mi+1)*reps] {
 			sumBranches += r.FinalBranches
-			sumExecs += r.TotalExecs
 			stats.Series = append(stats.Series, r.Series)
 			stats.Bugs.Merge(r.Bugs)
 		}
 		stats.Branches = sumBranches / reps
-		stats.Execs = sumExecs / reps
 		switch mode {
 		case parallel.ModeCMFuzz:
 			res.CMFuzz = stats

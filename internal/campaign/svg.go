@@ -5,22 +5,11 @@ import (
 	"strings"
 )
 
-// SVGOptions sizes a rendered figure.
-type SVGOptions struct {
-	Width, Height int // canvas size in px (defaults 640×360)
-}
-
-// SVG renders one Figure 4 panel as a standalone SVG line chart with the
-// three fuzzer curves, axes and a legend — the publishable counterpart of
-// RenderFigure4's ASCII art.
-func (f *Figure4Series) SVG(opts SVGOptions) string {
-	w, h := opts.Width, opts.Height
-	if w == 0 {
-		w = 640
-	}
-	if h == 0 {
-		h = 360
-	}
+// SVG renders one Figure 4 panel as a standalone 640×360 SVG line chart
+// with the three fuzzer curves, axes and a legend — the publishable
+// counterpart of RenderFigure4's ASCII art.
+func (f *Figure4Series) SVG() string {
+	const w, h = 640, 360
 	const marginL, marginR, marginT, marginB = 56, 16, 28, 40
 	plotW := w - marginL - marginR
 	plotH := h - marginT - marginB

@@ -21,7 +21,7 @@ func sampleFigure() *Figure4Series {
 }
 
 func TestSVGWellFormed(t *testing.T) {
-	out := sampleFigure().SVG(SVGOptions{})
+	out := sampleFigure().SVG()
 	dec := xml.NewDecoder(strings.NewReader(out))
 	for {
 		_, err := dec.Token()
@@ -42,16 +42,16 @@ func TestSVGWellFormed(t *testing.T) {
 	}
 }
 
-func TestSVGCustomSize(t *testing.T) {
-	out := sampleFigure().SVG(SVGOptions{Width: 200, Height: 100})
-	if !strings.Contains(out, `width="200" height="100"`) {
-		t.Fatal("custom size ignored")
+func TestSVGCanvasSize(t *testing.T) {
+	out := sampleFigure().SVG()
+	if !strings.Contains(out, `width="640" height="360" viewBox="0 0 640 360"`) {
+		t.Fatal("canvas is not 640×360")
 	}
 }
 
 func TestSVGEmptyCurvesSafe(t *testing.T) {
 	f := &Figure4Series{Subject: "Empty", Hours: 24, Points: map[string][]coverage.Point{}}
-	out := f.SVG(SVGOptions{})
+	out := f.SVG()
 	if !strings.Contains(out, "</svg>") {
 		t.Fatal("degenerate figure did not render")
 	}

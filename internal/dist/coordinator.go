@@ -52,7 +52,6 @@ const shutdownGrace = time.Second
 // waits for its id, so leases, control messages and heartbeats of any
 // campaign share the connection without queueing behind one another.
 type workerConn struct {
-	id   int
 	name string
 	conn net.Conn
 	br   *bufio.Reader

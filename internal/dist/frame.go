@@ -80,8 +80,11 @@ const (
 // still sets to re-boot a lost instance where it was. Version 10 sends a
 // new-edges seed's messages only if a sync may export it: every
 // new-edges record carries the seed's digest, and a seed flag says when
-// the messages follow.
-const protocolVersion = 10
+// the messages follow. Version 11 drops three fields neither end used:
+// Boot's resume clock, each SPFuzz path's state list (dedup and
+// generation read its models alone) and a mutation outcome's restarted
+// flag (its Boots count says the same).
+const protocolVersion = 11
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,6 +39,26 @@ func seedMatrix(f *testing.F, good []byte) {
 		mutated := append([]byte(nil), good...)
 		mutated[i] ^= 0xFF
 		f.Add(mutated)
+	}
+}
+
+// v7Frame returns the payload of the testdata/payloads_v7.bin frame of
+// type typ: a layout a later wire version retired, which its decoder must
+// refuse without panicking.
+func v7Frame(tb testing.TB, typ byte) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "payloads_v7.bin"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for r := bytes.NewReader(raw); ; {
+		t, _, p, err := readFrame(r)
+		if err != nil {
+			tb.Fatalf("no frame of type %d: %v", typ, err)
+		}
+		if t == typ {
+			return p
+		}
 	}
 }
 
@@ -116,10 +138,14 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeHello(f *testing.F) { fuzzMessage(f, (*codec).hello, v7Hello) }
 
 func FuzzDecodeAssign(f *testing.F) {
-	fuzzMessage(f, (*codec).assign, v7Assign, assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}})
+	seedMatrix(f, v7Frame(f, msgAssign))
+	fuzzMessage(f, (*codec).assign, v11Assign, assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}})
 }
 
-func FuzzDecodeBootReq(f *testing.F) { fuzzMessage(f, (*codec).bootReq, v7BootReq) }
+func FuzzDecodeBootReq(f *testing.F) {
+	seedMatrix(f, v7Frame(f, msgBoot))
+	fuzzMessage(f, (*codec).bootReq, v11BootReq)
+}
 
 func FuzzDecodeBootResult(f *testing.F) {
 	fuzzMessage(f, (*codec).bootResult, v7BootResult, bootResult{Err: "conflict", BootReport: parallel.BootReport{Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}}})
@@ -128,6 +154,7 @@ func FuzzDecodeBootResult(f *testing.F) {
 func FuzzDecodeLease(f *testing.F) { fuzzMessage(f, (*codec).lease, v7Lease) }
 
 func FuzzDecodeLeaseResult(f *testing.F) {
+	seedMatrix(f, v7Frame(f, msgLeaseResult))
 	fuzzMessage(f, (*codec).leaseResult, v10LeaseResult(), leaseResult{Steps: v7Steps[:1]}, leaseResult{Steps: v10Steps[2:]})
 }
 

@@ -14,7 +14,7 @@ import (
 // the reader.
 func pipeWorkerConn(t *testing.T) (*workerConn, net.Conn) {
 	cConn, wConn := net.Pipe()
-	wc := &workerConn{id: 0, name: "w", conn: cConn, br: bufio.NewReaderSize(cConn, 64<<10), calls: make(map[uint32]call)}
+	wc := &workerConn{name: "w", conn: cConn, br: bufio.NewReaderSize(cConn, 64<<10), calls: make(map[uint32]call)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

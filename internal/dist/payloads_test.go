@@ -18,11 +18,14 @@ import (
 // it is never regenerated: it is what pins the declared fields to the
 // bytes those encoders produced. Every field that travels is non-zero
 // somewhere below, the Assign carries a live spec, and the lease reply
-// sets all four record flags and ships a span with attributes.
+// sets all four record flags and ships a span with attributes. Version
+// 11 retired Boot's resume clock and each path's states: v11Assign and
+// v11BootReq are the fixture's values without them, and v7PathStates
+// and v7ResumeClock what the fixture holds in their place.
 var (
 	v7Hello = hello{Name: "worker-7", Version: 7}
 
-	v7Assign = assign{
+	v11Assign = assign{
 		Campaign: 3,
 		Subject:  "MQTT",
 		Trace:    true,
@@ -41,8 +44,8 @@ var (
 				Config: configmodel.Assignment{"tls": "on", "bridge": "off", "port": "1883"},
 				Group:  schedule.Group{Members: []string{"bridge", "tls"}},
 				Paths: []fuzz.Path{
-					{States: []string{"connect", "publish"}, Models: []string{"CONNECT", "PUBLISH"}},
-					{States: []string{"connect"}, Models: []string{"CONNECT"}},
+					{Models: []string{"CONNECT", "PUBLISH"}},
+					{Models: []string{"CONNECT"}},
 				},
 				EngineSeed: 7919, RngSeed: -104729,
 			},
@@ -50,7 +53,10 @@ var (
 		},
 	}
 
-	v7BootReq = bootReq{Campaign: 3, Index: 1, ResumeClock: 1234.5}
+	v7PathStates = [][]string{{"connect", "publish"}, {"connect"}}
+
+	v11BootReq    = bootReq{Campaign: 3, Index: 1}
+	v7ResumeClock = 1234.5
 
 	v7BootResult = bootResult{BootReport: parallel.BootReport{
 		Config: "bridge=off port=1883 tls=on", StartEdges: 41, Delta: []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 9},
@@ -82,7 +88,7 @@ var (
 					{Type: telemetry.EvRestartFail, Entity: "tls", Value: "off", Detail: "conflict"},
 					{Type: telemetry.EvMutation, Entity: "bridge", Value: "on", Config: "bridge=on"},
 				},
-				Mutations: 1, Boots: 2, RestartFails: 1, Fallbacks: 1, Restarted: true,
+				Mutations: 1, Boots: 2, RestartFails: 1, Fallbacks: 1,
 			},
 			MutationCrashes: []crashRec{{
 				Crash:    bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"},

@@ -86,7 +86,7 @@ func (p *Pool) AddConn(conn net.Conn) error {
 		conn.Close()
 		return errPoolClosed
 	}
-	wc := &workerConn{id: len(p.workers), name: h.Name, conn: conn, br: br, calls: make(map[uint32]call)}
+	wc := &workerConn{name: h.Name, conn: conn, br: br, calls: make(map[uint32]call)}
 	wc.lastReply.Store(time.Now().UnixNano())
 	p.workers = append(p.workers, wc)
 	p.readWG.Add(1)

@@ -337,10 +337,7 @@ func (c *codec) spec(s *parallel.InstanceSpec) {
 	i64(c, &s.RngSeed)
 }
 
-func (c *codec) path(p *fuzz.Path) {
-	strs(c, &p.States)
-	strs(c, &p.Models)
-}
+func (c *codec) path(p *fuzz.Path) { strs(c, &p.Models) }
 
 // liveSpecOf returns the inline live-target spec for subjects that
 // carry one ("" otherwise). The assertion keeps dist decoupled from
@@ -356,15 +353,13 @@ func liveSpecOf(sub subject.Subject) string {
 // --- Boot ---
 
 type bootReq struct {
-	Campaign    uint32
-	Index       int
-	ResumeClock float64 // always 0, and ignored: every boot is at clock 0 (version 9)
+	Campaign uint32
+	Index    int
 }
 
 func (c *codec) bootReq(b *bootReq) {
 	u32(c, &b.Campaign)
 	u32(c, &b.Index)
-	f64(c, &b.ResumeClock)
 }
 
 // crashRec is one buffered CrashSink record (parallel.RecordingSink's
@@ -534,7 +529,6 @@ func (c *codec) mutation(m *parallel.MutationOutcome) {
 	u8(c, &m.Boots)
 	u8(c, &m.RestartFails)
 	u8(c, &m.Fallbacks)
-	flag(c, &m.Restarted)
 }
 
 func (c *codec) mutEvent(e *parallel.MutEvent) {

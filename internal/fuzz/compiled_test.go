@@ -30,28 +30,41 @@ func cloneTree(e *Element) *Element {
 	return &c
 }
 
-func resolveChoices(e *Element, r *rand.Rand) {
+// A tree is one deep copy of a model's template and the child each of
+// its Choices selected.
+type tree struct {
+	root *Element
+	sel  map[*Element]int
+}
+
+// newTree copies m's template and draws every Choice, in pre-order.
+func newTree(m *DataModel, r *rand.Rand) *tree {
+	t := &tree{root: cloneTree(m.Root), sel: map[*Element]int{}}
+	t.resolveChoices(t.root, r)
+	return t
+}
+
+func (t *tree) resolveChoices(e *Element, r *rand.Rand) {
 	if e.Kind == KindChoice && len(e.Children) > 0 {
-		e.Selected = r.Intn(len(e.Children))
+		t.sel[e] = r.Intn(len(e.Children))
 	}
 	for _, ch := range e.Children {
-		resolveChoices(ch, r)
+		t.resolveChoices(ch, r)
 	}
 }
 
-func appendLeaves(out []*Element, e *Element) []*Element {
+// chosen is the child in effect under Choice e, which has children.
+func (t *tree) chosen(e *Element) *Element { return e.Children[t.sel[e]] }
+
+func (t *tree) appendLeaves(out []*Element, e *Element) []*Element {
 	switch e.Kind {
 	case KindBlock:
 		for _, ch := range e.Children {
-			out = appendLeaves(out, ch)
+			out = t.appendLeaves(out, ch)
 		}
 	case KindChoice:
 		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			out = appendLeaves(out, e.Children[sel])
+			out = t.appendLeaves(out, t.chosen(e))
 		}
 	default:
 		out = append(out, e)
@@ -59,48 +72,44 @@ func appendLeaves(out []*Element, e *Element) []*Element {
 	return out
 }
 
-func findElement(e *Element, name string) *Element {
+func (t *tree) findElement(e *Element, name string) *Element {
 	if e.Name == name {
 		return e
 	}
 	switch e.Kind {
 	case KindBlock:
 		for _, ch := range e.Children {
-			if f := findElement(ch, name); f != nil {
+			if f := t.findElement(ch, name); f != nil {
 				return f
 			}
 		}
 	case KindChoice:
 		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			return findElement(e.Children[sel], name)
+			return t.findElement(t.chosen(e), name)
 		}
 	}
 	return nil
 }
 
-func fixRelations(root *Element) {
-	for _, leaf := range appendLeaves(nil, root) {
+func (t *tree) fixRelations() {
+	for _, leaf := range t.appendLeaves(nil, t.root) {
 		if leaf.Kind != KindNumber || leaf.SizeBroken {
 			continue
 		}
 		if leaf.SizeOf != "" {
-			if target := findElement(root, leaf.SizeOf); target != nil {
-				leaf.Value = uint64(len(appendElement(nil, target)))
+			if target := t.findElement(t.root, leaf.SizeOf); target != nil {
+				leaf.Value = uint64(len(t.appendElement(nil, target)))
 			}
 		}
 		if leaf.CountOf != "" {
-			if target := findElement(root, leaf.CountOf); target != nil {
+			if target := t.findElement(t.root, leaf.CountOf); target != nil {
 				leaf.Value = uint64(len(target.Children))
 			}
 		}
 	}
 }
 
-func appendElement(buf []byte, e *Element) []byte {
+func (t *tree) appendElement(buf []byte, e *Element) []byte {
 	switch e.Kind {
 	case KindNumber:
 		return appendNumber(buf, e)
@@ -108,22 +117,18 @@ func appendElement(buf []byte, e *Element) []byte {
 		return append(buf, e.Data...)
 	case KindBlock:
 		for _, ch := range e.Children {
-			buf = appendElement(buf, ch)
+			buf = t.appendElement(buf, ch)
 		}
 	case KindChoice:
 		if len(e.Children) > 0 {
-			sel := e.Selected
-			if sel < 0 || sel >= len(e.Children) {
-				sel = 0
-			}
-			return appendElement(buf, e.Children[sel])
+			return t.appendElement(buf, t.chosen(e))
 		}
 	}
 	return buf
 }
 
-func treeMutate(root *Element, mutators []Mutator, r *rand.Rand, maxOps int) int {
-	leaves := appendLeaves(nil, root)
+func (t *tree) mutate(mutators []Mutator, r *rand.Rand, maxOps int) int {
+	leaves := t.appendLeaves(nil, t.root)
 	if len(leaves) == 0 || len(mutators) == 0 {
 		return 0
 	}
@@ -149,13 +154,12 @@ func treeMutate(root *Element, mutators []Mutator, r *rand.Rand, maxOps int) int
 // treeMessage is one message of the engine's generate, the tree way:
 // instantiate, mutate with probability mutateProb, serialize.
 func treeMessage(m *DataModel, r *rand.Rand, mutateProb float64) []byte {
-	root := cloneTree(m.Root)
-	resolveChoices(root, r)
+	t := newTree(m, r)
 	if r.Float64() < mutateProb {
-		treeMutate(root, DefaultMutators(), r, 3)
+		t.mutate(DefaultMutators(), r, 3)
 	}
-	fixRelations(root)
-	return appendElement(nil, root)
+	t.fixRelations()
+	return t.appendElement(nil, t.root)
 }
 
 // relationModel gathers the relation shapes the compiled search and size
@@ -303,15 +307,14 @@ func TestRelationModelShapes(t *testing.T) {
 	seen := map[string]bool{}
 	for seed := int64(0); seed < 200; seed++ {
 		r := testRandSeed(seed)
-		root := cloneTree(m.Root)
-		resolveChoices(root, r)
-		fixRelations(root)
-		vlen := findElement(root, "vlen")
-		if n := len(appendElement(nil, vlen)); n > 1 {
+		tr := newTree(m, r)
+		tr.fixRelations()
+		vlen := tr.findElement(tr.root, "vlen")
+		if n := len(tr.appendElement(nil, vlen)); n > 1 {
 			seen[fmt.Sprintf("varint grew to %d bytes", n)] = true
 		}
-		seen["variant "+findElement(root, "variant").Children[findElement(root, "variant").Selected].Name] = true
-		if findElement(root, "both").Value == 3 {
+		seen["variant "+tr.chosen(tr.findElement(tr.root, "variant")).Name] = true
+		if tr.findElement(tr.root, "both").Value == 3 {
 			seen["CountOf wins"] = true
 		}
 	}

@@ -65,10 +65,8 @@ type Element struct {
 	// String and Blob fields.
 	Data []byte
 
-	// Block and Choice children. For an instantiated Choice, Selected
-	// indexes the child in effect.
+	// Block and Choice children.
 	Children []*Element
-	Selected int
 
 	// Token marks protocol framing bytes the mutators must not touch
 	// (magic numbers, fixed headers).
@@ -98,7 +96,6 @@ type DataModel struct {
 // table. Messages read their leaves from it and never write it, so
 // engines that share one Pit share its templates.
 type compiledModel struct {
-	model *DataModel
 	nodes []node
 	// choices lists the Choice nodes with children, in pre-order: a
 	// message draws one selection for each, as the tree walk did.
@@ -124,7 +121,7 @@ type node struct {
 func isLeaf(k ElementKind) bool { return k != KindBlock && k != KindChoice }
 
 func compileModel(m *DataModel) *compiledModel {
-	c := &compiledModel{model: m}
+	c := &compiledModel{}
 	var add func(e *Element, parent, branch int32)
 	add = func(e *Element, parent, branch int32) {
 		i := int32(len(c.nodes))
@@ -194,7 +191,7 @@ func (c *compiledModel) activate(sel []int32, on []bool, leaves []int32) ([]bool
 // template until something writes it. Leaves written later copy their
 // Data into a, or the heap when a is nil.
 func (c *compiledModel) instantiate(msg *Message, a *Arena, r *rand.Rand) {
-	msg.Model, msg.c, msg.arena = c.model, c, a
+	msg.c, msg.arena = c, a
 	if len(c.choices) == 0 {
 		msg.on, msg.leaves = c.on, c.leaves
 	} else {
@@ -230,8 +227,6 @@ func (m *DataModel) NewMessage(r *rand.Rand) *Message {
 // model under one set of Choice selections. A leaf is the model's own
 // element until the message writes it; the first write copies it.
 type Message struct {
-	Model *DataModel
-
 	c      *compiledModel
 	arena  *Arena
 	on     []bool     // per node: active in this message

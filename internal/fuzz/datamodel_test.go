@@ -215,7 +215,6 @@ func TestQuickSizeOfConsistent(t *testing.T) {
 // Clone deep-copies the message.
 func (msg *Message) Clone() *Message {
 	cl := &Message{
-		Model:  msg.Model,
 		c:      msg.c,
 		on:     append([]bool(nil), msg.on...),
 		leaves: append([]int32(nil), msg.leaves...),

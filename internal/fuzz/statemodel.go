@@ -147,11 +147,9 @@ func (c *CompiledStateModel) WalkInto(r *rand.Rand, maxSteps int, out []string) 
 	return out
 }
 
-// A Path is one concrete traversal: the states visited and the models
-// output along the way. SPFuzz partitions the path space across parallel
-// instances.
+// A Path is one concrete traversal: the models output along the way.
+// SPFuzz partitions the path space across parallel instances.
 type Path struct {
-	States []string
 	Models []string
 }
 
@@ -161,22 +159,22 @@ type Path struct {
 // most maxDepth states each.
 func (sm *StateModel) Paths(maxDepth, maxPaths int) []Path {
 	var out []Path
-	var dfs func(stateName string, visits map[string]int, states, models []string)
-	dfs = func(stateName string, visits map[string]int, states, models []string) {
-		if len(out) >= maxPaths || len(states) >= maxDepth {
-			if len(states) > 0 && len(out) < maxPaths {
-				out = append(out, Path{States: clip(states), Models: clip(models)})
+	var dfs func(stateName string, visits map[string]int, depth int, models []string)
+	dfs = func(stateName string, visits map[string]int, depth int, models []string) {
+		if len(out) >= maxPaths || depth >= maxDepth {
+			if depth > 0 && len(out) < maxPaths {
+				out = append(out, Path{Models: clip(models)})
 			}
 			return
 		}
 		st, ok := sm.States[stateName]
 		if !ok || visits[stateName] >= 2 {
-			out = append(out, Path{States: clip(states), Models: clip(models)})
+			out = append(out, Path{Models: clip(models)})
 			return
 		}
 		visits[stateName]++
 		defer func() { visits[stateName]-- }()
-		states = append(states, stateName)
+		depth++
 		var transitions []string
 		for _, a := range st.Actions {
 			switch a.Kind {
@@ -187,17 +185,17 @@ func (sm *StateModel) Paths(maxDepth, maxPaths int) []Path {
 			}
 		}
 		if len(transitions) == 0 {
-			out = append(out, Path{States: clip(states), Models: clip(models)})
+			out = append(out, Path{Models: clip(models)})
 			return
 		}
 		for _, to := range transitions {
 			if len(out) >= maxPaths {
 				return
 			}
-			dfs(to, visits, states, models)
+			dfs(to, visits, depth, models)
 		}
 	}
-	dfs(sm.Initial, map[string]int{}, nil, nil)
+	dfs(sm.Initial, map[string]int{}, 0, nil)
 	return dedupPaths(out)
 }
 

@@ -160,9 +160,10 @@ func TestPathsTerminatesOnCycles(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("cyclic model produced no paths")
 	}
+	// Each state outputs one model, so a path's models count its states.
 	for _, p := range paths {
-		if len(p.States) > 20 {
-			t.Fatalf("path exceeds depth bound: %v", p.States)
+		if len(p.Models) > 20 {
+			t.Fatalf("path exceeds depth bound: %v", p.Models)
 		}
 	}
 }

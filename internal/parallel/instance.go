@@ -261,16 +261,14 @@ type MutEvent struct {
 }
 
 // A MutationOutcome reports what a Mutate call did: the ordered
-// telemetry events plus the counter deltas, and whether the target was
-// actually restarted (so the caller knows fresh startup coverage was
-// absorbed and the configuration changed).
+// telemetry events plus the counter deltas. Boots is 1 when the target
+// was restarted and its fresh startup coverage absorbed.
 type MutationOutcome struct {
 	Events       []MutEvent
 	Mutations    int
 	Boots        int
 	RestartFails int
 	Fallbacks    int
-	Restarted    bool
 }
 
 // Mutate applies the paper's Values-guided configuration mutation: pick
@@ -304,10 +302,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 
 	restarted := func() MutationOutcome {
 		out.Boots++
-		out.Restarted = true
-		if in.engine != nil { // engine-less instances appear only in unit tests
-			in.engine.Absorb(in.target.startup)
-		}
+		in.engine.Absorb(in.target.startup)
 		return out
 	}
 

@@ -18,7 +18,6 @@ type Replica struct {
 	Execs         int    // replayed steps since (re)boot: the engine's Execs counter
 	Coverage      int    // the instance's own edge count at the replay position
 	Config        string // its configuration at the replay position
-	StartEdges    int
 	// Mirror replays the instance's corpus — every new-edges record's seed
 	// and every sync import, in the engine's order — so its Export is the
 	// engine's at the loop's position.
@@ -88,7 +87,7 @@ func (s *LeaseSource) Boot(i int) (int, error) {
 	if _, err := s.loop.Union.ApplyDelta(rep.Delta); err != nil {
 		return 0, fmt.Errorf("parallel: instance %d: startup coverage: %w", i, err)
 	}
-	s.Inst[i] = Replica{Config: rep.Config, StartEdges: rep.StartEdges, Coverage: rep.StartEdges, Mirror: NewMirror()}
+	s.Inst[i] = Replica{Config: rep.Config, Coverage: rep.StartEdges, Mirror: NewMirror()}
 	return rep.StartEdges, nil
 }
 

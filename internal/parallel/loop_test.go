@@ -77,7 +77,7 @@ func (s *scriptSource) Mutate(i int, sink CrashSink) MutationOutcome {
 	s.muts[i]++
 	return MutationOutcome{
 		Events:    []MutEvent{{Type: telemetry.EvMutation, Entity: "e", Value: fmt.Sprint(s.muts[i]), Config: s.Config(i)}},
-		Mutations: 1, Boots: 1, Restarted: true,
+		Mutations: 1, Boots: 1,
 	}
 }
 

@@ -3,13 +3,13 @@ package parallel
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configmodel"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/subject"
 )
 
@@ -24,7 +24,14 @@ func (s *stubSubject) Info() subject.Info {
 	return subject.Info{Protocol: "STUB", Implementation: "stub", Transport: subject.Datagram, Port: 9999}
 }
 func (s *stubSubject) ConfigInput() configspec.Input { return configspec.Input{} }
-func (s *stubSubject) PitXML() string                { return "" }
+func (s *stubSubject) PitXML() string {
+	return `<Peach>
+  <DataModel name="M"><String name="s" value="x"/></DataModel>
+  <StateModel name="S" initialState="s0">
+    <State name="s0"><Action type="output" dataModel="M"/></State>
+  </StateModel>
+</Peach>`
+}
 func (s *stubSubject) NewInstance() subject.Instance { return &stubInstance{sub: s} }
 
 type stubInstance struct {
@@ -46,6 +53,22 @@ func (i *stubInstance) NewSession()                 {}
 func (i *stubInstance) Message(p []byte) [][]byte   { i.tr.Hit(3); return nil }
 func (i *stubInstance) Close()                      {}
 
+// bootStub boots one instance of sub under cfg through Host.Boot, with
+// model as the campaign's configuration model and rng seed 1.
+func bootStub(t *testing.T, sub *stubSubject, model *configmodel.Model, cfg configmodel.Assignment) *Instance {
+	t.Helper()
+	pit, err := fuzz.ParsePit(sub.PitXML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Host{Sub: sub, Pit: pit, StateModel: pit.DefaultStateModel(), Model: model, Defaults: model.Defaults()}
+	in, err := h.Boot(InstanceSpec{Config: cfg, RngSeed: 1}, bugs.NewLedger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // TestMutateConfigFallsBackToDefaults is the regression test for the
 // dead-target restart path: when both the mutated and the reverted
 // restart fail, mutateConfig must boot the defaults instead of leaving
@@ -57,25 +80,20 @@ func TestMutateConfigFallsBackToDefaults(t *testing.T) {
 			Default: "v0", Values: []string{"v1", "v2"}},
 	})
 	sub := &stubSubject{allow: func(map[string]string) bool { return true }}
-	cfg := configmodel.Assignment{"mode": "v1"}
-	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := bootStub(t, sub, model, configmodel.Assignment{"mode": "v1"})
+	target := in.target
 
 	// The target "dies": from now on only the default configuration
 	// boots, so the mutated config (mode=v2) and the reverted config
 	// (mode=v1) both fail to restart.
 	sub.allow = func(cfg map[string]string) bool { return cfg["mode"] == "v0" }
-	h := &Host{Sub: sub, Model: model, Defaults: model.Defaults()}
-	in := &Instance{host: h, index: 0, target: target, cfg: cfg, rng: rand.New(rand.NewSource(1))}
 	ledger := bugs.NewLedger()
 	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
-		// Attempts that draw the current value return false without a
-		// restart; keep drawing until the mutation actually fires.
+		// Attempts that draw the current value boot nothing; keep
+		// drawing until the mutation actually restarts the target.
 		out := in.Mutate(ledger)
-		ok, fails = out.Restarted, fails+out.RestartFails
+		ok, fails = out.Boots > 0, fails+out.RestartFails
 	}
 	if !ok {
 		t.Fatal("Mutate never recovered the instance")
@@ -102,20 +120,14 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 			Default: "v0", Values: []string{"v1", "v2"}},
 	})
 	sub := &stubSubject{allow: func(map[string]string) bool { return true }}
-	cfg := configmodel.Assignment{"mode": "v1"}
-	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := bootStub(t, sub, model, configmodel.Assignment{"mode": "v1"})
 
 	// Only the mutated value conflicts; the revert must succeed.
 	sub.allow = func(cfg map[string]string) bool { return cfg["mode"] != "v2" }
-	h := &Host{Sub: sub, Model: model, Defaults: model.Defaults()}
-	in := &Instance{host: h, index: 0, target: target, cfg: cfg, rng: rand.New(rand.NewSource(1))}
 	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
 		out := in.Mutate(bugs.NewLedger())
-		ok, fails = out.Restarted, fails+out.RestartFails
+		ok, fails = out.Boots > 0, fails+out.RestartFails
 	}
 	if !ok {
 		t.Fatal("Mutate never fired")

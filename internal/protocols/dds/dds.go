@@ -261,17 +261,12 @@ const (
 // branch space (≈29k for CycloneDDS), so its families are wide.
 const hashSpace = 8192
 
-// participant tracks one discovered remote participant.
-type participant struct {
-	lastSeq uint64
-}
-
 // Node is the CycloneDDS-like subject instance.
 type Node struct {
 	cfg          settings
 	tr           *coverage.Trace
-	participants map[uint64]*participant
-	readers      map[uint32]uint64 // readerId -> highest seq acked
+	participants map[uint64]struct{} // discovered remote participants
+	readers      map[uint32]uint64   // readerId -> highest seq acked
 	// frags maps a sample to its fragment slots, an index into slots,
 	// whose arrays the node reuses from session to session.
 	frags map[uint64]int
@@ -283,7 +278,7 @@ type Node struct {
 // NewNode returns an unstarted DDS node.
 func NewNode() *Node {
 	return &Node{
-		participants: make(map[uint64]*participant),
+		participants: make(map[uint64]struct{}),
 		readers:      make(map[uint32]uint64),
 		frags:        make(map[uint64]int),
 	}
@@ -436,7 +431,7 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 	switch writerID {
 	case entitySPDPWriter:
 		// SPDP participant announcement.
-		p, known := n.participants[guid]
+		_, known := n.participants[guid]
 		n.tr.Edge(mSPDP, probes.B(known)<<10|guid%1024)
 		n.tr.Edge(mSPDP, 4096+probes.HashBytes(payload)%1024)
 		if !known {
@@ -444,10 +439,8 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 				n.tr.Edge(mSPDP, 1024)
 				return
 			}
-			p = &participant{}
-			n.participants[guid] = p
+			n.participants[guid] = struct{}{}
 		}
-		p.lastSeq = seq
 		// Respond with our own SPDP announcement.
 		appendSPDPAnnouncement(&n.resp.W)
 		n.resp.End()

@@ -48,27 +48,15 @@ const hashSpace = 1536
 // routeSpace bounds the subscription-routing coverage family.
 const routeSpace = 1024
 
-// willInfo is a session's last-will registration. The session owns its
-// topic and payload buffers, which a later registration reuses.
-type willInfo struct {
-	set     bool
-	topic   []byte
-	payload []byte
-	qos     byte
-	retain  bool
-}
-
 // session is one client's broker-side state. Its maps are made on first
 // write and cleared, not remade, when the session is reused.
 type session struct {
-	clientID    string
-	connected   bool
-	clean       bool
-	authed      bool
-	subs        map[string]byte
-	inflightIn  map[uint16]byte // QoS2 inbound: PUBREC sent, awaiting PUBREL
-	inflightOut map[uint16]byte
-	will        willInfo
+	clientID   string
+	connected  bool
+	clean      bool
+	will       bool // a last will is registered
+	subs       map[string]byte
+	inflightIn map[uint16]byte // QoS2 inbound: PUBREC sent, awaiting PUBREL
 	// refs counts the Broker.sessions entries naming this session: a
 	// session named by none is free for the next connection.
 	refs int
@@ -77,11 +65,9 @@ type session struct {
 // reset empties the session for a new connection.
 func (s *session) reset() {
 	s.clientID = ""
-	s.connected, s.clean, s.authed = false, false, false
+	s.connected, s.clean, s.will = false, false, false
 	clear(s.subs)
 	clear(s.inflightIn)
-	clear(s.inflightOut)
-	s.will.set = false
 }
 
 // retainedMsg is one retained message, encoded once when it is retained:
@@ -361,16 +347,11 @@ func (b *Broker) handleConnect(body []byte) [][]byte {
 	}
 	b.cur.connected = true
 	b.cur.clean = c.CleanSession
-	b.cur.authed = len(c.Username) != 0
 
 	if c.Flags&0x04 != 0 {
 		b.tr.Edge(mConnWill, uint64(c.WillQoS)<<1|probes.B(c.WillRetain))
 		b.tr.Edge(mConnWill, 8+probes.HashBytes(c.WillTopic)%32)
-		w := &b.cur.will
-		w.set = true
-		w.topic = append(w.topic[:0], c.WillTopic...)
-		w.payload = append(w.payload[:0], c.WillMessage...)
-		w.qos, w.retain = c.WillQoS, c.WillRetain
+		b.cur.will = true
 	}
 	return b.connack(sessionPresent, 0)
 }
@@ -529,20 +510,13 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 }
 
 func (b *Broker) handleOutboundAck(ptype byte, body []byte) [][]byte {
-	id, err := decodePacketID(body)
-	if err != nil {
+	if _, err := decodePacketID(body); err != nil {
 		b.tr.Edge(mQoSFlow, 200)
 		return nil
 	}
-	_, known := b.cur.inflightOut[id]
-	b.tr.Edge(mQoSFlow, 210+uint64(ptype)<<1|probes.B(known))
-	if known {
-		if ptype == typePubrec {
-			appendAck(&b.resp.W, typePubrel, id)
-			return b.reply()
-		}
-		delete(b.cur.inflightOut, id)
-	}
+	// The broker records no outbound QoS 1/2 packet id, so every ack
+	// names an unknown one.
+	b.tr.Edge(mQoSFlow, 210+uint64(ptype)<<1)
 	return nil
 }
 
@@ -654,8 +628,8 @@ func (b *Broker) handleUnsubscribe(body []byte) [][]byte {
 }
 
 func (b *Broker) handleDisconnect() [][]byte {
-	b.tr.Edge(mDisconnect, probes.B(b.cur.will.set))
-	b.cur.will.set = false // clean disconnect discards the will
+	b.tr.Edge(mDisconnect, probes.B(b.cur.will))
+	b.cur.will = false // clean disconnect discards the will
 	b.cur.connected = false
 	if b.cur.clean {
 		b.tr.Edge(mDisconnect, 2)

@@ -26,12 +26,12 @@ func TestWillRegistrationAndCleanDisconnect(t *testing.T) {
 	if len(resp) != 1 || resp[0][3] != 0 {
 		t.Fatalf("will connect refused: %x", resp)
 	}
-	if w := b.cur.will; !w.set || string(w.topic) != "state/offline" || string(w.payload) != "gone" || w.qos != 1 || !w.retain {
-		t.Fatalf("will = %+v", b.cur.will)
+	if !b.cur.will {
+		t.Fatal("will not registered")
 	}
 	// Clean DISCONNECT discards the will.
 	b.Message(packetBytes(typeDisconnect, 0, nil))
-	if b.cur.will.set {
+	if b.cur.will {
 		t.Fatal("will survived clean disconnect")
 	}
 }
@@ -85,20 +85,12 @@ func TestSubscriptionQuota(t *testing.T) {
 func TestOutboundAckFlow(t *testing.T) {
 	b, _ := startBroker(t, nil)
 	connect(t, b)
-	// PUBREC for an unknown outbound id is tolerated without a PUBREL.
-	if resp := b.Message(ackBytes(typePubrec, 77)); resp != nil {
-		t.Fatalf("unknown pubrec answered: %x", resp)
-	}
-	// Track an outbound message, then complete the flow.
-	b.cur.inflightOut = map[uint16]byte{77: 1}
-	resp := b.Message(ackBytes(typePubrec, 77))
-	if len(resp) != 1 || resp[0][0]>>4 != typePubrel {
-		t.Fatalf("pubrec ack = %x", resp)
-	}
-	b.cur.inflightOut[78] = 1
-	b.Message(ackBytes(typePubcomp, 78))
-	if _, ok := b.cur.inflightOut[78]; ok {
-		t.Fatal("pubcomp did not clear inflight")
+	// The broker records no outbound QoS 1/2 packet id, so every
+	// outbound ack names an unknown one and is tolerated unanswered.
+	for _, ptype := range []byte{typePuback, typePubrec, typePubcomp} {
+		if resp := b.Message(ackBytes(ptype, 77)); resp != nil {
+			t.Fatalf("ack type %d for an unknown id answered: %x", ptype, resp)
+		}
 	}
 }
 

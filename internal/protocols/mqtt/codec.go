@@ -60,7 +60,6 @@ type connectPacket struct {
 	KeepAlive    uint16
 	ClientID     []byte
 	WillTopic    []byte
-	WillMessage  []byte
 	Username     []byte
 	Password     []byte
 	CleanSession bool
@@ -81,7 +80,7 @@ func decodeConnect(body []byte) (connectPacket, error) {
 	c.WillRetain = c.Flags&0x20 != 0
 	if c.Flags&0x04 != 0 { // will flag
 		c.WillTopic = r.Bytes16()
-		c.WillMessage = r.Bytes16()
+		r.Bytes16() // the will message, which the broker does not keep
 	}
 	if c.Flags&0x80 != 0 { // username
 		c.Username = r.Bytes16()
