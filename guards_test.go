@@ -337,14 +337,21 @@ func TestDesignGuards(t *testing.T) {
 
 	// Every field is state production uses: each field of a struct
 	// declared in non-test internal/... is read by production code, and
-	// a field production reads is filled by it too (stateScan holds the
-	// rules and exemptions). A field only tests read or fill is deleted
-	// with its writes. testOnly names the few production reads or fills
-	// through a way the rules cannot see, each with its reason.
+	// a field production reads is filled by it too — by code other than
+	// its own struct's setDefaults, or the knob is a constant (stateScan
+	// holds the rules and exemptions). A field only tests read or fill
+	// is deleted with its writes. testOnly names the few production
+	// reads or fills through a way the rules cannot see, and the test
+	// seams only tests turn, each with its reason.
 	t.Run("NoTestOnlyState", func(t *testing.T) {
 		testOnly := map[string]string{
 			"dist.Coordinator.onReply": "the fault-injection seam the replay and promotion tests set through export_test.go",
 			"dist.hello.Version":       "Pool.AddConn reads it from payload[0] before decoding, so a hello of another layout is still told apart",
+			"dist.Config.RPCTimeout":   "TestLatePongKillsWorker and the expired-handshake test need a deadline under a second",
+			"fuzz.Config.genProb":      "the TestStepAllocs* gates pin the generation and the havoc path",
+			"fuzz.Config.mutateProb":   "the TestStepAllocs* gates pin the generation and the havoc path",
+			"fuzz.Config.maxCorpus":    "the corpus-eviction tests and the engine golden set a small pool",
+			"fuzz.Config.maxWalkSteps": "the engine golden sets the walk bound it was recorded under",
 		}
 		m := load(t)
 		s := newStateScan(m.info)
@@ -360,11 +367,13 @@ func TestDesignGuards(t *testing.T) {
 		exempt := exemptions(m.info, files, m.entry)
 		for _, d := range fields {
 			verdict := s.verdict(d, exempt)
-			if verdict != "unread" && verdict != "unfilled" {
+			if verdict != "defaults" && verdict != "unread" && verdict != "unfilled" {
 				continue
 			}
 			if _, ok := testOnly[d.name]; ok {
 				delete(testOnly, d.name)
+			} else if verdict == "defaults" {
+				t.Errorf("%s: %s is filled only by its struct's defaults: make it a constant", m.pos(d.field.Pos()), d.name)
 			} else if verdict == "unread" {
 				t.Errorf("%s: %s is never read by production code", m.pos(d.field.Pos()), d.name)
 			} else {
@@ -688,8 +697,9 @@ func funcName(fn *types.Func) string {
 
 // A stateScan records what production code does with struct fields:
 // which it reads, which it fills, and which its own struct's
-// setDefaults or withDefaults fills. A field selector is a read unless
-// one of the rules below makes it something else:
+// setDefaults or withDefaults fills. That last fill is kept apart: a
+// knob only its defaults fill is a constant. A field selector is a read
+// unless one of the rules below makes it something else:
 //   - on an assignment's left-hand side, or under ++, --, or a range
 //     clause's =, every field on the path (x.a.b, x.a[i]) is filled and
 //     none of them is read;
@@ -732,10 +742,13 @@ func (s *stateScan) scan(f *ast.File) {
 func (s *stateScan) walk(decl ast.Decl, codec bool, defaults *types.Struct) {
 	quiet := map[*ast.SelectorExpr]bool{} // field selectors that are not reads
 	fill := func(v *types.Var) {
-		s.filled[v] = true
 		for i := 0; defaults != nil && i < defaults.NumFields(); i++ {
-			s.defaulted[v] = s.defaulted[v] || defaults.Field(i) == v
+			if defaults.Field(i) == v {
+				s.defaulted[v] = true
+				return
+			}
 		}
+		s.filled[v] = true
 	}
 	lvalue := func(e ast.Expr, read bool) {
 		for _, sel := range s.path(e) {
@@ -880,20 +893,24 @@ func (s *stateScan) resliced(e ast.Expr) *ast.SelectorExpr {
 	return x
 }
 
-// verdict judges one declared field: "unread" if production never reads
-// it, "unfilled" if production reads but never fills it, "" if it
-// passes, or the exemption that spares it: its struct's entry in exempt
-// ("json" or "facade"), "sync" for a sync or sync/atomic type, or
-// "defaults" for a field its own struct's setDefaults or withDefaults
-// fills.
+// verdict judges one declared field: "defaults" if its own struct's
+// setDefaults or withDefaults is the only production code that fills it
+// (a constant in disguise, facade or not), "unread" if production never
+// reads it, "unfilled" if production reads but never fills it, "" if it
+// passes, or the exemption that spares it: "json" for a struct
+// json.Unmarshal fills, "sync" for a sync or sync/atomic type, or
+// "facade" for a struct whose other fields the facade's callers may read
+// or fill.
 func (s *stateScan) verdict(d declaredField, exempt map[*types.Struct]string) string {
 	switch {
-	case exempt[d.st] != "":
-		return exempt[d.st]
+	case exempt[d.st] == "json":
+		return "json"
 	case isSync(d.field.Type()):
 		return "sync"
-	case s.defaulted[d.field]:
+	case s.defaulted[d.field] && !s.filled[d.field]:
 		return "defaults"
+	case exempt[d.st] != "":
+		return exempt[d.st]
 	case !s.read[d.field]:
 		return "unread"
 	case !s.filled[d.field]:
@@ -1039,6 +1056,7 @@ type T struct {
 	mu    sync.Mutex
 	count atomic.Int64
 	def   int
+	both  int
 }
 
 type leaf struct{ v int }
@@ -1056,9 +1074,13 @@ type J struct {
 	R reached
 }
 
+func (j *J) setDefaults() { j.A = 1 }
+
 type reached struct{ B int }
 
-type F struct{ C int }
+type F struct{ C, D int }
+
+func (f *F) setDefaults() { f.D = f.D + 1 }
 
 type Alias = F
 
@@ -1072,11 +1094,15 @@ func (t *T) setDefaults() {
 	if t.def == 0 {
 		t.def = 1
 	}
+	if t.both == 0 {
+		t.both = 1
+	}
 }
 
 func run(t *T) int {
 	*t = T{wire: 1, keyed: 2, pos: pair{1, 2}, promoted: promoted{p: 3}, cleared: map[int]bool{}}
 	t.read = 1
+	t.both = 3
 	t.unread = 2
 	t.bumped++
 	t.bumped += 2
@@ -1140,11 +1166,13 @@ func TestStateScan(t *testing.T) {
 		"fix.promoted.p": "",
 		"fix.T.mu":       "sync",
 		"fix.T.count":    "sync",
-		"fix.T.def":      "defaults",
-		"fix.J.A":        "json",
+		"fix.T.def":      "defaults", // filled only by setDefaults: a constant
+		"fix.T.both":     "",         // setDefaults and run fill it
+		"fix.J.A":        "json",     // its setDefaults fills it, and so may json.Unmarshal
 		"fix.J.R":        "json",
 		"fix.reached.B":  "json", // reached through J.R
 		"fix.F.C":        "facade",
+		"fix.F.D":        "defaults", // the facade exempts no constant
 	}
 	for _, d := range declaredFields(info, f) {
 		w, ok := want[d.name]

@@ -18,13 +18,13 @@ import (
 // and the bound it is advanced to, however the advancing is sliced. So a
 // checkpoint stores those, and where the campaign stood at that bound —
 // clock, union edges and replayed execs, the figures Progress reports —
-// and nothing of its history: about 150 bytes at any clock. Restore
+// and nothing of its history: about 120 bytes at any clock. Restore
 // re-runs the campaign from its start to the bound, over the path every
 // campaign takes, and holds the figures it reaches to the stored ones.
 // Replaying a stored history would cost about as much: it re-executes
 // every instance too.
 const checkpointMagic = "cmfuzz-checkpoint"
-const checkpointVersion = 4
+const checkpointVersion = 5
 
 // Checkpoint serializes the campaign as the last Advance that completed
 // left it (a cut-short Advance leaves the checkpoint where it was). It

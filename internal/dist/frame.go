@@ -83,8 +83,9 @@ const (
 // the messages follow. Version 11 drops three fields neither end used:
 // Boot's resume clock, each SPFuzz path's state list (dedup and
 // generation read its models alone) and a mutation outcome's restarted
-// flag (its Boots count says the same).
-const protocolVersion = 11
+// flag (its Boots count says the same). Version 12 drops the options'
+// five cost-model fields, constants in parallel that no end could set.
+const protocolVersion = 12
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -64,8 +65,9 @@ func v7Frame(tb testing.TB, typ byte) []byte {
 
 // fuzzMessage is the target for one message kind's field list, seeded
 // with the malformed-input matrix of each seed value: a failure is one
-// the decode rule names, and what parses is a fixed point.
-func fuzzMessage[T any](f *testing.F, fields func(*codec, *T), seeds ...T) {
+// the decode rule names, and what parses is a fixed point that valid,
+// when given, accepts.
+func fuzzMessage[T any](f *testing.F, fields func(*codec, *T), valid func(T) error, seeds ...T) {
 	for i := range seeds {
 		seedMatrix(f, marshal(&seeds[i], fields))
 	}
@@ -77,6 +79,11 @@ func fuzzMessage[T any](f *testing.F, fields func(*codec, *T), seeds ...T) {
 			t.Fatalf("decode failed with %v, which the decode rule does not name", err)
 		}
 		fixedPoint(t, m, err, decode, encode)
+		if err == nil && valid != nil {
+			if err := valid(m); err != nil {
+				t.Fatalf("decode accepted %+v: %v", m, err)
+			}
+		}
 	})
 }
 
@@ -135,30 +142,44 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeHello(f *testing.F) { fuzzMessage(f, (*codec).hello, v7Hello) }
+func FuzzDecodeHello(f *testing.F) { fuzzMessage(f, (*codec).hello, nil, v7Hello) }
 
 func FuzzDecodeAssign(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgAssign))
-	fuzzMessage(f, (*codec).assign, v11Assign, assign{Subject: "DNS", Specs: []parallel.InstanceSpec{{Index: 1}}})
+	// The last seed's options are out of range (4,294,967,295 instances):
+	// decoding refuses it, and its cuts and flips probe the validator.
+	huge := v12Assign
+	huge.Opts.Instances = math.MaxUint32
+	fuzzMessage(f, (*codec).assign, func(a assign) error { return a.Opts.Validate() },
+		v12Assign, assign{Subject: "DNS", Opts: parallel.Options{VirtualHours: 1}, Specs: []parallel.InstanceSpec{{Index: 1}}}, huge)
 }
 
 func FuzzDecodeBootReq(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgBoot))
-	fuzzMessage(f, (*codec).bootReq, v11BootReq)
+	fuzzMessage(f, (*codec).bootReq, nil, v11BootReq)
 }
 
 func FuzzDecodeBootResult(f *testing.F) {
-	fuzzMessage(f, (*codec).bootResult, v7BootResult, bootResult{Err: "conflict", BootReport: parallel.BootReport{Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}}})
+	fuzzMessage(f, (*codec).bootResult, nil, v7BootResult, bootResult{Err: "conflict", BootReport: parallel.BootReport{Crashes: []crashRec{{Instance: 1, T: 2, Config: "a=b"}}}})
 }
 
-func FuzzDecodeLease(f *testing.F) { fuzzMessage(f, (*codec).lease, v7Lease) }
+func FuzzDecodeLease(f *testing.F) {
+	fuzzMessage(f, (*codec).lease, func(l lease) error {
+		for _, v := range []float64{l.Boundary, l.Horizon} {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("lease bound %v", v)
+			}
+		}
+		return nil
+	}, v7Lease)
+}
 
 func FuzzDecodeLeaseResult(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgLeaseResult))
-	fuzzMessage(f, (*codec).leaseResult, v10LeaseResult(), leaseResult{Steps: v7Steps[:1]}, leaseResult{Steps: v10Steps[2:]})
+	fuzzMessage(f, (*codec).leaseResult, nil, v10LeaseResult(), leaseResult{Steps: v7Steps[:1]}, leaseResult{Steps: v10Steps[2:]})
 }
 
-func FuzzDecodeRelease(f *testing.F) { fuzzMessage(f, u32[uint32], v7Release) }
+func FuzzDecodeRelease(f *testing.F) { fuzzMessage(f, u32[uint32], nil, v7Release) }
 
 // midCampaignCheckpoint runs a small campaign to the middle of its
 // second sync window and checkpoints it there, with records still to
@@ -272,7 +293,8 @@ func TestReplayChecksReexecution(t *testing.T) {
 // and every cold restore run on checkpoint.bin. Seeds: checkpoints this
 // build just took — of a campaign mid-way and of one just started, in
 // another mode — which must re-encode to exactly their own bytes and
-// fit in 256, and every torn and flipped copy of each.
+// fit in 256, one whose options are out of range, and every torn and
+// flipped copy of each. Whatever it accepts passes Options.Validate.
 func FuzzValidateCheckpoint(f *testing.F) {
 	sub, err := protocols.ByName("CoAP")
 	if err != nil {
@@ -303,8 +325,21 @@ func FuzzValidateCheckpoint(f *testing.F) {
 		}
 		seedMatrix(f, good)
 	}
+	// A checkpoint whose options are out of range (hours NaN), which the
+	// decoder must refuse before Restore could run a campaign under them.
+	nan, err := decodeCheckpoint(fresh)
+	if err != nil {
+		f.Fatal(err)
+	}
+	nan.opts.VirtualHours = math.NaN()
+	seedMatrix(f, encodeCheckpoint(&nan))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		fixedPoint(t, ck, err, decodeCheckpoint, func(ck checkpoint) ([]byte, error) { return encodeCheckpoint(&ck), nil })
+		if err == nil {
+			if err := ck.opts.Validate(); err != nil {
+				t.Fatalf("checkpoint accepted with options %+v: %v", ck.opts, err)
+			}
+		}
 	})
 }

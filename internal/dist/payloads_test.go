@@ -19,23 +19,23 @@ import (
 // bytes those encoders produced. Every field that travels is non-zero
 // somewhere below, the Assign carries a live spec, and the lease reply
 // sets all four record flags and ships a span with attributes. Version
-// 11 retired Boot's resume clock and each path's states: v11Assign and
-// v11BootReq are the fixture's values without them, and v7PathStates
-// and v7ResumeClock what the fixture holds in their place.
+// 11 retired Boot's resume clock and each path's states, and version 12
+// the options' five cost-model fields: v12Assign and v11BootReq are the
+// fixture's values without them, and v7PathStates, v7ResumeClock and
+// v7CostModel what the fixture holds in their place.
 var (
 	v7Hello = hello{Name: "worker-7", Version: 7}
 
-	v11Assign = assign{
+	v12Assign = assign{
 		Campaign: 3,
 		Subject:  "MQTT",
 		Trace:    true,
 		LiveSpec: `{"name":"echo","cmd":["/usr/bin/echo-server","-port","{port}"],"transport":"udp"}`,
 		Opts: parallel.Options{
 			Mode: parallel.ModeSPFuzz, Instances: 4, VirtualHours: 1.5, Seed: -42,
-			StepCost: 2, ByteCost: 0.00002, SyncInterval: 600,
-			SaturationWindow: 1800, SaturationMinGain: 8, MaxValues: 4,
+			SaturationWindow: 1800, SaturationMinGain: 8,
 			Allocator: parallel.AllocRoundRobin, DisableConfigMutation: true,
-			SampleEvery: 300, RawRelationWeighting: true, PeachSharedSchedules: true,
+			RawRelationWeighting: true, PeachSharedSchedules: true,
 			Concurrency: 3, LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
 		},
 		Specs: []parallel.InstanceSpec{
@@ -54,6 +54,11 @@ var (
 	}
 
 	v7PathStates = [][]string{{"connect", "publish"}, {"connect"}}
+
+	v7CostModel = struct {
+		StepCost, ByteCost, SyncInterval, SampleEvery float64
+		MaxValues                                     int
+	}{StepCost: 2, ByteCost: 0.00002, SyncInterval: 600, SampleEvery: 300, MaxValues: 4}
 
 	v11BootReq    = bootReq{Campaign: 3, Index: 1}
 	v7ResumeClock = 1234.5

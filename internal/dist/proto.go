@@ -305,27 +305,25 @@ func (c *codec) assign(a *assign) {
 }
 
 // options visits the resolved options; the observability sinks do not
-// travel.
+// travel. Decoding holds them to Options.Validate, as spec does.
 func (c *codec) options(o *parallel.Options) {
 	u8(c, &o.Mode)
 	u32(c, &o.Instances)
 	f64(c, &o.VirtualHours)
 	i64(c, &o.Seed)
-	f64(c, &o.StepCost)
-	f64(c, &o.ByteCost)
-	f64(c, &o.SyncInterval)
 	f64(c, &o.SaturationWindow)
 	u32(c, &o.SaturationMinGain)
-	u32(c, &o.MaxValues)
 	u8(c, &o.Allocator)
 	flag(c, &o.DisableConfigMutation)
-	f64(c, &o.SampleEvery)
 	flag(c, &o.RawRelationWeighting)
 	flag(c, &o.PeachSharedSchedules)
 	u32(c, &o.Concurrency)
 	f64(c, &o.LinkLoss)
 	f64(c, &o.LinkLatencyBase)
 	f64(c, &o.LinkLatencyJitter)
+	if c.decoding() && c.ok() && o.Validate() != nil {
+		c.fail(ErrProto)
+	}
 }
 
 func (c *codec) spec(s *parallel.InstanceSpec) {
@@ -404,7 +402,8 @@ func (c *codec) bootResult(b *bootResult) {
 // A lease hands one instance a batch of work: seeds to import first
 // (the previous sync's collection, empty on the first lease), then run
 // autonomously until the virtual clock crosses Boundary (the instance's
-// next sync point) or Horizon, whichever comes first.
+// next sync point) or Horizon, whichever comes first. Decoding rejects
+// a bound no coordinator sends: negative, NaN, or infinite (never crossed).
 type lease struct {
 	Campaign uint32
 	Index    int
@@ -418,6 +417,9 @@ func (c *codec) lease(l *lease) {
 	u32(c, &l.Index)
 	f64(c, &l.Boundary)
 	f64(c, &l.Horizon)
+	if c.decoding() && c.ok() && !(l.Boundary >= 0 && l.Boundary <= math.MaxFloat64 && l.Horizon >= 0 && l.Horizon <= math.MaxFloat64) {
+		c.fail(ErrProto)
+	}
 	c.seeds(&l.Seeds)
 }
 

@@ -64,10 +64,9 @@ func TestAssignRoundTrip(t *testing.T) {
 		LiveSpec: `{"cmd":["/usr/bin/echo-server","-port","{port}"],"transport":"udp"}`,
 		Opts: parallel.Options{
 			Mode: parallel.ModeCMFuzz, Instances: 4, VirtualHours: 1.5, Seed: 42,
-			StepCost: 2, ByteCost: 0.00002, SyncInterval: 600,
-			SaturationWindow: 1800, SaturationMinGain: 8, MaxValues: 4,
+			SaturationWindow: 1800, SaturationMinGain: 8,
 			Allocator: parallel.AllocRandom, DisableConfigMutation: true,
-			SampleEvery: 300, RawRelationWeighting: true, PeachSharedSchedules: true,
+			RawRelationWeighting: true, PeachSharedSchedules: true,
 			LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
 			Concurrency: 3,
 		},
@@ -123,6 +122,62 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("lease diverged:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+// TestLeaseRejectsUnboundedClock: a lease whose Boundary or Horizon is
+// negative, infinite or not a number is ErrProto; under +Inf for both,
+// the instance would step until its worker ran out of memory.
+func TestLeaseRejectsUnboundedClock(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, b := range [][2]float64{{inf, inf}, {600, inf}, {inf, 1800}, {nan, 1800}, {600, nan}, {-1, 1800}, {600, -1}, {math.Inf(-1), 1800}} {
+		in := v7Lease
+		in.Boundary, in.Horizon = b[0], b[1]
+		if _, err := unmarshal(marshal(&in, (*codec).lease), (*codec).lease); !errors.Is(err, ErrProto) {
+			t.Errorf("lease with boundary %v and horizon %v: %v, want ErrProto", b[0], b[1], err)
+		}
+	}
+	in := v7Lease
+	in.Boundary, in.Horizon = 0, math.MaxFloat64
+	if _, err := unmarshal(marshal(&in, (*codec).lease), (*codec).lease); err != nil {
+		t.Fatalf("lease with boundary 0 and horizon MaxFloat64: %v", err)
+	}
+}
+
+// TestDecodeRejectsOutOfRangeOptions: an Assign or a checkpoint whose
+// options fall outside Options.Validate's ranges is ErrProto at decode.
+// It only decodes: none of these options may reach Restore or NewLoop,
+// which would size a campaign by them.
+func TestDecodeRejectsOutOfRangeOptions(t *testing.T) {
+	decode := func(o parallel.Options) (assignErr, checkpointErr error) {
+		a := v12Assign
+		a.Opts = o
+		_, assignErr = unmarshal(marshal(&a, (*codec).assign), (*codec).assign)
+		checkpointErr = ValidateCheckpoint(encodeCheckpoint(&checkpoint{protocol: "DNS", opts: o, position: position{bound: 600, clock: 601}}))
+		return assignErr, checkpointErr
+	}
+	if aerr, cerr := decode(v12Assign.Opts); aerr != nil || cerr != nil {
+		t.Fatalf("in-range options: assign %v, checkpoint %v", aerr, cerr)
+	}
+	for name, bad := range map[string]func(*parallel.Options){
+		"4,294,967,295 instances":       func(o *parallel.Options) { o.Instances = math.MaxUint32 },
+		"instances past u16":            func(o *parallel.Options) { o.Instances = parallel.MaxInstances + 1 },
+		"NaN hours":                     func(o *parallel.Options) { o.VirtualHours = math.NaN() },
+		"zero hours":                    func(o *parallel.Options) { o.VirtualHours = 0 },
+		"infinite hours":                func(o *parallel.Options) { o.VirtualHours = math.Inf(1) },
+		"horizon overflows":             func(o *parallel.Options) { o.VirtualHours = 1e308 },
+		"negative latency under jitter": func(o *parallel.Options) { o.LinkLatencyBase, o.LinkLatencyJitter = -0.5, 0.25 },
+		"NaN jitter":                    func(o *parallel.Options) { o.LinkLatencyJitter = math.NaN() },
+		"link loss above one":           func(o *parallel.Options) { o.LinkLoss = 1.5 },
+		"negative saturation window":    func(o *parallel.Options) { o.SaturationWindow = -1 },
+		"unknown mode":                  func(o *parallel.Options) { o.Mode = 7 },
+		"unknown allocator":             func(o *parallel.Options) { o.Allocator = 3 },
+	} {
+		o := v12Assign.Opts
+		bad(&o)
+		if aerr, cerr := decode(o); !errors.Is(aerr, ErrProto) || !errors.Is(cerr, ErrProto) {
+			t.Errorf("%s: assign %v, checkpoint %v; want ErrProto from both", name, aerr, cerr)
+		}
 	}
 }
 
@@ -318,7 +373,7 @@ func kindOf[T any](typ byte, name string, fields func(*codec, *T), v T) kind {
 func kinds() []kind {
 	return []kind{
 		kindOf(msgHello, "hello", (*codec).hello, v7Hello),
-		kindOf(msgAssign, "assign", (*codec).assign, v11Assign),
+		kindOf(msgAssign, "assign", (*codec).assign, v12Assign),
 		kindOf(msgBoot, "boot", (*codec).bootReq, v11BootReq),
 		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
 		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
@@ -352,9 +407,10 @@ func goodPayloads() [][]byte {
 // are checked by code and bytes, and skipped. Version 10 gave a new-edges
 // record its seed's digest, so the fixture's lease reply, whose new-edges
 // record has none, must be refused. Version 11 retired Boot's resume
-// clock and each path's states, so the fixture's Boot and Assign must be
-// refused too, and with those fields' bytes cut out they are what the
-// current values encode to.
+// clock and each path's states, and version 12 the options' cost-model
+// fields, so the fixture's Boot and Assign must be refused too, and with
+// those fields' bytes cut out they are what the current values encode
+// to.
 func TestPayloadsV7(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "payloads_v7.bin"))
 	if err != nil {
@@ -411,8 +467,9 @@ func TestPayloadsV7(t *testing.T) {
 }
 
 // cutRetired returns a version-7 Boot or Assign payload without the bytes
-// of the fields version 11 retired: Boot's trailing resume clock, and the
-// state list in front of each path's models.
+// of the fields versions 11 and 12 retired: Boot's trailing resume
+// clock, the state list in front of each path's models, and the
+// options' five cost-model fields.
 func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 	t.Helper()
 	if typ == msgBoot {
@@ -429,7 +486,30 @@ func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 		}
 		p = bytes.Replace(p, enc, nil, 1)
 	}
-	return p
+	// The options' head up to SampleEvery, as version 7 laid it out. The
+	// same fields without the cost model's five are 36 bytes
+	// shorter, and the fields after it are laid out alike.
+	o, cost := v12Assign.Opts, v7CostModel
+	c := codec{w: &wire.Writer{}}
+	u8(&c, &o.Mode)
+	u32(&c, &o.Instances)
+	f64(&c, &o.VirtualHours)
+	i64(&c, &o.Seed)
+	f64(&c, &cost.StepCost)
+	f64(&c, &cost.ByteCost)
+	f64(&c, &cost.SyncInterval)
+	f64(&c, &o.SaturationWindow)
+	u32(&c, &o.SaturationMinGain)
+	u32(&c, &cost.MaxValues)
+	u8(&c, &o.Allocator)
+	flag(&c, &o.DisableConfigMutation)
+	f64(&c, &cost.SampleEvery)
+	v7Opts := c.w.Bytes()
+	v12Opts := marshal(&o, (*codec).options)
+	if n := bytes.Count(p, v7Opts); n != 1 {
+		t.Fatalf("version-7 assign holds its options' head % x %d times, want once", v7Opts, n)
+	}
+	return bytes.Replace(p, v7Opts, v12Opts[:len(v7Opts)-36], 1)
 }
 
 // TestDecodeMalformed feeds every decoder every message kind's payload,

@@ -94,9 +94,11 @@ func drainFleet(b *testing.B, concurrency int, delay time.Duration) time.Duratio
 // BenchmarkFleetDrain measures wall-clock drain time of a 4-campaign /
 // 4-worker mix with 5ms of injected one-way link latency per frame,
 // one campaign per round (Concurrency: 1) vs every runnable campaign
-// per round (Concurrency: 0). The uncapped scheduler must overlap
-// the four campaigns' RPC latency; the acceptance bar (>= 1.8x) is
-// checked by the bench-smoke CI step. What a drain costs end to end is
+// per round (Concurrency: 0). The uncapped scheduler should overlap
+// the four campaigns' RPC latency, by a ratio of 1.8x or more; nothing
+// checks that ratio: CI's fleet scheduler bench smoke runs each arm
+// once, so it only shows that both drains finish. Compare the two
+// wall-ms/op figures by hand. What a drain costs end to end is
 // wall_s_per_vhour on the benchmark's fleet_drain workload
 // (bench/README.md).
 func BenchmarkFleetDrain(b *testing.B) {

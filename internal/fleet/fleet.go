@@ -27,7 +27,7 @@
 // On-disk layout under Config.StateDir:
 //
 //	<id>/spec.json       the submitted campaign spec (write-once)
-//	<id>/checkpoint.bin  dist checkpoint (~150 bytes), rewritten after every slice
+//	<id>/checkpoint.bin  dist checkpoint (~120 bytes), rewritten after every slice
 //	<id>/artifacts/      final artifacts, written at completion
 //
 // All writes are atomic (campaign.WriteFileAtomic), so a kill at any

@@ -41,10 +41,6 @@ type Config struct {
 	// model paths (SPFuzz assigns each instance a disjoint path subset).
 	FixedPaths []Path
 
-	// mutators is the mutation suite (DefaultMutators if nil).
-	mutators []Mutator
-	// maxOps bounds structural mutations per message (default 3).
-	maxOps int
 	// genProb is the probability of structured generation from the models
 	// versus byte-level havoc of a corpus seed. The zero value selects
 	// the default (0.5); any negative value — use the never sentinel —
@@ -69,13 +65,14 @@ type Config struct {
 // "unset, use the default".
 const never = -1.0
 
+// The engine's structural mutations: the standard suite, at most
+// engineMaxOps of them per message. Mutators are stateless, so every
+// engine shares the one list.
+var engineMutators = DefaultMutators()
+
+const engineMaxOps = 3
+
 func (c *Config) setDefaults() {
-	if c.mutators == nil {
-		c.mutators = DefaultMutators()
-	}
-	if c.maxOps == 0 {
-		c.maxOps = 3
-	}
 	switch {
 	case c.genProb == 0:
 		c.genProb = 0.5
@@ -326,7 +323,7 @@ func (e *Engine) generate() [][]byte {
 		}
 		cm.instantiate(&e.msg, e.arena, e.rng)
 		if e.rng.Float64() < e.cfg.mutateProb {
-			MutateMessage(&e.msg, e.cfg.mutators, e.rng, e.cfg.maxOps)
+			MutateMessage(&e.msg, engineMutators, e.rng, engineMaxOps)
 		}
 		buf := e.msg.appendTo(e.slotBuf(len(seq)))
 		e.msgBufs[len(seq)] = buf

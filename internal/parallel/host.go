@@ -110,7 +110,7 @@ func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.
 				return 0
 			}
 			return cov
-		}, relation.Options{MaxValues: opts.MaxValues, Weighting: weighting, Workers: opts.Concurrency, Telemetry: tel, Trace: parent})
+		}, relation.Options{MaxValues: maxValues, Weighting: weighting, Workers: opts.Concurrency, Telemetry: tel, Trace: parent})
 		plan.Relation = rel
 		allocName := map[Allocator]string{AllocRandom: "random", AllocRoundRobin: "round-robin"}[opts.Allocator]
 		if allocName == "" {

@@ -131,7 +131,7 @@ func (in *Instance) Step() Step {
 		step.Latency = l.accrued - in.latencySpent
 		in.latencySpent = l.accrued
 	}
-	in.clock = in.host.Opts.charge(in.clock, step)
+	in.clock = charge(in.clock, step)
 	return step
 }
 

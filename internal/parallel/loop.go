@@ -28,8 +28,8 @@ type Step struct {
 // addition: without it the compiler may fuse the two into one
 // multiply-add on arm64, ppc64le, riscv64 and loong64, and those clocks
 // would drift from amd64's.
-func (o *Options) charge(clock float64, s Step) float64 {
-	clock += o.StepCost + float64(o.ByteCost*float64(s.Bytes))
+func charge(clock float64, s Step) float64 {
+	clock += stepCost + float64(byteCost*float64(s.Bytes))
 	return clock + s.Latency
 }
 
@@ -103,7 +103,7 @@ type Loop struct {
 	// New-edge samples are coalesced to at most one per minSampleGap of
 	// virtual time; without the floor, the discovery-heavy early campaign
 	// records a point per coverage step and the series grows unbounded
-	// long before the first SampleEvery window elapses. The final point
+	// long before the first sampleEvery window elapses. The final point
 	// stays exact (observed at the horizon in Finish).
 	minSampleGap float64
 	mutate       bool
@@ -125,11 +125,11 @@ func NewLoop(host *Host) *Loop {
 		nextSync:     make([]float64, opts.Instances),
 		host:         host,
 		horizon:      opts.Horizon(),
-		minSampleGap: opts.SampleEvery / 10,
+		minSampleGap: sampleEvery / 10,
 		mutate:       opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation,
 	}
 	for i := range l.nextSync {
-		l.nextSync[i] = opts.SyncInterval
+		l.nextSync[i] = syncInterval
 	}
 	return l
 }
@@ -215,7 +215,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 	if until > l.horizon {
 		until = l.horizon
 	}
-	opts, tel, res := &l.Opts, l.Opts.Telemetry, l.Res
+	tel, res := l.Opts.Telemetry, l.Res
 	l.cancelled = false
 	for {
 		i := l.next()
@@ -233,7 +233,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			l.cancelled = err == ctx.Err()
 			return err
 		}
-		l.clock[i] = opts.charge(l.clock[i], step)
+		l.clock[i] = charge(l.clock[i], step)
 		t := l.clock[i]
 
 		if step.Crash != nil {
@@ -254,7 +254,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 		if t > l.watermark {
 			l.watermark = t
 		}
-		if l.watermark-l.lastSample >= opts.SampleEvery ||
+		if l.watermark-l.lastSample >= sampleEvery ||
 			(step.NewEdges > 0 && l.watermark-l.lastSample >= l.minSampleGap) {
 			res.Series.Observe(l.watermark, l.Union.Count())
 			l.lastSample = l.watermark
@@ -278,7 +278,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			// fire a burst of back-to-back syncs on the following cheap
 			// steps. The skipped intervals are counted, not replayed.
 			skipped := 0
-			for l.nextSync[i] += opts.SyncInterval; l.nextSync[i] <= t; l.nextSync[i] += opts.SyncInterval {
+			for l.nextSync[i] += syncInterval; l.nextSync[i] <= t; l.nextSync[i] += syncInterval {
 				skipped++
 			}
 			tel.Emit(telemetry.Event{T: t, Type: telemetry.EvSync, Instance: i,
@@ -363,7 +363,7 @@ func (l *Loop) Close() {
 // loop's position at virtual time t, read from the clocks, the union
 // and the source. The loop publishes after Boot, at every coverage
 // sample and in Finish, so the board lags the loop by at most one
-// SampleEvery. A no-op without a recorder.
+// sampleEvery. A no-op without a recorder.
 func (l *Loop) publish(t float64) {
 	tel := l.Opts.Telemetry
 	if !tel.Enabled() {

@@ -87,14 +87,15 @@ func (s *scriptSource) Result(i int) (InstanceResult, error) {
 	return InstanceResult{Index: i, Config: s.Config(i), FinalBranches: s.edges[i], Execs: s.pos[i], ConfigMutations: s.muts[i]}, nil
 }
 
-// scriptLoop boots a loop over src with a cost model that makes clocks
-// easy to read: a step costs 1 + Bytes virtual seconds.
+// scriptLoop boots a loop over src. Scripts leave Bytes zero and set
+// their costs in Latency, so clocks are easy to read: a step costs
+// stepCost (2) + Latency virtual seconds.
 func scriptLoop(t *testing.T, src *scriptSource, hours float64) (*Loop, *telemetry.Recorder) {
 	t.Helper()
 	rec := telemetry.New()
 	host, err := NewHost(mustSubject(t, "DNS"), Options{
 		Mode: ModeCMFuzz, Instances: len(src.script), VirtualHours: hours,
-		StepCost: 1, ByteCost: 1, Telemetry: rec,
+		Telemetry: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,13 +122,13 @@ func eventsOf(rec *telemetry.Recorder, ty telemetry.Type) []telemetry.Event {
 // boundaries fires one sync, counts the two it skipped, and leaves the
 // schedule ahead of the clock.
 func TestLoopSyncCatchesUpAfterJump(t *testing.T) {
-	src := newScriptSource([]Step{{Bytes: 1999}}, nil)
+	src := newScriptSource([]Step{{Latency: 1998}}, nil)
 	l, rec := scriptLoop(t, src, 1)
 	if err := l.Advance(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if l.clock[0] != 2000 || l.clock[1] != 1 {
-		t.Fatalf("clocks = %v, want [2000 1]", l.clock)
+	if l.clock[0] != 2000 || l.clock[1] != 2 {
+		t.Fatalf("clocks = %v, want [2000 2]", l.clock)
 	}
 	if !reflect.DeepEqual(src.syncs, []int{0}) {
 		t.Fatalf("sync calls = %v, want one, for instance 0", src.syncs)
@@ -152,7 +153,7 @@ func busyScript() *scriptSource {
 	script := make([][]Step, 3)
 	for i := range script {
 		for k := 0; k < 400; k++ {
-			step := Step{Bytes: (k*7 + i*3) % 11, Latency: float64(k%3) * 0.125}
+			step := Step{Latency: float64((k*7+i*3)%11) + float64(k%3)*0.125}
 			if (k+i)%5 == 0 {
 				step.NewEdges = 1
 			}
@@ -272,14 +273,14 @@ func TestLoopCancellationFinalizesAtWatermark(t *testing.T) {
 // TestLoopTieBreaksToLowerIndex: instances whose clocks are equal step
 // in index order, so the interleaving is a function of the clocks alone.
 func TestLoopTieBreaksToLowerIndex(t *testing.T) {
-	// Instances 0 and 2 cost 1 per step, instance 1 costs 2: every other
+	// Instances 0 and 2 cost 2 per step, instance 1 costs 4: every other
 	// round all three tie again.
-	src := newScriptSource(nil, []Step{{Bytes: 1}, {Bytes: 1}, {Bytes: 1}}, nil)
+	src := newScriptSource(nil, []Step{{Latency: 2}, {Latency: 2}, {Latency: 2}}, nil)
 	l, _ := scriptLoop(t, src, 1)
-	if err := l.Advance(context.Background(), 4); err != nil {
+	if err := l.Advance(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 1, 2 /* t=0 */, 0, 2 /* t=1 */, 0, 1, 2 /* t=2 */, 0, 2 /* t=3 */}
+	want := []int{0, 1, 2 /* t=0 */, 0, 2 /* t=2 */, 0, 1, 2 /* t=4 */, 0, 2 /* t=6 */}
 	if !reflect.DeepEqual(src.order, want) {
 		t.Fatalf("step order = %v, want %v", src.order, want)
 	}

@@ -28,6 +28,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -92,15 +93,6 @@ type Options struct {
 	VirtualHours float64
 	// Seed drives all randomness.
 	Seed int64
-	// StepCost is the virtual seconds one engine step (a batch of
-	// executions) costs before the per-byte term (default 2.0).
-	StepCost float64
-	// ByteCost is the additional virtual seconds per payload byte
-	// (default 0.00002).
-	ByteCost float64
-	// SyncInterval is the seed-synchronization period in virtual seconds
-	// (default 600).
-	SyncInterval float64
 	// SaturationWindow is how long coverage must stay flat before a
 	// CMFuzz instance mutates a configuration value (default 1800).
 	SaturationWindow float64
@@ -109,17 +101,11 @@ type Options struct {
 	// instrumentation trickles a few edges long after a configuration is
 	// effectively exhausted.
 	SaturationMinGain int
-	// MaxValues caps per-entity values during relation probing
-	// (default 4).
-	MaxValues int
 	// Allocator selects the grouping strategy (CMFuzz mode only).
 	Allocator Allocator
 	// DisableConfigMutation turns off adaptive configuration-value
 	// mutation (ablation).
 	DisableConfigMutation bool
-	// SampleEvery records a coverage sample at least this often in
-	// virtual seconds (default 300), bounding Figure 4 resolution.
-	SampleEvery float64
 	// RawRelationWeighting uses the paper-literal raw-coverage relation
 	// weights instead of interaction gains (an ablation; see the relation
 	// package).
@@ -166,9 +152,24 @@ type Options struct {
 
 // The paper's campaign shape (§IV): what a zero Instances or
 // VirtualHours means, and what the command line shows as its default.
+// MaxInstances is what the dist Assign payload's u16 instance-spec
+// count can carry; a larger campaign would be truncated on the wire.
 const (
 	DefaultInstances = 4
 	DefaultHours     = 24
+	MaxInstances     = math.MaxUint16
+)
+
+// The cost model, in virtual seconds: an engine step costs stepCost plus
+// byteCost per payload byte, instances sync seeds every syncInterval,
+// and the series samples at least every sampleEvery (Figure 4's
+// resolution). Relation probing tries maxValues values per entity.
+const (
+	stepCost     = 2.0
+	byteCost     = 0.00002
+	syncInterval = 600.0
+	sampleEvery  = 300.0
+	maxValues    = 4
 )
 
 func (o *Options) setDefaults() {
@@ -178,27 +179,40 @@ func (o *Options) setDefaults() {
 	if o.VirtualHours == 0 {
 		o.VirtualHours = DefaultHours
 	}
-	if o.StepCost == 0 {
-		o.StepCost = 2.0
-	}
-	if o.ByteCost == 0 {
-		o.ByteCost = 0.00002
-	}
-	if o.SyncInterval == 0 {
-		o.SyncInterval = 600
-	}
 	if o.SaturationWindow == 0 {
 		o.SaturationWindow = 1800
 	}
 	if o.SaturationMinGain == 0 {
 		o.SaturationMinGain = 8
 	}
-	if o.MaxValues == 0 {
-		o.MaxValues = 4
+}
+
+// Validate reports the first value of o outside its range (zero values
+// setDefaults fills pass). spec.Campaign.Options applies it to what a
+// command line or a submit body says, the dist codec to what an Assign
+// or a checkpoint decodes to.
+func (o Options) Validate() error {
+	// Each check is written so that NaN fails it.
+	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	switch {
+	case o.Mode < 0 || int(o.Mode) >= len(modeNames):
+		return fmt.Errorf("unknown mode %d", o.Mode)
+	case o.Allocator < AllocCohesive || o.Allocator > AllocRoundRobin:
+		return fmt.Errorf("unknown allocator %d", o.Allocator)
+	case o.Instances < 0 || o.Instances > MaxInstances:
+		return fmt.Errorf("instances %d outside [0, %d]", o.Instances, MaxInstances)
+	case !(o.VirtualHours > 0) || math.IsInf(o.Horizon(), 1):
+		return fmt.Errorf("hours %v must be positive and finite", o.VirtualHours)
+	case !nonNegative(o.SaturationWindow):
+		return fmt.Errorf("sat_window %v must be finite and not negative", o.SaturationWindow)
+	case o.SaturationMinGain < 0:
+		return fmt.Errorf("sat_min_gain %d must not be negative", o.SaturationMinGain)
+	case !(o.LinkLoss >= 0 && o.LinkLoss <= 1):
+		return fmt.Errorf("link_loss %v outside [0, 1]", o.LinkLoss)
+	case !nonNegative(o.LinkLatencyBase) || !nonNegative(o.LinkLatencyJitter):
+		return fmt.Errorf("link_latency %v and link_jitter %v must be finite and not negative", o.LinkLatencyBase, o.LinkLatencyJitter)
 	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = 300
-	}
+	return nil
 }
 
 // Horizon is the campaign's virtual end time in seconds.

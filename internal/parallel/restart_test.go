@@ -141,7 +141,7 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 }
 
 // TestSeriesSampleCoalescing asserts new-edge samples are coalesced: no
-// two retained interior samples may be closer than SampleEvery/10 of
+// two retained interior samples may be closer than sampleEvery/10 of
 // virtual time, and the series stays bounded instead of growing with
 // every discovery-heavy early step.
 func TestSeriesSampleCoalescing(t *testing.T) {
@@ -154,7 +154,7 @@ func TestSeriesSampleCoalescing(t *testing.T) {
 	if len(pts) < 3 {
 		t.Fatalf("series too sparse to check: %d points", len(pts))
 	}
-	const minGap = 300.0 / 10 // default SampleEvery / 10
+	const minGap = sampleEvery / 10
 	for i := 1; i < len(pts)-1; i++ {
 		if gap := pts[i].T - pts[i-1].T; gap < minGap {
 			t.Fatalf("samples %d and %d only %.1fs apart, want >= %.1fs", i-1, i, gap, minGap)

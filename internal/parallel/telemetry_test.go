@@ -94,16 +94,17 @@ func TestRunDeterministicWithTwoStateModels(t *testing.T) {
 // are reported via the event's skipped count instead of replayed.
 func TestSyncCatchUpAfterClockJump(t *testing.T) {
 	rec := telemetry.New()
-	const interval = 50.0
-	// ByteCost 0.2 makes step cost track payload size: DNS sequences vary
-	// enough that some steps stay inside one interval while others jump
-	// several at once. With the pre-fix single-increment scheduling this
-	// mix produces back-to-back sync bursts that violate the grid check
-	// below (verified by reverting the catch-up loop).
+	const interval = syncInterval
+	// A heavy, jittered link latency makes step cost track the messages
+	// a step sends and the draws they get: some steps stay inside one
+	// interval while others jump several at once. With the pre-fix
+	// single-increment scheduling this mix produces back-to-back sync
+	// bursts that violate the grid check below (verified by reverting
+	// the catch-up loop).
 	_, err := Run(context.Background(), mustSubject(t, "DNS"), Options{
-		Mode: ModePeach, VirtualHours: 0.5, Seed: 9,
-		SyncInterval: interval, StepCost: 2, ByteCost: 0.2,
-		Telemetry: rec,
+		Mode: ModePeach, VirtualHours: 6, Seed: 9,
+		LinkLatencyJitter: 400,
+		Telemetry:         rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestSyncCatchUpAfterClockJump(t *testing.T) {
 		t.Fatal("no sync events recorded")
 	}
 	if jumps == 0 {
-		t.Fatal("test never exercised a multi-interval clock jump; raise ByteCost")
+		t.Fatal("test never exercised a multi-interval clock jump; raise LinkLatencyJitter")
 	}
 }
 

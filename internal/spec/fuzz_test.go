@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cmfuzz/internal/parallel"
 )
 
 // FuzzSpecJSON faces the bytes of a `/api/submit` body (and of a
@@ -53,7 +55,7 @@ func FuzzSpecJSON(f *testing.F) {
 		switch {
 		case o.Mode.String() == "unknown" || o.Allocator < 0 || int(o.Allocator) >= len(allocators)-1:
 			t.Fatalf("accepted mode %d allocator %d", o.Mode, o.Allocator)
-		case o.Instances < 0 || o.Instances > maxInstances:
+		case o.Instances < 0 || o.Instances > parallel.MaxInstances:
 			t.Fatalf("accepted %d instances", o.Instances)
 		case !(o.VirtualHours > 0) || !finite(o.Horizon()):
 			t.Fatalf("accepted %v hours (horizon %v)", o.VirtualHours, o.Horizon())

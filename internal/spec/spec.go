@@ -1,22 +1,19 @@
 // Package spec holds the one description of a campaign. Command-line
 // flags, `/api/submit` bodies, a fleet's persisted spec.json and the
 // cells of the evaluation matrix all fill a Campaign, and a Campaign
-// becomes parallel.Options in exactly one place, Options, which is also
-// the one place its values are range-checked.
+// becomes parallel.Options in exactly one place, Options, which
+// range-checks them with parallel.Options.Validate.
 //
 // A Campaign carries what defines the campaign's outcome and nothing
 // else. Execution knobs (parallel.Options.Concurrency, the fleet's pin
-// of it to 1) and observation sinks (Telemetry, Trace)
-// are set by the caller on the Options this package returns; the
-// cost-model constants (StepCost, ByteCost, SyncInterval, SampleEvery,
-// MaxValues) stay zero so parallel's own defaults are their only source.
+// of it to 1) and observation sinks (Telemetry, Trace) are set by the
+// caller on the Options this package returns.
 package spec
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
@@ -50,10 +47,6 @@ type Campaign struct {
 	LinkLatency      float64 `json:"link_latency,omitempty"` // virtual seconds
 	LinkJitter       float64 `json:"link_jitter,omitempty"`  // virtual seconds
 }
-
-// maxInstances is what the dist Assign payload's u16 instance-spec count
-// can carry; a larger campaign would be truncated on the wire.
-const maxInstances = math.MaxUint16
 
 var allocators = map[string]parallel.Allocator{
 	"":            parallel.AllocCohesive,
@@ -121,14 +114,9 @@ func (c *Campaign) Bind(fs *flag.FlagSet) {
 }
 
 // Options validates c and turns it into campaign options. Zero values
-// pass through for parallel's defaults to fill. The ranges:
-//
-//   - mode and alloc must be known names (empty means the default);
-//   - instances in [0, 65535] — what an Assign payload can carry;
-//   - hours finite and positive, with hours×3600 still finite;
-//   - sat_window and sat_min_gain not negative;
-//   - link_loss in [0, 1]; link_latency and link_jitter finite and not
-//     negative.
+// pass through for parallel's defaults to fill. Mode and alloc must be
+// known names (empty means the default); parallel.Options.Validate
+// holds every value to its range.
 func (c Campaign) Options() (parallel.Options, error) {
 	var err error
 	mode := parallel.ModeCMFuzz
@@ -153,22 +141,8 @@ func (c Campaign) Options() (parallel.Options, error) {
 		LinkLatencyBase:       c.LinkLatency,
 		LinkLatencyJitter:     c.LinkJitter,
 	}
-	// Each check is written so that NaN fails it.
-	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-	switch {
-	case err != nil: // unknown mode or allocator
-	case c.Instances < 0 || c.Instances > maxInstances:
-		err = fmt.Errorf("instances %d outside [0, %d]", c.Instances, maxInstances)
-	case !(c.Hours > 0) || math.IsInf(o.Horizon(), 1):
-		err = fmt.Errorf("hours %v must be positive and finite", c.Hours)
-	case !nonNegative(c.SatWindow):
-		err = fmt.Errorf("sat_window %v must be finite and not negative", c.SatWindow)
-	case c.SatMinGain < 0:
-		err = fmt.Errorf("sat_min_gain %d must not be negative", c.SatMinGain)
-	case !(c.LinkLoss >= 0 && c.LinkLoss <= 1):
-		err = fmt.Errorf("link_loss %v outside [0, 1]", c.LinkLoss)
-	case !nonNegative(c.LinkLatency) || !nonNegative(c.LinkJitter):
-		err = fmt.Errorf("link_latency %v and link_jitter %v must be finite and not negative", c.LinkLatency, c.LinkJitter)
+	if err == nil {
+		err = o.Validate()
 	}
 	if err != nil {
 		return parallel.Options{}, fmt.Errorf("spec: %w", err)

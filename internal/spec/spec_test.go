@@ -176,9 +176,6 @@ var (
 	// a campaign runs or is watched but not what it computes — plus
 	// PeachSharedSchedules, which only the ablation runner sets.
 	setByCaller = []string{"Concurrency", "Telemetry", "Trace", "PeachSharedSchedules"}
-	// costModel: constants of the virtual clock and the probe matrix,
-	// always left for parallel's defaults.
-	costModel = []string{"StepCost", "ByteCost", "SyncInterval", "SampleEvery", "MaxValues"}
 )
 
 func TestEveryOptionHasASource(t *testing.T) {
@@ -188,9 +185,6 @@ func TestEveryOptionHasASource(t *testing.T) {
 	}
 	for _, f := range setByCaller {
 		source[f] = "caller"
-	}
-	for _, f := range costModel {
-		source[f] = "cost model"
 	}
 	// A campaign with every defining field set away from its zero value.
 	full := Campaign{Mode: "spfuzz", Hours: 3, Seed: 5, Instances: 2, Alloc: "round-robin",
@@ -205,7 +199,7 @@ func TestEveryOptionHasASource(t *testing.T) {
 		name := ot.Field(i).Name
 		switch source[name] {
 		case "":
-			t.Errorf("parallel.Options.%s has no source: derive it from a spec.Campaign field, or list it as set by the caller or as a cost-model constant", name)
+			t.Errorf("parallel.Options.%s has no source: derive it from a spec.Campaign field, or list it as set by the caller", name)
 		case "spec":
 			if _, ok := reflect.TypeOf(full).FieldByName(fromSpec[name]); !ok {
 				t.Errorf("Options.%s is mapped to a Campaign field %q that does not exist", name, fromSpec[name])
@@ -234,13 +228,13 @@ func TestOptionsRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge := ok
-	edge.Instances, edge.LinkLoss = maxInstances, 1
+	edge.Instances, edge.LinkLoss = parallel.MaxInstances, 1
 	if _, err := edge.Options(); err != nil {
 		t.Fatalf("boundary values rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*Campaign){
 		"negative instances":   func(c *Campaign) { c.Instances = -1 },
-		"instances past u16":   func(c *Campaign) { c.Instances = maxInstances + 1 },
+		"instances past u16":   func(c *Campaign) { c.Instances = parallel.MaxInstances + 1 },
 		"billion instances":    func(c *Campaign) { c.Instances = 1000000000 },
 		"zero hours":           func(c *Campaign) { c.Hours = 0 },
 		"negative hours":       func(c *Campaign) { c.Hours = -1 },
