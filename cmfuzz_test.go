@@ -1,12 +1,15 @@
 package cmfuzz
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configspec"
 	"cmfuzz/internal/coverage"
+	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
 )
 
@@ -181,6 +184,35 @@ func TestFuzzPublicAPI(t *testing.T) {
 	}
 	if res.FinalBranches == 0 || res.TotalExecs == 0 {
 		t.Fatalf("empty result: %+v", res)
+	}
+}
+
+// TestFuzzRejectsOutOfRangeOptions: a campaign's options are checked
+// where every campaign starts, so a value out of range is an error from
+// parallel.Run and the facade alike, never a panic further in.
+func TestFuzzRejectsOutOfRangeOptions(t *testing.T) {
+	sub, err := Subject("DNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{
+		{"negative instances", Options{Instances: -1, VirtualHours: 0.1}},
+		{"instances past the wire's count", Options{Instances: parallel.MaxInstances + 1, VirtualHours: 0.1}},
+		{"NaN hours", Options{VirtualHours: math.NaN()}},
+		{"negative link latency", Options{VirtualHours: 0.1, LinkLatencyBase: -1}},
+		{"link loss 2", Options{VirtualHours: 0.1, LinkLoss: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if res, err := parallel.Run(context.Background(), sub, c.opts); err == nil {
+				t.Errorf("parallel.Run: no error, result %+v", res)
+			}
+			if res, err := Fuzz(sub, c.opts); err == nil {
+				t.Errorf("Fuzz: no error, result %+v", res)
+			}
+		})
 	}
 }
 

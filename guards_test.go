@@ -304,8 +304,8 @@ func TestDesignGuards(t *testing.T) {
 	// Production code is what production runs: every function and
 	// method in non-test internal/... is reached from a main, an init, a
 	// package-level initializer or the cmfuzz facade's exported API —
-	// by a use of its name, or by an interface its reachable receiver
-	// satisfies. What only tests reach is deleted, or moved into the
+	// by a use of its name, or by a call of an interface method its
+	// reachable receiver implements. What only tests reach is deleted, or moved into the
 	// one package's test files that use it. testOnly names the few a
 	// production path several packages' tests drive traffic through.
 	t.Run("NoTestOnlyAPI", func(t *testing.T) {
@@ -577,15 +577,18 @@ var implicit = [][2]string{
 }
 
 // reachable returns every function reached from the entry points and
-// the package-level var declarations: a use of its name in reached code
-// is an edge, and so is an interface of reached code (or one of
-// implicit) that a reached named type, or a pointer to it, implements
-// with it.
+// the package-level var declarations. A use of its name in reached code
+// is an edge. So is a call of an interface method on an interface
+// receiver in reached code: it reaches that method of every reached
+// named type, or pointer to it, that implements the interface. Every
+// method of error and of implicit counts as called.
 func (m *module) reachable() map[*types.Func]bool {
 	live := map[*types.Func]bool{}
 	named := map[*types.TypeName]bool{}
 	var ifaces []*types.Interface
 	seen := map[*types.Interface]bool{}
+	called := map[*types.Func]bool{}          // interface methods reached code calls
+	impls := map[*types.Func][]types.Object{} // each interface method's implementations on reached types
 	queue := append([]ast.Node(nil), m.vars...)
 	iface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
@@ -616,13 +619,28 @@ func (m *module) reachable() map[*types.Func]bool {
 		}
 		return false
 	}
+	call := func(fn *types.Func) {
+		if !called[fn] {
+			called[fn] = true
+			for _, obj := range impls[fn] {
+				mark(obj)
+			}
+		}
+	}
+	callAll := func(t types.Type) {
+		iface(t)
+		it := t.Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			call(it.Method(i))
+		}
+	}
 	for _, obj := range m.entry {
 		mark(obj)
 	}
-	iface(types.Universe.Lookup("error").Type())
+	callAll(types.Universe.Lookup("error").Type())
 	for _, pt := range implicit {
 		if pkg, err := m.std.Import(pt[0]); err == nil {
-			iface(pkg.Scope().Lookup(pt[1]).Type())
+			callAll(pkg.Scope().Lookup(pt[1]).Type())
 		}
 	}
 	checked := map[*types.TypeName]int{} // how many of ifaces each named type was tried against
@@ -639,6 +657,7 @@ func (m *module) reachable() map[*types.Func]bool {
 				case *ast.SelectorExpr:
 					if sel := m.info.Selections[n]; sel != nil && types.IsInterface(sel.Recv()) {
 						iface(sel.Recv())
+						call(sel.Obj().(*types.Func).Origin())
 					}
 				case *ast.InterfaceType:
 					iface(m.info.TypeOf(n))
@@ -657,8 +676,12 @@ func (m *module) reachable() map[*types.Func]bool {
 					continue
 				}
 				for i := 0; i < it.NumMethods(); i++ {
-					obj, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
-					changed = mark(obj) || changed
+					fn := it.Method(i).Origin()
+					obj, _, _ := types.LookupFieldOrMethod(ptr, false, fn.Pkg(), fn.Name())
+					impls[fn] = append(impls[fn], obj)
+					if called[fn] {
+						changed = mark(obj) || changed
+					}
 				}
 			}
 			checked[tn] = len(ifaces)
@@ -1183,6 +1206,96 @@ func TestStateScan(t *testing.T) {
 		delete(want, d.name)
 		if got := s.verdict(d, exempt); got != w {
 			t.Errorf("%s: verdict %q, want %q", d.name, got, w)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s: not declared in the fixture", name)
+	}
+}
+
+// reachFixture is a main package with a method for each of reachable's
+// interface rules; TestReachable holds each to its verdict.
+const reachFixture = `package main
+
+import "fmt"
+
+type shape interface {
+	Area() int
+	Name() string
+}
+
+type square struct{ n int }
+
+func (s square) Area() int      { return s.n * s.n }
+func (s square) Name() string   { return "square" }
+func (s square) String() string { return fmt.Sprint("square ", s.n) }
+
+type fault struct{}
+
+func (fault) Error() string { return "fault" }
+
+type sized interface{ Size() int }
+
+type box struct{}
+
+func (box) Size() int { return 1 }
+
+func area(s shape) int { return s.Area() }
+
+func total[T sized](xs []T) (n int) {
+	for _, x := range xs {
+		n += x.Size()
+	}
+	return n
+}
+
+func main() {
+	var err error = fault{}
+	fmt.Println(area(square{2}), total([]box{{}}), square{3}, err)
+}
+`
+
+// TestReachable type-checks reachFixture and holds each function to
+// whether NoTestOnlyAPI's reachable finds it, so a method reached only
+// through an interface method nothing calls stays flagged.
+func TestReachable(t *testing.T) {
+	m := &module{
+		fset:      token.NewFileSet(),
+		info:      newInfo(),
+		decls:     map[*types.Func]*ast.FuncDecl{},
+		typeSpecs: map[*types.TypeName]*ast.TypeSpec{},
+	}
+	f, err := parser.ParseFile(m.fset, "fix.go", reachFixture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, m.std = goList(t, m.fset, "fmt")
+	pkg, err := (&types.Config{Importer: m.std}).Check("fix", m.fset, []*ast.File{f}, m.info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.add(listedPackage{Dir: "fix"}, pkg, []*ast.File{f})
+	want := map[string]bool{
+		"main.main":          true,
+		"main.area":          true,
+		"main.total":         true,
+		"main.square.Area":   true,  // called through shape
+		"main.square.Name":   false, // shape has it, but nothing calls shape.Name
+		"main.square.String": true,  // fmt calls it through fmt.Stringer
+		"main.fault.Error":   true,  // every method of error counts as called
+		"main.box.Size":      true,  // called through total's type parameter
+	}
+	live := m.reachable()
+	for _, fn := range m.funcs {
+		name := funcName(fn.obj)
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no verdict expected", name)
+			continue
+		}
+		delete(want, name)
+		if live[fn.obj] != w {
+			t.Errorf("%s: reachable %v, want %v", name, live[fn.obj], w)
 		}
 	}
 	for name := range want {

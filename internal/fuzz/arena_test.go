@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestArenaResetReuse(t *testing.T) {
 	gen := func() ([]byte, *byte) {
 		r := testRandSeed(5)
 		cm.instantiate(&msg, a, r)
-		MutateMessage(&msg, []Mutator{blobBitFlip{}}, r, 3)
+		blobBitFlip(msg.own(slices.IndexFunc(msg.fields, isNonEmptyBytes)), r)
 		for k, e := range msg.fields {
 			if len(e.Data) > 0 && e != cm.nodes[msg.leaves[k]].e {
 				return msg.appendTo(nil), &e.Data[0]

@@ -127,13 +127,10 @@ func (t *tree) appendElement(buf []byte, e *Element) []byte {
 	return buf
 }
 
-func (t *tree) mutate(mutators []Mutator, r *rand.Rand, maxOps int) int {
+func (t *tree) mutate(r *rand.Rand) int {
 	leaves := t.appendLeaves(nil, t.root)
-	if len(leaves) == 0 || len(mutators) == 0 {
+	if len(leaves) == 0 {
 		return 0
-	}
-	if maxOps < 1 {
-		maxOps = 1
 	}
 	applied := 0
 	ops := 1 + r.Intn(maxOps)
@@ -141,8 +138,8 @@ func (t *tree) mutate(mutators []Mutator, r *rand.Rand, maxOps int) int {
 		for try := 0; try < 16; try++ {
 			e := leaves[r.Intn(len(leaves))]
 			m := mutators[r.Intn(len(mutators))]
-			if m.Applicable(e) {
-				m.Mutate(e, r)
+			if m.applies(e) {
+				m.mutate(e, r)
 				applied++
 				break
 			}
@@ -156,7 +153,7 @@ func (t *tree) mutate(mutators []Mutator, r *rand.Rand, maxOps int) int {
 func treeMessage(m *DataModel, r *rand.Rand, mutateProb float64) []byte {
 	t := newTree(m, r)
 	if r.Float64() < mutateProb {
-		t.mutate(DefaultMutators(), r, 3)
+		t.mutate(r)
 	}
 	t.fixRelations()
 	return t.appendElement(nil, t.root)
@@ -246,11 +243,11 @@ func checkMessage(t testing.TB, m *DataModel, cm *compiledModel, msg *Message, a
 
 	pub := m.NewMessage(rp)
 	if rp.Float64() < 1 {
-		MutateMessage(pub, DefaultMutators(), rp, 3)
+		MutateMessage(pub, rp)
 	}
 	cm.instantiate(msg, a, re)
 	if re.Float64() < 1 {
-		MutateMessage(msg, DefaultMutators(), re, 3)
+		MutateMessage(msg, re)
 	}
 	for _, got := range []struct {
 		path  string

@@ -65,13 +65,6 @@ type Config struct {
 // "unset, use the default".
 const never = -1.0
 
-// The engine's structural mutations: the standard suite, at most
-// engineMaxOps of them per message. Mutators are stateless, so every
-// engine shares the one list.
-var engineMutators = DefaultMutators()
-
-const engineMaxOps = 3
-
 func (c *Config) setDefaults() {
 	switch {
 	case c.genProb == 0:
@@ -323,7 +316,7 @@ func (e *Engine) generate() [][]byte {
 		}
 		cm.instantiate(&e.msg, e.arena, e.rng)
 		if e.rng.Float64() < e.cfg.mutateProb {
-			MutateMessage(&e.msg, engineMutators, e.rng, engineMaxOps)
+			MutateMessage(&e.msg, e.rng)
 		}
 		buf := e.msg.appendTo(e.slotBuf(len(seq)))
 		e.msgBufs[len(seq)] = buf

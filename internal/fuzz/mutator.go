@@ -2,50 +2,52 @@ package fuzz
 
 import "math/rand"
 
-// A Mutator transforms one message field, Peach-style. Mutators never
-// touch Token fields.
-type Mutator interface {
-	// Name identifies the mutator in statistics.
-	Name() string
-	// Applicable reports whether the mutator can act on e. It must not
-	// write e: it may be the data model's own element.
-	Applicable(e *Element) bool
-	// Mutate transforms e in place using randomness from r. It may write
-	// e's Value, Data and SizeBroken; the relation names SizeOf and
-	// CountOf belong to the model.
-	Mutate(e *Element, r *rand.Rand)
+// A mutator transforms one message field, Peach-style. applies reports
+// whether it can act on e and must not write e: it may be the data
+// model's own element. mutate transforms e in place using randomness
+// from r; it may write e's Value, Data and SizeBroken, while the relation
+// names SizeOf and CountOf belong to the model. No mutator touches a
+// Token field.
+type mutator struct {
+	applies func(e *Element) bool
+	mutate  func(e *Element, r *rand.Rand)
 }
 
-// DefaultMutators returns the standard mutator suite: numeric boundary and
-// random values, size-relation corruption, string expansion/emptying/
-// special tokens, and blob bit flips, truncation, duplication and
-// insertion — the classic transformations the paper lists (§II-B).
-func DefaultMutators() []Mutator {
-	return []Mutator{
-		numberBoundary{},
-		numberRandom{},
-		sizeBreaker{},
-		stringRepeat{},
-		stringEmpty{},
-		stringSpecial{},
-		blobBitFlip{},
-		blobTruncate{},
-		blobDuplicate{},
-		blobInsert{},
-		blobRandomBytes{},
-	}
+// mutators is the mutation suite: numeric boundary and random values,
+// size-relation corruption, string expansion/emptying/special tokens, and
+// blob bit flips, truncation, duplication and insertion — the classic
+// transformations the paper lists (§II-B). Its order is part of every
+// campaign's rng stream.
+var mutators = [...]mutator{
+	{isNumber, numberBoundary},
+	{isNumber, numberRandom},
+	{isSized, sizeBreaker},
+	{isString, stringRepeat},
+	{isNonEmptyString, stringEmpty},
+	{isString, stringSpecial},
+	{isNonEmptyBytes, blobBitFlip},
+	{isNonEmptyBytes, blobTruncate},
+	{isDuplicable, blobDuplicate},
+	{isBytes, blobInsert},
+	{isNonEmptyBytes, blobRandomBytes},
 }
+
+// maxOps bounds the mutations MutateMessage applies to one message.
+const maxOps = 3
 
 func isNumber(e *Element) bool { return e.Kind == KindNumber && !e.Token }
+func isSized(e *Element) bool  { return isNumber(e) && (e.SizeOf != "" || e.CountOf != "") }
+func isString(e *Element) bool { return e.Kind == KindString && !e.Token }
 func isBytes(e *Element) bool {
 	return (e.Kind == KindString || e.Kind == KindBlob) && !e.Token
 }
+func isNonEmptyString(e *Element) bool { return isString(e) && len(e.Data) > 0 }
+func isNonEmptyBytes(e *Element) bool  { return isBytes(e) && len(e.Data) > 0 }
 
-type numberBoundary struct{}
+// isDuplicable keeps blobDuplicate off fields of 64 KiB and more.
+func isDuplicable(e *Element) bool { return isNonEmptyBytes(e) && len(e.Data) < 1<<16 }
 
-func (numberBoundary) Name() string               { return "NumberBoundary" }
-func (numberBoundary) Applicable(e *Element) bool { return isNumber(e) }
-func (numberBoundary) Mutate(e *Element, r *rand.Rand) {
+func numberBoundary(e *Element, r *rand.Rand) {
 	max := uint64(1)<<uint(e.Bits) - 1
 	if e.Bits >= 64 || e.Bits == 0 {
 		max = ^uint64(0)
@@ -55,11 +57,7 @@ func (numberBoundary) Mutate(e *Element, r *rand.Rand) {
 	e.SizeBroken = e.SizeOf != "" || e.CountOf != ""
 }
 
-type numberRandom struct{}
-
-func (numberRandom) Name() string               { return "NumberRandom" }
-func (numberRandom) Applicable(e *Element) bool { return isNumber(e) }
-func (numberRandom) Mutate(e *Element, r *rand.Rand) {
+func numberRandom(e *Element, r *rand.Rand) {
 	e.Value = r.Uint64()
 	if e.Bits > 0 && e.Bits < 64 {
 		e.Value &= uint64(1)<<uint(e.Bits) - 1
@@ -69,13 +67,7 @@ func (numberRandom) Mutate(e *Element, r *rand.Rand) {
 
 // sizeBreaker corrupts a size or count relation: the field keeps a stale
 // or skewed value instead of being recomputed at serialization.
-type sizeBreaker struct{}
-
-func (sizeBreaker) Name() string { return "SizeRelationBreak" }
-func (sizeBreaker) Applicable(e *Element) bool {
-	return isNumber(e) && (e.SizeOf != "" || e.CountOf != "")
-}
-func (sizeBreaker) Mutate(e *Element, r *rand.Rand) {
+func sizeBreaker(e *Element, r *rand.Rand) {
 	e.SizeBroken = true
 	switch r.Intn(4) {
 	case 0:
@@ -92,8 +84,8 @@ func (sizeBreaker) Mutate(e *Element, r *rand.Rand) {
 }
 
 // maxFieldLen bounds what a mutator may grow a field to. Growth
-// compounds: up to three operations can land on one field of a message,
-// each StringRepeat multiplying it by up to 512 (each BlobDuplicate by up
+// compounds: up to maxOps operations can land on one field of a message,
+// each stringRepeat multiplying it by up to 512 (each blobDuplicate by up
 // to 5), and the engine then copies the field into the message buffer
 // and the corpus — unbounded, one CoAP campaign held 1.7 GB in a single
 // string and its copies. The count is drawn as ever and only then
@@ -107,13 +99,7 @@ func fitCopies(unit, copies int) int {
 	return max(1, min(copies, maxFieldLen/max(unit, 1)))
 }
 
-type stringRepeat struct{}
-
-func (stringRepeat) Name() string { return "StringRepeat" }
-func (stringRepeat) Applicable(e *Element) bool {
-	return e.Kind == KindString && !e.Token
-}
-func (stringRepeat) Mutate(e *Element, r *rand.Rand) {
+func stringRepeat(e *Element, r *rand.Rand) {
 	unit := e.Data
 	if len(unit) == 0 {
 		unit = []byte("A")
@@ -126,17 +112,7 @@ func (stringRepeat) Mutate(e *Element, r *rand.Rand) {
 	e.Data = out
 }
 
-type stringEmpty struct{}
-
-func (stringEmpty) Name() string { return "StringEmpty" }
-func (stringEmpty) Applicable(e *Element) bool {
-	return e.Kind == KindString && !e.Token && len(e.Data) > 0
-}
-func (stringEmpty) Mutate(e *Element, r *rand.Rand) { e.Data = nil }
-
-// stringSpecial injects classic hostile payloads: traversal sequences,
-// format strings, NUL bytes, overlong UTF-8 and separator floods.
-type stringSpecial struct{}
+func stringEmpty(e *Element, _ *rand.Rand) { e.Data = nil }
 
 var specialStrings = [][]byte{
 	[]byte("../../../../etc/passwd"),
@@ -149,21 +125,13 @@ var specialStrings = [][]byte{
 	[]byte("\"'<>&;"),
 }
 
-func (stringSpecial) Name() string { return "StringSpecial" }
-func (stringSpecial) Applicable(e *Element) bool {
-	return e.Kind == KindString && !e.Token
-}
-func (stringSpecial) Mutate(e *Element, r *rand.Rand) {
+// stringSpecial injects classic hostile payloads: traversal sequences,
+// format strings, NUL bytes, overlong UTF-8 and separator floods.
+func stringSpecial(e *Element, r *rand.Rand) {
 	e.Data = append([]byte(nil), specialStrings[r.Intn(len(specialStrings))]...)
 }
 
-type blobBitFlip struct{}
-
-func (blobBitFlip) Name() string { return "BlobBitFlip" }
-func (blobBitFlip) Applicable(e *Element) bool {
-	return isBytes(e) && len(e.Data) > 0
-}
-func (blobBitFlip) Mutate(e *Element, r *rand.Rand) {
+func blobBitFlip(e *Element, r *rand.Rand) {
 	n := 1 + r.Intn(4)
 	for i := 0; i < n; i++ {
 		bit := r.Intn(len(e.Data) * 8)
@@ -171,23 +139,11 @@ func (blobBitFlip) Mutate(e *Element, r *rand.Rand) {
 	}
 }
 
-type blobTruncate struct{}
-
-func (blobTruncate) Name() string { return "BlobTruncate" }
-func (blobTruncate) Applicable(e *Element) bool {
-	return isBytes(e) && len(e.Data) > 0
-}
-func (blobTruncate) Mutate(e *Element, r *rand.Rand) {
+func blobTruncate(e *Element, r *rand.Rand) {
 	e.Data = e.Data[:r.Intn(len(e.Data))]
 }
 
-type blobDuplicate struct{}
-
-func (blobDuplicate) Name() string { return "BlobDuplicate" }
-func (blobDuplicate) Applicable(e *Element) bool {
-	return isBytes(e) && len(e.Data) > 0 && len(e.Data) < 1<<16
-}
-func (blobDuplicate) Mutate(e *Element, r *rand.Rand) {
+func blobDuplicate(e *Element, r *rand.Rand) {
 	copies := fitCopies(len(e.Data), 2+r.Intn(4))
 	out := append([]byte(nil), e.Data...)
 	for i := 1; i < copies; i++ {
@@ -196,11 +152,7 @@ func (blobDuplicate) Mutate(e *Element, r *rand.Rand) {
 	e.Data = out
 }
 
-type blobInsert struct{}
-
-func (blobInsert) Name() string               { return "BlobInsert" }
-func (blobInsert) Applicable(e *Element) bool { return isBytes(e) }
-func (blobInsert) Mutate(e *Element, r *rand.Rand) {
+func blobInsert(e *Element, r *rand.Rand) {
 	insert := make([]byte, 1+r.Intn(8))
 	for i := range insert {
 		insert[i] = byte(r.Intn(256))
@@ -216,13 +168,7 @@ func (blobInsert) Mutate(e *Element, r *rand.Rand) {
 	e.Data = out
 }
 
-type blobRandomBytes struct{}
-
-func (blobRandomBytes) Name() string { return "BlobRandomBytes" }
-func (blobRandomBytes) Applicable(e *Element) bool {
-	return isBytes(e) && len(e.Data) > 0
-}
-func (blobRandomBytes) Mutate(e *Element, r *rand.Rand) {
+func blobRandomBytes(e *Element, r *rand.Rand) {
 	n := 1 + r.Intn(len(e.Data))
 	for i := 0; i < n; i++ {
 		e.Data[r.Intn(len(e.Data))] = byte(r.Intn(256))
@@ -232,12 +178,9 @@ func (blobRandomBytes) Mutate(e *Element, r *rand.Rand) {
 // MutateMessage applies between 1 and maxOps random applicable mutations
 // to msg and returns the number applied. A mutated leaf is the message's
 // own copy; the model is never written.
-func MutateMessage(msg *Message, mutators []Mutator, r *rand.Rand, maxOps int) int {
-	if len(msg.fields) == 0 || len(mutators) == 0 {
+func MutateMessage(msg *Message, r *rand.Rand) int {
+	if len(msg.fields) == 0 {
 		return 0
-	}
-	if maxOps < 1 {
-		maxOps = 1
 	}
 	applied := 0
 	ops := 1 + r.Intn(maxOps)
@@ -245,9 +188,9 @@ func MutateMessage(msg *Message, mutators []Mutator, r *rand.Rand, maxOps int) i
 		// Rejection-sample an applicable (field, mutator) pair.
 		for try := 0; try < 16; try++ {
 			k := r.Intn(len(msg.fields))
-			m := mutators[r.Intn(len(mutators))]
-			if m.Applicable(msg.fields[k]) {
-				m.Mutate(msg.own(k), r)
+			m := &mutators[r.Intn(len(mutators))]
+			if m.applies(msg.fields[k]) {
+				m.mutate(msg.own(k), r)
 				applied++
 				break
 			}

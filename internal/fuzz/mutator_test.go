@@ -3,31 +3,67 @@ package fuzz
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-func TestMutatorsNeverTouchTokens(t *testing.T) {
-	r := testRand()
-	for _, m := range DefaultMutators() {
-		tok := Token("magic", 8, 0x7f)
-		if m.Applicable(tok) {
-			t.Errorf("%s applicable to token number", m.Name())
+// TestMutatorApplicability pins the suite's order and each entry's
+// predicate on every element shape the predicates tell apart: an entry
+// moved, or a predicate loosened or tightened, changes which mutations a
+// seed's rng stream lands on. No entry applies to a token.
+func TestMutatorApplicability(t *testing.T) {
+	tokStr := Str("t", "MAGIC")
+	tokStr.Token = true
+	shapes := []*Element{
+		Num("plain", 8, 5),
+		SizeOf("len", 16, "body"),
+		Token("magic", 8, 0x7f),
+		Str("empty", ""),
+		Str("s", "ab"),
+		tokStr,
+		Blob("empty", nil),
+		Blob("b", []byte{1, 2}),
+		Blob("big", make([]byte, 1<<16)),
+	}
+	// One column per shape above, in order; x marks the shapes an entry
+	// applies to.
+	want := []struct{ mutate, applies string }{
+		{"numberBoundary", "xx......."},
+		{"numberRandom", "xx......."},
+		{"sizeBreaker", ".x......."},
+		{"stringRepeat", "...xx...."},
+		{"stringEmpty", "....x...."},
+		{"stringSpecial", "...xx...."},
+		{"blobBitFlip", "....x..xx"},
+		{"blobTruncate", "....x..xx"},
+		{"blobDuplicate", "....x..x."},
+		{"blobInsert", "...xx.xxx"},
+		{"blobRandomBytes", "....x..xx"},
+	}
+	if len(mutators) != len(want) {
+		t.Fatalf("%d mutators, want %d", len(mutators), len(want))
+	}
+	for i, m := range mutators {
+		name := runtime.FuncForPC(reflect.ValueOf(m.mutate).Pointer()).Name()
+		if !strings.HasSuffix(name, "."+want[i].mutate) {
+			t.Errorf("mutator %d is %s, want %s", i, name, want[i].mutate)
+			continue
 		}
-		tokStr := Str("fixed", "MAGIC")
-		tokStr.Token = true
-		if m.Applicable(tokStr) {
-			t.Errorf("%s applicable to token string", m.Name())
+		for j, e := range shapes {
+			if got := m.applies(e); got != (want[i].applies[j] == 'x') {
+				t.Errorf("%s applies to %s (%d bytes): %v, want %v", want[i].mutate, e.Name, len(e.Data), got, !got)
+			}
 		}
 	}
-	_ = r
 }
 
 func TestNumberBoundaryStaysInWidth(t *testing.T) {
 	r := testRand()
 	e := Num("n", 8, 5)
 	for i := 0; i < 100; i++ {
-		(numberBoundary{}).Mutate(e, r)
+		numberBoundary(e, r)
 		// Boundary values may exceed the width on purpose (over-wide
 		// constants get truncated at serialization); serialization must
 		// still produce exactly one byte.
@@ -42,7 +78,7 @@ func TestNumberRandomMasksWidth(t *testing.T) {
 	r := testRand()
 	e := Num("n", 16, 0)
 	for i := 0; i < 100; i++ {
-		(numberRandom{}).Mutate(e, r)
+		numberRandom(e, r)
 		if e.Value > 0xffff {
 			t.Fatalf("16-bit random value %#x exceeds width", e.Value)
 		}
@@ -50,15 +86,14 @@ func TestNumberRandomMasksWidth(t *testing.T) {
 }
 
 func TestSizeBreakerOnlyAppliesToRelations(t *testing.T) {
-	sb := sizeBreaker{}
-	if sb.Applicable(Num("plain", 8, 0)) {
+	if isSized(Num("plain", 8, 0)) {
 		t.Fatal("sizeBreaker applicable to plain number")
 	}
 	rel := SizeOf("len", 16, "body")
-	if !sb.Applicable(rel) {
+	if !isSized(rel) {
 		t.Fatal("sizeBreaker not applicable to size field")
 	}
-	sb.Mutate(rel, testRand())
+	sizeBreaker(rel, testRand())
 	if !rel.SizeBroken {
 		t.Fatal("sizeBreaker did not mark relation broken")
 	}
@@ -68,22 +103,22 @@ func TestStringMutators(t *testing.T) {
 	r := testRand()
 
 	e := Str("s", "ab")
-	(stringRepeat{}).Mutate(e, r)
+	stringRepeat(e, r)
 	if len(e.Data) < 4 || len(e.Data)%2 != 0 {
 		t.Fatalf("StringRepeat produced %d bytes", len(e.Data))
 	}
 
 	e = Str("s", "ab")
-	(stringEmpty{}).Mutate(e, r)
+	stringEmpty(e, r)
 	if len(e.Data) != 0 {
 		t.Fatal("StringEmpty left data")
 	}
-	if (stringEmpty{}).Applicable(e) {
+	if isNonEmptyString(e) {
 		t.Fatal("StringEmpty applicable to already-empty string")
 	}
 
 	e = Str("s", "ab")
-	(stringSpecial{}).Mutate(e, r)
+	stringSpecial(e, r)
 	found := false
 	for _, sp := range specialStrings {
 		if string(e.Data) == string(sp) {
@@ -99,7 +134,7 @@ func TestBlobMutators(t *testing.T) {
 	r := testRand()
 
 	e := Blob("b", []byte{0, 0, 0, 0})
-	(blobBitFlip{}).Mutate(e, r)
+	blobBitFlip(e, r)
 	nonzero := false
 	for _, b := range e.Data {
 		if b != 0 {
@@ -111,19 +146,19 @@ func TestBlobMutators(t *testing.T) {
 	}
 
 	e = Blob("b", []byte{1, 2, 3, 4})
-	(blobTruncate{}).Mutate(e, r)
+	blobTruncate(e, r)
 	if len(e.Data) >= 4 {
 		t.Fatalf("BlobTruncate len = %d", len(e.Data))
 	}
 
 	e = Blob("b", []byte{1, 2})
-	(blobDuplicate{}).Mutate(e, r)
+	blobDuplicate(e, r)
 	if len(e.Data) < 4 || len(e.Data)%2 != 0 {
 		t.Fatalf("BlobDuplicate len = %d", len(e.Data))
 	}
 
 	e = Blob("b", nil)
-	(blobInsert{}).Mutate(e, r)
+	blobInsert(e, r)
 	if len(e.Data) == 0 {
 		t.Fatal("BlobInsert into empty blob added nothing")
 	}
@@ -140,7 +175,7 @@ func TestMutateMessageAppliesAtLeastOne(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		msg := m.NewMessage(r)
 		before := append([]byte(nil), msg.Serialize()...)
-		if MutateMessage(msg, DefaultMutators(), r, 3) == 0 {
+		if MutateMessage(msg, r) == 0 {
 			continue
 		}
 		after := msg.Serialize()
@@ -160,18 +195,8 @@ func TestMutateMessageAppliesAtLeastOne(t *testing.T) {
 func TestMutateMessageTokenOnlyModel(t *testing.T) {
 	m := &DataModel{Name: "m", Root: Block("root", Token("t", 8, 1))}
 	msg := m.NewMessage(testRand())
-	if got := MutateMessage(msg, DefaultMutators(), testRand(), 3); got != 0 {
+	if got := MutateMessage(msg, testRand()); got != 0 {
 		t.Fatalf("applied %d mutations to token-only message", got)
-	}
-}
-
-func TestMutatorNamesUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, m := range DefaultMutators() {
-		if m.Name() == "" || seen[m.Name()] {
-			t.Fatalf("duplicate or empty mutator name %q", m.Name())
-		}
-		seen[m.Name()] = true
 	}
 }
 
@@ -182,7 +207,7 @@ func TestMutatorsDeterministicPerSeed(t *testing.T) {
 		)}
 		r := rand.New(rand.NewSource(99))
 		msg := m.NewMessage(r)
-		MutateMessage(msg, DefaultMutators(), r, 4)
+		MutateMessage(msg, r)
 		return msg.Serialize()
 	}
 	a, b := build(), build()
@@ -200,12 +225,12 @@ func TestMutatorsBoundFieldGrowth(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		r, ref := testRandSeed(seed), testRandSeed(seed)
 		s := Str("s", "abc")
-		(stringRepeat{}).Mutate(s, r)
+		stringRepeat(s, r)
 		if want := bytes.Repeat([]byte("abc"), 1<<uint(1+ref.Intn(9))); !bytes.Equal(s.Data, want) {
 			t.Fatalf("seed %d: StringRepeat of a small field gave %d bytes, want the unclamped %d", seed, len(s.Data), len(want))
 		}
 		b := Blob("b", []byte{1, 2, 3, 4})
-		(blobDuplicate{}).Mutate(b, r)
+		blobDuplicate(b, r)
 		if want := bytes.Repeat([]byte{1, 2, 3, 4}, 2+ref.Intn(4)); !bytes.Equal(b.Data, want) {
 			t.Fatalf("seed %d: BlobDuplicate of a small field gave %d bytes, want the unclamped %d", seed, len(b.Data), len(want))
 		}
@@ -220,7 +245,7 @@ func TestMutatorsBoundFieldGrowth(t *testing.T) {
 	s := Str("s", strings.Repeat("x", 48))
 	for i := 0; i < 12; i++ {
 		before := len(s.Data)
-		(stringRepeat{}).Mutate(s, r)
+		stringRepeat(s, r)
 		if len(s.Data) > maxFieldLen || len(s.Data) < before || len(s.Data)%before != 0 {
 			t.Fatalf("StringRepeat %d: %d bytes -> %d, bound %d", i, before, len(s.Data), maxFieldLen)
 		}
@@ -228,15 +253,15 @@ func TestMutatorsBoundFieldGrowth(t *testing.T) {
 	if len(s.Data) <= maxFieldLen/2 {
 		t.Fatalf("twelve StringRepeats stopped at %d bytes, want the field grown to within a copy of the %d bound", len(s.Data), maxFieldLen)
 	}
-	// BlobDuplicate's Applicable keeps it off fields this large; the bound
+	// blobDuplicate's predicate keeps it off fields this large; the bound
 	// holds for a caller that does not ask first, and an empty field is
 	// still nothing to copy.
-	(blobDuplicate{}).Mutate(s, r)
+	blobDuplicate(s, r)
 	if len(s.Data) > maxFieldLen {
 		t.Fatalf("BlobDuplicate grew a field at the bound to %d bytes", len(s.Data))
 	}
 	empty := Blob("e", nil)
-	(blobDuplicate{}).Mutate(empty, r)
+	blobDuplicate(empty, r)
 	if len(empty.Data) != 0 {
 		t.Fatalf("BlobDuplicate of an empty field gave %d bytes", len(empty.Data))
 	}

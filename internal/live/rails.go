@@ -105,11 +105,10 @@ type KillSwitch struct {
 	now func() time.Time
 }
 
-// NewKillSwitch builds a switch from the rails config. onTrip runs
-// exactly once, from whichever call trips the switch; nil is allowed.
-func NewKillSwitch(r Rails, onTrip func(reason string)) *KillSwitch {
+// NewKillSwitch builds a switch from the rails config, with no trip
+// hook until SetOnTrip installs one.
+func NewKillSwitch(r Rails) *KillSwitch {
 	return &KillSwitch{
-		onTrip:      onTrip,
 		maxRestarts: r.MaxRestarts,
 		window:      time.Duration(r.RestartWindow * float64(time.Second)),
 		maxHangs:    r.MaxHangs,
@@ -117,9 +116,10 @@ func NewKillSwitch(r Rails, onTrip func(reason string)) *KillSwitch {
 	}
 }
 
-// SetOnTrip installs the trip hook after construction — the campaign
-// driver builds the subject first and wires the hook to the campaign
-// context's cancel function later. Replaces any previous hook.
+// SetOnTrip installs the trip hook, which runs exactly once, from
+// whichever call trips the switch — the campaign driver builds the
+// subject first and wires the hook to the campaign context's cancel
+// function later. Replaces any previous hook.
 func (ks *KillSwitch) SetOnTrip(fn func(reason string)) {
 	if ks == nil {
 		return

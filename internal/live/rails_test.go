@@ -66,7 +66,7 @@ func TestRateLimiterAbortsOnKillSwitch(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	rl := NewRateLimiter(1, 1)
 	rl.now = clk.now
-	ks := NewKillSwitch(Rails{MaxRestarts: 1, RestartWindow: 60}, nil)
+	ks := NewKillSwitch(Rails{MaxRestarts: 1, RestartWindow: 60})
 	// sleep trips the switch without advancing the clock, so no token
 	// ever accrues: only the abort path can end the wait.
 	rl.sleep = func(d time.Duration) { ks.Trip("test") }
@@ -86,7 +86,8 @@ func TestRateLimiterAbortsOnKillSwitch(t *testing.T) {
 func TestKillSwitchRestartStorm(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	var reasons []string
-	ks := NewKillSwitch(Rails{MaxRestarts: 3, RestartWindow: 10}, func(r string) { reasons = append(reasons, r) })
+	ks := NewKillSwitch(Rails{MaxRestarts: 3, RestartWindow: 10})
+	ks.SetOnTrip(func(r string) { reasons = append(reasons, r) })
 	ks.now = clk.now
 
 	// Three restarts spread outside the window: no storm.
@@ -120,7 +121,7 @@ func TestKillSwitchRestartStorm(t *testing.T) {
 }
 
 func TestKillSwitchHangLimit(t *testing.T) {
-	ks := NewKillSwitch(Rails{MaxHangs: 2}, nil)
+	ks := NewKillSwitch(Rails{MaxHangs: 2})
 	ks.NoteHang()
 	if ks.Tripped() {
 		t.Fatal("tripped below hang limit")
@@ -132,7 +133,7 @@ func TestKillSwitchHangLimit(t *testing.T) {
 }
 
 func TestKillSwitchDisabledRails(t *testing.T) {
-	ks := NewKillSwitch(Rails{}, nil)
+	ks := NewKillSwitch(Rails{})
 	for i := 0; i < 100; i++ {
 		ks.NoteRestart()
 		ks.NoteHang()

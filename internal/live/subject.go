@@ -49,7 +49,7 @@ func NewSubject(spec Spec) (*Subject, error) {
 	spec = spec.withDefaults()
 	s := &Subject{spec: spec}
 	s.limiter = NewRateLimiter(spec.Rails.Rate, spec.Rails.Burst)
-	s.ks = NewKillSwitch(spec.Rails, nil)
+	s.ks = NewKillSwitch(spec.Rails)
 	return s, nil
 }
 

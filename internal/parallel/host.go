@@ -46,9 +46,13 @@ type Host struct {
 }
 
 // NewHost parses the subject's Pit and configuration model and returns a
-// Host ready to plan or boot instances. opts gets its defaults applied.
+// Host ready to plan or boot instances. opts gets its defaults applied,
+// and a value out of range is an error.
 func NewHost(sub subject.Subject, opts Options) (*Host, error) {
 	opts.setDefaults()
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
+	}
 	info := sub.Info()
 	pit, err := fuzz.ParsePit(sub.PitXML())
 	if err != nil {

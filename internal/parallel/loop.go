@@ -96,18 +96,12 @@ type Loop struct {
 	watermark  float64   // monotone observation clock across instances
 	lastSample float64   // watermark of the last series sample
 
-	host    *Host
-	src     Source
-	spans   []*trace.Span // one long-lived span per instance, carrying sync and config.mutate children
-	horizon float64
-	// New-edge samples are coalesced to at most one per minSampleGap of
-	// virtual time; without the floor, the discovery-heavy early campaign
-	// records a point per coverage step and the series grows unbounded
-	// long before the first sampleEvery window elapses. The final point
-	// stays exact (observed at the horizon in Finish).
-	minSampleGap float64
-	mutate       bool
-	cancelled    bool
+	host      *Host
+	src       Source
+	spans     []*trace.Span // one long-lived span per instance, carrying sync and config.mutate children
+	horizon   float64
+	mutate    bool
+	cancelled bool
 	// status is the run's live board entry, refreshed and published by
 	// publish; its Instances are reused from one publish to the next.
 	status telemetry.RunStatus
@@ -118,15 +112,14 @@ type Loop struct {
 func NewLoop(host *Host) *Loop {
 	opts := host.Opts
 	l := &Loop{
-		Opts:         opts,
-		Res:          &Result{Mode: opts.Mode, Subject: host.Sub.Info(), Series: &coverage.Series{}, Bugs: bugs.NewLedger(), ModelEntities: host.Model.Len()},
-		Union:        coverage.NewMap(),
-		clock:        make([]float64, opts.Instances),
-		nextSync:     make([]float64, opts.Instances),
-		host:         host,
-		horizon:      opts.Horizon(),
-		minSampleGap: sampleEvery / 10,
-		mutate:       opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation,
+		Opts:     opts,
+		Res:      &Result{Mode: opts.Mode, Subject: host.Sub.Info(), Series: &coverage.Series{}, Bugs: bugs.NewLedger(), ModelEntities: host.Model.Len()},
+		Union:    coverage.NewMap(),
+		clock:    make([]float64, opts.Instances),
+		nextSync: make([]float64, opts.Instances),
+		host:     host,
+		horizon:  opts.Horizon(),
+		mutate:   opts.Mode == ModeCMFuzz && !opts.DisableConfigMutation,
 	}
 	for i := range l.nextSync {
 		l.nextSync[i] = syncInterval
@@ -255,7 +248,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 			l.watermark = t
 		}
 		if l.watermark-l.lastSample >= sampleEvery ||
-			(step.NewEdges > 0 && l.watermark-l.lastSample >= l.minSampleGap) {
+			(step.NewEdges > 0 && l.watermark-l.lastSample >= minSampleGap) {
 			res.Series.Observe(l.watermark, l.Union.Count())
 			l.lastSample = l.watermark
 			tel.Emit(telemetry.Event{T: l.watermark, Type: telemetry.EvSample, Instance: i,

@@ -172,6 +172,13 @@ const (
 	maxValues    = 4
 )
 
+// New-edge samples are coalesced to at most one per minSampleGap of
+// virtual time; without the floor, the discovery-heavy early campaign
+// records a point per coverage step and the series grows unbounded long
+// before the first sampleEvery window elapses. The final point stays
+// exact (observed at the horizon in Finish).
+const minSampleGap = sampleEvery / 10
+
 func (o *Options) setDefaults() {
 	if o.Instances == 0 {
 		o.Instances = DefaultInstances
@@ -188,9 +195,9 @@ func (o *Options) setDefaults() {
 }
 
 // Validate reports the first value of o outside its range (zero values
-// setDefaults fills pass). spec.Campaign.Options applies it to what a
-// command line or a submit body says, the dist codec to what an Assign
-// or a checkpoint decodes to.
+// setDefaults fills pass). NewHost applies it to every campaign's
+// options, spec.Campaign.Options to what a command line or a submit body
+// says, the dist codec to what an Assign or a checkpoint decodes to.
 func (o Options) Validate() error {
 	// Each check is written so that NaN fails it.
 	nonNegative := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

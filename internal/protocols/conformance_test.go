@@ -170,14 +170,13 @@ func digestTraffic(t *testing.T, sub subject.Subject, cfg map[string]string) (re
 		h.Write(b[:])
 	}
 	r := rand.New(rand.NewSource(20261017))
-	mutators := fuzz.DefaultMutators()
 	tr := coverage.NewTrace()
 	for walk := 0; walk < 300; walk++ {
 		inst.NewSession()
 		for _, name := range sm.Walk(r, 8) {
 			msg := pit.DataModels[name].NewMessage(r)
 			if walk%2 == 1 {
-				fuzz.MutateMessage(msg, mutators, r, 3)
+				fuzz.MutateMessage(msg, r)
 			}
 			tr.Reset()
 			inst.SetTrace(tr)

@@ -178,7 +178,6 @@ func testMutatedTraffic(t *testing.T, sub subject.Subject) {
 	tr := coverage.NewTrace()
 	inst.SetTrace(tr)
 	r := rand.New(rand.NewSource(99))
-	mutators := fuzz.DefaultMutators()
 	for i := 0; i < 400; i++ {
 		inst.NewSession()
 		for _, name := range sm.Walk(r, 8) {
@@ -187,7 +186,7 @@ func testMutatedTraffic(t *testing.T, sub subject.Subject) {
 				continue
 			}
 			msg := dm.NewMessage(r)
-			fuzz.MutateMessage(msg, mutators, r, 3)
+			fuzz.MutateMessage(msg, r)
 			data := msg.Serialize()
 			func() {
 				defer func() {
@@ -239,7 +238,6 @@ func testNoDefaultBugs(t *testing.T, sub subject.Subject) {
 	}
 	inst.SetTrace(coverage.NewTrace())
 	r := rand.New(rand.NewSource(7))
-	mutators := fuzz.DefaultMutators()
 	for i := 0; i < 600; i++ {
 		inst.NewSession()
 		for _, name := range sm.Walk(r, 8) {
@@ -248,7 +246,7 @@ func testNoDefaultBugs(t *testing.T, sub subject.Subject) {
 				continue
 			}
 			msg := dm.NewMessage(r)
-			fuzz.MutateMessage(msg, mutators, r, 4)
+			fuzz.MutateMessage(msg, r)
 			if crash := bugs.Capture(func() { inst.Message(msg.Serialize()) }); crash != nil {
 				t.Fatalf("seeded bug fired under DEFAULT configuration: %v", crash)
 			}
