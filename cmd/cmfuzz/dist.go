@@ -10,7 +10,6 @@ import (
 	"syscall"
 
 	"cmfuzz/internal/dist"
-	"cmfuzz/internal/monitor"
 	"cmfuzz/internal/protocols"
 )
 
@@ -64,13 +63,16 @@ func cmdCoordinator(args []string) error {
 	}
 
 	coord := dist.NewCoordinator(sub, opts, dist.Config{})
-	leaseLat := sess.Registry.Histogram("cmfuzz_lease_latency_seconds",
-		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
+	coord.Instrument(sess.Registry)
+	// The campaign loop calls both on its own goroutine, and Run returns
+	// after its last call.
+	var deaths, reassignments int
 	coord.SetObserver(dist.Observer{
-		Lease: func(_, _, _, _ int, seconds float64, _ bool) { leaseLat.Observe(seconds) },
 		Death: func(worker string) {
+			deaths++
 			fmt.Fprintf(os.Stderr, "cmfuzz: worker %s died; reassigning its instances\n", worker)
 		},
+		Reassign: func(int, string) { reassignments++ },
 	})
 
 	ln, err := net.Listen("tcp", *listen)
@@ -79,7 +81,6 @@ func cmdCoordinator(args []string) error {
 	}
 	defer ln.Close()
 	fmt.Printf("coordinator listening on %s, waiting for %d workers\n", ln.Addr(), *workers)
-	monitor.RegisterWorkers(sess.Registry, coord.Workers, nil)
 	if err := acceptWorkers(ln, *workers, coord.AddConn); err != nil {
 		return err
 	}
@@ -97,9 +98,12 @@ func cmdCoordinator(args []string) error {
 	if werr := rf.report(res, fmt.Sprintf(" (distributed, %d workers)", *workers)); werr != nil {
 		return werr
 	}
-	st := coord.Stats()
+	var leaseBytes int64
+	for _, ws := range coord.Workers() {
+		leaseBytes += ws.SyncBytes
+	}
 	fmt.Printf("lease traffic: %d bytes; worker deaths: %d; reassignments: %d\n",
-		st.SyncBytes, st.WorkerDeaths, st.Reassignments)
+		leaseBytes, deaths, reassignments)
 	for _, ws := range coord.Workers() {
 		state := "alive"
 		if !ws.Alive {

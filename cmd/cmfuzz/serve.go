@@ -73,8 +73,7 @@ func cmdServe(args []string) error {
 	}
 
 	reg := metrics.NewRegistry()
-	monitor.RegisterWorkers(reg, pool.Workers, nil)
-	monitor.RegisterFleet(reg, m.Status)
+	pool.Instrument(reg)
 	m.Instrument(reg)
 	srv, err := monitor.Start(*monitorAddr, monitor.Options{
 		Registry: reg,

@@ -16,6 +16,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -298,6 +299,50 @@ func TestDesignGuards(t *testing.T) {
 		})
 		if from := callers(t, "internal/dist", "reassign"); len(from) != 1 {
 			t.Errorf("reassign called from %d functions, want 1: %v", len(from), from)
+		}
+	})
+
+	// Each metric family is defined by the package that measures it, in
+	// one file: a "cmfuzz_..." family name spelled in two non-test files
+	// is two owners of one fact. The recorder's cmfuzz_<counter>_total
+	// families are spelled once, as internal/telemetry's Ctr* names.
+	t.Run("OneMetricFamily", func(t *testing.T) {
+		family := regexp.MustCompile(`^cmfuzz_[a-z0-9_]*[a-z0-9]$`)
+		defined := map[string]map[string]bool{}
+		define := func(name, path string) {
+			if defined[name] == nil {
+				defined[name] = map[string]bool{}
+			}
+			defined[name][path] = true
+		}
+		walkGo(t, ".", func(path, _ string, n ast.Node) {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil && family.MatchString(v) {
+					define(v, path)
+				}
+			}
+			if vs, ok := n.(*ast.ValueSpec); ok && filepath.Dir(path) == "internal/telemetry" && len(vs.Values) == len(vs.Names) {
+				for i, id := range vs.Names {
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && strings.HasPrefix(id.Name, "Ctr") {
+						if v, err := strconv.Unquote(lit.Value); err == nil {
+							define("cmfuzz_"+v+"_total", path)
+						}
+					}
+				}
+			}
+		})
+		if len(defined) == 0 {
+			t.Fatal("no metric family names found")
+		}
+		for name, files := range defined {
+			if len(files) > 1 {
+				var where []string
+				for f := range files {
+					where = append(where, f)
+				}
+				sort.Strings(where)
+				t.Errorf("metric family %s is defined in %d files: %s", name, len(where), strings.Join(where, ", "))
+			}
 		}
 	})
 

@@ -14,6 +14,7 @@ import (
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
 	"cmfuzz/internal/telemetry"
+	"cmfuzz/internal/telemetry/metrics"
 	"cmfuzz/internal/telemetry/trace"
 )
 
@@ -200,8 +201,7 @@ func (wc *workerConn) rpc(typ byte, payload []byte, want byte, timeout time.Dura
 	return wc.expect(<-wc.send(typ, payload, timeout), want)
 }
 
-// WorkerStatus is a point-in-time snapshot of one worker, for the
-// monitor bridge.
+// WorkerStatus is a point-in-time snapshot of one worker.
 type WorkerStatus struct {
 	Name      string
 	Alive     bool
@@ -210,10 +210,10 @@ type WorkerStatus struct {
 	LastReply time.Time
 }
 
-// An Observer receives dist-layer operational callbacks. Like Stats it
-// lives outside the telemetry counter map — wire timings and byte
-// counts must never leak into campaign artifacts. The zero Observer is
-// a no-op.
+// An Observer receives dist-layer operational callbacks. It lives
+// outside the telemetry counter map — wire timings, byte counts and
+// worker failures must never leak into campaign artifacts. The zero
+// Observer is a no-op.
 type Observer struct {
 	// Lease fires after every successful lease round-trip with the
 	// replayable record count, request/reply payload sizes, and the
@@ -222,23 +222,12 @@ type Observer struct {
 	// implementation must still be safe for concurrent campaigns.
 	Lease func(instance, records, reqBytes, repBytes int, seconds float64, syncDue bool)
 	// Death fires when the campaign loop declares a worker dead, once
-	// per worker per campaign (after the Stats accounting). The instances
-	// it held are replayed on survivors, so no artifact shows the death.
+	// per worker per campaign. The instances it held are replayed on
+	// survivors, so no artifact shows the death.
 	Death func(worker string)
-}
-
-// Stats aggregates the distributed-run bookkeeping that exists only in
-// dist (lease traffic, failures). It deliberately lives outside the
-// telemetry counter map: byte counts depend on wire encoding, and
-// folding them into counters would break the byte-identity guarantee
-// against in-process runs.
-type Stats struct {
-	// SyncBytes is the total lease traffic: request plus reply payload
-	// bytes across every lease RPC (the campaign's entire steady-state
-	// wire volume — seeds out, step records back).
-	SyncBytes     int64
-	WorkerDeaths  int
-	Reassignments int
+	// Reassign fires each time the campaign loop boots an instance a
+	// dead worker held on another worker, before the boot.
+	Reassign func(instance int, worker string)
 }
 
 // A Coordinator owns the global half of one distributed campaign: the
@@ -269,10 +258,6 @@ type Coordinator struct {
 	ownPool   bool
 	partition *Partition
 	campaign  uint32
-
-	syncBytes     atomic.Int64
-	workerDeaths  atomic.Int64
-	reassignments atomic.Int64
 
 	loop    *parallel.Loop
 	src     *parallel.LeaseSource // nil until Start or Restore
@@ -331,8 +316,12 @@ func NewCoordinatorOn(pool *Pool, sub subject.Subject, opts parallel.Options) *C
 // coordinator's private pool.
 func (c *Coordinator) AddConn(conn net.Conn) error { return c.pool.AddConn(conn) }
 
-// Workers snapshots every registered worker for the monitor bridge.
+// Workers snapshots every registered worker.
 func (c *Coordinator) Workers() []WorkerStatus { return c.pool.Workers() }
+
+// Instrument registers the metric families of the coordinator's pool on
+// reg (Pool.Instrument).
+func (c *Coordinator) Instrument(reg *metrics.Registry) { c.pool.Instrument(reg) }
 
 // SetObserver installs obs. Call before Start or Restore; the campaign
 // never mutates it afterwards.
@@ -361,16 +350,6 @@ func (c *Coordinator) workerSet() ([]*workerConn, error) {
 		return nil, errors.New("dist: no workers connected")
 	}
 	return workers, nil
-}
-
-// Stats reports the dist-only bookkeeping. Safe to call concurrently
-// with Run.
-func (c *Coordinator) Stats() Stats {
-	return Stats{
-		SyncBytes:     c.syncBytes.Load(),
-		WorkerDeaths:  int(c.workerDeaths.Load()),
-		Reassignments: int(c.reassignments.Load()),
-	}
 }
 
 // slot is wc's position in the campaign's worker set (pool-global ids
@@ -619,11 +598,11 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 		c.tracer.IngestForeign(wc.name, arrived-lr.WorkerNow, lr.Spans)
 	}
 	wc.execs.Add(int64(len(lr.Steps)))
-	nb := int64(in.reqBytes + len(rep.payload))
-	wc.syncBytes.Add(nb)
-	c.syncBytes.Add(nb)
+	wc.syncBytes.Add(int64(in.reqBytes + len(rep.payload)))
+	rtt := rep.at.Sub(in.sent).Seconds()
+	c.pool.leaseLatency.Observe(rtt)
 	if c.obs.Lease != nil {
-		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(rep.payload), rep.at.Sub(in.sent).Seconds(), lr.SyncDue)
+		c.obs.Lease(i, len(lr.Steps), in.reqBytes, len(rep.payload), rtt, lr.SyncDue)
 	}
 	if c.onReply != nil {
 		c.onReply(i, lr.Steps)
@@ -636,7 +615,6 @@ func (c *Coordinator) leaseResult(i int, rep reply) ([]parallel.LeaseStep, error
 func (c *Coordinator) markDead(wc *workerConn) {
 	if !c.deathCounted[wc] {
 		c.deathCounted[wc] = true
-		c.workerDeaths.Add(1)
 		if c.obs.Death != nil {
 			c.obs.Death(wc.name)
 		}
@@ -685,7 +663,9 @@ func (c *Coordinator) reassign(i int) (parallel.BootReport, error) {
 		if wc == nil {
 			return parallel.BootReport{}, errors.New("dist: no live workers left")
 		}
-		c.reassignments.Add(1)
+		if c.obs.Reassign != nil {
+			c.obs.Reassign(i, wc.name)
+		}
 		rep, err := c.bootOn(wc, i) // wc owns i now, so a dead one is searched past
 		if err == nil {
 			return rep, nil

@@ -118,6 +118,8 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 	optsB := baseOptions(recB)
 	optsB.Trace = troot
 	coord := dist.NewCoordinator(sub, optsB, dist.Config{})
+	var st failures
+	coord.SetObserver(st.observer())
 	for i := 0; i < workers; i++ {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -161,14 +163,11 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 		}
 	}
 
-	if st := coord.Stats(); st.WorkerDeaths != 0 || st.Reassignments != 0 {
+	if st.deaths != 0 || st.reassignments != 0 {
 		t.Fatalf("healthy run reported failures: %+v", st)
 	}
-	if st := coord.Stats(); st.SyncBytes == 0 {
-		t.Fatal("sync traffic not accounted")
-	}
 	for _, ws := range coord.Workers() {
-		if !ws.Alive || ws.Execs == 0 {
+		if !ws.Alive || ws.Execs == 0 || ws.SyncBytes == 0 {
 			t.Fatalf("worker status not maintained: %+v", ws)
 		}
 	}

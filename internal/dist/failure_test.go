@@ -29,6 +29,18 @@ type faultConn struct {
 
 var errInjected = errors.New("injected worker failure")
 
+// failures counts the worker deaths and reassignments a coordinator's
+// Observer reports.
+type failures struct{ deaths, reassignments int }
+
+// observer counts into f; the campaign loop calls it from one goroutine.
+func (f *failures) observer() dist.Observer {
+	return dist.Observer{
+		Death:    func(string) { f.deaths++ },
+		Reassign: func(int, string) { f.reassignments++ },
+	}
+}
+
 func (f *faultConn) Write(p []byte) (int, error) {
 	if f.writes >= f.limit {
 		return 0, errInjected
@@ -70,6 +82,8 @@ func TestWorkerDeathReassignsInstances(t *testing.T) {
 	// Heartbeats off: the death must be detected synchronously by the
 	// campaign loop's own RPC failure, keeping the test deterministic.
 	coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
+	var st failures
+	coord.SetObserver(st.observer())
 	serveErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		cConn, wConn := net.Pipe()
@@ -106,14 +120,13 @@ func TestWorkerDeathReassignsInstances(t *testing.T) {
 		t.Fatalf("campaign stopped at %.1f virtual seconds, want %.1f", last.T, want)
 	}
 
-	st := coord.Stats()
-	if st.WorkerDeaths != 1 {
-		t.Fatalf("worker deaths = %d, want 1", st.WorkerDeaths)
+	if st.deaths != 1 {
+		t.Fatalf("worker deaths = %d, want 1", st.deaths)
 	}
 	// Worker 0 owned instances 0 and 2 (round-robin over two workers);
 	// both must have been re-booted on the survivor.
-	if st.Reassignments != 2 {
-		t.Fatalf("reassignments = %d, want 2", st.Reassignments)
+	if st.reassignments != 2 {
+		t.Fatalf("reassignments = %d, want 2", st.reassignments)
 	}
 	for _, k := range deathCounters {
 		if _, ok := res.Counters[k]; ok {
@@ -189,6 +202,8 @@ func TestWorkerDeathMidLease(t *testing.T) {
 		rec := telemetry.New()
 		opts := options(rec)
 		coord := dist.NewCoordinator(sub, opts, dist.Config{HeartbeatInterval: -1})
+		var st failures
+		coord.SetObserver(st.observer())
 		serveErr := make(chan error, 2)
 		for i := 0; i < 2; i++ {
 			cConn, wConn := net.Pipe()
@@ -222,9 +237,8 @@ func TestWorkerDeathMidLease(t *testing.T) {
 		}
 		// Worker 0 owned instances 0 and 2; the lost reply took both
 		// leases with it, and each was retried whole on the survivor.
-		st := coord.Stats()
-		if st.WorkerDeaths != 1 || st.Reassignments != 2 {
-			t.Fatalf("deaths/reassignments = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
+		if st.deaths != 1 || st.reassignments != 2 {
+			t.Fatalf("deaths/reassignments = %d/%d, want 1/2", st.deaths, st.reassignments)
 		}
 		dir := filepath.Join(t.TempDir(), "dist")
 		writeAll(t, dir, res, rec)

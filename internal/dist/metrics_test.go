@@ -1,4 +1,4 @@
-package monitor
+package dist
 
 import (
 	"strconv"
@@ -6,24 +6,30 @@ import (
 	"testing"
 	"time"
 
-	"cmfuzz/internal/dist"
 	"cmfuzz/internal/telemetry/metrics"
 )
 
-// TestWorkerGauges drives the distributed-campaign fleet bridge with an
-// injected clock and a mutable snapshot: first scrape reports zero
-// rates, later scrapes the per-worker exec delta over elapsed wall
+// TestWorkerGauges drives the pool's worker families with an injected
+// clock and workers whose figures the test sets: first scrape reports
+// zero rates, later scrapes the per-worker exec delta over elapsed wall
 // time, heartbeat age against the fake now, and a dead worker drops out
 // of cmfuzz_workers_alive without losing its labeled series.
 func TestWorkerGauges(t *testing.T) {
 	clock := time.Unix(5000, 0)
-	workers := []dist.WorkerStatus{
-		{Name: "a", Alive: true, Execs: 1000, SyncBytes: 64, LastReply: clock.Add(-2 * time.Second)},
-		{Name: "a", Alive: true, Execs: 400, SyncBytes: 32, LastReply: clock},
+	worker := func(name string, execs, syncBytes int64, lastReply time.Time) *workerConn {
+		wc := &workerConn{name: name}
+		wc.execs.Store(execs)
+		wc.syncBytes.Store(syncBytes)
+		wc.lastReply.Store(lastReply.UnixNano())
+		return wc
 	}
+	workers := []*workerConn{
+		worker("a", 1000, 64, clock.Add(-2*time.Second)),
+		worker("a", 400, 32, clock),
+	}
+	p := &Pool{workers: workers}
 	reg := metrics.NewRegistry()
-	RegisterWorkers(reg, func() []dist.WorkerStatus { return append([]dist.WorkerStatus(nil), workers...) },
-		func() time.Time { return clock })
+	p.instrument(reg, func() time.Time { return clock })
 
 	scrape := func() map[string]float64 {
 		t.Helper()
@@ -66,9 +72,9 @@ func TestWorkerGauges(t *testing.T) {
 	}
 
 	clock = clock.Add(10 * time.Second)
-	workers[0].Execs = 2000 // +1000 over 10s
-	workers[1].Execs = 900  // +500 over 10s
-	workers[1].SyncBytes = 132
+	workers[0].execs.Store(2000) // +1000 over 10s
+	workers[1].execs.Store(900)  // +500 over 10s
+	workers[1].syncBytes.Store(132)
 	got = scrape()
 	if got[series("cmfuzz_worker_execs_per_second", "a", 0)] != 100 {
 		t.Fatalf("worker 0 rate = %v, want 100", got[series("cmfuzz_worker_execs_per_second", "a", 0)])
@@ -84,8 +90,8 @@ func TestWorkerGauges(t *testing.T) {
 	// exec counter goes backwards. The rate must clamp to 0, alive must
 	// drop, and the per-worker series must persist with alive=0.
 	clock = clock.Add(5 * time.Second)
-	workers[1].Alive = false
-	workers[1].Execs = 0
+	workers[1].dead.Store(true)
+	workers[1].execs.Store(0)
 	got = scrape()
 	if got["cmfuzz_workers_alive"] != 1 {
 		t.Fatalf("workers alive = %v, want 1", got["cmfuzz_workers_alive"])
@@ -97,7 +103,6 @@ func TestWorkerGauges(t *testing.T) {
 		t.Fatalf("post-reset rate = %v, want 0", got[series("cmfuzz_worker_execs_per_second", "a", 1)])
 	}
 
-	// Nil sources must be a no-op, not a panic.
-	RegisterWorkers(nil, nil, nil)
-	RegisterWorkers(reg, nil, nil)
+	// A nil registry must be a no-op, not a panic.
+	p.Instrument(nil)
 }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
+
+	"cmfuzz/internal/telemetry/metrics"
 )
 
 // A Pool owns a fleet of worker connections: the Hello/Welcome
@@ -36,6 +39,10 @@ type Pool struct {
 	closed        bool
 
 	nextCampaign uint32
+
+	// leaseLatency observes the round trip of every lease reply of every
+	// campaign on the pool; nil until Instrument.
+	leaseLatency *metrics.Histogram
 }
 
 var errPoolClosed = errors.New("dist: pool is closed")
@@ -283,7 +290,7 @@ func (p *Pool) snapshot() []*workerConn {
 	return append([]*workerConn(nil), p.workers...)
 }
 
-// Workers snapshots every registered worker for the monitor bridge.
+// Workers snapshots every registered worker.
 func (p *Pool) Workers() []WorkerStatus {
 	workers := p.snapshot()
 	out := make([]WorkerStatus, 0, len(workers))
@@ -297,6 +304,81 @@ func (p *Pool) Workers() []WorkerStatus {
 		})
 	}
 	return out
+}
+
+// Instrument registers the pool's metric families on reg:
+//
+//	cmfuzz_workers_alive                      workers currently responding
+//	cmfuzz_sync_bytes_total                   lease traffic, all workers
+//	cmfuzz_worker_alive{...}                  1 while the worker responds
+//	cmfuzz_worker_execs_per_second{...}       per-worker throughput between scrapes
+//	cmfuzz_worker_sync_bytes{...}             per-worker lease traffic
+//	cmfuzz_worker_heartbeat_age_seconds{...}  time since the last reply
+//	cmfuzz_lease_latency_seconds              lease round trips, every campaign
+//
+// Per-worker series are labeled worker=<index>,name=<reported name>;
+// the index disambiguates fleets whose nodes report the same name. The
+// throughput gauge is a metrics.Rate of the worker's exec count. Call
+// once, before any campaign on the pool starts; a nil registry
+// registers nothing.
+func (p *Pool) Instrument(reg *metrics.Registry) { p.instrument(reg, time.Now) }
+
+// instrument is Instrument reading the wall clock from now.
+func (p *Pool) instrument(reg *metrics.Registry, now func() time.Time) {
+	p.leaseLatency = reg.Histogram("cmfuzz_lease_latency_seconds",
+		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
+	reg.GaugeFunc("cmfuzz_workers_alive",
+		"Distributed-campaign workers currently responding.", func() float64 {
+			alive := 0
+			for _, ws := range p.Workers() {
+				if ws.Alive {
+					alive++
+				}
+			}
+			return float64(alive)
+		})
+	// Metric names predate the lease protocol; they keep the sync_bytes
+	// spelling so existing dashboards and alerts stay valid.
+	reg.CounterFunc("cmfuzz_sync_bytes_total",
+		"Lease request and reply bytes shipped between coordinator and workers.", func() float64 {
+			total := int64(0)
+			for _, ws := range p.Workers() {
+				total += ws.SyncBytes
+			}
+			return float64(total)
+		})
+
+	var mu sync.Mutex
+	var rates []metrics.Rate // per worker index
+	reg.Collect(func(set func(name, help string, value float64, labels ...metrics.Label)) {
+		workers := p.Workers()
+		mu.Lock()
+		defer mu.Unlock()
+		t := now()
+		if n := len(workers) - len(rates); n > 0 {
+			rates = append(rates, make([]metrics.Rate, n)...)
+		}
+		for i, ws := range workers {
+			wl := metrics.L("worker", strconv.Itoa(i))
+			nl := metrics.L("name", ws.Name)
+			alive := 0.0
+			if ws.Alive {
+				alive = 1
+			}
+			set("cmfuzz_worker_alive", "1 while the worker responds to the coordinator.", alive, wl, nl)
+			set("cmfuzz_worker_sync_bytes", "Lease request and reply bytes shipped to and from this worker.",
+				float64(ws.SyncBytes), wl, nl)
+			set("cmfuzz_worker_execs_per_second",
+				"Protocol executions per wall-clock second on this worker, between scrapes.",
+				rates[i].Next(t, float64(ws.Execs)), wl, nl)
+			age := 0.0
+			if ws.LastReply.UnixNano() > 0 {
+				age = max(t.Sub(ws.LastReply).Seconds(), 0)
+			}
+			set("cmfuzz_worker_heartbeat_age_seconds",
+				"Seconds since the worker's last reply (RPC or heartbeat).", age, wl, nl)
+		}
+	})
 }
 
 // NextCampaignID hands out pool-unique campaign ids for coordinators

@@ -599,7 +599,7 @@ func TestLeaseReplyAllocs(t *testing.T) {
 // record slice, and the records past a shorter reply's last are zeroed
 // rather than left pointing into the longer reply's payload.
 func TestLeaseDecodeRecycles(t *testing.T) {
-	c := &Coordinator{inst: []replica{{owner: &workerConn{name: "w"}}}}
+	c := &Coordinator{pool: NewPool(Config{}), inst: []replica{{owner: &workerConn{name: "w"}}}}
 	encode := func(steps []parallel.LeaseStep) reply {
 		return reply{typ: msgLeaseResult, payload: marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult)}
 	}

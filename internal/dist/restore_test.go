@@ -174,6 +174,8 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 	// assignOK and the boots of instances 0 and 2).
 	runtime.GOMAXPROCS(4)
 	coord := dist.NewCoordinator(sub, parallel.Options{}, dist.Config{HeartbeatInterval: -1})
+	var st failures
+	coord.SetObserver(st.observer())
 	serveErr := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		cConn, wConn := net.Pipe()
@@ -190,8 +192,8 @@ func TestRestoreReplaysOnEveryLane(t *testing.T) {
 	if err := coord.Restore(ctx, blob); err != nil {
 		t.Fatalf("restore with a worker dying mid-replay: %v", err)
 	}
-	if st := coord.Stats(); st.WorkerDeaths != 1 || st.Reassignments != 2 {
-		t.Fatalf("deaths/reassignments after Restore = %d/%d, want 1/2", st.WorkerDeaths, st.Reassignments)
+	if st.deaths != 1 || st.reassignments != 2 {
+		t.Fatalf("deaths/reassignments after Restore = %d/%d, want 1/2", st.deaths, st.reassignments)
 	}
 	finish("restored through a worker death", coord, func() {
 		for i := 0; i < 2; i++ {

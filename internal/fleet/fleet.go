@@ -191,20 +191,17 @@ type Manager struct {
 
 	// events fans lifecycle events out to /api/events subscribers.
 	events *broker
-	// leaseLatency, when instrumented, observes per-lease round-trip
-	// seconds across every campaign on this manager.
-	leaseLatency *metrics.Histogram
 }
 
-// Instrument registers the manager's fleet-level metrics on reg:
-// lease round-trip latency, the lifetime flight-recorder event count,
-// the lifetime count of stream events lost to slow SSE subscribers,
-// and how many grants resumed a suspended campaign warm against how
-// many re-ran one to its checkpoint or were put off a round. Call
-// once, before Run.
+// Instrument registers the manager's metric families on reg: the
+// campaign table (collectCampaigns, over Status), the lifetime
+// flight-recorder event count, the lifetime count of stream events
+// lost to slow SSE subscribers, and how many grants resumed a suspended
+// campaign warm against how many re-ran one to its checkpoint or were
+// put off a round. The workers and lease round trips are the pool's
+// (dist.Pool.Instrument). Call once, before Run.
 func (m *Manager) Instrument(reg *metrics.Registry) {
-	m.leaseLatency = reg.Histogram("cmfuzz_lease_latency_seconds",
-		"Round-trip time of one worker lease RPC, request encode to reply decode.", nil)
+	collectCampaigns(reg, m.Status)
 	reg.CounterFunc("cmfuzz_flight_events_total",
 		"Flight-recorder events captured across all campaigns (including evicted ones).",
 		func() float64 {
@@ -228,6 +225,51 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("cmfuzz_fleet_deferred_grants_total",
 		"Rounds a suspended campaign sat out because a higher-ranked one held the workers its instances are on.",
 		func() float64 { return float64(m.deferredGrants.Load()) })
+}
+
+// collectCampaigns publishes the campaign table snap returns on reg:
+//
+//	cmfuzz_campaigns{state=...}              campaigns per lifecycle state
+//	cmfuzz_campaign_clock_seconds{...}       virtual-clock progress
+//	cmfuzz_campaign_horizon_seconds{...}     virtual-clock budget
+//	cmfuzz_campaign_edges{...}               union coverage so far
+//	cmfuzz_campaign_execs{...}               executions so far
+//	cmfuzz_campaign_slices{...}              scheduler quanta received
+//	cmfuzz_campaign_workers{...}             partition size this round
+//	cmfuzz_bandit_reward{...}                scheduler reward EMA
+//
+// Per-campaign series are labeled campaign=<id>,subject=<protocol>.
+// Status reads the slice-boundary snapshots, so scraping never contends
+// with a campaign mid-advance — and because every scrape re-reads them,
+// campaigns recovered from disk after a restart report their persisted
+// final figures, not zeros.
+func collectCampaigns(reg *metrics.Registry, snap func() []CampaignStatus) {
+	reg.Collect(func(set func(name, help string, value float64, labels ...metrics.Label)) {
+		byState := map[string]int{}
+		for _, cs := range snap() {
+			byState[cs.State]++
+			cl := metrics.L("campaign", cs.ID)
+			sl := metrics.L("subject", cs.Subject)
+			set("cmfuzz_campaign_clock_seconds", "Virtual-clock progress of the campaign.",
+				cs.Clock, cl, sl)
+			set("cmfuzz_campaign_horizon_seconds", "Virtual-clock budget of the campaign.",
+				cs.Horizon, cl, sl)
+			set("cmfuzz_campaign_edges", "Union branch coverage observed so far.",
+				float64(cs.Edges), cl, sl)
+			set("cmfuzz_campaign_execs", "Protocol executions spent so far.",
+				float64(cs.Execs), cl, sl)
+			set("cmfuzz_campaign_slices", "Scheduler time slices granted so far.",
+				float64(cs.Slices), cl, sl)
+			set("cmfuzz_campaign_workers", "Workers in the campaign's partition this scheduling round (0 while parked).",
+				float64(cs.Workers), cl, sl)
+			set("cmfuzz_bandit_reward", "Discounted reward EMA (new edges per execution) the scheduler holds for the campaign.",
+				cs.Reward, cl, sl)
+		}
+		for _, state := range []string{StateQueued, StateRunning, StateDone, StateFailed} {
+			set("cmfuzz_campaigns", "Campaigns per lifecycle state.",
+				float64(byState[state]), metrics.L("state", state))
+		}
+	})
 }
 
 // NewManager opens (or creates) the state directory and recovers every
@@ -424,8 +466,8 @@ func (m *Manager) Results(id string) ([]byte, error) {
 const rewardDecay = 0.5
 
 // observer builds c's dist.Observer: lease summaries and worker deaths
-// flow into the flight recorder, lease latency into the histogram, and
-// a death additionally dumps triage.json and hits the event stream.
+// flow into the flight recorder, and a death additionally dumps
+// triage.json and hits the event stream.
 // Lease fires from the goroutine advancing the campaign's slice;
 // everything it touches locks.
 func (m *Manager) observer(c *campaignRec) dist.Observer {
@@ -439,7 +481,6 @@ func (m *Manager) observer(c *campaignRec) dist.Observer {
 				"seconds":   seconds,
 				"sync_due":  syncDue,
 			})
-			m.leaseLatency.Observe(seconds)
 		},
 		Death: func(worker string) {
 			c.flight.add("worker_death", map[string]any{"worker": worker})

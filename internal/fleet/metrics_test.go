@@ -1,35 +1,50 @@
-package monitor
+package fleet
 
 import (
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
-	"cmfuzz/internal/fleet"
+	"cmfuzz/internal/monitor"
 	"cmfuzz/internal/telemetry/metrics"
 )
 
+func get(t *testing.T, url string) (int, string, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+}
+
 // TestAPIMountAndFleetMetrics pins the serve-mode wiring: a handler
 // passed via Options.API answers under /api/ on the same listener as
-// the monitor endpoints, and RegisterFleet exposes the campaign table
-// on /metrics.
+// the monitor endpoints, and collectCampaigns exposes the campaign
+// table on /metrics.
 func TestAPIMountAndFleetMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	RegisterFleet(reg, func() []fleet.CampaignStatus {
-		return []fleet.CampaignStatus{
-			{ID: "dns-a", Subject: "DNS", State: fleet.StateRunning, Clock: 450, Horizon: 1800, Edges: 900, Execs: 451, Slices: 3, Reward: 1.5, Workers: 2},
-			{ID: "mqtt-b", Subject: "MQTT", State: fleet.StateQueued, Horizon: 900},
+	collectCampaigns(reg, func() []CampaignStatus {
+		return []CampaignStatus{
+			{ID: "dns-a", Subject: "DNS", State: StateRunning, Clock: 450, Horizon: 1800, Edges: 900, Execs: 451, Slices: 3, Reward: 1.5, Workers: 2},
+			{ID: "mqtt-b", Subject: "MQTT", State: StateQueued, Horizon: 900},
 			// A done campaign as a restarted manager recovers it from disk:
 			// no slices this lifetime, but final figures intact — the
 			// gauges must reflect them, not zeros.
-			{ID: "coap-c", Subject: "CoAP", State: fleet.StateDone, Clock: 900, Horizon: 900, Edges: 1200, Execs: 2000},
+			{ID: "coap-c", Subject: "CoAP", State: StateDone, Clock: 900, Horizon: 900, Edges: 1200, Execs: 2000},
 		}
 	})
 	api := http.NewServeMux()
 	api.HandleFunc("/api/ping", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("pong"))
 	})
-	s, err := Start("127.0.0.1:0", Options{Registry: reg, API: api})
+	s, err := monitor.Start("127.0.0.1:0", monitor.Options{Registry: reg, API: api})
 	if err != nil {
 		t.Fatal(err)
 	}

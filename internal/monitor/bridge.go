@@ -9,29 +9,6 @@ import (
 	"cmfuzz/internal/telemetry/metrics"
 )
 
-// counterHelp names every counter the virtual-clock recorder maintains,
-// with its exposition help string. The bridge publishes each as
-// cmfuzz_<name>_total.
-var counterHelp = map[string]string{
-	telemetry.CtrBoots:           "Target (re)boots, including mutation restarts.",
-	telemetry.CtrSyncs:           "Seed synchronizations performed.",
-	telemetry.CtrSyncSkipped:     "Sync intervals skipped by virtual-clock jumps.",
-	telemetry.CtrSamples:         "Union coverage samples recorded.",
-	telemetry.CtrSaturations:     "Coverage saturation detector fires.",
-	telemetry.CtrMutations:       "Configuration-value mutations applied.",
-	telemetry.CtrRestartFailures: "Failed target restarts during mutation.",
-	telemetry.CtrFallbacks:       "Last-resort defaults fallbacks.",
-	telemetry.CtrCrashes:         "Crash observations (pre-dedup).",
-	telemetry.CtrCrashesUnique:   "Unique crashes after dedup.",
-	telemetry.CtrProbeStartups:   "Startup probes executed, one per distinct assignment.",
-	telemetry.CtrProbeCacheHits:  "Duplicate probe requests folded into another's startup.",
-	// Live-target safety-rail counters (internal/live); zero for
-	// in-process simulation subjects.
-	telemetry.CtrTargetRestarts:    "Live target process restarts (mutations, crashes, hangs).",
-	telemetry.CtrTargetRateLimited: "Sends delayed by the live-target rate limiter.",
-	telemetry.CtrTargetHangs:       "Live target hang detections (consecutive silent messages).",
-}
-
 // NewRegistry builds the standard monitor registry over the recorder:
 // its counters plus the live board's gauges. A nil recorder is skipped.
 func NewRegistry(rec *telemetry.Recorder) *metrics.Registry {
@@ -42,35 +19,10 @@ func NewRegistry(rec *telemetry.Recorder) *metrics.Registry {
 	return reg
 }
 
-// A scrapeRate turns a count read at each scrape into a per-second rate:
-// the count's growth since the previous scrape over the wall time
-// between them. The first scrape, a second scrape at the same instant
-// and a count that went down (a restarted run, a worker whose instances
-// moved) read 0.
-type scrapeRate struct {
-	t     time.Time
-	count float64
-	seen  bool
-}
-
-// next records the count read at t and returns the rate since the last.
-func (r *scrapeRate) next(t time.Time, count float64) float64 {
-	prev := *r
-	*r = scrapeRate{t: t, count: count, seen: true}
-	if !prev.seen || count < prev.count {
-		return 0
-	}
-	dt := t.Sub(prev.t).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return (count - prev.count) / dt
-}
-
 // RegisterExecRate publishes cmfuzz_execs_per_second: the campaign-wide
-// protocol-execution throughput, the scrapeRate of the exec count summed
-// over the board's runs. A nil now uses time.Now; tests inject a fake
-// clock. Nil recorder or registry is a no-op.
+// protocol-execution throughput, the metrics.Rate of the exec count
+// summed over the board's runs. A nil now uses time.Now; tests inject a
+// fake clock. Nil recorder or registry is a no-op.
 func RegisterExecRate(reg *metrics.Registry, rec *telemetry.Recorder, now func() time.Time) {
 	if reg == nil || rec == nil {
 		return
@@ -79,7 +31,7 @@ func RegisterExecRate(reg *metrics.Registry, rec *telemetry.Recorder, now func()
 		now = time.Now
 	}
 	var mu sync.Mutex
-	var rate scrapeRate
+	var rate metrics.Rate
 	reg.GaugeFunc("cmfuzz_execs_per_second",
 		"Protocol executions per wall-clock second across all runs, between scrapes.",
 		func() float64 {
@@ -89,7 +41,7 @@ func RegisterExecRate(reg *metrics.Registry, rec *telemetry.Recorder, now func()
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			return rate.next(now(), total)
+			return rate.Next(now(), total)
 		})
 }
 
@@ -102,7 +54,7 @@ func RegisterRecorder(reg *metrics.Registry, rec *telemetry.Recorder) {
 	if reg == nil || rec == nil {
 		return
 	}
-	for name, help := range counterHelp {
+	for name, help := range telemetry.CounterHelp {
 		name := name
 		reg.CounterFunc("cmfuzz_"+name+"_total", help, func() float64 {
 			return float64(rec.Counter(name))

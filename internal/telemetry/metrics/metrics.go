@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // A Label is one name="value" pair attached to a series.
@@ -235,6 +236,31 @@ func (r *Registry) Collect(fn Collector) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
+}
+
+// A Rate turns a count read at each scrape into a per-second rate: the
+// count's growth since the previous scrape over the wall time between
+// them. The first scrape, a second scrape at the same instant and a
+// count that went down (a restarted run, a worker whose instances
+// moved) read 0. The zero Rate is ready; callers serialize Next.
+type Rate struct {
+	t     time.Time
+	count float64
+	seen  bool
+}
+
+// Next records the count read at t and returns the rate since the last.
+func (r *Rate) Next(t time.Time, count float64) float64 {
+	prev := *r
+	*r = Rate{t: t, count: count, seen: true}
+	if !prev.seen || count < prev.count {
+		return 0
+	}
+	dt := t.Sub(prev.t).Seconds()
+	if dt <= 0 {
+		return 0
+	}
+	return (count - prev.count) / dt
 }
 
 // escapeHelp escapes a HELP string per the text format.

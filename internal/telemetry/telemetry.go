@@ -105,7 +105,8 @@ const (
 	CtrProbeCacheHits  = "probe_cache_hits"
 	// A distributed campaign has no counters of its own: a worker's
 	// death is replayed away, so its counter map is the in-process
-	// campaign's whatever its workers do (dist.Stats counts the deaths).
+	// campaign's whatever its workers do (dist.Observer reports the
+	// deaths).
 	// Live-target counters (internal/live): real-process restarts, rate
 	// limiter engagements, and hang detections. Zero for simulation
 	// subjects.
@@ -113,6 +114,28 @@ const (
 	CtrTargetRateLimited = "target_rate_limited"
 	CtrTargetHangs       = "target_hangs"
 )
+
+// CounterHelp names every counter above with its exposition help
+// string; the monitor publishes each as cmfuzz_<name>_total.
+var CounterHelp = map[string]string{
+	CtrBoots:           "Target (re)boots, including mutation restarts.",
+	CtrSyncs:           "Seed synchronizations performed.",
+	CtrSyncSkipped:     "Sync intervals skipped by virtual-clock jumps.",
+	CtrSamples:         "Union coverage samples recorded.",
+	CtrSaturations:     "Coverage saturation detector fires.",
+	CtrMutations:       "Configuration-value mutations applied.",
+	CtrRestartFailures: "Failed target restarts during mutation.",
+	CtrFallbacks:       "Last-resort defaults fallbacks.",
+	CtrCrashes:         "Crash observations (pre-dedup).",
+	CtrCrashesUnique:   "Unique crashes after dedup.",
+	CtrProbeStartups:   "Startup probes executed, one per distinct assignment.",
+	CtrProbeCacheHits:  "Duplicate probe requests folded into another's startup.",
+	// Live-target safety-rail counters; zero for in-process simulation
+	// subjects.
+	CtrTargetRestarts:    "Live target process restarts (mutations, crashes, hangs).",
+	CtrTargetRateLimited: "Sends delayed by the live-target rate limiter.",
+	CtrTargetHangs:       "Live target hang detections (consecutive silent messages).",
+}
 
 // Clone returns an independent copy of c.
 func (c Counters) Clone() Counters {
