@@ -12,7 +12,6 @@ import (
 
 	"cmfuzz/internal/dist"
 	"cmfuzz/internal/fleet"
-	"cmfuzz/internal/monitor"
 	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/telemetry"
@@ -181,7 +180,8 @@ func TestMetricCatalogue(t *testing.T) {
 
 	t.Run("fuzz", func(t *testing.T) {
 		rec := telemetry.New()
-		reg := monitor.NewRegistry(rec)
+		reg := metrics.NewRegistry()
+		rec.Instrument(reg)
 		if _, err := parallel.Run(context.Background(), sub, opts(rec)); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,8 @@ func TestMetricCatalogue(t *testing.T) {
 
 	t.Run("coordinator", func(t *testing.T) {
 		rec := telemetry.New()
-		reg := monitor.NewRegistry(rec)
+		reg := metrics.NewRegistry()
+		rec.Instrument(reg)
 		coord := dist.NewCoordinator(sub, opts(rec), dist.Config{HeartbeatInterval: -1})
 		coord.Instrument(reg)
 		attach(t, coord.AddConn)

@@ -353,12 +353,11 @@ func finishSession(sess *monitor.Session, show bool) error {
 }
 
 // cmdPromlint validates a Prometheus text exposition (a /metrics scrape)
-// from the given file or stdin — the CI monitor smoke pipes curl output
-// through it. -strict adds the repo's naming conventions (counters end
-// _total, lowercase snake names, HELP+TYPE on every family).
+// from the given file or stdin, the repo's naming conventions included
+// (counters end _total, lowercase snake names, HELP+TYPE on every
+// family) — the CI monitor smokes pipe curl output through it.
 func cmdPromlint(args []string) error {
 	fs := flag.NewFlagSet("promlint", flag.ExitOnError)
-	strict := fs.Bool("strict", false, "also enforce naming conventions (counter _total suffix, lowercase names, HELP required)")
 	fs.Parse(args)
 	in, src := os.Stdin, "stdin"
 	if fs.NArg() > 0 {
@@ -369,11 +368,7 @@ func cmdPromlint(args []string) error {
 		defer f.Close()
 		in, src = f, fs.Arg(0)
 	}
-	lint := metrics.Lint
-	if *strict {
-		lint = metrics.LintStrict
-	}
-	stats, err := lint(in)
+	stats, err := metrics.Lint(in)
 	if err != nil {
 		return fmt.Errorf("promlint: %s: %w", src, err)
 	}

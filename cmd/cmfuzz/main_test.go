@@ -134,10 +134,11 @@ func TestFuzzMonitorBadAddrErrors(t *testing.T) {
 	}
 }
 
-// TestPromlint covers the promlint subcommand both ways.
+// TestPromlint covers the promlint subcommand both ways: a clean
+// exposition passes, and garbage and a name the conventions reject fail.
 func TestPromlint(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.prom")
-	os.WriteFile(good, []byte("# TYPE up gauge\nup 1\n"), 0o644)
+	os.WriteFile(good, []byte("# HELP up Scrape success.\n# TYPE up gauge\nup 1\n"), 0o644)
 	out, err := captureStdout(t, func() error { return cmdPromlint([]string{good}) })
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +150,11 @@ func TestPromlint(t *testing.T) {
 	os.WriteFile(bad, []byte("not a metric line at all {{{\n"), 0o644)
 	if _, err := captureStdout(t, func() error { return cmdPromlint([]string{bad}) }); err == nil {
 		t.Fatal("promlint accepted garbage")
+	}
+	misnamed := filepath.Join(t.TempDir(), "misnamed.prom")
+	os.WriteFile(misnamed, []byte("# HELP reqs Requests.\n# TYPE reqs counter\nreqs 1\n"), 0o644)
+	if _, err := captureStdout(t, func() error { return cmdPromlint([]string{misnamed}) }); err == nil {
+		t.Fatal("promlint accepted a counter without _total")
 	}
 }
 

@@ -346,6 +346,27 @@ func TestDesignGuards(t *testing.T) {
 		}
 	})
 
+	// The monitor is the HTTP server and the session. The recorder, the
+	// pool and the fleet manager each register their own families
+	// (Instrument), so the monitor knows no family, no counter and no
+	// board field: none of its non-test files calls a registration
+	// method, and only the session, which makes the recorder, imports
+	// telemetry.
+	t.Run("MonitorRegistersNoFamily", func(t *testing.T) {
+		for _, method := range []string{"CounterFunc", "GaugeFunc", "Collect", "Histogram"} {
+			for at := range callers(t, "internal/monitor", method) {
+				t.Errorf("%s calls %s: a metric family registered outside the layer that measures it", at, method)
+			}
+		}
+		var imports []goLine
+		for _, l := range goLines(t, regexp.MustCompile(`"cmfuzz/internal/telemetry"`), false, "internal/monitor") {
+			if l.path != "internal/monitor/session.go" {
+				imports = append(imports, l)
+			}
+		}
+		none(t, imports, "monitor file other than the session imports telemetry")
+	})
+
 	// Production code is what production runs: every function and
 	// method in non-test internal/... is reached from a main, an init, a
 	// package-level initializer or the cmfuzz facade's exported API —

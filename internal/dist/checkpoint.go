@@ -24,7 +24,7 @@ import (
 // Replaying a stored history would cost about as much: it re-executes
 // every instance too.
 const checkpointMagic = "cmfuzz-checkpoint"
-const checkpointVersion = 5
+const checkpointVersion = 6
 
 // Checkpoint serializes the campaign as the last Advance that completed
 // left it (a cut-short Advance leaves the checkpoint where it was). It
@@ -109,9 +109,10 @@ func (c *codec) checkpoint(ck *checkpoint) {
 // Subsequent Advance/Finish calls produce artifacts byte-identical to a
 // run that was never interrupted.
 //
-// Telemetry and Trace come from the coordinator's own options, and a
-// coordinator without a recorder gets a fresh one (Recorder returns
-// it): the re-run records the campaign's events from its start.
+// Telemetry, Trace and Concurrency come from the coordinator's own
+// options (a checkpoint carries none of them), and a coordinator
+// without a recorder gets a fresh one (Recorder returns it): the re-run
+// records the campaign's events from its start.
 func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if c.src != nil {
 		return errors.New("dist: coordinator already started")
@@ -123,7 +124,7 @@ func (c *Coordinator) Restore(ctx context.Context, data []byte) error {
 	if protocol := c.sub.Info().Protocol; ck.protocol != protocol {
 		return fmt.Errorf("dist: checkpoint is for subject %q, coordinator has %q", ck.protocol, protocol)
 	}
-	ck.opts.Telemetry, ck.opts.Trace = c.opts.Telemetry, c.opts.Trace
+	ck.opts.Telemetry, ck.opts.Trace, ck.opts.Concurrency = c.opts.Telemetry, c.opts.Trace, c.opts.Concurrency
 	if ck.opts.Telemetry == nil {
 		ck.opts.Telemetry = telemetry.New()
 	}

@@ -85,7 +85,9 @@ const (
 // generation read its models alone) and a mutation outcome's restarted
 // flag (its Boots count says the same). Version 12 drops the options'
 // five cost-model fields, constants in parallel that no end could set.
-const protocolVersion = 12
+// Version 13 drops the options' Concurrency: it bounds the probe pool of
+// Host.Plan, which only the coordinator runs.
+const protocolVersion = 13
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

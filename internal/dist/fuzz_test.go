@@ -148,10 +148,33 @@ func FuzzDecodeAssign(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgAssign))
 	// The last seed's options are out of range (4,294,967,295 instances):
 	// decoding refuses it, and its cuts and flips probe the validator.
-	huge := v12Assign
+	huge := v13Assign
 	huge.Opts.Instances = math.MaxUint32
-	fuzzMessage(f, (*codec).assign, func(a assign) error { return a.Opts.Validate() },
-		v12Assign, assign{Subject: "DNS", Opts: parallel.Options{VirtualHours: 1}, Specs: []parallel.InstanceSpec{{Index: 1}}}, huge)
+	seeds := []assign{v13Assign, {Subject: "DNS", Opts: parallel.Options{VirtualHours: 1}, Specs: []parallel.InstanceSpec{{Index: 1}}}, huge}
+	for i := range seeds {
+		seedRetired(f, marshal(&seeds[i], (*codec).assign), seeds[i].Opts)
+	}
+	fuzzMessage(f, (*codec).assign, func(a assign) error { return a.Opts.Validate() }, seeds...)
+}
+
+// seedRetired adds p, which carries the options o, as version 12 laid it
+// out — the options' Concurrency, which version 13 retired, back in its
+// four bytes before LinkLoss — and that payload torn at each of the
+// seven bytes from inside the field into LinkLoss: what a peer, or a
+// checkpoint.bin, one version older hands the decoder.
+func seedRetired(f *testing.F, p []byte, o parallel.Options) {
+	f.Helper()
+	opts := marshal(&o, (*codec).options)
+	at := bytes.Index(p, opts)
+	if at < 0 {
+		f.Fatalf("payload % x does not hold its options % x", p, opts)
+	}
+	at += len(opts) - 3*8 // LinkLoss, LinkLatencyBase and LinkLatencyJitter follow
+	old := append(append(append([]byte(nil), p[:at]...), 0, 0, 0, 1), p[at:]...)
+	f.Add(old)
+	for cut := at + 1; cut < at+8; cut++ {
+		f.Add(old[:cut])
+	}
 }
 
 func FuzzDecodeBootReq(f *testing.F) {
@@ -289,12 +312,21 @@ func TestReplayChecksReexecution(t *testing.T) {
 	t.Log(err)
 }
 
+// version5 returns checkpoint data under the header of version 5, the
+// last to carry Concurrency; seedRetired puts the field back.
+func version5(data []byte) []byte {
+	old := append([]byte(nil), data...)
+	old[2+len(checkpointMagic)] = 5
+	return old
+}
+
 // FuzzValidateCheckpoint drives the decoder the fleet's recovery scan
 // and every cold restore run on checkpoint.bin. Seeds: checkpoints this
 // build just took — of a campaign mid-way and of one just started, in
 // another mode — which must re-encode to exactly their own bytes and
-// fit in 256, one whose options are out of range, and every torn and
-// flipped copy of each. Whatever it accepts passes Options.Validate.
+// fit in 256, one whose options are out of range, every torn and
+// flipped copy of each, and each as version 5 laid it out. Whatever it
+// accepts passes Options.Validate.
 func FuzzValidateCheckpoint(f *testing.F) {
 	sub, err := protocols.ByName("CoAP")
 	if err != nil {
@@ -324,6 +356,7 @@ func FuzzValidateCheckpoint(f *testing.F) {
 			f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes, or is over 256", len(good), len(back))
 		}
 		seedMatrix(f, good)
+		seedRetired(f, version5(good), ck.opts)
 	}
 	// A checkpoint whose options are out of range (hours NaN), which the
 	// decoder must refuse before Restore could run a campaign under them.
@@ -333,6 +366,7 @@ func FuzzValidateCheckpoint(f *testing.F) {
 	}
 	nan.opts.VirtualHours = math.NaN()
 	seedMatrix(f, encodeCheckpoint(&nan))
+	seedRetired(f, version5(encodeCheckpoint(&nan)), nan.opts)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		fixedPoint(t, ck, err, decodeCheckpoint, func(ck checkpoint) ([]byte, error) { return encodeCheckpoint(&ck), nil })

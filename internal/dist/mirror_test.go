@@ -172,3 +172,21 @@ func TestRestorePublishesBoard(t *testing.T) {
 		t.Fatalf("board right after Restore shows no corpus seed: %+v", board[0].Instances)
 	}
 }
+
+// TestRestoreKeepsOwnConcurrency: a checkpoint does not carry
+// Concurrency, so a restored campaign plans with the restoring
+// coordinator's, as it records with its recorder.
+func TestRestoreKeepsOwnConcurrency(t *testing.T) {
+	sub, err := protocols.ByName("DNS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, closeCoord := pipeCoordinator(t, sub, parallel.Options{Concurrency: 3}, 1)
+	defer closeCoord()
+	if err := coord.Restore(context.Background(), midCampaignCheckpoint(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.loop.Opts.Concurrency; got != 3 {
+		t.Fatalf("restored campaign plans with Concurrency %d, want the coordinator's 3", got)
+	}
+}

@@ -19,14 +19,15 @@ import (
 // bytes those encoders produced. Every field that travels is non-zero
 // somewhere below, the Assign carries a live spec, and the lease reply
 // sets all four record flags and ships a span with attributes. Version
-// 11 retired Boot's resume clock and each path's states, and version 12
-// the options' five cost-model fields: v12Assign and v11BootReq are the
-// fixture's values without them, and v7PathStates, v7ResumeClock and
-// v7CostModel what the fixture holds in their place.
+// 11 retired Boot's resume clock and each path's states, version 12 the
+// options' five cost-model fields and version 13 their Concurrency:
+// v13Assign and v11BootReq are the fixture's values without them, and
+// v7PathStates, v7ResumeClock and v7RetiredOpts what the fixture holds
+// in their place.
 var (
 	v7Hello = hello{Name: "worker-7", Version: 7}
 
-	v12Assign = assign{
+	v13Assign = assign{
 		Campaign: 3,
 		Subject:  "MQTT",
 		Trace:    true,
@@ -36,7 +37,7 @@ var (
 			SaturationWindow: 1800, SaturationMinGain: 8,
 			Allocator: parallel.AllocRoundRobin, DisableConfigMutation: true,
 			RawRelationWeighting: true, PeachSharedSchedules: true,
-			Concurrency: 3, LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
+			LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
 		},
 		Specs: []parallel.InstanceSpec{
 			{
@@ -55,10 +56,10 @@ var (
 
 	v7PathStates = [][]string{{"connect", "publish"}, {"connect"}}
 
-	v7CostModel = struct {
+	v7RetiredOpts = struct {
 		StepCost, ByteCost, SyncInterval, SampleEvery float64
-		MaxValues                                     int
-	}{StepCost: 2, ByteCost: 0.00002, SyncInterval: 600, SampleEvery: 300, MaxValues: 4}
+		MaxValues, Concurrency                        int
+	}{StepCost: 2, ByteCost: 0.00002, SyncInterval: 600, SampleEvery: 300, MaxValues: 4, Concurrency: 3}
 
 	v11BootReq    = bootReq{Campaign: 3, Index: 1}
 	v7ResumeClock = 1234.5

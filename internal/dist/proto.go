@@ -304,8 +304,10 @@ func (c *codec) assign(a *assign) {
 	list[uint16](c, &a.Specs, (*codec).spec)
 }
 
-// options visits the resolved options; the observability sinks do not
-// travel. Decoding holds them to Options.Validate, as spec does.
+// options visits the resolved options. The observability sinks and
+// Concurrency do not travel: only the coordinator plans, and the probe
+// pool is all Concurrency bounds. Decoding holds them to
+// Options.Validate, as spec does.
 func (c *codec) options(o *parallel.Options) {
 	u8(c, &o.Mode)
 	u32(c, &o.Instances)
@@ -317,7 +319,6 @@ func (c *codec) options(o *parallel.Options) {
 	flag(c, &o.DisableConfigMutation)
 	flag(c, &o.RawRelationWeighting)
 	flag(c, &o.PeachSharedSchedules)
-	u32(c, &o.Concurrency)
 	f64(c, &o.LinkLoss)
 	f64(c, &o.LinkLatencyBase)
 	f64(c, &o.LinkLatencyJitter)

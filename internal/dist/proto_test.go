@@ -87,8 +87,10 @@ func TestAssignRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Subject != in.Subject || !reflect.DeepEqual(out.Opts, in.Opts) {
-		t.Fatalf("options diverged: %+v vs %+v", out.Opts, in.Opts)
+	want := in.Opts
+	want.Concurrency = 0 // only the coordinator plans, so it stays home
+	if out.Subject != in.Subject || !reflect.DeepEqual(out.Opts, want) {
+		t.Fatalf("options diverged: %+v vs %+v", out.Opts, want)
 	}
 	if out.LiveSpec != in.LiveSpec {
 		t.Fatalf("live spec diverged: %q vs %q", out.LiveSpec, in.LiveSpec)
@@ -150,13 +152,13 @@ func TestLeaseRejectsUnboundedClock(t *testing.T) {
 // which would size a campaign by them.
 func TestDecodeRejectsOutOfRangeOptions(t *testing.T) {
 	decode := func(o parallel.Options) (assignErr, checkpointErr error) {
-		a := v12Assign
+		a := v13Assign
 		a.Opts = o
 		_, assignErr = unmarshal(marshal(&a, (*codec).assign), (*codec).assign)
 		checkpointErr = ValidateCheckpoint(encodeCheckpoint(&checkpoint{protocol: "DNS", opts: o, position: position{bound: 600, clock: 601}}))
 		return assignErr, checkpointErr
 	}
-	if aerr, cerr := decode(v12Assign.Opts); aerr != nil || cerr != nil {
+	if aerr, cerr := decode(v13Assign.Opts); aerr != nil || cerr != nil {
 		t.Fatalf("in-range options: assign %v, checkpoint %v", aerr, cerr)
 	}
 	for name, bad := range map[string]func(*parallel.Options){
@@ -173,7 +175,7 @@ func TestDecodeRejectsOutOfRangeOptions(t *testing.T) {
 		"unknown mode":                  func(o *parallel.Options) { o.Mode = 7 },
 		"unknown allocator":             func(o *parallel.Options) { o.Allocator = 3 },
 	} {
-		o := v12Assign.Opts
+		o := v13Assign.Opts
 		bad(&o)
 		if aerr, cerr := decode(o); !errors.Is(aerr, ErrProto) || !errors.Is(cerr, ErrProto) {
 			t.Errorf("%s: assign %v, checkpoint %v; want ErrProto from both", name, aerr, cerr)
@@ -373,7 +375,7 @@ func kindOf[T any](typ byte, name string, fields func(*codec, *T), v T) kind {
 func kinds() []kind {
 	return []kind{
 		kindOf(msgHello, "hello", (*codec).hello, v7Hello),
-		kindOf(msgAssign, "assign", (*codec).assign, v12Assign),
+		kindOf(msgAssign, "assign", (*codec).assign, v13Assign),
 		kindOf(msgBoot, "boot", (*codec).bootReq, v11BootReq),
 		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
 		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
@@ -467,9 +469,9 @@ func TestPayloadsV7(t *testing.T) {
 }
 
 // cutRetired returns a version-7 Boot or Assign payload without the bytes
-// of the fields versions 11 and 12 retired: Boot's trailing resume
+// of the fields versions 11 to 13 retired: Boot's trailing resume
 // clock, the state list in front of each path's models, and the
-// options' five cost-model fields.
+// options' five cost-model fields and Concurrency.
 func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 	t.Helper()
 	if typ == msgBoot {
@@ -486,10 +488,10 @@ func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 		}
 		p = bytes.Replace(p, enc, nil, 1)
 	}
-	// The options' head up to SampleEvery, as version 7 laid it out. The
-	// same fields without the cost model's five are 36 bytes
-	// shorter, and the fields after it are laid out alike.
-	o, cost := v12Assign.Opts, v7CostModel
+	// The options' head up to Concurrency, as version 7 laid it out. The
+	// same fields without the retired six are 40 bytes shorter, and the
+	// fields after it are laid out alike.
+	o, cost := v13Assign.Opts, v7RetiredOpts
 	c := codec{w: &wire.Writer{}}
 	u8(&c, &o.Mode)
 	u32(&c, &o.Instances)
@@ -504,12 +506,15 @@ func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 	u8(&c, &o.Allocator)
 	flag(&c, &o.DisableConfigMutation)
 	f64(&c, &cost.SampleEvery)
+	flag(&c, &o.RawRelationWeighting)
+	flag(&c, &o.PeachSharedSchedules)
+	u32(&c, &cost.Concurrency)
 	v7Opts := c.w.Bytes()
-	v12Opts := marshal(&o, (*codec).options)
+	v13Opts := marshal(&o, (*codec).options)
 	if n := bytes.Count(p, v7Opts); n != 1 {
 		t.Fatalf("version-7 assign holds its options' head % x %d times, want once", v7Opts, n)
 	}
-	return bytes.Replace(p, v7Opts, v12Opts[:len(v7Opts)-36], 1)
+	return bytes.Replace(p, v7Opts, v13Opts[:len(v7Opts)-40], 1)
 }
 
 // TestDecodeMalformed feeds every decoder every message kind's payload,

@@ -142,10 +142,8 @@ type campaignRec struct {
 	// saturates, so the bandit discounts old observations instead of
 	// averaging over the campaign's whole life; a lifetime mean would
 	// keep feeding a campaign that scored big early and plateaued.
-	slices    int
-	reward    float64
-	lastEdges int
-	lastExecs int
+	slices int
+	reward float64
 
 	// Cached progress, updated at slice boundaries so /api/status never
 	// races the replay loop.
@@ -538,7 +536,6 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	c.state = StateRunning
 	c.clock, c.edges, c.execs = clock, edges, execs
 	c.horizon = coord.Horizon()
-	c.lastEdges, c.lastExecs = edges, execs
 	m.mu.Unlock()
 	return nil
 }
@@ -616,15 +613,14 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 
 	clock, edges, execs := coord.Progress()
 	m.mu.Lock()
-	r := float64(edges-c.lastEdges) / float64(execs-c.lastExecs+1)
+	edgesDelta, execsDelta := edges-c.edges, execs-c.execs
+	r := float64(edgesDelta) / float64(execsDelta+1)
 	if c.slices == 0 {
 		c.reward = r
 	} else {
 		c.reward = rewardDecay*c.reward + (1-rewardDecay)*r
 	}
 	c.slices++
-	edgesDelta, execsDelta := edges-c.lastEdges, execs-c.lastExecs
-	c.lastEdges, c.lastExecs = edges, execs
 	c.clock, c.edges, c.execs = clock, edges, execs
 	m.events.publish(StreamEvent{
 		Type: "checkpoint", Campaign: c.spec.ID, State: StateRunning, Clock: clock,

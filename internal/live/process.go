@@ -34,7 +34,6 @@ func RenderConfigFile(template string, cfg map[string]string) string {
 				key = k
 				b.WriteString(k + "=" + v + "\n")
 				done[k] = true
-				_ = v
 			}
 		}
 		if key == "" {

@@ -11,7 +11,10 @@
 // The monitor observes and never steers: everything it serves is read
 // from the nil-safe observability sinks (telemetry.Recorder with its
 // live run board, metrics.Registry, trace.Tracer), so a monitored
-// campaign produces byte-identical artifacts to an unmonitored one.
+// campaign produces byte-identical artifacts to an unmonitored one. It
+// registers no metric family: each layer registers its own on the
+// registry it serves (the recorder's, the pool's and the fleet
+// manager's Instrument), and a session builds the recorder's.
 package monitor
 
 import (

@@ -84,10 +84,11 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 		s.Root = s.Tracer.Start(name)
 	}
 	if cfg.MonitorAddr != "" {
-		s.Registry = NewRegistry(s.Recorder)
+		s.Registry = metrics.NewRegistry()
+		s.Recorder.Instrument(s.Registry)
 		srv, err := Start(cfg.MonitorAddr, Options{
 			Registry: s.Registry,
-			Status:   StatusFunc(s.Recorder),
+			Status:   s.Recorder.Status,
 		})
 		if err != nil {
 			return nil, err

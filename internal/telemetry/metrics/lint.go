@@ -19,20 +19,15 @@ type LintStats struct {
 
 // Lint validates a Prometheus text-format exposition (version 0.0.4):
 // comment grammar, sample grammar, TYPE declarations preceding their
-// samples, histogram suffix discipline and parseable values. It exists
-// so tests and the CI monitor smoke can assert /metrics output parses
-// without a Prometheus dependency. It returns basic counts on success.
-func Lint(r io.Reader) (LintStats, error) { return lint(r, false) }
-
-// LintStrict validates like Lint and additionally enforces the naming
-// conventions this repo holds its own registries to: every family is
-// lowercase snake_case with a HELP line and a TYPE line, counters (and
-// only counters) end in _total, and no family name squats on the
-// reserved histogram/summary sample suffixes _bucket, _sum, _count.
-// CI runs `cmfuzz promlint -strict` over every live /metrics surface.
-func LintStrict(r io.Reader) (LintStats, error) { return lint(r, true) }
-
-func lint(r io.Reader, strict bool) (LintStats, error) {
+// samples, histogram suffix discipline and parseable values, and the
+// naming conventions this repo holds its own registries to: every
+// family is lowercase snake_case with a HELP line and a TYPE line,
+// counters (and only counters) end in _total, and no family name
+// squats on the reserved histogram/summary sample suffixes _bucket,
+// _sum, _count. It exists so tests and CI (`cmfuzz promlint`, over
+// every live /metrics surface) can assert /metrics output without a
+// Prometheus dependency. It returns basic counts on success.
+func Lint(r io.Reader) (LintStats, error) {
 	var stats LintStats
 	types := make(map[string]string) // family -> declared type
 	helps := make(map[string]bool)   // family -> HELP seen
@@ -108,17 +103,15 @@ func lint(r io.Reader, strict bool) (LintStats, error) {
 	if stats.Samples == 0 {
 		return stats, fmt.Errorf("no samples in exposition")
 	}
-	if strict {
-		if err := checkConventions(types, helps, seenSample); err != nil {
-			return stats, err
-		}
+	if err := checkConventions(types, helps, seenSample); err != nil {
+		return stats, err
 	}
 	return stats, nil
 }
 
-// checkConventions is the strict-mode pass: it reports every naming
-// violation at once (sorted, so the message is deterministic) instead
-// of stopping at the first.
+// checkConventions is the naming pass: it reports every violation at
+// once (sorted, so the message is deterministic) instead of stopping at
+// the first.
 func checkConventions(types map[string]string, helps, seenSample map[string]bool) error {
 	var violations []string
 	add := func(format string, args ...any) {
@@ -152,7 +145,7 @@ func checkConventions(types map[string]string, helps, seenSample map[string]bool
 		return nil
 	}
 	sort.Strings(violations)
-	return fmt.Errorf("strict: %s", strings.Join(violations, "; "))
+	return fmt.Errorf("naming: %s", strings.Join(violations, "; "))
 }
 
 // familyOf maps a sample name to its family, peeling histogram/summary

@@ -160,26 +160,29 @@ func TestLintAcceptsRealWorldShape(t *testing.T) {
 	in := `# HELP up Scrape success.
 # TYPE up gauge
 up 1
+# HELP rpc_seconds Round-trip time.
 # TYPE rpc_seconds histogram
 rpc_seconds_bucket{le="0.1"} 3
 rpc_seconds_bucket{le="+Inf"} 4
 rpc_seconds_sum 0.8
 rpc_seconds_count 4
+# HELP plain_untyped_metric A sample with a timestamp.
+# TYPE plain_untyped_metric untyped
 plain_untyped_metric 3.14 1712345678
 `
 	stats, err := Lint(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Families != 2 || stats.Samples != 6 {
+	if stats.Families != 3 || stats.Samples != 6 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
 
-// TestLintStrictConventions: strict mode layers naming discipline on
-// top of grammar validation — counters end _total, nothing else does,
-// names are lowercase, reserved sample suffixes stay reserved, and
-// every family carries HELP and TYPE.
+// TestLintStrictConventions: lint holds naming discipline on top of
+// grammar validation — counters end _total, nothing else does, names
+// are lowercase, reserved sample suffixes stay reserved, and every
+// family carries HELP and TYPE.
 func TestLintStrictConventions(t *testing.T) {
 	good := `# HELP reqs_total Requests served.
 # TYPE reqs_total counter
@@ -193,8 +196,8 @@ rpc_seconds_bucket{le="+Inf"} 4
 rpc_seconds_sum 0.8
 rpc_seconds_count 4
 `
-	if _, err := LintStrict(strings.NewReader(good)); err != nil {
-		t.Fatalf("strict rejected a clean exposition: %v", err)
+	if _, err := Lint(strings.NewReader(good)); err != nil {
+		t.Fatalf("lint rejected a clean exposition: %v", err)
 	}
 
 	cases := map[string]string{
@@ -206,10 +209,8 @@ rpc_seconds_count 4
 		"missing TYPE":           "# HELP reqs_total Requests.\nreqs_total 1\n",
 	}
 	for name, in := range cases {
-		if _, err := LintStrict(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: strict lint accepted %q", name, in)
-		} else if _, lax := Lint(strings.NewReader(in)); lax != nil {
-			t.Errorf("%s: plain lint should accept what only strict rejects: %v", name, lax)
+		if _, err := Lint(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: lint accepted %q", name, in)
 		}
 	}
 }
@@ -226,9 +227,9 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var last atomic.Int64
-			r.CounterFunc("stress_total", "", func() float64 { return float64(total.Load()) })
-			r.GaugeFunc("stress", "", func() float64 { return float64(last.Load()) }, L("worker", string(rune('a'+g))))
-			h := r.Histogram("stress_seconds", "", nil)
+			r.CounterFunc("stress_total", "Increments.", func() float64 { return float64(total.Load()) })
+			r.GaugeFunc("stress", "Last increment.", func() float64 { return float64(last.Load()) }, L("worker", string(rune('a'+g))))
+			h := r.Histogram("stress_seconds", "Increment latency.", nil)
 			for i := 0; i < 500; i++ {
 				total.Add(1)
 				last.Store(int64(i))

@@ -115,9 +115,9 @@ const (
 	CtrTargetHangs       = "target_hangs"
 )
 
-// CounterHelp names every counter above with its exposition help
-// string; the monitor publishes each as cmfuzz_<name>_total.
-var CounterHelp = map[string]string{
+// counterHelp names every counter above with its exposition help
+// string; Instrument publishes each as cmfuzz_<name>_total.
+var counterHelp = map[string]string{
 	CtrBoots:           "Target (re)boots, including mutation restarts.",
 	CtrSyncs:           "Seed synchronizations performed.",
 	CtrSyncSkipped:     "Sync intervals skipped by virtual-clock jumps.",
