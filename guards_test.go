@@ -367,6 +367,24 @@ func TestDesignGuards(t *testing.T) {
 		none(t, imports, "monitor file other than the session imports telemetry")
 	})
 
+	// A crash reaches the one ledger, in event-loop order, from the loop's
+	// own files: the step crash (Loop.Advance), a boot report and a
+	// mutation replay (LeaseSource.Boot and Mutate), and Host.Plan's
+	// probes. Boots and restarts report what they hit as values
+	// (BootReport.Crashes, MutationOutcome.Crashes), never through a
+	// callback, so the sink interface and its buffering implementation
+	// stay gone.
+	t.Run("OneCrashLedger", func(t *testing.T) {
+		var calls []goLine
+		for _, l := range goLines(t, regexp.MustCompile(`\.Record\(`), false, "internal", "cmd") {
+			if !regexp.MustCompile(`^internal/parallel/(loop|lease|host)\.go$`).MatchString(l.path) {
+				calls = append(calls, l)
+			}
+		}
+		none(t, calls, "crash filed outside the loop's ledger calls")
+		none(t, goLines(t, regexp.MustCompile(`\b(CrashSink|RecordingSink)\b`), false, "."), "crash sink callback")
+	})
+
 	// Production code is what production runs: every function and
 	// method in non-test internal/... is reached from a main, an init, a
 	// package-level initializer or the cmfuzz facade's exported API —

@@ -366,6 +366,22 @@ func TestSaturation(t *testing.T) {
 	}
 }
 
+// TestSaturationProportionalThreshold: past MinGain/minGainFrac edges the
+// progress threshold is the count's share, so with MinGain 8 and 1,000
+// edges a gain of 9 is flat and a gain of 10 is progress.
+func TestSaturationProportionalThreshold(t *testing.T) {
+	s := &Saturation{Window: 10, MinGain: 8}
+	s.Observe(0, 1000)
+	s.Observe(5, 1009)
+	if !s.Saturated(10) {
+		t.Fatal("a gain of 9 on 1,000 edges counted as progress")
+	}
+	s.Observe(10, 1010)
+	if s.Saturated(19.9) {
+		t.Fatal("a gain of 10 on 1,000 edges counted as flat")
+	}
+}
+
 func BenchmarkTraceEdge(b *testing.B) {
 	tr := NewTrace()
 	for i := 0; i < b.N; i++ {

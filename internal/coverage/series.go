@@ -74,6 +74,12 @@ func MeanOf(series []*Series, horizon float64, n int) []Point {
 	return out
 }
 
+// minGainFrac scales the progress threshold with the current count: the
+// effective threshold is max(MinGain, minGainFrac·count). Wide
+// hash-family instrumentation trickles a near-constant share of its size
+// long after a configuration is effectively exhausted.
+const minGainFrac = 0.01
+
 // A Saturation detector reports when coverage has stopped growing for a
 // configured window of virtual time. CMFuzz instances consult it to decide
 // when to mutate configuration values (paper §III-B2: mutations are applied
@@ -85,11 +91,6 @@ type Saturation struct {
 	// counts as progress; smaller trickles are treated as flat. The zero
 	// value means any growth counts.
 	MinGain int
-	// MinGainFrac scales the progress threshold with the current count:
-	// the effective threshold is max(MinGain, MinGainFrac·count). Wide
-	// hash-family instrumentation trickles a near-constant share of its
-	// size long after a configuration is effectively exhausted.
-	MinGainFrac float64
 
 	lastGain  float64
 	lastCount int
@@ -99,7 +100,7 @@ type Saturation struct {
 // Observe feeds the current virtual time and cumulative coverage count.
 func (s *Saturation) Observe(t float64, count int) {
 	minGain := s.MinGain
-	if frac := int(s.MinGainFrac * float64(s.lastCount)); frac > minGain {
+	if frac := int(minGainFrac * float64(s.lastCount)); frac > minGain {
 		minGain = frac
 	}
 	if minGain < 1 {

@@ -86,21 +86,20 @@ var (
 		{
 			Step: parallel.Step{Bytes: 300, Latency: 0.00023456789012345678, NewEdges: 3,
 				Crash: &bugs.Crash{Protocol: "MQTT", Kind: bugs.HeapUseAfterFree, Function: "handle_subscribe", Detail: "retained"}},
-			Seed:     fuzz.Seed{Msgs: [][]byte{{0x82, 0x05}, {0xc0}}, Gain: 3},
-			Delta:    []byte{0, 2, 0, 0, 0, 0, 0, 0, 1, 7},
-			SatFired: true,
+			Seed:  fuzz.Seed{Msgs: [][]byte{{0x82, 0x05}, {0xc0}}, Gain: 3},
+			Delta: []byte{0, 2, 0, 0, 0, 0, 0, 0, 1, 7},
 			Mutation: &parallel.MutationOutcome{
 				Events: []parallel.MutEvent{
 					{Type: telemetry.EvRestartFail, Entity: "tls", Value: "off", Detail: "conflict"},
 					{Type: telemetry.EvMutation, Entity: "bridge", Value: "on", Config: "bridge=on"},
 				},
 				Mutations: 1, Boots: 2, RestartFails: 1, Fallbacks: 1,
+				Crashes: []crashRec{{
+					Crash:    bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"},
+					Instance: 1, T: 1190.5, Config: "bridge=on",
+				}},
+				Config: "bridge=on port=1883 tls=on", Coverage: 345,
 			},
-			MutationCrashes: []crashRec{{
-				Crash:    bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "bridge_init", Detail: "null peer"},
-				Instance: 1, T: 1190.5, Config: "bridge=on",
-			}},
-			Config: "bridge=on port=1883 tls=on", Coverage: 345,
 		},
 	}
 	// The same records as wire version 10 carries them: the new-edges one

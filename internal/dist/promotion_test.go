@@ -64,7 +64,7 @@ func buildPromotion(t *testing.T) *promotion {
 		return out
 	}
 	boot := func() *parallel.Instance {
-		in, _, err := host.BootReported(spec)
+		in, _, err := host.Boot(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -361,8 +361,8 @@ func (c *codec) bootReq(b *bootReq) {
 	u32(c, &b.Index)
 }
 
-// crashRec is one buffered CrashSink record (parallel.RecordingSink's
-// element type), replayed into the coordinator's ledger in order.
+// crashRec is one crash a boot or restart hit (parallel.CrashRec),
+// replayed into the coordinator's ledger in order.
 type crashRec = parallel.CrashRec
 
 func (c *codec) crash(cr *bugs.Crash) {
@@ -470,7 +470,7 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 	if rec.NewEdges > 0 {
 		flags |= leaseFlagEdges
 	}
-	if rec.SatFired {
+	if rec.Mutation != nil {
 		flags |= leaseFlagSat
 	}
 	if rec.Latency != 0 {
@@ -515,14 +515,10 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 	}
 	if c.decoding() {
 		rec.Seed.Gain = rec.NewEdges
-		rec.SatFired = flags&leaseFlagSat != 0
 		rec.Ship = flags&leaseFlagSeed != 0
 	}
 	if flags&leaseFlagSat != 0 {
 		opt(c, &rec.Mutation, (*codec).mutation)
-		list[uint16](c, &rec.MutationCrashes, (*codec).crashRec)
-		str32(c, &rec.Config)
-		varint(c, &rec.Coverage)
 	}
 }
 
@@ -532,6 +528,9 @@ func (c *codec) mutation(m *parallel.MutationOutcome) {
 	u8(c, &m.Boots)
 	u8(c, &m.RestartFails)
 	u8(c, &m.Fallbacks)
+	list[uint16](c, &m.Crashes, (*codec).crashRec)
+	str32(c, &m.Config)
+	varint(c, &m.Coverage)
 }
 
 func (c *codec) mutEvent(e *parallel.MutEvent) {

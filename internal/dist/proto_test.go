@@ -204,19 +204,19 @@ func TestLeaseResultRoundTrip(t *testing.T) {
 			Delta:  []byte{1, 2, 3},
 		},
 		{
-			Step: parallel.Step{Bytes: 9}, SatFired: true,
+			Step: parallel.Step{Bytes: 9},
 			Mutation: &parallel.MutationOutcome{
 				Events: []parallel.MutEvent{
 					{Type: telemetry.EvRestartFail, Entity: "tcp", Value: "off", Detail: "conflict"},
 					{Type: telemetry.EvMutation, Entity: "udp", Value: "on", Config: "udp=on"},
 				},
 				Mutations: 1, Boots: 1, RestartFails: 1,
+				Crashes: []crashRec{{
+					Crash:    bugs.Crash{Protocol: "DNS", Kind: bugs.Kind(1), Function: "boot", Detail: "x"},
+					Instance: 2, T: 123.5, Config: "udp=on",
+				}},
+				Config: "udp=on", Coverage: 345,
 			},
-			MutationCrashes: []crashRec{{
-				Crash:    bugs.Crash{Protocol: "DNS", Kind: bugs.Kind(1), Function: "boot", Detail: "x"},
-				Instance: 2, T: 123.5, Config: "udp=on",
-			}},
-			Config: "udp=on", Coverage: 345,
 		},
 		// A step that charged link latency: the f64 travels bit for bit.
 		{Step: parallel.Step{Bytes: 12, Latency: 0.00023456789012345678, NewEdges: 1},

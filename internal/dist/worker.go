@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -125,16 +124,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // that outlives its coordinator should exit cleanly, not with a
 // confusing transport error after a healthy campaign.
 func isDisconnect(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-		return true
-	}
-	// Pre-go1.16 teardown surfaces as a bare *net.OpError string.
-	return strings.Contains(err.Error(), "use of closed network connection")
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // Serve runs the worker protocol over conn until the coordinator sends
@@ -390,7 +382,7 @@ func (w *Worker) handle(typ byte, payload []byte) (byte, []byte, error) {
 		}
 		// The report carries the full startup map; from here on only new
 		// words travel.
-		in, rep, err := wc.host.BootReported(spec)
+		in, rep, err := wc.host.Boot(spec)
 		br := bootResult{BootReport: rep}
 		if err != nil {
 			br.Err = err.Error()

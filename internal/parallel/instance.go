@@ -12,35 +12,15 @@ import (
 	"cmfuzz/internal/telemetry"
 )
 
-// A CrashSink receives crash records as instances hit them. *bugs.Ledger
-// satisfies it; a distributed worker substitutes a buffering sink that
-// ships the records to the coordinator, which replays them into the one
-// authoritative ledger in event-loop order. The return value reports
-// whether the crash was new to the sink (ledger dedup).
-type CrashSink interface {
-	Record(c *bugs.Crash, instance int, t float64, config string) bool
-}
-
-// A CrashRec is one buffered crash record: the crash plus the stamp a
-// CrashSink.Record call would have received. Transports ship these and
-// replay them into the authoritative ledger in event-loop order.
+// A CrashRec is one crash an instance's boot or restart hit, stamped
+// with the instance, its virtual clock and the configuration it booted.
+// Boot reports and mutation outcomes carry these; LeaseSource files them
+// in the one ledger in event-loop order, which dedups.
 type CrashRec struct {
 	Crash    bugs.Crash
 	Instance int
 	T        float64
 	Config   string
-}
-
-// A RecordingSink buffers crash records instead of deduplicating them.
-// Distributed workers hand one to Boot/Mutate and ship the records back
-// to the coordinator, whose ledger performs the authoritative dedup.
-type RecordingSink struct{ Recs []CrashRec }
-
-// Record appends the crash and reports it as new (dedup is deferred to
-// whoever replays the buffer).
-func (b *RecordingSink) Record(c *bugs.Crash, instance int, t float64, config string) bool {
-	b.Recs = append(b.Recs, CrashRec{Crash: *c, Instance: instance, T: t, Config: config})
-	return true
 }
 
 // An Instance is one running parallel fuzzing instance: an engine bound
@@ -50,16 +30,14 @@ func (b *RecordingSink) Record(c *bugs.Crash, instance int, t float64, config st
 // sequences are bit-for-bit identical, which is what lets a distributed
 // worker stand in for the in-process loop.
 type Instance struct {
-	host       *Host
-	index      int
-	clock      float64
-	engine     *fuzz.Engine
-	target     *netTarget
-	cfg        configmodel.Assignment
-	group      schedule.Group
-	sat        *coverage.Saturation
-	rng        *rand.Rand
-	startEdges int
+	host   *Host
+	clock  float64
+	engine *fuzz.Engine
+	target *netTarget
+	cfg    configmodel.Assignment
+	group  schedule.Group
+	sat    *coverage.Saturation
+	rng    *rand.Rand
 	// latencySpent is how much of the link's accrued latency has already
 	// been charged to the virtual clock.
 	latencySpent float64
@@ -80,18 +58,20 @@ type Instance struct {
 // Boot starts the instance described by spec: repair the scheduled
 // configuration if it conflicts, boot the target (falling back to
 // defaults as a last resort), and seed the engine with the startup
-// coverage. Startup crashes go to sink.
-func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
-	l := newLink(&h.Opts, spec.Index, h.Sub.Info().Transport)
+// coverage. The report carries the startup crashes, in order, whether
+// or not the boot succeeded.
+func (h *Host) Boot(spec InstanceSpec) (*Instance, BootReport, error) {
+	target := &netTarget{link: newLink(&h.Opts, spec.Index, h.Sub.Info().Transport), index: spec.Index}
 	cfg := repairConfig(h.Sub, spec.Config, h.Defaults)
-	target, err := bootTarget(h.Sub, l, cfg, sink, spec.Index)
+	err := target.boot(h.Sub, cfg, 0)
 	if err != nil {
 		// Still conflicting after repair: last-resort defaults.
 		cfg = h.Defaults.Clone()
-		target, err = bootTarget(h.Sub, l, cfg, sink, spec.Index)
-		if err != nil {
-			return nil, fmt.Errorf("parallel: instance %d failed to start: %w", spec.Index, err)
-		}
+		err = target.boot(h.Sub, cfg, 0)
+	}
+	rep := BootReport{Crashes: target.takeCrashes()}
+	if err != nil {
+		return nil, rep, fmt.Errorf("parallel: instance %d failed to start: %w", spec.Index, err)
 	}
 	eng := fuzz.NewEngine(fuzz.Config{
 		Models:     h.Pit.DataModels,
@@ -102,18 +82,17 @@ func (h *Host) Boot(spec InstanceSpec, sink CrashSink) (*Instance, error) {
 	eng.Absorb(target.startup)
 	reported := coverage.NewMap()
 	reported.Union(eng.CoverageMap())
+	rep.Config, rep.StartEdges, rep.Delta = cfg.String(), target.startup.Count(), coverage.EncodeDelta(eng.CoverageMap(), nil)
 	return &Instance{
-		host:       h,
-		index:      spec.Index,
-		engine:     eng,
-		target:     target,
-		cfg:        cfg,
-		group:      spec.Group,
-		sat:        &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain, MinGainFrac: 0.01},
-		rng:        rand.New(rand.NewSource(spec.RngSeed)),
-		startEdges: target.startup.Count(),
-		reported:   reported,
-	}, nil
+		host:     h,
+		engine:   eng,
+		target:   target,
+		cfg:      cfg,
+		group:    spec.Group,
+		sat:      &coverage.Saturation{Window: h.Opts.SaturationWindow, MinGain: h.Opts.SaturationMinGain},
+		rng:      rand.New(rand.NewSource(spec.RngSeed)),
+		reported: reported,
+	}, rep, nil
 }
 
 // Step runs one engine step and advances the instance's virtual clock by
@@ -156,12 +135,9 @@ type LeaseStep struct {
 	// Delta is the coverage no earlier record carried, encoded
 	// (coverage.EncodeDelta); empty unless NewEdges > 0.
 	Delta []byte
-	// Saturation-mutation fields, set only when SatFired is true.
-	SatFired        bool
-	Mutation        *MutationOutcome
-	MutationCrashes []CrashRec
-	Config          string // assignment after the mutation attempt
-	Coverage        int    // edge count after absorbing restart coverage
+	// Mutation is what the saturation this step fired did; nil when
+	// saturation did not fire.
+	Mutation *MutationOutcome
 }
 
 // RunLease is the one lease executor, for a dist worker's lanes and Run's
@@ -194,13 +170,8 @@ func (in *Instance) StepN(boundary, horizon float64) (syncDue bool) {
 			rec.Delta = in.delta()
 		}
 		if mutate && in.saturated() {
-			rec.SatFired = true
-			sink := &RecordingSink{}
-			out := in.Mutate(sink)
+			out := in.Mutate()
 			rec.Mutation = &out
-			rec.MutationCrashes = sink.Recs
-			rec.Config = in.cfg.String()
-			rec.Coverage = in.engine.Coverage()
 			in.sat.Reset(in.clock)
 			in.fullScan = true
 		}
@@ -235,19 +206,6 @@ func (in *Instance) saturated() bool {
 	return in.sat.Saturated(in.clock)
 }
 
-// BootReported boots spec as Boot does, and reports it for a
-// LeaseSource's books instead of filing anything: the startup crashes go
-// into the report, in order, whether or not the boot succeeded.
-func (h *Host) BootReported(spec InstanceSpec) (*Instance, BootReport, error) {
-	sink := &RecordingSink{}
-	in, err := h.Boot(spec, sink)
-	if err != nil {
-		return nil, BootReport{Crashes: sink.Recs}, err
-	}
-	return in, BootReport{Config: in.cfg.String(), StartEdges: in.startEdges,
-		Delta: coverage.EncodeDelta(in.engine.CoverageMap(), nil), Crashes: sink.Recs}, nil
-}
-
 // A MutEvent is one telemetry event a configuration mutation produced,
 // in order. The scheduler stamps instance and clock when emitting, so the
 // same outcome renders identically whether the mutation ran in-process
@@ -261,14 +219,19 @@ type MutEvent struct {
 }
 
 // A MutationOutcome reports what a Mutate call did: the ordered
-// telemetry events plus the counter deltas. Boots is 1 when the target
-// was restarted and its fresh startup coverage absorbed.
+// telemetry events, the counter deltas, the crashes its restarts hit,
+// and the instance's configuration and edge count after the attempt.
+// Boots is 1 when the target was restarted and its fresh startup
+// coverage absorbed (Coverage counts it).
 type MutationOutcome struct {
 	Events       []MutEvent
 	Mutations    int
 	Boots        int
 	RestartFails int
 	Fallbacks    int
+	Crashes      []CrashRec
+	Config       string
+	Coverage     int
 }
 
 // Mutate applies the paper's Values-guided configuration mutation: pick
@@ -279,8 +242,11 @@ type MutationOutcome struct {
 // even the reverted configuration fails to boot, the instance falls back
 // to defaults. When a restart happened, the fresh startup coverage has
 // already been absorbed into the engine on return.
-func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
-	var out MutationOutcome
+func (in *Instance) Mutate() (out MutationOutcome) {
+	defer func() {
+		out.Crashes = in.target.takeCrashes()
+		out.Config, out.Coverage = in.cfg.String(), in.engine.Coverage()
+	}()
 	h := in.host
 	candidates := mutableIn(h.Model, in.group.Members)
 	if len(candidates) == 0 {
@@ -306,7 +272,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 		return out
 	}
 
-	if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
+	if err := in.target.boot(h.Sub, in.cfg, in.clock); err != nil {
 		out.RestartFails++
 		out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
 			Entity: e.Name, Value: newVal, Detail: err.Error()})
@@ -316,7 +282,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 		} else {
 			delete(in.cfg, e.Name)
 		}
-		if err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock); err != nil {
+		if err := in.target.boot(h.Sub, in.cfg, in.clock); err != nil {
 			out.RestartFails++
 			out.Events = append(out.Events, MutEvent{Type: telemetry.EvRestartFail,
 				Config: in.cfg.String(), Detail: "revert failed: " + err.Error()})
@@ -325,7 +291,7 @@ func (in *Instance) Mutate(sink CrashSink) MutationOutcome {
 			// target for the rest of the campaign. Boot the defaults,
 			// which every subject's conformance suite guarantees start.
 			in.cfg = h.Model.Defaults()
-			err := in.target.boot(h.Sub, in.cfg, sink, in.index, in.clock)
+			err := in.target.boot(h.Sub, in.cfg, in.clock)
 			if err != nil {
 				out.RestartFails++
 			}

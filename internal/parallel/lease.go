@@ -163,25 +163,26 @@ func (s *LeaseSource) Sync(i int) (int, error) {
 	return len(all), nil
 }
 
-// Saturated reports whether saturation fired on this step; the lease ran
-// the mutation already, which commutes with the step's sync.
-func (s *LeaseSource) Saturated(int) bool { return s.cur.SatFired }
+// Saturated reports whether saturation fired on this step: whether the
+// record carries a mutation. The lease ran the mutation already, which
+// commutes with the step's sync.
+func (s *LeaseSource) Saturated(int) bool { return s.cur.Mutation != nil }
 
-// Mutate replays the recorded mutation: its restart crashes into sink,
-// its outcome to the loop.
-func (s *LeaseSource) Mutate(i int, sink CrashSink) MutationOutcome {
-	in, rec := &s.Inst[i], s.cur
-	for k := range rec.MutationCrashes {
-		cr := &rec.MutationCrashes[k]
-		sink.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
+// Mutate replays the recorded mutation: its restart crashes into the
+// ledger in order, its outcome to the loop.
+func (s *LeaseSource) Mutate(i int) MutationOutcome {
+	in, out := &s.Inst[i], s.cur.Mutation
+	for k := range out.Crashes {
+		cr := &out.Crashes[k]
+		s.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
 	}
-	in.Muts += rec.Mutation.Mutations
-	in.RestartFails += rec.Mutation.RestartFails
-	in.Config = rec.Config
+	in.Muts += out.Mutations
+	in.RestartFails += out.RestartFails
+	in.Config = out.Config
 	// A restart absorbed fresh startup coverage into the instance's map:
-	// resync to the post-absorb edge count the record carries.
-	in.Coverage = rec.Coverage
-	return *rec.Mutation
+	// resync to the post-absorb edge count the outcome carries.
+	in.Coverage = out.Coverage
+	return *out
 }
 
 // Result summarizes instance i from its replayed counters.
@@ -218,7 +219,7 @@ type leaseEnd struct {
 }
 
 func (g *goLeases) boot(i int) (BootReport, error) {
-	in, rep, err := g.loop.host.BootReported(g.specs[i])
+	in, rep, err := g.loop.host.Boot(g.specs[i])
 	if err == nil {
 		g.insts = append(g.insts, in)
 	}

@@ -65,8 +65,8 @@ type Source interface {
 	// (CMFuzz with configuration mutation on only).
 	Saturated(i int) bool
 	// Mutate mutates one configuration value of the saturated instance
-	// and restarts it, filing restart crashes in sink.
-	Mutate(i int, sink CrashSink) MutationOutcome
+	// and restarts it, filing restart crashes in Loop.Res.Bugs.
+	Mutate(i int) MutationOutcome
 	// Done ends the iteration: instance i's clock, sync schedule and
 	// configuration are final until its next Step.
 	Done(i int)
@@ -290,7 +290,7 @@ func (l *Loop) Advance(ctx context.Context, until float64) error {
 				Edges: l.src.Gauge(i).Edges})
 			tel.Count(telemetry.CtrSaturations, 1)
 			mut := l.spans[i].Child("config.mutate")
-			out := l.src.Mutate(i, res.Bugs)
+			out := l.src.Mutate(i)
 			EmitMutation(tel, i, t, out)
 			mut.End()
 		}

@@ -73,7 +73,7 @@ func (s *scriptSource) Sync(i int) (int, error) {
 
 func (s *scriptSource) Saturated(i int) bool { return s.saturate != nil && s.saturate(i, s.pos[i]) }
 
-func (s *scriptSource) Mutate(i int, sink CrashSink) MutationOutcome {
+func (s *scriptSource) Mutate(i int) MutationOutcome {
 	s.muts[i]++
 	return MutationOutcome{
 		Events:    []MutEvent{{Type: telemetry.EvMutation, Entity: "e", Value: fmt.Sprint(s.muts[i]), Config: s.Config(i)}},

@@ -3,11 +3,9 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
-	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/subject"
 )
@@ -267,26 +265,5 @@ func BenchmarkCampaignStepDNS(b *testing.B) {
 		if _, err := Run(context.Background(), sub, Options{Mode: ModeCMFuzz, VirtualHours: 0.1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestRecordingSinkKeepsEveryRecord: a worker's sink defers dedup to the
-// coordinator's replay, so it reports every crash new and keeps its own
-// copy of each, in order.
-func TestRecordingSinkKeepsEveryRecord(t *testing.T) {
-	var sink RecordingSink
-	c := &bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "loop_accepted"}
-	for i := 0; i < 2; i++ {
-		if !sink.Record(c, i, float64(i)/2, "cfg") {
-			t.Fatalf("record %d reported as a duplicate", i)
-		}
-	}
-	c.Detail = "changed after recording"
-	want := []CrashRec{
-		{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "loop_accepted"}, Instance: 0, T: 0, Config: "cfg"},
-		{Crash: bugs.Crash{Protocol: "MQTT", Kind: bugs.SEGV, Function: "loop_accepted"}, Instance: 1, T: 0.5, Config: "cfg"},
-	}
-	if !reflect.DeepEqual(sink.Recs, want) {
-		t.Fatalf("records = %+v, want %+v", sink.Recs, want)
 	}
 }

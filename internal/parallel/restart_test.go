@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"cmfuzz/internal/bugs"
@@ -11,12 +12,15 @@ import (
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/subject"
+	"cmfuzz/internal/telemetry"
 )
 
 // stubSubject is a minimal subject whose bootability is scripted through
-// allow, so restart-failure paths can be forced deterministically.
+// allow, and its startup crashes through crash, so restart-failure paths
+// can be forced deterministically.
 type stubSubject struct {
 	allow func(cfg map[string]string) bool
+	crash func(cfg map[string]string) *bugs.Crash // Start panics with a non-nil one
 	boots int
 }
 
@@ -41,6 +45,11 @@ type stubInstance struct {
 
 func (i *stubInstance) Start(cfg map[string]string, tr *coverage.Trace) error {
 	i.sub.boots++
+	if i.sub.crash != nil {
+		if c := i.sub.crash(cfg); c != nil {
+			panic(c)
+		}
+	}
 	if i.sub.allow != nil && !i.sub.allow(cfg) {
 		return errors.New("stub: conflicting configuration")
 	}
@@ -53,20 +62,92 @@ func (i *stubInstance) NewSession()                 {}
 func (i *stubInstance) Message(p []byte) [][]byte   { i.tr.Hit(3); return nil }
 func (i *stubInstance) Close()                      {}
 
-// bootStub boots one instance of sub under cfg through Host.Boot, with
-// model as the campaign's configuration model and rng seed 1.
-func bootStub(t *testing.T, sub *stubSubject, model *configmodel.Model, cfg configmodel.Assignment) *Instance {
+// stubHost is a Host for sub with model as the campaign's configuration
+// model.
+func stubHost(t *testing.T, sub *stubSubject, model *configmodel.Model) *Host {
 	t.Helper()
 	pit, err := fuzz.ParsePit(sub.PitXML())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &Host{Sub: sub, Pit: pit, StateModel: pit.DefaultStateModel(), Model: model, Defaults: model.Defaults()}
-	in, err := h.Boot(InstanceSpec{Config: cfg, RngSeed: 1}, bugs.NewLedger())
+	return &Host{Sub: sub, Pit: pit, StateModel: pit.DefaultStateModel(), Model: model, Defaults: model.Defaults()}
+}
+
+// bootStub boots one instance of sub under cfg through Host.Boot, with
+// model as the campaign's configuration model and rng seed 1.
+func bootStub(t *testing.T, sub *stubSubject, model *configmodel.Model, cfg configmodel.Assignment) *Instance {
+	t.Helper()
+	in, _, err := stubHost(t, sub, model).Boot(InstanceSpec{Config: cfg, RngSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// TestBootAndMutateReportEveryCrash: a boot's report and a mutation's
+// outcome carry the crashes their starts hit for the ledger to dedup
+// later, so each keeps every crash, in order, stamped with the
+// instance, its clock and the configuration that crashed, and as a copy
+// the crash changing afterwards does not reach.
+func TestBootAndMutateReportEveryCrash(t *testing.T) {
+	model := configmodel.NewModel([]configmodel.Entity{
+		{Name: "mode", Type: configmodel.TypeString, Flag: configmodel.Mutable,
+			Default: "v0", Values: []string{"v1", "v2"}},
+	})
+	c := &bugs.Crash{Protocol: "STUB", Kind: bugs.SEGV, Function: "parse_mode"}
+	crashing := false
+	sub := &stubSubject{crash: func(map[string]string) *bugs.Crash {
+		if crashing {
+			return c
+		}
+		return nil
+	}}
+	h := stubHost(t, sub, model)
+	rec := func(instance int, at float64, mode string) CrashRec {
+		return CrashRec{Crash: bugs.Crash{Protocol: "STUB", Kind: bugs.SEGV, Function: "parse_mode"},
+			Instance: instance, T: at, Config: configmodel.Assignment{"mode": mode}.String()}
+	}
+
+	// Every start crashes: repair gives up on the scheduled value, and
+	// the boot under the defaults and the last-resort one both crash.
+	crashing = true
+	_, rep, err := h.Boot(InstanceSpec{Index: 2, Config: configmodel.Assignment{"mode": "v1"}, RngSeed: 1})
+	if err == nil {
+		t.Fatal("a boot whose every start crashes succeeded")
+	}
+	c.Detail = "changed after the boot"
+	if want := []CrashRec{rec(2, 0, "v0"), rec(2, 0, "v0")}; !reflect.DeepEqual(rep.Crashes, want) {
+		t.Fatalf("boot crashes = %+v, want %+v", rep.Crashes, want)
+	}
+
+	crashing, c.Detail = false, ""
+	in, rep, err := h.Boot(InstanceSpec{Index: 3, Config: model.Defaults(), RngSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Crashes != nil {
+		t.Fatalf("clean boot reported crashes %+v", rep.Crashes)
+	}
+	// The mutated value, the reverted one and the defaults fallback all
+	// crash at the instance's clock.
+	crashing, in.clock = true, 42.5
+	out := in.Mutate()
+	c.Detail = "changed after the mutation"
+	if len(out.Events) == 0 || out.Events[0].Type != telemetry.EvRestartFail {
+		t.Fatalf("mutation events = %+v, want a restart failure first", out.Events)
+	}
+	want := []CrashRec{rec(3, 42.5, out.Events[0].Value), rec(3, 42.5, "v0"), rec(3, 42.5, "v0")}
+	if !reflect.DeepEqual(out.Crashes, want) {
+		t.Fatalf("mutation crashes = %+v, want %+v", out.Crashes, want)
+	}
+	if out.RestartFails != 3 || out.Config != "mode=v0" || out.Coverage != in.engine.Coverage() {
+		t.Fatalf("outcome = %+v, want 3 restart failures, config mode=v0 and %d edges", out, in.engine.Coverage())
+	}
+	// The records went out with that outcome: a clean restart reports none.
+	crashing = false
+	if out := in.Mutate(); out.Crashes != nil || out.Boots != 1 {
+		t.Fatalf("clean restart = %+v, want one boot and no crashes", out)
+	}
 }
 
 // TestMutateConfigFallsBackToDefaults is the regression test for the
@@ -87,12 +168,11 @@ func TestMutateConfigFallsBackToDefaults(t *testing.T) {
 	// boots, so the mutated config (mode=v2) and the reverted config
 	// (mode=v1) both fail to restart.
 	sub.allow = func(cfg map[string]string) bool { return cfg["mode"] == "v0" }
-	ledger := bugs.NewLedger()
 	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
 		// Attempts that draw the current value boot nothing; keep
 		// drawing until the mutation actually restarts the target.
-		out := in.Mutate(ledger)
+		out := in.Mutate()
 		ok, fails = out.Boots > 0, fails+out.RestartFails
 	}
 	if !ok {
@@ -126,7 +206,7 @@ func TestMutateConfigRevertStillWorks(t *testing.T) {
 	sub.allow = func(cfg map[string]string) bool { return cfg["mode"] != "v2" }
 	ok, fails := false, 0
 	for tries := 0; tries < 32 && !ok; tries++ {
-		out := in.Mutate(bugs.NewLedger())
+		out := in.Mutate()
 		ok, fails = out.Boots > 0, fails+out.RestartFails
 	}
 	if !ok {

@@ -22,8 +22,9 @@ import (
 // steps the instances one at a time on the loop's goroutine and reads
 // coverage straight off their engines, which are never ahead of the
 // loop, counting executions, crashes, mutations and restart failures as
-// they happen. Each instance's corpus is followed by a fuzz.Corpus of
-// its own, fed every addition and import in the engine's order.
+// they happen, and filing boot and restart crashes in the ledger itself.
+// Each instance's corpus is followed by a fuzz.Corpus of its own, fed
+// every addition and import in the engine's order.
 type serialSource struct {
 	loop   *Loop
 	specs  []InstanceSpec
@@ -33,7 +34,8 @@ type serialSource struct {
 }
 
 func (s *serialSource) Boot(i int) (int, error) {
-	in, err := s.loop.host.Boot(s.specs[i], s.loop.Res.Bugs)
+	in, rep, err := s.loop.host.Boot(s.specs[i])
+	s.record(rep.Crashes)
 	if err != nil {
 		return 0, err
 	}
@@ -41,7 +43,14 @@ func (s *serialSource) Boot(i int) (int, error) {
 	s.corpus = append(s.corpus, fuzz.NewCorpus(0))
 	s.n = append(s.n, struct{ execs, crashes, muts, restarts int }{})
 	s.loop.Union.Union(in.engine.CoverageMap())
-	return in.startEdges, nil
+	return rep.StartEdges, nil
+}
+
+func (s *serialSource) record(crashes []CrashRec) {
+	for k := range crashes {
+		cr := &crashes[k]
+		s.loop.Res.Bugs.Record(&cr.Crash, cr.Instance, cr.T, cr.Config)
+	}
 }
 
 func (s *serialSource) Step(_ context.Context, i int) (Step, error) {
@@ -88,8 +97,9 @@ func (s *serialSource) Sync(i int) (int, error) {
 
 func (s *serialSource) Saturated(i int) bool { return s.insts[i].saturated() }
 
-func (s *serialSource) Mutate(i int, sink CrashSink) MutationOutcome {
-	out := s.insts[i].Mutate(sink)
+func (s *serialSource) Mutate(i int) MutationOutcome {
+	out := s.insts[i].Mutate()
+	s.record(out.Crashes)
 	s.insts[i].sat.Reset(s.insts[i].clock)
 	s.n[i].muts += out.Mutations
 	s.n[i].restarts += out.RestartFails
@@ -101,7 +111,7 @@ func (s *serialSource) Done(int) {}
 func (s *serialSource) Result(i int) (InstanceResult, error) {
 	in := s.insts[i]
 	return InstanceResult{
-		Index:           in.index,
+		Index:           s.specs[i].Index,
 		Config:          in.cfg.String(),
 		Group:           in.group.Members,
 		FinalBranches:   in.engine.Coverage(),

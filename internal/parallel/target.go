@@ -56,24 +56,16 @@ func (l *link) deliver() bool {
 // and subject object, which is what isolates it from its siblings.
 type netTarget struct {
 	link    *link
+	index   int // the instance's, stamped on its crash records
 	inst    subject.Instance
 	startup *coverage.Map // coverage the latest boot produced
+	crashes []CrashRec    // what boots hit since the last takeCrashes
 }
 
-// bootTarget starts a fresh subject instance under cfg behind l. A crash
-// during startup (a configuration-parsing defect) is recorded in the
-// ledger and reported as an error.
-func bootTarget(sub subject.Subject, l *link, cfg configmodel.Assignment, sink CrashSink, index int) (*netTarget, error) {
-	t := &netTarget{link: l}
-	if err := t.boot(sub, cfg, sink, index, 0); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// boot starts (or restarts) the backing instance under cfg; the link
-// stays.
-func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, sink CrashSink, index int, now float64) error {
+// boot starts (or restarts) the backing instance under cfg at virtual
+// time now; the link stays. A crash during startup (a configuration-
+// parsing defect) is kept as a record and returned as the error.
+func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, now float64) error {
 	inst := sub.NewInstance()
 	tr := coverage.NewTrace()
 	var startErr error
@@ -81,7 +73,7 @@ func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, sink C
 		startErr = inst.Start(map[string]string(cfg), tr)
 	})
 	if crash != nil {
-		sink.Record(crash, index, now, cfg.String())
+		t.crashes = append(t.crashes, CrashRec{Crash: *crash, Instance: t.index, T: now, Config: cfg.String()})
 		return crash
 	}
 	if startErr != nil {
@@ -93,6 +85,14 @@ func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, sink C
 	t.inst = inst
 	t.startup = tr.Map()
 	return nil
+}
+
+// takeCrashes hands out the records of the crashes boots hit, in order,
+// and forgets them.
+func (t *netTarget) takeCrashes() []CrashRec {
+	recs := t.crashes
+	t.crashes = nil
+	return recs
 }
 
 // Run implements fuzz.Target: one execution = one fresh protocol session

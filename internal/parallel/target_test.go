@@ -14,10 +14,19 @@ import (
 	"cmfuzz/internal/subject"
 )
 
+// bootTarget starts a fresh target for sub under cfg behind l.
+func bootTarget(sub subject.Subject, l *link, cfg configmodel.Assignment) (*netTarget, error) {
+	t := &netTarget{link: l}
+	if err := t.boot(sub, cfg, 0); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 func TestBootTargetDatagramRouting(t *testing.T) {
 	sub, _ := protocols.ByName("DNS")
 	cfg := configmodel.Assignment(map[string]string{"server": "8.8.8.8"})
-	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestBootTargetDatagramRouting(t *testing.T) {
 
 func TestBootTargetStreamRouting(t *testing.T) {
 	sub, _ := protocols.ByName("MQTT")
-	target, err := bootTarget(sub, &link{}, configmodel.Assignment(nil), bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{}, configmodel.Assignment(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestBootTargetStreamRouting(t *testing.T) {
 func TestBootTargetCrashPropagation(t *testing.T) {
 	sub, _ := protocols.ByName("DNS")
 	cfg := configmodel.Assignment(map[string]string{"server": "8.8.8.8", "log-queries": "true"})
-	target, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +72,14 @@ func TestBootTargetCrashPropagation(t *testing.T) {
 func TestBootTargetRejectsConflict(t *testing.T) {
 	sub, _ := protocols.ByName("DNS")
 	cfg := configmodel.Assignment(map[string]string{"dnssec": "true"}) // missing trust-anchor
-	if _, err := bootTarget(sub, &link{}, cfg, bugs.NewLedger(), 0); err == nil {
+	if _, err := bootTarget(sub, &link{}, cfg); err == nil {
 		t.Fatal("conflicting configuration booted")
 	}
 }
 
 func TestRestartSwapsInstance(t *testing.T) {
 	sub, _ := protocols.ByName("DNS")
-	ledger := bugs.NewLedger()
-	target, err := bootTarget(sub, &link{}, configmodel.Assignment(map[string]string{"server": "8.8.8.8"}), ledger, 0)
+	target, err := bootTarget(sub, &link{}, configmodel.Assignment(map[string]string{"server": "8.8.8.8"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +89,7 @@ func TestRestartSwapsInstance(t *testing.T) {
 		t.Fatalf("premature crash: %v", crash)
 	}
 	// Restart with log-queries enabled: same link, new behavior.
-	if err := target.boot(sub, configmodel.Assignment(map[string]string{"server": "8.8.8.8", "log-queries": "true"}), ledger, 0, 100); err != nil {
+	if err := target.boot(sub, configmodel.Assignment(map[string]string{"server": "8.8.8.8", "log-queries": "true"}), 100); err != nil {
 		t.Fatal(err)
 	}
 	if crash := target.Run([][]byte{q}, coverage.NewTrace()); crash == nil {
@@ -95,11 +103,11 @@ func TestRestartSwapsInstance(t *testing.T) {
 func TestInstancesIsolatedByOwnership(t *testing.T) {
 	sub, _ := protocols.ByName("DNS")
 	o := Options{Seed: 1, LinkLatencyBase: 0.25}
-	logging, err := bootTarget(sub, newLink(&o, 0, subject.Datagram), configmodel.Assignment(map[string]string{"server": "8.8.8.8", "log-queries": "true"}), bugs.NewLedger(), 0)
+	logging, err := bootTarget(sub, newLink(&o, 0, subject.Datagram), configmodel.Assignment(map[string]string{"server": "8.8.8.8", "log-queries": "true"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := bootTarget(sub, newLink(&o, 1, subject.Datagram), configmodel.Assignment(map[string]string{"server": "8.8.8.8"}), bugs.NewLedger(), 1)
+	plain, err := bootTarget(sub, newLink(&o, 1, subject.Datagram), configmodel.Assignment(map[string]string{"server": "8.8.8.8"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +134,11 @@ func TestBootSpecTwiceOnOneHost(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := h.Plan(bugs.NewLedger(), nil, nil).Specs[1]
-		a, err := h.Boot(spec, bugs.NewLedger())
+		a, _, err := h.Boot(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := h.Boot(spec, bugs.NewLedger())
+		b, _, err := h.Boot(spec)
 		if err != nil {
 			t.Fatalf("%s: second boot of one spec on one host: %v", name, err)
 		}
@@ -184,7 +192,7 @@ func (i countInstance) Message(msg []byte) [][]byte {
 // instance's coverage recorded into the run's trace.
 func TestTargetRunsSequenceWithFreshSession(t *testing.T) {
 	sub := &countSubject{transport: subject.Datagram}
-	target, err := bootTarget(sub, &link{datagram: true}, nil, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{datagram: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +215,7 @@ func TestTargetRunsSequenceWithFreshSession(t *testing.T) {
 // its value, and the rest of the sequence is never sent.
 func TestTargetCapturesCrashAndStops(t *testing.T) {
 	sub := &countSubject{transport: subject.Datagram, crashOn: 0xad}
-	target, err := bootTarget(sub, &link{datagram: true}, nil, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, &link{datagram: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +232,7 @@ func TestTargetCapturesCrashAndStops(t *testing.T) {
 // one-message sessions over it.
 func sendOver(t *testing.T, sub subject.Subject, o Options, n int) *link {
 	t.Helper()
-	target, err := bootTarget(sub, newLink(&o, 0, sub.Info().Transport), nil, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, newLink(&o, 0, sub.Info().Transport), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +289,7 @@ func TestLinkLatencyBaseOnly(t *testing.T) {
 // the subject once, unchanged and in order, and costs no latency.
 func TestLinkDatagramDelivery(t *testing.T) {
 	sub := &countSubject{transport: subject.Datagram}
-	target, err := bootTarget(sub, newLink(&Options{Seed: 1}, 0, subject.Datagram), nil, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, newLink(&Options{Seed: 1}, 0, subject.Datagram), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,7 @@ func TestLinkDatagramDelivery(t *testing.T) {
 func TestLinkStreamSessions(t *testing.T) {
 	sub := &countSubject{transport: subject.Stream}
 	l := newLink(&Options{Seed: 1, LinkLoss: 1, LinkLatencyBase: 0.25}, 0, subject.Stream)
-	target, err := bootTarget(sub, l, nil, bugs.NewLedger(), 0)
+	target, err := bootTarget(sub, l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +321,7 @@ func TestLinkStreamSessions(t *testing.T) {
 	if sub.sessions != 3 || sub.msgs != 6 || sub.closes != 0 || !reflect.DeepEqual(sub.got[4:], seq) {
 		t.Fatalf("3 executions: %d sessions, %d segments (%q), %d closes", sub.sessions, sub.msgs, sub.got, sub.closes)
 	}
-	if err := target.boot(sub, nil, bugs.NewLedger(), 0, 1); err != nil {
+	if err := target.boot(sub, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sub.closes != 1 || target.link != l {
@@ -334,14 +342,14 @@ func TestLinkRestartKeepsStreams(t *testing.T) {
 	o := Options{Seed: 42, LinkLoss: 0.5, LinkLatencyBase: 0.001, LinkLatencyJitter: 0.002}
 	run := func(restart bool) ([]int, float64) {
 		sub := &countSubject{transport: subject.Datagram}
-		target, err := bootTarget(sub, newLink(&o, 0, subject.Datagram), nil, bugs.NewLedger(), 0)
+		target, err := bootTarget(sub, newLink(&o, 0, subject.Datagram), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		delivered := make([]int, 200)
 		for i := range delivered {
 			if restart && i%25 == 0 {
-				if err := target.boot(sub, nil, bugs.NewLedger(), 0, float64(i)); err != nil {
+				if err := target.boot(sub, nil, float64(i)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -45,22 +45,11 @@ type Attr struct {
 // A records one attribute (shorthand used at call sites).
 func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 
-// record is one completed span.
-type record struct {
-	id     int
-	parent int // -1 for roots
-	track  int
-	name   string
-	start  time.Duration
-	end    time.Duration
-	attrs  []Attr
-}
-
-// A Record is one completed span in portable form: the shape that
-// crosses process boundaries. Workers drain their completed spans as
-// Records, ship them over the wire, and the coordinator ingests them
-// under a per-process lane so one Chrome trace shows every process on
-// a single timeline. Process "" means the local (exporting) process.
+// A Record is one completed span: the shape that crosses process
+// boundaries too. Workers drain their completed spans as Records, ship
+// them over the wire, and the coordinator ingests them under a
+// per-process lane so one Chrome trace shows every process on a single
+// timeline. Process "" means the local (exporting) process.
 type Record struct {
 	Process string
 	ID      int
@@ -72,21 +61,13 @@ type Record struct {
 	Attrs   []Attr
 }
 
-// export converts an internal record to the portable form.
-func (r record) export() Record {
-	return Record{
-		ID: r.id, Parent: r.parent, Track: r.track,
-		Name: r.name, Start: r.start, End: r.end, Attrs: r.attrs,
-	}
-}
-
 // A Tracer collects spans. The nil *Tracer is the no-op sink. A non-nil
 // Tracer is safe for concurrent use: campaign repetitions and probe
 // workers open and close spans from many goroutines at once.
 type Tracer struct {
 	mu        sync.Mutex
 	clock     Clock
-	done      []record
+	done      []Record // local spans, Process ""
 	foreign   []Record // spans ingested from other processes
 	nextID    int
 	nextTrack int
@@ -119,8 +100,8 @@ func (t *Tracer) Now() time.Duration {
 	return t.clock()
 }
 
-// DrainRecords removes and returns every completed local span in
-// portable form (completion order, Process ""). Still-open spans stay
+// DrainRecords removes and returns every completed local span
+// (completion order, Process ""). Still-open spans stay
 // behind and are returned by a later drain once ended. This is the
 // worker half of cross-process stitching: drain after each lease and
 // ship the batch with the reply.
@@ -130,13 +111,7 @@ func (t *Tracer) DrainRecords() []Record {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.done) == 0 {
-		return nil
-	}
-	out := make([]Record, len(t.done))
-	for i, r := range t.done {
-		out[i] = r.export()
-	}
+	out := t.done
 	t.done = nil
 	return out
 }
@@ -167,8 +142,8 @@ func (t *Tracer) IngestForeign(process string, offset time.Duration, recs []Reco
 	}
 }
 
-// Records snapshots every completed span in portable form: local spans
-// in completion order (Process "") followed by foreign spans sorted by
+// Records snapshots every completed span: local spans in completion
+// order (Process "") followed by foreign spans sorted by
 // (process, id). The foreign sort restores a deterministic order even
 // though replies arrive in whatever order the senders finish — a sender
 // allocates span IDs in sequence, so for a deterministic workload the
@@ -179,9 +154,7 @@ func (t *Tracer) Records() []Record {
 	}
 	t.mu.Lock()
 	out := make([]Record, 0, len(t.done)+len(t.foreign))
-	for _, r := range t.done {
-		out = append(out, r.export())
-	}
+	out = append(out, t.done...)
 	foreign := append([]Record(nil), t.foreign...)
 	t.mu.Unlock()
 	sort.SliceStable(foreign, func(i, j int) bool {
@@ -295,10 +268,10 @@ func (s *Span) Complete(name string, start, end time.Duration, attrs ...Attr) {
 	}
 	t := s.t
 	t.mu.Lock()
-	t.done = append(t.done, record{
-		id: t.nextID, parent: s.id, track: s.track,
-		name: name, start: start, end: end,
-		attrs: append([]Attr(nil), attrs...),
+	t.done = append(t.done, Record{
+		ID: t.nextID, Parent: s.id, Track: s.track,
+		Name: name, Start: start, End: end,
+		Attrs: append([]Attr(nil), attrs...),
 	})
 	t.nextID++
 	t.mu.Unlock()
@@ -333,9 +306,9 @@ func (s *Span) End() {
 	s.ended = true
 	attrs := s.attrs
 	s.mu.Unlock()
-	t.done = append(t.done, record{
-		id: s.id, parent: s.parent, track: s.track,
-		name: s.name, start: s.start, end: end, attrs: attrs,
+	t.done = append(t.done, Record{
+		ID: s.id, Parent: s.parent, Track: s.track,
+		Name: s.name, Start: s.start, End: end, Attrs: attrs,
 	})
 	// Pop the track stack, skipping any spans below that already ended
 	// out of order (a parent ended before its child): the track becomes
