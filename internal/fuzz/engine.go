@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cmfuzz/internal/bugs"
@@ -14,7 +15,10 @@ import (
 //
 // The engine reuses seq's backing buffers across iterations: a Target
 // must not retain seq or its messages past the Run call (copy anything
-// it needs to keep).
+// it needs to keep). And seq's messages are read-only, the spare
+// capacity past each included: one may be a corpus seed's own bytes,
+// which havoc hands over without a copy and which in-process sync shares
+// with instances on other goroutines.
 type Target interface {
 	Run(seq [][]byte, tr *coverage.Trace) *bugs.Crash
 }
@@ -108,10 +112,12 @@ type StepResult struct {
 // messages up to maxSlotBuf (64 KiB): a step that discovers nothing new
 // reuses every buffer of the previous step. A slot buffer that grew past
 // that is dropped at the end of its step, so the next message built in
-// that slot allocates again. Sequences that do earn a corpus slot are
-// deep-copied out of the scratch first (a buffer about to be dropped
-// moves into the seed instead), so corpus seeds never alias reused
-// buffers.
+// that slot allocates again. Havoc's sequence starts as references to
+// its seed's messages and copies into a slot buffer only an entry it
+// writes. Sequences that do earn a corpus slot are deep-copied out of
+// the scratch first (a buffer about to be dropped, or a corpus seed's
+// own message, moves into the seed instead), so corpus seeds never
+// alias reused buffers.
 type Engine struct {
 	cfg      Config
 	target   Target
@@ -130,6 +136,7 @@ type Engine struct {
 	walkBuf    []string
 	seqBuf     [][]byte
 	msgBufs    [][]byte // per-slot wire buffers backing seqBuf entries, each at most maxSlotBuf between steps
+	owned      []bool   // havoc's: owned[i] when seqBuf[i] is a buffer only it refers to, so havoc may write it
 	spliceBuf  [][]byte // splice's sequence: references into two corpus seeds
 }
 
@@ -229,38 +236,38 @@ func (e *Engine) Step() StepResult {
 // ones fmt applies to its printer buffers (fmt.(*pp).free).
 const maxSlotBuf = 64 << 10
 
-// trimScratch drops every slot buffer over maxSlotBuf, and the sequence
-// entries that hold one (a havoc duplicate or tail append may hold a
-// buffer of its own), so nothing of an oversized message outlives its
-// step. Only capacity changes: the next step appends the same bytes into
-// a fresh buffer.
+// trimScratch drops every slot buffer over maxSlotBuf, so nothing of an
+// oversized message outlives its step, and forgets the step's sequences:
+// their entries may be a corpus seed's own bytes (havoc and splice copy
+// only what they write), which an entry kept here would pin after the
+// corpus evicted the seed. Only capacity changes: the next step appends
+// the same bytes into a fresh buffer.
 func (e *Engine) trimScratch() {
 	for i, b := range e.msgBufs {
 		if cap(b) > maxSlotBuf {
 			e.msgBufs[i] = nil
 		}
 	}
-	for i, m := range e.seqBuf {
-		if cap(m) > maxSlotBuf {
-			e.seqBuf[i] = nil
-		}
-	}
+	clear(e.seqBuf)
+	clear(e.spliceBuf)
 }
 
 // Clone returns a copy of s whose messages share no memory with s's.
 func (s Seed) Clone() Seed { return Seed{Msgs: cloneMsgs(s.Msgs, false), Gain: s.Gain} }
 
-// cloneMsgs copies seq into one backing array; an empty message stays nil.
-// With move, a message whose buffer is over maxSlotBuf and at least
-// seven-eighths full is taken as it is (capacity clipped) instead of
-// copied: a step's sequence holds such a buffer only until trimScratch
-// drops it, so its seed can have it, and pins at most an eighth more than
-// the message's bytes.
+// cloneMsgs copies seq into one backing array; an empty message stays nil,
+// and one over maxSlotBuf is copied into an array of its own, so that a
+// seed's large message pins nothing else. With move, a message whose
+// buffer is over maxSlotBuf and at least seven-eighths full is taken as
+// it is (capacity clipped) instead of copied, and pins at most an eighth
+// more than its bytes: a step's sequence holds such a buffer only until
+// trimScratch drops it, or it is an older seed's message, which nothing
+// writes, so the new seed can share it.
 func cloneMsgs(seq [][]byte, move bool) [][]byte {
 	moves := func(m []byte) bool { return move && cap(m) > maxSlotBuf && len(m) >= cap(m)-cap(m)/8 }
 	n := 0
 	for _, m := range seq {
-		if !moves(m) {
+		if !moves(m) && len(m) <= maxSlotBuf {
 			n += len(m)
 		}
 	}
@@ -269,6 +276,8 @@ func cloneMsgs(seq [][]byte, move bool) [][]byte {
 		switch {
 		case moves(m):
 			out[i] = m[:len(m):len(m)]
+		case len(m) > maxSlotBuf:
+			out[i] = slices.Clone(m)
 		case len(m) > 0:
 			buf = append(buf, m...)
 			out[i] = buf[len(buf)-len(m) : len(buf) : len(buf)]
@@ -327,19 +336,35 @@ func (e *Engine) generate() [][]byte {
 }
 
 // havoc applies byte-level transformations to a corpus seed: flips,
-// random bytes, truncation, duplication of whole messages. Seed messages
-// are copied into the engine's per-slot buffers first; s.Msgs and corpus
-// storage are never written.
+// random bytes, truncation, duplication of whole messages, random tails.
+// The sequence starts as references to the seed's messages, which are
+// never written (in-process sync shares them between instances): the
+// first operation that writes an entry copies it into the next unused
+// slot buffer, and truncation and duplication only reslice or alias, so
+// a warmed-up havoc allocates nothing.
 func (e *Engine) havoc(s Seed) [][]byte {
-	seq := e.seqBuf[:0]
-	for i, m := range s.Msgs {
-		buf := append(e.slotBuf(i), m...)
-		e.msgBufs[i] = buf
-		seq = append(seq, buf)
-	}
+	seq := append(e.seqBuf[:0], s.Msgs...)
+	e.seqBuf = seq
 	if len(seq) == 0 {
-		e.seqBuf = seq
 		return seq
+	}
+	owned := e.owned[:0]
+	for range seq {
+		owned = append(owned, false)
+	}
+	slots := 0 // slot buffers copied into so far
+	// own makes seq[mi] writable, appending tail: in place when the
+	// entry already owns its buffer, else as a copy into a fresh slot.
+	own := func(mi int, tail []byte) []byte {
+		if owned[mi] {
+			seq[mi] = append(seq[mi], tail...)
+		} else {
+			buf := append(append(e.slotBuf(slots), seq[mi]...), tail...)
+			e.msgBufs[slots] = buf
+			slots++
+			seq[mi], owned[mi] = buf, true
+		}
+		return seq[mi]
 	}
 	ops := 1 + e.rng.Intn(4)
 	for i := 0; i < ops; i++ {
@@ -349,11 +374,11 @@ func (e *Engine) havoc(s Seed) [][]byte {
 		case 0: // bit flip
 			if len(m) > 0 {
 				bit := e.rng.Intn(len(m) * 8)
-				m[bit/8] ^= 1 << uint(bit%8)
+				own(mi, nil)[bit/8] ^= 1 << uint(bit%8)
 			}
 		case 1: // random byte
 			if len(m) > 0 {
-				m[e.rng.Intn(len(m))] = byte(e.rng.Intn(256))
+				own(mi, nil)[e.rng.Intn(len(m))] = byte(e.rng.Intn(256))
 			}
 		case 2: // truncate
 			if len(m) > 1 {
@@ -361,25 +386,27 @@ func (e *Engine) havoc(s Seed) [][]byte {
 			}
 		case 3: // duplicate a message in the sequence
 			if len(seq) < 16 {
-				seq = append(seq, nil)
-				copy(seq[mi+1:], seq[mi:])
-				seq[mi] = append([]byte(nil), m...)
+				// Both entries share m's bytes, so neither may write them.
+				seq = slices.Insert(seq, mi, m)
+				owned = slices.Insert(owned, mi, false)
+				owned[mi+1] = false
 			}
 		case 4: // append random tail
-			tail := make([]byte, 1+e.rng.Intn(8))
-			for j := range tail {
+			var tail [8]byte
+			n := 1 + e.rng.Intn(8)
+			for j := range n {
 				tail[j] = byte(e.rng.Intn(256))
 			}
-			seq[mi] = append(m, tail...)
+			own(mi, tail[:n])
 		}
 	}
-	e.seqBuf = seq
+	e.seqBuf, e.owned = seq, owned
 	return seq
 }
 
 // splice builds a sequence from a prefix of one seed and a suffix of
 // another, then applies light havoc. The spliced sequence only references
-// the seeds' messages; havoc copies them.
+// the seeds' messages; havoc copies those it writes.
 func (e *Engine) splice(a, b Seed) [][]byte {
 	cut1 := 0
 	if len(a.Msgs) > 0 {

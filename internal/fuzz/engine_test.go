@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"cmfuzz/internal/bugs"
@@ -222,16 +224,68 @@ func TestEngineSplice(t *testing.T) {
 			t.Fatalf("splice length %d out of range", len(seq))
 		}
 	}
-	// Originals must not be aliased by splice output.
-	seq := e.splice(a, b)
-	for _, m := range seq {
-		if len(m) > 0 {
-			m[0] = 0xEE
+}
+
+// TestHavocNeverWritesSeeds: havoc and splice hand a seed's messages to
+// the target as they are and copy only the entries they write, so no
+// step writes a corpus seed, nor the capacity past one of its messages.
+// Two engines on two goroutines share one set of imported seeds, as
+// in-process sync shares them between instances; after thousands of
+// steps every seed, imported or added since, still equals the deep copy
+// taken when it entered the corpus.
+func TestHavocNeverWritesSeeds(t *testing.T) {
+	spare := make([]byte, 3, 64) // a tail append must not grow into it in place
+	copy(spare, "abc")
+	shared := []Seed{
+		{Msgs: [][]byte{{1, 2, 3, 4}, {5, 6}, nil}, Gain: 1},
+		{Msgs: [][]byte{spare, {7}}, Gain: 1},
+		{Msgs: [][]byte{bytes.Repeat([]byte{0x5a}, maxSlotBuf+1), {8, 9}}, Gain: 1}, // shared with the seeds it begets
+	}
+	snapshot := func(seeds []Seed) []Seed {
+		out := make([]Seed, len(seeds))
+		for i, s := range seeds {
+			out[i] = Seed{Msgs: make([][]byte, len(s.Msgs)), Gain: s.Gain}
+			for j, m := range s.Msgs {
+				out[i].Msgs[j] = bytes.Clone(m[:cap(m)])
+			}
+		}
+		return out
+	}
+	unchanged := func(what string, seeds, copies []Seed) {
+		for i, s := range seeds {
+			for j, m := range s.Msgs {
+				if !bytes.Equal(m[:cap(m)], copies[i].Msgs[j]) {
+					t.Errorf("%s seed %d message %d was written", what, i, j)
+					return
+				}
+			}
 		}
 	}
-	if a.Msgs[0][0] == 0xEE || b.Msgs[0][0] == 0xEE {
-		t.Fatal("splice aliases seed storage")
+	sharedCopies := snapshot(shared)
+	var wg sync.WaitGroup
+	for w := int64(0); w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := toyConfig(20 + w)
+			cfg.genProb = never // every step havocs or splices
+			e := NewEngine(cfg, &toyTarget{})
+			e.ImportSeeds(shared)
+			var added, addedCopies []Seed
+			for i := 0; i < 5000; i++ {
+				if e.Step().NewEdges > 0 {
+					added = append(added, e.LastSeed())
+					addedCopies = append(addedCopies, snapshot(added[len(added)-1:])...)
+				}
+			}
+			if len(added) == 0 {
+				t.Error("no step added a seed")
+			}
+			unchanged("an added", added, addedCopies)
+		}()
 	}
+	wg.Wait()
+	unchanged("a shared", shared, sharedCopies)
 }
 
 func TestEngineSpliceEmptySeeds(t *testing.T) {

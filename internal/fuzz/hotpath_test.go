@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
@@ -42,10 +43,11 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
-// TestStepAllocsHavoc bounds the corpus-havoc path: its transformations
-// allocate only small per-op transients (duplicated messages, random
-// tails), never anything proportional to the coverage map or corpus, and
-// splice builds its sequence from references into the two seeds.
+// TestStepAllocsHavoc pins the corpus-havoc path at zero: its sequence
+// references the seed's messages, an entry an operation writes is copied
+// into a reused slot buffer, duplication aliases, the random tail is a
+// stack array, and splice builds its sequence from references into the
+// two seeds.
 func TestStepAllocsHavoc(t *testing.T) {
 	cfg := goldenConfig(8)
 	cfg.genProb = never // corpus exists => always havoc/splice
@@ -57,8 +59,8 @@ func TestStepAllocsHavoc(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		e.Step()
 	}
-	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > 1 {
-		t.Fatalf("havoc-path Step allocates %.1f objects/op, want <= 1", avg)
+	if avg := testing.AllocsPerRun(200, func() { e.Step() }); avg > 0 {
+		t.Fatalf("havoc-path Step allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -143,6 +145,21 @@ func TestStepScratchBounded(t *testing.T) {
 	}
 	if &seed[0][0] == &small[0] || !bytes.Equal(seed[0], sent[0]) {
 		t.Fatal("the seed's 1 KiB message is not a copy of the one sent")
+	}
+}
+
+// TestCloneIsolatesLargeMessages: a seed's message over maxSlotBuf is
+// copied into an array of its own, so a later seed that shares it (a
+// havoc step that left it unwritten) pins nothing else; the small
+// messages either side of it are packed next to each other.
+func TestCloneIsolatesLargeMessages(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, maxSlotBuf+1)
+	c := Seed{Msgs: [][]byte{{1, 2}, big, {3}}}.Clone()
+	if !bytes.Equal(c.Msgs[1], big) || &c.Msgs[1][0] == &big[0] {
+		t.Fatal("the large message is not a copy")
+	}
+	if unsafe.Add(unsafe.Pointer(&c.Msgs[0][0]), 2) != unsafe.Pointer(&c.Msgs[2][0]) {
+		t.Fatal("the large message shares the array of the small ones")
 	}
 }
 

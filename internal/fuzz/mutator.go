@@ -1,6 +1,9 @@
 package fuzz
 
-import "math/rand"
+import (
+	"bytes"
+	"math/rand"
+)
 
 // A mutator transforms one message field, Peach-style. applies reports
 // whether it can act on e and must not write e: it may be the data
@@ -104,12 +107,7 @@ func stringRepeat(e *Element, r *rand.Rand) {
 	if len(unit) == 0 {
 		unit = []byte("A")
 	}
-	reps := fitCopies(len(unit), 1<<uint(1+r.Intn(9))) // 2..512 copies
-	out := make([]byte, 0, len(unit)*reps)
-	for i := 0; i < reps; i++ {
-		out = append(out, unit...)
-	}
-	e.Data = out
+	e.Data = bytes.Repeat(unit, fitCopies(len(unit), 1<<uint(1+r.Intn(9)))) // 2..512 copies
 }
 
 func stringEmpty(e *Element, _ *rand.Rand) { e.Data = nil }
@@ -144,12 +142,7 @@ func blobTruncate(e *Element, r *rand.Rand) {
 }
 
 func blobDuplicate(e *Element, r *rand.Rand) {
-	copies := fitCopies(len(e.Data), 2+r.Intn(4))
-	out := append([]byte(nil), e.Data...)
-	for i := 1; i < copies; i++ {
-		out = append(out, e.Data...)
-	}
-	e.Data = out
+	e.Data = bytes.Repeat(e.Data, fitCopies(len(e.Data), 2+r.Intn(4)))
 }
 
 func blobInsert(e *Element, r *rand.Rand) {

@@ -13,6 +13,7 @@ import (
 	"cmfuzz/internal/coverage"
 	"cmfuzz/internal/fuzz"
 	"cmfuzz/internal/subject"
+	"cmfuzz/internal/subject/subjecttest"
 )
 
 // echoBin is the sample external echo server, built once per test run.
@@ -166,6 +167,18 @@ func TestLiveEchoRoundTrip(t *testing.T) {
 	if exe.Count() == 0 {
 		t.Fatal("response produced no inferred coverage")
 	}
+}
+
+// TestLivePayloadReadOnly: a live instance only sends what Message is
+// given, so it passes the conformance suite's read-only payload check.
+func TestLivePayloadReadOnly(t *testing.T) {
+	spec := echoSpec()
+	spec.HangThreshold = 1000 // an oversized datagram draws no reply; keep respawns out
+	sub, err := NewSubject(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjecttest.PayloadReadOnly(t, sub, map[string]string{"mode": "upper"}, 10)
 }
 
 func TestLiveTCPRoundTrip(t *testing.T) {

@@ -321,13 +321,16 @@ func fallbackDetail(err error) string {
 // greedily reverting non-default bindings (in sorted key order for
 // determinism) until startup succeeds. Each reverted binding is kept
 // reverted only if reverting it actually helps, so the configuration
-// keeps as much of its scheduled character as possible.
+// keeps as much of its scheduled character as possible. It returns a
+// map of its own and never writes cfg: the caller's spec keeps its
+// configuration, and the instance's value mutations stay its own.
 func repairConfig(sub subject.Subject, cfg, defaults configmodel.Assignment) configmodel.Assignment {
 	boots := func(c configmodel.Assignment) bool {
 		ok := false
 		bugs.Capture(func() { ok = subject.Probe(sub, map[string]string(c)) > 0 })
 		return ok
 	}
+	cfg = cfg.Clone()
 	if boots(cfg) {
 		return cfg
 	}

@@ -19,9 +19,10 @@ import (
 // allow, and its startup crashes through crash, so restart-failure paths
 // can be forced deterministically.
 type stubSubject struct {
-	allow func(cfg map[string]string) bool
-	crash func(cfg map[string]string) *bugs.Crash // Start panics with a non-nil one
-	boots int
+	allow  func(cfg map[string]string) bool
+	crash  func(cfg map[string]string) *bugs.Crash // Start panics with a non-nil one
+	boots  int
+	closes int
 }
 
 func (s *stubSubject) Info() subject.Info {
@@ -60,7 +61,7 @@ func (i *stubInstance) Start(cfg map[string]string, tr *coverage.Trace) error {
 func (i *stubInstance) SetTrace(tr *coverage.Trace) { i.tr = tr }
 func (i *stubInstance) NewSession()                 {}
 func (i *stubInstance) Message(p []byte) [][]byte   { i.tr.Hit(3); return nil }
-func (i *stubInstance) Close()                      {}
+func (i *stubInstance) Close()                      { i.sub.closes++ }
 
 // stubHost is a Host for sub with model as the campaign's configuration
 // model.
@@ -147,6 +148,68 @@ func TestBootAndMutateReportEveryCrash(t *testing.T) {
 	crashing = false
 	if out := in.Mutate(); out.Crashes != nil || out.Boots != 1 {
 		t.Fatalf("clean restart = %+v, want one boot and no crashes", out)
+	}
+}
+
+// TestBootClosesFailedInstance: an instance whose Start fails or crashes
+// is closed before boot returns, as subject.Probe closes its own, so a
+// failed live restart leaves no process running.
+func TestBootClosesFailedInstance(t *testing.T) {
+	for name, sub := range map[string]*stubSubject{
+		"failing": {allow: func(map[string]string) bool { return false }},
+		"crashing": {crash: func(map[string]string) *bugs.Crash {
+			return &bugs.Crash{Protocol: "STUB", Kind: bugs.SEGV, Function: "parse_mode"}
+		}},
+	} {
+		target := &netTarget{link: &link{}}
+		if err := target.boot(sub, configmodel.Assignment{"mode": "v1"}, 0); err == nil {
+			t.Fatalf("%s: the boot succeeded", name)
+		}
+		if sub.boots != 1 || sub.closes != 1 {
+			t.Fatalf("%s: %d starts, %d closes, want 1 and 1", name, sub.boots, sub.closes)
+		}
+	}
+}
+
+// TestBootKeepsSpecConfig: booting never writes the spec's
+// configuration, neither when repair reverts a conflicting binding nor
+// when the instance later mutates a value, so the spec reads what it was
+// scheduled with afterwards.
+func TestBootKeepsSpecConfig(t *testing.T) {
+	model := configmodel.NewModel([]configmodel.Entity{
+		{Name: "mode", Type: configmodel.TypeString, Flag: configmodel.Mutable,
+			Default: "v0", Values: []string{"v1", "v2"}},
+	})
+	sub := &stubSubject{allow: func(cfg map[string]string) bool { return cfg["mode"] != "v1" }}
+	h := stubHost(t, sub, model)
+
+	spec := InstanceSpec{Config: configmodel.Assignment{"mode": "v1"}, RngSeed: 1}
+	in, rep, err := h.Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (configmodel.Assignment{"mode": "v0"}).String(); rep.Config != want {
+		t.Fatalf("repaired boot ran %s, want %s", rep.Config, want)
+	}
+	if spec.Config["mode"] != "v1" {
+		t.Fatalf("repair rewrote the spec's configuration to %v", spec.Config)
+	}
+
+	// mode=v2 boots as scheduled; a mutation that restarts the instance
+	// changes its configuration, not the spec's.
+	sub.allow = func(map[string]string) bool { return true }
+	spec = InstanceSpec{Config: configmodel.Assignment{"mode": "v2"}, RngSeed: 1}
+	if in, _, err = h.Boot(spec); err != nil {
+		t.Fatal(err)
+	}
+	for tries := 0; tries < 32 && in.cfg["mode"] == "v2"; tries++ {
+		in.Mutate()
+	}
+	if in.cfg["mode"] == "v2" {
+		t.Fatal("Mutate never changed the instance's configuration")
+	}
+	if spec.Config["mode"] != "v2" {
+		t.Fatalf("a value mutation rewrote the spec's configuration to %v", spec.Config)
 	}
 }
 

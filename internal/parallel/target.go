@@ -64,7 +64,10 @@ type netTarget struct {
 
 // boot starts (or restarts) the backing instance under cfg at virtual
 // time now; the link stays. A crash during startup (a configuration-
-// parsing defect) is kept as a record and returned as the error.
+// parsing defect) is kept as a record and returned as the error. An
+// instance that fails or crashes in Start is closed, as subject.Probe
+// closes its own: a live target's half-started process must not outlive
+// the failed restart.
 func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, now float64) error {
 	inst := sub.NewInstance()
 	tr := coverage.NewTrace()
@@ -73,10 +76,12 @@ func (t *netTarget) boot(sub subject.Subject, cfg configmodel.Assignment, now fl
 		startErr = inst.Start(map[string]string(cfg), tr)
 	})
 	if crash != nil {
+		inst.Close()
 		t.crashes = append(t.crashes, CrashRec{Crash: *crash, Instance: t.index, T: now, Config: cfg.String()})
 		return crash
 	}
 	if startErr != nil {
+		inst.Close()
 		return startErr
 	}
 	if t.inst != nil {

@@ -32,6 +32,18 @@ func TestSubjectConformance(t *testing.T) {
 	}
 }
 
+// TestPayloadReadOnlyRich runs the conformance suite's read-only payload
+// check under each subject's feature-rich assignment too, where the
+// configuration-gated regions (DTLS records, CoAP blocks, MQTT bridging
+// and persistence, ...) parse what the defaults never reach.
+func TestPayloadReadOnlyRich(t *testing.T) {
+	for _, sub := range All() {
+		t.Run(sub.Info().Protocol, func(t *testing.T) {
+			subjecttest.PayloadReadOnly(t, sub, subjectConfig(t, sub, true), 200)
+		})
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, query := range []string{"MQTT", "Mosquitto", "DNS", "Dnsmasq", "CycloneDDS"} {
 		if _, err := ByName(query); err != nil {

@@ -368,10 +368,10 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 		b.tr.Edge(mPubErr, 0)
 		return nil
 	}
-	topicHash := probes.HashBytes(p.Topic)
+	topicHash, payloadHash := probes.HashBytes(p.Topic), probes.HashBytes(p.Payload)
 	b.tr.Edge(mPublish, uint64(p.QoS)<<2|probes.B(p.Retain)<<1|probes.B(p.Dup))
 	b.tr.Edge(mTopicHash, topicHash%hashSpace)
-	b.tr.Edge(mPayload, probes.HashBytes(p.Payload)%hashSpace)
+	b.tr.Edge(mPayload, payloadHash%hashSpace)
 	b.tr.Edge(mPublish, 16+probes.Bucket(len(p.Payload)))
 	levels := bytes.Count(p.Topic, slash)
 	b.tr.Edge(mPublish, 64+uint64(levels%32))
@@ -491,7 +491,7 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 	if b.cfg.bridge && topicMatches(b.cfg.bridgeTopic, p.Topic) {
 		b.tr.Edge(mBridgeFwd, topicHash%512)
 		b.tr.Edge(mBridgeFwd, 768+uint64(qos))
-		b.tr.Edge(mBridgeFwd, 780+probes.HashBytes(p.Payload)%256)
+		b.tr.Edge(mBridgeFwd, 780+payloadHash%256)
 		if b.cfg.bridgeProto == "mqttv50" {
 			b.tr.Edge(mBridgeFwd, 1040+probes.Bucket(len(p.Payload)))
 		}
@@ -504,7 +504,7 @@ func (b *Broker) handlePublish(flags byte, body []byte) [][]byte {
 	if b.cfg.persistence && qos > 0 {
 		b.tr.Edge(mPersistOp, topicHash%512)
 		b.tr.Edge(mPersistOp, 512+probes.Bucket(len(p.Payload)))
-		b.tr.Edge(mPersistOp, 544+probes.HashBytes(p.Payload)%192)
+		b.tr.Edge(mPersistOp, 544+payloadHash%192)
 	}
 	return b.resp.Out()
 }

@@ -71,12 +71,15 @@ type Instance interface {
 	// Message handles one inbound packet and returns response packets.
 	// Seeded defects panic with *bugs.Crash.
 	//
-	// Buffers are lent both ways, as with fuzz.Target: the caller may
-	// reuse payload once Message returns, so an instance copies anything
-	// it keeps from it; and the returned frames are read-only and valid
-	// only until the instance's next Message, NewSession or Close, so an
-	// instance may build them in buffers it reuses and a caller copies
-	// what it needs to keep.
+	// Buffers are lent both ways, as with fuzz.Target: payload is
+	// read-only, and the caller may reuse it once Message returns, so an
+	// instance copies anything it keeps from it and never writes it, nor
+	// appends into its spare capacity (it may be a corpus seed's own
+	// bytes, which instances on other goroutines read at the same time);
+	// and the returned frames are read-only and valid only until the
+	// instance's next Message, NewSession or Close, so an instance may
+	// build them in buffers it reuses and a caller copies what it needs
+	// to keep.
 	Message(payload []byte) [][]byte
 	// Close releases the instance.
 	Close()

@@ -2,11 +2,12 @@
 // subjects: every Subject implementation must satisfy the contract the
 // fuzzing stack relies on — deterministic startup coverage, total
 // robustness against arbitrary input bytes (the only permitted panic is
-// a seeded *bugs.Crash), session isolation, and a Pit document whose
-// models actually drive the implementation.
+// a seeded *bugs.Crash), session isolation, read-only payloads, and a Pit
+// document whose models actually drive the implementation.
 package subjecttest
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -29,6 +30,7 @@ func Run(t *testing.T, sub subject.Subject) {
 	t.Run("RobustAgainstGarbage", func(t *testing.T) { testGarbage(t, sub) })
 	t.Run("MutatedPitTraffic", func(t *testing.T) { testMutatedTraffic(t, sub) })
 	t.Run("SessionReset", func(t *testing.T) { testSessionReset(t, sub) })
+	t.Run("PayloadReadOnly", func(t *testing.T) { PayloadReadOnly(t, sub, defaults(sub), 200) })
 	t.Run("DefaultConfigFindsNoSeededBugs", func(t *testing.T) { testNoDefaultBugs(t, sub) })
 }
 
@@ -202,6 +204,62 @@ func testMutatedTraffic(t *testing.T, sub subject.Subject) {
 	}
 	if tr.Count() < 50 {
 		t.Fatalf("mutated traffic produced only %d edges", tr.Count())
+	}
+}
+
+// PayloadReadOnly holds an instance of sub, started under cfg, to
+// subject.Instance.Message's read-only payload: over as many sessions
+// of random bytes as the sessions argument says, and as many Pit walks,
+// every other one mutated, each payload must be byte-identical after
+// Message returns, a seeded crash included, and so must the spare
+// capacity past it. A payload may be a corpus seed's own bytes, which
+// the engine hands over without a copy and in-process sync shares
+// between instance goroutines; a truncated one runs on into the rest of
+// the seed's message.
+func PayloadReadOnly(t *testing.T, sub subject.Subject, cfg map[string]string, sessions int) {
+	t.Helper()
+	pit, err := fuzz.ParsePit(sub.PitXML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := pit.DefaultStateModel()
+	inst := sub.NewInstance()
+	defer inst.Close()
+	if err := inst.Start(cfg, coverage.NewTrace()); err != nil {
+		t.Fatal(err)
+	}
+	inst.SetTrace(coverage.NewTrace())
+	send := func(payload []byte) {
+		t.Helper()
+		buf := append(payload, "spare capacity"...)
+		sent := bytes.Clone(buf)
+		bugs.Capture(func() { inst.Message(buf[:len(payload)]) })
+		if !bytes.Equal(buf, sent) {
+			t.Fatalf("Message wrote its payload or the capacity past it:\nsent %x\nleft %x", sent, buf)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < sessions; i++ {
+		inst.NewSession()
+		for j := 0; j < 8; j++ {
+			payload := make([]byte, r.Intn(200))
+			r.Read(payload)
+			send(payload)
+		}
+	}
+	for i := 0; i < sessions; i++ {
+		inst.NewSession()
+		for _, name := range sm.Walk(r, 8) {
+			dm := pit.DataModels[name]
+			if dm == nil {
+				continue
+			}
+			msg := dm.NewMessage(r)
+			if i%2 == 1 {
+				fuzz.MutateMessage(msg, r)
+			}
+			send(msg.Serialize())
+		}
 	}
 }
 
