@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 
 	"cmfuzz/internal/campaign"
 	"cmfuzz/internal/monitor"
+	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/protocols"
 	"cmfuzz/internal/subject"
 )
@@ -74,7 +76,9 @@ func main() {
 		if *jsonOut {
 			export.Table1 = rows
 		} else {
-			fmt.Printf("== Table I: branches covered (4 instances, %gh x %d reps) ==\n", cfg.Spec.Hours, cfg.Repetitions)
+			reps, _ := cfg.Reps() // Evaluate ran with it
+			n := cmp.Or(cfg.Spec.Instances, parallel.DefaultInstances)
+			fmt.Printf("== Table I: branches covered (%d instances, %gh x %d reps) ==\n", n, cfg.Spec.Hours, reps)
 			fmt.Print(campaign.RenderTable1(rows))
 			fmt.Println()
 		}

@@ -172,8 +172,8 @@ func cmdModel(args []string) error {
 }
 
 // planStage parses a pipeline-stage command line and plans the campaign
-// it describes with the planner every campaign runs, so -n, -alloc and
-// -raw-weights mean here what they mean to fuzz.
+// it describes with the planner every campaign runs, Host.Plan, so -n
+// and -seed mean here what they mean to fuzz.
 func planStage(cmd string, args []string) (*parallel.Host, *parallel.Plan, error) {
 	c, sub, err := parseTarget(cmd, args)
 	if err != nil {

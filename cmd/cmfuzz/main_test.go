@@ -181,7 +181,7 @@ func TestCampaignOutImpliesTelemetry(t *testing.T) {
 // it into the same spec.
 func TestFuzzAndCoordinatorDescribeTheSameCampaign(t *testing.T) {
 	argv := []string{"-subject", "CoAP", "-mode", "spfuzz", "-hours", "0.5", "-seed", "9", "-n", "3",
-		"-alloc", "round-robin", "-no-config-mutation", "-raw-weights", "-sat-window", "90", "-sat-min-gain", "3",
+		"-no-config-mutation", "-sat-window", "90", "-sat-min-gain", "3",
 		"-link-loss", "0.1", "-link-latency", "0.25", "-link-jitter", "0.5",
 		"-target-addr", "127.0.0.1:9", "-target-rate", "50",
 		"-j", "2", "-out", "d", "-telemetry", "-events", "e.jsonl", "-trace", "t.json", "-monitor", "127.0.0.1:0"}
@@ -199,7 +199,7 @@ func TestFuzzAndCoordinatorDescribeTheSameCampaign(t *testing.T) {
 	if !reflect.DeepEqual(fuzz, coord) {
 		t.Fatalf("fuzz parsed %+v\ncoordinator parsed %+v", fuzz, coord)
 	}
-	if fuzz.spec.Alloc != "round-robin" || fuzz.spec.LinkJitter != 0.5 || fuzz.spec.Live == nil || fuzz.jobs != 2 || fuzz.sess.TracePath != "t.json" {
+	if !fuzz.spec.NoConfigMutation || fuzz.spec.LinkJitter != 0.5 || fuzz.spec.Live == nil || fuzz.jobs != 2 || fuzz.sess.TracePath != "t.json" {
 		t.Fatalf("argv did not reach the spec: %+v", fuzz)
 	}
 }
@@ -214,7 +214,7 @@ func TestOutOfRangeFlagsAreErrors(t *testing.T) {
 	}{
 		{cmdFuzz, []string{"-subject", "DNS", "-n", "-1"}, "instances -1"},
 		{cmdFuzz, []string{"-subject", "DNS", "-hours", "1e308"}, "hours 1e+308"},
-		{cmdFuzz, []string{"-subject", "DNS", "-alloc", "greedy"}, `unknown allocator "greedy"`},
+		{cmdFuzz, []string{"-subject", "DNS", "-mode", "afl"}, `unknown mode "afl"`},
 		{cmdCoordinator, []string{"-subject", "DNS", "-n", "70000"}, "instances 70000"},
 		{cmdCampaign, []string{"-subject", "DNS", "-hours", "0.05", "-reps", "-1"}, "repetitions -1"},
 		{cmdCampaign, []string{"-subject", "DNS", "-hours", "0.05", "-n", "-1"}, "instances -1"},
@@ -228,10 +228,10 @@ func TestOutOfRangeFlagsAreErrors(t *testing.T) {
 
 // TestStagesHonourCampaignFlags: relate and schedule plan with the
 // planner every campaign uses, so the groups schedule prints are the
-// groups fuzz runs under the same flags, ablations included, and relate
-// refuses a mode that plans no relations.
+// groups fuzz runs under the same flags, and relate refuses a mode that
+// plans no relations.
 func TestStagesHonourCampaignFlags(t *testing.T) {
-	for _, flags := range [][]string{{"-alloc", "random"}, {"-alloc", "round-robin", "-n", "3"}, {"-raw-weights", "-seed", "5"}} {
+	for _, flags := range [][]string{{}, {"-n", "3"}, {"-n", "2", "-seed", "5"}} {
 		args := append([]string{"-subject", "DNS", "-hours", "0.01"}, flags...)
 		out, err := captureStdout(t, func() error { return cmdSchedule(args) })
 		if err != nil {

@@ -204,8 +204,8 @@ func TestDesignGuards(t *testing.T) {
 			}
 		}
 		none(t, literals, "parallel.Options built outside spec.Campaign.Options")
-		for _, f := range []string{"subject", "mode", "hours", "seed", "n", "alloc", "no-config-mutation",
-			"raw-weights", "sat-window", "sat-min-gain", "link-loss", "link-latency", "link-jitter",
+		for _, f := range []string{"subject", "mode", "hours", "seed", "n", "no-config-mutation",
+			"sat-window", "sat-min-gain", "link-loss", "link-latency", "link-jitter",
 			"target-cmd", "target-addr", "target-config-template", "target-transport", "target-spec",
 			"target-rate", "target-max-restarts", "target-restart-window", "target-max-hangs",
 			"telemetry", "events", "trace", "monitor"} {
@@ -221,15 +221,20 @@ func TestDesignGuards(t *testing.T) {
 	})
 
 	// Figure 1 — relation quantification, then grouping and each group's
-	// configuration — is planned by parallel.Host.Plan and nowhere else:
-	// campaigns, the dist coordinator, the stage commands and the facade's
-	// Identify all call it. The probe-executor service it once sat on
-	// stays gone.
+	// configuration — is planned by parallel.Host.Plan's steps and nowhere
+	// else: campaigns, the dist coordinator, the stage commands and the
+	// facade's Identify all call Host.Plan. The ablation variants are
+	// planners built from the same steps, and deal groups with the two
+	// alternative allocators in internal/campaign/ablation.go alone. The
+	// probe-executor service it once sat on stays gone.
 	t.Run("OnePlanner", func(t *testing.T) {
 		re := regexp.MustCompile(`relation\.Quantify\(|schedule\.(Allocate|RandomAllocate|RoundRobinAllocate|GroupAssignment)\(`)
+		alternative := regexp.MustCompile(`schedule\.(RandomAllocate|RoundRobinAllocate)\(`)
 		var calls []goLine
 		for _, l := range goLines(t, re, false, ".") {
-			if l.path != "internal/parallel/host.go" {
+			variant := l.path == "internal/campaign/ablation.go" && alternative.MatchString(l.text) &&
+				len(re.FindAllString(l.text, -1)) == 1
+			if l.path != "internal/parallel/host.go" && !variant {
 				calls = append(calls, l)
 			}
 		}

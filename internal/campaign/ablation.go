@@ -5,7 +5,12 @@ import (
 	"fmt"
 	"strings"
 
+	"cmfuzz/internal/bugs"
+	"cmfuzz/internal/core/relation"
+	"cmfuzz/internal/core/schedule"
+	"cmfuzz/internal/parallel"
 	"cmfuzz/internal/subject"
+	"cmfuzz/internal/telemetry"
 	"cmfuzz/internal/telemetry/trace"
 )
 
@@ -19,8 +24,8 @@ type AblationRow struct {
 }
 
 // ablationVariants are the design choices DESIGN.md calls out, each a
-// campaign spec that differs from the full CMFuzz template in one
-// respect:
+// campaign that differs from the full CMFuzz one in its mode, its
+// configuration-value mutation or its planner:
 //
 //   - allocation strategy: Algorithm 2's cohesive grouping vs random and
 //     round-robin dealing;
@@ -29,23 +34,40 @@ type AblationRow struct {
 //     startup coverage;
 //   - Peach schedule redundancy: independent vs pairwise-shared workers.
 var ablationVariants = []struct {
-	name, mode, alloc                   string
-	noMutation, rawWeights, peachShared bool
+	name, mode string
+	noMutation bool
+	plan       parallel.Planner
 }{
-	{name: "cmfuzz (full)"},
-	{name: "alloc=random", alloc: "random"},
-	{name: "alloc=round-robin", alloc: "round-robin"},
-	{name: "no-config-mutation", noMutation: true},
-	{name: "weight=raw-coverage", rawWeights: true},
-	{name: "peach", mode: "peach"},
-	// PeachSharedSchedules is an Options knob, not a campaign parameter.
-	{name: "peach-shared-sched", mode: "peach", peachShared: true},
+	{name: "cmfuzz (full)", plan: paper},
+	{name: "alloc=random", plan: func(h *parallel.Host, ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *parallel.Plan {
+		rel := h.Probe(ledger, relation.WeightInteraction, tel, parent)
+		return h.Specs(rel, schedule.RandomAllocate(rel.Graph, h.Opts.Instances, h.Opts.Seed), tel)
+	}},
+	{name: "alloc=round-robin", plan: func(h *parallel.Host, ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *parallel.Plan {
+		rel := h.Probe(ledger, relation.WeightInteraction, tel, parent)
+		return h.Specs(rel, schedule.RoundRobinAllocate(rel.Graph, h.Opts.Instances), tel)
+	}},
+	{name: "no-config-mutation", noMutation: true, plan: paper},
+	{name: "weight=raw-coverage", plan: func(h *parallel.Host, ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *parallel.Plan {
+		rel := h.Probe(ledger, relation.WeightRawCoverage, tel, parent)
+		return h.Specs(rel, h.Allocate(rel, parent), tel)
+	}},
+	{name: "peach", mode: "peach", plan: paper},
+	// Instance i runs instance i/2's engine seed (walking down, one not
+	// yet replaced): one strategy replicated without task division.
+	{name: "peach-shared-sched", mode: "peach", plan: func(h *parallel.Host, ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *parallel.Plan {
+		plan := h.Plan(ledger, tel, parent)
+		for i := len(plan.Specs) - 1; i > 0; i-- {
+			plan.Specs[i].EngineSeed = plan.Specs[i/2].EngineSeed
+		}
+		return plan
+	}},
 }
 
 // Ablations runs every variant × repetition on each subject as one
 // batch and averages each variant's repetitions.
 func Ablations(ctx context.Context, subs []subject.Subject, cfg Config) ([]AblationRow, error) {
-	reps, err := cfg.repetitions()
+	reps, err := cfg.Reps()
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +77,9 @@ func Ablations(ctx context.Context, subs []subject.Subject, cfg Config) ([]Ablat
 		var jobs []job
 		for _, v := range ablationVariants {
 			c := cfg.Spec
-			c.Subject, c.Mode, c.Alloc = info.Protocol, v.mode, v.alloc
-			c.NoConfigMutation, c.RawWeights = v.noMutation, v.rawWeights
+			c.Subject, c.Mode, c.NoConfigMutation = info.Protocol, v.mode, v.noMutation
 			for rep := 0; rep < reps; rep++ {
-				j := cfg.cell(c, v.name, rep)
-				j.peachShared = v.peachShared
-				jobs = append(jobs, j)
+				jobs = append(jobs, cfg.cell(c, v.plan, v.name, rep))
 			}
 		}
 		span := cfg.Trace.Child("ablation", trace.A("subject", info.Protocol), trace.A("repetitions", reps))

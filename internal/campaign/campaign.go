@@ -74,8 +74,8 @@ func (c *Config) Bind(fs *flag.FlagSet, reps int, subject string) {
 	redefault("subject", subject, "subject protocol or implementation name")
 }
 
-// repetitions applies the default and rejects a negative count.
-func (c Config) repetitions() (int, error) {
+// Reps is the repetition count a run uses: 5 for zero, an error below.
+func (c Config) Reps() (int, error) {
 	switch {
 	case c.Repetitions < 0:
 		return 0, fmt.Errorf("campaign: repetitions %d must not be negative", c.Repetitions)
@@ -86,22 +86,24 @@ func (c Config) repetitions() (int, error) {
 }
 
 // A job is one campaign of a batch: the template with its variant
-// fields, mode and repetition seed filled in.
+// fields, mode and repetition seed filled in, and its planner.
 type job struct {
 	spec spec.Campaign
+	plan parallel.Planner
 	// label names the run on the live board and stamps its events;
 	// unique within the batch.
 	label string
 	rep   int
-	// peachShared sets Options.PeachSharedSchedules, the one ablation
-	// knob that is no campaign parameter.
-	peachShared bool
 }
 
-// cell cuts repetition rep of one variant from the template.
-func (c Config) cell(v spec.Campaign, label string, rep int) job {
+// paper is the planner every campaign but an ablation variant runs.
+var paper parallel.Planner = (*parallel.Host).Plan
+
+// cell cuts repetition rep of one variant, planned by plan, from the
+// template.
+func (c Config) cell(v spec.Campaign, plan parallel.Planner, label string, rep int) job {
 	v.Seed = c.Spec.Seed + int64(rep) + 1
-	return job{spec: v, label: fmt.Sprintf("%s/rep%d", label, rep), rep: rep}
+	return job{spec: v, plan: plan, label: fmt.Sprintf("%s/rep%d", label, rep), rep: rep}
 }
 
 // runBatch executes jobs on sub, at most Config.Concurrency at a time,
@@ -118,7 +120,6 @@ func runBatch(ctx context.Context, sub subject.Subject, cfg Config, span *trace.
 			return nil, fmt.Errorf("campaign: %s: %w", j.label, err)
 		}
 		o.Concurrency = cfg.Concurrency
-		o.PeachSharedSchedules = j.peachShared
 		// Concurrent campaigns each record into their own labeled child
 		// recorder; the children are merged below in job order so the
 		// export is deterministic.
@@ -142,7 +143,7 @@ func runBatch(ctx context.Context, sub subject.Subject, cfg Config, span *trace.
 			o := opts[i]
 			o.Trace = span.Child("repetition", trace.A("mode", o.Mode.String()), trace.A("rep", jobs[i].rep))
 			defer o.Trace.End()
-			res, err := parallel.Run(ctx, sub, o)
+			res, err := parallel.RunPlanned(ctx, sub, o, jobs[i].plan)
 			if err == nil {
 				o.Telemetry.Emit(telemetry.Event{
 					T: o.Horizon(), Type: telemetry.EvCampaign, Instance: -1,
@@ -187,7 +188,7 @@ type SubjectResult struct {
 // RunSubject runs the three fuzzers × repetitions on one subject as one
 // batch and folds the results in fixed (fuzzer, repetition) order.
 func RunSubject(ctx context.Context, sub subject.Subject, cfg Config) (*SubjectResult, error) {
-	reps, err := cfg.repetitions()
+	reps, err := cfg.Reps()
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +199,7 @@ func RunSubject(ctx context.Context, sub subject.Subject, cfg Config) (*SubjectR
 		v := cfg.Spec
 		v.Subject, v.Mode = res.Subject.Protocol, mode.String()
 		for rep := 0; rep < reps; rep++ {
-			jobs = append(jobs, cfg.cell(v, v.Mode, rep))
+			jobs = append(jobs, cfg.cell(v, paper, v.Mode, rep))
 		}
 	}
 	span := cfg.Trace.Child("campaign",

@@ -164,7 +164,7 @@ func TestSpeedupDefinition(t *testing.T) {
 func TestRunModesSmoke(t *testing.T) {
 	sub := dnsSubject(t)
 	for _, mode := range []string{"cmfuzz", "peach", "spfuzz"} {
-		j := job{spec: spec.Campaign{Mode: mode, Hours: 0.5, Seed: 1}, label: mode}
+		j := job{spec: spec.Campaign{Mode: mode, Hours: 0.5, Seed: 1}, plan: paper, label: mode}
 		rs, err := runBatch(context.Background(), sub, Config{}, nil, []job{j})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

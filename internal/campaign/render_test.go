@@ -88,7 +88,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Spec.Hours != 24 || c.Spec.Instances != 4 || c.Spec.Seed != 0 || c.Spec.Subject != "" {
 		t.Fatalf("flag defaults = %+v", c.Spec)
 	}
-	if reps, err := c.repetitions(); err != nil || reps != 5 {
+	if reps, err := c.Reps(); err != nil || reps != 5 {
 		t.Fatalf("default repetitions = %d, %v", reps, err)
 	}
 	c.Repetitions = -1

@@ -24,7 +24,7 @@ import (
 // Replaying a stored history would cost about as much: it re-executes
 // every instance too.
 const checkpointMagic = "cmfuzz-checkpoint"
-const checkpointVersion = 6
+const checkpointVersion = 7
 
 // Checkpoint serializes the campaign as the last Advance that completed
 // left it (a cut-short Advance leaves the checkpoint where it was). It

@@ -693,7 +693,7 @@ func (c *Coordinator) Start(ctx context.Context) error {
 		return err
 	}
 	c.loop = parallel.NewLoop(host)
-	plan, err := c.loop.Plan(ctx)
+	plan, err := c.loop.Plan(ctx, (*parallel.Host).Plan)
 	if err != nil {
 		return err
 	}

@@ -323,7 +323,7 @@ func TestBoundedFinishReportsReplayedCounters(t *testing.T) {
 	for _, name := range []string{"DNS", "MQTT", "CoAP"} {
 		sub := mustSubject(t, name)
 		opts := parallel.Options{Mode: parallel.ModeCMFuzz, VirtualHours: 2, Seed: 7, Concurrency: 1}
-		l, done, err := parallel.Start(ctx, sub, opts)
+		l, done, err := parallel.Start(ctx, sub, opts, (*parallel.Host).Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,8 +86,9 @@ const (
 // flag (its Boots count says the same). Version 12 drops the options'
 // five cost-model fields, constants in parallel that no end could set.
 // Version 13 drops the options' Concurrency: it bounds the probe pool of
-// Host.Plan, which only the coordinator runs.
-const protocolVersion = 13
+// Host.Plan, which only the coordinator runs. Version 14 drops the
+// options' three ablation fields: the plan travels as the specs.
+const protocolVersion = 14
 
 // Message types. A retired message's code is never given to another,
 // so no code means two things to peers of different versions.

@@ -148,34 +148,50 @@ func FuzzDecodeAssign(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgAssign))
 	// The last seed's options are out of range (4,294,967,295 instances):
 	// decoding refuses it, and its cuts and flips probe the validator.
-	huge := v13Assign
+	huge := v14Assign
 	huge.Opts.Instances = math.MaxUint32
-	seeds := []assign{v13Assign, {Subject: "DNS", Opts: parallel.Options{VirtualHours: 1}, Specs: []parallel.InstanceSpec{{Index: 1}}}, huge}
+	seeds := []assign{v14Assign, {Subject: "DNS", Opts: parallel.Options{VirtualHours: 1}, Specs: []parallel.InstanceSpec{{Index: 1}}}, huge}
 	for i := range seeds {
-		seedRetired(f, marshal(&seeds[i], (*codec).assign), seeds[i].Opts)
+		seedRetired(f, marshal(&seeds[i], (*codec).assign), seeds[i].Opts, sameHeader)
 	}
 	fuzzMessage(f, (*codec).assign, func(a assign) error { return a.Opts.Validate() }, seeds...)
 }
 
-// seedRetired adds p, which carries the options o, as version 12 laid it
-// out — the options' Concurrency, which version 13 retired, back in its
-// four bytes before LinkLoss — and that payload torn at each of the
-// seven bytes from inside the field into LinkLoss: what a peer, or a
-// checkpoint.bin, one version older hands the decoder.
-func seedRetired(f *testing.F, p []byte, o parallel.Options) {
+// seedRetired adds p, which carries the options o, as the two versions
+// before this one laid it out — version 13 with the allocator byte back
+// before the no-config-mutation flag and the raw-weights and
+// shared-schedules flags after it, version 12 with Concurrency besides,
+// in four bytes before LinkLoss — and each torn at the seven bytes from
+// inside the first field it retired: what a peer, or a checkpoint.bin,
+// one or two versions older hands the decoder. behind puts a layout
+// under the header of the version back versions older, for data that
+// has one.
+func seedRetired(f *testing.F, p []byte, o parallel.Options, behind func(data []byte, back byte) []byte) {
 	f.Helper()
 	opts := marshal(&o, (*codec).options)
 	at := bytes.Index(p, opts)
 	if at < 0 {
 		f.Fatalf("payload % x does not hold its options % x", p, opts)
 	}
-	at += len(opts) - 3*8 // LinkLoss, LinkLatencyBase and LinkLatencyJitter follow
-	old := append(append(append([]byte(nil), p[:at]...), 0, 0, 0, 1), p[at:]...)
-	f.Add(old)
-	for cut := at + 1; cut < at+8; cut++ {
-		f.Add(old[:cut])
+	at += len(opts) - 3*8 - 1 // the flag; LinkLoss, LinkLatencyBase and LinkLatencyJitter follow
+	v13 := bytes.Join([][]byte{p[:at], {2}, p[at : at+1], {1, 1}, p[at+1:]}, nil)
+	v12 := bytes.Join([][]byte{v13[:at+4], {0, 0, 0, 1}, v13[at+4:]}, nil)
+	for _, layout := range []struct {
+		data []byte
+		back byte
+		from int
+	}{{v13, 1, at}, {v12, 2, at + 4}} {
+		old := behind(layout.data, layout.back)
+		f.Add(old)
+		for cut := layout.from + 1; cut < layout.from+8; cut++ {
+			f.Add(old[:cut])
+		}
 	}
 }
+
+// sameHeader leaves a wire payload as it is: the handshake settled its
+// version.
+func sameHeader(data []byte, _ byte) []byte { return data }
 
 func FuzzDecodeBootReq(f *testing.F) {
 	seedMatrix(f, v7Frame(f, msgBoot))
@@ -312,11 +328,12 @@ func TestReplayChecksReexecution(t *testing.T) {
 	t.Log(err)
 }
 
-// version5 returns checkpoint data under the header of version 5, the
-// last to carry Concurrency; seedRetired puts the field back.
-func version5(data []byte) []byte {
+// versionBack returns checkpoint data under the header of the version
+// back versions before this one; seedRetired puts that version's fields
+// back.
+func versionBack(data []byte, back byte) []byte {
 	old := append([]byte(nil), data...)
-	old[2+len(checkpointMagic)] = 5
+	old[2+len(checkpointMagic)] = checkpointVersion - back
 	return old
 }
 
@@ -325,7 +342,7 @@ func version5(data []byte) []byte {
 // build just took — of a campaign mid-way and of one just started, in
 // another mode — which must re-encode to exactly their own bytes and
 // fit in 256, one whose options are out of range, every torn and
-// flipped copy of each, and each as version 5 laid it out. Whatever it
+// flipped copy of each, and each as versions 6 and 5 laid it out. Whatever it
 // accepts passes Options.Validate.
 func FuzzValidateCheckpoint(f *testing.F) {
 	sub, err := protocols.ByName("CoAP")
@@ -356,7 +373,7 @@ func FuzzValidateCheckpoint(f *testing.F) {
 			f.Fatalf("a %d-byte checkpoint re-encodes to %d different bytes, or is over 256", len(good), len(back))
 		}
 		seedMatrix(f, good)
-		seedRetired(f, version5(good), ck.opts)
+		seedRetired(f, good, ck.opts, versionBack)
 	}
 	// A checkpoint whose options are out of range (hours NaN), which the
 	// decoder must refuse before Restore could run a campaign under them.
@@ -366,7 +383,7 @@ func FuzzValidateCheckpoint(f *testing.F) {
 	}
 	nan.opts.VirtualHours = math.NaN()
 	seedMatrix(f, encodeCheckpoint(&nan))
-	seedRetired(f, version5(encodeCheckpoint(&nan)), nan.opts)
+	seedRetired(f, encodeCheckpoint(&nan), nan.opts, versionBack)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		fixedPoint(t, ck, err, decodeCheckpoint, func(ck checkpoint) ([]byte, error) { return encodeCheckpoint(&ck), nil })

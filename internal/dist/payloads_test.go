@@ -20,23 +20,22 @@ import (
 // somewhere below, the Assign carries a live spec, and the lease reply
 // sets all four record flags and ships a span with attributes. Version
 // 11 retired Boot's resume clock and each path's states, version 12 the
-// options' five cost-model fields and version 13 their Concurrency:
-// v13Assign and v11BootReq are the fixture's values without them, and
+// options' five cost-model fields, version 13 their Concurrency and
+// version 14 their allocator, raw-weights and shared-schedules fields:
+// v14Assign and v11BootReq are the fixture's values without them, and
 // v7PathStates, v7ResumeClock and v7RetiredOpts what the fixture holds
 // in their place.
 var (
 	v7Hello = hello{Name: "worker-7", Version: 7}
 
-	v13Assign = assign{
+	v14Assign = assign{
 		Campaign: 3,
 		Subject:  "MQTT",
 		Trace:    true,
 		LiveSpec: `{"name":"echo","cmd":["/usr/bin/echo-server","-port","{port}"],"transport":"udp"}`,
 		Opts: parallel.Options{
 			Mode: parallel.ModeSPFuzz, Instances: 4, VirtualHours: 1.5, Seed: -42,
-			SaturationWindow: 1800, SaturationMinGain: 8,
-			Allocator: parallel.AllocRoundRobin, DisableConfigMutation: true,
-			RawRelationWeighting: true, PeachSharedSchedules: true,
+			SaturationWindow: 1800, SaturationMinGain: 8, DisableConfigMutation: true,
 			LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
 		},
 		Specs: []parallel.InstanceSpec{
@@ -58,8 +57,10 @@ var (
 
 	v7RetiredOpts = struct {
 		StepCost, ByteCost, SyncInterval, SampleEvery float64
-		MaxValues, Concurrency                        int
-	}{StepCost: 2, ByteCost: 0.00002, SyncInterval: 600, SampleEvery: 300, MaxValues: 4, Concurrency: 3}
+		MaxValues, Concurrency, Allocator             int
+		RawWeights, SharedSchedules                   bool
+	}{StepCost: 2, ByteCost: 0.00002, SyncInterval: 600, SampleEvery: 300, MaxValues: 4, Concurrency: 3,
+		Allocator: 2, RawWeights: true, SharedSchedules: true}
 
 	v11BootReq    = bootReq{Campaign: 3, Index: 1}
 	v7ResumeClock = 1234.5
@@ -76,7 +77,7 @@ var (
 		Campaign: 3, Index: 1, Boundary: 1200, Horizon: 5400,
 		Seeds: []fuzz.Seed{
 			{Msgs: [][]byte{{0x10, 0x0c}, {0x30, 0x02, 'a', 'b'}}, Gain: 5},
-			{Msgs: [][]byte{{}}, Gain: 1},
+			{Msgs: [][]byte{nil}, Gain: 1}, // empty: decoded as a copy, it has no array
 		},
 	}
 

@@ -315,10 +315,7 @@ func (c *codec) options(o *parallel.Options) {
 	i64(c, &o.Seed)
 	f64(c, &o.SaturationWindow)
 	u32(c, &o.SaturationMinGain)
-	u8(c, &o.Allocator)
 	flag(c, &o.DisableConfigMutation)
-	flag(c, &o.RawRelationWeighting)
-	flag(c, &o.PeachSharedSchedules)
 	f64(c, &o.LinkLoss)
 	f64(c, &o.LinkLatencyBase)
 	f64(c, &o.LinkLatencyJitter)
@@ -426,9 +423,14 @@ func (c *codec) lease(l *lease) {
 
 func (c *codec) seeds(s *[]fuzz.Seed) { list[uint16](c, s, (*codec).seed) }
 
+// seed visits a lease's seed. Only a worker decodes one, and it copies
+// the messages: a view a corpus kept would keep the whole frame alive.
 func (c *codec) seed(s *fuzz.Seed) {
 	list[uint16](c, &s.Msgs, bytes32)
 	u32(c, &s.Gain)
+	if c.decoding() {
+		*s = s.Clone()
+	}
 }
 
 // Per-step record encoding inside a lease reply. A flags byte leads

@@ -64,9 +64,7 @@ func TestAssignRoundTrip(t *testing.T) {
 		LiveSpec: `{"cmd":["/usr/bin/echo-server","-port","{port}"],"transport":"udp"}`,
 		Opts: parallel.Options{
 			Mode: parallel.ModeCMFuzz, Instances: 4, VirtualHours: 1.5, Seed: 42,
-			SaturationWindow: 1800, SaturationMinGain: 8,
-			Allocator: parallel.AllocRandom, DisableConfigMutation: true,
-			RawRelationWeighting: true, PeachSharedSchedules: true,
+			SaturationWindow: 1800, SaturationMinGain: 8, DisableConfigMutation: true,
 			LinkLoss: 0.01, LinkLatencyBase: 0.0002, LinkLatencyJitter: 0.0001,
 			Concurrency: 3,
 		},
@@ -115,7 +113,7 @@ func TestLeaseRoundTrip(t *testing.T) {
 		Index: 2, Boundary: 600, Horizon: 1800,
 		Seeds: []fuzz.Seed{
 			{Msgs: [][]byte{{1, 2}, {3}}, Gain: 5},
-			{Msgs: [][]byte{{}}, Gain: 0},
+			{Msgs: [][]byte{nil}, Gain: 0}, // empty: decoded as a copy, it has no array
 		},
 	}
 	out, err := unmarshal(marshal(&in, (*codec).lease), (*codec).lease)
@@ -152,13 +150,13 @@ func TestLeaseRejectsUnboundedClock(t *testing.T) {
 // which would size a campaign by them.
 func TestDecodeRejectsOutOfRangeOptions(t *testing.T) {
 	decode := func(o parallel.Options) (assignErr, checkpointErr error) {
-		a := v13Assign
+		a := v14Assign
 		a.Opts = o
 		_, assignErr = unmarshal(marshal(&a, (*codec).assign), (*codec).assign)
 		checkpointErr = ValidateCheckpoint(encodeCheckpoint(&checkpoint{protocol: "DNS", opts: o, position: position{bound: 600, clock: 601}}))
 		return assignErr, checkpointErr
 	}
-	if aerr, cerr := decode(v13Assign.Opts); aerr != nil || cerr != nil {
+	if aerr, cerr := decode(v14Assign.Opts); aerr != nil || cerr != nil {
 		t.Fatalf("in-range options: assign %v, checkpoint %v", aerr, cerr)
 	}
 	for name, bad := range map[string]func(*parallel.Options){
@@ -173,9 +171,8 @@ func TestDecodeRejectsOutOfRangeOptions(t *testing.T) {
 		"link loss above one":           func(o *parallel.Options) { o.LinkLoss = 1.5 },
 		"negative saturation window":    func(o *parallel.Options) { o.SaturationWindow = -1 },
 		"unknown mode":                  func(o *parallel.Options) { o.Mode = 7 },
-		"unknown allocator":             func(o *parallel.Options) { o.Allocator = 3 },
 	} {
-		o := v13Assign.Opts
+		o := v14Assign.Opts
 		bad(&o)
 		if aerr, cerr := decode(o); !errors.Is(aerr, ErrProto) || !errors.Is(cerr, ErrProto) {
 			t.Errorf("%s: assign %v, checkpoint %v; want ErrProto from both", name, aerr, cerr)
@@ -375,7 +372,7 @@ func kindOf[T any](typ byte, name string, fields func(*codec, *T), v T) kind {
 func kinds() []kind {
 	return []kind{
 		kindOf(msgHello, "hello", (*codec).hello, v7Hello),
-		kindOf(msgAssign, "assign", (*codec).assign, v13Assign),
+		kindOf(msgAssign, "assign", (*codec).assign, v14Assign),
 		kindOf(msgBoot, "boot", (*codec).bootReq, v11BootReq),
 		kindOf(msgBootResult, "boot result", (*codec).bootResult, v7BootResult),
 		kindOf(msgLease, "lease", (*codec).lease, v7Lease),
@@ -409,7 +406,7 @@ func goodPayloads() [][]byte {
 // are checked by code and bytes, and skipped. Version 10 gave a new-edges
 // record its seed's digest, so the fixture's lease reply, whose new-edges
 // record has none, must be refused. Version 11 retired Boot's resume
-// clock and each path's states, and version 12 the options' cost-model
+// clock and each path's states, and versions 12 to 14 nine options
 // fields, so the fixture's Boot and Assign must be refused too, and with
 // those fields' bytes cut out they are what the current values encode
 // to.
@@ -469,9 +466,10 @@ func TestPayloadsV7(t *testing.T) {
 }
 
 // cutRetired returns a version-7 Boot or Assign payload without the bytes
-// of the fields versions 11 to 13 retired: Boot's trailing resume
+// of the fields versions 11 to 14 retired: Boot's trailing resume
 // clock, the state list in front of each path's models, and the
-// options' five cost-model fields and Concurrency.
+// options' five cost-model fields, Concurrency, allocator and
+// raw-weights and shared-schedules flags.
 func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 	t.Helper()
 	if typ == msgBoot {
@@ -489,9 +487,9 @@ func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 		p = bytes.Replace(p, enc, nil, 1)
 	}
 	// The options' head up to Concurrency, as version 7 laid it out. The
-	// same fields without the retired six are 40 bytes shorter, and the
+	// same fields without the retired nine are 43 bytes shorter, and the
 	// fields after it are laid out alike.
-	o, cost := v13Assign.Opts, v7RetiredOpts
+	o, cost := v14Assign.Opts, v7RetiredOpts
 	c := codec{w: &wire.Writer{}}
 	u8(&c, &o.Mode)
 	u32(&c, &o.Instances)
@@ -503,18 +501,18 @@ func cutRetired(t *testing.T, typ byte, p []byte) []byte {
 	f64(&c, &o.SaturationWindow)
 	u32(&c, &o.SaturationMinGain)
 	u32(&c, &cost.MaxValues)
-	u8(&c, &o.Allocator)
+	u8(&c, &cost.Allocator)
 	flag(&c, &o.DisableConfigMutation)
 	f64(&c, &cost.SampleEvery)
-	flag(&c, &o.RawRelationWeighting)
-	flag(&c, &o.PeachSharedSchedules)
+	flag(&c, &cost.RawWeights)
+	flag(&c, &cost.SharedSchedules)
 	u32(&c, &cost.Concurrency)
 	v7Opts := c.w.Bytes()
-	v13Opts := marshal(&o, (*codec).options)
+	v14Opts := marshal(&o, (*codec).options)
 	if n := bytes.Count(p, v7Opts); n != 1 {
 		t.Fatalf("version-7 assign holds its options' head % x %d times, want once", v7Opts, n)
 	}
-	return bytes.Replace(p, v7Opts, v13Opts[:len(v7Opts)-40], 1)
+	return bytes.Replace(p, v7Opts, v14Opts[:len(v7Opts)-43], 1)
 }
 
 // TestDecodeMalformed feeds every decoder every message kind's payload,
@@ -597,6 +595,33 @@ func TestLeaseReplyAllocs(t *testing.T) {
 		t.Fatalf("decoding a 1,000-record reply allocates %v times, want at most 131", n)
 	}
 	t.Logf("decode: %v allocations", n)
+}
+
+// TestLeaseSeedsOwnTheirBytes: a worker's imported seeds are copies, so
+// overwriting the frame a lease arrived in changes none of them.
+func TestLeaseSeedsOwnTheirBytes(t *testing.T) {
+	payload := marshal(&v7Lease, (*codec).lease)
+	l, err := unmarshal(payload, (*codec).lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 0xAA
+	}
+	if len(l.Seeds) != len(v7Lease.Seeds) {
+		t.Fatalf("%d seeds, want %d", len(l.Seeds), len(v7Lease.Seeds))
+	}
+	for i, s := range l.Seeds {
+		want := v7Lease.Seeds[i]
+		if s.Gain != want.Gain || len(s.Msgs) != len(want.Msgs) {
+			t.Fatalf("seed %d = %+v, want %+v", i, s, want)
+		}
+		for j := range s.Msgs {
+			if !bytes.Equal(s.Msgs[j], want.Msgs[j]) {
+				t.Fatalf("seed %d message %d = % x after its frame was overwritten, want % x", i, j, s.Msgs[j], want.Msgs[j])
+			}
+		}
+	}
 }
 
 // TestLeaseDecodeRecycles: the coordinator decodes an instance's lease

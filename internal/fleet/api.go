@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"cmfuzz/internal/campaign"
+	"cmfuzz/internal/spec"
 )
 
 func writeSpec(path string, spec CampaignSpec) error {
@@ -17,16 +18,16 @@ func writeSpec(path string, spec CampaignSpec) error {
 	return campaign.WriteFileAtomic(path, raw, 0o644)
 }
 
+// readSpec decodes a campaign's spec.json as a submit body is decoded.
+// A spec that names a field no campaign has still comes back with its
+// id beside the error; an unreadable or torn one comes back with none.
 func readSpec(path string) (CampaignSpec, error) {
-	var spec CampaignSpec
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return spec, err
+		return CampaignSpec{}, err
 	}
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return spec, err
-	}
-	return spec, nil
+	defer f.Close()
+	return spec.Decode(f)
 }
 
 // APIHandler returns the fleet's machine API, meant to be mounted on
@@ -49,12 +50,12 @@ func (m *Manager) APIHandler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var spec CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		c, err := spec.Decode(r.Body)
+		if err != nil {
 			http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := m.Submit(spec); err != nil {
+		if err := m.Submit(c); err != nil {
 			code := http.StatusBadRequest
 			if err == ErrExists {
 				code = http.StatusConflict
@@ -64,7 +65,7 @@ func (m *Manager) APIHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{"id": spec.ID, "state": StateQueued})
+		json.NewEncoder(w).Encode(map[string]string{"id": c.ID, "state": StateQueued})
 	})
 
 	mux.HandleFunc("/api/status", func(w http.ResponseWriter, r *http.Request) {

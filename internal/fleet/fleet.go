@@ -307,10 +307,13 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 			continue
 		}
 		spec, err := readSpec(filepath.Join(cfg.StateDir, e.Name(), "spec.json"))
-		if err != nil {
+		if err != nil && spec.ID == "" {
 			continue // not a campaign dir (or torn before the atomic spec write: never submitted)
 		}
 		rec, invalid := newCampaignRec(spec)
+		if err != nil {
+			invalid = err // a field no campaign has, such as a retired ablation's
+		}
 		if raw, err := os.ReadFile(filepath.Join(m.dir(spec.ID), "artifacts", "result.json")); err == nil {
 			rec.state = StateDone
 			rec.clock = rec.horizon

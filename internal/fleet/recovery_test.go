@@ -166,7 +166,7 @@ func TestSubmitRejectsOutOfRangeSpec(t *testing.T) {
 		`{"id":"inf","subject":"DNS","hours":1e308}`:                    "hours 1e+308",
 		`{"id":"big","subject":"DNS","hours":1,"instances":1000000000}`: "instances 1000000000",
 		`{"id":"loss","subject":"DNS","hours":1,"link_loss":2}`:         "link_loss 2",
-		`{"id":"alloc","subject":"DNS","hours":1,"alloc":"greedy"}`:     `unknown allocator "greedy"`,
+		`{"id":"mode","subject":"DNS","hours":1,"mode":"afl"}`:          `unknown mode "afl"`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/submit", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -185,6 +185,23 @@ func TestSubmitRejectsOutOfRangeSpec(t *testing.T) {
 			t.Errorf("Manager.Submit accepted %s", body)
 		}
 	}
+	// Bodies no CampaignSpec can hold: a misspelt key, which would
+	// otherwise run the default, and the keys ablations once used.
+	for body, reason := range map[string]string{
+		`{"id":"typo","subject":"DNS","hours":1,"instnaces":8}`:     `unknown field "instnaces"`,
+		`{"id":"alloc","subject":"DNS","hours":1,"alloc":"random"}`: "cmbench -ablation",
+		`{"id":"raw","subject":"DNS","hours":1,"raw_weights":true}`: "cmbench -ablation",
+	} {
+		resp, err := http.Post(srv.URL+"/api/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), reason) {
+			t.Errorf("%s: %d %q, want 400 naming %q", body, resp.StatusCode, raw, reason)
+		}
+	}
 	if entries, err := os.ReadDir(state); err != nil || len(entries) != 0 {
 		t.Fatalf("state dir after rejected submits: %v, err %v; want empty", entries, err)
 	}
@@ -200,8 +217,9 @@ func TestSubmitRejectsOutOfRangeSpec(t *testing.T) {
 func TestRecoveryFailsInvalidSpec(t *testing.T) {
 	dir := t.TempDir()
 	for id, raw := range map[string]string{
-		"evil": `{"id":"evil","subject":"DNS","hours":1,"seed":1,"instances":-1}`,
-		"good": `{"id":"good","subject":"DNS","hours":0.05,"seed":1,"instances":2}`,
+		"evil":     `{"id":"evil","subject":"DNS","hours":1,"seed":1,"instances":-1}`,
+		"good":     `{"id":"good","subject":"DNS","hours":0.05,"seed":1,"instances":2}`,
+		"ablation": `{"id":"ablation","subject":"DNS","hours":0.05,"seed":1,"alloc":"random"}`,
 	} {
 		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
 			t.Fatal(err)
@@ -219,6 +237,11 @@ func TestRecoveryFailsInvalidSpec(t *testing.T) {
 	evil := findStatus(t, m, "evil")
 	if evil.State != fleet.StateFailed || !strings.Contains(evil.Error, "instances -1") {
 		t.Fatalf("invalid spec recovered as %s (%q), want failed with the reason", evil.State, evil.Error)
+	}
+	// A spec that names a retired ablation field would run the paper's
+	// plan in its place; it is failed, with where ablations run now.
+	if abl := findStatus(t, m, "ablation"); abl.State != fleet.StateFailed || !strings.Contains(abl.Error, "cmbench -ablation") {
+		t.Fatalf("spec naming alloc recovered as %s (%q), want failed naming cmbench -ablation", abl.State, abl.Error)
 	}
 	// An omitted mode reads back as the fuzzer that will run.
 	if good := findStatus(t, m, "good"); good.State != fleet.StateQueued || good.Mode != "CMFuzz" {

@@ -20,7 +20,8 @@ func FuzzLiveSpec(f *testing.F) {
 	} {
 		f.Add([]byte(s.JSON()))
 	}
-	for _, raw := range []string{``, `null`, `[]`, `{"cmd":" "}`, `{"cmd":[" "]}`, `{"rails":{"rate":1e308}}`, `{"addr":"h:1","read_timeout_ms":-1}`} {
+	for _, raw := range []string{``, `null`, `[]`, `{"cmd":" "}`, `{"cmd":[" "]}`, `{"rails":{"rate":1e308}}`, `{"addr":"h:1","read_timeout_ms":-1}`,
+		`{"addr":"h:1","rail":{"rate":1}}`, `{"addr":"h:1","rails":{"rat":1}}`, `{"addr":"h:1"} {}`} {
 		f.Add([]byte(raw))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,9 +23,11 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 )
@@ -190,10 +192,20 @@ func (s Spec) writeTimeout() time.Duration {
 
 // ParseSpec decodes a JSON-encoded Spec and validates it. It is the
 // inverse of Spec's JSON encoding and the entry point for specs carried
-// over the dist wire and in fleet campaign specs.
+// over the dist wire and in -target-spec files. A key that names no
+// field is an error, as is anything after the spec's object: a
+// misspelt rail would otherwise run unrailed.
 func ParseSpec(raw []byte) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the spec")
+		}
+	}
+	if err != nil {
 		return Spec{}, fmt.Errorf("live: spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

@@ -85,95 +85,77 @@ type Plan struct {
 	Relation *relation.Result
 }
 
-// Plan runs the mode-dependent scheduling phase: configuration model
-// relation probing and cohesive grouping for CMFuzz, path partitioning
-// for SPFuzz, defaults for Peach. Probe-time startup crashes are filed
-// in ledger (instance -1). tel receives the per-instance group events.
-func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *Plan {
-	opts := h.Opts
-	plan := &Plan{Specs: make([]InstanceSpec, opts.Instances)}
-	configs := make([]configmodel.Assignment, opts.Instances)
-	groups := make([]schedule.Group, opts.Instances)
-	paths := make([][]fuzz.Path, opts.Instances)
+// A Planner computes a campaign's Plan on h, filing probe-time startup
+// crashes in ledger (instance -1) and its events and spans in tel and
+// under parent. Campaigns run Host.Plan; the ablation variants
+// (internal/campaign) are planners built from its steps.
+type Planner func(h *Host, ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *Plan
 
-	switch opts.Mode {
-	case ModeCMFuzz:
-		weighting := relation.WeightInteraction
-		if opts.RawRelationWeighting {
-			weighting = relation.WeightRawCoverage
-		}
-		// The probe closure runs concurrently across the probe pool's
-		// workers; each call boots its own throwaway instance, and a
-		// startup crash (a configuration-parsing defect hit while
-		// probing) is filed in the concurrency-safe ledger and scored as
-		// a failed startup rather than tearing the campaign down.
-		rel := relation.Quantify(h.Model, func(cfg configmodel.Assignment) int {
-			cov := 0
-			if crash := bugs.Capture(func() { cov = subject.Probe(h.Sub, map[string]string(cfg)) }); crash != nil {
-				ledger.Record(crash, -1, 0, cfg.String())
-				return 0
-			}
-			return cov
-		}, relation.Options{MaxValues: maxValues, Weighting: weighting, Workers: opts.Concurrency, Telemetry: tel, Trace: parent})
-		plan.Relation = rel
-		allocName := map[Allocator]string{AllocRandom: "random", AllocRoundRobin: "round-robin"}[opts.Allocator]
-		if allocName == "" {
-			allocName = "cohesive"
-		}
-		span := parent.Child("schedule.allocate",
-			trace.A("algorithm", allocName), trace.A("nodes", len(rel.Graph.Nodes())))
-		var alloc []schedule.Group
-		switch opts.Allocator {
-		case AllocRandom:
-			alloc = schedule.RandomAllocate(rel.Graph, opts.Instances, opts.Seed)
-		case AllocRoundRobin:
-			alloc = schedule.RoundRobinAllocate(rel.Graph, opts.Instances)
-		default:
-			alloc = schedule.Allocate(rel.Graph, opts.Instances)
-		}
-		span.Set("groups", len(alloc))
-		span.End()
-		plan.Groups = alloc
-		for i := range configs {
-			if i < len(alloc) {
-				groups[i] = alloc[i]
-				configs[i] = schedule.GroupAssignment(h.Model, rel, alloc[i])
-			} else {
-				configs[i] = h.Defaults.Clone()
-			}
-			tel.Emit(telemetry.Event{Type: telemetry.EvGroup, Instance: i,
-				Group: groups[i].Members, Config: configs[i].String()})
-		}
-	case ModeSPFuzz:
-		var all []fuzz.Path
-		if h.StateModel != nil {
-			all = h.StateModel.Paths(12, 64)
-		}
-		for i := range configs {
-			configs[i] = h.Defaults.Clone()
-			for j := i; j < len(all); j += opts.Instances {
-				paths[i] = append(paths[i], all[j])
-			}
-		}
-	default: // Peach
-		for i := range configs {
-			configs[i] = h.Defaults.Clone()
+// Plan is the paper's scheduling phase: for CMFuzz, relation probing
+// under interaction weights, Algorithm 2's cohesive groups and each
+// group's configuration; for SPFuzz, the state model's paths dealt
+// across instances on the defaults; for Peach, the defaults.
+func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.Span) *Plan {
+	if h.Opts.Mode == ModeCMFuzz {
+		rel := h.Probe(ledger, relation.WeightInteraction, tel, parent)
+		return h.Specs(rel, h.Allocate(rel, parent), tel)
+	}
+	var all []fuzz.Path
+	if h.Opts.Mode == ModeSPFuzz && h.StateModel != nil {
+		all = h.StateModel.Paths(12, 64)
+	}
+	plan := h.Specs(nil, nil, nil)
+	for i := range plan.Specs {
+		for j := i; j < len(all); j += len(plan.Specs) {
+			plan.Specs[i].Paths = append(plan.Specs[i].Paths, all[j])
 		}
 	}
+	return plan
+}
 
+// Probe is the plan's probe step: relation.Quantify over the host's
+// model under weighting w, on Opts.Concurrency workers. A probe's
+// startup crash (a configuration-parsing defect) is filed in the
+// concurrency-safe ledger and scored as a failed startup rather than
+// tearing the campaign down.
+func (h *Host) Probe(ledger *bugs.Ledger, w relation.Weighting, tel *telemetry.Recorder, parent *trace.Span) *relation.Result {
+	return relation.Quantify(h.Model, func(cfg configmodel.Assignment) int {
+		cov := 0
+		if crash := bugs.Capture(func() { cov = subject.Probe(h.Sub, map[string]string(cfg)) }); crash != nil {
+			ledger.Record(crash, -1, 0, cfg.String())
+			return 0
+		}
+		return cov
+	}, relation.Options{MaxValues: maxValues, Weighting: w, Workers: h.Opts.Concurrency, Telemetry: tel, Trace: parent})
+}
+
+// Allocate is Algorithm 2: rel's graph dealt into at most Opts.Instances
+// cohesive groups, under a schedule.allocate span.
+func (h *Host) Allocate(rel *relation.Result, parent *trace.Span) []schedule.Group {
+	span := parent.Child("schedule.allocate",
+		trace.A("algorithm", "cohesive"), trace.A("nodes", len(rel.Graph.Nodes())))
+	groups := schedule.Allocate(rel.Graph, h.Opts.Instances)
+	span.Set("groups", len(groups))
+	span.End()
+	return groups
+}
+
+// Specs is the plan's spec step: instance i runs groups[i]'s
+// configuration over rel, and an instance past the last group the
+// defaults, each an EvGroup event in tel. Every instance's seeds are
+// its own, derived from the campaign seed and its index.
+func (h *Host) Specs(rel *relation.Result, groups []schedule.Group, tel *telemetry.Recorder) *Plan {
+	plan := &Plan{Specs: make([]InstanceSpec, h.Opts.Instances), Groups: groups, Relation: rel}
 	for i := range plan.Specs {
-		engineSeed := opts.Seed*7919 + int64(i)
-		if opts.Mode == ModePeach && opts.PeachSharedSchedules {
-			engineSeed = opts.Seed*7919 + int64(i/2)
+		s := &plan.Specs[i]
+		*s = InstanceSpec{Index: i, EngineSeed: h.Opts.Seed*7919 + int64(i), RngSeed: h.Opts.Seed*104729 + int64(i)}
+		if i < len(groups) {
+			s.Group, s.Config = groups[i], schedule.GroupAssignment(h.Model, rel, groups[i])
+		} else {
+			s.Config = h.Defaults.Clone()
 		}
-		plan.Specs[i] = InstanceSpec{
-			Index:      i,
-			Config:     configs[i],
-			Group:      groups[i],
-			Paths:      paths[i],
-			EngineSeed: engineSeed,
-			RngSeed:    opts.Seed*104729 + int64(i),
-		}
+		tel.Emit(telemetry.Event{Type: telemetry.EvGroup, Instance: i,
+			Group: s.Group.Members, Config: s.Config.String()})
 	}
 	return plan
 }

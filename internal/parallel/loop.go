@@ -127,14 +127,13 @@ func NewLoop(host *Host) *Loop {
 	return l
 }
 
-// Plan runs the mode-dependent scheduling phase (Host.Plan) against the
-// loop's ledger, recorder and trace, and records its figures in the
-// Result.
-func (l *Loop) Plan(ctx context.Context) (*Plan, error) {
+// Plan runs planner against the loop's ledger, recorder and trace, and
+// records the figures of the plan it returns in the Result.
+func (l *Loop) Plan(ctx context.Context, planner Planner) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan := l.host.Plan(l.Res.Bugs, l.Opts.Telemetry, l.Opts.Trace)
+	plan := planner(l.host, l.Res.Bugs, l.Opts.Telemetry, l.Opts.Trace)
 	if rel := plan.Relation; rel != nil {
 		l.Res.RelationEdges = rel.Graph.EdgeCount()
 		l.Res.Probes = rel.Probes

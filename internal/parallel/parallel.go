@@ -72,17 +72,6 @@ func ParseMode(name string) (Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q", name)
 }
 
-// Allocator is the grouping strategy CMFuzz uses; alternatives exist for
-// the ablation experiments.
-type Allocator int
-
-// Grouping strategies.
-const (
-	AllocCohesive Allocator = iota // Algorithm 2 (the paper's)
-	AllocRandom
-	AllocRoundRobin
-)
-
 // Options parameterizes a campaign.
 type Options struct {
 	// Mode selects the fuzzer (default CMFuzz).
@@ -101,22 +90,9 @@ type Options struct {
 	// instrumentation trickles a few edges long after a configuration is
 	// effectively exhausted.
 	SaturationMinGain int
-	// Allocator selects the grouping strategy (CMFuzz mode only).
-	Allocator Allocator
 	// DisableConfigMutation turns off adaptive configuration-value
 	// mutation (ablation).
 	DisableConfigMutation bool
-	// RawRelationWeighting uses the paper-literal raw-coverage relation
-	// weights instead of interaction gains (an ablation; see the relation
-	// package).
-	RawRelationWeighting bool
-	// PeachSharedSchedules makes Peach-mode workers share generation
-	// schedules pairwise, modeling a parallel mode that replicates one
-	// deterministic strategy without task division (an ablation
-	// quantifying the redundancy critique from the parallel-fuzzing
-	// literature). Off by default: the Table I baseline runs independent
-	// workers.
-	PeachSharedSchedules bool
 	// LinkLoss drops each fuzzer→target datagram with this probability
 	// (0 disables). Applied on each instance's link, so it impairs the
 	// live-target link (and simulated links) identically.
@@ -204,8 +180,6 @@ func (o Options) Validate() error {
 	switch {
 	case o.Mode < 0 || int(o.Mode) >= len(modeNames):
 		return fmt.Errorf("unknown mode %d", o.Mode)
-	case o.Allocator < AllocCohesive || o.Allocator > AllocRoundRobin:
-		return fmt.Errorf("unknown allocator %d", o.Allocator)
 	case o.Instances < 0 || o.Instances > MaxInstances:
 		return fmt.Errorf("instances %d outside [0, %d]", o.Instances, MaxInstances)
 	case !(o.VirtualHours > 0) || math.IsInf(o.Horizon(), 1):
@@ -261,11 +235,11 @@ type Result struct {
 	Counters telemetry.Counters
 }
 
-// Run executes one parallel fuzzing campaign of sub under opts: plan,
-// boot every instance in this process, and run the event loop (Loop) to
-// the horizon. Each instance runs on a goroutine of its own and the loop
-// replays them in virtual-clock order, so the Result does not depend on
-// GOMAXPROCS.
+// Run executes one parallel fuzzing campaign of sub under opts, planned
+// by Host.Plan: plan, boot every instance in this process, and run the
+// event loop (Loop) to the horizon. Each instance runs on a goroutine of
+// its own and the loop replays them in virtual-clock order, so the
+// Result does not depend on GOMAXPROCS.
 //
 // Cancelling ctx stops the campaign at the next event-loop iteration;
 // Run then finalizes the partial result (series observed at the current
@@ -274,7 +248,13 @@ type Result struct {
 // portion that ran. Cancellation before the event loop starts returns
 // (nil, ctx.Err()). Run returns only once every instance has stopped.
 func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error) {
-	l, done, err := Start(ctx, sub, opts)
+	return RunPlanned(ctx, sub, opts, (*Host).Plan)
+}
+
+// RunPlanned is Run with the plan computed by plan instead of Host.Plan:
+// the entry point of the ablation variants.
+func RunPlanned(ctx context.Context, sub subject.Subject, opts Options, plan Planner) (*Result, error) {
+	l, done, err := Start(ctx, sub, opts, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +262,11 @@ func Run(ctx context.Context, sub subject.Subject, opts Options) (*Result, error
 	return l.Run(ctx)
 }
 
-// Start plans a campaign of sub under opts and boots every instance in
-// this process, each with its first lease out; Advance and Finish on the
-// returned loop follow. done joins the leases still in flight, closes the
-// instances and closes the loop.
-func Start(ctx context.Context, sub subject.Subject, opts Options) (l *Loop, done func(), err error) {
+// Start plans a campaign of sub under opts with planner and boots every
+// instance in this process, each with its first lease out; Advance and
+// Finish on the returned loop follow. done joins the leases still in
+// flight, closes the instances and closes the loop.
+func Start(ctx context.Context, sub subject.Subject, opts Options, planner Planner) (l *Loop, done func(), err error) {
 	host, err := NewHost(sub, opts)
 	if err != nil {
 		return nil, nil, err
@@ -294,7 +274,7 @@ func Start(ctx context.Context, sub subject.Subject, opts Options) (l *Loop, don
 	l = NewLoop(host)
 	g := &goLeases{loop: l}
 	done = func() { g.close(); l.Close() }
-	plan, err := l.Plan(ctx)
+	plan, err := l.Plan(ctx, planner)
 	if err == nil {
 		g.specs, g.inflight = plan.Specs, make([]chan leaseEnd, len(plan.Specs))
 		src := NewLeaseSource(l, plan.Specs, Transport{Boot: g.boot, Send: g.send, Await: g.await})

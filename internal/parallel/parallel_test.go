@@ -199,19 +199,6 @@ func TestSPFuzzUsesPathPartition(t *testing.T) {
 	}
 }
 
-func TestAllocatorAblations(t *testing.T) {
-	sub := mustSubject(t, "DNS")
-	for _, alloc := range []Allocator{AllocCohesive, AllocRandom, AllocRoundRobin} {
-		r, err := Run(context.Background(), sub, Options{Mode: ModeCMFuzz, VirtualHours: 0.25, Seed: 1, Allocator: alloc})
-		if err != nil {
-			t.Fatalf("allocator %d: %v", alloc, err)
-		}
-		if len(r.Groups) == 0 {
-			t.Fatalf("allocator %d produced no groups", alloc)
-		}
-	}
-}
-
 func TestDisableConfigMutation(t *testing.T) {
 	sub := mustSubject(t, "CoAP")
 	r, err := Run(context.Background(), sub, Options{Mode: ModeCMFuzz, VirtualHours: 4, Seed: 1, DisableConfigMutation: true})

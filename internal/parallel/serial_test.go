@@ -127,7 +127,7 @@ func (s *serialSource) Result(i int) (InstanceResult, error) {
 // releases it.
 func openOn(ctx context.Context, sub subject.Subject, opts Options, serial bool) (l *Loop, src Source, done func(), err error) {
 	if !serial {
-		if l, done, err = Start(ctx, sub, opts); err != nil {
+		if l, done, err = Start(ctx, sub, opts, (*Host).Plan); err != nil {
 			return nil, nil, nil, err
 		}
 		return l, l.src, done, nil
@@ -138,7 +138,7 @@ func openOn(ctx context.Context, sub subject.Subject, opts Options, serial bool)
 	}
 	l = NewLoop(host)
 	done = l.Close
-	plan, err := l.Plan(ctx)
+	plan, err := l.Plan(ctx, (*Host).Plan)
 	if err != nil {
 		done()
 		return nil, nil, nil, err

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -12,9 +13,8 @@ import (
 )
 
 // FuzzSpecJSON faces the bytes of a `/api/submit` body (and of a
-// spec.json found on disk): encoding/json into a Campaign, then
-// Options — the two steps fleet.Manager runs before it writes or
-// schedules anything. Arbitrary input parses or fails with an error,
+// spec.json found on disk): Decode, then Options — the two steps
+// fleet.Manager runs before it writes or schedules anything. Arbitrary input parses or fails with an error,
 // never a panic; whatever is accepted yields Options inside every range
 // the event loop, the Assign payload and the virtual clock rely on, a
 // target that builds (or is refused) without spawning anything, and a
@@ -27,11 +27,16 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"id":"x","subject":"DNS","hours":1e308}`,
 		`{"id":"x","subject":"DNS","hours":1,"instances":1000000000}`,
 		`{"id":"bad-mode","subject":"DNS","mode":"afl","hours":0.1}`,
-		`{"id":"v","subject":"CoAP","mode":"PEACH","hours":0.5,"seed":-4,"alloc":"round-robin","no_config_mutation":true,"raw_weights":true,"sat_window":120,"sat_min_gain":2000,"link_loss":0.25,"link_latency":0.5,"link_jitter":0.125}`,
+		`{"id":"v","subject":"CoAP","mode":"PEACH","hours":0.5,"seed":-4,"no_config_mutation":true,"sat_window":120,"sat_min_gain":2000,"link_loss":0.25,"link_latency":0.5,"link_jitter":0.125}`,
 		`{"id":"live-bad","subject":"echo","hours":0.1,"live":{}}`,
 		`{"id":"live-ok","subject":"echo","hours":0.1,"live":{"cmd":["/bin/echo-server","-port","{port}"]}}`,
 		`{"id":"live","subject":"echo","hours":0.1,"live":{"cmd":["x"],"addr":"h:1","transport":"sctp","rails":{"rate":100,"max_restarts":5}}}`,
 		`{"hours":"2"}`, `[]`, `null`, `{"live":null,"hours":1}`, ``,
+		`{"subject":"DNS","hours":1,"instnaces":8}`,
+		`{"id":"a","subject":"DNS","hours":1,"alloc":"random"}`,
+		`{"id":"r","subject":"DNS","hours":1,"raw_weights":true}`,
+		`{"id":"l","subject":"echo","hours":1,"live":{"addr":"h:1","rails":{"rat":1}}}`,
+		`{"id":"t","subject":"DNS","hours":1}{}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -43,8 +48,8 @@ func FuzzSpecJSON(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var c Campaign
-		if json.Unmarshal(data, &c) != nil {
+		c, err := Decode(bytes.NewReader(data))
+		if err != nil {
 			return
 		}
 		o, err := c.Options()
@@ -53,8 +58,8 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 		switch {
-		case o.Mode.String() == "unknown" || o.Allocator < 0 || int(o.Allocator) >= len(allocators)-1:
-			t.Fatalf("accepted mode %d allocator %d", o.Mode, o.Allocator)
+		case o.Mode.String() == "unknown":
+			t.Fatalf("accepted mode %d", o.Mode)
 		case o.Instances < 0 || o.Instances > parallel.MaxInstances:
 			t.Fatalf("accepted %d instances", o.Instances)
 		case !(o.VirtualHours > 0) || !finite(o.Horizon()):
@@ -73,8 +78,8 @@ func FuzzSpecJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted campaign does not encode: %v", err)
 		}
-		var back Campaign
-		if err := json.Unmarshal(raw, &back); err != nil {
+		back, err := Decode(bytes.NewReader(raw))
+		if err != nil {
 			t.Fatalf("%s does not decode: %v", raw, err)
 		}
 		if again, err := back.Options(); err != nil || !reflect.DeepEqual(again, o) {

@@ -11,9 +11,11 @@
 package spec
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -38,9 +40,7 @@ type Campaign struct {
 	Instances int        `json:"instances,omitempty"` // 0 = parallel's default
 	Live      *live.Spec `json:"live,omitempty"`      // live target instead of a built-in subject
 
-	Alloc            string  `json:"alloc,omitempty"` // cohesive (default) | random | round-robin
 	NoConfigMutation bool    `json:"no_config_mutation,omitempty"`
-	RawWeights       bool    `json:"raw_weights,omitempty"`
 	SatWindow        float64 `json:"sat_window,omitempty"`   // virtual seconds; 0 = parallel's default
 	SatMinGain       int     `json:"sat_min_gain,omitempty"` // edges; 0 = parallel's default
 	LinkLoss         float64 `json:"link_loss,omitempty"`
@@ -48,11 +48,30 @@ type Campaign struct {
 	LinkJitter       float64 `json:"link_jitter,omitempty"`  // virtual seconds
 }
 
-var allocators = map[string]parallel.Allocator{
-	"":            parallel.AllocCohesive,
-	"cohesive":    parallel.AllocCohesive,
-	"random":      parallel.AllocRandom,
-	"round-robin": parallel.AllocRoundRobin,
+// Decode reads a campaign's JSON form (a submit body, a spec.json). A
+// key that names no field, which encoding/json would drop, is an error,
+// as is data after the object; alloc and raw_weights, retired ablation
+// fields, name where ablations run. The keys the input spells are
+// decoded beside a key error, so a caller can name what it refuses.
+func Decode(r io.Reader) (Campaign, error) {
+	var v struct {
+		Campaign
+		Alloc      json.RawMessage `json:"alloc"`
+		RawWeights json.RawMessage `json:"raw_weights"`
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&v)
+	if _, next := dec.Token(); err == nil && next != io.EOF {
+		err = errors.New("data after the campaign")
+	}
+	if err == nil && (v.Alloc != nil || v.RawWeights != nil) {
+		err = errors.New("alloc and raw_weights are plan variants, not campaign fields: run ablations with cmbench -ablation")
+	}
+	if err != nil {
+		err = fmt.Errorf("spec: %w", err)
+	}
+	return v.Campaign, err
 }
 
 // Bind registers the campaign flags on fs, filling c as they are parsed.
@@ -66,9 +85,7 @@ func (c *Campaign) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&c.Hours, "hours", parallel.DefaultHours, "virtual campaign hours")
 	fs.Int64Var(&c.Seed, "seed", 1, "campaign seed")
 	fs.IntVar(&c.Instances, "n", parallel.DefaultInstances, "parallel instances")
-	fs.StringVar(&c.Alloc, "alloc", "cohesive", "CMFuzz allocator: cohesive, random or round-robin (ablation)")
 	fs.BoolVar(&c.NoConfigMutation, "no-config-mutation", false, "disable adaptive configuration mutation (ablation)")
-	fs.BoolVar(&c.RawWeights, "raw-weights", false, "use raw-coverage relation weights (ablation)")
 	fs.Float64Var(&c.SatWindow, "sat-window", 0, "saturation window in virtual seconds (0 = default 1800)")
 	fs.IntVar(&c.SatMinGain, "sat-min-gain", 0, "per-window coverage gain below which an instance saturates (0 = default 8)")
 	fs.Float64Var(&c.LinkLoss, "link-loss", 0, "drop each fuzzer-to-target datagram with this probability")
@@ -114,27 +131,21 @@ func (c *Campaign) Bind(fs *flag.FlagSet) {
 }
 
 // Options validates c and turns it into campaign options. Zero values
-// pass through for parallel's defaults to fill. Mode and alloc must be
-// known names (empty means the default); parallel.Options.Validate
-// holds every value to its range.
+// pass through for parallel's defaults to fill. Mode must be a known
+// name (empty means the default); parallel.Options.Validate holds every
+// value to its range.
 func (c Campaign) Options() (parallel.Options, error) {
 	var err error
 	mode := parallel.ModeCMFuzz
 	if c.Mode != "" {
 		mode, err = parallel.ParseMode(c.Mode)
 	}
-	alloc, ok := allocators[c.Alloc]
-	if err == nil && !ok {
-		err = fmt.Errorf("unknown allocator %q", c.Alloc)
-	}
 	o := parallel.Options{
 		Mode:                  mode,
 		Instances:             c.Instances,
 		VirtualHours:          c.Hours,
 		Seed:                  c.Seed,
-		Allocator:             alloc,
 		DisableConfigMutation: c.NoConfigMutation,
-		RawRelationWeighting:  c.RawWeights,
 		SaturationWindow:      c.SatWindow,
 		SaturationMinGain:     c.SatMinGain,
 		LinkLoss:              c.LinkLoss,

@@ -33,7 +33,7 @@ func parse(t *testing.T, args ...string) Campaign {
 // the ones the flags spell, field for field.
 func TestRoundTrip(t *testing.T) {
 	c := parse(t, "-subject", "DNS", "-mode", "peach", "-hours", "2.5", "-seed", "9", "-n", "3",
-		"-alloc", "random", "-no-config-mutation", "-raw-weights", "-sat-window", "120", "-sat-min-gain", "5",
+		"-no-config-mutation", "-sat-window", "120", "-sat-min-gain", "5",
 		"-link-loss", "0.25", "-link-latency", "0.5", "-link-jitter", "0.125",
 		"-target-addr", "127.0.0.1:9", "-target-transport", "tcp", "-target-rate", "5",
 		"-target-max-restarts", "2", "-target-restart-window", "10", "-target-max-hangs", "7")
@@ -46,8 +46,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Campaign
-	if err := json.Unmarshal(raw, &back); err != nil {
+	back, err := Decode(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, c) {
@@ -55,8 +55,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	want := parallel.Options{
 		Mode: parallel.ModePeach, Instances: 3, VirtualHours: 2.5, Seed: 9,
-		Allocator: parallel.AllocRandom, DisableConfigMutation: true, RawRelationWeighting: true,
-		SaturationWindow: 120, SaturationMinGain: 5,
+		DisableConfigMutation: true, SaturationWindow: 120, SaturationMinGain: 5,
 		LinkLoss: 0.25, LinkLatencyBase: 0.5, LinkLatencyJitter: 0.125,
 	}
 	for name, from := range map[string]Campaign{"flags": c, "json": back} {
@@ -74,7 +73,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Mode != parallel.ModeCMFuzz || def.VirtualHours != 24 || def.Instances != 4 || def.Seed != 1 || def.Allocator != parallel.AllocCohesive {
+	if def.Mode != parallel.ModeCMFuzz || def.VirtualHours != 24 || def.Instances != 4 || def.Seed != 1 {
 		t.Fatalf("default flags give %+v", def)
 	}
 }
@@ -131,8 +130,8 @@ func TestReencodesOldSpecs(t *testing.T) {
 		`{"id":"mqtt-b","subject":"MQTT","hours":1,"seed":3}`,
 		`{"id":"a","subject":"DNS","hours":2,"seed":11}`,
 	} {
-		var c Campaign
-		if err := json.Unmarshal([]byte(body), &c); err != nil {
+		c, err := Decode(strings.NewReader(body))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := json.Marshal(c); string(got) != body {
@@ -147,8 +146,8 @@ func TestReencodesOldSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c Campaign
-		if err := json.Unmarshal(raw, &c); err != nil {
+		c, err := Decode(bytes.NewReader(raw))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got, _ := json.MarshalIndent(c, "", "  "); !bytes.Equal(got, raw) {
@@ -156,6 +155,38 @@ func TestReencodesOldSpecs(t *testing.T) {
 		}
 		if _, err := c.Options(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestDecodeRefusesUnknownKeys: a key that names no field is an error
+// naming it, where encoding/json would run the default in its place;
+// the fields ablations once set are refused with where ablations run
+// now; and the keys the body does spell come back beside the error, so
+// a caller can name what it refuses. The flags of those fields are
+// gone too: a command line that names one does not parse.
+func TestDecodeRefusesUnknownKeys(t *testing.T) {
+	for body, reason := range map[string]string{
+		`{"id":"typo","subject":"DNS","hours":1,"instnaces":8}`:                    `unknown field "instnaces"`,
+		`{"id":"live","subject":"echo","hours":1,"live":{"addr":"h:1","rail":{}}}`: `unknown field "rail"`,
+		`{"id":"alloc","subject":"DNS","hours":1,"alloc":"random"}`:                "cmbench -ablation",
+		`{"id":"raw","subject":"DNS","hours":1,"raw_weights":false}`:               "cmbench -ablation",
+		`{"id":"two","subject":"DNS","hours":1} {"id":"three"}`:                    "data after the campaign",
+	} {
+		c, err := Decode(strings.NewReader(body))
+		if err == nil || !strings.HasPrefix(err.Error(), "spec: ") || !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s: err = %v, want a spec error naming %q", body, err, reason)
+		}
+		if c.ID == "" || c.Hours != 1 {
+			t.Errorf("%s: decoded %+v beside the error, want its id and hours", body, c)
+		}
+	}
+	for _, name := range []string{"alloc", "raw-weights"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(new(bytes.Buffer))
+		new(Campaign).Bind(fs)
+		if err := fs.Parse([]string{"-" + name, "true"}); err == nil || !strings.Contains(err.Error(), "not defined: -"+name) {
+			t.Errorf("-%s: %v, want an undefined flag", name, err)
 		}
 	}
 }
@@ -168,14 +199,12 @@ var (
 	// derives it from.
 	fromSpec = map[string]string{
 		"Mode": "Mode", "Instances": "Instances", "VirtualHours": "Hours", "Seed": "Seed",
-		"Allocator": "Alloc", "DisableConfigMutation": "NoConfigMutation", "RawRelationWeighting": "RawWeights",
-		"SaturationWindow": "SatWindow", "SaturationMinGain": "SatMinGain",
+		"DisableConfigMutation": "NoConfigMutation", "SaturationWindow": "SatWindow", "SaturationMinGain": "SatMinGain",
 		"LinkLoss": "LinkLoss", "LinkLatencyBase": "LinkLatency", "LinkLatencyJitter": "LinkJitter",
 	}
 	// setByCaller: execution knobs and observation sinks, which change how
-	// a campaign runs or is watched but not what it computes — plus
-	// PeachSharedSchedules, which only the ablation runner sets.
-	setByCaller = []string{"Concurrency", "Telemetry", "Trace", "PeachSharedSchedules"}
+	// a campaign runs or is watched but not what it computes.
+	setByCaller = []string{"Concurrency", "Telemetry", "Trace"}
 )
 
 func TestEveryOptionHasASource(t *testing.T) {
@@ -187,8 +216,8 @@ func TestEveryOptionHasASource(t *testing.T) {
 		source[f] = "caller"
 	}
 	// A campaign with every defining field set away from its zero value.
-	full := Campaign{Mode: "spfuzz", Hours: 3, Seed: 5, Instances: 2, Alloc: "round-robin",
-		NoConfigMutation: true, RawWeights: true, SatWindow: 60, SatMinGain: 4,
+	full := Campaign{Mode: "spfuzz", Hours: 3, Seed: 5, Instances: 2,
+		NoConfigMutation: true, SatWindow: 60, SatMinGain: 4,
 		LinkLoss: 0.5, LinkLatency: 1, LinkJitter: 2}
 	opts, err := full.Options()
 	if err != nil {
@@ -242,7 +271,6 @@ func TestOptionsRejects(t *testing.T) {
 		"infinite hours":       func(c *Campaign) { c.Hours = math.Inf(1) },
 		"horizon overflows":    func(c *Campaign) { c.Hours = 1e308 },
 		"unknown mode":         func(c *Campaign) { c.Mode = "afl" },
-		"unknown allocator":    func(c *Campaign) { c.Alloc = "greedy" },
 		"negative sat window":  func(c *Campaign) { c.SatWindow = -1 },
 		"negative sat gain":    func(c *Campaign) { c.SatMinGain = -1 },
 		"link loss above one":  func(c *Campaign) { c.LinkLoss = 1.5 },
