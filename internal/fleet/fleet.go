@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -307,8 +308,14 @@ func NewManager(cfg Config, pool *dist.Pool, resolve func(string) (subject.Subje
 			continue
 		}
 		spec, err := readSpec(filepath.Join(cfg.StateDir, e.Name(), "spec.json"))
-		if err != nil && spec.ID == "" {
+		if errors.Is(err, fs.ErrNotExist) {
 			continue // not a campaign dir (or torn before the atomic spec write: never submitted)
+		}
+		if err != nil && spec.ID == "" {
+			// A spec.json that does not decode still marks a submitted
+			// campaign: it is failed below under its directory's name,
+			// with the decode error, rather than gone from /api/status.
+			spec = CampaignSpec{ID: e.Name()}
 		}
 		rec, invalid := newCampaignRec(spec)
 		if err != nil {

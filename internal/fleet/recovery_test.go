@@ -210,6 +210,53 @@ func TestSubmitRejectsOutOfRangeSpec(t *testing.T) {
 	}
 }
 
+// TestRecoveryFailsUndecodableSpec: a campaign directory whose spec.json
+// is not JSON (torn, or damaged on disk) comes back failed under the
+// directory's name with the decode error, instead of vanishing from
+// /api/status; a directory without a spec.json is no campaign and stays
+// out, and the campaign beside them recovers and drains.
+func TestRecoveryFailsUndecodableSpec(t *testing.T) {
+	dir := t.TempDir()
+	for id, raw := range map[string]string{
+		"torn": `{"id":"torn","subject":"DN`,
+		"good": `{"id":"good","subject":"DNS","hours":0.05,"seed":1,"instances":2}`,
+		"bare": "",
+	} {
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if raw == "" {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "spec.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pool, stop := newPool(t, 1)
+	defer stop()
+	m, err := fleet.NewManager(fleet.Config{StateDir: dir}, pool, protocols.ByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn := findStatus(t, m, "torn"); torn.State != fleet.StateFailed || !strings.Contains(torn.Error, "unexpected EOF") {
+		t.Fatalf("undecodable spec recovered as %s (%q), want failed with the decode error", torn.State, torn.Error)
+	}
+	for _, st := range m.Status() {
+		if st.ID == "bare" {
+			t.Fatalf("a directory without spec.json recovered as campaign %+v", st)
+		}
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if good := findStatus(t, m, "good"); good.State != fleet.StateDone {
+		t.Fatalf("healthy neighbour ended %s (%s)", good.State, good.Error)
+	}
+	if torn := findStatus(t, m, "torn"); torn.State != fleet.StateFailed {
+		t.Fatalf("undecodable campaign ended %s", torn.State)
+	}
+}
+
 // TestRecoveryFailsInvalidSpec: a spec.json Submit would refuse today —
 // left by a build that did not validate, or written by hand — comes
 // back failed with the reason instead of panicking the scheduler on

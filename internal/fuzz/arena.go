@@ -1,7 +1,8 @@
 package fuzz
 
 // An Arena lends the bytes one engine step copies out of the data models —
-// the Data of every leaf a mutation or relation fix-up writes — and
+// the Data of every leaf a mutation or relation fix-up writes, and the new
+// payloads the mutators build — and
 // recycles them all with a single Reset. Nothing allocated from an arena
 // may outlive the next Reset: the engine serializes each message to wire
 // bytes before the next is built, and only those bytes (deep-copied when
@@ -25,16 +26,16 @@ func NewArena() *Arena { return &Arena{} }
 // storage is retained, so a warmed-up arena allocates nothing.
 func (a *Arena) Reset() { a.chunk, a.used = 0, 0 }
 
-// copyBytes copies src into arena storage (the heap for a nil arena or an
-// oversized src) with clamped capacity, so an append by a caller can
-// never bleed into a neighbor. Empty input gives nil.
-func (a *Arena) copyBytes(src []byte) []byte {
-	n := len(src)
+// alloc returns n bytes of arena storage (the heap for a nil arena or an
+// oversized n) with clamped capacity, so an append by a caller can never
+// bleed into a neighbor. Arena bytes are not zeroed: the caller writes
+// all n. Zero bytes give nil.
+func (a *Arena) alloc(n int) []byte {
 	if n == 0 {
 		return nil
 	}
 	if a == nil || n > arenaChunk {
-		return append([]byte(nil), src...)
+		return make([]byte, n)
 	}
 	if a.chunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]byte, arenaChunk))
@@ -48,6 +49,12 @@ func (a *Arena) copyBytes(src []byte) []byte {
 	}
 	s := a.chunks[a.chunk][a.used : a.used+n : a.used+n]
 	a.used += n
+	return s
+}
+
+// copyBytes copies src into storage from alloc. Empty input gives nil.
+func (a *Arena) copyBytes(src []byte) []byte {
+	s := a.alloc(len(src))
 	copy(s, src)
 	return s
 }

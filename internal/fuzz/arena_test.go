@@ -34,7 +34,7 @@ func TestArenaResetReuse(t *testing.T) {
 	gen := func() ([]byte, *byte) {
 		r := testRandSeed(5)
 		cm.instantiate(&msg, a, r)
-		blobBitFlip(msg.own(slices.IndexFunc(msg.fields, isNonEmptyBytes)), r)
+		blobBitFlip(msg.own(slices.IndexFunc(msg.fields, isNonEmptyBytes)), a, r)
 		for k, e := range msg.fields {
 			if len(e.Data) > 0 && e != cm.nodes[msg.leaves[k]].e {
 				return msg.appendTo(nil), &e.Data[0]

@@ -114,7 +114,9 @@ func (t *tree) appendElement(buf []byte, e *Element) []byte {
 	case KindNumber:
 		return appendNumber(buf, e)
 	case KindString, KindBlob:
-		return append(buf, e.Data...)
+		// The mutators leave a grown field a unit and a repeat count;
+		// the reference writes it out the plain way, not by appendLeaf.
+		return append(buf, bytes.Repeat(e.Data, max(e.repeat, 1))...)
 	case KindBlock:
 		for _, ch := range e.Children {
 			buf = t.appendElement(buf, ch)
@@ -139,7 +141,7 @@ func (t *tree) mutate(r *rand.Rand) int {
 			e := leaves[r.Intn(len(leaves))]
 			m := mutators[r.Intn(len(mutators))]
 			if m.applies(e) {
-				m.mutate(e, r)
+				m.mutate(e, nil, r)
 				applied++
 				break
 			}

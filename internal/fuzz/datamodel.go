@@ -64,6 +64,12 @@ type Element struct {
 
 	// String and Blob fields.
 	Data []byte
+	// repeat, above one, makes the field's bytes Data repeated that many
+	// times. Only a multiplying mutator sets it, on a message's own copy
+	// of a leaf, and Data under it is never written in place: a grown
+	// field is written out once, by appendLeaf, straight into the wire
+	// buffer.
+	repeat int
 
 	// Block and Choice children.
 	Children []*Element
@@ -266,7 +272,7 @@ func (msg *Message) Serialize() []byte { return msg.appendTo(nil) }
 func (msg *Message) appendTo(buf []byte) []byte {
 	msg.relate()
 	for k, e := range msg.fields {
-		if len(e.Data) > cap(buf)-len(buf) {
+		if e.dataLen() > cap(buf)-len(buf) {
 			n := 0
 			for _, r := range msg.fields[k:] {
 				n += leafLen(r)
@@ -331,9 +337,38 @@ func appendLeaf(buf []byte, e *Element) []byte {
 	case KindNumber:
 		return appendNumber(buf, e)
 	case KindString, KindBlob:
-		return append(buf, e.Data...)
+		n := len(buf)
+		buf = slices.Grow(buf, e.dataLen())[:n+e.dataLen()]
+		fillRepeat(buf[n:], e.Data)
 	}
 	return buf
+}
+
+// copies is how many times the field's bytes repeat Data.
+func (e *Element) copies() int { return max(e.repeat, 1) }
+
+// dataLen is the length of the field's bytes: Data, repeated.
+func (e *Element) dataLen() int { return len(e.Data) * e.copies() }
+
+// fillRepeat fills dst with copies of unit, the last one cut short: one
+// copy, then doubling copies of what is written. unit is empty only when
+// dst is.
+func fillRepeat(dst, unit []byte) {
+	for done := copy(dst, unit); done < len(dst); done *= 2 {
+		copy(dst[done:], dst[:done])
+	}
+}
+
+// flatten cuts the field to its first n bytes, writing those of a
+// repeated field out into storage from a, and clears the count, so a
+// mutator may write Data in place.
+func (e *Element) flatten(a *Arena, n int) {
+	if e.repeat > 1 {
+		out := a.alloc(n)
+		fillRepeat(out, e.Data)
+		e.Data = out
+	}
+	e.Data, e.repeat = e.Data[:n], 0
 }
 
 // leafLen is len(appendLeaf(nil, e)).
@@ -349,7 +384,7 @@ func leafLen(e *Element) int {
 		}
 		return max(numberWidth(e), 0)
 	case KindString, KindBlob:
-		return len(e.Data)
+		return e.dataLen()
 	}
 	return 0
 }

@@ -1,19 +1,17 @@
 package fuzz
 
-import (
-	"bytes"
-	"math/rand"
-)
+import "math/rand"
 
 // A mutator transforms one message field, Peach-style. applies reports
 // whether it can act on e and must not write e: it may be the data
 // model's own element. mutate transforms e in place using randomness
-// from r; it may write e's Value, Data and SizeBroken, while the relation
-// names SizeOf and CountOf belong to the model. No mutator touches a
-// Token field.
+// from r; it may write e's Value, Data, repeat count and SizeBroken,
+// while the relation names SizeOf and CountOf belong to the model. A new
+// payload comes from a (the heap when a is nil), so it lives until the
+// arena's next Reset. No mutator touches a Token field.
 type mutator struct {
 	applies func(e *Element) bool
-	mutate  func(e *Element, r *rand.Rand)
+	mutate  func(e *Element, a *Arena, r *rand.Rand)
 }
 
 // mutators is the mutation suite: numeric boundary and random values,
@@ -44,13 +42,13 @@ func isString(e *Element) bool { return e.Kind == KindString && !e.Token }
 func isBytes(e *Element) bool {
 	return (e.Kind == KindString || e.Kind == KindBlob) && !e.Token
 }
-func isNonEmptyString(e *Element) bool { return isString(e) && len(e.Data) > 0 }
-func isNonEmptyBytes(e *Element) bool  { return isBytes(e) && len(e.Data) > 0 }
+func isNonEmptyString(e *Element) bool { return isString(e) && e.dataLen() > 0 }
+func isNonEmptyBytes(e *Element) bool  { return isBytes(e) && e.dataLen() > 0 }
 
 // isDuplicable keeps blobDuplicate off fields of 64 KiB and more.
-func isDuplicable(e *Element) bool { return isNonEmptyBytes(e) && len(e.Data) < 1<<16 }
+func isDuplicable(e *Element) bool { return isNonEmptyBytes(e) && e.dataLen() < 1<<16 }
 
-func numberBoundary(e *Element, r *rand.Rand) {
+func numberBoundary(e *Element, _ *Arena, r *rand.Rand) {
 	max := uint64(1)<<uint(e.Bits) - 1
 	if e.Bits >= 64 || e.Bits == 0 {
 		max = ^uint64(0)
@@ -60,7 +58,7 @@ func numberBoundary(e *Element, r *rand.Rand) {
 	e.SizeBroken = e.SizeOf != "" || e.CountOf != ""
 }
 
-func numberRandom(e *Element, r *rand.Rand) {
+func numberRandom(e *Element, _ *Arena, r *rand.Rand) {
 	e.Value = r.Uint64()
 	if e.Bits > 0 && e.Bits < 64 {
 		e.Value &= uint64(1)<<uint(e.Bits) - 1
@@ -70,7 +68,7 @@ func numberRandom(e *Element, r *rand.Rand) {
 
 // sizeBreaker corrupts a size or count relation: the field keeps a stale
 // or skewed value instead of being recomputed at serialization.
-func sizeBreaker(e *Element, r *rand.Rand) {
+func sizeBreaker(e *Element, _ *Arena, r *rand.Rand) {
 	e.SizeBroken = true
 	switch r.Intn(4) {
 	case 0:
@@ -93,7 +91,8 @@ func sizeBreaker(e *Element, r *rand.Rand) {
 // and the corpus — unbounded, one CoAP campaign held 1.7 GB in a single
 // string and its copies. The count is drawn as ever and only then
 // lowered, so the rng stream and every output that fits are what they
-// were.
+// were. A grown field stays its unit and a repeat count until appendLeaf
+// writes it, so only the wire buffer holds its bytes.
 const maxFieldLen = 16 << 20
 
 // fitCopies lowers copies until that many of a unit-byte field fit
@@ -102,15 +101,25 @@ func fitCopies(unit, copies int) int {
 	return max(1, min(copies, maxFieldLen/max(unit, 1)))
 }
 
-func stringRepeat(e *Element, r *rand.Rand) {
-	unit := e.Data
-	if len(unit) == 0 {
-		unit = []byte("A")
-	}
-	e.Data = bytes.Repeat(unit, fitCopies(len(unit), 1<<uint(1+r.Intn(9)))) // 2..512 copies
+// unitA is what stringRepeat repeats in place of an empty field. It is
+// only ever read: a field under a repeat count is flattened before it is
+// written.
+var unitA = []byte("A")
+
+// repeatBy multiplies e's repeat count by a drawn copy count, lowered to
+// fit the field's length as it stands.
+func repeatBy(e *Element, copies int) {
+	e.repeat = e.copies() * fitCopies(e.dataLen(), copies)
 }
 
-func stringEmpty(e *Element, _ *rand.Rand) { e.Data = nil }
+func stringRepeat(e *Element, _ *Arena, r *rand.Rand) {
+	if e.dataLen() == 0 {
+		e.Data, e.repeat = unitA, 0
+	}
+	repeatBy(e, 1<<uint(1+r.Intn(9))) // 2..512 copies
+}
+
+func stringEmpty(e *Element, _ *Arena, _ *rand.Rand) { e.Data, e.repeat = nil, 0 }
 
 var specialStrings = [][]byte{
 	[]byte("../../../../etc/passwd"),
@@ -125,11 +134,12 @@ var specialStrings = [][]byte{
 
 // stringSpecial injects classic hostile payloads: traversal sequences,
 // format strings, NUL bytes, overlong UTF-8 and separator floods.
-func stringSpecial(e *Element, r *rand.Rand) {
-	e.Data = append([]byte(nil), specialStrings[r.Intn(len(specialStrings))]...)
+func stringSpecial(e *Element, a *Arena, r *rand.Rand) {
+	e.Data, e.repeat = a.copyBytes(specialStrings[r.Intn(len(specialStrings))]), 0
 }
 
-func blobBitFlip(e *Element, r *rand.Rand) {
+func blobBitFlip(e *Element, a *Arena, r *rand.Rand) {
+	e.flatten(a, e.dataLen())
 	n := 1 + r.Intn(4)
 	for i := 0; i < n; i++ {
 		bit := r.Intn(len(e.Data) * 8)
@@ -137,31 +147,34 @@ func blobBitFlip(e *Element, r *rand.Rand) {
 	}
 }
 
-func blobTruncate(e *Element, r *rand.Rand) {
-	e.Data = e.Data[:r.Intn(len(e.Data))]
+// blobTruncate writes out only the prefix it keeps of a repeated field.
+func blobTruncate(e *Element, a *Arena, r *rand.Rand) {
+	e.flatten(a, r.Intn(e.dataLen()))
 }
 
-func blobDuplicate(e *Element, r *rand.Rand) {
-	e.Data = bytes.Repeat(e.Data, fitCopies(len(e.Data), 2+r.Intn(4)))
-}
+func blobDuplicate(e *Element, _ *Arena, r *rand.Rand) { repeatBy(e, 2+r.Intn(4)) }
 
-func blobInsert(e *Element, r *rand.Rand) {
-	insert := make([]byte, 1+r.Intn(8))
-	for i := range insert {
+// blobInsert writes the field's bytes out once, with room for the insert,
+// and moves the tail up to make the room.
+func blobInsert(e *Element, a *Arena, r *rand.Rand) {
+	var insert [8]byte
+	n := 1 + r.Intn(len(insert))
+	for i := range insert[:n] {
 		insert[i] = byte(r.Intn(256))
 	}
-	pos := 0
-	if len(e.Data) > 0 {
-		pos = r.Intn(len(e.Data) + 1)
+	size, pos := e.dataLen(), 0
+	if size > 0 {
+		pos = r.Intn(size + 1)
 	}
-	out := make([]byte, 0, len(e.Data)+len(insert))
-	out = append(out, e.Data[:pos]...)
-	out = append(out, insert...)
-	out = append(out, e.Data[pos:]...)
-	e.Data = out
+	out := a.alloc(size + n)
+	fillRepeat(out[:size], e.Data)
+	copy(out[pos+n:], out[pos:size])
+	copy(out[pos:], insert[:n])
+	e.Data, e.repeat = out, 0
 }
 
-func blobRandomBytes(e *Element, r *rand.Rand) {
+func blobRandomBytes(e *Element, a *Arena, r *rand.Rand) {
+	e.flatten(a, e.dataLen())
 	n := 1 + r.Intn(len(e.Data))
 	for i := 0; i < n; i++ {
 		e.Data[r.Intn(len(e.Data))] = byte(r.Intn(256))
@@ -183,7 +196,7 @@ func MutateMessage(msg *Message, r *rand.Rand) int {
 			k := r.Intn(len(msg.fields))
 			m := &mutators[r.Intn(len(mutators))]
 			if m.applies(msg.fields[k]) {
-				m.mutate(msg.own(k), r)
+				m.mutate(msg.own(k), msg.arena, r)
 				applied++
 				break
 			}

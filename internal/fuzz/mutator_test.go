@@ -63,7 +63,7 @@ func TestNumberBoundaryStaysInWidth(t *testing.T) {
 	r := testRand()
 	e := Num("n", 8, 5)
 	for i := 0; i < 100; i++ {
-		numberBoundary(e, r)
+		numberBoundary(e, nil, r)
 		// Boundary values may exceed the width on purpose (over-wide
 		// constants get truncated at serialization); serialization must
 		// still produce exactly one byte.
@@ -78,7 +78,7 @@ func TestNumberRandomMasksWidth(t *testing.T) {
 	r := testRand()
 	e := Num("n", 16, 0)
 	for i := 0; i < 100; i++ {
-		numberRandom(e, r)
+		numberRandom(e, nil, r)
 		if e.Value > 0xffff {
 			t.Fatalf("16-bit random value %#x exceeds width", e.Value)
 		}
@@ -93,7 +93,7 @@ func TestSizeBreakerOnlyAppliesToRelations(t *testing.T) {
 	if !isSized(rel) {
 		t.Fatal("sizeBreaker not applicable to size field")
 	}
-	sizeBreaker(rel, testRand())
+	sizeBreaker(rel, nil, testRand())
 	if !rel.SizeBroken {
 		t.Fatal("sizeBreaker did not mark relation broken")
 	}
@@ -103,14 +103,14 @@ func TestStringMutators(t *testing.T) {
 	r := testRand()
 
 	e := Str("s", "ab")
-	stringRepeat(e, r)
-	if len(e.Data) < 4 || len(e.Data)%2 != 0 {
-		t.Fatalf("StringRepeat produced %d bytes", len(e.Data))
+	stringRepeat(e, nil, r)
+	if got := fieldBytes(e); len(got) < 4 || len(got)%2 != 0 {
+		t.Fatalf("StringRepeat produced %d bytes", len(got))
 	}
 
 	e = Str("s", "ab")
-	stringEmpty(e, r)
-	if len(e.Data) != 0 {
+	stringEmpty(e, nil, r)
+	if len(fieldBytes(e)) != 0 {
 		t.Fatal("StringEmpty left data")
 	}
 	if isNonEmptyString(e) {
@@ -118,15 +118,15 @@ func TestStringMutators(t *testing.T) {
 	}
 
 	e = Str("s", "ab")
-	stringSpecial(e, r)
+	stringSpecial(e, nil, r)
 	found := false
 	for _, sp := range specialStrings {
-		if string(e.Data) == string(sp) {
+		if string(fieldBytes(e)) == string(sp) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("StringSpecial produced unexpected %q", e.Data)
+		t.Fatalf("StringSpecial produced unexpected %q", fieldBytes(e))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestBlobMutators(t *testing.T) {
 	r := testRand()
 
 	e := Blob("b", []byte{0, 0, 0, 0})
-	blobBitFlip(e, r)
+	blobBitFlip(e, nil, r)
 	nonzero := false
 	for _, b := range e.Data {
 		if b != 0 {
@@ -146,19 +146,19 @@ func TestBlobMutators(t *testing.T) {
 	}
 
 	e = Blob("b", []byte{1, 2, 3, 4})
-	blobTruncate(e, r)
+	blobTruncate(e, nil, r)
 	if len(e.Data) >= 4 {
 		t.Fatalf("BlobTruncate len = %d", len(e.Data))
 	}
 
 	e = Blob("b", []byte{1, 2})
-	blobDuplicate(e, r)
-	if len(e.Data) < 4 || len(e.Data)%2 != 0 {
-		t.Fatalf("BlobDuplicate len = %d", len(e.Data))
+	blobDuplicate(e, nil, r)
+	if got := fieldBytes(e); len(got) < 4 || len(got)%2 != 0 {
+		t.Fatalf("BlobDuplicate len = %d", len(got))
 	}
 
 	e = Blob("b", nil)
-	blobInsert(e, r)
+	blobInsert(e, nil, r)
 	if len(e.Data) == 0 {
 		t.Fatal("BlobInsert into empty blob added nothing")
 	}
@@ -225,14 +225,14 @@ func TestMutatorsBoundFieldGrowth(t *testing.T) {
 	for seed := int64(0); seed < 64; seed++ {
 		r, ref := testRandSeed(seed), testRandSeed(seed)
 		s := Str("s", "abc")
-		stringRepeat(s, r)
-		if want := bytes.Repeat([]byte("abc"), 1<<uint(1+ref.Intn(9))); !bytes.Equal(s.Data, want) {
-			t.Fatalf("seed %d: StringRepeat of a small field gave %d bytes, want the unclamped %d", seed, len(s.Data), len(want))
+		stringRepeat(s, nil, r)
+		if want := bytes.Repeat([]byte("abc"), 1<<uint(1+ref.Intn(9))); !bytes.Equal(fieldBytes(s), want) {
+			t.Fatalf("seed %d: StringRepeat of a small field gave %d bytes, want the unclamped %d", seed, len(fieldBytes(s)), len(want))
 		}
 		b := Blob("b", []byte{1, 2, 3, 4})
-		blobDuplicate(b, r)
-		if want := bytes.Repeat([]byte{1, 2, 3, 4}, 2+ref.Intn(4)); !bytes.Equal(b.Data, want) {
-			t.Fatalf("seed %d: BlobDuplicate of a small field gave %d bytes, want the unclamped %d", seed, len(b.Data), len(want))
+		blobDuplicate(b, nil, r)
+		if want := bytes.Repeat([]byte{1, 2, 3, 4}, 2+ref.Intn(4)); !bytes.Equal(fieldBytes(b), want) {
+			t.Fatalf("seed %d: BlobDuplicate of a small field gave %d bytes, want the unclamped %d", seed, len(fieldBytes(b)), len(want))
 		}
 		if r.Int63() != ref.Int63() {
 			t.Fatalf("seed %d: the mutators drew a different number of values than before the clamp", seed)
@@ -244,25 +244,29 @@ func TestMutatorsBoundFieldGrowth(t *testing.T) {
 	r := testRandSeed(1)
 	s := Str("s", strings.Repeat("x", 48))
 	for i := 0; i < 12; i++ {
-		before := len(s.Data)
-		stringRepeat(s, r)
-		if len(s.Data) > maxFieldLen || len(s.Data) < before || len(s.Data)%before != 0 {
-			t.Fatalf("StringRepeat %d: %d bytes -> %d, bound %d", i, before, len(s.Data), maxFieldLen)
+		before := len(fieldBytes(s))
+		stringRepeat(s, nil, r)
+		if after := len(fieldBytes(s)); after > maxFieldLen || after < before || after%before != 0 {
+			t.Fatalf("StringRepeat %d: %d bytes -> %d, bound %d", i, before, after, maxFieldLen)
 		}
 	}
-	if len(s.Data) <= maxFieldLen/2 {
-		t.Fatalf("twelve StringRepeats stopped at %d bytes, want the field grown to within a copy of the %d bound", len(s.Data), maxFieldLen)
+	if len(fieldBytes(s)) <= maxFieldLen/2 {
+		t.Fatalf("twelve StringRepeats stopped at %d bytes, want the field grown to within a copy of the %d bound", len(fieldBytes(s)), maxFieldLen)
 	}
 	// blobDuplicate's predicate keeps it off fields this large; the bound
 	// holds for a caller that does not ask first, and an empty field is
 	// still nothing to copy.
-	blobDuplicate(s, r)
-	if len(s.Data) > maxFieldLen {
-		t.Fatalf("BlobDuplicate grew a field at the bound to %d bytes", len(s.Data))
+	blobDuplicate(s, nil, r)
+	if n := len(fieldBytes(s)); n > maxFieldLen {
+		t.Fatalf("BlobDuplicate grew a field at the bound to %d bytes", n)
 	}
 	empty := Blob("e", nil)
-	blobDuplicate(empty, r)
-	if len(empty.Data) != 0 {
-		t.Fatalf("BlobDuplicate of an empty field gave %d bytes", len(empty.Data))
+	blobDuplicate(empty, nil, r)
+	if n := len(fieldBytes(empty)); n != 0 {
+		t.Fatalf("BlobDuplicate of an empty field gave %d bytes", n)
 	}
 }
+
+// fieldBytes is a String or Blob field's bytes as they go on the wire:
+// its Data, repeated.
+func fieldBytes(e *Element) []byte { return appendLeaf(nil, e) }

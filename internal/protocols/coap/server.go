@@ -316,7 +316,8 @@ func (s *Server) Message(data []byte) [][]byte {
 	pathHash := probes.HashBytes(path)
 	s.tr.Edge(mPath, pathHash%hashSpace)
 	s.tr.Edge(mMethod, uint64(m.Code))
-	s.tr.Edge(mPayload, probes.HashBytes(m.Payload)%hashSpace)
+	payloadHash := probes.HashBytes(m.Payload)
+	s.tr.Edge(mPayload, payloadHash%hashSpace)
 	s.tr.Edge(mPayload, hashSpace+probes.Bucket(len(m.Payload)))
 
 	s.opts = s.opts[:0]
@@ -338,7 +339,7 @@ func (s *Server) Message(data []byte) [][]byte {
 	case codeGET, codeFETCH:
 		return s.handleGet(path, pathHash)
 	case codePUT:
-		return s.handlePut(path, pathHash)
+		return s.handlePut(path, pathHash, payloadHash)
 	case codePOST:
 		return s.handlePost(path, pathHash)
 	case codeDELETE:
@@ -445,8 +446,9 @@ func (s *Server) uploadKey(sep byte, path []byte) {
 }
 
 // handlePut is the coap_handle_request_put_block of the Figure 5 case
-// study: it reassembles blockwise uploads.
-func (s *Server) handlePut(path []byte, pathHash uint64) [][]byte {
+// study: it reassembles blockwise uploads. payloadHash is the hash
+// Message took of the payload.
+func (s *Server) handlePut(path []byte, pathHash, payloadHash uint64) [][]byte {
 	m := &s.msg
 	s.tr.Edge(mPut, pathHash%128)
 
@@ -459,7 +461,7 @@ func (s *Server) handlePut(path []byte, pathHash uint64) [][]byte {
 		}
 		blk, ok := decodeBlockOpt(qb)
 		s.tr.Edge(mQBlock, 1+probes.B(ok))
-		s.tr.Edge(mQBlock, 128+probes.HashBytes(m.Payload)%768)
+		s.tr.Edge(mQBlock, 128+payloadHash%768)
 		if !ok {
 			return s.reply(codeBadOption, nil)
 		}

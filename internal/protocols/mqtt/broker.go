@@ -228,14 +228,17 @@ func (b *Broker) Message(payload []byte) [][]byte {
 		}
 		return nil
 	}
-	if b.cfg.websockets {
-		// Websocket framing wraps every packet: extra decode region.
-		b.tr.Edge(mWSFrame, probes.HashBytes(payload)%640)
-		b.tr.Edge(mWSFrame, 1024+probes.Bucket(len(payload)))
-	}
-	if b.cfg.tls {
-		// Record-layer processing region.
-		b.tr.Edge(mTLSRecord, probes.HashBytes(payload)%512)
+	if b.cfg.websockets || b.cfg.tls {
+		h := probes.HashBytes(payload)
+		if b.cfg.websockets {
+			// Websocket framing wraps every packet: extra decode region.
+			b.tr.Edge(mWSFrame, h%640)
+			b.tr.Edge(mWSFrame, 1024+probes.Bucket(len(payload)))
+		}
+		if b.cfg.tls {
+			// Record-layer processing region.
+			b.tr.Edge(mTLSRecord, h%512)
+		}
 	}
 	pkt, err := decodePacket(payload)
 	if err != nil {
