@@ -331,13 +331,17 @@ func (n *Node) Message(data []byte) [][]byte {
 	guid := probes.HashBytes(guidPrefix)
 	n.tr.Edge(mHeader, 1024+guid%512)
 
-	if n.cfg.security {
-		// Security wrapper inspection per datagram.
-		n.tr.Edge(mSecOp, probes.HashBytes(data)%4096)
-	}
-	if n.cfg.verbosity == "fine" || n.cfg.verbosity == "finest" {
-		n.tr.Edge(mTraceOp, probes.Bucket(len(data)))
-		n.tr.Edge(mTraceOp, 64+probes.HashBytes(data)%2048)
+	verbose := n.cfg.verbosity == "fine" || n.cfg.verbosity == "finest"
+	if n.cfg.security || verbose {
+		dataHash := probes.HashBytes(data)
+		if n.cfg.security {
+			// Security wrapper inspection per datagram.
+			n.tr.Edge(mSecOp, dataHash%4096)
+		}
+		if verbose {
+			n.tr.Edge(mTraceOp, probes.Bucket(len(data)))
+			n.tr.Edge(mTraceOp, 64+dataHash%2048)
+		}
 	}
 
 	count := 0
@@ -425,7 +429,8 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 		n.parseParameterList(r, le, mInlineQos)
 	}
 	payload := r.Rest()
-	n.tr.Edge(mPayload, probes.HashBytes(payload)%hashSpace)
+	payloadHash := probes.HashBytes(payload)
+	n.tr.Edge(mPayload, payloadHash%hashSpace)
 	n.tr.Edge(mPayload, uint64(hashSpace)+probes.Bucket(len(payload)))
 
 	switch writerID {
@@ -433,7 +438,7 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 		// SPDP participant announcement.
 		_, known := n.participants[guid]
 		n.tr.Edge(mSPDP, probes.B(known)<<10|guid%1024)
-		n.tr.Edge(mSPDP, 4096+probes.HashBytes(payload)%1024)
+		n.tr.Edge(mSPDP, 4096+payloadHash%1024)
 		if !known {
 			if len(n.participants) >= 64 {
 				n.tr.Edge(mSPDP, 1024)
@@ -445,7 +450,7 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 		appendSPDPAnnouncement(&n.resp.W)
 		n.resp.End()
 	case entitySEDPPubW, entitySEDPSubW:
-		n.tr.Edge(mSEDP, uint64(writerID%16)<<11|probes.HashBytes(payload)%2048)
+		n.tr.Edge(mSEDP, uint64(writerID%16)<<11|payloadHash%2048)
 	default:
 		// User data: reliable readers record the sequence.
 		if cur, ok := n.readers[writerID]; !ok || seq > cur {
@@ -457,7 +462,7 @@ func (n *Node) handleData(body []byte, flags byte, le bool, guid uint64) {
 		n.tr.Edge(mData, 1000+uint64(writerID%64)<<5|probes.Bucket(int(seqLo)))
 		if n.cfg.liveliness {
 			n.tr.Edge(mLiveOp, uint64(writerID%128))
-			n.tr.Edge(mLiveOp, 128+probes.HashBytes(payload)%2048)
+			n.tr.Edge(mLiveOp, 128+payloadHash%2048)
 		}
 	}
 }
@@ -562,7 +567,8 @@ func (n *Node) handleHeartbeat(body []byte, le bool) {
 	n.tr.Edge(mHeartbt, 1+uint64(writerID%128))
 	n.tr.Edge(mHeartbt, 256+probes.Bucket(int(lastSN-firstSN)))
 	n.tr.Edge(mHeartbt, 300+uint64(count%32))
-	n.tr.Edge(mHeartbt, 1024+probes.HashBytes(body)%1024)
+	bodyHash := probes.HashBytes(body)
+	n.tr.Edge(mHeartbt, 1024+bodyHash%1024)
 	if firstSN > lastSN {
 		n.tr.Edge(mHeartbt, 400) // invalid range
 		return
@@ -573,7 +579,7 @@ func (n *Node) handleHeartbeat(body []byte, le bool) {
 		n.tr.Edge(mAckNack, 512+probes.Bucket(int(lastSN-acked)))
 		if n.cfg.retransmit == "adaptive" {
 			n.tr.Edge(mAckNack, 600+uint64(count%8))
-			n.tr.Edge(mAckNack, 8192+probes.HashBytes(body)%768)
+			n.tr.Edge(mAckNack, 8192+bodyHash%768)
 		}
 		appendAckNack(&n.resp.W, readerID, writerID, acked+1)
 		n.resp.End()

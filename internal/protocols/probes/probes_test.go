@@ -1,6 +1,7 @@
 package probes
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +41,16 @@ func TestHashConsistency(t *testing.T) {
 	}
 	if Hash("abc") != HashBytes([]byte("abc")) {
 		t.Fatal("Hash and HashBytes disagree")
+	}
+	// Long periodic inputs take the run rule in both.
+	for _, unit := range []string{"A", "0123456789abcdef", "topic/"} {
+		s := "head" + strings.Repeat(unit, 3*runInput/len(unit)) + "tail"
+		if Hash(s) != HashBytes([]byte(s)) || Hash(s) != fnvRef([]byte(s)) {
+			t.Fatalf("Hash, HashBytes and the byte loop disagree on %d bytes of %q", len(s), unit)
+		}
+		if Hash(s) == Hash(s[1:]) {
+			t.Fatal("Hash collides on near periodic inputs")
+		}
 	}
 }
 
