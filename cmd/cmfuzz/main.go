@@ -201,7 +201,7 @@ func cmdRelate(args []string) error {
 	rel := plan.Relation
 	fmt.Printf("relation-aware configuration model for %s:\n", h.Sub.Info().Implementation)
 	fmt.Printf("  baseline startup coverage: %d branches (%d startups for %d probe requests, %d values capped)\n",
-		rel.Baseline, rel.Probes, rel.ProbeRequests, rel.DroppedValues)
+		rel.Baseline, len(rel.Probed), rel.ProbeRequests, rel.DroppedValues)
 	fmt.Printf("  %d relation edges:\n", rel.Graph.EdgeCount())
 	for _, e := range rel.Graph.SortedEdges() {
 		best := rel.Best[relation.PairKey(e.A, e.B)]

@@ -16,8 +16,8 @@ import (
 )
 
 // cmdServe runs the long-lived fleet service: one shared worker pool,
-// many campaigns submitted over HTTP, a bandit scheduler partitioning
-// the workers between them every round, and crash-safe state under
+// many campaigns submitted over HTTP, a bandit scheduler picking which
+// of them run every round, and crash-safe state under
 // -state. Stopping the process (SIGINT/SIGTERM) parks every running
 // campaign at a checkpoint; restarting with the same -state resumes
 // them with byte-identical final artifacts.
@@ -27,7 +27,7 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 2, "number of workers to wait for before serving")
 	stateDir := fs.String("state", "cmfuzz-state", "directory for campaign specs, checkpoints and artifacts")
 	slice := fs.Float64("slice", 900, "scheduler quantum in virtual seconds")
-	concurrency := fs.Int("concurrency", 0, "caps a scheduling round at N campaigns (0 = every runnable campaign)")
+	concurrency := fs.Int("concurrency", 0, "caps a scheduling round at N campaigns (0 = one per live worker)")
 	monitorAddr := fs.String("monitor", "127.0.0.1:8080", "HTTP address serving the monitor and the /api endpoints")
 	fs.Parse(args)
 

@@ -47,7 +47,7 @@ func BenchmarkQuantify(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := Quantify(model, benchProbe, Options{Workers: workers})
-				if res.Probes == 0 {
+				if len(res.Probed) == 0 {
 					b.Fatal("no probes executed")
 				}
 			}

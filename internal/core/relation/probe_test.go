@@ -33,12 +33,12 @@ func TestProbeAllProbesDuplicatesOnce(t *testing.T) {
 		asg("a", "1", "b", "2"), // same bindings as [1], different build order
 	}
 	tel := telemetry.New()
-	out, startups := probeAll(cfgs, fn, Options{Workers: 4, Telemetry: tel}, nil)
+	out, probed := probeAll(cfgs, fn, Options{Workers: 4, Telemetry: tel}, nil)
 	if want := []int{2, 3, 2, 3}; !reflect.DeepEqual(out, want) {
 		t.Fatalf("coverages = %v, want %v", out, want)
 	}
-	if calls != 2 || startups != 2 {
-		t.Fatalf("probe executed %d times, reported %d startups, want 2", calls, startups)
+	if want := []string{cfgs[0].String(), cfgs[1].String()}; calls != 2 || !reflect.DeepEqual(probed, want) {
+		t.Fatalf("probe executed %d times, reported %q booted, want 2: %q", calls, probed, want)
 	}
 	if got := tel.Events(); len(got) != 1 || got[0].Type != telemetry.EvProbeStats ||
 		got[0].Requests != 4 || got[0].Startups != 2 || got[0].Hits != 2 {

@@ -92,14 +92,17 @@ type Result struct {
 	BestSingle map[string]SingleValue
 	// Baseline is the startup coverage of the default assignment.
 	Baseline int
-	// Probes counts how many startups were actually executed. Duplicate
-	// assignments across the probe matrix (standalone probes recurring
-	// inside pair matrices, combinations collapsing onto the defaults)
-	// boot once, so Probes is the number of distinct configurations
-	// booted.
-	Probes int
+	// Probed holds the canonical renderings of the configurations whose
+	// startups were actually executed, in planning order: the order a
+	// one-worker pool boots them, which a caller filing what the probes
+	// found follows to file it the same way at any worker count.
+	// Duplicate assignments across the probe matrix (standalone probes
+	// recurring inside pair matrices, combinations collapsing onto the
+	// defaults) boot once, so len(Probed) is the number of distinct
+	// configurations booted.
+	Probed []string
 	// ProbeRequests counts every probe the matrix asked for, duplicates
-	// included; ProbeRequests − Probes is the startup work the
+	// included; ProbeRequests − len(Probed) is the startup work the
 	// deduplication saved.
 	ProbeRequests int
 	// DroppedValues counts typical values the MaxValues cap excluded
@@ -196,10 +199,10 @@ func Quantify(model *configmodel.Model, probeFn Probe, opts Options) *Result {
 
 	// Execute the matrix across the worker pool, each assignment once.
 	execSpan := span.Child("probe.execute", trace.A("configs", len(cfgs)))
-	covs, startups := probeAll(cfgs, probeFn, opts, execSpan)
-	res.Probes = startups
+	covs, probed := probeAll(cfgs, probeFn, opts, execSpan)
+	res.Probed = probed
 	res.ProbeRequests = len(cfgs)
-	execSpan.Set("startups", res.Probes)
+	execSpan.Set("startups", len(probed))
 	execSpan.End()
 	score := span.Child("probe.score")
 	defer score.End()
@@ -263,12 +266,14 @@ func Quantify(model *configmodel.Model, probeFn Probe, opts Options) *Result {
 
 // probeAll boots each distinct assignment of cfgs once, by its canonical
 // rendering, across opts.Workers goroutines (0 means GOMAXPROCS), and
-// returns the coverages in request order with the number of startups. A
+// returns the coverages in request order with the renderings booted, in
+// planning order. A
 // panic inside a probe (a seeded configuration-parsing defect escaping
 // the probe's own capture) is re-raised on the caller, from the
 // lowest-indexed failing assignment whatever the worker count.
-func probeAll(cfgs []configmodel.Assignment, probeFn Probe, opts Options, parent *trace.Span) ([]int, int) {
+func probeAll(cfgs []configmodel.Assignment, probeFn Probe, opts Options, parent *trace.Span) ([]int, []string) {
 	var unique []configmodel.Assignment
+	var keys []string
 	slot := make([]int, len(cfgs))
 	index := make(map[string]int, len(cfgs))
 	for i, cfg := range cfgs {
@@ -278,6 +283,7 @@ func probeAll(cfgs []configmodel.Assignment, probeFn Probe, opts Options, parent
 			j = len(unique)
 			index[key] = j
 			unique = append(unique, cfg)
+			keys = append(keys, key)
 		}
 		slot[i] = j
 	}
@@ -322,7 +328,7 @@ func probeAll(cfgs []configmodel.Assignment, probeFn Probe, opts Options, parent
 		Requests: len(cfgs), Startups: len(unique), Hits: hits})
 	opts.Telemetry.Count(telemetry.CtrProbeStartups, len(unique))
 	opts.Telemetry.Count(telemetry.CtrProbeCacheHits, hits)
-	return out, len(unique)
+	return out, keys
 }
 
 // scorePair folds the probed coverages of all value combinations of

@@ -124,8 +124,8 @@ func TestQuantifyProbeCount(t *testing.T) {
 	// baseline; pair combos holding one default equal a single) onto 16
 	// distinct startups: baseline, 5 non-default singles, and one novel
 	// combination per pair.
-	if res.Probes != 16 {
-		t.Fatalf("startups = %d, want 16", res.Probes)
+	if len(res.Probed) != 16 {
+		t.Fatalf("startups = %d, want 16", len(res.Probed))
 	}
 }
 
@@ -136,8 +136,8 @@ func TestQuantifyProbeCountsActualStartups(t *testing.T) {
 		return testProbe(cfg)
 	}
 	res := Quantify(testModel(), probe, Options{Workers: 1})
-	if calls != res.Probes {
-		t.Fatalf("Probes = %d but the oracle ran %d times", res.Probes, calls)
+	if calls != len(res.Probed) {
+		t.Fatalf("Probes = %d but the oracle ran %d times", len(res.Probed), calls)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestQuantifyMaxValuesCap(t *testing.T) {
 	if res.ProbeRequests != 9 {
 		t.Fatalf("capped probe requests = %d, want 9", res.ProbeRequests)
 	}
-	if res.Probes != 4 {
-		t.Fatalf("capped startups = %d, want 4", res.Probes)
+	if len(res.Probed) != 4 {
+		t.Fatalf("capped startups = %d, want 4", len(res.Probed))
 	}
 	// Each entity kept 2 of 4 values.
 	if res.DroppedValues != 4 {
@@ -329,7 +329,7 @@ func TestQuantifyIdenticalAcrossWorkerCounts(t *testing.T) {
 			if !reflect.DeepEqual(got.BestSingle, base.BestSingle) {
 				t.Fatalf("weighting %d workers %d: BestSingle diverges", weighting, workers)
 			}
-			if got.Baseline != base.Baseline || got.Probes != base.Probes ||
+			if got.Baseline != base.Baseline || !reflect.DeepEqual(got.Probed, base.Probed) ||
 				got.ProbeRequests != base.ProbeRequests || got.DroppedValues != base.DroppedValues {
 				t.Fatalf("weighting %d workers %d: counters diverge: %+v vs %+v",
 					weighting, workers, got, base)

@@ -251,17 +251,18 @@ type Observer struct {
 //
 // Run composes them for the classic single-campaign shape.
 type Coordinator struct {
-	sub       subject.Subject
-	opts      parallel.Options
-	cfg       Config
-	pool      *Pool
-	ownPool   bool
-	partition *Partition
-	campaign  uint32
+	sub      subject.Subject
+	opts     parallel.Options
+	cfg      Config
+	pool     *Pool
+	ownPool  bool
+	campaign uint32
 
-	loop    *parallel.Loop
-	src     *parallel.LeaseSource // nil until Start or Restore
-	workers []*workerConn         // pool snapshot taken at Start/Restore
+	loop *parallel.Loop
+	src  *parallel.LeaseSource // nil until Start or Restore
+	// workers are the pool's workers that took the plan at Start: the
+	// campaign's instances live on them, and only them, until Close.
+	workers []*workerConn
 	inst    []replica
 	// tracer is the campaign tracer (nil when tracing is off): worker
 	// span records from lease replies are ingested into it under
@@ -327,33 +328,13 @@ func (c *Coordinator) Instrument(reg *metrics.Registry) { c.pool.Instrument(reg)
 // never mutates it afterwards.
 func (c *Coordinator) SetObserver(obs Observer) { c.obs = obs }
 
-// SetPartition restricts the campaign to a leased partition of the
-// shared pool: Start/Restore capture the partition's live members as
-// the worker set instead of the whole pool, so concurrent campaigns
-// on disjoint partitions never touch each other's connections. Call
-// before Start or Restore. The caller keeps ownership of the
-// partition (Close does not Release it).
-func (c *Coordinator) SetPartition(pt *Partition) { c.partition = pt }
-
-// workerSet captures the campaign's workers: the partition's live
-// members when one is set, otherwise the whole pool.
-func (c *Coordinator) workerSet() ([]*workerConn, error) {
-	if c.partition != nil {
-		workers := c.partition.live()
-		if len(workers) == 0 {
-			return nil, errors.New("dist: partition has no live workers")
-		}
-		return workers, nil
-	}
-	workers := c.pool.snapshot()
-	if len(workers) == 0 {
-		return nil, errors.New("dist: no workers connected")
-	}
-	return workers, nil
-}
+// Stranded reports whether every worker that took the campaign's plan
+// has died: its instances have nowhere left to be replayed, and only a
+// Restore on the pool's live workers can continue it.
+func (c *Coordinator) Stranded() bool { return c.src != nil && c.alive(0) == nil }
 
 // slot is wc's position in the campaign's worker set (pool-global ids
-// don't index a partition subset).
+// don't index it: a worker attached after Start is not in it).
 func (c *Coordinator) slot(wc *workerConn) int {
 	for k, w := range c.workers {
 		if w == wc {
@@ -404,11 +385,14 @@ type replica struct {
 }
 
 // boot is the transport's Boot (dispatch its Send, await its Await):
-// instance i on its round-robin worker — the loop asks in
-// instance order, so ledger entries and telemetry events from startup
-// land as they do in-process.
+// instance i of campaign k, of I instances, on worker (k·I + i) mod n of
+// the n that took the plan, or the next live one after it — so
+// campaigns sharing a pool spread over it, and a standalone coordinator
+// (k = 0) deals its instances round-robin from the first worker. The
+// loop asks in instance order, so ledger entries and telemetry events
+// from startup land as they do in-process.
 func (c *Coordinator) boot(i int) (parallel.BootReport, error) {
-	wc := c.alive(i % len(c.workers))
+	wc := c.alive((int(c.campaign)*len(c.inst) + i) % len(c.workers))
 	if wc == nil {
 		return parallel.BootReport{}, errors.New("dist: no live workers left")
 	}
@@ -677,16 +661,16 @@ func (c *Coordinator) reassign(i int) (parallel.BootReport, error) {
 	}
 }
 
-// Start plans the campaign, ships the plan to every worker, boots all
-// instances, and dispatches the first leases. After Start the campaign
-// advances via Advance; every Start must be paired with Close.
+// Start plans the campaign, ships the plan to every live worker, boots
+// all instances, and dispatches the first leases. After Start the
+// campaign advances via Advance; every Start must be paired with Close.
 func (c *Coordinator) Start(ctx context.Context) error {
 	if c.src != nil {
 		return errors.New("dist: coordinator already started")
 	}
-	workers, err := c.workerSet()
-	if err != nil {
-		return err
+	workers := c.pool.snapshot()
+	if len(workers) == 0 {
+		return errors.New("dist: no workers connected")
 	}
 	host, err := parallel.NewHost(c.sub, c.opts)
 	if err != nil {
@@ -697,9 +681,11 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Ship the whole plan to every worker: each boots only the
+	// Ship the whole plan to every live worker: each boots only the
 	// instances it is told to, but holding all specs lets any worker
-	// adopt a reassigned instance later. Observability sinks are
+	// adopt a reassigned instance later. A worker that dies taking it is
+	// counted like any death and left out; the campaign fails only when
+	// no worker took it. Observability sinks are
 	// stripped from the wire options (workers replay into none of
 	// them); the Trace flag alone asks workers to run their own tracer
 	// and ship span records back for stitching.
@@ -710,15 +696,26 @@ func (c *Coordinator) Start(ctx context.Context) error {
 	wireOpts.Trace = nil
 	assignPayload := marshal(&assign{Campaign: c.campaign, Subject: c.sub.Info().Protocol, Trace: opts.Trace != nil, LiveSpec: liveSpecOf(c.sub), Opts: wireOpts, Specs: plan.Specs}, (*codec).assign)
 	for _, wc := range workers {
-		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
-			return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
+		if wc.dead.Load() {
+			continue
 		}
+		if _, err := wc.rpc(msgAssign, assignPayload, msgAssignOK, c.cfg.RPCTimeout); err != nil {
+			if !wc.dead.Load() {
+				return fmt.Errorf("dist: assign to worker %q: %w", wc.name, err)
+			}
+			c.markDead(wc)
+			continue
+		}
+		c.workers = append(c.workers, wc)
+	}
+	if len(c.workers) == 0 {
+		return errors.New("dist: no live workers left")
 	}
 	if c.ownPool {
 		c.pool.StartHeartbeats()
 	}
 
-	c.workers, c.inst = workers, make([]replica, len(plan.Specs))
+	c.inst = make([]replica, len(plan.Specs))
 	c.src = parallel.NewLeaseSource(c.loop, plan.Specs, parallel.Transport{Boot: c.boot, Send: c.dispatch, Await: c.await})
 	if err := c.loop.Boot(ctx, c.src); err != nil {
 		return err

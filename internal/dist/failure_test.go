@@ -246,6 +246,62 @@ func TestWorkerDeathMidLease(t *testing.T) {
 	}
 }
 
+// TestWorkerDeathDuringAssign kills the middle one of three workers as
+// it is sent the plan. Start counts the death and boots every instance
+// on the two workers that took the plan, so the campaign runs to the
+// horizon with parallel.Run's artifact tree, and nothing is ever
+// reassigned: the dead worker owned no instance.
+func TestWorkerDeathDuringAssign(t *testing.T) {
+	sub := mustSubject(t, "DNS")
+	options := func(rec *telemetry.Recorder) parallel.Options {
+		return parallel.Options{
+			Mode: parallel.ModeCMFuzz, VirtualHours: 0.25, Seed: 5, Concurrency: 1,
+			Telemetry: rec,
+		}
+	}
+	resolve := func(name string) (subject.Subject, error) { return protocols.ByName(name) }
+	recA := telemetry.New()
+	inproc, err := parallel.Run(context.Background(), sub, options(recA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirA := filepath.Join(t.TempDir(), "inproc")
+	writeAll(t, dirA, inproc, recA)
+
+	rec := telemetry.New()
+	coord := dist.NewCoordinator(sub, options(rec), dist.Config{HeartbeatInterval: -1})
+	var st failures
+	coord.SetObserver(st.observer())
+	serveErr := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		cConn, wConn := net.Pipe()
+		w := dist.NewWorker(dist.WorkerConfig{Name: fmt.Sprintf("w%d", i), Resolve: resolve})
+		go func() { serveErr <- w.Serve(wConn) }()
+		conn := net.Conn(cConn)
+		if i == 1 {
+			// The welcome is the one write that gets through; the Assign
+			// after it fails.
+			conn = &faultConn{Conn: cConn, limit: 1}
+		}
+		if err := coord.AddConn(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := coord.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		<-serveErr
+	}
+	if st.deaths != 1 || st.reassignments != 0 {
+		t.Fatalf("deaths/reassignments = %d/%d, want 1/0", st.deaths, st.reassignments)
+	}
+	dir := filepath.Join(t.TempDir(), "dist")
+	writeAll(t, dir, res, rec)
+	diffTrees(t, "campaign that lost a worker during Assign", readTree(t, dirA), readTree(t, dir))
+}
+
 // TestRunLocalCancellation checks ctx cancellation propagates through
 // the distributed path the same way it does through parallel.Run: a
 // partial, well-formed Result alongside ctx.Err().

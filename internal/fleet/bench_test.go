@@ -19,7 +19,7 @@ import (
 // campaigns' replay compute cannot parallelize there, but the lease
 // RPC latency — the real cost on a distributed fleet — can only be
 // hidden by overlapping campaigns, which is exactly what the
-// partitioned scheduler does and the serial one cannot.
+// concurrent scheduler does and the serial one cannot.
 type delayConn struct {
 	net.Conn
 	delay time.Duration

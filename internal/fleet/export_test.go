@@ -8,20 +8,13 @@ import "context"
 // SetWarmCap overrides warmCapPerWorker.
 func (m *Manager) SetWarmCap(perWorker int) { m.warmCap = perWorker }
 
-// A SuspendedCampaign is a campaign holding a live coordinator and no
-// partition: the clock that coordinator reports, and the workers it
-// last ran on.
-type SuspendedCampaign struct {
-	Clock   float64
-	Workers []string
-}
-
-// Suspended lists the suspended campaigns by id.
-func (m *Manager) Suspended() map[string]SuspendedCampaign {
-	out := map[string]SuspendedCampaign{}
+// Suspended lists the suspended campaigns — live coordinators the last
+// round did not pick — by id, with the clock each coordinator reports.
+func (m *Manager) Suspended() map[string]float64 {
+	out := map[string]float64{}
 	for _, c := range m.held() {
-		if c.coord != nil && c.part == nil {
-			out[c.spec.ID] = SuspendedCampaign{Clock: c.coord.MinClock(), Workers: c.prevWorkers}
+		if c.lastRound != m.round {
+			out[c.spec.ID] = c.coord.MinClock()
 		}
 	}
 	return out

@@ -6,23 +6,21 @@
 // its dist checkpoint: its options and the bound its last slice reached,
 // which a restart re-runs it to.
 //
-// The scheduler is concurrent by partition: each round, the bandit's
-// scores become worker *shares*, the shared dist.Pool is split into
-// disjoint partitions (one per runnable campaign, sized by share), and
-// every campaign advances one virtual-clock slice simultaneously —
-// each coordinator driving only its own partition's connections. A
-// campaign that keeps the same partition across rounds hands off warm:
-// the coordinator and the worker-side engines stay
-// live and the next slice continues the lease loop directly. A
-// campaign squeezed out of a round is suspended, not parked: it gives
-// back only its partition, and it is granted those same connections
-// again or passed over until they are free, so nothing is re-executed;
-// a re-run to checkpoint.bin's bound is paid only where it buys
-// something (Step). Byte identity survives by composition: each campaign's replay is
-// slicing-invariant (see dist.Advance) and worker-count-invariant, so
-// the artifacts a campaign produces are byte-identical whatever
-// schedule the allocator picks, however many workers each round hands
-// it, and however often the hosting process restarts.
+// The scheduler picks campaigns, not workers. A campaign's coordinator
+// boots its instances on the live workers of the shared dist.Pool when
+// it starts, and they stay there until the campaign is done, evicted,
+// or every one of those workers has died. Each round the bandit ranks
+// the runnable campaigns, and the top ones — one per live worker —
+// advance one virtual-clock slice simultaneously. A campaign picked
+// again continues its lease loop directly, warm; one left out of a
+// round is suspended, its coordinator and worker-side engines kept live
+// and nothing re-executed. A re-run to checkpoint.bin's bound is paid
+// only where nothing live is left to continue (Step). Byte identity
+// survives by composition: each campaign's replay is slicing-invariant
+// (see dist.Advance) and worker-count-invariant, so the artifacts a
+// campaign produces are byte-identical whatever schedule the bandit
+// picks, whichever workers it booted on, and however often the hosting
+// process restarts.
 //
 // On-disk layout under Config.StateDir:
 //
@@ -66,8 +64,8 @@ type Config struct {
 	// enough for the bandit to react).
 	Slice float64
 	// Concurrency caps a scheduling round at the N highest-priority
-	// campaigns. 0 (the default) slices every runnable campaign
-	// concurrently, worker supply permitting.
+	// campaigns. 0 (the default) slices one campaign per live worker
+	// concurrently.
 	Concurrency int
 }
 
@@ -77,8 +75,8 @@ type CampaignSpec = spec.Campaign
 
 // Campaign lifecycle states.
 const (
-	StateQueued  = "queued"  // submitted; holds no workers (may hold a checkpoint, or be suspended with a live coordinator)
-	StateRunning = "running" // a live coordinator is slicing it or keeping it warm on its workers
+	StateQueued  = "queued"  // not picked by the latest round (may hold a checkpoint, or be suspended with a live coordinator)
+	StateRunning = "running" // picked by the latest round
 	StateDone    = "done"    // artifacts written
 	StateFailed  = "failed"  // gave up; Error holds why
 )
@@ -95,12 +93,7 @@ type CampaignStatus struct {
 	Execs   int     `json:"execs"`
 	Slices  int     `json:"slices"`
 	Reward  float64 `json:"reward"`
-	Workers int     `json:"workers"`
-	// WarmOn names the workers still holding the instances of a campaign
-	// that is suspended — queued with a live coordinator — which is what
-	// tells it from a parked one.
-	WarmOn []string `json:"warm_on,omitempty"`
-	Error  string   `json:"error,omitempty"`
+	Error   string  `json:"error,omitempty"`
 }
 
 // campaignRec is the manager-side record of one campaign.
@@ -112,28 +105,15 @@ type campaignRec struct {
 	state string
 	err   string
 
-	// coord and part are the two things a campaign can hold, and every
-	// combination is a state: both (slicing, or warm between rounds),
-	// coord alone (suspended — squeezed out of a round with its
-	// instances still booted on the workers), neither (parked, done,
-	// failed, never started). workers and warmOn cache part's size and,
-	// for a suspended campaign, prevWorkers for status snapshots, updated
-	// under the manager lock once a round has placed everyone.
-	coord   *dist.Coordinator
-	part    *dist.Partition
-	workers int
-	warmOn  []string
-	// prevWorkers remembers the names of the partition members the
-	// campaign last held, captured when the partition is released: where
-	// a suspended campaign's instances sit, and what a cold re-grant
-	// prefers (Pool.AcquirePreferring) so it lands back on the machines
-	// it ran on when capacity allows.
-	prevWorkers []string
-	// lastRound is the scheduling round that last sliced the campaign —
-	// the warm cap's least-recently-sliced key. miss is why the
-	// campaign's live coordinator was dropped (dead, evicted_lru,
-	// idle_worker, grow) with the figures that decided it; the next
-	// hand-off record reports and clears it.
+	// coord is the campaign's live coordinator, its instances booted on
+	// the workers it started on: picked by the current round (slicing),
+	// or not (suspended); nil when parked, done, failed or never started.
+	coord *dist.Coordinator
+	// lastRound is the scheduling round that last picked the campaign —
+	// the warm cap's least-recently-sliced key, and what tells a
+	// suspended coordinator from one being sliced. miss is why the
+	// campaign's live coordinator was dropped (dead, evicted_lru); the
+	// next hand-off record reports and clears it.
 	lastRound int
 	miss      map[string]any
 
@@ -180,13 +160,11 @@ type Manager struct {
 	// so tests can shrink it). Scheduler goroutine only.
 	round   int
 	warmCap int
-	// Hand-off outcomes, for Instrument: grants that continued a
-	// suspended coordinator, grants that re-ran one to checkpoint.bin's
-	// bound, and campaigns passed over for a round because a higher-ranked
-	// one held their workers.
-	warmResumes    atomic.Int64
-	coldRestores   atomic.Int64
-	deferredGrants atomic.Int64
+	// Hand-off outcomes, for Instrument: picks that continued a
+	// suspended coordinator, and picks that re-ran one to
+	// checkpoint.bin's bound.
+	warmResumes  atomic.Int64
+	coldRestores atomic.Int64
 
 	// events fans lifecycle events out to /api/events subscribers.
 	events *broker
@@ -195,10 +173,10 @@ type Manager struct {
 // Instrument registers the manager's metric families on reg: the
 // campaign table (collectCampaigns, over Status), the lifetime
 // flight-recorder event count, the lifetime count of stream events
-// lost to slow SSE subscribers, and how many grants resumed a suspended
-// campaign warm against how many re-ran one to its checkpoint or were
-// put off a round. The workers and lease round trips are the pool's
-// (dist.Pool.Instrument). Call once, before Run.
+// lost to slow SSE subscribers, and how many picks resumed a suspended
+// campaign warm against how many re-ran one to its checkpoint. The
+// workers and lease round trips are the pool's (dist.Pool.Instrument).
+// Call once, before Run.
 func (m *Manager) Instrument(reg *metrics.Registry) {
 	collectCampaigns(reg, m.Status)
 	reg.CounterFunc("cmfuzz_flight_events_total",
@@ -216,14 +194,11 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 		"Stream events discarded because a subscriber's buffer was full.",
 		func() float64 { return float64(m.events.dropped()) })
 	reg.CounterFunc("cmfuzz_fleet_warm_resumes_total",
-		"Grants that continued a suspended campaign on the workers still holding its instances, re-executing nothing.",
+		"Picks that continued a suspended campaign on the workers holding its instances, re-executing nothing.",
 		func() float64 { return float64(m.warmResumes.Load()) })
 	reg.CounterFunc("cmfuzz_fleet_cold_restores_total",
-		"Grants that re-ran a campaign from its spec to its checkpointed bound.",
+		"Picks that re-ran a campaign from its spec to its checkpointed bound.",
 		func() float64 { return float64(m.coldRestores.Load()) })
-	reg.CounterFunc("cmfuzz_fleet_deferred_grants_total",
-		"Rounds a suspended campaign sat out because a higher-ranked one held the workers its instances are on.",
-		func() float64 { return float64(m.deferredGrants.Load()) })
 }
 
 // collectCampaigns publishes the campaign table snap returns on reg:
@@ -234,7 +209,6 @@ func (m *Manager) Instrument(reg *metrics.Registry) {
 //	cmfuzz_campaign_edges{...}               union coverage so far
 //	cmfuzz_campaign_execs{...}               executions so far
 //	cmfuzz_campaign_slices{...}              scheduler quanta received
-//	cmfuzz_campaign_workers{...}             partition size this round
 //	cmfuzz_bandit_reward{...}                scheduler reward EMA
 //
 // Per-campaign series are labeled campaign=<id>,subject=<protocol>.
@@ -259,8 +233,6 @@ func collectCampaigns(reg *metrics.Registry, snap func() []CampaignStatus) {
 				float64(cs.Execs), cl, sl)
 			set("cmfuzz_campaign_slices", "Scheduler time slices granted so far.",
 				float64(cs.Slices), cl, sl)
-			set("cmfuzz_campaign_workers", "Workers in the campaign's partition this scheduling round (0 while parked).",
-				float64(cs.Workers), cl, sl)
 			set("cmfuzz_bandit_reward", "Discounted reward EMA (new edges per execution) the scheduler holds for the campaign.",
 				cs.Reward, cl, sl)
 		}
@@ -441,8 +413,6 @@ func (m *Manager) Status() []CampaignStatus {
 			Execs:   c.execs,
 			Slices:  c.slices,
 			Reward:  c.reward,
-			Workers: c.workers,
-			WarmOn:  c.warmOn,
 			Error:   c.err,
 		})
 	}
@@ -498,32 +468,32 @@ func (m *Manager) observer(c *campaignRec) dist.Observer {
 	}
 }
 
-// ensureStarted brings c's coordinator up: a live one (warm hand-off, or
-// a suspended campaign resumed) just carries on; otherwise it re-runs
-// the campaign to the persisted checkpoint's bound when one exists
-// (Restore), or starts it fresh.
-func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
-	if c.coord != nil {
-		m.setState(c, StateRunning)
-		return nil
-	}
+// newCoordinator makes a coordinator for c on the pool, not started.
+// Step makes those of a round's cold picks in rank order before any of
+// them starts, so the pool's campaign ids — and with them the workers
+// each campaign boots on — follow the ranking, not goroutine scheduling.
+func (m *Manager) newCoordinator(c *campaignRec) (*dist.Coordinator, error) {
 	sub, err := c.spec.Target(m.resolve)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Concurrency is pinned to 1: relation probing order must be
-	// deterministic for the restart byte-identity guarantee, and the
-	// probe phase is a one-off. A fresh plain recorder per coordinator —
-	// not a run-stamped one — so a re-run campaign's event log is the
-	// standalone run's, byte for byte.
+	// Concurrency is pinned to 1: a round starts and restores its
+	// campaigns side by side already, and one probe goroutine each keeps
+	// that from multiplying into campaigns × GOMAXPROCS of them. A fresh
+	// plain recorder per coordinator — not a run-stamped one — so a
+	// re-run campaign's event log is the standalone run's, byte for byte.
 	opts := c.opts
 	opts.Concurrency = 1
 	opts.Telemetry = telemetry.New()
 	coord := dist.NewCoordinatorOn(m.pool, sub, opts)
 	coord.SetObserver(m.observer(c))
-	if c.part != nil {
-		coord.SetPartition(c.part)
-	}
+	return coord, nil
+}
+
+// start brings c's fresh coordinator up: it re-runs the campaign to the
+// persisted checkpoint's bound when one exists (Restore), or starts it.
+func (m *Manager) start(ctx context.Context, c *campaignRec, coord *dist.Coordinator) error {
+	var err error
 	ckPath := filepath.Join(m.dir(c.spec.ID), "checkpoint.bin")
 	if blob, rerr := os.ReadFile(ckPath); rerr == nil {
 		m.coldRestores.Add(1)
@@ -550,14 +520,16 @@ func (m *Manager) ensureStarted(ctx context.Context, c *campaignRec) error {
 	return nil
 }
 
-// runSlice advances c by one scheduling quantum, then either completes
-// the campaign (artifacts written, checkpoint removed) or persists the
-// checkpoint of the bound it reached: the only place checkpoint.bin is
-// written, because only a completed Advance moves it. Called with m.mu
-// NOT held.
-func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
-	warm := c.coord != nil
-	if err := m.ensureStarted(ctx, c); err != nil {
+// runSlice advances c by one scheduling quantum — its live coordinator,
+// or fresh brought up first — then either completes the campaign
+// (artifacts written, checkpoint removed) or persists the checkpoint of
+// the bound it reached: the only place checkpoint.bin is written,
+// because only a completed Advance moves it. Called with m.mu NOT held.
+func (m *Manager) runSlice(ctx context.Context, c *campaignRec, fresh *dist.Coordinator) error {
+	warm := fresh == nil
+	if warm {
+		m.setState(c, StateRunning)
+	} else if err := m.start(ctx, c, fresh); err != nil {
 		return err
 	}
 	coord := c.coord
@@ -644,17 +616,16 @@ func (m *Manager) runSlice(ctx context.Context, c *campaignRec) error {
 	return nil
 }
 
-// rank lists the runnable campaigns best first, with the scores that
-// order them and the slices they have run between them. Called with
-// m.mu held; deterministic throughout (ties break toward earlier
-// submission).
+// rank lists the runnable campaigns best first, with the slices they
+// have run between them. Called with m.mu held; deterministic throughout
+// (ties break toward earlier submission).
 //
 // Untried campaigns come first in submission order, then tried ones by
 // discounted-UCB score — EMA reward + sqrt(2 ln N / n) * scale, with
 // scale the best current EMA so the exploration bonus is commensurable
 // with the rewards (edge counts per exec vary by orders of magnitude
 // across protocols).
-func (m *Manager) rank() (cands []*campaignRec, score map[*campaignRec]float64, total int) {
+func (m *Manager) rank() (cands []*campaignRec, total int) {
 	for _, id := range m.order {
 		c := m.campaigns[id]
 		if c.runnable() {
@@ -671,7 +642,7 @@ func (m *Manager) rank() (cands []*campaignRec, score map[*campaignRec]float64, 
 	if scale == 0 {
 		scale = 1
 	}
-	score = make(map[*campaignRec]float64, len(cands))
+	score := make(map[*campaignRec]float64, len(cands))
 	for _, c := range cands {
 		if c.slices == 0 {
 			// Untried: rank ahead of every scored campaign, preserving
@@ -682,73 +653,11 @@ func (m *Manager) rank() (cands []*campaignRec, score map[*campaignRec]float64, 
 		score[c] = c.reward + math.Sqrt(2*math.Log(float64(total))/float64(c.slices))*scale
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return score[cands[i]] > score[cands[j]] })
-	return cands, score, total
+	return cands, total
 }
 
-// A grant is one campaign's place in a round. held is the partition a
-// live coordinator continues on — claimed already, and 0 for a campaign
-// that has to boot, which is owed workers of whatever is left once the
-// live ones have claimed.
-type grant struct {
-	c       *campaignRec
-	held    int
-	workers int
-	resumed bool // the coordinator sat out at least one round
-	fixed   bool // held is not worth trading for a larger share (apportion)
-}
-
-// apportion deals the workers the round has left, highest averages first
-// (D'Hondt): each goes to the campaign maximizing score/(share+1) — so a
-// campaign twice as promising converges on twice the workers — capped at
-// the campaign's instance count, past which extra workers would idle. A
-// campaign that has to boot takes what it is dealt. One continuing a
-// live coordinator would pay for a larger partition with its history —
-// Close, then Restore re-running it at the new width — so it
-// grows only when that is repaid before the horizon: elapsed into the
-// campaign and remaining to go, (elapsed+remaining)/granted <
-// remaining/held, that is elapsed < remaining × (granted/held − 1). Every
-// term is a number the scheduler holds, which is why this is derived and
-// not configured. A coordinator that fails the test keeps what it holds
-// and its offer goes round again without it.
-func apportion(grants []*grant, extra int, score map[*campaignRec]float64) {
-	for again := true; again; {
-		again = false
-		for _, g := range grants {
-			g.workers = max(g.held, 1)
-		}
-		for n := extra; n > 0; n-- {
-			var best *grant
-			bestAvg := math.Inf(-1)
-			for _, g := range grants {
-				if g.fixed || g.workers >= g.c.instanceCap() {
-					continue
-				}
-				avg := score[g.c] / float64(g.workers+1)
-				if math.IsInf(avg, 1) {
-					// Untried campaigns divide to +Inf at any share; fall back
-					// to preferring the smaller share so they split evenly.
-					avg = -float64(g.workers)
-				}
-				if avg > bestAvg {
-					best, bestAvg = g, avg
-				}
-			}
-			if best == nil {
-				break // every selected campaign is at its instance cap
-			}
-			best.workers++
-		}
-		for _, g := range grants {
-			if elapsed, remaining := g.c.clock, g.c.horizon-g.c.clock; g.held > 0 && g.workers > g.held &&
-				elapsed >= remaining*(float64(g.workers)/float64(g.held)-1) {
-				g.fixed, again = true, true
-			}
-		}
-	}
-}
-
-// instanceCap is the campaign's parallel instance count — the point
-// past which extra workers would idle.
+// instanceCap is the campaign's parallel instance count: what its live
+// coordinator keeps booted on the workers.
 func (c *campaignRec) instanceCap() int {
 	if c.opts.Instances > 0 {
 		return c.opts.Instances
@@ -756,175 +665,99 @@ func (c *campaignRec) instanceCap() int {
 	return parallel.DefaultInstances
 }
 
-// Step runs one scheduling round: rank the runnable campaigns, place as
-// many as the pool has room for, then advance every placed campaign one
-// slice in parallel, each coordinator driving only its own partition. It
-// reports false when no campaign is runnable. A context cancellation
-// parks every interrupted campaign at its last persisted checkpoint.
+// Step runs one scheduling round: rank the runnable campaigns, pick the
+// top ones — one per live worker, at most Config.Concurrency (a cap of
+// one is the classic one-pick-per-step bandit) — and advance every pick
+// one slice in parallel. It reports false when no campaign is runnable.
+// A context cancellation parks every interrupted campaign at its last
+// persisted checkpoint.
 //
-// Placement is an input to the round, because a campaign's instances
-// sit on particular workers and moving them costs the campaign's whole
-// history (Restore re-runs it to its bound). Claims go in rank order,
-// up to Config.Concurrency campaigns (a cap of one is the classic
-// one-pick-per-step bandit):
-//
-//   - A campaign with a live coordinator is granted exactly the live
-//     connections that coordinator captured (dist.Pool.AcquireExact), or
-//     nothing. Granted, it continues its lease loop with nothing
-//     re-booted and nothing re-executed — warm if it sliced last round,
-//     resumed if it was suspended. When a higher-ranked campaign has
-//     claimed one of its workers it is passed over: it stays suspended —
-//     checkpoint.bin already describes it, so nothing is written or lost
-//     — and the slot goes to the next-ranked campaign that can run.
-//   - A campaign that has to boot anyway — new, parked, recovered, or a
-//     worker holding its instances died — can boot anywhere: it reserves
-//     a worker at its rank, takes its share of what the live coordinators
-//     leave (apportion), and runSlice re-runs it to checkpoint.bin's
-//     bound (or starts it, the first time). This is the cold hand-off.
-//
-// History is paid on purpose in two cases only: a worker that would
-// otherwise idle goes to the best passed-over campaign, cold, and a live
-// coordinator is re-sized when the larger partition repays the re-run
-// (apportion).
+// Where a campaign runs is not the round's to choose: its instances
+// stay on the workers its coordinator booted them on (dist.Coordinator
+// spreads campaigns over the pool as they boot), because moving them
+// would cost the campaign's whole history. A pick with a live
+// coordinator continues its lease loop with nothing re-booted and
+// nothing re-executed — warm if it sliced last round, resumed if it was
+// suspended. Any other pick — new, parked, recovered, or evicted — is
+// re-run to checkpoint.bin's bound on the pool's live workers (or
+// started, the first time): the cold hand-off. A campaign not picked
+// keeps its coordinator, suspended, within the warm cap. A coordinator
+// whose workers have all died has nothing left to continue and is
+// dropped, to be re-run cold when it is next picked.
 func (m *Manager) Step(ctx context.Context) (bool, error) {
 	m.round++
 	m.mu.Lock()
-	ranked, score, total := m.rank()
+	ranked, total := m.rank()
 	m.mu.Unlock()
 	if len(ranked) == 0 {
 		return false, nil
 	}
-	// Every round deals from a whole pool: a campaign gives its partition
-	// back and keeps its coordinator, which checkpoint.bin describes
-	// already, so that claims really go in rank order and not to whoever
-	// ran last.
 	for _, c := range ranked {
-		c.release()
-	}
-	free := m.pool.FreeLive()
-	slots := len(ranked)
-	if m.cfg.Concurrency > 0 && slots > m.cfg.Concurrency {
-		slots = m.cfg.Concurrency
-	}
-	left := free
-	var grants []*grant
-	var passed []*campaignRec
-	for _, c := range ranked {
-		// With no live worker at all the grants stand, impossible as they
-		// are: the failure surfaces on the campaigns instead of the round
-		// silently reporting nothing runnable.
-		if len(grants) == slots || (left == 0 && free > 0) {
-			break
-		}
-		if c.coord != nil {
-			part, miss := m.pool.AcquireExact(c.coord)
-			if part != nil && part.Live() > left {
-				// Higher-ranked campaigns that have yet to boot hold the
-				// difference in reservations.
-				part.Release()
-				part, miss = nil, "leased"
-			}
-			if part != nil {
-				c.part = part
-				left -= part.Live()
-				grants = append(grants, &grant{c: c, held: part.Live(), resumed: c.lastRound != m.round-1})
-				continue
-			}
-			if miss == "leased" {
-				passed = append(passed, c)
-				continue
-			}
-			m.drop(c, map[string]any{"miss": miss})
-		}
-		grants = append(grants, &grant{c: c})
-		left--
-	}
-	for ; len(passed) > 0 && len(grants) < slots && left > 0; passed = passed[1:] {
-		c := passed[0]
-		m.drop(c, map[string]any{"miss": "idle_worker", "elapsed": c.clock, "remaining": c.horizon - c.clock})
-		grants = append(grants, &grant{c: c})
-		left--
-	}
-	apportion(grants, left, score)
-	for _, g := range grants {
-		if c := g.c; g.held > 0 && g.workers > g.held {
-			m.drop(c, map[string]any{"miss": "grow", "elapsed": c.clock, "remaining": c.horizon - c.clock, "held": g.held})
+		if c.coord != nil && c.coord.Stranded() {
+			m.drop(c, map[string]any{"miss": "dead"})
 		}
 	}
-	// Retire surplus suspended campaigns before the cold grants boot
-	// fresh instances onto the same workers.
-	m.enforceWarmCap()
-	for _, g := range grants {
-		c := g.c
+	// With no live worker at all the top campaign is still picked: its
+	// start fails, and the failure surfaces on the campaign instead of
+	// the round silently reporting nothing runnable.
+	picks := max(m.liveWorkers(), 1)
+	if m.cfg.Concurrency > 0 {
+		picks = min(picks, m.cfg.Concurrency)
+	}
+	picked := ranked[:min(picks, len(ranked))]
+	fresh := make([]*dist.Coordinator, len(picked))
+	errs := make([]error, len(picked))
+	for i, c := range picked {
+		warm := c.coord != nil
+		if !warm {
+			fresh[i], errs[i] = m.newCoordinator(c)
+		}
+		resumed := warm && c.lastRound != m.round-1
+		if resumed {
+			m.warmResumes.Add(1)
+		}
+		c.handoff(warm, resumed)
 		c.lastRound = m.round
-		if c.part != nil {
-			if g.resumed {
-				m.warmResumes.Add(1)
-			}
-			c.handoff(true, g.resumed)
-		} else {
-			c.part = m.pool.AcquirePreferring(g.workers, c.prevWorkers)
-			c.handoff(false, false)
-		}
 		c.flight.add("award", map[string]any{
-			"workers": c.part.Live(),
 			"reward":  c.reward,
 			"slices":  c.slices,
 			"total":   total,
 			"untried": c.slices == 0,
 		})
 	}
-	for _, c := range passed {
-		var holders []string
-		for _, g := range grants {
-			if overlap(g.c.part.Names(), c.prevWorkers) {
-				holders = append(holders, g.c.spec.ID)
-			}
-		}
-		m.deferredGrants.Add(1)
-		c.flight.add("deferred", map[string]any{"round": m.round, "workers": c.prevWorkers, "held_by": holders})
-	}
+	// Retire surplus suspended campaigns before the cold picks boot fresh
+	// instances onto the same workers.
+	m.enforceWarmCap()
 	m.mu.Lock()
-	for _, c := range ranked {
-		c.workers, c.warmOn = c.part.Live(), nil
-		if c.part == nil {
-			c.state = StateQueued
-			if c.coord != nil {
-				c.warmOn = c.prevWorkers
-			}
-		}
+	for _, c := range ranked[len(picked):] {
+		c.state = StateQueued
 	}
 	m.mu.Unlock()
 
-	errs := make([]error, len(grants))
 	var wg sync.WaitGroup
-	for i, g := range grants {
-		if g.c.part == nil {
-			errs[i] = errors.New("fleet: no live workers available")
+	for i, c := range picked {
+		if errs[i] != nil {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, c *campaignRec) {
+		go func() {
 			defer wg.Done()
-			errs[i] = m.runSlice(ctx, c)
-		}(i, g.c)
+			errs[i] = m.runSlice(ctx, c, fresh[i])
+		}()
 	}
 	wg.Wait()
 
 	interrupted := false
-	for i, g := range grants {
-		c := g.c
+	for i, c := range picked {
 		switch err := errs[i]; {
 		case err == nil:
-			m.mu.Lock()
-			finished := c.state == StateDone || c.state == StateFailed
-			m.mu.Unlock()
-			if finished {
-				m.releasePartition(c)
-			}
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			m.park(c)
 			interrupted = true
+		case c.coord != nil && c.coord.Stranded():
+			// Its workers died under the slice: the campaign is intact at
+			// checkpoint.bin, and re-runs there on whatever is alive.
+			m.drop(c, map[string]any{"miss": "dead"})
 		default:
 			m.failCampaign(c, err)
 		}
@@ -935,25 +768,23 @@ func (m *Manager) Step(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// overlap reports whether two lists of worker names share one.
-func overlap(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
+// liveWorkers counts the pool's live workers.
+func (m *Manager) liveWorkers() int {
+	n := 0
+	for _, w := range m.pool.Workers() {
+		if w.Alive {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// handoff files how a grant was met in c's flight recorder: warm (no
+// handoff files how a pick was met in c's flight recorder: warm (no
 // coordinator had to be started or restored), resumed (a suspended one
-// was picked up again), the partition's size, and — on the cold
-// hand-off after a live coordinator was dropped — why, with the figures
-// that decided it.
+// was picked up again), and — on the cold hand-off after a live
+// coordinator was dropped — why.
 func (c *campaignRec) handoff(warm, resumed bool) {
-	detail := map[string]any{"warm": warm, "resumed": resumed, "workers": c.part.Live()}
+	detail := map[string]any{"warm": warm, "resumed": resumed}
 	for k, v := range c.miss {
 		detail[k] = v
 	}
@@ -961,35 +792,15 @@ func (c *campaignRec) handoff(warm, resumed bool) {
 	c.flight.add("handoff", detail)
 }
 
-// release returns c's workers to the free set, remembering the member
-// names so the next acquisition can prefer them.
-func (c *campaignRec) release() {
-	if c.part != nil {
-		c.prevWorkers = c.part.Names()
-		c.part.Release()
-		c.part = nil
-	}
-}
-
-// releasePartition releases the workers of a campaign that no longer
-// has a coordinator and clears them from its status snapshot.
-func (m *Manager) releasePartition(c *campaignRec) {
-	c.release()
-	m.mu.Lock()
-	c.workers, c.warmOn = 0, nil
-	m.mu.Unlock()
-}
-
 // failCampaign handles a campaign-fatal slice error (dead fleet, lost
 // subject, disk error): the campaign is marked failed, its flight
-// recorder dumped, and its workers returned, while the scheduler keeps
-// serving the others.
+// recorder dumped, and its instances released, while the scheduler
+// keeps serving the others.
 func (m *Manager) failCampaign(c *campaignRec, err error) {
 	if c.coord != nil {
 		c.coord.Close()
 		c.coord = nil
 	}
-	m.releasePartition(c)
 	c.flight.add("failed", map[string]any{"error": err.Error()})
 	m.dumpFlight(c, "campaign_failed")
 	m.mu.Lock()
@@ -1008,20 +819,16 @@ func (m *Manager) setState(c *campaignRec, state string) {
 }
 
 // park closes c's coordinator — releasing its instances on the workers
-// — and returns its partition to the free set, leaving the campaign
-// queued so a later scheduler (this process or the next) can re-run it
-// to checkpoint.bin's bound. It writes nothing: runSlice persisted the
-// checkpoint when the last Advance completed, and an interrupted one
-// leaves the checkpoint where it was.
+// — leaving the campaign queued so a later scheduler (this process or
+// the next) can re-run it to checkpoint.bin's bound. It writes nothing:
+// runSlice persisted the checkpoint when the last Advance completed,
+// and an interrupted one leaves the checkpoint where it was.
 func (m *Manager) park(c *campaignRec) {
-	if c.coord == nil && c.part == nil {
+	if c.coord == nil {
 		return
 	}
-	if c.coord != nil {
-		c.coord.Close()
-		c.coord = nil
-	}
-	m.releasePartition(c)
+	c.coord.Close()
+	c.coord = nil
 	m.setState(c, StateQueued)
 }
 
@@ -1032,28 +839,23 @@ func (m *Manager) drop(c *campaignRec, miss map[string]any) {
 	m.park(c)
 }
 
-// warmCapPerWorker bounds what live coordinators without a partition —
-// suspended campaigns — may keep booted: this many instances per live
-// worker (four default campaigns). A constant, not a Config field: it trades worker and
-// coordinator memory against restore re-execution, the right value
-// follows from instance footprint rather than deployment, and below it
-// the cap is inert.
+// warmCapPerWorker bounds what suspended campaigns — live coordinators
+// the round did not pick — may keep booted: this many instances per
+// live worker (four default campaigns). A constant, not a Config field:
+// it trades worker and coordinator memory against restore
+// re-execution, the right value follows from instance footprint rather
+// than deployment, and below it the cap is inert.
 const warmCapPerWorker = 16
 
-// enforceWarmCap parks live partition-less coordinators, least recently
-// sliced first (ties: submission order), until the instances they keep
-// booted fit warmCap per live worker.
+// enforceWarmCap parks suspended coordinators, least recently sliced
+// first (ties: submission order), until the instances they keep booted
+// fit warmCap per live worker.
 func (m *Manager) enforceWarmCap() {
-	budget := 0
-	for _, w := range m.pool.Workers() {
-		if w.Alive {
-			budget += m.warmCap
-		}
-	}
+	budget := m.liveWorkers() * m.warmCap
 	var warm []*campaignRec
 	kept := 0
 	for _, c := range m.held() {
-		if c.coord != nil && c.part == nil {
+		if c.lastRound != m.round {
 			warm = append(warm, c)
 			kept += c.instanceCap()
 		}
@@ -1068,14 +870,14 @@ func (m *Manager) enforceWarmCap() {
 	}
 }
 
-// held lists, in submission order, every campaign holding a coordinator
-// or a partition.
+// held lists, in submission order, every campaign holding a live
+// coordinator.
 func (m *Manager) held() []*campaignRec {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []*campaignRec
 	for _, id := range m.order {
-		if c := m.campaigns[id]; c.coord != nil || c.part != nil {
+		if c := m.campaigns[id]; c.coord != nil {
 			out = append(out, c)
 		}
 	}
@@ -1127,8 +929,8 @@ func (m *Manager) anyRunnable() bool {
 	return false
 }
 
-// parkAll parks every campaign that holds anything, suspended ones
-// included.
+// parkAll parks every campaign holding a live coordinator, suspended
+// ones included.
 func (m *Manager) parkAll() {
 	for _, c := range m.held() {
 		m.park(c)

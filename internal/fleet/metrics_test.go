@@ -32,7 +32,7 @@ func TestAPIMountAndFleetMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	collectCampaigns(reg, func() []CampaignStatus {
 		return []CampaignStatus{
-			{ID: "dns-a", Subject: "DNS", State: StateRunning, Clock: 450, Horizon: 1800, Edges: 900, Execs: 451, Slices: 3, Reward: 1.5, Workers: 2},
+			{ID: "dns-a", Subject: "DNS", State: StateRunning, Clock: 450, Horizon: 1800, Edges: 900, Execs: 451, Slices: 3, Reward: 1.5},
 			{ID: "mqtt-b", Subject: "MQTT", State: StateQueued, Horizon: 900},
 			// A done campaign as a restarted manager recovers it from disk:
 			// no slices this lifetime, but final figures intact — the
@@ -63,8 +63,6 @@ func TestAPIMountAndFleetMetrics(t *testing.T) {
 		`cmfuzz_campaigns{state="done"} 1`,
 		`cmfuzz_campaign_edges{campaign="dns-a",subject="DNS"} 900`,
 		`cmfuzz_campaign_slices{campaign="dns-a",subject="DNS"} 3`,
-		`cmfuzz_campaign_workers{campaign="dns-a",subject="DNS"} 2`,
-		`cmfuzz_campaign_workers{campaign="mqtt-b",subject="MQTT"} 0`,
 		`cmfuzz_bandit_reward{campaign="dns-a",subject="DNS"} 1.5`,
 		`cmfuzz_campaign_horizon_seconds{campaign="mqtt-b",subject="MQTT"} 900`,
 		`cmfuzz_campaign_edges{campaign="coap-c",subject="CoAP"} 1200`,

@@ -122,8 +122,8 @@ func scrape(t *testing.T, m *fleet.Manager) func(name string) int {
 // the third hand-off: six campaigns over two workers are suspended and
 // resumed all through the drain, and every artifact tree still equals
 // its standalone run. Resumes must actually happen (flight ring,
-// counters, slice_start events), and a campaign without workers reads
-// as queued with none whether it is suspended or parked. Every
+// counters, slice_start events), and a campaign the round did not pick
+// reads as queued whether it is suspended or parked. Every
 // checkpoint.bin the drain leaves between rounds holds a position, not
 // a history: at most 256 bytes.
 func TestSuspendedDrainMatchesStandalone(t *testing.T) {
@@ -159,8 +159,8 @@ func TestSuspendedDrainMatchesStandalone(t *testing.T) {
 		}
 		for id := range m.Suspended() {
 			sawSuspended = true
-			if st := findStatus(t, m, id); st.State != fleet.StateQueued || st.Workers != 0 {
-				t.Fatalf("suspended %s reads state=%s workers=%d, want queued/0", id, st.State, st.Workers)
+			if st := findStatus(t, m, id); st.State != fleet.StateQueued {
+				t.Fatalf("suspended %s reads state=%s, want queued", id, st.State)
 			}
 		}
 		for more := true; more; {
@@ -270,12 +270,14 @@ func (f *namedFleet) close() {
 	}
 }
 
-// TestSuspendedCampaignLosesItsWorker: the worker holding a suspended
-// campaign's instances dies before the campaign is selected again. The
-// re-grant must miss — also when a new worker has attached under the
-// dead one's name, because the match is by connection — fall back to a
-// cold restore from checkpoint.bin on whatever is alive, and still
-// finish byte-identical.
+// TestSuspendedCampaignLosesItsWorker: a worker holding instances of a
+// suspended campaign dies before the campaign is picked again. The
+// campaign still has a live worker, so it is resumed warm and absorbs
+// the death as a running one does — its lost instances replayed on the
+// survivor, a worker_death in its flight ring — also when a new worker
+// has attached under the dead one's name, which no running campaign
+// takes up: it is a different connection, with none of their state on
+// it. Nothing is restored cold, and every tree is the standalone run's.
 func TestSuspendedCampaignLosesItsWorker(t *testing.T) {
 	for _, reattach := range []bool{false, true} {
 		name := "dead worker stays gone"
@@ -283,7 +285,9 @@ func TestSuspendedCampaignLosesItsWorker(t *testing.T) {
 			name = "replacement attaches under the same name"
 		}
 		t.Run(name, func(t *testing.T) {
-			specs := sixOverTwo(1)[:3]
+			// Four instances each, so every campaign has instances on both
+			// workers.
+			specs := sixOverTwo(0)[:3]
 			f := newNamedFleet(t, "w0", "w1")
 			defer f.close()
 			state := t.TempDir()
@@ -291,38 +295,42 @@ func TestSuspendedCampaignLosesItsWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sample := scrape(t, m)
 			submitAll(t, m, specs)
 
 			ctx := context.Background()
 			var victim string
-			var on fleet.SuspendedCampaign
 			for step := 0; victim == ""; step++ {
 				if ok, err := m.Step(ctx); !ok || err != nil || step > 10 {
 					t.Fatalf("step %d: ok=%v err=%v, and nothing suspended yet", step, ok, err)
 				}
-				for id, s := range m.Suspended() {
-					victim, on = id, s
+				for id := range m.Suspended() {
+					victim = id
 				}
 			}
-			if len(on.Workers) != 1 {
-				t.Fatalf("%s suspended on %v, want one worker", victim, on.Workers)
-			}
-			before := len(handoffs(t, m, victim))
-			f.kill(on.Workers[0])
+			tail := flightTail{}
+			tail.next(t, m, victim)
+			f.kill("w0")
 			if reattach {
-				f.attach(on.Workers[0])
+				f.attach("w0")
 			}
 
 			if err := m.Drain(ctx); err != nil {
 				t.Fatal(err)
 			}
 			wantDoneMatching(t, m, state, specs)
-			after := handoffs(t, m, victim)
-			if len(after) <= before {
-				t.Fatalf("%s was never handed workers again", victim)
+			filed := tail.next(t, m, victim)
+			if len(filed["handoff"]) == 0 {
+				t.Fatalf("%s was never picked again", victim)
 			}
-			if h := after[before]; h["resumed"] != false || h["warm"] != false || h["miss"] != "dead" {
-				t.Fatalf("%s's first hand-off after the death = %v, want a cold one with miss=dead", victim, h)
+			if h := filed["handoff"][0]; h["resumed"] != true || h["warm"] != true || h["miss"] != nil {
+				t.Fatalf("%s's first hand-off after the death = %v, want a warm resume", victim, h)
+			}
+			if len(filed["worker_death"]) != 1 {
+				t.Fatalf("%s filed %d worker deaths after the kill, want 1", victim, len(filed["worker_death"]))
+			}
+			if _, misses := handoffTally(t, m, specs); len(misses) != 0 || sample("cmfuzz_fleet_cold_restores_total") != 0 {
+				t.Fatalf("hand-off misses %v, %d cold restores; want none", misses, sample("cmfuzz_fleet_cold_restores_total"))
 			}
 		})
 	}
@@ -417,8 +425,7 @@ func TestSerialSchedulerHonoursWarmCap(t *testing.T) {
 		if !ok {
 			break
 		}
-		// The campaign just sliced keeps its partition; it is live but
-		// not suspended.
+		// The campaign just sliced is live but not suspended.
 		if live := len(m.Suspended()); live > 2 {
 			t.Fatalf("%d campaigns suspended between rounds, cap allows 2", live)
 		}
@@ -456,7 +463,7 @@ func TestCancelWithSuspendedCampaigns(t *testing.T) {
 		t.Fatal("nothing suspended after three rounds of four campaigns over two workers")
 	}
 	onDisk := map[string]os.FileInfo{}
-	for id, s := range suspended {
+	for id, clock := range suspended {
 		ckPath := filepath.Join(state, id, "checkpoint.bin")
 		blob, err := os.ReadFile(ckPath)
 		if err != nil {
@@ -473,8 +480,8 @@ func TestCancelWithSuspendedCampaigns(t *testing.T) {
 		if err := probe.Restore(ctx, blob); err != nil {
 			t.Fatalf("suspended %s: checkpoint.bin does not restore: %v", id, err)
 		}
-		if got := probe.MinClock(); got != s.Clock {
-			t.Fatalf("suspended %s: checkpoint.bin restores to clock %v, coordinator reports %v", id, got, s.Clock)
+		if got := probe.MinClock(); got != clock {
+			t.Fatalf("suspended %s: checkpoint.bin restores to clock %v, coordinator reports %v", id, got, clock)
 		}
 		probe.Close()
 		if onDisk[id], err = os.Stat(ckPath); err != nil {
@@ -492,8 +499,8 @@ func TestCancelWithSuspendedCampaigns(t *testing.T) {
 	}
 	for _, spec := range specs {
 		st := findStatus(t, m, spec.ID)
-		if st.State != fleet.StateQueued || st.Workers != 0 {
-			t.Fatalf("%s after cancel: state=%s workers=%d, want queued/0", spec.ID, st.State, st.Workers)
+		if st.State != fleet.StateQueued {
+			t.Fatalf("%s after cancel: state=%s, want queued", spec.ID, st.State)
 		}
 		ckPath := filepath.Join(state, spec.ID, "checkpoint.bin")
 		blob, err := os.ReadFile(ckPath)

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"sync"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/core/configmodel"
@@ -115,18 +116,30 @@ func (h *Host) Plan(ledger *bugs.Ledger, tel *telemetry.Recorder, parent *trace.
 
 // Probe is the plan's probe step: relation.Quantify over the host's
 // model under weighting w, on Opts.Concurrency workers. A probe's
-// startup crash (a configuration-parsing defect) is filed in the
-// concurrency-safe ledger and scored as a failed startup rather than
-// tearing the campaign down.
+// startup crash (a configuration-parsing defect) is scored as a failed
+// startup rather than tearing the campaign down, and filed in the
+// ledger once every probe is in, in planning order: the first
+// configuration to hit a bug is the one its report names, whatever the
+// worker count.
 func (h *Host) Probe(ledger *bugs.Ledger, w relation.Weighting, tel *telemetry.Recorder, parent *trace.Span) *relation.Result {
-	return relation.Quantify(h.Model, func(cfg configmodel.Assignment) int {
+	var mu sync.Mutex
+	crashes := map[string]*bugs.Crash{}
+	rel := relation.Quantify(h.Model, func(cfg configmodel.Assignment) int {
 		cov := 0
 		if crash := bugs.Capture(func() { cov = subject.Probe(h.Sub, map[string]string(cfg)) }); crash != nil {
-			ledger.Record(crash, -1, 0, cfg.String())
+			mu.Lock()
+			crashes[cfg.String()] = crash
+			mu.Unlock()
 			return 0
 		}
 		return cov
 	}, relation.Options{MaxValues: maxValues, Weighting: w, Workers: h.Opts.Concurrency, Telemetry: tel, Trace: parent})
+	for _, cfg := range rel.Probed {
+		if crash := crashes[cfg]; crash != nil {
+			ledger.Record(crash, -1, 0, cfg)
+		}
+	}
+	return rel
 }
 
 // Allocate is Algorithm 2: rel's graph dealt into at most Opts.Instances

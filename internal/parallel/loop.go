@@ -136,7 +136,7 @@ func (l *Loop) Plan(ctx context.Context, planner Planner) (*Plan, error) {
 	plan := planner(l.host, l.Res.Bugs, l.Opts.Telemetry, l.Opts.Trace)
 	if rel := plan.Relation; rel != nil {
 		l.Res.RelationEdges = rel.Graph.EdgeCount()
-		l.Res.Probes = rel.Probes
+		l.Res.Probes = len(rel.Probed)
 	}
 	l.Res.Groups = plan.Groups
 	return plan, nil
