@@ -513,6 +513,11 @@ func (c *codec) step(rec *parallel.LeaseStep) {
 			if c.decoding() && c.ok() && rec.Seed.Digest() != rec.Digest {
 				c.fail(ErrProto)
 			}
+			if c.decoding() {
+				// A mirror keeps the seed: copy its bytes out of the
+				// frame, which a view would keep alive whole.
+				rec.Seed = rec.Seed.Clone()
+			}
 		}
 	}
 	if c.decoding() {

@@ -570,7 +570,8 @@ func replySteps() []parallel.LeaseStep {
 // reuses without allocating, and decoding a reply allocates no more
 // than the hand-written decoder the field lists replaced (131 for this
 // reply when every seed shipped: the record slice's growth, each shipped
-// seed's message slice, each crash and its strings).
+// seed's message slice and, since the decoder copies the seed out of the
+// frame, the copy's two, each crash and its strings).
 func TestLeaseReplyAllocs(t *testing.T) {
 	steps := replySteps()
 	ln := &lane{enc: codec{w: &wire.Writer{}}}
@@ -624,6 +625,44 @@ func TestLeaseSeedsOwnTheirBytes(t *testing.T) {
 	}
 }
 
+// TestLeaseResultSeedsOwnTheirBytes: a lease reply's shipped seeds are
+// copies, so overwriting the frame a reply arrived in changes none of
+// them: a corpus mirror keeps them as they are.
+func TestLeaseResultSeedsOwnTheirBytes(t *testing.T) {
+	steps := replySteps()
+	payload := marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult)
+	lr, err := unmarshal(payload, (*codec).leaseResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]fuzz.Seed, len(lr.Steps))
+	for k := range lr.Steps {
+		kept[k] = lr.Steps[k].Seed
+	}
+	for i := range payload {
+		payload[i] = 0xAA
+	}
+	shipped := 0
+	for k, s := range kept {
+		want := steps[k]
+		if !want.Ship {
+			continue
+		}
+		shipped++
+		if s.Gain != want.Seed.Gain || len(s.Msgs) != len(want.Seed.Msgs) {
+			t.Fatalf("record %d seed = %+v, want %+v", k, s, want.Seed)
+		}
+		for j := range s.Msgs {
+			if !bytes.Equal(s.Msgs[j], want.Seed.Msgs[j]) {
+				t.Fatalf("record %d message %d = % x after its frame was overwritten, want % x", k, j, s.Msgs[j], want.Seed.Msgs[j])
+			}
+		}
+	}
+	if shipped == 0 {
+		t.Fatal("the reply ships no seed")
+	}
+}
+
 // TestLeaseDecodeRecycles: the coordinator decodes an instance's lease
 // replies into one record buffer, so a reply that fits allocates no
 // record slice, and the records past a shorter reply's last are zeroed
@@ -633,7 +672,7 @@ func TestLeaseDecodeRecycles(t *testing.T) {
 	encode := func(steps []parallel.LeaseStep) reply {
 		return reply{typ: msgLeaseResult, payload: marshal(&leaseResult{Steps: steps, SyncDue: true}, (*codec).leaseResult)}
 	}
-	first := encode(replySteps()) // shipped seeds and deltas alias its payload
+	first := encode(replySteps()) // deltas alias its payload
 	second := encode([]parallel.LeaseStep{{Step: parallel.Step{Bytes: 20}}})
 
 	recs1, err := c.leaseResult(0, first)

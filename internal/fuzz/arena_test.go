@@ -34,9 +34,9 @@ func TestArenaResetReuse(t *testing.T) {
 	gen := func() ([]byte, *byte) {
 		r := testRandSeed(5)
 		cm.instantiate(&msg, a, r)
-		blobBitFlip(msg.own(slices.IndexFunc(msg.fields, isNonEmptyBytes)), a, r)
-		for k, e := range msg.fields {
-			if len(e.Data) > 0 && e != cm.nodes[msg.leaves[k]].e {
+		blobBitFlip(msg.own(slices.IndexFunc(msg.p.tmpl, isNonEmptyBytes)), a, r)
+		for _, k := range msg.written {
+			if e := &msg.copies[k]; len(e.Data) > 0 {
 				return msg.appendTo(nil), &e.Data[0]
 			}
 		}

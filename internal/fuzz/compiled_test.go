@@ -200,8 +200,33 @@ func relationModel() *DataModel {
 	)}
 }
 
+// manyPlansModel has more selections than maxPlans (3·2·3·2·2·3·2 =
+// 432), so its messages build their plan each: Choices nested in
+// Choices, relations into, across and around them, and a same-named
+// target in several branches.
+func manyPlansModel() *DataModel {
+	return &DataModel{Name: "Many", Root: Block("Many",
+		VarintOf("total", "Many"),
+		SizeOf("bodylen", 16, "body"),
+		&Element{Kind: KindNumber, Name: "alts", Bits: 8, CountOf: "a"},
+		Block("body",
+			Choice("a", Str("id", "one"), Block("a2", SizeOf("idlen", 8, "id"), Str("id", "two-two")), Blob("a3", []byte{1, 2, 3})),
+			Choice("b", Num("b1", 8, 1), Token("b2", 16, 0xBEEF)),
+			Choice("c",
+				Block("c1", Choice("d", Str("d1", "x"), Blob("d2", make([]byte, 40)))),
+				Str("id", "c-id"),
+				Choice("e", Num("e1", 32, 7), NumLE("e2", 16, 9), Str("e3", "")),
+			),
+			Choice("f", Block("f1"), Str("f2", "f")),
+		),
+		Choice("g", Num("g1", 8, 0), Str("g2", "tail")),
+		SizeOf("idlen2", 8, "id"),
+	)}
+}
+
 // modelCorpus is every data model the differential tests run: the six
-// subjects' Pits, the golden engine's models and relationModel.
+// subjects' Pits, the golden engine's models, relationModel and
+// manyPlansModel.
 func modelCorpus(t testing.TB) []*DataModel {
 	var out []*DataModel
 	add := func(models map[string]*DataModel) {
@@ -222,7 +247,7 @@ func modelCorpus(t testing.TB) []*DataModel {
 		add(pit.DataModels)
 	}
 	add(goldenConfig(1).Models)
-	return append(out, relationModel())
+	return append(out, relationModel(), manyPlansModel())
 }
 
 // checkCompiled generates n messages of m, one after the other from seed,
@@ -273,6 +298,45 @@ func TestCompiledMatchesTree(t *testing.T) {
 	a := NewArena()
 	for i, m := range modelCorpus(t) {
 		checkCompiled(t, m, &msg, a, int64(i), 2000)
+	}
+}
+
+// TestPlanPaths pins that the differential corpus takes both ways to a
+// message's plan: every shipped model compiles all of its plans, and
+// manyPlansModel builds one per message.
+func TestPlanPaths(t *testing.T) {
+	for _, m := range modelCorpus(t) {
+		if got, want := compileModel(m).plans == nil, m.Name == "Many"; got != want {
+			t.Errorf("model %s: builds its plan per message %v, want %v", m.Name, got, want)
+		}
+	}
+}
+
+// TestApplyMaskCoversPredicates: for every leaf of every model the
+// differential tests run, a mutator whose predicate holds for the leaf
+// at any length, repeated or not, has its bit in the leaf's mask, so
+// testing the mask first moves no draw. With a one-byte payload the
+// mask is exactly the predicates that hold.
+func TestApplyMaskCoversPredicates(t *testing.T) {
+	for _, m := range modelCorpus(t) {
+		for _, nd := range compileNodes(m).nodes {
+			if !isLeaf(nd.e.Kind) {
+				continue
+			}
+			mask := applyMask(nd.e)
+			for _, n := range []int{0, 1, 65535, 65536} {
+				for _, repeat := range []int{0, 3} {
+					e := *nd.e
+					e.Data, e.repeat = make([]byte, n), repeat
+					for i := range mutators {
+						holds, bit := mutators[i].applies(&e), mask&(1<<i) != 0
+						if holds && !bit || n == 1 && repeat == 0 && holds != bit {
+							t.Fatalf("model %s leaf %s, %d bytes repeated %d: mutator %d applies %v, mask bit %v", m.Name, e.Name, n, repeat, i, holds, bit)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -27,6 +27,9 @@ type Corpus struct {
 	// best holds the SyncSeeds highest gains held, highest first, padded
 	// with zeros while the pool holds fewer seeds.
 	best [SyncSeeds]int
+	// heap orders a full pool's slots by (gain, slot), weakest first. It
+	// is built at the first eviction; only its root is ever replaced.
+	heap []int32
 	top  []int // Top's index scratch
 }
 
@@ -46,34 +49,65 @@ func (c *Corpus) Len() int { return len(c.seeds) }
 func (c *Corpus) At(i int) Seed { return c.seeds[i] }
 
 // Add inserts s, evicting the seed with the smallest discovery gain
-// when the pool is full, and returns the index s took. Ties keep the
-// earliest-inserted weak seed, so insertion order fully determines the
-// pool's contents.
+// when the pool is full, and returns the index s took. Ties evict the
+// weak seed in the lowest slot, so the sequence of Adds fully determines
+// the pool's contents, slot for slot.
 func (c *Corpus) Add(s Seed) int {
 	if len(c.seeds) < c.max {
 		c.seeds = append(c.seeds, s)
 		c.rank(s.Gain)
 		return len(c.seeds) - 1
 	}
-	weakest := 0
-	for i, cs := range c.seeds {
-		if cs.Gain < c.seeds[weakest].Gain {
-			weakest = i
+	if c.heap == nil {
+		c.heap = make([]int32, len(c.seeds))
+		for i := range c.heap {
+			c.heap[i] = int32(i)
+		}
+		for i := len(c.heap)/2 - 1; i >= 0; i-- {
+			c.down(i)
 		}
 	}
-	evicted := c.seeds[weakest].Gain
+	weakest := int(c.heap[0])
 	c.seeds[weakest] = s
-	if evicted < c.best[len(c.best)-1] {
+	c.down(0)
+	if c.max > SyncSeeds {
+		// The evicted seed had the least gain of more than SyncSeeds
+		// seeds. Whether or not its gain was among the best, SyncSeeds
+		// of the others still hold the best gains, so only the new
+		// seed's gain can enter them.
 		c.rank(s.Gain)
 		return weakest
 	}
-	// The evicted seed held one of the best gains, which only happens
-	// when no seed held has a lower gain: rank them all again.
 	c.best = [SyncSeeds]int{}
 	for _, cs := range c.seeds {
 		c.rank(cs.Gain)
 	}
 	return weakest
+}
+
+// weaker orders slots by (gain, slot).
+func (c *Corpus) weaker(a, b int32) bool {
+	ga, gb := c.seeds[a].Gain, c.seeds[b].Gain
+	return ga < gb || ga == gb && a < b
+}
+
+// down sifts heap entry i down to its place.
+func (c *Corpus) down(i int) {
+	h := c.heap
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && c.weaker(h[r], h[j]) {
+			j = r
+		}
+		if !c.weaker(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // rank enters gain among the best gains if it beats the weakest of them.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -30,11 +31,124 @@ func TestCorpusAddEvictsWeakest(t *testing.T) {
 	if gains[0] != 5 || gains[1] != 9 || gains[2] != 3 {
 		t.Fatalf("pool after eviction = %v, want [5 9 3]", gains)
 	}
-	// Gain ties evict the earliest weak seed, so two pools built by the
-	// same Add sequence stay identical slot for slot.
+	// Gain ties evict the weak seed in the lowest slot, so two pools
+	// built by the same Add sequence stay identical slot for slot.
 	c.Add(seedOf(3, 'e'))
 	if got := c.At(2).Msgs[0][0]; got != 'e' {
 		t.Fatalf("tie eviction replaced slot holding %q, want 'c' slot", got)
+	}
+}
+
+// scanCorpus is the linear-scan eviction the heap replaced, kept as the
+// reference Corpus must match slot for slot: a full pool evicts the first
+// slot of least gain, and re-ranks its best gains from scratch whenever
+// the evicted gain was the weakest of them.
+type scanCorpus struct {
+	gains []int
+	max   int
+	best  [SyncSeeds]int
+}
+
+func (c *scanCorpus) rank(gain int) {
+	for k := range c.best {
+		if gain > c.best[k] {
+			copy(c.best[k+1:], c.best[k:len(c.best)-1])
+			c.best[k] = gain
+			return
+		}
+	}
+}
+
+func (c *scanCorpus) add(gain int) int {
+	if len(c.gains) < c.max {
+		c.gains = append(c.gains, gain)
+		c.rank(gain)
+		return len(c.gains) - 1
+	}
+	weakest := 0
+	for i, g := range c.gains {
+		if g < c.gains[weakest] {
+			weakest = i
+		}
+	}
+	evicted := c.gains[weakest]
+	c.gains[weakest] = gain
+	if evicted < c.best[len(c.best)-1] {
+		c.rank(gain)
+		return weakest
+	}
+	c.best = [SyncSeeds]int{}
+	for _, g := range c.gains {
+		c.rank(g)
+	}
+	return weakest
+}
+
+// top is Corpus.Top's partial selection sort over the gains.
+func (c *scanCorpus) top(max int) []int {
+	idx := make([]int, len(c.gains))
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < len(idx) && i < max; i++ {
+		best := i
+		for j := i + 1; j < len(idx); j++ {
+			if c.gains[idx[j]] > c.gains[idx[best]] {
+				best = j
+			}
+		}
+		idx[i], idx[best] = idx[best], idx[i]
+	}
+	return idx[:min(max, len(idx))]
+}
+
+// TestCorpusEvictionMatchesScan holds the heap eviction to the linear
+// scan over random Add sequences whose gains tie heavily: the same slot
+// returned, the same gain in every slot, the same Top and the same
+// ExportFloor after every Add, in pools of 1 to 8 seeds and of 256.
+func TestCorpusEvictionMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, max := range []int{1, 2, 3, 4, 5, 6, 7, 8, DefaultMaxCorpus} {
+		for round := 0; round < 40; round++ {
+			c, ref := NewCorpus(max), &scanCorpus{max: max}
+			gains := 1 + rng.Intn(6) // few distinct gains: ties everywhere
+			for n := 0; n < 3*max+60; n++ {
+				gain := 1 + rng.Intn(gains)
+				got, want := c.Add(seedOf(gain, byte(n))), ref.add(gain)
+				if got != want {
+					t.Fatalf("max %d round %d add %d: gain %d took slot %d, the scan's %d", max, round, n, gain, got, want)
+				}
+				for i, g := range ref.gains {
+					if c.At(i).Gain != g {
+						t.Fatalf("max %d round %d add %d: slot %d holds gain %d, the scan's %d", max, round, n, i, c.At(i).Gain, g)
+					}
+				}
+				if c.ExportFloor() != ref.best[SyncSeeds-1] {
+					t.Fatalf("max %d round %d add %d: floor %d, the scan's %d", max, round, n, c.ExportFloor(), ref.best[SyncSeeds-1])
+				}
+				if got, want := c.Top(SyncSeeds), ref.top(SyncSeeds); !slices.Equal(got, want) {
+					t.Fatalf("max %d round %d add %d: Top %v, the scan's %v", max, round, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCorpusAdd is an Add into a full default pool.
+func BenchmarkCorpusAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c := NewCorpus(0)
+	seeds := make([]Seed, 1024)
+	for i := range seeds {
+		seeds[i] = seedOf(1+rng.Intn(64), byte(i))
+	}
+	for i := 0; i < DefaultMaxCorpus; i++ {
+		c.Add(seeds[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(seeds[i%len(seeds)])
 	}
 }
 

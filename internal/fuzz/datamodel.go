@@ -99,18 +99,24 @@ type DataModel struct {
 }
 
 // A compiledModel is a DataModel flattened once into a pre-order node
-// table. Messages read their leaves from it and never write it, so
-// engines that share one Pit share its templates.
+// table, with each of its Choice selections compiled into a plan.
+// Messages read their leaves from it and never write it, so engines
+// that share one Pit share its templates.
 type compiledModel struct {
 	nodes []node
 	// choices lists the Choice nodes with children, in pre-order: a
 	// message draws one selection for each, as the tree walk did.
 	choices []int32
-	// on and leaves are the active nodes and the active leaves of every
-	// message of a model without a Choice.
-	on     []bool
-	leaves []int32
+	// plans holds the plan of every selection, indexed by its
+	// mixed-radix key (the first Choice's draw the most significant
+	// digit); nil for a model of more than maxPlans selections, whose
+	// messages build their plan each.
+	plans []plan
 }
+
+// maxPlans bounds the selections a model compiles a plan for. The
+// shipped models have 1 to 30.
+const maxPlans = 64
 
 // A node is one template element and where it sits in the table.
 type node struct {
@@ -124,9 +130,57 @@ type node struct {
 	sizeOf, countOf []int32
 }
 
+// A plan is one Choice selection of a model, compiled: the part of a
+// message every message under that selection shares.
+type plan struct {
+	on     []bool     // per node: active under the selection
+	leaves []int32    // the active leaves' nodes, in wire order
+	tmpl   []*Element // per active leaf: its template
+	// image is the template leaves' wire bytes, leaf k's at
+	// image[off[k]:off[k+1]].
+	image []byte
+	off   []int32
+	rels  []relation // the relation leaves whose target is active, in leaf order
+	// mask has, per active leaf, a bit for each mutator whose kind, token
+	// and relation tests the leaf passes (applyMask).
+	mask []uint16
+}
+
+// A relation is a size or count leaf and its target. The leaves of a
+// pre-order subtree are contiguous, so a size's target is a range of
+// active leaves.
+type relation struct {
+	leaf   int32 // the relation leaf's index among the active leaves
+	lo, hi int32 // a SizeOf's target: active leaves lo to hi-1
+	count  int32 // a CountOf's target's child count; -1 for a SizeOf
+}
+
 func isLeaf(k ElementKind) bool { return k != KindBlock && k != KindChoice }
 
+// compileModel compiles m's node table and the plan of each of its
+// selections, when it has at most maxPlans of them.
 func compileModel(m *DataModel) *compiledModel {
+	c := compileNodes(m)
+	n := 1
+	for _, i := range c.choices {
+		if n *= len(c.nodes[i].e.Children); n > maxPlans {
+			return c
+		}
+	}
+	c.plans = make([]plan, n)
+	sel := make([]int32, len(c.choices))
+	for key := range c.plans {
+		for j, rest := len(c.choices)-1, key; j >= 0; j-- {
+			radix := len(c.nodes[c.choices[j]].e.Children)
+			sel[j], rest = int32(rest%radix), rest/radix
+		}
+		c.build(&c.plans[key], sel)
+	}
+	return c
+}
+
+// compileNodes flattens m into its node table, with no plans.
+func compileNodes(m *DataModel) *compiledModel {
 	c := &compiledModel{}
 	var add func(e *Element, parent, branch int32)
 	add = func(e *Element, parent, branch int32) {
@@ -161,35 +215,62 @@ func compileModel(m *DataModel) *compiledModel {
 			}
 		}
 	}
-	if len(c.choices) == 0 {
-		c.on, c.leaves = c.activate(nil, make([]bool, len(c.nodes)), nil)
-	}
 	return c
 }
 
-// activate marks the nodes sel's Choice selections leave active and
-// appends the active leaves, in wire order, to leaves.
-func (c *compiledModel) activate(sel []int32, on []bool, leaves []int32) ([]bool, []int32) {
+// build compiles the plan of selections sel into p, reusing p's storage.
+func (c *compiledModel) build(p *plan, sel []int32) {
+	if cap(p.on) < len(c.nodes) {
+		p.on = make([]bool, len(c.nodes))
+	}
+	p.on = p.on[:len(c.nodes)]
+	p.leaves, p.tmpl, p.mask = p.leaves[:0], p.tmpl[:0], p.mask[:0]
+	p.image, p.off, p.rels = p.image[:0], p.off[:0], p.rels[:0]
 	for i, nd := range c.nodes {
-		on[i] = true
+		p.on[i] = true
 		if nd.parent >= 0 {
-			p := &c.nodes[nd.parent]
-			switch p.e.Kind {
+			pa := &c.nodes[nd.parent]
+			switch pa.e.Kind {
 			case KindBlock:
-				on[i] = on[nd.parent]
+				p.on[i] = p.on[nd.parent]
 			case KindChoice:
-				on[i] = on[nd.parent] && sel[p.choice] == nd.branch
+				p.on[i] = p.on[nd.parent] && sel[pa.choice] == nd.branch
 			default:
 				// Beneath a leaf: never searched or serialized; the tree
 				// walk only descended here to draw the Choices.
-				on[i] = false
+				p.on[i] = false
 			}
 		}
-		if on[i] && isLeaf(nd.e.Kind) {
-			leaves = append(leaves, int32(i))
+		if p.on[i] && isLeaf(nd.e.Kind) {
+			p.leaves = append(p.leaves, int32(i))
+			p.tmpl = append(p.tmpl, nd.e)
+			p.mask = append(p.mask, applyMask(nd.e))
+			p.off = append(p.off, int32(len(p.image)))
+			p.image = appendLeaf(p.image, nd.e)
 		}
 	}
-	return on, leaves
+	p.off = append(p.off, int32(len(p.image)))
+	// A relation names its target by the first active candidate, the
+	// element a pre-order search of the message finds; CountOf wins over
+	// SizeOf on a leaf with both.
+	target := func(candidates []int32) int32 {
+		for _, j := range candidates {
+			if p.on[j] {
+				return j
+			}
+		}
+		return -1
+	}
+	for k, i := range p.leaves {
+		nd := &c.nodes[i]
+		if t := target(nd.countOf); t >= 0 {
+			p.rels = append(p.rels, relation{leaf: int32(k), count: int32(len(c.nodes[t].e.Children))})
+		} else if t := target(nd.sizeOf); t >= 0 {
+			lo, _ := slices.BinarySearch(p.leaves, t)
+			hi, _ := slices.BinarySearch(p.leaves, c.nodes[t].end)
+			p.rels = append(p.rels, relation{leaf: int32(k), lo: int32(lo), hi: int32(hi), count: -1})
+		}
+	}
 }
 
 // instantiate makes msg a fresh message of the model: Choices resolved
@@ -197,35 +278,38 @@ func (c *compiledModel) activate(sel []int32, on []bool, leaves []int32) ([]bool
 // template until something writes it. Leaves written later copy their
 // Data into a, or the heap when a is nil.
 func (c *compiledModel) instantiate(msg *Message, a *Arena, r *rand.Rand) {
-	msg.c, msg.arena = c, a
-	if len(c.choices) == 0 {
-		msg.on, msg.leaves = c.on, c.leaves
+	if c.plans != nil {
+		key := 0
+		for _, i := range c.choices {
+			radix := len(c.nodes[i].e.Children)
+			key = key*radix + r.Intn(radix)
+		}
+		msg.p = &c.plans[key]
 	} else {
 		msg.sel = msg.sel[:0]
 		for _, i := range c.choices {
 			msg.sel = append(msg.sel, int32(r.Intn(len(c.nodes[i].e.Children))))
 		}
-		if cap(msg.onBuf) < len(c.nodes) {
-			msg.onBuf = make([]bool, len(c.nodes))
-		}
-		msg.onBuf, msg.leafBuf = c.activate(msg.sel, msg.onBuf[:len(c.nodes)], msg.leafBuf[:0])
-		msg.on, msg.leaves = msg.onBuf, msg.leafBuf
+		c.build(&msg.local, msg.sel)
+		msg.p = &msg.local
 	}
-	msg.fields = msg.fields[:0]
-	for _, i := range msg.leaves {
-		msg.fields = append(msg.fields, c.nodes[i].e)
+	msg.arena = a
+	for _, k := range msg.written {
+		msg.owned[k] = false
 	}
-	if len(msg.copies) < len(msg.leaves) {
-		msg.copies = make([]Element, len(msg.leaves))
+	msg.written = msg.written[:0]
+	if n := len(msg.p.tmpl); len(msg.copies) < n {
+		msg.copies, msg.owned = make([]Element, n), make([]bool, n)
 	}
 }
 
 // NewMessage instantiates the model into a concrete message: choices are
 // resolved (uniformly at random) and default values read from the model,
-// ready for mutation and serialization.
+// ready for mutation and serialization. It compiles no plans: the
+// message builds its own.
 func (m *DataModel) NewMessage(r *rand.Rand) *Message {
 	msg := &Message{}
-	compileModel(m).instantiate(msg, nil, r)
+	compileNodes(m).instantiate(msg, nil, r)
 	return msg
 }
 
@@ -233,31 +317,45 @@ func (m *DataModel) NewMessage(r *rand.Rand) *Message {
 // model under one set of Choice selections. A leaf is the model's own
 // element until the message writes it; the first write copies it.
 type Message struct {
-	c      *compiledModel
-	arena  *Arena
-	on     []bool     // per node: active in this message
-	leaves []int32    // the active leaves' nodes, in wire order
-	fields []*Element // per active leaf: the template, or its copy once written
-	copies []Element  // where written leaves live
+	p       *plan
+	arena   *Arena
+	copies  []Element // per active leaf: its copy, once written
+	owned   []bool    // per active leaf: whether it is written
+	written []int32   // the written leaves, in wire order
 
-	// For models with Choices: the selections, and the storage behind on
-	// and leaves.
-	sel     []int32
-	onBuf   []bool
-	leafBuf []int32
+	// For a model of more than maxPlans selections: the selections, and
+	// the plan built from them.
+	sel   []int32
+	local plan
+}
+
+// field returns active leaf k as it stands: its template until the
+// message writes it.
+func (msg *Message) field(k int) *Element {
+	if msg.owned[k] {
+		return &msg.copies[k]
+	}
+	return msg.p.tmpl[k]
 }
 
 // own returns active leaf k ready to write: the first call copies the
 // template leaf and its Data, so the model is never written.
 func (msg *Message) own(k int) *Element {
-	e := msg.fields[k]
-	if e != msg.c.nodes[msg.leaves[k]].e {
-		return e
-	}
 	c := &msg.copies[k]
-	*c = *e
-	c.Data = msg.arena.copyBytes(e.Data)
-	msg.fields[k] = c
+	if msg.owned[k] {
+		return c
+	}
+	*c = *msg.p.tmpl[k]
+	c.Data = msg.arena.copyBytes(c.Data)
+	msg.owned[k] = true
+	// Insert k into written, which stays in wire order.
+	w := append(msg.written, int32(k))
+	i := len(w) - 1
+	for ; i > 0 && w[i-1] > int32(k); i-- {
+		w[i] = w[i-1]
+	}
+	w[i] = int32(k)
+	msg.written = w
 	return c
 }
 
@@ -265,69 +363,56 @@ func (msg *Message) own(k int) *Element {
 // relations first (unless a mutator broke them on purpose).
 func (msg *Message) Serialize() []byte { return msg.appendTo(nil) }
 
-// appendTo resolves the message's relations and appends its wire bytes —
-// the active leaves, in order — to buf. A leaf whose bytes do not fit
-// grows buf once for the rest of the message, so a megabyte leaf is
-// copied once, not again at each later leaf that overflows.
+// appendTo resolves the message's relations and appends its wire bytes
+// to buf, grown once to their exact length: the plan's image, with the
+// leaves the message wrote written in. Each run of unwritten leaves is
+// one copy from the image.
 func (msg *Message) appendTo(buf []byte) []byte {
 	msg.relate()
-	for k, e := range msg.fields {
-		if e.dataLen() > cap(buf)-len(buf) {
-			n := 0
-			for _, r := range msg.fields[k:] {
-				n += leafLen(r)
-			}
-			buf = slices.Grow(buf, n)
-		}
-		buf = appendLeaf(buf, e)
+	p := msg.p
+	buf = slices.Grow(buf, msg.length(0, int32(len(p.tmpl))))
+	at := int32(0)
+	for _, k := range msg.written {
+		buf = append(buf, p.image[p.off[at]:p.off[k]]...)
+		buf = appendLeaf(buf, &msg.copies[k])
+		at = k + 1
 	}
-	return buf
+	return append(buf, p.image[p.off[at]:]...)
 }
 
 // relate sets every intact size and count field, in leaf order, so a
 // size sees the relation fields before it already set and those after it
-// as they stand. A relation names its target by the first active
-// candidate, the element a pre-order search of the message finds.
+// as they stand.
 func (msg *Message) relate() {
-	for k, i := range msg.leaves {
-		e, nd := msg.fields[k], &msg.c.nodes[i]
-		if e.Kind != KindNumber || e.SizeBroken {
+	for _, r := range msg.p.rels {
+		e := msg.field(int(r.leaf))
+		if e.SizeBroken {
 			continue
 		}
-		if t := msg.target(nd.sizeOf); t >= 0 {
-			msg.set(k, msg.span(t))
+		v := uint64(r.count)
+		if r.count < 0 {
+			v = uint64(msg.length(r.lo, r.hi))
 		}
-		if t := msg.target(nd.countOf); t >= 0 {
-			msg.set(k, uint64(len(msg.c.nodes[t].e.Children)))
+		if e.Value != v {
+			msg.own(int(r.leaf)).Value = v
 		}
 	}
 }
 
-func (msg *Message) target(candidates []int32) int32 {
-	for _, j := range candidates {
-		if msg.on[j] {
-			return j
+// length is the wire length of active leaves lo to hi-1: their bytes in
+// the image, corrected by each written leaf's own length.
+func (msg *Message) length(lo, hi int32) int {
+	p := msg.p
+	n := int(p.off[hi] - p.off[lo])
+	for _, k := range msg.written {
+		if k >= hi {
+			break
+		}
+		if k >= lo {
+			n += leafLen(&msg.copies[k]) - int(p.off[k+1]-p.off[k])
 		}
 	}
-	return -1
-}
-
-// span is the serialized length of active node t: the lengths of the
-// active leaves inside its subtree.
-func (msg *Message) span(t int32) uint64 {
-	n, end := 0, msg.c.nodes[t].end
-	for k, i := range msg.leaves {
-		if i >= t && i < end {
-			n += leafLen(msg.fields[k])
-		}
-	}
-	return uint64(n)
-}
-
-func (msg *Message) set(k int, v uint64) {
-	if msg.fields[k].Value != v {
-		msg.own(k).Value = v
-	}
+	return n
 }
 
 // appendLeaf appends leaf e's wire encoding to buf and returns the

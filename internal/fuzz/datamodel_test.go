@@ -209,24 +209,25 @@ func TestQuickSizeOfConsistent(t *testing.T) {
 	}
 }
 
-// Message inspection for tests: a deep copy, the active leaves and a
-// lookup by name. The engine reaches fields through the compiled model.
+// Message inspection for tests: a copy, the active leaves and a lookup
+// by name. The engine reaches fields through the plan.
 
-// Clone deep-copies the message.
+// Clone copies the message: its written leaves deeply, its plan not. A
+// clone of a message that built its own plan is valid until that message
+// is instantiated again.
 func (msg *Message) Clone() *Message {
 	cl := &Message{
-		c:      msg.c,
-		on:     append([]bool(nil), msg.on...),
-		leaves: append([]int32(nil), msg.leaves...),
-		fields: append([]*Element(nil), msg.fields...),
-		copies: make([]Element, len(msg.leaves)),
+		p:       msg.p,
+		copies:  append([]Element(nil), msg.copies...),
+		owned:   append([]bool(nil), msg.owned...),
+		written: append([]int32(nil), msg.written...),
+		local:   msg.local,
 	}
-	for k, e := range msg.fields {
-		if e != msg.c.nodes[msg.leaves[k]].e {
-			cl.copies[k] = *e
-			cl.copies[k].Data = append([]byte(nil), e.Data...)
-			cl.fields[k] = &cl.copies[k]
-		}
+	if msg.p == &msg.local {
+		cl.p = &cl.local
+	}
+	for _, k := range msg.written {
+		cl.copies[k].Data = append([]byte(nil), msg.copies[k].Data...)
 	}
 	return cl
 }
@@ -235,27 +236,20 @@ func (msg *Message) Clone() *Message {
 // blobs), honoring choice selections, in serialization order. Writes to
 // them show in the next Serialize.
 func (msg *Message) Leaves() []*Element {
-	out := make([]*Element, len(msg.fields))
+	out := make([]*Element, len(msg.p.tmpl))
 	for k := range out {
 		out[k] = msg.own(k)
 	}
 	return out
 }
 
-// Find returns the active element with the given name, if any. A leaf is
-// returned writable, like Leaves'; a Block or Choice is the model's own
-// and must not be written.
+// Find returns the first active leaf with the given name, if any,
+// writable like Leaves'.
 func (msg *Message) Find(name string) *Element {
-	for i, nd := range msg.c.nodes {
-		if !msg.on[i] || nd.e.Name != name {
-			continue
+	for k, e := range msg.p.tmpl {
+		if e.Name == name {
+			return msg.own(k)
 		}
-		for k, j := range msg.leaves {
-			if j == int32(i) {
-				return msg.own(k)
-			}
-		}
-		return nd.e
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"cmfuzz/internal/bugs"
 	"cmfuzz/internal/coverage"
@@ -127,17 +126,21 @@ type Engine struct {
 	corpus   *Corpus
 	lastSeed Seed // most recent corpus addition; see LastSeed
 
+	// The compiled data models, resolved from their names once: each
+	// fixed path's, the state model's walk, and the no-state-model pick.
+	// A name no model has resolves to nil, and generate skips it.
+	paths    [][]*compiledModel
+	walker   *compiledStateModel
+	fallback []*compiledModel
+
 	// Hot-path scratch, reused across Steps.
-	models     map[string]*compiledModel
-	msg        Message
-	arena      *Arena
-	compiledSM *CompiledStateModel
-	modelOrder []string // model names sorted, for the deterministic no-state-model pick
-	walkBuf    []string
-	seqBuf     [][]byte
-	msgBufs    [][]byte // per-slot wire buffers backing seqBuf entries, each at most maxSlotBuf between steps
-	owned      []bool   // havoc's: owned[i] when seqBuf[i] is a buffer only it refers to, so havoc may write it
-	spliceBuf  [][]byte // splice's sequence: references into two corpus seeds
+	msg       Message
+	arena     *Arena
+	walkBuf   []*compiledModel
+	seqBuf    [][]byte
+	msgBufs   [][]byte // per-slot wire buffers backing seqBuf entries, each at most maxSlotBuf between steps
+	owned     []bool   // havoc's: owned[i] when seqBuf[i] is a buffer only it refers to, so havoc may write it
+	spliceBuf [][]byte // splice's sequence: references into two corpus seeds
 }
 
 // NewEngine returns an engine fuzzing target under cfg.
@@ -150,19 +153,37 @@ func NewEngine(cfg Config, target Target) *Engine {
 		trace:  coverage.NewTrace(),
 		global: coverage.NewMap(),
 		corpus: NewCorpus(cfg.maxCorpus),
-		models: make(map[string]*compiledModel, len(cfg.Models)),
 		arena:  NewArena(),
 	}
-	if cfg.StateModel != nil {
-		e.compiledSM = cfg.StateModel.Compile()
-	}
-	e.modelOrder = make([]string, 0, len(cfg.Models))
+	models := make(map[string]*compiledModel, len(cfg.Models))
+	names := make([]string, 0, len(cfg.Models))
 	for name, dm := range cfg.Models {
-		e.models[name] = compileModel(dm)
-		e.modelOrder = append(e.modelOrder, name)
+		models[name] = compileModel(dm)
+		names = append(names, name)
 	}
-	sort.Strings(e.modelOrder)
+	for _, p := range cfg.FixedPaths {
+		e.paths = append(e.paths, resolve(models, p.Models))
+	}
+	if cfg.StateModel != nil {
+		e.walker = cfg.StateModel.compile(models)
+	}
+	if len(names) > 0 {
+		// No state model: fuzz the lexicographically smallest data model
+		// as a standalone packet. (Map-range order here would make the
+		// pick nondeterministic across runs.)
+		e.fallback = []*compiledModel{models[slices.Min(names)]}
+	}
 	return e
+}
+
+// resolve maps model names to their compiled models, nil where there is
+// none.
+func resolve(models map[string]*compiledModel, names []string) []*compiledModel {
+	out := make([]*compiledModel, len(names))
+	for i, name := range names {
+		out[i] = models[name]
+	}
+	return out
 }
 
 // Coverage returns the instance's cumulative covered-branch count.
@@ -303,24 +324,20 @@ func (e *Engine) slotBuf(i int) []byte {
 // buffers, so a warmed-up generate allocates nothing while its messages
 // stay within maxSlotBuf (a slot that held a larger one starts afresh).
 func (e *Engine) generate() [][]byte {
-	var modelNames []string
-	if len(e.cfg.FixedPaths) > 0 {
-		modelNames = e.cfg.FixedPaths[e.rng.Intn(len(e.cfg.FixedPaths))].Models
-	} else if e.compiledSM != nil {
-		e.walkBuf = e.compiledSM.WalkInto(e.rng, e.cfg.maxWalkSteps, e.walkBuf[:0])
-		modelNames = e.walkBuf
+	var models []*compiledModel
+	if len(e.paths) > 0 {
+		models = e.paths[e.rng.Intn(len(e.paths))]
+	} else if e.walker != nil {
+		e.walkBuf = e.walker.walkInto(e.rng, e.cfg.maxWalkSteps, e.walkBuf[:0])
+		models = e.walkBuf
 	}
-	if len(modelNames) == 0 && len(e.modelOrder) > 0 {
-		// No state model: fuzz the lexicographically smallest data model
-		// as a standalone packet. (Map-range order here would make the
-		// pick nondeterministic across runs.)
-		modelNames = e.modelOrder[:1]
+	if len(models) == 0 {
+		models = e.fallback
 	}
 	e.arena.Reset()
 	seq := e.seqBuf[:0]
-	for _, name := range modelNames {
-		cm, ok := e.models[name]
-		if !ok {
+	for _, cm := range models {
+		if cm == nil {
 			continue
 		}
 		cm.instantiate(&e.msg, e.arena, e.rng)

@@ -323,20 +323,21 @@ func TestCompiledWalkMatchesWalk(t *testing.T) {
 			}},
 		},
 	}
-	c := sm.Compile()
+	models := map[string]*compiledModel{"m1": {}, "m2": {}, "m3": {}}
+	c := sm.compile(models)
 	for _, seed := range []int64{1, 2, 3, 99} {
 		r1 := testRandSeed(seed)
 		r2 := testRandSeed(seed)
-		var buf []string
+		var buf []*compiledModel
 		for i := 0; i < 300; i++ {
 			want := sm.Walk(r1, 8)
-			buf = c.WalkInto(r2, 8, buf[:0])
+			buf = c.walkInto(r2, 8, buf[:0])
 			if len(want) != len(buf) {
 				t.Fatalf("seed %d iter %d: lengths %d vs %d", seed, i, len(want), len(buf))
 			}
 			for j := range want {
-				if want[j] != buf[j] {
-					t.Fatalf("seed %d iter %d: walk[%d] %q vs %q", seed, i, j, want[j], buf[j])
+				if models[want[j]] != buf[j] {
+					t.Fatalf("seed %d iter %d: walk[%d] is not %q's model", seed, i, j, want[j])
 				}
 			}
 		}

@@ -36,6 +36,28 @@ var mutators = [...]mutator{
 // maxOps bounds the mutations MutateMessage applies to one message.
 const maxOps = 3
 
+// A plan's mask holds a bit per mutator; this fails to compile when the
+// suite outgrows a uint16.
+const _ = uint16(1<<len(mutators) - 1)
+
+// applyMask is the set of mutators whose kind, token and relation tests
+// e passes: each predicate asked of e with a one-byte payload, a length
+// every length test accepts. No mutator writes a leaf's kind, token or
+// relation names, so a mutator outside the mask never applies to the
+// leaf, whatever a message writes into it; one inside still asks its
+// predicate.
+func applyMask(e *Element) uint16 {
+	probe := *e
+	probe.Data, probe.repeat = unitA, 0
+	var mask uint16
+	for i := range mutators {
+		if mutators[i].applies(&probe) {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
 func isNumber(e *Element) bool { return e.Kind == KindNumber && !e.Token }
 func isSized(e *Element) bool  { return isNumber(e) && (e.SizeOf != "" || e.CountOf != "") }
 func isString(e *Element) bool { return e.Kind == KindString && !e.Token }
@@ -185,7 +207,8 @@ func blobRandomBytes(e *Element, a *Arena, r *rand.Rand) {
 // to msg and returns the number applied. A mutated leaf is the message's
 // own copy; the model is never written.
 func MutateMessage(msg *Message, r *rand.Rand) int {
-	if len(msg.fields) == 0 {
+	mask := msg.p.mask // per leaf
+	if len(mask) == 0 {
 		return 0
 	}
 	applied := 0
@@ -193,9 +216,8 @@ func MutateMessage(msg *Message, r *rand.Rand) int {
 	for i := 0; i < ops; i++ {
 		// Rejection-sample an applicable (field, mutator) pair.
 		for try := 0; try < 16; try++ {
-			k := r.Intn(len(msg.fields))
-			m := &mutators[r.Intn(len(mutators))]
-			if m.applies(msg.fields[k]) {
+			k, mi := r.Intn(len(mask)), r.Intn(len(mutators))
+			if m := &mutators[mi]; mask[k]&(1<<mi) != 0 && m.applies(msg.field(k)) {
 				m.mutate(msg.own(k), msg.arena, r)
 				applied++
 				break

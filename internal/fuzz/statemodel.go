@@ -93,26 +93,27 @@ func (sm *StateModel) Walk(r *rand.Rand, maxSteps int) []string {
 	return out
 }
 
-// A CompiledStateModel is an immutable, walk-optimized view of a
+// A compiledStateModel is an immutable, walk-optimized view of a
 // StateModel: each state's actions are pre-split into its ordered output
-// models and resolved transition targets, so a traversal performs no map
-// lookups and no per-state slice building. It draws from the rng exactly
-// as StateModel.Walk does (one Intn per state with transitions), so
-// compiled and uncompiled walks are interchangeable seed for seed.
-// Compiled models are read-only and safe for concurrent use.
-type CompiledStateModel struct {
+// models, resolved to compiled data models, and its resolved transition
+// targets, so a traversal performs no map lookups and no per-state slice
+// building. It draws from the rng exactly as StateModel.Walk does (one
+// Intn per state with transitions), so compiled and uncompiled walks are
+// interchangeable seed for seed. Compiled models are read-only and safe
+// for concurrent use.
+type compiledStateModel struct {
 	initial *compiledState
 }
 
 type compiledState struct {
-	models []string         // ActionOutput data models, in action order
+	models []*compiledModel // ActionOutput data models, in action order; nil for an undefined one
 	next   []*compiledState // ActionChangeState targets, in action order
 }
 
-// Compile builds the walk-optimized view. Transitions to undefined
-// states resolve to nil, ending a walk there exactly like Walk's failed
-// map lookup.
-func (sm *StateModel) Compile() *CompiledStateModel {
+// compile builds the walk-optimized view over models. Transitions to
+// undefined states resolve to nil, ending a walk there exactly like
+// Walk's failed map lookup.
+func (sm *StateModel) compile(models map[string]*compiledModel) *compiledStateModel {
 	states := make(map[string]*compiledState, len(sm.States))
 	for name := range sm.States {
 		states[name] = &compiledState{}
@@ -122,20 +123,20 @@ func (sm *StateModel) Compile() *CompiledStateModel {
 		for _, a := range st.Actions {
 			switch a.Kind {
 			case ActionOutput:
-				cs.models = append(cs.models, a.DataModel)
+				cs.models = append(cs.models, models[a.DataModel])
 			case ActionChangeState:
 				cs.next = append(cs.next, states[a.To])
 			}
 		}
 	}
-	return &CompiledStateModel{initial: states[sm.Initial]}
+	return &compiledStateModel{initial: states[sm.Initial]}
 }
 
-// WalkInto performs one randomized traversal from the initial state,
-// appending the ordered data-model names to out and returning the
-// extended slice. Passing a reused out[:0] makes steady-state walks
+// walkInto performs one randomized traversal from the initial state,
+// appending the ordered data models to out and returning the extended
+// slice. Passing a reused out[:0] makes steady-state walks
 // allocation-free. The rng draw sequence matches StateModel.Walk.
-func (c *CompiledStateModel) WalkInto(r *rand.Rand, maxSteps int, out []string) []string {
+func (c *compiledStateModel) walkInto(r *rand.Rand, maxSteps int, out []*compiledModel) []*compiledModel {
 	cur := c.initial
 	for steps := 0; cur != nil && steps < maxSteps; steps++ {
 		out = append(out, cur.models...)

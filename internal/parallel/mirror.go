@@ -23,12 +23,12 @@ type Mirror struct {
 func NewMirror() *Mirror { return &Mirror{corpus: fuzz.NewCorpus(0)} }
 
 // Add files the addition of a lease record: its seed, digest, and
-// whether the record shipped the messages. Shipped messages are copied,
-// so the mirror never keeps the buffer a record was decoded from alive.
+// whether the record shipped the messages. A shipped seed is kept as it
+// is: in-process it is the engine's corpus seed, which nothing writes,
+// and a decoded one owns its bytes (the lease result decoder copies
+// them out of the frame).
 func (m *Mirror) Add(s fuzz.Seed, d fuzz.Digest, shipped bool) {
-	if shipped {
-		s = s.Clone()
-	} else {
+	if !shipped {
 		s.Msgs = nil
 	}
 	m.add(s, d, shipped)

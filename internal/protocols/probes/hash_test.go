@@ -113,7 +113,7 @@ func TestHashBytesMatchesFNV(t *testing.T) {
 		// the first probe and one found at the second: a flip of every
 		// byte, and a unit that changes in one byte from there on.
 		for _, hl := range []int{0, 1} {
-			in := append(randBytes(r, hl), base[:runInput+1]...)
+			in := append(randBytes(r, hl), base...)
 			for _, c := range []int{cmpChunk, 2 * cmpChunk, probeStride + cmpChunk} {
 				for at := c - 20; at < c+20; at++ {
 					in[at] ^= 0x80
@@ -192,6 +192,12 @@ func BenchmarkHashBytes(b *testing.B) {
 	}{
 		{"16B", randBytes(r, 16)},
 		{"256B", randBytes(r, 256)},
+		{"4KiB-random", randBytes(r, 4<<10)},
+		{"4KiB-periodic", periodic([]byte("head"), randBytes(r, 16), 4<<10, []byte("tail"))},
+		{"16KiB-random", randBytes(r, 16<<10)},
+		{"16KiB-periodic", periodic([]byte("head"), randBytes(r, 16), 16<<10, []byte("tail"))},
+		{"32KiB-random", randBytes(r, 32<<10)},
+		{"32KiB-periodic", periodic([]byte("head"), randBytes(r, 16), 32<<10, []byte("tail"))},
 		{"64KiB-random", randBytes(r, 64<<10)},
 		{"1MiB-random", randBytes(r, 1<<20)},
 		{"6MiB-periodic", periodic([]byte("head"), randBytes(r, 16), 6<<20, []byte("tail"))},

@@ -50,9 +50,11 @@ func HashBytes(b []byte) uint64 {
 // bytes or more, probing every probeStride bytes of non-run input for a
 // probeWindow-byte window that recurs at most maxPeriod bytes on; a
 // probe costs under a hundredth of hashing the stride. A run is taken
-// when it holds from the probe for at least probeStride bytes.
+// when it holds from the probe for at least probeStride bytes, so no
+// shorter input can hold one, and at that length the probes leave a
+// random input within the byte loop's noise (BenchmarkHashBytes).
 const (
-	runInput    = 64 << 10
+	runInput    = probeStride
 	probeStride = 4 << 10
 	probeWindow = 32
 	maxPeriod   = 64
